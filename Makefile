@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race lint flatlint fuzz fmt
+.PHONY: all build test race lint flatlint fuzz fmt benchmark-check loc
 
 all: build test
 
@@ -28,3 +28,13 @@ fuzz:
 
 fmt:
 	gofmt -w .
+
+# benchmark/ is a separate module (replace flat => ../) that tier-1
+# build/test never compile; run this after touching any API it drives.
+benchmark-check:
+	(cd benchmark && $(GO) vet . && $(GO) test -short ./...)
+
+# Non-test Go line count outside benchmark/ — the number simplification
+# PRs report before and after.
+loc:
+	@find . -name '*.go' -not -name '*_test.go' -not -path './benchmark/*' -not -path '*/testdata/*' | xargs cat | wc -l

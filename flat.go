@@ -55,10 +55,11 @@
 //	}
 //	cost := res.Stats() // page reads of the work actually performed
 //
-// RangeQuery, CountQuery, PointQuery and the Batch variants are
-// compatibility wrappers over the same path for callers that want the
-// whole result at once; the *Context variants accept a context without
-// switching to sessions. OpenAny opens either index shape from a path
+// RangeQuery, CountQuery and PointQuery are Query(ctx, q).Collect()
+// spelled for callers that want the whole result at once, and
+// BatchRangeQuery/BatchCountQuery fan a query batch over a worker pool.
+// These seven methods are defined once (queryBase, query.go) and shared
+// by both index shapes. OpenAny opens either index shape from a path
 // and returns the composed QueryIndex interface; the Querier /
 // Inspector / Maintainer role interfaces split the same surface by
 // concern for callers that need less.
@@ -94,7 +95,8 @@
 // splits the data into K spatial shards along the Hilbert curve, builds
 // K independent FLAT indexes in parallel, and serves them behind a
 // top-level MBR directory: queries are pruned against the directory and
-// scatter-gathered over the surviving shards, with merged QueryStats.
+// streamed from the surviving shards in shard order by one executor,
+// with merged QueryStats.
 // All shards share one globally budgeted page cache. Index and
 // ShardedIndex both satisfy Querier, so serving code is written once
 // against the interface. See the README for guidance on choosing K.
@@ -144,12 +146,10 @@ type (
 //
 // All methods are safe for concurrent use.
 type Querier interface {
-	// Query starts a cancellable, streaming query session; see
-	// Index.Query for the semantics shared by both implementations.
+	// Query starts a cancellable, streaming query session.
 	Query(ctx context.Context, q MBR, opts ...QueryOption) *Results
 	// NN starts a streaming k-nearest-neighbor session: the k indexed
-	// elements nearest to p, delivered in nondecreasing distance; see
-	// Index.NN for the semantics shared by both implementations.
+	// elements nearest to p, delivered in nondecreasing distance.
 	NN(ctx context.Context, p Vec3, k int, opts ...QueryOption) *Results
 	// RangeQuery returns every indexed element intersecting q.
 	RangeQuery(q MBR) ([]Element, QueryStats, error)
@@ -158,9 +158,9 @@ type Querier interface {
 	// PointQuery returns the elements whose MBR contains p.
 	PointQuery(p Vec3) ([]Element, QueryStats, error)
 	// BatchRangeQuery fans queries over a worker pool.
-	BatchRangeQuery(queries []MBR, workers int) ([]BatchResult, error)
+	BatchRangeQuery(ctx context.Context, queries []MBR, workers int) ([]BatchResult, error)
 	// BatchCountQuery is BatchRangeQuery without materializing results.
-	BatchCountQuery(queries []MBR, workers int) ([]int, []QueryStats, error)
+	BatchCountQuery(ctx context.Context, queries []MBR, workers int) ([]int, []QueryStats, error)
 }
 
 // Inspector is the read-only metadata role: cheap accessors over
@@ -297,10 +297,26 @@ type Options struct {
 // Index is a built FLAT index. See the package documentation for its
 // concurrency guarantees.
 type Index struct {
+	queryBase
 	inner *core.Index
 	pool  *storage.ConcurrentPool
 	pager storage.Pager
-	guard queryGuard
+}
+
+// newIndex wires the unsharded executors — the engine's range crawl and
+// best-first traversal — into the shared query-method family.
+func newIndex(inner *core.Index, pool *storage.ConcurrentPool, pager storage.Pager) *Index {
+	return &Index{
+		queryBase: queryBase{
+			rangeRun: func(ctx context.Context, q MBR, _ queryConfig, emit func(Element) bool) (QueryStats, error) {
+				return inner.Query(ctx, q, emit)
+			},
+			nnRun: func(ctx context.Context, q MBR, _ queryConfig, emit func(Element) bool) (QueryStats, error) {
+				return inner.NN(ctx, q.Min, func(e Element, _ float64) bool { return emit(e) })
+			},
+		},
+		inner: inner, pool: pool, pager: pager,
+	}
 }
 
 // Build bulkloads a FLAT index over els (reordering the slice in place).
@@ -347,7 +363,7 @@ func Build(els []Element, opts *Options) (*Index, error) {
 	// Hand back a cold index: construction leaves every page cached,
 	// which would make the first queries' read counts meaningless.
 	pool.Reset()
-	return &Index{inner: inner, pool: pool, pager: pager}, nil
+	return newIndex(inner, pool, pager), nil
 }
 
 // Open loads a previously built disk-backed index from its page file
@@ -387,46 +403,7 @@ func OpenWithOptions(path string, opts *Options) (*Index, error) {
 		pager.Close()
 		return nil, err
 	}
-	return &Index{inner: inner, pool: pool, pager: pager}, nil
-}
-
-// Query starts a streaming query session over q: a cancellable
-// iterator that delivers elements incrementally, in the same
-// deterministic order RangeQuery returns them. Nothing is read until
-// the session is iterated (see Results). Between page reads the crawl
-// checks ctx, so a deadline or cancellation aborts it mid-BFS with
-// ctx.Err(); WithLimit stops it after k results, skipping the page
-// reads the rest of the crawl would have cost; WithBuffer overlaps the
-// crawl's page reads with the caller's per-element work
-// (WithShardPrefetch only applies to sharded sessions and is a no-op
-// here). Safe for concurrent use: any number of sessions may be
-// drained at once.
-func (ix *Index) Query(ctx context.Context, q MBR, opts ...QueryOption) *Results {
-	return newResults(ctx, q, opts, &ix.guard, func(ctx context.Context, q MBR, _ queryConfig, emit func(Element) bool) (QueryStats, error) {
-		return ix.inner.Query(ctx, q, emit)
-	})
-}
-
-// RangeQuery returns every indexed element whose MBR intersects q,
-// together with the query's page-read statistics. It is safe for
-// concurrent use, and is a thin wrapper over the Query session path —
-// Query(context.Background(), q).Collect() — kept for callers that want
-// the whole result as a slice.
-func (ix *Index) RangeQuery(q MBR) ([]Element, QueryStats, error) {
-	return ix.Query(context.Background(), q).Collect()
-}
-
-// CountQuery returns the number of elements intersecting q without
-// materializing them; the page access pattern is identical to
-// RangeQuery. It is safe for concurrent use.
-func (ix *Index) CountQuery(q MBR) (int, QueryStats, error) {
-	return ix.Query(context.Background(), q).count()
-}
-
-// PointQuery returns the elements whose MBR contains p. It is safe for
-// concurrent use.
-func (ix *Index) PointQuery(p Vec3) ([]Element, QueryStats, error) {
-	return ix.RangeQuery(geom.PointBox(p))
+	return newIndex(inner, pool, pager), nil
 }
 
 // CrawlFrom executes only the crawl phase of a range query, starting
@@ -455,70 +432,10 @@ func (ix *Index) Records(fn func(ref RecordRef, pageMBR, partitionMBR MBR, objec
 	return ix.inner.Records(fn)
 }
 
-// BatchResult is one query's output within a BatchRangeQuery.
-type BatchResult struct {
-	Elements []Element
-	Stats    QueryStats
-}
-
-// BatchRangeQuery executes the queries concurrently on a pool of workers
-// goroutines and returns per-query results in input order. A workers
-// value <= 0 uses GOMAXPROCS. All workers share the index's page cache;
-// each result's Stats counts the cache misses its own query caused, so
-// summing them gives the batch's aggregate page reads. A query error
-// aborts the batch; the error of the lowest-indexed failing query is
-// returned (already-finished results are kept). It is shorthand for
-// BatchRangeQueryContext with context.Background().
-func (ix *Index) BatchRangeQuery(queries []MBR, workers int) ([]BatchResult, error) {
-	return ix.BatchRangeQueryContext(context.Background(), queries, workers)
-}
-
-// BatchRangeQueryContext is BatchRangeQuery under a context: a done ctx
-// stops workers from starting further queries and aborts the in-flight
-// crawls, and the batch returns ctx.Err() (results finished before the
-// cancellation are kept).
-func (ix *Index) BatchRangeQueryContext(ctx context.Context, queries []MBR, workers int) ([]BatchResult, error) {
-	if err := ix.guard.enter(); err != nil {
-		return nil, err
-	}
-	defer ix.guard.exit()
-	out := make([]BatchResult, len(queries))
-	err := runBatch(ctx, len(queries), workers, func(i int) error {
-		els, st, err := ix.inner.RangeQueryContext(ctx, queries[i])
-		out[i] = BatchResult{Elements: els, Stats: st}
-		return err
-	})
-	return out, err
-}
-
-// BatchCountQuery is BatchRangeQuery without materializing result
-// elements: it returns each query's hit count and stats in input order.
-func (ix *Index) BatchCountQuery(queries []MBR, workers int) ([]int, []QueryStats, error) {
-	return ix.BatchCountQueryContext(context.Background(), queries, workers)
-}
-
-// BatchCountQueryContext is BatchCountQuery under a context, with the
-// same cancellation semantics as BatchRangeQueryContext.
-func (ix *Index) BatchCountQueryContext(ctx context.Context, queries []MBR, workers int) ([]int, []QueryStats, error) {
-	if err := ix.guard.enter(); err != nil {
-		return nil, nil, err
-	}
-	defer ix.guard.exit()
-	counts := make([]int, len(queries))
-	stats := make([]QueryStats, len(queries))
-	err := runBatch(ctx, len(queries), workers, func(i int) error {
-		n, st, err := ix.inner.CountQueryContext(ctx, queries[i])
-		counts[i], stats[i] = n, st
-		return err
-	})
-	return counts, stats, err
-}
-
 // runBatch fans n independent work items over a worker pool; it is the
-// shared batch engine behind the Batch* methods of both Index and
-// ShardedIndex. Workers pull the next item from an atomic cursor, so an
-// expensive query does not stall the rest of the batch behind a static
-// partition.
+// batch engine behind BatchRangeQuery and BatchCountQuery. Workers pull
+// the next item from an atomic cursor, so an expensive query does not
+// stall the rest of the batch behind a static partition.
 //
 // Error propagation is deterministic: every claimed item runs to
 // completion, failures are stamped with their item index, and the error

@@ -1,6 +1,7 @@
 package flat
 
 import (
+	"context"
 	"math/rand"
 	"path/filepath"
 	"sort"
@@ -194,7 +195,7 @@ func TestBatchRangeQuery(t *testing.T) {
 	queries := queryWorkload(r, 40)
 
 	for _, workers := range []int{0, 1, 3, 8, 100} {
-		results, err := ix.BatchRangeQuery(queries, workers)
+		results, err := ix.BatchRangeQuery(context.Background(), queries, workers)
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
@@ -227,7 +228,7 @@ func TestBatchRangeQuery(t *testing.T) {
 	}
 
 	// The count variant must agree with the range variant.
-	counts, stats, err := ix.BatchCountQuery(queries, 4)
+	counts, stats, err := ix.BatchCountQuery(context.Background(), queries, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -253,7 +254,7 @@ func TestBatchRangeQueryEmpty(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer ix.Close()
-	results, err := ix.BatchRangeQuery(nil, 8)
+	results, err := ix.BatchRangeQuery(context.Background(), nil, 8)
 	if err != nil {
 		t.Fatal(err)
 	}

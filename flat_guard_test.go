@@ -1,6 +1,7 @@
 package flat
 
 import (
+	"context"
 	"errors"
 	"math/rand"
 	"sync"
@@ -225,7 +226,7 @@ func TestShardedCloseGuard(t *testing.T) {
 	if _, _, err := sx.RangeQuery(q); !errors.Is(err, ErrClosed) {
 		t.Errorf("query after Close: %v, want ErrClosed", err)
 	}
-	if _, err := sx.BatchRangeQuery([]MBR{q}, 2); !errors.Is(err, ErrClosed) {
+	if _, err := sx.BatchRangeQuery(context.Background(), []MBR{q}, 2); !errors.Is(err, ErrClosed) {
 		t.Errorf("batch after Close: %v, want ErrClosed", err)
 	}
 }

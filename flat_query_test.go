@@ -208,10 +208,10 @@ func TestQueryCancelMidCrawl(t *testing.T) {
 	}
 }
 
-// TestQueryContextAlreadyDone exercises the scatter path with a context
-// that is done before the query starts: both the session and the
-// *Context materializing calls must fail with the context's error
-// without delivering anything.
+// TestQueryContextAlreadyDone runs every context-taking entry point of
+// both shapes with a context that is done before the query starts: the
+// session, its Collect/count sinks and the Batch methods must fail with
+// the context's error without delivering anything.
 func TestQueryContextAlreadyDone(t *testing.T) {
 	_, targets := queryTargets(t, 1000)
 	q := Box(V(0, 0, 0), V(100, 100, 100))
@@ -227,18 +227,24 @@ func TestQueryContextAlreadyDone(t *testing.T) {
 		if res.Stats().Results != 0 {
 			t.Fatalf("%s: done-ctx session still delivered %d elements", name, res.Stats().Results)
 		}
-	}
-	// The ctx-aware materializing paths (scatter-gather included).
-	sx := targets["ShardedIndex"].(*ShardedIndex)
-	if _, _, err := sx.RangeQueryContext(ctx, q); !errors.Is(err, context.Canceled) {
-		t.Fatalf("RangeQueryContext = %v, want context.Canceled", err)
-	}
-	if _, _, err := sx.CountQueryContext(ctx, q); !errors.Is(err, context.Canceled) {
-		t.Fatalf("CountQueryContext = %v, want context.Canceled", err)
-	}
-	ixp := targets["Index"].(*Index)
-	if _, err := ixp.BatchRangeQueryContext(ctx, []MBR{q, q}, 2); !errors.Is(err, context.Canceled) {
-		t.Fatalf("BatchRangeQueryContext = %v, want context.Canceled", err)
+		if els, _, err := ix.Query(ctx, q).Collect(); !errors.Is(err, context.Canceled) || els != nil {
+			t.Fatalf("%s: Collect = %d elements, %v, want none and context.Canceled", name, len(els), err)
+		}
+		if n, _, err := ix.Query(ctx, q).count(); !errors.Is(err, context.Canceled) || n != 0 {
+			t.Fatalf("%s: count = %d, %v, want 0 and context.Canceled", name, n, err)
+		}
+		results, err := ix.BatchRangeQuery(ctx, []MBR{q, q}, 2)
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("%s: BatchRangeQuery = %v, want context.Canceled", name, err)
+		}
+		for i, r := range results {
+			if r.Elements != nil {
+				t.Fatalf("%s: cancelled batch delivered %d elements for query %d", name, len(r.Elements), i)
+			}
+		}
+		if _, _, err := ix.BatchCountQuery(ctx, []MBR{q, q}, 2); !errors.Is(err, context.Canceled) {
+			t.Fatalf("%s: BatchCountQuery = %v, want context.Canceled", name, err)
+		}
 	}
 }
 

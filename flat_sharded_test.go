@@ -1,6 +1,7 @@
 package flat
 
 import (
+	"context"
 	"math/rand"
 	"path/filepath"
 	"sort"
@@ -222,11 +223,11 @@ func TestShardedBatchQueries(t *testing.T) {
 	defer sx.Close()
 	queries := queryWorkload(r, 30)
 
-	results, err := sx.BatchRangeQuery(queries, 8)
+	results, err := sx.BatchRangeQuery(context.Background(), queries, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
-	counts, stats, err := sx.BatchCountQuery(queries, 3)
+	counts, stats, err := sx.BatchCountQuery(context.Background(), queries, 3)
 	if err != nil {
 		t.Fatal(err)
 	}

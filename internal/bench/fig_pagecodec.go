@@ -133,8 +133,8 @@ func (r *Runner) pagecodec() ([]*Table, error) {
 			float64(reads[0].TotalReads())/float64(reads[1].TotalReads()))
 	}
 
-	// Sharded parity: the codec must be invisible through the
-	// scatter-gather path too.
+	// Sharded parity: the codec must be invisible through the sharded
+	// executor too.
 	queries := datagen.Queries(datagen.QuerySpec{
 		Count:          r.Cfg.Queries,
 		World:          m.Volume,

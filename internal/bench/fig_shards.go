@@ -16,10 +16,10 @@ import (
 // shardsExperiment measures the sharded FLAT index against the
 // unsharded one on the brain model at K = 1, 2, 4, 8: build time
 // (per-shard bulkloads run in parallel), cold page reads, and warm
-// scatter-gather throughput — once under the broad LSS workload (every
-// query overlaps most shards: the scatter-gather stress case) and once
-// under the selective SN workload (the directory prunes to ~1 shard:
-// the routing win case).
+// throughput of the sequential shard-order executor — once under the
+// broad LSS workload (every query overlaps most shards: the stress
+// case) and once under the selective SN workload (the directory prunes
+// to ~1 shard: the routing win case).
 //
 // Two invariants are enforced, not just reported:
 //
@@ -99,8 +99,8 @@ func (r *Runner) shardsExperiment() ([]*Table, error) {
 		parity = "K=1 read counts are asserted identical to unsharded; "
 	}
 	note := fmt.Sprintf("build speedup vs unsharded bulkload; cold page reads (dropped cache per query); "+
-		"warm queries/sec over the scatter-gather path; "+parity+
-		"parallel build and scatter speedups are bounded by GOMAXPROCS=%d on this machine", runtime.GOMAXPROCS(0))
+		"warm queries/sec over the sequential shard-order executor (Set.CountQuery); "+parity+
+		"the parallel build speedup is bounded by GOMAXPROCS=%d on this machine", runtime.GOMAXPROCS(0))
 	tables := make([]*Table, len(workloads))
 	for w, wl := range workloads {
 		tables[w] = &Table{
@@ -135,7 +135,7 @@ func (r *Runner) shardsExperiment() ([]*Table, error) {
 			wr := refs[w]
 
 			// Cold replay: parity with the unsharded index, plus the mean
-			// scatter width (shards surviving the directory pruning).
+			// number of shards surviving the directory pruning.
 			var coldReads, results uint64
 			scatterWidth := 0
 			for i, q := range wr.queries {
@@ -159,8 +159,7 @@ func (r *Runner) shardsExperiment() ([]*Table, error) {
 				k1Reads[w] = coldReads
 			}
 
-			// Warm throughput of the scatter-gather path: one warm-up
-			// pass, then timed passes.
+			// Warm throughput: one warm-up pass, then timed passes.
 			const passes = 3
 			for _, q := range wr.queries {
 				if _, _, err := set.CountQuery(context.Background(), q); err != nil {

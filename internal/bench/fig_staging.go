@@ -16,22 +16,23 @@ import (
 // representative K keeps the sweep one-dimensional.
 const stagingK = 4
 
+// stagedIDBase is the first ID the experiment stages under — far above
+// any model element's, so a result's ID tells which side it came from.
+const stagedIDBase = uint64(1) << 40
+
 // staging measures what a query pays for the staged-update overlay as
-// the pending delta grows, comparing the linear overlay scan
-// (Config.LinearOverlay, the pre-delta-index behaviour) against the
-// per-shard delta R-trees. Two identical K=4 sets are built over the
-// brain model and fed the same staged inserts; at each delta size the
-// experiment reports the overlay work a query examines and the warm
-// whole-query latency of both modes, asserting result parity
-// element-for-element on every query at every step.
+// the pending delta grows. One K=4 set is built over the brain model
+// and fed staged inserts; at each delta size the experiment reports the
+// overlay work a query examines and the warm whole-query latency,
+// asserting on every query at every step that the staged tail of the
+// result is, element for element, the brute-force filter of the staged
+// slice.
 //
 // The "examined" column counts the overlay candidates a query's
-// overlayFor visits: the linear mode sweeps every pending insert (the
-// whole delta, per query), the indexed mode visits only the staged
-// inserts whose boxes intersect the query — the R-tree probe's exact
-// hit set. Both counts are derived from the staged set and the query
-// boxes, so the column is deterministic across machines; the latency
-// columns are wall-clock and machine-dependent.
+// overlayFor visits: the staged inserts whose boxes intersect the query
+// — the delta R-tree probe's exact hit set. It is derived from the
+// staged set and the query boxes, so the column is deterministic across
+// machines; the latency column is wall-clock and machine-dependent.
 func (r *Runner) staging() ([]*Table, error) {
 	n := r.Cfg.Densities[len(r.Cfg.Densities)-1]
 	m := r.model(n)
@@ -47,37 +48,25 @@ func (r *Runner) staging() ([]*Table, error) {
 	deltas := []int{0, n / 16, n / 4, n}
 	rng := rand.New(rand.NewSource(r.Cfg.Seed + 201))
 
-	build := func(linear bool) (*shard.Set, error) {
-		els := append([]geom.Element(nil), m.Elements...)
-		return shard.Build(els, shard.Config{
-			Shards:        stagingK,
-			PageCapacity:  r.Cfg.NodeCapacity,
-			SeedFanout:    r.Cfg.NodeCapacity,
-			World:         m.Volume,
-			LinearOverlay: linear,
-		})
-	}
-	linSet, err := build(true)
+	set, err := shard.Build(append([]geom.Element(nil), m.Elements...), shard.Config{
+		Shards:       stagingK,
+		PageCapacity: r.Cfg.NodeCapacity,
+		SeedFanout:   r.Cfg.NodeCapacity,
+		World:        m.Volume,
+	})
 	if err != nil {
-		return nil, fmt.Errorf("staging linear build: %w", err)
+		return nil, fmt.Errorf("staging build: %w", err)
 	}
-	defer linSet.Close()
-	idxSet, err := build(false)
-	if err != nil {
-		return nil, fmt.Errorf("staging indexed build: %w", err)
-	}
-	defer idxSet.Close()
+	defer set.Close()
 
 	table := &Table{
 		ID: "staging",
 		Title: fmt.Sprintf("Staged-update overlay cost vs delta size (brain model, n=%d, K=%d, %d LSS queries)",
 			n, stagingK, len(queries)),
-		Columns: []string{
-			"delta", "mode", "examined/query", "us/query", "speedup vs linear", "results/query",
-		},
-		Note: "linear sweeps the whole pending delta on every query; indexed probes per-shard delta R-trees. " +
+		Columns: []string{"delta", "examined/query", "us/query", "results/query"},
+		Note: "the overlay probes per-shard delta R-trees. " +
 			"\"examined\" is the exact overlay candidate count (deterministic); latency is wall-clock. " +
-			"Result parity between the modes is asserted element-for-element on every query at every delta size.",
+			"Every query's staged tail is asserted element-for-element against a brute-force filter of the staged inserts at every delta size.",
 	}
 
 	ctx := context.Background()
@@ -86,22 +75,19 @@ func (r *Runner) staging() ([]*Table, error) {
 		if target < len(staged) {
 			continue // duplicate step at tiny -densities
 		}
-		// Grow both sets' deltas to the target with the same inserts:
-		// clones of random base elements under fresh IDs, so the delta's
-		// spatial distribution matches the data's.
+		// Grow the delta to the target: clones of random base elements
+		// under fresh IDs, so the delta's spatial distribution matches
+		// the data's.
 		batch := make([]geom.Element, 0, target-len(staged))
 		for len(staged)+len(batch) < target {
 			src := m.Elements[rng.Intn(len(m.Elements))]
 			batch = append(batch, geom.Element{
-				ID:  uint64(1)<<40 + uint64(len(staged)+len(batch)),
+				ID:  stagedIDBase + uint64(len(staged)+len(batch)),
 				Box: src.Box,
 			})
 		}
 		if len(batch) > 0 {
-			if err := linSet.StageInsert(batch...); err != nil {
-				return nil, err
-			}
-			if err := idxSet.StageInsert(batch...); err != nil {
+			if err := set.StageInsert(batch...); err != nil {
 				return nil, err
 			}
 			staged = append(staged, batch...)
@@ -110,64 +96,52 @@ func (r *Runner) staging() ([]*Table, error) {
 		// Parity and the examined/results columns.
 		var matched, results uint64
 		for _, q := range queries {
-			lin, _, err := linSet.RangeQuery(ctx, q)
+			got, _, err := set.RangeQuery(ctx, q)
 			if err != nil {
 				return nil, err
 			}
-			idx, _, err := idxSet.RangeQuery(ctx, q)
-			if err != nil {
-				return nil, err
-			}
-			if len(lin) != len(idx) {
-				return nil, fmt.Errorf("staging delta=%d: linear returns %d elements, indexed %d", len(staged), len(lin), len(idx))
-			}
-			for i := range lin {
-				if lin[i] != idx[i] {
-					return nil, fmt.Errorf("staging delta=%d: results diverge at element %d", len(staged), i)
-				}
-			}
-			results += uint64(len(lin))
+			var want []geom.Element
 			for _, e := range staged {
 				if e.Box.Intersects(q) {
-					matched++
+					want = append(want, e)
 				}
 			}
+			bulk := len(got) - len(want)
+			if bulk < 0 {
+				return nil, fmt.Errorf("staging delta=%d: %d results, fewer than the %d staged inserts the query intersects", len(staged), len(got), len(want))
+			}
+			for i, e := range got {
+				if i < bulk && e.ID >= stagedIDBase {
+					return nil, fmt.Errorf("staging delta=%d: staged insert %d delivered before the bulkloaded results end", len(staged), e.ID)
+				}
+				if i >= bulk && e != want[i-bulk] {
+					return nil, fmt.Errorf("staging delta=%d: staged tail diverges from brute force at element %d", len(staged), i-bulk)
+				}
+			}
+			results += uint64(len(got))
+			matched += uint64(len(want))
 		}
 		nq := uint64(len(queries))
-		linExamined := uint64(len(staged)) // the linear sweep visits the whole delta, per query
-		idxExamined := matched / nq        // the R-tree probe visits its exact hit set
 
-		// Warm latency of both modes.
-		timeMode := func(set *shard.Set) (float64, error) {
-			const passes = 3
-			for _, q := range queries { // warm-up
+		// Warm latency.
+		const passes = 3
+		for _, q := range queries { // warm-up
+			if _, _, err := set.RangeQuery(ctx, q); err != nil {
+				return nil, err
+			}
+		}
+		t0 := time.Now()
+		for p := 0; p < passes; p++ {
+			for _, q := range queries {
 				if _, _, err := set.RangeQuery(ctx, q); err != nil {
-					return 0, err
+					return nil, err
 				}
 			}
-			t0 := time.Now()
-			for p := 0; p < passes; p++ {
-				for _, q := range queries {
-					if _, _, err := set.RangeQuery(ctx, q); err != nil {
-						return 0, err
-					}
-				}
-			}
-			return float64(time.Since(t0).Microseconds()) / float64(passes*len(queries)), nil
 		}
-		linUS, err := timeMode(linSet)
-		if err != nil {
-			return nil, err
-		}
-		idxUS, err := timeMode(idxSet)
-		if err != nil {
-			return nil, err
-		}
+		us := float64(time.Since(t0).Microseconds()) / float64(passes*len(queries))
 
-		r.logf("  staging delta=%d: linear %d examined %.1fus, indexed %d examined %.1fus",
-			len(staged), linExamined, linUS, idxExamined, idxUS)
-		table.AddRow(fi(len(staged)), "linear", fu(linExamined), f1(linUS), f2(1.0), fu(results/nq))
-		table.AddRow(fi(len(staged)), "indexed", fu(idxExamined), f1(idxUS), f2(linUS/idxUS), fu(results/nq))
+		r.logf("  staging delta=%d: %d examined %.1fus", len(staged), matched/nq, us)
+		table.AddRow(fi(len(staged)), fu(matched/nq), f1(us), fu(results/nq))
 	}
 	return []*Table{table}, nil
 }

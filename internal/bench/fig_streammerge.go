@@ -13,8 +13,8 @@ import (
 
 // streamMergeLimit is the per-query result bound of the experiment's
 // limited pass: small enough that the consumer stops inside the first
-// shard, so the reads it pays are the prefetch window's, not the whole
-// scatter's.
+// shard, so the reads it pays are the prefetch window's, not every
+// surviving shard's.
 const streamMergeLimit = 16
 
 // streamMerge measures the prefetching streaming shard merge against
@@ -85,7 +85,7 @@ func (r *Runner) streamMerge() ([]*Table, error) {
 			return nil, fmt.Errorf("streammerge shards=%d: %w", k, err)
 		}
 
-		// The materializing scatter-gather is the order reference.
+		// RangeQuery — the sequential collect sink — is the order reference.
 		ref := make([][]geom.Element, len(queries))
 		for i, q := range queries {
 			if ref[i], _, err = set.RangeQuery(ctx, q); err != nil {

@@ -29,7 +29,7 @@ type jsonTable struct {
 }
 
 // jsonEnv records the machine the numbers were measured on. Parallel
-// build and scatter speedups are bounded by GOMAXPROCS, so artifacts
+// build and shard-prefetch speedups are bounded by GOMAXPROCS, so artifacts
 // from a single-core container (≈1× speedups) and a multi-core CI
 // runner are only comparable with this stamp.
 type jsonEnv struct {

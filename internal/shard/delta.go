@@ -15,8 +15,7 @@
 // probe paths filter through exactly the same predicates as the linear
 // scans (Intersects for inserts, deleteMatches containment for
 // deletes), so results are bit-for-bit what the linear overlay
-// produced. Config.LinearOverlay keeps the linear scans selectable —
-// the A/B the staging benchmark measures.
+// produced.
 
 package shard
 
@@ -30,26 +29,21 @@ import (
 // append-ordered (hence seq-ascending) source of truth, the tree maps a
 // query box to slab positions (each inserted element's tree ID is its
 // slab index, so duplicate-ID and duplicate-box inserts stay distinct).
-// tree is nil in linear-overlay mode; probes then sweep the slab.
 type shardDelta struct {
 	slab []stagedInsert
 	tree *rtree.DynTree
 }
 
-func newShardDelta(linear bool) *shardDelta {
-	d := &shardDelta{}
-	if !linear {
-		// The delta tree lives on its own unbounded in-memory pool: its
-		// pages are scratch that die with the staging epoch, so they must
-		// not compete with real shards for the shared cache budget. The
-		// pool must be the concurrency-safe one — any number of queries
-		// may probe the tree at once under pmu's read side, and even a
-		// cache hit mutates a BufferPool's LRU state. ConcurrentPool's
-		// contract (Alloc/Write never concurrent with reads) is satisfied
-		// because inserts run exclusively under pmu's write side.
-		d.tree = rtree.NewDynTree(storage.NewConcurrentPool(storage.NewMemPager(), 0), rtree.Config{})
-	}
-	return d
+func newShardDelta() *shardDelta {
+	// The delta tree lives on its own unbounded in-memory pool: its
+	// pages are scratch that die with the staging epoch, so they must
+	// not compete with real shards for the shared cache budget. The
+	// pool must be the concurrency-safe one — any number of queries
+	// may probe the tree at once under pmu's read side, and even a
+	// cache hit mutates a BufferPool's LRU state. ConcurrentPool's
+	// contract (Alloc/Write never concurrent with reads) is satisfied
+	// because inserts run exclusively under pmu's write side.
+	return &shardDelta{tree: rtree.NewDynTree(storage.NewConcurrentPool(storage.NewMemPager(), 0), rtree.Config{})}
 }
 
 // reset empties the delta for reuse by a later staging epoch: the slab
@@ -59,34 +53,23 @@ func newShardDelta(linear bool) *shardDelta {
 // excludes queries, and overlay snapshots never outlive pmu's read side.
 func (d *shardDelta) reset() {
 	d.slab = d.slab[:0]
-	if d.tree != nil {
-		d.tree.Reset()
-	}
+	d.tree.Reset()
 }
 
 // add stages one insert. The tree is updated first so a tree failure
 // leaves the slab unchanged (the two never disagree).
 func (d *shardDelta) add(si stagedInsert) error {
-	if d.tree != nil {
-		if err := d.tree.Insert(geom.Element{ID: uint64(len(d.slab)), Box: si.el.Box}); err != nil {
-			return err
-		}
+	if err := d.tree.Insert(geom.Element{ID: uint64(len(d.slab)), Box: si.el.Box}); err != nil {
+		return err
 	}
 	d.slab = append(d.slab, si)
 	return nil
 }
 
-// forEachCandidate hands fn every staged insert that may intersect q —
-// exactly the slab entries whose box intersects it when the tree is
-// live, the whole slab in linear mode. Callers re-check Intersects
-// either way, so correctness never depends on the tree's pruning.
+// forEachCandidate hands fn every staged insert whose box the delta
+// tree reports as intersecting q. Callers re-check Intersects, so
+// correctness never depends on the tree's pruning.
 func (d *shardDelta) forEachCandidate(q geom.MBR, fn func(si stagedInsert)) error {
-	if d.tree == nil {
-		for _, si := range d.slab {
-			fn(si)
-		}
-		return nil
-	}
 	if d.tree.Len() == 0 {
 		return nil
 	}
@@ -136,8 +119,6 @@ type deleteView struct {
 	idx *deleteIndex
 }
 
-func (v deleteView) empty() bool { return len(v.all) == 0 }
-
 // matches reports whether e is doomed by any staged delete (bulkloaded
 // elements predate the whole staging epoch, so every delete applies).
 func (v deleteView) matches(e geom.Element) bool {
@@ -181,7 +162,7 @@ func (s *Set) deleteViewLocked() deleteView {
 		return deleteView{}
 	}
 	all := s.deletes[:n:n]
-	if s.linearOverlay || n < deleteIndexMin {
+	if n < deleteIndexMin {
 		return deleteView{all: all}
 	}
 	idx := s.delIdx.Load()

@@ -42,12 +42,10 @@ const ManifestName = "MANIFEST.json"
 // the atomic rename; a leftover one (torn write) is ignored and GCed.
 const manifestTempName = ManifestName + ".tmp"
 
-const (
-	manifestV1 = 1
-	manifestV2 = 2
-)
+// manifestV2 is the only manifest version read or written.
+const manifestV2 = 2
 
-// shardEntry describes one shard in a v2 manifest.
+// shardEntry describes one shard in the manifest.
 type shardEntry struct {
 	// File is the shard's page-file name within the index directory.
 	File string `json:"file"`
@@ -56,8 +54,7 @@ type shardEntry struct {
 	Generation uint64 `json:"generation"`
 	// Bounds is the shard's data bounds (min x,y,z then max x,y,z).
 	Bounds [6]float64 `json:"bounds"`
-	// Elements is the shard's element count, cross-checked on Open; -1
-	// (synthesized for v1 manifests) skips the check.
+	// Elements is the shard's element count, cross-checked on Open.
 	Elements int `json:"elements"`
 	// PageFormat is the shard's object-page format (storage.PageFormat);
 	// 0 — and absent, in manifests written before page format v2 existed —
@@ -77,7 +74,7 @@ type manifest struct {
 	// exactly as the original build did (0 = the core defaults).
 	PageCapacity int `json:"page_capacity,omitempty"`
 	SeedFanout   int `json:"seed_fanout,omitempty"`
-	// Entries is the per-shard directory (v2; absent in v1 manifests).
+	// Entries is the per-shard directory.
 	Entries []shardEntry `json:"entries,omitempty"`
 	// WAL names the write-ahead log file of the staged-update write path
 	// (within the index directory; empty for indexes without one). The
@@ -109,8 +106,8 @@ func arrayToMBR(a [6]float64) geom.MBR {
 }
 
 // shardFileName returns the page-file name of shard s at generation
-// gen. Generation 0 keeps the historical un-suffixed name, so fresh
-// builds remain readable by (and byte-identical to) the v1 layout.
+// gen. Generation 0 keeps the un-suffixed name fresh builds have
+// always used.
 func shardFileName(s int, gen uint64) string {
 	if gen == 0 {
 		return fmt.Sprintf("shard-%04d.flat", s)
@@ -201,9 +198,7 @@ func writeManifest(dir string, m manifest) error {
 // honored) but could not be fsynced to disk.
 var errManifestNotDurable = errors.New("shard: manifest swap committed but not durable")
 
-// readManifest loads and normalizes dir's manifest. Version 1 manifests
-// (shard count + world only) are synthesized into the v2 form: per-shard
-// generation-0 file names and unknown (-1) element counts.
+// readManifest loads and validates dir's manifest.
 func readManifest(dir string) (manifest, error) {
 	data, err := os.ReadFile(filepath.Join(dir, ManifestName))
 	if err != nil {
@@ -213,35 +208,25 @@ func readManifest(dir string) (manifest, error) {
 	if err := json.Unmarshal(data, &m); err != nil {
 		return manifest{}, fmt.Errorf("shard: parse manifest: %w", err)
 	}
-	switch m.Version {
-	case manifestV1:
-		if m.Shards < 1 || m.Shards > storage.MaxShards {
-			return manifest{}, fmt.Errorf("shard: manifest shard count %d out of range", m.Shards)
-		}
-		m.Entries = make([]shardEntry, m.Shards)
-		for s := range m.Entries {
-			m.Entries[s] = shardEntry{File: shardFileName(s, 0), Elements: -1}
-		}
-	case manifestV2:
-		if len(m.Entries) < 1 || len(m.Entries) > storage.MaxShards {
-			return manifest{}, fmt.Errorf("shard: manifest entry count %d out of range", len(m.Entries))
-		}
-		if m.Shards != len(m.Entries) {
-			return manifest{}, fmt.Errorf("shard: manifest shard count %d does not match its %d entries", m.Shards, len(m.Entries))
-		}
-		for s, e := range m.Entries {
-			if e.File == "" || e.File != filepath.Base(e.File) {
-				return manifest{}, fmt.Errorf("shard: manifest entry %d has invalid file name %q", s, e.File)
-			}
-			if e.PageFormat != 0 && !storage.PageFormat(e.PageFormat).Valid() {
-				return manifest{}, fmt.Errorf("shard: manifest entry %d has unknown page format %d", s, e.PageFormat)
-			}
-		}
-		if m.WAL != "" && m.WAL != filepath.Base(m.WAL) {
-			return manifest{}, fmt.Errorf("shard: manifest has invalid wal file name %q", m.WAL)
-		}
-	default:
+	if m.Version != manifestV2 {
 		return manifest{}, fmt.Errorf("shard: unsupported manifest version %d", m.Version)
+	}
+	if len(m.Entries) < 1 || len(m.Entries) > storage.MaxShards {
+		return manifest{}, fmt.Errorf("shard: manifest entry count %d out of range", len(m.Entries))
+	}
+	if m.Shards != len(m.Entries) {
+		return manifest{}, fmt.Errorf("shard: manifest shard count %d does not match its %d entries", m.Shards, len(m.Entries))
+	}
+	for s, e := range m.Entries {
+		if e.File == "" || e.File != filepath.Base(e.File) {
+			return manifest{}, fmt.Errorf("shard: manifest entry %d has invalid file name %q", s, e.File)
+		}
+		if e.PageFormat != 0 && !storage.PageFormat(e.PageFormat).Valid() {
+			return manifest{}, fmt.Errorf("shard: manifest entry %d has unknown page format %d", s, e.PageFormat)
+		}
+	}
+	if m.WAL != "" && m.WAL != filepath.Base(m.WAL) {
+		return manifest{}, fmt.Errorf("shard: manifest has invalid wal file name %q", m.WAL)
 	}
 	return m, nil
 }

@@ -1,19 +1,15 @@
-// Parallel streaming shard merge.
+// The sharded range executor.
 //
-// A streaming query session on a sharded set delivers the surviving
-// shards strictly in shard order — that is what keeps its emit order
-// element-for-element identical to RangeQuery's deterministic
-// shard-order concatenation, and what lets an early stop skip whole
-// shards. Visiting the shards *sequentially*, however, forfeits the
-// scatter parallelism the materializing path has: while the consumer
-// drains shard i, shards i+1.. sit idle.
-//
-// This file recovers that parallelism without giving up the order: up
-// to P shard crawls run ahead of the consumer, each emitting into a
-// bounded per-shard buffer, while the consumer drains the buffers
-// strictly in shard order. Only the page reads overlap; the emit order
-// is exactly the sequential path's. An early stop — the consumer's
-// emit returning false, a done context, a failed shard — cancels the
+// A range query on a sharded set delivers the surviving shards strictly
+// in shard order — that is what makes its emit order deterministic and
+// what lets an early stop skip whole shards. StreamQuery is the only
+// executor; it visits the shards in one of two ways. Sequentially, on
+// the caller's goroutine, is the default. With StreamOptions.Prefetch,
+// up to P shard crawls run ahead of the consumer, each emitting into a
+// bounded per-shard buffer, while the consumer still drains the buffers
+// strictly in shard order: only the page reads overlap, the emit order
+// is exactly the sequential one. An early stop — the consumer's emit
+// returning false, a done context, a failed shard — cancels the
 // in-flight crawls as a group, waits for every one of them, and merges
 // the page reads they performed into the returned QueryStats:
 // prefetching must never under-report the work it actually did.
@@ -49,22 +45,87 @@ type StreamOptions struct {
 	Buffer int
 }
 
-// StreamQuery is Query with explicit streaming options: opts.Prefetch
-// launches up to that many shard crawls ahead of the consumer, each
-// filling a bounded buffer, while the stream is still delivered
-// strictly in shard order — the emit order (and, on a full drain, the
-// page-read statistics) is identical to the sequential Query. The
-// zero StreamOptions is exactly Query.
+// StreamQuery executes q as a cancellable push stream — the one sharded
+// range executor; RangeQuery and CountQuery are collect and count sinks
+// over it. Elements are handed to emit one at a time, and emit
+// returning false stops the query immediately: remaining shards are
+// never visited and the current shard's crawl frontier is abandoned, so
+// an early stop saves the page reads the rest of the query would have
+// cost. The surviving shards are *delivered* strictly in shard order
+// (each shard's portion in its deterministic BFS order), which keeps
+// the emit order deterministic for a given set and is what lets an
+// early stop skip whole shards. By default (the zero StreamOptions)
+// they are also *visited* sequentially on the caller's goroutine;
+// opts.Prefetch launches up to that many shard crawls ahead of the
+// consumer, each filling a bounded buffer, without changing the emit
+// order or, on a full drain, the page-read statistics. The
+// staged-update overlay is applied inline: deleted elements are
+// filtered out as they stream by, and staged inserts matching q are
+// emitted last, in staging order.
+//
+// The returned stats cover exactly the work performed, on error and
+// cancellation too; Results counts the elements actually emitted. A
+// done ctx aborts the crawls with ctx.Err(), but a stream that
+// delivered its last element returns nil.
 func (s *Set) StreamQuery(ctx context.Context, q geom.MBR, opts StreamOptions, emit func(geom.Element) bool) (core.QueryStats, error) {
 	ins, dels, err := s.overlayFor(q)
 	if err != nil {
 		return core.QueryStats{}, err
 	}
 	sel := s.Prune(q)
+	sink := &streamSink{dels: dels, emit: emit}
+	var st core.QueryStats
 	if opts.Prefetch > 0 && len(sel) > 0 {
-		return s.queryMerge(ctx, q, sel, ins, dels, opts, emit)
+		st, err = s.visitWindowed(ctx, q, sel, opts, sink)
+	} else {
+		st, err = s.visitSequential(ctx, q, sel, sink)
 	}
-	return s.querySequential(ctx, q, sel, ins, dels, emit)
+	if err == nil && !sink.stopped {
+		for _, e := range ins {
+			sink.emitted++
+			if !emit(e) {
+				break
+			}
+		}
+	}
+	st.Results = sink.emitted
+	return st, err
+}
+
+// streamSink is the consumer side both shard-visit modes deliver
+// bulkloaded elements into: the staged-delete filter, the count of
+// elements actually emitted, and the consumer's stop.
+type streamSink struct {
+	dels    deleteView
+	emit    func(geom.Element) bool
+	emitted int
+	stopped bool
+}
+
+// push delivers one bulkloaded element and reports whether the stream
+// continues; it returns false only once the consumer has stopped.
+func (k *streamSink) push(e geom.Element) bool {
+	if k.dels.matches(e) {
+		return true
+	}
+	k.emitted++
+	k.stopped = !k.emit(e)
+	return !k.stopped
+}
+
+// visitSequential crawls the surviving shards one after another on the
+// caller's goroutine.
+func (s *Set) visitSequential(ctx context.Context, q geom.MBR, sel []int, sink *streamSink) (core.QueryStats, error) {
+	var st core.QueryStats
+	push := sink.push // one bound method value for every shard
+	for _, sh := range sel {
+		sst, err := s.shards[sh].Query(ctx, q, push)
+		st.Add(sst)
+		if err != nil || sink.stopped {
+			return st, err
+		}
+	}
+	return st, nil
 }
 
 // shardStream is one prefetched shard crawl: the bounded channel the
@@ -78,14 +139,14 @@ type shardStream struct {
 	done  chan struct{}
 }
 
-// queryMerge is the prefetching merge behind StreamQuery. It maintains
-// a window of crawls over sel: when the consumer is draining sel[d],
-// shards sel[d+1] .. sel[d+prefetch-1] are crawling into their buffers
-// (never further — a limited session must not pay for shards beyond
-// the window it abandoned). The deferred group teardown makes every
-// exit path uniform: cancel whatever is still crawling, wait for every
+// visitWindowed is the prefetching shard visit. It maintains a window
+// of crawls over sel: when the consumer is draining sel[d], shards
+// sel[d+1] .. sel[d+prefetch-1] are crawling into their buffers (never
+// further — a limited session must not pay for shards beyond the
+// window it abandoned). The deferred group teardown makes every exit
+// path uniform: cancel whatever is still crawling, wait for every
 // launched crawl, and fold its reads into the merged stats.
-func (s *Set) queryMerge(ctx context.Context, q geom.MBR, sel []int, ins []geom.Element, dels deleteView, opts StreamOptions, emit func(geom.Element) bool) (merged core.QueryStats, err error) {
+func (s *Set) visitWindowed(ctx context.Context, q geom.MBR, sel []int, opts StreamOptions, sink *streamSink) (merged core.QueryStats, err error) {
 	prefetch := opts.Prefetch
 	if prefetch > len(sel) {
 		prefetch = len(sel)
@@ -122,8 +183,6 @@ func (s *Set) queryMerge(ctx context.Context, q geom.MBR, sel []int, ins []geom.
 		}()
 	}
 
-	emitted := 0
-	stopped := false
 	defer func() {
 		cancel()
 		for i := 0; i < launched; i++ {
@@ -133,9 +192,6 @@ func (s *Set) queryMerge(ctx context.Context, q geom.MBR, sel []int, ins []geom.
 			<-streams[i].done
 			merged.Add(streams[i].stats)
 		}
-		// Results counts the elements actually emitted, not the sum of
-		// what the prefetched crawls produced into their buffers.
-		merged.Results = emitted
 	}()
 
 	for launched < prefetch {
@@ -144,20 +200,12 @@ func (s *Set) queryMerge(ctx context.Context, q geom.MBR, sel []int, ins []geom.
 	for drain := 0; drain < launched; drain++ {
 		st := streams[drain]
 		for e := range st.ch {
-			if dels.matches(e) {
-				continue
+			if !sink.push(e) {
+				// The consumer's stop is a documented clean early exit; the
+				// teardown absorbs the cancelled crawls' stats, and their
+				// context.Canceled outcomes are deliberately not surfaced.
+				return merged, nil
 			}
-			emitted++
-			if !emit(e) {
-				stopped = true
-				break
-			}
-		}
-		if stopped {
-			// The consumer's stop is a documented clean early exit; the
-			// teardown absorbs the cancelled crawls' stats, and their
-			// context.Canceled outcomes are deliberately not surfaced.
-			return merged, nil
 		}
 		// The channel closed, so the crawl is finished; absorb its
 		// outcome before deciding whether to continue.
@@ -180,13 +228,5 @@ func (s *Set) queryMerge(ctx context.Context, q geom.MBR, sel []int, ins []geom.
 			launch()
 		}
 	}
-	// Staged inserts stream last, in staging order, exactly as in the
-	// sequential path.
-	for _, e := range ins {
-		emitted++
-		if !emit(e) {
-			return merged, nil
-		}
-	}
-	return merged, ctx.Err()
+	return merged, nil
 }

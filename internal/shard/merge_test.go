@@ -133,9 +133,9 @@ func TestStreamQueryPrefetchWindow(t *testing.T) {
 }
 
 // TestStreamQueryCancelMidMerge cancels the parent context while the
-// prefetching merge is mid-flight: the stream must terminate with the
-// context's error, report the partial work in its stats, and leave the
-// shared cache consistent.
+// stream is mid-flight, in both shard-visit modes: the stream must
+// terminate with the context's error, report the partial work in its
+// stats, and leave the shared cache consistent.
 func TestStreamQueryCancelMidMerge(t *testing.T) {
 	r := rand.New(rand.NewSource(44))
 	els := randomElements(r, 6000)
@@ -150,44 +150,49 @@ func TestStreamQueryCancelMidMerge(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	ctx, cancel := context.WithCancel(context.Background())
-	set.DropCache()
-	n := 0
-	st, err := set.StreamQuery(ctx, q, StreamOptions{Prefetch: 3, Buffer: 2}, func(geom.Element) bool {
-		n++
-		if n == 3 {
-			cancel()
+	for _, opts := range []StreamOptions{{}, {Prefetch: 3, Buffer: 2}} {
+		ctx, cancel := context.WithCancel(context.Background())
+		set.DropCache()
+		n := 0
+		st, err := set.StreamQuery(ctx, q, opts, func(geom.Element) bool {
+			n++
+			if n == 3 {
+				cancel()
+			}
+			return true
+		})
+		if err != context.Canceled {
+			t.Fatalf("opts %+v: cancelled stream returned %v, want context.Canceled", opts, err)
 		}
-		return true
-	})
-	if err != context.Canceled {
-		t.Fatalf("cancelled merge returned %v, want context.Canceled", err)
-	}
-	if n >= len(want) || n < 3 {
-		t.Fatalf("cancelled merge emitted %d of %d elements — not a mid-merge abort", n, len(want))
-	}
-	if st.TotalReads == 0 || st.Results != n {
-		t.Fatalf("cancelled merge stats %+v after %d emits — partial work not reported", st, n)
-	}
+		if n >= len(want) || n < 3 {
+			t.Fatalf("opts %+v: cancelled stream emitted %d of %d elements — not a mid-stream abort", opts, n, len(want))
+		}
+		if st.TotalReads == 0 || st.Results != n {
+			t.Fatalf("opts %+v: cancelled stream stats %+v after %d emits — partial work not reported", opts, st, n)
+		}
 
-	after, _, err := set.RangeQuery(context.Background(), q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(after) != len(want) {
-		t.Fatalf("after cancelled merge RangeQuery returns %d elements, want %d", len(after), len(want))
-	}
-	for i := range after {
-		if after[i] != want[i] {
-			t.Fatalf("result %d differs after cancelled merge", i)
+		after, _, err := set.RangeQuery(context.Background(), q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(after) != len(want) {
+			t.Fatalf("opts %+v: after the cancelled stream RangeQuery returns %d elements, want %d", opts, len(after), len(want))
+		}
+		for i := range after {
+			if after[i] != want[i] {
+				t.Fatalf("opts %+v: result %d differs after the cancelled stream", opts, i)
+			}
 		}
 	}
 }
 
-// TestStreamQueryOverlayParity: the merged stream applies the staged-
-// update overlay exactly like the sequential stream and RangeQuery —
-// deletes filtered inline, staged inserts appended last in staging
-// order — at K = 1 and K = 4, prefetch on and off.
+// TestStreamQueryOverlayParity: with staged inserts and pending deletes
+// in play, RangeQuery is the collected StreamQuery at every prefetch
+// width — element for element, in order, deletes filtered inline and
+// staged inserts appended last in staging order — and equals brute
+// force as a set; CountQuery agrees with it on the count and on every
+// statistic, so the count sink reads exactly the pages the collect sink
+// does. K = 1 and K = 4.
 func TestStreamQueryOverlayParity(t *testing.T) {
 	r := rand.New(rand.NewSource(45))
 	els := randomElements(r, 3000)
@@ -196,41 +201,101 @@ func TestStreamQueryOverlayParity(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		q := set.Bounds()
-		base, _, err := set.RangeQuery(context.Background(), q)
+		base, _, err := set.RangeQuery(context.Background(), set.Bounds())
 		if err != nil {
 			t.Fatal(err)
 		}
 		// Delete two bulkloaded elements and stage inserts spread over
 		// the whole space, so with K > 1 they route to several shards.
-		for _, doomed := range []geom.Element{base[1], base[len(base)/2]} {
-			if err := set.StageDelete(doomed.ID, doomed.Box); err != nil {
+		doomed := map[uint64]bool{}
+		for _, d := range []geom.Element{base[1], base[len(base)/2]} {
+			if err := set.StageDelete(d.ID, d.Box); err != nil {
 				t.Fatal(err)
+			}
+			doomed[d.ID] = true
+		}
+		var live []geom.Element
+		for _, e := range els {
+			if !doomed[e.ID] {
+				live = append(live, e)
 			}
 		}
 		rr := rand.New(rand.NewSource(46))
 		for i := 0; i < 12; i++ {
 			c := geom.V(rr.Float64()*100, rr.Float64()*100, rr.Float64()*100)
-			if err := set.StageInsert(geom.Element{ID: uint64(800000 + i), Box: geom.CubeAt(c, 1)}); err != nil {
+			e := geom.Element{ID: uint64(800000 + i), Box: geom.CubeAt(c, 1)}
+			if err := set.StageInsert(e); err != nil {
 				t.Fatal(err)
 			}
+			live = append(live, e)
 		}
-		want, _, err := set.RangeQuery(context.Background(), q)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, opts := range []StreamOptions{{}, {Prefetch: 2, Buffer: 2}, {Prefetch: 4}} {
-			got, _ := collectStream(t, set, context.Background(), q, opts)
-			if len(got) != len(want) {
-				t.Fatalf("K=%d opts %+v: %d elements, RangeQuery %d", k, opts, len(got), len(want))
+		for qi, q := range append([]geom.MBR{set.World()}, testQueries(rr, 6)...) {
+			set.DropCache()
+			want, wantStats, err := set.RangeQuery(context.Background(), q)
+			if err != nil {
+				t.Fatal(err)
 			}
-			for i := range got {
-				if got[i] != want[i] {
-					t.Fatalf("K=%d opts %+v: overlaid element %d = %v, RangeQuery %v", k, opts, i, got[i], want[i])
+			if !equalIDs(sortedIDs(want), brute(live, q)) {
+				t.Fatalf("K=%d query %d: RangeQuery diverges from brute force over the overlaid set", k, qi)
+			}
+			set.DropCache()
+			n, countStats, err := set.CountQuery(context.Background(), q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if n != len(want) || countStats != wantStats {
+				t.Fatalf("K=%d query %d: CountQuery = %d, %+v; RangeQuery = %d, %+v", k, qi, n, countStats, len(want), wantStats)
+			}
+			for _, opts := range []StreamOptions{{}, {Prefetch: 1}, {Prefetch: 2, Buffer: 2}, {Prefetch: k}} {
+				got, _ := collectStream(t, set, context.Background(), q, opts)
+				if len(got) != len(want) {
+					t.Fatalf("K=%d query %d opts %+v: %d elements, RangeQuery %d", k, qi, opts, len(got), len(want))
+				}
+				for i := range got {
+					if got[i] != want[i] {
+						t.Fatalf("K=%d query %d opts %+v: overlaid element %d = %v, RangeQuery %v", k, qi, opts, i, got[i], want[i])
+					}
 				}
 			}
 		}
 		set.Close()
+	}
+}
+
+// TestStreamQueryDeliveredTailReturnsNil pins the terminal-error rule
+// in both shard-visit modes: a context that goes done while the very
+// last element — here the last staged insert of the tail — is being
+// delivered no longer matters; the stream is complete and returns nil.
+func TestStreamQueryDeliveredTailReturnsNil(t *testing.T) {
+	r := rand.New(rand.NewSource(49))
+	set, err := Build(randomElements(r, 3000), Config{Shards: 4, PageCapacity: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer set.Close()
+	for i := 0; i < 3; i++ {
+		if err := set.StageInsert(geom.Element{ID: uint64(700000 + i), Box: geom.CubeAt(geom.V(50, 50, 50), 1)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	q := set.World()
+	want, _, err := set.RangeQuery(context.Background(), q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, opts := range []StreamOptions{{}, {Prefetch: 2}} {
+		ctx, cancel := context.WithCancel(context.Background())
+		n := 0
+		st, err := set.StreamQuery(ctx, q, opts, func(geom.Element) bool {
+			if n++; n == len(want) {
+				cancel()
+			}
+			return true
+		})
+		cancel()
+		if err != nil || n != len(want) || st.Results != len(want) {
+			t.Fatalf("opts %+v: fully delivered stream returned %v after %d of %d elements (stats %+v)", opts, err, n, len(want), st)
+		}
 	}
 }
 
@@ -335,12 +400,13 @@ func (c *pollCtx) Err() error {
 	}
 }
 
-// TestScatterErrorKeepsPartialStats is the regression test for the
-// dropped-stats bug: when a shard of the materializing scatter fails,
-// RangeQuery and CountQuery must still report the page reads the
-// scatter performed — "stats cover exactly the work performed" — not a
-// zero QueryStats.
-func TestScatterErrorKeepsPartialStats(t *testing.T) {
+// TestQueryErrorKeepsPartialStats is the regression test for the
+// dropped-stats bug: when a shard crawl fails midway, RangeQuery and
+// CountQuery must still report the page reads performed — "stats cover
+// exactly the work performed" — not a zero QueryStats.
+// (TestStreamQueryCancelMidMerge pins the same for the prefetching
+// shard visit, which these two sinks never select.)
+func TestQueryErrorKeepsPartialStats(t *testing.T) {
 	r := rand.New(rand.NewSource(48))
 	els := randomElements(r, 6000)
 	set, err := Build(append([]geom.Element(nil), els...), Config{Shards: 4, PageCapacity: 8})
@@ -350,21 +416,23 @@ func TestScatterErrorKeepsPartialStats(t *testing.T) {
 	defer set.Close()
 	q := set.Bounds()
 
-	set.DropCache()
-	_, st, err := set.RangeQuery(newPollCtx(12), q)
-	if err == nil {
-		t.Fatal("poll-limited ctx did not fail the scatter")
-	}
-	if st.TotalReads == 0 {
-		t.Fatalf("RangeQuery error %v came with zero stats — partial work dropped", err)
-	}
-
-	set.DropCache()
-	_, st, err = set.CountQuery(newPollCtx(12), q)
-	if err == nil {
-		t.Fatal("poll-limited ctx did not fail the count scatter")
-	}
-	if st.TotalReads == 0 {
-		t.Fatalf("CountQuery error %v came with zero stats — partial work dropped", err)
+	for name, run := range map[string]func(ctx context.Context) (core.QueryStats, error){
+		"RangeQuery": func(ctx context.Context) (core.QueryStats, error) {
+			_, st, err := set.RangeQuery(ctx, q)
+			return st, err
+		},
+		"CountQuery": func(ctx context.Context) (core.QueryStats, error) {
+			_, st, err := set.CountQuery(ctx, q)
+			return st, err
+		},
+	} {
+		set.DropCache()
+		st, err := run(newPollCtx(12))
+		if err == nil {
+			t.Fatalf("%s: poll-limited ctx did not fail the query", name)
+		}
+		if st.TotalReads == 0 {
+			t.Fatalf("%s: error %v came with zero stats — partial work dropped", name, err)
+		}
 	}
 }

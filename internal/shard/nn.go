@@ -61,23 +61,13 @@ type stagedNear struct {
 // stagedNearestLocked snapshots the staged inserts that survive the
 // staged deletes, sorted by (distance, staging order) — the staged leg
 // of the NN merge. Probes each delta's R-tree best-first and stops at
-// k survivors per delta when k > 0; linear-overlay deltas sweep their
-// slabs. Must run under pmu's read side; the returned slice owns its
-// memory and outlives the lock.
+// k survivors per delta when k > 0. Must run under pmu's read side;
+// the returned slice owns its memory and outlives the lock.
 // flatlint:holds pmu
 func (s *Set) stagedNearestLocked(p geom.Vec3, k int, dels deleteView) ([]stagedNear, error) {
 	var out []stagedNear
 	for _, d := range s.delta {
 		if d == nil || len(d.slab) == 0 {
-			continue
-		}
-		if d.tree == nil {
-			for _, si := range d.slab {
-				if dels.matchesAfter(si.el, si.seq) {
-					continue
-				}
-				out = append(out, stagedNear{el: si.el, distSq: si.el.Box.DistSqToPoint(p), seq: si.seq})
-			}
 			continue
 		}
 		view, err := d.tree.View()

@@ -151,7 +151,7 @@ func (s *Set) deltaLocked(t int) *shardDelta {
 			s.spareDeltas[n-1] = nil
 			s.spareDeltas = s.spareDeltas[:n-1]
 		} else {
-			s.delta[t] = newShardDelta(s.linearOverlay)
+			s.delta[t] = newShardDelta()
 		}
 	}
 	return s.delta[t]
@@ -352,8 +352,7 @@ func (s *Set) routeShard(b geom.MBR) int {
 // queries never observe a staging call halfway through; the common
 // no-updates case allocates nothing. Candidate inserts come from each
 // dirty shard's delta R-tree (a range probe, not a sweep of everything
-// pending — see delta.go), unless the set was built with
-// Config.LinearOverlay.
+// pending — see delta.go).
 func (s *Set) overlayFor(q geom.MBR) (ins []geom.Element, dels deleteView, err error) {
 	s.pmu.RLock()
 	defer s.pmu.RUnlock()
@@ -386,22 +385,6 @@ func (s *Set) overlayFor(q geom.MBR) (ins []geom.Element, dels deleteView, err e
 		ins = append(ins, si.el)
 	}
 	return ins, dels, nil
-}
-
-// applyOverlay folds an overlay snapshot into a bulkloaded result set:
-// deleted elements are filtered out (in place — out is query-owned),
-// staged inserts are appended in staging order.
-func applyOverlay(out []geom.Element, ins []geom.Element, dels deleteView) []geom.Element {
-	if !dels.empty() {
-		kept := out[:0]
-		for _, e := range out {
-			if !dels.matches(e) {
-				kept = append(kept, e)
-			}
-		}
-		out = kept
-	}
-	return append(out, ins...)
 }
 
 // Rebuild folds the staged updates into the bulkloaded index by

@@ -676,14 +676,13 @@ func TestBuildIntoExistingDir(t *testing.T) {
 	}
 }
 
-// TestManifestV1Compat: a directory committed by the PR-2 era v1
-// manifest (shard count + world only) still opens.
-func TestManifestV1Compat(t *testing.T) {
+// TestManifestV1Rejected: a directory committed by the PR-2 era v1
+// manifest (shard count + world only) is refused by version, not
+// misread.
+func TestManifestV1Rejected(t *testing.T) {
 	r := rand.New(rand.NewSource(47))
-	els := randomElements(r, 1000)
-	orig := append([]geom.Element(nil), els...)
 	dir := filepath.Join(t.TempDir(), "idx")
-	set, err := Build(els, Config{Shards: 3, PageCapacity: 16, Dir: dir})
+	set, err := Build(randomElements(r, 1000), Config{Shards: 3, PageCapacity: 16, Dir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -708,21 +707,8 @@ func TestManifestV1Compat(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	re, err := Open(dir, 0)
-	if err != nil {
-		t.Fatalf("v1 manifest must stay readable: %v", err)
-	}
-	defer re.Close()
-	if re.NumShards() != 3 || re.Len() != len(orig) {
-		t.Fatalf("v1 open: %d shards, %d elements", re.NumShards(), re.Len())
-	}
-	q := testQueries(r, 1)[0]
-	got, _, err := re.RangeQuery(context.Background(), q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !equalIDs(sortedIDs(got), brute(orig, q)) {
-		t.Fatal("v1-opened index diverges from brute force")
+	if _, err := Open(dir, 0); err == nil || !strings.Contains(err.Error(), "unsupported manifest version 1") {
+		t.Fatalf("open of a v1 manifest: %v, want unsupported manifest version 1", err)
 	}
 }
 

@@ -1,5 +1,5 @@
-// Package shard implements the spatially-partitioned, scatter-gather
-// layer over the FLAT index of internal/core.
+// Package shard implements the spatially-partitioned layer over the
+// FLAT index of internal/core.
 //
 // One FLAT index is bulkloaded in a single pass and lives in a single
 // page file — fine for one machine-sized model, but a dead end for the
@@ -10,12 +10,13 @@
 // parallel, since the builds are independent — and a top-level MBR
 // directory routes queries to the shards they can touch.
 //
-// A query scatter-gathers: the directory prunes shards whose bounds do
-// not intersect the query box, the surviving shards run the ordinary
-// seed+crawl in parallel, and the per-shard results and QueryStats are
-// merged. With K=1 the whole apparatus degenerates to exactly the
-// unsharded index — same pages, same ids, same read counts — which is
-// the invariant the tests pin down.
+// A range query has one executor (StreamQuery, merge.go): the directory
+// prunes shards whose bounds do not intersect the query box, the
+// surviving shards run the ordinary seed+crawl and are delivered in
+// shard order, and the per-shard QueryStats are merged. With K=1 the
+// whole apparatus degenerates to exactly the unsharded index — same
+// pages, same ids, same read counts — which is the invariant the tests
+// pin down.
 //
 // Storage is shard-aware but the cache is global: every shard's page
 // file hangs behind one storage.MultiPager, and one budgeted
@@ -75,12 +76,6 @@ type Config struct {
 	// BuildWorkers bounds the number of shards bulkloaded concurrently
 	// (<= 0: GOMAXPROCS).
 	BuildWorkers int
-	// LinearOverlay disables the staged-update delta indexes: query
-	// overlays fall back to the pre-delta linear scans over the staged
-	// inserts and deletes. Results are identical either way; this is the
-	// measurement baseline of the staging benchmark, not a knob real
-	// callers should set.
-	LinearOverlay bool
 	// WAL enables the write-ahead log of the staged-update write path
 	// (requires Dir): every StageInsert/StageDelete is appended to a log
 	// in the index directory before it mutates memory, and reopening the
@@ -137,9 +132,6 @@ type Set struct {
 	// delIdx caches the by-ID index over deletes (see deleteViewLocked);
 	// atomically published immutable snapshots, no guard needed.
 	delIdx atomic.Pointer[deleteIndex]
-	// linearOverlay mirrors Config.LinearOverlay; set at construction,
-	// immutable afterwards.
-	linearOverlay bool
 
 	// wal is the write-ahead log behind the staged updates (nil when
 	// disabled). Staging appends to it before mutating the fields above,
@@ -368,7 +360,6 @@ func Build(els []geom.Element, cfg Config) (*Set, error) {
 		dir:            cfg.Dir,
 		pageCapacity:   cfg.PageCapacity,
 		seedFanout:     cfg.SeedFanout,
-		linearOverlay:  cfg.LinearOverlay,
 		wal:            wal,
 		walSyncEveryOp: cfg.WALSyncEveryOp,
 	}
@@ -406,8 +397,6 @@ type OpenOptions struct {
 	WAL bool
 	// WALSyncEveryOp: see Config.WALSyncEveryOp.
 	WALSyncEveryOp bool
-	// LinearOverlay: see Config.LinearOverlay.
-	LinearOverlay bool
 }
 
 // Open loads a sharded index previously built with a Config.Dir from
@@ -417,11 +406,6 @@ type OpenOptions struct {
 // as in Config.
 func Open(dir string, bufferPages int) (*Set, error) {
 	return OpenSet(dir, OpenOptions{BufferPages: bufferPages})
-}
-
-// OpenMmap is Open with OpenOptions.Mmap set.
-func OpenMmap(dir string, bufferPages int) (*Set, error) {
-	return OpenSet(dir, OpenOptions{BufferPages: bufferPages, Mmap: true})
 }
 
 // OpenSet is Open with the full option set. If the manifest references
@@ -472,7 +456,6 @@ func OpenSet(dir string, opts OpenOptions) (*Set, error) {
 		gens:           make([]uint64, k),
 		pageCapacity:   m.PageCapacity,
 		seedFanout:     m.SeedFanout,
-		linearOverlay:  opts.LinearOverlay,
 		walSyncEveryOp: opts.WALSyncEveryOp,
 	}
 	for s, e := range m.Entries {
@@ -489,7 +472,7 @@ func OpenSet(dir string, opts OpenOptions) (*Set, error) {
 			closeAll()
 			return nil, fmt.Errorf("shard %d: %w", s, err)
 		}
-		if e.Elements >= 0 && ix.Len() != e.Elements {
+		if ix.Len() != e.Elements {
 			closeAll()
 			return nil, fmt.Errorf("shard %d: manifest records %d elements but %s holds %d (corrupted index directory)",
 				s, e.Elements, e.File, ix.Len())
@@ -565,7 +548,7 @@ func (set *Set) openWAL(m manifest, enable bool) error {
 }
 
 // Prune returns the shards whose data bounds intersect q, in shard
-// order — the scatter set of one query.
+// order — the shards one query visits.
 func (s *Set) Prune(q geom.MBR) []int {
 	var sel []int
 	for i, b := range s.bounds {
@@ -576,210 +559,29 @@ func (s *Set) Prune(q geom.MBR) []int {
 	return sel
 }
 
-// RangeQuery scatter-gathers q over the shards the directory cannot
-// prune and returns the merged results and statistics. Results are
-// concatenated in shard order (each shard's portion in its deterministic
-// BFS order), so the output order is deterministic for a given set;
-// staged updates (see rebuild.go) are overlaid last — staged inserts
-// matching q are appended in staging order and staged deletes filter
-// the bulkloaded results — so reads stay correct between rebuilds.
-// A done ctx aborts the surviving shards' crawls with ctx.Err(); like
-// core, a failed query still reports the stats of the work it performed
-// before failing.
+// RangeQuery returns every element intersecting q — bulkloaded and
+// staged — with the query's statistics: the collect sink over
+// StreamQuery, whose emit order and cancellation rules it inherits.
 func (s *Set) RangeQuery(ctx context.Context, q geom.MBR) ([]geom.Element, core.QueryStats, error) {
-	ins, dels, err := s.overlayFor(q)
-	if err != nil {
-		return nil, core.QueryStats{}, err
-	}
-	out, st, err := s.rangeShards(ctx, q)
+	var out []geom.Element
+	st, err := s.StreamQuery(ctx, q, StreamOptions{}, func(e geom.Element) bool {
+		out = append(out, e)
+		return true
+	})
 	if err != nil {
 		return nil, st, err
 	}
-	if len(ins) == 0 && dels.empty() {
-		return out, st, nil
-	}
-	out = applyOverlay(out, ins, dels)
-	st.Results = len(out)
 	return out, st, nil
 }
 
-// rangeShards is the bulkloaded half of RangeQuery: prune, scatter,
-// gather, no staged-update overlay.
-func (s *Set) rangeShards(ctx context.Context, q geom.MBR) ([]geom.Element, core.QueryStats, error) {
-	sel := s.Prune(q)
-	switch len(sel) {
-	case 0:
-		return nil, core.QueryStats{}, nil
-	case 1:
-		return s.shards[sel[0]].RangeQueryContext(ctx, q)
-	}
-	els := make([][]geom.Element, len(sel))
-	stats := make([]core.QueryStats, len(sel))
-	err := s.scatter(sel, func(i, shard int) error {
-		var err error
-		els[i], stats[i], err = s.shards[shard].RangeQueryContext(ctx, q)
-		return err
-	})
-	// Merge the per-shard stats whether or not a shard failed: core's
-	// contract is "stats cover exactly the work performed", and a failed
-	// scatter still performed the surviving shards' (partial) reads.
-	var merged core.QueryStats
-	total := 0
-	for i := range els {
-		merged.Add(stats[i])
-		total += len(els[i])
-	}
-	if err != nil {
-		return nil, merged, err
-	}
-	out := make([]geom.Element, 0, total)
-	for _, part := range els {
-		out = append(out, part...)
-	}
-	return out, merged, nil
-}
-
-// CountQuery is RangeQuery without materializing elements; the per-shard
-// page access pattern is identical. Staged inserts add to the count;
-// pending deletes force a materializing pass (they must be matched
-// against concrete elements), which reads exactly the same pages.
+// CountQuery is RangeQuery without materializing elements: the count
+// sink over StreamQuery, with the identical page access pattern.
 func (s *Set) CountQuery(ctx context.Context, q geom.MBR) (int, core.QueryStats, error) {
-	ins, dels, err := s.overlayFor(q)
-	if err != nil {
-		return 0, core.QueryStats{}, err
-	}
-	if !dels.empty() {
-		els, st, err := s.rangeShards(ctx, q)
-		if err != nil {
-			return 0, st, err
-		}
-		els = applyOverlay(els, ins, dels)
-		st.Results = len(els)
-		return len(els), st, nil
-	}
-	n, st, err := s.countShards(ctx, q)
+	st, err := s.StreamQuery(ctx, q, StreamOptions{}, func(geom.Element) bool { return true })
 	if err != nil {
 		return 0, st, err
 	}
-	if len(ins) > 0 {
-		n += len(ins)
-		st.Results = n
-	}
-	return n, st, nil
-}
-
-// countShards is the bulkloaded half of CountQuery.
-func (s *Set) countShards(ctx context.Context, q geom.MBR) (int, core.QueryStats, error) {
-	sel := s.Prune(q)
-	switch len(sel) {
-	case 0:
-		return 0, core.QueryStats{}, nil
-	case 1:
-		return s.shards[sel[0]].CountQueryContext(ctx, q)
-	}
-	counts := make([]int, len(sel))
-	stats := make([]core.QueryStats, len(sel))
-	err := s.scatter(sel, func(i, shard int) error {
-		var err error
-		counts[i], stats[i], err = s.shards[shard].CountQueryContext(ctx, q)
-		return err
-	})
-	// As in rangeShards: a failed scatter's partial work still counts.
-	var merged core.QueryStats
-	n := 0
-	for i := range counts {
-		merged.Add(stats[i])
-		n += counts[i]
-	}
-	if err != nil {
-		return 0, merged, err
-	}
-	return n, merged, nil
-}
-
-// Query executes q as a cancellable push stream: elements are handed to
-// emit one at a time, and emit returning false stops the query
-// immediately — remaining shards are never visited and the current
-// shard's crawl frontier is abandoned, so an early stop saves the page
-// reads the rest of the query would have cost. Unlike the materializing
-// RangeQuery, the surviving shards are *delivered* strictly in shard
-// order: that keeps the emit order identical to RangeQuery's
-// deterministic shard-order concatenation, and it is what lets an early
-// stop skip whole shards. By default the shards are also *visited*
-// sequentially; StreamQuery can prefetch later shards into bounded
-// buffers while earlier ones are drained (see merge.go) without
-// changing the emit order. The staged-update overlay is applied inline:
-// deleted elements are filtered out as they stream by, and staged
-// inserts matching q are emitted last, in staging order.
-//
-// The returned stats cover exactly the work performed; Results counts
-// the elements actually emitted.
-func (s *Set) Query(ctx context.Context, q geom.MBR, emit func(geom.Element) bool) (core.QueryStats, error) {
-	return s.StreamQuery(ctx, q, StreamOptions{}, emit)
-}
-
-// querySequential is the prefetch-free streaming path: surviving shards
-// are crawled one after another on the caller's goroutine.
-func (s *Set) querySequential(ctx context.Context, q geom.MBR, sel []int, ins []geom.Element, dels deleteView, emit func(geom.Element) bool) (core.QueryStats, error) {
-	var st core.QueryStats
-	emitted, stopped := 0, false
-	wrapped := func(e geom.Element) bool {
-		if dels.matches(e) {
-			return true
-		}
-		emitted++
-		if !emit(e) {
-			stopped = true
-			return false
-		}
-		return true
-	}
-	for _, sh := range sel {
-		sst, err := s.shards[sh].Query(ctx, q, wrapped)
-		st.Add(sst)
-		if err != nil {
-			st.Results = emitted
-			return st, err
-		}
-		if stopped {
-			break
-		}
-	}
-	if !stopped {
-		for _, e := range ins {
-			emitted++
-			if !emit(e) {
-				break
-			}
-		}
-	}
-	st.Results = emitted
-	return st, nil
-}
-
-// scatter runs fn(i, sel[i]) across the selected shards and waits for
-// all of them. K is small (the scatter width is at most the shard
-// count), so a goroutine per shard beats pooling; the first shard runs
-// on the calling goroutine, saving one spawn and one scheduler hop per
-// query.
-func (s *Set) scatter(sel []int, fn func(i, shard int) error) error {
-	var wg sync.WaitGroup
-	errs := make([]error, len(sel))
-	for i, shard := range sel[1:] {
-		wg.Add(1)
-		go func(i, shard int) {
-			defer wg.Done()
-			errs[i] = fn(i, shard)
-		}(i+1, shard)
-	}
-	errs[0] = fn(0, sel[0])
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
-	}
-	return nil
+	return st.Results, st, nil
 }
 
 // The accessors below take pmu's read side: Rebuild swaps shards,

@@ -4,6 +4,8 @@ import (
 	"context"
 	"errors"
 	"iter"
+
+	"flat/internal/geom"
 )
 
 // ErrConsumed is returned (through the iterator) when a Results session
@@ -47,14 +49,15 @@ func WithBuffer(n int) QueryOption {
 // WithShardPrefetch lets a streaming session on a ShardedIndex crawl up
 // to p surviving shards concurrently: while the consumer drains shard
 // i, shards i+1 .. i+p-1 crawl ahead into bounded per-shard buffers
-// (capacity set by WithBuffer; a default otherwise), recovering the
-// scatter parallelism RangeQuery has without changing the emit order —
-// the stream is still delivered element-for-element in RangeQuery's
-// shard-order concatenation. Shards past the prefetch window are not
-// touched, so a session that stops early (WithLimit, break, cancel)
-// still skips their page reads entirely; crawls in flight at the stop
-// are cancelled as a group and the pages they did read are merged into
-// Stats. p <= 0 keeps the sequential default — the cheapest plan for
+// (capacity set by WithBuffer; a default otherwise), overlapping the
+// shards' page reads without changing the emit order — the stream is
+// still delivered element-for-element in RangeQuery's shard-order
+// concatenation. It is the one way to overlap shard crawls: RangeQuery
+// and CountQuery always visit shards sequentially. Shards past the
+// prefetch window are not touched, so a session that stops early
+// (WithLimit, break, cancel) still skips their page reads entirely;
+// crawls in flight at the stop are cancelled as a group and the pages
+// they did read are merged into Stats. p <= 0 keeps the sequential default — the cheapest plan for
 // selective queries that survive pruning on ~1 shard, for sessions
 // expected to stop within the first shard, and on single-core hosts.
 // On an unsharded Index the option is a no-op.
@@ -62,15 +65,171 @@ func WithShardPrefetch(p int) QueryOption {
 	return func(c *queryConfig) { c.prefetch = p }
 }
 
-// runFunc is the guarded executor a session runs over: both Index and
-// ShardedIndex provide one backed by their engine or shard set. It
-// receives the session's resolved option set; the sharded executor
-// consumes cfg.prefetch/cfg.buffer (the prefetching merge), the
-// unsharded one ignores it.
+// runFunc is the executor a session runs over. It receives the
+// session's resolved option set; the sharded range executor consumes
+// cfg.prefetch/cfg.buffer (the prefetching shard visit) and the sharded
+// NN executor cfg.limit, the unsharded ones ignore it. An NN executor
+// receives its query point as the degenerate box geom.PointBox(p).
 type runFunc func(ctx context.Context, q MBR, cfg queryConfig, emit func(Element) bool) (QueryStats, error)
 
-// Results is one streaming query session, created by Index.Query or
-// ShardedIndex.Query. Nothing happens until it is iterated: ranging
+// queryBase is the query-method family of both index shapes, defined
+// once: Index and ShardedIndex embed it and differ only in the two
+// executors (and the prefetchable bit) they hand it at construction.
+// It owns the queryGuard that serializes queries against maintenance.
+type queryBase struct {
+	guard    queryGuard
+	rangeRun runFunc
+	nnRun    runFunc
+	// prefetchable marks a rangeRun that consumes cfg.prefetch and
+	// cfg.buffer itself; see Results.prefetchable.
+	prefetchable bool
+}
+
+// Query starts a streaming query session over q: a cancellable
+// iterator that delivers elements incrementally, in the same
+// deterministic order RangeQuery returns them. Nothing is read until
+// the session is iterated (see Results). Between page reads the crawl
+// checks ctx, so a deadline or cancellation aborts it mid-BFS with
+// ctx.Err(); WithLimit stops it after k results, skipping the page
+// reads the rest of the crawl would have cost; WithBuffer overlaps the
+// crawl's page reads with the caller's per-element work.
+//
+// On a ShardedIndex the stream is delivered in shard order and by
+// default the surviving shards are also visited sequentially, which is
+// what lets WithLimit skip trailing shards entirely. WithShardPrefetch
+// overlaps the shard crawls without changing the emit order: up to p
+// shards crawl concurrently into bounded buffers (sized by WithBuffer)
+// while the consumer drains earlier ones, and shards past the prefetch
+// window are still never touched by an early stop. On an unsharded
+// Index it is a no-op. Safe for concurrent use: any number of sessions
+// may be drained at once.
+func (b *queryBase) Query(ctx context.Context, q MBR, opts ...QueryOption) *Results {
+	r := newResults(ctx, q, opts, &b.guard, b.rangeRun)
+	r.prefetchable = b.prefetchable
+	return r
+}
+
+// NN starts a streaming k-nearest-neighbor session around p: the
+// returned Results delivers the k indexed elements nearest to p, in
+// nondecreasing distance from it (distance between a point and an
+// element is the minimum distance from the point to the element's MBR,
+// zero when the box contains it). The traversal is best-first — a
+// distance-ordered frontier over the same partition graph the range
+// crawl walks — and terminates the moment the k-th result is proven
+// nearest, so the page reads scale with k and the local data density,
+// not with the index size. k <= 0 streams every element in distance
+// order (stop by breaking out of the iteration); WithLimit composes by
+// taking the smaller bound.
+//
+// The distance an element was ordered by is exactly
+// el.Box.DistToPoint(p) — recompute it from the box when needed; no
+// precision is lost in transit. Ties (equal distances) are broken
+// deterministically. WithBuffer pipelines the traversal as in Query.
+//
+// A ShardedIndex visits its shards in distance order off the MBR
+// directory: each shard's bounds lower-bound the distance of
+// everything inside it, so a shard is opened only once no already-open
+// stream can beat that bound — a probe into a well-separated region
+// touches one shard and never pays for the rest. Staged updates are
+// overlaid exactly as in Query: staged deletes filter the stream,
+// staged inserts merge in at their own distances (losing ties to
+// bulkloaded elements, matching the range path's staged-last order).
+// WithShardPrefetch is a no-op on both shapes: prefetching trades
+// extra page reads for wall-clock overlap, and a best-first
+// traversal's whole point is to not read pages it has not proven
+// necessary. Safe for concurrent use.
+func (b *queryBase) NN(ctx context.Context, p Vec3, k int, opts ...QueryOption) *Results {
+	r := newResults(ctx, geom.PointBox(p), opts, &b.guard, b.nnRun)
+	// The effective bound is the smaller of k and WithLimit's positive
+	// values (either alone when the other is unlimited).
+	if k > 0 && (r.cfg.limit <= 0 || k < r.cfg.limit) {
+		r.cfg.limit = k
+	}
+	return r
+}
+
+// RangeQuery returns every indexed element whose MBR intersects q,
+// together with the query's page-read statistics — on a ShardedIndex
+// the merged per-shard statistics, the result in shard order. It is
+// Query(context.Background(), q).Collect(), kept for callers that want
+// the whole result as a slice; use Query to pass a context. Safe for
+// concurrent use.
+func (b *queryBase) RangeQuery(q MBR) ([]Element, QueryStats, error) {
+	return b.Query(context.Background(), q).Collect()
+}
+
+// CountQuery returns the number of elements intersecting q without
+// materializing them; the page access pattern is identical to
+// RangeQuery. Safe for concurrent use.
+func (b *queryBase) CountQuery(q MBR) (int, QueryStats, error) {
+	return b.Query(context.Background(), q).count()
+}
+
+// PointQuery returns the elements whose MBR contains p. Safe for
+// concurrent use.
+func (b *queryBase) PointQuery(p Vec3) ([]Element, QueryStats, error) {
+	return b.RangeQuery(geom.PointBox(p))
+}
+
+// BatchResult is one query's output within a BatchRangeQuery.
+type BatchResult struct {
+	Elements []Element
+	Stats    QueryStats
+}
+
+// BatchRangeQuery executes the queries concurrently on a pool of workers
+// goroutines and returns per-query results in input order. A workers
+// value <= 0 uses GOMAXPROCS. All workers share the index's page cache;
+// each result's Stats counts the cache misses its own query caused, so
+// summing them gives the batch's aggregate page reads. A query error
+// aborts the batch; the error of the lowest-indexed failing query is
+// returned (already-finished results are kept). A done ctx stops
+// workers from starting further queries and aborts the in-flight
+// crawls, and the batch returns ctx.Err(). The batch holds the query
+// guard once for its whole duration.
+func (b *queryBase) BatchRangeQuery(ctx context.Context, queries []MBR, workers int) ([]BatchResult, error) {
+	if err := b.guard.enter(); err != nil {
+		return nil, err
+	}
+	defer b.guard.exit()
+	out := make([]BatchResult, len(queries))
+	err := runBatch(ctx, len(queries), workers, func(i int) error {
+		var els []Element
+		st, err := b.rangeRun(ctx, queries[i], queryConfig{}, func(e Element) bool {
+			els = append(els, e)
+			return true
+		})
+		if err != nil {
+			els = nil
+		}
+		out[i] = BatchResult{Elements: els, Stats: st}
+		return err
+	})
+	return out, err
+}
+
+// BatchCountQuery is BatchRangeQuery without materializing result
+// elements: it returns each query's hit count and stats in input order.
+func (b *queryBase) BatchCountQuery(ctx context.Context, queries []MBR, workers int) ([]int, []QueryStats, error) {
+	if err := b.guard.enter(); err != nil {
+		return nil, nil, err
+	}
+	defer b.guard.exit()
+	counts := make([]int, len(queries))
+	stats := make([]QueryStats, len(queries))
+	err := runBatch(ctx, len(queries), workers, func(i int) error {
+		st, err := b.rangeRun(ctx, queries[i], queryConfig{}, func(Element) bool { return true })
+		if err == nil {
+			counts[i] = st.Results
+		}
+		stats[i] = st
+		return err
+	})
+	return counts, stats, err
+}
+
+// Results is one streaming query session, created by Query or NN on
+// either index shape. Nothing happens until it is iterated: ranging
 // over All drains the two-phase query incrementally, in the same
 // deterministic order RangeQuery returns, and stops crawling — saving
 // the remaining page reads — as soon as the caller breaks out or the
@@ -94,9 +253,9 @@ type Results struct {
 	run   runFunc
 
 	// prefetchable marks a run function that consumes cfg.prefetch and
-	// cfg.buffer itself (the sharded prefetching merge); the session
-	// then drains it inline rather than stacking drainPipelined's
-	// consumer-side pipeline on top.
+	// cfg.buffer itself (the sharded prefetching shard visit); the
+	// session then drains it inline rather than stacking
+	// drainPipelined's consumer-side pipeline on top.
 	prefetchable bool
 
 	started bool

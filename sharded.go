@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 
-	"flat/internal/geom"
 	"flat/internal/shard"
 )
 
@@ -69,8 +68,9 @@ type ShardedOptions struct {
 
 // ShardedIndex is a spatially-partitioned FLAT index: K independent
 // shards behind a top-level MBR directory. Queries are pruned against
-// the directory and scatter-gathered over the shards they can touch,
-// with per-shard QueryStats merged into one. It satisfies Querier, and
+// the directory and streamed, in shard order, from the shards they can
+// touch, with per-shard QueryStats merged into one. It shares Index's
+// query-method family (queryBase) over one sharded range executor, and
 // its concurrency contract is the same as Index's: query methods are
 // safe for any number of goroutines; Close, DropCache and Rebuild
 // return ErrBusy while queries are in flight.
@@ -80,8 +80,8 @@ type ShardedOptions struct {
 // immediately, and Rebuild folds them in by re-bulkloading only the
 // shards they touch. See the README's "Staged updates" section.
 type ShardedIndex struct {
-	set   *shard.Set
-	guard queryGuard
+	queryBase
+	set *shard.Set
 	// compact is the background compactor, nil unless
 	// ShardedOptions.AutoCompact enabled one. Set once at construction,
 	// before the index is shared.
@@ -114,9 +114,27 @@ func BuildSharded(els []Element, opts *ShardedOptions) (*ShardedIndex, error) {
 	if err != nil {
 		return nil, err
 	}
-	sx := &ShardedIndex{set: set}
-	sx.startCompactor(o.AutoCompact)
-	return sx, nil
+	return newShardedIndex(set, o.AutoCompact), nil
+}
+
+// newShardedIndex wires the sharded executors — the set's range stream
+// and distance-ordered NN merge — into the shared query-method family
+// and starts the background compactor when ac enables one.
+func newShardedIndex(set *shard.Set, ac AutoCompact) *ShardedIndex {
+	sx := &ShardedIndex{
+		queryBase: queryBase{
+			rangeRun: func(ctx context.Context, q MBR, cfg queryConfig, emit func(Element) bool) (QueryStats, error) {
+				return set.StreamQuery(ctx, q, shard.StreamOptions{Prefetch: cfg.prefetch, Buffer: cfg.buffer}, emit)
+			},
+			nnRun: func(ctx context.Context, q MBR, cfg queryConfig, emit func(Element) bool) (QueryStats, error) {
+				return set.NNQuery(ctx, q.Min, cfg.limit, func(e Element, _ float64) bool { return emit(e) })
+			},
+			prefetchable: true,
+		},
+		set: set,
+	}
+	sx.startCompactor(ac)
+	return sx
 }
 
 // OpenSharded loads a previously built disk-backed sharded index from
@@ -146,121 +164,7 @@ func OpenShardedWithOptions(dir string, opts *ShardedOptions) (*ShardedIndex, er
 	if err != nil {
 		return nil, err
 	}
-	sx := &ShardedIndex{set: set}
-	sx.startCompactor(o.AutoCompact)
-	return sx, nil
-}
-
-// Query starts a streaming query session over q, with the same session
-// semantics as Index.Query: nothing is read until the Results iterator
-// is drained, ctx aborts the crawl between page reads, WithLimit stops
-// it after k results and WithBuffer pipelines it. The stream is always
-// delivered in shard order — element-for-element identical to
-// RangeQuery's deterministic shard-order concatenation — and by
-// default the surviving shards are also visited sequentially, which is
-// what lets WithLimit skip trailing shards entirely. WithShardPrefetch
-// recovers the scatter parallelism RangeQuery has without changing the
-// emit order: up to p shards crawl concurrently into bounded buffers
-// (sized by WithBuffer) while the consumer drains earlier ones, and
-// shards past the prefetch window are still never touched by an early
-// stop. The materializing RangeQuery/CountQuery keep the all-at-once
-// scatter-gather; choose the session path for incremental delivery and
-// early exit, the classic calls for lowest whole-result latency.
-func (sx *ShardedIndex) Query(ctx context.Context, q MBR, opts ...QueryOption) *Results {
-	r := newResults(ctx, q, opts, &sx.guard, func(ctx context.Context, q MBR, cfg queryConfig, emit func(Element) bool) (QueryStats, error) {
-		return sx.set.StreamQuery(ctx, q, shard.StreamOptions{Prefetch: cfg.prefetch, Buffer: cfg.buffer}, emit)
-	})
-	r.prefetchable = true
-	return r
-}
-
-// RangeQuery returns every indexed element whose MBR intersects q. The
-// stats are the merged per-shard statistics of the scatter-gather; the
-// result concatenates the surviving shards' results in shard order, so
-// it is deterministic for a given index (and element-for-element
-// identical to draining a Query session). It is safe for concurrent
-// use; it is shorthand for RangeQueryContext with context.Background().
-func (sx *ShardedIndex) RangeQuery(q MBR) ([]Element, QueryStats, error) {
-	return sx.RangeQueryContext(context.Background(), q)
-}
-
-// RangeQueryContext is RangeQuery under a context: a done ctx aborts
-// every in-flight per-shard crawl of the scatter-gather with ctx.Err().
-func (sx *ShardedIndex) RangeQueryContext(ctx context.Context, q MBR) ([]Element, QueryStats, error) {
-	if err := sx.guard.enter(); err != nil {
-		return nil, QueryStats{}, err
-	}
-	defer sx.guard.exit()
-	return sx.set.RangeQuery(ctx, q)
-}
-
-// CountQuery returns the number of elements intersecting q without
-// materializing them. It is safe for concurrent use.
-func (sx *ShardedIndex) CountQuery(q MBR) (int, QueryStats, error) {
-	return sx.CountQueryContext(context.Background(), q)
-}
-
-// CountQueryContext is CountQuery under a context, with the same
-// cancellation semantics as RangeQueryContext.
-func (sx *ShardedIndex) CountQueryContext(ctx context.Context, q MBR) (int, QueryStats, error) {
-	if err := sx.guard.enter(); err != nil {
-		return 0, QueryStats{}, err
-	}
-	defer sx.guard.exit()
-	return sx.set.CountQuery(ctx, q)
-}
-
-// PointQuery returns the elements whose MBR contains p. It is safe for
-// concurrent use.
-func (sx *ShardedIndex) PointQuery(p Vec3) ([]Element, QueryStats, error) {
-	return sx.RangeQuery(geom.PointBox(p))
-}
-
-// BatchRangeQuery executes the queries concurrently on a pool of
-// workers and returns per-query results in input order, with the same
-// semantics as Index.BatchRangeQuery (each query additionally fans out
-// over its shards).
-func (sx *ShardedIndex) BatchRangeQuery(queries []MBR, workers int) ([]BatchResult, error) {
-	return sx.BatchRangeQueryContext(context.Background(), queries, workers)
-}
-
-// BatchRangeQueryContext is BatchRangeQuery under a context, with the
-// same cancellation semantics as Index.BatchRangeQueryContext.
-func (sx *ShardedIndex) BatchRangeQueryContext(ctx context.Context, queries []MBR, workers int) ([]BatchResult, error) {
-	if err := sx.guard.enter(); err != nil {
-		return nil, err
-	}
-	defer sx.guard.exit()
-	out := make([]BatchResult, len(queries))
-	err := runBatch(ctx, len(queries), workers, func(i int) error {
-		els, st, err := sx.set.RangeQuery(ctx, queries[i])
-		out[i] = BatchResult{Elements: els, Stats: st}
-		return err
-	})
-	return out, err
-}
-
-// BatchCountQuery is BatchRangeQuery without materializing result
-// elements: it returns each query's hit count and stats in input order.
-func (sx *ShardedIndex) BatchCountQuery(queries []MBR, workers int) ([]int, []QueryStats, error) {
-	return sx.BatchCountQueryContext(context.Background(), queries, workers)
-}
-
-// BatchCountQueryContext is BatchCountQuery under a context, with the
-// same cancellation semantics as Index.BatchRangeQueryContext.
-func (sx *ShardedIndex) BatchCountQueryContext(ctx context.Context, queries []MBR, workers int) ([]int, []QueryStats, error) {
-	if err := sx.guard.enter(); err != nil {
-		return nil, nil, err
-	}
-	defer sx.guard.exit()
-	counts := make([]int, len(queries))
-	stats := make([]QueryStats, len(queries))
-	err := runBatch(ctx, len(queries), workers, func(i int) error {
-		n, st, err := sx.set.CountQuery(ctx, queries[i])
-		counts[i], stats[i] = n, st
-		return err
-	})
-	return counts, stats, err
+	return newShardedIndex(set, o.AutoCompact), nil
 }
 
 // StageInsert stages els for insertion. Each element is routed to a
