@@ -25,10 +25,10 @@
 // for both index kinds. Queries run as streaming sessions: -limit N
 // stops the crawl after N results, and the reported page reads shrink
 // accordingly (the paper's crawl cost is proportional to the result
-// size, so bounding the results bounds the I/O); on a sharded index
-// -prefetch P crawls up to P surviving shards concurrently into
-// bounded buffers (flat.WithShardPrefetch) without changing the
-// result order.
+// size, so bounding the results bounds the I/O); -prefetch P crawls up
+// to P surviving shards concurrently into bounded buffers
+// (flat.WithShardPrefetch) without changing the result order — a plain
+// page file is the one-shard case of the same pipeline.
 //
 // -nn "x,y,z" runs a k-nearest-neighbor query: the -k closest elements
 // stream back in nondecreasing distance from the point (best-first
@@ -86,7 +86,7 @@ func main() {
 		stats    = flag.Bool("stats", false, "print index statistics")
 		compare  = flag.Bool("compare", false, "also run the query on the three R-tree baselines")
 		limit    = flag.Int("limit", 0, "stop the query after this many results (0: unlimited); the crawl aborts early, saving page reads")
-		prefetch = flag.Int("prefetch", 0, "crawl up to this many shards concurrently during the query (sharded index only; 0: sequential)")
+		prefetch = flag.Int("prefetch", 0, "crawl up to this many shards concurrently during the query, a bounded buffer ahead of the output (0: sequential, inline)")
 		shards   = flag.Int("shards", 1, "number of spatial shards (>1: sharded index; -index names a directory)")
 		insert   = flag.String("insert", "", "element file whose contents are staged for insertion (sharded index only)")
 		del      = flag.String("delete", "", "comma-separated element ids staged for deletion (sharded index only)")
@@ -226,7 +226,7 @@ func main() {
 					cs.Runs, cs.ShardsRebuilt, cs.BusyRetries)
 			}
 		}
-		cached, capacity := cacheStats(ix)
+		cached, capacity := ix.CacheStats()
 		fmt.Printf("  page cache:    %d/%d pages resident\n", cached, capacity)
 	}
 
@@ -375,9 +375,6 @@ func main() {
 	// result's cost.
 	opts := []flat.QueryOption{flat.WithLimit(*limit)}
 	if *prefetch > 0 {
-		if _, ok := ix.(*flat.ShardedIndex); !ok {
-			fmt.Printf("warning: -prefetch %d ignored (unsharded index streams from a single crawl)\n", *prefetch)
-		}
 		opts = append(opts, flat.WithShardPrefetch(*prefetch))
 	}
 	session := ix.Query(context.Background(), q, opts...)
@@ -422,18 +419,6 @@ func main() {
 			tr.Close()
 		}
 	}
-}
-
-// cacheStats reads the page-cache occupancy off whichever index shape
-// is behind the QueryIndex contract.
-func cacheStats(ix flat.QueryIndex) (cached, capacity int) {
-	switch v := ix.(type) {
-	case *flat.Index:
-		return v.CacheStats()
-	case *flat.ShardedIndex:
-		return v.CacheStats()
-	}
-	return 0, 0
 }
 
 // openExisting is flat.OpenAny with the -mmap and -wal knobs: the

@@ -58,8 +58,11 @@
 // RangeQuery, CountQuery and PointQuery are Query(ctx, q).Collect()
 // spelled for callers that want the whole result at once, and
 // BatchRangeQuery/BatchCountQuery fan a query batch over a worker pool.
-// These seven methods are defined once (queryBase, query.go) and shared
-// by both index shapes. OpenAny opens either index shape from a path
+// These seven methods are defined once (on base, in query.go) for both
+// index shapes, over one executor pair: the set's shard-ordered range
+// stream and its distance-ordered NN merge. A session that asks to run
+// ahead of its consumer (WithBuffer, WithShardPrefetch) uses the range
+// stream's one pipeline. OpenAny opens either index shape from a path
 // and returns the composed QueryIndex interface; the Querier /
 // Inspector / Maintainer role interfaces split the same surface by
 // concern for callers that need less.
@@ -97,9 +100,13 @@
 // top-level MBR directory: queries are pruned against the directory and
 // streamed from the surviving shards in shard order by one executor,
 // with merged QueryStats.
-// All shards share one globally budgeted page cache. Index and
-// ShardedIndex both satisfy Querier, so serving code is written once
-// against the interface. See the README for guidance on choosing K.
+// All shards share one globally budgeted page cache. There is one
+// implementation under the two names: an Index is the one-shard set
+// (over a single page file, without the directory, manifest and
+// write-ahead log a ShardedIndex keeps, and without its staging and
+// Rebuild), so both satisfy Querier by the same methods and serving
+// code is written once against the interface. See the README for
+// guidance on choosing K.
 package flat
 
 import (
@@ -112,6 +119,7 @@ import (
 
 	"flat/internal/core"
 	"flat/internal/geom"
+	"flat/internal/shard"
 	"flat/internal/storage"
 )
 
@@ -177,6 +185,8 @@ type Inspector interface {
 	World() MBR
 	// SizeBytes returns the on-disk footprint of the index.
 	SizeBytes() uint64
+	// CacheStats reports the page cache's occupancy and budget.
+	CacheStats() (cached, capacity int)
 }
 
 // Maintainer is the maintenance role. Both methods return ErrBusy while
@@ -294,76 +304,47 @@ type Options struct {
 	Mmap bool
 }
 
-// Index is a built FLAT index. See the package documentation for its
-// concurrency guarantees.
-type Index struct {
-	queryBase
-	inner *core.Index
-	pool  *storage.ConcurrentPool
-	pager storage.Pager
+// base is the one index implementation behind both public shapes: a
+// shard.Set and the queryGuard that serializes its queries against
+// maintenance. Index and ShardedIndex embed it and share, defined once
+// here and in query.go, the seven query methods, the Inspector
+// accessors, DropCache and Close; nothing in it asks which shape it
+// serves — an Index is simply the set with one shard.
+type base struct {
+	guard queryGuard
+	set   *shard.Set
 }
 
-// newIndex wires the unsharded executors — the engine's range crawl and
-// best-first traversal — into the shared query-method family.
-func newIndex(inner *core.Index, pool *storage.ConcurrentPool, pager storage.Pager) *Index {
-	return &Index{
-		queryBase: queryBase{
-			rangeRun: func(ctx context.Context, q MBR, _ queryConfig, emit func(Element) bool) (QueryStats, error) {
-				return inner.Query(ctx, q, emit)
-			},
-			nnRun: func(ctx context.Context, q MBR, _ queryConfig, emit func(Element) bool) (QueryStats, error) {
-				return inner.NN(ctx, q.Min, func(e Element, _ float64) bool { return emit(e) })
-			},
-		},
-		inner: inner, pool: pool, pager: pager,
-	}
+// Index is a built FLAT index: a read-only face over a one-shard set —
+// in memory, or over a single page file (Options.Path) — that adds the
+// single-index inspection surface (CrawlFrom, Records, SeedHeight,
+// PageFormat, AvgNeighbors) and exposes no staging or Rebuild. See the
+// package documentation for its concurrency guarantees.
+type Index struct {
+	base
 }
 
 // Build bulkloads a FLAT index over els (reordering the slice in place).
-// See Options for storage and partitioning knobs.
+// See Options for storage and partitioning knobs. With Options.Path the
+// page file is fsynced before Build returns, and a failed build removes
+// the partial file.
 func Build(els []Element, opts *Options) (*Index, error) {
 	var o Options
 	if opts != nil {
 		o = *opts
 	}
-	var pager storage.Pager
-	if o.Path != "" {
-		fp, err := storage.CreateFilePager(o.Path)
-		if err != nil {
-			return nil, err
-		}
-		pager = fp
-	} else {
-		pager = storage.NewMemPager()
-	}
-	// A failed disk build must not leak a partial page file at Path.
-	fail := func(err error) (*Index, error) {
-		pager.Close()
-		if o.Path != "" {
-			os.Remove(o.Path)
-		}
-		return nil, err
-	}
-	pool := storage.NewConcurrentPool(pager, o.BufferPages)
-	inner, err := core.Build(pool, els, core.Options{
+	set, err := shard.Build(els, shard.Config{
 		PageCapacity: o.PageCapacity,
 		SeedFanout:   o.SeedFanout,
 		PageFormat:   o.PageFormat,
 		World:        o.World,
+		File:         o.Path,
+		BufferPages:  o.BufferPages,
 	})
 	if err != nil {
-		return fail(err)
+		return nil, err
 	}
-	if o.Path != "" {
-		// Persist the superblock so the index can be reopened with Open.
-		if err := inner.WriteSuper(); err != nil {
-			return fail(err)
-		}
-	}
-	// Hand back a cold index: construction leaves every page cached,
-	// which would make the first queries' read counts meaningless.
-	pool.Reset()
-	return newIndex(inner, pool, pager), nil
+	return &Index{base{set: set}}, nil
 }
 
 // Open loads a previously built disk-backed index from its page file
@@ -387,23 +368,11 @@ func OpenWithOptions(path string, opts *Options) (*Index, error) {
 	if opts != nil {
 		o = *opts
 	}
-	var pager storage.Pager
-	var err error
-	if o.Mmap {
-		pager, err = storage.OpenMmapPager(path)
-	} else {
-		pager, err = storage.OpenFilePager(path)
-	}
+	set, err := shard.OpenFile(path, shard.OpenOptions{BufferPages: o.BufferPages, Mmap: o.Mmap})
 	if err != nil {
 		return nil, err
 	}
-	pool := storage.NewConcurrentPool(pager, o.BufferPages)
-	inner, err := core.Open(pool)
-	if err != nil {
-		pager.Close()
-		return nil, err
-	}
-	return newIndex(inner, pool, pager), nil
+	return &Index{base{set: set}}, nil
 }
 
 // CrawlFrom executes only the crawl phase of a range query, starting
@@ -416,7 +385,7 @@ func (ix *Index) CrawlFrom(q MBR, start RecordRef) ([]Element, error) {
 		return nil, err
 	}
 	defer ix.guard.exit()
-	return ix.inner.CrawlFrom(q, start)
+	return ix.set.Shard(0).CrawlFrom(q, start)
 }
 
 // Records enumerates every metadata record in the index in on-disk
@@ -429,7 +398,7 @@ func (ix *Index) Records(fn func(ref RecordRef, pageMBR, partitionMBR MBR, objec
 		return err
 	}
 	defer ix.guard.exit()
-	return ix.inner.Records(fn)
+	return ix.set.Shard(0).Records(fn)
 }
 
 // runBatch fans n independent work items over a worker pool; it is the
@@ -501,46 +470,41 @@ func runBatch(ctx context.Context, n, workers int, run func(i int) error) error 
 	return ctx.Err()
 }
 
-// The plain accessors below read immutable in-memory state through the
-// guard's view side: they stay valid after Close (an Index never
-// mutates, so there is no closed state to observe), but serialize
-// against maintenance so a concurrent DropCache/Close never interleaves
-// with them. See the "Lifecycle of plain accessors" package note.
+// The plain accessors below hold the guard's view side: they stay valid
+// after Close (they read in-memory state the Close does not tear down),
+// but serialize against maintenance — Rebuild swaps the state they read,
+// and a concurrent DropCache/Close never interleaves with them. See the
+// "Lifecycle of plain accessors" package note.
 
-// Len returns the number of indexed elements.
-func (ix *Index) Len() int { defer ix.guard.view()(); return ix.inner.Len() }
+// Len returns the number of bulkloaded elements; on a ShardedIndex,
+// staged inserts and deletes count only after the Rebuild that folds
+// them in.
+func (b *base) Len() int { defer b.guard.view()(); return b.set.Len() }
 
-// NumPartitions returns the number of partitions (object pages).
-func (ix *Index) NumPartitions() int { defer ix.guard.view()(); return ix.inner.NumPartitions() }
-
-// SeedHeight returns the seed tree height in levels (metadata level
-// inclusive); the seed phase of a query reads at most this many internal
-// pages.
-func (ix *Index) SeedHeight() int { defer ix.guard.view()(); return ix.inner.SeedHeight() }
-
-// SizeBytes returns the on-disk footprint of the index.
-func (ix *Index) SizeBytes() uint64 { defer ix.guard.view()(); return ix.inner.SizeBytes() }
-
-// PageFormat returns the object-page layout the index was built with.
-func (ix *Index) PageFormat() PageFormat { defer ix.guard.view()(); return ix.inner.PageFormat() }
+// NumPartitions returns the number of partitions (object pages), across
+// all shards.
+func (b *base) NumPartitions() int { defer b.guard.view()(); return b.set.NumPartitions() }
 
 // Bounds returns the bounding box of the indexed data.
-func (ix *Index) Bounds() MBR { defer ix.guard.view()(); return ix.inner.Bounds() }
+func (b *base) Bounds() MBR { defer b.guard.view()(); return b.set.Bounds() }
 
-// World returns the partitioned space.
-func (ix *Index) World() MBR { defer ix.guard.view()(); return ix.inner.World() }
+// World returns the partitioned space; on a ShardedIndex, the space the
+// shard assignment was derived in.
+func (b *base) World() MBR { defer b.guard.view()(); return b.set.World() }
 
-// AvgNeighbors returns the mean number of neighborhood pointers per
-// partition.
-func (ix *Index) AvgNeighbors() float64 { defer ix.guard.view()(); return ix.inner.AvgNeighbors() }
+// SizeBytes returns the on-disk footprint of the index, across all
+// shards.
+func (b *base) SizeBytes() uint64 { defer b.guard.view()(); return b.set.SizeBytes() }
 
 // CacheStats reports the page cache's occupancy: how many frames it
-// currently holds and its configured budget (capacity <= 0: unbounded).
-// A serving layer exposes this so operators can see how much of the
-// budget live traffic actually uses.
-func (ix *Index) CacheStats() (cached, capacity int) {
-	defer ix.guard.view()()
-	return ix.pool.Len(), ix.pool.Capacity()
+// currently holds and its configured budget (capacity <= 0: unbounded;
+// on a ShardedIndex the budget is global across shards). A serving
+// layer exposes this so operators can see how much of the budget live
+// traffic actually uses.
+func (b *base) CacheStats() (cached, capacity int) {
+	defer b.guard.view()()
+	pool := b.set.Pool()
+	return pool.Len(), pool.Capacity()
 }
 
 // DropCache empties the page cache so the next query starts cold — the
@@ -549,29 +513,47 @@ func (ix *Index) CacheStats() (cached, capacity int) {
 // ErrBusy and leaves the cache untouched (a concurrent query would
 // otherwise see a partially dropped cache and report inflated read
 // counts), and after Close it returns ErrClosed.
-func (ix *Index) DropCache() error {
-	if err := ix.guard.maintain(); err != nil {
+func (b *base) DropCache() error {
+	if err := b.guard.maintain(); err != nil {
 		return err
 	}
-	defer ix.guard.release()
-	ix.pool.DropFrames()
+	defer b.guard.release()
+	b.set.DropCache()
 	return nil
+}
+
+// Close releases the index's storage (closing the page files when the
+// index is disk-backed). When queries are in flight it returns ErrBusy
+// and closes nothing; retry once they drain. After a successful Close
+// every method returns ErrClosed.
+func (b *base) Close() error {
+	if err := b.guard.shutdown(); err != nil {
+		return err
+	}
+	return b.set.Close()
+}
+
+// SeedHeight returns the seed tree height in levels (metadata level
+// inclusive); the seed phase of a query reads at most this many internal
+// pages.
+func (ix *Index) SeedHeight() int { defer ix.guard.view()(); return ix.set.Shard(0).SeedHeight() }
+
+// PageFormat returns the object-page layout the index was built with.
+func (ix *Index) PageFormat() PageFormat {
+	defer ix.guard.view()()
+	return ix.set.Shard(0).PageFormat()
+}
+
+// AvgNeighbors returns the mean number of neighborhood pointers per
+// partition.
+func (ix *Index) AvgNeighbors() float64 {
+	defer ix.guard.view()()
+	return ix.set.Shard(0).AvgNeighbors()
 }
 
 // String summarizes the index.
 func (ix *Index) String() string {
-	obj, meta, seed := ix.inner.PageCounts()
+	obj, meta, seed := ix.set.Shard(0).PageCounts()
 	return fmt.Sprintf("flat.Index{elements: %d, partitions: %d, pages: %d object + %d metadata + %d seed, %.1f MiB}",
 		ix.Len(), ix.NumPartitions(), obj, meta, seed, float64(ix.SizeBytes())/(1<<20))
-}
-
-// Close releases the index's storage (closing the page file when the
-// index is disk-backed). When queries are in flight it returns ErrBusy
-// and closes nothing; retry once they drain. After a successful Close
-// every method returns ErrClosed.
-func (ix *Index) Close() error {
-	if err := ix.guard.shutdown(); err != nil {
-		return err
-	}
-	return ix.pager.Close()
 }

@@ -2,7 +2,9 @@ package flat
 
 import (
 	"math/rand"
+	"os"
 	"path/filepath"
+	"reflect"
 	"sort"
 	"testing"
 )
@@ -166,39 +168,93 @@ func TestBuildThenOpen(t *testing.T) {
 	copy(orig, els)
 	path := filepath.Join(t.TempDir(), "persist.flat")
 
+	// inspect reads everything the single-index inspection surface
+	// answers, plus one cold query with its stats: the built index and
+	// every way of reopening its file must agree on all of it.
+	type inspection struct {
+		len, seedHeight int
+		format          PageFormat
+		world, bounds   MBR
+		refs            []RecordRef
+		crawled, got    []Element
+		stats           QueryStats
+	}
+	q := CubeAt(V(45, 55, 50), 28)
+	inspect := func(ix *Index) inspection {
+		t.Helper()
+		in := inspection{len: ix.Len(), seedHeight: ix.SeedHeight(), format: ix.PageFormat(), world: ix.World(), bounds: ix.Bounds()}
+		var start RecordRef
+		err := ix.Records(func(ref RecordRef, _, partMBR MBR, _ PageID, _ []RecordRef) error {
+			if len(in.refs) == 0 || partMBR.Intersects(q) {
+				start = ref
+			}
+			in.refs = append(in.refs, ref)
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if in.crawled, err = ix.CrawlFrom(q, start); err != nil {
+			t.Fatal(err)
+		}
+		if err := ix.DropCache(); err != nil {
+			t.Fatal(err)
+		}
+		if in.got, in.stats, err = ix.RangeQuery(q); err != nil {
+			t.Fatal(err)
+		}
+		return in
+	}
+
 	ix, err := Build(els, &Options{Path: path})
 	if err != nil {
 		t.Fatal(err)
 	}
-	q := CubeAt(V(45, 55, 50), 28)
-	want, _, err := ix.RangeQuery(q)
-	if err != nil {
-		t.Fatal(err)
-	}
+	want := inspect(ix)
 	if err := ix.Close(); err != nil {
 		t.Fatal(err)
 	}
+	if want.len != len(orig) || len(want.got) != len(apiBrute(orig, q)) || !sameIDs(idsOf(want.crawled), idsOf(want.got)) {
+		t.Fatalf("built index: Len %d, %d results, %d crawled", want.len, len(want.got), len(want.crawled))
+	}
+	if want.stats.TotalReads == 0 || want.stats.ObjectReads == 0 || want.seedHeight < 1 || len(want.refs) == 0 {
+		t.Errorf("built index implausible: %+v, seed height %d, %d records", want.stats, want.seedHeight, len(want.refs))
+	}
 
-	re, err := Open(path)
-	if err != nil {
-		t.Fatal(err)
+	openers := map[string]func() (*Index, error){
+		"Open":            func() (*Index, error) { return Open(path) },
+		"OpenWithOptions": func() (*Index, error) { return OpenWithOptions(path, &Options{Mmap: true, BufferPages: 64}) },
+		"OpenAny": func() (*Index, error) {
+			qi, err := OpenAny(path)
+			if err != nil {
+				return nil, err
+			}
+			return qi.(*Index), nil
+		},
 	}
-	defer re.Close()
-	if re.Len() != len(orig) {
-		t.Fatalf("reopened Len = %d", re.Len())
-	}
-	got, stats, err := re.RangeQuery(q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != len(want) {
-		t.Fatalf("reopened query: %d results, want %d", len(got), len(want))
-	}
-	if stats.TotalReads == 0 || stats.ObjectReads == 0 {
-		t.Errorf("reopened stats implausible: %+v", stats)
+	for name, open := range openers {
+		re, err := open()
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if got := inspect(re); !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: reopened index answers\n%+v\nwant\n%+v", name, got, want)
+		}
+		if err := re.Close(); err != nil {
+			t.Fatalf("%s: close: %v", name, err)
+		}
 	}
 	if _, err := Open(filepath.Join(t.TempDir(), "missing.flat")); err == nil {
 		t.Error("Open of missing file should fail")
+	}
+
+	// A failed disk build must not leave a partial page file at Path.
+	bad := filepath.Join(t.TempDir(), "bad.flat")
+	if _, err := Build(randomElements(r, 100), &Options{Path: bad, PageCapacity: 1 << 20}); err == nil {
+		t.Error("Build with an out-of-range page capacity should fail")
+	}
+	if _, err := os.Stat(bad); !os.IsNotExist(err) {
+		t.Errorf("failed Build left %s behind (stat err %v)", bad, err)
 	}
 }
 

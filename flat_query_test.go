@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math/rand"
 	"path/filepath"
+	"runtime"
 	"sync"
 	"testing"
 )
@@ -248,23 +249,29 @@ func TestQueryContextAlreadyDone(t *testing.T) {
 	}
 }
 
-// TestQuerySessionAbandonReleasesGuard breaks out of both session modes
-// mid-stream and verifies the query guard is released (Close succeeds)
-// and the pipeline goroutine is stopped.
+// TestQuerySessionAbandonReleasesGuard breaks out of every session mode
+// mid-stream and verifies the query guard is released (Close succeeds
+// immediately) and no pipeline goroutine outlives the iteration: the
+// teardown is synchronous, so the count is back before the loop's next
+// statement runs.
 func TestQuerySessionAbandonReleasesGuard(t *testing.T) {
 	r := rand.New(rand.NewSource(9))
 	els := randomElements(r, 2000)
-	for _, opts := range [][]QueryOption{nil, {WithBuffer(2)}} {
+	for _, opts := range [][]QueryOption{nil, {WithBuffer(2)}, {WithShardPrefetch(2)}, {WithShardPrefetch(2), WithBuffer(2)}} {
 		ix, err := Build(append([]Element(nil), els...), &Options{PageCapacity: 8})
 		if err != nil {
 			t.Fatal(err)
 		}
+		before := runtime.NumGoroutine()
 		res := ix.Query(context.Background(), Box(V(0, 0, 0), V(100, 100, 100)), opts...)
 		for _, err := range res.All() {
 			if err != nil {
 				t.Fatal(err)
 			}
 			break // abandon immediately
+		}
+		if after := runtime.NumGoroutine(); after > before {
+			t.Errorf("abandoned session (opts %d) left %d goroutines behind", len(opts), after-before)
 		}
 		if res.Err() != nil {
 			t.Fatalf("abandoned session (opts %d) reports Err() = %v, want nil (early stop is not an error)", len(opts), res.Err())

@@ -65,17 +65,11 @@ func (s *QueryStats) Add(o QueryStats) {
 
 // RangeQuery returns all elements whose MBR intersects q, executing the
 // paper's two-phase algorithm: seed then crawl. The result order is the
-// BFS visit order and therefore deterministic for a given index.
+// BFS visit order and therefore deterministic for a given index. It is
+// the collect sink over Query, the cancellable executor.
 func (eng *Engine) RangeQuery(q geom.MBR) ([]geom.Element, QueryStats, error) {
-	return eng.RangeQueryContext(context.Background(), q)
-}
-
-// RangeQueryContext is RangeQuery under a context: between page reads
-// the query checks ctx and aborts with ctx.Err() once it is done, so a
-// deadline or cancellation stops a crawl mid-BFS instead of after it.
-func (eng *Engine) RangeQueryContext(ctx context.Context, q geom.MBR) ([]geom.Element, QueryStats, error) {
 	var result []geom.Element
-	stats, err := eng.Query(ctx, q, func(e geom.Element) bool {
+	stats, err := eng.Query(context.Background(), q, func(e geom.Element) bool {
 		result = append(result, e)
 		return true
 	})
@@ -85,14 +79,8 @@ func (eng *Engine) RangeQueryContext(ctx context.Context, q geom.MBR) ([]geom.El
 // CountQuery is RangeQuery without materializing the result elements;
 // the page access pattern is identical.
 func (eng *Engine) CountQuery(q geom.MBR) (int, QueryStats, error) {
-	return eng.CountQueryContext(context.Background(), q)
-}
-
-// CountQueryContext is CountQuery under a context, with the same
-// cancellation semantics as RangeQueryContext.
-func (eng *Engine) CountQueryContext(ctx context.Context, q geom.MBR) (int, QueryStats, error) {
 	n := 0
-	stats, err := eng.Query(ctx, q, func(geom.Element) bool { n++; return true })
+	stats, err := eng.Query(context.Background(), q, func(geom.Element) bool { n++; return true })
 	return n, stats, err
 }
 
@@ -383,18 +371,10 @@ func (eng *Engine) CrawlFrom(q geom.MBR, start RecordRef) ([]geom.Element, error
 // order, calling fn with its ref and decoded content. Used by invariant
 // tests and the flatindex CLI inspect mode.
 func (eng *Engine) Records(fn func(ref RecordRef, pageMBR, partitionMBR geom.MBR, objectPage storage.PageID, neighbors []RecordRef) error) error {
-	return eng.RecordsContext(context.Background(), fn)
-}
-
-// RecordsContext is Records with cancellation: the walk checks ctx
-// between record decodes, so inspecting a large index can be aborted.
-func (eng *Engine) RecordsContext(ctx context.Context, fn func(ref RecordRef, pageMBR, partitionMBR geom.MBR, objectPage storage.PageID, neighbors []RecordRef) error) error {
-	return eng.walkMeta(ctx, func(page storage.PageID, buf []byte) error {
+	return eng.walkMeta(func(page storage.PageID, buf []byte) error {
 		count := metaPageRecordCount(buf)
+		//lint:ignore ctxcrawl offline inspect/invariant walk, never on a serving query path
 		for slot := 0; slot < count; slot++ {
-			if err := ctxErr(ctx); err != nil {
-				return err
-			}
 			m, err := decodeMetaRecord(buf, slot)
 			if err != nil {
 				return err
@@ -404,10 +384,8 @@ func (eng *Engine) RecordsContext(ctx context.Context, fn func(ref RecordRef, pa
 			}
 			// Collect the full neighbor list across the overflow chain.
 			neighbors := m.Neighbors
+			//lint:ignore ctxcrawl offline inspect/invariant walk, never on a serving query path
 			for next := m.Overflow; next != noRef; {
-				if err := ctxErr(ctx); err != nil {
-					return err
-				}
 				ovPage, err := eng.pool.Read(next.Page())
 				if err != nil {
 					return err
@@ -438,12 +416,10 @@ func (eng *Engine) RecordsContext(ctx context.Context, fn func(ref RecordRef, pa
 }
 
 // walkMeta visits every metadata page via the seed tree.
-func (eng *Engine) walkMeta(ctx context.Context, fn func(id storage.PageID, buf []byte) error) error {
+func (eng *Engine) walkMeta(fn func(id storage.PageID, buf []byte) error) error {
 	stack := []seedItem{{eng.seedRoot, eng.seedHeight}}
+	//lint:ignore ctxcrawl offline inspect/invariant walk, never on a serving query path
 	for len(stack) > 0 {
-		if err := ctxErr(ctx); err != nil {
-			return err
-		}
 		it := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
 		page, err := eng.pool.Read(it.page)

@@ -229,15 +229,12 @@ func (s *Server) Stats() ServerStats {
 		MaxInflight: s.adm.capacity(),
 		Counters:    s.counters(),
 	}
-	switch v := s.ix.(type) {
-	case *flat.Index:
-		st.CachePages, st.CacheCap = v.CacheStats()
-	case *flat.ShardedIndex:
-		st.CachePages, st.CacheCap = v.CacheStats()
-		if d, err := v.DeltaStats(); err == nil {
+	st.CachePages, st.CacheCap = s.ix.CacheStats()
+	if sx, ok := s.ix.(*flat.ShardedIndex); ok {
+		if d, err := sx.DeltaStats(); err == nil {
 			st.Delta = &d
 		}
-		if cs := v.CompactorStats(); cs.Enabled {
+		if cs := sx.CompactorStats(); cs.Enabled {
 			st.Compactor = &cs
 		}
 	}

@@ -297,25 +297,41 @@ func gcStale(dir string, keep map[string]bool) {
 	}
 }
 
+// createPager makes the pager one shard is bulkloaded into: a fresh
+// page file at path, or a memory pager when path is empty.
+func createPager(path string) (storage.Pager, error) {
+	if path == "" {
+		return storage.NewMemPager(), nil
+	}
+	return storage.CreateFilePager(path)
+}
+
 // createPagers makes the per-shard pagers for a build at the given
 // generation: page files under dir when dir is non-empty (creating the
-// directory), memory pagers otherwise. It returns the created file
-// paths so a failed build can remove its partial output.
-func createPagers(dir string, k int, gen uint64) ([]storage.Pager, []string, error) {
-	pagers := make([]storage.Pager, k)
-	if dir == "" {
-		for s := range pagers {
-			pagers[s] = storage.NewMemPager()
+// directory), the one page file at file for the single-file shape,
+// memory pagers otherwise. It returns the created file paths (nil for a
+// memory-backed build) so a failed build can remove its partial output.
+func createPagers(dir, file string, k int, gen uint64) ([]storage.Pager, []string, error) {
+	var files []string
+	switch {
+	case file != "":
+		files = []string{file}
+	case dir != "":
+		if err := os.MkdirAll(dir, 0o755); err != nil {
+			return nil, nil, fmt.Errorf("shard: create index dir: %w", err)
 		}
-		return pagers, nil, nil
+		files = make([]string, k)
+		for s := range files {
+			files[s] = filepath.Join(dir, shardFileName(s, gen))
+		}
 	}
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return nil, nil, fmt.Errorf("shard: create index dir: %w", err)
-	}
-	files := make([]string, k)
+	pagers := make([]storage.Pager, k)
 	for s := range pagers {
-		path := filepath.Join(dir, shardFileName(s, gen))
-		fp, err := storage.CreateFilePager(path)
+		path := ""
+		if files != nil {
+			path = files[s]
+		}
+		p, err := createPager(path)
 		if err != nil {
 			for i, p := range pagers[:s] {
 				p.Close()
@@ -323,8 +339,7 @@ func createPagers(dir string, k int, gen uint64) ([]storage.Pager, []string, err
 			}
 			return nil, nil, err
 		}
-		pagers[s] = fp
-		files[s] = path
+		pagers[s] = p
 	}
 	return pagers, files, nil
 }

@@ -8,7 +8,9 @@
 // up to P shard crawls run ahead of the consumer, each emitting into a
 // bounded per-shard buffer, while the consumer still drains the buffers
 // strictly in shard order: only the page reads overlap, the emit order
-// is exactly the sequential one. An early stop — the consumer's emit
+// is exactly the sequential one. That windowed visit is the one stream
+// pipeline of the whole library — the public WithBuffer option is its
+// Prefetch: 1 window, on a one-shard set as on any other. An early stop — the consumer's emit
 // returning false, a done context, a failed shard — cancels the
 // in-flight crawls as a group, waits for every one of them, and merges
 // the page reads they performed into the returned QueryStats:

@@ -54,7 +54,7 @@ func TestShardedV2RoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	re, err := Open(dir, 0)
+	re, err := OpenSet(dir, OpenOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -177,7 +177,7 @@ func TestMixedFormatGenerations(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	set, err := Open(dir, 0)
+	set, err := OpenSet(dir, OpenOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -261,7 +261,7 @@ func TestMixedFormatGenerations(t *testing.T) {
 	if m2.Entries[0].PageFormat != 0 || m2.Entries[1].PageFormat != int(storage.PageFormatV2) {
 		t.Fatalf("post-rebuild manifest formats: %d, %d", m2.Entries[0].PageFormat, m2.Entries[1].PageFormat)
 	}
-	re, err := Open(dir, 0)
+	re, err := OpenSet(dir, OpenOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -298,7 +298,7 @@ func TestManifestFormatCrossCheck(t *testing.T) {
 	if err := writeManifest(dir, bad); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Open(dir, 0); err == nil || !strings.Contains(err.Error(), "page format") {
+	if _, err := OpenSet(dir, OpenOptions{}); err == nil || !strings.Contains(err.Error(), "page format") {
 		t.Fatalf("format mismatch not rejected: %v", err)
 	}
 	// An unknown format number fails manifest validation outright.
@@ -306,7 +306,7 @@ func TestManifestFormatCrossCheck(t *testing.T) {
 	if err := writeManifest(dir, bad); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Open(dir, 0); err == nil || !strings.Contains(err.Error(), "unknown page format") {
+	if _, err := OpenSet(dir, OpenOptions{}); err == nil || !strings.Contains(err.Error(), "unknown page format") {
 		t.Fatalf("unknown format not rejected: %v", err)
 	}
 	// A zero record (pre-v2 manifest) is tolerated regardless of the
@@ -317,7 +317,7 @@ func TestManifestFormatCrossCheck(t *testing.T) {
 	if err := writeManifest(dir, bad); err != nil {
 		t.Fatal(err)
 	}
-	re, err := Open(dir, 0)
+	re, err := OpenSet(dir, OpenOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -453,23 +453,15 @@ func (s *Set) Rebuild() ([]int, error) {
 		if len(els) == 0 {
 			return fail(fmt.Errorf("shard: rebuild would leave shard %d empty; dropping a shard needs a full rebuild (shard ids are baked into the remaining shards' page files)", sh))
 		}
-		var pager storage.Pager
 		var file string
 		if s.dir != "" {
 			file = filepath.Join(s.dir, shardFileName(sh, gen))
-			fp, err := storage.CreateFilePager(file)
-			if err != nil {
-				return fail(err)
-			}
-			pager = fp
-		} else {
-			pager = storage.NewMemPager()
 		}
-		built = append(built, newShard{shard: sh, pager: pager, file: file})
-		view, err := storage.NewShardView(pager, sh)
+		pager, err := createPager(file)
 		if err != nil {
 			return fail(err)
 		}
+		built = append(built, newShard{shard: sh, pager: pager, file: file})
 		// A lone shard keeps the set's world (as in Build); with K > 1
 		// each shard partitions its own bounds.
 		world := geom.MBR{}
@@ -479,24 +471,16 @@ func (s *Set) Rebuild() ([]int, error) {
 		// Each shard is re-bulkloaded under its own page format (not a
 		// set-wide knob): a directory whose shards were produced under
 		// different formats keeps every shard's layout stable across
-		// rebuild generations.
-		ix, err := core.Build(storage.NewBufferPool(view, 0), els, core.Options{
+		// rebuild generations. The new file is durable before the manifest
+		// references it.
+		ix, err := bulkload(pager, sh, els, core.Options{
 			PageCapacity: s.pageCapacity,
 			SeedFanout:   s.seedFanout,
 			PageFormat:   s.shards[sh].PageFormat(),
 			World:        world,
-		})
+		}, file != "")
 		if err != nil {
-			return fail(fmt.Errorf("shard %d: rebuild: %w", sh, err))
-		}
-		if s.dir != "" {
-			if err := ix.WriteSuper(); err != nil {
-				return fail(fmt.Errorf("shard %d: %w", sh, err))
-			}
-			// Durable before the manifest references it.
-			if err := pager.Sync(); err != nil {
-				return fail(fmt.Errorf("shard %d: %w", sh, err))
-			}
+			return fail(fmt.Errorf("rebuild: %w", err))
 		}
 		built[len(built)-1].ix = ix
 	}

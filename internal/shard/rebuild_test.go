@@ -262,7 +262,7 @@ func TestRebuildOnlyDirtyShards(t *testing.T) {
 	if err := set.Close(); err != nil {
 		t.Fatal(err)
 	}
-	re, err := Open(dir, 0)
+	re, err := OpenSet(dir, OpenOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -532,7 +532,7 @@ func TestCrashBeforeManifestSwap(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	re, err := Open(dir, 0)
+	re, err := OpenSet(dir, OpenOptions{})
 	if err != nil {
 		t.Fatalf("Open with stranded rebuild output: %v", err)
 	}
@@ -574,7 +574,7 @@ func TestCrashBeforeManifestSwap(t *testing.T) {
 	if err := re.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Open(dir, 0); err != nil {
+	if _, err := OpenSet(dir, OpenOptions{}); err != nil {
 		t.Fatalf("reopen after GC: %v", err)
 	}
 }
@@ -621,7 +621,7 @@ func TestBuildIntoExistingDir(t *testing.T) {
 	if _, err := Build(append([]geom.Element(nil), orig...), Config{Shards: 2, PageCapacity: 100000, Dir: dir}); err == nil {
 		t.Fatal("bad rebuild should fail")
 	}
-	re, err := Open(dir, 0)
+	re, err := OpenSet(dir, OpenOptions{})
 	if err != nil {
 		t.Fatalf("old index must survive a failed re-build: %v", err)
 	}
@@ -658,7 +658,7 @@ func TestBuildIntoExistingDir(t *testing.T) {
 	if err := set2.Close(); err != nil {
 		t.Fatal(err)
 	}
-	re2, err := Open(dir, 0)
+	re2, err := OpenSet(dir, OpenOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -707,7 +707,7 @@ func TestManifestV1Rejected(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	if _, err := Open(dir, 0); err == nil || !strings.Contains(err.Error(), "unsupported manifest version 1") {
+	if _, err := OpenSet(dir, OpenOptions{}); err == nil || !strings.Contains(err.Error(), "unsupported manifest version 1") {
 		t.Fatalf("open of a v1 manifest: %v, want unsupported manifest version 1", err)
 	}
 }
@@ -742,7 +742,7 @@ func TestOpenRejectsElementCountMismatch(t *testing.T) {
 	if err := os.WriteFile(filepath.Join(dir, ManifestName), tampered, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Open(dir, 0); err == nil || !strings.Contains(err.Error(), "manifest records") {
+	if _, err := OpenSet(dir, OpenOptions{}); err == nil || !strings.Contains(err.Error(), "manifest records") {
 		t.Fatalf("open with mismatched element count: %v, want corruption error", err)
 	}
 }

@@ -26,6 +26,11 @@
 // Sharding also shrinks the rebuild unit: updates are staged on the
 // side and folded in by re-bulkloading only the shards they touch,
 // under crash-safe generation-tagged manifests — see rebuild.go.
+//
+// Every shard, of every shape, is written by one bulkload step
+// (bulkload) and restored by one open step (openShards). The unsharded
+// public index is not a second implementation but the K=1 set over a
+// single page file (Config.File, OpenFile).
 package shard
 
 import (
@@ -69,6 +74,14 @@ type Config struct {
 	// Dir, when non-empty, stores the index on disk: one page file per
 	// shard plus a manifest, all under this directory.
 	Dir string
+	// File, when non-empty, stores a single-shard index (Shards <= 1, no
+	// Dir) in one page file at this path, with no directory, manifest,
+	// generation or write-ahead log around it: shard 0's page-id tag is
+	// the identity, so the file is byte-for-byte the page file of the
+	// unsharded index and reopens with OpenFile. Such a set is only ever
+	// held by flat.Index, which exposes no staging and no Rebuild — a
+	// Rebuild would have no manifest to commit a new generation through.
+	File string
 	// BufferPages bounds the page cache shared by every shard
 	// (<= 0: unbounded). The budget is global: K shards together hold at
 	// most this many cached frames.
@@ -202,6 +215,9 @@ func Build(els []geom.Element, cfg Config) (*Set, error) {
 	if cfg.WAL && cfg.Dir == "" {
 		return nil, errors.New("shard: the write-ahead log requires an on-disk index (Config.Dir)")
 	}
+	if cfg.File != "" && (cfg.Dir != "" || k > 1) {
+		return nil, errors.New("shard: a single page file (Config.File) holds exactly one shard and excludes Config.Dir")
+	}
 	bounds := geom.ElementsMBR(els)
 	world := cfg.World
 	if world.Empty() || world == (geom.MBR{}) {
@@ -223,7 +239,7 @@ func Build(els []geom.Element, cfg Config) (*Set, error) {
 			return nil, err
 		}
 	}
-	pagers, files, err := createPagers(cfg.Dir, k, gen)
+	pagers, files, err := createPagers(cfg.Dir, cfg.File, k, gen)
 	if err != nil {
 		return nil, err
 	}
@@ -250,32 +266,14 @@ func Build(els []geom.Element, cfg Config) (*Set, error) {
 	}
 
 	built := make([]*core.Index, k)
-	err = forEach(k, cfg.BuildWorkers, func(s int) error {
-		view, err := storage.NewShardView(pagers[s], s)
-		if err != nil {
-			return err
-		}
-		pool := storage.NewBufferPool(view, 0)
-		ix, err := core.Build(pool, groups[s], core.Options{
+	err = forEach(k, cfg.BuildWorkers, func(s int) (err error) {
+		built[s], err = bulkload(pagers[s], s, groups[s], core.Options{
 			PageCapacity: cfg.PageCapacity,
 			SeedFanout:   cfg.SeedFanout,
 			PageFormat:   cfg.PageFormat,
 			World:        shardWorld(s),
-		})
-		if err != nil {
-			return fmt.Errorf("shard %d: %w", s, err)
-		}
-		if cfg.Dir != "" {
-			if err := ix.WriteSuper(); err != nil {
-				return fmt.Errorf("shard %d: %w", s, err)
-			}
-			// Make the shard file durable before the manifest commits it.
-			if err := pagers[s].Sync(); err != nil {
-				return fmt.Errorf("shard %d: %w", s, err)
-			}
-		}
-		built[s] = ix
-		return nil
+		}, files != nil)
+		return err
 	})
 	if err != nil {
 		closeAll()
@@ -377,7 +375,35 @@ func Build(els []geom.Element, cfg Config) (*Set, error) {
 	return s, nil
 }
 
-// OpenOptions configures OpenSet.
+// bulkload is the one per-shard bulkload step, shared by Build and
+// Rebuild: shard s's elements are bulkloaded into pager under the
+// shard's page-id tag, through a private build pool that is discarded
+// (the set serves from its shared pool, so it starts cold). When the
+// pager is a page file (persist) the superblock is appended and the file
+// fsynced before bulkload returns: a shard file must be durable before
+// anything — a manifest, or the caller of a single-file build — is told
+// it exists.
+func bulkload(pager storage.Pager, s int, els []geom.Element, opts core.Options, persist bool) (*core.Index, error) {
+	view, err := storage.NewShardView(pager, s)
+	if err != nil {
+		return nil, err
+	}
+	ix, err := core.Build(storage.NewBufferPool(view, 0), els, opts)
+	if err != nil {
+		return nil, fmt.Errorf("shard %d: %w", s, err)
+	}
+	if persist {
+		if err := ix.WriteSuper(); err != nil {
+			return nil, fmt.Errorf("shard %d: %w", s, err)
+		}
+		if err := pager.Sync(); err != nil {
+			return nil, fmt.Errorf("shard %d: %w", s, err)
+		}
+	}
+	return ix, nil
+}
+
+// OpenOptions configures OpenSet and OpenFile.
 type OpenOptions struct {
 	// BufferPages bounds the shared page cache as in Config.
 	BufferPages int
@@ -399,25 +425,68 @@ type OpenOptions struct {
 	WALSyncEveryOp bool
 }
 
-// Open loads a sharded index previously built with a Config.Dir from
+// OpenSet loads a sharded index previously built with a Config.Dir from
 // its directory, resolving each shard's page file through the manifest
 // (which names the committed generation; files a crashed rebuild may
-// have stranded are ignored). bufferPages bounds the shared page cache
-// as in Config.
-func Open(dir string, bufferPages int) (*Set, error) {
-	return OpenSet(dir, OpenOptions{BufferPages: bufferPages})
-}
-
-// OpenSet is Open with the full option set. If the manifest references
-// a write-ahead log, the log is replayed: operations staged before the
-// last crash or close reappear as staged updates, exactly as the
-// original calls left them.
+// have stranded are ignored). If the manifest references a write-ahead
+// log, the log is replayed: operations staged before the last crash or
+// close reappear as staged updates, exactly as the original calls left
+// them.
 func OpenSet(dir string, opts OpenOptions) (*Set, error) {
 	m, err := readManifest(dir)
 	if err != nil {
 		return nil, err
 	}
-	k := len(m.Entries)
+	files := make([]string, len(m.Entries))
+	for s, e := range m.Entries {
+		files[s] = filepath.Join(dir, e.File)
+	}
+	set, err := openShards(files, m.Entries, opts)
+	if err != nil {
+		return nil, err
+	}
+	set.world = arrayToMBR(m.World)
+	set.dir = dir
+	set.gens = make([]uint64, len(m.Entries))
+	for s, e := range m.Entries {
+		set.gens[s] = e.Generation
+	}
+	set.pageCapacity = m.PageCapacity
+	set.seedFanout = m.SeedFanout
+	if err := set.openWAL(m, opts.WAL); err != nil {
+		set.multi.Close()
+		return nil, err
+	}
+	return set, nil
+}
+
+// OpenFile opens the single-file shape Build writes under Config.File:
+// a one-shard set over the page file at path, with no manifest to read
+// — the world comes from the shard's own superblock. Like the set Build
+// returns for that shape it is only ever held by flat.Index, which
+// exposes no staging and no Rebuild; a write-ahead log needs an index
+// directory to live in, so opts.WAL is rejected.
+func OpenFile(path string, opts OpenOptions) (*Set, error) {
+	if opts.WAL {
+		return nil, errors.New("shard: the write-ahead log requires an index directory, not a single page file")
+	}
+	set, err := openShards([]string{path}, nil, opts)
+	if err != nil {
+		return nil, err
+	}
+	set.world = set.shards[0].World()
+	return set, nil
+}
+
+// openShards is the one per-shard open step, shared by OpenSet and
+// OpenFile: file s becomes shard s behind one MultiPager and one shared
+// pool (memory-mapped or read through a descriptor, per opts), and each
+// shard is restored from its superblock — the last page of its own
+// file, addressed under the shard's tag. entries, when non-nil, are the
+// manifest's records of the same shards, cross-checked against what the
+// files actually hold.
+func openShards(files []string, entries []shardEntry, opts OpenOptions) (*Set, error) {
+	k := len(files)
 	pagers := make([]storage.Pager, k)
 	closeAll := func() {
 		for _, p := range pagers {
@@ -426,19 +495,19 @@ func OpenSet(dir string, opts OpenOptions) (*Set, error) {
 			}
 		}
 	}
-	for s, e := range m.Entries {
-		var fp storage.Pager
+	for s, file := range files {
+		var p storage.Pager
 		var err error
 		if opts.Mmap {
-			fp, err = storage.OpenMmapPager(filepath.Join(dir, e.File))
+			p, err = storage.OpenMmapPager(file)
 		} else {
-			fp, err = storage.OpenFilePager(filepath.Join(dir, e.File))
+			p, err = storage.OpenFilePager(file)
 		}
 		if err != nil {
 			closeAll()
 			return nil, err
 		}
-		pagers[s] = fp
+		pagers[s] = p
 	}
 	multi, err := storage.NewMultiPager(pagers)
 	if err != nil {
@@ -449,22 +518,15 @@ func OpenSet(dir string, opts OpenOptions) (*Set, error) {
 	set := &Set{
 		shards:         make([]*core.Index, k),
 		bounds:         make([]geom.MBR, k),
-		world:          arrayToMBR(m.World),
 		pool:           pool,
 		multi:          multi,
-		dir:            dir,
-		gens:           make([]uint64, k),
-		pageCapacity:   m.PageCapacity,
-		seedFanout:     m.SeedFanout,
 		walSyncEveryOp: opts.WALSyncEveryOp,
 	}
-	for s, e := range m.Entries {
-		set.gens[s] = e.Generation
-		// Each shard's superblock is the last page of its own file; its
-		// global id carries the shard tag.
+	for s, file := range files {
+		name := filepath.Base(file)
 		if pagers[s].NumPages() == 0 {
 			closeAll()
-			return nil, fmt.Errorf("shard %d: empty page file %s: %w", s, e.File, core.ErrNoSuper)
+			return nil, fmt.Errorf("shard %d: empty page file %s: %w", s, name, core.ErrNoSuper)
 		}
 		super := storage.ShardPageID(s, storage.PageID(pagers[s].NumPages()-1))
 		ix, err := core.OpenFrom(pool, super)
@@ -472,25 +534,24 @@ func OpenSet(dir string, opts OpenOptions) (*Set, error) {
 			closeAll()
 			return nil, fmt.Errorf("shard %d: %w", s, err)
 		}
-		if ix.Len() != e.Elements {
-			closeAll()
-			return nil, fmt.Errorf("shard %d: manifest records %d elements but %s holds %d (corrupted index directory)",
-				s, e.Elements, e.File, ix.Len())
-		}
-		// The superblock is authoritative for the page format (decoding is
-		// self-describing anyway); a non-zero manifest record must agree.
-		if e.PageFormat != 0 && storage.PageFormat(e.PageFormat) != ix.PageFormat() {
-			closeAll()
-			return nil, fmt.Errorf("shard %d: manifest records page format %d but %s is %s (corrupted index directory)",
-				s, e.PageFormat, e.File, ix.PageFormat())
+		if entries != nil {
+			e := entries[s]
+			if ix.Len() != e.Elements {
+				closeAll()
+				return nil, fmt.Errorf("shard %d: manifest records %d elements but %s holds %d (corrupted index directory)",
+					s, e.Elements, name, ix.Len())
+			}
+			// The superblock is authoritative for the page format (decoding is
+			// self-describing anyway); a non-zero manifest record must agree.
+			if e.PageFormat != 0 && storage.PageFormat(e.PageFormat) != ix.PageFormat() {
+				closeAll()
+				return nil, fmt.Errorf("shard %d: manifest records page format %d but %s is %s (corrupted index directory)",
+					s, e.PageFormat, name, ix.PageFormat())
+			}
 		}
 		set.shards[s] = ix
 		set.bounds[s] = ix.Bounds()
 		set.count += ix.Len()
-	}
-	if err := set.openWAL(m, opts.WAL); err != nil {
-		closeAll()
-		return nil, err
 	}
 	return set, nil
 }

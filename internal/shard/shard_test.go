@@ -174,29 +174,100 @@ func testSingleShardParity(t *testing.T, fanout int) {
 		}
 	}
 
-	// Query-level identity: results in the same order, same read counts.
-	for i, q := range testQueries(r, 30) {
-		set.DropCache()
-		refPool.Reset()
-		want, wantStats, err := ref.RangeQuery(q)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, gotStats, err := set.RangeQuery(context.Background(), q)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(got) != len(want) {
-			t.Fatalf("query %d: %d results, want %d", i, len(got), len(want))
-		}
-		for j := range want {
-			if got[j] != want[j] {
-				t.Fatalf("query %d: result %d = %+v, want %+v (order must match)", i, j, got[j], want[j])
+	// Query-level identity: results in the same order, same read counts,
+	// every query cold.
+	queries := testQueries(r, 30)
+	sameAnswers := func(shape string, set *Set) {
+		t.Helper()
+		for i, q := range queries {
+			set.DropCache()
+			refPool.Reset()
+			want, wantStats, err := ref.RangeQuery(q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, gotStats, err := set.RangeQuery(context.Background(), q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(got) != len(want) {
+				t.Fatalf("%s query %d: %d results, want %d", shape, i, len(got), len(want))
+			}
+			for j := range want {
+				if got[j] != want[j] {
+					t.Fatalf("%s query %d: result %d = %+v, want %+v (order must match)", shape, i, j, got[j], want[j])
+				}
+			}
+			if gotStats != wantStats {
+				t.Errorf("%s query %d: stats %+v, want %+v", shape, i, gotStats, wantStats)
 			}
 		}
-		if gotStats != wantStats {
-			t.Errorf("query %d: stats %+v, want %+v", i, gotStats, wantStats)
+	}
+	sameAnswers("memory", set)
+
+	// The single-file shape: the file the seam writes is byte-for-byte the
+	// file a bare core.Build + WriteSuper writes on a FilePager.
+	dir := t.TempDir()
+	refPath := filepath.Join(dir, "ref.flat")
+	refFile, err := storage.CreateFilePager(refPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	refEls = append(refEls[:0], els...)
+	refOnDisk, err := core.Build(storage.NewBufferPool(refFile, 0), refEls, core.Options{PageCapacity: 16, SeedFanout: fanout})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := refOnDisk.WriteSuper(); err != nil {
+		t.Fatal(err)
+	}
+	if err := refFile.Close(); err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(dir, "seam.flat")
+	shEls = append(shEls[:0], els...)
+	fileSet, err := Build(shEls, Config{File: path, PageCapacity: 16, SeedFanout: fanout})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sameAnswers("file (built)", fileSet)
+	if err := fileSet.Close(); err != nil {
+		t.Fatal(err)
+	}
+	want, err := os.ReadFile(refPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatalf("single-file build (%d bytes) is not byte-identical to the core reference (%d bytes)", len(got), len(want))
+	}
+	if entries, err := os.ReadDir(dir); err != nil || len(entries) != 2 {
+		t.Fatalf("single-file build left more than its page file behind: %v (err %v)", entries, err)
+	}
+
+	// Reopened — through a descriptor and memory-mapped — it answers the
+	// same, cold.
+	for _, mmap := range []bool{false, true} {
+		re, err := OpenFile(path, OpenOptions{Mmap: mmap})
+		if err != nil {
+			t.Fatalf("OpenFile(mmap=%v): %v", mmap, err)
 		}
+		if re.NumShards() != 1 || re.Len() != len(els) || re.World() != ref.World() || re.Bounds() != ref.Bounds() {
+			t.Errorf("OpenFile(mmap=%v): %d shards, %d elements, world %v, bounds %v", mmap, re.NumShards(), re.Len(), re.World(), re.Bounds())
+		}
+		sameAnswers(fmt.Sprintf("file (reopened, mmap=%v)", mmap), re)
+		if err := re.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	// A write-ahead log needs an index directory to live in.
+	if _, err := OpenFile(path, OpenOptions{WAL: true}); err == nil {
+		t.Error("OpenFile with OpenOptions.WAL must be rejected")
 	}
 }
 
@@ -283,7 +354,7 @@ func TestShardedDiskRoundTrip(t *testing.T) {
 		}
 	}
 
-	re, err := Open(dir, 0)
+	re, err := OpenSet(dir, OpenOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -308,7 +379,7 @@ func TestShardedDiskRoundTrip(t *testing.T) {
 		}
 	}
 
-	if _, err := Open(filepath.Join(dir, "missing"), 0); err == nil {
+	if _, err := OpenSet(filepath.Join(dir, "missing"), OpenOptions{}); err == nil {
 		t.Error("Open of a missing directory should fail")
 	}
 
@@ -317,7 +388,7 @@ func TestShardedDiskRoundTrip(t *testing.T) {
 	if err := os.Truncate(shardFile(dir, 2), 0); err != nil {
 		t.Fatal(err)
 	}
-	_, err = Open(dir, 0)
+	_, err = OpenSet(dir, OpenOptions{})
 	if err == nil {
 		t.Fatal("Open with an empty shard file should fail")
 	}
@@ -402,6 +473,22 @@ func TestBuildErrors(t *testing.T) {
 		t.Error("empty build should fail")
 	}
 	r := rand.New(rand.NewSource(17))
+	// A single page file holds one shard, outside any directory, with no
+	// write-ahead log; a refused build must not create the file.
+	path := filepath.Join(t.TempDir(), "one.flat")
+	for _, cfg := range []Config{
+		{File: path, Shards: 2},
+		{File: path, Dir: t.TempDir()},
+		{File: path, WAL: true},
+		{File: path, PageCapacity: 1 << 20}, // fails inside the bulkload, after the file exists
+	} {
+		if _, err := Build(randomElements(r, 50), cfg); err == nil {
+			t.Errorf("Build(%+v) should fail", cfg)
+		}
+		if _, err := os.Stat(path); !os.IsNotExist(err) {
+			t.Errorf("Build(%+v) left %s behind (stat err %v)", cfg, path, err)
+		}
+	}
 	// More shards than elements: degrade to one group per element.
 	els := randomElements(r, 3)
 	set, err := Build(els, Config{Shards: 8})

@@ -6,6 +6,7 @@ import (
 	"iter"
 
 	"flat/internal/geom"
+	"flat/internal/shard"
 )
 
 // ErrConsumed is returned (through the iterator) when a Results session
@@ -16,8 +17,19 @@ var ErrConsumed = errors.New("flat: query session already consumed")
 // queryConfig is the resolved option set of one query session.
 type queryConfig struct {
 	limit    int // > 0: stop the crawl after this many results
-	buffer   int // > 0: run the crawl in a pipeline goroutine with this channel capacity
-	prefetch int // > 0: on a sharded session, crawl up to this many shards concurrently
+	buffer   int // > 0: pipeline the crawl, each shard's crawl at most this many elements ahead
+	prefetch int // > 0: crawl up to this many shards concurrently
+}
+
+// streamOptions maps a range session's options onto the one stream
+// pipeline: WithBuffer alone is its one-crawl window (a single producer
+// a buffer ahead of the consumer), WithShardPrefetch widens the window.
+func (c queryConfig) streamOptions() shard.StreamOptions {
+	o := shard.StreamOptions{Prefetch: c.prefetch, Buffer: c.buffer}
+	if o.Prefetch <= 0 && o.Buffer > 0 {
+		o.Prefetch = 1
+	}
+	return o
 }
 
 // QueryOption configures a Query session.
@@ -33,15 +45,19 @@ func WithLimit(k int) QueryOption {
 	return func(c *queryConfig) { c.limit = k }
 }
 
-// WithBuffer runs the crawl in a pipeline goroutine that stays n
+// WithBuffer runs the crawl in a pipeline goroutine that stays up to n
 // elements ahead of the consumer: page reads overlap with the caller's
 // per-element work instead of alternating with it. Without it the crawl
 // runs inline on the consumer's goroutine (no concurrency, no extra
 // allocation). Abandoning the iteration (break) stops the pipeline
 // promptly and releases its resources; n <= 0 means unbuffered inline
-// execution. On a sharded session that also sets WithShardPrefetch,
-// the prefetching merge is the pipeline: n then sizes each shard's
-// bounded buffer instead of a single consumer-side channel.
+// execution. It is the one-crawl window of the pipeline
+// WithShardPrefetch widens: one shard crawls at a time, a buffer of n
+// ahead, and with WithShardPrefetch(p) n sizes each of the p crawling
+// shards' buffers. On an NN session it is a no-op, for the reason
+// WithShardPrefetch is one there: a best-first traversal must not read
+// pages it has not proven necessary, and a producer running n elements
+// ahead does exactly that.
 func WithBuffer(n int) QueryOption {
 	return func(c *queryConfig) { c.buffer = n }
 }
@@ -57,32 +73,13 @@ func WithBuffer(n int) QueryOption {
 // prefetch window are not touched, so a session that stops early
 // (WithLimit, break, cancel) still skips their page reads entirely;
 // crawls in flight at the stop are cancelled as a group and the pages
-// they did read are merged into Stats. p <= 0 keeps the sequential default — the cheapest plan for
-// selective queries that survive pruning on ~1 shard, for sessions
-// expected to stop within the first shard, and on single-core hosts.
-// On an unsharded Index the option is a no-op.
+// they did read are merged into Stats. p <= 0 keeps the sequential
+// default — the cheapest plan for selective queries that survive pruning
+// on ~1 shard, for sessions expected to stop within the first shard, and
+// on single-core hosts. An unsharded Index has one shard to crawl, so
+// any p gives it the one-crawl window WithBuffer does.
 func WithShardPrefetch(p int) QueryOption {
 	return func(c *queryConfig) { c.prefetch = p }
-}
-
-// runFunc is the executor a session runs over. It receives the
-// session's resolved option set; the sharded range executor consumes
-// cfg.prefetch/cfg.buffer (the prefetching shard visit) and the sharded
-// NN executor cfg.limit, the unsharded ones ignore it. An NN executor
-// receives its query point as the degenerate box geom.PointBox(p).
-type runFunc func(ctx context.Context, q MBR, cfg queryConfig, emit func(Element) bool) (QueryStats, error)
-
-// queryBase is the query-method family of both index shapes, defined
-// once: Index and ShardedIndex embed it and differ only in the two
-// executors (and the prefetchable bit) they hand it at construction.
-// It owns the queryGuard that serializes queries against maintenance.
-type queryBase struct {
-	guard    queryGuard
-	rangeRun runFunc
-	nnRun    runFunc
-	// prefetchable marks a rangeRun that consumes cfg.prefetch and
-	// cfg.buffer itself; see Results.prefetchable.
-	prefetchable bool
 }
 
 // Query starts a streaming query session over q: a cancellable
@@ -100,13 +97,10 @@ type queryBase struct {
 // overlaps the shard crawls without changing the emit order: up to p
 // shards crawl concurrently into bounded buffers (sized by WithBuffer)
 // while the consumer drains earlier ones, and shards past the prefetch
-// window are still never touched by an early stop. On an unsharded
-// Index it is a no-op. Safe for concurrent use: any number of sessions
-// may be drained at once.
-func (b *queryBase) Query(ctx context.Context, q MBR, opts ...QueryOption) *Results {
-	r := newResults(ctx, q, opts, &b.guard, b.rangeRun)
-	r.prefetchable = b.prefetchable
-	return r
+// window are still never touched by an early stop. Safe for concurrent
+// use: any number of sessions may be drained at once.
+func (b *base) Query(ctx context.Context, q MBR, opts ...QueryOption) *Results {
+	return newResults(ctx, b, q, false, opts)
 }
 
 // NN starts a streaming k-nearest-neighbor session around p: the
@@ -124,7 +118,7 @@ func (b *queryBase) Query(ctx context.Context, q MBR, opts ...QueryOption) *Resu
 // The distance an element was ordered by is exactly
 // el.Box.DistToPoint(p) — recompute it from the box when needed; no
 // precision is lost in transit. Ties (equal distances) are broken
-// deterministically. WithBuffer pipelines the traversal as in Query.
+// deterministically.
 //
 // A ShardedIndex visits its shards in distance order off the MBR
 // directory: each shard's bounds lower-bound the distance of
@@ -134,12 +128,12 @@ func (b *queryBase) Query(ctx context.Context, q MBR, opts ...QueryOption) *Resu
 // overlaid exactly as in Query: staged deletes filter the stream,
 // staged inserts merge in at their own distances (losing ties to
 // bulkloaded elements, matching the range path's staged-last order).
-// WithShardPrefetch is a no-op on both shapes: prefetching trades
-// extra page reads for wall-clock overlap, and a best-first
-// traversal's whole point is to not read pages it has not proven
-// necessary. Safe for concurrent use.
-func (b *queryBase) NN(ctx context.Context, p Vec3, k int, opts ...QueryOption) *Results {
-	r := newResults(ctx, geom.PointBox(p), opts, &b.guard, b.nnRun)
+// WithBuffer and WithShardPrefetch are no-ops on both shapes: running
+// ahead of the consumer trades extra page reads for wall-clock overlap,
+// and a best-first traversal's whole point is to not read pages it has
+// not proven necessary. Safe for concurrent use.
+func (b *base) NN(ctx context.Context, p Vec3, k int, opts ...QueryOption) *Results {
+	r := newResults(ctx, b, geom.PointBox(p), true, opts)
 	// The effective bound is the smaller of k and WithLimit's positive
 	// values (either alone when the other is unlimited).
 	if k > 0 && (r.cfg.limit <= 0 || k < r.cfg.limit) {
@@ -154,20 +148,20 @@ func (b *queryBase) NN(ctx context.Context, p Vec3, k int, opts ...QueryOption) 
 // Query(context.Background(), q).Collect(), kept for callers that want
 // the whole result as a slice; use Query to pass a context. Safe for
 // concurrent use.
-func (b *queryBase) RangeQuery(q MBR) ([]Element, QueryStats, error) {
+func (b *base) RangeQuery(q MBR) ([]Element, QueryStats, error) {
 	return b.Query(context.Background(), q).Collect()
 }
 
 // CountQuery returns the number of elements intersecting q without
 // materializing them; the page access pattern is identical to
 // RangeQuery. Safe for concurrent use.
-func (b *queryBase) CountQuery(q MBR) (int, QueryStats, error) {
+func (b *base) CountQuery(q MBR) (int, QueryStats, error) {
 	return b.Query(context.Background(), q).count()
 }
 
 // PointQuery returns the elements whose MBR contains p. Safe for
 // concurrent use.
-func (b *queryBase) PointQuery(p Vec3) ([]Element, QueryStats, error) {
+func (b *base) PointQuery(p Vec3) ([]Element, QueryStats, error) {
 	return b.RangeQuery(geom.PointBox(p))
 }
 
@@ -187,7 +181,7 @@ type BatchResult struct {
 // workers from starting further queries and aborts the in-flight
 // crawls, and the batch returns ctx.Err(). The batch holds the query
 // guard once for its whole duration.
-func (b *queryBase) BatchRangeQuery(ctx context.Context, queries []MBR, workers int) ([]BatchResult, error) {
+func (b *base) BatchRangeQuery(ctx context.Context, queries []MBR, workers int) ([]BatchResult, error) {
 	if err := b.guard.enter(); err != nil {
 		return nil, err
 	}
@@ -195,7 +189,7 @@ func (b *queryBase) BatchRangeQuery(ctx context.Context, queries []MBR, workers 
 	out := make([]BatchResult, len(queries))
 	err := runBatch(ctx, len(queries), workers, func(i int) error {
 		var els []Element
-		st, err := b.rangeRun(ctx, queries[i], queryConfig{}, func(e Element) bool {
+		st, err := b.set.StreamQuery(ctx, queries[i], shard.StreamOptions{}, func(e Element) bool {
 			els = append(els, e)
 			return true
 		})
@@ -210,7 +204,7 @@ func (b *queryBase) BatchRangeQuery(ctx context.Context, queries []MBR, workers 
 
 // BatchCountQuery is BatchRangeQuery without materializing result
 // elements: it returns each query's hit count and stats in input order.
-func (b *queryBase) BatchCountQuery(ctx context.Context, queries []MBR, workers int) ([]int, []QueryStats, error) {
+func (b *base) BatchCountQuery(ctx context.Context, queries []MBR, workers int) ([]int, []QueryStats, error) {
 	if err := b.guard.enter(); err != nil {
 		return nil, nil, err
 	}
@@ -218,7 +212,7 @@ func (b *queryBase) BatchCountQuery(ctx context.Context, queries []MBR, workers 
 	counts := make([]int, len(queries))
 	stats := make([]QueryStats, len(queries))
 	err := runBatch(ctx, len(queries), workers, func(i int) error {
-		st, err := b.rangeRun(ctx, queries[i], queryConfig{}, func(Element) bool { return true })
+		st, err := b.set.StreamQuery(ctx, queries[i], shard.StreamOptions{}, func(Element) bool { return true })
 		if err == nil {
 			counts[i] = st.Results
 		}
@@ -246,29 +240,33 @@ func (b *queryBase) BatchCountQuery(ctx context.Context, queries []MBR, workers 
 // are valid once the iteration has finished (drained, limited, broken
 // out of, cancelled or failed).
 type Results struct {
-	ctx   context.Context
-	q     MBR
-	cfg   queryConfig
-	guard *queryGuard
-	run   runFunc
-
-	// prefetchable marks a run function that consumes cfg.prefetch and
-	// cfg.buffer itself (the sharded prefetching shard visit); the
-	// session then drains it inline rather than stacking
-	// drainPipelined's consumer-side pipeline on top.
-	prefetchable bool
+	ctx context.Context
+	b   *base
+	q   MBR  // an NN session's query point travels as the degenerate box geom.PointBox(p)
+	nn  bool // distance-ordered NN session; otherwise a shard-ordered range stream
+	cfg queryConfig
 
 	started bool
 	stats   QueryStats
 	err     error
 }
 
-func newResults(ctx context.Context, q MBR, opts []QueryOption, guard *queryGuard, run runFunc) *Results {
-	r := &Results{ctx: ctx, q: q, guard: guard, run: run}
+func newResults(ctx context.Context, b *base, q MBR, nn bool, opts []QueryOption) *Results {
+	r := &Results{ctx: ctx, b: b, q: q, nn: nn}
 	for _, opt := range opts {
 		opt(&r.cfg)
 	}
 	return r
+}
+
+// run executes the session on the set's executor for its kind: the
+// range stream under the session's pipeline options, or the NN merge
+// (which takes the limit as its staged-insert sizing hint).
+func (r *Results) run(emit func(Element) bool) (QueryStats, error) {
+	if r.nn {
+		return r.b.set.NNQuery(r.ctx, r.q.Min, r.cfg.limit, func(e Element, _ float64) bool { return emit(e) })
+	}
+	return r.b.set.StreamQuery(r.ctx, r.q, r.cfg.streamOptions(), emit)
 }
 
 // All returns the session's element stream as a range-able iterator.
@@ -284,26 +282,25 @@ func (r *Results) All() iter.Seq2[Element, error] {
 			return
 		}
 		r.started = true
-		if err := r.guard.enter(); err != nil {
+		if err := r.b.guard.enter(); err != nil {
 			r.err = err
 			yield(Element{}, err)
 			return
 		}
-		defer r.guard.exit()
-		if r.cfg.buffer > 0 && !(r.prefetchable && r.cfg.prefetch > 0) {
-			r.drainPipelined(yield)
-			return
-		}
+		defer r.b.guard.exit()
 		r.drainInline(yield)
 	}
 }
 
-// drainInline runs the crawl on the consumer's goroutine: each element
-// is yielded from inside the crawl's emit callback.
+// drainInline yields each element from inside the executor's emit
+// callback, on the consumer's goroutine. A pipelined session (WithBuffer,
+// WithShardPrefetch) is the same drain: the set's windowed shard visit
+// crawls ahead on its own goroutines and calls emit from this one, and
+// sorts a consumer's stop (clean) from a done context (an error) there.
 func (r *Results) drainInline(yield func(Element, error) bool) {
 	n := 0
 	abandoned := false
-	st, err := r.run(r.ctx, r.q, r.cfg, func(e Element) bool {
+	st, err := r.run(func(e Element) bool {
 		if !yield(e, nil) {
 			abandoned = true
 			return false
@@ -314,80 +311,6 @@ func (r *Results) drainInline(yield func(Element, error) bool) {
 	r.stats, r.err = st, err
 	if err != nil && !abandoned {
 		yield(Element{}, err)
-	}
-}
-
-// drainPipelined runs the crawl in a producer goroutine feeding a
-// buffered channel; the consumer drains it. Abandoning the iteration
-// cancels the producer's context and waits for it to stop before
-// releasing the query guard, so the guard never outlives the last page
-// read.
-func (r *Results) drainPipelined(yield func(Element, error) bool) {
-	ctx, cancel := context.WithCancel(r.ctx)
-	ch := make(chan Element, r.cfg.buffer)
-	done := make(chan struct{})
-	var (
-		st         QueryStats
-		runErr     error
-		ctxStopped bool
-	)
-	go func() {
-		defer close(done)
-		n := 0
-		st, runErr = r.run(ctx, r.q, r.cfg, func(e Element) bool {
-			select {
-			case ch <- e:
-			case <-ctx.Done():
-				// Stopped while blocked on the send: either the session's
-				// context was cancelled or the consumer abandoned the
-				// iteration (which cancels the derived ctx). The crawl
-				// sees a clean stop either way; the finisher below sorts
-				// out which it was.
-				ctxStopped = true
-				return false
-			}
-			n++
-			return r.cfg.limit <= 0 || n < r.cfg.limit
-		})
-		close(ch)
-	}()
-	// finish tears the pipeline down and sorts the derived-ctx effects
-	// into the session's contract — on the consumer side, where it is
-	// known whether the consumer abandoned the iteration. Abandonment
-	// is a documented clean early stop and must never be rewritten into
-	// a context error, even when the session's own context happens to
-	// go done concurrently with the break; conversely the session's
-	// context going done is an error even when the crawl saw it as a
-	// clean stop (blocked on the send above).
-	finish := func(abandoned bool) {
-		cancel()
-		<-done
-		switch {
-		case abandoned:
-			if errors.Is(runErr, context.Canceled) {
-				runErr = nil
-			}
-		case r.ctx.Err() != nil:
-			if runErr == nil && ctxStopped {
-				runErr = r.ctx.Err()
-			}
-		case errors.Is(runErr, context.Canceled):
-			runErr = nil
-		}
-		// Publish the outcome before any terminal yield: the consumer
-		// may read Stats()/Err() from inside its error handling
-		// (Collect does).
-		r.stats, r.err = st, runErr
-	}
-	for e := range ch {
-		if !yield(e, nil) {
-			finish(true)
-			return
-		}
-	}
-	finish(false)
-	if runErr != nil {
-		yield(Element{}, runErr)
 	}
 }
 

@@ -1,7 +1,6 @@
 package flat
 
 import (
-	"context"
 	"fmt"
 
 	"flat/internal/shard"
@@ -69,19 +68,19 @@ type ShardedOptions struct {
 // ShardedIndex is a spatially-partitioned FLAT index: K independent
 // shards behind a top-level MBR directory. Queries are pruned against
 // the directory and streamed, in shard order, from the shards they can
-// touch, with per-shard QueryStats merged into one. It shares Index's
-// query-method family (queryBase) over one sharded range executor, and
-// its concurrency contract is the same as Index's: query methods are
-// safe for any number of goroutines; Close, DropCache and Rebuild
-// return ErrBusy while queries are in flight.
+// touch, with per-shard QueryStats merged into one. It is the same
+// implementation as Index (base: one set, one guard, one definition of
+// every query method, accessor and maintenance operation) with K shards
+// instead of one, and its concurrency contract is the same: query
+// methods are safe for any number of goroutines; Close, DropCache and
+// Rebuild return ErrBusy while queries are in flight.
 //
 // Unlike the rebuild-only Index, a ShardedIndex accepts updates between
 // bulkloads: StageInsert and StageDelete stage changes that queries see
 // immediately, and Rebuild folds them in by re-bulkloading only the
 // shards they touch. See the README's "Staged updates" section.
 type ShardedIndex struct {
-	queryBase
-	set *shard.Set
+	base
 	// compact is the background compactor, nil unless
 	// ShardedOptions.AutoCompact enabled one. Set once at construction,
 	// before the index is shared.
@@ -117,22 +116,10 @@ func BuildSharded(els []Element, opts *ShardedOptions) (*ShardedIndex, error) {
 	return newShardedIndex(set, o.AutoCompact), nil
 }
 
-// newShardedIndex wires the sharded executors — the set's range stream
-// and distance-ordered NN merge — into the shared query-method family
-// and starts the background compactor when ac enables one.
+// newShardedIndex wraps set and starts the background compactor when ac
+// enables one.
 func newShardedIndex(set *shard.Set, ac AutoCompact) *ShardedIndex {
-	sx := &ShardedIndex{
-		queryBase: queryBase{
-			rangeRun: func(ctx context.Context, q MBR, cfg queryConfig, emit func(Element) bool) (QueryStats, error) {
-				return set.StreamQuery(ctx, q, shard.StreamOptions{Prefetch: cfg.prefetch, Buffer: cfg.buffer}, emit)
-			},
-			nnRun: func(ctx context.Context, q MBR, cfg queryConfig, emit func(Element) bool) (QueryStats, error) {
-				return set.NNQuery(ctx, q.Min, cfg.limit, func(e Element, _ float64) bool { return emit(e) })
-			},
-			prefetchable: true,
-		},
-		set: set,
-	}
+	sx := &ShardedIndex{base: base{set: set}}
 	sx.startCompactor(ac)
 	return sx
 }
@@ -283,11 +270,8 @@ func (sx *ShardedIndex) Rebuild() ([]int, error) {
 	return sx.set.Rebuild()
 }
 
-// The plain accessors below hold the guard's view side: they stay valid
-// after Close (they read in-memory state the Close does not tear down),
-// but serialize against Rebuild — which swaps the state they read — and
-// the other maintenance operations. See the "Lifecycle of plain
-// accessors" package note.
+// The shard accessors below hold the guard's view side, like the ones
+// the base defines for both shapes (see flat.go).
 
 // ShardGeneration returns the on-disk generation of shard i — how many
 // times the shard has been rebuilt since its directory was created.
@@ -297,16 +281,8 @@ func (sx *ShardedIndex) ShardGeneration(i int) uint64 {
 	return sx.set.Generation(i)
 }
 
-// Len returns the number of bulkloaded elements across shards; staged
-// inserts and deletes count only after the Rebuild that folds them in.
-func (sx *ShardedIndex) Len() int { defer sx.guard.view()(); return sx.set.Len() }
-
 // NumShards returns K, the number of spatial shards.
 func (sx *ShardedIndex) NumShards() int { defer sx.guard.view()(); return sx.set.NumShards() }
-
-// NumPartitions returns the total number of partitions (object pages)
-// across shards.
-func (sx *ShardedIndex) NumPartitions() int { defer sx.guard.view()(); return sx.set.NumPartitions() }
 
 // ShardBounds returns the directory entry (the data bounds) of shard i;
 // a query is routed to shard i exactly when its box intersects this.
@@ -318,36 +294,6 @@ func (sx *ShardedIndex) ShardBounds(i int) MBR { defer sx.guard.view()(); return
 func (sx *ShardedIndex) ShardPageFormat(i int) PageFormat {
 	defer sx.guard.view()()
 	return sx.set.Shard(i).PageFormat()
-}
-
-// Bounds returns the bounding box of the indexed data.
-func (sx *ShardedIndex) Bounds() MBR { defer sx.guard.view()(); return sx.set.Bounds() }
-
-// World returns the space the shard assignment was derived in.
-func (sx *ShardedIndex) World() MBR { defer sx.guard.view()(); return sx.set.World() }
-
-// SizeBytes returns the on-disk footprint across all shards.
-func (sx *ShardedIndex) SizeBytes() uint64 { defer sx.guard.view()(); return sx.set.SizeBytes() }
-
-// CacheStats reports the occupancy of the page cache shared by all
-// shards: frames currently held and the configured global budget
-// (capacity <= 0: unbounded), as Index.CacheStats.
-func (sx *ShardedIndex) CacheStats() (cached, capacity int) {
-	defer sx.guard.view()()
-	pool := sx.set.Pool()
-	return pool.Len(), pool.Capacity()
-}
-
-// DropCache empties the shared page cache so the next query starts
-// cold. Like Index.DropCache it returns ErrBusy while queries are in
-// flight and ErrClosed after Close.
-func (sx *ShardedIndex) DropCache() error {
-	if err := sx.guard.maintain(); err != nil {
-		return err
-	}
-	defer sx.guard.release()
-	sx.set.DropCache()
-	return nil
 }
 
 // Close releases every shard's storage, stopping the background
@@ -363,10 +309,7 @@ func (sx *ShardedIndex) Close() error {
 		// staged updates are simply folded by the next manual Rebuild.
 		sx.compact.shutdown()
 	}
-	if err := sx.guard.shutdown(); err != nil {
-		return err
-	}
-	return sx.set.Close()
+	return sx.base.Close()
 }
 
 // String summarizes the index.
