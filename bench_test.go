@@ -4,8 +4,8 @@
 // (pages/op, bytes, etc.) via b.ReportMetric alongside wall time.
 //
 // The full density sweeps behind every figure are produced by
-// cmd/flatbench (see EXPERIMENTS.md); these benchmarks are the
-// repeatable single-point versions:
+// cmd/flatbench (see README.md, "Running the benchmarks"); these
+// benchmarks are the repeatable single-point versions:
 //
 //	go test -bench=. -benchmem
 package flat_test
@@ -27,17 +27,17 @@ import (
 // benchmarks; cmd/flatbench sweeps 50k-450k.
 const benchDensity = 60000
 
-// benchCapacity matches bench.DefaultConfig().NodeCapacity (see
-// EXPERIMENTS.md §Scaling: 16 entries/node preserves the paper's tree
-// heights at reproduction scale).
+// benchCapacity matches bench.DefaultConfig().NodeCapacity: 16
+// entries/node preserves the paper's tree heights at the 1/1000
+// reproduction scale (see bench.Config).
 const benchCapacity = 16
 
 type fixture struct {
 	model    *neuro.Model
 	flat     *core.Index
-	flatPool *storage.BufferPool
+	flatPool *storage.ConcurrentPool
 	trees    map[rtree.Strategy]*rtree.Tree
-	pools    map[rtree.Strategy]*storage.BufferPool
+	pools    map[rtree.Strategy]*storage.ConcurrentPool
 	sn, lss  []geom.MBR
 	points   []geom.Vec3
 }
@@ -60,10 +60,10 @@ func getFixture(b *testing.B) *fixture {
 		f := &fixture{
 			model: m,
 			trees: make(map[rtree.Strategy]*rtree.Tree),
-			pools: make(map[rtree.Strategy]*storage.BufferPool),
+			pools: make(map[rtree.Strategy]*storage.ConcurrentPool),
 		}
 		cp := append([]geom.Element(nil), m.Elements...)
-		f.flatPool = storage.NewBufferPool(storage.NewMemPager(), 0)
+		f.flatPool = storage.NewConcurrentPool(storage.NewMemPager(), 0)
 		ix, err := core.Build(f.flatPool, cp, core.Options{
 			World: m.Volume, PageCapacity: benchCapacity, SeedFanout: benchCapacity,
 		})
@@ -73,7 +73,7 @@ func getFixture(b *testing.B) *fixture {
 		f.flat = ix
 		for _, s := range []rtree.Strategy{rtree.Hilbert, rtree.STR, rtree.PR} {
 			cp := append([]geom.Element(nil), m.Elements...)
-			pool := storage.NewBufferPool(storage.NewMemPager(), 0)
+			pool := storage.NewConcurrentPool(storage.NewMemPager(), 0)
 			tree, err := rtree.Build(pool, cp, s, m.Volume, rtree.Config{
 				LeafCapacity: benchCapacity, InternalCapacity: benchCapacity,
 			})
@@ -179,7 +179,7 @@ func BenchmarkFig10Build(b *testing.B) {
 		b.Run(s.String(), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				cp := append([]geom.Element(nil), els...)
-				pool := storage.NewBufferPool(storage.NewMemPager(), 0)
+				pool := storage.NewConcurrentPool(storage.NewMemPager(), 0)
 				if _, err := rtree.Build(pool, cp, s, f.model.Volume, rtree.Config{
 					LeafCapacity: benchCapacity, InternalCapacity: benchCapacity,
 				}); err != nil {
@@ -191,7 +191,7 @@ func BenchmarkFig10Build(b *testing.B) {
 	b.Run("FLAT", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			cp := append([]geom.Element(nil), els...)
-			pool := storage.NewBufferPool(storage.NewMemPager(), 0)
+			pool := storage.NewConcurrentPool(storage.NewMemPager(), 0)
 			if _, err := core.Build(pool, cp, core.Options{
 				World: f.model.Volume, PageCapacity: benchCapacity, SeedFanout: benchCapacity,
 			}); err != nil {
@@ -301,7 +301,7 @@ func BenchmarkFig21PartitionSize(b *testing.B) {
 	var ix *core.Index
 	for i := 0; i < b.N; i++ {
 		cp := append([]geom.Element(nil), els...)
-		pool := storage.NewBufferPool(storage.NewMemPager(), 0)
+		pool := storage.NewConcurrentPool(storage.NewMemPager(), 0)
 		var err error
 		ix, err = core.Build(pool, cp, core.Options{World: world})
 		if err != nil {
@@ -320,7 +320,7 @@ func BenchmarkFig22OtherBuild(b *testing.B) {
 	b.Run("FLAT", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			cp := append([]geom.Element(nil), els...)
-			pool := storage.NewBufferPool(storage.NewMemPager(), 0)
+			pool := storage.NewConcurrentPool(storage.NewMemPager(), 0)
 			if _, err := core.Build(pool, cp, core.Options{World: world}); err != nil {
 				b.Fatal(err)
 			}
@@ -329,7 +329,7 @@ func BenchmarkFig22OtherBuild(b *testing.B) {
 	b.Run("PR-Tree", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			cp := append([]geom.Element(nil), els...)
-			pool := storage.NewBufferPool(storage.NewMemPager(), 0)
+			pool := storage.NewConcurrentPool(storage.NewMemPager(), 0)
 			if _, err := rtree.Build(pool, cp, rtree.PR, world, rtree.Config{}); err != nil {
 				b.Fatal(err)
 			}
@@ -345,12 +345,12 @@ func BenchmarkFig23OtherQuery(b *testing.B) {
 	queries := datagen.Queries(datagen.QuerySpec{Count: 100, World: world, VolumeFraction: 5e-6, Seed: 400})
 
 	cp := append([]geom.Element(nil), els...)
-	fpool := storage.NewBufferPool(storage.NewMemPager(), 0)
+	fpool := storage.NewConcurrentPool(storage.NewMemPager(), 0)
 	ix, err := core.Build(fpool, cp, core.Options{World: world})
 	if err != nil {
 		b.Fatal(err)
 	}
-	ppool := storage.NewBufferPool(storage.NewMemPager(), 0)
+	ppool := storage.NewConcurrentPool(storage.NewMemPager(), 0)
 	tree, err := rtree.Build(ppool, els, rtree.PR, world, rtree.Config{})
 	if err != nil {
 		b.Fatal(err)
@@ -396,7 +396,7 @@ func BenchmarkThroughputWorkers(b *testing.B) {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
 			views := make([]*core.Index, workers)
 			for w := range views {
-				views[w] = f.flat.WithPool(storage.NewBufferPool(pager, 0))
+				views[w] = f.flat.WithPool(storage.NewConcurrentPool(pager, 0))
 			}
 			b.ResetTimer()
 			var wg sync.WaitGroup

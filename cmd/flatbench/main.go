@@ -13,7 +13,8 @@
 //	flatbench -fig all -csv out/           # also write each table as CSV
 //	flatbench -fig throughput -workers 1,8 # concurrent-serving throughput
 //
-// See EXPERIMENTS.md for the experiment inventory and recorded results.
+// See README.md, "Running the benchmarks"; recorded results are the
+// BENCH_*.json files at the repository root.
 package main
 
 import (
@@ -53,14 +54,7 @@ func main() {
 		cfg.Queries = *queries
 	}
 	if *densities != "" {
-		cfg.Densities = nil
-		for _, s := range strings.Split(*densities, ",") {
-			n, err := strconv.Atoi(strings.TrimSpace(s))
-			if err != nil || n <= 0 {
-				fatalf("bad density %q", s)
-			}
-			cfg.Densities = append(cfg.Densities, n)
-		}
+		cfg.Densities = intList(*densities, 1, "density")
 	}
 	if *nodeCap > 0 {
 		cfg.NodeCapacity = *nodeCap
@@ -69,35 +63,14 @@ func main() {
 		cfg.OtherScale = *scale
 	}
 	if *workers != "" {
-		cfg.Workers = nil
-		for _, s := range strings.Split(*workers, ",") {
-			n, err := strconv.Atoi(strings.TrimSpace(s))
-			if err != nil || n <= 0 {
-				fatalf("bad worker count %q", s)
-			}
-			cfg.Workers = append(cfg.Workers, n)
-		}
+		cfg.Workers = intList(*workers, 1, "worker count")
 	}
 	if *shards != "" {
-		cfg.Shards = nil
-		for _, s := range strings.Split(*shards, ",") {
-			n, err := strconv.Atoi(strings.TrimSpace(s))
-			if err != nil || n <= 0 {
-				fatalf("bad shard count %q", s)
-			}
-			cfg.Shards = append(cfg.Shards, n)
-		}
+		cfg.Shards = intList(*shards, 1, "shard count")
 	}
 	if *prefetch != "" {
-		cfg.Prefetch = nil
-		for _, s := range strings.Split(*prefetch, ",") {
-			// 0 is legal here: it is the sequential baseline.
-			n, err := strconv.Atoi(strings.TrimSpace(s))
-			if err != nil || n < 0 {
-				fatalf("bad prefetch width %q", s)
-			}
-			cfg.Prefetch = append(cfg.Prefetch, n)
-		}
+		// 0 is legal here: it is the sequential baseline.
+		cfg.Prefetch = intList(*prefetch, 0, "prefetch width")
 	}
 	if *seed != 0 {
 		cfg.Seed = *seed
@@ -151,6 +124,20 @@ func main() {
 			}
 		}
 	}
+}
+
+// intList parses a comma-separated list of integers, each at least min;
+// what names the value in the error.
+func intList(list string, min int, what string) []int {
+	var out []int
+	for _, s := range strings.Split(list, ",") {
+		n, err := strconv.Atoi(strings.TrimSpace(s))
+		if err != nil || n < min {
+			fatalf("bad %s %q", what, s)
+		}
+		out = append(out, n)
+	}
+	return out
 }
 
 func fatalf(format string, args ...any) {

@@ -75,8 +75,8 @@ func isContext(t types.Type) bool {
 // isPagerRead reports whether call is a direct page read: a method
 // named Read, ReadInto or ReadPage whose first argument is a PageID.
 // Matching the argument type rather than the receiver keeps the check
-// honest across the Pool interface, ConcurrentPool, BufferPool, every
-// Pager implementation, and the testdata fixtures.
+// honest across the Pool interface, ConcurrentPool, every Pager
+// implementation, and the testdata fixtures.
 func isPagerRead(info *types.Info, call *ast.CallExpr) bool {
 	sel, ok := call.Fun.(*ast.SelectorExpr)
 	if !ok || len(call.Args) == 0 {

@@ -109,8 +109,8 @@ func TestDensitySweepShape(t *testing.T) {
 	// At the highest density of this quick sweep, FLAT must beat the
 	// PR-tree — the paper's best R-tree baseline and the one every
 	// Section VIII comparison uses. (Hilbert and STR overtake FLAT only
-	// at low densities where overlap is minor; the full-scale sweep in
-	// EXPERIMENTS.md shows the crossovers.)
+	// at low densities where overlap is minor; the full-scale sweep,
+	// flatbench -fig 12, shows the crossovers.)
 	last := rows[len(rows)-1]
 	flatReads := last.FLAT.Stats.TotalReads()
 	if m := last.RTrees[rtree.PR]; m.Stats.TotalReads() < flatReads {

@@ -42,7 +42,7 @@ func (r *Runner) ablation() ([]*Table, error) {
 			"SN page reads", "SN reads/query"},
 		Note: "paper (Sec. VII): bulkloaded trees win primarily via page utilization",
 	}
-	addTreeRow := func(name string, tree *rtree.Tree, pool *storage.BufferPool, build time.Duration) error {
+	addTreeRow := func(name string, tree *rtree.Tree, pool *storage.ConcurrentPool, build time.Duration) error {
 		meas, err := runRTree(tree, pool, queries)
 		if err != nil {
 			return err
@@ -56,7 +56,7 @@ func (r *Runner) ablation() ([]*Table, error) {
 
 	cp := make([]geom.Element, len(m.Elements))
 	copy(cp, m.Elements)
-	strPool := storage.NewBufferPool(storage.NewMemPager(), 0)
+	strPool := storage.NewConcurrentPool(storage.NewMemPager(), 0)
 	t0 := time.Now()
 	strTree, err := rtree.Build(strPool, cp, rtree.STR, m.Volume, rtree.Config{
 		LeafCapacity: capacity, InternalCapacity: capacity,
@@ -69,7 +69,7 @@ func (r *Runner) ablation() ([]*Table, error) {
 		return nil, err
 	}
 
-	dynPool := storage.NewBufferPool(storage.NewMemPager(), 0)
+	dynPool := storage.NewConcurrentPool(storage.NewMemPager(), 0)
 	dyn := rtree.NewDynTree(dynPool, rtree.Config{
 		LeafCapacity: capacity, InternalCapacity: capacity,
 	})
@@ -102,7 +102,7 @@ func (r *Runner) ablation() ([]*Table, error) {
 	}{{"3D-tiled (paper)", false}, {"linear packing", true}} {
 		cp := make([]geom.Element, len(m.Elements))
 		copy(cp, m.Elements)
-		pool := storage.NewBufferPool(storage.NewMemPager(), 0)
+		pool := storage.NewConcurrentPool(storage.NewMemPager(), 0)
 		ix, err := core.Build(pool, cp, core.Options{
 			World: m.Volume, PageCapacity: capacity,
 			SeedFanout: capacity, NoMetaTiling: variant.noTile,

@@ -107,7 +107,7 @@ func (r *Runner) analysisN() int {
 }
 
 func buildFLATOver(els []geom.Element, world geom.MBR, capacity int) (*core.Index, error) {
-	pool := storage.NewBufferPool(storage.NewMemPager(), 0)
+	pool := storage.NewConcurrentPool(storage.NewMemPager(), 0)
 	return core.Build(pool, els, core.Options{World: world, PageCapacity: capacity})
 }
 
@@ -205,7 +205,7 @@ func inflatedNeighborStats(parts []str.Partition, world geom.MBR, factor float64
 	}
 	avgVol /= float64(len(parts))
 
-	tmpPool := storage.NewBufferPool(storage.NewMemPager(), 0)
+	tmpPool := storage.NewConcurrentPool(storage.NewMemPager(), 0)
 	tmpEls := make([]geom.Element, len(parts))
 	for i, p := range parts {
 		tmpEls[i] = geom.Element{ID: uint64(i), Box: p.Cell}

@@ -14,7 +14,7 @@ import (
 // Section VIII: FLAT on other data sets. The paper indexes three Nuage
 // n-body snapshots, a brain surface mesh and the Lucy statue scan, and
 // compares FLAT against the PR-tree only. Our stand-ins are generated at
-// OtherScale times the paper's element counts (DESIGN.md §3).
+// OtherScale times the paper's element counts (see Config.OtherScale).
 
 type otherDataset struct {
 	Name       string
@@ -71,9 +71,9 @@ type otherSet struct {
 	n         int
 	world     geom.MBR
 	flat      *core.Index
-	flatPool  *storage.BufferPool
+	flatPool  *storage.ConcurrentPool
 	pr        *rtree.Tree
-	prPool    *storage.BufferPool
+	prPool    *storage.ConcurrentPool
 	flatBuild time.Duration
 	prBuild   time.Duration
 }
@@ -92,7 +92,7 @@ func (r *Runner) otherSets() ([]*otherSet, error) {
 
 		cp := make([]geom.Element, len(els))
 		copy(cp, els)
-		s.flatPool = storage.NewBufferPool(storage.NewMemPager(), 0)
+		s.flatPool = storage.NewConcurrentPool(storage.NewMemPager(), 0)
 		t0 := time.Now()
 		ix, err := core.Build(s.flatPool, cp, core.Options{World: world, PageCapacity: r.Cfg.NodeCapacity, SeedFanout: r.Cfg.NodeCapacity})
 		if err != nil {
@@ -102,7 +102,7 @@ func (r *Runner) otherSets() ([]*otherSet, error) {
 		s.flatPool.Reset()
 		s.flat = ix
 
-		s.prPool = storage.NewBufferPool(storage.NewMemPager(), 0)
+		s.prPool = storage.NewConcurrentPool(storage.NewMemPager(), 0)
 		t0 = time.Now()
 		tree, err := rtree.Build(s.prPool, els, rtree.PR, world, rtree.Config{
 			LeafCapacity:     r.Cfg.NodeCapacity,

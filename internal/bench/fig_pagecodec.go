@@ -34,14 +34,14 @@ func (r *Runner) pagecodec() ([]*Table, error) {
 	type variant struct {
 		format storage.PageFormat
 		ix     *core.Index
-		pool   *storage.BufferPool
+		pool   *storage.ConcurrentPool
 		build  time.Duration
 	}
 	formats := []storage.PageFormat{storage.PageFormatV1, storage.PageFormatV2}
 	variants := make([]*variant, len(formats))
 	for i, f := range formats {
 		els := append([]geom.Element(nil), m.Elements...)
-		pool := storage.NewBufferPool(storage.NewMemPager(), 0)
+		pool := storage.NewConcurrentPool(storage.NewMemPager(), 0)
 		t0 := time.Now()
 		ix, err := core.Build(pool, els, core.Options{World: m.Volume, PageFormat: f})
 		if err != nil {

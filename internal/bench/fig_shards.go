@@ -44,7 +44,7 @@ func (r *Runner) shardsExperiment() ([]*Table, error) {
 	// Unsharded reference: build time, then per-workload per-query cold
 	// reads and result counts.
 	refEls := append([]geom.Element(nil), m.Elements...)
-	refPool := storage.NewBufferPool(storage.NewMemPager(), 0)
+	refPool := storage.NewConcurrentPool(storage.NewMemPager(), 0)
 	t0 := time.Now()
 	ref, err := core.Build(refPool, refEls, core.Options{
 		World: m.Volume, PageCapacity: r.Cfg.NodeCapacity, SeedFanout: r.Cfg.NodeCapacity,

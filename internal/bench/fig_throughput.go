@@ -32,7 +32,7 @@ func (r *Runner) throughput() ([]*Table, error) {
 		N: n, World: world, ElementVolume: 18, Seed: r.Cfg.Seed + 300,
 	})
 	pager := storage.NewMemPager()
-	pool := storage.NewBufferPool(pager, 0)
+	pool := storage.NewConcurrentPool(pager, 0)
 	ix, err := core.Build(pool, els, core.Options{
 		World: world, PageCapacity: r.Cfg.NodeCapacity, SeedFanout: r.Cfg.NodeCapacity,
 	})
@@ -90,7 +90,7 @@ func runFLATParallel(ix *core.Index, pager storage.Pager, queries []geom.MBR, wo
 	)
 	views := make([]*core.Index, workers)
 	for w := range views {
-		views[w] = ix.WithPool(storage.NewBufferPool(pager, 0))
+		views[w] = ix.WithPool(storage.NewConcurrentPool(pager, 0))
 	}
 	t0 := time.Now()
 	for w := 0; w < workers; w++ {

@@ -15,7 +15,8 @@ import (
 )
 
 // Config scopes the reproduction. The defaults reproduce every figure at
-// 1/1000 of the paper's element counts (see EXPERIMENTS.md §Scaling);
+// 1/1000 of the paper's element counts (VolumeSide, the query fractions
+// and NodeCapacity below say why the figures survive the scaling);
 // raising Densities toward the paper's numbers only costs time.
 type Config struct {
 	// Densities is the sweep of element counts placed in the fixed
@@ -37,8 +38,7 @@ type Config struct {
 	// 5e-6 (5×10⁻⁴ %); the defaults are 1000x larger (5e-6 and 5e-3)
 	// because the tissue volume is 1000x smaller — the two scalings
 	// cancel so the *absolute* query box sizes (0.116 µm³ and 116 µm³)
-	// and therefore per-query result sizes match the paper exactly. See
-	// EXPERIMENTS.md §Scaling.
+	// and therefore per-query result sizes match the paper exactly.
 	SNFraction  float64
 	LSSFraction float64
 	// SegmentsPerNeuron controls morphology size (paper: ~4500).
@@ -150,10 +150,10 @@ type indexSet struct {
 	world geom.MBR
 
 	flat     *core.Index
-	flatPool *storage.BufferPool
+	flatPool *storage.ConcurrentPool
 
 	trees     map[rtree.Strategy]*rtree.Tree
-	treePools map[rtree.Strategy]*storage.BufferPool
+	treePools map[rtree.Strategy]*storage.ConcurrentPool
 	buildTime map[string]time.Duration
 }
 
@@ -166,13 +166,13 @@ func buildSet(els []geom.Element, world geom.MBR, capacity int, logf func(string
 	s := &indexSet{
 		world:     world,
 		trees:     make(map[rtree.Strategy]*rtree.Tree),
-		treePools: make(map[rtree.Strategy]*storage.BufferPool),
+		treePools: make(map[rtree.Strategy]*storage.ConcurrentPool),
 		buildTime: make(map[string]time.Duration),
 	}
 	for _, strat := range strategies {
 		cp := make([]geom.Element, len(els))
 		copy(cp, els)
-		pool := storage.NewBufferPool(storage.NewMemPager(), 0)
+		pool := storage.NewConcurrentPool(storage.NewMemPager(), 0)
 		t0 := time.Now()
 		tree, err := rtree.Build(pool, cp, strat, world, rtree.Config{
 			LeafCapacity:     capacity,
@@ -189,7 +189,7 @@ func buildSet(els []geom.Element, world geom.MBR, capacity int, logf func(string
 	}
 	cp := make([]geom.Element, len(els))
 	copy(cp, els)
-	pool := storage.NewBufferPool(storage.NewMemPager(), 0)
+	pool := storage.NewConcurrentPool(storage.NewMemPager(), 0)
 	ix, err := core.Build(pool, cp, core.Options{World: world, PageCapacity: capacity, SeedFanout: capacity})
 	if err != nil {
 		return nil, fmt.Errorf("build FLAT: %w", err)
@@ -234,7 +234,7 @@ func (m measurement) PerResult() float64 {
 
 // runFLAT replays queries against a FLAT index, cold per query (frames
 // dropped, counters kept), as the paper's methodology prescribes.
-func runFLAT(ix *core.Index, pool *storage.BufferPool, queries []geom.MBR) (measurement, error) {
+func runFLAT(ix *core.Index, pool *storage.ConcurrentPool, queries []geom.MBR) (measurement, error) {
 	var m measurement
 	pool.Reset()
 	t0 := time.Now()
@@ -252,7 +252,7 @@ func runFLAT(ix *core.Index, pool *storage.BufferPool, queries []geom.MBR) (meas
 }
 
 // runRTree replays queries against a baseline R-tree, cold per query.
-func runRTree(tree *rtree.Tree, pool *storage.BufferPool, queries []geom.MBR) (measurement, error) {
+func runRTree(tree *rtree.Tree, pool *storage.ConcurrentPool, queries []geom.MBR) (measurement, error) {
 	var m measurement
 	pool.Reset()
 	t0 := time.Now()

@@ -4,8 +4,8 @@
 // replays the paper's micro-benchmarks with cold caches, and renders the
 // same rows/series the paper plots.
 //
-// See DESIGN.md for the experiment inventory and EXPERIMENTS.md for
-// recorded paper-vs-measured results.
+// Experiments() is the inventory (see README.md, "Running the
+// benchmarks"); recorded results are the root BENCH_*.json files.
 package bench
 
 import (

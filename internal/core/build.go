@@ -27,8 +27,8 @@ var ErrEmpty = errors.New("core: cannot build an empty FLAT index")
 //
 // els is reordered in place by the STR pass. The supplied pool receives
 // all of the index's pages; queries account their page reads against it.
-// Build itself is single-threaded; pass a storage.ConcurrentPool to make
-// the finished index's query methods safe for concurrent use.
+// Build itself is single-threaded; the finished index's query methods
+// are as safe for concurrent use as pool is (storage.ConcurrentPool is).
 func Build(pool storage.Pool, els []geom.Element, opts Options) (*Index, error) {
 	if len(els) == 0 {
 		return nil, ErrEmpty
@@ -119,7 +119,7 @@ func Build(pool storage.Pool, els []geom.Element, opts Options) (*Index, error) 
 // It returns, per partition, the indices of its neighbors (self
 // excluded) and the total number of directed links.
 func computeNeighbors(parts []str.Partition, world geom.MBR) ([][]int, int, error) {
-	tmpPool := storage.NewBufferPool(storage.NewMemPager(), 0)
+	tmpPool := storage.NewConcurrentPool(storage.NewMemPager(), 0)
 	tmpEls := make([]geom.Element, len(parts))
 	for i, p := range parts {
 		tmpEls[i] = geom.Element{ID: uint64(i), Box: p.Cell}

@@ -21,7 +21,7 @@ func buildGiantFixture(t *testing.T) (*Index, []geom.Element) {
 		b := geom.V(95+r.Float64()*5, r.Float64()*100, r.Float64()*100)
 		els = append(els, geom.Element{ID: uint64(20000 + i), Box: geom.Box(a, b).Expand(0.2)})
 	}
-	pool := storage.NewBufferPool(storage.NewMemPager(), 0)
+	pool := storage.NewConcurrentPool(storage.NewMemPager(), 0)
 	cp := make([]geom.Element, len(els))
 	copy(cp, els)
 	ix, err := Build(pool, cp, Options{World: world, PageCapacity: 8, SeedFanout: 16})

@@ -39,9 +39,9 @@ func clusteredElements(r *rand.Rand, perCluster int, centers []geom.Vec3, spread
 	return els
 }
 
-func buildIndex(t *testing.T, els []geom.Element, opts Options) (*Index, *storage.BufferPool) {
+func buildIndex(t *testing.T, els []geom.Element, opts Options) (*Index, *storage.ConcurrentPool) {
 	t.Helper()
-	pool := storage.NewBufferPool(storage.NewMemPager(), 0)
+	pool := storage.NewConcurrentPool(storage.NewMemPager(), 0)
 	cp := make([]geom.Element, len(els))
 	copy(cp, els)
 	ix, err := Build(pool, cp, opts)
@@ -303,7 +303,7 @@ func TestQueryStatsBreakdownConsistent(t *testing.T) {
 }
 
 func TestBuildErrors(t *testing.T) {
-	pool := storage.NewBufferPool(storage.NewMemPager(), 0)
+	pool := storage.NewConcurrentPool(storage.NewMemPager(), 0)
 	if _, err := Build(pool, nil, Options{}); err != ErrEmpty {
 		t.Errorf("empty build: %v", err)
 	}

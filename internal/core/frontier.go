@@ -5,41 +5,26 @@ import (
 	"flat/internal/storage"
 )
 
-// This file is the traversal seam: the crawl phase is a loop that pops
-// work items off a frontier, reads the pages they name, and pushes the
-// work those pages uncover. Which *order* items surface is the only
-// difference between FLAT's query kinds — range queries drain the
-// frontier FIFO (the paper's BFS over neighbor pointers), k-NN drains
-// it as a min-heap on point-to-MBR distance (best-first). Everything
-// else — dedup maps, ctx checks between page reads, stats accounting —
-// is shared.
-
-// frontier is the pluggable traversal order. Implementations are not
-// safe for concurrent use; a frontier lives inside one query's scratch.
-type frontier[T any] interface {
-	// push adds one pending work item.
-	push(T)
-	// pop removes the next item in this frontier's order; ok is false
-	// when the frontier is empty (traversal complete).
-	pop() (item T, ok bool)
-	// len reports the number of pending items.
-	len() int
-}
+// The crawl phase is a loop that pops work items off a frontier, reads
+// the pages they name, and pushes the work those pages uncover. Which
+// *order* items surface is the only difference between FLAT's query
+// kinds — range queries drain a fifoFrontier (the paper's BFS over
+// neighbor pointers), k-NN drains a heapFrontier, a min-heap on
+// point-to-MBR distance (best-first). The two are concrete types, each
+// used directly by its one crawl loop; neither is safe for concurrent
+// use, a frontier lives inside one query's scratch.
 
 // fifoFrontier pops items in push order: the breadth-first traversal
 // of the paper's Algorithm 2. Range queries depend on this order being
 // exactly the visit order of the historical queue-and-head-index loop
 // (result order and page-read order are part of the engine's tested
-// contract), so the implementation is that loop's queue, seam-shaped:
-// pops advance a head index over the same backing slice the pushes
-// append to, and the slice survives into the next query via the
-// query-scratch pool.
+// contract), so the implementation is that loop's queue: pops advance
+// a head index over the same backing slice the pushes append to, and
+// the slice survives into the next query via the query-scratch pool.
 type fifoFrontier struct {
 	queue []RecordRef
 	head  int
 }
-
-var _ frontier[RecordRef] = (*fifoFrontier)(nil)
 
 func (f *fifoFrontier) push(r RecordRef) { f.queue = append(f.queue, r) }
 
@@ -51,8 +36,6 @@ func (f *fifoFrontier) pop() (RecordRef, bool) {
 	f.head++
 	return r, true
 }
-
-func (f *fifoFrontier) len() int { return len(f.queue) - f.head }
 
 func (f *fifoFrontier) reset() {
 	f.queue = f.queue[:0]
@@ -94,8 +77,6 @@ type heapFrontier struct {
 	items []crawlItem
 	seq   uint64
 }
-
-var _ frontier[crawlItem] = (*heapFrontier)(nil)
 
 func (h *heapFrontier) less(i, j int) bool {
 	a, b := &h.items[i], &h.items[j]
@@ -144,8 +125,6 @@ func (h *heapFrontier) pop() (crawlItem, bool) {
 	}
 	return top, true
 }
-
-func (h *heapFrontier) len() int { return len(h.items) }
 
 func (h *heapFrontier) reset() {
 	h.items = h.items[:0]

@@ -45,7 +45,7 @@ type Options struct {
 	// SeedFanout caps the entries per seed-tree internal node. Zero means
 	// a full page. The benchmark harness reduces it together with
 	// PageCapacity to reproduce the paper's tree depths at reproduction
-	// scale (see EXPERIMENTS.md §Scaling).
+	// scale (see bench.Config.NodeCapacity).
 	SeedFanout int
 	// NoMetaTiling disables the 3D STR tiling of metadata records into
 	// seed-tree leaf pages and packs them in plain partition order
@@ -82,8 +82,8 @@ type BuildStats struct {
 // measure exactly the page reads the paper reports.
 //
 // The index itself is immutable after Build/Open: every query method is
-// safe for concurrent use when the pool is (storage.ConcurrentPool); with
-// a plain BufferPool, queries must be serialized by the caller.
+// safe for concurrent use when the pool is (storage.ConcurrentPool is);
+// a view over a caller's own Pool (WithPool) is as safe as that pool.
 type Index struct {
 	// Engine is the seed+crawl query machinery; its methods (RangeQuery,
 	// CountQuery, CrawlFrom, Records, ...) are promoted onto the Index.

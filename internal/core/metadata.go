@@ -115,39 +115,62 @@ func encodeMetaPage(buf []byte, records []*metaRecord) {
 	}
 }
 
-// decodeMetaRecord reads the record at slot from a metadata page.
-func decodeMetaRecord(page []byte, slot int) (metaRecord, error) {
-	r := storage.NewPageReader(page)
+// maxMetaRecords is the most records one metadata page can hold: every
+// record costs its slot-directory entry plus at least an empty record.
+const maxMetaRecords = (storage.PageSize - metaPageOverhead) / (2 + recordHeaderSize)
+
+// metaPageRecordCount returns the number of records on a metadata page.
+// Data pages carry no checksum, so every on-page value the decoders
+// below index or allocate by is bounds-checked first: a corrupt page
+// must fail the query, not the process.
+func metaPageRecordCount(page []byte) (int, error) {
+	return readMetaHeader(storage.NewPageReader(page))
+}
+
+// readMetaHeader consumes the page header from r and returns the
+// validated record count.
+func readMetaHeader(r *storage.PageReader) (int, error) {
 	if kind := r.U8(); kind != metaPageKind {
-		return metaRecord{}, fmt.Errorf("core: page is not a metadata page (kind %d)", kind)
+		return 0, fmt.Errorf("core: page is not a metadata page (kind %d)", kind)
 	}
 	r.U8()
 	count := int(r.U16())
+	if count > maxMetaRecords {
+		return 0, fmt.Errorf("core: corrupt metadata page: %d records exceed the %d a page holds", count, maxMetaRecords)
+	}
+	return count, nil
+}
+
+// decodeMetaRecord reads the record at slot from a metadata page.
+func decodeMetaRecord(page []byte, slot int) (metaRecord, error) {
+	r := storage.NewPageReader(page)
+	count, err := readMetaHeader(r)
+	if err != nil {
+		return metaRecord{}, err
+	}
 	if slot < 0 || slot >= count {
 		return metaRecord{}, fmt.Errorf("core: metadata slot %d out of range (%d records)", slot, count)
 	}
 	r.Seek(metaPageOverhead + 2*slot)
 	off := int(r.U16())
+	if off < metaPageOverhead+2*count || off+recordHeaderSize > storage.PageSize {
+		return metaRecord{}, fmt.Errorf("core: corrupt metadata page: slot %d record offset %d out of range", slot, off)
+	}
 	r.Seek(off)
 	var m metaRecord
 	m.PageMBR = r.MBR()
 	m.PartitionMBR = r.MBR()
 	m.ObjectPage = storage.PageID(r.U64())
 	m.Overflow = RecordRef(r.U64())
-	n := int(r.U32())
+	n := r.U32()
+	if n > maxInlineNeighbors || r.Offset()+8*int(n) > storage.PageSize {
+		return metaRecord{}, fmt.Errorf("core: corrupt metadata page: slot %d lists %d neighbors past the page end", slot, n)
+	}
 	m.Neighbors = make([]RecordRef, n)
-	for i := 0; i < n; i++ {
+	for i := range m.Neighbors {
 		m.Neighbors[i] = RecordRef(r.U64())
 	}
 	return m, nil
-}
-
-// metaPageRecordCount returns the number of records on a metadata page.
-func metaPageRecordCount(page []byte) int {
-	r := storage.NewPageReader(page)
-	r.U8()
-	r.U8()
-	return int(r.U16())
 }
 
 // tileMetaRecords reorders records with a 3D STR pass over their page-MBR

@@ -46,8 +46,8 @@ func TestMetaPageCodecRoundTrip(t *testing.T) {
 	}
 	buf := make([]byte, storage.PageSize)
 	encodeMetaPage(buf, records)
-	if got := metaPageRecordCount(buf); got != 4 {
-		t.Fatalf("record count = %d", got)
+	if got, err := metaPageRecordCount(buf); err != nil || got != 4 {
+		t.Fatalf("record count = %d, %v", got, err)
 	}
 	for slot, want := range records {
 		got, err := decodeMetaRecord(buf, slot)
@@ -83,6 +83,67 @@ func TestDecodeMetaRecordErrors(t *testing.T) {
 	if _, err := decodeMetaRecord(notMeta[:], 0); err == nil {
 		t.Error("wrong page kind accepted")
 	}
+
+	// Data pages carry no checksum: each on-page value the decoder
+	// indexes or allocates by, corrupted, must be an error — these used
+	// to be a slice-bounds panic, an out-of-memory abort, and a read past
+	// the slot directory.
+	rnd := rand.New(rand.NewSource(2))
+	two := make([]byte, storage.PageSize)
+	encodeMetaPage(two, []*metaRecord{randomRecord(rnd, 2), randomRecord(rnd, 2)})
+	corrupt := func(off int, b ...byte) []byte {
+		page := append([]byte(nil), two...)
+		copy(page[off:], b)
+		return page
+	}
+	slot1 := metaPageOverhead + 2 // slot 1's directory entry
+	nOff := metaPageOverhead + 2*2 + recordHeaderSize + 8*2 + recordHeaderSize - 4
+	for name, page := range map[string][]byte{
+		"record offset past the page":    corrupt(slot1, 0xf0, 0xff),
+		"record offset inside the slots": corrupt(slot1, 2, 0),
+		"neighbor count 0x7fffffff":      corrupt(nOff, 0xff, 0xff, 0xff, 0x7f),
+		"neighbor list past the page":    corrupt(nOff, byte(maxInlineNeighbors&0xff), byte(maxInlineNeighbors>>8), 0, 0),
+		"record count past the page":     corrupt(2, 0xff, 0xff),
+	} {
+		if _, err := decodeMetaRecord(page, 1); err == nil {
+			t.Errorf("%s: accepted", name)
+		}
+	}
+	if m, err := decodeMetaRecord(two, 1); err != nil || len(m.Neighbors) != 2 {
+		t.Errorf("uncorrupted page: %d neighbors, %v", len(m.Neighbors), err)
+	}
+	if _, err := metaPageRecordCount(corrupt(2, 0xff, 0xff)); err == nil {
+		t.Error("metaPageRecordCount accepted a record count past the page")
+	}
+}
+
+// FuzzDecodeMetaRecord feeds the metadata decoder arbitrary page bytes:
+// whatever a flipped bit or a hostile file puts on the page, every slot
+// decodes to a record or an error, never a panic or a giant allocation.
+func FuzzDecodeMetaRecord(f *testing.F) {
+	valid := make([]byte, storage.PageSize)
+	r := rand.New(rand.NewSource(7))
+	encodeMetaPage(valid, []*metaRecord{randomRecord(r, 3), randomRecord(r, 40)})
+	f.Add(valid, 1)
+	f.Add([]byte{metaPageKind, 0, 0xff, 0xff, 0xf0, 0xff}, 0)
+	f.Fuzz(func(t *testing.T, data []byte, slot int) {
+		page := make([]byte, storage.PageSize)
+		copy(page, data)
+		count, err := metaPageRecordCount(page)
+		if err != nil {
+			return
+		}
+		if count > maxMetaRecords {
+			t.Fatalf("record count %d accepted", count)
+		}
+		m, err := decodeMetaRecord(page, slot)
+		if err == nil && len(m.Neighbors) > maxInlineNeighbors {
+			t.Fatalf("decoded %d neighbors", len(m.Neighbors))
+		}
+		for s := 0; s < count; s++ {
+			decodeMetaRecord(page, s)
+		}
+	})
 }
 
 func TestPackMetaPagesFillsPages(t *testing.T) {

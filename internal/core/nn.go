@@ -119,7 +119,10 @@ func (eng *Engine) nnSeed(ctx context.Context, p geom.Vec3, sc *crawlScratch, lo
 			}
 			continue
 		}
-		count := metaPageRecordCount(page)
+		count, err := metaPageRecordCount(page)
+		if err != nil {
+			return 0, false, err
+		}
 		for slot := 0; slot < count; slot++ {
 			m, err := decodeMetaRecord(page, slot)
 			if err != nil {

@@ -16,7 +16,7 @@ func buildWithFormat(t *testing.T, els []geom.Element, opts Options) *Index {
 	t.Helper()
 	cp := make([]geom.Element, len(els))
 	copy(cp, els)
-	pool := storage.NewBufferPool(storage.NewMemPager(), 0)
+	pool := storage.NewConcurrentPool(storage.NewMemPager(), 0)
 	ix, err := Build(pool, cp, opts)
 	if err != nil {
 		t.Fatal(err)
@@ -87,13 +87,13 @@ func TestBuildCapacityValidationPerFormat(t *testing.T) {
 	r := rand.New(rand.NewSource(5))
 	els := randomElements(r, 200, worldBox())
 
-	pool := storage.NewBufferPool(storage.NewMemPager(), 0)
+	pool := storage.NewConcurrentPool(storage.NewMemPager(), 0)
 	cp := append([]geom.Element(nil), els...)
 	if _, err := Build(pool, cp, Options{World: worldBox(), PageCapacity: 100}); err == nil {
 		t.Fatal("capacity 100 accepted under v1 (max 73)")
 	}
 	cp = append([]geom.Element(nil), els...)
-	ix, err := Build(storage.NewBufferPool(storage.NewMemPager(), 0), cp,
+	ix, err := Build(storage.NewConcurrentPool(storage.NewMemPager(), 0), cp,
 		Options{World: worldBox(), PageCapacity: 100, PageFormat: storage.PageFormatV2})
 	if err != nil {
 		t.Fatalf("capacity 100 rejected under v2: %v", err)
@@ -102,12 +102,12 @@ func TestBuildCapacityValidationPerFormat(t *testing.T) {
 		t.Fatal("format lost")
 	}
 	cp = append([]geom.Element(nil), els...)
-	if _, err := Build(storage.NewBufferPool(storage.NewMemPager(), 0), cp,
+	if _, err := Build(storage.NewConcurrentPool(storage.NewMemPager(), 0), cp,
 		Options{World: worldBox(), PageCapacity: storage.ObjectPageCapacityV2 + 1, PageFormat: storage.PageFormatV2}); err == nil {
 		t.Fatal("over-capacity accepted under v2")
 	}
 	cp = append([]geom.Element(nil), els...)
-	if _, err := Build(storage.NewBufferPool(storage.NewMemPager(), 0), cp,
+	if _, err := Build(storage.NewConcurrentPool(storage.NewMemPager(), 0), cp,
 		Options{World: worldBox(), PageFormat: storage.PageFormat(9)}); err == nil {
 		t.Fatal("unknown page format accepted")
 	}
@@ -127,7 +127,7 @@ func TestPersistV2RoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pool := storage.NewBufferPool(fp, 0)
+	pool := storage.NewConcurrentPool(fp, 0)
 	ix, err := Build(pool, els, Options{World: worldBox(), PageFormat: storage.PageFormatV2})
 	if err != nil {
 		t.Fatal(err)
@@ -147,7 +147,7 @@ func TestPersistV2RoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pool2 := storage.NewBufferPool(fp2, 0)
+	pool2 := storage.NewConcurrentPool(fp2, 0)
 	ix2, err := Open(pool2)
 	if err != nil {
 		t.Fatal(err)
@@ -209,7 +209,7 @@ func TestSuperblockVersionPerFormat(t *testing.T) {
 		{storage.PageFormatV2, superVersionV2},
 	} {
 		els := randomElements(r, 300, worldBox())
-		pool := storage.NewBufferPool(storage.NewMemPager(), 0)
+		pool := storage.NewConcurrentPool(storage.NewMemPager(), 0)
 		ix, err := Build(pool, els, Options{World: worldBox(), PageFormat: tc.format})
 		if err != nil {
 			t.Fatal(err)
@@ -237,7 +237,7 @@ func TestSuperblockVersionPerFormat(t *testing.T) {
 func TestOpenRejectsUnknownFormats(t *testing.T) {
 	r := rand.New(rand.NewSource(19))
 	els := randomElements(r, 300, worldBox())
-	pool := storage.NewBufferPool(storage.NewMemPager(), 0)
+	pool := storage.NewConcurrentPool(storage.NewMemPager(), 0)
 	ix, err := Build(pool, els, Options{World: worldBox(), PageFormat: storage.PageFormatV2})
 	if err != nil {
 		t.Fatal(err)

@@ -21,7 +21,7 @@ func TestPersistRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pool := storage.NewBufferPool(fp, 0)
+	pool := storage.NewConcurrentPool(fp, 0)
 	ix, err := Build(pool, els, Options{World: worldBox()})
 	if err != nil {
 		t.Fatal(err)
@@ -48,7 +48,7 @@ func TestPersistRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer fp2.Close()
-	pool2 := storage.NewBufferPool(fp2, 0)
+	pool2 := storage.NewConcurrentPool(fp2, 0)
 	ix2, err := Open(pool2)
 	if err != nil {
 		t.Fatal(err)
@@ -81,13 +81,13 @@ func TestPersistRoundTrip(t *testing.T) {
 
 func TestOpenErrors(t *testing.T) {
 	// Empty pager.
-	pool := storage.NewBufferPool(storage.NewMemPager(), 0)
+	pool := storage.NewConcurrentPool(storage.NewMemPager(), 0)
 	if _, err := Open(pool); err != ErrNoSuper {
 		t.Errorf("empty: %v", err)
 	}
 	// Pager without a superblock (just a data page).
 	p := storage.NewMemPager()
-	pool = storage.NewBufferPool(p, 0)
+	pool = storage.NewConcurrentPool(p, 0)
 	if _, err := pool.Alloc(storage.CatObject); err != nil {
 		t.Fatal(err)
 	}
@@ -103,7 +103,7 @@ func TestPersistOnMemPager(t *testing.T) {
 	els := randomElements(r, 500, worldBox())
 	orig := make([]geom.Element, len(els))
 	copy(orig, els)
-	pool := storage.NewBufferPool(storage.NewMemPager(), 0)
+	pool := storage.NewConcurrentPool(storage.NewMemPager(), 0)
 	ix, err := Build(pool, els, Options{World: worldBox()})
 	if err != nil {
 		t.Fatal(err)

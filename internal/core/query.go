@@ -198,7 +198,10 @@ func (eng *Engine) seed(ctx context.Context, q geom.MBR, sc *crawlScratch, local
 		// Metadata page: check each record whose page MBR intersects the
 		// query by reading its object page, exactly as the paper's
 		// modified R-tree lookup does.
-		count := metaPageRecordCount(page)
+		count, err := metaPageRecordCount(page)
+		if err != nil {
+			return 0, false, err
+		}
 		for slot := 0; slot < count; slot++ {
 			// Each hit test below costs an object-page read; give
 			// cancellation a chance between them, not just per seed page.
@@ -262,12 +265,10 @@ func (eng *Engine) objectPageHasHit(id storage.PageID, q geom.MBR, sc *crawlScra
 // returning false stops the crawl cleanly (no error); a done ctx aborts
 // it with ctx.Err().
 func (eng *Engine) crawl(ctx context.Context, q geom.MBR, start RecordRef, emit func(geom.Element) bool, st *QueryStats, sc *crawlScratch, local *storage.Stats) error {
-	// The FIFO frontier replays pushes in order, so the page-read
-	// sequence is byte-identical to the pre-seam queue-and-head loop:
-	// range-query results and read counts are a regression gate for
-	// this refactor.
-	var f frontier[RecordRef] = &sc.fifo
-	sc.fifo.reset()
+	// The FIFO frontier replays pushes in order; range-query results
+	// and page-read sequences are a regression gate on that order.
+	f := &sc.fifo
+	f.reset()
 	f.push(start)
 	sc.enqueued[start] = true
 	defer func() { st.PagesVisited = len(sc.visited) }()
@@ -372,7 +373,10 @@ func (eng *Engine) CrawlFrom(q geom.MBR, start RecordRef) ([]geom.Element, error
 // tests and the flatindex CLI inspect mode.
 func (eng *Engine) Records(fn func(ref RecordRef, pageMBR, partitionMBR geom.MBR, objectPage storage.PageID, neighbors []RecordRef) error) error {
 	return eng.walkMeta(func(page storage.PageID, buf []byte) error {
-		count := metaPageRecordCount(buf)
+		count, err := metaPageRecordCount(buf)
+		if err != nil {
+			return err
+		}
 		//lint:ignore ctxcrawl offline inspect/invariant walk, never on a serving query path
 		for slot := 0; slot < count; slot++ {
 			m, err := decodeMetaRecord(buf, slot)

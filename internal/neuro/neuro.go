@@ -1,6 +1,6 @@
 // Package neuro generates synthetic neocortical-column models: the
-// stand-in for the Blue Brain Project circuits the paper indexes (see
-// DESIGN.md §3 for the substitution argument).
+// stand-in for the Blue Brain Project circuits the paper indexes (not
+// public; the experiments depend only on the properties listed below).
 //
 // A model places neurons at random soma positions inside a fixed tissue
 // volume (the paper's 285 µm cube) and grows, for each neuron, a set of

@@ -8,9 +8,9 @@ import (
 	"flat/internal/storage"
 )
 
-func buildDynamic(t *testing.T, els []geom.Element) (*Tree, *storage.BufferPool) {
+func buildDynamic(t *testing.T, els []geom.Element) (*Tree, *storage.ConcurrentPool) {
 	t.Helper()
-	pool := storage.NewBufferPool(storage.NewMemPager(), 0)
+	pool := storage.NewConcurrentPool(storage.NewMemPager(), 0)
 	dt := NewDynTree(pool, Config{})
 	for _, e := range els {
 		if err := dt.Insert(e); err != nil {
@@ -114,7 +114,7 @@ func TestDynamicSmall(t *testing.T) {
 }
 
 func TestDynamicEmptyView(t *testing.T) {
-	pool := storage.NewBufferPool(storage.NewMemPager(), 0)
+	pool := storage.NewConcurrentPool(storage.NewMemPager(), 0)
 	dt := NewDynTree(pool, Config{})
 	if _, err := dt.View(); err != ErrEmpty {
 		t.Errorf("empty view: %v", err)
@@ -172,7 +172,7 @@ func TestQuadraticSplitRespectsMinFill(t *testing.T) {
 // a MemPager-backed pool stop growing the retained slab set.
 func TestDynTreeResetReusesPages(t *testing.T) {
 	pager := storage.NewMemPager()
-	pool := storage.NewBufferPool(pager, 0)
+	pool := storage.NewConcurrentPool(pager, 0)
 	dt := NewDynTree(pool, Config{})
 
 	build := func(seed int64) {

@@ -29,8 +29,8 @@ const EntrySize = storage.MBRSize + 8
 
 // NodeCapacity is the number of entries per 4 KiB node page. With 48-byte
 // MBRs, an 8-byte reference and a 4-byte header this is 73. (The paper
-// packs 85 bare MBRs; see DESIGN.md §7 for the accounting of this
-// deviation.)
+// packs 85 bare MBRs; the extra 8 bytes per entry are the element id,
+// see storage.ElementSize.)
 const NodeCapacity = (storage.PageSize - NodeHeaderSize) / EntrySize
 
 // Node kinds.

@@ -28,9 +28,9 @@ func randomElements(r *rand.Rand, n int, world geom.MBR) []geom.Element {
 	return els
 }
 
-func buildTree(t *testing.T, els []geom.Element, s Strategy) (*Tree, *storage.BufferPool) {
+func buildTree(t *testing.T, els []geom.Element, s Strategy) (*Tree, *storage.ConcurrentPool) {
 	t.Helper()
-	pool := storage.NewBufferPool(storage.NewMemPager(), 0)
+	pool := storage.NewConcurrentPool(storage.NewMemPager(), 0)
 	cp := make([]geom.Element, len(els))
 	copy(cp, els)
 	tree, err := Build(pool, cp, s, worldBox(), Config{})
@@ -128,7 +128,7 @@ func TestEmptyQueryRegion(t *testing.T) {
 }
 
 func TestBuildEmptyFails(t *testing.T) {
-	pool := storage.NewBufferPool(storage.NewMemPager(), 0)
+	pool := storage.NewConcurrentPool(storage.NewMemPager(), 0)
 	if _, err := Build(pool, nil, STR, worldBox(), Config{}); err != ErrEmpty {
 		t.Errorf("expected ErrEmpty, got %v", err)
 	}
@@ -334,7 +334,7 @@ func TestPageCountsAndSize(t *testing.T) {
 }
 
 func TestBuildAbove(t *testing.T) {
-	pool := storage.NewBufferPool(storage.NewMemPager(), 0)
+	pool := storage.NewConcurrentPool(storage.NewMemPager(), 0)
 	// Fabricate 200 fake leaf pages with boxes on a line.
 	entries := make([]NodeEntry, 200)
 	buf := make([]byte, storage.PageSize)
@@ -381,7 +381,7 @@ func TestBuildAbove(t *testing.T) {
 }
 
 func TestBuildAboveSingleEntry(t *testing.T) {
-	pool := storage.NewBufferPool(storage.NewMemPager(), 0)
+	pool := storage.NewConcurrentPool(storage.NewMemPager(), 0)
 	id, _ := pool.Alloc(storage.CatMetadata)
 	entries := []NodeEntry{{Box: geom.CubeAt(geom.V(0, 0, 0), 1), Ref: uint64(id)}}
 	root, height, pages, err := BuildAbove(pool, entries, Config{})

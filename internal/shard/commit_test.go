@@ -1,0 +1,142 @@
+package shard
+
+import (
+	"math/rand"
+	"os"
+	"path/filepath"
+	"strings"
+	"testing"
+
+	"flat/internal/geom"
+)
+
+// squatManifestTemp makes every manifest swap in dir fail: a directory
+// sitting on the manifest's staging name turns writeManifest's open into
+// EISDIR (for root too, unlike a permission bit). It returns the undo.
+func squatManifestTemp(t *testing.T, dir string) (remove func()) {
+	t.Helper()
+	squatter := filepath.Join(dir, manifestTempName)
+	if err := os.MkdirAll(squatter, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	return func() {
+		if err := os.Remove(squatter); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// dirFiles lists dir's shard page files and logs (everything the commit
+// step creates or collects), sorted.
+func dirFiles(t *testing.T, dir string) []string {
+	t.Helper()
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var names []string
+	for _, e := range entries {
+		if n := e.Name(); shardFilePattern.MatchString(n) || walFilePattern.MatchString(n) {
+			names = append(names, n)
+		}
+	}
+	return names
+}
+
+// TestCommitFailure drives a hard manifest-swap failure through each of
+// the three callers of the one commit step. In every case the caller
+// reports the error, the fresh log and shard files of the failed
+// generation are gone, and the directory still commits exactly what it
+// committed before.
+func TestCommitFailure(t *testing.T) {
+	els := randomElements(rand.New(rand.NewSource(90)), 1200)
+	copyEls := func() []geom.Element { return append([]geom.Element(nil), els...) }
+
+	t.Run("Build", func(t *testing.T) {
+		dir := filepath.Join(t.TempDir(), "idx")
+		squatManifestTemp(t, dir)
+		if _, err := Build(copyEls(), Config{Shards: 4, PageCapacity: 16, Dir: dir, WAL: true}); err == nil {
+			t.Fatal("build committed through a failing manifest swap")
+		}
+		if left := dirFiles(t, dir); len(left) != 0 {
+			t.Fatalf("failed build left %v behind", left)
+		}
+	})
+
+	t.Run("Rebuild", func(t *testing.T) {
+		dir := filepath.Join(t.TempDir(), "idx")
+		set := buildWALSet(t, copyEls(), dir)
+		defer set.Close()
+		spot := geom.CubeAt(geom.V(40, 40, 40), 3)
+		staged := stageCluster(t, set, 700000, 10, spot)
+		if err := set.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		wantIDs := queryIDs(t, set, spot)
+		wantIns, wantDels := set.Pending()
+		wantFiles := dirFiles(t, dir)
+		wantManifest, err := os.ReadFile(filepath.Join(dir, ManifestName))
+		if err != nil {
+			t.Fatal(err)
+		}
+
+		unsquat := squatManifestTemp(t, dir)
+		if _, err := set.Rebuild(); err == nil {
+			t.Fatal("rebuild committed through a failing manifest swap")
+		}
+		if ins, dels := set.Pending(); ins != wantIns || dels != wantDels {
+			t.Fatalf("Pending after failed rebuild = (%d, %d), want (%d, %d)", ins, dels, wantIns, wantDels)
+		}
+		if got := queryIDs(t, set, spot); !equalIDs(got, wantIDs) {
+			t.Fatal("staged elements stopped answering queries after a failed rebuild")
+		}
+		if got, _ := os.ReadFile(filepath.Join(dir, ManifestName)); string(got) != string(wantManifest) {
+			t.Fatalf("failed rebuild changed the manifest:\n%s", got)
+		}
+		if got := dirFiles(t, dir); strings.Join(got, " ") != strings.Join(wantFiles, " ") {
+			t.Fatalf("failed rebuild left %v, want the old generation's %v", got, wantFiles)
+		}
+
+		unsquat()
+		rebuilt, err := set.Rebuild()
+		if err != nil || len(rebuilt) == 0 {
+			t.Fatalf("rebuild without the squatter = %v, %v", rebuilt, err)
+		}
+		if ins, dels := set.Pending(); ins != 0 || dels != 0 {
+			t.Fatalf("Pending after rebuild = (%d, %d)", ins, dels)
+		}
+		if got := queryIDs(t, set, spot); !equalIDs(got, wantIDs) {
+			t.Fatal("the same delta did not fold on the retry")
+		}
+		if n := set.Len(); n != len(els)+len(staged) {
+			t.Fatalf("Len after rebuild = %d, want %d", n, len(els)+len(staged))
+		}
+	})
+
+	t.Run("OpenSet WAL upgrade", func(t *testing.T) {
+		dir := filepath.Join(t.TempDir(), "idx")
+		set, err := Build(copyEls(), Config{Shards: 4, PageCapacity: 16, Dir: dir})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := set.Close(); err != nil {
+			t.Fatal(err)
+		}
+		wantFiles := dirFiles(t, dir)
+		squatManifestTemp(t, dir)
+		if _, err := OpenSet(dir, OpenOptions{WAL: true}); err == nil {
+			t.Fatal("WAL upgrade committed through a failing manifest swap")
+		}
+		if got := dirFiles(t, dir); strings.Join(got, " ") != strings.Join(wantFiles, " ") {
+			t.Fatalf("failed upgrade left %v, want %v (no log)", got, wantFiles)
+		}
+		re, err := OpenSet(dir, OpenOptions{})
+		if err != nil {
+			t.Fatalf("directory no longer opens after a failed upgrade: %v", err)
+		}
+		if re.Len() != len(els) {
+			t.Fatalf("Len = %d, want %d", re.Len(), len(els))
+		}
+		re.Close()
+	})
+}

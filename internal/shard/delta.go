@@ -37,12 +37,11 @@ type shardDelta struct {
 func newShardDelta() *shardDelta {
 	// The delta tree lives on its own unbounded in-memory pool: its
 	// pages are scratch that die with the staging epoch, so they must
-	// not compete with real shards for the shared cache budget. The
-	// pool must be the concurrency-safe one — any number of queries
-	// may probe the tree at once under pmu's read side, and even a
-	// cache hit mutates a BufferPool's LRU state. ConcurrentPool's
-	// contract (Alloc/Write never concurrent with reads) is satisfied
-	// because inserts run exclusively under pmu's write side.
+	// not compete with real shards for the shared cache budget. Any
+	// number of queries may probe the tree at once under pmu's read
+	// side; ConcurrentPool's contract (Alloc/Write never concurrent
+	// with reads) is satisfied because inserts run exclusively under
+	// pmu's write side.
 	return &shardDelta{tree: rtree.NewDynTree(storage.NewConcurrentPool(storage.NewMemPager(), 0), rtree.Config{})}
 }
 

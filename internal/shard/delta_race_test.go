@@ -14,9 +14,9 @@ import (
 // of goroutines, and with a non-empty staged delta every query probes
 // the dirty shards' delta R-trees under pmu's read side only. The
 // trees' pages must therefore come from a concurrency-safe pool — run
-// under -race (CI does) this test catches a delta tree backed by the
-// single-goroutine BufferPool, whose LRU bookkeeping mutates on every
-// read, cache hits included.
+// under -race (CI does) this test catches a delta tree whose pool
+// mutates unsynchronized LRU bookkeeping on every read, cache hits
+// included.
 func TestConcurrentQueriesWithStagedDelta(t *testing.T) {
 	r := rand.New(rand.NewSource(41))
 	els := randomElements(r, 2000)

@@ -10,6 +10,7 @@ import (
 	"regexp"
 	"strconv"
 
+	"flat/internal/core"
 	"flat/internal/geom"
 	"flat/internal/storage"
 )
@@ -97,6 +98,18 @@ func manifestFormat(f storage.PageFormat) int {
 	return int(f)
 }
 
+// entryFor is the manifest's record of shard s as bulkloaded into ix at
+// generation gen.
+func entryFor(s int, gen uint64, ix *core.Index) shardEntry {
+	return shardEntry{
+		File:       shardFileName(s, gen),
+		Generation: gen,
+		Bounds:     mbrToArray(ix.Bounds()),
+		Elements:   ix.Len(),
+		PageFormat: manifestFormat(ix.PageFormat()),
+	}
+}
+
 func mbrToArray(m geom.MBR) [6]float64 {
 	return [6]float64{m.Min.X, m.Min.Y, m.Min.Z, m.Max.X, m.Max.Y, m.Max.Z}
 }
@@ -141,6 +154,62 @@ func walFileName(gen uint64) string {
 // walFilePattern recognizes WAL files of any generation for the GC
 // pass, mirroring shardFilePattern.
 var walFilePattern = regexp.MustCompile(`^wal(\.gen-\d+)?\.log$`)
+
+// commit is the one commit step of an index directory (the protocol at
+// the top of this file); Build, Rebuild and the open-time WAL upgrade all
+// publish through it. The shard files m references are already durable
+// (bulkload's job). In order:
+//
+//   - With withWAL, a fresh log named after gen is created, fsynced and
+//     referenced from m — durable, like the shard files, before a manifest
+//     names it. A rebuild rotates to it rather than truncating its old log:
+//     a crash between swap and truncate would replay operations the shard
+//     files already contain, so the manifest rename is the truncation.
+//   - The manifest swap is the commit point. A hard failure removes the
+//     fresh log and is returned: the directory still commits what it did,
+//     and the caller removes the shard files it wrote.
+//   - A swap that landed but is not durable (errManifestNotDurable) is
+//     honored — the new files may not be removed — but gc then does
+//     nothing, so a crash that loses the rename still finds the old files.
+//   - Otherwise gc removes every shard file and log the committed manifest
+//     does not reference (old generations, a larger previous K, strands of
+//     a crashed build). It is returned, not run, because Rebuild first
+//     swaps its in-memory state and closes the old generation's pagers.
+//
+// commit returns the fresh log (nil without withWAL).
+func commit(dir string, m manifest, withWAL bool, gen uint64) (wal *storage.WAL, gc func(), err error) {
+	if withWAL {
+		m.WAL = walFileName(gen)
+		if wal, err = storage.CreateWAL(filepath.Join(dir, m.WAL)); err != nil {
+			return nil, nil, err
+		}
+		err = wal.Sync()
+	}
+	if err == nil {
+		err = writeManifest(dir, m)
+	}
+	switch {
+	case err == nil:
+	case errors.Is(err, errManifestNotDurable):
+		return wal, func() {}, nil
+	default:
+		if wal != nil {
+			wal.Close()
+			os.Remove(wal.Path())
+		}
+		return nil, nil, err
+	}
+	return wal, func() {
+		keep := make(map[string]bool, len(m.Entries)+1)
+		for _, e := range m.Entries {
+			keep[e.File] = true
+		}
+		if m.WAL != "" {
+			keep[m.WAL] = true
+		}
+		gcStale(dir, keep)
+	}, nil
+}
 
 // writeManifest atomically replaces dir's manifest: the JSON is staged
 // in a temp file in the same directory, fsynced, and renamed over

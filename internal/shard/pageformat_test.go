@@ -122,7 +122,7 @@ func buildShardFile(t *testing.T, dir string, s int, els []geom.Element, format 
 		t.Fatal(err)
 	}
 	cp := append([]geom.Element(nil), els...)
-	ix, err := core.Build(storage.NewBufferPool(view, 0), cp, core.Options{PageFormat: format})
+	ix, err := core.Build(storage.NewConcurrentPool(view, 0), cp, core.Options{PageFormat: format})
 	if err != nil {
 		t.Fatal(err)
 	}

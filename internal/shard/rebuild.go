@@ -20,7 +20,6 @@
 package shard
 
 import (
-	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -501,17 +500,16 @@ func (s *Set) Rebuild() ([]int, error) {
 		return nil, nil
 	}
 
-	// Phase 2 (disk): commit by atomically swapping the manifest to the
-	// new generation. Until this succeeds the old index remains the
-	// authoritative state on disk and in memory. If the swap happened
-	// but could not be made durable (errManifestNotDurable), the new
-	// generation is the index now — proceed, but keep the old files so
-	// a crash that loses the rename still finds them.
-	skipGC := false
+	// Phase 2 (disk): commit the new generation (see commit). Until this
+	// succeeds the old index remains the authoritative state on disk and
+	// in memory, and the staged updates stay in the old log. The swap is
+	// also the log's rotation point: it folds the staged updates into the
+	// shard files, so the log that held them is spent.
 	world := s.world
 	for _, b := range built {
 		world = world.Union(b.ix.Bounds())
 	}
+	gc := func() {}
 	if s.dir != "" {
 		m := manifest{
 			World:        mbrToArray(world),
@@ -520,59 +518,19 @@ func (s *Set) Rebuild() ([]int, error) {
 			Entries:      make([]shardEntry, len(s.shards)),
 		}
 		for i, ix := range s.shards {
-			m.Entries[i] = shardEntry{
-				File:       shardFileName(i, s.gens[i]),
-				Generation: s.gens[i],
-				Bounds:     mbrToArray(ix.Bounds()),
-				Elements:   ix.Len(),
-				PageFormat: manifestFormat(ix.PageFormat()),
-			}
+			m.Entries[i] = entryFor(i, s.gens[i], ix)
 		}
 		for _, b := range built {
-			m.Entries[b.shard] = shardEntry{
-				File:       shardFileName(b.shard, gen),
-				Generation: gen,
-				Bounds:     mbrToArray(b.ix.Bounds()),
-				Elements:   b.ix.Len(),
-				PageFormat: manifestFormat(b.ix.PageFormat()),
-			}
+			m.Entries[b.shard] = entryFor(b.shard, gen, b.ix)
 		}
-		// The manifest swap is also the WAL's truncation point: the swap
-		// folds the staged updates into the shard files, so the log that
-		// held them is spent. Truncating it in place would race a crash
-		// (crash after swap, before truncate → replay re-stages operations
-		// the shards already contain), so instead a fresh
-		// generation-suffixed log is created — durable first — and the
-		// manifest swap atomically retargets the directory at it.
 		var newWAL *storage.WAL
-		if s.wal != nil {
-			w, err := storage.CreateWAL(filepath.Join(s.dir, walFileName(gen)))
-			if err != nil {
-				return fail(err)
-			}
-			if err := w.Sync(); err != nil {
-				w.Close()
-				os.Remove(w.Path())
-				return fail(err)
-			}
-			newWAL = w
-			m.WAL = walFileName(gen)
-		}
-		switch err := writeManifest(s.dir, m); {
-		case err == nil:
-		case errors.Is(err, errManifestNotDurable):
-			skipGC = true
-		default:
-			if newWAL != nil {
-				newWAL.Close()
-				os.Remove(newWAL.Path())
-			}
+		var err error
+		if newWAL, gc, err = commit(s.dir, m, s.wal != nil, gen); err != nil {
 			return fail(err)
 		}
 		if newWAL != nil {
 			// The manifest now references the new log; the old one is
-			// garbage (collected below unless skipGC keeps it for a crash
-			// that loses the un-synced rename).
+			// garbage for gc below.
 			s.wal.Close()
 			s.wal = newWAL
 		}
@@ -611,16 +569,7 @@ func (s *Set) Rebuild() ([]int, error) {
 	}
 	// Phase 4 (disk): the old generations are garbage now that the
 	// manifest no longer references them.
-	if s.dir != "" && !skipGC {
-		keep := make(map[string]bool, len(s.shards)+1)
-		for i := range s.shards {
-			keep[shardFileName(i, s.gens[i])] = true
-		}
-		if s.wal != nil {
-			keep[filepath.Base(s.wal.Path())] = true
-		}
-		gcStale(s.dir, keep)
-	}
+	gc()
 
 	s.clearStagedLocked()
 	out := make([]int, 0, len(built))

@@ -582,21 +582,28 @@ func TestCrashBeforeManifestSwap(t *testing.T) {
 // TestFailedBuildCleansUp: a build that dies mid-way must not leave
 // partial page files (or a manifest) behind.
 func TestFailedBuildCleansUp(t *testing.T) {
-	r := rand.New(rand.NewSource(45))
-	els := randomElements(r, 200)
-	dir := filepath.Join(t.TempDir(), "idx")
 	// PageCapacity beyond the page's physical capacity fails inside
-	// every shard's core.Build, after the page files were created.
-	_, err := Build(els, Config{Shards: 2, PageCapacity: 100000, Dir: dir})
-	if err == nil {
-		t.Fatal("build with absurd page capacity should fail")
-	}
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, e := range entries {
-		t.Errorf("failed build left %s behind", e.Name())
+	// every shard's core.Build, after the page files were created. With
+	// every shard failing on concurrent workers, the reported shard must
+	// still be the lowest one (RunBatch's deterministic-error contract).
+	for _, k := range []int{2, 3} {
+		r := rand.New(rand.NewSource(45))
+		els := randomElements(r, 200)
+		dir := filepath.Join(t.TempDir(), "idx")
+		_, err := Build(els, Config{Shards: k, PageCapacity: 100000, Dir: dir, BuildWorkers: k})
+		if err == nil {
+			t.Fatalf("K=%d: build with absurd page capacity should fail", k)
+		}
+		if !strings.HasPrefix(err.Error(), "shard 0:") {
+			t.Errorf("K=%d: build reported %q, want the lowest failing shard (shard 0)", k, err)
+		}
+		entries, err := os.ReadDir(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, e := range entries {
+			t.Errorf("K=%d: failed build left %s behind", k, e.Name())
+		}
 	}
 }
 

@@ -28,9 +28,11 @@
 // under crash-safe generation-tagged manifests — see rebuild.go.
 //
 // Every shard, of every shape, is written by one bulkload step
-// (bulkload) and restored by one open step (openShards). The unsharded
-// public index is not a second implementation but the K=1 set over a
-// single page file (Config.File, OpenFile).
+// (bulkload) and restored by one open step (openShards), and every
+// generation of a directory is published by one commit step (commit,
+// manifest.go). The unsharded public index is not a second
+// implementation but the K=1 set over a single page file (Config.File,
+// OpenFile).
 package shard
 
 import (
@@ -39,7 +41,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"runtime"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -266,7 +267,7 @@ func Build(els []geom.Element, cfg Config) (*Set, error) {
 	}
 
 	built := make([]*core.Index, k)
-	err = forEach(k, cfg.BuildWorkers, func(s int) (err error) {
+	err = RunBatch(context.Background(), k, cfg.BuildWorkers, func(s int) (err error) {
 		built[s], err = bulkload(pagers[s], s, groups[s], core.Options{
 			PageCapacity: cfg.PageCapacity,
 			SeedFanout:   cfg.SeedFanout,
@@ -294,56 +295,14 @@ func Build(els []geom.Element, cfg Config) (*Set, error) {
 			Entries:      make([]shardEntry, k),
 		}
 		for s, ix := range built {
-			m.Entries[s] = shardEntry{
-				File:       shardFileName(s, gen),
-				Generation: gen,
-				Bounds:     mbrToArray(ix.Bounds()),
-				Elements:   ix.Len(),
-				PageFormat: manifestFormat(ix.PageFormat()),
-			}
+			m.Entries[s] = entryFor(s, gen, ix)
 		}
-		// The WAL, like the shard files, must be durable before the
-		// manifest references it.
-		if cfg.WAL {
-			w, err := storage.CreateWAL(filepath.Join(cfg.Dir, walFileName(gen)))
-			if err != nil {
-				closeAll()
-				return nil, err
-			}
-			if err := w.Sync(); err != nil {
-				w.Close()
-				os.Remove(w.Path())
-				closeAll()
-				return nil, err
-			}
-			wal = w
-			m.WAL = walFileName(gen)
-		}
-		// The manifest swap is the commit point; once it lands, any file
-		// it does not reference — old generations, stale shards of a
-		// previous (larger) K, strands of a crashed build — is garbage.
-		// A committed-but-not-durable swap must be honored (the new files
-		// may not be removed), but skips the GC so a crash that loses the
-		// un-synced rename still finds the old generation's files.
-		switch err := writeManifest(cfg.Dir, m); {
-		case err == nil:
-			keep := make(map[string]bool, k+1)
-			for _, e := range m.Entries {
-				keep[e.File] = true
-			}
-			if m.WAL != "" {
-				keep[m.WAL] = true
-			}
-			gcStale(cfg.Dir, keep)
-		case errors.Is(err, errManifestNotDurable):
-		default:
-			if wal != nil {
-				wal.Close()
-				os.Remove(wal.Path())
-			}
+		var gc func()
+		if wal, gc, err = commit(cfg.Dir, m, cfg.WAL, gen); err != nil {
 			closeAll()
 			return nil, err
 		}
+		gc()
 	}
 
 	// Serve every shard from one shared, globally budgeted pool. The
@@ -388,7 +347,7 @@ func bulkload(pager storage.Pager, s int, els []geom.Element, opts core.Options,
 	if err != nil {
 		return nil, err
 	}
-	ix, err := core.Build(storage.NewBufferPool(view, 0), els, opts)
+	ix, err := core.Build(storage.NewConcurrentPool(view, 0), els, opts)
 	if err != nil {
 		return nil, fmt.Errorf("shard %d: %w", s, err)
 	}
@@ -580,28 +539,17 @@ func (set *Set) openWAL(m manifest, enable bool) error {
 	}
 	// Name the new log after the directory's current generation so a
 	// later rebuild's rotation (which uses a strictly newer generation)
-	// can never collide with it.
+	// can never collide with it. commit's GC step is dropped: opening
+	// never collects garbage (files a crashed build stranded are ignored
+	// here and removed by the next build or rebuild).
 	var gen uint64
 	for _, e := range m.Entries {
 		if e.Generation > gen {
 			gen = e.Generation
 		}
 	}
-	w, err := storage.CreateWAL(filepath.Join(set.dir, walFileName(gen)))
+	w, _, err := commit(set.dir, m, true, gen)
 	if err != nil {
-		return err
-	}
-	if err := w.Sync(); err != nil {
-		w.Close()
-		os.Remove(w.Path())
-		return err
-	}
-	m.WAL = walFileName(gen)
-	switch err := writeManifest(set.dir, m); {
-	case err == nil, errors.Is(err, errManifestNotDurable):
-	default:
-		w.Close()
-		os.Remove(w.Path())
 		return err
 	}
 	set.wal = w
@@ -750,49 +698,4 @@ func (s *Set) Close() error {
 		return err
 	}
 	return werr
-}
-
-// forEach runs fn(0..n-1) on a bounded worker pool and returns the
-// first error (remaining items may be skipped once a worker fails).
-func forEach(n, workers int, fn func(i int) error) error {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > n {
-		workers = n
-	}
-	var (
-		wg     sync.WaitGroup
-		mu     sync.Mutex
-		next   int
-		failed bool
-		first  error
-	)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				mu.Lock()
-				if failed || next >= n {
-					mu.Unlock()
-					return
-				}
-				i := next
-				next++
-				mu.Unlock()
-				if err := fn(i); err != nil {
-					mu.Lock()
-					if first == nil {
-						first = err
-					}
-					failed = true
-					mu.Unlock()
-					return
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	return first
 }

@@ -141,7 +141,7 @@ func testSingleShardParity(t *testing.T, fanout int) {
 	// Unsharded reference.
 	refEls := append([]geom.Element(nil), els...)
 	refPager := storage.NewMemPager()
-	refPool := storage.NewBufferPool(refPager, 0)
+	refPool := storage.NewConcurrentPool(refPager, 0)
 	ref, err := core.Build(refPool, refEls, core.Options{PageCapacity: 16, SeedFanout: fanout})
 	if err != nil {
 		t.Fatal(err)
@@ -214,7 +214,7 @@ func testSingleShardParity(t *testing.T, fanout int) {
 		t.Fatal(err)
 	}
 	refEls = append(refEls[:0], els...)
-	refOnDisk, err := core.Build(storage.NewBufferPool(refFile, 0), refEls, core.Options{PageCapacity: 16, SeedFanout: fanout})
+	refOnDisk, err := core.Build(storage.NewConcurrentPool(refFile, 0), refEls, core.Options{PageCapacity: 16, SeedFanout: fanout})
 	if err != nil {
 		t.Fatal(err)
 	}

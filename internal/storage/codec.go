@@ -165,5 +165,5 @@ const MBRSize = 48
 // leaf page: a 48-byte MBR plus an 8-byte element id. (The paper packs 85
 // bare 48-byte MBRs per page; we additionally store the element id the
 // text describes as the "primary key", giving 73 entries per 4 KiB page
-// after the header. See DESIGN.md §7.)
+// after the header.)
 const ElementSize = MBRSize + 8

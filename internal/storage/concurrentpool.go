@@ -10,11 +10,18 @@ import (
 // goroutines reading different pages almost never share a lock.
 const poolShards = 64
 
-// ConcurrentPool is a lock-striped LRU page cache over a Pager, safe for
-// use by many goroutines at once. It backs the public flat.Index: the
-// paper's workload profile is read-mostly (models change rarely and in
-// batches; range queries dominate), so the serving path wants many
-// queries in flight against one shared cache.
+// ConcurrentPool is the repository's one page cache: a lock-striped LRU
+// over a Pager with read/write accounting per page category, safe for
+// use by many goroutines at once.
+//
+// It plays the role of the OS page cache in the paper's setup: within a
+// single query, re-touching an already-fetched page is free; before each
+// query the figure harness calls Reset or DropFrames (the paper
+// overwrites the OS cache with an empty file), so every query starts
+// cold. The paper's workload is read-mostly (models change rarely and in
+// batches; range queries dominate), so serving wants many queries in
+// flight against one shared cache; an unbounded pool never evicts, so
+// the miss counts of builds and figures do not depend on the striping.
 //
 // Design:
 //
@@ -41,8 +48,7 @@ const poolShards = 64
 // The capacity bound is enforced per shard (capacity/poolShards frames
 // each, minimum one), so a bounded pool holds at most ~capacity frames
 // overall but a capacity below poolShards still caches up to one frame
-// per shard. Benchmark code that needs the paper's exact eviction order
-// uses BufferPool.
+// per shard, and eviction is LRU within a shard, not across the pool.
 type ConcurrentPool struct {
 	pager    Pager
 	adv      Adviser // pager's prefetch-hint side, nil when unsupported
@@ -50,6 +56,12 @@ type ConcurrentPool struct {
 	shards   [poolShards]poolShard
 	stats    AtomicStats
 	wmu      sync.Mutex // serializes Alloc/Write against the pager
+}
+
+// frame is one cached page: an immutable snapshot of its bytes.
+type frame struct {
+	id   PageID
+	data []byte
 }
 
 type poolShard struct {

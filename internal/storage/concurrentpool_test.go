@@ -212,34 +212,117 @@ func TestConcurrentPoolParallel(t *testing.T) {
 	}
 }
 
-func TestBufferPoolShortWriteError(t *testing.T) {
-	pager := fillPager(t, 1, CatObject)
-	pool := NewBufferPool(pager, 0)
-	if err := pool.Write(0, make([]byte, 100)); err == nil {
-		t.Fatal("short write must return an error, not panic")
+// TestConcurrentPoolLRUWithinStripe pins the eviction order the pool
+// does promise: least recently used first among the pages of one stripe.
+// Pages 0, 64 and 128 share a stripe, and a budget of 128 gives every
+// stripe two frames.
+func TestConcurrentPoolLRUWithinStripe(t *testing.T) {
+	pager := fillPager(t, 2*poolShards+1, CatObject)
+	pool := NewConcurrentPool(pager, 2*poolShards)
+	a, b, c := PageID(0), PageID(poolShards), PageID(2*poolShards)
+	pool.Read(a)
+	pool.Read(b)
+	pool.Read(a) // a is now MRU
+	pool.Read(c) // evicts b
+	if !pool.Cached(a) {
+		t.Error("page a should still be cached")
 	}
-	if _, err := pool.Read(0); err != nil {
-		t.Fatal(err)
+	if pool.Cached(b) {
+		t.Error("page b should have been evicted")
 	}
-	if err := pool.Write(0, make([]byte, PageSize-1)); err == nil {
-		t.Fatal("short write on cached page must return an error")
+	if !pool.Cached(c) {
+		t.Error("page c should be cached")
+	}
+	if pool.Len() != 2 {
+		t.Errorf("Len = %d, want 2", pool.Len())
+	}
+	// Re-reading the evicted page is a miss again.
+	before := pool.Stats().TotalReads()
+	pool.Read(b)
+	if got := pool.Stats().TotalReads(); got != before+1 {
+		t.Errorf("evicted page re-read not counted")
 	}
 }
 
-func TestBufferPoolReadInto(t *testing.T) {
-	pager := fillPager(t, 4, CatSeedInternal)
-	pool := NewBufferPool(pager, 0)
-	var local Stats
-	if _, err := pool.ReadInto(0, &local); err != nil {
+func TestConcurrentPoolResetMakesQueriesCold(t *testing.T) {
+	pool := NewConcurrentPool(fillPager(t, 2, CatObject), 0)
+	pool.Read(0)
+	pool.Read(1)
+	if pool.Stats().TotalReads() != 2 {
+		t.Fatal("setup")
+	}
+	pool.Reset()
+	if pool.Stats().TotalReads() != 0 {
+		t.Error("Reset did not clear stats")
+	}
+	if pool.Len() != 0 {
+		t.Error("Reset did not clear frames")
+	}
+	pool.Read(0)
+	if pool.Stats().TotalReads() != 1 {
+		t.Error("read after Reset should be a cold miss")
+	}
+}
+
+func TestConcurrentPoolDropFramesKeepsCounters(t *testing.T) {
+	pool := NewConcurrentPool(fillPager(t, 1, CatObject), 0)
+	pool.Read(0)
+	pool.DropFrames()
+	if pool.Stats().TotalReads() != 1 {
+		t.Error("DropFrames cleared counters")
+	}
+	pool.Read(0)
+	if pool.Stats().TotalReads() != 2 {
+		t.Error("read after DropFrames should be cold")
+	}
+}
+
+func TestConcurrentPoolWriteThrough(t *testing.T) {
+	p := NewMemPager()
+	pool := NewConcurrentPool(p, 0)
+	id, _ := pool.Alloc(CatMetadata)
+	src := make([]byte, PageSize)
+	src[5] = 42
+	if err := pool.Write(id, src); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := pool.ReadInto(0, &local); err != nil {
+	if pool.Stats().Writes[CatMetadata] != 1 {
+		t.Error("write not counted")
+	}
+	// Underlying pager sees the bytes.
+	dst := make([]byte, PageSize)
+	if err := p.ReadPage(id, dst); err != nil {
 		t.Fatal(err)
 	}
-	if local.Reads[CatSeedInternal] != 1 {
-		t.Errorf("local reads = %d, want 1 (second read is a hit)", local.Reads[CatSeedInternal])
+	if dst[5] != 42 {
+		t.Error("write-through failed")
 	}
-	if pool.Stats().Reads[CatSeedInternal] != 1 {
-		t.Errorf("global reads = %d, want 1", pool.Stats().Reads[CatSeedInternal])
+	// The write also primed the cache: reading is not a miss.
+	before := pool.Stats().TotalReads()
+	got, err := pool.Read(id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got[5] != 42 {
+		t.Error("cached read returned stale data")
+	}
+	if pool.Stats().TotalReads() != before {
+		t.Error("read after write should hit cache")
+	}
+	// Overwriting an already-cached page replaces the frame.
+	src[5] = 43
+	if err := pool.Write(id, src); err != nil {
+		t.Fatal(err)
+	}
+	got, _ = pool.Read(id)
+	if got[5] != 43 {
+		t.Error("cached frame not updated by second write")
+	}
+}
+
+func TestConcurrentPoolReadError(t *testing.T) {
+	pool := NewConcurrentPool(NewMemPager(), 0)
+	if _, err := pool.Read(123); err == nil {
+		t.Error("reading unallocated page should fail")
 	}
 }

@@ -2,7 +2,7 @@ package storage
 
 // MemPager is an in-memory Pager. It is the default substrate for tests
 // and for the benchmark harness: the paper's metric is page reads, which
-// the BufferPool counts identically regardless of whether the bytes come
+// the pool counts identically regardless of whether the bytes come
 // from memory or a file, and an in-memory backing keeps the density sweeps
 // fast and deterministic.
 type MemPager struct {

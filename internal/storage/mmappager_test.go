@@ -146,10 +146,10 @@ func TestMmapPagerBadSizes(t *testing.T) {
 	}
 }
 
-// TestPoolsOverMmap verifies both pools serve mmap-backed pages through
-// the zero-copy frame path with identical read accounting, and that the
+// TestPoolOverMmap verifies the pool serves mmap-backed pages through
+// the zero-copy frame path with the usual read accounting, and that the
 // cached frame is the mapping itself, not a copy.
-func TestPoolsOverMmap(t *testing.T) {
+func TestPoolOverMmap(t *testing.T) {
 	path, contents := writeTestFile(t, 4)
 	mp, err := storage.OpenMmapPager(path)
 	if err != nil {
@@ -158,8 +158,9 @@ func TestPoolsOverMmap(t *testing.T) {
 	defer mp.Close()
 	mp.SetCategory(2, storage.CatObject)
 
-	pool := storage.NewBufferPool(mp, 2)
-	got, err := pool.Read(2)
+	pool := storage.NewConcurrentPool(mp, 2)
+	var local storage.Stats
+	got, err := pool.ReadInto(2, &local)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -168,10 +169,10 @@ func TestPoolsOverMmap(t *testing.T) {
 	}
 	fr, _ := mp.Frame(2)
 	if &got[0] != &fr[0] {
-		t.Fatal("BufferPool copied an mmap frame instead of aliasing it")
+		t.Fatal("pool copied an mmap frame instead of aliasing it")
 	}
-	if pool.Stats().Reads[storage.CatObject] != 1 {
-		t.Fatalf("stats after miss: %+v", pool.Stats())
+	if local.Reads[storage.CatObject] != 1 || pool.Stats().Reads[storage.CatObject] != 1 {
+		t.Fatalf("stats after miss: local %+v global %+v", local, pool.Stats())
 	}
 	if _, err := pool.Read(2); err != nil {
 		t.Fatal(err)
@@ -186,19 +187,6 @@ func TestPoolsOverMmap(t *testing.T) {
 	again, _ := pool.Read(2)
 	if string(again) != string(contents[2]) {
 		t.Fatal("failed write corrupted the cached frame")
-	}
-
-	cp := storage.NewConcurrentPool(mp, 2)
-	var local storage.Stats
-	got, err = cp.ReadInto(2, &local)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(got) != string(contents[2]) || &got[0] != &fr[0] {
-		t.Fatal("ConcurrentPool did not alias the mmap frame")
-	}
-	if local.Reads[storage.CatObject] != 1 || cp.Stats().Reads[storage.CatObject] != 1 {
-		t.Fatalf("concurrent pool stats: local %+v global %+v", local, cp.Stats())
 	}
 }
 

@@ -8,15 +8,16 @@
 //
 //   - Pager: a flat array of 4 KiB pages, backed either by a real file
 //     (FilePager) or by memory (MemPager, for tests and benchmarks).
-//   - BufferPool: an LRU page cache layered over a Pager. Reads that miss
-//     the pool are counted as disk page reads, classified by the page's
-//     allocation category (R-tree leaf, R-tree internal, FLAT object page,
-//     seed-tree node, metadata...). Reset drops all cached frames and
-//     zeroes the counters — the equivalent of the paper's cache clearing
-//     between queries.
+//   - ConcurrentPool: the one LRU page cache, layered over a Pager.
+//     Reads that miss the pool are counted as disk page reads, classified
+//     by the page's allocation category (R-tree leaf, R-tree internal,
+//     FLAT object page, seed-tree node, metadata...). Reset drops all
+//     cached frames and zeroes the counters — the equivalent of the
+//     paper's cache clearing between queries.
 //
 // All figures in the paper that report "page reads", "data retrieved" or
-// leaf/non-leaf breakdowns are computed directly from BufferPool counters.
+// leaf/non-leaf breakdowns are computed directly from the pool's miss
+// counters (globally via Stats, per query via ReadInto).
 package storage
 
 import (
@@ -35,7 +36,7 @@ type PageID uint64
 const InvalidPage = PageID(^uint64(0))
 
 // Category classifies a page by the structure it belongs to. Pages are
-// tagged at allocation time; the BufferPool attributes reads and writes to
+// tagged at allocation time; the pool attributes reads and writes to
 // the page's category so that every breakdown figure in the paper
 // (seed tree vs metadata vs object pages; leaf vs non-leaf) can be
 // produced from counters.

@@ -1,13 +1,9 @@
 package storage
 
 // Pool is the page-cache interface every index in this repository reads
-// and writes through. Two implementations exist:
-//
-//   - BufferPool: a single-goroutine LRU. It is the paper-methodology
-//     pool: deterministic counters, cold-per-query via DropFrames, used
-//     by the benchmark harness and by build code.
-//   - ConcurrentPool: a lock-striped LRU safe for many goroutines at
-//     once, used by the public flat.Index to serve concurrent queries.
+// and writes through. ConcurrentPool is its one implementation here; the
+// interface stays so measurement code can wrap a pool (core.Index.WithPool
+// takes any Pool) without the index knowing.
 //
 // Per-query accounting goes through ReadInto: a query passes its own
 // Stats value and receives exactly the misses it caused, so it never has
@@ -46,7 +42,4 @@ type Pool interface {
 	Reset()
 }
 
-var (
-	_ Pool = (*BufferPool)(nil)
-	_ Pool = (*ConcurrentPool)(nil)
-)
+var _ Pool = (*ConcurrentPool)(nil)

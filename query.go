@@ -187,7 +187,7 @@ func (b *base) BatchRangeQuery(ctx context.Context, queries []MBR, workers int) 
 	}
 	defer b.guard.exit()
 	out := make([]BatchResult, len(queries))
-	err := runBatch(ctx, len(queries), workers, func(i int) error {
+	err := shard.RunBatch(ctx, len(queries), workers, func(i int) error {
 		var els []Element
 		st, err := b.set.StreamQuery(ctx, queries[i], shard.StreamOptions{}, func(e Element) bool {
 			els = append(els, e)
@@ -211,7 +211,7 @@ func (b *base) BatchCountQuery(ctx context.Context, queries []MBR, workers int) 
 	defer b.guard.exit()
 	counts := make([]int, len(queries))
 	stats := make([]QueryStats, len(queries))
-	err := runBatch(ctx, len(queries), workers, func(i int) error {
+	err := shard.RunBatch(ctx, len(queries), workers, func(i int) error {
 		st, err := b.set.StreamQuery(ctx, queries[i], shard.StreamOptions{}, func(Element) bool { return true })
 		if err == nil {
 			counts[i] = st.Results

@@ -27,7 +27,7 @@ func (s RTreeStrategy) String() string { return rtree.Strategy(s).String() }
 // dense data FLAT (Index) is the recommended structure.
 type RTree struct {
 	inner *rtree.Tree
-	pool  *storage.BufferPool
+	pool  *storage.ConcurrentPool
 	pager storage.Pager
 }
 
@@ -40,7 +40,9 @@ type RTreeStats struct {
 
 // BuildRTree bulkloads a baseline R-tree over els (reordered in place)
 // with the given strategy. Options semantics match Build; PageCapacity
-// caps leaf entries.
+// caps leaf entries. A bounded tree (BufferPages > 0) evicts per cache
+// stripe (64 stripes of BufferPages/64 frames, minimum one), not in one
+// global LRU order; the default unbounded cache never evicts.
 func BuildRTree(els []Element, strategy RTreeStrategy, opts *Options) (*RTree, error) {
 	var o Options
 	if opts != nil {
@@ -56,7 +58,7 @@ func BuildRTree(els []Element, strategy RTreeStrategy, opts *Options) (*RTree, e
 	} else {
 		pager = storage.NewMemPager()
 	}
-	pool := storage.NewBufferPool(pager, o.BufferPages)
+	pool := storage.NewConcurrentPool(pager, o.BufferPages)
 	world := o.World
 	if world.Empty() || world == (MBR{}) {
 		world = geom.ElementsMBR(els)
