@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race lint flatlint fuzz fmt benchmark-check loc
+.PHONY: all build test race lint flatlint fuzz fmt benchmark-check bench-check loc
 
 all: build test
 
@@ -33,6 +33,12 @@ fmt:
 # build/test never compile; run this after touching any API it drives.
 benchmark-check:
 	(cd benchmark && $(GO) vet . && $(GO) test -short ./...)
+
+# The page-read regression gate: re-run every committed BENCH_*.json at
+# the configuration the file records and require every cell outside its
+# timed columns to match exactly (~1 min).
+bench-check:
+	$(GO) run ./cmd/flatbench -check .
 
 # Non-test Go line count outside benchmark/ — the number simplification
 # PRs report before and after.

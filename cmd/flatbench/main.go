@@ -10,10 +10,13 @@
 //	flatbench -fig 12                      # one experiment
 //	flatbench -fig 2,12,15 -v              # several, with progress logging
 //	flatbench -fig all -quick              # the full suite at smoke-test scale
-//	flatbench -fig all -csv out/           # also write each table as CSV
-//	flatbench -fig throughput -workers 1,8 # concurrent-serving throughput
+//	flatbench -fig nn -quick -json .       # (re-)record BENCH_nn.json
+//	flatbench -check .                     # the regression gate (make bench-check)
 //
-// See README.md, "Running the benchmarks"; recorded results are the
+// -check DIR re-runs every BENCH_*.json under DIR at the configuration
+// the file itself records and fails unless every cell outside the
+// file's timed (wall-clock) columns matches exactly. See README.md,
+// "Running the benchmarks"; the committed baselines are the
 // BENCH_*.json files at the repository root.
 package main
 
@@ -21,7 +24,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"path/filepath"
 	"strconv"
 	"strings"
 
@@ -33,18 +35,26 @@ func main() {
 		figs      = flag.String("fig", "all", "comma-separated experiment ids (e.g. 2,12,20) or 'all'")
 		quick     = flag.Bool("quick", false, "run at smoke-test scale (3 densities, 40 queries)")
 		verbose   = flag.Bool("v", false, "log progress to stderr")
-		csvDir    = flag.String("csv", "", "directory to also write each table as CSV")
 		queries   = flag.Int("queries", 0, "queries per micro-benchmark (default 200; 40 with -quick)")
 		densities = flag.String("densities", "", "comma-separated element counts (default 50000..450000)")
 		nodeCap   = flag.Int("nodecap", 0, "entries per node/page for all indexes (default 16; 0 keeps default)")
 		scale     = flag.Float64("otherscale", 0, "scale factor for the Section VIII data sets (default 1/200)")
-		workers   = flag.String("workers", "", "comma-separated worker counts for the throughput experiment (default 1,4,8,16)")
-		shards    = flag.String("shards", "", "comma-separated shard counts for the shards/streammerge experiments (default 1,2,4,8)")
-		prefetch  = flag.String("prefetch", "", "comma-separated shard-prefetch widths for the streammerge experiment (default 0,2,4; the sequential baseline 0 is always run)")
+		shards    = flag.String("shards", "", "comma-separated shard counts for the shards experiment (default 1,2,4,8)")
 		jsonDir   = flag.String("json", "", "directory to also write each experiment as machine-readable BENCH_<experiment>.json")
 		seed      = flag.Int64("seed", 0, "generator seed (default 1)")
+		check     = flag.String("check", "", "re-run every BENCH_*.json in this directory at its own recorded configuration and fail unless every non-timed cell matches; a mode, not an option: no other flag applies")
 	)
 	flag.Parse()
+
+	if *check != "" {
+		if flag.NFlag() > 1 {
+			fatalf("-check re-runs each file at the configuration it records; no other flag applies")
+		}
+		if err := bench.Check(*check, os.Stdout); err != nil {
+			fatalf("check failed:\n%v", err)
+		}
+		return
+	}
 
 	cfg := bench.DefaultConfig()
 	if *quick {
@@ -54,7 +64,7 @@ func main() {
 		cfg.Queries = *queries
 	}
 	if *densities != "" {
-		cfg.Densities = intList(*densities, 1, "density")
+		cfg.Densities = intList(*densities, "density")
 	}
 	if *nodeCap > 0 {
 		cfg.NodeCapacity = *nodeCap
@@ -62,15 +72,8 @@ func main() {
 	if *scale > 0 {
 		cfg.OtherScale = *scale
 	}
-	if *workers != "" {
-		cfg.Workers = intList(*workers, 1, "worker count")
-	}
 	if *shards != "" {
-		cfg.Shards = intList(*shards, 1, "shard count")
-	}
-	if *prefetch != "" {
-		// 0 is legal here: it is the sequential baseline.
-		cfg.Prefetch = intList(*prefetch, 0, "prefetch width")
+		cfg.Shards = intList(*shards, "shard count")
 	}
 	if *seed != 0 {
 		cfg.Seed = *seed
@@ -88,7 +91,7 @@ func main() {
 		for _, f := range strings.Split(*figs, ",") {
 			f = strings.TrimSpace(f)
 			// Bare figure numbers get the "fig" prefix; named experiments
-			// (ablation, throughput) pass through untouched.
+			// (ablation, shards) pass through untouched.
 			if _, err := strconv.Atoi(f); err == nil {
 				f = "fig" + f
 			}
@@ -102,37 +105,23 @@ func main() {
 			fatalf("%s: %v", id, err)
 		}
 		if *jsonDir != "" {
-			if _, err := bench.WriteJSON(*jsonDir, id, tables); err != nil {
+			if _, err := bench.WriteJSON(*jsonDir, id, cfg, tables); err != nil {
 				fatalf("json: %v", err)
 			}
 		}
-		for i, t := range tables {
+		for _, t := range tables {
 			t.Fprint(os.Stdout)
-			if *csvDir != "" {
-				if err := os.MkdirAll(*csvDir, 0o755); err != nil {
-					fatalf("csv dir: %v", err)
-				}
-				name := fmt.Sprintf("%s_%d.csv", id, i)
-				f, err := os.Create(filepath.Join(*csvDir, name))
-				if err != nil {
-					fatalf("csv: %v", err)
-				}
-				t.CSV(f)
-				if err := f.Close(); err != nil {
-					fatalf("csv: %v", err)
-				}
-			}
 		}
 	}
 }
 
-// intList parses a comma-separated list of integers, each at least min;
-// what names the value in the error.
-func intList(list string, min int, what string) []int {
+// intList parses a comma-separated list of positive integers; what names
+// the value in the error.
+func intList(list, what string) []int {
 	var out []int
 	for _, s := range strings.Split(list, ",") {
 		n, err := strconv.Atoi(strings.TrimSpace(s))
-		if err != nil || n < min {
+		if err != nil || n < 1 {
 			fatalf("bad %s %q", what, s)
 		}
 		out = append(out, n)

@@ -40,10 +40,11 @@ func (r *Runner) ablation() ([]*Table, error) {
 		Title: "Ablation: insertion-built (Guttman) vs bulkloaded (STR) R-tree",
 		Columns: []string{"variant", "build ms", "leaf pages", "total pages",
 			"SN page reads", "SN reads/query"},
-		Note: "paper (Sec. VII): bulkloaded trees win primarily via page utilization",
+		Timed: []string{"build ms"},
+		Note:  "paper (Sec. VII): bulkloaded trees win primarily via page utilization",
 	}
 	addTreeRow := func(name string, tree *rtree.Tree, pool *storage.ConcurrentPool, build time.Duration) error {
-		meas, err := runRTree(tree, pool, queries)
+		meas, err := coldRun(pool, queries, tree.CountQuery)
 		if err != nil {
 			return err
 		}
@@ -110,7 +111,7 @@ func (r *Runner) ablation() ([]*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		meas, err := runFLAT(ix, pool, queries)
+		meas, err := coldRun(pool, queries, flatCount(ix))
 		if err != nil {
 			return nil, err
 		}

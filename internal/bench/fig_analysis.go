@@ -38,7 +38,7 @@ func (r *Runner) fig20() ([]*Table, error) {
 		ID:      "fig20",
 		Title:   "Distribution of neighbor pointers per partition",
 		Columns: []string{"pointers"},
-		Note:    "paper: distribution sharpens with density but the mode stays constant",
+		Note:    "paper: distribution sharpens with density but the mode stays constant; here: not reproduced — the mode moves from 15-19 to 20-24 and the median from 15 to 23 over 50k-450k",
 	}
 	for _, n := range r.Cfg.Densities {
 		t.Columns = append(t.Columns, fmt.Sprintf("%d els", n))
@@ -131,7 +131,7 @@ func (r *Runner) fig21() ([]*Table, error) {
 		ID:      "fig21",
 		Title:   fmt.Sprintf("Partition volume vs neighbor pointers (uniform, n=%d)", n),
 		Columns: []string{"inflation", "partitions", "avg partition volume [µm³]", "avg neighbor pointers"},
-		Note:    "paper: pointers grow with partition volume",
+		Note:    "paper: pointers grow with partition volume; here: holds (13.6 -> 21.1 at 1.6x inflation)",
 	}
 	{
 		els := datagen.UniformBoxes(datagen.UniformSpec{
@@ -152,7 +152,7 @@ func (r *Runner) fig21() ([]*Table, error) {
 		ID:      "fig21",
 		Title:   "Element volume vs neighbor pointers (text experiment 1)",
 		Columns: []string{"element volume [µm³]", "avg neighbor pointers", "vs base %"},
-		Note:    "paper: 5x element volume => ~10% more pointers",
+		Note:    "paper: 5x element volume => ~10% more pointers; here: holds (+8.7%)",
 	}
 	base := 0.0
 	for _, vol := range []float64{18, 36, 54, 72, 90} {
@@ -175,7 +175,7 @@ func (r *Runner) fig21() ([]*Table, error) {
 		ID:      "fig21",
 		Title:   "Element aspect ratio vs neighbor pointers (text experiment 2)",
 		Columns: []string{"side range [µm]", "avg neighbor pointers"},
-		Note:    "paper: average grows ~linearly, 17.4 -> 22.9 across the range",
+		Note:    "paper: average grows ~linearly, 17.4 -> 22.9 across the range; here: not reproduced — flat at 13.5-13.8",
 	}
 	for _, hi := range []float64{5, 12.5, 20, 27.5, 35} {
 		els := datagen.UniformBoxes(datagen.UniformSpec{

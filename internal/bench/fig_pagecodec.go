@@ -74,6 +74,7 @@ func (r *Runner) pagecodec() ([]*Table, error) {
 			"format", "workload", "object pages", "elems/page", "bytes/elem",
 			"size MiB", "build ms", "page reads", "reads/query", "object reads", "results",
 		},
+		Timed: []string{"build ms"},
 		Note: fmt.Sprintf("cold per query (frames dropped); results asserted element-for-element identical "+
 			"across formats, unsharded and sharded K=4; LSS page reads asserted strictly lower on v2; "+
 			"elements-per-page ratio %.2fx (floor 1.5x); bytes/elem counts the whole index footprint", pageRatio),

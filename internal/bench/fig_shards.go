@@ -98,20 +98,21 @@ func (r *Runner) shardsExperiment() ([]*Table, error) {
 	if sweepHasK1 {
 		parity = "K=1 read counts are asserted identical to unsharded; "
 	}
-	note := fmt.Sprintf("build speedup vs unsharded bulkload; cold page reads (dropped cache per query); "+
+	note := fmt.Sprintf("build speedup vs the unsharded bulkload (%v); cold page reads (dropped cache per query); "+
 		"warm queries/sec over the sequential shard-order executor (Set.CountQuery); "+parity+
-		"the parallel build speedup is bounded by GOMAXPROCS=%d on this machine", runtime.GOMAXPROCS(0))
+		"the parallel build speedup is bounded by GOMAXPROCS=%d on this machine", refBuild.Round(time.Millisecond), runtime.GOMAXPROCS(0))
 	tables := make([]*Table, len(workloads))
 	for w, wl := range workloads {
 		tables[w] = &Table{
 			ID: "shards",
-			Title: fmt.Sprintf("Sharded FLAT scaling (brain model, n=%d, %d %s queries, unsharded build %v)",
-				n, len(refs[w].queries), wl.name, refBuild.Round(time.Millisecond)),
+			Title: fmt.Sprintf("Sharded FLAT scaling (brain model, n=%d, %d %s queries)",
+				n, len(refs[w].queries), wl.name),
 			Columns: []string{
 				"shards", "elements", "build ms", "build speedup", "avg scatter width",
 				"page reads", fmt.Sprintf("reads vs K=%d", ks[0]), "queries/sec", "qps speedup", "ns/query", "results",
 			},
-			Note: note,
+			Timed: []string{"build ms", "build speedup", "queries/sec", "qps speedup", "ns/query"},
+			Note:  note,
 		}
 	}
 

@@ -64,6 +64,7 @@ func (r *Runner) staging() ([]*Table, error) {
 		Title: fmt.Sprintf("Staged-update overlay cost vs delta size (brain model, n=%d, K=%d, %d LSS queries)",
 			n, stagingK, len(queries)),
 		Columns: []string{"delta", "examined/query", "us/query", "results/query"},
+		Timed:   []string{"us/query"},
 		Note: "the overlay probes per-shard delta R-trees. " +
 			"\"examined\" is the exact overlay candidate count (deterministic); latency is wall-clock. " +
 			"Every query's staged tail is asserted element-for-element against a brute-force filter of the staged inserts at every delta size.",

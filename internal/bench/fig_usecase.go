@@ -10,78 +10,102 @@ import (
 // The SN figures (12-15) and LSS figures (16-19) share one measurement
 // run each; the Runner caches it.
 
-func (r *Runner) benchReads(id, name string, fraction float64, note string) (*Table, error) {
-	rows, err := r.useCase(fraction)
-	if err != nil {
-		return nil, err
-	}
-	t := &Table{
-		ID:      id,
-		Title:   fmt.Sprintf("%s benchmark: total page reads", name),
-		Columns: []string{"density", "FLAT", "PR-Tree", "STR R-Tree", "Hilbert R-Tree"},
-		Note:    note,
-	}
-	for _, row := range rows {
-		t.AddRow(fi(row.Density),
-			fu(row.FLAT.Stats.TotalReads()),
-			fu(row.RTrees[rtree.PR].Stats.TotalReads()),
-			fu(row.RTrees[rtree.STR].Stats.TotalReads()),
-			fu(row.RTrees[rtree.Hilbert].Stats.TotalReads()),
-		)
-	}
-	return t, nil
+// sweepFigures are the six figures that print one cell per index per
+// density from that shared run; they differ in the workload, the cell
+// and the claim. Each note states the paper's claim and then what this
+// reproduction shows at the default 50k-450k sweep (README, "Running
+// the benchmarks", has the whole ledger; TestPaperClaims asserts the
+// claims that hold).
+var sweepFigures = map[string]struct {
+	workload string // "SN" or "LSS"
+	metric   string // title suffix
+	cell     func(measurement) string
+	timed    bool // cells are wall-clock
+	results  bool // lead with the result-count column
+	note     string
+}{
+	"fig12": {workload: "SN", metric: "total page reads", cell: readsCell,
+		note: "paper: FLAT lowest; PR 8x FLAT at the densest point; Hilbert worst; " +
+			"here: FLAT below the PR-tree at every density (1.9x at 450k, not 8x), but STR and Hilbert " +
+			"read fewer pages than FLAT at every density and the PR-tree, not Hilbert, is worst"},
+	"fig13": {workload: "SN", metric: "execution time (ms)", cell: timeCell, timed: true,
+		note: "paper: time tracks page reads (I/O bound); FLAT lowest and linear; " +
+			"here: pages live in memory, so this is CPU time — wall-clock, machine-dependent and not gated; read fig12 instead"},
+	"fig15": {workload: "SN", metric: "page reads per result element", cell: perResultCell, results: true,
+		note: "paper: FLAT per-result cost falls with density; R-trees rise; " +
+			"here: FLAT falls (10.8 -> 3.2 over 50k-450k), and so does every R-tree (PR 23.0 -> 6.1) — the rise is not reproduced"},
+	"fig16": {workload: "LSS", metric: "total page reads", cell: readsCell,
+		note: "paper: FLAT lowest; gap smaller than SN (overlap amortized on big queries); " +
+			"here: FLAT below the PR-tree at every density with a smaller gap than SN (1.2x vs 1.9x at 450k), " +
+			"but STR and Hilbert read fewer pages than FLAT at every density"},
+	"fig17": {workload: "LSS", metric: "execution time (ms)", cell: timeCell, timed: true,
+		note: "paper: time tracks page reads; FLAT 2-6x faster than best R-tree; " +
+			"here: not reproduced — pages live in memory, so this is CPU time, wall-clock and not gated, " +
+			"and FLAT is not faster than STR or Hilbert; read fig16 instead"},
+	"fig19": {workload: "LSS", metric: "page reads per result element", cell: perResultCell, results: true,
+		note: "paper: FLAT per-result reads fall with density; PR-Tree's grow; " +
+			"here: FLAT falls (0.265 -> 0.174 over 50k-450k), and so does the PR-tree (0.405 -> 0.207) — the growth is not reproduced"},
 }
 
-func (r *Runner) benchTime(id, name string, fraction float64, note string) (*Table, error) {
-	rows, err := r.useCase(fraction)
-	if err != nil {
-		return nil, err
+func readsCell(m measurement) string     { return fu(m.Stats.TotalReads()) }
+func timeCell(m measurement) string      { return ms(m.Elapsed) }
+func perResultCell(m measurement) string { return f3(m.PerResult()) }
+
+// fraction returns the query volume fraction of the named workload.
+func (r *Runner) fraction(workload string) float64 {
+	if workload == "LSS" {
+		return r.Cfg.LSSFraction
 	}
-	t := &Table{
-		ID:      id,
-		Title:   fmt.Sprintf("%s benchmark: execution time (ms)", name),
-		Columns: []string{"density", "FLAT", "PR-Tree", "STR R-Tree", "Hilbert R-Tree"},
-		Note:    note,
-	}
-	for _, row := range rows {
-		t.AddRow(fi(row.Density),
-			ms(row.FLAT.Elapsed),
-			ms(row.RTrees[rtree.PR].Elapsed),
-			ms(row.RTrees[rtree.STR].Elapsed),
-			ms(row.RTrees[rtree.Hilbert].Elapsed),
-		)
-	}
-	return t, nil
+	return r.Cfg.SNFraction
 }
 
-func (r *Runner) benchPerResult(id, name string, fraction float64, note string) (*Table, error) {
-	rows, err := r.useCase(fraction)
-	if err != nil {
-		return nil, err
+// sweepFigure returns the registry entry that renders sweepFigures[id].
+func sweepFigure(id string) func(*Runner) ([]*Table, error) {
+	return func(r *Runner) ([]*Table, error) {
+		f := sweepFigures[id]
+		rows, err := r.useCase(r.fraction(f.workload))
+		if err != nil {
+			return nil, err
+		}
+		// The paper's column order; Strategy.String() is the column name.
+		order := []rtree.Strategy{rtree.PR, rtree.STR, rtree.Hilbert}
+		indexes := []string{"FLAT"}
+		for _, strat := range order {
+			indexes = append(indexes, strat.String())
+		}
+		t := &Table{
+			ID:      id,
+			Title:   fmt.Sprintf("%s benchmark: %s", f.workload, f.metric),
+			Columns: []string{"density"},
+			Note:    f.note,
+		}
+		if f.results {
+			t.Columns = append(t.Columns, "results")
+		}
+		t.Columns = append(t.Columns, indexes...)
+		if f.timed {
+			t.Timed = indexes
+		}
+		for _, row := range rows {
+			cells := []string{fi(row.Density)}
+			if f.results {
+				cells = append(cells, fu(row.FLAT.Results))
+			}
+			cells = append(cells, f.cell(row.FLAT))
+			for _, strat := range order {
+				cells = append(cells, f.cell(row.RTrees[strat]))
+			}
+			t.AddRow(cells...)
+		}
+		return []*Table{t}, nil
 	}
-	t := &Table{
-		ID:      id,
-		Title:   fmt.Sprintf("%s benchmark: page reads per result element", name),
-		Columns: []string{"density", "results", "FLAT", "PR-Tree", "STR R-Tree", "Hilbert R-Tree"},
-		Note:    note,
-	}
-	for _, row := range rows {
-		t.AddRow(fi(row.Density),
-			fu(row.FLAT.Results),
-			f3(row.FLAT.PerResult()),
-			f3(row.RTrees[rtree.PR].PerResult()),
-			f3(row.RTrees[rtree.STR].PerResult()),
-			f3(row.RTrees[rtree.Hilbert].PerResult()),
-		)
-	}
-	return t, nil
 }
 
 // benchBreakdown renders the Figure 14/18 panels: data retrieved by page
 // category for FLAT (seed tree / metadata / object pages) and for the
 // PR-tree (non-leaf / leaf pages).
-func (r *Runner) benchBreakdown(id, name string, fraction float64) ([]*Table, error) {
-	rows, err := r.useCase(fraction)
+func (r *Runner) benchBreakdown(id, name string) ([]*Table, error) {
+	rows, err := r.useCase(r.fraction(name))
 	if err != nil {
 		return nil, err
 	}
@@ -90,13 +114,13 @@ func (r *Runner) benchBreakdown(id, name string, fraction float64) ([]*Table, er
 		ID:      id,
 		Title:   fmt.Sprintf("%s benchmark: FLAT data retrieved breakdown (MB)", name),
 		Columns: []string{"density", "seed tree", "metadata", "object", "total"},
-		Note:    "paper: seed share constant; metadata+object grow with the result size",
+		Note:    "paper: seed share constant; metadata+object grow with the result size; here: holds",
 	}
 	right := &Table{
 		ID:      id,
 		Title:   fmt.Sprintf("%s benchmark: PR-Tree data retrieved breakdown (MB)", name),
 		Columns: []string{"density", "non-leaf", "leaf", "total", "nonleaf/leaf"},
-		Note:    "paper: non-leaf/leaf ratio grows with density (overlap)",
+		Note:    "paper: non-leaf/leaf ratio grows with density (overlap); here: not reproduced — the ratio falls with density on both workloads",
 	}
 	for _, row := range rows {
 		fs := row.FLAT.Stats
@@ -119,64 +143,10 @@ func (r *Runner) benchBreakdown(id, name string, fraction float64) ([]*Table, er
 	return []*Table{left, right}, nil
 }
 
-func (r *Runner) fig12() ([]*Table, error) {
-	t, err := r.benchReads("fig12", "SN", r.Cfg.SNFraction,
-		"paper: FLAT lowest; PR 8x FLAT at the densest point; Hilbert worst")
-	if err != nil {
-		return nil, err
-	}
-	return []*Table{t}, nil
-}
-
-func (r *Runner) fig13() ([]*Table, error) {
-	t, err := r.benchTime("fig13", "SN", r.Cfg.SNFraction,
-		"paper: time tracks page reads (I/O bound); FLAT lowest and linear")
-	if err != nil {
-		return nil, err
-	}
-	return []*Table{t}, nil
-}
-
 func (r *Runner) fig14() ([]*Table, error) {
-	return r.benchBreakdown("fig14", "SN", r.Cfg.SNFraction)
-}
-
-func (r *Runner) fig15() ([]*Table, error) {
-	t, err := r.benchPerResult("fig15", "SN", r.Cfg.SNFraction,
-		"paper: FLAT per-result cost falls with density; R-trees rise")
-	if err != nil {
-		return nil, err
-	}
-	return []*Table{t}, nil
-}
-
-func (r *Runner) fig16() ([]*Table, error) {
-	t, err := r.benchReads("fig16", "LSS", r.Cfg.LSSFraction,
-		"paper: FLAT lowest; gap smaller than SN (overlap amortized on big queries)")
-	if err != nil {
-		return nil, err
-	}
-	return []*Table{t}, nil
-}
-
-func (r *Runner) fig17() ([]*Table, error) {
-	t, err := r.benchTime("fig17", "LSS", r.Cfg.LSSFraction,
-		"paper: time tracks page reads; FLAT 2-6x faster than best R-tree")
-	if err != nil {
-		return nil, err
-	}
-	return []*Table{t}, nil
+	return r.benchBreakdown("fig14", "SN")
 }
 
 func (r *Runner) fig18() ([]*Table, error) {
-	return r.benchBreakdown("fig18", "LSS", r.Cfg.LSSFraction)
-}
-
-func (r *Runner) fig19() ([]*Table, error) {
-	t, err := r.benchPerResult("fig19", "LSS", r.Cfg.LSSFraction,
-		"paper: FLAT per-result reads fall with density; PR-Tree's grow")
-	if err != nil {
-		return nil, err
-	}
-	return []*Table{t}, nil
+	return r.benchBreakdown("fig18", "LSS")
 }

@@ -22,7 +22,7 @@ type Config struct {
 	// Densities is the sweep of element counts placed in the fixed
 	// tissue volume. The paper uses 50–450 million; the default is
 	// 50k–450k, preserving the ×9 density sweep.
-	Densities []int
+	Densities []int `json:"densities"`
 	// VolumeSide is the edge of the cubic tissue volume in µm. The
 	// default (28.5) shrinks the paper's 285 µm cube by the same 10x per
 	// axis (1000x by volume) as the 1000x element-count reduction, so
@@ -30,43 +30,35 @@ type Config struct {
 	// matches the paper exactly at every point of the sweep. Without
 	// this, R-tree overlap (the effect under study) would disappear at
 	// reproduction scale.
-	VolumeSide float64
+	VolumeSide float64 `json:"volume_side"`
 	// Queries per micro-benchmark (paper: 200).
-	Queries int
+	Queries int `json:"queries"`
 	// SNFraction and LSSFraction are the query volumes as fractions of
 	// the data-set volume. The paper's values are 5e-9 (5×10⁻⁷ %) and
 	// 5e-6 (5×10⁻⁴ %); the defaults are 1000x larger (5e-6 and 5e-3)
 	// because the tissue volume is 1000x smaller — the two scalings
 	// cancel so the *absolute* query box sizes (0.116 µm³ and 116 µm³)
 	// and therefore per-query result sizes match the paper exactly.
-	SNFraction  float64
-	LSSFraction float64
+	SNFraction  float64 `json:"sn_fraction"`
+	LSSFraction float64 `json:"lss_fraction"`
 	// SegmentsPerNeuron controls morphology size (paper: ~4500).
-	SegmentsPerNeuron int
+	SegmentsPerNeuron int `json:"segments_per_neuron"`
 	// NodeCapacity is the per-node entry count for every index (R-tree
 	// leaves and internals, FLAT object pages and seed fanout). The paper
 	// uses full 4 KiB pages (85 entries) on 50–450M elements, giving
 	// trees of height 4–5; the default here (16) yields the same tree
 	// heights at 50k–450k elements, preserving the multi-level overlap
 	// behaviour the paper measures. Set to 0 for full pages.
-	NodeCapacity int
+	NodeCapacity int `json:"node_capacity"`
 	// OtherScale scales the Section VIII data-set sizes (paper: 12.4M to
 	// 252M elements). Default 1/200.
-	OtherScale float64
-	// Workers is the worker-count sweep of the concurrent-throughput
-	// experiment. Default {1, 4, 8, 16}.
-	Workers []int
+	OtherScale float64 `json:"other_scale"`
 	// Shards is the K sweep of the sharded-index experiment. Default
 	// {1, 2, 4, 8}; K=1 is also the parity check against the unsharded
 	// index.
-	Shards []int
-	// Prefetch is the shard-prefetch sweep of the streaming-merge
-	// experiment. Default {0, 2, 4}; the sequential baseline (0) the
-	// other widths are compared against is always run, even when the
-	// sweep omits it.
-	Prefetch []int
+	Shards []int `json:"shards"`
 	// Seed drives every generator.
-	Seed int64
+	Seed int64 `json:"seed"`
 }
 
 // DefaultConfig returns the reproduction-scale configuration.
@@ -80,9 +72,7 @@ func DefaultConfig() Config {
 		LSSFraction:       5e-3,
 		SegmentsPerNeuron: 1500,
 		OtherScale:        1.0 / 200,
-		Workers:           []int{1, 4, 8, 16},
 		Shards:            []int{1, 2, 4, 8},
-		Prefetch:          []int{0, 2, 4},
 		Seed:              1,
 	}
 }
@@ -232,15 +222,16 @@ func (m measurement) PerResult() float64 {
 	return float64(m.Stats.TotalReads()) / float64(m.Results)
 }
 
-// runFLAT replays queries against a FLAT index, cold per query (frames
-// dropped, counters kept), as the paper's methodology prescribes.
-func runFLAT(ix *core.Index, pool *storage.ConcurrentPool, queries []geom.MBR) (measurement, error) {
+// coldRun replays queries cold per query (frames dropped, counters
+// kept), as the paper's methodology prescribes; count answers one query
+// through pool and returns its result size.
+func coldRun(pool *storage.ConcurrentPool, queries []geom.MBR, count func(geom.MBR) (int, error)) (measurement, error) {
 	var m measurement
 	pool.Reset()
 	t0 := time.Now()
 	for _, q := range queries {
 		pool.DropFrames()
-		n, _, err := ix.CountQuery(q)
+		n, err := count(q)
 		if err != nil {
 			return m, err
 		}
@@ -251,22 +242,12 @@ func runFLAT(ix *core.Index, pool *storage.ConcurrentPool, queries []geom.MBR) (
 	return m, nil
 }
 
-// runRTree replays queries against a baseline R-tree, cold per query.
-func runRTree(tree *rtree.Tree, pool *storage.ConcurrentPool, queries []geom.MBR) (measurement, error) {
-	var m measurement
-	pool.Reset()
-	t0 := time.Now()
-	for _, q := range queries {
-		pool.DropFrames()
-		n, err := tree.CountQuery(q)
-		if err != nil {
-			return m, err
-		}
-		m.Results += uint64(n)
+// flatCount adapts a FLAT index's CountQuery to coldRun.
+func flatCount(ix *core.Index) func(geom.MBR) (int, error) {
+	return func(q geom.MBR) (int, error) {
+		n, _, err := ix.CountQuery(q)
+		return n, err
 	}
-	m.Elapsed = time.Since(t0)
-	m.Stats = pool.Stats()
-	return m, nil
 }
 
 // useCaseRow is one density's measurements for one micro-benchmark.
@@ -297,12 +278,12 @@ func (r *Runner) useCase(fraction float64) ([]useCaseRow, error) {
 			Seed:           r.Cfg.Seed + 100,
 		})
 		row := useCaseRow{Density: n, RTrees: make(map[rtree.Strategy]measurement)}
-		row.FLAT, err = runFLAT(s.flat, s.flatPool, queries)
+		row.FLAT, err = coldRun(s.flatPool, queries, flatCount(s.flat))
 		if err != nil {
 			return nil, err
 		}
 		for _, strat := range strategies {
-			row.RTrees[strat], err = runRTree(s.trees[strat], s.treePools[strat], queries)
+			row.RTrees[strat], err = coldRun(s.treePools[strat], queries, s.trees[strat].CountQuery)
 			if err != nil {
 				return nil, err
 			}
@@ -343,25 +324,22 @@ var registry = map[string]func(*Runner) ([]*Table, error){
 	"fig4":     (*Runner).fig4,
 	"fig10":    (*Runner).fig10,
 	"fig11":    (*Runner).fig11,
-	"fig12":    (*Runner).fig12,
-	"fig13":    (*Runner).fig13,
+	"fig12":    sweepFigure("fig12"),
+	"fig13":    sweepFigure("fig13"),
 	"fig14":    (*Runner).fig14,
-	"fig15":    (*Runner).fig15,
-	"fig16":    (*Runner).fig16,
-	"fig17":    (*Runner).fig17,
+	"fig15":    sweepFigure("fig15"),
+	"fig16":    sweepFigure("fig16"),
+	"fig17":    sweepFigure("fig17"),
 	"fig18":    (*Runner).fig18,
-	"fig19":    (*Runner).fig19,
+	"fig19":    sweepFigure("fig19"),
 	"fig20":    (*Runner).fig20,
 	"fig21":    (*Runner).fig21,
 	"fig22":    (*Runner).fig22,
 	"ablation": (*Runner).ablation,
 	"fig23":    (*Runner).fig23,
-	// Beyond the paper: the concurrent-serving and scale-out axes.
-	"throughput":  (*Runner).throughput,
-	"shards":      (*Runner).shardsExperiment,
-	"streammerge": (*Runner).streamMerge,
-	"pagecodec":   (*Runner).pagecodec,
-	"nn":          (*Runner).nnExperiment,
-	"staging":     (*Runner).staging,
-	"serve":       (*Runner).serveExperiment,
+	// Beyond the paper; each has a committed BENCH_<id>.json baseline.
+	"shards":    (*Runner).shardsExperiment,
+	"pagecodec": (*Runner).pagecodec,
+	"nn":        (*Runner).nnExperiment,
+	"staging":   (*Runner).staging,
 }

@@ -5,7 +5,8 @@
 // same rows/series the paper plots.
 //
 // Experiments() is the inventory (see README.md, "Running the
-// benchmarks"); recorded results are the root BENCH_*.json files.
+// benchmarks"); recorded results are the root BENCH_*.json files, which
+// Check re-runs and compares cell by cell.
 package bench
 
 import (
@@ -22,6 +23,10 @@ type Table struct {
 	Title   string
 	Columns []string
 	Rows    [][]string
+	// Timed names the wall-clock (machine-dependent) columns. Every
+	// other column is a count or a ratio of counts: it repeats exactly
+	// for one Config, and Check gates it.
+	Timed []string
 	// Note carries caveats (scaling, substitutions) shown under the table.
 	Note string
 }
@@ -66,14 +71,6 @@ func (t *Table) Fprint(w io.Writer) {
 		fmt.Fprintf(w, "note: %s\n", t.Note)
 	}
 	fmt.Fprintln(w)
-}
-
-// CSV renders the table as comma-separated values (header + rows).
-func (t *Table) CSV(w io.Writer) {
-	fmt.Fprintln(w, strings.Join(t.Columns, ","))
-	for _, row := range t.Rows {
-		fmt.Fprintln(w, strings.Join(row, ","))
-	}
 }
 
 func pad(s string, w int) string {

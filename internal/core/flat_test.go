@@ -3,6 +3,7 @@ package core
 import (
 	"math/rand"
 	"sort"
+	"sync"
 	"testing"
 
 	"flat/internal/geom"
@@ -428,5 +429,74 @@ func TestDeterministicBuild(t *testing.T) {
 	qb, _, _ := b.RangeQuery(geom.CubeAt(geom.V(50, 50, 50), 10))
 	if !equalIDs(sortedIDs(qa), sortedIDs(qb)) {
 		t.Fatal("query results differ between identical builds")
+	}
+}
+
+// TestColdReadsInvariantAcrossWorkers pins the invariant behind every
+// concurrency measurement (BenchmarkThroughputWorkers, benchmark/): N
+// goroutines, each replaying its stride of a query set cold-per-query
+// through a private pool over the shared pager, read in total exactly
+// the pages, and find exactly the results, of one goroutine replaying
+// the whole set. Parallelism overlaps queries; it never changes one.
+func TestColdReadsInvariantAcrossWorkers(t *testing.T) {
+	r := rand.New(rand.NewSource(179))
+	els := randomElements(r, 8000, worldBox())
+	ix, pool := buildIndex(t, els, Options{World: worldBox()})
+	queries := make([]geom.MBR, 48)
+	for i := range queries {
+		queries[i] = geom.CubeAt(geom.V(r.Float64()*100, r.Float64()*100, r.Float64()*100), 4+r.Float64()*12)
+	}
+
+	replay := func(workers int) (reads, results uint64) {
+		var (
+			wg sync.WaitGroup
+			mu sync.Mutex
+		)
+		for w := 0; w < workers; w++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				private := storage.NewConcurrentPool(pool.Pager(), 0)
+				view := ix.WithPool(private)
+				var n uint64
+				for i := w; i < len(queries); i += workers {
+					private.DropFrames()
+					cnt, _, err := view.CountQuery(queries[i])
+					if err != nil {
+						t.Error(err)
+						return
+					}
+					n += uint64(cnt)
+				}
+				mu.Lock()
+				reads += private.Stats().TotalReads()
+				results += n
+				mu.Unlock()
+			}()
+		}
+		wg.Wait()
+		return reads, results
+	}
+
+	// The single-threaded reference runs on the index's own pool.
+	var wantResults uint64
+	pool.Reset()
+	for _, q := range queries {
+		pool.DropFrames()
+		cnt, _, err := ix.CountQuery(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wantResults += uint64(cnt)
+	}
+	wantReads := pool.Stats().TotalReads()
+	if wantReads == 0 || wantResults == 0 {
+		t.Fatalf("degenerate workload: %d reads, %d results", wantReads, wantResults)
+	}
+	for _, workers := range []int{1, 4} {
+		if reads, results := replay(workers); reads != wantReads || results != wantResults {
+			t.Errorf("%d workers: %d reads, %d results; single-threaded %d, %d",
+				workers, reads, results, wantReads, wantResults)
+		}
 	}
 }
