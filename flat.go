@@ -60,7 +60,7 @@
 // BatchRangeQuery/BatchCountQuery fan a query batch over a worker pool.
 // These seven methods are defined once (on base, in query.go) for both
 // index shapes, over one executor pair: the set's shard-ordered range
-// stream and its distance-ordered NN merge. A session that asks to run
+// stream and its distance-ordered NN stream. A session that asks to run
 // ahead of its consumer (WithBuffer, WithShardPrefetch) uses the range
 // stream's one pipeline. OpenAny opens either index shape from a path
 // and returns the composed QueryIndex interface; the Querier /

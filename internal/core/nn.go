@@ -8,7 +8,7 @@ import (
 	"flat/internal/storage"
 )
 
-// NN streams the index's elements to emit in nondecreasing distance
+// NN streams the elements of ixs to emit in nondecreasing distance
 // from p (squared Euclidean distance from p to the element's MBR; ties
 // broken deterministically by discovery order). emit returning false
 // stops the traversal — a caller wanting the k nearest stops after k
@@ -17,8 +17,12 @@ import (
 // with ctx.Err() once it is done. The returned stats cover exactly the
 // work performed.
 //
+// The indexes must share one page-id space (the shards of a Set do:
+// every page id carries its shard's tag), because one pair of dedup
+// maps serves the whole search. Engine.NN is the one-index case.
+//
 // The traversal is FLAT's seed+crawl with a best-first frontier instead
-// of the range query's FIFO:
+// of the range query's FIFO. Take one index first:
 //
 // Phase 1 (seed): a best-first descent of the seed tree finds the
 // metadata record S whose page MBR is globally nearest to p. This is
@@ -56,7 +60,42 @@ import (
 // "termination when the k-th candidate beats the frontier head" is
 // this same condition read off the heap: an element pops exactly when
 // its distance is ≤ every pending lower bound.
+//
+// Several indexes are one more level of the same frontier (Hjaltason &
+// Samet's incremental NN: one queue holds every level of the
+// hierarchy). Each index enters the heap as an item keyed by
+// dist(p, its bounds), which lower-bounds every element beneath it, and
+// is seeded only when that item pops; its seed is still the exact
+// page-distance minimizer *within that index*, so the chain argument
+// holds per index with "S" read as that index's seed. While e is
+// unemitted, either its index's item (key ≤ d) or an item on its chain
+// (key ≤ d) is in the heap, so the contradiction above goes through
+// unchanged — and an index whose bound exceeds the last element the
+// consumer takes is never read at all.
+func NN(ctx context.Context, ixs []*Index, p geom.Vec3, emit func(geom.Element, float64) bool) (QueryStats, error) {
+	srcs := make([]nnSource, len(ixs))
+	for i, ix := range ixs {
+		srcs[i] = nnSource{eng: &ix.Engine, distSq: ix.bounds.DistSqToPoint(p)}
+	}
+	return nnSearch(ctx, srcs, p, emit)
+}
+
+// NN is the package-level NN over this one index: same stream, same
+// stats, same page-read sequence.
 func (eng *Engine) NN(ctx context.Context, p geom.Vec3, emit func(geom.Element, float64) bool) (QueryStats, error) {
+	return nnSearch(ctx, []nnSource{{eng: eng}}, p, emit)
+}
+
+// nnSource is one index of a best-first search and the distance lower
+// bound it enters the frontier at.
+type nnSource struct {
+	eng    *Engine
+	distSq float64
+}
+
+// nnSearch runs one best-first search over srcs on a pooled scratch
+// and totals its page reads: the body both NN entry points share.
+func nnSearch(ctx context.Context, srcs []nnSource, p geom.Vec3, emit func(geom.Element, float64) bool) (QueryStats, error) {
 	var st QueryStats
 	// Per-query accounting is collected locally via ReadInto, never by
 	// diffing the pool's shared counters (see Query).
@@ -68,10 +107,7 @@ func (eng *Engine) NN(ctx context.Context, p geom.Vec3, emit func(geom.Element, 
 		st.Results++
 		return emit(e, distSq)
 	}
-	start, ok, err := eng.nnSeed(ctx, p, sc, &local)
-	if err == nil && ok {
-		err = eng.nnCrawl(ctx, p, start, counted, &st, sc, &local)
-	}
+	err := nnCrawl(ctx, srcs, p, counted, &st, sc, &local)
 	st.SeedReads = local.Reads[storage.CatSeedInternal]
 	st.MetadataReads = local.Reads[storage.CatMetadata]
 	st.ObjectReads = local.Reads[storage.CatObject]
@@ -81,16 +117,17 @@ func (eng *Engine) NN(ctx context.Context, p geom.Vec3, emit func(geom.Element, 
 
 // nnSeed finds the metadata record whose page MBR is nearest to p via
 // an exact best-first descent of the seed tree. ok is false when the
-// index holds no records.
+// index holds no records. The descent has a heap of its own: the crawl
+// heap is live whenever a second index is seeded.
 func (eng *Engine) nnSeed(ctx context.Context, p geom.Vec3, sc *crawlScratch, local *storage.Stats) (RecordRef, bool, error) {
 	if eng.seedHeight <= 0 {
 		return 0, false, nil
 	}
-	h := &sc.heap
-	h.reset()
-	h.push(crawlItem{kind: itemNode, page: eng.seedRoot, level: eng.seedHeight})
+	h := &sc.seedHeap
+	h.Reset()
+	h.Push(0, crawlItem{kind: itemNode, page: eng.seedRoot, level: eng.seedHeight})
 	for {
-		it, ok := h.pop()
+		it, _, ok := h.Pop()
 		if !ok {
 			return 0, false, nil
 		}
@@ -110,11 +147,10 @@ func (eng *Engine) nnSeed(ctx context.Context, p geom.Vec3, sc *crawlScratch, lo
 		if it.level > 1 {
 			_, entries := rtree.DecodeNode(page)
 			for _, e := range entries {
-				h.push(crawlItem{
-					kind:   itemNode,
-					page:   storage.PageID(e.Ref),
-					level:  it.level - 1,
-					distSq: e.Box.DistSqToPoint(p),
+				h.Push(e.Box.DistSqToPoint(p), crawlItem{
+					kind:  itemNode,
+					page:  storage.PageID(e.Ref),
+					level: it.level - 1,
 				})
 			}
 			continue
@@ -132,37 +168,33 @@ func (eng *Engine) nnSeed(ctx context.Context, p geom.Vec3, sc *crawlScratch, lo
 			if m.ObjectPage == storage.InvalidPage {
 				continue
 			}
-			h.push(crawlItem{
-				kind:   itemRecord,
-				ref:    makeRef(it.page, slot),
-				distSq: m.PageMBR.DistSqToPoint(p),
-			})
+			h.Push(m.PageMBR.DistSqToPoint(p), crawlItem{kind: itemRecord, ref: makeRef(it.page, slot)})
 		}
 	}
 }
 
-// nnCrawl drains the best-first frontier from the seed record, emitting
-// elements in nondecreasing distance (see NN for the ordering proof).
-func (eng *Engine) nnCrawl(ctx context.Context, p geom.Vec3, start RecordRef, emit func(geom.Element, float64) bool, st *QueryStats, sc *crawlScratch, local *storage.Stats) error {
-	// The seed descent and the crawl share the scratch heap; the crawl
-	// keys differently (partition distance, not page distance), so it
-	// starts from an empty frontier.
+// nnCrawl drains the best-first frontier, seeding each index when its
+// item surfaces and emitting elements in nondecreasing distance (see NN
+// for the ordering proof).
+func nnCrawl(ctx context.Context, srcs []nnSource, p geom.Vec3, emit func(geom.Element, float64) bool, st *QueryStats, sc *crawlScratch, local *storage.Stats) error {
 	h := &sc.heap
-	h.reset()
-	if err := eng.nnEnqueue(p, start, h, sc, local); err != nil {
-		return err
+	for i, s := range srcs {
+		h.Push(s.distSq, crawlItem{kind: itemIndex, src: int32(i)})
 	}
 	for {
-		it, ok := h.pop()
+		it, distSq, ok := h.Pop()
 		if !ok {
 			return nil
 		}
 		if err := ctxErr(ctx); err != nil {
 			return err
 		}
+		// Every read goes through the pool of the index the item came
+		// from: a caller may hand in views over pools of its own.
+		eng := srcs[it.src].eng
 		switch it.kind {
 		case itemElement:
-			if !emit(it.el, it.distSq) {
+			if !emit(it.el, distSq) {
 				return nil
 			}
 		case itemPage:
@@ -172,7 +204,15 @@ func (eng *Engine) nnCrawl(ctx context.Context, p geom.Vec3, start RecordRef, em
 			}
 		case itemRecord:
 			st.RecordsVisited++
-			if err := eng.nnExpand(ctx, p, it.ref, h, sc, local); err != nil {
+			if err := eng.nnExpand(ctx, p, it, h, sc, local); err != nil {
+				return err
+			}
+		case itemIndex:
+			start, ok, err := eng.nnSeed(ctx, p, sc, local)
+			if err == nil && ok {
+				err = eng.nnEnqueue(p, it.src, start, h, sc, local)
+			}
+			if err != nil {
 				return err
 			}
 		}
@@ -184,7 +224,7 @@ func (eng *Engine) nnCrawl(ctx context.Context, p geom.Vec3, start RecordRef, em
 // is already on or through the frontier. Eager resolution is what the
 // ordering proof needs: a record discovered as a neighbor must enter
 // the heap at its own lower bound, not its discoverer's.
-func (eng *Engine) nnEnqueue(p geom.Vec3, ref RecordRef, h *heapFrontier, sc *crawlScratch, local *storage.Stats) error {
+func (eng *Engine) nnEnqueue(p geom.Vec3, src int32, ref RecordRef, h *heapFrontier, sc *crawlScratch, local *storage.Stats) error {
 	if sc.enqueued[ref] {
 		return nil
 	}
@@ -197,68 +237,34 @@ func (eng *Engine) nnEnqueue(p geom.Vec3, ref RecordRef, h *heapFrontier, sc *cr
 	if err != nil {
 		return err
 	}
-	h.push(crawlItem{
-		kind:   itemRecord,
-		ref:    ref,
-		distSq: m.PartitionMBR.DistSqToPoint(p),
-	})
+	h.Push(m.PartitionMBR.DistSqToPoint(p), crawlItem{kind: itemRecord, src: src, ref: ref})
 	return nil
 }
 
 // nnExpand handles a popped record: queue its object page (once) at the
-// page-MBR distance and resolve every neighbor, following the overflow
-// chain like the range crawl does.
-func (eng *Engine) nnExpand(ctx context.Context, p geom.Vec3, ref RecordRef, h *heapFrontier, sc *crawlScratch, local *storage.Stats) error {
+// page-MBR distance and resolve every neighbor.
+func (eng *Engine) nnExpand(ctx context.Context, p geom.Vec3, it crawlItem, h *heapFrontier, sc *crawlScratch, local *storage.Stats) error {
 	// Cached since nnEnqueue read it; ReadInto only tallies misses.
-	page, err := eng.pool.ReadInto(ref.Page(), local)
+	page, err := eng.pool.ReadInto(it.ref.Page(), local)
 	if err != nil {
 		return err
 	}
-	m, err := decodeMetaRecord(page, ref.Slot())
+	m, err := decodeMetaRecord(page, it.ref.Slot())
 	if err != nil {
 		return err
 	}
 	if !sc.visited[m.ObjectPage] {
 		sc.visited[m.ObjectPage] = true
-		h.push(crawlItem{
-			kind:   itemPage,
-			page:   m.ObjectPage,
-			distSq: m.PageMBR.DistSqToPoint(p),
-		})
+		h.Push(m.PageMBR.DistSqToPoint(p), crawlItem{kind: itemPage, src: it.src, page: m.ObjectPage})
 	}
-	for _, n := range m.Neighbors {
+	return eng.eachNeighbor(ctx, m, local, func(n RecordRef) error {
 		// Each new neighbor costs a metadata page read to resolve;
 		// give cancellation a chance between them.
 		if err := ctxErr(ctx); err != nil {
 			return err
 		}
-		if err := eng.nnEnqueue(p, n, h, sc, local); err != nil {
-			return err
-		}
-	}
-	for next := m.Overflow; next != noRef; {
-		if err := ctxErr(ctx); err != nil {
-			return err
-		}
-		ovPage, err := eng.pool.ReadInto(next.Page(), local)
-		if err != nil {
-			return err
-		}
-		ov, err := decodeMetaRecord(ovPage, next.Slot())
-		if err != nil {
-			return err
-		}
-		for _, n := range ov.Neighbors {
-			if err := ctxErr(ctx); err != nil {
-				return err
-			}
-			if err := eng.nnEnqueue(p, n, h, sc, local); err != nil {
-				return err
-			}
-		}
-		next = ov.Overflow
-	}
-	return nil
+		return eng.nnEnqueue(p, it.src, n, h, sc, local)
+	})
 }
 
 // nnReadPage reads one object page and queues its elements at their
@@ -274,11 +280,7 @@ func (eng *Engine) nnReadPage(p geom.Vec3, id storage.PageID, h *heapFrontier, s
 		return err
 	}
 	for i := range els {
-		h.push(crawlItem{
-			kind:   itemElement,
-			el:     els[i],
-			distSq: els[i].Box.DistSqToPoint(p),
-		})
+		h.Push(els[i].Box.DistSqToPoint(p), crawlItem{kind: itemElement, el: els[i]})
 	}
 	return nil
 }

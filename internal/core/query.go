@@ -21,13 +21,6 @@ type Engine struct {
 	seedHeight int // levels including the metadata (leaf) level
 }
 
-// NewEngine returns a query engine over an already-materialized FLAT
-// layout: pool must serve the index's pages, root is the seed-tree root
-// and height its level count (metadata level inclusive).
-func NewEngine(pool storage.Pool, root storage.PageID, height int) Engine {
-	return Engine{pool: pool, seedRoot: root, seedHeight: height}
-}
-
 // Pool returns the page pool the engine reads through.
 func (e *Engine) Pool() storage.Pool { return e.pool }
 
@@ -98,6 +91,7 @@ type crawlScratch struct {
 	stack    []seedItem
 	fifo     fifoFrontier   // range-crawl frontier (BFS order)
 	heap     heapFrontier   // best-first frontier (k-NN)
+	seedHeap heapFrontier   // k-NN seed descent, run while heap is live
 	els      []geom.Element // object-page decode buffer
 	enqueued map[RecordRef]bool
 	visited  map[storage.PageID]bool
@@ -119,7 +113,8 @@ func (sc *crawlScratch) release() {
 	clear(sc.visited)
 	sc.stack = sc.stack[:0]
 	sc.fifo.reset()
-	sc.heap.reset()
+	sc.heap.Reset()
+	sc.seedHeap.Reset()
 	sc.els = sc.els[:0]
 	scratchPool.Put(sc)
 }
@@ -311,7 +306,7 @@ func (eng *Engine) crawl(ctx context.Context, q geom.MBR, start RecordRef, emit 
 			}
 		}
 		if m.PartitionMBR.Intersects(q) {
-			for _, n := range m.Neighbors {
+			err := eng.eachNeighbor(ctx, m, local, func(n RecordRef) error {
 				if !sc.enqueued[n] {
 					sc.enqueued[n] = true
 					f.push(n)
@@ -321,33 +316,41 @@ func (eng *Engine) crawl(ctx context.Context, q geom.MBR, start RecordRef, emit 
 					// processed. Free on pagers without an Adviser side.
 					eng.pool.Advise(n.Page())
 				}
+				return nil
+			})
+			if err != nil {
+				return err
 			}
-			// Giant partitions continue their neighbor list in chained
-			// overflow records; follow the chain (each hop is at most
-			// one metadata page read).
-			for next := m.Overflow; next != noRef; {
-				// Overflow chains are unbounded in record count; a done
-				// ctx must be able to stop mid-chain.
-				if err := ctxErr(ctx); err != nil {
-					return err
-				}
-				ovPage, err := eng.pool.ReadInto(next.Page(), local)
-				if err != nil {
-					return err
-				}
-				ov, err := decodeMetaRecord(ovPage, next.Slot())
-				if err != nil {
-					return err
-				}
-				for _, n := range ov.Neighbors {
-					if !sc.enqueued[n] {
-						sc.enqueued[n] = true
-						f.push(n)
-						eng.pool.Advise(n.Page())
-					}
-				}
-				next = ov.Overflow
+		}
+	}
+}
+
+// eachNeighbor hands visit every neighbor of record m: its inline list,
+// then the chained overflow records a giant partition continues its
+// list in — one metadata page read (at most) and one ctx check per hop,
+// so a done ctx can stop mid-chain however long the chain is. It is the
+// one neighbor walk: the range crawl, the k-NN expansion and Records
+// all enumerate neighbors through it. A visit error ends the walk.
+func (eng *Engine) eachNeighbor(ctx context.Context, m metaRecord, local *storage.Stats, visit func(RecordRef) error) error {
+	for {
+		for _, n := range m.Neighbors {
+			if err := visit(n); err != nil {
+				return err
 			}
+		}
+		next := m.Overflow
+		if next == noRef {
+			return nil
+		}
+		if err := ctxErr(ctx); err != nil {
+			return err
+		}
+		page, err := eng.pool.ReadInto(next.Page(), local)
+		if err != nil {
+			return err
+		}
+		if m, err = decodeMetaRecord(page, next.Slot()); err != nil {
+			return err
 		}
 	}
 }
@@ -387,29 +390,18 @@ func (eng *Engine) Records(fn func(ref RecordRef, pageMBR, partitionMBR geom.MBR
 				continue // overflow continuation record
 			}
 			// Collect the full neighbor list across the overflow chain.
-			neighbors := m.Neighbors
-			//lint:ignore ctxcrawl offline inspect/invariant walk, never on a serving query path
-			for next := m.Overflow; next != noRef; {
-				ovPage, err := eng.pool.Read(next.Page())
-				if err != nil {
-					return err
-				}
-				ov, err := decodeMetaRecord(ovPage, next.Slot())
-				if err != nil {
-					return err
-				}
-				neighbors = append(neighbors, ov.Neighbors...)
-				next = ov.Overflow
-				// Restore this iteration's page buffer.
-				buf, err = eng.pool.Read(page)
-				if err != nil {
-					return err
-				}
+			var neighbors []RecordRef
+			err = eng.eachNeighbor(context.Background(), m, nil, func(n RecordRef) error {
+				neighbors = append(neighbors, n)
+				return nil
+			})
+			if err != nil {
+				return err
 			}
 			if err := fn(makeRef(page, slot), m.PageMBR, m.PartitionMBR, m.ObjectPage, neighbors); err != nil {
 				return err
 			}
-			// Refresh in case of eviction mid-iteration.
+			// Refresh in case the overflow hops or fn evicted it.
 			buf, err = eng.pool.Read(page)
 			if err != nil {
 				return err

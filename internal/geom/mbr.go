@@ -77,25 +77,6 @@ func (m MBR) Volume() float64 {
 	return s.X * s.Y * s.Z
 }
 
-// SurfaceArea returns the total surface area of the box.
-func (m MBR) SurfaceArea() float64 {
-	if m.Empty() {
-		return 0
-	}
-	s := m.Size()
-	return 2 * (s.X*s.Y + s.Y*s.Z + s.Z*s.X)
-}
-
-// Margin returns the sum of the box's edge lengths along the three axes
-// (the L1 "margin" used by some R-tree heuristics).
-func (m MBR) Margin() float64 {
-	if m.Empty() {
-		return 0
-	}
-	s := m.Size()
-	return s.X + s.Y + s.Z
-}
-
 // Intersects reports whether m and o share at least one point. Boxes that
 // merely touch (share a face, edge or corner) intersect: the paper's
 // neighborhood relation treats adjacent partitions as neighbors.
@@ -103,14 +84,6 @@ func (m MBR) Intersects(o MBR) bool {
 	return m.Min.X <= o.Max.X && o.Min.X <= m.Max.X &&
 		m.Min.Y <= o.Max.Y && o.Min.Y <= m.Max.Y &&
 		m.Min.Z <= o.Max.Z && o.Min.Z <= m.Max.Z
-}
-
-// IntersectsStrict reports whether m and o share interior volume (touching
-// faces do not count).
-func (m MBR) IntersectsStrict(o MBR) bool {
-	return m.Min.X < o.Max.X && o.Min.X < m.Max.X &&
-		m.Min.Y < o.Max.Y && o.Min.Y < m.Max.Y &&
-		m.Min.Z < o.Max.Z && o.Min.Z < m.Max.Z
 }
 
 // Contains reports whether o lies entirely inside m (boundaries included).
@@ -155,28 +128,6 @@ func (m MBR) Expand(d float64) MBR {
 // o. This is the Guttman insertion heuristic.
 func (m MBR) Enlargement(o MBR) float64 {
 	return m.Union(o).Volume() - m.Volume()
-}
-
-// OverlapVolume returns the volume of the intersection of m and o.
-func (m MBR) OverlapVolume(o MBR) float64 {
-	r := m.Intersection(o)
-	if r.Empty() {
-		return 0
-	}
-	return r.Volume()
-}
-
-// LongestAxis returns the axis index (0, 1 or 2) along which the box is
-// widest.
-func (m MBR) LongestAxis() int {
-	s := m.Size()
-	if s.X >= s.Y && s.X >= s.Z {
-		return 0
-	}
-	if s.Y >= s.Z {
-		return 1
-	}
-	return 2
 }
 
 // DistSqToPoint returns the squared Euclidean distance from p to the

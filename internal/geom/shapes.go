@@ -45,20 +45,6 @@ func (t Triangle) MBR() MBR {
 	}
 }
 
-// Area returns the surface area of the triangle.
-func (t Triangle) Area() float64 {
-	return t.P1.Sub(t.P0).Cross(t.P2.Sub(t.P0)).Len() / 2
-}
-
-// Centroid returns the barycenter of the triangle.
-func (t Triangle) Centroid() Vec3 {
-	return Vec3{
-		(t.P0.X + t.P1.X + t.P2.X) / 3,
-		(t.P0.Y + t.P1.Y + t.P2.Y) / 3,
-		(t.P0.Z + t.P1.Z + t.P2.Z) / 3,
-	}
-}
-
 // Element is a spatial element as stored by every index in this
 // repository: an opaque 64-bit identifier (the "primary key" the paper
 // uses to retrieve further information about the element) plus the

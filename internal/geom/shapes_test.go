@@ -53,23 +53,6 @@ func TestTriangleMBRAndArea(t *testing.T) {
 	if m.Min != V(0, 0, 0) || m.Max != V(2, 3, 0) {
 		t.Errorf("MBR = %v", m)
 	}
-	if !almostEq(tr.Area(), 3) {
-		t.Errorf("Area = %v, want 3", tr.Area())
-	}
-	cen := tr.Centroid()
-	if !almostEq(cen.X, 2.0/3) || !almostEq(cen.Y, 1) || cen.Z != 0 {
-		t.Errorf("Centroid = %v", cen)
-	}
-	if !m.ContainsPoint(cen) {
-		t.Error("centroid outside MBR")
-	}
-}
-
-func TestTriangleDegenerateArea(t *testing.T) {
-	tr := Triangle{P0: V(0, 0, 0), P1: V(1, 1, 1), P2: V(2, 2, 2)}
-	if tr.Area() != 0 {
-		t.Errorf("collinear triangle area = %v", tr.Area())
-	}
 }
 
 func TestElementsMBR(t *testing.T) {

@@ -5,25 +5,24 @@ import (
 	"flat/internal/storage"
 )
 
-// nnItem is one pending unit of best-first traversal: either a node
-// page awaiting a read or a leaf entry awaiting its visit, keyed by the
-// squared distance from the query point to its box (a lower bound on
-// everything beneath a node, exact for an entry).
-type nnItem struct {
-	distSq float64
-	seq    uint64 // insertion order; tie-break keeps traversal deterministic
-	entry  bool
-	id     storage.PageID // !entry
-	el     geom.Element   // entry
-}
-
-// nnHeap is a plain binary min-heap on (distSq, seq).
-type nnHeap struct {
-	items []nnItem
+// DistHeap is a plain binary min-heap of best-first work items keyed
+// by a squared-distance lower bound, ties broken by insertion order so
+// a traversal is deterministic. It is the one priority queue of the
+// repository: this package's NN walk and core's k-NN frontier both
+// drain it. The zero value is an empty heap; Reset keeps the backing
+// slice for the next traversal.
+type DistHeap[T any] struct {
+	items []distItem[T]
 	seq   uint64
 }
 
-func (h *nnHeap) less(i, j int) bool {
+type distItem[T any] struct {
+	distSq float64
+	seq    uint64
+	v      T
+}
+
+func (h *DistHeap[T]) less(i, j int) bool {
 	a, b := &h.items[i], &h.items[j]
 	if a.distSq != b.distSq {
 		return a.distSq < b.distSq
@@ -31,10 +30,10 @@ func (h *nnHeap) less(i, j int) bool {
 	return a.seq < b.seq
 }
 
-func (h *nnHeap) push(it nnItem) {
-	it.seq = h.seq
+// Push adds v at priority distSq.
+func (h *DistHeap[T]) Push(distSq float64, v T) {
+	h.items = append(h.items, distItem[T]{distSq: distSq, seq: h.seq, v: v})
 	h.seq++
-	h.items = append(h.items, it)
 	for i := len(h.items) - 1; i > 0; {
 		parent := (i - 1) / 2
 		if !h.less(i, parent) {
@@ -45,9 +44,11 @@ func (h *nnHeap) push(it nnItem) {
 	}
 }
 
-func (h *nnHeap) pop() (nnItem, bool) {
+// Pop removes and returns the item with the smallest distSq (the
+// earliest pushed among equals); ok is false on an empty heap.
+func (h *DistHeap[T]) Pop() (v T, distSq float64, ok bool) {
 	if len(h.items) == 0 {
-		return nnItem{}, false
+		return v, 0, false
 	}
 	top := h.items[0]
 	last := len(h.items) - 1
@@ -68,7 +69,23 @@ func (h *nnHeap) pop() (nnItem, bool) {
 		h.items[i], h.items[smallest] = h.items[smallest], h.items[i]
 		i = smallest
 	}
-	return top, true
+	return top.v, top.distSq, true
+}
+
+// Reset empties the heap and restarts the insertion order.
+func (h *DistHeap[T]) Reset() {
+	h.items = h.items[:0]
+	h.seq = 0
+}
+
+// nnItem is one pending unit of the tree's best-first traversal: either
+// a node page awaiting a read or a leaf entry awaiting its visit. Its
+// heap key is the squared distance from the query point to its box (a
+// lower bound on everything beneath a node, exact for an entry).
+type nnItem struct {
+	entry bool
+	id    storage.PageID // !entry
+	el    geom.Element   // entry
 }
 
 // NN visits the tree's elements in nondecreasing squared distance from
@@ -83,18 +100,18 @@ func (t *Tree) NN(p geom.Vec3, visit func(el geom.Element, distSq float64) bool)
 	if t.root == storage.InvalidPage || t.count == 0 {
 		return nil
 	}
-	var h nnHeap
-	h.items = make([]nnItem, 0, 64)
-	h.push(nnItem{id: t.root, distSq: 0})
+	var h DistHeap[nnItem]
+	h.items = make([]distItem[nnItem], 0, 64)
+	h.Push(0, nnItem{id: t.root})
 	entryBuf := make([]NodeEntry, 0, NodeCapacity)
 	//lint:ignore ctxcrawl in-memory delta-overlay probe; pages are heap-resident, never disk I/O
 	for {
-		it, ok := h.pop()
+		it, distSq, ok := h.Pop()
 		if !ok {
 			return nil
 		}
 		if it.entry {
-			if !visit(it.el, it.distSq) {
+			if !visit(it.el, distSq) {
 				return nil
 			}
 			continue
@@ -107,19 +124,15 @@ func (t *Tree) NN(p geom.Vec3, visit func(el geom.Element, distSq float64) bool)
 		isLeaf, entries := DecodeNodeInto(page, entryBuf)
 		if isLeaf {
 			for _, e := range entries {
-				h.push(nnItem{
-					entry:  true,
-					el:     geom.Element{ID: e.Ref, Box: e.Box},
-					distSq: e.Box.DistSqToPoint(p),
+				h.Push(e.Box.DistSqToPoint(p), nnItem{
+					entry: true,
+					el:    geom.Element{ID: e.Ref, Box: e.Box},
 				})
 			}
 			continue
 		}
 		for _, e := range entries {
-			h.push(nnItem{
-				id:     storage.PageID(e.Ref),
-				distSq: e.Box.DistSqToPoint(p),
-			})
+			h.Push(e.Box.DistSqToPoint(p), nnItem{id: storage.PageID(e.Ref)})
 		}
 	}
 }

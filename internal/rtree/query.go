@@ -66,43 +66,6 @@ func (t *Tree) query(q geom.MBR, visit func(NodeEntry)) error {
 	return nil
 }
 
-// FindOne descends the tree along a single path per candidate subtree and
-// returns the first element intersecting q, or found=false if the query
-// region is empty. This is the "retrieving an arbitrary element in a
-// given range is cheap even with an R-Tree" operation that motivates
-// FLAT's seed phase; it is exposed on the baseline trees for the ablation
-// benchmarks.
-func (t *Tree) FindOne(q geom.MBR) (el geom.Element, found bool, err error) {
-	stack := make([]storage.PageID, 0, 64)
-	stack = append(stack, t.root)
-	entryBuf := make([]NodeEntry, 0, NodeCapacity)
-	//lint:ignore ctxcrawl baseline R-tree for ablation benchmarks, never on a serving query path
-	for len(stack) > 0 {
-		id := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		page, err := t.pool.Read(id)
-		if err != nil {
-			return geom.Element{}, false, err
-		}
-		entryBuf = entryBuf[:0]
-		isLeaf, entries := DecodeNodeInto(page, entryBuf)
-		if isLeaf {
-			for _, e := range entries {
-				if e.Box.Intersects(q) {
-					return geom.Element{ID: e.Ref, Box: e.Box}, true, nil
-				}
-			}
-			continue
-		}
-		for _, e := range entries {
-			if e.Box.Intersects(q) {
-				stack = append(stack, storage.PageID(e.Ref))
-			}
-		}
-	}
-	return geom.Element{}, false, nil
-}
-
 // Walk visits every node of the tree top-down, calling fn with the node's
 // page id, its depth (0 = root) and its decoded content. It exists for
 // invariant checking in tests and for the flatindex CLI's inspect mode.

@@ -254,63 +254,6 @@ func TestPointQueryReadsAtLeastHeight(t *testing.T) {
 	}
 }
 
-func TestFindOne(t *testing.T) {
-	r := rand.New(rand.NewSource(73))
-	els := randomElements(r, 4000, worldBox())
-	for _, s := range allStrategies {
-		tree, pool := buildTree(t, els, s)
-		for i := 0; i < 30; i++ {
-			q := geom.CubeAt(geom.V(r.Float64()*100, r.Float64()*100, r.Float64()*100), 10)
-			want := bruteForce(els, q)
-			el, found, err := tree.FindOne(q)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if found != (len(want) > 0) {
-				t.Fatalf("%v: FindOne found=%v, want %v", s, found, len(want) > 0)
-			}
-			if found && !el.Box.Intersects(q) {
-				t.Fatalf("%v: FindOne returned non-intersecting element", s)
-			}
-		}
-		// Empty region.
-		_, found, err := tree.FindOne(geom.CubeAt(geom.V(900, 900, 900), 1))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if found {
-			t.Errorf("%v: FindOne found element in empty region", s)
-		}
-		_ = pool
-	}
-}
-
-// TestFindOneCheaperThanRangeQuery demonstrates the seed-phase insight:
-// on a dense data set, finding one element reads far fewer pages than the
-// full range query.
-func TestFindOneCheaperThanRangeQuery(t *testing.T) {
-	r := rand.New(rand.NewSource(79))
-	els := randomElements(r, 20000, worldBox())
-	tree, pool := buildTree(t, els, PR)
-	q := geom.CubeAt(geom.V(50, 50, 50), 40)
-
-	pool.Reset()
-	if _, _, err := tree.FindOne(q); err != nil {
-		t.Fatal(err)
-	}
-	findReads := pool.Stats().TotalReads()
-
-	pool.Reset()
-	if _, err := tree.RangeQuery(q); err != nil {
-		t.Fatal(err)
-	}
-	rangeReads := pool.Stats().TotalReads()
-
-	if findReads*5 > rangeReads {
-		t.Errorf("FindOne read %d pages vs RangeQuery %d; expected much cheaper", findReads, rangeReads)
-	}
-}
-
 func TestPageCountsAndSize(t *testing.T) {
 	r := rand.New(rand.NewSource(83))
 	els := randomElements(r, 5000, worldBox())

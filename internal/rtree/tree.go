@@ -203,9 +203,6 @@ func buildAbove(pool storage.Pool, entries []NodeEntry, strategy Strategy, world
 	return storage.PageID(entries[0].Ref), levels, pages, nil
 }
 
-// Root returns the root page id.
-func (t *Tree) Root() storage.PageID { return t.root }
-
 // Height returns the number of levels (1 when the root is a leaf).
 func (t *Tree) Height() int { return t.height }
 

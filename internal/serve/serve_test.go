@@ -644,7 +644,6 @@ func TestShutdownDrainsAndRefuses(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer sx.Close()
 	s := NewServer(sx, Config{StreamBatch: 16, DrainTimeout: 300 * time.Millisecond})
 	if err := s.Listen("127.0.0.1:0"); err != nil {
 		t.Fatal(err)
@@ -689,6 +688,11 @@ func TestShutdownDrainsAndRefuses(t *testing.T) {
 	// The index survives the server: it is the caller's to close.
 	if _, _, err := sx.RangeQuery(flat.CubeAt(flat.V(1, 1, 1), 1)); err != nil {
 		t.Fatalf("index unusable after Shutdown: %v", err)
+	}
+	// ... and closable at once, as cmd/flatserve does: Shutdown waited
+	// for the query goroutines, so none still holds the query guard.
+	if err := sx.Close(); err != nil {
+		t.Fatalf("Close right after Shutdown: %v", err)
 	}
 }
 

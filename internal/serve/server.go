@@ -96,7 +96,7 @@ type Server struct {
 	baseCtx  context.Context // parent of every connection context
 	stopAll  context.CancelFunc
 	draining atomic.Bool
-	wg       sync.WaitGroup // one per live connection handler
+	wg       sync.WaitGroup // one per live connection handler and per query goroutine
 
 	mu    sync.Mutex
 	conns map[net.Conn]struct{}
@@ -179,8 +179,10 @@ func (s *Server) Inflight() int { return s.adm.inflight() }
 
 // Shutdown drains the server: stop accepting, refuse new queries with
 // ErrShuttingDown, give in-flight streams DrainTimeout to finish, then
-// cancel whatever is left and close every connection. Safe to call
-// once; the index itself is left open for the caller.
+// cancel whatever is left, close every connection and wait for every
+// handler and query goroutine to exit. Safe to call once; the index
+// itself is left open for the caller, with no query of this server's
+// still in flight on it.
 func (s *Server) Shutdown() {
 	s.draining.Store(true)
 	if s.ln != nil {
@@ -425,7 +427,13 @@ func (sc *srvConn) admit(reqID uint32, run func(qctx context.Context)) {
 	sc.inflight[reqID] = qcancel
 	sc.mu.Unlock()
 
+	// Shutdown waits for the query goroutines too: once it returns, none
+	// still holds an admission slot or the index's query guard, so the
+	// caller may Close the index. This Add cannot race Shutdown's Wait —
+	// it runs on the handler goroutine, which holds a count of its own.
+	sc.s.wg.Add(1)
 	go func() {
+		defer sc.s.wg.Done()
 		defer func() {
 			sc.mu.Lock()
 			delete(sc.inflight, reqID)

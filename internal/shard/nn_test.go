@@ -3,14 +3,23 @@ package shard
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math"
 	"math/rand"
 	"sort"
 	"testing"
 
+	"flat/internal/core"
 	"flat/internal/geom"
 	"flat/internal/storage"
 )
+
+// nnHit is one element of a best-first stream with its exact squared
+// distance from the query point.
+type nnHit struct {
+	el     geom.Element
+	distSq float64
+}
 
 // nnBruteSet is the reference answer: every live element (bulk minus
 // staged deletes plus surviving staged inserts) sorted by squared
@@ -136,6 +145,109 @@ func TestSetNNStagedOverlay(t *testing.T) {
 	} {
 		checkSetNN(t, set, p)
 	}
+
+	// A staged insert exactly as far from p as a bulk element ranks
+	// after it: give the nearest bulk element a staged twin (its box as
+	// the stream decodes it) and take the first two of the stream.
+	ctx := context.Background()
+	p := geom.V(50, 50, 50)
+	var nearest geom.Element
+	if _, err := set.NNQuery(ctx, p, 1, func(e geom.Element, _ float64) bool { nearest = e; return false }); err != nil {
+		t.Fatal(err)
+	}
+	const twinID = 99_999
+	if nearest.ID >= 10_000 {
+		t.Fatalf("nearest element to %v is staged (id %d); the case needs a bulk one", p, nearest.ID)
+	}
+	if err := set.StageInsert(geom.Element{ID: twinID, Box: nearest.Box}); err != nil {
+		t.Fatal(err)
+	}
+	var first []nnHit
+	if _, err := set.NNQuery(ctx, p, 2, func(e geom.Element, d float64) bool {
+		first = append(first, nnHit{el: e, distSq: d})
+		return len(first) < 2
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if len(first) != 2 || first[0].el.ID != nearest.ID || first[1].el.ID != twinID || first[0].distSq != first[1].distSq {
+		t.Fatalf("equidistant pair streamed as %+v, want bulk %d then its staged twin %d at one distance", first, nearest.ID, twinID)
+	}
+	checkSetNN(t, set, p)
+
+	// A consumer that stops on a staged element gets nothing after it —
+	// in particular not the bulk element whose arrival flushed it — and
+	// Results counts exactly what was delivered.
+	calls, stoppedOn := 0, uint64(0)
+	st, err := set.NNQuery(ctx, geom.V(30, 10, 10), 0, func(e geom.Element, _ float64) bool {
+		calls++
+		stoppedOn = e.ID
+		return e.ID < 10_000
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if stoppedOn < 10_000 || stoppedOn == twinID {
+		t.Fatalf("stream ended on element %d after %d emissions, never reaching the staged cluster", stoppedOn, calls)
+	}
+	if calls < 2 {
+		t.Fatalf("the staged cluster came first (%d emissions); the case needs a bulk element ahead of it", calls)
+	}
+	if st.Results != calls {
+		t.Fatalf("stats.Results = %d, but emit was called %d times", st.Results, calls)
+	}
+}
+
+// A stream stopped at its k-th element has visited no record and no
+// object page whose distance bound exceeds that element's distance: the
+// shards share one frontier, so nothing beyond the k-th result is ever
+// popped, in any shard. Records enumerates every shard's bounds; the
+// stats only count visits, so the check is by count.
+func TestSetNNVisitsNothingBeyondKth(t *testing.T) {
+	r := rand.New(rand.NewSource(1999))
+	set, err := Build(randomElements(r, 3000), Config{Shards: 4, PageCapacity: 16})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer set.Close()
+	var partitions, pages []geom.MBR
+	for i := 0; i < set.NumShards(); i++ {
+		err := set.Shard(i).Records(func(_ core.RecordRef, pageMBR, partitionMBR geom.MBR, _ storage.PageID, _ []core.RecordRef) error {
+			partitions = append(partitions, partitionMBR)
+			pages = append(pages, pageMBR)
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	within := func(boxes []geom.MBR, p geom.Vec3, distSq float64) int {
+		n := 0
+		for _, b := range boxes {
+			if b.DistSqToPoint(p) <= distSq {
+				n++
+			}
+		}
+		return n
+	}
+	for i := 0; i < 30; i++ {
+		p := geom.V(r.Float64()*120-10, r.Float64()*120-10, r.Float64()*120-10)
+		for _, k := range []int{1, 10, 50} {
+			n, kth := 0, 0.0
+			st, err := set.NNQuery(context.Background(), p, k, func(_ geom.Element, d float64) bool {
+				n++
+				kth = d
+				return n < k
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			okPages, okRecords := within(pages, p, kth), within(partitions, p, kth)
+			if st.PagesVisited > okPages || st.RecordsVisited > okRecords {
+				t.Errorf("p=%v k=%d: visited %d pages / %d records, but only %d / %d have a bound within the k-th distance",
+					p, k, st.PagesVisited, st.RecordsVisited, okPages, okRecords)
+			}
+		}
+	}
 }
 
 // A k=1 probe into a well-separated corner must not pay for distant
@@ -200,9 +312,11 @@ func TestSetNNCancellation(t *testing.T) {
 	}
 	defer set.Close()
 
+	set.DropCache()
+	set.Pool().ResetStats()
 	ctx, cancel := context.WithCancel(context.Background())
 	n := 0
-	_, err = set.NNQuery(ctx, geom.V(50, 50, 50), 0, func(geom.Element, float64) bool {
+	st, err := set.NNQuery(ctx, geom.V(50, 50, 50), 0, func(geom.Element, float64) bool {
 		n++
 		if n == 25 {
 			cancel()
@@ -212,6 +326,51 @@ func TestSetNNCancellation(t *testing.T) {
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("cancelled NNQuery returned %v, want context.Canceled", err)
 	}
+	// The stats returned beside the error cover exactly the work done:
+	// every emission, and every page this query pulled into the cold pool.
+	if st.Results != 25 || st.RecordsVisited == 0 || st.PagesVisited == 0 {
+		t.Errorf("cancelled NNQuery stats %+v: want 25 results and the visits behind them", st)
+	}
+	if pooled := set.Pool().Stats().TotalReads(); st.TotalReads == 0 || st.TotalReads != pooled ||
+		st.TotalReads != st.SeedReads+st.MetadataReads+st.ObjectReads {
+		t.Errorf("cancelled NNQuery stats %+v: the pool performed %d reads", st, pooled)
+	}
 	// The set must stay fully usable afterwards.
 	checkSetNN(t, set, geom.V(20, 80, 40))
+}
+
+// BenchmarkSetNN is the shard layer's k-NN microbenchmark: a warm pool,
+// v2 pages, the stream stopped at its k-th element. allocs/op and
+// visits/op (records + object pages popped off the frontier) repeat
+// exactly for the fixed seed; ns/op is noise-bound on a small box.
+func BenchmarkSetNN(b *testing.B) {
+	r := rand.New(rand.NewSource(17))
+	els := randomElements(r, 60_000)
+	points := make([]geom.Vec3, 64)
+	for i := range points {
+		points[i] = geom.V(r.Float64()*100, r.Float64()*100, r.Float64()*100)
+	}
+	for _, shards := range []int{1, 4} {
+		set, err := Build(els, Config{Shards: shards, PageFormat: storage.PageFormatV2})
+		if err != nil {
+			b.Fatal(err)
+		}
+		for _, k := range []int{10, 100} {
+			b.Run(fmt.Sprintf("K=%d/k=%d", shards, k), func(b *testing.B) {
+				b.ReportAllocs()
+				ctx := context.Background()
+				visits := 0
+				for i := 0; i < b.N; i++ {
+					n := 0
+					st, err := set.NNQuery(ctx, points[i%len(points)], k, func(geom.Element, float64) bool { n++; return n < k })
+					if err != nil {
+						b.Fatal(err)
+					}
+					visits += st.RecordsVisited + st.PagesVisited
+				}
+				b.ReportMetric(float64(visits)/float64(b.N), "visits/op")
+			})
+		}
+		set.Close()
+	}
 }

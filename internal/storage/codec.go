@@ -38,9 +38,6 @@ func (w *PageWriter) Seek(off int) {
 // Overflow reports whether any write ran past the end of the page.
 func (w *PageWriter) Overflow() bool { return w.overflow }
 
-// Remaining returns the number of bytes left on the page.
-func (w *PageWriter) Remaining() int { return PageSize - w.off }
-
 func (w *PageWriter) need(n int) bool {
 	if w.off+n > PageSize {
 		w.overflow = true

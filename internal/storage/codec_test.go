@@ -58,9 +58,6 @@ func TestPageWriterOverflow(t *testing.T) {
 	if w.Overflow() {
 		t.Fatal("filling exactly should not overflow")
 	}
-	if w.Remaining() != 0 {
-		t.Fatalf("Remaining = %d", w.Remaining())
-	}
 	w.PutU8(1)
 	if !w.Overflow() {
 		t.Error("write past end did not set overflow")

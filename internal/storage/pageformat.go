@@ -102,15 +102,6 @@ func ObjectPageCapacity(f PageFormat) int {
 	return ObjectPageCapacityV1
 }
 
-// ObjectElementSize returns the per-element encoded size of format f,
-// excluding the page header.
-func ObjectElementSize(f PageFormat) int {
-	if f == PageFormatV2 {
-		return objectElemV2
-	}
-	return objectElemV1
-}
-
 // quantLevels is the number of quantization steps per axis: u32 cells,
 // like internal/hilbert's Quantizer grid.
 const quantLevels = float64(1 << 32)

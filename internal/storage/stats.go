@@ -23,15 +23,6 @@ func (s Stats) TotalReads() uint64 {
 	return t
 }
 
-// TotalWrites returns the number of page writes across all categories.
-func (s Stats) TotalWrites() uint64 {
-	var t uint64
-	for _, v := range s.Writes {
-		t += v
-	}
-	return t
-}
-
 // BytesRead returns the total bytes retrieved from disk.
 func (s Stats) BytesRead() uint64 { return s.TotalReads() * PageSize }
 
@@ -42,12 +33,6 @@ func (s Stats) BytesReadBy(cat Category) uint64 { return s.Reads[cat] * PageSize
 // (R-tree leaves and FLAT object pages).
 func (s Stats) LeafReads() uint64 {
 	return s.Reads[CatRTreeLeaf] + s.Reads[CatObject]
-}
-
-// NonLeafReads returns reads attributed to structural overhead pages
-// (R-tree internal nodes, seed-tree internals and metadata pages).
-func (s Stats) NonLeafReads() uint64 {
-	return s.Reads[CatRTreeInternal] + s.Reads[CatSeedInternal] + s.Reads[CatMetadata]
 }
 
 // Add accumulates o into s.

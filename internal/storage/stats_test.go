@@ -18,8 +18,8 @@ func TestStatsArithmetic(t *testing.T) {
 	if c.Reads[CatObject] != 13 {
 		t.Errorf("Add wrong: %+v", c)
 	}
-	if a.TotalReads() != 14 || a.TotalWrites() != 2 {
-		t.Errorf("totals wrong: %d %d", a.TotalReads(), a.TotalWrites())
+	if a.TotalReads() != 14 {
+		t.Errorf("TotalReads = %d", a.TotalReads())
 	}
 	if a.BytesRead() != 14*PageSize {
 		t.Errorf("BytesRead = %d", a.BytesRead())
@@ -42,9 +42,6 @@ func TestStatsLeafNonLeafSplit(t *testing.T) {
 	s.Reads[CatMetadata] = 3
 	if s.LeafReads() != 12 {
 		t.Errorf("LeafReads = %d", s.LeafReads())
-	}
-	if s.NonLeafReads() != 6 {
-		t.Errorf("NonLeafReads = %d", s.NonLeafReads())
 	}
 }
 

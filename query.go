@@ -120,18 +120,22 @@ func (b *base) Query(ctx context.Context, q MBR, opts ...QueryOption) *Results {
 // precision is lost in transit. Ties (equal distances) are broken
 // deterministically.
 //
-// A ShardedIndex visits its shards in distance order off the MBR
-// directory: each shard's bounds lower-bound the distance of
-// everything inside it, so a shard is opened only once no already-open
-// stream can beat that bound — a probe into a well-separated region
-// touches one shard and never pays for the rest. Staged updates are
-// overlaid exactly as in Query: staged deletes filter the stream,
-// staged inserts merge in at their own distances (losing ties to
-// bulkloaded elements, matching the range path's staged-last order).
-// WithBuffer and WithShardPrefetch are no-ops on both shapes: running
-// ahead of the consumer trades extra page reads for wall-clock overlap,
-// and a best-first traversal's whole point is to not read pages it has
-// not proven necessary. Safe for concurrent use.
+// A ShardedIndex runs the same single frontier: each shard is one more
+// item in it, keyed by the distance to its directory MBR (which
+// lower-bounds everything inside it) and seeded only when that item
+// surfaces — nothing whose bound exceeds the k-th result is read, in
+// any shard, and a probe into a well-separated region touches one
+// shard and never pays for the rest. Bulkloaded elements at exactly
+// equal distance in different shards arrive in the frontier's
+// discovery order: deterministic for a given index, but not by shard
+// number. Staged updates are overlaid exactly as in Query: staged
+// deletes filter the stream, staged inserts merge in at their own
+// distances (losing ties to bulkloaded elements, matching the range
+// path's staged-last order). WithBuffer and WithShardPrefetch are
+// no-ops on both shapes: running ahead of the consumer trades extra
+// page reads for wall-clock overlap, a best-first traversal's whole
+// point is to not read pages it has not proven necessary, and there is
+// no per-shard crawl to run ahead. Safe for concurrent use.
 func (b *base) NN(ctx context.Context, p Vec3, k int, opts ...QueryOption) *Results {
 	r := newResults(ctx, b, geom.PointBox(p), true, opts)
 	// The effective bound is the smaller of k and WithLimit's positive
@@ -260,7 +264,7 @@ func newResults(ctx context.Context, b *base, q MBR, nn bool, opts []QueryOption
 }
 
 // run executes the session on the set's executor for its kind: the
-// range stream under the session's pipeline options, or the NN merge
+// range stream under the session's pipeline options, or the NN stream
 // (which takes the limit as its staged-insert sizing hint).
 func (r *Results) run(emit func(Element) bool) (QueryStats, error) {
 	if r.nn {
