@@ -25,10 +25,7 @@
 // for both index kinds. Queries run as streaming sessions: -limit N
 // stops the crawl after N results, and the reported page reads shrink
 // accordingly (the paper's crawl cost is proportional to the result
-// size, so bounding the results bounds the I/O); -prefetch P crawls up
-// to P surviving shards concurrently into bounded buffers
-// (flat.WithShardPrefetch) without changing the result order — a plain
-// page file is the one-shard case of the same pipeline.
+// size, so bounding the results bounds the I/O).
 //
 // -nn "x,y,z" runs a k-nearest-neighbor query: the -k closest elements
 // stream back in nondecreasing distance from the point (best-first
@@ -77,23 +74,22 @@ import (
 
 func main() {
 	var (
-		data     = flag.String("data", "", "binary element file (required)")
-		index    = flag.String("index", "", "optional page-file path; empty keeps the index in memory")
-		query    = flag.String("query", "", "range query 'x1,y1,z1,x2,y2,z2'")
-		point    = flag.String("point", "", "point query 'x,y,z'")
-		nn       = flag.String("nn", "", "k-nearest-neighbor query point 'x,y,z'; results stream in nondecreasing distance")
-		k        = flag.Int("k", 10, "result count for -nn (0: stream the whole index in distance order)")
-		stats    = flag.Bool("stats", false, "print index statistics")
-		compare  = flag.Bool("compare", false, "also run the query on the three R-tree baselines")
-		limit    = flag.Int("limit", 0, "stop the query after this many results (0: unlimited); the crawl aborts early, saving page reads")
-		prefetch = flag.Int("prefetch", 0, "crawl up to this many shards concurrently during the query, a bounded buffer ahead of the output (0: sequential, inline)")
-		shards   = flag.Int("shards", 1, "number of spatial shards (>1: sharded index; -index names a directory)")
-		insert   = flag.String("insert", "", "element file whose contents are staged for insertion (sharded index only)")
-		del      = flag.String("delete", "", "comma-separated element ids staged for deletion (sharded index only)")
-		rebuild  = flag.Bool("rebuild", false, "fold staged updates in by re-bulkloading only the dirty shards")
-		pf       = flag.String("pageformat", "v1", "object-page layout for a fresh build: v1 (full precision) or v2 (quantized delta-encoded, ~1.7x denser); reopening reads the format from the index itself")
-		mmap     = flag.Bool("mmap", false, "serve an existing index through a read-only memory mapping instead of file reads (reopen only)")
-		wal      = flag.Bool("wal", false, "write-ahead-log staged updates so they survive a crash without -rebuild (disk-backed sharded index only)")
+		data    = flag.String("data", "", "binary element file (required)")
+		index   = flag.String("index", "", "optional page-file path; empty keeps the index in memory")
+		query   = flag.String("query", "", "range query 'x1,y1,z1,x2,y2,z2'")
+		point   = flag.String("point", "", "point query 'x,y,z'")
+		nn      = flag.String("nn", "", "k-nearest-neighbor query point 'x,y,z'; results stream in nondecreasing distance")
+		k       = flag.Int("k", 10, "result count for -nn (0: stream the whole index in distance order)")
+		stats   = flag.Bool("stats", false, "print index statistics")
+		compare = flag.Bool("compare", false, "also run the query on the three R-tree baselines")
+		limit   = flag.Int("limit", 0, "stop the query after this many results (0: unlimited); the crawl aborts early, saving page reads")
+		shards  = flag.Int("shards", 1, "number of spatial shards (>1: sharded index; -index names a directory)")
+		insert  = flag.String("insert", "", "element file whose contents are staged for insertion (sharded index only)")
+		del     = flag.String("delete", "", "comma-separated element ids staged for deletion (sharded index only)")
+		rebuild = flag.Bool("rebuild", false, "fold staged updates in by re-bulkloading only the dirty shards")
+		pf      = flag.String("pageformat", "v1", "object-page layout for a fresh build: v1 (full precision) or v2 (quantized delta-encoded, ~1.7x denser); reopening reads the format from the index itself")
+		mmap    = flag.Bool("mmap", false, "serve an existing index through a read-only memory mapping instead of file reads (reopen only)")
+		wal     = flag.Bool("wal", false, "write-ahead-log staged updates so they survive a crash without -rebuild (disk-backed sharded index only)")
 	)
 	flag.Parse()
 	if *data == "" {
@@ -117,7 +113,7 @@ func main() {
 	// contract, which both index kinds satisfy.
 	var ix flat.QueryIndex
 	if *index != "" {
-		if reopened, err := openExisting(*index, *mmap, *wal); err == nil {
+		if reopened, err := flat.OpenAnyWithOptions(*index, &flat.ShardedOptions{Mmap: *mmap, WAL: *wal}); err == nil {
 			fmt.Printf("reopened existing index %s\n", *index)
 			// An index with a write-ahead log replays it on open: say what
 			// survived so a kill-and-reopen is visible from the outside.
@@ -373,11 +369,7 @@ func main() {
 	// aborts as soon as enough results have been delivered, so the page
 	// reads below reflect the work actually performed, not the full
 	// result's cost.
-	opts := []flat.QueryOption{flat.WithLimit(*limit)}
-	if *prefetch > 0 {
-		opts = append(opts, flat.WithShardPrefetch(*prefetch))
-	}
-	session := ix.Query(context.Background(), q, opts...)
+	session := ix.Query(context.Background(), q, flat.WithLimit(*limit))
 	count := 0
 	for e, err := range session.All() {
 		if err != nil {
@@ -419,20 +411,6 @@ func main() {
 			tr.Close()
 		}
 	}
-}
-
-// openExisting is flat.OpenAny with the -mmap and -wal knobs: the
-// on-disk shape decides sharded vs plain, the flags decide the pager
-// and the write-ahead log behind it.
-func openExisting(path string, mmap, wal bool) (flat.QueryIndex, error) {
-	fi, err := os.Stat(path)
-	if err != nil {
-		return nil, err
-	}
-	if fi.IsDir() {
-		return flat.OpenShardedWithOptions(path, &flat.ShardedOptions{Mmap: mmap, WAL: wal})
-	}
-	return flat.OpenWithOptions(path, &flat.Options{Mmap: mmap})
 }
 
 func parsePageFormat(s string) (flat.PageFormat, error) {

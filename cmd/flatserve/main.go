@@ -1,9 +1,9 @@
 // Command flatserve serves a built FLAT index over TCP — the network
-// face of the library: streaming range/count queries with limits and
-// shard prefetch, staged writes against the WAL-backed delta of a
-// sharded index, rebuilds, and an admin/stats endpoint. The protocol
-// is the length-prefixed binary framing of flat/internal/serve; see
-// the README's "Serving" section for the frame layout.
+// face of the library: streaming range/count queries with limits,
+// staged writes against the WAL-backed delta of a sharded index,
+// rebuilds, and an admin/stats endpoint. The protocol is the
+// length-prefixed binary framing of flat/internal/serve; see the
+// README's "Serving" section for the frame layout.
 //
 // Server mode (-index):
 //
@@ -60,19 +60,18 @@ func main() {
 		batch    = flag.Int("batch", 0, "elements per streamed result frame (0: default 128)")
 		drain    = flag.Duration("drain", 5*time.Second, "graceful-shutdown grace period for in-flight queries")
 
-		query    = flag.String("query", "", "client: range query 'x1,y1,z1,x2,y2,z2'")
-		point    = flag.String("point", "", "client: point query 'x,y,z'")
-		nn       = flag.String("nn", "", "client: k-nearest-neighbor query point 'x,y,z'; results stream in nondecreasing distance")
-		kNN      = flag.Int("k", 10, "client: result count for -nn (0: stream the whole index in distance order)")
-		count    = flag.Bool("count", false, "client: count instead of streaming the elements")
-		limit    = flag.Int("limit", 0, "client: stop the query after this many results (0: unlimited)")
-		cancelN  = flag.Int("cancel-after", 0, "client: cancel the stream after this many results (exercises the wire cancel)")
-		prefetch = flag.Int("prefetch", 0, "client: crawl up to this many shards concurrently server-side (0: sequential)")
-		insert   = flag.String("insert", "", "client: element file whose contents are staged for insertion")
-		del      = flag.String("delete", "", "client: stage one deletion, 'id,x1,y1,z1,x2,y2,z2'")
-		flush    = flag.Bool("flush", false, "client: flush the server's write-ahead log")
-		rebuild  = flag.Bool("rebuild", false, "client: fold staged updates into the bulkloaded shards")
-		stats    = flag.Bool("stats", false, "client: print the server's stats as JSON")
+		query   = flag.String("query", "", "client: range query 'x1,y1,z1,x2,y2,z2'")
+		point   = flag.String("point", "", "client: point query 'x,y,z'")
+		nn      = flag.String("nn", "", "client: k-nearest-neighbor query point 'x,y,z'; results stream in nondecreasing distance")
+		kNN     = flag.Int("k", 10, "client: result count for -nn (0: stream the whole index in distance order)")
+		count   = flag.Bool("count", false, "client: count instead of streaming the elements")
+		limit   = flag.Int("limit", 0, "client: stop the query after this many results (0: unlimited)")
+		cancelN = flag.Int("cancel-after", 0, "client: cancel the stream after this many results (exercises the wire cancel)")
+		insert  = flag.String("insert", "", "client: element file whose contents are staged for insertion")
+		del     = flag.String("delete", "", "client: stage one deletion, 'id,x1,y1,z1,x2,y2,z2'")
+		flush   = flag.Bool("flush", false, "client: flush the server's write-ahead log")
+		rebuild = flag.Bool("rebuild", false, "client: fold staged updates into the bulkloaded shards")
+		stats   = flag.Bool("stats", false, "client: print the server's stats as JSON")
 	)
 	flag.Parse()
 
@@ -88,29 +87,16 @@ func main() {
 	runClient(*addr, clientOps{
 		query: *query, point: *point, count: *count,
 		nn: *nn, k: *kNN,
-		limit: *limit, prefetch: *prefetch, cancelAfter: *cancelN,
+		limit: *limit, cancelAfter: *cancelN,
 		insert: *insert, del: *del,
 		flush: *flush, rebuild: *rebuild, stats: *stats,
 	})
 }
 
-// openIndex opens the on-disk index for serving: the shape (file vs
-// directory) picks plain vs sharded, and serving defaults to the
-// mmap-backed read path (PR 7's pager) plus the WAL-backed write path
-// (PR 8's staging) where each applies.
-func openIndex(path string, mmap, wal bool) (flat.QueryIndex, error) {
-	fi, err := os.Stat(path)
-	if err != nil {
-		return nil, err
-	}
-	if fi.IsDir() {
-		return flat.OpenShardedWithOptions(path, &flat.ShardedOptions{Mmap: mmap, WAL: wal})
-	}
-	return flat.OpenWithOptions(path, &flat.Options{Mmap: mmap})
-}
-
 func runServer(index, addr string, mmap, wal bool, cfg serve.Config) {
-	ix, err := openIndex(index, mmap, wal)
+	// The shape (file vs directory) picks plain vs sharded; the
+	// write-ahead log applies to a shard directory only.
+	ix, err := flat.OpenAnyWithOptions(index, &flat.ShardedOptions{Mmap: mmap, WAL: wal})
 	if err != nil {
 		fatalf("open %s: %v", index, err)
 	}
@@ -164,7 +150,6 @@ type clientOps struct {
 	k            int
 	count        bool
 	limit        int
-	prefetch     int
 	cancelAfter  int
 	insert, del  string
 	flush        bool
@@ -240,7 +225,7 @@ func runClient(addr string, ops clientOps) {
 		haveQuery = true
 	}
 	if haveQuery {
-		qo := serve.QueryOptions{Limit: ops.limit, Prefetch: ops.prefetch}
+		qo := serve.QueryOptions{Limit: ops.limit}
 		if ops.count {
 			n, st, err := c.Count(ctx, q, qo)
 			if err != nil {

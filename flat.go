@@ -60,12 +60,11 @@
 // BatchRangeQuery/BatchCountQuery fan a query batch over a worker pool.
 // These seven methods are defined once (on base, in query.go) for both
 // index shapes, over one executor pair: the set's shard-ordered range
-// stream and its distance-ordered NN stream. A session that asks to run
-// ahead of its consumer (WithBuffer, WithShardPrefetch) uses the range
-// stream's one pipeline. OpenAny opens either index shape from a path
-// and returns the composed QueryIndex interface; the Querier /
-// Inspector / Maintainer role interfaces split the same surface by
-// concern for callers that need less.
+// stream and its distance-ordered NN stream, each running on the
+// goroutine that drains the session. OpenAny opens either index shape
+// from a path and returns the composed QueryIndex interface; the
+// Querier / Inspector / Maintainer role interfaces split the same
+// surface by concern for callers that need less.
 //
 // # Concurrency
 //
@@ -215,16 +214,29 @@ var (
 // ShardedOptions.Dir, reopened as *ShardedIndex). Serving code calls
 // one constructor and programs against QueryIndex; the concrete type
 // is recoverable with a type switch when shape-specific accessors
-// (SeedHeight, NumShards, staging) are needed.
+// (SeedHeight, NumShards, staging) are needed. It is shorthand for
+// OpenAnyWithOptions(path, nil).
 func OpenAny(path string) (QueryIndex, error) {
+	return OpenAnyWithOptions(path, nil)
+}
+
+// OpenAnyWithOptions is OpenAny with open-time options. A shard
+// directory consults what OpenShardedWithOptions does; a page file has
+// no write-ahead log or staging, so it consults BufferPages and Mmap
+// only (as OpenWithOptions) and ignores the rest.
+func OpenAnyWithOptions(path string, opts *ShardedOptions) (QueryIndex, error) {
 	fi, err := os.Stat(path)
 	if err != nil {
 		return nil, err
 	}
 	if fi.IsDir() {
-		return OpenSharded(path)
+		return OpenShardedWithOptions(path, opts)
 	}
-	return Open(path)
+	var o Options
+	if opts != nil {
+		o = Options{BufferPages: opts.BufferPages, Mmap: opts.Mmap}
+	}
+	return OpenWithOptions(path, &o)
 }
 
 // V constructs a Vec3.

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"math/rand"
+	"os"
 	"path/filepath"
 	"runtime"
 	"testing"
@@ -34,8 +35,7 @@ func queryTargets(t *testing.T, n int) (els []Element, targets map[string]QueryI
 
 // TestQuerySessionMatchesRangeQuery pins the compatibility contract:
 // draining a session yields exactly RangeQuery's elements, in the same
-// order, with the same page-read statistics — whether drained inline or
-// through a pipeline buffer.
+// order, with the same page-read statistics.
 func TestQuerySessionMatchesRangeQuery(t *testing.T) {
 	els, targets := queryTargets(t, 3000)
 	r := rand.New(rand.NewSource(5))
@@ -52,32 +52,30 @@ func TestQuerySessionMatchesRangeQuery(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			for _, opts := range [][]QueryOption{nil, {WithBuffer(4)}, {WithShardPrefetch(2)}, {WithShardPrefetch(2), WithBuffer(2)}} {
-				if err := ix.DropCache(); err != nil {
-					t.Fatal(err)
+			if err := ix.DropCache(); err != nil {
+				t.Fatal(err)
+			}
+			res := ix.Query(context.Background(), q)
+			var got []Element
+			for e, err := range res.All() {
+				if err != nil {
+					t.Fatalf("%s query %d: %v", name, i, err)
 				}
-				res := ix.Query(context.Background(), q, opts...)
-				var got []Element
-				for e, err := range res.All() {
-					if err != nil {
-						t.Fatalf("%s query %d: %v", name, i, err)
-					}
-					got = append(got, e)
+				got = append(got, e)
+			}
+			if len(got) != len(want) {
+				t.Fatalf("%s query %d: session %d elements, RangeQuery %d", name, i, len(got), len(want))
+			}
+			for j := range got {
+				if got[j] != want[j] {
+					t.Fatalf("%s query %d: element %d differs: %v vs %v", name, i, j, got[j], want[j])
 				}
-				if len(got) != len(want) {
-					t.Fatalf("%s query %d: session %d elements, RangeQuery %d", name, i, len(got), len(want))
-				}
-				for j := range got {
-					if got[j] != want[j] {
-						t.Fatalf("%s query %d: element %d differs: %v vs %v", name, i, j, got[j], want[j])
-					}
-				}
-				if res.Stats() != wantStats {
-					t.Fatalf("%s query %d: session stats %+v, RangeQuery %+v", name, i, res.Stats(), wantStats)
-				}
-				if res.Err() != nil {
-					t.Fatalf("%s query %d: Err() = %v after clean drain", name, i, res.Err())
-				}
+			}
+			if res.Stats() != wantStats {
+				t.Fatalf("%s query %d: session stats %+v, RangeQuery %+v", name, i, res.Stats(), wantStats)
+			}
+			if res.Err() != nil {
+				t.Fatalf("%s query %d: Err() = %v after clean drain", name, i, res.Err())
 			}
 		}
 	}
@@ -153,55 +151,53 @@ func TestQueryCancelMidCrawl(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, opts := range [][]QueryOption{nil, {WithBuffer(2)}, {WithShardPrefetch(2), WithBuffer(2)}} {
-			if err := ix.DropCache(); err != nil {
-				t.Fatal(err)
-			}
-			ctx, cancel := context.WithCancel(context.Background())
-			res := ix.Query(ctx, q, opts...)
-			seen := 0
-			var terminal error
-			for _, err := range res.All() {
-				if err != nil {
-					terminal = err
-					break
-				}
-				seen++
-				cancel()
-			}
-			cancel()
-			if !errors.Is(terminal, context.Canceled) {
-				t.Fatalf("%s: cancelled session terminated with %v, want context.Canceled", name, terminal)
-			}
-			if !errors.Is(res.Err(), context.Canceled) {
-				t.Fatalf("%s: Err() = %v, want context.Canceled", name, res.Err())
-			}
-			// Stats must already describe the performed work at the moment
-			// the terminal error is observed (Collect relies on this).
-			if res.Stats().Results < seen || res.Stats().Results == 0 {
-				t.Fatalf("%s: stats at terminal error report %d results, consumer saw %d",
-					name, res.Stats().Results, seen)
-			}
-			if seen == 0 || seen >= len(want) {
-				t.Fatalf("%s: cancelled session delivered %d of %d elements — not a mid-crawl abort", name, seen, len(want))
-			}
-			if res.Stats().TotalReads >= wantStats.TotalReads {
-				t.Fatalf("%s: cancelled session read %d pages, full query %d — crawl did not abort early",
-					name, res.Stats().TotalReads, wantStats.TotalReads)
-			}
-			// The abort must leave the shared cache consistent: the same
-			// query answers identically afterwards.
-			after, _, err := ix.RangeQuery(q)
+		if err := ix.DropCache(); err != nil {
+			t.Fatal(err)
+		}
+		ctx, cancel := context.WithCancel(context.Background())
+		res := ix.Query(ctx, q)
+		seen := 0
+		var terminal error
+		for _, err := range res.All() {
 			if err != nil {
-				t.Fatal(err)
+				terminal = err
+				break
 			}
-			if len(after) != len(want) {
-				t.Fatalf("%s: after cancellation RangeQuery returns %d elements, want %d", name, len(after), len(want))
-			}
-			for i := range after {
-				if after[i] != want[i] {
-					t.Fatalf("%s: result %d differs after cancellation", name, i)
-				}
+			seen++
+			cancel()
+		}
+		cancel()
+		if !errors.Is(terminal, context.Canceled) {
+			t.Fatalf("%s: cancelled session terminated with %v, want context.Canceled", name, terminal)
+		}
+		if !errors.Is(res.Err(), context.Canceled) {
+			t.Fatalf("%s: Err() = %v, want context.Canceled", name, res.Err())
+		}
+		// Stats must already describe the performed work at the moment
+		// the terminal error is observed (Collect relies on this).
+		if res.Stats().Results < seen || res.Stats().Results == 0 {
+			t.Fatalf("%s: stats at terminal error report %d results, consumer saw %d",
+				name, res.Stats().Results, seen)
+		}
+		if seen == 0 || seen >= len(want) {
+			t.Fatalf("%s: cancelled session delivered %d of %d elements — not a mid-crawl abort", name, seen, len(want))
+		}
+		if res.Stats().TotalReads >= wantStats.TotalReads {
+			t.Fatalf("%s: cancelled session read %d pages, full query %d — crawl did not abort early",
+				name, res.Stats().TotalReads, wantStats.TotalReads)
+		}
+		// The abort must leave the shared cache consistent: the same
+		// query answers identically afterwards.
+		after, _, err := ix.RangeQuery(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(after) != len(want) {
+			t.Fatalf("%s: after cancellation RangeQuery returns %d elements, want %d", name, len(after), len(want))
+		}
+		for i := range after {
+			if after[i] != want[i] {
+				t.Fatalf("%s: result %d differs after cancellation", name, i)
 			}
 		}
 	}
@@ -247,56 +243,39 @@ func TestQueryContextAlreadyDone(t *testing.T) {
 	}
 }
 
-// TestQuerySessionAbandonReleasesGuard breaks out of every session mode
+// TestQuerySessionAbandonReleasesGuard breaks out of a session
 // mid-stream and verifies the query guard is released (Close succeeds
-// immediately) and no pipeline goroutine outlives the iteration: the
-// teardown is synchronous, so the count is back before the loop's next
-// statement runs.
+// immediately) and the session started no goroutine: the crawl ran on
+// this one.
 func TestQuerySessionAbandonReleasesGuard(t *testing.T) {
 	r := rand.New(rand.NewSource(9))
-	els := randomElements(r, 2000)
-	for _, opts := range [][]QueryOption{nil, {WithBuffer(2)}, {WithShardPrefetch(2)}, {WithShardPrefetch(2), WithBuffer(2)}} {
-		ix, err := Build(append([]Element(nil), els...), &Options{PageCapacity: 8})
-		if err != nil {
-			t.Fatal(err)
-		}
-		before := runtime.NumGoroutine()
-		res := ix.Query(context.Background(), Box(V(0, 0, 0), V(100, 100, 100)), opts...)
-		for _, err := range res.All() {
-			if err != nil {
-				t.Fatal(err)
-			}
-			break // abandon immediately
-		}
-		if after := runtime.NumGoroutine(); after > before {
-			t.Errorf("abandoned session (opts %d) left %d goroutines behind", len(opts), after-before)
-		}
-		if res.Err() != nil {
-			t.Fatalf("abandoned session (opts %d) reports Err() = %v, want nil (early stop is not an error)", len(opts), res.Err())
-		}
-		if err := ix.Close(); err != nil {
-			t.Fatalf("Close after abandoned session (opts %d): %v", len(opts), err)
-		}
-	}
-}
-
-// TestQuerySessionAbandonErrNil hammers the buffered abandon path: the
-// race where the producer observes the internal abandon-cancel between
-// page reads (rather than while blocked on the send) must not surface
-// context.Canceled through Err().
-func TestQuerySessionAbandonErrNil(t *testing.T) {
-	r := rand.New(rand.NewSource(13))
-	els := randomElements(r, 2000)
-	ix, err := Build(append([]Element(nil), els...), &Options{PageCapacity: 8})
+	ix, err := Build(randomElements(r, 2000), &Options{PageCapacity: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer ix.Close()
-	q := Box(V(0, 0, 0), V(100, 100, 100))
-	for i := 0; i < 300; i++ {
-		// A large buffer keeps the producer off the send path, so the
-		// abandon-cancel is seen by the crawl's ctx checks instead.
-		res := ix.Query(context.Background(), q, WithBuffer(4096))
+	before := runtime.NumGoroutine()
+	res := ix.Query(context.Background(), Box(V(0, 0, 0), V(100, 100, 100)))
+	for _, err := range res.All() {
+		if err != nil {
+			t.Fatal(err)
+		}
+		break // abandon immediately
+	}
+	if after := runtime.NumGoroutine(); after > before {
+		t.Errorf("abandoned session left %d goroutines behind", after-before)
+	}
+	if err := ix.Close(); err != nil {
+		t.Fatalf("Close after abandoned session: %v", err)
+	}
+}
+
+// TestQuerySessionAbandonErrNil: breaking out of the iteration is an
+// early stop, not an error, on both index shapes — Err() stays nil and
+// Stats covers the one element delivered.
+func TestQuerySessionAbandonErrNil(t *testing.T) {
+	_, targets := queryTargets(t, 2000)
+	for name, ix := range targets {
+		res := ix.Query(context.Background(), Box(V(0, 0, 0), V(100, 100, 100)))
 		for _, err := range res.All() {
 			if err != nil {
 				t.Fatal(err)
@@ -304,7 +283,10 @@ func TestQuerySessionAbandonErrNil(t *testing.T) {
 			break
 		}
 		if res.Err() != nil {
-			t.Fatalf("iteration %d: abandoned buffered session Err() = %v, want nil", i, res.Err())
+			t.Fatalf("%s: abandoned session Err() = %v, want nil", name, res.Err())
+		}
+		if st := res.Stats(); st.Results != 1 || st.TotalReads == 0 {
+			t.Fatalf("%s: abandoned session stats %+v, want 1 result and the pages read for it", name, st)
 		}
 	}
 }
@@ -400,173 +382,66 @@ func TestQuerySessionOverlay(t *testing.T) {
 			t.Fatalf("overlay element %d differs: %v vs %v", i, got[i], want[i])
 		}
 	}
-	// A limit larger than the bulkloaded hits must still reach the
-	// staged inserts (they stream last).
-	res = sx.Query(context.Background(), q, WithLimit(len(want)))
-	n := 0
-	sawFresh := 0
-	for e, err := range res.All() {
-		if err != nil {
-			t.Fatal(err)
-		}
-		if e.ID >= 900001 {
-			sawFresh++
-		}
-		n++
-	}
-	if n != len(want) || sawFresh != len(fresh) {
-		t.Fatalf("limited overlay drain: %d elements (%d staged), want %d (%d staged)", n, sawFresh, len(want), len(fresh))
-	}
-}
-
-// TestQuerySessionPrefetchParity: with staged updates pending, a
-// prefetching session is element-for-element identical to RangeQuery
-// and to the sequential session — at K = 1 and K = 4, prefetch on and
-// off, limited and unlimited.
-func TestQuerySessionPrefetchParity(t *testing.T) {
-	r := rand.New(rand.NewSource(61))
-	els := randomElements(r, 3000)
-	for _, k := range []int{1, 4} {
-		sx, err := BuildSharded(append([]Element(nil), els...), &ShardedOptions{Shards: k, PageCapacity: 8})
-		if err != nil {
-			t.Fatal(err)
-		}
-		q := Box(V(5, 5, 5), V(95, 95, 95))
-		base, _, err := sx.RangeQuery(q)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(base) < 20 {
-			t.Fatalf("K=%d: test box too selective (%d results)", k, len(base))
-		}
-		if err := sx.StageDelete(base[2].ID, base[2].Box); err != nil {
-			t.Fatal(err)
-		}
-		for i := 0; i < 6; i++ {
-			c := V(10+float64(i)*15, 10+float64(i)*15, 10+float64(i)*15)
-			if err := sx.StageInsert(Element{ID: uint64(700000 + i), Box: CubeAt(c, 1)}); err != nil {
+	// A limited session delivers RangeQuery's prefix — the limit counts
+	// elements that passed the delete filter — and a limit larger than
+	// the bulkloaded hits still reaches the staged inserts (they stream
+	// last).
+	for _, limit := range []int{1, 4, len(want)} {
+		res = sx.Query(context.Background(), q, WithLimit(limit))
+		n := 0
+		sawFresh := 0
+		for e, err := range res.All() {
+			if err != nil {
 				t.Fatal(err)
 			}
-		}
-		want, _, err := sx.RangeQuery(q)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, prefetch := range []int{0, 2} {
-			for _, limit := range []int{0, 1, 4, len(want)} {
-				opts := []QueryOption{WithLimit(limit)}
-				if prefetch > 0 {
-					opts = append(opts, WithShardPrefetch(prefetch), WithBuffer(2))
-				}
-				res := sx.Query(context.Background(), q, opts...)
-				var got []Element
-				for e, err := range res.All() {
-					if err != nil {
-						t.Fatalf("K=%d prefetch=%d limit=%d: %v", k, prefetch, limit, err)
-					}
-					got = append(got, e)
-				}
-				wantN := len(want)
-				if limit > 0 && limit < wantN {
-					wantN = limit
-				}
-				if len(got) != wantN {
-					t.Fatalf("K=%d prefetch=%d limit=%d: %d elements, want %d", k, prefetch, limit, len(got), wantN)
-				}
-				for i := range got {
-					if got[i] != want[i] {
-						t.Fatalf("K=%d prefetch=%d limit=%d: element %d = %v, want %v — order diverged",
-							k, prefetch, limit, i, got[i], want[i])
-					}
-				}
-				if res.Stats().Results != len(got) {
-					t.Fatalf("K=%d prefetch=%d limit=%d: stats.Results = %d, emitted %d",
-						k, prefetch, limit, res.Stats().Results, len(got))
-				}
+			if e != want[n] {
+				t.Fatalf("limit %d: element %d = %v, want %v", limit, n, e, want[n])
 			}
+			if e.ID >= 900001 {
+				sawFresh++
+			}
+			n++
 		}
-		if err := sx.Close(); err != nil {
-			t.Fatal(err)
+		if n != limit || res.Stats().Results != n {
+			t.Fatalf("limit %d: delivered %d elements, stats.Results %d", limit, n, res.Stats().Results)
+		}
+		if limit == len(want) && sawFresh != len(fresh) {
+			t.Fatalf("limited overlay drain: %d staged elements, want %d", sawFresh, len(fresh))
 		}
 	}
 }
 
-// TestQueryLimitPrefetchReadsFewerPages re-asserts the WithLimit
-// page-read saving with the prefetching merge enabled: the window may
-// honestly pay for a few prefetched shards, but a limited session must
-// still read fewer pages than the unbounded query.
-func TestQueryLimitPrefetchReadsFewerPages(t *testing.T) {
-	_, targets := queryTargets(t, 3000)
-	sx := targets["ShardedIndex"]
-	q := Box(V(10, 10, 10), V(60, 60, 60))
-	if err := sx.DropCache(); err != nil {
-		t.Fatal(err)
-	}
-	full, fullStats, err := sx.RangeQuery(q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(full) < 20 {
-		t.Fatalf("test box too selective (%d results)", len(full))
-	}
-	if err := sx.DropCache(); err != nil {
-		t.Fatal(err)
-	}
-	res := sx.Query(context.Background(), q, WithLimit(3), WithShardPrefetch(2), WithBuffer(1))
-	n := 0
-	for e, err := range res.All() {
-		if err != nil {
-			t.Fatal(err)
-		}
-		if e != full[n] {
-			t.Fatalf("limited element %d = %v, want %v", n, e, full[n])
-		}
-		n++
-	}
-	if n != 3 {
-		t.Fatalf("WithLimit(3) delivered %d elements", n)
-	}
-	if st := res.Stats(); st.TotalReads >= fullStats.TotalReads {
-		t.Fatalf("limited prefetching session read %d pages, unbounded %d — limit saved nothing",
-			st.TotalReads, fullStats.TotalReads)
-	}
-}
-
-// TestQueryAbandonNotCancellation is the regression test for the
-// abandonment-attribution race: a consumer break is a documented clean
-// early stop, and must report Err() == nil even when the session's own
-// context goes done at the same moment. Both orders of (cancel, break)
-// are hammered; under -race this also exercises the teardown paths.
+// TestQueryAbandonNotCancellation: a consumer break is a documented
+// clean early stop, and must report Err() == nil even when the
+// session's own context went done just before it. Both orders of
+// (cancel, break) run on both shapes.
 func TestQueryAbandonNotCancellation(t *testing.T) {
 	_, targets := queryTargets(t, 2000)
 	q := Box(V(0, 0, 0), V(100, 100, 100))
 	for name, ix := range targets {
-		for _, opts := range [][]QueryOption{{WithBuffer(2)}, {WithShardPrefetch(2), WithBuffer(2)}} {
-			for i := 0; i < 200; i++ {
-				ctx, cancel := context.WithCancel(context.Background())
-				res := ix.Query(ctx, q, opts...)
-				for e, err := range res.All() {
-					if err != nil {
-						t.Fatalf("%s iter %d: first pair yielded %v", name, i, err)
-					}
-					_ = e
-					if i%2 == 0 {
-						cancel() // parent goes done first ...
-					}
-					break // ... and the consumer breaks: the clean stop must win
+		for _, cancelFirst := range []bool{true, false} {
+			ctx, cancel := context.WithCancel(context.Background())
+			res := ix.Query(ctx, q)
+			for _, err := range res.All() {
+				if err != nil {
+					t.Fatalf("%s: first pair yielded %v", name, err)
 				}
-				cancel()
-				if res.Err() != nil {
-					t.Fatalf("%s iter %d (opts %d): abandoned session Err() = %v, want nil",
-						name, i, len(opts), res.Err())
+				if cancelFirst {
+					cancel() // parent goes done first ...
 				}
+				break // ... and the consumer breaks: the clean stop must win
+			}
+			cancel()
+			if res.Err() != nil {
+				t.Fatalf("%s (cancel first: %v): abandoned session Err() = %v, want nil", name, cancelFirst, res.Err())
 			}
 		}
 	}
 }
 
 // TestOpenAny exercises the unified constructor against both on-disk
-// shapes.
+// shapes, bare and with open-time options: Mmap applies to both, WAL
+// upgrades a shard directory and is ignored by a page file.
 func TestOpenAny(t *testing.T) {
 	r := rand.New(rand.NewSource(31))
 	els := randomElements(r, 800)
@@ -592,33 +467,45 @@ func TestOpenAny(t *testing.T) {
 
 	q := Box(V(20, 20, 20), V(60, 60, 60))
 	want := apiBrute(els, q)
-	for _, path := range []string{filePath, shardDir} {
-		got, err := OpenAny(path)
-		if err != nil {
-			t.Fatalf("OpenAny(%s): %v", path, err)
-		}
-		if got.Len() != wantLen {
-			t.Fatalf("OpenAny(%s): %d elements, want %d", path, got.Len(), wantLen)
-		}
-		hits, _, err := got.RangeQuery(q)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(hits) != len(want) {
-			t.Fatalf("OpenAny(%s): query returned %d hits, want %d", path, len(hits), len(want))
-		}
-		switch path {
-		case filePath:
-			if _, ok := got.(*Index); !ok {
-				t.Fatalf("OpenAny(%s) returned %T, want *Index", path, got)
+	// The WAL row goes last: once upgraded, a directory keeps its log.
+	for _, opts := range []*ShardedOptions{nil, {Mmap: true}, {Mmap: true, WAL: true}} {
+		for _, path := range []string{filePath, shardDir} {
+			open := func() (QueryIndex, error) { return OpenAnyWithOptions(path, opts) }
+			if opts == nil {
+				open = func() (QueryIndex, error) { return OpenAny(path) }
 			}
-		case shardDir:
-			if _, ok := got.(*ShardedIndex); !ok {
-				t.Fatalf("OpenAny(%s) returned %T, want *ShardedIndex", path, got)
+			got, err := open()
+			if err != nil {
+				t.Fatalf("OpenAny(%s, %+v): %v", path, opts, err)
 			}
-		}
-		if err := got.Close(); err != nil {
-			t.Fatal(err)
+			if got.Len() != wantLen {
+				t.Fatalf("OpenAny(%s, %+v): %d elements, want %d", path, opts, got.Len(), wantLen)
+			}
+			hits, _, err := got.RangeQuery(q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(hits) != len(want) {
+				t.Fatalf("OpenAny(%s, %+v): query returned %d hits, want %d", path, opts, len(hits), len(want))
+			}
+			switch path {
+			case filePath:
+				if _, ok := got.(*Index); !ok {
+					t.Fatalf("OpenAny(%s) returned %T, want *Index", path, got)
+				}
+			case shardDir:
+				if _, ok := got.(*ShardedIndex); !ok {
+					t.Fatalf("OpenAny(%s) returned %T, want *ShardedIndex", path, got)
+				}
+				// The WAL option reached the set: the directory now has a log.
+				_, err := os.Stat(filepath.Join(shardDir, "wal.log"))
+				if wantWAL := opts != nil && opts.WAL; wantWAL != (err == nil) {
+					t.Fatalf("OpenAny(%s, %+v): wal.log present = %v, want %v", path, opts, err == nil, wantWAL)
+				}
+			}
+			if err := got.Close(); err != nil {
+				t.Fatal(err)
+			}
 		}
 	}
 	if _, err := OpenAny(filepath.Join(dir, "nope")); err == nil {

@@ -34,6 +34,9 @@ type Client struct {
 	pending map[uint32]chan respFrame
 	readErr error         // terminal reader error, set before closing done
 	done    chan struct{} // closed when the reader exits
+
+	closeOnce sync.Once
+	closing   chan struct{} // closed by Close: frees a reader parked on an unread stream
 }
 
 type respFrame struct {
@@ -70,6 +73,7 @@ func Dial(addr string) (*Client, error) {
 		conn:    conn,
 		pending: make(map[uint32]chan respFrame),
 		done:    make(chan struct{}),
+		closing: make(chan struct{}),
 	}
 	go c.readLoop()
 	return c, nil
@@ -77,12 +81,15 @@ func Dial(addr string) (*Client, error) {
 
 // Close tears the connection down. In-flight requests fail with the
 // connection error; the server cancels their crawls on disconnect.
-func (c *Client) Close() error { return c.conn.Close() }
+func (c *Client) Close() error {
+	c.closeOnce.Do(func() { close(c.closing) })
+	return c.conn.Close()
+}
 
 // Abort closes the raw socket without any protocol goodbye —
 // deliberately indistinguishable from a crashed client. Tests use it
 // to prove a disconnect cancels the server-side crawl.
-func (c *Client) Abort() { c.conn.Close() }
+func (c *Client) Abort() { c.Close() }
 
 func (c *Client) readLoop() {
 	var err error
@@ -106,7 +113,14 @@ func (c *Client) readLoop() {
 		}
 		// Blocking send: the consumer's unread window is the read
 		// window for the whole connection.
-		ch <- respFrame{typ: typ, body: payload[4:]}
+		select {
+		case ch <- respFrame{typ: typ, body: payload[4:]}:
+			continue
+		case <-c.closing:
+			// Closed with a stream left unread: nobody will drain ch.
+			err = net.ErrClosed
+		}
+		break
 	}
 	c.mu.Lock()
 	c.readErr = err
@@ -205,9 +219,6 @@ type QueryOptions struct {
 	// Limit stops the query after this many results (0: unlimited); the
 	// server-side crawl aborts early, exactly like flat.WithLimit.
 	Limit int
-	// Prefetch crawls up to this many shards concurrently on the server
-	// (sharded index only), like flat.WithShardPrefetch.
-	Prefetch int
 }
 
 func (c *Client) sendQuery(kind byte, box flat.MBR, o QueryOptions) (uint32, chan respFrame, error) {
@@ -220,10 +231,7 @@ func (c *Client) sendQuery(kind byte, box flat.MBR, o QueryOptions) (uint32, cha
 	body[4] = kind
 	putBox(body[5:], box)
 	putU32(body[53:], uint32(o.Limit))
-	if o.Prefetch > 255 {
-		o.Prefetch = 255
-	}
-	body[57] = byte(o.Prefetch)
+	body[57] = 0 // flags, reserved
 	if err := c.send(msgQuery, body); err != nil {
 		c.unregister(id)
 		return 0, nil, err

@@ -184,8 +184,8 @@ func TestNNCancelMidStream(t *testing.T) {
 	}
 }
 
-// Malformed NN frames are answered with an error frame, not a dropped
-// connection.
+// Malformed NN frames — and reserved flag bits on either streaming
+// request — are answered with an error frame, not a dropped connection.
 func TestNNBadFrameRejected(t *testing.T) {
 	els := testElements(500, 10)
 	sx, err := flat.BuildSharded(els, &flat.ShardedOptions{Shards: 2})
@@ -196,14 +196,14 @@ func TestNNBadFrameRejected(t *testing.T) {
 	s := startServer(t, sx, Config{})
 	c := dialServer(t, s)
 
-	sendRaw := func(body []byte) error {
+	sendRaw := func(typ byte, body []byte) error {
 		id, ch, err := c.register()
 		if err != nil {
 			t.Fatal(err)
 		}
 		defer c.unregister(id)
 		putU32(body, id)
-		if err := c.send(msgNN, body); err != nil {
+		if err := c.send(typ, body); err != nil {
 			t.Fatal(err)
 		}
 		fr, ok := <-ch
@@ -216,13 +216,17 @@ func TestNNBadFrameRejected(t *testing.T) {
 		return decodeErr(fr.body)
 	}
 
-	if err := sendRaw(make([]byte, 4+10)); err == nil || !strings.Contains(err.Error(), "bad nn frame length") {
+	if err := sendRaw(msgNN, make([]byte, 4+10)); err == nil || !strings.Contains(err.Error(), "bad nn frame length") {
 		t.Fatalf("short frame error = %v", err)
 	}
 	bad := make([]byte, 4+24+4+1)
 	bad[32] = 0x7f
-	if err := sendRaw(bad); err == nil || !strings.Contains(err.Error(), "unknown nn flags") {
+	if err := sendRaw(msgNN, bad); err == nil || !strings.Contains(err.Error(), "unknown nn flags") {
 		t.Fatalf("bad flags error = %v", err)
+	}
+	bad = append(make([]byte, 4), queryBody(kindRange, sx.Bounds(), 0, 0x01)...)
+	if err := sendRaw(msgQuery, bad); err == nil || !strings.Contains(err.Error(), "unknown query flags") {
+		t.Fatalf("bad query flags error = %v", err)
 	}
 
 	// The connection survives and still answers queries.

@@ -1,11 +1,11 @@
 // Package serve implements flatserve's network layer: a TCP query
 // service over an opened flat index. One server owns one
 // flat.QueryIndex and speaks Query API v2 over a length-prefixed
-// binary protocol — streaming range/count queries with limits and
-// shard prefetch, staged writes against the WAL-backed delta path of a
-// sharded index, rebuilds, and an admin/stats endpoint. The package
-// also ships the matching pure-Go Client used by the tests, the bench
-// harness and flatserve's one-shot mode.
+// binary protocol — streaming range/count queries with limits,
+// staged writes against the WAL-backed delta path of a sharded index,
+// rebuilds, and an admin/stats endpoint. The package also ships the
+// matching pure-Go Client used by the tests, the bench harness and
+// flatserve's one-shot mode.
 //
 // # Wire format
 //
@@ -61,7 +61,7 @@ var magic = [4]byte{'F', 'S', 'R', 'V'}
 // Frame types. Requests (client to server) are < 0x80, responses have
 // the high bit set.
 const (
-	msgQuery   = 0x01 // reqID u32 | kind u8 | box 6×f64 | limit u32 | prefetch u8
+	msgQuery   = 0x01 // reqID u32 | kind u8 | box 6×f64 | limit u32 | flags u8 (reserved, 0)
 	msgCancel  = 0x02 // target reqID u32
 	msgInsert  = 0x03 // reqID u32 | count u32 | count × element
 	msgDelete  = 0x04 // reqID u32 | id u64 | box 6×f64

@@ -1,10 +1,13 @@
 package serve
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
+	"io"
 	"net"
+	"strings"
 	"testing"
 	"time"
 
@@ -40,23 +43,29 @@ func dialServer(t *testing.T, s *Server) *Client {
 	return c
 }
 
-// throttle shrinks the kernel socket buffers on both ends of c's
-// connection (and the server side of every open one) so TCP
+// setSocketBuffers sizes the kernel socket buffers on the client end
+// conn (and the server side of every open connection).
+func setSocketBuffers(t *testing.T, s *Server, conn net.Conn, size int) {
+	t.Helper()
+	if err := conn.(*net.TCPConn).SetReadBuffer(size); err != nil {
+		t.Fatal(err)
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for sc := range s.conns {
+		if err := sc.(*net.TCPConn).SetWriteBuffer(size); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// throttle shrinks the socket buffers of c's connection so TCP
 // backpressure reaches the server's crawl after a few KiB instead of
 // after megabytes of autotuned buffering. Tests that need a stream to
 // stall mid-crawl call this right after dialing, before querying.
 func throttle(t *testing.T, s *Server, c *Client) {
 	t.Helper()
-	if err := c.conn.(*net.TCPConn).SetReadBuffer(8192); err != nil {
-		t.Fatal(err)
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for conn := range s.conns {
-		if err := conn.(*net.TCPConn).SetWriteBuffer(8192); err != nil {
-			t.Fatal(err)
-		}
-	}
+	setSocketBuffers(t, s, c.conn, 8192)
 }
 
 // unthrottle restores large socket buffers after a test is done
@@ -64,16 +73,28 @@ func throttle(t *testing.T, s *Server, c *Client) {
 // delayed-ACK lockstep (a few KiB per 40 ms).
 func unthrottle(t *testing.T, s *Server, c *Client) {
 	t.Helper()
-	if err := c.conn.(*net.TCPConn).SetReadBuffer(1 << 20); err != nil {
-		t.Fatal(err)
+	setSocketBuffers(t, s, c.conn, 1<<20)
+}
+
+// frame encodes one wire frame for tests that speak the protocol raw.
+func frame(typ byte, reqID uint32, body []byte) []byte {
+	var buf bytes.Buffer
+	payload := make([]byte, 4, 4+len(body))
+	putU32(payload, reqID)
+	if err := writeFrame(&buf, typ, append(payload, body...)); err != nil {
+		panic(err)
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for conn := range s.conns {
-		if err := conn.(*net.TCPConn).SetWriteBuffer(1 << 20); err != nil {
-			t.Fatal(err)
-		}
-	}
+	return buf.Bytes()
+}
+
+// queryBody is a msgQuery body: kind, box, limit and the flags byte.
+func queryBody(kind byte, box flat.MBR, limit uint32, flags byte) []byte {
+	body := make([]byte, 1+48+4+1)
+	body[0] = kind
+	putBox(body[1:], box)
+	putU32(body[49:], limit)
+	body[53] = flags
+	return body
 }
 
 func waitFor(t *testing.T, d time.Duration, cond func() bool, msg string) {
@@ -487,6 +508,94 @@ func TestPerConnectionQueryLimit(t *testing.T) {
 	if got := <-drained; got != len(els) {
 		t.Fatalf("stream 1 drained %d of %d elements", got, len(els))
 	}
+}
+
+// TestDuplicateRequestIDRefused: a request id that is still in flight
+// on the connection is refused — it takes no slot, so it cannot slip
+// past MaxConnQueries, and the first query keeps its cancel entry: it
+// streams on undisturbed and a msgCancel for the id still stops it.
+func TestDuplicateRequestIDRefused(t *testing.T) {
+	els := testElements(40000, 12)
+	sx, err := flat.BuildSharded(els, &flat.ShardedOptions{Shards: 2, BufferPages: 64})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sx.Close()
+	s := startServer(t, sx, Config{MaxConnQueries: 4, StreamBatch: 16})
+
+	conn, err := net.Dial("tcp", s.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	conn.SetDeadline(time.Now().Add(30 * time.Second))
+	var version [1]byte
+	if _, err := conn.Write(append(magic[:], Version)); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := io.ReadFull(conn, version[:]); err != nil || version[0] != Version {
+		t.Fatalf("handshake: version %d, %v", version[0], err)
+	}
+	setSocketBuffers(t, s, conn, 8192) // the first stream must stay in flight
+
+	// Twenty queries under one id, written before reading anything.
+	const id, dups = 7, 19
+	q := frame(msgQuery, id, queryBody(kindRange, sx.Bounds(), 0, 0))
+	for i := 0; i <= dups; i++ {
+		if _, err := conn.Write(q); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	// The original stream keeps flowing; each duplicate is answered
+	// with an error frame and never holds a slot.
+	refused, elems := 0, 0
+	for refused < dups {
+		typ, payload, err := readFrame(conn)
+		if err != nil {
+			t.Fatalf("after %d refusals and %d elements: %v", refused, elems, err)
+		}
+		if n := s.Inflight(); n > 1 {
+			t.Fatalf("%d queries in flight under one request id", n)
+		}
+		if getU32(payload) != id {
+			t.Fatalf("frame for request %d, want %d", getU32(payload), id)
+		}
+		switch typ {
+		case msgElems:
+			elems += int(getU32(payload[4:]))
+		case msgErr:
+			if err := decodeErr(payload[4:]); !strings.Contains(err.Error(), "already in flight") {
+				t.Fatalf("duplicate id refused with %v", err)
+			}
+			refused++
+		default:
+			t.Fatalf("unexpected frame type 0x%02x", typ)
+		}
+	}
+
+	if _, err := conn.Write(frame(msgCancel, id, nil)); err != nil {
+		t.Fatal(err)
+	}
+	for {
+		typ, payload, err := readFrame(conn)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if typ == msgElems {
+			elems += int(getU32(payload[4:]))
+			continue
+		}
+		if typ != msgErr || !errors.Is(decodeErr(payload[4:]), context.Canceled) {
+			t.Fatalf("cancelled stream closed by frame 0x%02x", typ)
+		}
+		break
+	}
+	if elems >= len(els) {
+		t.Fatal("cancelled stream drained the full result set")
+	}
+	waitFor(t, 5*time.Second, func() bool { return s.Inflight() == 0 },
+		"cancelled query still holds its admission slot")
 }
 
 func TestStagedWritesDurableAcrossReopen(t *testing.T) {

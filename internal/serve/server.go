@@ -375,13 +375,16 @@ func (sc *srvConn) startQuery(reqID uint32, body []byte) {
 	kind := body[0]
 	box := getBox(body[1:])
 	limit := int(getU32(body[49:]))
-	prefetch := int(body[53])
 	if kind != kindRange && kind != kindCount {
 		sc.writeErr(reqID, fmt.Errorf("unknown query kind %d", kind))
 		return
 	}
+	if body[53] != 0 {
+		sc.writeErr(reqID, fmt.Errorf("unknown query flags 0x%02x", body[53]))
+		return
+	}
 	sc.admit(reqID, func(qctx context.Context) {
-		sc.runQuery(qctx, reqID, kind, box, limit, prefetch)
+		sc.runQuery(qctx, reqID, kind, box, limit)
 	})
 }
 
@@ -405,8 +408,9 @@ func (sc *srvConn) startNN(reqID uint32, body []byte) {
 }
 
 // admit runs one streaming request through the shared admission
-// pipeline — drain check, per-connection multiplex cap, cancellable
-// registration, then the global slot — and executes run on its own
+// pipeline — drain check, request id not already in flight,
+// per-connection multiplex cap, cancellable registration, then the
+// global slot — and executes run on its own
 // goroutine, so the read loop stays responsive to Cancel frames while
 // the traversal streams. Admission and registration both happen in one
 // lexical scope with their releases.
@@ -418,14 +422,22 @@ func (sc *srvConn) admit(reqID uint32, run func(qctx context.Context)) {
 	// Per-connection multiplexing cap, separate from the global budget.
 	qctx, qcancel := context.WithCancel(sc.ctx)
 	sc.mu.Lock()
-	if len(sc.inflight) >= sc.s.cfg.MaxConnQueries {
-		sc.mu.Unlock()
+	var refusal error
+	if _, dup := sc.inflight[reqID]; dup {
+		// Overwriting the entry would orphan the first query's cancel
+		// func and keep len(inflight) — the cap — from ever growing.
+		refusal = fmt.Errorf("request id %d is already in flight on this connection", reqID)
+	} else if len(sc.inflight) >= sc.s.cfg.MaxConnQueries {
+		refusal = fmt.Errorf("connection query limit (%d) reached: %w", sc.s.cfg.MaxConnQueries, flat.ErrBusy)
+	} else {
+		sc.inflight[reqID] = qcancel
+	}
+	sc.mu.Unlock()
+	if refusal != nil {
 		qcancel()
-		sc.writeErr(reqID, fmt.Errorf("connection query limit (%d) reached: %w", sc.s.cfg.MaxConnQueries, flat.ErrBusy))
+		sc.writeErr(reqID, refusal)
 		return
 	}
-	sc.inflight[reqID] = qcancel
-	sc.mu.Unlock()
 
 	// Shutdown waits for the query goroutines too: once it returns, none
 	// still holds an admission slot or the index's query guard, so the
@@ -453,19 +465,14 @@ func (sc *srvConn) admit(reqID uint32, run func(qctx context.Context)) {
 // runQuery executes one admitted query and streams its results. The
 // crawl stops between page reads when qctx is cancelled (Cancel frame,
 // disconnect, server drain) and when a write into a dead socket fails.
-func (sc *srvConn) runQuery(qctx context.Context, reqID uint32, kind byte, box flat.MBR, limit, prefetch int) {
-	opts := []flat.QueryOption{flat.WithLimit(limit)}
-	if prefetch > 0 {
-		opts = append(opts, flat.WithShardPrefetch(prefetch))
-	}
+func (sc *srvConn) runQuery(qctx context.Context, reqID uint32, kind byte, box flat.MBR, limit int) {
 	switch kind {
 	case kindRange:
 		sc.s.rangeQueries.Add(1)
 	case kindCount:
 		sc.s.countQueries.Add(1)
 	}
-
-	sc.streamSession(reqID, sc.s.ix.Query(qctx, box, opts...), kind == kindRange)
+	sc.streamSession(reqID, sc.s.ix.Query(qctx, box, flat.WithLimit(limit)), kind == kindRange)
 }
 
 // streamSession drains one Results session to the connection: element

@@ -12,10 +12,10 @@ import (
 )
 
 // collectStream drains a StreamQuery into a slice.
-func collectStream(t *testing.T, s *Set, ctx context.Context, q geom.MBR, opts StreamOptions) ([]geom.Element, core.QueryStats) {
+func collectStream(t *testing.T, s *Set, ctx context.Context, q geom.MBR) ([]geom.Element, core.QueryStats) {
 	t.Helper()
 	var out []geom.Element
-	st, err := s.StreamQuery(ctx, q, opts, func(e geom.Element) bool {
+	st, err := s.StreamQuery(ctx, q, StreamOptions{}, func(e geom.Element) bool {
 		out = append(out, e)
 		return true
 	})
@@ -25,11 +25,10 @@ func collectStream(t *testing.T, s *Set, ctx context.Context, q geom.MBR, opts S
 	return out, st
 }
 
-// TestStreamQueryOrderParity pins the tentpole invariant: a prefetching
-// stream is element-for-element identical to RangeQuery's shard-order
-// concatenation and to the sequential stream, at every prefetch width
-// and buffer size — and on a full drain its page-read statistics are
-// the sequential path's too.
+// TestStreamQueryOrderParity pins the executor invariant: the stream
+// is element-for-element identical to RangeQuery's shard-order
+// concatenation, and on a full drain its page-read statistics are
+// RangeQuery's too.
 func TestStreamQueryOrderParity(t *testing.T) {
 	r := rand.New(rand.NewSource(41))
 	els := randomElements(r, 4000)
@@ -44,40 +43,32 @@ func TestStreamQueryOrderParity(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			for _, opts := range []StreamOptions{
-				{},
-				{Prefetch: 1},
-				{Prefetch: 2, Buffer: 1},
-				{Prefetch: 4},
-				{Prefetch: 64, Buffer: 3},
-			} {
-				set.DropCache()
-				got, st := collectStream(t, set, context.Background(), q, opts)
-				if len(got) != len(want) {
-					t.Fatalf("K=%d query %d opts %+v: %d elements, RangeQuery %d", k, qi, opts, len(got), len(want))
+			set.DropCache()
+			got, st := collectStream(t, set, context.Background(), q)
+			if len(got) != len(want) {
+				t.Fatalf("K=%d query %d: %d elements, RangeQuery %d", k, qi, len(got), len(want))
+			}
+			for i := range got {
+				if got[i] != want[i] {
+					t.Fatalf("K=%d query %d: element %d = %v, RangeQuery %v — emit order diverged",
+						k, qi, i, got[i], want[i])
 				}
-				for i := range got {
-					if got[i] != want[i] {
-						t.Fatalf("K=%d query %d opts %+v: element %d = %v, RangeQuery %v — emit order diverged",
-							k, qi, opts, i, got[i], want[i])
-					}
-				}
-				if st != wantStats {
-					t.Fatalf("K=%d query %d opts %+v: stats %+v, RangeQuery %+v", k, qi, opts, st, wantStats)
-				}
+			}
+			if st != wantStats {
+				t.Fatalf("K=%d query %d: stats %+v, RangeQuery %+v", k, qi, st, wantStats)
 			}
 		}
 		set.Close()
 	}
 }
 
-// TestStreamQueryPrefetchWindow is the acceptance criterion for early
-// stops: a stream abandoned in shard 0 with prefetch p must read no
-// pages at all from shards beyond the first p surviving shards. The
-// cache starts cold and is unbounded, so the cached frames after the
-// stream are exactly the pages it read — counted per shard via the
-// page-id shard tag.
-func TestStreamQueryPrefetchWindow(t *testing.T) {
+// TestStreamQueryEarlyStopSkipsLaterShards is the acceptance criterion
+// for early stops: a stream stopped on its first element must read no
+// pages at all from any shard after the first surviving one. The cache
+// starts cold and is unbounded, so the cached frames after the stream
+// are exactly the pages it read — counted per shard via the page-id
+// shard tag.
+func TestStreamQueryEarlyStopSkipsLaterShards(t *testing.T) {
 	r := rand.New(rand.NewSource(43))
 	els := randomElements(r, 6000)
 	set, err := Build(append([]geom.Element(nil), els...), Config{Shards: 4, PageCapacity: 8})
@@ -91,51 +82,38 @@ func TestStreamQueryPrefetchWindow(t *testing.T) {
 		t.Fatalf("query box survives on %d shards, want 4", len(sel))
 	}
 
-	framesPerShard := func() map[int]int {
-		seen := make(map[int]int)
-		set.Pool().DropFramesIf(func(id storage.PageID) bool {
-			sh, _ := storage.SplitShardPageID(id)
-			seen[sh]++
-			return false
-		})
-		return seen
+	set.DropCache()
+	st, err := set.StreamQuery(context.Background(), q, StreamOptions{},
+		func(geom.Element) bool { return false }) // stop on the first element
+	if err != nil {
+		t.Fatal(err)
 	}
-
-	for _, prefetch := range []int{1, 2, 3} {
-		set.DropCache()
-		st, err := set.StreamQuery(context.Background(), q,
-			StreamOptions{Prefetch: prefetch, Buffer: 1},
-			func(geom.Element) bool { return false }) // stop on the first element
-		if err != nil {
-			t.Fatalf("prefetch %d: %v", prefetch, err)
+	seen := make(map[int]int)
+	set.Pool().DropFramesIf(func(id storage.PageID) bool {
+		sh, _ := storage.SplitShardPageID(id)
+		seen[sh]++
+		return false
+	})
+	if seen[sel[0]] == 0 {
+		t.Fatal("the first surviving shard read no pages")
+	}
+	for _, sh := range sel[1:] {
+		if seen[sh] != 0 {
+			t.Fatalf("shard %d has %d cached frames — read after the stream stopped in shard %d", sh, seen[sh], sel[0])
 		}
-		seen := framesPerShard()
-		total := 0
-		for i, sh := range sel {
-			total += seen[sh]
-			if i >= prefetch && seen[sh] != 0 {
-				t.Fatalf("prefetch %d: shard %d (window position %d) has %d cached frames — read outside the prefetch window",
-					prefetch, sh, i, seen[sh])
-			}
-		}
-		if seen[sel[0]] == 0 {
-			t.Fatalf("prefetch %d: the drained shard read no pages", prefetch)
-		}
-		// The stats must honestly cover every page the window read,
-		// including prefetched-but-undrained shards.
-		if st.TotalReads != uint64(total) {
-			t.Fatalf("prefetch %d: stats report %d reads, cache holds %d frames", prefetch, st.TotalReads, total)
-		}
-		if st.Results != 1 {
-			t.Fatalf("prefetch %d: stats.Results = %d, want 1", prefetch, st.Results)
-		}
+	}
+	if st.TotalReads != uint64(seen[sel[0]]) {
+		t.Fatalf("stats report %d reads, cache holds %d frames", st.TotalReads, seen[sel[0]])
+	}
+	if st.Results != 1 {
+		t.Fatalf("stats.Results = %d, want 1", st.Results)
 	}
 }
 
 // TestStreamQueryCancelMidMerge cancels the parent context while the
-// stream is mid-flight, in both shard-visit modes: the stream must
-// terminate with the context's error, report the partial work in its
-// stats, and leave the shared cache consistent.
+// stream is mid-flight: the stream must terminate with the context's
+// error, report the partial work in its stats, and leave the shared
+// cache consistent.
 func TestStreamQueryCancelMidMerge(t *testing.T) {
 	r := rand.New(rand.NewSource(44))
 	els := randomElements(r, 6000)
@@ -150,45 +128,44 @@ func TestStreamQueryCancelMidMerge(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	for _, opts := range []StreamOptions{{}, {Prefetch: 3, Buffer: 2}} {
-		ctx, cancel := context.WithCancel(context.Background())
-		set.DropCache()
-		n := 0
-		st, err := set.StreamQuery(ctx, q, opts, func(geom.Element) bool {
-			n++
-			if n == 3 {
-				cancel()
-			}
-			return true
-		})
-		if err != context.Canceled {
-			t.Fatalf("opts %+v: cancelled stream returned %v, want context.Canceled", opts, err)
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	set.DropCache()
+	n := 0
+	st, err := set.StreamQuery(ctx, q, StreamOptions{}, func(geom.Element) bool {
+		n++
+		if n == 3 {
+			cancel()
 		}
-		if n >= len(want) || n < 3 {
-			t.Fatalf("opts %+v: cancelled stream emitted %d of %d elements — not a mid-stream abort", opts, n, len(want))
-		}
-		if st.TotalReads == 0 || st.Results != n {
-			t.Fatalf("opts %+v: cancelled stream stats %+v after %d emits — partial work not reported", opts, st, n)
-		}
+		return true
+	})
+	if err != context.Canceled {
+		t.Fatalf("cancelled stream returned %v, want context.Canceled", err)
+	}
+	if n >= len(want) || n < 3 {
+		t.Fatalf("cancelled stream emitted %d of %d elements — not a mid-stream abort", n, len(want))
+	}
+	if st.TotalReads == 0 || st.Results != n {
+		t.Fatalf("cancelled stream stats %+v after %d emits — partial work not reported", st, n)
+	}
 
-		after, _, err := set.RangeQuery(context.Background(), q)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(after) != len(want) {
-			t.Fatalf("opts %+v: after the cancelled stream RangeQuery returns %d elements, want %d", opts, len(after), len(want))
-		}
-		for i := range after {
-			if after[i] != want[i] {
-				t.Fatalf("opts %+v: result %d differs after the cancelled stream", opts, i)
-			}
+	after, _, err := set.RangeQuery(context.Background(), q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(after) != len(want) {
+		t.Fatalf("after the cancelled stream RangeQuery returns %d elements, want %d", len(after), len(want))
+	}
+	for i := range after {
+		if after[i] != want[i] {
+			t.Fatalf("result %d differs after the cancelled stream", i)
 		}
 	}
 }
 
 // TestStreamQueryOverlayParity: with staged inserts and pending deletes
-// in play, RangeQuery is the collected StreamQuery at every prefetch
-// width — element for element, in order, deletes filtered inline and
+// in play, RangeQuery is the collected StreamQuery — element for
+// element, in order, deletes filtered inline and
 // staged inserts appended last in staging order — and equals brute
 // force as a set; CountQuery agrees with it on the count and on every
 // statistic, so the count sink reads exactly the pages the collect sink
@@ -246,15 +223,13 @@ func TestStreamQueryOverlayParity(t *testing.T) {
 			if n != len(want) || countStats != wantStats {
 				t.Fatalf("K=%d query %d: CountQuery = %d, %+v; RangeQuery = %d, %+v", k, qi, n, countStats, len(want), wantStats)
 			}
-			for _, opts := range []StreamOptions{{}, {Prefetch: 1}, {Prefetch: 2, Buffer: 2}, {Prefetch: k}} {
-				got, _ := collectStream(t, set, context.Background(), q, opts)
-				if len(got) != len(want) {
-					t.Fatalf("K=%d query %d opts %+v: %d elements, RangeQuery %d", k, qi, opts, len(got), len(want))
-				}
-				for i := range got {
-					if got[i] != want[i] {
-						t.Fatalf("K=%d query %d opts %+v: overlaid element %d = %v, RangeQuery %v", k, qi, opts, i, got[i], want[i])
-					}
+			got, _ := collectStream(t, set, context.Background(), q)
+			if len(got) != len(want) {
+				t.Fatalf("K=%d query %d: %d elements, RangeQuery %d", k, qi, len(got), len(want))
+			}
+			for i := range got {
+				if got[i] != want[i] {
+					t.Fatalf("K=%d query %d: overlaid element %d = %v, RangeQuery %v", k, qi, i, got[i], want[i])
 				}
 			}
 		}
@@ -262,9 +237,8 @@ func TestStreamQueryOverlayParity(t *testing.T) {
 	}
 }
 
-// TestStreamQueryDeliveredTailReturnsNil pins the terminal-error rule
-// in both shard-visit modes: a context that goes done while the very
-// last element — here the last staged insert of the tail — is being
+// TestStreamQueryDeliveredTailReturnsNil pins the terminal-error rule:
+// a context that goes done while the very last element — here the last staged insert of the tail — is being
 // delivered no longer matters; the stream is complete and returns nil.
 func TestStreamQueryDeliveredTailReturnsNil(t *testing.T) {
 	r := rand.New(rand.NewSource(49))
@@ -283,19 +257,17 @@ func TestStreamQueryDeliveredTailReturnsNil(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, opts := range []StreamOptions{{}, {Prefetch: 2}} {
-		ctx, cancel := context.WithCancel(context.Background())
-		n := 0
-		st, err := set.StreamQuery(ctx, q, opts, func(geom.Element) bool {
-			if n++; n == len(want) {
-				cancel()
-			}
-			return true
-		})
-		cancel()
-		if err != nil || n != len(want) || st.Results != len(want) {
-			t.Fatalf("opts %+v: fully delivered stream returned %v after %d of %d elements (stats %+v)", opts, err, n, len(want), st)
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	n := 0
+	st, err := set.StreamQuery(ctx, q, StreamOptions{}, func(geom.Element) bool {
+		if n++; n == len(want) {
+			cancel()
 		}
+		return true
+	})
+	if err != nil || n != len(want) || st.Results != len(want) {
+		t.Fatalf("fully delivered stream returned %v after %d of %d elements (stats %+v)", err, n, len(want), st)
 	}
 }
 
@@ -359,10 +331,8 @@ func TestStagedInsertOrderAcrossShards(t *testing.T) {
 		t.Fatal(err)
 	}
 	check("RangeQuery", out)
-	seq, _ := collectStream(t, set, context.Background(), q, StreamOptions{})
-	check("Query (sequential)", seq)
-	pre, _ := collectStream(t, set, context.Background(), q, StreamOptions{Prefetch: 3})
-	check("StreamQuery (prefetch)", pre)
+	got, _ := collectStream(t, set, context.Background(), q)
+	check("StreamQuery", got)
 }
 
 // pollCtx is a context whose Done channel closes after its Done method
@@ -404,8 +374,6 @@ func (c *pollCtx) Err() error {
 // dropped-stats bug: when a shard crawl fails midway, RangeQuery and
 // CountQuery must still report the page reads performed — "stats cover
 // exactly the work performed" — not a zero QueryStats.
-// (TestStreamQueryCancelMidMerge pins the same for the prefetching
-// shard visit, which these two sinks never select.)
 func TestQueryErrorKeepsPartialStats(t *testing.T) {
 	r := rand.New(rand.NewSource(48))
 	els := randomElements(r, 6000)

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"reflect"
 	"sort"
 	"testing"
 )
@@ -172,34 +171,6 @@ func TestNNWithLimitComposes(t *testing.T) {
 		}
 		if got := len(drainNN(t, q.NN(context.Background(), p, 3, WithLimit(10)), p)); got != 3 {
 			t.Errorf("%s: NN(k=3, WithLimit(10)) returned %d results, want 3", name, got)
-		}
-		// WithBuffer is a no-op on an NN session: a producer running ahead
-		// would read pages the traversal has not proven necessary, so the
-		// buffered session is the inline one — same elements, same reads,
-		// also when an unbounded stream is abandoned mid-way.
-		cold := func(k int, opts ...QueryOption) ([]Element, QueryStats) {
-			if err := q.(Maintainer).DropCache(); err != nil {
-				t.Fatal(err)
-			}
-			res := q.NN(context.Background(), p, k, opts...)
-			var out []Element
-			for e, err := range res.All() {
-				if err != nil {
-					t.Fatal(err)
-				}
-				if out = append(out, e); len(out) == 5 {
-					break
-				}
-			}
-			return out, res.Stats()
-		}
-		for _, k := range []int{5, 0} {
-			plain, plainStats := cold(k)
-			buffered, bufferedStats := cold(k, WithBuffer(8))
-			if len(buffered) != 5 || !reflect.DeepEqual(buffered, plain) || bufferedStats != plainStats {
-				t.Errorf("%s: NN(k=%d, WithBuffer(8)) = %d elements, stats %+v; unbuffered %d elements, stats %+v",
-					name, k, len(buffered), bufferedStats, len(plain), plainStats)
-			}
 		}
 	}
 }

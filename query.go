@@ -16,20 +16,7 @@ var ErrConsumed = errors.New("flat: query session already consumed")
 
 // queryConfig is the resolved option set of one query session.
 type queryConfig struct {
-	limit    int // > 0: stop the crawl after this many results
-	buffer   int // > 0: pipeline the crawl, each shard's crawl at most this many elements ahead
-	prefetch int // > 0: crawl up to this many shards concurrently
-}
-
-// streamOptions maps a range session's options onto the one stream
-// pipeline: WithBuffer alone is its one-crawl window (a single producer
-// a buffer ahead of the consumer), WithShardPrefetch widens the window.
-func (c queryConfig) streamOptions() shard.StreamOptions {
-	o := shard.StreamOptions{Prefetch: c.prefetch, Buffer: c.buffer}
-	if o.Prefetch <= 0 && o.Buffer > 0 {
-		o.Prefetch = 1
-	}
-	return o
+	limit int // > 0: stop the crawl after this many results
 }
 
 // QueryOption configures a Query session.
@@ -45,60 +32,20 @@ func WithLimit(k int) QueryOption {
 	return func(c *queryConfig) { c.limit = k }
 }
 
-// WithBuffer runs the crawl in a pipeline goroutine that stays up to n
-// elements ahead of the consumer: page reads overlap with the caller's
-// per-element work instead of alternating with it. Without it the crawl
-// runs inline on the consumer's goroutine (no concurrency, no extra
-// allocation). Abandoning the iteration (break) stops the pipeline
-// promptly and releases its resources; n <= 0 means unbuffered inline
-// execution. It is the one-crawl window of the pipeline
-// WithShardPrefetch widens: one shard crawls at a time, a buffer of n
-// ahead, and with WithShardPrefetch(p) n sizes each of the p crawling
-// shards' buffers. On an NN session it is a no-op, for the reason
-// WithShardPrefetch is one there: a best-first traversal must not read
-// pages it has not proven necessary, and a producer running n elements
-// ahead does exactly that.
-func WithBuffer(n int) QueryOption {
-	return func(c *queryConfig) { c.buffer = n }
-}
-
-// WithShardPrefetch lets a streaming session on a ShardedIndex crawl up
-// to p surviving shards concurrently: while the consumer drains shard
-// i, shards i+1 .. i+p-1 crawl ahead into bounded per-shard buffers
-// (capacity set by WithBuffer; a default otherwise), overlapping the
-// shards' page reads without changing the emit order — the stream is
-// still delivered element-for-element in RangeQuery's shard-order
-// concatenation. It is the one way to overlap shard crawls: RangeQuery
-// and CountQuery always visit shards sequentially. Shards past the
-// prefetch window are not touched, so a session that stops early
-// (WithLimit, break, cancel) still skips their page reads entirely;
-// crawls in flight at the stop are cancelled as a group and the pages
-// they did read are merged into Stats. p <= 0 keeps the sequential
-// default — the cheapest plan for selective queries that survive pruning
-// on ~1 shard, for sessions expected to stop within the first shard, and
-// on single-core hosts. An unsharded Index has one shard to crawl, so
-// any p gives it the one-crawl window WithBuffer does.
-func WithShardPrefetch(p int) QueryOption {
-	return func(c *queryConfig) { c.prefetch = p }
-}
-
 // Query starts a streaming query session over q: a cancellable
 // iterator that delivers elements incrementally, in the same
 // deterministic order RangeQuery returns them. Nothing is read until
 // the session is iterated (see Results). Between page reads the crawl
 // checks ctx, so a deadline or cancellation aborts it mid-BFS with
 // ctx.Err(); WithLimit stops it after k results, skipping the page
-// reads the rest of the crawl would have cost; WithBuffer overlaps the
-// crawl's page reads with the caller's per-element work.
+// reads the rest of the crawl would have cost.
 //
-// On a ShardedIndex the stream is delivered in shard order and by
-// default the surviving shards are also visited sequentially, which is
-// what lets WithLimit skip trailing shards entirely. WithShardPrefetch
-// overlaps the shard crawls without changing the emit order: up to p
-// shards crawl concurrently into bounded buffers (sized by WithBuffer)
-// while the consumer drains earlier ones, and shards past the prefetch
-// window are still never touched by an early stop. Safe for concurrent
-// use: any number of sessions may be drained at once.
+// The crawl runs on the goroutine that drains the session. On a
+// ShardedIndex the surviving shards are crawled one after another in
+// shard order, which is what lets WithLimit skip trailing shards
+// entirely; to use several cores, run several queries at once
+// (BatchRangeQuery, BatchCountQuery, or concurrent sessions). Safe for
+// concurrent use: any number of sessions may be drained at once.
 func (b *base) Query(ctx context.Context, q MBR, opts ...QueryOption) *Results {
 	return newResults(ctx, b, q, false, opts)
 }
@@ -131,11 +78,7 @@ func (b *base) Query(ctx context.Context, q MBR, opts ...QueryOption) *Results {
 // number. Staged updates are overlaid exactly as in Query: staged
 // deletes filter the stream, staged inserts merge in at their own
 // distances (losing ties to bulkloaded elements, matching the range
-// path's staged-last order). WithBuffer and WithShardPrefetch are
-// no-ops on both shapes: running ahead of the consumer trades extra
-// page reads for wall-clock overlap, a best-first traversal's whole
-// point is to not read pages it has not proven necessary, and there is
-// no per-shard crawl to run ahead. Safe for concurrent use.
+// path's staged-last order). Safe for concurrent use.
 func (b *base) NN(ctx context.Context, p Vec3, k int, opts ...QueryOption) *Results {
 	r := newResults(ctx, b, geom.PointBox(p), true, opts)
 	// The effective bound is the smaller of k and WithLimit's positive
@@ -264,13 +207,13 @@ func newResults(ctx context.Context, b *base, q MBR, nn bool, opts []QueryOption
 }
 
 // run executes the session on the set's executor for its kind: the
-// range stream under the session's pipeline options, or the NN stream
-// (which takes the limit as its staged-insert sizing hint).
+// range stream, or the NN stream (which takes the limit as its
+// staged-insert sizing hint).
 func (r *Results) run(emit func(Element) bool) (QueryStats, error) {
 	if r.nn {
 		return r.b.set.NNQuery(r.ctx, r.q.Min, r.cfg.limit, func(e Element, _ float64) bool { return emit(e) })
 	}
-	return r.b.set.StreamQuery(r.ctx, r.q, r.cfg.streamOptions(), emit)
+	return r.b.set.StreamQuery(r.ctx, r.q, shard.StreamOptions{}, emit)
 }
 
 // All returns the session's element stream as a range-able iterator.
@@ -292,29 +235,21 @@ func (r *Results) All() iter.Seq2[Element, error] {
 			return
 		}
 		defer r.b.guard.exit()
-		r.drainInline(yield)
-	}
-}
-
-// drainInline yields each element from inside the executor's emit
-// callback, on the consumer's goroutine. A pipelined session (WithBuffer,
-// WithShardPrefetch) is the same drain: the set's windowed shard visit
-// crawls ahead on its own goroutines and calls emit from this one, and
-// sorts a consumer's stop (clean) from a done context (an error) there.
-func (r *Results) drainInline(yield func(Element, error) bool) {
-	n := 0
-	abandoned := false
-	st, err := r.run(func(e Element) bool {
-		if !yield(e, nil) {
-			abandoned = true
-			return false
+		// Each element is yielded from inside the executor's emit
+		// callback, on this goroutine.
+		n := 0
+		abandoned := false
+		r.stats, r.err = r.run(func(e Element) bool {
+			if !yield(e, nil) {
+				abandoned = true
+				return false
+			}
+			n++
+			return r.cfg.limit <= 0 || n < r.cfg.limit
+		})
+		if r.err != nil && !abandoned {
+			yield(Element{}, r.err)
 		}
-		n++
-		return r.cfg.limit <= 0 || n < r.cfg.limit
-	})
-	r.stats, r.err = st, err
-	if err != nil && !abandoned {
-		yield(Element{}, err)
 	}
 }
 
