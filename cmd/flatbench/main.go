@@ -33,12 +33,12 @@ import (
 func main() {
 	var (
 		figs      = flag.String("fig", "all", "comma-separated experiment ids (e.g. 2,12,20) or 'all'")
-		quick     = flag.Bool("quick", false, "run at smoke-test scale (3 densities, 40 queries)")
+		quick     = flag.Bool("quick", false, "run at smoke-test scale (3 densities, 40 queries, -otherscale 0.001)")
 		verbose   = flag.Bool("v", false, "log progress to stderr")
 		queries   = flag.Int("queries", 0, "queries per micro-benchmark (default 200; 40 with -quick)")
 		densities = flag.String("densities", "", "comma-separated element counts (default 50000..450000)")
 		nodeCap   = flag.Int("nodecap", 0, "entries per node/page for all indexes (default 16; 0 keeps default)")
-		scale     = flag.Float64("otherscale", 0, "scale factor for the Section VIII data sets (default 1/200)")
+		scale     = flag.Float64("otherscale", 0, "scale factor for the Section VIII data sets (default 1/200; 1/1000 with -quick)")
 		shards    = flag.String("shards", "", "comma-separated shard counts for the shards experiment (default 1,2,4,8)")
 		jsonDir   = flag.String("json", "", "directory to also write each experiment as machine-readable BENCH_<experiment>.json")
 		seed      = flag.Int64("seed", 0, "generator seed (default 1)")

@@ -37,6 +37,7 @@ func All() []*analysis.Analyzer {
 		GuardPair,
 		LockedField,
 		PageIDPack,
+		ReflectSort,
 		StatsOnErr,
 		WalSync,
 	}
@@ -70,6 +71,25 @@ func isContext(t types.Type) bool {
 	}
 	obj := n.Obj()
 	return obj.Name() == "Context" && obj.Pkg() != nil && obj.Pkg().Path() == "context"
+}
+
+// pkgFunc resolves a call of the form pkg.Name(...) to the imported
+// package's path and the function's name, going through the type info
+// rather than the identifier spelling; "", "" for any other call.
+func pkgFunc(info *types.Info, call *ast.CallExpr) (pkgPath, name string) {
+	sel, ok := call.Fun.(*ast.SelectorExpr)
+	if !ok {
+		return "", ""
+	}
+	id, ok := sel.X.(*ast.Ident)
+	if !ok {
+		return "", ""
+	}
+	pkg, ok := info.Uses[id].(*types.PkgName)
+	if !ok {
+		return "", ""
+	}
+	return pkg.Imported().Path(), sel.Sel.Name
 }
 
 // isPagerRead reports whether call is a direct page read: a method

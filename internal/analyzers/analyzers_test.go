@@ -40,3 +40,8 @@ func TestGuardPair(t *testing.T) {
 func TestWalSync(t *testing.T) {
 	analysistest.Run(t, "testdata", analyzers.WalSync, "walsync")
 }
+
+func TestReflectSort(t *testing.T) {
+	analysistest.Run(t, "testdata", analyzers.ReflectSort, "reflectsort")
+	analysistest.Run(t, "testdata", analyzers.ReflectSort, "reflectsortbench")
+}

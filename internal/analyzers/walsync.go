@@ -65,19 +65,10 @@ func runWalSync(pass *analysis.Pass) (any, error) {
 	return nil, nil
 }
 
-// isOsRename reports whether call is os.Rename, resolving the package
-// through the type info rather than the identifier spelling.
+// isOsRename reports whether call is os.Rename.
 func isOsRename(info *types.Info, call *ast.CallExpr) bool {
-	sel, ok := call.Fun.(*ast.SelectorExpr)
-	if !ok || sel.Sel.Name != "Rename" {
-		return false
-	}
-	id, ok := sel.X.(*ast.Ident)
-	if !ok {
-		return false
-	}
-	pkg, ok := info.Uses[id].(*types.PkgName)
-	return ok && pkg.Imported().Path() == "os"
+	pkg, name := pkgFunc(info, call)
+	return pkg == "os" && name == "Rename"
 }
 
 // isSyncCall reports whether call invokes something named Sync (a

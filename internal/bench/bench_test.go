@@ -410,7 +410,7 @@ func TestTableFormatHelpers(t *testing.T) {
 
 func TestQuickConfigSmaller(t *testing.T) {
 	q, d := QuickConfig(), DefaultConfig()
-	if len(q.Densities) >= len(d.Densities) || q.Queries >= d.Queries {
+	if len(q.Densities) >= len(d.Densities) || q.Queries >= d.Queries || q.OtherScale >= d.OtherScale {
 		t.Error("QuickConfig should be smaller than DefaultConfig")
 	}
 }

@@ -134,7 +134,7 @@ func (r *Runner) fig22() ([]*Table, error) {
 			"FLAT size MB", "PR size MB", "FLAT build ms", "PR build ms"},
 		Timed: []string{"FLAT build ms", "PR build ms"},
 		Note: "paper: FLAT modestly larger, builds far faster than the PR-tree; " +
-			"here: builds 11-20x faster (wall-clock, not gated), but FLAT is 1-4% smaller, not larger",
+			"here: builds 4-6x faster (wall-clock, not gated), but FLAT is 1-4% smaller, not larger",
 	}
 	const mb = float64(1 << 20)
 	for _, s := range sets {

@@ -78,11 +78,14 @@ func DefaultConfig() Config {
 }
 
 // QuickConfig returns a trimmed configuration for smoke tests and the Go
-// benchmark suite: three densities, fewer queries.
+// benchmark suite: three densities, fewer queries, and the Section VIII
+// data sets cut by the same factor of five as the top density and the
+// query count (12k–252k elements instead of 62k–1.26M).
 func QuickConfig() Config {
 	c := DefaultConfig()
 	c.Densities = []int{30000, 60000, 90000}
 	c.Queries = 40
+	c.OtherScale = 1.0 / 1000
 	return c
 }
 

@@ -1,8 +1,6 @@
 package rtree
 
 import (
-	"sort"
-
 	"flat/internal/geom"
 	"flat/internal/hilbert"
 	"flat/internal/str"
@@ -23,19 +21,7 @@ func packEntriesSTR(entries []NodeEntry, capacity int) [][]NodeEntry {
 // packHilbert sorts elements by the Hilbert value of their MBR center
 // (Kamel & Faloutsos) and packs consecutive runs of capacity elements.
 func packHilbert(els []geom.Element, world geom.MBR, capacity int) [][]geom.Element {
-	q := hilbert.NewQuantizer(world)
-	keys := make([]uint64, len(els))
-	idx := make([]int, len(els))
-	for i, e := range els {
-		keys[i] = q.KeyOfMBR(e.Box)
-		idx[i] = i
-	}
-	sort.SliceStable(idx, func(a, b int) bool { return keys[idx[a]] < keys[idx[b]] })
-	sorted := make([]geom.Element, len(els))
-	for i, j := range idx {
-		sorted[i] = els[j]
-	}
-	copy(els, sorted)
+	hilbert.SortElements(els, world)
 	return consecutive(els, capacity)
 }
 

@@ -16,7 +16,8 @@ import (
 //
 // DynTree shares the node page format and the query engine with the
 // bulkloaded Tree: call View to obtain a read-only *Tree over the built
-// structure.
+// structure. Because the format is shared, an empty DynTree can also
+// start from a bulkload (Pack) and grow by Insert from there.
 type DynTree struct {
 	pool                     storage.Pool
 	cfg                      Config
@@ -74,6 +75,28 @@ func (t *DynTree) View() (*Tree, error) {
 		leafPages:     t.leafPages,
 		internalPages: t.internalPages,
 	}, nil
+}
+
+// Pack bulkloads els into an empty tree in one STR pass — Build's own
+// leaf packing and internal levels, on the tree's pool, in the node
+// format Insert reads and writes — instead of len(els) root-to-leaf
+// descents (the staged-delta trees of internal/shard use it). Later
+// Inserts land on the packed nodes like on any others, splitting the
+// full ones. els is reordered in place; on error the tree stays empty.
+func (t *DynTree) Pack(els []geom.Element) error {
+	if t.root != storage.InvalidPage {
+		return fmt.Errorf("rtree: Pack on a tree of %d elements; only an empty tree can be packed", t.count)
+	}
+	if len(els) == 0 {
+		return nil
+	}
+	b, err := Build(t.pool, els, STR, geom.MBR{}, t.cfg)
+	if err != nil {
+		return err
+	}
+	t.root, t.height, t.count = b.root, b.height, b.count
+	t.leafPages, t.internalPages = b.leafPages, b.internalPages
+	return nil
 }
 
 // Insert adds one element to the tree, splitting nodes on overflow

@@ -49,7 +49,14 @@ func TestDynamicStructuralInvariants(t *testing.T) {
 	r := rand.New(rand.NewSource(233))
 	els := randomElements(r, 4000, worldBox())
 	tree, _ := buildDynamic(t, els)
+	checkStructure(t, tree, len(els))
+}
 
+// checkStructure verifies the shape every DynTree view must have,
+// however it was built: non-empty nodes within capacity, leaves at one
+// depth, n distinct elements, parent boxes equal to child MBRs.
+func checkStructure(t *testing.T, tree *Tree, n int) {
+	t.Helper()
 	leafDepth := -1
 	seen := map[uint64]bool{}
 	boxes := map[storage.PageID]geom.MBR{}
@@ -76,8 +83,8 @@ func TestDynamicStructuralInvariants(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(seen) != len(els) {
-		t.Fatalf("enumerated %d of %d elements", len(seen), len(els))
+	if len(seen) != n {
+		t.Fatalf("enumerated %d of %d elements", len(seen), n)
 	}
 	// Parent entry boxes contain (and equal) child MBRs.
 	err = tree.Walk(func(id storage.PageID, depth int, isLeaf bool, entries []NodeEntry) error {
@@ -94,6 +101,61 @@ func TestDynamicStructuralInvariants(t *testing.T) {
 	})
 	if err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestDynTreePack: a tree packed from a batch, then grown by single
+// inserts (which split its full leaves), is a well-formed DynTree that
+// answers like brute force; only an empty tree can be packed.
+func TestDynTreePack(t *testing.T) {
+	r := rand.New(rand.NewSource(239))
+	els := randomElements(r, 3000, worldBox())
+	pool := storage.NewConcurrentPool(storage.NewMemPager(), 0)
+	dt := NewDynTree(pool, Config{})
+	if err := dt.Pack(nil); err != nil || dt.Len() != 0 {
+		t.Fatalf("Pack(nil) = %v, Len %d", err, dt.Len())
+	}
+	if err := dt.Pack(append([]geom.Element(nil), els[:2000]...)); err != nil {
+		t.Fatal(err)
+	}
+	if dt.Len() != 2000 || dt.Height() < 2 {
+		t.Fatalf("packed tree: Len %d, Height %d", dt.Len(), dt.Height())
+	}
+	if err := dt.Pack(els[2000:]); err == nil {
+		t.Fatal("Pack on a non-empty tree succeeded")
+	}
+	for n := 2000; ; n = 3000 {
+		view, err := dt.View()
+		if err != nil {
+			t.Fatal(err)
+		}
+		checkStructure(t, view, n)
+		for i := 0; i < 30; i++ {
+			q := geom.CubeAt(geom.V(r.Float64()*100, r.Float64()*100, r.Float64()*100), 2+r.Float64()*20)
+			got, err := view.RangeQuery(q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want := bruteForce(els[:n], q); !equalIDs(idsOf(got), want) {
+				t.Fatalf("%d elements, query %v: got %d, want %d", n, q, len(got), len(want))
+			}
+		}
+		if n == 3000 {
+			break
+		}
+		for _, e := range els[2000:] {
+			if err := dt.Insert(e); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	// A packed epoch recycles like an inserted one.
+	dt.Reset()
+	if err := dt.Pack(append([]geom.Element(nil), els[:10]...)); err != nil {
+		t.Fatal(err)
+	}
+	if dt.Len() != 10 || dt.Height() != 1 {
+		t.Fatalf("repacked tree: Len %d, Height %d", dt.Len(), dt.Height())
 	}
 }
 

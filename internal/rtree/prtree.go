@@ -1,9 +1,10 @@
 package rtree
 
 import (
-	"sort"
+	"cmp"
 
 	"flat/internal/geom"
+	"flat/internal/str"
 )
 
 // packPR groups elements into leaf pages using the pseudo-PR-tree
@@ -41,20 +42,23 @@ const (
 	numCriteria
 )
 
-func criterionLess(box func(int) geom.MBR, crit int) func(i, j int) bool {
+// criterionKey returns the sort key of box m under a priority
+// criterion: ascending order of the key is "most extreme first", so the
+// Max criteria negate their coordinate.
+func criterionKey(m geom.MBR, crit int) float64 {
 	switch crit {
 	case critMinX:
-		return func(i, j int) bool { return box(i).Min.X < box(j).Min.X }
+		return m.Min.X
 	case critMinY:
-		return func(i, j int) bool { return box(i).Min.Y < box(j).Min.Y }
+		return m.Min.Y
 	case critMinZ:
-		return func(i, j int) bool { return box(i).Min.Z < box(j).Min.Z }
+		return m.Min.Z
 	case critMaxX:
-		return func(i, j int) bool { return box(i).Max.X > box(j).Max.X }
+		return -m.Max.X
 	case critMaxY:
-		return func(i, j int) bool { return box(i).Max.Y > box(j).Max.Y }
+		return -m.Max.Y
 	default:
-		return func(i, j int) bool { return box(i).Max.Z > box(j).Max.Z }
+		return -m.Max.Z
 	}
 }
 
@@ -66,6 +70,9 @@ func prGroup[T any](items []T, box func(T) geom.MBR, capacity int) [][]T {
 		out = append(out, g)
 	}
 
+	// One sorter (str.Sorter: the sort.SliceStable permutation) serves
+	// every pass of the recursion.
+	sorter := str.NewSorter[T](cmp.Compare[float64])
 	var rec func(rest []T, depth int)
 	rec = func(rest []T, depth int) {
 		if len(rest) == 0 {
@@ -77,7 +84,7 @@ func prGroup[T any](items []T, box func(T) geom.MBR, capacity int) [][]T {
 		}
 		// Extract up to six priority leaves of extreme rectangles.
 		for crit := 0; crit < numCriteria && len(rest) > capacity; crit++ {
-			sort.SliceStable(rest, criterionLess(func(i int) geom.MBR { return box(rest[i]) }, crit))
+			sorter.Sort(rest, func(i int) float64 { return criterionKey(box(rest[i]), crit) })
 			emit(rest[:capacity])
 			rest = rest[capacity:]
 		}
@@ -89,9 +96,7 @@ func prGroup[T any](items []T, box func(T) geom.MBR, capacity int) [][]T {
 		}
 		// Median split on the round-robin axis of the rectangle centers.
 		axis := depth % 3
-		sort.SliceStable(rest, func(i, j int) bool {
-			return box(rest[i]).Center().Axis(axis) < box(rest[j]).Center().Axis(axis)
-		})
+		sorter.Sort(rest, func(i int) float64 { return box(rest[i]).Center().Axis(axis) })
 		mid := len(rest) / 2
 		rec(rest[:mid], depth+1)
 		rec(rest[mid:], depth+1)

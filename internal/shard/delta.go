@@ -16,6 +16,12 @@
 // scans (Intersects for inserts, deleteMatches containment for
 // deletes), so results are bit-for-bit what the linear overlay
 // produced.
+//
+// A batch that lands on an empty delta — the log replayed by an open, a
+// bulk StageInsert — is packed in one STR bulkload (shardDelta.add,
+// rtree.DynTree.Pack): same node format, probes and answers, for a sort
+// instead of a root-to-leaf descent and split cascade per element. Only
+// a delta that already holds something grows by single inserts.
 
 package shard
 
@@ -55,13 +61,29 @@ func (d *shardDelta) reset() {
 	d.tree.Reset()
 }
 
-// add stages one insert. The tree is updated first so a tree failure
-// leaves the slab unchanged (the two never disagree).
-func (d *shardDelta) add(si stagedInsert) error {
-	if err := d.tree.Insert(geom.Element{ID: uint64(len(d.slab)), Box: si.el.Box}); err != nil {
-		return err
+// add stages a batch of inserts, given in staging order: packed into
+// the tree in one bulkload when the delta is empty — the only
+// condition; there is no size threshold — and inserted one by one
+// otherwise. Either way the tree is updated before the slab, so a tree
+// failure never leaves the two disagreeing.
+func (d *shardDelta) add(batch []stagedInsert) error {
+	if len(d.slab) == 0 {
+		els := make([]geom.Element, len(batch))
+		for i, si := range batch {
+			els[i] = geom.Element{ID: uint64(i), Box: si.el.Box}
+		}
+		if err := d.tree.Pack(els); err != nil {
+			return err
+		}
+		d.slab = append(d.slab, batch...)
+		return nil
 	}
-	d.slab = append(d.slab, si)
+	for _, si := range batch {
+		if err := d.tree.Insert(geom.Element{ID: uint64(len(d.slab)), Box: si.el.Box}); err != nil {
+			return err
+		}
+		d.slab = append(d.slab, si)
+	}
 	return nil
 }
 

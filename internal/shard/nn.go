@@ -38,9 +38,10 @@
 package shard
 
 import (
+	"cmp"
 	"context"
 	"math"
-	"sort"
+	"slices"
 
 	"flat/internal/core"
 	"flat/internal/geom"
@@ -85,11 +86,8 @@ func (s *Set) stagedNearestLocked(p geom.Vec3, k int, dels deleteView) ([]staged
 			return nil, err
 		}
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].distSq != out[j].distSq {
-			return out[i].distSq < out[j].distSq
-		}
-		return out[i].seq < out[j].seq
+	slices.SortFunc(out, func(a, b stagedNear) int {
+		return cmp.Or(cmp.Compare(a.distSq, b.distSq), cmp.Compare(a.seq, b.seq))
 	})
 	if k > 0 && len(out) > k {
 		out = out[:k]

@@ -16,14 +16,21 @@
 // generation is garbage-collected. A crash at any point leaves a
 // manifest whose referenced files are all complete — before the swap
 // the previous generation still opens, after it the new one does.
+//
+// The dirty shards are bulkloaded concurrently on Build's worker pool
+// (RunBatch), each filtering its elements through the by-ID delete
+// index queries use (deleteView): a rebuild costs about what building
+// those shards costs.
 
 package shard
 
 import (
+	"cmp"
+	"context"
 	"fmt"
 	"os"
 	"path/filepath"
-	"sort"
+	"slices"
 
 	"flat/internal/core"
 	"flat/internal/geom"
@@ -118,17 +125,38 @@ func (s *Set) StageInsert(els ...geom.Element) error {
 	}
 	// The whole batch's seqs are consumed up front, not one per staged
 	// element: the log already holds records under every one of them, so
-	// a mid-batch staging failure must burn the unstaged tail's seqs
+	// a mid-batch staging failure must burn the unstaged elements' seqs
 	// rather than let later operations reuse them — a crash-replay would
-	// restage the abandoned tail, and duplicated seqs break the strict
+	// restage the abandoned ones, and duplicated seqs break the strict
 	// ordering last-op-wins depends on (matchesAfter compares seqs with
-	// >). The error return leaves the tail logged but unstaged, the same
+	// >). The error return leaves them logged but unstaged, the same
 	// at-least-once window every WAL error path has (see
 	// walAppendLocked).
 	s.clock = base + uint64(len(els))
+	ins := make([]stagedInsert, len(els))
 	for i, e := range els {
-		t := s.routeShard(e.Box)
-		if err := s.deltaLocked(t).add(stagedInsert{el: e, seq: base + 1 + uint64(i)}); err != nil {
+		ins[i] = stagedInsert{el: e, seq: base + 1 + uint64(i)}
+	}
+	return s.stageLocked(ins)
+}
+
+// stageLocked stages ins, given in staging order: each insert is routed
+// to its shard and every shard's delta takes its share in one call
+// (shardDelta.add — packed when the delta is empty). Routing keeps
+// the order within a shard, so each slab stays seq-ascending. Callers
+// hold pmu's write side.
+// flatlint:holds pmu
+func (s *Set) stageLocked(ins []stagedInsert) error {
+	byShard := make([][]stagedInsert, len(s.shards))
+	for _, si := range ins {
+		t := s.routeShard(si.el.Box)
+		byShard[t] = append(byShard[t], si)
+	}
+	for t, batch := range byShard {
+		if len(batch) == 0 {
+			continue
+		}
+		if err := s.deltaLocked(t).add(batch); err != nil {
 			return err
 		}
 	}
@@ -189,21 +217,19 @@ func (s *Set) replayWAL(recs []storage.WALRecord) error {
 	}
 	s.pmu.Lock()
 	defer s.pmu.Unlock()
+	ins := make([]stagedInsert, 0, len(recs))
 	for _, r := range recs {
 		if r.Seq > s.clock {
 			s.clock = r.Seq
 		}
 		switch r.Op {
 		case storage.WALInsert:
-			t := s.routeShard(r.Box)
-			if err := s.deltaLocked(t).add(stagedInsert{el: geom.Element{ID: r.ID, Box: r.Box}, seq: r.Seq}); err != nil {
-				return err
-			}
+			ins = append(ins, stagedInsert{el: geom.Element{ID: r.ID, Box: r.Box}, seq: r.Seq})
 		case storage.WALDelete:
 			s.deletes = append(s.deletes, pendingDelete{ID: r.ID, Box: r.Box, seq: r.Seq})
 		}
 	}
-	return nil
+	return s.stageLocked(ins)
 }
 
 // Flush makes every staged operation durable: it fsyncs the
@@ -314,7 +340,7 @@ func (s *Set) DirtyShards() []int {
 func (s *Set) dirtyLocked() []int {
 	var dirty []int
 	for i := range s.shards {
-		if s.delta != nil && s.delta[i] != nil && len(s.delta[i].slab) > 0 {
+		if len(s.slabLocked(i)) > 0 {
 			dirty = append(dirty, i)
 			continue
 		}
@@ -326,6 +352,16 @@ func (s *Set) dirtyLocked() []int {
 		}
 	}
 	return dirty
+}
+
+// slabLocked returns shard sh's staged inserts in staging order (nil
+// when it has none). Callers hold pmu (either side).
+// flatlint:holds pmu
+func (s *Set) slabLocked(sh int) []stagedInsert {
+	if s.delta == nil || s.delta[sh] == nil {
+		return nil
+	}
+	return s.delta[sh].slab
 }
 
 // routeShard picks the shard for a staged insert: least bounds
@@ -379,7 +415,7 @@ func (s *Set) overlayFor(q geom.MBR) (ins []geom.Element, dels deleteView, err e
 	// not in shard or probe order. Seqs are unique, so sorting the
 	// filtered union by seq restores the global staging interleave for
 	// inserts routed to different shards.
-	sort.Slice(pending, func(a, b int) bool { return pending[a].seq < pending[b].seq })
+	slices.SortFunc(pending, func(a, b stagedInsert) int { return cmp.Compare(a.seq, b.seq) })
 	for _, si := range pending {
 		ins = append(ins, si.el)
 	}
@@ -399,6 +435,10 @@ func (s *Set) overlayFor(q geom.MBR) (ins []geom.Element, dels deleteView, err e
 // generation before the manifest swap, the new one after). On failure
 // the staged updates stay staged and the set keeps serving the old
 // state.
+//
+// The dirty shards are re-bulkloaded concurrently (RunBatch, GOMAXPROCS
+// workers), so peak memory during a rebuild is min(GOMAXPROCS, dirty
+// shards) shards' merged element slices, not one.
 //
 // Rebuild mutates the set and must not run concurrently with queries or
 // other maintenance; the public flat.ShardedIndex enforces this with
@@ -422,12 +462,17 @@ func (s *Set) Rebuild() ([]int, error) {
 	type newShard struct {
 		shard int
 		ix    *core.Index
-		pager storage.Pager
-		file  string // absolute path; "" for memory-backed sets
+		pager storage.Pager // nil: the shard turned out unchanged
+		file  string        // absolute path; "" for memory-backed sets
 	}
-	var built []newShard
+	// One slot per dirty shard, so built stays in shard order whichever
+	// worker finishes first.
+	built := make([]newShard, len(dirty))
 	fail := func(err error) ([]int, error) {
 		for _, b := range built {
+			if b.pager == nil {
+				continue
+			}
 			b.pager.Close()
 			if b.file != "" {
 				os.Remove(b.file)
@@ -437,20 +482,23 @@ func (s *Set) Rebuild() ([]int, error) {
 	}
 
 	// Phase 1: bulkload every dirty shard into a fresh pager. The old
-	// state is not touched; any error abandons the new files.
-	for _, sh := range dirty {
-		els, err := s.mergedElements(sh)
+	// state is not touched — the workers only read it, under the write
+	// lock this goroutine holds; any error abandons all the new files.
+	dels := s.deleteViewLocked()
+	err := RunBatch(context.Background(), len(dirty), 0, func(i int) error {
+		sh := dirty[i]
+		els, err := s.mergedElements(sh, dels)
 		if err != nil {
-			return fail(fmt.Errorf("shard %d: extract: %w", sh, err))
+			return fmt.Errorf("shard %d: extract: %w", sh, err)
 		}
 		// A delete-only dirty shard whose deletes matched nothing is
 		// unchanged (deletes only remove, so an unchanged length means an
 		// unchanged set); skip the pointless rewrite and keep its cache.
-		if (s.delta == nil || s.delta[sh] == nil || len(s.delta[sh].slab) == 0) && len(els) == s.shards[sh].Len() {
-			continue
+		if len(s.slabLocked(sh)) == 0 && len(els) == s.shards[sh].Len() {
+			return nil
 		}
 		if len(els) == 0 {
-			return fail(fmt.Errorf("shard: rebuild would leave shard %d empty; dropping a shard needs a full rebuild (shard ids are baked into the remaining shards' page files)", sh))
+			return fmt.Errorf("shard: rebuild would leave shard %d empty; dropping a shard needs a full rebuild (shard ids are baked into the remaining shards' page files)", sh)
 		}
 		var file string
 		if s.dir != "" {
@@ -458,9 +506,9 @@ func (s *Set) Rebuild() ([]int, error) {
 		}
 		pager, err := createPager(file)
 		if err != nil {
-			return fail(err)
+			return err
 		}
-		built = append(built, newShard{shard: sh, pager: pager, file: file})
+		built[i] = newShard{shard: sh, pager: pager, file: file}
 		// A lone shard keeps the set's world (as in Build); with K > 1
 		// each shard partitions its own bounds.
 		world := geom.MBR{}
@@ -472,17 +520,21 @@ func (s *Set) Rebuild() ([]int, error) {
 		// different formats keeps every shard's layout stable across
 		// rebuild generations. The new file is durable before the manifest
 		// references it.
-		ix, err := bulkload(pager, sh, els, core.Options{
+		built[i].ix, err = bulkload(pager, sh, els, core.Options{
 			PageCapacity: s.pageCapacity,
 			SeedFanout:   s.seedFanout,
 			PageFormat:   s.shards[sh].PageFormat(),
 			World:        world,
 		}, file != "")
 		if err != nil {
-			return fail(fmt.Errorf("rebuild: %w", err))
+			return fmt.Errorf("rebuild: %w", err)
 		}
-		built[len(built)-1].ix = ix
+		return nil
+	})
+	if err != nil {
+		return fail(err)
 	}
+	built = slices.DeleteFunc(built, func(b newShard) bool { return b.pager == nil })
 
 	// All dirty shards may have been no-op deletes; the staged epoch is
 	// consumed either way. This path never touches the manifest, so the
@@ -609,9 +661,10 @@ func (s *Set) clearStagedLocked() {
 // mergedElements materializes dirty shard sh's post-rebuild element
 // set: its bulkloaded elements and staged inserts, minus the staged
 // deletes (each insert doomed only by deletes staged after it —
-// last-op-wins, matching the query overlay exactly). Callers hold pmu.
+// last-op-wins, matching the query overlay exactly: dels is the same
+// view a query filters through). Callers hold pmu.
 // flatlint:holds pmu
-func (s *Set) mergedElements(sh int) ([]geom.Element, error) {
+func (s *Set) mergedElements(sh int, dels deleteView) ([]geom.Element, error) {
 	// Every bulkloaded element intersects its shard's bounds, so a range
 	// query over them enumerates the shard.
 	all, _, err := s.shards[sh].RangeQuery(s.bounds[sh])
@@ -620,15 +673,13 @@ func (s *Set) mergedElements(sh int) ([]geom.Element, error) {
 	}
 	kept := all[:0]
 	for _, e := range all {
-		if !matchesDelete(s.deletes, e) {
+		if !dels.matches(e) {
 			kept = append(kept, e)
 		}
 	}
-	if s.delta != nil && s.delta[sh] != nil {
-		for _, si := range s.delta[sh].slab {
-			if !matchesDeleteAfter(s.deletes, si.el, si.seq) {
-				kept = append(kept, si.el)
-			}
+	for _, si := range s.slabLocked(sh) {
+		if !dels.matchesAfter(si.el, si.seq) {
+			kept = append(kept, si.el)
 		}
 	}
 	return kept, nil

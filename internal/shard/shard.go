@@ -8,7 +8,11 @@
 // along the Hilbert curve (the same curve the Hilbert R-tree baseline
 // sorts with), each shard is bulkloaded into its own FLAT index — in
 // parallel, since the builds are independent — and a top-level MBR
-// directory routes queries to the shards they can touch.
+// directory routes queries to the shards they can touch. The split's
+// order is hilbert.SortElements — keys computed once, on every core,
+// then one stable keyed sort (str.Sorter, the sort.SliceStable
+// permutation) — so which element lands in which shard, and in what
+// order its bulkload sees it, is a function of the input alone.
 //
 // A range query has one executor (StreamQuery, merge.go): the directory
 // prunes shards whose bounds do not intersect the query box, the
@@ -41,7 +45,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"sort"
 	"sync"
 	"sync/atomic"
 
@@ -169,21 +172,7 @@ func SplitHilbert(els []geom.Element, k int, world geom.MBR) [][]geom.Element {
 	if k <= 1 || len(els) == 1 {
 		return [][]geom.Element{els}
 	}
-	quant := hilbert.NewQuantizer(world)
-	keys := make([]uint64, len(els))
-	for i, e := range els {
-		keys[i] = quant.KeyOfMBR(e.Box)
-	}
-	idx := make([]int, len(els))
-	for i := range idx {
-		idx[i] = i
-	}
-	sort.SliceStable(idx, func(a, b int) bool { return keys[idx[a]] < keys[idx[b]] })
-	sorted := make([]geom.Element, len(els))
-	for i, j := range idx {
-		sorted[i] = els[j]
-	}
-	copy(els, sorted)
+	hilbert.SortElements(els, world)
 
 	size := (len(els) + k - 1) / k
 	groups := make([][]geom.Element, 0, k)

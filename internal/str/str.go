@@ -11,11 +11,15 @@
 //
 // The generic Tile function serves the first use; PartitionElements
 // serves the second, returning both the element groups and their cells.
+//
+// Every order either of them — or any other build-time pass: the shard
+// split, the Hilbert and PR-tree packers — imposes goes through one
+// keyed stable sort kernel, Sorter (sort.go), which returns exactly the
+// permutation sort.SliceStable would.
 package str
 
 import (
 	"math"
-	"sort"
 
 	"flat/internal/geom"
 )
@@ -39,12 +43,13 @@ func Tile[T any](items []T, center func(T) geom.Vec3, capacity int) [][]T {
 	}
 	pn := sliceCount(n, capacity)
 
-	sortByAxis(items, center, 0)
+	sorter := NewSorter[T](compareAxisKeys)
+	sortByAxis(sorter, items, center, 0)
 	var groups [][]T
 	for _, xs := range split(items, pn) {
-		sortByAxis(xs, center, 1)
+		sortByAxis(sorter, xs, center, 1)
 		for _, ys := range split(xs, pn) {
-			sortByAxis(ys, center, 2)
+			sortByAxis(sorter, ys, center, 2)
 			groups = append(groups, chunks(ys, capacity)...)
 		}
 	}
@@ -63,18 +68,28 @@ func sliceCount(n, capacity int) int {
 	return pn
 }
 
-// sortByAxis sorts items by the given axis of their center, breaking ties
-// by the next axes so the order is total and deterministic.
-func sortByAxis[T any](items []T, center func(T) geom.Vec3, axis int) {
-	sort.SliceStable(items, func(i, j int) bool {
-		ci, cj := center(items[i]), center(items[j])
-		for k := 0; k < 3; k++ {
-			a := (axis + k) % 3
-			if ci.Axis(a) != cj.Axis(a) {
-				return ci.Axis(a) < cj.Axis(a)
-			}
+// axisKey is an STR pass's sort key: an item's center coordinates
+// rotated so the pass's axis comes first.
+type axisKey [3]float64
+
+func compareAxisKeys(a, b axisKey) int {
+	for k := range a {
+		if a[k] < b[k] {
+			return -1
 		}
-		return false
+		if a[k] > b[k] {
+			return 1
+		}
+	}
+	return 0
+}
+
+// sortByAxis stably sorts items by the given axis of their center,
+// breaking ties by the next axes so the order is deterministic.
+func sortByAxis[T any](s *Sorter[T, axisKey], items []T, center func(T) geom.Vec3, axis int) {
+	s.Sort(items, func(i int) axisKey {
+		c := center(items[i])
+		return axisKey{c.Axis(axis), c.Axis((axis + 1) % 3), c.Axis((axis + 2) % 3)}
 	})
 }
 
@@ -147,15 +162,16 @@ func PartitionElements(els []geom.Element, capacity int, world geom.MBR) []Parti
 	pn := sliceCount(n, capacity)
 
 	var parts []Partition
-	sortByAxis(els, center, 0)
+	sorter := NewSorter[geom.Element](compareAxisKeys)
+	sortByAxis(sorter, els, center, 0)
 	xRuns := split(els, pn)
 	xCuts := runCuts(xRuns, center, 0, world.Min.X, world.Max.X)
 	for xi, xs := range xRuns {
-		sortByAxis(xs, center, 1)
+		sortByAxis(sorter, xs, center, 1)
 		yRuns := split(xs, pn)
 		yCuts := runCuts(yRuns, center, 1, world.Min.Y, world.Max.Y)
 		for yi, ys := range yRuns {
-			sortByAxis(ys, center, 2)
+			sortByAxis(sorter, ys, center, 2)
 			zRuns := chunks(ys, capacity)
 			zCuts := runCuts(zRuns, center, 2, world.Min.Z, world.Max.Z)
 			for zi, zs := range zRuns {

@@ -247,3 +247,21 @@ func TestPartitionPanicsOnBadCapacity(t *testing.T) {
 	}()
 	PartitionElements(nil, 0, worldBox())
 }
+
+// BenchmarkPartitionElements is the STR layer's microbenchmark: one
+// shard's share of the served benchmark's model (450 000 / 4 elements)
+// partitioned into full v2 pages — three nested sort passes.
+func BenchmarkPartitionElements(b *testing.B) {
+	world := worldBox()
+	src := randomElements(rand.New(rand.NewSource(5)), 112_500, world)
+	els := make([]geom.Element, len(src))
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		copy(els, src)
+		b.StartTimer()
+		if parts := PartitionElements(els, 126, world); len(parts) == 0 {
+			b.Fatal("no partitions")
+		}
+	}
+}
