@@ -11,8 +11,8 @@ import (
 // PageIDPack bans raw shift/mask arithmetic on PageID values outside
 // internal/storage. The 16-bit shard tag at bit 32 is a storage-layer
 // encoding detail; every other layer must pack and unpack ids through
-// storage.ShardPageID/SplitShardPageID (the ShardView/MultiPager
-// helpers), so the layout can evolve in exactly one place.
+// storage.ShardPageID/SplitShardPageID (the MultiPager's helpers), so
+// the layout can evolve in exactly one place.
 var PageIDPack = &analysis.Analyzer{
 	Name: "pageidpack",
 	Doc: `no raw shift/mask arithmetic on PageID outside internal/storage
@@ -48,7 +48,7 @@ func runPageIDPack(pass *analysis.Pass) (any, error) {
 	report := func(pos token.Pos, what string) {
 		if !reported[pos] {
 			reported[pos] = true
-			pass.Reportf(pos, "raw %s on PageID outside internal/storage; use storage.ShardPageID/SplitShardPageID (ShardView/MultiPager helpers)", what)
+			pass.Reportf(pos, "raw %s on PageID outside internal/storage; use storage.ShardPageID/SplitShardPageID (the MultiPager helpers)", what)
 		}
 	}
 	for _, f := range pass.Files {

@@ -65,7 +65,7 @@ func Build(pool storage.Pool, els []geom.Element, opts Options) (*Index, error) 
 	if opts.SeedFanout < 0 || opts.SeedFanout > rtree.NodeCapacity {
 		return nil, fmt.Errorf("core: seed fanout %d out of range [0,%d]", opts.SeedFanout, rtree.NodeCapacity)
 	}
-	ix := &Index{Engine: Engine{pool: pool}, world: world, bounds: bounds, count: len(els), seedFanout: opts.SeedFanout, noMetaTiling: opts.NoMetaTiling, pageFormat: format}
+	ix := &Index{pool: pool, world: world, bounds: bounds, count: len(els), seedFanout: opts.SeedFanout, noMetaTiling: opts.NoMetaTiling, pageFormat: format}
 	totalStart := time.Now()
 
 	// Phase 1: STR partitioning (paper: "Partitioning" in Figure 10).

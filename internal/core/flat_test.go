@@ -155,6 +155,48 @@ func TestEmptyQueryRegion(t *testing.T) {
 	if st.ObjectReads != 0 {
 		t.Errorf("empty query read %d object pages", st.ObjectReads)
 	}
+
+	// An in-world gap between elements: the seed walk probes the object
+	// page of every record whose page MBR covers the gap, finds no hit
+	// and gives up. Pool frames are immutable snapshots, so each
+	// metadata page it pops is read exactly once, however many probes
+	// miss — under a bounded pool a second read could be a second miss.
+	var q geom.MBR
+	for q = geom.CubeAt(geom.V(50, 50, 50), 1e-6); len(bruteForce(els, q)) != 0; {
+		q = geom.CubeAt(geom.V(r.Float64()*100, r.Float64()*100, r.Float64()*100), 1e-6)
+	}
+	spy := &countingPool{Pool: pool, calls: make(map[storage.PageID]int)}
+	n, st, err := ix.WithPool(spy).CountQuery(q)
+	if err != nil || n != 0 {
+		t.Fatalf("gap query = (%d, %v), want an empty result", n, err)
+	}
+	metaPages, probes := 0, 0
+	for id, calls := range spy.calls {
+		switch pool.Pager().CategoryOf(id) {
+		case storage.CatObject:
+			probes += calls
+		case storage.CatMetadata:
+			metaPages++
+			if calls != 1 {
+				t.Errorf("seed walk read metadata page %d %d times", id, calls)
+			}
+		}
+	}
+	if metaPages == 0 || probes == 0 {
+		t.Fatalf("gap query popped %d metadata pages and probed %d object pages; the fixture must miss at least one probe", metaPages, probes)
+	}
+}
+
+// countingPool counts ReadInto calls per page on their way to the pool
+// it wraps.
+type countingPool struct {
+	storage.Pool
+	calls map[storage.PageID]int
+}
+
+func (p *countingPool) ReadInto(id storage.PageID, local *storage.Stats) ([]byte, error) {
+	p.calls[id]++
+	return p.Pool.ReadInto(id, local)
 }
 
 func TestQueryCoveringEverything(t *testing.T) {

@@ -85,9 +85,11 @@ type BuildStats struct {
 // safe for concurrent use when the pool is (storage.ConcurrentPool is);
 // a view over a caller's own Pool (WithPool) is as safe as that pool.
 type Index struct {
-	// Engine is the seed+crawl query machinery; its methods (RangeQuery,
-	// CountQuery, CrawlFrom, Records, ...) are promoted onto the Index.
-	Engine
+	// Everything a query needs at run time: the page pool plus the
+	// seed-tree root and height. The rest is build-time metadata.
+	pool       storage.Pool
+	seedRoot   storage.PageID
+	seedHeight int // levels including the metadata (leaf) level
 
 	world  geom.MBR
 	bounds geom.MBR
@@ -108,6 +110,13 @@ type Index struct {
 
 	build BuildStats
 }
+
+// Pool returns the page pool the index reads through.
+func (ix *Index) Pool() storage.Pool { return ix.pool }
+
+// SeedHeight returns the height of the seed tree in levels, counting the
+// metadata level as level 1.
+func (ix *Index) SeedHeight() int { return ix.seedHeight }
 
 // Len returns the number of indexed elements.
 func (ix *Index) Len() int { return ix.count }

@@ -19,7 +19,7 @@ import (
 //
 // The indexes must share one page-id space (the shards of a Set do:
 // every page id carries its shard's tag), because one pair of dedup
-// maps serves the whole search. Engine.NN is the one-index case.
+// maps serves the whole search. Index.NN is the one-index case.
 //
 // The traversal is FLAT's seed+crawl with a best-first frontier instead
 // of the range query's FIFO. Take one index first:
@@ -73,29 +73,6 @@ import (
 // unchanged — and an index whose bound exceeds the last element the
 // consumer takes is never read at all.
 func NN(ctx context.Context, ixs []*Index, p geom.Vec3, emit func(geom.Element, float64) bool) (QueryStats, error) {
-	srcs := make([]nnSource, len(ixs))
-	for i, ix := range ixs {
-		srcs[i] = nnSource{eng: &ix.Engine, distSq: ix.bounds.DistSqToPoint(p)}
-	}
-	return nnSearch(ctx, srcs, p, emit)
-}
-
-// NN is the package-level NN over this one index: same stream, same
-// stats, same page-read sequence.
-func (eng *Engine) NN(ctx context.Context, p geom.Vec3, emit func(geom.Element, float64) bool) (QueryStats, error) {
-	return nnSearch(ctx, []nnSource{{eng: eng}}, p, emit)
-}
-
-// nnSource is one index of a best-first search and the distance lower
-// bound it enters the frontier at.
-type nnSource struct {
-	eng    *Engine
-	distSq float64
-}
-
-// nnSearch runs one best-first search over srcs on a pooled scratch
-// and totals its page reads: the body both NN entry points share.
-func nnSearch(ctx context.Context, srcs []nnSource, p geom.Vec3, emit func(geom.Element, float64) bool) (QueryStats, error) {
 	var st QueryStats
 	// Per-query accounting is collected locally via ReadInto, never by
 	// diffing the pool's shared counters (see Query).
@@ -107,7 +84,7 @@ func nnSearch(ctx context.Context, srcs []nnSource, p geom.Vec3, emit func(geom.
 		st.Results++
 		return emit(e, distSq)
 	}
-	err := nnCrawl(ctx, srcs, p, counted, &st, sc, &local)
+	err := nnCrawl(ctx, ixs, p, counted, &st, sc, &local)
 	st.SeedReads = local.Reads[storage.CatSeedInternal]
 	st.MetadataReads = local.Reads[storage.CatMetadata]
 	st.ObjectReads = local.Reads[storage.CatObject]
@@ -115,17 +92,22 @@ func nnSearch(ctx context.Context, srcs []nnSource, p geom.Vec3, emit func(geom.
 	return st, err
 }
 
+// NN is the package-level NN over this one index.
+func (ix *Index) NN(ctx context.Context, p geom.Vec3, emit func(geom.Element, float64) bool) (QueryStats, error) {
+	return NN(ctx, []*Index{ix}, p, emit)
+}
+
 // nnSeed finds the metadata record whose page MBR is nearest to p via
 // an exact best-first descent of the seed tree. ok is false when the
 // index holds no records. The descent has a heap of its own: the crawl
 // heap is live whenever a second index is seeded.
-func (eng *Engine) nnSeed(ctx context.Context, p geom.Vec3, sc *crawlScratch, local *storage.Stats) (RecordRef, bool, error) {
-	if eng.seedHeight <= 0 {
+func (ix *Index) nnSeed(ctx context.Context, p geom.Vec3, sc *crawlScratch, local *storage.Stats) (RecordRef, bool, error) {
+	if ix.seedHeight <= 0 {
 		return 0, false, nil
 	}
 	h := &sc.seedHeap
 	h.Reset()
-	h.Push(0, crawlItem{kind: itemNode, page: eng.seedRoot, level: eng.seedHeight})
+	h.Push(0, crawlItem{kind: itemNode, page: ix.seedRoot, level: ix.seedHeight})
 	for {
 		it, _, ok := h.Pop()
 		if !ok {
@@ -140,7 +122,7 @@ func (eng *Engine) nnSeed(ctx context.Context, p geom.Vec3, sc *crawlScratch, lo
 			// the global page-MBR-distance minimizer, exactly.
 			return it.ref, true, nil
 		}
-		page, err := eng.pool.ReadInto(it.page, local)
+		page, err := ix.pool.ReadInto(it.page, local)
 		if err != nil {
 			return 0, false, err
 		}
@@ -176,10 +158,10 @@ func (eng *Engine) nnSeed(ctx context.Context, p geom.Vec3, sc *crawlScratch, lo
 // nnCrawl drains the best-first frontier, seeding each index when its
 // item surfaces and emitting elements in nondecreasing distance (see NN
 // for the ordering proof).
-func nnCrawl(ctx context.Context, srcs []nnSource, p geom.Vec3, emit func(geom.Element, float64) bool, st *QueryStats, sc *crawlScratch, local *storage.Stats) error {
+func nnCrawl(ctx context.Context, ixs []*Index, p geom.Vec3, emit func(geom.Element, float64) bool, st *QueryStats, sc *crawlScratch, local *storage.Stats) error {
 	h := &sc.heap
-	for i, s := range srcs {
-		h.Push(s.distSq, crawlItem{kind: itemIndex, src: int32(i)})
+	for i, ix := range ixs {
+		h.Push(ix.bounds.DistSqToPoint(p), crawlItem{kind: itemIndex, src: int32(i)})
 	}
 	for {
 		it, distSq, ok := h.Pop()
@@ -191,7 +173,7 @@ func nnCrawl(ctx context.Context, srcs []nnSource, p geom.Vec3, emit func(geom.E
 		}
 		// Every read goes through the pool of the index the item came
 		// from: a caller may hand in views over pools of its own.
-		eng := srcs[it.src].eng
+		ix := ixs[it.src]
 		switch it.kind {
 		case itemElement:
 			if !emit(it.el, distSq) {
@@ -199,18 +181,18 @@ func nnCrawl(ctx context.Context, srcs []nnSource, p geom.Vec3, emit func(geom.E
 			}
 		case itemPage:
 			st.PagesVisited++
-			if err := eng.nnReadPage(p, it.page, h, sc, local); err != nil {
+			if err := ix.nnReadPage(p, it.page, h, sc, local); err != nil {
 				return err
 			}
 		case itemRecord:
 			st.RecordsVisited++
-			if err := eng.nnExpand(ctx, p, it, h, sc, local); err != nil {
+			if err := ix.nnExpand(ctx, p, it, h, sc, local); err != nil {
 				return err
 			}
 		case itemIndex:
-			start, ok, err := eng.nnSeed(ctx, p, sc, local)
+			start, ok, err := ix.nnSeed(ctx, p, sc, local)
 			if err == nil && ok {
-				err = eng.nnEnqueue(p, it.src, start, h, sc, local)
+				err = ix.nnEnqueue(p, it.src, start, h, sc, local)
 			}
 			if err != nil {
 				return err
@@ -224,12 +206,12 @@ func nnCrawl(ctx context.Context, srcs []nnSource, p geom.Vec3, emit func(geom.E
 // is already on or through the frontier. Eager resolution is what the
 // ordering proof needs: a record discovered as a neighbor must enter
 // the heap at its own lower bound, not its discoverer's.
-func (eng *Engine) nnEnqueue(p geom.Vec3, src int32, ref RecordRef, h *heapFrontier, sc *crawlScratch, local *storage.Stats) error {
+func (ix *Index) nnEnqueue(p geom.Vec3, src int32, ref RecordRef, h *heapFrontier, sc *crawlScratch, local *storage.Stats) error {
 	if sc.enqueued[ref] {
 		return nil
 	}
 	sc.enqueued[ref] = true
-	page, err := eng.pool.ReadInto(ref.Page(), local)
+	page, err := ix.pool.ReadInto(ref.Page(), local)
 	if err != nil {
 		return err
 	}
@@ -243,9 +225,9 @@ func (eng *Engine) nnEnqueue(p geom.Vec3, src int32, ref RecordRef, h *heapFront
 
 // nnExpand handles a popped record: queue its object page (once) at the
 // page-MBR distance and resolve every neighbor.
-func (eng *Engine) nnExpand(ctx context.Context, p geom.Vec3, it crawlItem, h *heapFrontier, sc *crawlScratch, local *storage.Stats) error {
+func (ix *Index) nnExpand(ctx context.Context, p geom.Vec3, it crawlItem, h *heapFrontier, sc *crawlScratch, local *storage.Stats) error {
 	// Cached since nnEnqueue read it; ReadInto only tallies misses.
-	page, err := eng.pool.ReadInto(it.ref.Page(), local)
+	page, err := ix.pool.ReadInto(it.ref.Page(), local)
 	if err != nil {
 		return err
 	}
@@ -257,20 +239,20 @@ func (eng *Engine) nnExpand(ctx context.Context, p geom.Vec3, it crawlItem, h *h
 		sc.visited[m.ObjectPage] = true
 		h.Push(m.PageMBR.DistSqToPoint(p), crawlItem{kind: itemPage, src: it.src, page: m.ObjectPage})
 	}
-	return eng.eachNeighbor(ctx, m, local, func(n RecordRef) error {
+	return ix.eachNeighbor(ctx, m, local, func(n RecordRef) error {
 		// Each new neighbor costs a metadata page read to resolve;
 		// give cancellation a chance between them.
 		if err := ctxErr(ctx); err != nil {
 			return err
 		}
-		return eng.nnEnqueue(p, it.src, n, h, sc, local)
+		return ix.nnEnqueue(p, it.src, n, h, sc, local)
 	})
 }
 
 // nnReadPage reads one object page and queues its elements at their
 // exact distances.
-func (eng *Engine) nnReadPage(p geom.Vec3, id storage.PageID, h *heapFrontier, sc *crawlScratch, local *storage.Stats) error {
-	page, err := eng.pool.ReadInto(id, local)
+func (ix *Index) nnReadPage(p geom.Vec3, id storage.PageID, h *heapFrontier, sc *crawlScratch, local *storage.Stats) error {
+	page, err := ix.pool.ReadInto(id, local)
 	if err != nil {
 		return err
 	}

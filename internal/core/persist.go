@@ -11,8 +11,9 @@ import (
 // on its pager (object pages, then metadata pages, then seed-internal
 // pages — Build allocates them in that order with nothing interleaved),
 // followed by one superblock page written by WriteSuper. Open reads the
-// superblock back, restores the index header and re-tags the page
-// categories so read accounting keeps working after a restart.
+// superblock back, refuses one whose runs do not end at its own page,
+// restores the index header and re-tags the page categories so read
+// accounting keeps working after a restart.
 //
 // The per-partition analysis arrays (neighbor histograms, cell volumes)
 // are build-time measurement aids and are not persisted; the analysis
@@ -104,7 +105,7 @@ func OpenFrom(pool storage.Pool, super storage.PageID) (*Index, error) {
 	if v != superVersionV1 && v != superVersionV2 {
 		return nil, fmt.Errorf("core: unsupported index version %d", v)
 	}
-	ix := &Index{Engine: Engine{pool: pool}}
+	ix := &Index{pool: pool}
 	ix.seedRoot = storage.PageID(r.U64())
 	ix.seedHeight = int(r.U32())
 	ix.seedFanout = int(r.U32())
@@ -112,9 +113,15 @@ func OpenFrom(pool storage.Pool, super storage.PageID) (*Index, error) {
 	ix.bounds = r.MBR()
 	ix.count = int(r.U64())
 	ix.objStart = storage.PageID(r.U64())
-	ix.objectPages = int(r.U32())
-	ix.metadataPages = int(r.U32())
-	ix.seedInternal = int(r.U32())
+	object, metadata, seed := uint64(r.U32()), uint64(r.U32()), uint64(r.U32())
+	// Untrusted counts size the category loop below: the three runs must
+	// end exactly at this page and fit the pager.
+	runs := object + metadata + seed
+	if object == 0 || ix.objStart > super || uint64(super-ix.objStart) != runs || runs >= pager.NumPages() {
+		return nil, fmt.Errorf("core: corrupt superblock: %d+%d+%d pages from page %d do not end at superblock page %d of %d",
+			object, metadata, seed, ix.objStart, super, pager.NumPages())
+	}
+	ix.objectPages, ix.metadataPages, ix.seedInternal = int(object), int(metadata), int(seed)
 	ix.build.Partitions = int(r.U32())
 	ix.pageFormat = storage.PageFormatV1
 	if v >= superVersionV2 {
@@ -126,18 +133,14 @@ func OpenFrom(pool storage.Pool, super storage.PageID) (*Index, error) {
 
 	if cs, ok := pager.(storage.CategorySetter); ok {
 		id := ix.objStart
-		for i := 0; i < ix.objectPages; i++ {
-			cs.SetCategory(id, storage.CatObject)
-			id++
+		tag := func(pages uint64, cat storage.Category) {
+			for end := id + storage.PageID(pages); id < end; id++ {
+				cs.SetCategory(id, cat)
+			}
 		}
-		for i := 0; i < ix.metadataPages; i++ {
-			cs.SetCategory(id, storage.CatMetadata)
-			id++
-		}
-		for i := 0; i < ix.seedInternal; i++ {
-			cs.SetCategory(id, storage.CatSeedInternal)
-			id++
-		}
+		tag(object, storage.CatObject)
+		tag(metadata, storage.CatMetadata)
+		tag(seed, storage.CatSeedInternal)
 	}
 	// Start cold, like a fresh Build.
 	pool.Reset()

@@ -9,25 +9,6 @@ import (
 	"flat/internal/storage"
 )
 
-// Engine is the reusable seed+crawl query machinery: everything a FLAT
-// query needs at run time — the page pool plus the seed-tree root and
-// height. Index embeds an Engine, and higher layers (the sharded index,
-// benchmark views) program against its methods without caring about the
-// build-time metadata Index carries around it. Engines are immutable
-// after construction and safe for concurrent use when their pool is.
-type Engine struct {
-	pool       storage.Pool
-	seedRoot   storage.PageID
-	seedHeight int // levels including the metadata (leaf) level
-}
-
-// Pool returns the page pool the engine reads through.
-func (e *Engine) Pool() storage.Pool { return e.pool }
-
-// SeedHeight returns the height of the seed tree in levels, counting the
-// metadata level as level 1.
-func (e *Engine) SeedHeight() int { return e.seedHeight }
-
 // QueryStats describes one range-query execution. Page-read counts are
 // the cache misses this query itself caused, tallied locally through
 // storage.Pool.ReadInto (never by diffing the pool's shared counters,
@@ -60,9 +41,9 @@ func (s *QueryStats) Add(o QueryStats) {
 // paper's two-phase algorithm: seed then crawl. The result order is the
 // BFS visit order and therefore deterministic for a given index. It is
 // the collect sink over Query, the cancellable executor.
-func (eng *Engine) RangeQuery(q geom.MBR) ([]geom.Element, QueryStats, error) {
+func (ix *Index) RangeQuery(q geom.MBR) ([]geom.Element, QueryStats, error) {
 	var result []geom.Element
-	stats, err := eng.Query(context.Background(), q, func(e geom.Element) bool {
+	stats, err := ix.Query(context.Background(), q, func(e geom.Element) bool {
 		result = append(result, e)
 		return true
 	})
@@ -71,9 +52,9 @@ func (eng *Engine) RangeQuery(q geom.MBR) ([]geom.Element, QueryStats, error) {
 
 // CountQuery is RangeQuery without materializing the result elements;
 // the page access pattern is identical.
-func (eng *Engine) CountQuery(q geom.MBR) (int, QueryStats, error) {
+func (ix *Index) CountQuery(q geom.MBR) (int, QueryStats, error) {
 	n := 0
-	stats, err := eng.Query(context.Background(), q, func(geom.Element) bool { n++; return true })
+	stats, err := ix.Query(context.Background(), q, func(geom.Element) bool { n++; return true })
 	return n, stats, err
 }
 
@@ -127,7 +108,7 @@ func (sc *crawlScratch) release() {
 // reads the query checks ctx and aborts with ctx.Err() once it is done.
 // The returned stats cover exactly the work performed, whether the
 // query ran to completion, was stopped by emit, or was cancelled.
-func (eng *Engine) Query(ctx context.Context, q geom.MBR, emit func(geom.Element) bool) (QueryStats, error) {
+func (ix *Index) Query(ctx context.Context, q geom.MBR, emit func(geom.Element) bool) (QueryStats, error) {
 	var st QueryStats
 	// Per-query accounting is collected locally via ReadInto rather than
 	// by diffing the pool's shared counters, which would attribute other
@@ -140,9 +121,9 @@ func (eng *Engine) Query(ctx context.Context, q geom.MBR, emit func(geom.Element
 		st.Results++
 		return emit(e)
 	}
-	seedRef, ok, err := eng.seed(ctx, q, sc, &local)
+	seedRef, ok, err := ix.seed(ctx, q, sc, &local)
 	if err == nil && ok {
-		err = eng.crawl(ctx, q, seedRef, counted, &st, sc, &local)
+		err = ix.crawl(ctx, q, seedRef, counted, &st, sc, &local)
 	}
 	st.SeedReads = local.Reads[storage.CatSeedInternal]
 	st.MetadataReads = local.Reads[storage.CatMetadata]
@@ -169,15 +150,15 @@ func ctxErr(ctx context.Context) error {
 // time and stops at the first hit, so its cost is in the order of the
 // seed-tree height; only for nearly-empty queries does it inspect
 // several leaves before concluding the result is empty.
-func (eng *Engine) seed(ctx context.Context, q geom.MBR, sc *crawlScratch, local *storage.Stats) (RecordRef, bool, error) {
-	sc.stack = append(sc.stack[:0], seedItem{eng.seedRoot, eng.seedHeight})
+func (ix *Index) seed(ctx context.Context, q geom.MBR, sc *crawlScratch, local *storage.Stats) (RecordRef, bool, error) {
+	sc.stack = append(sc.stack[:0], seedItem{ix.seedRoot, ix.seedHeight})
 	for len(sc.stack) > 0 {
 		if err := ctxErr(ctx); err != nil {
 			return 0, false, err
 		}
 		it := sc.stack[len(sc.stack)-1]
 		sc.stack = sc.stack[:len(sc.stack)-1]
-		page, err := eng.pool.ReadInto(it.page, local)
+		page, err := ix.pool.ReadInto(it.page, local)
 		if err != nil {
 			return 0, false, err
 		}
@@ -211,27 +192,20 @@ func (eng *Engine) seed(ctx context.Context, q geom.MBR, sc *crawlScratch, local
 			if m.ObjectPage == storage.InvalidPage || !m.PageMBR.Intersects(q) {
 				continue
 			}
-			hit, err := eng.objectPageHasHit(m.ObjectPage, q, sc, local)
+			hit, err := ix.objectPageHasHit(m.ObjectPage, q, sc, local)
 			if err != nil {
 				return 0, false, err
 			}
 			if hit {
 				return makeRef(it.page, slot), true, nil
 			}
-			// The seed page buffer may have been evicted by the object
-			// read in a tiny pool; re-read it (cached in all realistic
-			// configurations).
-			page, err = eng.pool.ReadInto(it.page, local)
-			if err != nil {
-				return 0, false, err
-			}
 		}
 	}
 	return 0, false, nil
 }
 
-func (eng *Engine) objectPageHasHit(id storage.PageID, q geom.MBR, sc *crawlScratch, local *storage.Stats) (bool, error) {
-	page, err := eng.pool.ReadInto(id, local)
+func (ix *Index) objectPageHasHit(id storage.PageID, q geom.MBR, sc *crawlScratch, local *storage.Stats) (bool, error) {
+	page, err := ix.pool.ReadInto(id, local)
 	if err != nil {
 		return false, err
 	}
@@ -259,7 +233,7 @@ func (eng *Engine) objectPageHasHit(id storage.PageID, q geom.MBR, sc *crawlScra
 // does. Each record and each object page is visited at most once. emit
 // returning false stops the crawl cleanly (no error); a done ctx aborts
 // it with ctx.Err().
-func (eng *Engine) crawl(ctx context.Context, q geom.MBR, start RecordRef, emit func(geom.Element) bool, st *QueryStats, sc *crawlScratch, local *storage.Stats) error {
+func (ix *Index) crawl(ctx context.Context, q geom.MBR, start RecordRef, emit func(geom.Element) bool, st *QueryStats, sc *crawlScratch, local *storage.Stats) error {
 	// The FIFO frontier replays pushes in order; range-query results
 	// and page-read sequences are a regression gate on that order.
 	f := &sc.fifo
@@ -276,7 +250,7 @@ func (eng *Engine) crawl(ctx context.Context, q geom.MBR, start RecordRef, emit 
 		if err := ctxErr(ctx); err != nil {
 			return err
 		}
-		page, err := eng.pool.ReadInto(ref.Page(), local)
+		page, err := ix.pool.ReadInto(ref.Page(), local)
 		if err != nil {
 			return err
 		}
@@ -288,7 +262,7 @@ func (eng *Engine) crawl(ctx context.Context, q geom.MBR, start RecordRef, emit 
 
 		if m.PageMBR.Intersects(q) && !sc.visited[m.ObjectPage] {
 			sc.visited[m.ObjectPage] = true
-			objPage, err := eng.pool.ReadInto(m.ObjectPage, local)
+			objPage, err := ix.pool.ReadInto(m.ObjectPage, local)
 			if err != nil {
 				return err
 			}
@@ -306,15 +280,10 @@ func (eng *Engine) crawl(ctx context.Context, q geom.MBR, start RecordRef, emit 
 			}
 		}
 		if m.PartitionMBR.Intersects(q) {
-			err := eng.eachNeighbor(ctx, m, local, func(n RecordRef) error {
+			err := ix.eachNeighbor(ctx, m, local, func(n RecordRef) error {
 				if !sc.enqueued[n] {
 					sc.enqueued[n] = true
 					f.push(n)
-					// The record will be read a few BFS steps from now;
-					// hint the pager so a memory-mapped index can fault
-					// the page in while this record is still being
-					// processed. Free on pagers without an Adviser side.
-					eng.pool.Advise(n.Page())
 				}
 				return nil
 			})
@@ -331,7 +300,7 @@ func (eng *Engine) crawl(ctx context.Context, q geom.MBR, start RecordRef, emit 
 // so a done ctx can stop mid-chain however long the chain is. It is the
 // one neighbor walk: the range crawl, the k-NN expansion and Records
 // all enumerate neighbors through it. A visit error ends the walk.
-func (eng *Engine) eachNeighbor(ctx context.Context, m metaRecord, local *storage.Stats, visit func(RecordRef) error) error {
+func (ix *Index) eachNeighbor(ctx context.Context, m metaRecord, local *storage.Stats, visit func(RecordRef) error) error {
 	for {
 		for _, n := range m.Neighbors {
 			if err := visit(n); err != nil {
@@ -345,7 +314,7 @@ func (eng *Engine) eachNeighbor(ctx context.Context, m metaRecord, local *storag
 		if err := ctxErr(ctx); err != nil {
 			return err
 		}
-		page, err := eng.pool.ReadInto(next.Page(), local)
+		page, err := ix.pool.ReadInto(next.Page(), local)
 		if err != nil {
 			return err
 		}
@@ -358,13 +327,13 @@ func (eng *Engine) eachNeighbor(ctx context.Context, m metaRecord, local *storag
 // CrawlFrom executes the crawl phase from an explicit start record; it
 // exists so tests can verify the paper's claim that "the choice of the
 // start page affects neither the accuracy nor efficiency of the search".
-func (eng *Engine) CrawlFrom(q geom.MBR, start RecordRef) ([]geom.Element, error) {
+func (ix *Index) CrawlFrom(q geom.MBR, start RecordRef) ([]geom.Element, error) {
 	var result []geom.Element
 	var st QueryStats
 	var local storage.Stats
 	sc := getScratch()
 	defer sc.release()
-	err := eng.crawl(context.Background(), q, start, func(e geom.Element) bool {
+	err := ix.crawl(context.Background(), q, start, func(e geom.Element) bool {
 		result = append(result, e)
 		return true
 	}, &st, sc, &local)
@@ -372,53 +341,16 @@ func (eng *Engine) CrawlFrom(q geom.MBR, start RecordRef) ([]geom.Element, error
 }
 
 // Records enumerates every metadata record in the index in on-disk
-// order, calling fn with its ref and decoded content. Used by invariant
-// tests and the flatindex CLI inspect mode.
-func (eng *Engine) Records(fn func(ref RecordRef, pageMBR, partitionMBR geom.MBR, objectPage storage.PageID, neighbors []RecordRef) error) error {
-	return eng.walkMeta(func(page storage.PageID, buf []byte) error {
-		count, err := metaPageRecordCount(buf)
-		if err != nil {
-			return err
-		}
-		//lint:ignore ctxcrawl offline inspect/invariant walk, never on a serving query path
-		for slot := 0; slot < count; slot++ {
-			m, err := decodeMetaRecord(buf, slot)
-			if err != nil {
-				return err
-			}
-			if m.ObjectPage == storage.InvalidPage {
-				continue // overflow continuation record
-			}
-			// Collect the full neighbor list across the overflow chain.
-			var neighbors []RecordRef
-			err = eng.eachNeighbor(context.Background(), m, nil, func(n RecordRef) error {
-				neighbors = append(neighbors, n)
-				return nil
-			})
-			if err != nil {
-				return err
-			}
-			if err := fn(makeRef(page, slot), m.PageMBR, m.PartitionMBR, m.ObjectPage, neighbors); err != nil {
-				return err
-			}
-			// Refresh in case the overflow hops or fn evicted it.
-			buf, err = eng.pool.Read(page)
-			if err != nil {
-				return err
-			}
-		}
-		return nil
-	})
-}
-
-// walkMeta visits every metadata page via the seed tree.
-func (eng *Engine) walkMeta(fn func(id storage.PageID, buf []byte) error) error {
-	stack := []seedItem{{eng.seedRoot, eng.seedHeight}}
+// order (a walk of the seed tree down to its metadata pages), calling
+// fn with its ref and decoded content. Used by invariant tests and the
+// flatindex CLI inspect mode.
+func (ix *Index) Records(fn func(ref RecordRef, pageMBR, partitionMBR geom.MBR, objectPage storage.PageID, neighbors []RecordRef) error) error {
+	stack := []seedItem{{ix.seedRoot, ix.seedHeight}}
 	//lint:ignore ctxcrawl offline inspect/invariant walk, never on a serving query path
 	for len(stack) > 0 {
 		it := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
-		page, err := eng.pool.Read(it.page)
+		page, err := ix.pool.Read(it.page)
 		if err != nil {
 			return err
 		}
@@ -429,8 +361,31 @@ func (eng *Engine) walkMeta(fn func(id storage.PageID, buf []byte) error) error 
 			}
 			continue
 		}
-		if err := fn(it.page, page); err != nil {
+		count, err := metaPageRecordCount(page)
+		if err != nil {
 			return err
+		}
+		//lint:ignore ctxcrawl offline inspect/invariant walk, never on a serving query path
+		for slot := 0; slot < count; slot++ {
+			m, err := decodeMetaRecord(page, slot)
+			if err != nil {
+				return err
+			}
+			if m.ObjectPage == storage.InvalidPage {
+				continue // overflow continuation record
+			}
+			// Collect the full neighbor list across the overflow chain.
+			var neighbors []RecordRef
+			err = ix.eachNeighbor(context.Background(), m, nil, func(n RecordRef) error {
+				neighbors = append(neighbors, n)
+				return nil
+			})
+			if err != nil {
+				return err
+			}
+			if err := fn(makeRef(it.page, slot), m.PageMBR, m.PartitionMBR, m.ObjectPage, neighbors); err != nil {
+				return err
+			}
 		}
 	}
 	return nil

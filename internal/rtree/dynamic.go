@@ -167,12 +167,6 @@ func (t *DynTree) insert(id storage.PageID, level int, el geom.Element) (*NodeEn
 	if err != nil {
 		return nil, err
 	}
-	// Refresh this node (the child insert may have evicted our frame).
-	page, err = t.pool.Read(id)
-	if err != nil {
-		return nil, err
-	}
-	_, entries = DecodeNode(page)
 	childBox, err := t.nodeBox(child)
 	if err != nil {
 		return nil, err

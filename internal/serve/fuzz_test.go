@@ -38,13 +38,19 @@ func FuzzServerFrames(f *testing.F) {
 	f.Add(frame(msgRebuild, 6, nil))
 	f.Add(frame(msgStats, 8, nil))
 	// An oversized length prefix, a truncated payload, reserved flag
-	// bits set on both streaming requests, and one request id reused
-	// while in flight.
+	// bits set on both streaming requests, one request id reused while
+	// in flight, and the other refusals that travel as codeBadRequest:
+	// an unknown kind, an unknown frame type, a bad insert count and a
+	// short delete.
 	f.Add(binary.BigEndian.AppendUint32(nil, maxPayload+1))
 	f.Add(query[:len(query)-9])
 	f.Add(frame(msgQuery, 9, queryBody(kindRange, world, 0, 0x7f)))
 	f.Add(frame(msgNN, 9, append(nnBody[:28:28], 0x7f)))
 	f.Add(bytes.Repeat(query, 20))
+	f.Add(frame(msgQuery, 9, queryBody(9, world, 0, 0)))
+	f.Add(frame(0x7e, 9, nil))
+	f.Add(frame(msgInsert, 9, ins[:len(ins)-1]))
+	f.Add(frame(msgDelete, 9, del[:len(del)-1]))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		// A fresh index per input: insert and rebuild frames mutate it.

@@ -184,8 +184,9 @@ func TestNNCancelMidStream(t *testing.T) {
 	}
 }
 
-// Malformed NN frames — and reserved flag bits on either streaming
-// request — are answered with an error frame, not a dropped connection.
+// Malformed frames of every request type — bad lengths, unknown kinds
+// and frame types, reserved flag bits on either streaming request — are
+// answered with a codeBadRequest error frame, not a dropped connection.
 func TestNNBadFrameRejected(t *testing.T) {
 	els := testElements(500, 10)
 	sx, err := flat.BuildSharded(els, &flat.ShardedOptions{Shards: 2})
@@ -213,7 +214,11 @@ func TestNNBadFrameRejected(t *testing.T) {
 		if fr.typ != msgErr {
 			t.Fatalf("unexpected frame type 0x%02x", fr.typ)
 		}
-		return decodeErr(fr.body)
+		err = decodeErr(fr.body)
+		if fr.body[0] != codeBadRequest || !strings.Contains(err.Error(), "bad request") {
+			t.Fatalf("frame 0x%02x refused with code %d (%v), want codeBadRequest", typ, fr.body[0], err)
+		}
+		return err
 	}
 
 	if err := sendRaw(msgNN, make([]byte, 4+10)); err == nil || !strings.Contains(err.Error(), "bad nn frame length") {
@@ -227,6 +232,22 @@ func TestNNBadFrameRejected(t *testing.T) {
 	bad = append(make([]byte, 4), queryBody(kindRange, sx.Bounds(), 0, 0x01)...)
 	if err := sendRaw(msgQuery, bad); err == nil || !strings.Contains(err.Error(), "unknown query flags") {
 		t.Fatalf("bad query flags error = %v", err)
+	}
+	for _, tc := range []struct {
+		typ  byte
+		body []byte // after the request id
+		want string
+	}{
+		{msgQuery, make([]byte, 10), "bad query frame length"},
+		{msgQuery, queryBody(9, sx.Bounds(), 0, 0), "unknown query kind"},
+		{msgInsert, make([]byte, 2), "bad insert frame"},
+		{msgInsert, []byte{2, 0, 0, 0, 0xff}, "insert frame: 2 elements"},
+		{msgDelete, make([]byte, elementWire-1), "bad delete frame"},
+		{0x7e, nil, "unknown frame type"},
+	} {
+		if err := sendRaw(tc.typ, append(make([]byte, 4), tc.body...)); !strings.Contains(err.Error(), tc.want) {
+			t.Fatalf("frame 0x%02x: error = %v, want %q", tc.typ, err, tc.want)
+		}
 	}
 
 	// The connection survives and still answers queries.

@@ -106,6 +106,11 @@ var ErrShuttingDown = errors.New("flatserve: server shutting down")
 // unsharded index, which has no delta path to stage into.
 var ErrUnsupported = errors.New("flatserve: operation requires a sharded index")
 
+// badRequest wraps the refusal of a frame the protocol does not allow
+// (a bad length, an unknown frame type or query kind, a reserved flag
+// bit, a request id already in flight): it travels as codeBadRequest.
+type badRequest struct{ error }
+
 // maxPayload bounds a frame's payload so a corrupt or hostile length
 // prefix cannot make either side allocate unboundedly. Generous enough
 // for any real batch (an element batch of 128 is ~7 KiB; stats JSON is
@@ -206,6 +211,8 @@ func codeFor(err error) (byte, string) {
 		return codeShutdown, err.Error()
 	case errors.Is(err, ErrUnsupported):
 		return codeUnsupported, err.Error()
+	case errors.As(err, new(badRequest)):
+		return codeBadRequest, err.Error()
 	}
 	return codeOther, err.Error()
 }

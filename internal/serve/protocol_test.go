@@ -4,7 +4,9 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"fmt"
 	"io"
+	"strings"
 	"testing"
 
 	"flat"
@@ -95,6 +97,7 @@ func TestErrorMapping(t *testing.T) {
 		{context.DeadlineExceeded, codeCancelled, context.Canceled},
 		{ErrShuttingDown, codeShutdown, ErrShuttingDown},
 		{ErrUnsupported, codeUnsupported, ErrUnsupported},
+		{fmt.Errorf("conn: %w", badRequest{errors.New("unknown query kind 9")}), codeBadRequest, nil},
 		{errors.New("disk on fire"), codeOther, nil},
 	}
 	for _, tc := range cases {
@@ -107,7 +110,10 @@ func TestErrorMapping(t *testing.T) {
 			t.Fatalf("errFor(%d) = %v, does not match %v", code, back, tc.sentinel)
 		}
 		if tc.sentinel == nil && back == nil {
-			t.Fatal("codeOther decoded to nil")
+			t.Fatalf("code %d decoded to nil", code)
+		}
+		if isBad := strings.Contains(back.Error(), "bad request"); isBad != (code == codeBadRequest) {
+			t.Fatalf("errFor(%d) = %v", code, back)
 		}
 	}
 	// Wrapped sentinels map the same as bare ones.

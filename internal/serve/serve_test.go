@@ -565,8 +565,8 @@ func TestDuplicateRequestIDRefused(t *testing.T) {
 		case msgElems:
 			elems += int(getU32(payload[4:]))
 		case msgErr:
-			if err := decodeErr(payload[4:]); !strings.Contains(err.Error(), "already in flight") {
-				t.Fatalf("duplicate id refused with %v", err)
+			if err := decodeErr(payload[4:]); payload[4] != codeBadRequest || !strings.Contains(err.Error(), "already in flight") {
+				t.Fatalf("duplicate id refused with code %d: %v", payload[4], err)
 			}
 			refused++
 		default:

@@ -332,7 +332,7 @@ func (sc *srvConn) readLoop() {
 		case msgStats:
 			sc.handleStats(reqID)
 		default:
-			sc.writeErr(reqID, fmt.Errorf("unknown frame type 0x%02x", typ))
+			sc.writeErr(reqID, badRequest{fmt.Errorf("unknown frame type 0x%02x", typ)})
 		}
 	}
 }
@@ -369,18 +369,18 @@ func (sc *srvConn) writeOK(reqID uint32, detail uint64) {
 // one lexical scope with their releases.
 func (sc *srvConn) startQuery(reqID uint32, body []byte) {
 	if len(body) != 1+48+4+1 {
-		sc.writeErr(reqID, fmt.Errorf("bad query frame length %d", len(body)))
+		sc.writeErr(reqID, badRequest{fmt.Errorf("bad query frame length %d", len(body))})
 		return
 	}
 	kind := body[0]
 	box := getBox(body[1:])
 	limit := int(getU32(body[49:]))
 	if kind != kindRange && kind != kindCount {
-		sc.writeErr(reqID, fmt.Errorf("unknown query kind %d", kind))
+		sc.writeErr(reqID, badRequest{fmt.Errorf("unknown query kind %d", kind)})
 		return
 	}
 	if body[53] != 0 {
-		sc.writeErr(reqID, fmt.Errorf("unknown query flags 0x%02x", body[53]))
+		sc.writeErr(reqID, badRequest{fmt.Errorf("unknown query flags 0x%02x", body[53])})
 		return
 	}
 	sc.admit(reqID, func(qctx context.Context) {
@@ -392,13 +392,13 @@ func (sc *srvConn) startQuery(reqID uint32, body []byte) {
 // the same admission pipeline as startQuery.
 func (sc *srvConn) startNN(reqID uint32, body []byte) {
 	if len(body) != 24+4+1 {
-		sc.writeErr(reqID, fmt.Errorf("bad nn frame length %d", len(body)))
+		sc.writeErr(reqID, badRequest{fmt.Errorf("bad nn frame length %d", len(body))})
 		return
 	}
 	p := flat.V(getF64(body[0:]), getF64(body[8:]), getF64(body[16:]))
 	k := int(getU32(body[24:]))
 	if body[28] != 0 {
-		sc.writeErr(reqID, fmt.Errorf("unknown nn flags 0x%02x", body[28]))
+		sc.writeErr(reqID, badRequest{fmt.Errorf("unknown nn flags 0x%02x", body[28])})
 		return
 	}
 	sc.admit(reqID, func(qctx context.Context) {
@@ -426,7 +426,7 @@ func (sc *srvConn) admit(reqID uint32, run func(qctx context.Context)) {
 	if _, dup := sc.inflight[reqID]; dup {
 		// Overwriting the entry would orphan the first query's cancel
 		// func and keep len(inflight) — the cap — from ever growing.
-		refusal = fmt.Errorf("request id %d is already in flight on this connection", reqID)
+		refusal = badRequest{fmt.Errorf("request id %d is already in flight on this connection", reqID)}
 	} else if len(sc.inflight) >= sc.s.cfg.MaxConnQueries {
 		refusal = fmt.Errorf("connection query limit (%d) reached: %w", sc.s.cfg.MaxConnQueries, flat.ErrBusy)
 	} else {
@@ -551,13 +551,13 @@ func (sc *srvConn) handleInsert(reqID uint32, body []byte) {
 		return
 	}
 	if len(body) < 4 {
-		sc.writeErr(reqID, errors.New("bad insert frame"))
+		sc.writeErr(reqID, badRequest{errors.New("bad insert frame")})
 		return
 	}
 	n := int(getU32(body))
 	body = body[4:]
 	if len(body) != n*elementWire {
-		sc.writeErr(reqID, fmt.Errorf("insert frame: %d elements but %d payload bytes", n, len(body)))
+		sc.writeErr(reqID, badRequest{fmt.Errorf("insert frame: %d elements but %d payload bytes", n, len(body))})
 		return
 	}
 	els := make([]flat.Element, n)
@@ -583,7 +583,7 @@ func (sc *srvConn) handleDelete(reqID uint32, body []byte) {
 		return
 	}
 	if len(body) != elementWire {
-		sc.writeErr(reqID, errors.New("bad delete frame"))
+		sc.writeErr(reqID, badRequest{errors.New("bad delete frame")})
 		return
 	}
 	e := getElement(body)

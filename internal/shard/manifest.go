@@ -23,8 +23,9 @@ import (
 //	...
 //
 // Each shard file is an ordinary FLAT page file whose stored page ids
-// carry the shard's tag (see storage.ShardView), so opening splices the
-// files behind one storage.MultiPager with no translation pass.
+// carry the shard's tag (it is bulkloaded through a one-shard
+// storage.MultiPager), so opening splices the files behind one router
+// over all of them with no translation pass.
 //
 // The manifest is the commit point of every build and rebuild: shard
 // files are written and fsynced first under fresh generation-suffixed

@@ -112,14 +112,16 @@ func (s *Set) StageInsert(els ...geom.Element) error {
 	defer s.pmu.Unlock()
 	// WAL first: the operations are logged (with the seqs they are about
 	// to be staged under) before any of them mutates memory, so a crash
-	// can never leave memory ahead of the log.
+	// can never leave memory ahead of the log. A failed append logged
+	// nothing (storage.WAL.Append is all-or-nothing), so memory and log
+	// stay in step; durability waits for Flush.
 	base := s.clock
 	if s.wal != nil {
 		recs := make([]storage.WALRecord, len(els))
 		for i, e := range els {
 			recs[i] = storage.WALRecord{Op: storage.WALInsert, Seq: base + 1 + uint64(i), ID: e.ID, Box: e.Box}
 		}
-		if err := s.walAppendLocked(recs); err != nil {
+		if err := s.wal.Append(recs...); err != nil {
 			return err
 		}
 	}
@@ -129,9 +131,9 @@ func (s *Set) StageInsert(els ...geom.Element) error {
 	// rather than let later operations reuse them — a crash-replay would
 	// restage the abandoned ones, and duplicated seqs break the strict
 	// ordering last-op-wins depends on (matchesAfter compares seqs with
-	// >). The error return leaves them logged but unstaged, the same
-	// at-least-once window every WAL error path has (see
-	// walAppendLocked).
+	// >). The error return leaves them logged but unstaged: a later
+	// replay may restage them, the at-least-once side every write-ahead
+	// log has on its error paths.
 	s.clock = base + uint64(len(els))
 	ins := make([]stagedInsert, len(els))
 	for i, e := range els {
@@ -182,26 +184,6 @@ func (s *Set) deltaLocked(t int) *shardDelta {
 		}
 	}
 	return s.delta[t]
-}
-
-// walAppendLocked logs recs, syncing immediately when the set was
-// configured with per-op durability (otherwise durability waits for
-// Flush). Callers hold pmu's write side and must mutate the staged
-// state only after a nil return: a failed append logged nothing
-// (storage.WAL.Append is all-or-nothing), so memory and log stay in
-// step. A failed *sync* leaves the records logged but unacknowledged —
-// the caller reports the error, and a later replay may restage them,
-// which is the at-least-once side every write-ahead log has on its
-// error paths.
-// flatlint:holds pmu
-func (s *Set) walAppendLocked(recs []storage.WALRecord) error {
-	if err := s.wal.Append(recs...); err != nil {
-		return err
-	}
-	if s.walSyncEveryOp {
-		return s.wal.Sync()
-	}
-	return nil
 }
 
 // replayWAL restores a staging epoch from its logged operations: each
@@ -263,7 +245,7 @@ func (s *Set) StageDelete(id uint64, box geom.MBR) error {
 	defer s.pmu.Unlock()
 	if s.wal != nil {
 		rec := storage.WALRecord{Op: storage.WALDelete, Seq: s.clock + 1, ID: id, Box: box}
-		if err := s.walAppendLocked([]storage.WALRecord{rec}); err != nil {
+		if err := s.wal.Append(rec); err != nil {
 			return err
 		}
 	}

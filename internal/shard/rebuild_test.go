@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"flat/internal/geom"
+	"flat/internal/storage"
 )
 
 // stageCluster stages n identical-box elements (ids startID..) and
@@ -751,6 +752,30 @@ func TestOpenRejectsElementCountMismatch(t *testing.T) {
 	}
 	if _, err := OpenSet(dir, OpenOptions{}); err == nil || !strings.Contains(err.Error(), "manifest records") {
 		t.Fatalf("open with mismatched element count: %v, want corruption error", err)
+	}
+
+	// Likewise a shard file whose superblock claims page runs the file
+	// does not hold: refused at open, on both pagers, not looped over.
+	if err := os.WriteFile(filepath.Join(dir, ManifestName), raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	f, err := os.OpenFile(filepath.Join(dir, m.Entries[1].File), os.O_RDWR, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	st, err := f.Stat()
+	if err != nil {
+		t.Fatal(err)
+	}
+	const objectPagesOffset = 136 // core's superblock layout: the u32 after objStart
+	if _, err := f.WriteAt([]byte{0x00, 0xc2, 0xeb, 0x0b}, st.Size()-storage.PageSize+objectPagesOffset); err != nil {
+		t.Fatal(err)
+	}
+	for _, mmap := range []bool{false, true} {
+		if _, err := OpenSet(dir, OpenOptions{Mmap: mmap}); err == nil || !strings.Contains(err.Error(), "corrupt superblock") {
+			t.Fatalf("open (mmap=%v) with 2e8 claimed object pages: %v, want a corrupt-superblock error", mmap, err)
+		}
 	}
 }
 

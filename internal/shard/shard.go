@@ -97,13 +97,9 @@ type Config struct {
 	// (requires Dir): every StageInsert/StageDelete is appended to a log
 	// in the index directory before it mutates memory, and reopening the
 	// directory replays the log, so staged operations survive a crash.
-	// Durability is acknowledged by Flush (or per-op with WALSyncEveryOp);
-	// Rebuild rotates the log at its manifest commit point.
+	// Durability is acknowledged by Flush; Rebuild rotates the log at its
+	// manifest commit point.
 	WAL bool
-	// WALSyncEveryOp fsyncs the write-ahead log on every staging call
-	// instead of only at Flush: every acknowledged operation is
-	// individually crash-durable, at one fsync per call.
-	WALSyncEveryOp bool
 }
 
 // Set is a built sharded FLAT index: K per-shard core indexes, the MBR
@@ -153,10 +149,8 @@ type Set struct {
 	// wal is the write-ahead log behind the staged updates (nil when
 	// disabled). Staging appends to it before mutating the fields above,
 	// Rebuild rotates it at the manifest swap, Flush syncs it. Accessed
-	// under pmu everywhere past construction. walSyncEveryOp mirrors its
-	// Config knob; immutable.
-	wal            *storage.WAL
-	walSyncEveryOp bool
+	// under pmu everywhere past construction.
+	wal *storage.WAL
 }
 
 // SplitHilbert reorders els in place along the 3D Hilbert curve of their
@@ -298,16 +292,15 @@ func Build(els []geom.Element, cfg Config) (*Set, error) {
 	// per-shard build pools are discarded, so the set starts cold.
 	pool := storage.NewConcurrentPool(multi, cfg.BufferPages)
 	s := &Set{
-		shards:         make([]*core.Index, k),
-		bounds:         make([]geom.MBR, k),
-		world:          world,
-		pool:           pool,
-		multi:          multi,
-		dir:            cfg.Dir,
-		pageCapacity:   cfg.PageCapacity,
-		seedFanout:     cfg.SeedFanout,
-		wal:            wal,
-		walSyncEveryOp: cfg.WALSyncEveryOp,
+		shards:       make([]*core.Index, k),
+		bounds:       make([]geom.MBR, k),
+		world:        world,
+		pool:         pool,
+		multi:        multi,
+		dir:          cfg.Dir,
+		pageCapacity: cfg.PageCapacity,
+		seedFanout:   cfg.SeedFanout,
+		wal:          wal,
 	}
 	if cfg.Dir != "" {
 		s.gens = make([]uint64, k)
@@ -369,8 +362,6 @@ type OpenOptions struct {
 	// references a log always opens and replays it, with or without this
 	// knob — durability, once enabled, is never silently dropped.
 	WAL bool
-	// WALSyncEveryOp: see Config.WALSyncEveryOp.
-	WALSyncEveryOp bool
 }
 
 // OpenSet loads a sharded index previously built with a Config.Dir from
@@ -464,11 +455,10 @@ func openShards(files []string, entries []shardEntry, opts OpenOptions) (*Set, e
 	}
 	pool := storage.NewConcurrentPool(multi, opts.BufferPages)
 	set := &Set{
-		shards:         make([]*core.Index, k),
-		bounds:         make([]geom.MBR, k),
-		pool:           pool,
-		multi:          multi,
-		walSyncEveryOp: opts.WALSyncEveryOp,
+		shards: make([]*core.Index, k),
+		bounds: make([]geom.MBR, k),
+		pool:   pool,
+		multi:  multi,
 	}
 	for s, file := range files {
 		name := filepath.Base(file)

@@ -367,37 +367,6 @@ func TestWALUpgradeOnOpen(t *testing.T) {
 	}
 }
 
-// TestWALSyncEveryOp checks per-op durability: with WALSyncEveryOp a
-// staged update survives a kill -9 the moment the staging call returns,
-// no Flush anywhere.
-func TestWALSyncEveryOp(t *testing.T) {
-	r := rand.New(rand.NewSource(87))
-	els := randomElements(r, 600)
-	dir := filepath.Join(t.TempDir(), "idx")
-	set, err := Build(els, Config{Shards: 2, PageCapacity: 16, Dir: dir, WAL: true, WALSyncEveryOp: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := set.StageInsert(geom.Element{ID: 730001, Box: geom.CubeAt(geom.V(55, 55, 55), 1)}); err != nil {
-		t.Fatal(err)
-	}
-	victim := els[3]
-	if err := set.StageDelete(victim.ID, victim.Box); err != nil {
-		t.Fatal(err)
-	}
-
-	crashed := snapshotDir(t, dir) // no Flush, no Close
-	re, err := OpenSet(crashed, OpenOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer re.Close()
-	if ins, dels := re.Pending(); ins != 1 || dels != 1 {
-		t.Fatalf("Pending = (%d, %d), want (1, 1)", ins, dels)
-	}
-	set.Close()
-}
-
 // TestWALRequiresDir pins the configuration contract: a memory-backed
 // build cannot ask for a write-ahead log.
 func TestWALRequiresDir(t *testing.T) {

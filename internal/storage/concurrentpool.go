@@ -51,8 +51,7 @@ const poolShards = 64
 // per shard, and eviction is LRU within a shard, not across the pool.
 type ConcurrentPool struct {
 	pager    Pager
-	adv      Adviser // pager's prefetch-hint side, nil when unsupported
-	capacity int     // total frame budget; <= 0 means unbounded
+	capacity int // total frame budget; <= 0 means unbounded
 	shards   [poolShards]poolShard
 	stats    AtomicStats
 	wmu      sync.Mutex // serializes Alloc/Write against the pager
@@ -75,9 +74,6 @@ type poolShard struct {
 // budget of capacity pages. A capacity <= 0 means the cache is unbounded.
 func NewConcurrentPool(pager Pager, capacity int) *ConcurrentPool {
 	p := &ConcurrentPool{pager: pager, capacity: capacity}
-	if a, ok := pager.(Adviser); ok {
-		p.adv = a
-	}
 	perShard := 0
 	if capacity > 0 {
 		perShard = capacity / poolShards
@@ -101,16 +97,6 @@ func (p *ConcurrentPool) shard(id PageID) *poolShard {
 
 // Pager returns the underlying pager.
 func (p *ConcurrentPool) Pager() Pager { return p.pager }
-
-// Advise forwards a prefetch hint for page id to the underlying pager
-// when it supports hints (the mmap pager's MADV_WILLNEED) and the page
-// is not already cached. Free when the pager has no Adviser side.
-func (p *ConcurrentPool) Advise(id PageID) {
-	if p.adv == nil || p.Cached(id) {
-		return
-	}
-	p.adv.Advise(id)
-}
 
 // Capacity returns the pool's total frame budget (<= 0: unbounded).
 func (p *ConcurrentPool) Capacity() int { return p.capacity }

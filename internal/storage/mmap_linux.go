@@ -24,13 +24,3 @@ func mapFile(f *os.File, size int64) ([]byte, func() error, error) {
 	_ = syscall.Madvise(data, syscall.MADV_RANDOM)
 	return data, func() error { return syscall.Munmap(data) }, nil
 }
-
-// adviseWillNeed asks the kernel to start faulting b in. MADV_RANDOM
-// above disables readahead globally for the mapping; this re-enables it
-// for exactly the pages the crawl knows it is about to touch. Advisory
-// only — a refusal costs nothing.
-func adviseWillNeed(b []byte) {
-	if len(b) > 0 {
-		_ = syscall.Madvise(b, syscall.MADV_WILLNEED)
-	}
-}

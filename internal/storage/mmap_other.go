@@ -17,7 +17,3 @@ func mapFile(f *os.File, size int64) ([]byte, func() error, error) {
 	}
 	return data, func() error { return nil }, nil
 }
-
-// adviseWillNeed is a no-op on the portable fallback: the whole file is
-// already resident in the heap buffer.
-func adviseWillNeed([]byte) {}

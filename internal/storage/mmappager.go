@@ -87,18 +87,6 @@ func (p *MmapPager) Frame(id PageID) ([]byte, error) {
 	return p.data[off : off+PageSize : off+PageSize], nil
 }
 
-// Advise hints the kernel that page id is about to be read
-// (madvise(MADV_WILLNEED) on Linux; a no-op on the read-whole-file
-// fallback, where everything is already resident). Out-of-range ids are
-// ignored — the hint is advisory, the later read reports the error.
-func (p *MmapPager) Advise(id PageID) {
-	if uint64(id) >= p.pages {
-		return
-	}
-	off := uint64(id) * PageSize
-	adviseWillNeed(p.data[off : off+PageSize])
-}
-
 // CategoryOf returns the in-memory category tag of page id.
 func (p *MmapPager) CategoryOf(id PageID) Category {
 	if uint64(id) >= uint64(len(p.cats)) {
@@ -135,5 +123,4 @@ var (
 	_ Pager          = (*MmapPager)(nil)
 	_ CategorySetter = (*MmapPager)(nil)
 	_ FramePager     = (*MmapPager)(nil)
-	_ Adviser        = (*MmapPager)(nil)
 )

@@ -1,7 +1,6 @@
 package storage_test
 
 import (
-	"bytes"
 	"errors"
 	"os"
 	"path/filepath"
@@ -190,9 +189,9 @@ func TestPoolOverMmap(t *testing.T) {
 	}
 }
 
-// TestShardViewFrameForwarding checks Frame forwarding through the
-// shard wrappers, including the mixed case where only some shards are
-// frame-capable.
+// TestShardViewFrameForwarding checks Frame and SetCategory forwarding
+// through the router — as a one-shard view and over several shards,
+// including the mixed case where only some shards are frame-capable.
 func TestShardViewFrameForwarding(t *testing.T) {
 	path, contents := writeTestFile(t, 2)
 	mp, err := storage.OpenMmapPager(path)
@@ -219,6 +218,11 @@ func TestShardViewFrameForwarding(t *testing.T) {
 	if _, err := view1.Frame(storage.ShardPageID(0, 1)); !errors.Is(err, storage.ErrPageOutOfRange) {
 		t.Fatalf("foreign shard frame: %v", err)
 	}
+	view1.SetCategory(storage.ShardPageID(1, 1), storage.CatMetadata)
+	view1.SetCategory(storage.ShardPageID(0, 0), storage.CatObject) // foreign shard: dropped
+	if got, other := mp.CategoryOf(1), mp.CategoryOf(0); got != storage.CatMetadata || other != storage.CatUnknown {
+		t.Fatalf("categories through the view = (%v, %v), want (metadata, unknown)", got, other)
+	}
 
 	view0, err := storage.NewShardView(mem, 0)
 	if err != nil {
@@ -244,53 +248,5 @@ func TestShardViewFrameForwarding(t *testing.T) {
 	}
 	if _, err := multi.Frame(storage.ShardPageID(7, 0)); !errors.Is(err, storage.ErrPageOutOfRange) {
 		t.Fatalf("unrouted shard frame: %v", err)
-	}
-}
-
-func TestMmapPagerAdvise(t *testing.T) {
-	path, contents := writeTestFile(t, 3)
-	mp, err := storage.OpenMmapPager(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer mp.Close()
-	// Advise is advisory: in-range hints must be accepted silently,
-	// out-of-range hints ignored, and neither may disturb later reads.
-	var adv storage.Adviser = mp
-	adv.Advise(storage.PageID(0))
-	adv.Advise(storage.PageID(2))
-	adv.Advise(storage.PageID(99))
-	dst := make([]byte, storage.PageSize)
-	if err := mp.ReadPage(0, dst); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(dst, contents[0]) {
-		t.Fatal("page 0 content changed after Advise")
-	}
-}
-
-func TestConcurrentPoolAdvise(t *testing.T) {
-	path, _ := writeTestFile(t, 3)
-	mp, err := storage.OpenMmapPager(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer mp.Close()
-	pool := storage.NewConcurrentPool(mp, 0)
-	// Hints never count as reads: a hinted page is still a cache miss
-	// the first time it is actually read, and exactly once.
-	pool.Advise(1)
-	if got := pool.Stats().TotalReads(); got != 0 {
-		t.Fatalf("reads after Advise = %d, want 0", got)
-	}
-	if _, err := pool.Read(1); err != nil {
-		t.Fatal(err)
-	}
-	if got := pool.Stats().TotalReads(); got != 1 {
-		t.Fatalf("reads after Read = %d, want 1", got)
-	}
-	pool.Advise(1) // cached now: forwarded nowhere, still no read
-	if got := pool.Stats().TotalReads(); got != 1 {
-		t.Fatalf("reads after second Advise = %d, want 1", got)
 	}
 }

@@ -6,8 +6,12 @@
 // OS caches cleared before every query. This package reproduces that
 // environment:
 //
-//   - Pager: a flat array of 4 KiB pages, backed either by a real file
-//     (FilePager) or by memory (MemPager, for tests and benchmarks).
+//   - Pager: a flat array of 4 KiB pages, backed by a real file
+//     (FilePager, or read-only MmapPager) or by memory (MemPager, for
+//     tests and benchmarks). MultiPager is the one Pager over other
+//     pagers: it routes the shard-tagged id space of a sharded index.
+//     Two optional capabilities ride on a Pager: CategorySetter and
+//     FramePager.
 //   - ConcurrentPool: the one LRU page cache, layered over a Pager.
 //     Reads that miss the pool are counted as disk page reads, classified
 //     by the page's allocation category (R-tree leaf, R-tree internal,
@@ -102,13 +106,13 @@ type Pager interface {
 // CategorySetter is implemented by pagers that can re-tag a page's
 // category after the fact. Index open paths use it to restore the
 // measurement categories of a persisted file (FilePager keeps them in
-// memory only), and the shard views forward it to their backing pager.
+// memory only), and MultiPager forwards it to the routed sub-pager.
 type CategorySetter interface {
 	SetCategory(id PageID, cat Category)
 }
 
 // FramePager is implemented by pagers that can expose a page's bytes
-// without copying (MmapPager and the shard wrappers around it). Frame
+// without copying (MmapPager and the MultiPager routing to it). Frame
 // returns a slice aliasing the pager's storage: callers must treat it
 // as immutable and not retain it past Close. Pagers that cannot alias
 // the requested page return ErrNoFrame and callers fall back to
@@ -120,16 +124,6 @@ type FramePager interface {
 // ErrNoFrame is returned by FramePager implementations that cannot
 // serve the requested page without a copy.
 var ErrNoFrame = errors.New("storage: page has no addressable frame")
-
-// Adviser is implemented by pagers that can hint the OS that a page is
-// about to be read (MmapPager issues madvise(MADV_WILLNEED); the shard
-// wrappers forward). Advise is purely advisory: it never fails, never
-// blocks on I/O, and a pager that cannot act on the hint simply ignores
-// it. The crawl phase calls it for pages it has just enqueued, so the
-// kernel can fault them in while earlier pages are still being decoded.
-type Adviser interface {
-	Advise(id PageID)
-}
 
 // pageFrame returns an aliased frame for page id when pg supports one.
 // Any error means "use ReadPage instead" — out-of-range ids surface

@@ -21,12 +21,6 @@ type Pool interface {
 	// ReadInto is Read, but additionally tallies a cache miss into
 	// local, which the caller owns exclusively. local may be nil.
 	ReadInto(id PageID, local *Stats) ([]byte, error)
-	// Advise hints that page id is about to be read, letting a pager
-	// that supports prefetch hints (Adviser) start faulting it in while
-	// the caller is still busy with earlier pages. Purely advisory:
-	// no-op when the page is already cached or the pager cannot act on
-	// it, and never an extra read in the stats.
-	Advise(id PageID)
 	// Write stores src as the new content of page id, write-through to
 	// the underlying pager. src must be at least PageSize bytes long.
 	Write(id PageID, src []byte) error

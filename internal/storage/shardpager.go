@@ -39,134 +39,9 @@ func SplitShardPageID(id PageID) (shard int, local PageID) {
 	return int(uint64(id) >> shardIDShift), PageID(uint64(id) & shardLocalMask)
 }
 
-// ErrMultiPagerAlloc is returned by MultiPager.Alloc: pages must be
-// allocated through the owning shard's view, never through the router.
+// ErrMultiPagerAlloc is returned by MultiPager.Alloc when more than one
+// shard is routed: pages are allocated through the owning shard's view.
 var ErrMultiPagerAlloc = errors.New("storage: allocate through a shard's view, not the multi pager")
-
-// ShardView presents one shard's pager as a window of the sharded
-// PageID space: Alloc returns tagged ids, reads and writes translate
-// them back. An index built through a ShardView therefore stores tagged
-// ids in all of its persistent structures (seed root, object-page
-// pointers, metadata record refs), so the very same page file can later
-// be served — without any translation pass — behind a MultiPager that
-// splices all shards together.
-//
-// A ShardView adds no synchronization: it is exactly as concurrency-safe
-// as the pager it wraps.
-type ShardView struct {
-	sub   Pager
-	shard int
-}
-
-// NewShardView wraps sub as shard number shard of the shared id space.
-func NewShardView(sub Pager, shard int) (*ShardView, error) {
-	if shard < 0 || shard >= MaxShards {
-		return nil, fmt.Errorf("storage: shard %d out of range [0,%d)", shard, MaxShards)
-	}
-	return &ShardView{sub: sub, shard: shard}, nil
-}
-
-// Shard returns the view's shard number.
-func (v *ShardView) Shard() int { return v.shard }
-
-// Sub returns the wrapped pager.
-func (v *ShardView) Sub() Pager { return v.sub }
-
-// local translates a tagged id to the wrapped pager's id space.
-func (v *ShardView) local(id PageID) (PageID, error) {
-	shard, local := SplitShardPageID(id)
-	if shard != v.shard {
-		return InvalidPage, ErrPageOutOfRange
-	}
-	return local, nil
-}
-
-// Alloc implements Pager; the returned id carries the shard tag.
-func (v *ShardView) Alloc(cat Category) (PageID, error) {
-	local, err := v.sub.Alloc(cat)
-	if err != nil {
-		return InvalidPage, err
-	}
-	if uint64(local) >= maxShardLocal {
-		return InvalidPage, fmt.Errorf("storage: shard %d exceeds %d pages", v.shard, maxShardLocal)
-	}
-	return ShardPageID(v.shard, local), nil
-}
-
-// ReadPage implements Pager.
-func (v *ShardView) ReadPage(id PageID, dst []byte) error {
-	local, err := v.local(id)
-	if err != nil {
-		return err
-	}
-	return v.sub.ReadPage(local, dst)
-}
-
-// WritePage implements Pager.
-func (v *ShardView) WritePage(id PageID, src []byte) error {
-	local, err := v.local(id)
-	if err != nil {
-		return err
-	}
-	return v.sub.WritePage(local, src)
-}
-
-// CategoryOf implements Pager.
-func (v *ShardView) CategoryOf(id PageID) Category {
-	local, err := v.local(id)
-	if err != nil {
-		return CatUnknown
-	}
-	return v.sub.CategoryOf(local)
-}
-
-// SetCategory implements CategorySetter when the wrapped pager does.
-func (v *ShardView) SetCategory(id PageID, cat Category) {
-	local, err := v.local(id)
-	if err != nil {
-		return
-	}
-	if cs, ok := v.sub.(CategorySetter); ok {
-		cs.SetCategory(local, cat)
-	}
-}
-
-// Frame implements FramePager when the wrapped pager does; otherwise it
-// reports ErrNoFrame and callers fall back to ReadPage.
-func (v *ShardView) Frame(id PageID) ([]byte, error) {
-	local, err := v.local(id)
-	if err != nil {
-		return nil, err
-	}
-	if fp, ok := v.sub.(FramePager); ok {
-		return fp.Frame(local)
-	}
-	return nil, ErrNoFrame
-}
-
-// Advise implements Adviser when the wrapped pager does; otherwise the
-// hint is dropped. Ids outside this view's shard are ignored (the hint
-// is advisory; the later read reports the error).
-func (v *ShardView) Advise(id PageID) {
-	local, err := v.local(id)
-	if err != nil {
-		return
-	}
-	if a, ok := v.sub.(Adviser); ok {
-		a.Advise(local)
-	}
-}
-
-// NumPages implements Pager with the wrapped pager's page count. Note
-// that tagged ids do not run 0..NumPages()-1 for shards > 0; callers
-// locating a shard's superblock combine this with ShardPageID.
-func (v *ShardView) NumPages() uint64 { return v.sub.NumPages() }
-
-// Sync implements Pager.
-func (v *ShardView) Sync() error { return v.sub.Sync() }
-
-// Close implements Pager.
-func (v *ShardView) Close() error { return v.sub.Close() }
 
 // MultiPager routes the sharded PageID space over per-shard pagers: id
 // bits 47..32 select the sub-pager, the low 32 bits address the page
@@ -174,13 +49,22 @@ func (v *ShardView) Close() error { return v.sub.Close() }
 // shard of a sharded index a share of a single global cache budget —
 // cache memory is bounded for the whole index, not per shard.
 //
+// A shard's build-time view (NewShardView) is the same router with one
+// routed shard, which is when Alloc works. It returns tagged ids, so an
+// index built through a view stores them in all of its persistent
+// structures (seed root, object-page pointers, metadata record refs)
+// and the very same page file is later served, with no translation
+// pass, behind the router that splices all shards together.
+//
 // MultiPager adds no synchronization of its own (the routing table only
 // changes through Swap, which demands external exclusion); concurrent
-// use follows the wrapped pagers' rules, and
-// distinct shards never share mutable state, so per-shard builds may
-// proceed in parallel as long as each shard is touched by one goroutine.
+// use follows the wrapped pagers' rules, and distinct shards never
+// share mutable state, so per-shard builds may proceed in parallel as
+// long as each shard is touched by one goroutine.
 type MultiPager struct {
-	subs []Pager
+	first int     // shard number subs[0] serves
+	subs  []Pager // subs[i] serves shard first+i
+	view  bool    // a build-time window on one shard: Swap is refused
 }
 
 // NewMultiPager routes over subs; sub i serves shard i.
@@ -201,22 +85,39 @@ func NewMultiPager(subs []Pager) (*MultiPager, error) {
 	return &MultiPager{subs: append([]Pager(nil), subs...)}, nil
 }
 
-// NumShards returns the number of routed sub-pagers.
-func (m *MultiPager) NumShards() int { return len(m.subs) }
+// NewShardView routes shard number shard alone, over sub: the window of
+// the shared id space one shard is bulkloaded through.
+func NewShardView(sub Pager, shard int) (*MultiPager, error) {
+	if shard < 0 || shard >= MaxShards {
+		return nil, fmt.Errorf("storage: shard %d out of range [0,%d)", shard, MaxShards)
+	}
+	return &MultiPager{first: shard, subs: []Pager{sub}, view: true}, nil
+}
 
 // route resolves a tagged id to its sub-pager and local id.
 func (m *MultiPager) route(id PageID) (Pager, PageID, error) {
 	shard, local := SplitShardPageID(id)
-	if shard >= len(m.subs) {
+	if shard < m.first || shard-m.first >= len(m.subs) {
 		return nil, InvalidPage, ErrPageOutOfRange
 	}
-	return m.subs[shard], local, nil
+	return m.subs[shard-m.first], local, nil
 }
 
-// Alloc implements Pager by failing: allocation is a build-time
-// operation and must target a specific shard through its ShardView.
-func (m *MultiPager) Alloc(Category) (PageID, error) {
-	return InvalidPage, ErrMultiPagerAlloc
+// Alloc implements Pager when exactly one shard is routed; the returned
+// id carries the shard tag. Allocation must target a specific shard, so
+// a router over several fails with ErrMultiPagerAlloc.
+func (m *MultiPager) Alloc(cat Category) (PageID, error) {
+	if len(m.subs) != 1 {
+		return InvalidPage, ErrMultiPagerAlloc
+	}
+	local, err := m.subs[0].Alloc(cat)
+	if err != nil {
+		return InvalidPage, err
+	}
+	if uint64(local) >= maxShardLocal {
+		return InvalidPage, fmt.Errorf("storage: shard %d exceeds %d pages", m.first, maxShardLocal)
+	}
+	return ShardPageID(m.first, local), nil
 }
 
 // ReadPage implements Pager.
@@ -272,27 +173,18 @@ func (m *MultiPager) Frame(id PageID) ([]byte, error) {
 	return nil, ErrNoFrame
 }
 
-// Advise implements Adviser, forwarding the hint to the shard's
-// sub-pager when it supports one (a mix of mmap and file shards works:
-// hints for file-backed shards are dropped).
-func (m *MultiPager) Advise(id PageID) {
-	sub, local, err := m.route(id)
-	if err != nil {
-		return
-	}
-	if a, ok := sub.(Adviser); ok {
-		a.Advise(local)
-	}
-}
-
 // Swap replaces the sub-pager serving shard and returns the previous
 // one for the caller to close. It exists for the per-shard rebuild
 // path: a rebuilt shard's new page file is spliced in without touching
 // the other shards. The caller must guarantee no concurrent access to
 // the MultiPager for the duration of the swap (the sharded index swaps
 // only under its maintenance guard, with no queries in flight) and must
-// invalidate any cache layered above for the swapped shard's ids.
+// invalidate any cache layered above for the swapped shard's ids. A
+// shard view has no such owner and refuses.
 func (m *MultiPager) Swap(shard int, sub Pager) (Pager, error) {
+	if m.view {
+		return nil, errors.New("storage: swap on a shard view")
+	}
 	if shard < 0 || shard >= len(m.subs) {
 		return nil, fmt.Errorf("storage: swap shard %d out of range [0,%d)", shard, len(m.subs))
 	}
@@ -305,6 +197,8 @@ func (m *MultiPager) Swap(shard int, sub Pager) (Pager, error) {
 }
 
 // NumPages implements Pager with the total page count across shards.
+// Tagged ids do not run 0..NumPages()-1 beyond shard 0: a shard's last
+// page is ShardPageID(shard, its own pager's count - 1).
 func (m *MultiPager) NumPages() uint64 {
 	var n uint64
 	for _, sub := range m.subs {
@@ -317,7 +211,7 @@ func (m *MultiPager) NumPages() uint64 {
 func (m *MultiPager) Sync() error {
 	for i, sub := range m.subs {
 		if err := sub.Sync(); err != nil {
-			return fmt.Errorf("storage: sync shard %d: %w", i, err)
+			return fmt.Errorf("storage: sync shard %d: %w", m.first+i, err)
 		}
 	}
 	return nil
@@ -329,19 +223,14 @@ func (m *MultiPager) Close() error {
 	var first error
 	for i, sub := range m.subs {
 		if err := sub.Close(); err != nil && first == nil {
-			first = fmt.Errorf("storage: close shard %d: %w", i, err)
+			first = fmt.Errorf("storage: close shard %d: %w", m.first+i, err)
 		}
 	}
 	return first
 }
 
 var (
-	_ Pager          = (*ShardView)(nil)
 	_ Pager          = (*MultiPager)(nil)
-	_ CategorySetter = (*ShardView)(nil)
 	_ CategorySetter = (*MultiPager)(nil)
-	_ FramePager     = (*ShardView)(nil)
 	_ FramePager     = (*MultiPager)(nil)
-	_ Adviser        = (*ShardView)(nil)
-	_ Adviser        = (*MultiPager)(nil)
 )

@@ -73,6 +73,27 @@ func TestShardViewTranslation(t *testing.T) {
 	if _, err := NewShardView(sub, MaxShards); err == nil {
 		t.Error("shard beyond MaxShards should be rejected")
 	}
+	// A view is a build-time window: it has no cache owner to swap under.
+	if _, err := v.Swap(3, NewMemPager()); err == nil {
+		t.Error("Swap on a shard view should be refused")
+	}
+
+	// The router over one shard is the same mechanism: it allocates
+	// (shard 0's tag is the identity) and, owning the whole id space,
+	// swaps.
+	one, err := NewMultiPager([]Pager{sub})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if id, err := one.Alloc(CatMetadata); err != nil || id != 1 {
+		t.Errorf("one-shard router Alloc = (%d, %v), want local id 1", id, err)
+	}
+	if err := one.ReadPage(ShardPageID(1, 0), dst); !errors.Is(err, ErrPageOutOfRange) {
+		t.Errorf("one-shard router, foreign shard read: err = %v, want ErrPageOutOfRange", err)
+	}
+	if old, err := one.Swap(0, NewMemPager()); err != nil || old != Pager(sub) {
+		t.Errorf("one-shard router Swap = (%v, %v), want the original sub-pager", old, err)
+	}
 }
 
 func TestMultiPagerRouting(t *testing.T) {

@@ -39,10 +39,8 @@ type RTreeStats struct {
 }
 
 // BuildRTree bulkloads a baseline R-tree over els (reordered in place)
-// with the given strategy. Options semantics match Build; PageCapacity
-// caps leaf entries. A bounded tree (BufferPages > 0) evicts per cache
-// stripe (64 stripes of BufferPages/64 frames, minimum one), not in one
-// global LRU order; the default unbounded cache never evicts.
+// with the given strategy. Path, World and PageCapacity (which caps leaf
+// entries) mean what they do for Build; the page cache is unbounded.
 func BuildRTree(els []Element, strategy RTreeStrategy, opts *Options) (*RTree, error) {
 	var o Options
 	if opts != nil {
@@ -58,7 +56,7 @@ func BuildRTree(els []Element, strategy RTreeStrategy, opts *Options) (*RTree, e
 	} else {
 		pager = storage.NewMemPager()
 	}
-	pool := storage.NewConcurrentPool(pager, o.BufferPages)
+	pool := storage.NewConcurrentPool(pager, 0)
 	world := o.World
 	if world.Empty() || world == (MBR{}) {
 		world = geom.ElementsMBR(els)

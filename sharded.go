@@ -48,17 +48,12 @@ type ShardedOptions struct {
 	// survive a crash: OpenSharded replays the log and the staged
 	// updates are pending again, exactly as acknowledged. Requires a
 	// disk-backed index (Dir non-empty, or opening one). Acknowledgement
-	// is Flush (or WALSyncEveryOp): staged operations not yet synced can
-	// be lost to a crash, never torn — replay stops cleanly at the last
-	// intact record. When OpenShardedWithOptions finds an index whose
-	// manifest already references a log, the log is replayed regardless
-	// of this flag; WAL additionally upgrades a log-less index in place.
+	// is Flush: staged operations not yet synced can be lost to a crash,
+	// never torn — replay stops cleanly at the last intact record. When
+	// OpenShardedWithOptions finds an index whose manifest already
+	// references a log, the log is replayed regardless of this flag; WAL
+	// additionally upgrades a log-less index in place.
 	WAL bool
-	// WALSyncEveryOp fsyncs the write-ahead log inside every StageInsert
-	// and StageDelete call, making each one durable the moment it
-	// returns — no Flush needed, at a sync-per-call cost. Only
-	// meaningful with WAL.
-	WALSyncEveryOp bool
 	// AutoCompact, when either trigger is set, runs Rebuild automatically
 	// in the background once the staged delta grows past the configured
 	// thresholds. The zero value keeps compaction fully manual.
@@ -99,16 +94,15 @@ func BuildSharded(els []Element, opts *ShardedOptions) (*ShardedIndex, error) {
 		o = *opts
 	}
 	set, err := shard.Build(els, shard.Config{
-		Shards:         o.Shards,
-		PageCapacity:   o.PageCapacity,
-		SeedFanout:     o.SeedFanout,
-		PageFormat:     o.PageFormat,
-		World:          o.World,
-		Dir:            o.Dir,
-		BufferPages:    o.BufferPages,
-		BuildWorkers:   o.BuildWorkers,
-		WAL:            o.WAL,
-		WALSyncEveryOp: o.WALSyncEveryOp,
+		Shards:       o.Shards,
+		PageCapacity: o.PageCapacity,
+		SeedFanout:   o.SeedFanout,
+		PageFormat:   o.PageFormat,
+		World:        o.World,
+		Dir:          o.Dir,
+		BufferPages:  o.BufferPages,
+		BuildWorkers: o.BuildWorkers,
+		WAL:          o.WAL,
 	})
 	if err != nil {
 		return nil, err
@@ -132,21 +126,20 @@ func OpenSharded(dir string) (*ShardedIndex, error) {
 }
 
 // OpenShardedWithOptions loads a previously built disk-backed sharded
-// index from its directory. Only ShardedOptions.BufferPages, Mmap, WAL,
-// WALSyncEveryOp and AutoCompact are consulted; the shard count,
-// geometry and per-shard page formats come from the manifest and the
-// shard files. An index whose manifest references a write-ahead log has
-// the log replayed: every acknowledged staged update is pending again.
+// index from its directory. Only ShardedOptions.BufferPages, Mmap, WAL
+// and AutoCompact are consulted; the shard count, geometry and per-shard
+// page formats come from the manifest and the shard files. An index
+// whose manifest references a write-ahead log has the log replayed:
+// every acknowledged staged update is pending again.
 func OpenShardedWithOptions(dir string, opts *ShardedOptions) (*ShardedIndex, error) {
 	var o ShardedOptions
 	if opts != nil {
 		o = *opts
 	}
 	set, err := shard.OpenSet(dir, shard.OpenOptions{
-		BufferPages:    o.BufferPages,
-		Mmap:           o.Mmap,
-		WAL:            o.WAL,
-		WALSyncEveryOp: o.WALSyncEveryOp,
+		BufferPages: o.BufferPages,
+		Mmap:        o.Mmap,
+		WAL:         o.WAL,
 	})
 	if err != nil {
 		return nil, err
@@ -194,9 +187,9 @@ func (sx *ShardedIndex) StageDelete(id uint64, box MBR) error {
 // Flush fsyncs the write-ahead log, making every staged update issued
 // so far durable: after Flush returns, a crash (or kill -9) at any
 // point loses none of them — reopening the index replays the log and
-// they are pending again. A no-op without a write-ahead log, and
-// redundant under WALSyncEveryOp. Safe to call concurrently with
-// queries and staging; returns ErrClosed after Close.
+// they are pending again. A no-op without a write-ahead log. Safe to
+// call concurrently with queries and staging; returns ErrClosed after
+// Close.
 func (sx *ShardedIndex) Flush() error {
 	if err := sx.guard.enter(); err != nil {
 		return err
