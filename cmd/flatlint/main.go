@@ -3,7 +3,7 @@
 //
 //	flatlint ./...
 //	flatlint -list
-//	flatlint -run ctxcrawl,guardpair ./...
+//	flatlint -run ctxcrawl,lockedfield ./...
 //
 // It exits 1 when any diagnostic is reported and 2 on load errors, so
 // it can gate CI next to go vet and staticcheck. See internal/analyzers

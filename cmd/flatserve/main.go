@@ -180,12 +180,10 @@ func runClient(addr string, ops clientOps) {
 		fmt.Printf("staged %d inserts (wal flushed)\n", len(els))
 	}
 	if ops.del != "" {
-		nums, err := parseFloats(ops.del, 7)
+		id, box, err := parseDelete(ops.del)
 		if err != nil {
 			fatalf("bad -delete: %v", err)
 		}
-		id := uint64(nums[0])
-		box := flat.Box(flat.V(nums[1], nums[2], nums[3]), flat.V(nums[4], nums[5], nums[6]))
 		if err := c.Delete(ctx, id, box); err != nil {
 			fatalf("delete: %v", err)
 		}
@@ -238,36 +236,14 @@ func runClient(addr string, ops clientOps) {
 			if err != nil {
 				fatalf("query: %v", err)
 			}
-			const maxPrint = 10
-			n := 0
-			cancelled := false
-			for e, err := range stream.All() {
-				if err != nil {
-					fatalf("query: %v", err)
-				}
-				if n < maxPrint {
-					fmt.Printf("  element %d %v\n", e.ID, e.Box)
-				} else if n == maxPrint {
-					fmt.Printf("  ...\n")
-				}
-				n++
-				// Breaking out of All() sends the cancel frame and drains
-				// to the server's terminator.
-				if ops.cancelAfter > 0 && n == ops.cancelAfter {
-					cancelled = true
-					break
-				}
-			}
-			switch {
-			case cancelled:
-				fmt.Printf("query %v: cancelled after %d results (-cancel-after)\n", q, n)
-			case ops.limit > 0 && n == ops.limit:
-				fmt.Printf("query %v: stopped after %d results (-limit)\n", q, n)
-				printQueryStats(stream.Stats())
-			default:
-				fmt.Printf("query %v: %d results\n", q, n)
-				printQueryStats(stream.Stats())
-			}
+			printStream("query", q, stream, ops.cancelAfter,
+				func(e flat.Element) string { return fmt.Sprintf("element %d %v", e.ID, e.Box) },
+				func(n int) string {
+					if ops.limit > 0 && n == ops.limit {
+						return fmt.Sprintf("stopped after %d results (-limit)", n)
+					}
+					return fmt.Sprintf("%d results", n)
+				})
 		}
 	}
 
@@ -281,32 +257,13 @@ func runClient(addr string, ops clientOps) {
 		if err != nil {
 			fatalf("nn: %v", err)
 		}
-		const maxPrint = 10
-		n := 0
-		cancelled := false
-		for e, err := range stream.All() {
-			if err != nil {
-				fatalf("nn: %v", err)
-			}
-			if n < maxPrint {
-				// The distance never travels: the box carries full precision,
-				// so the client recomputes it exactly.
-				fmt.Printf("  element %d dist %.4f %v\n", e.ID, e.Box.DistToPoint(p), e.Box)
-			} else if n == maxPrint {
-				fmt.Printf("  ...\n")
-			}
-			n++
-			if ops.cancelAfter > 0 && n == ops.cancelAfter {
-				cancelled = true
-				break
-			}
-		}
-		if cancelled {
-			fmt.Printf("nn %v: cancelled after %d results (-cancel-after)\n", p, n)
-		} else {
-			fmt.Printf("nn %v: %d nearest (k=%d)\n", p, n, ops.k)
-			printQueryStats(stream.Stats())
-		}
+		// The distance never travels: the box carries full precision, so
+		// the client recomputes it exactly.
+		printStream("nn", p, stream, ops.cancelAfter,
+			func(e flat.Element) string {
+				return fmt.Sprintf("element %d dist %.4f %v", e.ID, e.Box.DistToPoint(p), e.Box)
+			},
+			func(n int) string { return fmt.Sprintf("%d nearest (k=%d)", n, ops.k) })
 	}
 
 	if ops.stats {
@@ -322,9 +279,52 @@ func runClient(addr string, ops clientOps) {
 	}
 }
 
+// printStream drains one result stream the way every streaming client
+// operation reports it: the first ten elements (formatted by line), the
+// -cancel-after early exit, then the summary and the page reads.
+func printStream(kind string, arg any, stream *serve.Stream, cancelAfter int, line func(flat.Element) string, summary func(n int) string) {
+	const maxPrint = 10
+	n := 0
+	for e, err := range stream.All() {
+		if err != nil {
+			fatalf("%s: %v", kind, err)
+		}
+		if n < maxPrint {
+			fmt.Printf("  %s\n", line(e))
+		} else if n == maxPrint {
+			fmt.Printf("  ...\n")
+		}
+		n++
+		// Leaving All() early sends the cancel frame and drains to the
+		// server's terminator.
+		if cancelAfter > 0 && n == cancelAfter {
+			fmt.Printf("%s %v: cancelled after %d results (-cancel-after)\n", kind, arg, n)
+			return
+		}
+	}
+	fmt.Printf("%s %v: %s\n", kind, arg, summary(n))
+	printQueryStats(stream.Stats())
+}
+
 func printQueryStats(st flat.QueryStats) {
 	fmt.Printf("  page reads: %d total (%d seed + %d metadata + %d object)\n",
 		st.TotalReads, st.SeedReads, st.MetadataReads, st.ObjectReads)
+}
+
+// parseDelete parses -delete's 'id,x1,y1,z1,x2,y2,z2'. The id is an
+// opaque uint64 key and is parsed as one: through float64, ids above
+// 2^53 would be rounded to a neighbour.
+func parseDelete(s string) (uint64, flat.MBR, error) {
+	idText, coords, _ := strings.Cut(s, ",")
+	id, err := strconv.ParseUint(strings.TrimSpace(idText), 10, 64)
+	if err != nil {
+		return 0, flat.MBR{}, fmt.Errorf("element id: %w", err)
+	}
+	co, err := parseFloats(coords, 6)
+	if err != nil {
+		return 0, flat.MBR{}, err
+	}
+	return id, flat.Box(flat.V(co[0], co[1], co[2]), flat.V(co[3], co[4], co[5])), nil
 }
 
 func parseFloats(s string, n int) ([]float64, error) {

@@ -389,12 +389,12 @@ func OpenWithOptions(path string, opts *Options) (*Index, error) {
 // the choice of start page affects neither accuracy nor efficiency of
 // the search; this entry point exists so that claim stays testable
 // against the public index (see Records for enumerating start refs).
-func (ix *Index) CrawlFrom(q MBR, start RecordRef) ([]Element, error) {
-	if err := ix.guard.enter(); err != nil {
-		return nil, err
-	}
-	defer ix.guard.exit()
-	return ix.set.Shard(0).CrawlFrom(q, start)
+func (ix *Index) CrawlFrom(q MBR, start RecordRef) (els []Element, err error) {
+	err = ix.guard.query(func() error {
+		els, err = ix.set.Shard(0).CrawlFrom(q, start)
+		return err
+	})
+	return els, err
 }
 
 // Records enumerates every metadata record in the index in on-disk
@@ -403,11 +403,7 @@ func (ix *Index) CrawlFrom(q MBR, start RecordRef) ([]Element, error) {
 // chains already spliced). Enumeration stops at the first error fn
 // returns, which is then returned.
 func (ix *Index) Records(fn func(ref RecordRef, pageMBR, partitionMBR MBR, objectPage PageID, neighbors []RecordRef) error) error {
-	if err := ix.guard.enter(); err != nil {
-		return err
-	}
-	defer ix.guard.exit()
-	return ix.set.Shard(0).Records(fn)
+	return ix.guard.query(func() error { return ix.set.Shard(0).Records(fn) })
 }
 
 // The plain accessors below hold the guard's view side: they stay valid
@@ -419,22 +415,22 @@ func (ix *Index) Records(fn func(ref RecordRef, pageMBR, partitionMBR MBR, objec
 // Len returns the number of bulkloaded elements; on a ShardedIndex,
 // staged inserts and deletes count only after the Rebuild that folds
 // them in.
-func (b *base) Len() int { defer b.guard.view()(); return b.set.Len() }
+func (b *base) Len() int { return view(&b.guard, b.set.Len) }
 
 // NumPartitions returns the number of partitions (object pages), across
 // all shards.
-func (b *base) NumPartitions() int { defer b.guard.view()(); return b.set.NumPartitions() }
+func (b *base) NumPartitions() int { return view(&b.guard, b.set.NumPartitions) }
 
 // Bounds returns the bounding box of the indexed data.
-func (b *base) Bounds() MBR { defer b.guard.view()(); return b.set.Bounds() }
+func (b *base) Bounds() MBR { return view(&b.guard, b.set.Bounds) }
 
 // World returns the partitioned space; on a ShardedIndex, the space the
 // shard assignment was derived in.
-func (b *base) World() MBR { defer b.guard.view()(); return b.set.World() }
+func (b *base) World() MBR { return view(&b.guard, b.set.World) }
 
 // SizeBytes returns the on-disk footprint of the index, across all
 // shards.
-func (b *base) SizeBytes() uint64 { defer b.guard.view()(); return b.set.SizeBytes() }
+func (b *base) SizeBytes() uint64 { return view(&b.guard, b.set.SizeBytes) }
 
 // CacheStats reports the page cache's occupancy: how many frames it
 // currently holds and its configured budget (capacity <= 0: unbounded;
@@ -442,9 +438,8 @@ func (b *base) SizeBytes() uint64 { defer b.guard.view()(); return b.set.SizeByt
 // layer exposes this so operators can see how much of the budget live
 // traffic actually uses.
 func (b *base) CacheStats() (cached, capacity int) {
-	defer b.guard.view()()
-	pool := b.set.Pool()
-	return pool.Len(), pool.Capacity()
+	pool := b.set.Pool() // fixed for the set's lifetime, as is its capacity
+	return view(&b.guard, pool.Len), pool.Capacity()
 }
 
 // DropCache empties the page cache so the next query starts cold — the
@@ -454,12 +449,10 @@ func (b *base) CacheStats() (cached, capacity int) {
 // otherwise see a partially dropped cache and report inflated read
 // counts), and after Close it returns ErrClosed.
 func (b *base) DropCache() error {
-	if err := b.guard.maintain(); err != nil {
-		return err
-	}
-	defer b.guard.release()
-	b.set.DropCache()
-	return nil
+	return b.guard.maintain(func() error {
+		b.set.DropCache()
+		return nil
+	})
 }
 
 // Close releases the index's storage (closing the page files when the
@@ -476,19 +469,19 @@ func (b *base) Close() error {
 // SeedHeight returns the seed tree height in levels (metadata level
 // inclusive); the seed phase of a query reads at most this many internal
 // pages.
-func (ix *Index) SeedHeight() int { defer ix.guard.view()(); return ix.set.Shard(0).SeedHeight() }
+func (ix *Index) SeedHeight() int {
+	return view(&ix.guard, func() int { return ix.set.Shard(0).SeedHeight() })
+}
 
 // PageFormat returns the object-page layout the index was built with.
 func (ix *Index) PageFormat() PageFormat {
-	defer ix.guard.view()()
-	return ix.set.Shard(0).PageFormat()
+	return view(&ix.guard, func() PageFormat { return ix.set.Shard(0).PageFormat() })
 }
 
 // AvgNeighbors returns the mean number of neighborhood pointers per
 // partition.
 func (ix *Index) AvgNeighbors() float64 {
-	defer ix.guard.view()()
-	return ix.set.Shard(0).AvgNeighbors()
+	return view(&ix.guard, func() float64 { return ix.set.Shard(0).AvgNeighbors() })
 }
 
 // String summarizes the index.

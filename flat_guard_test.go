@@ -71,16 +71,14 @@ func TestCloseAndDropCacheRefuseInFlightQueries(t *testing.T) {
 
 	// Deterministic refusal: with a query provably in flight, both
 	// maintenance operations return ErrBusy.
-	if err := ix.guard.enter(); err != nil {
-		t.Fatal(err)
-	}
+	release := parkQuery(t, &ix.guard)
 	if err := ix.Close(); !errors.Is(err, ErrBusy) {
 		t.Errorf("Close with query in flight: %v, want ErrBusy", err)
 	}
 	if err := ix.DropCache(); !errors.Is(err, ErrBusy) {
 		t.Errorf("DropCache with query in flight: %v, want ErrBusy", err)
 	}
-	ix.guard.exit()
+	release()
 
 	if err := ix.Close(); err != nil {
 		t.Fatalf("Close after drain: %v", err)
@@ -195,31 +193,15 @@ func TestShardedCloseGuard(t *testing.T) {
 	}
 	q := queryWorkload(r, 1)[0]
 
-	release := make(chan struct{})
-	started := make(chan struct{})
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		// Hold a query open across the maintenance attempts below by
-		// entering through the public API from this goroutine.
-		if err := sx.guard.enter(); err != nil {
-			t.Error(err)
-			return
-		}
-		close(started)
-		<-release
-		sx.guard.exit()
-	}()
-	<-started
+	// Hold a query open across the maintenance attempts below.
+	release := parkQuery(t, &sx.guard)
 	if err := sx.Close(); !errors.Is(err, ErrBusy) {
 		t.Errorf("Close with query in flight: %v, want ErrBusy", err)
 	}
 	if err := sx.DropCache(); !errors.Is(err, ErrBusy) {
 		t.Errorf("DropCache with query in flight: %v, want ErrBusy", err)
 	}
-	close(release)
-	wg.Wait()
+	release()
 	if err := sx.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -229,4 +211,105 @@ func TestShardedCloseGuard(t *testing.T) {
 	if _, err := sx.BatchRangeQuery(context.Background(), []MBR{q}, 2); !errors.Is(err, ErrClosed) {
 		t.Errorf("batch after Close: %v, want ErrClosed", err)
 	}
+}
+
+// parkQuery holds g's query side from another goroutine, as an
+// in-flight query would, until the returned func is called; that func
+// returns once the guard is free again.
+func parkQuery(t *testing.T, g *queryGuard) (release func()) {
+	t.Helper()
+	parked, unpark, done := make(chan struct{}), make(chan struct{}), make(chan error, 1)
+	go func() {
+		done <- g.query(func() error {
+			close(parked)
+			<-unpark
+			return nil
+		})
+	}()
+	select {
+	case <-parked:
+	case err := <-done:
+		t.Fatalf("query did not park: %v", err)
+	}
+	return func() {
+		close(unpark)
+		if err := <-done; err != nil {
+			t.Errorf("parked query: %v", err)
+		}
+	}
+}
+
+// mustPanic runs fn and fails the test unless it panics.
+func mustPanic(t *testing.T, what string, fn func()) {
+	t.Helper()
+	defer func() {
+		if recover() == nil {
+			t.Errorf("%s: fn's panic did not propagate", what)
+		}
+	}()
+	fn()
+}
+
+// TestGuardReleasesByConstruction pins the contract the closure API gives
+// for free: every side is released when fn returns — or panics — and a
+// refused acquire never runs fn.
+func TestGuardReleasesByConstruction(t *testing.T) {
+	ran := func(ok *bool) func() error { return func() error { *ok = true; return nil } }
+
+	t.Run("panic leaves the guard free", func(t *testing.T) {
+		var g queryGuard
+		mustPanic(t, "query", func() { _ = g.query(func() error { panic("boom") }) })
+		mustPanic(t, "view", func() { view(&g, func() int { panic("boom") }) })
+		// Had either leaked its read side, this TryLock would lose.
+		var ok bool
+		if err := g.maintain(ran(&ok)); err != nil || !ok {
+			t.Fatalf("maintain after panicking query/view: err %v, ran %v", err, ok)
+		}
+		mustPanic(t, "maintain", func() { _ = g.maintain(func() error { panic("boom") }) })
+		// Had maintain leaked the write side, this RLock would block and
+		// a second maintain would report ErrBusy.
+		ok = false
+		if err := g.query(ran(&ok)); err != nil || !ok {
+			t.Fatalf("query after panicking maintain: err %v, ran %v", err, ok)
+		}
+		if err := g.maintain(ran(&ok)); err != nil {
+			t.Fatalf("maintain after panicking maintain: %v", err)
+		}
+	})
+
+	t.Run("closed guard runs nothing", func(t *testing.T) {
+		var g queryGuard
+		if err := g.shutdown(); err != nil {
+			t.Fatal(err)
+		}
+		var ok bool
+		if err := g.query(ran(&ok)); !errors.Is(err, ErrClosed) || ok {
+			t.Errorf("query on closed guard: err %v, ran %v", err, ok)
+		}
+		if err := g.maintain(ran(&ok)); !errors.Is(err, ErrClosed) || ok {
+			t.Errorf("maintain on closed guard: err %v, ran %v", err, ok)
+		}
+		if got := view(&g, func() int { return 7 }); got != 7 {
+			t.Errorf("view on closed guard = %d, want fn's 7: accessors outlive Close", got)
+		}
+	})
+
+	t.Run("maintain is busy while a query is parked", func(t *testing.T) {
+		var g queryGuard
+		release := parkQuery(t, &g)
+		var ok bool
+		if err := g.maintain(ran(&ok)); !errors.Is(err, ErrBusy) || ok {
+			t.Errorf("maintain beside a parked query: err %v, ran %v", err, ok)
+		}
+		if err := g.shutdown(); !errors.Is(err, ErrBusy) {
+			t.Errorf("shutdown beside a parked query: %v, want ErrBusy", err)
+		}
+		if err := g.query(ran(&ok)); err != nil || !ok {
+			t.Errorf("second query beside a parked one: err %v, ran %v", err, ok)
+		}
+		release()
+		if err := g.maintain(ran(&ok)); err != nil {
+			t.Errorf("maintain after the query drained: %v", err)
+		}
+	})
 }

@@ -13,63 +13,65 @@ var ErrBusy = errors.New("flat: queries in flight")
 // successful Close.
 var ErrClosed = errors.New("flat: index is closed")
 
-// queryGuard serializes maintenance operations (Close, DropCache)
-// against in-flight queries. Queries hold the read side for their whole
-// execution; maintenance try-locks the write side and reports ErrBusy
-// instead of blocking — or racing — when queries are running. This is
-// what turns the documented "do not call Close/DropCache concurrently
-// with queries" footgun into a hard error.
+// queryGuard serializes maintenance operations (Close, DropCache,
+// Rebuild) against in-flight queries. Queries hold the read side for
+// their whole execution; maintenance try-locks the write side and
+// reports ErrBusy instead of blocking — or racing — when queries are
+// running. This is what turns the documented "do not call
+// Close/DropCache concurrently with queries" footgun into a hard error.
+//
+// Every side is taken by passing a closure: the guard locks, runs fn and
+// unlocks in a defer of the same function, so an acquire without its
+// release cannot be written — on any return path, or when fn panics.
 type queryGuard struct {
 	mu     sync.RWMutex
 	closed bool // guarded by mu
 }
 
-// enter marks a query as in flight. The caller must pair it with exit.
-func (g *queryGuard) enter() error {
+// query runs fn as an in-flight query: the read side is held for
+// exactly fn's duration. On a closed guard it returns ErrClosed and fn
+// does not run.
+func (g *queryGuard) query(fn func() error) error {
 	g.mu.RLock()
+	defer g.mu.RUnlock()
 	if g.closed {
-		g.mu.RUnlock()
 		return ErrClosed
 	}
-	return nil
+	return fn()
 }
 
-// exit marks the query finished.
-func (g *queryGuard) exit() { g.mu.RUnlock() }
-
-// view takes the read side for a plain accessor (Len, Bounds, ...) and
-// returns the release func. Unlike enter it never rejects: accessors
-// only read immutable in-memory state, so they stay valid after Close —
-// but they must still serialize against in-flight maintenance (Rebuild
-// swaps the state they read), which holding the read side does.
-// Accessors hold the lock for nanoseconds, but like queries they can
-// make a concurrent maintenance TryLock lose its instant and report
-// ErrBusy; a caller polling accessors in a tight loop should expect to
-// retry Rebuild/DropCache, exactly as it would under query load.
-func (g *queryGuard) view() func() {
+// view runs fn under the read side for a plain accessor (Len, Bounds,
+// ...). Unlike query it never rejects: accessors only read immutable
+// in-memory state, so they stay valid after Close — but they must still
+// serialize against in-flight maintenance (Rebuild swaps the state they
+// read, so anything reached through a shard is dereferenced inside fn),
+// which holding the read side does. Accessors hold the lock for
+// nanoseconds, but like queries they can make a concurrent maintenance
+// TryLock lose its instant and report ErrBusy; a caller polling
+// accessors in a tight loop should expect to retry Rebuild/DropCache,
+// exactly as it would under query load.
+func view[T any](g *queryGuard, fn func() T) T {
 	g.mu.RLock()
-	return g.mu.RUnlock
+	defer g.mu.RUnlock()
+	return fn()
 }
 
-// maintain acquires the exclusive side for a maintenance operation, or
-// fails with ErrBusy (queries running) / ErrClosed (already closed).
-// The caller must pair a nil return with release.
-func (g *queryGuard) maintain() error {
+// maintain runs fn as a maintenance operation holding the exclusive
+// side, or fails — without running fn — with ErrBusy (queries running)
+// or ErrClosed (already closed).
+func (g *queryGuard) maintain(fn func() error) error {
 	if !g.mu.TryLock() {
 		return ErrBusy
 	}
+	defer g.mu.Unlock()
 	if g.closed {
-		g.mu.Unlock()
 		return ErrClosed
 	}
-	return nil
+	return fn()
 }
 
-// release ends a maintenance operation started with maintain.
-func (g *queryGuard) release() { g.mu.Unlock() }
-
 // shutdown is maintain that also transitions to the closed state; every
-// later enter/maintain returns ErrClosed. A second shutdown reports
+// later query/maintain returns ErrClosed. A second shutdown reports
 // ErrClosed so Close is effectively idempotent-with-error.
 func (g *queryGuard) shutdown() error {
 	if !g.mu.TryLock() {

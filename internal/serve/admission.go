@@ -10,9 +10,9 @@ package serve
 // predictable (the client sees busy and can back off or hedge) instead
 // of building an invisible convoy.
 //
-// The contract — every tryAcquire that returns true is paired with
-// exactly one release on every return path — is enforced statically by
-// flatlint's admitrelease analyzer over this package.
+// The only way to hold a slot is run, which releases it in a defer of
+// the same function: a slot cannot outlive the query it admitted, on
+// any return path or through a panic.
 type admission struct {
 	slots chan struct{}
 }
@@ -21,19 +21,19 @@ func newAdmission(n int) *admission {
 	return &admission{slots: make(chan struct{}, n)}
 }
 
-// tryAcquire claims a slot without blocking; false means the budget is
-// exhausted and the caller must reject the query.
-func (a *admission) tryAcquire() bool {
+// run claims a slot without blocking and holds it for exactly fn's
+// duration; false means the budget is exhausted, fn did not run and the
+// caller must reject the query.
+func (a *admission) run(fn func()) bool {
 	select {
 	case a.slots <- struct{}{}:
-		return true
 	default:
 		return false
 	}
+	defer func() { <-a.slots }()
+	fn()
+	return true
 }
-
-// release returns a slot claimed by tryAcquire.
-func (a *admission) release() { <-a.slots }
 
 // inflight reports the number of slots currently held.
 func (a *admission) inflight() int { return len(a.slots) }

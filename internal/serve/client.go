@@ -221,10 +221,12 @@ type QueryOptions struct {
 	Limit int
 }
 
-func (c *Client) sendQuery(kind byte, box flat.MBR, o QueryOptions) (uint32, chan respFrame, error) {
+// sendQuery sends one msgQuery of the given kind and returns the Stream
+// its response frames arrive on.
+func (c *Client) sendQuery(ctx context.Context, kind byte, box flat.MBR, o QueryOptions) (*Stream, error) {
 	id, ch, err := c.register()
 	if err != nil {
-		return 0, nil, err
+		return nil, err
 	}
 	body := make([]byte, 4+1+48+4+1)
 	putU32(body, id)
@@ -234,20 +236,16 @@ func (c *Client) sendQuery(kind byte, box flat.MBR, o QueryOptions) (uint32, cha
 	body[57] = 0 // flags, reserved
 	if err := c.send(msgQuery, body); err != nil {
 		c.unregister(id)
-		return 0, nil, err
+		return nil, err
 	}
-	return id, ch, nil
+	return &Stream{c: c, ctx: ctx, id: id, ch: ch}, nil
 }
 
 // Range starts a streaming range query. Results arrive incrementally
 // through the returned Stream; an admission rejection surfaces as
 // flat.ErrBusy on the first Next (or from All's error position).
 func (c *Client) Range(ctx context.Context, box flat.MBR, o QueryOptions) (*Stream, error) {
-	id, ch, err := c.sendQuery(kindRange, box, o)
-	if err != nil {
-		return nil, err
-	}
-	return &Stream{c: c, ctx: ctx, id: id, ch: ch}, nil
+	return c.sendQuery(ctx, kindRange, box, o)
 }
 
 // NN starts a streaming k-nearest-neighbor query: the k indexed
@@ -280,38 +278,18 @@ func (c *Client) NN(ctx context.Context, p flat.Vec3, k int) (*Stream, error) {
 }
 
 // Count runs a count query: the crawl happens server-side, only the
-// count and its page-read stats travel back.
+// count and its page-read stats travel back — a Stream whose first
+// frame is its terminator.
 func (c *Client) Count(ctx context.Context, box flat.MBR, o QueryOptions) (uint64, flat.QueryStats, error) {
-	id, ch, err := c.sendQuery(kindCount, box, o)
+	s, err := c.sendQuery(ctx, kindCount, box, o)
 	if err != nil {
 		return 0, flat.QueryStats{}, err
 	}
-	defer c.unregister(id)
-	select {
-	case fr, ok := <-ch:
-		if !ok {
-			return 0, flat.QueryStats{}, c.connErr()
-		}
-		switch fr.typ {
-		case msgDone:
-			if len(fr.body) < 8+48 {
-				return 0, flat.QueryStats{}, errShortFrame
-			}
-			st := getQueryStats(fr.body[8:])
-			n := getU64(fr.body)
-			st.Results = int(n)
-			return n, st, nil
-		case msgErr:
-			//lint:ignore statsonerr the crawl ran server-side; its stats travel only in the done frame, so there are no partial stats here
-			return 0, flat.QueryStats{}, decodeErr(fr.body)
-		}
-		//lint:ignore statsonerr the crawl ran server-side; its stats travel only in the done frame, so there are no partial stats here
-		return 0, flat.QueryStats{}, fmt.Errorf("flatserve: unexpected frame type 0x%02x", fr.typ)
-	case <-ctx.Done():
-		c.cancel(id)
-		//lint:ignore statsonerr the crawl ran server-side; its stats travel only in the done frame, so there are no partial stats here
-		return 0, flat.QueryStats{}, ctx.Err()
+	if _, ok := s.Next(); ok { // a count query carries no element frames
+		s.Cancel()
+		s.abandon(fmt.Errorf("flatserve: unexpected frame type 0x%02x", msgElems))
 	}
+	return s.count, s.stats, s.err
 }
 
 // Insert stages elements into the sharded index's delta and flushes

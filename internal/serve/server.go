@@ -412,8 +412,8 @@ func (sc *srvConn) startNN(reqID uint32, body []byte) {
 // per-connection multiplex cap, cancellable registration, then the
 // global slot — and executes run on its own
 // goroutine, so the read loop stays responsive to Cancel frames while
-// the traversal streams. Admission and registration both happen in one
-// lexical scope with their releases.
+// the traversal streams. The registration is undone in a defer of that
+// goroutine; the slot is held by adm.run for exactly run's duration.
 func (sc *srvConn) admit(reqID uint32, run func(qctx context.Context)) {
 	if sc.s.draining.Load() {
 		sc.writeErr(reqID, ErrShuttingDown)
@@ -452,13 +452,10 @@ func (sc *srvConn) admit(reqID uint32, run func(qctx context.Context)) {
 			sc.mu.Unlock()
 			qcancel()
 		}()
-		if !sc.s.adm.tryAcquire() {
+		if !sc.s.adm.run(func() { run(qctx) }) {
 			sc.s.rejected.Add(1)
 			sc.writeErr(reqID, fmt.Errorf("server at max in-flight queries (%d): %w", sc.s.adm.capacity(), flat.ErrBusy))
-			return
 		}
-		defer sc.s.adm.release()
-		run(qctx)
 	}()
 }
 

@@ -591,7 +591,7 @@ func TestFailedBuildCleansUp(t *testing.T) {
 		r := rand.New(rand.NewSource(45))
 		els := randomElements(r, 200)
 		dir := filepath.Join(t.TempDir(), "idx")
-		_, err := Build(els, Config{Shards: k, PageCapacity: 100000, Dir: dir, BuildWorkers: k})
+		_, err := Build(els, Config{Shards: k, PageCapacity: 100000, Dir: dir})
 		if err == nil {
 			t.Fatalf("K=%d: build with absurd page capacity should fail", k)
 		}

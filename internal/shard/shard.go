@@ -90,9 +90,6 @@ type Config struct {
 	// (<= 0: unbounded). The budget is global: K shards together hold at
 	// most this many cached frames.
 	BufferPages int
-	// BuildWorkers bounds the number of shards bulkloaded concurrently
-	// (<= 0: GOMAXPROCS).
-	BuildWorkers int
 	// WAL enables the write-ahead log of the staged-update write path
 	// (requires Dir): every StageInsert/StageDelete is appended to a log
 	// in the index directory before it mutates memory, and reopening the
@@ -250,7 +247,7 @@ func Build(els []geom.Element, cfg Config) (*Set, error) {
 	}
 
 	built := make([]*core.Index, k)
-	err = RunBatch(context.Background(), k, cfg.BuildWorkers, func(s int) (err error) {
+	err = RunBatch(context.Background(), k, 0, func(s int) (err error) {
 		built[s], err = bulkload(pagers[s], s, groups[s], core.Options{
 			PageCapacity: cfg.PageCapacity,
 			SeedFanout:   cfg.SeedFanout,

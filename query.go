@@ -128,43 +128,39 @@ type BatchResult struct {
 // workers from starting further queries and aborts the in-flight
 // crawls, and the batch returns ctx.Err(). The batch holds the query
 // guard once for its whole duration.
-func (b *base) BatchRangeQuery(ctx context.Context, queries []MBR, workers int) ([]BatchResult, error) {
-	if err := b.guard.enter(); err != nil {
-		return nil, err
-	}
-	defer b.guard.exit()
-	out := make([]BatchResult, len(queries))
-	err := shard.RunBatch(ctx, len(queries), workers, func(i int) error {
-		var els []Element
-		st, err := b.set.StreamQuery(ctx, queries[i], shard.StreamOptions{}, func(e Element) bool {
-			els = append(els, e)
-			return true
+func (b *base) BatchRangeQuery(ctx context.Context, queries []MBR, workers int) (out []BatchResult, err error) {
+	err = b.guard.query(func() error {
+		out = make([]BatchResult, len(queries))
+		return shard.RunBatch(ctx, len(queries), workers, func(i int) error {
+			var els []Element
+			st, err := b.set.StreamQuery(ctx, queries[i], shard.StreamOptions{}, func(e Element) bool {
+				els = append(els, e)
+				return true
+			})
+			if err != nil {
+				els = nil
+			}
+			out[i] = BatchResult{Elements: els, Stats: st}
+			return err
 		})
-		if err != nil {
-			els = nil
-		}
-		out[i] = BatchResult{Elements: els, Stats: st}
-		return err
 	})
 	return out, err
 }
 
 // BatchCountQuery is BatchRangeQuery without materializing result
 // elements: it returns each query's hit count and stats in input order.
-func (b *base) BatchCountQuery(ctx context.Context, queries []MBR, workers int) ([]int, []QueryStats, error) {
-	if err := b.guard.enter(); err != nil {
-		return nil, nil, err
-	}
-	defer b.guard.exit()
-	counts := make([]int, len(queries))
-	stats := make([]QueryStats, len(queries))
-	err := shard.RunBatch(ctx, len(queries), workers, func(i int) error {
-		st, err := b.set.StreamQuery(ctx, queries[i], shard.StreamOptions{}, func(Element) bool { return true })
-		if err == nil {
-			counts[i] = st.Results
-		}
-		stats[i] = st
-		return err
+func (b *base) BatchCountQuery(ctx context.Context, queries []MBR, workers int) (counts []int, stats []QueryStats, err error) {
+	err = b.guard.query(func() error {
+		counts = make([]int, len(queries))
+		stats = make([]QueryStats, len(queries))
+		return shard.RunBatch(ctx, len(queries), workers, func(i int) error {
+			st, err := b.set.StreamQuery(ctx, queries[i], shard.StreamOptions{}, func(Element) bool { return true })
+			if err == nil {
+				counts[i] = st.Results
+			}
+			stats[i] = st
+			return err
+		})
 	})
 	return counts, stats, err
 }
@@ -218,10 +214,12 @@ func (r *Results) run(emit func(Element) bool) (QueryStats, error) {
 
 // All returns the session's element stream as a range-able iterator.
 // The yielded error is non-nil only on the terminal pair: a page-read
-// failure or, when the session's context is cancelled mid-crawl, the
-// context's error. The index's query guard is held for exactly the
-// duration of the iteration, so Close and DropCache report ErrBusy
-// while a session is being drained — never while one is merely held.
+// failure, the context's error when the session's context is cancelled
+// mid-crawl, or ErrClosed. The index's query guard is held for exactly
+// the executor's run — every element is yielded from inside it — so
+// Close and DropCache report ErrBusy while a session is being drained,
+// never while one is merely held. The terminal error pair is yielded
+// after the guard is released: a caller may Close from that loop body.
 func (r *Results) All() iter.Seq2[Element, error] {
 	return func(yield func(Element, error) bool) {
 		if r.started {
@@ -229,23 +227,20 @@ func (r *Results) All() iter.Seq2[Element, error] {
 			return
 		}
 		r.started = true
-		if err := r.b.guard.enter(); err != nil {
-			r.err = err
-			yield(Element{}, err)
-			return
-		}
-		defer r.b.guard.exit()
-		// Each element is yielded from inside the executor's emit
-		// callback, on this goroutine.
-		n := 0
 		abandoned := false
-		r.stats, r.err = r.run(func(e Element) bool {
-			if !yield(e, nil) {
-				abandoned = true
-				return false
-			}
-			n++
-			return r.cfg.limit <= 0 || n < r.cfg.limit
+		r.err = r.b.guard.query(func() (err error) {
+			// Each element is yielded from inside the executor's emit
+			// callback, on this goroutine.
+			n := 0
+			r.stats, err = r.run(func(e Element) bool {
+				if !yield(e, nil) {
+					abandoned = true
+					return false
+				}
+				n++
+				return r.cfg.limit <= 0 || n < r.cfg.limit
+			})
+			return err
 		})
 		if r.err != nil && !abandoned {
 			yield(Element{}, r.err)

@@ -30,9 +30,6 @@ type ShardedOptions struct {
 	// (<= 0: unbounded). The budget is global across shards, so K
 	// shards never hold more cache memory than one index would.
 	BufferPages int
-	// BuildWorkers bounds how many shards are bulkloaded concurrently
-	// (<= 0: GOMAXPROCS).
-	BuildWorkers int
 	// PageFormat selects every shard's object-page layout (zero:
 	// PageFormatV1), as Options.PageFormat. The format is recorded per
 	// shard (manifest and superblock) and preserved by Rebuild, so
@@ -101,7 +98,6 @@ func BuildSharded(els []Element, opts *ShardedOptions) (*ShardedIndex, error) {
 		World:        o.World,
 		Dir:          o.Dir,
 		BufferPages:  o.BufferPages,
-		BuildWorkers: o.BuildWorkers,
 		WAL:          o.WAL,
 	})
 	if err != nil {
@@ -154,15 +150,13 @@ func OpenShardedWithOptions(dir string, opts *ShardedOptions) (*ShardedIndex, er
 // Safe to call concurrently with queries; like them it returns
 // ErrClosed after Close.
 func (sx *ShardedIndex) StageInsert(els ...Element) error {
-	if err := sx.guard.enter(); err != nil {
-		return err
-	}
-	defer sx.guard.exit()
-	if err := sx.set.StageInsert(els...); err != nil {
-		return err
-	}
-	sx.kickCompactor()
-	return nil
+	return sx.guard.query(func() error {
+		if err := sx.set.StageInsert(els...); err != nil {
+			return err
+		}
+		sx.kickCompactor()
+		return nil
+	})
 }
 
 // StageDelete stages the removal of the element with the given id and
@@ -173,15 +167,13 @@ func (sx *ShardedIndex) StageInsert(els ...Element) error {
 // Deleting a non-existent element is a harmless no-op. Safe to call
 // concurrently with queries.
 func (sx *ShardedIndex) StageDelete(id uint64, box MBR) error {
-	if err := sx.guard.enter(); err != nil {
-		return err
-	}
-	defer sx.guard.exit()
-	if err := sx.set.StageDelete(id, box); err != nil {
-		return err
-	}
-	sx.kickCompactor()
-	return nil
+	return sx.guard.query(func() error {
+		if err := sx.set.StageDelete(id, box); err != nil {
+			return err
+		}
+		sx.kickCompactor()
+		return nil
+	})
 }
 
 // Flush fsyncs the write-ahead log, making every staged update issued
@@ -191,11 +183,7 @@ func (sx *ShardedIndex) StageDelete(id uint64, box MBR) error {
 // call concurrently with queries and staging; returns ErrClosed after
 // Close.
 func (sx *ShardedIndex) Flush() error {
-	if err := sx.guard.enter(); err != nil {
-		return err
-	}
-	defer sx.guard.exit()
-	return sx.set.Flush()
+	return sx.guard.query(sx.set.Flush)
 }
 
 // DeltaStats sizes the staged-update delta of a ShardedIndex: the
@@ -213,34 +201,33 @@ type ShardDeltaStats = shard.ShardDeltaStats
 // without one), and a per-shard breakdown of staged inserts against
 // bulkloaded size — the ratio AutoCompact's DirtyRatio trigger watches.
 // Safe to call concurrently with queries and staging.
-func (sx *ShardedIndex) DeltaStats() (DeltaStats, error) {
-	if err := sx.guard.enter(); err != nil {
-		return DeltaStats{}, err
-	}
-	defer sx.guard.exit()
-	return sx.set.DeltaStats(), nil
+func (sx *ShardedIndex) DeltaStats() (st DeltaStats, err error) {
+	err = sx.guard.query(func() error {
+		st = sx.set.DeltaStats()
+		return nil
+	})
+	return st, err
 }
 
 // Pending returns the number of staged inserts and deletes awaiting the
 // next Rebuild.
 func (sx *ShardedIndex) Pending() (inserts, deletes int, err error) {
-	if err := sx.guard.enter(); err != nil {
-		return 0, 0, err
-	}
-	defer sx.guard.exit()
-	inserts, deletes = sx.set.Pending()
-	return inserts, deletes, nil
+	err = sx.guard.query(func() error {
+		inserts, deletes = sx.set.Pending()
+		return nil
+	})
+	return inserts, deletes, err
 }
 
 // DirtyShards returns the shards the staged updates may touch — the
 // candidates the next Rebuild will examine, in shard order; candidates
 // whose contents turn out unchanged are skipped by the rebuild.
-func (sx *ShardedIndex) DirtyShards() ([]int, error) {
-	if err := sx.guard.enter(); err != nil {
-		return nil, err
-	}
-	defer sx.guard.exit()
-	return sx.set.DirtyShards(), nil
+func (sx *ShardedIndex) DirtyShards() (dirty []int, err error) {
+	err = sx.guard.query(func() error {
+		dirty = sx.set.DirtyShards()
+		return nil
+	})
+	return dirty, err
 }
 
 // Rebuild folds the staged updates in by re-bulkloading only the dirty
@@ -255,12 +242,12 @@ func (sx *ShardedIndex) DirtyShards() ([]int, error) {
 // queries are in flight it returns ErrBusy and changes nothing, and
 // after Close it returns ErrClosed. On failure the staged updates stay
 // staged and the index keeps serving its previous state.
-func (sx *ShardedIndex) Rebuild() ([]int, error) {
-	if err := sx.guard.maintain(); err != nil {
-		return nil, err
-	}
-	defer sx.guard.release()
-	return sx.set.Rebuild()
+func (sx *ShardedIndex) Rebuild() (rebuilt []int, err error) {
+	err = sx.guard.maintain(func() error {
+		rebuilt, err = sx.set.Rebuild()
+		return err
+	})
+	return rebuilt, err
 }
 
 // The shard accessors below hold the guard's view side, like the ones
@@ -270,23 +257,23 @@ func (sx *ShardedIndex) Rebuild() ([]int, error) {
 // times the shard has been rebuilt since its directory was created.
 // Memory-backed indexes always report 0.
 func (sx *ShardedIndex) ShardGeneration(i int) uint64 {
-	defer sx.guard.view()()
-	return sx.set.Generation(i)
+	return view(&sx.guard, func() uint64 { return sx.set.Generation(i) })
 }
 
 // NumShards returns K, the number of spatial shards.
-func (sx *ShardedIndex) NumShards() int { defer sx.guard.view()(); return sx.set.NumShards() }
+func (sx *ShardedIndex) NumShards() int { return view(&sx.guard, sx.set.NumShards) }
 
 // ShardBounds returns the directory entry (the data bounds) of shard i;
 // a query is routed to shard i exactly when its box intersects this.
-func (sx *ShardedIndex) ShardBounds(i int) MBR { defer sx.guard.view()(); return sx.set.ShardBounds(i) }
+func (sx *ShardedIndex) ShardBounds(i int) MBR {
+	return view(&sx.guard, func() MBR { return sx.set.ShardBounds(i) })
+}
 
 // ShardPageFormat returns the object-page layout of shard i. Shards of
 // one index usually share a format, but generations built under
 // different configurations may mix — every page decodes by its own tag.
 func (sx *ShardedIndex) ShardPageFormat(i int) PageFormat {
-	defer sx.guard.view()()
-	return sx.set.Shard(i).PageFormat()
+	return view(&sx.guard, func() PageFormat { return sx.set.Shard(i).PageFormat() })
 }
 
 // Close releases every shard's storage, stopping the background
