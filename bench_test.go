@@ -309,7 +309,6 @@ func BenchmarkFig21PartitionSize(b *testing.B) {
 		}
 	}
 	b.ReportMetric(ix.AvgNeighbors(), "avg-neighbors")
-	b.ReportMetric(ix.AvgPartitionVolume(), "avg-cell-volume")
 }
 
 // BenchmarkFig22OtherBuild measures FLAT vs PR-tree construction over a

@@ -1,11 +1,14 @@
 package flat
 
 import (
+	"context"
+	"fmt"
 	"math/rand"
 	"os"
 	"path/filepath"
 	"reflect"
 	"sort"
+	"strings"
 	"testing"
 )
 
@@ -255,6 +258,53 @@ func TestBuildThenOpen(t *testing.T) {
 	}
 	if _, err := os.Stat(bad); !os.IsNotExist(err) {
 		t.Errorf("failed Build left %s behind (stat err %v)", bad, err)
+	}
+}
+
+// TestCorruptSeedNodeFailsQuery: a seed-tree internal page whose entry
+// count was overwritten (0xFFFF, far past what a page holds) fails the
+// queries that walk into it with an error naming the page; it used to
+// index past the page buffer and panic.
+func TestCorruptSeedNodeFailsQuery(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "corrupt.flat")
+	ix, err := Build(randomElements(rand.New(rand.NewSource(6)), 800), &Options{Path: path, PageCapacity: 8, SeedFanout: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ix.SeedHeight() < 2 {
+		t.Fatalf("seed height %d: no internal node to corrupt", ix.SeedHeight())
+	}
+	if err := ix.Close(); err != nil {
+		t.Fatal(err)
+	}
+	// The seed root is the last page before the superblock.
+	f, err := os.OpenFile(path, os.O_RDWR, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	info, err := f.Stat()
+	if err != nil {
+		t.Fatal(err)
+	}
+	root := info.Size()/PageSize - 2
+	if _, err := f.WriteAt([]byte{0xff, 0xff}, root*PageSize+2); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	ix, err = Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ix.Close()
+	want := fmt.Sprintf("seed page %d", root)
+	if _, _, err := ix.RangeQuery(CubeAt(V(50, 50, 50), 10)); err == nil || !strings.Contains(err.Error(), want) {
+		t.Errorf("RangeQuery over a corrupt seed root: %v, want an error naming %q", err, want)
+	}
+	if _, _, err := ix.NN(context.Background(), V(50, 50, 50), 3).Collect(); err == nil || !strings.Contains(err.Error(), want) {
+		t.Errorf("NN over a corrupt seed root: %v, want an error naming %q", err, want)
 	}
 }
 

@@ -96,10 +96,8 @@ func Build(pool storage.Pool, els []geom.Element, opts Options) (*Index, error) 
 
 	// Retain the per-partition analysis data (Figures 20 and 21).
 	ix.neighborCounts = make([]int, len(parts))
-	ix.cellVolumes = make([]float64, len(parts))
 	for i := range parts {
 		ix.neighborCounts[i] = len(neighborIdx[i])
-		ix.cellVolumes[i] = parts[i].PartitionMBR.Volume()
 	}
 	return ix, nil
 }

@@ -398,9 +398,6 @@ func TestAnalysisAccessors(t *testing.T) {
 	if ix.AvgNeighbors() <= 0 {
 		t.Error("AvgNeighbors should be positive")
 	}
-	if ix.AvgPartitionVolume() <= 0 {
-		t.Error("AvgPartitionVolume should be positive")
-	}
 	bs := ix.BuildStats()
 	if bs.Partitions != ix.NumPartitions() || bs.NeighborLinks <= 0 || bs.TotalTime <= 0 {
 		t.Errorf("BuildStats implausible: %+v", bs)

@@ -104,9 +104,8 @@ type Index struct {
 	objStart      storage.PageID // first object page (pages are contiguous per kind)
 
 	// neighborCounts[i] = number of neighbor pointers of partition i;
-	// kept for the Fig 20/21 analyses. Partition cell volumes likewise.
+	// kept for the Fig 20/21 analyses.
 	neighborCounts []int
-	cellVolumes    []float64
 
 	build BuildStats
 }
@@ -181,17 +180,4 @@ func (ix *Index) AvgNeighbors() float64 {
 		total += n
 	}
 	return float64(total) / float64(len(ix.neighborCounts))
-}
-
-// AvgPartitionVolume returns the mean partition-cell volume (Figure 21's
-// x-axis).
-func (ix *Index) AvgPartitionVolume() float64 {
-	if len(ix.cellVolumes) == 0 {
-		return 0
-	}
-	var total float64
-	for _, v := range ix.cellVolumes {
-		total += v
-	}
-	return total / float64(len(ix.cellVolumes))
 }

@@ -4,7 +4,6 @@ import (
 	"context"
 
 	"flat/internal/geom"
-	"flat/internal/rtree"
 	"flat/internal/storage"
 )
 
@@ -127,7 +126,10 @@ func (ix *Index) nnSeed(ctx context.Context, p geom.Vec3, sc *crawlScratch, loca
 			return 0, false, err
 		}
 		if it.level > 1 {
-			_, entries := rtree.DecodeNode(page)
+			entries, err := decodeSeedNode(page, it.page)
+			if err != nil {
+				return 0, false, err
+			}
 			for _, e := range entries {
 				h.Push(e.Box.DistSqToPoint(p), crawlItem{
 					kind:  itemNode,

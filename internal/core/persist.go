@@ -15,9 +15,9 @@ import (
 // restores the index header and re-tags the page categories so read
 // accounting keeps working after a restart.
 //
-// The per-partition analysis arrays (neighbor histograms, cell volumes)
-// are build-time measurement aids and are not persisted; the analysis
-// accessors return zero values on a reopened index.
+// The per-partition neighbor counts are a build-time measurement aid
+// and are not persisted; the analysis accessors return zero values on a
+// reopened index.
 
 // Superblock versions. Version 1 is the original layout and is still
 // written — byte-identically — for every v1-format index, so files

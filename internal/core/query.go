@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"fmt"
 	"sync"
 
 	"flat/internal/geom"
@@ -163,7 +164,10 @@ func (ix *Index) seed(ctx context.Context, q geom.MBR, sc *crawlScratch, local *
 			return 0, false, err
 		}
 		if it.level > 1 {
-			_, entries := rtree.DecodeNode(page)
+			entries, err := decodeSeedNode(page, it.page)
+			if err != nil {
+				return 0, false, err
+			}
 			for _, e := range entries {
 				if e.Box.Intersects(q) {
 					sc.stack = append(sc.stack, seedItem{storage.PageID(e.Ref), it.level - 1})
@@ -340,6 +344,17 @@ func (ix *Index) CrawlFrom(q geom.MBR, start RecordRef) ([]geom.Element, error) 
 	return result, err
 }
 
+// decodeSeedNode decodes the internal seed-tree node read from page id.
+// The bytes come from a shard file, so a node that does not decode fails
+// the query that walked into it, under the page's id.
+func decodeSeedNode(page []byte, id storage.PageID) ([]rtree.NodeEntry, error) {
+	_, entries, err := rtree.DecodeNode(page)
+	if err != nil {
+		return nil, fmt.Errorf("core: seed page %d: %w", id, err)
+	}
+	return entries, nil
+}
+
 // Records enumerates every metadata record in the index in on-disk
 // order (a walk of the seed tree down to its metadata pages), calling
 // fn with its ref and decoded content. Used by invariant tests and the
@@ -355,7 +370,10 @@ func (ix *Index) Records(fn func(ref RecordRef, pageMBR, partitionMBR geom.MBR, 
 			return err
 		}
 		if it.level > 1 {
-			_, entries := rtree.DecodeNode(page)
+			entries, err := decodeSeedNode(page, it.page)
+			if err != nil {
+				return err
+			}
 			for _, e := range entries {
 				stack = append(stack, seedItem{storage.PageID(e.Ref), it.level - 1})
 			}

@@ -172,7 +172,7 @@ func TestPoints(t *testing.T) {
 		t.Fatalf("count = %d", len(pts))
 	}
 	for _, p := range pts {
-		if !world.ContainsPoint(p) {
+		if !world.Contains(geom.PointBox(p)) {
 			t.Fatalf("point %v outside world", p)
 		}
 	}

@@ -20,6 +20,7 @@ import (
 const (
 	fileMagic   = "FLTE"
 	fileVersion = 1
+	elementSize = 8 + 6*8
 )
 
 // WriteElements serializes els to w.
@@ -82,30 +83,21 @@ func ReadElements(r io.Reader) ([]geom.Element, error) {
 	if count > maxElements {
 		return nil, fmt.Errorf("datagen: implausible element count %d", count)
 	}
-	els := make([]geom.Element, count)
-	readF := func() (float64, error) {
-		if _, err := io.ReadFull(br, u64[:]); err != nil {
-			return 0, err
+	// The count is a claim, not yet a fact: memory is committed only as
+	// elements are actually read (append grows past the first chunk), so
+	// a 16-byte header cannot ask for gigabytes.
+	const chunk = 1 << 16
+	els := make([]geom.Element, 0, min(count, chunk))
+	var rec [elementSize]byte
+	f := func(j int) float64 { return math.Float64frombits(binary.LittleEndian.Uint64(rec[8+8*j:])) }
+	for i := uint64(0); i < count; i++ {
+		if _, err := io.ReadFull(br, rec[:]); err != nil {
+			return nil, fmt.Errorf("datagen: element %d of %d: %w", i, count, err)
 		}
-		return math.Float64frombits(binary.LittleEndian.Uint64(u64[:])), nil
-	}
-	for i := range els {
-		if _, err := io.ReadFull(br, u64[:]); err != nil {
-			return nil, fmt.Errorf("datagen: element %d: %w", i, err)
-		}
-		els[i].ID = binary.LittleEndian.Uint64(u64[:])
-		var fs [6]float64
-		for j := range fs {
-			f, err := readF()
-			if err != nil {
-				return nil, fmt.Errorf("datagen: element %d: %w", i, err)
-			}
-			fs[j] = f
-		}
-		els[i].Box = geom.MBR{
-			Min: geom.V(fs[0], fs[1], fs[2]),
-			Max: geom.V(fs[3], fs[4], fs[5]),
-		}
+		els = append(els, geom.Element{
+			ID:  binary.LittleEndian.Uint64(rec[:]),
+			Box: geom.MBR{Min: geom.V(f(0), f(1), f(2)), Max: geom.V(f(3), f(4), f(5))},
+		})
 	}
 	return els, nil
 }

@@ -2,7 +2,11 @@ package datagen
 
 import (
 	"bytes"
+	"encoding/binary"
+	"errors"
+	"io"
 	"path/filepath"
+	"runtime"
 	"testing"
 
 	"flat/internal/geom"
@@ -58,6 +62,21 @@ func TestElementsIOBadInput(t *testing.T) {
 	trunc := buf.Bytes()[:buf.Len()-20]
 	if _, err := ReadElements(bytes.NewReader(trunc)); err == nil {
 		t.Error("truncated input accepted")
+	}
+	// A header claiming 2^31 elements over a 3-element body is a
+	// truncated file, found after reading three elements — not a 120 GB
+	// allocation made on the header's word.
+	claim := append([]byte(nil), buf.Bytes()[:16+3*elementSize]...)
+	binary.LittleEndian.PutUint64(claim[8:], 1<<31)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := ReadElements(bytes.NewReader(claim))
+	runtime.ReadMemStats(&after)
+	if !errors.Is(err, io.ErrUnexpectedEOF) && !errors.Is(err, io.EOF) {
+		t.Errorf("2^31 claimed elements over a 3-element body: %v, want a truncation error", err)
+	}
+	if grew := after.TotalAlloc - before.TotalAlloc; grew > 16<<20 {
+		t.Errorf("reading a 3-element body allocated %d bytes", grew)
 	}
 }
 

@@ -93,13 +93,6 @@ func (m MBR) Contains(o MBR) bool {
 		m.Min.Z <= o.Min.Z && o.Max.Z <= m.Max.Z
 }
 
-// ContainsPoint reports whether p lies inside m (boundaries included).
-func (m MBR) ContainsPoint(p Vec3) bool {
-	return m.Min.X <= p.X && p.X <= m.Max.X &&
-		m.Min.Y <= p.Y && p.Y <= m.Max.Y &&
-		m.Min.Z <= p.Z && p.Z <= m.Max.Z
-}
-
 // Union returns the smallest MBR containing both m and o.
 func (m MBR) Union(o MBR) MBR {
 	if m.Empty() {

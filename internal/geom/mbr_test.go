@@ -82,10 +82,10 @@ func TestContains(t *testing.T) {
 	if !outer.Contains(outer) {
 		t.Error("box should contain itself")
 	}
-	if !outer.ContainsPoint(V(10, 10, 10)) {
+	if !outer.Contains(PointBox(V(10, 10, 10))) {
 		t.Error("boundary point should be contained")
 	}
-	if outer.ContainsPoint(V(10.0001, 10, 10)) {
+	if outer.Contains(PointBox(V(10.0001, 10, 10))) {
 		t.Error("outside point contained")
 	}
 }
@@ -205,10 +205,10 @@ func TestDistProperties(t *testing.T) {
 		b := randBox(r)
 		p := V(r.Float64()*140-70, r.Float64()*140-70, r.Float64()*140-70)
 		clamped := p.Max(b.Min).Min(b.Max)
-		if !almostEq(b.DistSqToPoint(p), p.Sub(clamped).Len2()) {
+		if d := p.Sub(clamped); !almostEq(b.DistSqToPoint(p), d.Dot(d)) {
 			t.Fatal("DistSqToPoint disagrees with clamp")
 		}
-		if (b.DistSqToPoint(p) == 0) != b.ContainsPoint(p) {
+		if (b.DistSqToPoint(p) == 0) != b.Contains(PointBox(p)) {
 			t.Fatal("zero distance inconsistent with containment")
 		}
 		o := randBox(r)
@@ -227,7 +227,7 @@ func TestBoxQuick(t *testing.T) {
 	f := func(ax, ay, az, bx, by, bz float64) bool {
 		a, b := V(ax, ay, az), V(bx, by, bz)
 		box := Box(a, b)
-		return box.ContainsPoint(a) && box.ContainsPoint(b) && box.Volume() >= 0
+		return box.Contains(PointBox(a)) && box.Contains(PointBox(b)) && box.Volume() >= 0
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Error(err)
@@ -240,7 +240,7 @@ func TestCenterInsideQuick(t *testing.T) {
 	r := rand.New(rand.NewSource(4))
 	for i := 0; i < 1000; i++ {
 		b := randBox(r)
-		if !b.ContainsPoint(b.Center()) {
+		if !b.Contains(PointBox(b.Center())) {
 			t.Fatal("center not contained")
 		}
 		s := b.Size()

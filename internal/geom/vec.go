@@ -47,9 +47,6 @@ func (v Vec3) Cross(w Vec3) Vec3 {
 // Len returns the Euclidean length of v.
 func (v Vec3) Len() float64 { return math.Sqrt(v.Dot(v)) }
 
-// Len2 returns the squared Euclidean length of v.
-func (v Vec3) Len2() float64 { return v.Dot(v) }
-
 // Normalize returns v scaled to unit length. The zero vector is returned
 // unchanged.
 func (v Vec3) Normalize() Vec3 {

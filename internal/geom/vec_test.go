@@ -55,9 +55,6 @@ func TestVecLenNormalize(t *testing.T) {
 	if !almostEq(v.Len(), 5) {
 		t.Errorf("Len = %v, want 5", v.Len())
 	}
-	if !almostEq(v.Len2(), 25) {
-		t.Errorf("Len2 = %v, want 25", v.Len2())
-	}
 	n := v.Normalize()
 	if !almostEq(n.Len(), 1) {
 		t.Errorf("Normalize length = %v", n.Len())

@@ -37,7 +37,7 @@ func TestSegmentsStayNearVolume(t *testing.T) {
 	// may stick out by at most the radius (~1.2 µm).
 	grown := m.Volume.Expand(3)
 	for i, c := range m.Cylinders {
-		if !m.Volume.ContainsPoint(c.A) || !m.Volume.ContainsPoint(c.B) {
+		if !m.Volume.Contains(geom.PointBox(c.A)) || !m.Volume.Contains(geom.PointBox(c.B)) {
 			t.Fatalf("segment %d endpoint outside volume: %v %v", i, c.A, c.B)
 		}
 		if !grown.Contains(m.Elements[i].Box) {
@@ -179,7 +179,7 @@ func TestFiberPoints(t *testing.T) {
 		t.Fatalf("neuron 0 has only %d fiber points", len(pts))
 	}
 	for _, p := range pts {
-		if !m.Volume.ContainsPoint(p) {
+		if !m.Volume.Contains(geom.PointBox(p)) {
 			t.Fatalf("fiber point %v outside volume", p)
 		}
 	}

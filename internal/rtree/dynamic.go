@@ -33,33 +33,6 @@ func NewDynTree(pool storage.Pool, cfg Config) *DynTree {
 	return &DynTree{pool: pool, cfg: cfg.withDefaults(), root: storage.InvalidPage}
 }
 
-// Len returns the number of inserted elements.
-func (t *DynTree) Len() int { return t.count }
-
-// Reset empties the tree for a new epoch while keeping its pool. When
-// the pool's backing pager supports Truncate (MemPager does), the page
-// slabs are retained and reused by the next build — the staged-delta
-// trees cycle through stage→rebuild→stage and would otherwise
-// re-allocate their whole node memory each epoch. Any Views taken
-// before Reset are invalidated; the caller must guarantee no concurrent
-// reader still probes them.
-func (t *DynTree) Reset() {
-	t.root = storage.InvalidPage
-	t.height = 0
-	t.count = 0
-	t.leafPages = 0
-	t.internalPages = 0
-	if tr, ok := t.pool.Pager().(interface{ Truncate() }); ok {
-		tr.Truncate()
-	}
-	// Drop cached frames for the recycled IDs (and stale stats with
-	// them); the next epoch's pages reuse the same IDs with new bytes.
-	t.pool.Reset()
-}
-
-// Height returns the number of levels (0 when empty).
-func (t *DynTree) Height() int { return t.height }
-
 // View returns a read-only Tree over the current structure, sharing the
 // same pool and pages. The view is invalidated by further inserts.
 func (t *DynTree) View() (*Tree, error) {
@@ -140,11 +113,10 @@ func (t *DynTree) Insert(el geom.Element) error {
 // insert descends into node id at the given level (1 = leaf) and returns
 // a new sibling entry if the node split.
 func (t *DynTree) insert(id storage.PageID, level int, el geom.Element) (*NodeEntry, error) {
-	page, err := t.pool.Read(id)
+	isLeaf, entries, err := readNode(t.pool, id, nil)
 	if err != nil {
 		return nil, err
 	}
-	isLeaf, entries := DecodeNode(page)
 	if level == 1 {
 		if !isLeaf {
 			return nil, fmt.Errorf("rtree: expected leaf at level 1, page %d", id)
@@ -223,12 +195,8 @@ func (t *DynTree) writeNode(isLeaf bool, entries []NodeEntry) (storage.PageID, e
 
 // nodeBox returns the MBR of a node's entries.
 func (t *DynTree) nodeBox(id storage.PageID) (geom.MBR, error) {
-	page, err := t.pool.Read(id)
-	if err != nil {
-		return geom.MBR{}, err
-	}
-	_, entries := DecodeNode(page)
-	return NodeMBR(entries), nil
+	_, entries, err := readNode(t.pool, id, nil)
+	return NodeMBR(entries), err
 }
 
 // quadraticSplit distributes entries into two groups using Guttman's

@@ -112,14 +112,14 @@ func TestDynTreePack(t *testing.T) {
 	els := randomElements(r, 3000, worldBox())
 	pool := storage.NewConcurrentPool(storage.NewMemPager(), 0)
 	dt := NewDynTree(pool, Config{})
-	if err := dt.Pack(nil); err != nil || dt.Len() != 0 {
-		t.Fatalf("Pack(nil) = %v, Len %d", err, dt.Len())
+	if err := dt.Pack(nil); err != nil || dt.count != 0 {
+		t.Fatalf("Pack(nil) = %v, Len %d", err, dt.count)
 	}
 	if err := dt.Pack(append([]geom.Element(nil), els[:2000]...)); err != nil {
 		t.Fatal(err)
 	}
-	if dt.Len() != 2000 || dt.Height() < 2 {
-		t.Fatalf("packed tree: Len %d, Height %d", dt.Len(), dt.Height())
+	if dt.count != 2000 || dt.height < 2 {
+		t.Fatalf("packed tree: Len %d, Height %d", dt.count, dt.height)
 	}
 	if err := dt.Pack(els[2000:]); err == nil {
 		t.Fatal("Pack on a non-empty tree succeeded")
@@ -149,14 +149,6 @@ func TestDynTreePack(t *testing.T) {
 			}
 		}
 	}
-	// A packed epoch recycles like an inserted one.
-	dt.Reset()
-	if err := dt.Pack(append([]geom.Element(nil), els[:10]...)); err != nil {
-		t.Fatal(err)
-	}
-	if dt.Len() != 10 || dt.Height() != 1 {
-		t.Fatalf("repacked tree: Len %d, Height %d", dt.Len(), dt.Height())
-	}
 }
 
 func TestDynamicSmall(t *testing.T) {
@@ -181,7 +173,7 @@ func TestDynamicEmptyView(t *testing.T) {
 	if _, err := dt.View(); err != ErrEmpty {
 		t.Errorf("empty view: %v", err)
 	}
-	if dt.Len() != 0 || dt.Height() != 0 {
+	if dt.count != 0 || dt.height != 0 {
 		t.Error("empty accessors")
 	}
 }
@@ -226,58 +218,5 @@ func TestQuadraticSplitRespectsMinFill(t *testing.T) {
 			t.Fatalf("entry %d duplicated by split", e.Ref)
 		}
 		seen[e.Ref] = true
-	}
-}
-
-// Reset must empty the tree and, on a Truncate-capable pager, hand the
-// next epoch the same page slabs: repeated build→Reset→build cycles on
-// a MemPager-backed pool stop growing the retained slab set.
-func TestDynTreeResetReusesPages(t *testing.T) {
-	pager := storage.NewMemPager()
-	pool := storage.NewConcurrentPool(pager, 0)
-	dt := NewDynTree(pool, Config{})
-
-	build := func(seed int64) {
-		t.Helper()
-		els := randomElements(rand.New(rand.NewSource(seed)), 1500, worldBox())
-		for _, e := range els {
-			if err := dt.Insert(e); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-	build(263)
-	retained := pager.Retained()
-	if retained == 0 {
-		t.Fatal("first epoch allocated no pages")
-	}
-
-	for epoch := 0; epoch < 3; epoch++ {
-		dt.Reset()
-		if dt.Len() != 0 || dt.Height() != 0 {
-			t.Fatalf("Reset left Len=%d Height=%d", dt.Len(), dt.Height())
-		}
-		if _, err := dt.View(); err != ErrEmpty {
-			t.Fatalf("View after Reset = %v, want ErrEmpty", err)
-		}
-		build(263)
-		// Identical input data must rebuild into exactly the recycled
-		// slabs: any growth means Reset leaked pages.
-		if pager.Retained() != retained {
-			t.Fatalf("epoch %d changed retained slabs: %d != %d", epoch, pager.Retained(), retained)
-		}
-		// The rebuilt tree must answer correctly on recycled pages.
-		view, err := dt.View()
-		if err != nil {
-			t.Fatal(err)
-		}
-		q := geom.CubeAt(geom.V(50, 50, 50), 30)
-		got, err := view.RangeQuery(q)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(got) == 0 {
-			t.Fatal("recycled-page tree returned no results")
-		}
 	}
 }

@@ -116,12 +116,10 @@ func (t *Tree) NN(p geom.Vec3, visit func(el geom.Element, distSq float64) bool)
 			}
 			continue
 		}
-		page, err := t.pool.Read(it.id)
+		isLeaf, entries, err := readNode(t.pool, it.id, entryBuf[:0])
 		if err != nil {
 			return err
 		}
-		entryBuf = entryBuf[:0]
-		isLeaf, entries := DecodeNodeInto(page, entryBuf)
 		if isLeaf {
 			for _, e := range entries {
 				h.Push(e.Box.DistSqToPoint(p), nnItem{

@@ -15,6 +15,7 @@ package rtree
 
 import (
 	"fmt"
+	"slices"
 
 	"flat/internal/geom"
 	"flat/internal/storage"
@@ -71,34 +72,46 @@ func EncodeNode(buf []byte, isLeaf bool, entries []NodeEntry) {
 
 // DecodeNode parses a node page into its kind and entries. The returned
 // slice is freshly allocated; the page buffer may be reused afterwards.
-func DecodeNode(page []byte) (isLeaf bool, entries []NodeEntry) {
-	r := storage.NewPageReader(page)
-	kind := r.U8()
-	r.U8()
-	count := int(r.U16())
-	entries = make([]NodeEntry, count)
-	for i := range entries {
-		entries[i].Box = r.MBR()
-		entries[i].Ref = r.U64()
-	}
-	return kind == kindLeaf, entries
+func DecodeNode(page []byte) (isLeaf bool, entries []NodeEntry, err error) {
+	return DecodeNodeInto(page, nil)
 }
 
 // DecodeNodeInto parses a node page appending entries to dst to avoid
 // allocation in query loops. It returns the node kind and the extended
-// slice.
-func DecodeNodeInto(page []byte, dst []NodeEntry) (isLeaf bool, entries []NodeEntry) {
+// slice. The bytes come from a file: a short page, an unknown kind byte
+// or a count no page can hold is an error, never an out-of-range read.
+func DecodeNodeInto(page []byte, dst []NodeEntry) (isLeaf bool, entries []NodeEntry, err error) {
+	if len(page) < storage.PageSize {
+		return false, dst, fmt.Errorf("rtree: corrupt node: %d-byte page", len(page))
+	}
 	r := storage.NewPageReader(page)
 	kind := r.U8()
 	r.U8()
 	count := int(r.U16())
-	for i := 0; i < count; i++ {
-		var e NodeEntry
-		e.Box = r.MBR()
-		e.Ref = r.U64()
-		dst = append(dst, e)
+	if kind != kindInternal && kind != kindLeaf {
+		return false, dst, fmt.Errorf("rtree: corrupt node: unknown kind byte %#x", kind)
 	}
-	return kind == kindLeaf, dst
+	if count > NodeCapacity {
+		return false, dst, fmt.Errorf("rtree: corrupt node: %d entries exceed capacity %d", count, NodeCapacity)
+	}
+	dst = slices.Grow(dst, count)
+	for i := 0; i < count; i++ {
+		dst = append(dst, NodeEntry{Box: r.MBR(), Ref: r.U64()})
+	}
+	return kind == kindLeaf, dst, nil
+}
+
+// readNode reads node page id from pool and decodes it onto dst; a page
+// that does not decode is reported under its id.
+func readNode(pool storage.Pool, id storage.PageID, dst []NodeEntry) (isLeaf bool, entries []NodeEntry, err error) {
+	page, err := pool.Read(id)
+	if err != nil {
+		return false, dst, err
+	}
+	if isLeaf, entries, err = DecodeNodeInto(page, dst); err != nil {
+		err = fmt.Errorf("page %d: %w", id, err)
+	}
+	return isLeaf, entries, err
 }
 
 // NodeMBR returns the union of a node's entry boxes.

@@ -43,12 +43,10 @@ func (t *Tree) query(q geom.MBR, visit func(NodeEntry)) error {
 	for len(stack) > 0 {
 		id := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
-		page, err := t.pool.Read(id)
+		isLeaf, entries, err := readNode(t.pool, id, entryBuf[:0])
 		if err != nil {
 			return err
 		}
-		entryBuf = entryBuf[:0]
-		isLeaf, entries := DecodeNodeInto(page, entryBuf)
 		if isLeaf {
 			for _, e := range entries {
 				if e.Box.Intersects(q) {
@@ -79,11 +77,10 @@ func (t *Tree) Walk(fn func(id storage.PageID, depth int, isLeaf bool, entries [
 	for len(stack) > 0 {
 		it := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
-		page, err := t.pool.Read(it.id)
+		isLeaf, entries, err := readNode(t.pool, it.id, nil)
 		if err != nil {
 			return err
 		}
-		isLeaf, entries := DecodeNode(page)
 		if err := fn(it.id, it.depth, isLeaf, entries); err != nil {
 			return err
 		}

@@ -1,6 +1,7 @@
 package rtree
 
 import (
+	"bytes"
 	"math/rand"
 	"sort"
 	"testing"
@@ -310,7 +311,10 @@ func TestBuildAbove(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	isLeaf, rootEntries := DecodeNode(page)
+	isLeaf, rootEntries, err := DecodeNode(page)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if isLeaf {
 		t.Error("root should be internal")
 	}
@@ -356,7 +360,10 @@ func TestNodeCodecRoundTrip(t *testing.T) {
 	}
 	buf := make([]byte, storage.PageSize)
 	EncodeNode(buf, true, entries)
-	isLeaf, got := DecodeNode(buf)
+	isLeaf, got, err := DecodeNode(buf)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if !isLeaf {
 		t.Error("kind lost")
 	}
@@ -377,6 +384,44 @@ func TestEncodeNodeOverCapacityPanics(t *testing.T) {
 		}
 	}()
 	EncodeNode(make([]byte, storage.PageSize), false, make([]NodeEntry, NodeCapacity+1))
+}
+
+// FuzzDecodeNode feeds the node decoder arbitrary page bytes — seed-tree
+// and delta-tree nodes are read back from files: whatever a flipped bit
+// puts on the page, it decodes or fails, never reads past the page, and
+// what decodes re-encodes to the same kind, count and entry bytes.
+func FuzzDecodeNode(f *testing.F) {
+	node := func(isLeaf bool, n int) []byte {
+		entries := make([]NodeEntry, n)
+		for i := range entries {
+			entries[i] = NodeEntry{Box: geom.CubeAt(geom.V(float64(i), 2, 3), 1), Ref: uint64(i) << 33}
+		}
+		buf := make([]byte, storage.PageSize)
+		EncodeNode(buf, isLeaf, entries)
+		return buf
+	}
+	f.Add(node(true, NodeCapacity))
+	f.Add(node(false, 3))
+	f.Add([]byte{kindInternal, 0, 0xff, 0xff})
+	f.Add([]byte{0x7f, 0, 1, 0})
+	f.Add(bytes.Repeat([]byte{0xff}, storage.PageSize))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if _, _, err := DecodeNode(data[:min(len(data), storage.PageSize-1)]); err == nil {
+			t.Fatal("a short page decoded")
+		}
+		page := make([]byte, storage.PageSize)
+		copy(page, data)
+		isLeaf, entries, err := DecodeNode(page)
+		if err != nil {
+			return
+		}
+		again := make([]byte, storage.PageSize)
+		EncodeNode(again, isLeaf, entries)
+		end := NodeHeaderSize + len(entries)*EntrySize
+		if again[0] != page[0] || !bytes.Equal(again[2:end], page[2:end]) {
+			t.Fatalf("%d decoded entries re-encode to other bytes", len(entries))
+		}
+	})
 }
 
 // TestHilbertOverlapWorseThanSTR reproduces the qualitative ordering the

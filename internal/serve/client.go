@@ -86,11 +86,6 @@ func (c *Client) Close() error {
 	return c.conn.Close()
 }
 
-// Abort closes the raw socket without any protocol goodbye —
-// deliberately indistinguishable from a crashed client. Tests use it
-// to prove a disconnect cancels the server-side crawl.
-func (c *Client) Abort() { c.Close() }
-
 func (c *Client) readLoop() {
 	var err error
 	for {
@@ -193,8 +188,13 @@ func (c *Client) unary(ctx context.Context, typ byte, body []byte) (respFrame, e
 	}
 }
 
-// expectOK decodes the msgOK / msgErr terminator of a write operation.
-func expectOK(fr respFrame) (uint64, error) {
+// write sends one write request and decodes its msgOK / msgErr
+// terminator: the count the server acknowledged, or its error.
+func (c *Client) write(ctx context.Context, typ byte, body []byte) (uint64, error) {
+	fr, err := c.unary(ctx, typ, body)
+	if err != nil {
+		return 0, err
+	}
 	switch fr.typ {
 	case msgOK:
 		if len(fr.body) < 8 {
@@ -301,11 +301,7 @@ func (c *Client) Insert(ctx context.Context, els []flat.Element) error {
 	for i, e := range els {
 		putElement(body[4+i*elementWire:], e)
 	}
-	fr, err := c.unary(ctx, msgInsert, body)
-	if err != nil {
-		return err
-	}
-	_, err = expectOK(fr)
+	_, err := c.write(ctx, msgInsert, body)
 	return err
 }
 
@@ -314,21 +310,13 @@ func (c *Client) Insert(ctx context.Context, els []flat.Element) error {
 func (c *Client) Delete(ctx context.Context, id uint64, box flat.MBR) error {
 	body := make([]byte, elementWire)
 	putElement(body, flat.Element{ID: id, Box: box})
-	fr, err := c.unary(ctx, msgDelete, body)
-	if err != nil {
-		return err
-	}
-	_, err = expectOK(fr)
+	_, err := c.write(ctx, msgDelete, body)
 	return err
 }
 
 // Flush forces a WAL flush of previously staged updates.
 func (c *Client) Flush(ctx context.Context) error {
-	fr, err := c.unary(ctx, msgFlush, nil)
-	if err != nil {
-		return err
-	}
-	_, err = expectOK(fr)
+	_, err := c.write(ctx, msgFlush, nil)
 	return err
 }
 
@@ -336,11 +324,7 @@ func (c *Client) Flush(ctx context.Context) error {
 // the number of shards rebuilt, or flat.ErrBusy under in-flight
 // queries (the caller retries, exactly as in-process).
 func (c *Client) Rebuild(ctx context.Context) (int, error) {
-	fr, err := c.unary(ctx, msgRebuild, nil)
-	if err != nil {
-		return 0, err
-	}
-	n, err := expectOK(fr)
+	n, err := c.write(ctx, msgRebuild, nil)
 	return int(n), err
 }
 

@@ -267,7 +267,7 @@ func TestDisconnectCancelsCrawl(t *testing.T) {
 	if _, ok := st.Next(); !ok {
 		t.Fatalf("stream produced nothing: %v", st.Err())
 	}
-	c2.Abort()
+	c2.Close()
 
 	// The crawl must stop and give its admission slot back.
 	waitFor(t, 10*time.Second, func() bool { return s.Inflight() == 0 },

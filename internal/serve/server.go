@@ -322,13 +322,13 @@ func (sc *srvConn) readLoop() {
 			}
 			sc.mu.Unlock()
 		case msgInsert:
-			sc.handleInsert(reqID, body)
+			sc.handleWrite(reqID, body, sc.s.insert)
 		case msgDelete:
-			sc.handleDelete(reqID, body)
+			sc.handleWrite(reqID, body, sc.s.delete)
 		case msgFlush:
-			sc.handleFlush(reqID)
+			sc.handleWrite(reqID, body, sc.s.flush)
 		case msgRebuild:
-			sc.handleRebuild(reqID)
+			sc.handleWrite(reqID, body, sc.s.rebuild)
 		case msgStats:
 			sc.handleStats(reqID)
 		default:
@@ -529,100 +529,82 @@ func (sc *srvConn) streamSession(reqID uint32, session *flat.Results, materializ
 	sc.write(msgDone, done)
 }
 
-// sharded returns the staged-write surface of the index, or nil when
-// the index is unsharded (the caller answers codeUnsupported).
-func (sc *srvConn) sharded() *flat.ShardedIndex {
-	sx, _ := sc.s.ix.(*flat.ShardedIndex)
-	return sx
-}
-
-// handleInsert stages the elements and flushes the WAL before
-// acknowledging, so an OK means the write survives kill -9: the next
-// open replays it from the log. Write operations run inline in the
-// read loop — one connection is a serial channel for writes, which
-// preserves the staging layer's last-op-wins ordering.
-func (sc *srvConn) handleInsert(reqID uint32, body []byte) {
-	sx := sc.sharded()
-	if sx == nil {
+// handleWrite is the one shape of a write request: refused with
+// ErrUnsupported on an unsharded index, otherwise op runs against the
+// staged-write surface and its count is acknowledged, or its error
+// sent. Write operations run inline in the read loop — one connection
+// is a serial channel for writes, which preserves the staging layer's
+// last-op-wins ordering.
+func (sc *srvConn) handleWrite(reqID uint32, body []byte, op func(*flat.ShardedIndex, []byte) (uint64, error)) {
+	sx, ok := sc.s.ix.(*flat.ShardedIndex)
+	if !ok {
 		sc.writeErr(reqID, ErrUnsupported)
 		return
 	}
-	if len(body) < 4 {
-		sc.writeErr(reqID, badRequest{errors.New("bad insert frame")})
+	acked, err := op(sx, body)
+	if err != nil {
+		sc.writeErr(reqID, err)
 		return
+	}
+	sc.writeOK(reqID, acked)
+}
+
+// insert stages the elements and flushes the WAL before it reports
+// them, so an OK means the write survives kill -9: the next open
+// replays it from the log.
+func (s *Server) insert(sx *flat.ShardedIndex, body []byte) (uint64, error) {
+	if len(body) < 4 {
+		return 0, badRequest{errors.New("bad insert frame")}
 	}
 	n := int(getU32(body))
 	body = body[4:]
 	if len(body) != n*elementWire {
-		sc.writeErr(reqID, badRequest{fmt.Errorf("insert frame: %d elements but %d payload bytes", n, len(body))})
-		return
+		return 0, badRequest{fmt.Errorf("insert frame: %d elements but %d payload bytes", n, len(body))}
 	}
 	els := make([]flat.Element, n)
 	for i := range els {
 		els[i] = getElement(body[i*elementWire:])
 	}
 	if err := sx.StageInsert(els...); err != nil {
-		sc.writeErr(reqID, err)
-		return
+		return 0, err
 	}
 	if err := sx.Flush(); err != nil {
-		sc.writeErr(reqID, err)
-		return
+		return 0, err
 	}
-	sc.s.inserts.Add(int64(n))
-	sc.writeOK(reqID, uint64(n))
+	s.inserts.Add(int64(n))
+	return uint64(n), nil
 }
 
-func (sc *srvConn) handleDelete(reqID uint32, body []byte) {
-	sx := sc.sharded()
-	if sx == nil {
-		sc.writeErr(reqID, ErrUnsupported)
-		return
-	}
+func (s *Server) delete(sx *flat.ShardedIndex, body []byte) (uint64, error) {
 	if len(body) != elementWire {
-		sc.writeErr(reqID, badRequest{errors.New("bad delete frame")})
-		return
+		return 0, badRequest{errors.New("bad delete frame")}
 	}
 	e := getElement(body)
 	if err := sx.StageDelete(e.ID, e.Box); err != nil {
-		sc.writeErr(reqID, err)
-		return
+		return 0, err
 	}
 	if err := sx.Flush(); err != nil {
-		sc.writeErr(reqID, err)
-		return
+		return 0, err
 	}
-	sc.s.deletes.Add(1)
-	sc.writeOK(reqID, 1)
+	s.deletes.Add(1)
+	return 1, nil
 }
 
-func (sc *srvConn) handleFlush(reqID uint32) {
-	sx := sc.sharded()
-	if sx == nil {
-		sc.writeErr(reqID, ErrUnsupported)
-		return
-	}
+func (s *Server) flush(sx *flat.ShardedIndex, _ []byte) (uint64, error) {
 	if err := sx.Flush(); err != nil {
-		sc.writeErr(reqID, err)
-		return
+		return 0, err
 	}
-	sc.s.flushes.Add(1)
-	sc.writeOK(reqID, 0)
+	s.flushes.Add(1)
+	return 0, nil
 }
 
-func (sc *srvConn) handleRebuild(reqID uint32) {
-	sx := sc.sharded()
-	if sx == nil {
-		sc.writeErr(reqID, ErrUnsupported)
-		return
-	}
+func (s *Server) rebuild(sx *flat.ShardedIndex, _ []byte) (uint64, error) {
 	rebuilt, err := sx.Rebuild()
 	if err != nil {
-		sc.writeErr(reqID, err)
-		return
+		return 0, err
 	}
-	sc.s.rebuilds.Add(1)
-	sc.writeOK(reqID, uint64(len(rebuilt)))
+	s.rebuilds.Add(1)
+	return uint64(len(rebuilt)), nil
 }
 
 func (sc *srvConn) handleStats(reqID uint32) {

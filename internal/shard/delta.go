@@ -1,21 +1,21 @@
-// In-memory delta index for staged updates.
+// The staged state of a Set: one epoch value, with the in-memory delta
+// index over it.
 //
-// Before this file, staged inserts lived in flat per-shard slices and
-// staged deletes in one flat list, and every query's overlay snapshot
-// linearly scanned both — O(pending) work per query, which defeats the
-// point of an index once the pending delta grows past a few hundred
-// entries. This is the LSM memtable step of the write path: each
-// shard's staged inserts are additionally indexed by an insertion-built
-// R-tree (rtree.DynTree over an in-memory page pool), so the overlay
-// probe for a query box is a range query, and the staged deletes are
-// indexed by element ID, so the per-element doom check is a map lookup.
+// This is the LSM memtable step of the write path: each shard's staged
+// inserts are indexed by an insertion-built R-tree (rtree.DynTree over
+// an in-memory page pool), so the overlay probe for a query box is a
+// range query, not a sweep of everything pending, and the staged deletes
+// are indexed by element ID, so the per-element doom check is a map
+// lookup. The trees are accelerators only: the slab (append-ordered
+// staged inserts) is the source of truth and every probe re-checks
+// Intersects. Staged deletes have one matcher, the by-ID index
+// (deleteView); the linear scan it is held to lives beside the tests.
 //
-// The indexes are pure accelerators: the slab (append-ordered staged
-// inserts) and the delete list remain the source of truth, and both
-// probe paths filter through exactly the same predicates as the linear
-// scans (Intersects for inserts, deleteMatches containment for
-// deletes), so results are bit-for-bit what the linear overlay
-// produced.
+// Staging mutates the live epoch under pmu's write side, and the Rebuild
+// that consumes it installs a fresh one: Set.staged is replaced whole.
+// Nothing is carried from one epoch into the next, so the garbage
+// collector is the only recycler and a later epoch cannot be served an
+// earlier one's delete index.
 //
 // A batch that lands on an empty delta — the log replayed by an open, a
 // bulk StageInsert — is packed in one STR bulkload (shardDelta.add,
@@ -26,39 +26,36 @@
 package shard
 
 import (
+	"sync/atomic"
+
 	"flat/internal/geom"
 	"flat/internal/rtree"
 	"flat/internal/storage"
 )
 
+// epoch is the staged state of a Set between two rebuilds. Its fields
+// are guarded by the pmu of the Set that holds it.
+type epoch struct {
+	deltas  []shardDelta    // by shard: staged inserts and their delta R-tree
+	deletes []pendingDelete // in staging order; append-only
+	// delView caches the by-ID index over deletes (see deleteViewLocked):
+	// atomically published immutable snapshots, so readers holding pmu's
+	// read side may publish one.
+	delView atomic.Pointer[deleteView]
+}
+
+func newEpoch(shards int) *epoch {
+	return &epoch{deltas: make([]shardDelta, shards)}
+}
+
 // shardDelta holds one shard's staged inserts: the slab is the
 // append-ordered (hence seq-ascending) source of truth, the tree maps a
 // query box to slab positions (each inserted element's tree ID is its
 // slab index, so duplicate-ID and duplicate-box inserts stay distinct).
+// The zero value is an empty delta; the tree is created by the first add.
 type shardDelta struct {
 	slab []stagedInsert
 	tree *rtree.DynTree
-}
-
-func newShardDelta() *shardDelta {
-	// The delta tree lives on its own unbounded in-memory pool: its
-	// pages are scratch that die with the staging epoch, so they must
-	// not compete with real shards for the shared cache budget. Any
-	// number of queries may probe the tree at once under pmu's read
-	// side; ConcurrentPool's contract (Alloc/Write never concurrent
-	// with reads) is satisfied because inserts run exclusively under
-	// pmu's write side.
-	return &shardDelta{tree: rtree.NewDynTree(storage.NewConcurrentPool(storage.NewMemPager(), 0), rtree.Config{})}
-}
-
-// reset empties the delta for reuse by a later staging epoch: the slab
-// truncates in place and the tree recycles its node pages and pool
-// (see rtree.DynTree.Reset). Callers must guarantee no query can still
-// probe the tree — Rebuild holds the public maintenance guard, which
-// excludes queries, and overlay snapshots never outlive pmu's read side.
-func (d *shardDelta) reset() {
-	d.slab = d.slab[:0]
-	d.tree.Reset()
 }
 
 // add stages a batch of inserts, given in staging order: packed into
@@ -68,6 +65,15 @@ func (d *shardDelta) reset() {
 // failure never leaves the two disagreeing.
 func (d *shardDelta) add(batch []stagedInsert) error {
 	if len(d.slab) == 0 {
+		// The delta tree lives on its own unbounded in-memory pool: its
+		// pages are scratch that die with the staging epoch, so they must
+		// not compete with real shards for the shared cache budget. Any
+		// number of queries may probe the tree at once under pmu's read
+		// side; ConcurrentPool's contract (Alloc/Write never concurrent
+		// with reads) is satisfied because inserts run exclusively under
+		// pmu's write side. A tree whose Pack failed is empty and is
+		// replaced, never packed twice.
+		d.tree = rtree.NewDynTree(storage.NewConcurrentPool(storage.NewMemPager(), 0), rtree.Config{})
 		els := make([]geom.Element, len(batch))
 		for i, si := range batch {
 			els[i] = geom.Element{ID: uint64(i), Box: si.el.Box}
@@ -91,7 +97,7 @@ func (d *shardDelta) add(batch []stagedInsert) error {
 // tree reports as intersecting q. Callers re-check Intersects, so
 // correctness never depends on the tree's pruning.
 func (d *shardDelta) forEachCandidate(q geom.MBR, fn func(si stagedInsert)) error {
-	if d.tree.Len() == 0 {
+	if len(d.slab) == 0 {
 		return nil
 	}
 	view, err := d.tree.View()
@@ -108,88 +114,59 @@ func (d *shardDelta) forEachCandidate(q geom.MBR, fn func(si stagedInsert)) erro
 	return nil
 }
 
-// deleteIndex is an immutable by-ID view of the first n staged deletes.
-// It is built once per delete-list length and shared by every query
-// until the list grows (or a rebuild clears it); sharing is safe
-// because the map is never mutated after publication.
-type deleteIndex struct {
+// deleteView is a query's snapshot of the staged deletes: an immutable
+// by-ID index over the first n of them — every one pending when it was
+// taken (the overlay contract; see overlayFor). It is built once per
+// delete-list length and shared by every query until the list grows;
+// sharing is safe because the map is never mutated after publication.
+// The zero value holds no deletes.
+type deleteView struct {
 	n    int
 	byID map[uint64][]pendingDelete
-}
-
-func buildDeleteIndex(dels []pendingDelete) *deleteIndex {
-	byID := make(map[uint64][]pendingDelete, len(dels))
-	for _, d := range dels {
-		byID[d.ID] = append(byID[d.ID], d)
-	}
-	return &deleteIndex{n: len(dels), byID: byID}
-}
-
-// deleteIndexMin is the delete-list length below which queries match
-// linearly: building a map to answer a handful of ID probes costs more
-// than the sweeps it saves.
-const deleteIndexMin = 8
-
-// deleteView is a query's snapshot of the staged deletes: all is the
-// full list (the overlay contract snapshots every pending delete — see
-// overlayFor), idx the optional by-ID accelerator. Both match paths
-// apply the same deleteMatches predicate; a view answers identically
-// with or without its index.
-type deleteView struct {
-	all []pendingDelete
-	idx *deleteIndex
 }
 
 // matches reports whether e is doomed by any staged delete (bulkloaded
 // elements predate the whole staging epoch, so every delete applies).
 func (v deleteView) matches(e geom.Element) bool {
-	if v.idx != nil {
-		for _, d := range v.idx.byID[e.ID] {
-			if e.Box.Contains(d.Box) {
-				return true
-			}
+	for _, d := range v.byID[e.ID] {
+		if deleteMatches(d, e) {
+			return true
 		}
-		return false
 	}
-	return matchesDelete(v.all, e)
+	return false
 }
 
 // matchesAfter reports whether a staged insert stamped seq is doomed by
 // a delete staged later than it.
 func (v deleteView) matchesAfter(e geom.Element, seq uint64) bool {
-	if v.idx != nil {
-		for _, d := range v.idx.byID[e.ID] {
-			if d.seq > seq && e.Box.Contains(d.Box) {
-				return true
-			}
+	for _, d := range v.byID[e.ID] {
+		if d.seq > seq && deleteMatches(d, e) {
+			return true
 		}
-		return false
 	}
-	return matchesDeleteAfter(v.all, e, seq)
+	return false
 }
 
-// deleteViewLocked snapshots the staged deletes for one query. The
-// returned view aliases the delete list's current prefix, which is
-// immutable (StageDelete only appends; Rebuild replaces the slice), so
-// the view stays valid after pmu is released. The by-ID index is cached
-// across queries in s.delIdx and rebuilt when the list has grown;
-// concurrent readers may race to rebuild it, which is benign — every
-// candidate is an equivalent immutable snapshot and any of them may
-// win the atomic publish.
+// deleteViewLocked snapshots the staged deletes for one query. The view
+// is cached in the epoch and rebuilt when the list has grown; it owns
+// its map, so it stays valid after pmu is released and after the epoch
+// is consumed. Concurrent readers may race to rebuild it, which is
+// benign — every candidate is an equivalent immutable snapshot and any
+// of them may win the atomic publish.
 // flatlint:holds pmu
 func (s *Set) deleteViewLocked() deleteView {
-	n := len(s.deletes)
+	ep := s.staged
+	n := len(ep.deletes)
 	if n == 0 {
 		return deleteView{}
 	}
-	all := s.deletes[:n:n]
-	if n < deleteIndexMin {
-		return deleteView{all: all}
+	if v := ep.delView.Load(); v != nil && v.n == n {
+		return *v
 	}
-	idx := s.delIdx.Load()
-	if idx == nil || idx.n != n {
-		idx = buildDeleteIndex(all)
-		s.delIdx.Store(idx)
+	v := deleteView{n: n, byID: make(map[uint64][]pendingDelete, n)}
+	for _, d := range ep.deletes {
+		v.byID[d.ID] = append(v.byID[d.ID], d)
 	}
-	return deleteView{all: all, idx: idx}
+	ep.delView.Store(&v)
+	return v
 }

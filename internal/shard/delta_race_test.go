@@ -27,8 +27,9 @@ func TestConcurrentQueriesWithStagedDelta(t *testing.T) {
 	defer set.Close()
 
 	// Stage enough inserts that every shard carries a populated delta
-	// tree, and enough deletes that queries build and share the by-ID
-	// delete index (deleteIndexMin).
+	// tree, and deletes so that queries build and share the by-ID delete
+	// index.
+	const deletes = 32
 	extra := randomElements(rand.New(rand.NewSource(42)), 600)
 	for i := range extra {
 		extra[i].ID += 1 << 20
@@ -36,7 +37,7 @@ func TestConcurrentQueriesWithStagedDelta(t *testing.T) {
 	if err := set.StageInsert(extra...); err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < 4*deleteIndexMin; i++ {
+	for i := 0; i < deletes; i++ {
 		if err := set.StageDelete(els[i].ID, els[i].Box); err != nil {
 			t.Fatal(err)
 		}
@@ -56,8 +57,8 @@ func TestConcurrentQueriesWithStagedDelta(t *testing.T) {
 		}
 		want[i] = len(res)
 	}
-	if want[0] != len(els)+len(extra)-4*deleteIndexMin {
-		t.Fatalf("world query: %d results, want %d", want[0], len(els)+len(extra)-4*deleteIndexMin)
+	if want[0] != len(els)+len(extra)-deletes {
+		t.Fatalf("world query: %d results, want %d", want[0], len(els)+len(extra)-deletes)
 	}
 
 	// Phase 1: a fixed delta, hammered by concurrent readers; results

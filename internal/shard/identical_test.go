@@ -91,12 +91,35 @@ func TestBuildBytesStable(t *testing.T) {
 	}
 }
 
+// matchesDelete is the linear reference deleteView.matches is held to:
+// whether e is doomed by any staged delete.
+func matchesDelete(dels []pendingDelete, e geom.Element) bool {
+	for _, d := range dels {
+		if deleteMatches(d, e) {
+			return true
+		}
+	}
+	return false
+}
+
+// matchesDeleteAfter is the linear reference of deleteView.matchesAfter:
+// whether a staged insert stamped seq is doomed by a delete staged
+// later than it.
+func matchesDeleteAfter(dels []pendingDelete, e geom.Element, seq uint64) bool {
+	for _, d := range dels {
+		if d.seq > seq && deleteMatches(d, e) {
+			return true
+		}
+	}
+	return false
+}
+
 // TestMergedElementsIndexedMatchesLinear holds the rebuild's delete
 // filter to the linear scan it replaced: per shard, mergedElements
 // equals "bulkloaded elements no delete matches, then staged inserts no
 // later delete matches", element for element — with duplicate IDs,
 // nested boxes, and a delete staged before and after a matching insert,
-// both below deleteIndexMin (the view has no index) and above it.
+// under a handful of deletes and under dozens.
 func TestMergedElementsIndexedMatchesLinear(t *testing.T) {
 	for _, extra := range []int{0, 40} {
 		r := rand.New(rand.NewSource(61))
@@ -141,15 +164,9 @@ func TestMergedElementsIndexedMatchesLinear(t *testing.T) {
 		for i := 0; i < extra; i++ {
 			unstage(orig[100+i*7])
 		}
-		if n := len(set.deletes); (n >= deleteIndexMin) != (extra > 0) {
-			t.Fatalf("%d deletes staged: on the wrong side of deleteIndexMin = %d", n, deleteIndexMin)
-		}
 
 		set.pmu.Lock()
 		dels := set.deleteViewLocked()
-		if (dels.idx != nil) != (extra > 0) {
-			t.Fatalf("extra=%d: delete view indexed = %v", extra, dels.idx != nil)
-		}
 		for sh := range set.shards {
 			all, _, err := set.shards[sh].RangeQuery(set.bounds[sh])
 			if err != nil {
@@ -157,12 +174,12 @@ func TestMergedElementsIndexedMatchesLinear(t *testing.T) {
 			}
 			var want []geom.Element
 			for _, e := range all {
-				if !matchesDelete(set.deletes, e) {
+				if !matchesDelete(set.staged.deletes, e) {
 					want = append(want, e)
 				}
 			}
-			for _, si := range set.slabLocked(sh) {
-				if !matchesDeleteAfter(set.deletes, si.el, si.seq) {
+			for _, si := range set.staged.deltas[sh].slab {
+				if !matchesDeleteAfter(set.staged.deletes, si.el, si.seq) {
 					want = append(want, si.el)
 				}
 			}
@@ -330,14 +347,11 @@ func TestDeltaPackedMatchesInserted(t *testing.T) {
 		t.Fatal("single inserts onto a packed delta tree answer differently")
 	}
 
-	// Rebuild, then a second epoch on the recycled spare deltas: one
-	// bulk call (packed) on one side, single calls on the other.
+	// Rebuild, then a second epoch: one bulk call (packed) on one side,
+	// single calls on the other.
 	for _, set := range []*Set{inserted, packed} {
 		if _, err := set.Rebuild(); err != nil {
 			t.Fatal(err)
-		}
-		if len(set.spareDeltas) == 0 {
-			t.Fatal("Rebuild parked no spare deltas")
 		}
 	}
 	second := randomElements(r, 500)
@@ -355,7 +369,7 @@ func TestDeltaPackedMatchesInserted(t *testing.T) {
 	applySingly(packed, tail)
 	want = observe(t, inserted, boxes, points)
 	if got := observe(t, packed, boxes, points); !reflect.DeepEqual(got, want) {
-		t.Fatal("second epoch on recycled deltas: bulk-staged answers differently from singly staged")
+		t.Fatal("second epoch: bulk-staged answers differently from singly staged")
 	}
 }
 

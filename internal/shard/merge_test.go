@@ -302,8 +302,8 @@ func TestStagedInsertOrderAcrossShards(t *testing.T) {
 	// otherwise this test cannot catch the bug.
 	set.pmu.RLock()
 	groups := 0
-	for _, d := range set.delta {
-		if d != nil && len(d.slab) > 0 {
+	for _, d := range set.staged.deltas {
+		if len(d.slab) > 0 {
 			groups++
 		}
 	}

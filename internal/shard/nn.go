@@ -21,13 +21,12 @@
 // inserts, however, are collected *eagerly* under pmu's read side: the
 // per-shard delta trees are probed best-first (rtree.Tree.NN) and the
 // surviving candidates merged into one distance-sorted list before pmu
-// is released — a lazy delta stream would have to hold delta-tree
-// pages past the snapshot, and those pages are recycled by later
-// staging epochs (DynTree.Reset). The list is capped at k per delta
-// when k is positive, which is safe: the global k nearest staged
-// inserts are a subset of each delta's k nearest. The sink emits every
-// staged insert strictly nearer than the bulk element in hand before
-// that element.
+// is released — a lazy delta stream would probe the trees past the
+// snapshot, while staging mutates the live epoch's trees and slabs
+// under pmu's write side. The list is capped at k per delta when k is
+// positive, which is safe: the global k nearest staged inserts are a
+// subset of each delta's k nearest. The sink emits every staged insert
+// strictly nearer than the bulk element in hand before that element.
 //
 // Emission-order ties are deterministic for a given set: bulk elements
 // at equal distance surface in the frontier's discovery order, and
@@ -64,8 +63,8 @@ type stagedNear struct {
 // flatlint:holds pmu
 func (s *Set) stagedNearestLocked(p geom.Vec3, k int, dels deleteView) ([]stagedNear, error) {
 	var out []stagedNear
-	for _, d := range s.delta {
-		if d == nil || len(d.slab) == 0 {
+	for _, d := range s.staged.deltas {
+		if len(d.slab) == 0 {
 			continue
 		}
 		view, err := d.tree.View()

@@ -8,7 +8,9 @@
 // (StageInsert routes each element to a shard through the MBR
 // directory; StageDelete records the doomed element), overlaid on query
 // results so reads stay correct between rebuilds, and folded in by
-// Rebuild, which re-bulkloads only the dirty shards.
+// Rebuild, which re-bulkloads only the dirty shards. What is staged
+// between two rebuilds is one epoch value (delta.go); the Rebuild that
+// consumes it replaces it with an empty one and recycles nothing.
 //
 // On disk the rebuild is crash-safe: each dirty shard writes a complete
 // new generation-suffixed page file first (fsynced), then the manifest
@@ -68,29 +70,6 @@ type stagedInsert struct {
 // this rule; staging deletes for such pairs dooms both.
 func deleteMatches(d pendingDelete, e geom.Element) bool {
 	return d.ID == e.ID && e.Box.Contains(d.Box)
-}
-
-// matchesDelete reports whether e is doomed by any staged delete.
-// Bulkloaded elements predate the whole staging epoch, so every delete
-// applies to them.
-func matchesDelete(dels []pendingDelete, e geom.Element) bool {
-	for _, d := range dels {
-		if deleteMatches(d, e) {
-			return true
-		}
-	}
-	return false
-}
-
-// matchesDeleteAfter reports whether a staged insert stamped seq is
-// doomed by a delete staged later than it.
-func matchesDeleteAfter(dels []pendingDelete, e geom.Element, seq uint64) bool {
-	for _, d := range dels {
-		if d.seq > seq && deleteMatches(d, e) {
-			return true
-		}
-	}
-	return false
 }
 
 // StageInsert stages els for insertion. Each element is routed to the
@@ -158,32 +137,11 @@ func (s *Set) stageLocked(ins []stagedInsert) error {
 		if len(batch) == 0 {
 			continue
 		}
-		if err := s.deltaLocked(t).add(batch); err != nil {
+		if err := s.staged.deltas[t].add(batch); err != nil {
 			return err
 		}
 	}
 	return nil
-}
-
-// deltaLocked returns shard t's delta, creating it on first use —
-// preferably by recycling one the last epoch's clearStagedLocked
-// retired, whose slab and tree pages are already allocated. Callers
-// hold pmu's write side.
-// flatlint:holds pmu
-func (s *Set) deltaLocked(t int) *shardDelta {
-	if s.delta == nil {
-		s.delta = make([]*shardDelta, len(s.shards))
-	}
-	if s.delta[t] == nil {
-		if n := len(s.spareDeltas); n > 0 {
-			s.delta[t] = s.spareDeltas[n-1]
-			s.spareDeltas[n-1] = nil
-			s.spareDeltas = s.spareDeltas[:n-1]
-		} else {
-			s.delta[t] = newShardDelta()
-		}
-	}
-	return s.delta[t]
 }
 
 // replayWAL restores a staging epoch from its logged operations: each
@@ -192,13 +150,9 @@ func (s *Set) deltaLocked(t int) *shardDelta {
 // Inserts are routed through the same MBR directory the original
 // staging used; the directory's bounds change only at Rebuild, and
 // Rebuild rotates the log, so every replayed operation postdates the
-// bounds it is routed against.
+// bounds it is routed against. Callers hold pmu's write side.
+// flatlint:holds pmu
 func (s *Set) replayWAL(recs []storage.WALRecord) error {
-	if len(recs) == 0 {
-		return nil
-	}
-	s.pmu.Lock()
-	defer s.pmu.Unlock()
 	ins := make([]stagedInsert, 0, len(recs))
 	for _, r := range recs {
 		if r.Seq > s.clock {
@@ -208,7 +162,7 @@ func (s *Set) replayWAL(recs []storage.WALRecord) error {
 		case storage.WALInsert:
 			ins = append(ins, stagedInsert{el: geom.Element{ID: r.ID, Box: r.Box}, seq: r.Seq})
 		case storage.WALDelete:
-			s.deletes = append(s.deletes, pendingDelete{ID: r.ID, Box: r.Box, seq: r.Seq})
+			s.staged.deletes = append(s.staged.deletes, pendingDelete{ID: r.ID, Box: r.Box, seq: r.Seq})
 		}
 	}
 	return s.stageLocked(ins)
@@ -250,7 +204,7 @@ func (s *Set) StageDelete(id uint64, box geom.MBR) error {
 		}
 	}
 	s.clock++
-	s.deletes = append(s.deletes, pendingDelete{ID: id, Box: box, seq: s.clock})
+	s.staged.deletes = append(s.staged.deletes, pendingDelete{ID: id, Box: box, seq: s.clock})
 	return nil
 }
 
@@ -259,12 +213,10 @@ func (s *Set) StageDelete(id uint64, box geom.MBR) error {
 func (s *Set) Pending() (inserts, deletes int) {
 	s.pmu.RLock()
 	defer s.pmu.RUnlock()
-	for _, d := range s.delta {
-		if d != nil {
-			inserts += len(d.slab)
-		}
+	for _, d := range s.staged.deltas {
+		inserts += len(d.slab)
 	}
-	return inserts, len(s.deletes)
+	return inserts, len(s.staged.deletes)
 }
 
 // ShardDeltaStats describes one shard's share of the pending delta.
@@ -291,12 +243,12 @@ type DeltaStats struct {
 func (s *Set) DeltaStats() DeltaStats {
 	s.pmu.RLock()
 	defer s.pmu.RUnlock()
-	ds := DeltaStats{Deletes: len(s.deletes)}
+	ds := DeltaStats{Deletes: len(s.staged.deletes)}
 	if s.wal != nil {
 		ds.WALBytes = s.wal.Size()
 	}
-	for i, d := range s.delta {
-		if d == nil || len(d.slab) == 0 {
+	for i, d := range s.staged.deltas {
+		if len(d.slab) == 0 {
 			continue
 		}
 		ds.Inserts += len(d.slab)
@@ -322,11 +274,11 @@ func (s *Set) DirtyShards() []int {
 func (s *Set) dirtyLocked() []int {
 	var dirty []int
 	for i := range s.shards {
-		if len(s.slabLocked(i)) > 0 {
+		if len(s.staged.deltas[i].slab) > 0 {
 			dirty = append(dirty, i)
 			continue
 		}
-		for _, d := range s.deletes {
+		for _, d := range s.staged.deletes {
 			if d.Box.Intersects(s.bounds[i]) {
 				dirty = append(dirty, i)
 				break
@@ -334,16 +286,6 @@ func (s *Set) dirtyLocked() []int {
 		}
 	}
 	return dirty
-}
-
-// slabLocked returns shard sh's staged inserts in staging order (nil
-// when it has none). Callers hold pmu (either side).
-// flatlint:holds pmu
-func (s *Set) slabLocked(sh int) []stagedInsert {
-	if s.delta == nil || s.delta[sh] == nil {
-		return nil
-	}
-	return s.delta[sh].slab
 }
 
 // routeShard picks the shard for a staged insert: least bounds
@@ -380,11 +322,8 @@ func (s *Set) overlayFor(q geom.MBR) (ins []geom.Element, dels deleteView, err e
 	// outside it.
 	dels = s.deleteViewLocked()
 	var pending []stagedInsert
-	for _, d := range s.delta {
-		if d == nil {
-			continue
-		}
-		perr := d.forEachCandidate(q, func(si stagedInsert) {
+	for i := range s.staged.deltas {
+		perr := s.staged.deltas[i].forEachCandidate(q, func(si stagedInsert) {
 			if si.el.Box.Intersects(q) && !dels.matchesAfter(si.el, si.seq) {
 				pending = append(pending, si)
 			}
@@ -466,7 +405,7 @@ func (s *Set) Rebuild() ([]int, error) {
 	// Phase 1: bulkload every dirty shard into a fresh pager. The old
 	// state is not touched — the workers only read it, under the write
 	// lock this goroutine holds; any error abandons all the new files.
-	dels := s.deleteViewLocked()
+	ep, dels := s.staged, s.deleteViewLocked()
 	err := RunBatch(context.Background(), len(dirty), 0, func(i int) error {
 		sh := dirty[i]
 		els, err := s.mergedElements(sh, dels)
@@ -476,7 +415,7 @@ func (s *Set) Rebuild() ([]int, error) {
 		// A delete-only dirty shard whose deletes matched nothing is
 		// unchanged (deletes only remove, so an unchanged length means an
 		// unchanged set); skip the pointless rewrite and keep its cache.
-		if len(s.slabLocked(sh)) == 0 && len(els) == s.shards[sh].Len() {
+		if len(ep.deltas[sh].slab) == 0 && len(els) == s.shards[sh].Len() {
 			return nil
 		}
 		if len(els) == 0 {
@@ -530,7 +469,7 @@ func (s *Set) Rebuild() ([]int, error) {
 				return nil, err
 			}
 		}
-		s.clearStagedLocked()
+		s.staged = newEpoch(len(s.shards))
 		return nil, nil
 	}
 
@@ -605,39 +544,12 @@ func (s *Set) Rebuild() ([]int, error) {
 	// manifest no longer references them.
 	gc()
 
-	s.clearStagedLocked()
+	s.staged = newEpoch(len(s.shards))
 	out := make([]int, 0, len(built))
 	for _, b := range built {
 		out = append(out, b.shard)
 	}
 	return out, nil
-}
-
-// clearStagedLocked drops a consumed staging epoch: the per-shard
-// deltas, the delete list, and the cached delete index — the latter
-// must not survive, or a later epoch whose delete list happens to
-// reach the same length would be served the stale map. The deltas are
-// not dropped wholesale: each is emptied in place (slab truncated,
-// delta-tree node pages recycled via DynTree.Reset) and parked on the
-// spare list for deltaLocked to reuse, so repeated stage→rebuild→stage
-// cycles stop re-allocating pool memory. The delete list itself must
-// NOT be recycled in place — live query views alias its prefix (see
-// deleteViewLocked). Callers hold pmu's write side; no query can be
-// probing the delta trees here because Rebuild runs under the public
-// maintenance guard.
-// flatlint:holds pmu
-func (s *Set) clearStagedLocked() {
-	for i, d := range s.delta {
-		if d == nil {
-			continue
-		}
-		d.reset()
-		s.spareDeltas = append(s.spareDeltas, d)
-		s.delta[i] = nil
-	}
-	s.delta = nil
-	s.deletes = nil
-	s.delIdx.Store(nil)
 }
 
 // mergedElements materializes dirty shard sh's post-rebuild element
@@ -659,7 +571,7 @@ func (s *Set) mergedElements(sh int, dels deleteView) ([]geom.Element, error) {
 			kept = append(kept, e)
 		}
 	}
-	for _, si := range s.slabLocked(sh) {
+	for _, si := range s.staged.deltas[sh].slab {
 		if !dels.matchesAfter(si.el, si.seq) {
 			kept = append(kept, si.el)
 		}

@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
@@ -328,6 +329,43 @@ func TestRebuildDeletes(t *testing.T) {
 		if !equalIDs(sortedIDs(got), brute(survivors, q)) {
 			t.Fatalf("query %d diverges after delete rebuild", i)
 		}
+	}
+
+	// A second epoch whose delete list reaches the first one's length
+	// but names other elements: a by-ID index cached per list length and
+	// carried over from the consumed epoch would hide the old victims'
+	// ids and none of the new ones.
+	second := []geom.Element{orig[20], orig[600], orig[1500]}
+	for _, v := range second {
+		if err := set.StageDelete(v.ID, v.Box); err != nil {
+			t.Fatal(err)
+		}
+		doomed = append(doomed, pendingDelete{ID: v.ID, Box: v.Box})
+	}
+	survivors = slices.DeleteFunc(survivors, func(e geom.Element) bool { return matchesDelete(doomed, e) })
+	// Every victim's own box is queried, so each is looked for by name.
+	queries := testQueries(r, 20)
+	for _, d := range doomed {
+		queries = append(queries, d.Box)
+	}
+	for _, when := range []string{"overlaid", "rebuilt"} {
+		for i, q := range queries {
+			got, _, err := set.RangeQuery(context.Background(), q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !equalIDs(sortedIDs(got), brute(survivors, q)) {
+				t.Fatalf("second delete epoch, %s: query %d diverges", when, i)
+			}
+		}
+		if when == "overlaid" {
+			if _, err := set.Rebuild(); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if set.Len() != len(survivors) {
+		t.Fatalf("Len after the second delete epoch = %d, want %d", set.Len(), len(survivors))
 	}
 
 	// A second rebuild with nothing staged is a no-op.
@@ -776,102 +814,5 @@ func TestOpenRejectsElementCountMismatch(t *testing.T) {
 		if _, err := OpenSet(dir, OpenOptions{Mmap: mmap}); err == nil || !strings.Contains(err.Error(), "corrupt superblock") {
 			t.Fatalf("open (mmap=%v) with 2e8 claimed object pages: %v, want a corrupt-superblock error", mmap, err)
 		}
-	}
-}
-
-// Rebuild must retire the epoch's deltas onto the spare list (emptied,
-// trees reset) and the next staging epoch must reuse them — same
-// *shardDelta values, recycled slab capacity — while answering queries
-// exactly like a fresh epoch would.
-func TestRebuildRecyclesDeltas(t *testing.T) {
-	r := rand.New(rand.NewSource(47))
-	els := randomElements(r, 2000)
-	set, err := Build(els, Config{Shards: 4, PageCapacity: 16})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer set.Close()
-	all := geom.Box(geom.V(-1000, -1000, -1000), geom.V(1000, 1000, 1000))
-
-	stageEpoch := func(startID uint64) {
-		t.Helper()
-		batch := randomElements(rand.New(rand.NewSource(int64(startID))), 300)
-		for i := range batch {
-			batch[i].ID = startID + uint64(i)
-		}
-		if err := set.StageInsert(batch...); err != nil {
-			t.Fatal(err)
-		}
-	}
-
-	stageEpoch(100000)
-	firstEpoch := map[*shardDelta]bool{}
-	for _, d := range set.delta {
-		if d != nil {
-			firstEpoch[d] = true
-		}
-	}
-	if len(firstEpoch) == 0 {
-		t.Fatal("first epoch created no deltas")
-	}
-
-	if _, err := set.Rebuild(); err != nil {
-		t.Fatal(err)
-	}
-	if set.delta != nil {
-		t.Fatal("Rebuild left live deltas")
-	}
-	if len(set.spareDeltas) != len(firstEpoch) {
-		t.Fatalf("spare list holds %d deltas, want %d", len(set.spareDeltas), len(firstEpoch))
-	}
-	for _, d := range set.spareDeltas {
-		if !firstEpoch[d] {
-			t.Fatal("spare list holds a delta the first epoch never created")
-		}
-		if len(d.slab) != 0 {
-			t.Fatalf("spare delta slab not emptied: %d entries", len(d.slab))
-		}
-		if cap(d.slab) == 0 {
-			t.Fatal("spare delta slab lost its capacity")
-		}
-		if d.tree != nil && d.tree.Len() != 0 {
-			t.Fatalf("spare delta tree not reset: %d entries", d.tree.Len())
-		}
-	}
-
-	stageEpoch(200000)
-	reused := 0
-	for _, d := range set.delta {
-		if d != nil && firstEpoch[d] {
-			reused++
-		}
-	}
-	if reused == 0 {
-		t.Fatal("second epoch reused no first-epoch deltas")
-	}
-
-	// Recycled deltas must serve queries exactly: brute-force parity
-	// over bulkloaded + second-epoch staged elements.
-	got, _, err := set.RangeQuery(context.Background(), all)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// 2000 bulkloaded + 300 folded in by Rebuild + 300 staged now.
-	if want := 2600; len(got) != want {
-		t.Fatalf("post-recycle query returned %d elements, want %d", len(got), want)
-	}
-	seen := map[uint64]bool{}
-	staged := 0
-	for _, e := range got {
-		if seen[e.ID] {
-			t.Fatalf("element %d duplicated", e.ID)
-		}
-		seen[e.ID] = true
-		if e.ID >= 200000 {
-			staged++
-		}
-	}
-	if staged != 300 {
-		t.Fatalf("found %d second-epoch staged elements, want 300", staged)
 	}
 }

@@ -46,7 +46,6 @@ import (
 	"os"
 	"path/filepath"
 	"sync"
-	"sync/atomic"
 
 	"flat/internal/core"
 	"flat/internal/geom"
@@ -128,26 +127,14 @@ type Set struct {
 	// under Lock, and Rebuild (which additionally swaps the bulkloaded
 	// state above) must not run concurrently with queries at all — the
 	// public layer enforces that with its ErrBusy query guard.
-	pmu     sync.RWMutex
-	delta   []*shardDelta   // per shard: staged inserts + their delta R-tree; guarded by pmu
-	deletes []pendingDelete // guarded by pmu
-	clock   uint64          // staging-order stamp for last-op-wins semantics; guarded by pmu
-	// spareDeltas holds the previous epoch's emptied deltas for reuse:
-	// their slabs and delta-tree page slabs are already sized for the
-	// workload's staging volume, so a stage→rebuild→stage cycle stops
-	// re-allocating them (see clearStagedLocked/deltaLocked). Guarded
-	// by pmu.
-	spareDeltas []*shardDelta
-
-	// delIdx caches the by-ID index over deletes (see deleteViewLocked);
-	// atomically published immutable snapshots, no guard needed.
-	delIdx atomic.Pointer[deleteIndex]
+	pmu    sync.RWMutex
+	staged *epoch // the live staging epoch (delta.go); Rebuild replaces it whole; guarded by pmu
+	clock  uint64 // staging-order stamp for last-op-wins semantics; guarded by pmu
 
 	// wal is the write-ahead log behind the staged updates (nil when
-	// disabled). Staging appends to it before mutating the fields above,
-	// Rebuild rotates it at the manifest swap, Flush syncs it. Accessed
-	// under pmu everywhere past construction.
-	wal *storage.WAL
+	// disabled). Staging appends to it before mutating the epoch, Rebuild
+	// rotates it at the manifest swap, Flush syncs it.
+	wal *storage.WAL // guarded by pmu
 }
 
 // SplitHilbert reorders els in place along the 3D Hilbert curve of their
@@ -297,6 +284,7 @@ func Build(els []geom.Element, cfg Config) (*Set, error) {
 		dir:          cfg.Dir,
 		pageCapacity: cfg.PageCapacity,
 		seedFanout:   cfg.SeedFanout,
+		staged:       newEpoch(k),
 		wal:          wal,
 	}
 	if cfg.Dir != "" {
@@ -456,6 +444,7 @@ func openShards(files []string, entries []shardEntry, opts OpenOptions) (*Set, e
 		bounds: make([]geom.MBR, k),
 		pool:   pool,
 		multi:  multi,
+		staged: newEpoch(k),
 	}
 	for s, file := range files {
 		name := filepath.Base(file)
@@ -495,8 +484,11 @@ func openShards(files []string, entries []shardEntry, opts OpenOptions) (*Set, e
 // the manifest references is opened and its valid prefix replayed into
 // the staged state; otherwise, when enable is set, a fresh log is
 // created and published in the manifest, upgrading the directory in
-// place. Runs during open, before the set is shared.
+// place. Runs during open, before the set is shared; pmu is taken all
+// the same, so the guarded fields have no unlocked writer.
 func (set *Set) openWAL(m manifest, enable bool) error {
+	set.pmu.Lock()
+	defer set.pmu.Unlock()
 	if m.WAL != "" {
 		w, recs, err := storage.OpenWAL(filepath.Join(set.dir, m.WAL))
 		if err != nil {

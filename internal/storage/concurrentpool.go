@@ -209,15 +209,6 @@ func (sh *poolShard) insert(id PageID, data []byte) {
 	}
 }
 
-// Cached reports whether page id currently resides in the pool.
-func (p *ConcurrentPool) Cached(id PageID) bool {
-	sh := p.shard(id)
-	sh.mu.Lock()
-	_, ok := sh.frames[id]
-	sh.mu.Unlock()
-	return ok
-}
-
 // Len returns the number of cached frames across all shards.
 func (p *ConcurrentPool) Len() int {
 	n := 0

@@ -39,9 +39,6 @@ func TestConcurrentPoolBasics(t *testing.T) {
 	if data[0] != 3 || data[PageSize-1] != 3 {
 		t.Fatalf("page 3 content = %d", data[0])
 	}
-	if !pool.Cached(3) || pool.Cached(4) {
-		t.Fatal("cache state wrong after one read")
-	}
 	if got := pool.Stats().Reads[CatObject]; got != 1 {
 		t.Fatalf("reads = %d, want 1", got)
 	}
@@ -224,20 +221,17 @@ func TestConcurrentPoolLRUWithinStripe(t *testing.T) {
 	pool.Read(b)
 	pool.Read(a) // a is now MRU
 	pool.Read(c) // evicts b
-	if !pool.Cached(a) {
-		t.Error("page a should still be cached")
-	}
-	if pool.Cached(b) {
-		t.Error("page b should have been evicted")
-	}
-	if !pool.Cached(c) {
-		t.Error("page c should be cached")
-	}
 	if pool.Len() != 2 {
 		t.Errorf("Len = %d, want 2", pool.Len())
 	}
-	// Re-reading the evicted page is a miss again.
+	// a and c are still cached — re-reading them is free — and b was
+	// evicted: re-reading it is a miss again.
 	before := pool.Stats().TotalReads()
+	pool.Read(a)
+	pool.Read(c)
+	if got := pool.Stats().TotalReads(); got != before {
+		t.Errorf("pages a and c should still be cached: %d reads", got-before)
+	}
 	pool.Read(b)
 	if got := pool.Stats().TotalReads(); got != before+1 {
 		t.Errorf("evicted page re-read not counted")

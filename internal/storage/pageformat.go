@@ -346,27 +346,3 @@ func DecodeObjectPageInto(page []byte, dst []geom.Element) ([]geom.Element, erro
 	}
 	return dst, nil
 }
-
-// ObjectPageMBR returns the union of an object page's element boxes as
-// stored: for v2 this is the exact reference MBR read straight from the
-// header; for v1 it is computed from the entries.
-func ObjectPageMBR(page []byte) (geom.MBR, error) {
-	f, err := ObjectPageFormat(page)
-	if err != nil {
-		return geom.MBR{}, err
-	}
-	if f == PageFormatV2 {
-		r := NewPageReader(page)
-		r.Seek(objectHeaderV1)
-		return r.MBR(), nil
-	}
-	els, err := DecodeObjectPage(page)
-	if err != nil {
-		return geom.MBR{}, err
-	}
-	m := geom.EmptyMBR()
-	for _, e := range els {
-		m = m.Union(e.Box)
-	}
-	return m, nil
-}

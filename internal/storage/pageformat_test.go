@@ -97,10 +97,7 @@ func checkV2RoundTrip(t *testing.T, els []geom.Element) {
 	if len(dec) != len(els) {
 		t.Fatalf("decoded %d elements, want %d", len(dec), len(els))
 	}
-	ref, err := storage.ObjectPageMBR(page[:])
-	if err != nil {
-		t.Fatal(err)
-	}
+	ref := geom.ElementsMBR(els) // the page's reference MBR
 	for i := range dec {
 		if dec[i].ID != els[i].ID {
 			t.Fatalf("element %d: id %d != %d", i, dec[i].ID, els[i].ID)
@@ -135,7 +132,7 @@ func TestObjectPageV2Slack(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ref, _ := storage.ObjectPageMBR(page[:])
+	ref := geom.ElementsMBR(els) // the page's reference MBR
 	for a := 0; a < 3; a++ {
 		maxSlack := 4 * (ref.Max.Axis(a) - ref.Min.Axis(a)) / (1 << 32)
 		for i := range dec {

@@ -82,81 +82,6 @@ func TestMemPagerRoundTrip(t *testing.T) {
 	pagerRoundTrip(t, p)
 }
 
-// Truncate must retire every page (out of range, like a fresh pager)
-// while retaining the slabs, and subsequent Allocs must reuse them —
-// zeroed, with the new category — without growing the retained set.
-func TestMemPagerTruncateReuse(t *testing.T) {
-	p := NewMemPager()
-	defer p.Close()
-
-	src := make([]byte, PageSize)
-	for i := range src {
-		src[i] = 0xAB
-	}
-	for i := 0; i < 5; i++ {
-		id, err := p.Alloc(CatObject)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := p.WritePage(id, src); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if p.Retained() != 5 {
-		t.Fatalf("Retained = %d, want 5", p.Retained())
-	}
-
-	p.Truncate()
-	if p.NumPages() != 0 {
-		t.Fatalf("NumPages after Truncate = %d", p.NumPages())
-	}
-	if p.Retained() != 5 {
-		t.Fatalf("Retained after Truncate = %d, want 5", p.Retained())
-	}
-	dst := make([]byte, PageSize)
-	if err := p.ReadPage(0, dst); err != ErrPageOutOfRange {
-		t.Fatalf("read of truncated page = %v, want ErrPageOutOfRange", err)
-	}
-	if got := p.CategoryOf(0); got != CatUnknown {
-		t.Fatalf("CategoryOf truncated page = %v", got)
-	}
-
-	// The second epoch reuses slabs: same IDs, zeroed content, fresh
-	// category, no growth.
-	id, err := p.Alloc(CatMetadata)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if id != 0 {
-		t.Fatalf("first post-Truncate Alloc = %d, want 0", id)
-	}
-	if err := p.ReadPage(id, dst); err != nil {
-		t.Fatal(err)
-	}
-	for i, b := range dst {
-		if b != 0 {
-			t.Fatalf("reused page not zeroed at byte %d", i)
-		}
-	}
-	if got := p.CategoryOf(id); got != CatMetadata {
-		t.Fatalf("CategoryOf reused page = %v", got)
-	}
-	for i := 0; i < 4; i++ {
-		if _, err := p.Alloc(CatObject); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if p.Retained() != 5 {
-		t.Fatalf("Retained after reuse = %d, want 5 (no growth)", p.Retained())
-	}
-	if _, err := p.Alloc(CatObject); err != nil {
-		t.Fatal(err)
-	}
-	if p.Retained() != 6 {
-		t.Fatalf("Retained after growth = %d, want 6", p.Retained())
-	}
-}
-
 func TestFilePagerRoundTrip(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "pages.db")
 	p, err := CreateFilePager(path)

@@ -176,7 +176,7 @@ func TestPartitionCellsCoverWorld(t *testing.T) {
 	for _, pt := range probes {
 		covered := false
 		for _, p := range parts {
-			if p.Cell.ContainsPoint(pt) {
+			if p.Cell.Contains(geom.PointBox(pt)) {
 				covered = true
 				break
 			}
@@ -206,7 +206,7 @@ func TestPartitionClusteredData(t *testing.T) {
 	mid := geom.V(50, 50, 50)
 	covered := false
 	for _, p := range parts {
-		if p.Cell.ContainsPoint(mid) {
+		if p.Cell.Contains(geom.PointBox(mid)) {
 			covered = true
 			break
 		}
