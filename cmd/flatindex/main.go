@@ -5,7 +5,8 @@
 //
 // FLAT is a bulkloading index (the paper's models change rarely and in
 // batches), so flatindex builds and queries in one invocation; pass
-// -index to keep the page file on disk.
+// -index to keep the index on disk, in a directory holding one page
+// file per shard and a manifest, and to reopen it the next time.
 //
 // Usage:
 //
@@ -17,12 +18,10 @@
 //	flatindex -data brain.flte -shards 4 -index brain.shards -stats
 //	flatindex -data brain.flte -shards 4 -index brain.shards -insert delta.flte -rebuild
 //
-// With -shards K (K > 1) the data is split into K spatial shards built
-// in parallel and queried scatter-gather (flat.BuildSharded); -index
-// then names a directory instead of a single page file. Reopening goes
-// through flat.OpenAny (which detects the on-disk shape) and all query
-// paths go through the flat.QueryIndex contract, so they are identical
-// for both index kinds. Queries run as streaming sessions: -limit N
+// With -shards K the data is split into K spatial shards built in
+// parallel behind one MBR directory; every path below is the same at
+// any K, and a reopened directory's own shard count wins over the flag.
+// Queries run as streaming sessions: -limit N
 // stops the crawl after N results, and the reported page reads shrink
 // accordingly (the paper's crawl cost is proportional to the result
 // size, so bounding the results bounds the I/O).
@@ -32,7 +31,7 @@
 // traversal, so a small k reads far fewer pages than draining and
 // sorting). -k 0 streams the entire index in distance order.
 //
-// A sharded index accepts updates between bulkloads: -insert stages
+// The index accepts updates between bulkloads: -insert stages
 // the elements of another element file, -delete stages removals by
 // element id, and -rebuild folds the staged changes in by re-bulkloading
 // only the shards they touch (each rebuilt shard writes a new
@@ -42,7 +41,7 @@
 // -rebuild; without -wal they are lost at exit unless -rebuild persists
 // them.
 //
-// -wal gives a disk-backed sharded index a write-ahead log: staged
+// -wal gives a disk-backed index a write-ahead log: staged
 // updates are appended to the log before they take effect and flushed
 // before the invocation exits, so they survive a crash (or kill -9)
 // without any -rebuild — the next invocation replays the log and
@@ -62,8 +61,10 @@ package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
+	"io/fs"
 	"os"
 	"strconv"
 	"strings"
@@ -75,7 +76,7 @@ import (
 func main() {
 	var (
 		data    = flag.String("data", "", "binary element file (required)")
-		index   = flag.String("index", "", "optional page-file path; empty keeps the index in memory")
+		index   = flag.String("index", "", "optional index directory; empty keeps the index in memory")
 		query   = flag.String("query", "", "range query 'x1,y1,z1,x2,y2,z2'")
 		point   = flag.String("point", "", "point query 'x,y,z'")
 		nn      = flag.String("nn", "", "k-nearest-neighbor query point 'x,y,z'; results stream in nondecreasing distance")
@@ -83,13 +84,13 @@ func main() {
 		stats   = flag.Bool("stats", false, "print index statistics")
 		compare = flag.Bool("compare", false, "also run the query on the three R-tree baselines")
 		limit   = flag.Int("limit", 0, "stop the query after this many results (0: unlimited); the crawl aborts early, saving page reads")
-		shards  = flag.Int("shards", 1, "number of spatial shards (>1: sharded index; -index names a directory)")
-		insert  = flag.String("insert", "", "element file whose contents are staged for insertion (sharded index only)")
-		del     = flag.String("delete", "", "comma-separated element ids staged for deletion (sharded index only)")
+		shards  = flag.Int("shards", 1, "number of spatial shards for a fresh build")
+		insert  = flag.String("insert", "", "element file whose contents are staged for insertion")
+		del     = flag.String("delete", "", "comma-separated element ids staged for deletion")
 		rebuild = flag.Bool("rebuild", false, "fold staged updates in by re-bulkloading only the dirty shards")
 		pf      = flag.String("pageformat", "v1", "object-page layout for a fresh build: v1 (full precision) or v2 (quantized delta-encoded, ~1.7x denser); reopening reads the format from the index itself")
 		mmap    = flag.Bool("mmap", false, "serve an existing index through a read-only memory mapping instead of file reads (reopen only)")
-		wal     = flag.Bool("wal", false, "write-ahead-log staged updates so they survive a crash without -rebuild (disk-backed sharded index only)")
+		wal     = flag.Bool("wal", false, "write-ahead-log staged updates so they survive a crash without -rebuild (disk-backed index only)")
 	)
 	flag.Parse()
 	if *data == "" {
@@ -106,77 +107,55 @@ func main() {
 	}
 	fmt.Printf("loaded %d elements from %s\n", len(els), *data)
 
-	// Reuse a previously built index file (or shard directory) when
-	// present; otherwise build (and, with -index, persist for the next
-	// invocation). OpenAny resolves the on-disk shape itself, and
-	// everything below the build programs against the flat.QueryIndex
-	// contract, which both index kinds satisfy.
-	var ix flat.QueryIndex
+	// Reuse a previously built index directory when present; only a
+	// missing one is built (and, with -index, persisted for the next
+	// invocation) — a directory that is there but does not open is
+	// reported, never overwritten.
+	var ix *flat.Index
 	if *index != "" {
-		if reopened, err := flat.OpenAnyWithOptions(*index, &flat.ShardedOptions{Mmap: *mmap, WAL: *wal}); err == nil {
+		_, statErr := os.Stat(*index)
+		if statErr != nil && !errors.Is(statErr, fs.ErrNotExist) {
+			fatalf("%v", statErr)
+		}
+		if statErr == nil {
+			if ix, err = flat.Open(*index, &flat.Options{Mmap: *mmap, WAL: *wal}); err != nil {
+				fatalf("open %s: %v (delete it to rebuild)", *index, err)
+			}
 			fmt.Printf("reopened existing index %s\n", *index)
 			// An index with a write-ahead log replays it on open: say what
 			// survived so a kill-and-reopen is visible from the outside.
-			if sx, ok := reopened.(*flat.ShardedIndex); ok {
-				if st, err := sx.DeltaStats(); err == nil && (st.Inserts > 0 || st.Deletes > 0) {
-					fmt.Printf("replayed write-ahead log: %d staged inserts, %d staged deletes pending\n",
-						st.Inserts, st.Deletes)
-				}
+			if st, err := ix.DeltaStats(); err == nil && (st.Inserts > 0 || st.Deletes > 0) {
+				fmt.Printf("replayed write-ahead log: %d staged inserts, %d staged deletes pending\n",
+					st.Inserts, st.Deletes)
 			}
-			// The on-disk shape and page format win over the -shards and
-			// -pageformat flags; say so when they disagree rather than
-			// silently serving the wrong thing.
-			switch v := reopened.(type) {
-			case *flat.ShardedIndex:
-				if *shards != v.NumShards() {
-					fmt.Printf("warning: %s was built with %d shards; -shards %d ignored (delete it to rebuild)\n",
-						*index, v.NumShards(), *shards)
-				}
-				if flagWasSet("pageformat") {
-					for s := 0; s < v.NumShards(); s++ {
-						if f := v.ShardPageFormat(s); f != format {
-							fmt.Printf("warning: shard %d of %s is %s; -pageformat %s ignored (delete it to rebuild)\n",
-								s, *index, f, format)
-							break
-						}
+			// The on-disk shard count and page format win over flags the
+			// caller passed; say so when they disagree rather than silently
+			// serving the wrong thing.
+			if flagWasSet("shards") && *shards != ix.NumShards() {
+				fmt.Printf("warning: %s was built with %d shards; -shards %d ignored (delete it to rebuild)\n",
+					*index, ix.NumShards(), *shards)
+			}
+			if flagWasSet("pageformat") {
+				for s := 0; s < ix.NumShards(); s++ {
+					if f := ix.ShardPageFormat(s); f != format {
+						fmt.Printf("warning: shard %d of %s is %s; -pageformat %s ignored (delete it to rebuild)\n",
+							s, *index, f, format)
+						break
 					}
 				}
-			case *flat.Index:
-				if *shards > 1 {
-					fmt.Printf("warning: %s is an unsharded page file; -shards %d ignored (delete it to rebuild)\n",
-						*index, *shards)
-				}
-				if flagWasSet("pageformat") && v.PageFormat() != format {
-					fmt.Printf("warning: %s is %s; -pageformat %s ignored (delete it to rebuild)\n",
-						*index, v.PageFormat(), format)
-				}
 			}
-			ix = reopened
 		}
 	}
 	if ix == nil {
 		if *mmap {
 			fmt.Printf("warning: -mmap ignored (index built this invocation; rerun to reopen it memory-mapped)\n")
 		}
+		if *wal && *index == "" {
+			fatalf("-wal requires a disk-backed index (-index)")
+		}
 		cp := append([]flat.Element(nil), els...)
-		if *shards > 1 {
-			if *wal && *index == "" {
-				fatalf("-wal requires a disk-backed index (-index)")
-			}
-			sx, err := flat.BuildSharded(cp, &flat.ShardedOptions{Shards: *shards, Dir: *index, PageFormat: format, WAL: *wal})
-			if err != nil {
-				fatalf("build sharded: %v", err)
-			}
-			ix = sx
-		} else {
-			if *wal {
-				fatalf("-wal requires a sharded index (use -shards > 1)")
-			}
-			plain, err := flat.Build(cp, &flat.Options{Path: *index, PageFormat: format})
-			if err != nil {
-				fatalf("build: %v", err)
-			}
-			ix = plain
+		if ix, err = flat.Build(cp, &flat.Options{Shards: *shards, Dir: *index, PageFormat: format, WAL: *wal}); err != nil {
+			fatalf("build: %v", err)
 		}
 	}
 	defer ix.Close()
@@ -185,57 +164,44 @@ func main() {
 	if *stats {
 		fmt.Printf("  partitions:    %d\n", ix.NumPartitions())
 		fmt.Printf("  bounds:        %v\n", ix.Bounds())
-		switch v := ix.(type) {
-		case *flat.Index:
-			fmt.Printf("  seed height:   %d\n", v.SeedHeight())
-			fmt.Printf("  avg neighbors: %.1f\n", v.AvgNeighbors())
-			printFormatStats(v.PageFormat(), v.SizeBytes(), v.Len())
-		case *flat.ShardedIndex:
-			mixed := false
-			for s := 0; s < v.NumShards(); s++ {
-				f := v.ShardPageFormat(s)
-				mixed = mixed || f != v.ShardPageFormat(0)
-				fmt.Printf("  shard %d:      %v %s\n", s, v.ShardBounds(s), f)
+		fmt.Printf("  seed height:   %d\n", ix.SeedHeight())
+		fmt.Printf("  avg neighbors: %.1f\n", ix.AvgNeighbors())
+		mixed := false
+		for s := 0; s < ix.NumShards(); s++ {
+			f := ix.ShardPageFormat(s)
+			mixed = mixed || f != ix.ShardPageFormat(0)
+			fmt.Printf("  shard %d:      %v %s\n", s, ix.ShardBounds(s), f)
+		}
+		if mixed {
+			// Generations built before a format change keep their old
+			// layout until their next rebuild, so a set can be mixed.
+			fmt.Printf("  page format:   mixed (per shard above)\n")
+			fmt.Printf("  bytes/elem:    %.1f (whole index)\n", float64(ix.SizeBytes())/float64(ix.Len()))
+		} else {
+			printFormatStats(ix.ShardPageFormat(0), ix.SizeBytes(), ix.Len())
+		}
+		if st, err := ix.DeltaStats(); err == nil {
+			fmt.Printf("  staged delta:  %d inserts, %d deletes", st.Inserts, st.Deletes)
+			if st.WALBytes > 0 {
+				fmt.Printf(", %d WAL bytes", st.WALBytes)
 			}
-			if mixed {
-				// Generations built before a format change keep their old
-				// layout until their next rebuild, so a set can be mixed.
-				fmt.Printf("  page format:   mixed (per shard above)\n")
-				fmt.Printf("  bytes/elem:    %.1f (whole index)\n", float64(v.SizeBytes())/float64(v.Len()))
-			} else {
-				printFormatStats(v.ShardPageFormat(0), v.SizeBytes(), v.Len())
-			}
-			if st, err := v.DeltaStats(); err == nil {
-				fmt.Printf("  staged delta:  %d inserts, %d deletes", st.Inserts, st.Deletes)
-				if st.WALBytes > 0 {
-					fmt.Printf(", %d WAL bytes", st.WALBytes)
+			fmt.Println()
+			for _, sh := range st.Shards {
+				if sh.Staged > 0 {
+					fmt.Printf("    shard %d:     %d staged over %d base\n", sh.Shard, sh.Staged, sh.Base)
 				}
-				fmt.Println()
-				for _, sh := range st.Shards {
-					if sh.Staged > 0 {
-						fmt.Printf("    shard %d:     %d staged over %d base\n", sh.Shard, sh.Staged, sh.Base)
-					}
-				}
-			}
-			if cs := v.CompactorStats(); cs.Enabled {
-				fmt.Printf("  compactor:     %d runs, %d shards rebuilt, %d busy retries\n",
-					cs.Runs, cs.ShardsRebuilt, cs.BusyRetries)
 			}
 		}
 		cached, capacity := ix.CacheStats()
 		fmt.Printf("  page cache:    %d/%d pages resident\n", cached, capacity)
 	}
 
-	// Staged updates + incremental rebuild (sharded index only).
+	// Staged updates + incremental rebuild.
 	if *insert != "" || *del != "" || *rebuild {
-		sx, ok := ix.(*flat.ShardedIndex)
-		if !ok {
-			fatalf("-insert/-delete/-rebuild require a sharded index (use -shards > 1)")
-		}
 		// WAL size before this invocation stages anything, so the flush
 		// report below reflects only what this run appended.
 		walBefore := int64(0)
-		if st, err := sx.DeltaStats(); err == nil {
+		if st, err := ix.DeltaStats(); err == nil {
 			walBefore = st.WALBytes
 		}
 		stagedOps := 0
@@ -254,14 +220,14 @@ func main() {
 			}
 			// Resolve each id's box by scanning the index: StageDelete
 			// identifies elements by their full (id, box) pair.
-			all, _, err := sx.RangeQuery(sx.Bounds())
+			all, _, err := ix.RangeQuery(ix.Bounds())
 			if err != nil {
 				fatalf("scan for -delete: %v", err)
 			}
 			staged := 0
 			for _, e := range all {
 				if doomed[e.ID] {
-					if err := sx.StageDelete(e.ID, e.Box); err != nil {
+					if err := ix.StageDelete(e.ID, e.Box); err != nil {
 						fatalf("stage delete: %v", err)
 					}
 					staged++
@@ -275,7 +241,7 @@ func main() {
 			if err != nil {
 				fatalf("load %s: %v", *insert, err)
 			}
-			if err := sx.StageInsert(add...); err != nil {
+			if err := ix.StageInsert(add...); err != nil {
 				fatalf("stage insert: %v", err)
 			}
 			stagedOps += len(add)
@@ -289,25 +255,25 @@ func main() {
 		// flushed records, so it is nonzero even when nothing new was
 		// staged (e.g. -insert named an empty file).
 		if stagedOps > 0 {
-			if st, err := sx.DeltaStats(); err == nil && st.WALBytes > walBefore {
-				if err := sx.Flush(); err != nil {
+			if st, err := ix.DeltaStats(); err == nil && st.WALBytes > walBefore {
+				if err := ix.Flush(); err != nil {
 					fatalf("flush wal: %v", err)
 				}
 				fmt.Printf("flushed write-ahead log (+%d bytes): staged updates survive until the next rebuild\n", st.WALBytes-walBefore)
 			}
 		}
 		if *rebuild {
-			dirty, err := sx.DirtyShards()
+			dirty, err := ix.DirtyShards()
 			if err != nil {
 				fatalf("dirty shards: %v", err)
 			}
-			rebuilt, err := sx.Rebuild()
+			rebuilt, err := ix.Rebuild()
 			if err != nil {
 				fatalf("rebuild: %v", err)
 			}
-			fmt.Printf("rebuilt %d of %d shards %v (dirty: %v)\n", len(rebuilt), sx.NumShards(), rebuilt, dirty)
+			fmt.Printf("rebuilt %d of %d shards %v (dirty: %v)\n", len(rebuilt), ix.NumShards(), rebuilt, dirty)
 			for _, s := range rebuilt {
-				fmt.Printf("  shard %d now generation %d, bounds %v\n", s, sx.ShardGeneration(s), sx.ShardBounds(s))
+				fmt.Printf("  shard %d now generation %d, bounds %v\n", s, ix.ShardGeneration(s), ix.ShardBounds(s))
 			}
 		}
 	}

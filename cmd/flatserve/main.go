@@ -1,18 +1,16 @@
 // Command flatserve serves a built FLAT index over TCP — the network
 // face of the library: streaming range/count queries with limits,
-// staged writes against the WAL-backed delta of a sharded index,
-// rebuilds, and an admin/stats endpoint. The protocol is the
+// staged writes against the index's WAL-backed delta, rebuilds, and an admin/stats endpoint. The protocol is the
 // length-prefixed binary framing of flat/internal/serve; see the
 // README's "Serving" section for the frame layout.
 //
 // Server mode (-index):
 //
-//	flatserve -index brain.shards -addr :4077
-//	flatserve -index brain.idx                 # plain index: read-only service
+//	flatserve -index brain.idx -addr :4077
 //
-// The index is memory-mapped by default (-mmap=false for file reads)
-// and, when it is a shard directory, opened with its write-ahead log
-// so staged writes are durable (-wal=false to opt out). SIGINT/SIGTERM
+// The index directory is memory-mapped by default (-mmap=false for file
+// reads) and opened with its write-ahead log so staged writes are
+// durable (-wal=false to opt out). SIGINT/SIGTERM
 // trigger a graceful drain: the listener closes, new queries are
 // refused, in-flight streams get -drain to finish before they are
 // cancelled, the WAL is flushed and the index closed.
@@ -50,11 +48,11 @@ import (
 
 func main() {
 	var (
-		index = flag.String("index", "", "index to serve: a page file or a shard directory (server mode)")
+		index = flag.String("index", "", "index directory to serve (server mode)")
 		addr  = flag.String("addr", ":4077", "listen address (server mode) or server address (client mode)")
 
 		mmapF    = flag.Bool("mmap", true, "serve the index through a read-only memory mapping")
-		wal      = flag.Bool("wal", true, "write-ahead-log staged updates (shard directory only)")
+		wal      = flag.Bool("wal", true, "write-ahead-log staged updates")
 		inflight = flag.Int("max-inflight", 0, "global concurrent-query budget; the N+1th query is rejected busy (0: default 64)")
 		connq    = flag.Int("conn-queries", 0, "concurrent queries allowed per connection (0: default 16)")
 		batch    = flag.Int("batch", 0, "elements per streamed result frame (0: default 128)")
@@ -94,20 +92,13 @@ func main() {
 }
 
 func runServer(index, addr string, mmap, wal bool, cfg serve.Config) {
-	// The shape (file vs directory) picks plain vs sharded; the
-	// write-ahead log applies to a shard directory only.
-	ix, err := flat.OpenAnyWithOptions(index, &flat.ShardedOptions{Mmap: mmap, WAL: wal})
+	ix, err := flat.Open(index, &flat.Options{Mmap: mmap, WAL: wal})
 	if err != nil {
 		fatalf("open %s: %v", index, err)
 	}
-	sx, sharded := ix.(*flat.ShardedIndex)
-	if sharded {
-		if st, err := sx.DeltaStats(); err == nil && (st.Inserts > 0 || st.Deletes > 0) {
-			fmt.Printf("flatserve: replayed write-ahead log: %d staged inserts, %d staged deletes pending\n",
-				st.Inserts, st.Deletes)
-		}
-	} else {
-		fmt.Printf("flatserve: %s is a plain page file: serving queries only (writes need a shard directory)\n", index)
+	if st, err := ix.DeltaStats(); err == nil && (st.Inserts > 0 || st.Deletes > 0) {
+		fmt.Printf("flatserve: replayed write-ahead log: %d staged inserts, %d staged deletes pending\n",
+			st.Inserts, st.Deletes)
 	}
 
 	s := serve.NewServer(ix, cfg)
@@ -131,12 +122,10 @@ func runServer(index, addr string, mmap, wal bool, cfg serve.Config) {
 		return
 	}
 	s.Shutdown()
-	if sharded {
-		// Anything acknowledged is already logged; one last flush covers
-		// updates staged through other paths before the index closes.
-		if err := sx.Flush(); err != nil {
-			fmt.Fprintf(os.Stderr, "flatserve: final wal flush: %v\n", err)
-		}
+	// Anything acknowledged is already logged; one last flush covers
+	// updates staged through other paths before the index closes.
+	if err := ix.Flush(); err != nil {
+		fmt.Fprintf(os.Stderr, "flatserve: final wal flush: %v\n", err)
 	}
 	if err := ix.Close(); err != nil {
 		fatalf("close index: %v", err)

@@ -7,8 +7,8 @@ import (
 	"time"
 )
 
-// AutoCompact configures the background compactor of a sharded index
-// (ShardedOptions.AutoCompact). The zero value disables it: Rebuild
+// AutoCompact configures the background compactor of an index
+// (Options.AutoCompact). The zero value disables it: Rebuild
 // stays a purely manual operation. With either trigger set, a
 // maintenance goroutine watches the staged-update delta and folds it in
 // (exactly what a manual Rebuild does — dirty shards only, crash-safe
@@ -34,7 +34,7 @@ func (a AutoCompact) enabled() bool { return a.DirtyRatio > 0 || a.MaxDelta > 0 
 // coalesce: a burst of stagings costs one wake-up); it re-evaluates the
 // triggers itself, so spurious kicks are cheap.
 type compactor struct {
-	sx       *ShardedIndex
+	ix       *Index
 	cfg      AutoCompact
 	kick     chan struct{}
 	stop     chan struct{}
@@ -52,7 +52,7 @@ type compactor struct {
 // CompactorStats reports the background compactor's activity. The zero
 // value (Enabled false) means the index runs without one.
 type CompactorStats struct {
-	// Enabled reports whether ShardedOptions.AutoCompact started a
+	// Enabled reports whether Options.AutoCompact started a
 	// background compactor for this index.
 	Enabled bool
 	// Runs counts completed background Rebuilds.
@@ -70,8 +70,8 @@ type CompactorStats struct {
 // CompactorStats snapshots the background compactor's activity
 // counters. Safe to call concurrently with everything, including after
 // Close (the counters outlive the compactor goroutine).
-func (sx *ShardedIndex) CompactorStats() CompactorStats {
-	c := sx.compact
+func (ix *Index) CompactorStats() CompactorStats {
+	c := ix.compact
 	if c == nil {
 		return CompactorStats{}
 	}
@@ -88,30 +88,30 @@ func (sx *ShardedIndex) CompactorStats() CompactorStats {
 }
 
 // startCompactor launches the compactor when cfg enables it. Called
-// once, before the index is shared; sx.compact is immutable afterwards
+// once, before the index is shared; ix.compact is immutable afterwards
 // (kickCompactor reads it concurrently).
-func (sx *ShardedIndex) startCompactor(cfg AutoCompact) {
+func (ix *Index) startCompactor(cfg AutoCompact) {
 	if !cfg.enabled() {
 		return
 	}
 	c := &compactor{
-		sx:   sx,
+		ix:   ix,
 		cfg:  cfg,
 		kick: make(chan struct{}, 1),
 		stop: make(chan struct{}),
 		done: make(chan struct{}),
 	}
-	sx.compact = c
+	ix.compact = c
 	go c.run()
 	// An opened index may already carry a replayed delta past the
 	// thresholds; evaluate once without waiting for the first staging.
-	sx.kickCompactor()
+	ix.kickCompactor()
 }
 
 // kickCompactor wakes the compactor, if one is running. Never blocks;
 // a kick while one is already pending coalesces with it.
-func (sx *ShardedIndex) kickCompactor() {
-	if c := sx.compact; c != nil {
+func (ix *Index) kickCompactor() {
+	if c := ix.compact; c != nil {
 		select {
 		case c.kick <- struct{}{}:
 		default:
@@ -140,13 +140,11 @@ func (c *compactor) run() {
 	}
 }
 
-// due evaluates the triggers against the current delta.
+// due evaluates the triggers against the current delta. It reads the
+// set directly, holding no side of the query guard: the compactor's own
+// bookkeeping must never make a Close or DropCache report ErrBusy.
 func (c *compactor) due() bool {
-	st, err := c.sx.DeltaStats()
-	if err != nil {
-		// Closed (or closing): there is no delta left to watch.
-		return false
-	}
+	st := c.ix.set.DeltaStats()
 	if c.cfg.MaxDelta > 0 && st.Inserts+st.Deletes >= c.cfg.MaxDelta {
 		return true
 	}
@@ -170,7 +168,7 @@ func (c *compactor) compactWithBackoff() {
 	delay := time.Millisecond
 	const maxDelay = 250 * time.Millisecond
 	for {
-		rebuilt, err := c.sx.Rebuild()
+		rebuilt, err := c.ix.Rebuild()
 		if err == nil {
 			c.runs.Add(1)
 			c.shardsRebuilt.Add(int64(len(rebuilt)))

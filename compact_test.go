@@ -12,7 +12,7 @@ import (
 // background compactor has folded it in) or the deadline passes.
 // Pending returns ErrBusy while the compactor's Rebuild holds the
 // guard; that just means "in progress", so keep polling through it.
-func waitCompacted(t *testing.T, sx *ShardedIndex) {
+func waitCompacted(t *testing.T, sx *Index) {
 	t.Helper()
 	deadline := time.Now().Add(10 * time.Second)
 	for time.Now().Before(deadline) {
@@ -28,6 +28,34 @@ func waitCompacted(t *testing.T, sx *ShardedIndex) {
 	t.Fatal("staged delta never drained: background compaction did not run")
 }
 
+// closeRetrying closes an index that runs a background compactor: a
+// Rebuild of the compactor's that is still in flight — down to its
+// release of the guard — refuses the Close with ErrBusy like any other
+// maintenance, so the caller retries.
+func closeRetrying(t *testing.T, sx *Index) {
+	t.Helper()
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		err := sx.Close()
+		if err == nil {
+			return
+		}
+		if !errors.Is(err, ErrBusy) || time.Now().After(deadline) {
+			t.Fatalf("Close: %v", err)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// stagedAt returns n elements with ids from firstID up, all at box.
+func stagedAt(box MBR, firstID uint64, n int) []Element {
+	els := make([]Element, n)
+	for i := range els {
+		els[i] = Element{ID: firstID + uint64(i), Box: box}
+	}
+	return els
+}
+
 // TestAutoCompactMaxDelta drives the count trigger: staging past
 // MaxDelta must fold the delta in without any manual Rebuild, and the
 // folded state must serve queries and survive reopen.
@@ -35,7 +63,7 @@ func TestAutoCompactMaxDelta(t *testing.T) {
 	r := rand.New(rand.NewSource(71))
 	els := randomElements(r, 1200)
 	dir := filepath.Join(t.TempDir(), "autocompact")
-	sx, err := BuildSharded(els, &ShardedOptions{
+	sx, err := Build(els, &Options{
 		Shards: 4, PageCapacity: 16, Dir: dir,
 		WAL:         true,
 		AutoCompact: AutoCompact{MaxDelta: 16},
@@ -44,12 +72,12 @@ func TestAutoCompactMaxDelta(t *testing.T) {
 		t.Fatal(err)
 	}
 
+	// One staging call: a compaction cannot land between two of the
+	// inserts and leave a remainder below the trigger behind.
 	spot := CubeAt(V(30, 30, 30), 2)
 	const fresh = 40
-	for i := 0; i < fresh; i++ {
-		if err := sx.StageInsert(Element{ID: 800000 + uint64(i), Box: spot}); err != nil {
-			t.Fatal(err)
-		}
+	if err := sx.StageInsert(stagedAt(spot, 800000, fresh)...); err != nil {
+		t.Fatal(err)
 	}
 	waitCompacted(t, sx)
 
@@ -63,11 +91,9 @@ func TestAutoCompactMaxDelta(t *testing.T) {
 	if got := sx.Len(); got != len(els)+fresh {
 		t.Fatalf("Len = %d, want %d (delta folded into base)", got, len(els)+fresh)
 	}
-	if err := sx.Close(); err != nil {
-		t.Fatal(err)
-	}
+	closeRetrying(t, sx)
 
-	re, err := OpenSharded(dir)
+	re, err := Open(dir, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,22 +115,20 @@ func TestAutoCompactMaxDelta(t *testing.T) {
 func TestAutoCompactDirtyRatio(t *testing.T) {
 	r := rand.New(rand.NewSource(72))
 	els := randomElements(r, 2000)
-	sx, err := BuildSharded(els, &ShardedOptions{
+	sx, err := Build(els, &Options{
 		Shards: 4, PageCapacity: 16,
 		AutoCompact: AutoCompact{DirtyRatio: 0.05},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer sx.Close()
+	defer closeRetrying(t, sx)
 
 	// ~100 inserts into one spot dirty a single shard well past 5% of
 	// its ~500-element base.
 	spot := CubeAt(V(10, 10, 10), 1)
-	for i := 0; i < 100; i++ {
-		if err := sx.StageInsert(Element{ID: 900000 + uint64(i), Box: spot}); err != nil {
-			t.Fatal(err)
-		}
+	if err := sx.StageInsert(stagedAt(spot, 900000, 100)...); err != nil {
+		t.Fatal(err)
 	}
 	waitCompacted(t, sx)
 	if got := sx.Len(); got != len(els)+100 {
@@ -112,14 +136,14 @@ func TestAutoCompactDirtyRatio(t *testing.T) {
 	}
 }
 
-// TestFlushAndDeltaStats exercises the two new ShardedIndex accessors:
+// TestFlushAndDeltaStats exercises the two staging accessors:
 // DeltaStats must size the delta and the log, Flush must succeed, and
 // a Rebuild must zero the delta and shrink the rotated log.
 func TestFlushAndDeltaStats(t *testing.T) {
 	r := rand.New(rand.NewSource(73))
 	els := randomElements(r, 600)
 	dir := filepath.Join(t.TempDir(), "deltastats")
-	sx, err := BuildSharded(els, &ShardedOptions{
+	sx, err := Build(els, &Options{
 		Shards: 2, PageCapacity: 16, Dir: dir, WAL: true,
 	})
 	if err != nil {
@@ -181,13 +205,16 @@ func TestFlushAndDeltaStats(t *testing.T) {
 }
 
 // TestAutoCompactCloseRace closes the index while the compactor may be
-// mid-Rebuild: Close must stop it cleanly (no deadlock, no double
-// fold), whatever state the race lands in.
+// mid-Rebuild: a background Rebuild in flight refuses the Close like
+// any maintenance (ErrBusy, nothing changed), and the Close that lands
+// stops the compactor cleanly — no deadlock, no double fold — whatever
+// state the race lands in. A refused Close leaves the compactor alive:
+// what is staged afterwards still compacts.
 func TestAutoCompactCloseRace(t *testing.T) {
 	r := rand.New(rand.NewSource(74))
 	for round := 0; round < 5; round++ {
 		els := randomElements(r, 400)
-		sx, err := BuildSharded(els, &ShardedOptions{
+		sx, err := Build(els, &Options{
 			Shards: 2, PageCapacity: 16,
 			AutoCompact: AutoCompact{MaxDelta: 1},
 		})
@@ -199,10 +226,24 @@ func TestAutoCompactCloseRace(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		// Close stops the compactor before tearing the guard down, so it
-		// must succeed first try even with a Rebuild in flight.
-		if err := sx.Close(); err != nil {
-			t.Fatal(err)
-		}
+		closeRetrying(t, sx)
 	}
+
+	sx, err := Build(randomElements(r, 400), &Options{Shards: 2, PageCapacity: 16, AutoCompact: AutoCompact{MaxDelta: 4}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	release := parkQuery(t, &sx.guard)
+	if err := sx.Close(); !errors.Is(err, ErrBusy) {
+		t.Fatalf("Close beside a parked query: %v, want ErrBusy", err)
+	}
+	release()
+	if err := sx.StageInsert(stagedAt(CubeAt(V(5, 5, 5), 1), 999100, 8)...); err != nil {
+		t.Fatalf("StageInsert after a refused Close: %v", err)
+	}
+	waitCompacted(t, sx)
+	if got := sx.Len(); got != 400+8 {
+		t.Fatalf("Len after a refused Close and a compaction = %d, want %d", got, 400+8)
+	}
+	closeRetrying(t, sx)
 }

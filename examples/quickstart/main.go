@@ -79,20 +79,20 @@ func main() {
 	fmt.Printf("limited session: %d page reads (full query cost %d)\n",
 		session.Stats().TotalReads, stats.TotalReads)
 
-	// Scaling out: the same data split into 4 spatial shards, built in
-	// parallel and queried scatter-gather. Index and ShardedIndex both
-	// satisfy flat.Querier, so query code is written once.
-	sx, err := flat.BuildSharded(els, &flat.ShardedOptions{Shards: 4})
+	// Choosing Shards: the same data split into 4 spatial shards, built
+	// in parallel behind one MBR directory. It is the same type and the
+	// same query code; only the option differs.
+	ix4, err := flat.Build(els, &flat.Options{Shards: 4})
 	if err != nil {
 		log.Fatal(err)
 	}
-	defer sx.Close()
-	fmt.Println(sx)
-	for _, qr := range []flat.Querier{ix, sx} {
-		n, st, err := qr.CountQuery(q)
+	defer ix4.Close()
+	fmt.Println(ix4)
+	for _, x := range []*flat.Index{ix, ix4} {
+		n, st, err := x.CountQuery(q)
 		if err != nil {
 			log.Fatal(err)
 		}
-		fmt.Printf("  %T: %d elements, %d page reads\n", qr, n, st.TotalReads)
+		fmt.Printf("  %d shard(s): %d elements, %d page reads\n", x.NumShards(), n, st.TotalReads)
 	}
 }

@@ -25,13 +25,18 @@
 //	if err != nil { ... }
 //	hits, stats, err := ix.RangeQuery(flat.Box(flat.V(0, 0, 0), flat.V(2.5, 2.5, 2.5)))
 //
-// The index is bulkloaded: like the system in the paper, it does not
-// support in-place updates — rebuild when the data set changes
-// (Section IV: models change rarely and in batches, making reindexing
-// cheaper than maintaining update machinery). The sharded index
-// shrinks the rebuild unit: ShardedIndex.StageInsert/StageDelete stage
-// a batch of changes (visible to queries immediately) and Rebuild
-// re-bulkloads only the shards the batch touches.
+// Index is the one index type, Options its one configuration, Build and
+// Open its two constructors: Options.Dir keeps the index on disk (a
+// directory of page files and a manifest) and Open(dir, nil) loads it
+// back.
+//
+// The index is bulkloaded: like the system in the paper, it is rebuilt
+// when its model changes (Section IV: models change rarely and in
+// batches, making reindexing cheaper than maintaining update
+// machinery). StageInsert/StageDelete stage a batch of changes (visible
+// to queries immediately) and Rebuild re-bulkloads only the shards the
+// batch touches — at Shards: 1, the whole index, which is the paper's
+// "rebuild when the data changes".
 //
 // Page reads are the library's cost model, mirroring the paper's
 // evaluation: every query reports how many 4 KiB pages it touched, split
@@ -58,27 +63,23 @@
 // RangeQuery, CountQuery and PointQuery are Query(ctx, q).Collect()
 // spelled for callers that want the whole result at once, and
 // BatchRangeQuery/BatchCountQuery fan a query batch over a worker pool.
-// These seven methods are defined once (on base, in query.go) for both
-// index shapes, over one executor pair: the set's shard-ordered range
-// stream and its distance-ordered NN stream, each running on the
-// goroutine that drains the session. OpenAny opens either index shape
-// from a path and returns the composed QueryIndex interface; the
-// Querier / Inspector / Maintainer role interfaces split the same
-// surface by concern for callers that need less.
+// All of them run over one executor pair: the set's shard-ordered range
+// stream and its distance-ordered NN stream, each on the goroutine that
+// drains the session.
 //
 // # Concurrency
 //
-// A built (or reopened) Index is immutable, and its query paths —
+// The bulkloaded state of an Index is immutable, and its query paths —
 // sessions, RangeQuery, CountQuery, PointQuery and the Batch variants —
-// are safe to call from any number of goroutines at once. Queries share
-// one lock-striped page cache; each query's QueryStats counts exactly
-// the cache misses that query caused (a page another query just fetched
-// is a free hit, as with a shared OS page cache). DropCache and Close
-// are maintenance operations: calling them while queries are in flight
-// (including sessions currently being drained) returns ErrBusy instead
-// of racing, and every query and maintenance method returns ErrClosed
-// after a successful Close. BatchRangeQuery is the convenience entry
-// point for fanning a query batch over a worker pool.
+// are safe to call from any number of goroutines at once, alongside
+// staging. Queries share one lock-striped page cache; each query's
+// QueryStats counts exactly the cache misses that query caused (a page
+// another query just fetched is a free hit, as with a shared OS page
+// cache). DropCache, Rebuild and Close are maintenance operations:
+// calling them while queries are in flight (including sessions
+// currently being drained) returns ErrBusy instead of racing, and every
+// query and maintenance method returns ErrClosed after a successful
+// Close.
 //
 // # Lifecycle of plain accessors
 //
@@ -86,32 +87,27 @@
 // SeedHeight, NumShards, ShardBounds, ShardGeneration, ...) read
 // in-memory state that outlives the page files: they keep returning
 // correct values after Close, and they serialize internally against
-// maintenance (in particular ShardedIndex.Rebuild, which swaps the
-// state they read), so calling them concurrently with anything is safe.
-// They are the Inspector role; only methods that touch pages or mutate
+// Rebuild (which swaps the state they read), so calling them
+// concurrently with anything is safe — and never makes a maintenance
+// operation report ErrBusy. Only methods that touch pages or mutate
 // state report ErrClosed/ErrBusy.
 //
-// # Scaling out: sharding
+// # Choosing Shards
 //
-// One Index is one bulkload pass over one page file. BuildSharded
-// splits the data into K spatial shards along the Hilbert curve, builds
-// K independent FLAT indexes in parallel, and serves them behind a
-// top-level MBR directory: queries are pruned against the directory and
-// streamed from the surviving shards in shard order by one executor,
-// with merged QueryStats.
-// All shards share one globally budgeted page cache. There is one
-// implementation under the two names: an Index is the one-shard set
-// (over a single page file, without the directory, manifest and
-// write-ahead log a ShardedIndex keeps, and without its staging and
-// Rebuild), so both satisfy Querier by the same methods and serving
-// code is written once against the interface. See the README for
-// guidance on choosing K.
+// Build splits the data into Options.Shards spatial shards along the
+// Hilbert curve, bulkloads them as independent FLAT indexes in
+// parallel, and serves them behind a top-level MBR directory: queries
+// are pruned against the directory and streamed from the surviving
+// shards in shard order by one executor, with merged QueryStats. All
+// shards share one globally budgeted page cache. One shard (the
+// default) is exactly the paper's index — one bulkload pass, one seed
+// tree, one crawl graph; more shards parallelize the build and shrink
+// the unit Rebuild re-bulkloads. See the README for guidance on
+// choosing K.
 package flat
 
 import (
-	"context"
 	"fmt"
-	"os"
 
 	"flat/internal/core"
 	"flat/internal/geom"
@@ -141,103 +137,6 @@ type (
 	// PageID identifies a 4 KiB page within the index's storage.
 	PageID = storage.PageID
 )
-
-// Querier is the query contract shared by the unsharded Index and the
-// ShardedIndex: callers that only read — examples, benchmarks, serving
-// code — program against it and work with either. It is the query role
-// of the old 12-method interface; inspection and maintenance live in
-// Inspector and Maintainer, and QueryIndex composes all three.
-//
-// All methods are safe for concurrent use.
-type Querier interface {
-	// Query starts a cancellable, streaming query session.
-	Query(ctx context.Context, q MBR, opts ...QueryOption) *Results
-	// NN starts a streaming k-nearest-neighbor session: the k indexed
-	// elements nearest to p, delivered in nondecreasing distance.
-	NN(ctx context.Context, p Vec3, k int, opts ...QueryOption) *Results
-	// RangeQuery returns every indexed element intersecting q.
-	RangeQuery(q MBR) ([]Element, QueryStats, error)
-	// CountQuery counts elements intersecting q without materializing.
-	CountQuery(q MBR) (int, QueryStats, error)
-	// PointQuery returns the elements whose MBR contains p.
-	PointQuery(p Vec3) ([]Element, QueryStats, error)
-	// BatchRangeQuery fans queries over a worker pool.
-	BatchRangeQuery(ctx context.Context, queries []MBR, workers int) ([]BatchResult, error)
-	// BatchCountQuery is BatchRangeQuery without materializing results.
-	BatchCountQuery(ctx context.Context, queries []MBR, workers int) ([]int, []QueryStats, error)
-}
-
-// Inspector is the read-only metadata role: cheap accessors over
-// immutable in-memory state. They remain valid after Close — see the
-// "Lifecycle of plain accessors" note in the package documentation.
-type Inspector interface {
-	// Len returns the number of indexed elements.
-	Len() int
-	// NumPartitions returns the number of partitions (object pages).
-	NumPartitions() int
-	// Bounds returns the bounding box of the indexed data.
-	Bounds() MBR
-	// World returns the partitioned space.
-	World() MBR
-	// SizeBytes returns the on-disk footprint of the index.
-	SizeBytes() uint64
-	// CacheStats reports the page cache's occupancy and budget.
-	CacheStats() (cached, capacity int)
-}
-
-// Maintainer is the maintenance role. Both methods return ErrBusy while
-// queries are in flight and ErrClosed after a successful Close.
-type Maintainer interface {
-	// DropCache empties the page cache (cold-start simulation).
-	DropCache() error
-	// Close releases the index's storage.
-	Close() error
-}
-
-// QueryIndex is the composed contract most callers want — an opened
-// index they can query, inspect and eventually close. OpenAny returns
-// it; Index and ShardedIndex both satisfy it.
-type QueryIndex interface {
-	Querier
-	Inspector
-	Maintainer
-}
-
-var (
-	_ QueryIndex = (*Index)(nil)
-	_ QueryIndex = (*ShardedIndex)(nil)
-)
-
-// OpenAny opens a previously built index of either shape from path: a
-// page file (flat.Build with Options.Path, reopened as *Index) or a
-// shard directory holding a manifest (flat.BuildSharded with
-// ShardedOptions.Dir, reopened as *ShardedIndex). Serving code calls
-// one constructor and programs against QueryIndex; the concrete type
-// is recoverable with a type switch when shape-specific accessors
-// (SeedHeight, NumShards, staging) are needed. It is shorthand for
-// OpenAnyWithOptions(path, nil).
-func OpenAny(path string) (QueryIndex, error) {
-	return OpenAnyWithOptions(path, nil)
-}
-
-// OpenAnyWithOptions is OpenAny with open-time options. A shard
-// directory consults what OpenShardedWithOptions does; a page file has
-// no write-ahead log or staging, so it consults BufferPages and Mmap
-// only (as OpenWithOptions) and ignores the rest.
-func OpenAnyWithOptions(path string, opts *ShardedOptions) (QueryIndex, error) {
-	fi, err := os.Stat(path)
-	if err != nil {
-		return nil, err
-	}
-	if fi.IsDir() {
-		return OpenShardedWithOptions(path, opts)
-	}
-	var o Options
-	if opts != nil {
-		o = Options{BufferPages: opts.BufferPages, Mmap: opts.Mmap}
-	}
-	return OpenWithOptions(path, &o)
-}
 
 // V constructs a Vec3.
 func V(x, y, z float64) Vec3 { return geom.V(x, y, z) }
@@ -275,171 +174,266 @@ const (
 // PageFormatV2.
 func ObjectPageCapacity(f PageFormat) int { return storage.ObjectPageCapacity(f) }
 
-// Options configures Build. The zero value (or nil) gives a memory-backed
-// index with full 4 KiB object pages partitioned over the data's bounds.
+// Options configures Build and Open. The zero value (or nil) gives a
+// memory-backed one-shard index with full 4 KiB object pages
+// partitioned over the data's bounds. Open consults BufferPages, Mmap,
+// WAL and AutoCompact only: the shard count, geometry and per-shard
+// page formats come from the directory's manifest and shard files.
 type Options struct {
+	// Shards is K, the number of spatial shards the data is split into
+	// along the Hilbert curve. 0 or 1 builds a single shard — the
+	// paper's index. See the README for choosing K.
+	Shards int
+	// PageCapacity caps elements per object page in every shard
+	// (default: a full page, 73 elements).
+	PageCapacity int
+	// SeedFanout caps the entries per seed-tree internal node in every
+	// shard (default: a full page). Smaller fanouts deepen the seed
+	// tree; the paper's scaled-down experiments shrink it together with
+	// PageCapacity.
+	SeedFanout int
 	// World is the space that is partitioned into cells. It must contain
 	// the data; leave zero to use the data's bounding box. Supply the
 	// true model volume when the data does not fill its extremes (e.g. a
 	// tissue volume with margins) so that crawl connectivity spans it.
+	// It also anchors the Hilbert grid of the shard assignment.
 	World MBR
-	// PageCapacity caps elements per object page (default: a full page,
-	// 73 elements).
-	PageCapacity int
-	// SeedFanout caps the entries per seed-tree internal node (default:
-	// a full page). Smaller fanouts deepen the seed tree; the paper's
-	// scaled-down experiments shrink it together with PageCapacity.
-	SeedFanout int
-	// Path, when non-empty, stores the index in a page file on disk at
-	// the given path instead of in memory.
-	Path string
-	// BufferPages bounds the page cache (<= 0: unbounded). The cache is
+	// Dir, when non-empty, stores the index on disk: one page file per
+	// shard plus a manifest under this directory (at one shard too),
+	// reopenable with Open. Each page file is fsynced before the manifest
+	// commits it, and a failed build removes its partial files.
+	Dir string
+	// BufferPages bounds the page cache shared by all shards
+	// (<= 0: unbounded). The budget is global across shards, so K
+	// shards never hold more cache memory than one would. The cache is
 	// what makes repeated page touches within one query free; call
-	// Index.DropCache to simulate a cold start.
+	// DropCache to simulate a cold start.
 	BufferPages int
-	// PageFormat selects the object-page layout (zero: PageFormatV1).
-	// PageFormatV2 packs 1.7× the elements per page — proportionally
-	// fewer pages read per query — at the cost of conservatively rounded
-	// element boxes; see the PageFormat constants. The format is recorded
-	// in the index file, so it is a build-time knob only: Open never
+	// PageFormat selects every shard's object-page layout (zero:
+	// PageFormatV1). PageFormatV2 packs 1.7× the elements per page —
+	// proportionally fewer pages read per query — at the cost of
+	// conservatively rounded element boxes; see the PageFormat constants.
+	// The format is recorded per shard (manifest and superblock) and
+	// preserved by Rebuild, so it is a build-time knob only: Open never
 	// needs it.
 	PageFormat PageFormat
-	// Mmap, consulted only by OpenWithOptions, memory-maps the page file
+	// Mmap, consulted only by Open, memory-maps every shard's page file
 	// read-only instead of reading it through a file descriptor: cache
 	// misses alias pages straight out of the mapping, copying nothing.
 	// Page-read accounting is unchanged (the cost model counts cache
-	// misses, not syscalls). Ignored by Build, which needs a writable
-	// pager.
+	// misses, not syscalls). Staging and Rebuild still work: rebuilt
+	// shard generations are written through ordinary file pagers and
+	// swapped in.
 	Mmap bool
+	// WAL records every staged insert and delete in a write-ahead log
+	// under Dir before it touches memory, making the staged delta
+	// survive a crash: Open replays the log and the staged updates are
+	// pending again, exactly as acknowledged. Requires a disk-backed
+	// index (Dir non-empty, or opening one). Acknowledgement is Flush:
+	// staged operations not yet synced can be lost to a crash, never
+	// torn — replay stops cleanly at the last intact record. When Open
+	// finds an index whose manifest already references a log, the log is
+	// replayed regardless of this flag; WAL additionally upgrades a
+	// log-less index in place.
+	WAL bool
+	// AutoCompact, when either trigger is set, runs Rebuild automatically
+	// in the background once the staged delta grows past the configured
+	// thresholds. The zero value keeps compaction fully manual.
+	AutoCompact AutoCompact
 }
 
-// base is the one index implementation behind both public shapes: a
-// shard.Set and the queryGuard that serializes its queries against
-// maintenance. Index and ShardedIndex embed it and share, defined once
-// here and in query.go, the seven query methods, the Inspector
-// accessors, DropCache and Close; nothing in it asks which shape it
-// serves — an Index is simply the set with one shard.
-type base struct {
+// Index is a built FLAT index: K >= 1 spatial shards behind a top-level
+// MBR directory, in memory or in a directory on disk. Queries are pruned
+// against the directory and streamed, in shard order, from the shards
+// they can touch, with per-shard QueryStats merged into one. Between
+// bulkloads it accepts updates: StageInsert and StageDelete stage
+// changes that queries see immediately, and Rebuild folds them in by
+// re-bulkloading only the shards they touch (see the README's "Staged
+// updates" section). See the package documentation for its concurrency
+// guarantees.
+type Index struct {
 	guard queryGuard
 	set   *shard.Set
+	// compact is the background compactor, nil unless
+	// Options.AutoCompact enabled one. Set once at construction, before
+	// the index is shared.
+	compact *compactor
 }
 
-// Index is a built FLAT index: a read-only face over a one-shard set —
-// in memory, or over a single page file (Options.Path) — that adds the
-// single-index inspection surface (CrawlFrom, Records, SeedHeight,
-// PageFormat, AvgNeighbors) and exposes no staging or Rebuild. See the
-// package documentation for its concurrency guarantees.
-type Index struct {
-	base
-}
-
-// Build bulkloads a FLAT index over els (reordering the slice in place).
-// See Options for storage and partitioning knobs. With Options.Path the
-// page file is fsynced before Build returns, and a failed build removes
-// the partial file.
+// Build bulkloads a FLAT index over els (reordering the slice in place:
+// with more than one shard first along the Hilbert curve into shards,
+// then per shard by the STR pass). Shards are built in parallel on a
+// bounded worker pool. See Options for storage and partitioning knobs.
 func Build(els []Element, opts *Options) (*Index, error) {
 	var o Options
 	if opts != nil {
 		o = *opts
 	}
 	set, err := shard.Build(els, shard.Config{
+		Shards:       o.Shards,
 		PageCapacity: o.PageCapacity,
 		SeedFanout:   o.SeedFanout,
 		PageFormat:   o.PageFormat,
 		World:        o.World,
-		File:         o.Path,
+		Dir:          o.Dir,
 		BufferPages:  o.BufferPages,
+		WAL:          o.WAL,
 	})
 	if err != nil {
 		return nil, err
 	}
-	return &Index{base{set: set}}, nil
+	ix := &Index{set: set}
+	ix.startCompactor(o.AutoCompact)
+	return ix, nil
 }
 
-// Open loads a previously built disk-backed index from its page file
-// with an unbounded page cache. It is shorthand for
-// OpenWithOptions(path, nil).
-func Open(path string) (*Index, error) {
-	return OpenWithOptions(path, nil)
-}
-
-// OpenWithOptions loads a previously built disk-backed index from its
-// page file. Only Options.BufferPages and Options.Mmap are consulted:
-// BufferPages bounds the page cache the same way it does for Build, and
-// Mmap serves pages out of a read-only memory mapping (Path and the
-// build-only knobs are ignored — in particular the page format, which
-// is read back from the index file itself). Queries on the reopened
+// Open loads a previously built disk-backed index from its directory
+// (nil opts: file reads, an unbounded shared page cache). An index whose
+// manifest references a write-ahead log has the log replayed: every
+// acknowledged staged update is pending again. Queries on the reopened
 // index behave identically to the freshly built one; the build-time
-// analysis accessors (AvgNeighbors) return zero, as they are
-// measurement aids not stored in the index.
-func OpenWithOptions(path string, opts *Options) (*Index, error) {
+// analysis accessors (AvgNeighbors) return zero, as they are measurement
+// aids not stored in the index.
+func Open(dir string, opts *Options) (*Index, error) {
 	var o Options
 	if opts != nil {
 		o = *opts
 	}
-	set, err := shard.OpenFile(path, shard.OpenOptions{BufferPages: o.BufferPages, Mmap: o.Mmap})
+	set, err := shard.OpenSet(dir, shard.OpenOptions{
+		BufferPages: o.BufferPages,
+		Mmap:        o.Mmap,
+		WAL:         o.WAL,
+	})
 	if err != nil {
 		return nil, err
 	}
-	return &Index{base{set: set}}, nil
+	ix := &Index{set: set}
+	ix.startCompactor(o.AutoCompact)
+	return ix, nil
 }
+
+// ShardedOptions, BuildSharded and OpenShardedWithOptions are reserved
+// spellings of Options, Build and Open. They remain only because
+// benchmark/ — frozen between benchmark PRs — calls them; nothing in
+// this module does, and the next benchmark-archetype PR moves it to the
+// short names and drops these three.
+type ShardedOptions = Options
+
+func BuildSharded(els []Element, opts *Options) (*Index, error) { return Build(els, opts) }
+
+func OpenShardedWithOptions(dir string, opts *Options) (*Index, error) { return Open(dir, opts) }
 
 // CrawlFrom executes only the crawl phase of a range query, starting
 // from an explicit metadata record instead of seeding. The paper claims
 // the choice of start page affects neither accuracy nor efficiency of
 // the search; this entry point exists so that claim stays testable
 // against the public index (see Records for enumerating start refs).
+// The crawl stays inside the shard that owns start — the shard tagged
+// into the ref's page id; a ref naming no shard of this index is an
+// error.
 func (ix *Index) CrawlFrom(q MBR, start RecordRef) (els []Element, err error) {
 	err = ix.guard.query(func() error {
-		els, err = ix.set.Shard(0).CrawlFrom(q, start)
+		s, _ := storage.SplitShardPageID(start.Page())
+		if s >= ix.set.NumShards() {
+			return fmt.Errorf("flat: %v names shard %d of a %d-shard index", start, s, ix.set.NumShards())
+		}
+		els, err = ix.set.Shard(s).CrawlFrom(q, start)
 		return err
 	})
 	return els, err
 }
 
-// Records enumerates every metadata record in the index in on-disk
-// order: its ref (a valid CrawlFrom start), the page and partition MBRs,
-// the object page it describes and the full neighbor list (overflow
-// chains already spliced). Enumeration stops at the first error fn
-// returns, which is then returned.
+// Records enumerates every metadata record in the index, shard by shard
+// and within a shard in on-disk order: its ref (a valid CrawlFrom
+// start), the page and partition MBRs, the object page it describes and
+// the full neighbor list (overflow chains already spliced). Enumeration
+// stops at the first error fn returns, which is then returned.
 func (ix *Index) Records(fn func(ref RecordRef, pageMBR, partitionMBR MBR, objectPage PageID, neighbors []RecordRef) error) error {
-	return ix.guard.query(func() error { return ix.set.Shard(0).Records(fn) })
+	return ix.guard.query(func() error {
+		for s := range ix.set.NumShards() {
+			if err := ix.set.Shard(s).Records(fn); err != nil {
+				return err
+			}
+		}
+		return nil
+	})
 }
 
-// The plain accessors below hold the guard's view side: they stay valid
-// after Close (they read in-memory state the Close does not tear down),
-// but serialize against maintenance — Rebuild swaps the state they read,
-// and a concurrent DropCache/Close never interleaves with them. See the
-// "Lifecycle of plain accessors" package note.
+// The plain accessors below stay valid after Close (they read in-memory
+// state the Close does not tear down) and serialize against Rebuild,
+// which swaps that state, inside the set. See the "Lifecycle of plain
+// accessors" package note.
 
-// Len returns the number of bulkloaded elements; on a ShardedIndex,
-// staged inserts and deletes count only after the Rebuild that folds
-// them in.
-func (b *base) Len() int { return view(&b.guard, b.set.Len) }
+// Len returns the number of bulkloaded elements; staged inserts and
+// deletes count only after the Rebuild that folds them in.
+func (ix *Index) Len() int { return ix.set.Len() }
 
 // NumPartitions returns the number of partitions (object pages), across
 // all shards.
-func (b *base) NumPartitions() int { return view(&b.guard, b.set.NumPartitions) }
+func (ix *Index) NumPartitions() int { return ix.set.NumPartitions() }
 
 // Bounds returns the bounding box of the indexed data.
-func (b *base) Bounds() MBR { return view(&b.guard, b.set.Bounds) }
+func (ix *Index) Bounds() MBR { return ix.set.Bounds() }
 
-// World returns the partitioned space; on a ShardedIndex, the space the
-// shard assignment was derived in.
-func (b *base) World() MBR { return view(&b.guard, b.set.World) }
+// World returns the partitioned space — the space the shard assignment
+// was derived in.
+func (ix *Index) World() MBR { return ix.set.World() }
 
 // SizeBytes returns the on-disk footprint of the index, across all
 // shards.
-func (b *base) SizeBytes() uint64 { return view(&b.guard, b.set.SizeBytes) }
+func (ix *Index) SizeBytes() uint64 { return ix.set.SizeBytes() }
 
 // CacheStats reports the page cache's occupancy: how many frames it
 // currently holds and its configured budget (capacity <= 0: unbounded;
-// on a ShardedIndex the budget is global across shards). A serving
-// layer exposes this so operators can see how much of the budget live
-// traffic actually uses.
-func (b *base) CacheStats() (cached, capacity int) {
-	pool := b.set.Pool() // fixed for the set's lifetime, as is its capacity
-	return view(&b.guard, pool.Len), pool.Capacity()
+// the budget is global across shards). A serving layer exposes this so
+// operators can see how much of the budget live traffic actually uses.
+func (ix *Index) CacheStats() (cached, capacity int) {
+	pool := ix.set.Pool() // fixed for the set's lifetime, as is its capacity
+	return pool.Len(), pool.Capacity()
+}
+
+// NumShards returns K, the number of spatial shards.
+func (ix *Index) NumShards() int { return ix.set.NumShards() }
+
+// ShardBounds returns the directory entry (the data bounds) of shard i;
+// a query is routed to shard i exactly when its box intersects this.
+func (ix *Index) ShardBounds(i int) MBR { return ix.set.ShardBounds(i) }
+
+// ShardGeneration returns the on-disk generation of shard i — how many
+// times the shard has been rebuilt since its directory was created.
+// Memory-backed indexes always report 0.
+func (ix *Index) ShardGeneration(i int) uint64 { return ix.set.Generation(i) }
+
+// ShardPageFormat returns the object-page layout of shard i. Shards of
+// one index usually share a format, but generations built under
+// different configurations may mix — every page decodes by its own tag.
+func (ix *Index) ShardPageFormat(i int) PageFormat { return ix.set.Shard(i).PageFormat() }
+
+// SeedHeight returns the height in levels (metadata level inclusive) of
+// the tallest shard's seed tree; the seed phase of a query reads at most
+// this many internal pages per shard it visits.
+func (ix *Index) SeedHeight() int {
+	h := 0
+	for s := range ix.set.NumShards() {
+		h = max(h, ix.set.Shard(s).SeedHeight())
+	}
+	return h
+}
+
+// AvgNeighbors returns the mean number of neighborhood pointers per
+// partition, over the partitions of all shards.
+func (ix *Index) AvgNeighbors() float64 {
+	pointers, partitions := 0, 0
+	for s := range ix.set.NumShards() {
+		for n, count := range ix.set.Shard(s).NeighborHistogram() {
+			pointers += n * count
+			partitions += count
+		}
+	}
+	if partitions == 0 {
+		return 0
+	}
+	return float64(pointers) / float64(partitions)
 }
 
 // DropCache empties the page cache so the next query starts cold — the
@@ -448,45 +442,42 @@ func (b *base) CacheStats() (cached, capacity int) {
 // ErrBusy and leaves the cache untouched (a concurrent query would
 // otherwise see a partially dropped cache and report inflated read
 // counts), and after Close it returns ErrClosed.
-func (b *base) DropCache() error {
-	return b.guard.maintain(func() error {
-		b.set.DropCache()
+func (ix *Index) DropCache() error {
+	return ix.guard.maintain(func() error {
+		ix.set.DropCache()
 		return nil
 	})
 }
 
-// Close releases the index's storage (closing the page files when the
-// index is disk-backed). When queries are in flight it returns ErrBusy
-// and closes nothing; retry once they drain. After a successful Close
+// Close releases every shard's storage, syncing the write-ahead log
+// first, so staged updates survive to the next Open even without a
+// Flush. When queries (or a background Rebuild) are in flight it returns
+// ErrBusy and changes nothing — the index keeps serving, its background
+// compactor included; retry once they drain. After a successful Close
 // every method returns ErrClosed.
-func (b *base) Close() error {
-	if err := b.guard.shutdown(); err != nil {
+func (ix *Index) Close() error {
+	if err := ix.guard.shutdown(); err != nil {
 		return err
 	}
-	return b.set.Close()
-}
-
-// SeedHeight returns the seed tree height in levels (metadata level
-// inclusive); the seed phase of a query reads at most this many internal
-// pages.
-func (ix *Index) SeedHeight() int {
-	return view(&ix.guard, func() int { return ix.set.Shard(0).SeedHeight() })
-}
-
-// PageFormat returns the object-page layout the index was built with.
-func (ix *Index) PageFormat() PageFormat {
-	return view(&ix.guard, func() PageFormat { return ix.set.Shard(0).PageFormat() })
-}
-
-// AvgNeighbors returns the mean number of neighborhood pointers per
-// partition.
-func (ix *Index) AvgNeighbors() float64 {
-	return view(&ix.guard, func() float64 { return ix.set.Shard(0).AvgNeighbors() })
+	if ix.compact != nil {
+		// The guard is down: a Rebuild the compactor still attempts sees
+		// ErrClosed, and its loop exits.
+		ix.compact.shutdown()
+	}
+	return ix.set.Close()
 }
 
 // String summarizes the index.
 func (ix *Index) String() string {
-	obj, meta, seed := ix.set.Shard(0).PageCounts()
-	return fmt.Sprintf("flat.Index{elements: %d, partitions: %d, pages: %d object + %d metadata + %d seed, %.1f MiB}",
-		ix.Len(), ix.NumPartitions(), obj, meta, seed, float64(ix.SizeBytes())/(1<<20))
+	var obj, meta, seed int
+	for s := range ix.set.NumShards() {
+		o, m, sd := ix.set.Shard(s).PageCounts()
+		obj, meta, seed = obj+o, meta+m, seed+sd
+	}
+	shards := ""
+	if k := ix.NumShards(); k > 1 {
+		shards = fmt.Sprintf("shards: %d, ", k)
+	}
+	return fmt.Sprintf("flat.Index{%selements: %d, partitions: %d, pages: %d object + %d metadata + %d seed, %.1f MiB}",
+		shards, ix.Len(), ix.NumPartitions(), obj, meta, seed, float64(ix.SizeBytes())/(1<<20))
 }

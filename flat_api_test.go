@@ -97,8 +97,8 @@ func TestPublicAPIDiskBacked(t *testing.T) {
 	els := randomElements(r, 500)
 	orig := make([]Element, len(els))
 	copy(orig, els)
-	path := filepath.Join(t.TempDir(), "index.flat")
-	ix, err := Build(els, &Options{Path: path, BufferPages: 16})
+	dir := filepath.Join(t.TempDir(), "index.flat")
+	ix, err := Build(els, &Options{Dir: dir, BufferPages: 16})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -169,11 +169,11 @@ func TestBuildThenOpen(t *testing.T) {
 	els := randomElements(r, 800)
 	orig := make([]Element, len(els))
 	copy(orig, els)
-	path := filepath.Join(t.TempDir(), "persist.flat")
+	dir := filepath.Join(t.TempDir(), "persist.flat")
 
-	// inspect reads everything the single-index inspection surface
-	// answers, plus one cold query with its stats: the built index and
-	// every way of reopening its file must agree on all of it.
+	// inspect reads everything the inspection surface answers, plus one
+	// cold query with its stats: the built index and every way of
+	// reopening its directory must agree on all of it.
 	type inspection struct {
 		len, seedHeight int
 		format          PageFormat
@@ -185,7 +185,7 @@ func TestBuildThenOpen(t *testing.T) {
 	q := CubeAt(V(45, 55, 50), 28)
 	inspect := func(ix *Index) inspection {
 		t.Helper()
-		in := inspection{len: ix.Len(), seedHeight: ix.SeedHeight(), format: ix.PageFormat(), world: ix.World(), bounds: ix.Bounds()}
+		in := inspection{len: ix.Len(), seedHeight: ix.SeedHeight(), format: ix.ShardPageFormat(0), world: ix.World(), bounds: ix.Bounds()}
 		var start RecordRef
 		err := ix.Records(func(ref RecordRef, _, partMBR MBR, _ PageID, _ []RecordRef) error {
 			if len(in.refs) == 0 || partMBR.Intersects(q) {
@@ -209,7 +209,7 @@ func TestBuildThenOpen(t *testing.T) {
 		return in
 	}
 
-	ix, err := Build(els, &Options{Path: path})
+	ix, err := Build(els, &Options{Dir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -224,40 +224,34 @@ func TestBuildThenOpen(t *testing.T) {
 		t.Errorf("built index implausible: %+v, seed height %d, %d records", want.stats, want.seedHeight, len(want.refs))
 	}
 
-	openers := map[string]func() (*Index, error){
-		"Open":            func() (*Index, error) { return Open(path) },
-		"OpenWithOptions": func() (*Index, error) { return OpenWithOptions(path, &Options{Mmap: true, BufferPages: 64}) },
-		"OpenAny": func() (*Index, error) {
-			qi, err := OpenAny(path)
-			if err != nil {
-				return nil, err
-			}
-			return qi.(*Index), nil
-		},
-	}
-	for name, open := range openers {
-		re, err := open()
+	// The WAL row goes last: once upgraded, a directory keeps its log.
+	for _, opts := range []*Options{nil, {Mmap: true, BufferPages: 64}, {Mmap: true, WAL: true}} {
+		re, err := Open(dir, opts)
 		if err != nil {
-			t.Fatalf("%s: %v", name, err)
+			t.Fatalf("Open(%+v): %v", opts, err)
 		}
 		if got := inspect(re); !reflect.DeepEqual(got, want) {
-			t.Errorf("%s: reopened index answers\n%+v\nwant\n%+v", name, got, want)
+			t.Errorf("Open(%+v): reopened index answers\n%+v\nwant\n%+v", opts, got, want)
+		}
+		// The WAL option reached the set: the directory now has a log.
+		_, statErr := os.Stat(filepath.Join(dir, "wal.log"))
+		if wantWAL := opts != nil && opts.WAL; wantWAL != (statErr == nil) {
+			t.Errorf("Open(%+v): wal.log present = %v, want %v", opts, statErr == nil, wantWAL)
 		}
 		if err := re.Close(); err != nil {
-			t.Fatalf("%s: close: %v", name, err)
+			t.Fatalf("Open(%+v): close: %v", opts, err)
 		}
 	}
-	if _, err := Open(filepath.Join(t.TempDir(), "missing.flat")); err == nil {
-		t.Error("Open of missing file should fail")
-	}
 
-	// A failed disk build must not leave a partial page file at Path.
-	bad := filepath.Join(t.TempDir(), "bad.flat")
-	if _, err := Build(randomElements(r, 100), &Options{Path: bad, PageCapacity: 1 << 20}); err == nil {
-		t.Error("Build with an out-of-range page capacity should fail")
+	// What is not an index directory does not open, and says why.
+	if _, err := Open(filepath.Join(t.TempDir(), "missing"), nil); err == nil {
+		t.Error("Open of a missing directory should fail")
 	}
-	if _, err := os.Stat(bad); !os.IsNotExist(err) {
-		t.Errorf("failed Build left %s behind (stat err %v)", bad, err)
+	if _, err := Open(t.TempDir(), nil); err == nil || !strings.Contains(err.Error(), "manifest") {
+		t.Errorf("Open of a directory without a manifest: %v, want an error naming the manifest", err)
+	}
+	if _, err := Open(filepath.Join(dir, "shard-0000.flat"), nil); err == nil || !strings.Contains(err.Error(), "not a directory") {
+		t.Errorf("Open of a regular file: %v, want an error saying it is not a directory", err)
 	}
 }
 
@@ -266,8 +260,9 @@ func TestBuildThenOpen(t *testing.T) {
 // queries that walk into it with an error naming the page; it used to
 // index past the page buffer and panic.
 func TestCorruptSeedNodeFailsQuery(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "corrupt.flat")
-	ix, err := Build(randomElements(rand.New(rand.NewSource(6)), 800), &Options{Path: path, PageCapacity: 8, SeedFanout: 4})
+	dir := filepath.Join(t.TempDir(), "corrupt.flat")
+	path := filepath.Join(dir, "shard-0000.flat")
+	ix, err := Build(randomElements(rand.New(rand.NewSource(6)), 800), &Options{Dir: dir, PageCapacity: 8, SeedFanout: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -294,7 +289,7 @@ func TestCorruptSeedNodeFailsQuery(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	ix, err = Open(path)
+	ix, err = Open(dir, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -36,11 +36,10 @@ func checkStats(t *testing.T, st QueryStats, nResults int) {
 }
 
 // runConcurrencyCheck executes the workload on goroutines*rounds
-// concurrent queries against ix (any Querier: plain or sharded) and
-// verifies every result set matches the single-threaded baseline and
-// every QueryStats is self-consistent. Run it under -race to also
-// certify the page cache.
-func runConcurrencyCheck(t *testing.T, ix Querier, queries []MBR) {
+// concurrent queries against ix (at any shard count) and verifies every
+// result set matches the single-threaded baseline and every QueryStats
+// is self-consistent. Run it under -race to also certify the page cache.
+func runConcurrencyCheck(t *testing.T, ix *Index, queries []MBR) {
 	t.Helper()
 
 	// Single-threaded baseline, and a sanity check against brute force
@@ -130,8 +129,8 @@ func TestConcurrentQueriesMemory(t *testing.T) {
 func TestConcurrentQueriesDisk(t *testing.T) {
 	r := rand.New(rand.NewSource(78))
 	els := randomElements(r, 6000)
-	path := filepath.Join(t.TempDir(), "flat.idx")
-	built, err := Build(els, &Options{PageCapacity: 16, Path: path})
+	dir := filepath.Join(t.TempDir(), "flat.idx")
+	built, err := Build(els, &Options{PageCapacity: 16, Dir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -140,48 +139,12 @@ func TestConcurrentQueriesDisk(t *testing.T) {
 	}
 	// Reopen with a bounded cache: concurrent queries now also contend
 	// on eviction, the harder case for the sharded pool.
-	ix, err := OpenWithOptions(path, &Options{BufferPages: 128})
+	ix, err := Open(dir, &Options{BufferPages: 128})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer ix.Close()
 	runConcurrencyCheck(t, ix, queryWorkload(r, 25))
-}
-
-func TestOpenWithOptionsZeroEqualsOpen(t *testing.T) {
-	r := rand.New(rand.NewSource(79))
-	els := randomElements(r, 1500)
-	path := filepath.Join(t.TempDir(), "flat.idx")
-	built, err := Build(els, &Options{PageCapacity: 16, Path: path})
-	if err != nil {
-		t.Fatal(err)
-	}
-	built.Close()
-
-	a, err := Open(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer a.Close()
-	b, err := OpenWithOptions(path, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer b.Close()
-
-	q := CubeAt(V(50, 50, 50), 30)
-	na, sa, err := a.CountQuery(q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	nb, sb, err := b.CountQuery(q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if na != nb || sa.TotalReads != sb.TotalReads {
-		t.Errorf("Open (%d results, %d reads) != OpenWithOptions(nil) (%d results, %d reads)",
-			na, sa.TotalReads, nb, sb.TotalReads)
-	}
 }
 
 func TestBatchRangeQuery(t *testing.T) {

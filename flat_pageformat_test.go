@@ -14,15 +14,15 @@ func TestPageFormatV2PublicRoundTrip(t *testing.T) {
 	r := rand.New(rand.NewSource(95))
 	els := randomElements(r, 3000)
 	orig := append([]Element(nil), els...)
-	path := filepath.Join(t.TempDir(), "v2.flat")
+	dir := filepath.Join(t.TempDir(), "v2.flat")
 	queries := queryWorkload(r, 15)
 
-	ix, err := Build(els, &Options{Path: path, PageFormat: PageFormatV2})
+	ix, err := Build(els, &Options{Dir: dir, PageFormat: PageFormatV2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ix.PageFormat() != PageFormatV2 {
-		t.Fatalf("built format %v", ix.PageFormat())
+	if ix.ShardPageFormat(0) != PageFormatV2 {
+		t.Fatalf("built format %v", ix.ShardPageFormat(0))
 	}
 	type base struct {
 		ids   []uint64
@@ -44,12 +44,12 @@ func TestPageFormatV2PublicRoundTrip(t *testing.T) {
 	}
 
 	for _, mmap := range []bool{false, true} {
-		re, err := OpenWithOptions(path, &Options{Mmap: mmap})
+		re, err := Open(dir, &Options{Mmap: mmap})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if re.PageFormat() != PageFormatV2 {
-			t.Fatalf("mmap=%v: reopened format %v", mmap, re.PageFormat())
+		if re.ShardPageFormat(0) != PageFormatV2 {
+			t.Fatalf("mmap=%v: reopened format %v", mmap, re.ShardPageFormat(0))
 		}
 		for i, q := range queries {
 			if err := re.DropCache(); err != nil {
@@ -72,7 +72,7 @@ func TestPageFormatV2PublicRoundTrip(t *testing.T) {
 	}
 
 	// Brute-force ground truth, independent of any index.
-	re, err := Open(path)
+	re, err := Open(dir, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,7 +111,7 @@ func TestShardedMmapOpen(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "sharded-v2")
 	queries := queryWorkload(r, 10)
 
-	sx, err := BuildSharded(els, &ShardedOptions{Shards: 3, Dir: dir, PageFormat: PageFormatV2})
+	sx, err := Build(els, &Options{Shards: 3, Dir: dir, PageFormat: PageFormatV2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,7 +119,7 @@ func TestShardedMmapOpen(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	re, err := OpenShardedWithOptions(dir, &ShardedOptions{Mmap: true})
+	re, err := Open(dir, &Options{Mmap: true})
 	if err != nil {
 		t.Fatal(err)
 	}

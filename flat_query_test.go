@@ -3,34 +3,31 @@ package flat
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math/rand"
-	"os"
-	"path/filepath"
 	"runtime"
 	"testing"
 )
 
-// queryTargets builds an unsharded and a sharded (K=3) index over the
-// same elements, so every session property can be checked against both
-// Querier implementations.
-func queryTargets(t *testing.T, n int) (els []Element, targets map[string]QueryIndex) {
+// queryTargets builds the index at K=1 and K=4 over the same elements,
+// so every session property is checked at both shard counts.
+func queryTargets(t *testing.T, n int) (els []Element, targets map[string]*Index) {
 	t.Helper()
 	r := rand.New(rand.NewSource(77))
 	els = randomElements(r, n)
 	orig := make([]Element, len(els))
 	copy(orig, els)
 
-	ix, err := Build(append([]Element(nil), orig...), &Options{PageCapacity: 8})
-	if err != nil {
-		t.Fatal(err)
+	targets = make(map[string]*Index)
+	for _, k := range []int{1, 4} {
+		ix, err := Build(append([]Element(nil), orig...), &Options{Shards: k, PageCapacity: 8})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { ix.Close() })
+		targets[fmt.Sprintf("K=%d", k)] = ix
 	}
-	t.Cleanup(func() { ix.Close() })
-	sx, err := BuildSharded(append([]Element(nil), orig...), &ShardedOptions{Shards: 3, PageCapacity: 8})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { sx.Close() })
-	return orig, map[string]QueryIndex{"Index": ix, "ShardedIndex": sx}
+	return orig, targets
 }
 
 // TestQuerySessionMatchesRangeQuery pins the compatibility contract:
@@ -204,7 +201,7 @@ func TestQueryCancelMidCrawl(t *testing.T) {
 }
 
 // TestQueryContextAlreadyDone runs every context-taking entry point of
-// both shapes with a context that is done before the query starts: the
+// both shard counts with a context that is done before the query starts: the
 // session, its Collect/count sinks and the Batch methods must fail with
 // the context's error without delivering anything.
 func TestQueryContextAlreadyDone(t *testing.T) {
@@ -270,7 +267,7 @@ func TestQuerySessionAbandonReleasesGuard(t *testing.T) {
 }
 
 // TestQuerySessionAbandonErrNil: breaking out of the iteration is an
-// early stop, not an error, on both index shapes — Err() stays nil and
+// early stop, not an error, at both shard counts — Err() stays nil and
 // Stats covers the one element delivered.
 func TestQuerySessionAbandonErrNil(t *testing.T) {
 	_, targets := queryTargets(t, 2000)
@@ -295,7 +292,7 @@ func TestQuerySessionAbandonErrNil(t *testing.T) {
 // second drain yields ErrConsumed.
 func TestQuerySessionSingleUse(t *testing.T) {
 	_, targets := queryTargets(t, 500)
-	ix := targets["Index"]
+	ix := targets["K=1"]
 	res := ix.Query(context.Background(), Box(V(0, 0, 0), V(100, 100, 100)))
 	if _, _, err := res.Collect(); err != nil {
 		t.Fatal(err)
@@ -337,7 +334,7 @@ func TestQuerySessionAfterClose(t *testing.T) {
 func TestQuerySessionOverlay(t *testing.T) {
 	r := rand.New(rand.NewSource(21))
 	els := randomElements(r, 1500)
-	sx, err := BuildSharded(append([]Element(nil), els...), &ShardedOptions{Shards: 3, PageCapacity: 8})
+	sx, err := Build(append([]Element(nil), els...), &Options{Shards: 3, PageCapacity: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -414,7 +411,7 @@ func TestQuerySessionOverlay(t *testing.T) {
 // TestQueryAbandonNotCancellation: a consumer break is a documented
 // clean early stop, and must report Err() == nil even when the
 // session's own context went done just before it. Both orders of
-// (cancel, break) run on both shapes.
+// (cancel, break) run at both shard counts.
 func TestQueryAbandonNotCancellation(t *testing.T) {
 	_, targets := queryTargets(t, 2000)
 	q := Box(V(0, 0, 0), V(100, 100, 100))
@@ -436,79 +433,5 @@ func TestQueryAbandonNotCancellation(t *testing.T) {
 				t.Fatalf("%s (cancel first: %v): abandoned session Err() = %v, want nil", name, cancelFirst, res.Err())
 			}
 		}
-	}
-}
-
-// TestOpenAny exercises the unified constructor against both on-disk
-// shapes, bare and with open-time options: Mmap applies to both, WAL
-// upgrades a shard directory and is ignored by a page file.
-func TestOpenAny(t *testing.T) {
-	r := rand.New(rand.NewSource(31))
-	els := randomElements(r, 800)
-	dir := t.TempDir()
-
-	filePath := filepath.Join(dir, "plain.flat")
-	ix, err := Build(append([]Element(nil), els...), &Options{Path: filePath})
-	if err != nil {
-		t.Fatal(err)
-	}
-	wantLen := ix.Len()
-	if err := ix.Close(); err != nil {
-		t.Fatal(err)
-	}
-	shardDir := filepath.Join(dir, "sharded")
-	sx, err := BuildSharded(append([]Element(nil), els...), &ShardedOptions{Shards: 2, Dir: shardDir})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := sx.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	q := Box(V(20, 20, 20), V(60, 60, 60))
-	want := apiBrute(els, q)
-	// The WAL row goes last: once upgraded, a directory keeps its log.
-	for _, opts := range []*ShardedOptions{nil, {Mmap: true}, {Mmap: true, WAL: true}} {
-		for _, path := range []string{filePath, shardDir} {
-			open := func() (QueryIndex, error) { return OpenAnyWithOptions(path, opts) }
-			if opts == nil {
-				open = func() (QueryIndex, error) { return OpenAny(path) }
-			}
-			got, err := open()
-			if err != nil {
-				t.Fatalf("OpenAny(%s, %+v): %v", path, opts, err)
-			}
-			if got.Len() != wantLen {
-				t.Fatalf("OpenAny(%s, %+v): %d elements, want %d", path, opts, got.Len(), wantLen)
-			}
-			hits, _, err := got.RangeQuery(q)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if len(hits) != len(want) {
-				t.Fatalf("OpenAny(%s, %+v): query returned %d hits, want %d", path, opts, len(hits), len(want))
-			}
-			switch path {
-			case filePath:
-				if _, ok := got.(*Index); !ok {
-					t.Fatalf("OpenAny(%s) returned %T, want *Index", path, got)
-				}
-			case shardDir:
-				if _, ok := got.(*ShardedIndex); !ok {
-					t.Fatalf("OpenAny(%s) returned %T, want *ShardedIndex", path, got)
-				}
-				// The WAL option reached the set: the directory now has a log.
-				_, err := os.Stat(filepath.Join(shardDir, "wal.log"))
-				if wantWAL := opts != nil && opts.WAL; wantWAL != (err == nil) {
-					t.Fatalf("OpenAny(%s, %+v): wal.log present = %v, want %v", path, opts, err == nil, wantWAL)
-				}
-			}
-			if err := got.Close(); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-	if _, err := OpenAny(filepath.Join(dir, "nope")); err == nil {
-		t.Fatal("OpenAny on a missing path succeeded")
 	}
 }

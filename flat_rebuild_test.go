@@ -2,22 +2,31 @@ package flat
 
 import (
 	"errors"
+	"fmt"
 	"math/rand"
 	"os"
 	"path/filepath"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
 )
 
-// TestShardedStagedUpdates drives the public staged-update cycle:
-// stage, query the overlay, rebuild, reopen.
+// TestShardedStagedUpdates drives the public staged-update cycle at one
+// shard and at several: stage, query the overlay, flush, reopen (the
+// log replays), rebuild, reopen.
 func TestShardedStagedUpdates(t *testing.T) {
+	for _, k := range []int{1, 4} {
+		t.Run(fmt.Sprintf("K=%d", k), func(t *testing.T) { testStagedUpdates(t, k) })
+	}
+}
+
+func testStagedUpdates(t *testing.T, k int) {
 	r := rand.New(rand.NewSource(96))
 	els := randomElements(r, 3000)
 	orig := append([]Element(nil), els...)
 	dir := filepath.Join(t.TempDir(), "staged")
-	sx, err := BuildSharded(els, &ShardedOptions{Shards: 4, PageCapacity: 16, Dir: dir})
+	sx, err := Build(els, &Options{Shards: k, PageCapacity: 16, Dir: dir, WAL: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -34,20 +43,24 @@ func TestShardedStagedUpdates(t *testing.T) {
 	if err := sx.StageDelete(victim.ID, victim.Box); err != nil {
 		t.Fatal(err)
 	}
-	ins, dels, err := sx.Pending()
-	if err != nil {
-		t.Fatal(err)
+	checkPending := func(sx *Index) (dirty []int) {
+		t.Helper()
+		ins, dels, err := sx.Pending()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ins != len(fresh) || dels != 1 {
+			t.Fatalf("Pending = (%d, %d), want (%d, 1)", ins, dels, len(fresh))
+		}
+		if dirty, err = sx.DirtyShards(); err != nil {
+			t.Fatal(err)
+		}
+		if len(dirty) == 0 || len(dirty) > sx.NumShards() {
+			t.Fatalf("DirtyShards = %v", dirty)
+		}
+		return dirty
 	}
-	if ins != len(fresh) || dels != 1 {
-		t.Fatalf("Pending = (%d, %d), want (%d, 1)", ins, dels, len(fresh))
-	}
-	dirty, err := sx.DirtyShards()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(dirty) == 0 || len(dirty) > sx.NumShards() {
-		t.Fatalf("DirtyShards = %v", dirty)
-	}
+	checkPending(sx)
 
 	// The overlay serves reads before any rebuild.
 	merged := make([]Element, 0, len(orig)+len(fresh))
@@ -57,24 +70,43 @@ func TestShardedStagedUpdates(t *testing.T) {
 		}
 	}
 	merged = append(merged, fresh...)
-	for i, q := range append(queryWorkload(r, 15), CubeAt(V(25, 75, 25), 5)) {
-		got, st, err := sx.RangeQuery(q)
-		if err != nil {
-			t.Fatal(err)
+	queries := append(queryWorkload(r, 15), CubeAt(V(25, 75, 25), 5))
+	checkQueries := func(sx *Index, when string) {
+		t.Helper()
+		for i, q := range queries {
+			got, st, err := sx.RangeQuery(q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !sameIDs(idsOf(got), apiBrute(merged, q)) {
+				t.Fatalf("%s, query %d: results diverge from brute force", when, i)
+			}
+			checkStats(t, st, len(got))
+			n, cst, err := sx.CountQuery(q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if n != len(got) {
+				t.Errorf("%s, query %d: count %d != %d range results", when, i, n, len(got))
+			}
+			checkStats(t, cst, n)
 		}
-		if !sameIDs(idsOf(got), apiBrute(merged, q)) {
-			t.Fatalf("query %d: overlay diverges from brute force", i)
-		}
-		checkStats(t, st, len(got))
-		n, cst, err := sx.CountQuery(q)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if n != len(got) {
-			t.Errorf("query %d: count %d != %d range results", i, n, len(got))
-		}
-		checkStats(t, cst, n)
 	}
+	checkQueries(sx, "staged")
+
+	// Flushed, the delta survives the process: a reopen replays the log
+	// and the same updates are pending again.
+	if err := sx.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if err := sx.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if sx, err = Open(dir, nil); err != nil {
+		t.Fatal(err)
+	}
+	dirty := checkPending(sx)
+	checkQueries(sx, "replayed")
 
 	// Rebuild folds the changes in; the index now reports them in Len.
 	rebuilt, err := sx.Rebuild()
@@ -86,53 +118,38 @@ func TestShardedStagedUpdates(t *testing.T) {
 	if len(rebuilt) == 0 || len(rebuilt) > len(dirty) {
 		t.Fatalf("Rebuild() = %v, DirtyShards candidates %v", rebuilt, dirty)
 	}
-	isDirty := make(map[int]bool)
-	for _, s := range dirty {
-		isDirty[s] = true
-	}
 	for _, s := range rebuilt {
-		if !isDirty[s] {
+		if !slices.Contains(dirty, s) {
 			t.Fatalf("rebuilt shard %d was not a dirty candidate %v", s, dirty)
 		}
-	}
-	for _, s := range rebuilt {
-		if sx.ShardGeneration(s) == 0 {
-			t.Errorf("rebuilt shard %d still at generation 0", s)
+		if sx.ShardGeneration(s) != 1 {
+			t.Errorf("rebuilt shard %d at generation %d, want 1", s, sx.ShardGeneration(s))
 		}
+	}
+	if ins, dels, err := sx.Pending(); err != nil || ins != 0 || dels != 0 {
+		t.Fatalf("Pending after rebuild = (%d, %d, %v), want nothing", ins, dels, err)
 	}
 	if sx.Len() != len(merged) {
 		t.Fatalf("Len after rebuild = %d, want %d", sx.Len(), len(merged))
 	}
-	for i, q := range append(queryWorkload(r, 15), CubeAt(V(25, 75, 25), 5)) {
-		got, _, err := sx.RangeQuery(q)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !sameIDs(idsOf(got), apiBrute(merged, q)) {
-			t.Fatalf("query %d: post-rebuild results diverge", i)
-		}
-	}
+	checkQueries(sx, "rebuilt")
 	if err := sx.Close(); err != nil {
 		t.Fatal(err)
 	}
 
 	// The rebuilt state is what a fresh open sees.
-	re, err := OpenSharded(dir)
+	re, err := Open(dir, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer re.Close()
+	if ins, dels, err := re.Pending(); err != nil || ins != 0 || dels != 0 {
+		t.Fatalf("Pending after rebuild and reopen = (%d, %d, %v), want nothing", ins, dels, err)
+	}
 	if re.Len() != len(merged) {
 		t.Fatalf("reopened Len = %d, want %d", re.Len(), len(merged))
 	}
-	q := CubeAt(V(25, 75, 25), 5)
-	got, _, err := re.RangeQuery(q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !sameIDs(idsOf(got), apiBrute(merged, q)) {
-		t.Fatal("reopened index diverges from brute force")
-	}
+	checkQueries(re, "rebuilt and reopened")
 }
 
 // TestRebuildRefusesInFlightQueries pins the maintenance contract:
@@ -142,7 +159,7 @@ func TestShardedStagedUpdates(t *testing.T) {
 func TestRebuildRefusesInFlightQueries(t *testing.T) {
 	r := rand.New(rand.NewSource(97))
 	els := randomElements(r, 3000)
-	sx, err := BuildSharded(els, &ShardedOptions{Shards: 4, PageCapacity: 16})
+	sx, err := Build(els, &Options{Shards: 4, PageCapacity: 16})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -241,16 +258,16 @@ func TestRebuildRefusesInFlightQueries(t *testing.T) {
 	}
 }
 
-// TestBuildFailureRemovesPartialFile: the unsharded disk build must not
-// leave a partial page file behind when the bulkload fails.
+// TestBuildFailureRemovesPartialFile: a disk build must not leave a
+// partial page file (or a manifest) behind when the bulkload fails.
 func TestBuildFailureRemovesPartialFile(t *testing.T) {
 	r := rand.New(rand.NewSource(98))
 	els := randomElements(r, 100)
-	path := filepath.Join(t.TempDir(), "partial.flat")
-	if _, err := Build(els, &Options{Path: path, PageCapacity: 100000}); err == nil {
+	dir := filepath.Join(t.TempDir(), "partial.flat")
+	if _, err := Build(els, &Options{Dir: dir, PageCapacity: 100000}); err == nil {
 		t.Fatal("build with absurd page capacity should fail")
 	}
-	if _, err := os.Stat(path); !os.IsNotExist(err) {
-		t.Errorf("failed build left %s behind (stat err: %v)", path, err)
+	if left, err := os.ReadDir(dir); err != nil || len(left) != 0 {
+		t.Errorf("failed build left %v behind in %s (err: %v)", left, dir, err)
 	}
 }

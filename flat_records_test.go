@@ -2,7 +2,10 @@ package flat
 
 import (
 	"math/rand"
+	"strings"
 	"testing"
+
+	"flat/internal/storage"
 )
 
 // TestRecordsInvariants checks the structural invariants of the public
@@ -107,5 +110,65 @@ func TestCrawlFromAnyStart(t *testing.T) {
 		if starts == 0 {
 			t.Fatalf("query %d: no intersecting start records despite %d results", qi, len(want))
 		}
+	}
+}
+
+// TestCrawlFromAcrossShards carries the start-page claim to K=4: every
+// ref Records yields is a valid CrawlFrom start; a crawl stays inside
+// the shard that owns its start, so the union over all starts is the
+// RangeQuery result set; and a ref naming no shard of the index is an
+// error, not an index panic.
+func TestCrawlFromAcrossShards(t *testing.T) {
+	r := rand.New(rand.NewSource(99))
+	ix, err := Build(randomElements(r, 2500), &Options{Shards: 4, PageCapacity: 16})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ix.Close()
+
+	q := CubeAt(V(50, 50, 50), 60)
+	want, _, err := ix.RangeQuery(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantIDs := idsOf(want)
+	owners := make(map[int]bool) // shards whose records were enumerated
+	union := make(map[uint64]bool)
+	records := 0
+	err = ix.Records(func(ref RecordRef, _, _ MBR, _ PageID, _ []RecordRef) error {
+		records++
+		s, _ := storage.SplitShardPageID(ref.Page())
+		owners[s] = true
+		got, err := ix.CrawlFrom(q, ref)
+		if err != nil {
+			return err
+		}
+		for _, e := range got {
+			if !e.Box.Intersects(q) || !ix.ShardBounds(s).Contains(e.Box) {
+				t.Fatalf("crawl from %v (shard %d) returned %v: outside the query or the shard", ref, s, e)
+			}
+			union[e.ID] = true
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if records != ix.NumPartitions() || len(owners) != ix.NumShards() {
+		t.Fatalf("enumerated %d records over %d shards, index has %d partitions in %d shards",
+			records, len(owners), ix.NumPartitions(), ix.NumShards())
+	}
+	if len(wantIDs) == 0 || len(union) != len(wantIDs) {
+		t.Fatalf("union over all starts holds %d elements, RangeQuery %d", len(union), len(wantIDs))
+	}
+	for _, id := range wantIDs {
+		if !union[id] {
+			t.Fatalf("element %d is in RangeQuery but in no crawl", id)
+		}
+	}
+
+	stray := RecordRef(uint64(storage.ShardPageID(ix.NumShards(), 0)) << 16)
+	if _, err := ix.CrawlFrom(q, stray); err == nil || !strings.Contains(err.Error(), "shard") {
+		t.Errorf("CrawlFrom(%v) on a %d-shard index: %v, want an error naming the shard", stray, ix.NumShards(), err)
 	}
 }

@@ -4,8 +4,12 @@ import (
 	"context"
 	"math/rand"
 	"path/filepath"
+	"slices"
 	"sort"
 	"testing"
+
+	"flat/internal/core"
+	"flat/internal/storage"
 )
 
 func idsOf(els []Element) []uint64 {
@@ -29,8 +33,8 @@ func sameIDs(a, b []uint64) bool {
 	return true
 }
 
-// TestShardedMatchesUnsharded checks every K against the unsharded
-// index on identical data, through the shared Querier contract.
+// TestShardedMatchesUnsharded checks every K against the default
+// one-shard index on identical data.
 func TestShardedMatchesUnsharded(t *testing.T) {
 	r := rand.New(rand.NewSource(90))
 	els := randomElements(r, 5000)
@@ -44,20 +48,19 @@ func TestShardedMatchesUnsharded(t *testing.T) {
 	defer base.Close()
 
 	for _, k := range []int{1, 2, 4, 8} {
-		sx, err := BuildSharded(append([]Element(nil), orig...), &ShardedOptions{Shards: k, PageCapacity: 16})
+		sx, err := Build(append([]Element(nil), orig...), &Options{Shards: k, PageCapacity: 16})
 		if err != nil {
 			t.Fatalf("k=%d: %v", k, err)
 		}
 		if sx.NumShards() != k || sx.Len() != len(orig) {
 			t.Fatalf("k=%d: %d shards, %d elements", k, sx.NumShards(), sx.Len())
 		}
-		var q Querier = sx // both indexes serve through the same contract
 		for i, box := range queries {
 			want, wantStats, err := base.RangeQuery(box)
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, gotStats, err := q.RangeQuery(box)
+			got, gotStats, err := sx.RangeQuery(box)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -74,7 +77,7 @@ func TestShardedMatchesUnsharded(t *testing.T) {
 				}
 				_ = wantStats // cold-read parity is asserted below
 			}
-			n, _, err := q.CountQuery(box)
+			n, _, err := sx.CountQuery(box)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -87,15 +90,14 @@ func TestShardedMatchesUnsharded(t *testing.T) {
 }
 
 // TestShardedColdReadParityK1 is the acceptance criterion's read-count
-// half: a 1-shard index serves every query with exactly the page reads
-// of the unsharded index.
+// half: the one-shard index — Build's default, and Shards: 1 spelled
+// out — serves every query with exactly the results and page reads of
+// the bare core index, the paper's structure with nothing around it.
 func TestShardedColdReadParityK1(t *testing.T) {
-	// The fanout=8 case keeps Options.SeedFanout and
-	// ShardedOptions.SeedFanout honest: a smaller fanout deepens the
-	// seed tree, so a knob dropped on either path shows up as a
-	// read-count mismatch. The v2 case extends the invariant to the
-	// compressed page format: a 1-shard v2 index reads exactly the pages
-	// the unsharded v2 index does.
+	// The fanout=8 case keeps Options.SeedFanout honest: a smaller fanout
+	// deepens the seed tree, so a knob dropped on the way down shows up
+	// as a read-count mismatch. The v2 case extends the invariant to the
+	// compressed page format.
 	cases := []struct {
 		name   string
 		fanout int
@@ -113,40 +115,45 @@ func TestShardedColdReadParityK1(t *testing.T) {
 			orig := append([]Element(nil), els...)
 			queries := queryWorkload(r, 25)
 
-			base, err := Build(append([]Element(nil), orig...), &Options{PageCapacity: 16, SeedFanout: fanout, PageFormat: format})
+			refPool := storage.NewConcurrentPool(storage.NewMemPager(), 0)
+			ref, err := core.Build(refPool, append([]Element(nil), orig...), core.Options{PageCapacity: 16, SeedFanout: fanout, PageFormat: format})
 			if err != nil {
 				t.Fatal(err)
 			}
-			defer base.Close()
-			sx, err := BuildSharded(append([]Element(nil), orig...), &ShardedOptions{Shards: 1, PageCapacity: 16, SeedFanout: fanout, PageFormat: format})
-			if err != nil {
-				t.Fatal(err)
+			if fanout != 0 && ref.SeedHeight() < 3 {
+				t.Fatalf("fanout %d did not deepen the seed tree (height %d)", fanout, ref.SeedHeight())
 			}
-			defer sx.Close()
-
-			if format != 0 && sx.ShardPageFormat(0) != format {
-				t.Fatalf("sharded shard 0 format %v, want %v — knob not plumbed?", sx.ShardPageFormat(0), format)
-			}
-			if fanout != 0 && base.SeedHeight() < 3 {
-				t.Fatalf("fanout %d did not deepen the seed tree (height %d) — knob not plumbed?", fanout, base.SeedHeight())
-			}
-			for i, q := range queries {
-				if err := base.DropCache(); err != nil {
-					t.Fatal(err)
-				}
-				if err := sx.DropCache(); err != nil {
-					t.Fatal(err)
-				}
-				_, wantStats, err := base.RangeQuery(q)
+			for _, shards := range []int{0, 1} {
+				ix, err := Build(append([]Element(nil), orig...), &Options{Shards: shards, PageCapacity: 16, SeedFanout: fanout, PageFormat: format})
 				if err != nil {
 					t.Fatal(err)
 				}
-				_, gotStats, err := sx.RangeQuery(q)
-				if err != nil {
-					t.Fatal(err)
+				defer ix.Close()
+				if ix.NumShards() != 1 || ix.SeedHeight() != ref.SeedHeight() || ix.ShardPageFormat(0) != ref.PageFormat() ||
+					ix.AvgNeighbors() != ref.AvgNeighbors() {
+					t.Fatalf("Shards: %d: %d shards, seed height %d, format %v, %g neighbors; core reference %d, %v, %g — knob not plumbed?",
+						shards, ix.NumShards(), ix.SeedHeight(), ix.ShardPageFormat(0), ix.AvgNeighbors(),
+						ref.SeedHeight(), ref.PageFormat(), ref.AvgNeighbors())
 				}
-				if gotStats != wantStats {
-					t.Errorf("query %d: sharded K=1 stats %+v, unsharded %+v", i, gotStats, wantStats)
+				for i, q := range queries {
+					refPool.Reset()
+					if err := ix.DropCache(); err != nil {
+						t.Fatal(err)
+					}
+					want, wantStats, err := ref.RangeQuery(q)
+					if err != nil {
+						t.Fatal(err)
+					}
+					got, gotStats, err := ix.RangeQuery(q)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if !slices.Equal(got, want) {
+						t.Errorf("Shards: %d query %d: results differ from the core index (%d vs %d)", shards, i, len(got), len(want))
+					}
+					if gotStats != wantStats {
+						t.Errorf("Shards: %d query %d: stats %+v, core index %+v", shards, i, gotStats, wantStats)
+					}
 				}
 			}
 		})
@@ -160,7 +167,7 @@ func TestShardedDiskBacked(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "sharded-index")
 	queries := queryWorkload(r, 15)
 
-	sx, err := BuildSharded(els, &ShardedOptions{Shards: 4, PageCapacity: 16, Dir: dir, BufferPages: 256})
+	sx, err := Build(els, &Options{Shards: 4, PageCapacity: 16, Dir: dir, BufferPages: 256})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -176,7 +183,7 @@ func TestShardedDiskBacked(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	re, err := OpenShardedWithOptions(dir, &ShardedOptions{BufferPages: 256})
+	re, err := Open(dir, &Options{BufferPages: 256})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -206,17 +213,13 @@ func TestShardedDiskBacked(t *testing.T) {
 	if !found {
 		t.Error("PointQuery missed the element at its own center")
 	}
-
-	if _, err := OpenSharded(filepath.Join(t.TempDir(), "nope")); err == nil {
-		t.Error("OpenSharded of missing dir should fail")
-	}
 }
 
 func TestShardedBatchQueries(t *testing.T) {
 	r := rand.New(rand.NewSource(93))
 	els := randomElements(r, 4000)
 	orig := append([]Element(nil), els...)
-	sx, err := BuildSharded(els, &ShardedOptions{Shards: 4, PageCapacity: 16})
+	sx, err := Build(els, &Options{Shards: 4, PageCapacity: 16})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -247,7 +250,7 @@ func TestShardedBatchQueries(t *testing.T) {
 func TestShardedConcurrentQueries(t *testing.T) {
 	r := rand.New(rand.NewSource(94))
 	els := randomElements(r, 5000)
-	sx, err := BuildSharded(els, &ShardedOptions{Shards: 4, PageCapacity: 16, BufferPages: 128})
+	sx, err := Build(els, &Options{Shards: 4, PageCapacity: 16, BufferPages: 128})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -5,7 +5,7 @@ import (
 	"sync"
 )
 
-// ErrBusy is returned by Close and DropCache when queries are in flight.
+// ErrBusy is returned by Close, DropCache and Rebuild when queries are in flight.
 // Retry once the queries have drained; queries themselves never return it.
 var ErrBusy = errors.New("flat: queries in flight")
 
@@ -37,22 +37,6 @@ func (g *queryGuard) query(fn func() error) error {
 	if g.closed {
 		return ErrClosed
 	}
-	return fn()
-}
-
-// view runs fn under the read side for a plain accessor (Len, Bounds,
-// ...). Unlike query it never rejects: accessors only read immutable
-// in-memory state, so they stay valid after Close — but they must still
-// serialize against in-flight maintenance (Rebuild swaps the state they
-// read, so anything reached through a shard is dereferenced inside fn),
-// which holding the read side does. Accessors hold the lock for
-// nanoseconds, but like queries they can make a concurrent maintenance
-// TryLock lose its instant and report ErrBusy; a caller polling
-// accessors in a tight loop should expect to retry Rebuild/DropCache,
-// exactly as it would under query load.
-func view[T any](g *queryGuard, fn func() T) T {
-	g.mu.RLock()
-	defer g.mu.RUnlock()
 	return fn()
 }
 

@@ -104,13 +104,6 @@ func (m MBR) Union(o MBR) MBR {
 	return MBR{Min: m.Min.Min(o.Min), Max: m.Max.Max(o.Max)}
 }
 
-// Intersection returns the overlap of m and o. If the boxes do not
-// intersect, the result is Empty.
-func (m MBR) Intersection(o MBR) MBR {
-	r := MBR{Min: m.Min.Max(o.Min), Max: m.Max.Min(o.Max)}
-	return r
-}
-
 // Expand returns m grown by d on every side (shrunk if d is negative).
 func (m MBR) Expand(d float64) MBR {
 	e := Vec3{d, d, d}

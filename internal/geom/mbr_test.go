@@ -90,6 +90,13 @@ func TestContains(t *testing.T) {
 	}
 }
 
+// Intersection returns the overlap of m and o, Empty when they do not
+// intersect. No production code computes an overlap box; it lives here
+// as the reference the Intersects property test compares against.
+func (m MBR) Intersection(o MBR) MBR {
+	return MBR{Min: m.Min.Max(o.Min), Max: m.Max.Min(o.Max)}
+}
+
 func TestIntersectionVolume(t *testing.T) {
 	a := Box(V(0, 0, 0), V(2, 2, 2))
 	b := Box(V(1, 1, 1), V(3, 3, 3))

@@ -2,7 +2,6 @@ package geom
 
 import (
 	"math"
-	"math/rand"
 	"testing"
 )
 
@@ -22,31 +21,6 @@ func TestVecArithmetic(t *testing.T) {
 	}
 	if got := a.Dot(b); got != 32 {
 		t.Errorf("Dot = %v", got)
-	}
-}
-
-func TestVecCross(t *testing.T) {
-	x := V(1, 0, 0)
-	y := V(0, 1, 0)
-	if got := x.Cross(y); got != V(0, 0, 1) {
-		t.Errorf("x cross y = %v, want z", got)
-	}
-	if got := y.Cross(x); got != V(0, 0, -1) {
-		t.Errorf("y cross x = %v, want -z", got)
-	}
-}
-
-func TestVecCrossOrthogonal(t *testing.T) {
-	// v × w is orthogonal to both operands, for random vectors.
-	r := rand.New(rand.NewSource(1))
-	for i := 0; i < 500; i++ {
-		a := V(r.NormFloat64()*10, r.NormFloat64()*10, r.NormFloat64()*10)
-		b := V(r.NormFloat64()*10, r.NormFloat64()*10, r.NormFloat64()*10)
-		c := a.Cross(b)
-		tol := 1e-6 * (a.Len() + 1) * (b.Len() + 1) * (c.Len() + 1)
-		if math.Abs(c.Dot(a)) > tol || math.Abs(c.Dot(b)) > tol {
-			t.Fatalf("cross product not orthogonal at iteration %d: a=%v b=%v c=%v", i, a, b, c)
-		}
 	}
 }
 

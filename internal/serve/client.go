@@ -292,7 +292,7 @@ func (c *Client) Count(ctx context.Context, box flat.MBR, o QueryOptions) (uint6
 	return s.count, s.stats, s.err
 }
 
-// Insert stages elements into the sharded index's delta and flushes
+// Insert stages elements into the index's delta and flushes
 // its write-ahead log; when Insert returns nil the write is durable
 // (it survives kill -9 and is replayed on the next open).
 func (c *Client) Insert(ctx context.Context, els []flat.Element) error {

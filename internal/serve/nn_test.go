@@ -37,7 +37,7 @@ func drainWireNN(t *testing.T, st *Stream, p flat.Vec3) []flat.Element {
 // with the same page-read accounting.
 func TestNNStreamMatchesDirectNN(t *testing.T) {
 	els := testElements(4000, 7)
-	sx, err := flat.BuildSharded(els, &flat.ShardedOptions{Shards: 3})
+	sx, err := flat.Build(els, &flat.Options{Shards: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,7 +98,7 @@ func TestNNStreamMatchesDirectNN(t *testing.T) {
 // the protocol.
 func TestNNOverWireReadsFewerPages(t *testing.T) {
 	els := testElements(6000, 8)
-	sx, err := flat.BuildSharded(els, &flat.ShardedOptions{Shards: 2})
+	sx, err := flat.Build(els, &flat.Options{Shards: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -143,7 +143,7 @@ func TestNNOverWireReadsFewerPages(t *testing.T) {
 // connection must stay usable for the next request.
 func TestNNCancelMidStream(t *testing.T) {
 	els := testElements(60000, 9)
-	sx, err := flat.BuildSharded(els, &flat.ShardedOptions{Shards: 2, BufferPages: 64})
+	sx, err := flat.Build(els, &flat.Options{Shards: 2, BufferPages: 64})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -189,7 +189,7 @@ func TestNNCancelMidStream(t *testing.T) {
 // answered with a codeBadRequest error frame, not a dropped connection.
 func TestNNBadFrameRejected(t *testing.T) {
 	els := testElements(500, 10)
-	sx, err := flat.BuildSharded(els, &flat.ShardedOptions{Shards: 2})
+	sx, err := flat.Build(els, &flat.Options{Shards: 2})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,11 +1,10 @@
 // Package serve implements flatserve's network layer: a TCP query
-// service over an opened flat index. One server owns one
-// flat.QueryIndex and speaks Query API v2 over a length-prefixed
-// binary protocol — streaming range/count queries with limits,
-// staged writes against the WAL-backed delta path of a sharded index,
-// rebuilds, and an admin/stats endpoint. The package also ships the
-// matching pure-Go Client used by the tests, the bench harness and
-// flatserve's one-shot mode.
+// service over an opened flat index. One server serves one *flat.Index
+// and speaks Query API v2 over a length-prefixed binary protocol —
+// streaming range/count queries with limits, staged writes against the
+// index's WAL-backed delta path, rebuilds, and an admin/stats endpoint.
+// The package also ships the matching pure-Go Client used by the tests,
+// the bench harness and flatserve's one-shot mode.
 //
 // # Wire format
 //
@@ -86,25 +85,21 @@ const (
 // Wire error codes carried by msgErr. The mapping is part of the
 // protocol: clients reconstruct the sentinel (flat.ErrBusy,
 // flat.ErrClosed, context.Canceled, ErrShuttingDown) so errors.Is
-// works across the network exactly as it does in-process.
+// works across the network exactly as it does in-process. Code 4 is
+// reserved: never sent, never reused.
 const (
-	codeBusy        = 1   // flat.ErrBusy: admission or maintenance contention
-	codeClosed      = 2   // flat.ErrClosed: the index is gone
-	codeCancelled   = 3   // context.Canceled: explicit Cancel or disconnect
-	codeUnsupported = 4   // operation needs a sharded index
-	codeBadRequest  = 5   // malformed frame or unknown kind
-	codeShutdown    = 6   // ErrShuttingDown: server is draining
-	codeOther       = 255 // anything else; message carries the text
+	codeBusy       = 1   // flat.ErrBusy: admission or maintenance contention
+	codeClosed     = 2   // flat.ErrClosed: the index is gone
+	codeCancelled  = 3   // context.Canceled: explicit Cancel or disconnect
+	codeBadRequest = 5   // malformed frame or unknown kind
+	codeShutdown   = 6   // ErrShuttingDown: server is draining
+	codeOther      = 255 // anything else; message carries the text
 )
 
 // ErrShuttingDown is returned for requests that arrive after the
 // server has begun its graceful drain: existing streams finish (within
 // the drain deadline), new work is refused.
 var ErrShuttingDown = errors.New("flatserve: server shutting down")
-
-// ErrUnsupported is returned for staging/rebuild requests against an
-// unsharded index, which has no delta path to stage into.
-var ErrUnsupported = errors.New("flatserve: operation requires a sharded index")
 
 // badRequest wraps the refusal of a frame the protocol does not allow
 // (a bad length, an unknown frame type or query kind, a reserved flag
@@ -209,8 +204,6 @@ func codeFor(err error) (byte, string) {
 		return codeCancelled, err.Error()
 	case errors.Is(err, ErrShuttingDown):
 		return codeShutdown, err.Error()
-	case errors.Is(err, ErrUnsupported):
-		return codeUnsupported, err.Error()
 	case errors.As(err, new(badRequest)):
 		return codeBadRequest, err.Error()
 	}
@@ -230,8 +223,6 @@ func errFor(code byte, msg string) error {
 		return fmt.Errorf("flatserve: %s: %w", msg, context.Canceled)
 	case codeShutdown:
 		return fmt.Errorf("flatserve: %s: %w", msg, ErrShuttingDown)
-	case codeUnsupported:
-		return fmt.Errorf("flatserve: %s: %w", msg, ErrUnsupported)
 	case codeBadRequest:
 		return fmt.Errorf("flatserve: bad request: %s", msg)
 	}

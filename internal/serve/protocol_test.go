@@ -96,7 +96,6 @@ func TestErrorMapping(t *testing.T) {
 		{context.Canceled, codeCancelled, context.Canceled},
 		{context.DeadlineExceeded, codeCancelled, context.Canceled},
 		{ErrShuttingDown, codeShutdown, ErrShuttingDown},
-		{ErrUnsupported, codeUnsupported, ErrUnsupported},
 		{fmt.Errorf("conn: %w", badRequest{errors.New("unknown query kind 9")}), codeBadRequest, nil},
 		{errors.New("disk on fire"), codeOther, nil},
 	}

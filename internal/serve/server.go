@@ -65,10 +65,9 @@ type Counters struct {
 	PagesRead    int64 // page reads charged to finished queries (complete or cancelled)
 }
 
-// ServerStats is the admin/stats payload: the index's shape, the
-// admission state, per-operation counters, page-cache occupancy and —
-// on a sharded index — the staged delta and background-compactor
-// activity. It travels as JSON inside msgStatsResp, so fields are
+// ServerStats is the admin/stats payload: the index's size, the
+// admission state, per-operation counters, page-cache occupancy, the
+// staged delta and background-compactor activity. It travels as JSON inside msgStatsResp, so fields are
 // stable protocol surface.
 type ServerStats struct {
 	Elements    int
@@ -79,8 +78,8 @@ type ServerStats struct {
 	Counters    Counters
 	CachePages  int                  // resident pages in the shared page cache
 	CacheCap    int                  // page-cache capacity (0: unbounded)
-	Delta       *flat.DeltaStats     `json:",omitempty"` // sharded index only
-	Compactor   *flat.CompactorStats `json:",omitempty"` // sharded with AutoCompact only
+	Delta       *flat.DeltaStats     `json:",omitempty"`
+	Compactor   *flat.CompactorStats `json:",omitempty"` // with AutoCompact only
 }
 
 // Server serves one opened index over TCP. It does not own the index:
@@ -88,7 +87,7 @@ type ServerStats struct {
 // returns (flatserve's main does exactly that, flushing the WAL in
 // between).
 type Server struct {
-	ix  flat.QueryIndex
+	ix  *flat.Index
 	cfg Config
 	adm *admission
 
@@ -115,7 +114,7 @@ type Server struct {
 }
 
 // NewServer wraps an opened index in a server. Call Serve to accept.
-func NewServer(ix flat.QueryIndex, cfg Config) *Server {
+func NewServer(ix *flat.Index, cfg Config) *Server {
 	cfg = cfg.withDefaults()
 	ctx, cancel := context.WithCancel(context.Background())
 	return &Server{
@@ -232,13 +231,11 @@ func (s *Server) Stats() ServerStats {
 		Counters:    s.counters(),
 	}
 	st.CachePages, st.CacheCap = s.ix.CacheStats()
-	if sx, ok := s.ix.(*flat.ShardedIndex); ok {
-		if d, err := sx.DeltaStats(); err == nil {
-			st.Delta = &d
-		}
-		if cs := sx.CompactorStats(); cs.Enabled {
-			st.Compactor = &cs
-		}
+	if d, err := s.ix.DeltaStats(); err == nil {
+		st.Delta = &d
+	}
+	if cs := s.ix.CompactorStats(); cs.Enabled {
+		st.Compactor = &cs
 	}
 	return st
 }
@@ -529,19 +526,13 @@ func (sc *srvConn) streamSession(reqID uint32, session *flat.Results, materializ
 	sc.write(msgDone, done)
 }
 
-// handleWrite is the one shape of a write request: refused with
-// ErrUnsupported on an unsharded index, otherwise op runs against the
-// staged-write surface and its count is acknowledged, or its error
-// sent. Write operations run inline in the read loop — one connection
+// handleWrite is the one shape of a write request: op runs against the
+// index's staged-write surface and its count is acknowledged, or its
+// error sent. Write operations run inline in the read loop — one connection
 // is a serial channel for writes, which preserves the staging layer's
 // last-op-wins ordering.
-func (sc *srvConn) handleWrite(reqID uint32, body []byte, op func(*flat.ShardedIndex, []byte) (uint64, error)) {
-	sx, ok := sc.s.ix.(*flat.ShardedIndex)
-	if !ok {
-		sc.writeErr(reqID, ErrUnsupported)
-		return
-	}
-	acked, err := op(sx, body)
+func (sc *srvConn) handleWrite(reqID uint32, body []byte, op func([]byte) (uint64, error)) {
+	acked, err := op(body)
 	if err != nil {
 		sc.writeErr(reqID, err)
 		return
@@ -552,7 +543,7 @@ func (sc *srvConn) handleWrite(reqID uint32, body []byte, op func(*flat.ShardedI
 // insert stages the elements and flushes the WAL before it reports
 // them, so an OK means the write survives kill -9: the next open
 // replays it from the log.
-func (s *Server) insert(sx *flat.ShardedIndex, body []byte) (uint64, error) {
+func (s *Server) insert(body []byte) (uint64, error) {
 	if len(body) < 4 {
 		return 0, badRequest{errors.New("bad insert frame")}
 	}
@@ -565,41 +556,41 @@ func (s *Server) insert(sx *flat.ShardedIndex, body []byte) (uint64, error) {
 	for i := range els {
 		els[i] = getElement(body[i*elementWire:])
 	}
-	if err := sx.StageInsert(els...); err != nil {
+	if err := s.ix.StageInsert(els...); err != nil {
 		return 0, err
 	}
-	if err := sx.Flush(); err != nil {
+	if err := s.ix.Flush(); err != nil {
 		return 0, err
 	}
 	s.inserts.Add(int64(n))
 	return uint64(n), nil
 }
 
-func (s *Server) delete(sx *flat.ShardedIndex, body []byte) (uint64, error) {
+func (s *Server) delete(body []byte) (uint64, error) {
 	if len(body) != elementWire {
 		return 0, badRequest{errors.New("bad delete frame")}
 	}
 	e := getElement(body)
-	if err := sx.StageDelete(e.ID, e.Box); err != nil {
+	if err := s.ix.StageDelete(e.ID, e.Box); err != nil {
 		return 0, err
 	}
-	if err := sx.Flush(); err != nil {
+	if err := s.ix.Flush(); err != nil {
 		return 0, err
 	}
 	s.deletes.Add(1)
 	return 1, nil
 }
 
-func (s *Server) flush(sx *flat.ShardedIndex, _ []byte) (uint64, error) {
-	if err := sx.Flush(); err != nil {
+func (s *Server) flush([]byte) (uint64, error) {
+	if err := s.ix.Flush(); err != nil {
 		return 0, err
 	}
 	s.flushes.Add(1)
 	return 0, nil
 }
 
-func (s *Server) rebuild(sx *flat.ShardedIndex, _ []byte) (uint64, error) {
-	rebuilt, err := sx.Rebuild()
+func (s *Server) rebuild([]byte) (uint64, error) {
+	rebuilt, err := s.ix.Rebuild()
 	if err != nil {
 		return 0, err
 	}

@@ -9,6 +9,7 @@ import (
 	"path/filepath"
 	"regexp"
 	"strconv"
+	"syscall"
 
 	"flat/internal/core"
 	"flat/internal/geom"
@@ -271,6 +272,9 @@ var errManifestNotDurable = errors.New("shard: manifest swap committed but not d
 // readManifest loads and validates dir's manifest.
 func readManifest(dir string) (manifest, error) {
 	data, err := os.ReadFile(filepath.Join(dir, ManifestName))
+	if errors.Is(err, syscall.ENOTDIR) {
+		return manifest{}, fmt.Errorf("shard: %s is not a directory: a disk-backed index is a directory holding %s", dir, ManifestName)
+	}
 	if err != nil {
 		return manifest{}, fmt.Errorf("shard: read manifest: %w", err)
 	}
@@ -378,15 +382,12 @@ func createPager(path string) (storage.Pager, error) {
 
 // createPagers makes the per-shard pagers for a build at the given
 // generation: page files under dir when dir is non-empty (creating the
-// directory), the one page file at file for the single-file shape,
-// memory pagers otherwise. It returns the created file paths (nil for a
-// memory-backed build) so a failed build can remove its partial output.
-func createPagers(dir, file string, k int, gen uint64) ([]storage.Pager, []string, error) {
+// directory), memory pagers otherwise. It returns the created file
+// paths (nil for a memory-backed build) so a failed build can remove
+// its partial output.
+func createPagers(dir string, k int, gen uint64) ([]storage.Pager, []string, error) {
 	var files []string
-	switch {
-	case file != "":
-		files = []string{file}
-	case dir != "":
+	if dir != "" {
 		if err := os.MkdirAll(dir, 0o755); err != nil {
 			return nil, nil, fmt.Errorf("shard: create index dir: %w", err)
 		}

@@ -362,8 +362,8 @@ func (s *Set) overlayFor(q geom.MBR) (ins []geom.Element, dels deleteView, err e
 // shards) shards' merged element slices, not one.
 //
 // Rebuild mutates the set and must not run concurrently with queries or
-// other maintenance; the public flat.ShardedIndex enforces this with
-// its ErrBusy guard.
+// other maintenance; the public flat.Index enforces this with its
+// ErrBusy guard.
 func (s *Set) Rebuild() ([]int, error) {
 	s.pmu.Lock()
 	defer s.pmu.Unlock()

@@ -18,7 +18,7 @@
 // prunes shards whose bounds do not intersect the query box, the
 // surviving shards run the ordinary seed+crawl and are delivered in
 // shard order, and the per-shard QueryStats are merged. With K=1 the
-// whole apparatus degenerates to exactly the unsharded index — same
+// whole apparatus degenerates to exactly the bare core index — same
 // pages, same ids, same read counts — which is the invariant the tests
 // pin down.
 //
@@ -31,12 +31,11 @@
 // side and folded in by re-bulkloading only the shards they touch,
 // under crash-safe generation-tagged manifests — see rebuild.go.
 //
-// Every shard, of every shape, is written by one bulkload step
-// (bulkload) and restored by one open step (openShards), and every
-// generation of a directory is published by one commit step (commit,
-// manifest.go). The unsharded public index is not a second
-// implementation but the K=1 set over a single page file (Config.File,
-// OpenFile).
+// Every shard is written by one bulkload step (bulkload) and restored
+// by one open step (openShards), and every generation of a directory is
+// published by one commit step (commit, manifest.go). The public
+// flat.Index is this set at any K >= 1: in memory, or in a directory
+// with a manifest — at K=1 too.
 package shard
 
 import (
@@ -56,7 +55,7 @@ import (
 // Config configures Build.
 type Config struct {
 	// Shards is K, the number of spatial shards. 0 or 1 builds a single
-	// shard (identical to an unsharded index).
+	// shard (identical to a bare core index).
 	Shards int
 	// PageCapacity caps elements per object page (0: a full page); it is
 	// passed through to every shard's core.Build.
@@ -77,14 +76,6 @@ type Config struct {
 	// Dir, when non-empty, stores the index on disk: one page file per
 	// shard plus a manifest, all under this directory.
 	Dir string
-	// File, when non-empty, stores a single-shard index (Shards <= 1, no
-	// Dir) in one page file at this path, with no directory, manifest,
-	// generation or write-ahead log around it: shard 0's page-id tag is
-	// the identity, so the file is byte-for-byte the page file of the
-	// unsharded index and reopens with OpenFile. Such a set is only ever
-	// held by flat.Index, which exposes no staging and no Rebuild — a
-	// Rebuild would have no manifest to commit a new generation through.
-	File string
 	// BufferPages bounds the page cache shared by every shard
 	// (<= 0: unbounded). The budget is global: K shards together hold at
 	// most this many cached frames.
@@ -142,7 +133,7 @@ type Set struct {
 // contiguous, near-equal groups — the shard assignment. Fewer than k
 // groups come back when there are fewer than k elements. k <= 1 returns
 // the input as one group, untouched: a single shard must preserve the
-// exact element order an unsharded build would see.
+// exact element order a bare core.Build would see.
 func SplitHilbert(els []geom.Element, k int, world geom.MBR) [][]geom.Element {
 	if len(els) == 0 {
 		return nil
@@ -183,9 +174,6 @@ func Build(els []geom.Element, cfg Config) (*Set, error) {
 	if cfg.WAL && cfg.Dir == "" {
 		return nil, errors.New("shard: the write-ahead log requires an on-disk index (Config.Dir)")
 	}
-	if cfg.File != "" && (cfg.Dir != "" || k > 1) {
-		return nil, errors.New("shard: a single page file (Config.File) holds exactly one shard and excludes Config.Dir")
-	}
 	bounds := geom.ElementsMBR(els)
 	world := cfg.World
 	if world.Empty() || world == (geom.MBR{}) {
@@ -207,7 +195,7 @@ func Build(els []geom.Element, cfg Config) (*Set, error) {
 			return nil, err
 		}
 	}
-	pagers, files, err := createPagers(cfg.Dir, cfg.File, k, gen)
+	pagers, files, err := createPagers(cfg.Dir, k, gen)
 	if err != nil {
 		return nil, err
 	}
@@ -222,7 +210,7 @@ func Build(els []geom.Element, cfg Config) (*Set, error) {
 	}
 
 	// Per-shard worlds: a lone shard keeps the caller's world so the
-	// build is bit-for-bit the unsharded one; with K > 1 each shard
+	// build is bit-for-bit the bare core one; with K > 1 each shard
 	// partitions its own bounds — its crawl graph only ever needs to
 	// span its own elements, and tiling the full world from every shard
 	// would stretch boundary partitions across the whole model.
@@ -307,8 +295,7 @@ func Build(els []geom.Element, cfg Config) (*Set, error) {
 // (the set serves from its shared pool, so it starts cold). When the
 // pager is a page file (persist) the superblock is appended and the file
 // fsynced before bulkload returns: a shard file must be durable before
-// anything — a manifest, or the caller of a single-file build — is told
-// it exists.
+// a manifest is told it exists.
 func bulkload(pager storage.Pager, s int, els []geom.Element, opts core.Options, persist bool) (*core.Index, error) {
 	view, err := storage.NewShardView(pager, s)
 	if err != nil {
@@ -329,7 +316,7 @@ func bulkload(pager storage.Pager, s int, els []geom.Element, opts core.Options,
 	return ix, nil
 }
 
-// OpenOptions configures OpenSet and OpenFile.
+// OpenOptions configures OpenSet.
 type OpenOptions struct {
 	// BufferPages bounds the shared page cache as in Config.
 	BufferPages int
@@ -384,31 +371,12 @@ func OpenSet(dir string, opts OpenOptions) (*Set, error) {
 	return set, nil
 }
 
-// OpenFile opens the single-file shape Build writes under Config.File:
-// a one-shard set over the page file at path, with no manifest to read
-// — the world comes from the shard's own superblock. Like the set Build
-// returns for that shape it is only ever held by flat.Index, which
-// exposes no staging and no Rebuild; a write-ahead log needs an index
-// directory to live in, so opts.WAL is rejected.
-func OpenFile(path string, opts OpenOptions) (*Set, error) {
-	if opts.WAL {
-		return nil, errors.New("shard: the write-ahead log requires an index directory, not a single page file")
-	}
-	set, err := openShards([]string{path}, nil, opts)
-	if err != nil {
-		return nil, err
-	}
-	set.world = set.shards[0].World()
-	return set, nil
-}
-
-// openShards is the one per-shard open step, shared by OpenSet and
-// OpenFile: file s becomes shard s behind one MultiPager and one shared
-// pool (memory-mapped or read through a descriptor, per opts), and each
-// shard is restored from its superblock — the last page of its own
-// file, addressed under the shard's tag. entries, when non-nil, are the
-// manifest's records of the same shards, cross-checked against what the
-// files actually hold.
+// openShards is the one per-shard open step: file s becomes shard s
+// behind one MultiPager and one shared pool (memory-mapped or read
+// through a descriptor, per opts), and each shard is restored from its
+// superblock — the last page of its own file, addressed under the
+// shard's tag. entries are the manifest's records of the same shards,
+// cross-checked against what the files actually hold.
 func openShards(files []string, entries []shardEntry, opts OpenOptions) (*Set, error) {
 	k := len(files)
 	pagers := make([]storage.Pager, k)
@@ -458,20 +426,18 @@ func openShards(files []string, entries []shardEntry, opts OpenOptions) (*Set, e
 			closeAll()
 			return nil, fmt.Errorf("shard %d: %w", s, err)
 		}
-		if entries != nil {
-			e := entries[s]
-			if ix.Len() != e.Elements {
-				closeAll()
-				return nil, fmt.Errorf("shard %d: manifest records %d elements but %s holds %d (corrupted index directory)",
-					s, e.Elements, name, ix.Len())
-			}
-			// The superblock is authoritative for the page format (decoding is
-			// self-describing anyway); a non-zero manifest record must agree.
-			if e.PageFormat != 0 && storage.PageFormat(e.PageFormat) != ix.PageFormat() {
-				closeAll()
-				return nil, fmt.Errorf("shard %d: manifest records page format %d but %s is %s (corrupted index directory)",
-					s, e.PageFormat, name, ix.PageFormat())
-			}
+		e := entries[s]
+		if ix.Len() != e.Elements {
+			closeAll()
+			return nil, fmt.Errorf("shard %d: manifest records %d elements but %s holds %d (corrupted index directory)",
+				s, e.Elements, name, ix.Len())
+		}
+		// The superblock is authoritative for the page format (decoding is
+		// self-describing anyway); a non-zero manifest record must agree.
+		if e.PageFormat != 0 && storage.PageFormat(e.PageFormat) != ix.PageFormat() {
+			closeAll()
+			return nil, fmt.Errorf("shard %d: manifest records page format %d but %s is %s (corrupted index directory)",
+				s, e.PageFormat, name, ix.PageFormat())
 		}
 		set.shards[s] = ix
 		set.bounds[s] = ix.Bounds()

@@ -205,8 +205,9 @@ func testSingleShardParity(t *testing.T, fanout int) {
 	}
 	sameAnswers("memory", set)
 
-	// The single-file shape: the file the seam writes is byte-for-byte the
-	// file a bare core.Build + WriteSuper writes on a FilePager.
+	// On disk: the shard-0000.flat a K=1 directory build writes is
+	// byte-for-byte the file a bare core.Build + WriteSuper writes on a
+	// FilePager.
 	dir := t.TempDir()
 	refPath := filepath.Join(dir, "ref.flat")
 	refFile, err := storage.CreateFilePager(refPath)
@@ -224,50 +225,42 @@ func testSingleShardParity(t *testing.T, fanout int) {
 	if err := refFile.Close(); err != nil {
 		t.Fatal(err)
 	}
-	path := filepath.Join(dir, "seam.flat")
+	setDir := filepath.Join(dir, "set")
 	shEls = append(shEls[:0], els...)
-	fileSet, err := Build(shEls, Config{File: path, PageCapacity: 16, SeedFanout: fanout})
+	diskSet, err := Build(shEls, Config{Dir: setDir, PageCapacity: 16, SeedFanout: fanout})
 	if err != nil {
 		t.Fatal(err)
 	}
-	sameAnswers("file (built)", fileSet)
-	if err := fileSet.Close(); err != nil {
+	sameAnswers("directory (built)", diskSet)
+	if err := diskSet.Close(); err != nil {
 		t.Fatal(err)
 	}
 	want, err := os.ReadFile(refPath)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := os.ReadFile(path)
+	got, err := os.ReadFile(shardFile(setDir, 0))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(got, want) {
-		t.Fatalf("single-file build (%d bytes) is not byte-identical to the core reference (%d bytes)", len(got), len(want))
-	}
-	if entries, err := os.ReadDir(dir); err != nil || len(entries) != 2 {
-		t.Fatalf("single-file build left more than its page file behind: %v (err %v)", entries, err)
+		t.Fatalf("K=1 directory build's shard file (%d bytes) is not byte-identical to the core reference (%d bytes)", len(got), len(want))
 	}
 
 	// Reopened — through a descriptor and memory-mapped — it answers the
 	// same, cold.
 	for _, mmap := range []bool{false, true} {
-		re, err := OpenFile(path, OpenOptions{Mmap: mmap})
+		re, err := OpenSet(setDir, OpenOptions{Mmap: mmap})
 		if err != nil {
-			t.Fatalf("OpenFile(mmap=%v): %v", mmap, err)
+			t.Fatalf("OpenSet(mmap=%v): %v", mmap, err)
 		}
 		if re.NumShards() != 1 || re.Len() != len(els) || re.World() != ref.World() || re.Bounds() != ref.Bounds() {
-			t.Errorf("OpenFile(mmap=%v): %d shards, %d elements, world %v, bounds %v", mmap, re.NumShards(), re.Len(), re.World(), re.Bounds())
+			t.Errorf("OpenSet(mmap=%v): %d shards, %d elements, world %v, bounds %v", mmap, re.NumShards(), re.Len(), re.World(), re.Bounds())
 		}
-		sameAnswers(fmt.Sprintf("file (reopened, mmap=%v)", mmap), re)
+		sameAnswers(fmt.Sprintf("directory (reopened, mmap=%v)", mmap), re)
 		if err := re.Close(); err != nil {
 			t.Fatal(err)
 		}
-	}
-
-	// A write-ahead log needs an index directory to live in.
-	if _, err := OpenFile(path, OpenOptions{WAL: true}); err == nil {
-		t.Error("OpenFile with OpenOptions.WAL must be rejected")
 	}
 }
 
@@ -473,22 +466,6 @@ func TestBuildErrors(t *testing.T) {
 		t.Error("empty build should fail")
 	}
 	r := rand.New(rand.NewSource(17))
-	// A single page file holds one shard, outside any directory, with no
-	// write-ahead log; a refused build must not create the file.
-	path := filepath.Join(t.TempDir(), "one.flat")
-	for _, cfg := range []Config{
-		{File: path, Shards: 2},
-		{File: path, Dir: t.TempDir()},
-		{File: path, WAL: true},
-		{File: path, PageCapacity: 1 << 20}, // fails inside the bulkload, after the file exists
-	} {
-		if _, err := Build(randomElements(r, 50), cfg); err == nil {
-			t.Errorf("Build(%+v) should fail", cfg)
-		}
-		if _, err := os.Stat(path); !os.IsNotExist(err) {
-			t.Errorf("Build(%+v) left %s behind (stat err %v)", cfg, path, err)
-		}
-	}
 	// More shards than elements: degrade to one group per element.
 	els := randomElements(r, 3)
 	set, err := Build(els, Config{Shards: 8})

@@ -1,10 +1,10 @@
 // Write-ahead log for the staged-update write path.
 //
-// The sharded index stages inserts and deletes in memory between
+// The index stages inserts and deletes in memory between
 // rebuilds; before the WAL existed, a crash between StageInsert and
 // Rebuild silently lost the delta. The WAL closes that hole: every
 // staged operation is appended here first, and replayed on open, so
-// an operation acknowledged by a Sync (flat.ShardedIndex.Flush)
+// an operation acknowledged by a Sync (flat.Index.Flush)
 // survives any crash.
 //
 // On-disk format:

@@ -2,7 +2,6 @@ package flat
 
 import (
 	"context"
-	"math"
 
 	"flat/internal/geom"
 )
@@ -46,11 +45,10 @@ type JoinStats struct {
 // (outer == inner) are fine; each unordered pair then appears twice
 // (once per orientation) unless pred or emit filters by ID.
 //
-// Both arguments are Queriers: unsharded and sharded indexes mix
-// freely. The outer side should usually be the smaller (or sparser)
-// index — it is drained in full, while the inner side only answers
-// pruned neighborhood probes.
-func Join(ctx context.Context, outer, inner Querier, maxDist float64, pred func(a, b Element) bool, emit func(a, b Element) bool) (JoinStats, error) {
+// The outer side should usually be the smaller (or sparser) index — it
+// is drained in full, while the inner side only answers pruned
+// neighborhood probes.
+func Join(ctx context.Context, outer, inner *Index, maxDist float64, pred func(a, b Element) bool, emit func(a, b Element) bool) (JoinStats, error) {
 	var st JoinStats
 	if maxDist < 0 {
 		maxDist = 0
@@ -99,7 +97,9 @@ func Join(ctx context.Context, outer, inner Querier, maxDist float64, pred func(
 		return nil
 	}
 
-	outerRes := outer.Query(ctx, outerDrainBox(outer))
+	// The outer drain box is the data bounds expanded by a hair: stored v2
+	// boxes are conservative roundings that can graze just past them.
+	outerRes := outer.Query(ctx, outer.Bounds().Expand(1))
 	for a, err := range outerRes.All() {
 		if err != nil {
 			st.Outer = outerRes.Stats()
@@ -126,17 +126,4 @@ func Join(ctx context.Context, outer, inner Querier, maxDist float64, pred func(
 		}
 	}
 	return st, nil
-}
-
-// outerDrainBox is the query box that drains an index completely. The
-// Inspector role carries Bounds, which both index shapes implement;
-// a Querier from elsewhere falls back to the widest finite box.
-func outerDrainBox(q Querier) MBR {
-	if ins, ok := q.(Inspector); ok {
-		// Expand by a hair: stored v2 boxes are conservative roundings
-		// that can graze just past the recorded data bounds.
-		return ins.Bounds().Expand(1)
-	}
-	const huge = math.MaxFloat64 / 4
-	return geom.Box(geom.V(-huge, -huge, -huge), geom.V(huge, huge, huge))
 }

@@ -28,7 +28,7 @@ func bruteJoin(as, bs []Element, maxDist float64, pred func(a, b Element) bool) 
 	return out
 }
 
-func collectJoin(t *testing.T, outer, inner Querier, maxDist float64, pred func(a, b Element) bool) (map[joinKey]bool, JoinStats) {
+func collectJoin(t *testing.T, outer, inner *Index, maxDist float64, pred func(a, b Element) bool) (map[joinKey]bool, JoinStats) {
 	t.Helper()
 	got := make(map[joinKey]bool)
 	st, err := Join(context.Background(), outer, inner, maxDist, pred, func(a, b Element) bool {
@@ -76,7 +76,7 @@ func TestJoinMatchesBruteForce(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer outer.Close()
-	inner, err := BuildSharded(append([]Element(nil), bs...), &ShardedOptions{Shards: 3, PageCapacity: 8})
+	inner, err := Build(append([]Element(nil), bs...), &Options{Shards: 3, PageCapacity: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,8 +121,8 @@ func TestJoinPredRefines(t *testing.T) {
 
 func TestJoinEarlyStopAndCancel(t *testing.T) {
 	_, targets := queryTargets(t, 1000)
-	outer := targets["Index"]
-	inner := targets["ShardedIndex"]
+	outer := targets["K=1"]
+	inner := targets["K=4"]
 
 	n := 0
 	st, err := Join(context.Background(), outer, inner, 3, nil, func(a, b Element) bool {

@@ -12,7 +12,7 @@ import (
 
 // nnLive recovers an index's live element view (decoded boxes, staged
 // overlay applied) so parity holds bit-for-bit under v2 quantization.
-func nnLive(t *testing.T, q QueryIndex) []Element {
+func nnLive(t *testing.T, q *Index) []Element {
 	t.Helper()
 	els, _, err := q.RangeQuery(q.Bounds().Expand(1000))
 	if err != nil {
@@ -58,7 +58,7 @@ func TestNNMatchesBruteForce(t *testing.T) {
 			t.Run(fmt.Sprintf("v%d-k%d", format, shards), func(t *testing.T) {
 				r := rand.New(rand.NewSource(int64(1000 + shards)))
 				els := randomElements(r, 1200)
-				sx, err := BuildSharded(els, &ShardedOptions{Shards: shards, PageCapacity: 8, PageFormat: format})
+				sx, err := Build(els, &Options{Shards: shards, PageCapacity: 8, PageFormat: format})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -105,11 +105,11 @@ func TestNNUnshardedMatchesSharded(t *testing.T) {
 			continue
 		}
 		if len(dists) != len(want) {
-			t.Fatalf("%s: %d results, other shape had %d", name, len(dists), len(want))
+			t.Fatalf("%s: %d results, other shard count had %d", name, len(dists), len(want))
 		}
 		for i := range dists {
 			if dists[i] != want[i] {
-				t.Fatalf("%s: emission %d distSq %g, other shape %g", name, i, dists[i], want[i])
+				t.Fatalf("%s: emission %d distSq %g, other shard count %g", name, i, dists[i], want[i])
 			}
 		}
 	}
@@ -118,7 +118,7 @@ func TestNNUnshardedMatchesSharded(t *testing.T) {
 func TestNNStagedOverlay(t *testing.T) {
 	r := rand.New(rand.NewSource(5150))
 	els := randomElements(r, 800)
-	sx, err := BuildSharded(append([]Element(nil), els...), &ShardedOptions{Shards: 3, PageCapacity: 8})
+	sx, err := Build(append([]Element(nil), els...), &Options{Shards: 3, PageCapacity: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -181,21 +181,17 @@ func TestNNReadsFewerPagesThanDrainAndSort(t *testing.T) {
 	_, targets := queryTargets(t, 3000)
 	p := V(50, 50, 50)
 	for name, q := range targets {
-		m, ok := q.(Maintainer)
-		if !ok {
-			t.Fatalf("%s: not a Maintainer", name)
-		}
-		if err := m.DropCache(); err != nil {
+		if err := q.DropCache(); err != nil {
 			t.Fatal(err)
 		}
 		res := q.NN(context.Background(), p, 4)
 		drainNN(t, res, p)
 		nnReads := res.Stats().TotalReads
 
-		if err := m.DropCache(); err != nil {
+		if err := q.DropCache(); err != nil {
 			t.Fatal(err)
 		}
-		full := q.Query(context.Background(), q.(Inspector).Bounds().Expand(1))
+		full := q.Query(context.Background(), q.Bounds().Expand(1))
 		n := 0
 		for _, err := range full.All() {
 			if err != nil {

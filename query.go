@@ -25,8 +25,8 @@ type QueryOption func(*queryConfig)
 // WithLimit stops the query after k results have been emitted. The stop
 // is a property of the crawl, not of the caller: the BFS abandons its
 // frontier the moment the k-th element is delivered, so the pages the
-// rest of the crawl would have read are never touched. On a sharded
-// index, shards the stream never reaches are not queried at all.
+// rest of the crawl would have read are never touched, and shards the
+// stream never reaches are not queried at all.
 // k <= 0 means unlimited.
 func WithLimit(k int) QueryOption {
 	return func(c *queryConfig) { c.limit = k }
@@ -40,14 +40,13 @@ func WithLimit(k int) QueryOption {
 // ctx.Err(); WithLimit stops it after k results, skipping the page
 // reads the rest of the crawl would have cost.
 //
-// The crawl runs on the goroutine that drains the session. On a
-// ShardedIndex the surviving shards are crawled one after another in
-// shard order, which is what lets WithLimit skip trailing shards
-// entirely; to use several cores, run several queries at once
+// The crawl runs on the goroutine that drains the session: the
+// surviving shards are crawled one after another in shard order, which
+// is what lets WithLimit skip trailing shards entirely; to use several cores, run several queries at once
 // (BatchRangeQuery, BatchCountQuery, or concurrent sessions). Safe for
 // concurrent use: any number of sessions may be drained at once.
-func (b *base) Query(ctx context.Context, q MBR, opts ...QueryOption) *Results {
-	return newResults(ctx, b, q, false, opts)
+func (ix *Index) Query(ctx context.Context, q MBR, opts ...QueryOption) *Results {
+	return newResults(ctx, ix, q, false, opts)
 }
 
 // NN starts a streaming k-nearest-neighbor session around p: the
@@ -67,7 +66,7 @@ func (b *base) Query(ctx context.Context, q MBR, opts ...QueryOption) *Results {
 // precision is lost in transit. Ties (equal distances) are broken
 // deterministically.
 //
-// A ShardedIndex runs the same single frontier: each shard is one more
+// Every shard count runs the same single frontier: each shard is one
 // item in it, keyed by the distance to its directory MBR (which
 // lower-bounds everything inside it) and seeded only when that item
 // surfaces — nothing whose bound exceeds the k-th result is read, in
@@ -79,8 +78,8 @@ func (b *base) Query(ctx context.Context, q MBR, opts ...QueryOption) *Results {
 // deletes filter the stream, staged inserts merge in at their own
 // distances (losing ties to bulkloaded elements, matching the range
 // path's staged-last order). Safe for concurrent use.
-func (b *base) NN(ctx context.Context, p Vec3, k int, opts ...QueryOption) *Results {
-	r := newResults(ctx, b, geom.PointBox(p), true, opts)
+func (ix *Index) NN(ctx context.Context, p Vec3, k int, opts ...QueryOption) *Results {
+	r := newResults(ctx, ix, geom.PointBox(p), true, opts)
 	// The effective bound is the smaller of k and WithLimit's positive
 	// values (either alone when the other is unlimited).
 	if k > 0 && (r.cfg.limit <= 0 || k < r.cfg.limit) {
@@ -90,26 +89,26 @@ func (b *base) NN(ctx context.Context, p Vec3, k int, opts ...QueryOption) *Resu
 }
 
 // RangeQuery returns every indexed element whose MBR intersects q,
-// together with the query's page-read statistics — on a ShardedIndex
-// the merged per-shard statistics, the result in shard order. It is
+// together with the query's page-read statistics — the merged
+// per-shard statistics, the result in shard order. It is
 // Query(context.Background(), q).Collect(), kept for callers that want
 // the whole result as a slice; use Query to pass a context. Safe for
 // concurrent use.
-func (b *base) RangeQuery(q MBR) ([]Element, QueryStats, error) {
-	return b.Query(context.Background(), q).Collect()
+func (ix *Index) RangeQuery(q MBR) ([]Element, QueryStats, error) {
+	return ix.Query(context.Background(), q).Collect()
 }
 
 // CountQuery returns the number of elements intersecting q without
 // materializing them; the page access pattern is identical to
 // RangeQuery. Safe for concurrent use.
-func (b *base) CountQuery(q MBR) (int, QueryStats, error) {
-	return b.Query(context.Background(), q).count()
+func (ix *Index) CountQuery(q MBR) (int, QueryStats, error) {
+	return ix.Query(context.Background(), q).count()
 }
 
 // PointQuery returns the elements whose MBR contains p. Safe for
 // concurrent use.
-func (b *base) PointQuery(p Vec3) ([]Element, QueryStats, error) {
-	return b.RangeQuery(geom.PointBox(p))
+func (ix *Index) PointQuery(p Vec3) ([]Element, QueryStats, error) {
+	return ix.RangeQuery(geom.PointBox(p))
 }
 
 // BatchResult is one query's output within a BatchRangeQuery.
@@ -128,12 +127,12 @@ type BatchResult struct {
 // workers from starting further queries and aborts the in-flight
 // crawls, and the batch returns ctx.Err(). The batch holds the query
 // guard once for its whole duration.
-func (b *base) BatchRangeQuery(ctx context.Context, queries []MBR, workers int) (out []BatchResult, err error) {
-	err = b.guard.query(func() error {
+func (ix *Index) BatchRangeQuery(ctx context.Context, queries []MBR, workers int) (out []BatchResult, err error) {
+	err = ix.guard.query(func() error {
 		out = make([]BatchResult, len(queries))
 		return shard.RunBatch(ctx, len(queries), workers, func(i int) error {
 			var els []Element
-			st, err := b.set.StreamQuery(ctx, queries[i], shard.StreamOptions{}, func(e Element) bool {
+			st, err := ix.set.StreamQuery(ctx, queries[i], shard.StreamOptions{}, func(e Element) bool {
 				els = append(els, e)
 				return true
 			})
@@ -149,12 +148,12 @@ func (b *base) BatchRangeQuery(ctx context.Context, queries []MBR, workers int) 
 
 // BatchCountQuery is BatchRangeQuery without materializing result
 // elements: it returns each query's hit count and stats in input order.
-func (b *base) BatchCountQuery(ctx context.Context, queries []MBR, workers int) (counts []int, stats []QueryStats, err error) {
-	err = b.guard.query(func() error {
+func (ix *Index) BatchCountQuery(ctx context.Context, queries []MBR, workers int) (counts []int, stats []QueryStats, err error) {
+	err = ix.guard.query(func() error {
 		counts = make([]int, len(queries))
 		stats = make([]QueryStats, len(queries))
 		return shard.RunBatch(ctx, len(queries), workers, func(i int) error {
-			st, err := b.set.StreamQuery(ctx, queries[i], shard.StreamOptions{}, func(Element) bool { return true })
+			st, err := ix.set.StreamQuery(ctx, queries[i], shard.StreamOptions{}, func(Element) bool { return true })
 			if err == nil {
 				counts[i] = st.Results
 			}
@@ -165,8 +164,8 @@ func (b *base) BatchCountQuery(ctx context.Context, queries []MBR, workers int) 
 	return counts, stats, err
 }
 
-// Results is one streaming query session, created by Query or NN on
-// either index shape. Nothing happens until it is iterated: ranging
+// Results is one streaming query session, created by Query or NN.
+// Nothing happens until it is iterated: ranging
 // over All drains the two-phase query incrementally, in the same
 // deterministic order RangeQuery returns, and stops crawling — saving
 // the remaining page reads — as soon as the caller breaks out or the
@@ -184,7 +183,7 @@ func (b *base) BatchCountQuery(ctx context.Context, queries []MBR, workers int) 
 // out of, cancelled or failed).
 type Results struct {
 	ctx context.Context
-	b   *base
+	ix  *Index
 	q   MBR  // an NN session's query point travels as the degenerate box geom.PointBox(p)
 	nn  bool // distance-ordered NN session; otherwise a shard-ordered range stream
 	cfg queryConfig
@@ -194,8 +193,8 @@ type Results struct {
 	err     error
 }
 
-func newResults(ctx context.Context, b *base, q MBR, nn bool, opts []QueryOption) *Results {
-	r := &Results{ctx: ctx, b: b, q: q, nn: nn}
+func newResults(ctx context.Context, ix *Index, q MBR, nn bool, opts []QueryOption) *Results {
+	r := &Results{ctx: ctx, ix: ix, q: q, nn: nn}
 	for _, opt := range opts {
 		opt(&r.cfg)
 	}
@@ -207,9 +206,9 @@ func newResults(ctx context.Context, b *base, q MBR, nn bool, opts []QueryOption
 // staged-insert sizing hint).
 func (r *Results) run(emit func(Element) bool) (QueryStats, error) {
 	if r.nn {
-		return r.b.set.NNQuery(r.ctx, r.q.Min, r.cfg.limit, func(e Element, _ float64) bool { return emit(e) })
+		return r.ix.set.NNQuery(r.ctx, r.q.Min, r.cfg.limit, func(e Element, _ float64) bool { return emit(e) })
 	}
-	return r.b.set.StreamQuery(r.ctx, r.q, shard.StreamOptions{}, emit)
+	return r.ix.set.StreamQuery(r.ctx, r.q, shard.StreamOptions{}, emit)
 }
 
 // All returns the session's element stream as a range-able iterator.
@@ -228,7 +227,7 @@ func (r *Results) All() iter.Seq2[Element, error] {
 		}
 		r.started = true
 		abandoned := false
-		r.err = r.b.guard.query(func() (err error) {
+		r.err = r.ix.guard.query(func() (err error) {
 			// Each element is yielded from inside the executor's emit
 			// callback, on this goroutine.
 			n := 0

@@ -39,23 +39,15 @@ type RTreeStats struct {
 }
 
 // BuildRTree bulkloads a baseline R-tree over els (reordered in place)
-// with the given strategy. Path, World and PageCapacity (which caps leaf
-// entries) mean what they do for Build; the page cache is unbounded.
+// with the given strategy, in memory. Of opts only World and
+// PageCapacity (which caps leaf entries) are consulted, and mean what
+// they do for Build; the page cache is unbounded.
 func BuildRTree(els []Element, strategy RTreeStrategy, opts *Options) (*RTree, error) {
 	var o Options
 	if opts != nil {
 		o = *opts
 	}
-	var pager storage.Pager
-	if o.Path != "" {
-		fp, err := storage.CreateFilePager(o.Path)
-		if err != nil {
-			return nil, err
-		}
-		pager = fp
-	} else {
-		pager = storage.NewMemPager()
-	}
+	pager := storage.NewMemPager()
 	pool := storage.NewConcurrentPool(pager, 0)
 	world := o.World
 	if world.Empty() || world == (MBR{}) {
