@@ -33,13 +33,11 @@ const benchDensity = 60000
 const benchCapacity = 16
 
 type fixture struct {
-	model    *neuro.Model
-	flat     *core.Index
-	flatPool *storage.ConcurrentPool
-	trees    map[rtree.Strategy]*rtree.Tree
-	pools    map[rtree.Strategy]*storage.ConcurrentPool
-	sn, lss  []geom.MBR
-	points   []geom.Vec3
+	model   *neuro.Model
+	flat    *core.Index
+	trees   map[rtree.Strategy]*rtree.Tree
+	sn, lss []geom.MBR
+	points  []geom.Vec3
 }
 
 var (
@@ -60,11 +58,9 @@ func getFixture(b *testing.B) *fixture {
 		f := &fixture{
 			model: m,
 			trees: make(map[rtree.Strategy]*rtree.Tree),
-			pools: make(map[rtree.Strategy]*storage.ConcurrentPool),
 		}
 		cp := append([]geom.Element(nil), m.Elements...)
-		f.flatPool = storage.NewConcurrentPool(storage.NewMemPager(), 0)
-		ix, err := core.Build(f.flatPool, cp, core.Options{
+		ix, err := core.Build(storage.NewConcurrentPool(storage.NewMemPager(), 0), cp, core.Options{
 			World: m.Volume, PageCapacity: benchCapacity, SeedFanout: benchCapacity,
 		})
 		if err != nil {
@@ -73,15 +69,13 @@ func getFixture(b *testing.B) *fixture {
 		f.flat = ix
 		for _, s := range []rtree.Strategy{rtree.Hilbert, rtree.STR, rtree.PR} {
 			cp := append([]geom.Element(nil), m.Elements...)
-			pool := storage.NewConcurrentPool(storage.NewMemPager(), 0)
-			tree, err := rtree.Build(pool, cp, s, m.Volume, rtree.Config{
+			tree, err := rtree.Build(storage.NewConcurrentPool(storage.NewMemPager(), 0), cp, s, m.Volume, rtree.Config{
 				LeafCapacity: benchCapacity, InternalCapacity: benchCapacity,
 			})
 			if err != nil {
 				panic(err)
 			}
 			f.trees[s] = tree
-			f.pools[s] = pool
 		}
 		f.sn = datagen.Queries(datagen.QuerySpec{
 			Count: 100, World: m.Volume, VolumeFraction: 5e-6, Seed: 101,
@@ -99,20 +93,20 @@ func getFixture(b *testing.B) *fixture {
 // and reports pages/op.
 func benchRTreeWorkload(b *testing.B, s rtree.Strategy, queries []geom.MBR) {
 	f := getFixture(b)
-	tree, pool := f.trees[s], f.pools[s]
-	var reads, results uint64
+	tree := f.trees[s]
+	var reads storage.Stats
+	var results uint64
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		q := queries[i%len(queries)]
-		pool.Reset()
-		n, err := tree.CountQuery(q)
+		tree.Pool().DropFrames()
+		n, err := tree.Tally(&reads).CountQuery(q)
 		if err != nil {
 			b.Fatal(err)
 		}
-		reads += pool.Stats().TotalReads()
 		results += uint64(n)
 	}
-	b.ReportMetric(float64(reads)/float64(b.N), "pages/op")
+	b.ReportMetric(float64(reads.TotalReads())/float64(b.N), "pages/op")
 	b.ReportMetric(float64(results)/float64(b.N), "results/op")
 }
 
@@ -122,12 +116,12 @@ func benchFLATWorkload(b *testing.B, queries []geom.MBR) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		q := queries[i%len(queries)]
-		f.flatPool.Reset()
-		n, _, err := f.flat.CountQuery(q)
+		f.flat.Pool().DropFrames()
+		n, st, err := f.flat.CountQuery(q)
 		if err != nil {
 			b.Fatal(err)
 		}
-		reads += f.flatPool.Stats().TotalReads()
+		reads += st.TotalReads
 		results += uint64(n)
 	}
 	b.ReportMetric(float64(reads)/float64(b.N), "pages/op")
@@ -140,17 +134,16 @@ func BenchmarkFig02PointQuery(b *testing.B) {
 	f := getFixture(b)
 	for _, s := range []rtree.Strategy{rtree.Hilbert, rtree.STR, rtree.PR} {
 		b.Run(s.String(), func(b *testing.B) {
-			tree, pool := f.trees[s], f.pools[s]
-			var reads uint64
+			tree := f.trees[s]
+			var reads storage.Stats
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				pool.Reset()
-				if _, err := tree.RangeQuery(geom.PointBox(f.points[i%len(f.points)])); err != nil {
+				tree.Pool().DropFrames()
+				if _, err := tree.Tally(&reads).PointQuery(f.points[i%len(f.points)]); err != nil {
 					b.Fatal(err)
 				}
-				reads += pool.Stats().TotalReads()
 			}
-			b.ReportMetric(float64(reads)/float64(b.N), "pages/op")
+			b.ReportMetric(float64(reads.TotalReads())/float64(b.N), "pages/op")
 		})
 	}
 }
@@ -242,14 +235,14 @@ func BenchmarkFig14SNBreakdown(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		q := f.sn[i%len(f.sn)]
-		f.flatPool.Reset()
-		if _, _, err := f.flat.CountQuery(q); err != nil {
+		f.flat.Pool().DropFrames()
+		_, st, err := f.flat.CountQuery(q)
+		if err != nil {
 			b.Fatal(err)
 		}
-		st := f.flatPool.Stats()
-		seed += st.Reads[storage.CatSeedInternal]
-		meta += st.Reads[storage.CatMetadata]
-		obj += st.Reads[storage.CatObject]
+		seed += st.SeedReads
+		meta += st.MetadataReads
+		obj += st.ObjectReads
 	}
 	b.ReportMetric(float64(seed)/float64(b.N), "seed-pages/op")
 	b.ReportMetric(float64(meta)/float64(b.N), "meta-pages/op")
@@ -260,21 +253,18 @@ func BenchmarkFig14SNBreakdown(b *testing.B) {
 // breakdown, on the PR-tree (non-leaf vs leaf).
 func BenchmarkFig18LSSBreakdown(b *testing.B) {
 	f := getFixture(b)
-	tree, pool := f.trees[rtree.PR], f.pools[rtree.PR]
-	var internal, leaf uint64
+	tree := f.trees[rtree.PR]
+	var reads storage.Stats
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		q := f.lss[i%len(f.lss)]
-		pool.Reset()
-		if _, err := tree.CountQuery(q); err != nil {
+		tree.Pool().DropFrames()
+		if _, err := tree.Tally(&reads).CountQuery(q); err != nil {
 			b.Fatal(err)
 		}
-		st := pool.Stats()
-		internal += st.Reads[storage.CatRTreeInternal]
-		leaf += st.Reads[storage.CatRTreeLeaf]
 	}
-	b.ReportMetric(float64(internal)/float64(b.N), "nonleaf-pages/op")
-	b.ReportMetric(float64(leaf)/float64(b.N), "leaf-pages/op")
+	b.ReportMetric(float64(reads.Reads[storage.CatRTreeInternal])/float64(b.N), "nonleaf-pages/op")
+	b.ReportMetric(float64(reads.Reads[storage.CatRTreeLeaf])/float64(b.N), "leaf-pages/op")
 }
 
 // BenchmarkFig20PointerDist measures the neighbor-analysis pass
@@ -284,11 +274,14 @@ func BenchmarkFig20PointerDist(b *testing.B) {
 	var sink int
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		h := f.flat.NeighborHistogram()
+		h, err := f.flat.NeighborHistogram()
+		if err != nil {
+			b.Fatal(err)
+		}
 		sink += len(h)
 	}
 	_ = sink
-	b.ReportMetric(f.flat.AvgNeighbors(), "avg-neighbors")
+	reportAvgNeighbors(b, f.flat)
 }
 
 // BenchmarkFig21PartitionSize measures a FLAT build over the uniform
@@ -308,7 +301,15 @@ func BenchmarkFig21PartitionSize(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
-	b.ReportMetric(ix.AvgNeighbors(), "avg-neighbors")
+	reportAvgNeighbors(b, ix)
+}
+
+func reportAvgNeighbors(b *testing.B, ix *core.Index) {
+	avg, err := ix.AvgNeighbors()
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportMetric(avg, "avg-neighbors")
 }
 
 // BenchmarkFig22OtherBuild measures FLAT vs PR-tree construction over a
@@ -359,25 +360,25 @@ func BenchmarkFig23OtherQuery(b *testing.B) {
 		var reads uint64
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			fpool.Reset()
-			if _, _, err := ix.CountQuery(queries[i%len(queries)]); err != nil {
+			fpool.DropFrames()
+			_, st, err := ix.CountQuery(queries[i%len(queries)])
+			if err != nil {
 				b.Fatal(err)
 			}
-			reads += fpool.Stats().TotalReads()
+			reads += st.TotalReads
 		}
 		b.ReportMetric(float64(reads)/float64(b.N), "pages/op")
 	})
 	b.Run("PR-Tree", func(b *testing.B) {
-		var reads uint64
+		var reads storage.Stats
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			ppool.Reset()
-			if _, err := tree.CountQuery(queries[i%len(queries)]); err != nil {
+			ppool.DropFrames()
+			if _, err := tree.Tally(&reads).CountQuery(queries[i%len(queries)]); err != nil {
 				b.Fatal(err)
 			}
-			reads += ppool.Stats().TotalReads()
 		}
-		b.ReportMetric(float64(reads)/float64(b.N), "pages/op")
+		b.ReportMetric(float64(reads.TotalReads())/float64(b.N), "pages/op")
 	})
 }
 
@@ -390,7 +391,7 @@ func BenchmarkFig23OtherQuery(b *testing.B) {
 // overlapping independent queries. ops/sec here is queries/sec.
 func BenchmarkThroughputWorkers(b *testing.B) {
 	f := getFixture(b)
-	pager := f.flatPool.Pager()
+	pager := f.flat.Pool().Pager()
 	for _, workers := range []int{1, 2, 4, 8, 16} {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
 			views := make([]*core.Index, workers)

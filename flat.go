@@ -291,9 +291,7 @@ func Build(els []Element, opts *Options) (*Index, error) {
 // (nil opts: file reads, an unbounded shared page cache). An index whose
 // manifest references a write-ahead log has the log replayed: every
 // acknowledged staged update is pending again. Queries on the reopened
-// index behave identically to the freshly built one; the build-time
-// analysis accessors (AvgNeighbors) return zero, as they are measurement
-// aids not stored in the index.
+// index behave identically to the freshly built one.
 func Open(dir string, opts *Options) (*Index, error) {
 	var o Options
 	if opts != nil {
@@ -359,6 +357,23 @@ func (ix *Index) Records(fn func(ref RecordRef, pageMBR, partitionMBR MBR, objec
 	})
 }
 
+// AvgNeighbors returns the mean number of neighborhood pointers per
+// partition, over the partitions of all shards. It is read off the
+// metadata pages (one Records pass through the page cache), so a
+// reopened index reports what the built one did.
+func (ix *Index) AvgNeighbors() (float64, error) {
+	pointers, partitions := 0, 0
+	err := ix.Records(func(_ RecordRef, _, _ MBR, _ PageID, neighbors []RecordRef) error {
+		pointers += len(neighbors)
+		partitions++
+		return nil
+	})
+	if err != nil || partitions == 0 {
+		return 0, err
+	}
+	return float64(pointers) / float64(partitions), nil
+}
+
 // The plain accessors below stay valid after Close (they read in-memory
 // state the Close does not tear down) and serialize against Rebuild,
 // which swaps that state, inside the set. See the "Lifecycle of plain
@@ -418,22 +433,6 @@ func (ix *Index) SeedHeight() int {
 		h = max(h, ix.set.Shard(s).SeedHeight())
 	}
 	return h
-}
-
-// AvgNeighbors returns the mean number of neighborhood pointers per
-// partition, over the partitions of all shards.
-func (ix *Index) AvgNeighbors() float64 {
-	pointers, partitions := 0, 0
-	for s := range ix.set.NumShards() {
-		for n, count := range ix.set.Shard(s).NeighborHistogram() {
-			pointers += n * count
-			partitions += count
-		}
-	}
-	if partitions == 0 {
-		return 0
-	}
-	return float64(pointers) / float64(partitions)
 }
 
 // DropCache empties the page cache so the next query starts cold — the

@@ -84,8 +84,8 @@ func TestPublicAPIRoundTrip(t *testing.T) {
 	if ix.SeedHeight() < 1 || ix.NumPartitions() < 10 || ix.SizeBytes() == 0 {
 		t.Errorf("accessors implausible: %s", ix)
 	}
-	if ix.AvgNeighbors() <= 0 {
-		t.Error("AvgNeighbors")
+	if avg, err := ix.AvgNeighbors(); err != nil || avg <= 0 {
+		t.Errorf("AvgNeighbors = %v, %v", avg, err)
 	}
 	if !ix.World().Contains(ix.Bounds()) {
 		t.Error("world/bounds")
@@ -176,6 +176,7 @@ func TestBuildThenOpen(t *testing.T) {
 	// reopening its directory must agree on all of it.
 	type inspection struct {
 		len, seedHeight int
+		avgNeighbors    float64 // read off the pages: a reopened index used to answer 0
 		format          PageFormat
 		world, bounds   MBR
 		refs            []RecordRef
@@ -200,6 +201,9 @@ func TestBuildThenOpen(t *testing.T) {
 		if in.crawled, err = ix.CrawlFrom(q, start); err != nil {
 			t.Fatal(err)
 		}
+		if in.avgNeighbors, err = ix.AvgNeighbors(); err != nil {
+			t.Fatal(err)
+		}
 		if err := ix.DropCache(); err != nil {
 			t.Fatal(err)
 		}
@@ -220,8 +224,8 @@ func TestBuildThenOpen(t *testing.T) {
 	if want.len != len(orig) || len(want.got) != len(apiBrute(orig, q)) || !sameIDs(idsOf(want.crawled), idsOf(want.got)) {
 		t.Fatalf("built index: Len %d, %d results, %d crawled", want.len, len(want.got), len(want.crawled))
 	}
-	if want.stats.TotalReads == 0 || want.stats.ObjectReads == 0 || want.seedHeight < 1 || len(want.refs) == 0 {
-		t.Errorf("built index implausible: %+v, seed height %d, %d records", want.stats, want.seedHeight, len(want.refs))
+	if want.stats.TotalReads == 0 || want.stats.ObjectReads == 0 || want.seedHeight < 1 || len(want.refs) == 0 || want.avgNeighbors <= 0 {
+		t.Errorf("built index implausible: %+v, seed height %d, %d records, %g neighbors", want.stats, want.seedHeight, len(want.refs), want.avgNeighbors)
 	}
 
 	// The WAL row goes last: once upgraded, a directory keeps its log.

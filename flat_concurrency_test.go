@@ -225,3 +225,53 @@ func TestBatchRangeQueryEmpty(t *testing.T) {
 		t.Fatalf("empty batch returned %d results", len(results))
 	}
 }
+
+// TestRTreeStatsAreThePerCallMisses pins the one-tally invariant on the
+// public baseline tree: a RangeQuery reports the cache misses that call
+// caused, never a neighbour's. Each box has a cold sequential cost; run
+// concurrently over a shared cache a call can only find pages already
+// fetched for it, so on every interleaving its count is at most that
+// cost. (Diffing a pool-wide counter around the traversal charged each
+// call whatever overlapped it.)
+func TestRTreeStatsAreThePerCallMisses(t *testing.T) {
+	r := rand.New(rand.NewSource(29))
+	tr, err := BuildRTree(randomElements(r, 20000), RTreeSTR, &Options{PageCapacity: 16})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tr.Close()
+	boxes := queryWorkload(r, 8)
+	cold := make([]uint64, len(boxes))
+	for i, q := range boxes {
+		tr.DropCache()
+		_, st, err := tr.RangeQuery(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if cold[i] = st.InternalReads + st.LeafReads; cold[i] == 0 {
+			t.Fatalf("box %d reads nothing cold", i)
+		}
+	}
+	for round := 0; round < 20; round++ {
+		tr.DropCache()
+		var wg sync.WaitGroup
+		for g := 0; g < 8; g++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for k := range boxes {
+					i := (g + k) % len(boxes)
+					_, st, err := tr.RangeQuery(boxes[i])
+					if err != nil {
+						t.Error(err)
+						return
+					}
+					if got := st.InternalReads + st.LeafReads; got > cold[i] {
+						t.Errorf("round %d: box %d charged %d page reads, its cold cost is %d", round, i, got, cold[i])
+					}
+				}
+			}()
+		}
+		wg.Wait()
+	}
+}

@@ -129,14 +129,21 @@ func TestShardedColdReadParityK1(t *testing.T) {
 					t.Fatal(err)
 				}
 				defer ix.Close()
-				if ix.NumShards() != 1 || ix.SeedHeight() != ref.SeedHeight() || ix.ShardPageFormat(0) != ref.PageFormat() ||
-					ix.AvgNeighbors() != ref.AvgNeighbors() {
+				avg, err := ix.AvgNeighbors()
+				if err != nil {
+					t.Fatal(err)
+				}
+				refAvg, err := ref.AvgNeighbors()
+				if err != nil {
+					t.Fatal(err)
+				}
+				if ix.NumShards() != 1 || ix.SeedHeight() != ref.SeedHeight() || ix.ShardPageFormat(0) != ref.PageFormat() || avg != refAvg {
 					t.Fatalf("Shards: %d: %d shards, seed height %d, format %v, %g neighbors; core reference %d, %v, %g — knob not plumbed?",
-						shards, ix.NumShards(), ix.SeedHeight(), ix.ShardPageFormat(0), ix.AvgNeighbors(),
-						ref.SeedHeight(), ref.PageFormat(), ref.AvgNeighbors())
+						shards, ix.NumShards(), ix.SeedHeight(), ix.ShardPageFormat(0), avg,
+						ref.SeedHeight(), ref.PageFormat(), refAvg)
 				}
 				for i, q := range queries {
-					refPool.Reset()
+					refPool.DropFrames()
 					if err := ix.DropCache(); err != nil {
 						t.Fatal(err)
 					}

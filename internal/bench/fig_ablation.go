@@ -43,8 +43,8 @@ func (r *Runner) ablation() ([]*Table, error) {
 		Timed: []string{"build ms"},
 		Note:  "paper (Sec. VII): bulkloaded trees win primarily via page utilization",
 	}
-	addTreeRow := func(name string, tree *rtree.Tree, pool *storage.ConcurrentPool, build time.Duration) error {
-		meas, err := coldRun(pool, queries, tree.CountQuery)
+	addTreeRow := func(name string, tree *rtree.Tree, build time.Duration) error {
+		meas, err := coldTree(tree, queries)
 		if err != nil {
 			return err
 		}
@@ -57,21 +57,19 @@ func (r *Runner) ablation() ([]*Table, error) {
 
 	cp := make([]geom.Element, len(m.Elements))
 	copy(cp, m.Elements)
-	strPool := storage.NewConcurrentPool(storage.NewMemPager(), 0)
 	t0 := time.Now()
-	strTree, err := rtree.Build(strPool, cp, rtree.STR, m.Volume, rtree.Config{
+	strTree, err := rtree.Build(storage.NewConcurrentPool(storage.NewMemPager(), 0), cp, rtree.STR, m.Volume, rtree.Config{
 		LeafCapacity: capacity, InternalCapacity: capacity,
 	})
 	if err != nil {
 		return nil, err
 	}
 	strBuild := time.Since(t0)
-	if err := addTreeRow("STR bulkload", strTree, strPool, strBuild); err != nil {
+	if err := addTreeRow("STR bulkload", strTree, strBuild); err != nil {
 		return nil, err
 	}
 
-	dynPool := storage.NewConcurrentPool(storage.NewMemPager(), 0)
-	dyn := rtree.NewDynTree(dynPool, rtree.Config{
+	dyn := rtree.NewDynTree(storage.NewConcurrentPool(storage.NewMemPager(), 0), rtree.Config{
 		LeafCapacity: capacity, InternalCapacity: capacity,
 	})
 	t0 = time.Now()
@@ -85,7 +83,7 @@ func (r *Runner) ablation() ([]*Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	if err := addTreeRow("Guttman insert", dynView, dynPool, dynBuild); err != nil {
+	if err := addTreeRow("Guttman insert", dynView, dynBuild); err != nil {
 		return nil, err
 	}
 
@@ -103,15 +101,14 @@ func (r *Runner) ablation() ([]*Table, error) {
 	}{{"3D-tiled (paper)", false}, {"linear packing", true}} {
 		cp := make([]geom.Element, len(m.Elements))
 		copy(cp, m.Elements)
-		pool := storage.NewConcurrentPool(storage.NewMemPager(), 0)
-		ix, err := core.Build(pool, cp, core.Options{
+		ix, err := core.Build(storage.NewConcurrentPool(storage.NewMemPager(), 0), cp, core.Options{
 			World: m.Volume, PageCapacity: capacity,
 			SeedFanout: capacity, NoMetaTiling: variant.noTile,
 		})
 		if err != nil {
 			return nil, err
 		}
-		meas, err := coldRun(pool, queries, flatCount(ix))
+		meas, err := coldFLAT(ix, queries)
 		if err != nil {
 			return nil, err
 		}

@@ -26,7 +26,10 @@ func (r *Runner) fig20() ([]*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		h := s.flat.NeighborHistogram()
+		h, err := s.flat.NeighborHistogram()
+		if err != nil {
+			return nil, err
+		}
 		hists = append(hists, h)
 		for k := range h {
 			if k > maxPtr {
@@ -163,7 +166,10 @@ func (r *Runner) fig21() ([]*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		avg := ix.AvgNeighbors()
+		avg, err := ix.AvgNeighbors()
+		if err != nil {
+			return nil, err
+		}
 		if base == 0 {
 			base = avg
 		}
@@ -186,7 +192,11 @@ func (r *Runner) fig21() ([]*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		t3.AddRow(fmt.Sprintf("5-%g", hi), f2(ix.AvgNeighbors()))
+		avg, err := ix.AvgNeighbors()
+		if err != nil {
+			return nil, err
+		}
+		t3.AddRow(fmt.Sprintf("5-%g", hi), f2(avg))
 	}
 	return []*Table{t1, t2, t3}, nil
 }

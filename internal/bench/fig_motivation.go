@@ -31,7 +31,7 @@ func (r *Runner) fig2() ([]*Table, error) {
 		}
 		row := []string{fi(n), fi(s.trees[rtree.PR].Height())}
 		for _, strat := range strategies {
-			m, err := coldRun(s.treePools[strat], boxes, s.trees[strat].CountQuery)
+			m, err := coldTree(s.trees[strat], boxes)
 			if err != nil {
 				return nil, err
 			}

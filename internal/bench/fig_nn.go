@@ -57,13 +57,12 @@ func (r *Runner) nnExperiment() ([]*Table, error) {
 	// Brute-force reference and drain-and-sort baseline cost, measured
 	// on the unsharded index: one cold full drain per query is what the
 	// baseline would pay regardless of k.
-	s.flatPool.Reset()
-	s.flatPool.DropFrames()
-	all, _, err := s.flat.RangeQuery(s.flat.Bounds().Expand(1))
+	s.flat.Pool().DropFrames()
+	all, drainSt, err := s.flat.RangeQuery(s.flat.Bounds().Expand(1))
 	if err != nil {
 		return nil, err
 	}
-	drainReads := s.flatPool.Stats().TotalReads()
+	drainReads := drainSt.TotalReads
 	brute := make([][]float64, len(points))
 	for pi, p := range points {
 		d := make([]float64, len(all))
@@ -122,13 +121,15 @@ func (r *Runner) nnExperiment() ([]*Table, error) {
 
 	for _, k := range nnKs {
 		// Unsharded engine.
-		s.flatPool.Reset()
+		var reads uint64
 		for pi, p := range points {
-			s.flatPool.DropFrames()
+			s.flat.Pool().DropFrames()
 			emit, got, failed := checkStream(pi, k)
-			if _, err := s.flat.NN(context.Background(), p, emit); err != nil {
+			st, err := s.flat.NN(context.Background(), p, emit)
+			if err != nil {
 				return nil, err
 			}
+			reads += st.TotalReads
 			if *failed != nil {
 				return nil, *failed
 			}
@@ -136,7 +137,6 @@ func (r *Runner) nnExperiment() ([]*Table, error) {
 				return nil, fmt.Errorf("nn point %d k=%d: stream ended after %d elements", pi, k, *got)
 			}
 		}
-		reads := s.flatPool.Stats().TotalReads()
 		perQuery := float64(reads) / float64(len(points))
 		if perQuery >= float64(drainReads) {
 			return nil, fmt.Errorf("nn k=%d: %.1f reads/query, drain-and-sort %d — best-first saved nothing",

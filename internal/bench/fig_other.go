@@ -71,9 +71,7 @@ type otherSet struct {
 	n         int
 	world     geom.MBR
 	flat      *core.Index
-	flatPool  *storage.ConcurrentPool
 	pr        *rtree.Tree
-	prPool    *storage.ConcurrentPool
 	flatBuild time.Duration
 	prBuild   time.Duration
 }
@@ -92,19 +90,16 @@ func (r *Runner) otherSets() ([]*otherSet, error) {
 
 		cp := make([]geom.Element, len(els))
 		copy(cp, els)
-		s.flatPool = storage.NewConcurrentPool(storage.NewMemPager(), 0)
 		t0 := time.Now()
-		ix, err := core.Build(s.flatPool, cp, core.Options{World: world, PageCapacity: r.Cfg.NodeCapacity, SeedFanout: r.Cfg.NodeCapacity})
+		ix, err := core.Build(storage.NewConcurrentPool(storage.NewMemPager(), 0), cp, core.Options{World: world, PageCapacity: r.Cfg.NodeCapacity, SeedFanout: r.Cfg.NodeCapacity})
 		if err != nil {
 			return nil, fmt.Errorf("%s: %w", d.Name, err)
 		}
 		s.flatBuild = time.Since(t0)
-		s.flatPool.Reset()
 		s.flat = ix
 
-		s.prPool = storage.NewConcurrentPool(storage.NewMemPager(), 0)
 		t0 = time.Now()
-		tree, err := rtree.Build(s.prPool, els, rtree.PR, world, rtree.Config{
+		tree, err := rtree.Build(storage.NewConcurrentPool(storage.NewMemPager(), 0), els, rtree.PR, world, rtree.Config{
 			LeafCapacity:     r.Cfg.NodeCapacity,
 			InternalCapacity: r.Cfg.NodeCapacity,
 		})
@@ -112,7 +107,6 @@ func (r *Runner) otherSets() ([]*otherSet, error) {
 			return nil, fmt.Errorf("%s: %w", d.Name, err)
 		}
 		s.prBuild = time.Since(t0)
-		s.prPool.Reset()
 		s.pr = tree
 		sets = append(sets, s)
 	}
@@ -178,11 +172,11 @@ func (r *Runner) fig23() ([]*Table, error) {
 				Count: r.Cfg.Queries, World: s.world,
 				VolumeFraction: wl.fraction, Seed: r.Cfg.Seed + 400,
 			})
-			fm, err := coldRun(s.flatPool, queries, flatCount(s.flat))
+			fm, err := coldFLAT(s.flat, queries)
 			if err != nil {
 				return nil, err
 			}
-			pm, err := coldRun(s.prPool, queries, s.pr.CountQuery)
+			pm, err := coldTree(s.pr, queries)
 			if err != nil {
 				return nil, err
 			}

@@ -34,21 +34,19 @@ func (r *Runner) pagecodec() ([]*Table, error) {
 	type variant struct {
 		format storage.PageFormat
 		ix     *core.Index
-		pool   *storage.ConcurrentPool
 		build  time.Duration
 	}
 	formats := []storage.PageFormat{storage.PageFormatV1, storage.PageFormatV2}
 	variants := make([]*variant, len(formats))
 	for i, f := range formats {
 		els := append([]geom.Element(nil), m.Elements...)
-		pool := storage.NewConcurrentPool(storage.NewMemPager(), 0)
 		t0 := time.Now()
-		ix, err := core.Build(pool, els, core.Options{World: m.Volume, PageFormat: f})
+		ix, err := core.Build(storage.NewConcurrentPool(storage.NewMemPager(), 0), els,
+			core.Options{World: m.Volume, PageFormat: f})
 		if err != nil {
 			return nil, fmt.Errorf("pagecodec build %s: %w", f, err)
 		}
-		pool.Reset()
-		variants[i] = &variant{format: f, ix: ix, pool: pool, build: time.Since(t0)}
+		variants[i] = &variant{format: f, ix: ix, build: time.Since(t0)}
 		r.logf("  built FLAT/%s: %d object pages, %.1f MiB", f, ix.NumPartitions(),
 			float64(ix.SizeBytes())/(1<<20))
 	}
@@ -88,23 +86,22 @@ func (r *Runner) pagecodec() ([]*Table, error) {
 			Seed:           r.Cfg.Seed + 100,
 		})
 		ids := make([][][]uint64, len(variants)) // per variant, per query, sorted IDs
-		reads := make([]storage.Stats, len(variants))
+		reads := make([]uint64, len(variants))
 		objReads := make([]uint64, len(variants))
 		results := make([]uint64, len(variants))
 		for vi, v := range variants {
 			ids[vi] = make([][]uint64, len(queries))
-			v.pool.Reset()
 			for qi, q := range queries {
-				v.pool.DropFrames()
+				v.ix.Pool().DropFrames()
 				els, st, err := v.ix.RangeQuery(q)
 				if err != nil {
 					return nil, err
 				}
 				ids[vi][qi] = sortedElementIDs(els)
+				reads[vi] += st.TotalReads
 				objReads[vi] += st.ObjectReads
 				results[vi] += uint64(len(els))
 			}
-			reads[vi] = v.pool.Stats()
 		}
 		for qi := range queries {
 			if !equalIDLists(ids[0][qi], ids[1][qi]) {
@@ -112,9 +109,9 @@ func (r *Runner) pagecodec() ([]*Table, error) {
 					wl.name, qi, len(ids[0][qi]), len(ids[1][qi]))
 			}
 		}
-		if wl.name == "LSS" && reads[1].TotalReads() >= reads[0].TotalReads() {
+		if wl.name == "LSS" && reads[1] >= reads[0] {
 			return nil, fmt.Errorf("pagecodec LSS: v2 read %d pages, v1 %d — compression saved nothing",
-				reads[1].TotalReads(), reads[0].TotalReads())
+				reads[1], reads[0])
 		}
 		for vi, v := range variants {
 			obj, meta, seed := v.ix.PageCounts()
@@ -125,13 +122,12 @@ func (r *Runner) pagecodec() ([]*Table, error) {
 				f1(float64(totalPages)*storage.PageSize/float64(v.ix.Len())),
 				f2(float64(v.ix.SizeBytes())/(1<<20)),
 				f1(float64(v.build.Microseconds())/1000),
-				fu(reads[vi].TotalReads()), f2(float64(reads[vi].TotalReads())/float64(len(queries))),
+				fu(reads[vi]), f2(float64(reads[vi])/float64(len(queries))),
 				fu(objReads[vi]), fu(results[vi]),
 			)
 		}
 		r.logf("  %s: v1 %d reads, v2 %d reads (%.2fx fewer)", wl.name,
-			reads[0].TotalReads(), reads[1].TotalReads(),
-			float64(reads[0].TotalReads())/float64(reads[1].TotalReads()))
+			reads[0], reads[1], float64(reads[0])/float64(reads[1]))
 	}
 
 	// Sharded parity: the codec must be invisible through the sharded

@@ -44,9 +44,8 @@ func (r *Runner) shardsExperiment() ([]*Table, error) {
 	// Unsharded reference: build time, then per-workload per-query cold
 	// reads and result counts.
 	refEls := append([]geom.Element(nil), m.Elements...)
-	refPool := storage.NewConcurrentPool(storage.NewMemPager(), 0)
 	t0 := time.Now()
-	ref, err := core.Build(refPool, refEls, core.Options{
+	ref, err := core.Build(storage.NewConcurrentPool(storage.NewMemPager(), 0), refEls, core.Options{
 		World: m.Volume, PageCapacity: r.Cfg.NodeCapacity, SeedFanout: r.Cfg.NodeCapacity,
 	})
 	if err != nil {
@@ -72,9 +71,8 @@ func (r *Runner) shardsExperiment() ([]*Table, error) {
 			reads:   make([]uint64, len(queries)),
 			counts:  make([]int, len(queries)),
 		}
-		refPool.Reset()
 		for i, q := range queries {
-			refPool.DropFrames()
+			ref.Pool().DropFrames()
 			cnt, st, err := ref.CountQuery(q)
 			if err != nil {
 				return nil, err

@@ -137,16 +137,13 @@ func (r *Runner) model(n int) *neuro.Model {
 	return m
 }
 
-// indexSet bundles the four indexes built over one data set, with their
-// pools, build times and page counts.
+// indexSet bundles the four indexes built over one data set (each on a
+// pool of its own, reached through the index) with their build times.
 type indexSet struct {
 	world geom.MBR
 
-	flat     *core.Index
-	flatPool *storage.ConcurrentPool
-
+	flat      *core.Index
 	trees     map[rtree.Strategy]*rtree.Tree
-	treePools map[rtree.Strategy]*storage.ConcurrentPool
 	buildTime map[string]time.Duration
 }
 
@@ -159,15 +156,13 @@ func buildSet(els []geom.Element, world geom.MBR, capacity int, logf func(string
 	s := &indexSet{
 		world:     world,
 		trees:     make(map[rtree.Strategy]*rtree.Tree),
-		treePools: make(map[rtree.Strategy]*storage.ConcurrentPool),
 		buildTime: make(map[string]time.Duration),
 	}
 	for _, strat := range strategies {
 		cp := make([]geom.Element, len(els))
 		copy(cp, els)
-		pool := storage.NewConcurrentPool(storage.NewMemPager(), 0)
 		t0 := time.Now()
-		tree, err := rtree.Build(pool, cp, strat, world, rtree.Config{
+		tree, err := rtree.Build(storage.NewConcurrentPool(storage.NewMemPager(), 0), cp, strat, world, rtree.Config{
 			LeafCapacity:     capacity,
 			InternalCapacity: capacity,
 		})
@@ -175,21 +170,17 @@ func buildSet(els []geom.Element, world geom.MBR, capacity int, logf func(string
 			return nil, fmt.Errorf("build %v: %w", strat, err)
 		}
 		s.buildTime[strat.String()] = time.Since(t0)
-		pool.Reset()
 		s.trees[strat] = tree
-		s.treePools[strat] = pool
 		logf("  built %-14s in %v", strat, s.buildTime[strat.String()].Round(time.Millisecond))
 	}
 	cp := make([]geom.Element, len(els))
 	copy(cp, els)
-	pool := storage.NewConcurrentPool(storage.NewMemPager(), 0)
-	ix, err := core.Build(pool, cp, core.Options{World: world, PageCapacity: capacity, SeedFanout: capacity})
+	ix, err := core.Build(storage.NewConcurrentPool(storage.NewMemPager(), 0), cp,
+		core.Options{World: world, PageCapacity: capacity, SeedFanout: capacity})
 	if err != nil {
 		return nil, fmt.Errorf("build FLAT: %w", err)
 	}
-	pool.Reset()
 	s.flat = ix
-	s.flatPool = pool
 	s.buildTime["FLAT"] = ix.BuildStats().TotalTime
 	logf("  built %-14s in %v", "FLAT", ix.BuildStats().TotalTime.Round(time.Millisecond))
 	return s, nil
@@ -225,32 +216,47 @@ func (m measurement) PerResult() float64 {
 	return float64(m.Stats.TotalReads()) / float64(m.Results)
 }
 
-// coldRun replays queries cold per query (frames dropped, counters
-// kept), as the paper's methodology prescribes; count answers one query
-// through pool and returns its result size.
-func coldRun(pool *storage.ConcurrentPool, queries []geom.MBR, count func(geom.MBR) (int, error)) (measurement, error) {
+// coldRun replays queries cold per query (every frame of pool dropped
+// first), as the paper's methodology prescribes; count answers one
+// query through pool and returns its result size and the page reads it
+// caused, which the measurement sums.
+func coldRun(pool storage.Pool, queries []geom.MBR, count func(geom.MBR) (int, storage.Stats, error)) (measurement, error) {
 	var m measurement
-	pool.Reset()
 	t0 := time.Now()
 	for _, q := range queries {
 		pool.DropFrames()
-		n, err := count(q)
+		n, reads, err := count(q)
 		if err != nil {
 			return m, err
 		}
 		m.Results += uint64(n)
+		m.Stats.Add(reads)
 	}
 	m.Elapsed = time.Since(t0)
-	m.Stats = pool.Stats()
 	return m, nil
 }
 
-// flatCount adapts a FLAT index's CountQuery to coldRun.
-func flatCount(ix *core.Index) func(geom.MBR) (int, error) {
-	return func(q geom.MBR) (int, error) {
-		n, _, err := ix.CountQuery(q)
-		return n, err
-	}
+// coldFLAT is coldRun over a FLAT index: the QueryStats every query
+// returns, restated by page category.
+func coldFLAT(ix *core.Index, queries []geom.MBR) (measurement, error) {
+	return coldRun(ix.Pool(), queries, func(q geom.MBR) (int, storage.Stats, error) {
+		n, st, err := ix.CountQuery(q)
+		var reads storage.Stats
+		reads.Reads[storage.CatSeedInternal] = st.SeedReads
+		reads.Reads[storage.CatMetadata] = st.MetadataReads
+		reads.Reads[storage.CatObject] = st.ObjectReads
+		return n, reads, err
+	})
+}
+
+// coldTree is coldRun over a baseline R-tree, each query on its own
+// Tally view.
+func coldTree(tree *rtree.Tree, queries []geom.MBR) (measurement, error) {
+	return coldRun(tree.Pool(), queries, func(q geom.MBR) (int, storage.Stats, error) {
+		var reads storage.Stats
+		n, err := tree.Tally(&reads).CountQuery(q)
+		return n, reads, err
+	})
 }
 
 // useCaseRow is one density's measurements for one micro-benchmark.
@@ -281,12 +287,12 @@ func (r *Runner) useCase(fraction float64) ([]useCaseRow, error) {
 			Seed:           r.Cfg.Seed + 100,
 		})
 		row := useCaseRow{Density: n, RTrees: make(map[rtree.Strategy]measurement)}
-		row.FLAT, err = coldRun(s.flatPool, queries, flatCount(s.flat))
+		row.FLAT, err = coldFLAT(s.flat, queries)
 		if err != nil {
 			return nil, err
 		}
 		for _, strat := range strategies {
-			row.RTrees[strat], err = coldRun(s.treePools[strat], queries, s.trees[strat].CountQuery)
+			row.RTrees[strat], err = coldTree(s.trees[strat], queries)
 			if err != nil {
 				return nil, err
 			}

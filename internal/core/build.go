@@ -76,8 +76,8 @@ func Build(pool storage.Pool, els []geom.Element, opts Options) (*Index, error) 
 
 	// Phase 2: neighborhood computation via a temporary R-tree (paper:
 	// "Finding Neighbors" in Figure 10). The temporary tree lives in its
-	// own memory-backed pool so it neither pollutes the index nor its
-	// read counters, and is discarded afterwards.
+	// own memory-backed pool so it does not pollute the index's, and is
+	// discarded afterwards.
 	t1 := time.Now()
 	neighborIdx, links, err := computeNeighbors(parts, world)
 	if err != nil {
@@ -93,12 +93,6 @@ func Build(pool storage.Pool, els []geom.Element, opts Options) (*Index, error) 
 	}
 	ix.build.WriteTime = time.Since(t2)
 	ix.build.TotalTime = time.Since(totalStart)
-
-	// Retain the per-partition analysis data (Figures 20 and 21).
-	ix.neighborCounts = make([]int, len(parts))
-	for i := range parts {
-		ix.neighborCounts[i] = len(neighborIdx[i])
-	}
 	return ix, nil
 }
 

@@ -142,7 +142,7 @@ func TestEmptyQueryRegion(t *testing.T) {
 	r := rand.New(rand.NewSource(113))
 	els := randomElements(r, 1000, worldBox())
 	ix, pool := buildIndex(t, els, Options{World: worldBox()})
-	pool.Reset()
+	pool.DropFrames()
 	got, st, err := ix.RangeQuery(geom.CubeAt(geom.V(500, 500, 500), 5))
 	if err != nil {
 		t.Fatal(err)
@@ -329,7 +329,7 @@ func TestQueryStatsBreakdownConsistent(t *testing.T) {
 	r := rand.New(rand.NewSource(149))
 	els := randomElements(r, 3000, worldBox())
 	ix, pool := buildIndex(t, els, Options{World: worldBox()})
-	pool.Reset()
+	pool.DropFrames()
 	_, st, err := ix.RangeQuery(geom.CubeAt(geom.V(30, 30, 30), 15))
 	if err != nil {
 		t.Fatal(err)
@@ -384,7 +384,10 @@ func TestAnalysisAccessors(t *testing.T) {
 	els := randomElements(r, 4000, worldBox())
 	ix, _ := buildIndex(t, els, Options{World: worldBox()})
 
-	h := ix.NeighborHistogram()
+	h, err := ix.NeighborHistogram()
+	if err != nil {
+		t.Fatal(err)
+	}
 	total := 0
 	for n, c := range h {
 		if n < 0 || c <= 0 {
@@ -395,10 +398,10 @@ func TestAnalysisAccessors(t *testing.T) {
 	if total != ix.NumPartitions() {
 		t.Errorf("histogram covers %d partitions, want %d", total, ix.NumPartitions())
 	}
-	if ix.AvgNeighbors() <= 0 {
-		t.Error("AvgNeighbors should be positive")
-	}
 	bs := ix.BuildStats()
+	if avg, err := ix.AvgNeighbors(); err != nil || avg != float64(bs.NeighborLinks)/float64(bs.Partitions) {
+		t.Errorf("AvgNeighbors = %v, %v; the build stored %d links over %d partitions", avg, err, bs.NeighborLinks, bs.Partitions)
+	}
 	if bs.Partitions != ix.NumPartitions() || bs.NeighborLinks <= 0 || bs.TotalTime <= 0 {
 		t.Errorf("BuildStats implausible: %+v", bs)
 	}
@@ -420,7 +423,7 @@ func TestSeedPhaseCheap(t *testing.T) {
 	ix, pool := buildIndex(t, els, Options{World: worldBox()})
 
 	q := geom.CubeAt(geom.V(50, 50, 50), 30)
-	pool.Reset()
+	pool.DropFrames()
 	_, st, err := ix.RangeQuery(q)
 	if err != nil {
 		t.Fatal(err)
@@ -440,7 +443,7 @@ func TestVisitedOncePerPage(t *testing.T) {
 	r := rand.New(rand.NewSource(167))
 	els := randomElements(r, 8000, worldBox())
 	ix, pool := buildIndex(t, els, Options{World: worldBox()})
-	pool.Reset()
+	pool.DropFrames()
 	_, st, err := ix.RangeQuery(geom.CubeAt(geom.V(60, 40, 50), 25))
 	if err != nil {
 		t.Fatal(err)
@@ -497,18 +500,19 @@ func TestColdReadsInvariantAcrossWorkers(t *testing.T) {
 				defer wg.Done()
 				private := storage.NewConcurrentPool(pool.Pager(), 0)
 				view := ix.WithPool(private)
-				var n uint64
+				var n, misses uint64
 				for i := w; i < len(queries); i += workers {
 					private.DropFrames()
-					cnt, _, err := view.CountQuery(queries[i])
+					cnt, st, err := view.CountQuery(queries[i])
 					if err != nil {
 						t.Error(err)
 						return
 					}
 					n += uint64(cnt)
+					misses += st.TotalReads
 				}
 				mu.Lock()
-				reads += private.Stats().TotalReads()
+				reads += misses
 				results += n
 				mu.Unlock()
 			}()
@@ -518,17 +522,16 @@ func TestColdReadsInvariantAcrossWorkers(t *testing.T) {
 	}
 
 	// The single-threaded reference runs on the index's own pool.
-	var wantResults uint64
-	pool.Reset()
+	var wantReads, wantResults uint64
 	for _, q := range queries {
 		pool.DropFrames()
-		cnt, _, err := ix.CountQuery(q)
+		cnt, st, err := ix.CountQuery(q)
 		if err != nil {
 			t.Fatal(err)
 		}
 		wantResults += uint64(cnt)
+		wantReads += st.TotalReads
 	}
-	wantReads := pool.Stats().TotalReads()
 	if wantReads == 0 || wantResults == 0 {
 		t.Fatalf("degenerate workload: %d reads, %d results", wantReads, wantResults)
 	}

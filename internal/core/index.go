@@ -78,8 +78,10 @@ type BuildStats struct {
 }
 
 // Index is a built FLAT index. All page access during queries goes
-// through the storage.Pool supplied at build time, so the harness can
-// measure exactly the page reads the paper reports.
+// through the storage.Pool supplied at build time, and every query
+// tallies its own cache misses (ReadInto) into the QueryStats it
+// returns: exactly the page reads the paper reports, whatever else
+// runs against the pool at the same time.
 //
 // The index itself is immutable after Build/Open: every query method is
 // safe for concurrent use when the pool is (storage.ConcurrentPool is);
@@ -102,10 +104,6 @@ type Index struct {
 	noMetaTiling  bool
 	pageFormat    storage.PageFormat
 	objStart      storage.PageID // first object page (pages are contiguous per kind)
-
-	// neighborCounts[i] = number of neighbor pointers of partition i;
-	// kept for the Fig 20/21 analyses.
-	neighborCounts []int
 
 	build BuildStats
 }
@@ -160,24 +158,29 @@ func (ix *Index) WithPool(pool storage.Pool) *Index {
 }
 
 // NeighborHistogram returns how many partitions have each neighbor-
-// pointer count — the distribution of the paper's Figure 20.
-func (ix *Index) NeighborHistogram() map[int]int {
+// pointer count — the distribution of the paper's Figure 20. It is read
+// off the metadata pages (Records), so a reopened index reports what the
+// built one did.
+func (ix *Index) NeighborHistogram() (map[int]int, error) {
 	h := make(map[int]int)
-	for _, n := range ix.neighborCounts {
-		h[n]++
-	}
-	return h
+	err := ix.Records(func(_ RecordRef, _, _ geom.MBR, _ storage.PageID, neighbors []RecordRef) error {
+		h[len(neighbors)]++
+		return nil
+	})
+	return h, err
 }
 
 // AvgNeighbors returns the mean number of neighbor pointers per
 // partition (Figure 21's y-axis).
-func (ix *Index) AvgNeighbors() float64 {
-	if len(ix.neighborCounts) == 0 {
-		return 0
+func (ix *Index) AvgNeighbors() (float64, error) {
+	h, err := ix.NeighborHistogram()
+	if err != nil || len(h) == 0 {
+		return 0, err
 	}
-	total := 0
-	for _, n := range ix.neighborCounts {
-		total += n
+	pointers, partitions := 0, 0
+	for n, count := range h {
+		pointers += n * count
+		partitions += count
 	}
-	return float64(total) / float64(len(ix.neighborCounts))
+	return float64(pointers) / float64(partitions), nil
 }

@@ -73,8 +73,7 @@ import (
 // consumer takes is never read at all.
 func NN(ctx context.Context, ixs []*Index, p geom.Vec3, emit func(geom.Element, float64) bool) (QueryStats, error) {
 	var st QueryStats
-	// Per-query accounting is collected locally via ReadInto, never by
-	// diffing the pool's shared counters (see Query).
+	// The query's own tally, as in Query.
 	var local storage.Stats
 	sc := getScratch()
 	defer sc.release()

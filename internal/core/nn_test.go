@@ -105,7 +105,6 @@ func TestNNEarlyStopSavesReads(t *testing.T) {
 
 	run := func(k int) uint64 {
 		pool.DropFrames()
-		pool.ResetStats()
 		n := 0
 		st, err := ix.NN(context.Background(), geom.V(42, 57, 33), func(geom.Element, float64) bool {
 			n++
@@ -156,7 +155,6 @@ func TestNNStats(t *testing.T) {
 	els := randomElements(r, 2000, worldBox())
 	ix, pool := buildIndex(t, els, Options{World: worldBox()})
 	pool.DropFrames()
-	pool.ResetStats()
 	n := 0
 	st, err := ix.NN(context.Background(), geom.V(10, 80, 40), func(geom.Element, float64) bool {
 		n++

@@ -148,7 +148,7 @@ func TestPersistV2RoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	pool2 := storage.NewConcurrentPool(fp2, 0)
-	ix2, err := Open(pool2)
+	ix2, err := openLast(pool2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -176,7 +176,7 @@ func TestPersistV2RoundTrip(t *testing.T) {
 	}
 	defer mp.Close()
 	pool3 := storage.NewConcurrentPool(mp, 64)
-	ix3, err := Open(pool3)
+	ix3, err := openLast(pool3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -258,7 +258,7 @@ func TestOpenRejectsUnknownFormats(t *testing.T) {
 	if err := pool.Write(super, bad); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Open(pool); err == nil || !strings.Contains(err.Error(), "version") {
+	if _, err := openLast(pool); err == nil || !strings.Contains(err.Error(), "version") {
 		t.Fatalf("bad version: %v", err)
 	}
 
@@ -268,7 +268,7 @@ func TestOpenRejectsUnknownFormats(t *testing.T) {
 	if err := pool.Write(super, bad); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Open(pool); err == nil || !strings.Contains(err.Error(), "format") {
+	if _, err := openLast(pool); err == nil || !strings.Contains(err.Error(), "format") {
 		t.Fatalf("bad format: %v", err)
 	}
 }

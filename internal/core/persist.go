@@ -10,14 +10,10 @@ import (
 // Index persistence. A built index occupies three contiguous page runs
 // on its pager (object pages, then metadata pages, then seed-internal
 // pages — Build allocates them in that order with nothing interleaved),
-// followed by one superblock page written by WriteSuper. Open reads the
-// superblock back, refuses one whose runs do not end at its own page,
-// restores the index header and re-tags the page categories so read
-// accounting keeps working after a restart.
-//
-// The per-partition neighbor counts are a build-time measurement aid
-// and are not persisted; the analysis accessors return zero values on a
-// reopened index.
+// followed by one superblock page written by WriteSuper. OpenFrom reads
+// the superblock back, refuses one whose runs do not end at its own
+// page, restores the index header and re-tags the page categories so
+// read accounting keeps working after a restart.
 
 // Superblock versions. Version 1 is the original layout and is still
 // written — byte-identically — for every v1-format index, so files
@@ -36,7 +32,8 @@ const (
 	superFormatOffset = 4 + 4 + 8 + 4 + 4 + 48 + 48 + 8 + 8 + 4 + 4 + 4 + 4
 )
 
-// ErrNoSuper is returned by Open when the pager holds no superblock.
+// ErrNoSuper is returned by OpenFrom when the page it is pointed at is
+// not a superblock.
 var ErrNoSuper = errors.New("core: pager does not contain a FLAT superblock")
 
 // WriteSuper appends the superblock page describing the index layout.
@@ -74,23 +71,13 @@ func (ix *Index) WriteSuper() error {
 	return ix.pool.Write(id, buf)
 }
 
-// Open restores an index from a pager whose last page is a superblock
-// written by WriteSuper. The supplied pool must wrap that pager.
-// When the pager can re-register page categories
-// (storage.CategorySetter, e.g. *storage.FilePager), Open restores them
-// (they are measurement metadata, not persisted per page).
-func Open(pool storage.Pool) (*Index, error) {
-	n := pool.Pager().NumPages()
-	if n == 0 {
-		return nil, ErrNoSuper
-	}
-	return OpenFrom(pool, storage.PageID(n-1))
-}
-
-// OpenFrom is Open with an explicit superblock location. It exists for
-// layouts where the superblock is not the pager's last page — most
-// notably a sharded index, whose shards live behind a storage.MultiPager
-// that splices several page files into one PageID space.
+// OpenFrom restores an index from the superblock page WriteSuper wrote
+// at id super; the supplied pool must wrap that pager. The location is
+// explicit because a shard's superblock is the last page of its own
+// file, not of the storage.MultiPager that splices the shard files into
+// one PageID space. When the pager can re-register page categories
+// (storage.CategorySetter, e.g. *storage.FilePager), OpenFrom restores
+// them (they are measurement metadata, not persisted per page).
 func OpenFrom(pool storage.Pool, super storage.PageID) (*Index, error) {
 	pager := pool.Pager()
 	page, err := pool.Read(super)
@@ -143,6 +130,6 @@ func OpenFrom(pool storage.Pool, super storage.PageID) (*Index, error) {
 		tag(seed, storage.CatSeedInternal)
 	}
 	// Start cold, like a fresh Build.
-	pool.Reset()
+	pool.DropFrames()
 	return ix, nil
 }

@@ -11,10 +11,10 @@ import (
 )
 
 // QueryStats describes one range-query execution. Page-read counts are
-// the cache misses this query itself caused, tallied locally through
-// storage.Pool.ReadInto (never by diffing the pool's shared counters,
-// which would race under concurrency), broken down by page category the
-// way the paper's Figure 14/18 breakdowns are.
+// the cache misses this query itself caused, tallied through
+// storage.Pool.ReadInto into a Stats the query owns (the only page-read
+// accounting there is: the pool keeps no counters), broken down by page
+// category the way the paper's Figure 14/18 breakdowns are.
 type QueryStats struct {
 	Results        int    // elements in the result set
 	RecordsVisited int    // metadata records dequeued by the BFS
@@ -111,9 +111,8 @@ func (sc *crawlScratch) release() {
 // query ran to completion, was stopped by emit, or was cancelled.
 func (ix *Index) Query(ctx context.Context, q geom.MBR, emit func(geom.Element) bool) (QueryStats, error) {
 	var st QueryStats
-	// Per-query accounting is collected locally via ReadInto rather than
-	// by diffing the pool's shared counters, which would attribute other
-	// queries' reads to this one when several run concurrently.
+	// Every page read below goes through ReadInto with this tally, so the
+	// stats are this query's misses however many queries run beside it.
 	var local storage.Stats
 	sc := getScratch()
 	defer sc.release()
@@ -357,8 +356,9 @@ func decodeSeedNode(page []byte, id storage.PageID) ([]rtree.NodeEntry, error) {
 
 // Records enumerates every metadata record in the index in on-disk
 // order (a walk of the seed tree down to its metadata pages), calling
-// fn with its ref and decoded content. Used by invariant tests and the
-// flatindex CLI inspect mode.
+// fn with its ref and decoded content. Used by invariant tests, the
+// public Records/AvgNeighbors inspection surface and the neighbor
+// analyses (NeighborHistogram).
 func (ix *Index) Records(fn func(ref RecordRef, pageMBR, partitionMBR geom.MBR, objectPage storage.PageID, neighbors []RecordRef) error) error {
 	stack := []seedItem{{ix.seedRoot, ix.seedHeight}}
 	//lint:ignore ctxcrawl offline inspect/invariant walk, never on a serving query path

@@ -24,14 +24,6 @@ func Encode3(x, y, z uint32) uint64 {
 	return interleave(X)
 }
 
-// Decode3 is the inverse of Encode3: it maps a curve position back to
-// quantized coordinates.
-func Decode3(d uint64) (x, y, z uint32) {
-	X := deinterleave(d)
-	transposeToAxes(&X)
-	return X[0], X[1], X[2]
-}
-
 // axesToTranspose converts spatial coordinates into the "transposed"
 // Hilbert index representation in place (Skilling's AxestoTranspose).
 func axesToTranspose(X *[3]uint32) {
@@ -65,32 +57,6 @@ func axesToTranspose(X *[3]uint32) {
 	}
 }
 
-// transposeToAxes is the inverse of axesToTranspose (Skilling's
-// TransposetoAxes).
-func transposeToAxes(X *[3]uint32) {
-	const n = 3
-	N := uint32(2) << (Bits - 1)
-	// Gray decode by H ^ (H/2).
-	t := X[n-1] >> 1
-	for i := n - 1; i > 0; i-- {
-		X[i] ^= X[i-1]
-	}
-	X[0] ^= t
-	// Undo excess work.
-	for Q := uint32(2); Q != N; Q <<= 1 {
-		P := Q - 1
-		for i := n - 1; i >= 0; i-- {
-			if X[i]&Q != 0 {
-				X[0] ^= P
-			} else {
-				t := (X[0] ^ X[i]) & P
-				X[0] ^= t
-				X[i] ^= t
-			}
-		}
-	}
-}
-
 // interleave packs the transposed representation into a single key: the
 // most significant bit of the key is bit Bits-1 of X[0], then bit Bits-1
 // of X[1], and so on.
@@ -102,17 +68,4 @@ func interleave(X [3]uint32) uint64 {
 		}
 	}
 	return d
-}
-
-// deinterleave is the inverse of interleave.
-func deinterleave(d uint64) [3]uint32 {
-	var X [3]uint32
-	pos := uint(3*Bits - 1)
-	for b := Bits - 1; b >= 0; b-- {
-		for i := 0; i < 3; i++ {
-			X[i] |= uint32((d>>pos)&1) << uint(b)
-			pos--
-		}
-	}
-	return X
 }

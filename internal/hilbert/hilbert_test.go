@@ -7,6 +7,54 @@ import (
 	"flat/internal/geom"
 )
 
+// decode3 is the inverse of Encode3: it maps a curve position back to
+// quantized coordinates. Nothing outside the tests walks the curve
+// backwards; it is the round-trip reference Encode3 is checked against.
+func decode3(d uint64) (x, y, z uint32) {
+	X := deinterleave(d)
+	transposeToAxes(&X)
+	return X[0], X[1], X[2]
+}
+
+// transposeToAxes is the inverse of axesToTranspose (Skilling's
+// TransposetoAxes).
+func transposeToAxes(X *[3]uint32) {
+	const n = 3
+	N := uint32(2) << (Bits - 1)
+	// Gray decode by H ^ (H/2).
+	t := X[n-1] >> 1
+	for i := n - 1; i > 0; i-- {
+		X[i] ^= X[i-1]
+	}
+	X[0] ^= t
+	// Undo excess work.
+	for Q := uint32(2); Q != N; Q <<= 1 {
+		P := Q - 1
+		for i := n - 1; i >= 0; i-- {
+			if X[i]&Q != 0 {
+				X[0] ^= P
+			} else {
+				t := (X[0] ^ X[i]) & P
+				X[0] ^= t
+				X[i] ^= t
+			}
+		}
+	}
+}
+
+// deinterleave is the inverse of interleave.
+func deinterleave(d uint64) [3]uint32 {
+	var X [3]uint32
+	pos := uint(3*Bits - 1)
+	for b := Bits - 1; b >= 0; b-- {
+		for i := 0; i < 3; i++ {
+			X[i] |= uint32((d>>pos)&1) << uint(b)
+			pos--
+		}
+	}
+	return X
+}
+
 func TestEncodeDecodeRoundTripRandom(t *testing.T) {
 	r := rand.New(rand.NewSource(13))
 	for i := 0; i < 10000; i++ {
@@ -14,7 +62,7 @@ func TestEncodeDecodeRoundTripRandom(t *testing.T) {
 		y := r.Uint32() & (maxCoord - 1)
 		z := r.Uint32() & (maxCoord - 1)
 		d := Encode3(x, y, z)
-		gx, gy, gz := Decode3(d)
+		gx, gy, gz := decode3(d)
 		if gx != x || gy != y || gz != z {
 			t.Fatalf("roundtrip (%d,%d,%d) -> %d -> (%d,%d,%d)", x, y, z, d, gx, gy, gz)
 		}
@@ -51,7 +99,7 @@ func TestCurveIsBijectiveOnGrid(t *testing.T) {
 
 // TestCurveAdjacency verifies the defining Hilbert property: consecutive
 // positions along the curve are adjacent grid cells (unit Manhattan
-// distance). We walk the full 8^3 curve via Decode3 on rescaled keys.
+// distance). We walk the full 8^3 curve via decode3 on rescaled keys.
 func TestCurveAdjacency(t *testing.T) {
 	const shift = Bits - 3
 	// Collect the 512 cells in curve order by sorting via key map.

@@ -256,16 +256,6 @@ func growProcess(r *rand.Rand, cfg Config, m *Model, neuron int32, start, dir ge
 	}
 }
 
-// randomPoint samples a uniform point in box.
-func randomPoint(r *rand.Rand, box geom.MBR) geom.Vec3 {
-	s := box.Size()
-	return geom.V(
-		box.Min.X+r.Float64()*s.X,
-		box.Min.Y+r.Float64()*s.Y,
-		box.Min.Z+r.Float64()*s.Z,
-	)
-}
-
 // randomUnit samples a uniform direction on the unit sphere.
 func randomUnit(r *rand.Rand) geom.Vec3 {
 	for {

@@ -41,7 +41,6 @@ func (t *DynTree) View() (*Tree, error) {
 	}
 	return &Tree{
 		pool:          t.pool,
-		cfg:           t.cfg,
 		root:          t.root,
 		height:        t.height,
 		count:         t.count,
@@ -113,7 +112,7 @@ func (t *DynTree) Insert(el geom.Element) error {
 // insert descends into node id at the given level (1 = leaf) and returns
 // a new sibling entry if the node split.
 func (t *DynTree) insert(id storage.PageID, level int, el geom.Element) (*NodeEntry, error) {
-	isLeaf, entries, err := readNode(t.pool, id, nil)
+	isLeaf, entries, err := readNode(t.pool, id, nil, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -195,7 +194,7 @@ func (t *DynTree) writeNode(isLeaf bool, entries []NodeEntry) (storage.PageID, e
 
 // nodeBox returns the MBR of a node's entries.
 func (t *DynTree) nodeBox(id storage.PageID) (geom.MBR, error) {
-	_, entries, err := readNode(t.pool, id, nil)
+	_, entries, err := readNode(t.pool, id, nil, nil)
 	return NodeMBR(entries), err
 }
 

@@ -60,7 +60,7 @@ func checkStructure(t *testing.T, tree *Tree, n int) {
 	leafDepth := -1
 	seen := map[uint64]bool{}
 	boxes := map[storage.PageID]geom.MBR{}
-	err := tree.Walk(func(id storage.PageID, depth int, isLeaf bool, entries []NodeEntry) error {
+	err := walk(tree, func(id storage.PageID, depth int, isLeaf bool, entries []NodeEntry) error {
 		if len(entries) == 0 || len(entries) > NodeCapacity {
 			t.Fatalf("node %d has %d entries", id, len(entries))
 		}
@@ -87,7 +87,7 @@ func checkStructure(t *testing.T, tree *Tree, n int) {
 		t.Fatalf("enumerated %d of %d elements", len(seen), n)
 	}
 	// Parent entry boxes contain (and equal) child MBRs.
-	err = tree.Walk(func(id storage.PageID, depth int, isLeaf bool, entries []NodeEntry) error {
+	err = walk(tree, func(id storage.PageID, depth int, isLeaf bool, entries []NodeEntry) error {
 		if isLeaf {
 			return nil
 		}

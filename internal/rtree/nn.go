@@ -116,7 +116,7 @@ func (t *Tree) NN(p geom.Vec3, visit func(el geom.Element, distSq float64) bool)
 			}
 			continue
 		}
-		isLeaf, entries, err := readNode(t.pool, it.id, entryBuf[:0])
+		isLeaf, entries, err := readNode(t.pool, it.id, t.tally, entryBuf[:0])
 		if err != nil {
 			return err
 		}

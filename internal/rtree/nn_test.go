@@ -80,21 +80,18 @@ func TestNNEarlyStopReadsFewerPages(t *testing.T) {
 
 	// Reads tally cache misses; cold-start each run so they count.
 	pool.DropFrames()
-	pool.ResetStats()
-	if err := tree.NN(geom.V(50, 50, 50), func(geom.Element, float64) bool { return false }); err != nil {
+	var early, full storage.Stats
+	if err := tree.Tally(&early).NN(geom.V(50, 50, 50), func(geom.Element, float64) bool { return false }); err != nil {
 		t.Fatal(err)
 	}
-	early := pool.Stats().TotalReads()
 
 	pool.DropFrames()
-	pool.ResetStats()
-	if err := tree.NN(geom.V(50, 50, 50), func(geom.Element, float64) bool { return true }); err != nil {
+	if err := tree.Tally(&full).NN(geom.V(50, 50, 50), func(geom.Element, float64) bool { return true }); err != nil {
 		t.Fatal(err)
 	}
-	full := pool.Stats().TotalReads()
 
-	if early >= full {
-		t.Fatalf("early stop read %d pages, full drain %d", early, full)
+	if early.TotalReads() >= full.TotalReads() {
+		t.Fatalf("early stop read %d pages, full drain %d", early.TotalReads(), full.TotalReads())
 	}
 }
 

@@ -101,10 +101,11 @@ func DecodeNodeInto(page []byte, dst []NodeEntry) (isLeaf bool, entries []NodeEn
 	return kind == kindLeaf, dst, nil
 }
 
-// readNode reads node page id from pool and decodes it onto dst; a page
-// that does not decode is reported under its id.
-func readNode(pool storage.Pool, id storage.PageID, dst []NodeEntry) (isLeaf bool, entries []NodeEntry, err error) {
-	page, err := pool.Read(id)
+// readNode reads node page id from pool, counting a cache miss into
+// local (which may be nil), and decodes it onto dst; a page that does
+// not decode is reported under its id.
+func readNode(pool storage.Pool, id storage.PageID, local *storage.Stats, dst []NodeEntry) (isLeaf bool, entries []NodeEntry, err error) {
+	page, err := pool.ReadInto(id, local)
 	if err != nil {
 		return false, dst, err
 	}

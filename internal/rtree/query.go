@@ -8,7 +8,7 @@ import (
 // RangeQuery returns all indexed elements whose MBR intersects q,
 // following every root-to-leaf path whose node MBR intersects q — the
 // standard R-tree traversal whose cost the paper's overlap analysis is
-// about. Page reads are accounted in the tree's buffer pool.
+// about. Page reads are counted on a Tally view.
 func (t *Tree) RangeQuery(q geom.MBR) ([]geom.Element, error) {
 	var result []geom.Element
 	err := t.query(q, func(e NodeEntry) {
@@ -43,7 +43,7 @@ func (t *Tree) query(q geom.MBR, visit func(NodeEntry)) error {
 	for len(stack) > 0 {
 		id := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
-		isLeaf, entries, err := readNode(t.pool, id, entryBuf[:0])
+		isLeaf, entries, err := readNode(t.pool, id, t.tally, entryBuf[:0])
 		if err != nil {
 			return err
 		}
@@ -58,35 +58,6 @@ func (t *Tree) query(q geom.MBR, visit func(NodeEntry)) error {
 		for _, e := range entries {
 			if e.Box.Intersects(q) {
 				stack = append(stack, storage.PageID(e.Ref))
-			}
-		}
-	}
-	return nil
-}
-
-// Walk visits every node of the tree top-down, calling fn with the node's
-// page id, its depth (0 = root) and its decoded content. It exists for
-// invariant checking in tests and for the flatindex CLI's inspect mode.
-func (t *Tree) Walk(fn func(id storage.PageID, depth int, isLeaf bool, entries []NodeEntry) error) error {
-	type item struct {
-		id    storage.PageID
-		depth int
-	}
-	stack := []item{{t.root, 0}}
-	//lint:ignore ctxcrawl offline inspect/invariant walk, never on a serving query path
-	for len(stack) > 0 {
-		it := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		isLeaf, entries, err := readNode(t.pool, it.id, nil)
-		if err != nil {
-			return err
-		}
-		if err := fn(it.id, it.depth, isLeaf, entries); err != nil {
-			return err
-		}
-		if !isLeaf {
-			for _, e := range entries {
-				stack = append(stack, item{storage.PageID(e.Ref), it.depth + 1})
 			}
 		}
 	}

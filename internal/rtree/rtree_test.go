@@ -175,7 +175,7 @@ func TestTreeInvariants(t *testing.T) {
 		nodes := map[storage.PageID]nodeInfo{}
 		leafDepth := -1
 		seen := map[uint64]bool{}
-		err := tree.Walk(func(id storage.PageID, depth int, isLeaf bool, entries []NodeEntry) error {
+		err := walk(tree, func(id storage.PageID, depth int, isLeaf bool, entries []NodeEntry) error {
 			if len(entries) == 0 {
 				t.Fatalf("%v: empty node %d", s, id)
 			}
@@ -210,7 +210,7 @@ func TestTreeInvariants(t *testing.T) {
 
 		// Every internal entry's box must exactly contain its child node's
 		// MBR (bulkloaded trees store tight child boxes).
-		err = tree.Walk(func(id storage.PageID, depth int, isLeaf bool, entries []NodeEntry) error {
+		err = walk(tree, func(id storage.PageID, depth int, isLeaf bool, entries []NodeEntry) error {
 			if isLeaf {
 				return nil
 			}
@@ -231,6 +231,34 @@ func TestTreeInvariants(t *testing.T) {
 	}
 }
 
+// walk visits every node of the tree top-down, calling fn with the node's
+// page id, its depth (0 = root) and its decoded content: the structural
+// enumeration the invariant tests check trees against.
+func walk(t *Tree, fn func(id storage.PageID, depth int, isLeaf bool, entries []NodeEntry) error) error {
+	type item struct {
+		id    storage.PageID
+		depth int
+	}
+	stack := []item{{t.root, 0}}
+	for len(stack) > 0 {
+		it := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
+		isLeaf, entries, err := readNode(t.pool, it.id, nil, nil)
+		if err != nil {
+			return err
+		}
+		if err := fn(it.id, it.depth, isLeaf, entries); err != nil {
+			return err
+		}
+		if !isLeaf {
+			for _, e := range entries {
+				stack = append(stack, item{storage.PageID(e.Ref), it.depth + 1})
+			}
+		}
+	}
+	return nil
+}
+
 func TestPointQueryReadsAtLeastHeight(t *testing.T) {
 	r := rand.New(rand.NewSource(71))
 	els := randomElements(r, 8000, worldBox())
@@ -240,15 +268,16 @@ func TestPointQueryReadsAtLeastHeight(t *testing.T) {
 			t.Fatalf("%v: want multi-level tree", s)
 		}
 		// Query at the center of a known element: at least one full path.
-		pool.Reset()
-		res, err := tree.PointQuery(els[42].Box.Center())
+		pool.DropFrames()
+		var st storage.Stats
+		res, err := tree.Tally(&st).PointQuery(els[42].Box.Center())
 		if err != nil {
 			t.Fatal(err)
 		}
 		if len(res) == 0 {
 			t.Fatalf("%v: point query at element center found nothing", s)
 		}
-		reads := pool.Stats().TotalReads()
+		reads := st.TotalReads()
 		if reads < uint64(tree.Height()) {
 			t.Errorf("%v: point query read %d pages < height %d", s, reads, tree.Height())
 		}
@@ -432,16 +461,15 @@ func TestHilbertOverlapWorseThanSTR(t *testing.T) {
 	els := randomElements(r, 20000, worldBox())
 	readsFor := func(s Strategy) uint64 {
 		tree, pool := buildTree(t, els, s)
-		var total uint64
+		var st storage.Stats
 		for i := 0; i < 100; i++ {
-			pool.Reset()
+			pool.DropFrames()
 			p := geom.V(r.Float64()*100, r.Float64()*100, r.Float64()*100)
-			if _, err := tree.PointQuery(p); err != nil {
+			if _, err := tree.Tally(&st).PointQuery(p); err != nil {
 				t.Fatal(err)
 			}
-			total += pool.Stats().TotalReads()
 		}
-		return total
+		return st.TotalReads()
 	}
 	rHilbert := readsFor(Hilbert)
 	rSTR := readsFor(STR)

@@ -68,13 +68,14 @@ func (c Config) withDefaults() Config {
 }
 
 // Tree is a bulkloaded, disk-resident R-tree. All page access goes
-// through the storage.Pool it was built on, so query cost is measured by
-// the pool's counters.
+// through the storage.Pool it was built on; a caller that wants a
+// traversal's cost queries a Tally view and receives exactly the cache
+// misses that traversal caused. Every query method is safe for
+// concurrent use when the pool is.
 type Tree struct {
 	pool                     storage.Pool
-	cfg                      Config
+	tally                    *storage.Stats // nil: reads are not counted
 	root                     storage.PageID
-	rootIsLeaf               bool
 	height                   int // number of levels, 1 = root is a leaf
 	count                    int // number of indexed elements
 	leafPages, internalPages int
@@ -93,7 +94,7 @@ func Build(pool storage.Pool, els []geom.Element, strategy Strategy, world geom.
 		return nil, ErrEmpty
 	}
 	cfg = cfg.withDefaults()
-	t := &Tree{pool: pool, cfg: cfg, bounds: geom.ElementsMBR(els)}
+	t := &Tree{pool: pool, bounds: geom.ElementsMBR(els)}
 
 	var groups [][]geom.Element
 	switch strategy {
@@ -131,7 +132,6 @@ func Build(pool storage.Pool, els []geom.Element, strategy Strategy, world geom.
 
 	if len(entries) == 1 {
 		t.root = storage.PageID(entries[0].Ref)
-		t.rootIsLeaf = true
 		t.height = 1
 		return t, nil
 	}
@@ -222,3 +222,13 @@ func (t *Tree) SizeBytes() uint64 {
 
 // Pool returns the buffer pool the tree reads through.
 func (t *Tree) Pool() storage.Pool { return t.pool }
+
+// Tally returns a shallow view of the tree whose traversals count their
+// cache misses into local, which the caller owns exclusively — the way
+// a FLAT query fills its QueryStats. One view serves one goroutine;
+// concurrent callers each take their own over the shared tree.
+func (t *Tree) Tally(local *storage.Stats) *Tree {
+	cp := *t
+	cp.tally = local
+	return &cp
+}

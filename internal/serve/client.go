@@ -9,6 +9,7 @@ import (
 	"iter"
 	"net"
 	"sync"
+	"time"
 
 	"flat"
 )
@@ -49,12 +50,16 @@ type respFrame struct {
 // reading the socket (and backpressure reaches the server).
 const streamWindow = 4
 
-// Dial connects and performs the protocol handshake.
+// Dial connects and performs the protocol handshake. Connecting and the
+// hello/accept exchange each give up after handshakeTimeout, so a peer
+// that accepts and never answers (a wrong port, a wedged server) costs
+// the caller an error, not a goroutine parked for good.
 func Dial(addr string) (*Client, error) {
-	conn, err := net.Dial("tcp", addr)
+	conn, err := net.DialTimeout("tcp", addr, handshakeTimeout)
 	if err != nil {
 		return nil, err
 	}
+	conn.SetDeadline(time.Now().Add(handshakeTimeout))
 	hello := append(append([]byte{}, magic[:]...), Version)
 	if _, err := conn.Write(hello); err != nil {
 		conn.Close()
@@ -69,6 +74,7 @@ func Dial(addr string) (*Client, error) {
 		conn.Close()
 		return nil, errBadVersion
 	}
+	conn.SetDeadline(time.Time{})
 	c := &Client{
 		conn:    conn,
 		pending: make(map[uint32]chan respFrame),

@@ -44,6 +44,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"time"
 
 	"flat"
 )
@@ -52,6 +53,12 @@ import (
 // carries it so the format can evolve without breaking old clients:
 // a server refuses versions it does not know rather than guessing.
 const Version = 1
+
+// handshakeTimeout bounds each side's wait for the other's half of the
+// handshake (and the client's connect): a peer that never speaks is
+// dropped instead of holding a goroutine. A variable only so a test can
+// shorten it; nothing else writes it.
+var handshakeTimeout = 10 * time.Second
 
 // magic opens the client hello; a listener receiving anything else is
 // being probed by something that is not a flatserve client.

@@ -835,6 +835,53 @@ func TestHandshakeRejectsStrangers(t *testing.T) {
 	}
 }
 
+// TestDialTimesOutOnSilentPeer: a listener that accepts and never
+// answers the hello (a wrong port, a wedged server) must cost Dial's
+// caller a timeout error, not a goroutine parked for good — the leak
+// gate in TestMain would name a reader left behind.
+func TestDialTimesOutOnSilentPeer(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	accepted := make(chan net.Conn, 1)
+	go func() {
+		conn, err := ln.Accept()
+		if err != nil {
+			close(accepted)
+			return
+		}
+		accepted <- conn // held open, never read, never written
+	}()
+	defer func() {
+		if conn := <-accepted; conn != nil {
+			conn.Close()
+		}
+	}()
+
+	defer func(d time.Duration) { handshakeTimeout = d }(handshakeTimeout)
+	handshakeTimeout = 100 * time.Millisecond
+
+	dialed := make(chan error, 1)
+	go func() {
+		c, err := Dial(ln.Addr().String())
+		if err == nil {
+			c.Close()
+		}
+		dialed <- err
+	}()
+	select {
+	case err := <-dialed:
+		var nerr net.Error
+		if !errors.As(err, &nerr) || !nerr.Timeout() {
+			t.Fatalf("Dial against a silent peer returned %v, want a timeout error", err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("Dial against a silent peer is still parked after 5s")
+	}
+}
+
 // TestConcurrentMixedLoad hammers one server from many goroutines —
 // streams, counts, cancels, stats — to give the race detector surface.
 func TestConcurrentMixedLoad(t *testing.T) {

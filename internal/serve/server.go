@@ -279,7 +279,7 @@ func (s *Server) handle(conn net.Conn) {
 // version (or 0 for refusal).
 func (s *Server) handshake(conn net.Conn) error {
 	var hello [5]byte
-	conn.SetReadDeadline(time.Now().Add(10 * time.Second))
+	conn.SetReadDeadline(time.Now().Add(handshakeTimeout))
 	if _, err := io.ReadFull(conn, hello[:]); err != nil {
 		return err
 	}

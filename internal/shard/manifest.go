@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"io/fs"
+	"math"
 	"os"
 	"path/filepath"
 	"regexp"
@@ -128,12 +129,6 @@ func shardFileName(s int, gen uint64) string {
 		return fmt.Sprintf("shard-%04d.flat", s)
 	}
 	return fmt.Sprintf("shard-%04d.gen-%d.flat", s, gen)
-}
-
-// shardFile returns the generation-0 page-file path of shard s under
-// dir (the name fresh builds use).
-func shardFile(dir string, s int) string {
-	return filepath.Join(dir, shardFileName(s, 0))
 }
 
 // shardFilePattern matches any shard page file, any generation; the GC
@@ -332,6 +327,11 @@ func nextGeneration(dir string) (uint64, error) {
 			maxGen = g
 		}
 	}
+	if maxGen == math.MaxUint64 {
+		// maxGen+1 would wrap to generation 0: the un-suffixed file names
+		// the manifest may reference.
+		return 0, fmt.Errorf("shard: manifest in %s references generation %d, the last one", dir, maxGen)
+	}
 	return maxGen + 1, nil
 }
 
@@ -344,7 +344,7 @@ func generationOfFile(name string) (uint64, bool) {
 	if sub[1] == "" {
 		return 0, true
 	}
-	g, err := strconv.ParseUint(sub[1][len(".gen-"):len(sub[1])-len(".flat")], 10, 64)
+	g, err := strconv.ParseUint(sub[1][len(".gen-"):], 10, 64)
 	if err != nil {
 		return 0, false
 	}

@@ -275,14 +275,12 @@ func TestSetNNOpensShardsByDistance(t *testing.T) {
 
 	p := geom.V(5, 5, 5)
 	set.DropCache()
-	set.Pool().ResetStats()
 	early, err := set.NNQuery(context.Background(), p, 1, func(geom.Element, float64) bool { return false })
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	set.DropCache()
-	set.Pool().ResetStats()
 	var n int
 	full, err := set.NNQuery(context.Background(), p, 0, func(geom.Element, float64) bool { n++; return true })
 	if err != nil {
@@ -313,7 +311,6 @@ func TestSetNNCancellation(t *testing.T) {
 	defer set.Close()
 
 	set.DropCache()
-	set.Pool().ResetStats()
 	ctx, cancel := context.WithCancel(context.Background())
 	n := 0
 	st, err := set.NNQuery(ctx, geom.V(50, 50, 50), 0, func(geom.Element, float64) bool {
@@ -331,9 +328,11 @@ func TestSetNNCancellation(t *testing.T) {
 	if st.Results != 25 || st.RecordsVisited == 0 || st.PagesVisited == 0 {
 		t.Errorf("cancelled NNQuery stats %+v: want 25 results and the visits behind them", st)
 	}
-	if pooled := set.Pool().Stats().TotalReads(); st.TotalReads == 0 || st.TotalReads != pooled ||
+	// (The cache is unbounded and was cold, so it now holds one frame per
+	// miss.)
+	if cached := uint64(set.Pool().Len()); st.TotalReads == 0 || st.TotalReads != cached ||
 		st.TotalReads != st.SeedReads+st.MetadataReads+st.ObjectReads {
-		t.Errorf("cancelled NNQuery stats %+v: the pool performed %d reads", st, pooled)
+		t.Errorf("cancelled NNQuery stats %+v: the cold pool now holds %d pages", st, cached)
 	}
 	// The set must stay fully usable afterwards.
 	checkSetNN(t, set, geom.V(20, 80, 40))

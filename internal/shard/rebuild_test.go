@@ -704,6 +704,18 @@ func TestBuildIntoExistingDir(t *testing.T) {
 	if err := set2.Close(); err != nil {
 		t.Fatal(err)
 	}
+	// The manifest now references generation-suffixed names; the next
+	// build must parse them (it used to panic) and move past them.
+	set3, err := Build(append([]geom.Element(nil), orig...), Config{Shards: 2, PageCapacity: 16, Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if g := set3.Generation(1); g != 2 {
+		t.Errorf("third build into the directory is at generation %d, want 2", g)
+	}
+	if err := set3.Close(); err != nil {
+		t.Fatal(err)
+	}
 	re2, err := OpenSet(dir, OpenOptions{})
 	if err != nil {
 		t.Fatal(err)

@@ -57,6 +57,12 @@ func equalIDs(a, b []uint64) bool {
 	return true
 }
 
+// shardFile returns the generation-0 page-file path of shard s under
+// dir (the name fresh builds use).
+func shardFile(dir string, s int) string {
+	return filepath.Join(dir, shardFileName(s, 0))
+}
+
 func testQueries(r *rand.Rand, n int) []geom.MBR {
 	qs := make([]geom.MBR, n)
 	for i := range qs {
@@ -146,7 +152,7 @@ func testSingleShardParity(t *testing.T, fanout int) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	refPool.Reset()
+	refPool.DropFrames()
 
 	shEls := append([]geom.Element(nil), els...)
 	set, err := Build(shEls, Config{Shards: 1, PageCapacity: 16, SeedFanout: fanout})
@@ -181,7 +187,7 @@ func testSingleShardParity(t *testing.T, fanout int) {
 		t.Helper()
 		for i, q := range queries {
 			set.DropCache()
-			refPool.Reset()
+			refPool.DropFrames()
 			want, wantStats, err := ref.RangeQuery(q)
 			if err != nil {
 				t.Fatal(err)

@@ -11,17 +11,16 @@ import (
 const poolShards = 64
 
 // ConcurrentPool is the repository's one page cache: a lock-striped LRU
-// over a Pager with read/write accounting per page category, safe for
-// use by many goroutines at once.
+// over a Pager, safe for use by many goroutines at once.
 //
 // It plays the role of the OS page cache in the paper's setup: within a
 // single query, re-touching an already-fetched page is free; before each
-// query the figure harness calls Reset or DropFrames (the paper
-// overwrites the OS cache with an empty file), so every query starts
-// cold. The paper's workload is read-mostly (models change rarely and in
-// batches; range queries dominate), so serving wants many queries in
-// flight against one shared cache; an unbounded pool never evicts, so
-// the miss counts of builds and figures do not depend on the striping.
+// query the figure harness calls DropFrames (the paper overwrites the OS
+// cache with an empty file), so every query starts cold. The paper's
+// workload is read-mostly (models change rarely and in batches; range
+// queries dominate), so serving wants many queries in flight against
+// one shared cache; an unbounded pool never evicts, so the miss counts
+// of builds and figures do not depend on the striping.
 //
 // Design:
 //
@@ -31,14 +30,14 @@ const poolShards = 64
 //     instead of mutating cached bytes, so a slice returned by Read stays
 //     valid — and race-free — even if the frame is evicted or the page is
 //     rewritten while the caller still decodes it.
-//   - Global counters are atomics (AtomicStats). Per-query accounting
-//     goes through ReadInto into caller-owned Stats, so queries never
-//     diff the shared counters.
+//   - The pool keeps no counters: a miss is tallied, by the page's
+//     category, into the Stats the caller handed to ReadInto, and
+//     nowhere else.
 //
 // Concurrency contract: any number of Read/ReadInto calls may run
-// concurrently with each other and with the stats/cache maintenance
-// methods. Alloc and Write are serialized among themselves but must NOT
-// run concurrently with reads: a cache miss hits the underlying Pager
+// concurrently with each other and with DropFrames/DropFramesIf. Alloc
+// and Write are serialized among themselves but must NOT run
+// concurrently with reads: a cache miss hits the underlying Pager
 // outside the write lock, and the pagers in this repository (MemPager,
 // FilePager) only support concurrent ReadPage while no Alloc/WritePage
 // runs. The FLAT index is bulkloaded and immutable, so its query phase
@@ -53,7 +52,6 @@ type ConcurrentPool struct {
 	pager    Pager
 	capacity int // total frame budget; <= 0 means unbounded
 	shards   [poolShards]poolShard
-	stats    AtomicStats
 	wmu      sync.Mutex // serializes Alloc/Write against the pager
 }
 
@@ -115,15 +113,15 @@ func (p *ConcurrentPool) Alloc(cat Category) (PageID, error) {
 // pager on a cache miss. The returned slice is an immutable snapshot:
 // safe to decode without holding any lock, never overwritten in place.
 //
-// A cache miss increments the read counter of the page's category; a hit
-// is free, as with an OS page cache.
+// Nothing is counted; a query that wants its misses calls ReadInto.
 func (p *ConcurrentPool) Read(id PageID) ([]byte, error) {
 	return p.ReadInto(id, nil)
 }
 
-// ReadInto is Read, but additionally tallies a cache miss into local,
-// which the caller owns exclusively (queries pass their own Stats and
-// receive exactly the misses they caused).
+// ReadInto is Read, but additionally tallies a cache miss, under the
+// page's category, into local, which the caller owns exclusively
+// (queries pass their own Stats and receive exactly the misses they
+// caused). A hit is free, as with an OS page cache.
 func (p *ConcurrentPool) ReadInto(id PageID, local *Stats) ([]byte, error) {
 	sh := p.shard(id)
 	sh.mu.Lock()
@@ -148,10 +146,8 @@ func (p *ConcurrentPool) ReadInto(id PageID, local *Stats) ([]byte, error) {
 			return nil, err
 		}
 	}
-	cat := p.pager.CategoryOf(id)
-	p.stats.AddRead(cat)
 	if local != nil {
-		local.Reads[cat]++
+		local.Reads[p.pager.CategoryOf(id)]++
 	}
 
 	sh.mu.Lock()
@@ -182,7 +178,6 @@ func (p *ConcurrentPool) Write(id PageID, src []byte) error {
 	if err != nil {
 		return err
 	}
-	p.stats.AddWrite(p.pager.CategoryOf(id))
 	data := make([]byte, PageSize)
 	copy(data, src[:PageSize])
 	sh := p.shard(id)
@@ -221,16 +216,10 @@ func (p *ConcurrentPool) Len() int {
 	return n
 }
 
-// Stats returns a snapshot of the accumulated global counters.
-func (p *ConcurrentPool) Stats() Stats { return p.stats.Snapshot() }
-
-// ResetStats zeroes the global counters but keeps cached frames.
-func (p *ConcurrentPool) ResetStats() { p.stats.Reset() }
-
 // DropFramesIf drops every cached frame whose page id satisfies drop,
-// keeping the remaining frames and the counters. The sharded rebuild
-// path uses it to invalidate exactly the rebuilt shards' pages, so the
-// untouched shards keep their warm cache across an incremental rebuild.
+// keeping the remaining frames. The sharded rebuild path uses it to
+// invalidate exactly the rebuilt shards' pages, so the untouched shards
+// keep their warm cache across an incremental rebuild.
 // Safe to call concurrently with reads, like DropFrames; callers that
 // replace the backing pages (rebuild) must additionally keep reads of
 // those pages from running until the swap is complete.
@@ -251,7 +240,8 @@ func (p *ConcurrentPool) DropFramesIf(drop func(PageID) bool) {
 	}
 }
 
-// DropFrames drops every cached frame but keeps the counters.
+// DropFrames drops every cached frame: the cold-cache state the paper
+// establishes before each query.
 func (p *ConcurrentPool) DropFrames() {
 	for i := range p.shards {
 		sh := &p.shards[i]
@@ -260,11 +250,4 @@ func (p *ConcurrentPool) DropFrames() {
 		sh.lru.Init()
 		sh.mu.Unlock()
 	}
-}
-
-// Reset drops every cached frame and zeroes the counters: the cold-cache
-// state the paper establishes before each query.
-func (p *ConcurrentPool) Reset() {
-	p.DropFrames()
-	p.stats.Reset()
 }

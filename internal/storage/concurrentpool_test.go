@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"testing"
 )
 
@@ -28,42 +29,59 @@ func fillPager(t *testing.T, n int, cat Category) *MemPager {
 	return pager
 }
 
+// readInto reads page id through pool into tally, failing the test on
+// an error.
+func readInto(t *testing.T, pool *ConcurrentPool, id PageID, tally *Stats) []byte {
+	t.Helper()
+	data, err := pool.ReadInto(id, tally)
+	if err != nil {
+		t.Fatalf("read %d: %v", id, err)
+	}
+	return data
+}
+
+// One miss, then hits: the caller's tally moves on the first read of a
+// page and on no later one.
 func TestConcurrentPoolBasics(t *testing.T) {
 	pager := fillPager(t, 10, CatObject)
 	pool := NewConcurrentPool(pager, 0)
 
-	data, err := pool.Read(3)
-	if err != nil {
-		t.Fatalf("read: %v", err)
-	}
+	var tally Stats
+	data := readInto(t, pool, 3, &tally)
 	if data[0] != 3 || data[PageSize-1] != 3 {
 		t.Fatalf("page 3 content = %d", data[0])
 	}
-	if got := pool.Stats().Reads[CatObject]; got != 1 {
+	if got := tally.Reads[CatObject]; got != 1 {
 		t.Fatalf("reads = %d, want 1", got)
 	}
-	// A re-read is a hit: free, like an OS page cache.
-	if _, err := pool.Read(3); err != nil {
-		t.Fatalf("re-read: %v", err)
-	}
-	if got := pool.Stats().Reads[CatObject]; got != 1 {
-		t.Fatalf("reads after hit = %d, want 1", got)
+	// A re-read is a hit: free, like an OS page cache — for this caller
+	// and for any other.
+	var other Stats
+	readInto(t, pool, 3, &tally)
+	readInto(t, pool, 3, &other)
+	if tally.Reads[CatObject] != 1 || other.TotalReads() != 0 {
+		t.Fatalf("reads after hits = %d and %d, want 1 and 0", tally.Reads[CatObject], other.TotalReads())
 	}
 	if pool.Len() != 1 {
 		t.Fatalf("Len = %d, want 1", pool.Len())
 	}
-	pool.DropFrames()
-	if pool.Len() != 0 || pool.Stats().TotalReads() != 1 {
-		t.Fatal("DropFrames must keep counters")
+	// Read is ReadInto without a tally.
+	if _, err := pool.Read(4); err != nil {
+		t.Fatalf("read: %v", err)
 	}
-	pool.Reset()
-	if pool.Stats().TotalReads() != 0 {
-		t.Fatal("Reset must zero counters")
+	if tally.TotalReads() != 1 || pool.Len() != 2 {
+		t.Fatalf("untallied read moved a tally (%d) or cached nothing (Len %d)", tally.TotalReads(), pool.Len())
 	}
 }
 
+// Per-category attribution: a miss lands under the page's category in
+// the tally of the caller that caused it, and nowhere else.
 func TestConcurrentPoolReadInto(t *testing.T) {
 	pager := fillPager(t, 8, CatMetadata)
+	object, err := pager.Alloc(CatObject)
+	if err != nil {
+		t.Fatal(err)
+	}
 	pool := NewConcurrentPool(pager, 0)
 
 	var q1, q2 Stats
@@ -86,8 +104,14 @@ func TestConcurrentPoolReadInto(t *testing.T) {
 	if q2.Reads[CatMetadata] != 1 {
 		t.Errorf("q2 local reads = %d, want 1 (page 1 was a shared hit)", q2.Reads[CatMetadata])
 	}
-	if got := pool.Stats().Reads[CatMetadata]; got != 3 {
-		t.Errorf("global reads = %d, want 3", got)
+	if _, err := pool.ReadInto(object, &q2); err != nil {
+		t.Fatal(err)
+	}
+	var want1, want2 Stats
+	want1.Reads[CatMetadata] = 2
+	want2.Reads[CatMetadata], want2.Reads[CatObject] = 1, 1
+	if q1 != want1 || q2 != want2 {
+		t.Errorf("tallies %+v and %+v, want %+v and %+v", q1, q2, want1, want2)
 	}
 }
 
@@ -117,9 +141,6 @@ func TestConcurrentPoolWriteReplacesFrame(t *testing.T) {
 	if after[0] != 0xAB {
 		t.Errorf("new content = %x, want ab", after[0])
 	}
-	if got := pool.Stats().Writes[CatObject]; got != 1 {
-		t.Errorf("writes = %d, want 1", got)
-	}
 }
 
 func TestConcurrentPoolShortWriteError(t *testing.T) {
@@ -141,10 +162,9 @@ func TestConcurrentPoolBounded(t *testing.T) {
 	const pages = 512
 	pager := fillPager(t, pages, CatObject)
 	pool := NewConcurrentPool(pager, 128)
+	var tally Stats
 	for id := 0; id < pages; id++ {
-		if _, err := pool.Read(PageID(id)); err != nil {
-			t.Fatal(err)
-		}
+		readInto(t, pool, PageID(id), &tally)
 	}
 	// The budget is enforced per shard; the total may run slightly under
 	// the configured capacity for skewed id sets but never over
@@ -152,17 +172,30 @@ func TestConcurrentPoolBounded(t *testing.T) {
 	if n := pool.Len(); n > 128 {
 		t.Fatalf("bounded pool holds %d frames, budget 128", n)
 	}
-	if got := pool.Stats().Reads[CatObject]; got != pages {
+	if got := tally.Reads[CatObject]; got != pages {
 		t.Fatalf("reads = %d, want %d", got, pages)
 	}
 }
 
+// countingPager counts the page fetches that reach the pager: the
+// misses a pool over it actually performed.
+type countingPager struct {
+	Pager
+	fetches atomic.Uint64
+}
+
+func (p *countingPager) ReadPage(id PageID, dst []byte) error {
+	p.fetches.Add(1)
+	return p.Pager.ReadPage(id, dst)
+}
+
 // TestConcurrentPoolParallel hammers one pool from many goroutines and
-// verifies (under -race) that every read returns the right bytes and the
-// global counters are consistent.
+// verifies (under -race) that every read returns the right bytes and
+// that the goroutines' own tallies sum to the misses performed: every
+// pager fetch is charged to exactly one caller.
 func TestConcurrentPoolParallel(t *testing.T) {
 	const pages = 200
-	pager := fillPager(t, pages, CatObject)
+	pager := &countingPager{Pager: fillPager(t, pages, CatObject)}
 	pool := NewConcurrentPool(pager, 64) // bounded: force constant eviction
 
 	var wg sync.WaitGroup
@@ -197,15 +230,12 @@ func TestConcurrentPoolParallel(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	// Each worker's local misses sum to at least the global total? No:
-	// the global total counts every pager fetch, and every fetch was
-	// tallied into exactly one local Stats — so the sums must be equal.
 	var localSum uint64
 	for _, l := range locals {
 		localSum += l.TotalReads()
 	}
-	if global := pool.Stats().TotalReads(); global != localSum {
-		t.Errorf("global reads %d != sum of local reads %d", global, localSum)
+	if fetched := pager.fetches.Load(); fetched != localSum || fetched < pages {
+		t.Errorf("pager served %d fetches, the callers' tallies sum to %d", fetched, localSum)
 	}
 }
 
@@ -226,48 +256,38 @@ func TestConcurrentPoolLRUWithinStripe(t *testing.T) {
 	}
 	// a and c are still cached — re-reading them is free — and b was
 	// evicted: re-reading it is a miss again.
-	before := pool.Stats().TotalReads()
-	pool.Read(a)
-	pool.Read(c)
-	if got := pool.Stats().TotalReads(); got != before {
-		t.Errorf("pages a and c should still be cached: %d reads", got-before)
+	var tally Stats
+	readInto(t, pool, a, &tally)
+	readInto(t, pool, c, &tally)
+	if got := tally.TotalReads(); got != 0 {
+		t.Errorf("pages a and c should still be cached: %d reads", got)
 	}
-	pool.Read(b)
-	if got := pool.Stats().TotalReads(); got != before+1 {
+	readInto(t, pool, b, &tally)
+	if got := tally.TotalReads(); got != 1 {
 		t.Errorf("evicted page re-read not counted")
 	}
 }
 
-func TestConcurrentPoolResetMakesQueriesCold(t *testing.T) {
+// DropFrames is the one cache verb: it empties the cache, so the next
+// read of every page is a miss again, and touches no caller's tally.
+func TestConcurrentPoolDropFramesMakesQueriesCold(t *testing.T) {
 	pool := NewConcurrentPool(fillPager(t, 2, CatObject), 0)
-	pool.Read(0)
-	pool.Read(1)
-	if pool.Stats().TotalReads() != 2 {
+	var tally Stats
+	readInto(t, pool, 0, &tally)
+	readInto(t, pool, 1, &tally)
+	if tally.TotalReads() != 2 {
 		t.Fatal("setup")
 	}
-	pool.Reset()
-	if pool.Stats().TotalReads() != 0 {
-		t.Error("Reset did not clear stats")
-	}
-	if pool.Len() != 0 {
-		t.Error("Reset did not clear frames")
-	}
-	pool.Read(0)
-	if pool.Stats().TotalReads() != 1 {
-		t.Error("read after Reset should be a cold miss")
-	}
-}
-
-func TestConcurrentPoolDropFramesKeepsCounters(t *testing.T) {
-	pool := NewConcurrentPool(fillPager(t, 1, CatObject), 0)
-	pool.Read(0)
 	pool.DropFrames()
-	if pool.Stats().TotalReads() != 1 {
-		t.Error("DropFrames cleared counters")
+	if pool.Len() != 0 {
+		t.Error("DropFrames did not clear frames")
 	}
-	pool.Read(0)
-	if pool.Stats().TotalReads() != 2 {
-		t.Error("read after DropFrames should be cold")
+	if tally.TotalReads() != 2 {
+		t.Error("DropFrames moved a caller's tally")
+	}
+	readInto(t, pool, 0, &tally)
+	if tally.TotalReads() != 3 {
+		t.Error("read after DropFrames should be a cold miss")
 	}
 }
 
@@ -280,9 +300,6 @@ func TestConcurrentPoolWriteThrough(t *testing.T) {
 	if err := pool.Write(id, src); err != nil {
 		t.Fatal(err)
 	}
-	if pool.Stats().Writes[CatMetadata] != 1 {
-		t.Error("write not counted")
-	}
 	// Underlying pager sees the bytes.
 	dst := make([]byte, PageSize)
 	if err := p.ReadPage(id, dst); err != nil {
@@ -292,15 +309,12 @@ func TestConcurrentPoolWriteThrough(t *testing.T) {
 		t.Error("write-through failed")
 	}
 	// The write also primed the cache: reading is not a miss.
-	before := pool.Stats().TotalReads()
-	got, err := pool.Read(id)
-	if err != nil {
-		t.Fatal(err)
-	}
+	var tally Stats
+	got := readInto(t, pool, id, &tally)
 	if got[5] != 42 {
 		t.Error("cached read returned stale data")
 	}
-	if pool.Stats().TotalReads() != before {
+	if tally.TotalReads() != 0 {
 		t.Error("read after write should hit cache")
 	}
 	// Overwriting an already-cached page replaces the frame.

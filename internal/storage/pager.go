@@ -15,13 +15,13 @@
 //   - ConcurrentPool: the one LRU page cache, layered over a Pager.
 //     Reads that miss the pool are counted as disk page reads, classified
 //     by the page's allocation category (R-tree leaf, R-tree internal,
-//     FLAT object page, seed-tree node, metadata...). Reset drops all
-//     cached frames and zeroes the counters — the equivalent of the
-//     paper's cache clearing between queries.
+//     FLAT object page, seed-tree node, metadata...) into the Stats the
+//     reading query passed to ReadInto — the one tally; the pool keeps
+//     no counters of its own. DropFrames drops all cached frames — the
+//     equivalent of the paper's cache clearing between queries.
 //
 // All figures in the paper that report "page reads", "data retrieved" or
-// leaf/non-leaf breakdowns are computed directly from the pool's miss
-// counters (globally via Stats, per query via ReadInto).
+// leaf/non-leaf breakdowns are sums of those per-query tallies.
 package storage
 
 import (
@@ -40,8 +40,8 @@ type PageID uint64
 const InvalidPage = PageID(^uint64(0))
 
 // Category classifies a page by the structure it belongs to. Pages are
-// tagged at allocation time; the pool attributes reads and writes to
-// the page's category so that every breakdown figure in the paper
+// tagged at allocation time; the pool attributes each read to the
+// page's category so that every breakdown figure in the paper
 // (seed tree vs metadata vs object pages; leaf vs non-leaf) can be
 // produced from counters.
 type Category uint8
@@ -80,9 +80,9 @@ func (c Category) String() string {
 // never allocated.
 var ErrPageOutOfRange = errors.New("storage: page id out of range")
 
-// Pager is a flat, growable array of fixed-size pages. Implementations are
-// not required to be safe for concurrent use; the paper's methodology is
-// explicitly single-threaded and so is this reproduction.
+// Pager is a flat, growable array of fixed-size pages. Every pager here
+// supports concurrent ReadPage (and CategoryOf) while no Alloc or
+// WritePage runs; ConcurrentPool's contract builds on exactly that.
 type Pager interface {
 	// Alloc appends a new zeroed page tagged with the given category and
 	// returns its id.

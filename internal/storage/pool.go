@@ -5,10 +5,10 @@ package storage
 // interface stays so measurement code can wrap a pool (core.Index.WithPool
 // takes any Pool) without the index knowing.
 //
-// Per-query accounting goes through ReadInto: a query passes its own
-// Stats value and receives exactly the misses it caused, so it never has
-// to diff the pool's shared counters (which would race when several
-// queries run at once).
+// A pool keeps no counters. Page reads are counted once, by the query
+// that caused them: it passes its own Stats to ReadInto and receives
+// exactly its cache misses, so concurrent queries never see each
+// other's.
 type Pool interface {
 	// Pager returns the underlying pager.
 	Pager() Pager
@@ -24,16 +24,9 @@ type Pool interface {
 	// Write stores src as the new content of page id, write-through to
 	// the underlying pager. src must be at least PageSize bytes long.
 	Write(id PageID, src []byte) error
-	// Stats returns a snapshot of the accumulated global counters.
-	Stats() Stats
-	// ResetStats zeroes the global counters but keeps cached frames.
-	ResetStats()
-	// DropFrames drops every cached frame but keeps the counters, for
-	// measuring a sequence of cold queries cumulatively.
+	// DropFrames drops every cached frame: the cold-cache state the
+	// paper establishes before each query.
 	DropFrames()
-	// Reset drops every cached frame and zeroes the counters: the
-	// cold-cache state the paper establishes before each query.
-	Reset()
 }
 
 var _ Pool = (*ConcurrentPool)(nil)

@@ -61,19 +61,20 @@ func BuildRTree(els []Element, strategy RTreeStrategy, opts *Options) (*RTree, e
 		return nil, err
 	}
 	// Hand back a cold tree; see Build.
-	pool.Reset()
+	pool.DropFrames()
 	return &RTree{inner: tree, pool: pool, pager: pager}, nil
 }
 
-// RangeQuery returns all elements intersecting q and the page reads the
-// traversal performed.
+// RangeQuery returns all elements intersecting q and the page reads
+// this traversal caused. It is safe for concurrent use: every call
+// tallies its own cache misses, so calls running side by side are never
+// charged each other's.
 func (t *RTree) RangeQuery(q MBR) ([]Element, RTreeStats, error) {
-	before := t.pool.Stats()
-	res, err := t.inner.RangeQuery(q)
-	delta := t.pool.Stats().Sub(before)
+	var local storage.Stats
+	res, err := t.inner.Tally(&local).RangeQuery(q)
 	return res, RTreeStats{
-		InternalReads: delta.Reads[storage.CatRTreeInternal],
-		LeafReads:     delta.Reads[storage.CatRTreeLeaf],
+		InternalReads: local.Reads[storage.CatRTreeInternal],
+		LeafReads:     local.Reads[storage.CatRTreeLeaf],
 	}, err
 }
 
