@@ -8,7 +8,6 @@ import (
 	"flat/internal/core"
 	"flat/internal/datagen"
 	"flat/internal/geom"
-	"flat/internal/rtree"
 	"flat/internal/storage"
 	"flat/internal/str"
 )
@@ -202,49 +201,23 @@ func (r *Runner) fig21() ([]*Table, error) {
 }
 
 // inflatedNeighborStats scales every partition MBR by factor around its
-// center and recomputes the neighbor relation the way Algorithm 1 does
-// (each inflated MBR queried against the cells). It returns the average
-// inflated partition volume and the average neighbor count.
+// center and recomputes the neighbor relation with the engine's own
+// (core.Neighbors: each inflated MBR queried against the cells). It
+// returns the average inflated partition volume and the average
+// neighbor count.
 func inflatedNeighborStats(parts []str.Partition, world geom.MBR, factor float64) (avgVol, avgNb float64, err error) {
+	cells := make([]geom.MBR, len(parts))
 	inflated := make([]geom.MBR, len(parts))
 	for i, p := range parts {
 		c := p.PartitionMBR.Center()
 		h := p.PartitionMBR.Size().Scale(factor / 2)
-		inflated[i] = geom.MBR{Min: c.Sub(h), Max: c.Add(h)}
+		cells[i], inflated[i] = p.Cell, geom.MBR{Min: c.Sub(h), Max: c.Add(h)}
 		avgVol += inflated[i].Volume()
 	}
 	avgVol /= float64(len(parts))
-
-	tmpPool := storage.NewConcurrentPool(storage.NewMemPager(), 0)
-	tmpEls := make([]geom.Element, len(parts))
-	for i, p := range parts {
-		tmpEls[i] = geom.Element{ID: uint64(i), Box: p.Cell}
-	}
-	tree, err := rtree.Build(tmpPool, tmpEls, rtree.STR, world, rtree.Config{})
+	_, links, err := core.Neighbors(cells, inflated, world)
 	if err != nil {
 		return 0, 0, err
-	}
-	links := 0
-	seen := make([]map[int]bool, len(parts))
-	for i := range seen {
-		seen[i] = make(map[int]bool)
-	}
-	for i := range parts {
-		res, err := tree.RangeQuery(inflated[i])
-		if err != nil {
-			return 0, 0, err
-		}
-		for _, e := range res {
-			k := int(e.ID)
-			if k == i {
-				continue
-			}
-			seen[i][k] = true
-			seen[k][i] = true
-		}
-	}
-	for _, s := range seen {
-		links += len(s)
 	}
 	return avgVol, float64(links) / float64(len(parts)), nil
 }

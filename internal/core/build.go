@@ -79,7 +79,12 @@ func Build(pool storage.Pool, els []geom.Element, opts Options) (*Index, error) 
 	// own memory-backed pool so it does not pollute the index's, and is
 	// discarded afterwards.
 	t1 := time.Now()
-	neighborIdx, links, err := computeNeighbors(parts, world)
+	cells := make([]geom.MBR, len(parts))
+	boxes := make([]geom.MBR, len(parts))
+	for i, p := range parts {
+		cells[i], boxes[i] = p.Cell, p.PartitionMBR
+	}
+	neighborIdx, links, err := Neighbors(cells, boxes, world)
 	if err != nil {
 		return nil, err
 	}
@@ -96,36 +101,37 @@ func Build(pool storage.Pool, els []geom.Element, opts Options) (*Index, error) 
 	return ix, nil
 }
 
-// computeNeighbors builds the temporary R-tree over the partition cells
-// and executes one range query per partition with its (stretched)
-// partition MBR, as Algorithm 1 prescribes. Partitions i and k are
-// neighbors when partitionMBR(i) intersects cell(k) or vice versa — the
-// paper's "partition adjacent to or overlapping A" relation. Querying
-// against the unstretched cells (rather than stretched-vs-stretched
-// boxes) keeps neighbor lists tight while preserving the crawl's
-// completeness guarantee: the breadth-first search only ever needs to
-// cross from a partition's MBR into the space-tiling cell that covers
-// the next piece of the query region, and the relation is symmetrized so
-// both crossing directions exist.
+// Neighbors is Algorithm 1's neighbor step, the one neighbor relation
+// of the index: a temporary R-tree over the partition cells (in world)
+// and one range query per partition with its box — the (stretched)
+// partition MBR when Build calls it, an inflated one in fig21's
+// partition-volume sweep. Partitions i and k are neighbors when boxes[i]
+// intersects cells[k] or vice versa — the paper's "partition adjacent
+// to or overlapping A" relation. Querying against the unstretched cells
+// (rather than stretched-vs-stretched boxes) keeps neighbor lists tight
+// while preserving the crawl's completeness guarantee: the breadth-first
+// search only ever needs to cross from a partition's MBR into the
+// space-tiling cell that covers the next piece of the query region, and
+// the relation is symmetrized so both crossing directions exist.
 //
 // It returns, per partition, the indices of its neighbors (self
-// excluded) and the total number of directed links.
-func computeNeighbors(parts []str.Partition, world geom.MBR) ([][]int, int, error) {
+// excluded, ascending) and the total number of directed links.
+func Neighbors(cells, boxes []geom.MBR, world geom.MBR) ([][]int, int, error) {
 	tmpPool := storage.NewConcurrentPool(storage.NewMemPager(), 0)
-	tmpEls := make([]geom.Element, len(parts))
-	for i, p := range parts {
-		tmpEls[i] = geom.Element{ID: uint64(i), Box: p.Cell}
+	tmpEls := make([]geom.Element, len(cells))
+	for i, c := range cells {
+		tmpEls[i] = geom.Element{ID: uint64(i), Box: c}
 	}
 	tmpTree, err := rtree.Build(tmpPool, tmpEls, rtree.STR, world, rtree.Config{})
 	if err != nil {
 		return nil, 0, fmt.Errorf("core: temporary neighbor tree: %w", err)
 	}
-	sets := make([]map[int]bool, len(parts))
+	sets := make([]map[int]bool, len(cells))
 	for i := range sets {
 		sets[i] = make(map[int]bool)
 	}
-	for i := range parts {
-		res, err := tmpTree.RangeQuery(parts[i].PartitionMBR)
+	for i, box := range boxes {
+		res, err := tmpTree.RangeQuery(box)
 		if err != nil {
 			return nil, 0, err
 		}
@@ -138,7 +144,7 @@ func computeNeighbors(parts []str.Partition, world geom.MBR) ([][]int, int, erro
 			sets[k][i] = true // symmetrize
 		}
 	}
-	neighbors := make([][]int, len(parts))
+	neighbors := make([][]int, len(cells))
 	links := 0
 	for i, s := range sets {
 		neighbors[i] = make([]int, 0, len(s))

@@ -1,9 +1,11 @@
 package shard
 
 import (
+	"context"
 	"math/rand"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -41,6 +43,21 @@ func dirFiles(t *testing.T, dir string) []string {
 		}
 	}
 	return names
+}
+
+// assertServesManifest checks that the generation set serves is the
+// manifest dir commits: the same entries, world, build knobs and log.
+func assertServesManifest(t *testing.T, set *Set, dir string) {
+	t.Helper()
+	m, err := readManifest(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g := set.now()
+	if !reflect.DeepEqual(g.m.Entries, m.Entries) || g.m.World != m.World ||
+		g.m.PageCapacity != m.PageCapacity || g.m.SeedFanout != m.SeedFanout || g.m.WAL != m.WAL {
+		t.Fatalf("set serves\n%+v\nbut %s commits\n%+v", g.m, dir, m)
+	}
 }
 
 // TestCommitFailure drives a hard manifest-swap failure through each of
@@ -110,6 +127,75 @@ func TestCommitFailure(t *testing.T) {
 		}
 		if n := set.Len(); n != len(els)+len(staged) {
 			t.Fatalf("Len after rebuild = %d, want %d", n, len(els)+len(staged))
+		}
+	})
+
+	// The bulkload step refuses after it wrote a page file: shard 0
+	// bulkloads its staged insert first (RunBatch claims shards in
+	// order), then shard 1's only element, staged for deletion, would
+	// leave it empty. What shard 0 wrote must go, and nothing else move.
+	t.Run("Rebuild, bulkload refused", func(t *testing.T) {
+		dir := filepath.Join(t.TempDir(), "idx")
+		two := []geom.Element{
+			{ID: 1, Box: geom.CubeAt(geom.V(0, 0, 0), 1)},
+			{ID: 2, Box: geom.CubeAt(geom.V(100, 100, 100), 1)},
+		}
+		set, err := Build(two, Config{Shards: 2, Dir: dir, WAL: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer set.Close()
+		only := func(sh int) geom.Element {
+			t.Helper()
+			got, _, err := set.Shard(sh).RangeQuery(set.ShardBounds(sh))
+			if err != nil || len(got) != 1 {
+				t.Fatalf("shard %d holds %v (%v), want one element", sh, got, err)
+			}
+			return got[0]
+		}
+		first, last := only(0), only(1)
+		stageCluster(t, set, 500, 1, first.Box)
+		if err := set.StageDelete(last.ID, last.Box); err != nil {
+			t.Fatal(err)
+		}
+		if dirty := set.DirtyShards(); !reflect.DeepEqual(dirty, []int{0, 1}) {
+			t.Fatalf("dirty shards %v, want [0 1]", dirty)
+		}
+		all := geom.Box(geom.V(-10, -10, -10), geom.V(110, 110, 110))
+		wantIDs := queryIDs(t, set, all)
+		wantIns, wantDels := set.Pending()
+		wantFiles := dirFiles(t, dir)
+		wantManifest, err := os.ReadFile(filepath.Join(dir, ManifestName))
+		if err != nil {
+			t.Fatal(err)
+		}
+
+		if _, err := set.Rebuild(); err == nil || !strings.Contains(err.Error(), "would leave shard 1 empty") {
+			t.Fatalf("rebuild emptying shard 1: err = %v, want the refusal", err)
+		}
+		if ins, dels := set.Pending(); ins != wantIns || dels != wantDels {
+			t.Fatalf("Pending after refused rebuild = (%d, %d), want (%d, %d)", ins, dels, wantIns, wantDels)
+		}
+		if got := queryIDs(t, set, all); !equalIDs(got, wantIDs) {
+			t.Fatalf("answers after refused rebuild = %v, want %v", got, wantIDs)
+		}
+		if got, _ := os.ReadFile(filepath.Join(dir, ManifestName)); string(got) != string(wantManifest) {
+			t.Fatalf("refused rebuild changed the manifest:\n%s", got)
+		}
+		if got := dirFiles(t, dir); strings.Join(got, " ") != strings.Join(wantFiles, " ") {
+			t.Fatalf("refused rebuild left %v, want %v", got, wantFiles)
+		}
+		assertServesManifest(t, set, dir)
+
+		// Restaged, shard 1 keeps an element and the same delta commits.
+		stageCluster(t, set, 600, 1, last.Box)
+		rebuilt, err := set.Rebuild()
+		if err != nil || !reflect.DeepEqual(rebuilt, []int{0, 1}) {
+			t.Fatalf("retry rebuilt %v, %v; want [0 1]", rebuilt, err)
+		}
+		assertServesManifest(t, set, dir)
+		if n, _, err := set.CountQuery(context.Background(), all); err != nil || n != 3 || set.Len() != 3 {
+			t.Fatalf("after the retry: count %d (%v), Len %d; want 3", n, err, set.Len())
 		}
 	})
 

@@ -167,8 +167,8 @@ func TestMergedElementsIndexedMatchesLinear(t *testing.T) {
 
 		set.pmu.Lock()
 		dels := set.deleteViewLocked()
-		for sh := range set.shards {
-			all, _, err := set.shards[sh].RangeQuery(set.bounds[sh])
+		for sh, ix := range set.cur.shards {
+			all, _, err := ix.RangeQuery(ix.Bounds())
 			if err != nil {
 				t.Fatal(err)
 			}

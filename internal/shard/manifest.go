@@ -9,7 +9,6 @@ import (
 	"os"
 	"path/filepath"
 	"regexp"
-	"strconv"
 	"syscall"
 
 	"flat/internal/core"
@@ -23,6 +22,11 @@ import (
 //	<dir>/shard-0000.flat          shard 0, generation 0 (superblock last)
 //	<dir>/shard-0001.gen-3.flat    shard 1, generation 3
 //	...
+//
+// A shard file's name is a function of its shard and generation
+// (shardFileName), and readManifest refuses an entry naming any other
+// file: the generation numbers alone say which files an index owns, so
+// the next generation's files can never land on a committed one's.
 //
 // Each shard file is an ordinary FLAT page file whose stored page ids
 // carry the shard's tag (it is bulkloaded through a one-shard
@@ -51,7 +55,8 @@ const manifestV2 = 2
 
 // shardEntry describes one shard in the manifest.
 type shardEntry struct {
-	// File is the shard's page-file name within the index directory.
+	// File is the shard's page-file name within the index directory:
+	// always shardFileName(shard, Generation).
 	File string `json:"file"`
 	// Generation counts this shard's rebuilds; each rebuild writes a new
 	// file under a fresh generation-suffixed name.
@@ -155,11 +160,12 @@ var walFilePattern = regexp.MustCompile(`^wal(\.gen-\d+)?\.log$`)
 // commit is the one commit step of an index directory (the protocol at
 // the top of this file); Build, Rebuild and the open-time WAL upgrade all
 // publish through it. The shard files m references are already durable
-// (bulkload's job). In order:
+// (bulkloadShards' job). In order:
 //
-//   - With withWAL, a fresh log named after gen is created, fsynced and
-//     referenced from m — durable, like the shard files, before a manifest
-//     names it. A rebuild rotates to it rather than truncating its old log:
+//   - When m names a log, a fresh one is created there and fsynced —
+//     durable, like the shard files, before a manifest names it. Callers
+//     name it after the generation they commit, so a rebuild rotates to
+//     it rather than truncating its old log:
 //     a crash between swap and truncate would replay operations the shard
 //     files already contain, so the manifest rename is the truncation.
 //   - The manifest swap is the commit point. A hard failure removes the
@@ -173,10 +179,9 @@ var walFilePattern = regexp.MustCompile(`^wal(\.gen-\d+)?\.log$`)
 //     a crashed build). It is returned, not run, because Rebuild first
 //     swaps its in-memory state and closes the old generation's pagers.
 //
-// commit returns the fresh log (nil without withWAL).
-func commit(dir string, m manifest, withWAL bool, gen uint64) (wal *storage.WAL, gc func(), err error) {
-	if withWAL {
-		m.WAL = walFileName(gen)
+// commit returns the fresh log (nil when m names none).
+func commit(dir string, m manifest) (wal *storage.WAL, gc func(), err error) {
+	if m.WAL != "" {
 		if wal, err = storage.CreateWAL(filepath.Join(dir, m.WAL)); err != nil {
 			return nil, nil, err
 		}
@@ -287,8 +292,8 @@ func readManifest(dir string) (manifest, error) {
 		return manifest{}, fmt.Errorf("shard: manifest shard count %d does not match its %d entries", m.Shards, len(m.Entries))
 	}
 	for s, e := range m.Entries {
-		if e.File == "" || e.File != filepath.Base(e.File) {
-			return manifest{}, fmt.Errorf("shard: manifest entry %d has invalid file name %q", s, e.File)
+		if want := shardFileName(s, e.Generation); e.File != want {
+			return manifest{}, fmt.Errorf("shard: manifest entry %d names file %q, but shard %d at generation %d is %q", s, e.File, s, e.Generation, want)
 		}
 		if e.PageFormat != 0 && !storage.PageFormat(e.PageFormat).Valid() {
 			return manifest{}, fmt.Errorf("shard: manifest entry %d has unknown page format %d", s, e.PageFormat)
@@ -302,12 +307,11 @@ func readManifest(dir string) (manifest, error) {
 
 // nextGeneration returns the generation a new build into dir should
 // write its shard files under: 0 for a fresh (or manifest-less)
-// directory, one past the newest referenced generation when a manifest
-// already commits an index there — so the old index's files are never
-// overwritten and stay openable until the new manifest lands. A
-// manifest that exists but cannot be read is an error: building at
-// generation 0 would truncate the page files the unreadable manifest
-// may still reference.
+// directory, the committed manifest's next() when one already commits an
+// index there — so the old index's files are never overwritten and stay
+// openable until the new manifest lands. A manifest that exists but
+// cannot be read is an error: building at generation 0 would truncate
+// the page files the unreadable manifest may still reference.
 func nextGeneration(dir string) (uint64, error) {
 	m, err := readManifest(dir)
 	if err != nil {
@@ -316,39 +320,30 @@ func nextGeneration(dir string) (uint64, error) {
 		}
 		return 0, fmt.Errorf("shard: directory holds an index that cannot be read (remove it to force a fresh build): %w", err)
 	}
-	var maxGen uint64
-	for _, e := range m.Entries {
-		if e.Generation > maxGen {
-			maxGen = e.Generation
-		}
-		// Defend against hand-edited manifests whose file names disagree
-		// with the recorded generation field.
-		if g, ok := generationOfFile(e.File); ok && g > maxGen {
-			maxGen = g
-		}
-	}
-	if maxGen == math.MaxUint64 {
-		// maxGen+1 would wrap to generation 0: the un-suffixed file names
-		// the manifest may reference.
-		return 0, fmt.Errorf("shard: manifest in %s references generation %d, the last one", dir, maxGen)
-	}
-	return maxGen + 1, nil
+	return m.next()
 }
 
-// generationOfFile parses the generation out of a shard file name.
-func generationOfFile(name string) (uint64, bool) {
-	sub := shardFilePattern.FindStringSubmatch(name)
-	if sub == nil {
-		return 0, false
+// generation returns the largest generation m records.
+func (m *manifest) generation() uint64 {
+	var gen uint64
+	for _, e := range m.Entries {
+		gen = max(gen, e.Generation)
 	}
-	if sub[1] == "" {
-		return 0, true
+	return gen
+}
+
+// next is the one next-generation rule: the generation the directory's
+// next build or rebuild writes under, one past every one m records.
+// File names are a function of shard and generation (checked on read),
+// so no file m references can be overwritten by the new one's.
+func (m *manifest) next() (uint64, error) {
+	gen := m.generation()
+	if gen == math.MaxUint64 {
+		// gen+1 would wrap to generation 0: the un-suffixed file names
+		// the manifest may reference.
+		return 0, fmt.Errorf("shard: manifest references generation %d, the last one", gen)
 	}
-	g, err := strconv.ParseUint(sub[1][len(".gen-"):], 10, 64)
-	if err != nil {
-		return 0, false
-	}
-	return g, true
+	return gen + 1, nil
 }
 
 // gcStale removes every shard page file in dir that keep does not
@@ -369,48 +364,4 @@ func gcStale(dir string, keep map[string]bool) {
 			os.Remove(filepath.Join(dir, name))
 		}
 	}
-}
-
-// createPager makes the pager one shard is bulkloaded into: a fresh
-// page file at path, or a memory pager when path is empty.
-func createPager(path string) (storage.Pager, error) {
-	if path == "" {
-		return storage.NewMemPager(), nil
-	}
-	return storage.CreateFilePager(path)
-}
-
-// createPagers makes the per-shard pagers for a build at the given
-// generation: page files under dir when dir is non-empty (creating the
-// directory), memory pagers otherwise. It returns the created file
-// paths (nil for a memory-backed build) so a failed build can remove
-// its partial output.
-func createPagers(dir string, k int, gen uint64) ([]storage.Pager, []string, error) {
-	var files []string
-	if dir != "" {
-		if err := os.MkdirAll(dir, 0o755); err != nil {
-			return nil, nil, fmt.Errorf("shard: create index dir: %w", err)
-		}
-		files = make([]string, k)
-		for s := range files {
-			files[s] = filepath.Join(dir, shardFileName(s, gen))
-		}
-	}
-	pagers := make([]storage.Pager, k)
-	for s := range pagers {
-		path := ""
-		if files != nil {
-			path = files[s]
-		}
-		p, err := createPager(path)
-		if err != nil {
-			for i, p := range pagers[:s] {
-				p.Close()
-				os.Remove(files[i])
-			}
-			return nil, nil, err
-		}
-		pagers[s] = p
-	}
-	return pagers, files, nil
 }

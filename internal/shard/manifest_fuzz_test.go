@@ -14,11 +14,12 @@ import (
 // FuzzReadManifest feeds arbitrary bytes to the manifest decoder as a
 // directory's MANIFEST.json. Neither readManifest nor nextGeneration may
 // panic; a manifest that is accepted holds what every later open step
-// relies on (1..MaxShards entries matching the recorded count, base-name
-// files and log, known page formats), survives a write → read round trip
+// relies on (1..MaxShards entries matching the recorded count, each
+// entry naming the file its shard and generation derive, a base-name
+// log, known page formats), survives a write → read round trip
 // unchanged, and sends the next build to a generation past every one it
-// references — the rule that keeps a committed index's files from being
-// overwritten.
+// records — together, the rule that keeps a committed index's files from
+// being overwritten.
 func FuzzReadManifest(f *testing.F) {
 	// Seeds: the manifests real directories hold — K=1 v1; K=4 v2 with a
 	// log, before and after a rebuild moved a shard to generation 1 —
@@ -51,7 +52,7 @@ func FuzzReadManifest(f *testing.F) {
 	f.Add(seedDir(Config{Shards: 4, PageFormat: storage.PageFormatV2, WAL: true}, true))
 	f.Add(k1[:len(k1)/2])
 	f.Add([]byte(`{"version":1,"shards":1,"entries":[{"file":"shard-0000.flat"}]}`))
-	f.Add([]byte(`{"version":2,"shards":1,"entries":[{"file":"shard-0000.flat","generation":18446744073709551615}]}`))
+	f.Add([]byte(`{"version":2,"shards":1,"entries":[{"file":"shard-0000.gen-18446744073709551615.flat","generation":18446744073709551615}]}`))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		dir := t.TempDir()
@@ -70,13 +71,13 @@ func FuzzReadManifest(f *testing.F) {
 			t.Fatalf("accepted %d entries under a recorded count of %d", len(m.Entries), m.Shards)
 		}
 		for s, e := range m.Entries {
-			if e.File == "" || e.File != filepath.Base(e.File) {
-				t.Fatalf("accepted entry %d with file name %q", s, e.File)
+			if e.File != shardFileName(s, e.Generation) {
+				t.Fatalf("accepted entry %d at generation %d with file name %q", s, e.Generation, e.File)
 			}
 			if e.PageFormat != 0 && !storage.PageFormat(e.PageFormat).Valid() {
 				t.Fatalf("accepted entry %d with page format %d", s, e.PageFormat)
 			}
-			if g, ok := generationOfFile(e.File); nextErr == nil && (next <= e.Generation || ok && next <= g) {
+			if nextErr == nil && next <= e.Generation {
 				t.Fatalf("next build goes to generation %d, entry %d (%s) is at %d", next, s, e.File, e.Generation)
 			}
 		}

@@ -41,15 +41,15 @@ type StreamOptions struct{}
 // done ctx aborts the crawl with ctx.Err(), but a stream that
 // delivered its last element returns nil.
 func (s *Set) StreamQuery(ctx context.Context, q geom.MBR, _ StreamOptions, emit func(geom.Element) bool) (core.QueryStats, error) {
-	ins, dels, err := s.overlayFor(q)
+	g, ins, dels, err := s.overlayFor(q)
 	if err != nil {
 		return core.QueryStats{}, err
 	}
 	sink := &streamSink{dels: dels, emit: emit}
 	push := sink.push // one bound method value for every shard
 	var st core.QueryStats
-	for _, sh := range s.Prune(q) {
-		sst, err := s.shards[sh].Query(ctx, q, push)
+	for _, sh := range g.prune(q) {
+		sst, err := g.shards[sh].Query(ctx, q, push)
 		st.Add(sst)
 		if err != nil || sink.stopped {
 			st.Results = sink.emitted

@@ -106,6 +106,7 @@ func (s *Set) stagedNearestLocked(p geom.Vec3, k int, dels deleteView) ([]staged
 // the elements actually emitted.
 func (s *Set) NNQuery(ctx context.Context, p geom.Vec3, k int, emit func(geom.Element, float64) bool) (core.QueryStats, error) {
 	s.pmu.RLock()
+	g := s.cur
 	dels := s.deleteViewLocked()
 	staged, err := s.stagedNearestLocked(p, k, dels)
 	s.pmu.RUnlock()
@@ -133,7 +134,7 @@ func (s *Set) NNQuery(ctx context.Context, p geom.Vec3, k int, emit func(geom.El
 		}
 		return true
 	}
-	st, err := core.NN(ctx, s.shards, p, func(e geom.Element, distSq float64) bool {
+	st, err := core.NN(ctx, g.shards, p, func(e geom.Element, distSq float64) bool {
 		return dels.matches(e) || (sendStaged(distSq) && send(e, distSq))
 	})
 	// A bulk stream that ran dry leaves the farther staged inserts.

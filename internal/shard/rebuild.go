@@ -12,26 +12,27 @@
 // between two rebuilds is one epoch value (delta.go); the Rebuild that
 // consumes it replaces it with an empty one and recycles nothing.
 //
-// On disk the rebuild is crash-safe: each dirty shard writes a complete
-// new generation-suffixed page file first (fsynced), then the manifest
-// is atomically swapped to reference the new generation, then the old
-// generation is garbage-collected. A crash at any point leaves a
-// manifest whose referenced files are all complete — before the swap
-// the previous generation still opens, after it the new one does.
+// The next generation is derived from the current one: the clean
+// shards' manifest entries and indexes are carried verbatim, the rebuilt
+// shards' replaced, the world grown to cover them, and the generation
+// number is the current manifest's next(). On disk the rebuild is
+// crash-safe: each dirty shard writes a complete new generation-suffixed
+// page file first (fsynced), then the manifest is atomically swapped to
+// reference the new generation, then the old generation is
+// garbage-collected. A crash at any point leaves a manifest whose
+// referenced files are all complete — before the swap the previous
+// generation still opens, after it the new one does.
 //
-// The dirty shards are bulkloaded concurrently on Build's worker pool
-// (RunBatch), each filtering its elements through the by-ID delete
-// index queries use (deleteView): a rebuild costs about what building
-// those shards costs.
+// The dirty shards are bulkloaded by the one bulkload step Build uses
+// too (bulkloadShards, concurrently on RunBatch), each filtering its
+// elements through the by-ID delete index queries use (deleteView): a
+// rebuild costs about what building those shards costs.
 
 package shard
 
 import (
 	"cmp"
-	"context"
 	"fmt"
-	"os"
-	"path/filepath"
 	"slices"
 
 	"flat/internal/core"
@@ -128,7 +129,7 @@ func (s *Set) StageInsert(els ...geom.Element) error {
 // hold pmu's write side.
 // flatlint:holds pmu
 func (s *Set) stageLocked(ins []stagedInsert) error {
-	byShard := make([][]stagedInsert, len(s.shards))
+	byShard := make([][]stagedInsert, len(s.cur.shards))
 	for _, si := range ins {
 		t := s.routeShard(si.el.Box)
 		byShard[t] = append(byShard[t], si)
@@ -252,7 +253,7 @@ func (s *Set) DeltaStats() DeltaStats {
 			continue
 		}
 		ds.Inserts += len(d.slab)
-		ds.Shards = append(ds.Shards, ShardDeltaStats{Shard: i, Base: s.shards[i].Len(), Staged: len(d.slab)})
+		ds.Shards = append(ds.Shards, ShardDeltaStats{Shard: i, Base: s.cur.shards[i].Len(), Staged: len(d.slab)})
 	}
 	return ds
 }
@@ -273,13 +274,13 @@ func (s *Set) DirtyShards() []int {
 // flatlint:holds pmu
 func (s *Set) dirtyLocked() []int {
 	var dirty []int
-	for i := range s.shards {
+	for i, ix := range s.cur.shards {
 		if len(s.staged.deltas[i].slab) > 0 {
 			dirty = append(dirty, i)
 			continue
 		}
 		for _, d := range s.staged.deletes {
-			if d.Box.Intersects(s.bounds[i]) {
+			if d.Box.Intersects(ix.Bounds()) {
 				dirty = append(dirty, i)
 				break
 			}
@@ -291,10 +292,12 @@ func (s *Set) dirtyLocked() []int {
 // routeShard picks the shard for a staged insert: least bounds
 // enlargement, ties broken by smaller current volume then lower shard
 // number. Callers hold pmu.
+// flatlint:holds pmu
 func (s *Set) routeShard(b geom.MBR) int {
 	best := 0
 	bestEnl, bestVol := -1.0, -1.0
-	for i, sb := range s.bounds {
+	for i, ix := range s.cur.shards {
+		sb := ix.Bounds()
 		enl := sb.Enlargement(b)
 		vol := sb.Volume()
 		if bestEnl < 0 || enl < bestEnl || (enl == bestEnl && vol < bestVol) {
@@ -311,10 +314,12 @@ func (s *Set) routeShard(b geom.MBR) int {
 // queries never observe a staging call halfway through; the common
 // no-updates case allocates nothing. Candidate inserts come from each
 // dirty shard's delta R-tree (a range probe, not a sweep of everything
-// pending — see delta.go).
-func (s *Set) overlayFor(q geom.MBR) (ins []geom.Element, dels deleteView, err error) {
+// pending — see delta.go). It also returns the generation the query
+// reads, taken under the same lock.
+func (s *Set) overlayFor(q geom.MBR) (g *generation, ins []geom.Element, dels deleteView, err error) {
 	s.pmu.RLock()
 	defer s.pmu.RUnlock()
+	g = s.cur
 	// The delete view carries every pending delete, not just those
 	// intersecting q: delete matching is by containment in the *stored*
 	// box (see deleteMatches), and on a quantized v2 shard the stored box
@@ -329,7 +334,7 @@ func (s *Set) overlayFor(q geom.MBR) (ins []geom.Element, dels deleteView, err e
 			}
 		})
 		if perr != nil {
-			return nil, deleteView{}, perr
+			return nil, nil, deleteView{}, perr
 		}
 	}
 	// The contract is "staged inserts are appended in staging order" —
@@ -340,7 +345,7 @@ func (s *Set) overlayFor(q geom.MBR) (ins []geom.Element, dels deleteView, err e
 	for _, si := range pending {
 		ins = append(ins, si.el)
 	}
-	return ins, dels, nil
+	return g, ins, dels, nil
 }
 
 // Rebuild folds the staged updates into the bulkloaded index by
@@ -371,91 +376,54 @@ func (s *Set) Rebuild() ([]int, error) {
 	if len(dirty) == 0 {
 		return nil, nil
 	}
-
-	// One generation number per rebuild epoch, past everything on disk.
+	// One generation number per rebuild, past every one the directory
+	// records; a memory-backed set stays at generation 0.
+	cur := s.cur
 	var gen uint64
-	for _, g := range s.gens {
-		if g >= gen {
-			gen = g + 1
+	if s.dir != "" {
+		var err error
+		if gen, err = cur.m.next(); err != nil {
+			return nil, err
 		}
-	}
-
-	type newShard struct {
-		shard int
-		ix    *core.Index
-		pager storage.Pager // nil: the shard turned out unchanged
-		file  string        // absolute path; "" for memory-backed sets
-	}
-	// One slot per dirty shard, so built stays in shard order whichever
-	// worker finishes first.
-	built := make([]newShard, len(dirty))
-	fail := func(err error) ([]int, error) {
-		for _, b := range built {
-			if b.pager == nil {
-				continue
-			}
-			b.pager.Close()
-			if b.file != "" {
-				os.Remove(b.file)
-			}
-		}
-		return nil, err
 	}
 
 	// Phase 1: bulkload every dirty shard into a fresh pager. The old
-	// state is not touched — the workers only read it, under the write
-	// lock this goroutine holds; any error abandons all the new files.
+	// state is not touched — the jobs only read it, under the write lock
+	// this goroutine holds; any error abandons all the new files.
 	ep, dels := s.staged, s.deleteViewLocked()
-	err := RunBatch(context.Background(), len(dirty), 0, func(i int) error {
-		sh := dirty[i]
-		els, err := s.mergedElements(sh, dels)
-		if err != nil {
-			return fmt.Errorf("shard %d: extract: %w", sh, err)
+	jobs := make([]bulkJob, len(cur.shards))
+	for _, sh := range dirty {
+		jobs[sh] = func() ([]geom.Element, core.Options, error) {
+			els, err := s.mergedElements(sh, dels)
+			if err != nil {
+				return nil, core.Options{}, fmt.Errorf("shard %d: extract: %w", sh, err)
+			}
+			// A delete-only dirty shard whose deletes matched nothing is
+			// unchanged (deletes only remove, so an unchanged length means an
+			// unchanged set); skip the pointless rewrite and keep its cache.
+			if len(ep.deltas[sh].slab) == 0 && len(els) == cur.shards[sh].Len() {
+				return nil, core.Options{}, nil
+			}
+			if len(els) == 0 {
+				return nil, core.Options{}, fmt.Errorf("shard: rebuild would leave shard %d empty; dropping a shard needs a full rebuild (shard ids are baked into the remaining shards' page files)", sh)
+			}
+			// Each shard is re-bulkloaded under its own page format (not a
+			// set-wide knob): a directory whose shards were produced under
+			// different formats keeps every shard's layout stable across
+			// rebuild generations.
+			return els, cur.shardOptions(cur.shards[sh].PageFormat()), nil
 		}
-		// A delete-only dirty shard whose deletes matched nothing is
-		// unchanged (deletes only remove, so an unchanged length means an
-		// unchanged set); skip the pointless rewrite and keep its cache.
-		if len(ep.deltas[sh].slab) == 0 && len(els) == s.shards[sh].Len() {
-			return nil
-		}
-		if len(els) == 0 {
-			return fmt.Errorf("shard: rebuild would leave shard %d empty; dropping a shard needs a full rebuild (shard ids are baked into the remaining shards' page files)", sh)
-		}
-		var file string
-		if s.dir != "" {
-			file = filepath.Join(s.dir, shardFileName(sh, gen))
-		}
-		pager, err := createPager(file)
-		if err != nil {
-			return err
-		}
-		built[i] = newShard{shard: sh, pager: pager, file: file}
-		// A lone shard keeps the set's world (as in Build); with K > 1
-		// each shard partitions its own bounds.
-		world := geom.MBR{}
-		if len(s.shards) == 1 {
-			world = s.world
-		}
-		// Each shard is re-bulkloaded under its own page format (not a
-		// set-wide knob): a directory whose shards were produced under
-		// different formats keeps every shard's layout stable across
-		// rebuild generations. The new file is durable before the manifest
-		// references it.
-		built[i].ix, err = bulkload(pager, sh, els, core.Options{
-			PageCapacity: s.pageCapacity,
-			SeedFanout:   s.seedFanout,
-			PageFormat:   s.shards[sh].PageFormat(),
-			World:        world,
-		}, file != "")
-		if err != nil {
-			return fmt.Errorf("rebuild: %w", err)
-		}
-		return nil
-	})
-	if err != nil {
-		return fail(err)
 	}
-	built = slices.DeleteFunc(built, func(b newShard) bool { return b.pager == nil })
+	fresh, pagers, err := bulkloadShards(s.dir, gen, jobs)
+	if err != nil {
+		return nil, err
+	}
+	var rebuilt []int
+	for sh, ix := range fresh {
+		if ix != nil {
+			rebuilt = append(rebuilt, sh)
+		}
+	}
 
 	// All dirty shards may have been no-op deletes; the staged epoch is
 	// consumed either way. This path never touches the manifest, so the
@@ -463,43 +431,42 @@ func (s *Set) Rebuild() ([]int, error) {
 	// crash-safe here precisely because every logged operation is a
 	// provable no-op — replaying them (truncate lost) or not (truncate
 	// won) yields the same index.
-	if len(built) == 0 {
+	if len(rebuilt) == 0 {
 		if s.wal != nil {
 			if err := s.wal.Reset(); err != nil {
 				return nil, err
 			}
 		}
-		s.staged = newEpoch(len(s.shards))
+		s.staged = newEpoch(len(cur.shards))
 		return nil, nil
 	}
 
-	// Phase 2 (disk): commit the new generation (see commit). Until this
-	// succeeds the old index remains the authoritative state on disk and
-	// in memory, and the staged updates stay in the old log. The swap is
-	// also the log's rotation point: it folds the staged updates into the
-	// shard files, so the log that held them is spent.
-	world := s.world
-	for _, b := range built {
-		world = world.Union(b.ix.Bounds())
+	// Phase 2: derive the next generation from the current one — clean
+	// shards' entries carried verbatim, the rebuilt ones' replaced, the
+	// world grown to cover them — and, on disk, commit it (see commit).
+	// Until that succeeds the old generation remains the authoritative
+	// state on disk and in memory, and the staged updates stay in the old
+	// log. The commit is also the log's rotation point: it folds the
+	// staged updates into the shard files, so the log that held them is
+	// spent.
+	next := &generation{m: cur.m, shards: slices.Clone(cur.shards)}
+	next.m.Entries = slices.Clone(cur.m.Entries)
+	world := arrayToMBR(cur.m.World)
+	for _, sh := range rebuilt {
+		next.m.Entries[sh] = entryFor(sh, gen, fresh[sh])
+		next.shards[sh] = fresh[sh].WithPool(s.pool)
+		world = world.Union(fresh[sh].Bounds())
 	}
+	next.m.World = mbrToArray(world)
 	gc := func() {}
 	if s.dir != "" {
-		m := manifest{
-			World:        mbrToArray(world),
-			PageCapacity: s.pageCapacity,
-			SeedFanout:   s.seedFanout,
-			Entries:      make([]shardEntry, len(s.shards)),
-		}
-		for i, ix := range s.shards {
-			m.Entries[i] = entryFor(i, s.gens[i], ix)
-		}
-		for _, b := range built {
-			m.Entries[b.shard] = entryFor(b.shard, gen, b.ix)
+		if next.m.WAL != "" {
+			next.m.WAL = walFileName(gen)
 		}
 		var newWAL *storage.WAL
-		var err error
-		if newWAL, gc, err = commit(s.dir, m, s.wal != nil, gen); err != nil {
-			return fail(err)
+		if newWAL, gc, err = commit(s.dir, next.m); err != nil {
+			discardShards(s.dir, gen, pagers)
+			return nil, err
 		}
 		if newWAL != nil {
 			// The manifest now references the new log; the old one is
@@ -509,47 +476,30 @@ func (s *Set) Rebuild() ([]int, error) {
 		}
 	}
 
-	// Phase 3: swap the new shards in. Nothing below can fail; the
-	// in-memory state now matches the committed manifest.
-	rebuilt := make(map[int]bool, len(built))
-	oldPagers := make([]storage.Pager, 0, len(built))
-	for _, b := range built {
-		old, err := s.multi.Swap(b.shard, b.pager)
-		if err != nil {
-			// Unreachable: shard numbers come from range over s.shards.
-			return nil, err
-		}
-		oldPagers = append(oldPagers, old)
-		s.count += b.ix.Len() - s.shards[b.shard].Len()
-		s.shards[b.shard] = b.ix.WithPool(s.pool)
-		s.bounds[b.shard] = b.ix.Bounds()
-		if s.gens != nil {
-			s.gens[b.shard] = gen
-		}
-		rebuilt[b.shard] = true
-	}
-	s.world = world
-	// Invalidate only the rebuilt shards' cached frames; clean shards
-	// keep their warm cache. This must happen before the old pagers are
-	// closed: a memory-mapped shard's cached frames alias its mapping,
+	// Phase 3: publish the next generation; nothing below can fail. Only
+	// the rebuilt shards' cached frames are invalidated — clean shards
+	// keep their warm cache — and before their old pagers are swapped out
+	// and closed: a memory-mapped shard's cached frames alias its mapping,
 	// which Close unmaps.
+	s.cur = next
 	s.pool.DropFramesIf(func(id storage.PageID) bool {
 		sh, _ := storage.SplitShardPageID(id)
-		return rebuilt[sh]
+		return fresh[sh] != nil
 	})
-	for _, old := range oldPagers {
+	for _, sh := range rebuilt {
+		old, err := s.multi.Swap(sh, pagers[sh])
+		if err != nil {
+			// Unreachable: shard numbers come from range over the shards.
+			return nil, err
+		}
 		old.Close()
 	}
-	// Phase 4 (disk): the old generations are garbage now that the
+	// Phase 4 (disk): the old generation's files are garbage now that the
 	// manifest no longer references them.
 	gc()
 
-	s.staged = newEpoch(len(s.shards))
-	out := make([]int, 0, len(built))
-	for _, b := range built {
-		out = append(out, b.shard)
-	}
-	return out, nil
+	s.staged = newEpoch(len(next.shards))
+	return rebuilt, nil
 }
 
 // mergedElements materializes dirty shard sh's post-rebuild element
@@ -561,7 +511,8 @@ func (s *Set) Rebuild() ([]int, error) {
 func (s *Set) mergedElements(sh int, dels deleteView) ([]geom.Element, error) {
 	// Every bulkloaded element intersects its shard's bounds, so a range
 	// query over them enumerates the shard.
-	all, _, err := s.shards[sh].RangeQuery(s.bounds[sh])
+	ix := s.cur.shards[sh]
+	all, _, err := ix.RangeQuery(ix.Bounds())
 	if err != nil {
 		return nil, err
 	}

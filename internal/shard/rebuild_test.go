@@ -3,9 +3,11 @@ package shard
 import (
 	"context"
 	"encoding/json"
+	"fmt"
 	"math/rand"
 	"os"
 	"path/filepath"
+	"reflect"
 	"slices"
 	"strings"
 	"testing"
@@ -160,6 +162,7 @@ func TestRebuildOnlyDirtyShards(t *testing.T) {
 	if len(before) != 4 {
 		t.Fatalf("build left %d shard files, want 4", len(before))
 	}
+	assertServesManifest(t, set, dir)
 
 	staged := stageCluster(t, set, 700000, 40, geom.CubeAt(geom.V(42, 42, 42), 1.5))
 	dirty := set.DirtyShards()
@@ -181,6 +184,7 @@ func TestRebuildOnlyDirtyShards(t *testing.T) {
 	if g := set.Generation(target); g != 1 {
 		t.Fatalf("rebuilt shard generation = %d, want 1", g)
 	}
+	assertServesManifest(t, set, dir)
 
 	after := readShardFiles(t, dir)
 	if len(after) != 4 {
@@ -269,6 +273,7 @@ func TestRebuildOnlyDirtyShards(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer re.Close()
+	assertServesManifest(t, re, dir)
 	if re.Len() != len(merged) || re.Generation(target) != 1 {
 		t.Fatalf("reopened: %d elements, generation %d", re.Len(), re.Generation(target))
 	}
@@ -684,6 +689,7 @@ func TestBuildIntoExistingDir(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	assertServesManifest(t, set2, dir)
 	files := readShardFiles(t, dir)
 	if len(files) != 2 {
 		names := make([]string, 0, len(files))
@@ -713,6 +719,7 @@ func TestBuildIntoExistingDir(t *testing.T) {
 	if g := set3.Generation(1); g != 2 {
 		t.Errorf("third build into the directory is at generation %d, want 2", g)
 	}
+	assertServesManifest(t, set3, dir)
 	if err := set3.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -721,6 +728,7 @@ func TestBuildIntoExistingDir(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer re2.Close()
+	assertServesManifest(t, re2, dir)
 	if re2.NumShards() != 2 || re2.Len() != len(orig) {
 		t.Fatalf("replaced index: %d shards, %d elements", re2.NumShards(), re2.Len())
 	}
@@ -767,6 +775,87 @@ func TestManifestV1Rejected(t *testing.T) {
 
 	if _, err := OpenSet(dir, OpenOptions{}); err == nil || !strings.Contains(err.Error(), "unsupported manifest version 1") {
 		t.Fatalf("open of a v1 manifest: %v, want unsupported manifest version 1", err)
+	}
+}
+
+// TestManifestFileNameFollowsGeneration: a manifest entry names exactly
+// the file its shard and generation derive, and a manifest that names
+// anything else is refused — by open and by a build into the directory —
+// leaving every byte in place. The first row is the data-loss repro: a
+// set that served it kept the generation numbers and forgot the names,
+// so its next Rebuild (generation 3) overwrote the live
+// shard-0000.gen-3.flat before its commit point, committed entry 1 as a
+// shard-0001.gen-2.flat that never existed, and collected
+// shard-0001.flat; the directory no longer opened.
+func TestManifestFileNameFollowsGeneration(t *testing.T) {
+	r := rand.New(rand.NewSource(93))
+	els := randomElements(r, 800)
+	cases := []struct {
+		name   string
+		rename string // shard 0's file is renamed to this (and the entry follows); "" keeps it
+		gen1   uint64 // entry 1's generation (its file stays shard-0001.flat)
+		entry  int    // the entry the refusal names
+	}{
+		{"renamed to a later generation", "shard-0000.gen-3.flat", 2, 0},
+		{"generation 0 with a suffix", "shard-0000.gen-0.flat", 0, 0},
+		{"suffix-less at generation 1", "", 1, 1},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			dir := filepath.Join(t.TempDir(), "idx")
+			set, err := Build(append([]geom.Element(nil), els...), Config{Shards: 2, PageCapacity: 16, Dir: dir, WAL: true})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := set.Close(); err != nil {
+				t.Fatal(err)
+			}
+			m, err := readManifest(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if c.rename != "" {
+				if err := os.Rename(filepath.Join(dir, m.Entries[0].File), filepath.Join(dir, c.rename)); err != nil {
+					t.Fatal(err)
+				}
+				m.Entries[0].File = c.rename
+			}
+			m.Entries[1].Generation = c.gen1
+			if err := writeManifest(dir, m); err != nil {
+				t.Fatal(err)
+			}
+			snapshot := func() map[string]string {
+				t.Helper()
+				entries, err := os.ReadDir(dir)
+				if err != nil {
+					t.Fatal(err)
+				}
+				files := map[string]string{}
+				for _, e := range entries {
+					data, err := os.ReadFile(filepath.Join(dir, e.Name()))
+					if err != nil {
+						t.Fatal(err)
+					}
+					files[e.Name()] = string(data)
+				}
+				return files
+			}
+			before := snapshot()
+
+			want := fmt.Sprintf("manifest entry %d names file", c.entry)
+			if re, err := OpenSet(dir, OpenOptions{}); err == nil || !strings.Contains(err.Error(), want) {
+				if err == nil {
+					re.Close()
+				}
+				t.Fatalf("OpenSet = %v, want a refusal naming entry %d", err, c.entry)
+			}
+			if _, err := Build(append([]geom.Element(nil), els...), Config{Shards: 2, Dir: dir}); err == nil || !strings.Contains(err.Error(), want) {
+				t.Fatalf("Build into the directory = %v, want a refusal naming entry %d", err, c.entry)
+			}
+			if after := snapshot(); !reflect.DeepEqual(after, before) {
+				t.Fatal("a refused manifest's directory changed")
+			}
+		})
 	}
 }
 

@@ -9,7 +9,7 @@ import (
 
 // RunBatch fans n independent work items over a bounded worker pool
 // (workers <= 0: GOMAXPROCS); it is the one worker pool of the index,
-// behind Build's per-shard bulkloads and the public BatchRangeQuery and
+// behind the per-shard bulkloads (bulkloadShards) and the public BatchRangeQuery and
 // BatchCountQuery. Workers pull the next item from an atomic cursor, so
 // an expensive item does not stall the rest of the batch behind a static
 // partition.

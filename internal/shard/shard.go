@@ -31,11 +31,14 @@
 // side and folded in by re-bulkloading only the shards they touch,
 // under crash-safe generation-tagged manifests — see rebuild.go.
 //
-// Every shard is written by one bulkload step (bulkload) and restored
-// by one open step (openShards), and every generation of a directory is
-// published by one commit step (commit, manifest.go). The public
-// flat.Index is this set at any K >= 1: in memory, or in a directory
-// with a manifest — at K=1 too.
+// A set is two values: the generation it serves (the committed manifest
+// and the shards opened from it, replaced whole by Rebuild) and the
+// staging epoch overlaid on it (delta.go). Every shard is written by one
+// bulkload step (bulkloadShards) and restored by one open step
+// (OpenSet), and every generation of a directory is published by one
+// commit step (commit, manifest.go). The public flat.Index is this set
+// at any K >= 1: in memory, or in a directory with a manifest — at K=1
+// too.
 package shard
 
 import (
@@ -91,41 +94,70 @@ type Config struct {
 
 // Set is a built sharded FLAT index: K per-shard core indexes, the MBR
 // directory that routes queries to them, and the shared page pool they
-// are served from. The bulkloaded state is immutable and, like
-// core.Index, safe for concurrent queries; updates are staged on the
+// are served from. What it serves is one generation value (cur): the
+// committed manifest and the shards opened from it, immutable and, like
+// core.Index, safe for concurrent queries. Updates are staged on the
 // side (StageInsert, StageDelete) and folded in by Rebuild, which
-// re-bulkloads only the shards the staged changes touch — see
-// rebuild.go for the delta and swap machinery.
+// re-bulkloads only the shards the staged changes touch and publishes
+// the next generation — see rebuild.go for the delta and swap machinery.
 type Set struct {
-	shards []*core.Index
-	bounds []geom.MBR // directory: per-shard data bounds, by shard
-	world  geom.MBR
-	pool   *storage.ConcurrentPool
-	multi  *storage.MultiPager
-	count  int
+	pool  *storage.ConcurrentPool
+	multi *storage.MultiPager
+	dir   string // empty for memory-backed sets
 
-	// Rebuild state. dir is empty for memory-backed sets; gens tracks
-	// each shard's on-disk generation; the build knobs are kept (and,
-	// on disk, persisted in the manifest) so rebuilt shards are
-	// bulkloaded exactly like the original ones.
-	dir          string
-	gens         []uint64
-	pageCapacity int
-	seedFanout   int
-
-	// Staged updates, overlaid on query results until the next Rebuild.
-	// pmu guards them: queries snapshot under RLock, staging mutates
-	// under Lock, and Rebuild (which additionally swaps the bulkloaded
-	// state above) must not run concurrently with queries at all — the
-	// public layer enforces that with its ErrBusy query guard.
+	// pmu guards what queries read and staging or Rebuild replaces:
+	// queries snapshot under RLock, staging mutates under Lock, and
+	// Rebuild (which additionally replaces the generation) must not run
+	// concurrently with queries at all — the public layer enforces that
+	// with its ErrBusy query guard.
 	pmu    sync.RWMutex
-	staged *epoch // the live staging epoch (delta.go); Rebuild replaces it whole; guarded by pmu
-	clock  uint64 // staging-order stamp for last-op-wins semantics; guarded by pmu
+	cur    *generation // the served generation; Rebuild replaces it whole; guarded by pmu
+	staged *epoch      // the live staging epoch (delta.go); Rebuild replaces it whole; guarded by pmu
+	clock  uint64      // staging-order stamp for last-op-wins semantics; guarded by pmu
 
 	// wal is the write-ahead log behind the staged updates (nil when
 	// disabled). Staging appends to it before mutating the epoch, Rebuild
 	// rotates it at the manifest swap, Flush syncs it.
 	wal *storage.WAL // guarded by pmu
+}
+
+// generation is what a set serves between two commits: the manifest it
+// committed — for a memory-backed set the one it would commit, every
+// entry at generation 0 — and the shards opened from it, by shard. It is
+// never modified once published; Rebuild derives the next one from it.
+// Per-shard bounds and the element count are read off the shards, the
+// world, build knobs and generation numbers off the manifest.
+type generation struct {
+	m      manifest
+	shards []*core.Index
+}
+
+// shardOptions is how a shard of g is bulkloaded under page format pf:
+// with the manifest's build knobs, and under the one world rule — a lone
+// shard keeps the manifest's world, so the build is bit-for-bit the bare
+// core one (core.Build unions the world with the data bounds either
+// way); with K > 1 each shard partitions its own bounds — its crawl
+// graph only ever needs to span its own elements, and tiling the full
+// world from every shard would stretch boundary partitions across the
+// whole model.
+func (g *generation) shardOptions(pf storage.PageFormat) core.Options {
+	opts := core.Options{PageCapacity: g.m.PageCapacity, SeedFanout: g.m.SeedFanout, PageFormat: pf}
+	if len(g.m.Entries) == 1 {
+		opts.World = arrayToMBR(g.m.World)
+	}
+	return opts
+}
+
+// prune returns the shards whose data bounds intersect q, in shard
+// order — the shards one query visits.
+func (g *generation) prune(q geom.MBR) []int {
+	var sel []int
+	for i, ix := range g.shards {
+		if ix.Bounds().Intersects(q) {
+			sel = append(sel, i)
+		}
+	}
+	return sel
 }
 
 // SplitHilbert reorders els in place along the 3D Hilbert curve of their
@@ -182,7 +214,6 @@ func Build(els []geom.Element, cfg Config) (*Set, error) {
 		world = world.Union(bounds)
 	}
 	groups := SplitHilbert(els, k, world)
-	k = len(groups)
 
 	// Building into a directory that already commits an index writes the
 	// new files under the next generation, so the old index is never
@@ -195,66 +226,38 @@ func Build(els []geom.Element, cfg Config) (*Set, error) {
 			return nil, err
 		}
 	}
-	pagers, files, err := createPagers(cfg.Dir, k, gen)
+	g := &generation{m: manifest{
+		World:        mbrToArray(world),
+		PageCapacity: cfg.PageCapacity,
+		SeedFanout:   cfg.SeedFanout,
+		Entries:      make([]shardEntry, len(groups)),
+	}}
+	jobs := make([]bulkJob, len(groups))
+	for s := range jobs {
+		jobs[s] = func() ([]geom.Element, core.Options, error) {
+			return groups[s], g.shardOptions(cfg.PageFormat), nil
+		}
+	}
+	built, pagers, err := bulkloadShards(cfg.Dir, gen, jobs)
 	if err != nil {
 		return nil, err
 	}
-	closeAll := func() {
-		for _, p := range pagers {
-			p.Close()
-		}
-		// A failed build must not leak partial page files.
-		for _, f := range files {
-			os.Remove(f)
-		}
-	}
-
-	// Per-shard worlds: a lone shard keeps the caller's world so the
-	// build is bit-for-bit the bare core one; with K > 1 each shard
-	// partitions its own bounds — its crawl graph only ever needs to
-	// span its own elements, and tiling the full world from every shard
-	// would stretch boundary partitions across the whole model.
-	shardWorld := func(s int) geom.MBR {
-		if k == 1 {
-			return cfg.World
-		}
-		return geom.MBR{}
-	}
-
-	built := make([]*core.Index, k)
-	err = RunBatch(context.Background(), k, 0, func(s int) (err error) {
-		built[s], err = bulkload(pagers[s], s, groups[s], core.Options{
-			PageCapacity: cfg.PageCapacity,
-			SeedFanout:   cfg.SeedFanout,
-			PageFormat:   cfg.PageFormat,
-			World:        shardWorld(s),
-		}, files != nil)
-		return err
-	})
-	if err != nil {
-		closeAll()
-		return nil, err
-	}
-
 	multi, err := storage.NewMultiPager(pagers)
 	if err != nil {
-		closeAll()
+		discardShards(cfg.Dir, gen, pagers)
 		return nil, err
+	}
+	for s, ix := range built {
+		g.m.Entries[s] = entryFor(s, gen, ix)
 	}
 	var wal *storage.WAL
 	if cfg.Dir != "" {
-		m := manifest{
-			World:        mbrToArray(world),
-			PageCapacity: cfg.PageCapacity,
-			SeedFanout:   cfg.SeedFanout,
-			Entries:      make([]shardEntry, k),
-		}
-		for s, ix := range built {
-			m.Entries[s] = entryFor(s, gen, ix)
+		if cfg.WAL {
+			g.m.WAL = walFileName(gen)
 		}
 		var gc func()
-		if wal, gc, err = commit(cfg.Dir, m, cfg.WAL, gen); err != nil {
-			closeAll()
+		if wal, gc, err = commit(cfg.Dir, g.m); err != nil {
+			discardShards(cfg.Dir, gen, pagers)
 			return nil, err
 		}
 		gc()
@@ -263,57 +266,86 @@ func Build(els []geom.Element, cfg Config) (*Set, error) {
 	// Serve every shard from one shared, globally budgeted pool. The
 	// per-shard build pools are discarded, so the set starts cold.
 	pool := storage.NewConcurrentPool(multi, cfg.BufferPages)
-	s := &Set{
-		shards:       make([]*core.Index, k),
-		bounds:       make([]geom.MBR, k),
-		world:        world,
-		pool:         pool,
-		multi:        multi,
-		dir:          cfg.Dir,
-		pageCapacity: cfg.PageCapacity,
-		seedFanout:   cfg.SeedFanout,
-		staged:       newEpoch(k),
-		wal:          wal,
+	for s, ix := range built {
+		built[s] = ix.WithPool(pool)
 	}
-	if cfg.Dir != "" {
-		s.gens = make([]uint64, k)
-		for i := range s.gens {
-			s.gens[i] = gen
-		}
-	}
-	for i, ix := range built {
-		s.shards[i] = ix.WithPool(pool)
-		s.bounds[i] = ix.Bounds()
-		s.count += ix.Len()
-	}
-	return s, nil
+	g.shards = built
+	return &Set{pool: pool, multi: multi, dir: cfg.Dir, cur: g, staged: newEpoch(len(built)), wal: wal}, nil
 }
 
-// bulkload is the one per-shard bulkload step, shared by Build and
-// Rebuild: shard s's elements are bulkloaded into pager under the
-// shard's page-id tag, through a private build pool that is discarded
-// (the set serves from its shared pool, so it starts cold). When the
-// pager is a page file (persist) the superblock is appended and the file
-// fsynced before bulkload returns: a shard file must be durable before
-// a manifest is told it exists.
-func bulkload(pager storage.Pager, s int, els []geom.Element, opts core.Options, persist bool) (*core.Index, error) {
-	view, err := storage.NewShardView(pager, s)
-	if err != nil {
-		return nil, err
-	}
-	ix, err := core.Build(storage.NewConcurrentPool(view, 0), els, opts)
-	if err != nil {
-		return nil, fmt.Errorf("shard %d: %w", s, err)
-	}
-	if persist {
-		if err := ix.WriteSuper(); err != nil {
-			return nil, fmt.Errorf("shard %d: %w", s, err)
-		}
-		if err := pager.Sync(); err != nil {
-			return nil, fmt.Errorf("shard %d: %w", s, err)
+// bulkJob supplies one shard's elements and build options to
+// bulkloadShards. No elements (and no error) skips the shard: it keeps
+// what it holds.
+type bulkJob func() ([]geom.Element, core.Options, error)
+
+// bulkloadShards is the one bulkload step, shared by Build and Rebuild:
+// shard s's job (jobs is by shard; nil leaves the shard out) is
+// bulkloaded under the shard's page-id tag into a pager created here —
+// under dir the page file shardFileName(s, gen), its superblock appended
+// and fsynced before this returns, since a shard file must be durable
+// before a manifest is told it exists; a memory pager otherwise —
+// through a private build pool that is discarded (the set serves from
+// its shared pool, so it starts cold). The jobs run on RunBatch. It
+// returns the new indexes and their pagers by shard, nil where no job ran
+// or a job skipped; on any error it discards everything it created
+// (discardShards) and returns the lowest failing shard's error.
+func bulkloadShards(dir string, gen uint64, jobs []bulkJob) ([]*core.Index, []storage.Pager, error) {
+	if dir != "" {
+		if err := os.MkdirAll(dir, 0o755); err != nil {
+			return nil, nil, fmt.Errorf("shard: create index dir: %w", err)
 		}
 	}
-	return ix, nil
+	built := make([]*core.Index, len(jobs))
+	pagers := make([]storage.Pager, len(jobs))
+	err := RunBatch(context.Background(), len(jobs), 0, func(s int) error {
+		if jobs[s] == nil {
+			return nil
+		}
+		els, opts, err := jobs[s]()
+		if err != nil || len(els) == 0 {
+			return err
+		}
+		var pager storage.Pager = storage.NewMemPager()
+		if dir != "" {
+			if pager, err = storage.CreateFilePager(filepath.Join(dir, shardFileName(s, gen))); err != nil {
+				return fmt.Errorf("shard %d: %w", s, err)
+			}
+		}
+		pagers[s] = pager
+		view, err := storage.NewShardView(pager, s)
+		if err == nil {
+			built[s], err = core.Build(storage.NewConcurrentPool(view, 0), els, opts)
+		}
+		if err == nil && dir != "" {
+			if err = built[s].WriteSuper(); err == nil {
+				err = pager.Sync()
+			}
+		}
+		if err != nil {
+			return fmt.Errorf("shard %d: %w", s, err)
+		}
+		return nil
+	})
+	if err != nil {
+		discardShards(dir, gen, pagers)
+		return nil, nil, err
+	}
+	return built, pagers, nil
+}
+
+// discardShards undoes a bulkload that will not be committed: every
+// pager it created is closed and, under dir, its page file removed — by
+// its name, which no committed generation's file shares.
+func discardShards(dir string, gen uint64, pagers []storage.Pager) {
+	for s, p := range pagers {
+		if p == nil {
+			continue
+		}
+		p.Close()
+		if dir != "" {
+			os.Remove(filepath.Join(dir, shardFileName(s, gen)))
+		}
+	}
 }
 
 // OpenOptions configures OpenSet.
@@ -339,47 +371,20 @@ type OpenOptions struct {
 // OpenSet loads a sharded index previously built with a Config.Dir from
 // its directory, resolving each shard's page file through the manifest
 // (which names the committed generation; files a crashed rebuild may
-// have stranded are ignored). If the manifest references a write-ahead
-// log, the log is replayed: operations staged before the last crash or
-// close reappear as staged updates, exactly as the original calls left
-// them.
+// have stranded are ignored). It is the one open step: every shard file
+// is opened behind one MultiPager and one shared pool (memory-mapped or
+// read through a descriptor, per opts), and each shard is restored from
+// its superblock — the last page of its own file, addressed under the
+// shard's tag — and cross-checked against its manifest entry. If the
+// manifest references a write-ahead log, the log is replayed: operations
+// staged before the last crash or close reappear as staged updates,
+// exactly as the original calls left them.
 func OpenSet(dir string, opts OpenOptions) (*Set, error) {
 	m, err := readManifest(dir)
 	if err != nil {
 		return nil, err
 	}
-	files := make([]string, len(m.Entries))
-	for s, e := range m.Entries {
-		files[s] = filepath.Join(dir, e.File)
-	}
-	set, err := openShards(files, m.Entries, opts)
-	if err != nil {
-		return nil, err
-	}
-	set.world = arrayToMBR(m.World)
-	set.dir = dir
-	set.gens = make([]uint64, len(m.Entries))
-	for s, e := range m.Entries {
-		set.gens[s] = e.Generation
-	}
-	set.pageCapacity = m.PageCapacity
-	set.seedFanout = m.SeedFanout
-	if err := set.openWAL(m, opts.WAL); err != nil {
-		set.multi.Close()
-		return nil, err
-	}
-	return set, nil
-}
-
-// openShards is the one per-shard open step: file s becomes shard s
-// behind one MultiPager and one shared pool (memory-mapped or read
-// through a descriptor, per opts), and each shard is restored from its
-// superblock — the last page of its own file, addressed under the
-// shard's tag. entries are the manifest's records of the same shards,
-// cross-checked against what the files actually hold.
-func openShards(files []string, entries []shardEntry, opts OpenOptions) (*Set, error) {
-	k := len(files)
-	pagers := make([]storage.Pager, k)
+	pagers := make([]storage.Pager, len(m.Entries))
 	closeAll := func() {
 		for _, p := range pagers {
 			if p != nil {
@@ -387,13 +392,12 @@ func openShards(files []string, entries []shardEntry, opts OpenOptions) (*Set, e
 			}
 		}
 	}
-	for s, file := range files {
+	for s, e := range m.Entries {
 		var p storage.Pager
-		var err error
 		if opts.Mmap {
-			p, err = storage.OpenMmapPager(file)
+			p, err = storage.OpenMmapPager(filepath.Join(dir, e.File))
 		} else {
-			p, err = storage.OpenFilePager(file)
+			p, err = storage.OpenFilePager(filepath.Join(dir, e.File))
 		}
 		if err != nil {
 			closeAll()
@@ -407,18 +411,11 @@ func openShards(files []string, entries []shardEntry, opts OpenOptions) (*Set, e
 		return nil, err
 	}
 	pool := storage.NewConcurrentPool(multi, opts.BufferPages)
-	set := &Set{
-		shards: make([]*core.Index, k),
-		bounds: make([]geom.MBR, k),
-		pool:   pool,
-		multi:  multi,
-		staged: newEpoch(k),
-	}
-	for s, file := range files {
-		name := filepath.Base(file)
+	g := &generation{m: m, shards: make([]*core.Index, len(m.Entries))}
+	for s, e := range m.Entries {
 		if pagers[s].NumPages() == 0 {
 			closeAll()
-			return nil, fmt.Errorf("shard %d: empty page file %s: %w", s, name, core.ErrNoSuper)
+			return nil, fmt.Errorf("shard %d: empty page file %s: %w", s, e.File, core.ErrNoSuper)
 		}
 		super := storage.ShardPageID(s, storage.PageID(pagers[s].NumPages()-1))
 		ix, err := core.OpenFrom(pool, super)
@@ -426,22 +423,24 @@ func openShards(files []string, entries []shardEntry, opts OpenOptions) (*Set, e
 			closeAll()
 			return nil, fmt.Errorf("shard %d: %w", s, err)
 		}
-		e := entries[s]
 		if ix.Len() != e.Elements {
 			closeAll()
 			return nil, fmt.Errorf("shard %d: manifest records %d elements but %s holds %d (corrupted index directory)",
-				s, e.Elements, name, ix.Len())
+				s, e.Elements, e.File, ix.Len())
 		}
 		// The superblock is authoritative for the page format (decoding is
 		// self-describing anyway); a non-zero manifest record must agree.
 		if e.PageFormat != 0 && storage.PageFormat(e.PageFormat) != ix.PageFormat() {
 			closeAll()
 			return nil, fmt.Errorf("shard %d: manifest records page format %d but %s is %s (corrupted index directory)",
-				s, e.PageFormat, name, ix.PageFormat())
+				s, e.PageFormat, e.File, ix.PageFormat())
 		}
-		set.shards[s] = ix
-		set.bounds[s] = ix.Bounds()
-		set.count += ix.Len()
+		g.shards[s] = ix
+	}
+	set := &Set{pool: pool, multi: multi, dir: dir, cur: g, staged: newEpoch(len(g.shards))}
+	if err := set.openWAL(opts.WAL); err != nil {
+		multi.Close()
+		return nil, err
 	}
 	return set, nil
 }
@@ -452,9 +451,10 @@ func openShards(files []string, entries []shardEntry, opts OpenOptions) (*Set, e
 // created and published in the manifest, upgrading the directory in
 // place. Runs during open, before the set is shared; pmu is taken all
 // the same, so the guarded fields have no unlocked writer.
-func (set *Set) openWAL(m manifest, enable bool) error {
+func (set *Set) openWAL(enable bool) error {
 	set.pmu.Lock()
 	defer set.pmu.Unlock()
+	m := set.cur.m
 	if m.WAL != "" {
 		w, recs, err := storage.OpenWAL(filepath.Join(set.dir, m.WAL))
 		if err != nil {
@@ -472,35 +472,23 @@ func (set *Set) openWAL(m manifest, enable bool) error {
 		return nil
 	}
 	// Name the new log after the directory's current generation so a
-	// later rebuild's rotation (which uses a strictly newer generation)
-	// can never collide with it. commit's GC step is dropped: opening
-	// never collects garbage (files a crashed build stranded are ignored
-	// here and removed by the next build or rebuild).
-	var gen uint64
-	for _, e := range m.Entries {
-		if e.Generation > gen {
-			gen = e.Generation
-		}
-	}
-	w, _, err := commit(set.dir, m, true, gen)
+	// later rebuild's rotation (under m.next()) can never collide with
+	// it. commit's GC step is dropped: opening never collects garbage
+	// (files a crashed build stranded are ignored here and removed by the
+	// next build or rebuild).
+	m.WAL = walFileName(m.generation())
+	w, _, err := commit(set.dir, m)
 	if err != nil {
 		return err
 	}
 	set.wal = w
+	set.cur = &generation{m: m, shards: set.cur.shards}
 	return nil
 }
 
 // Prune returns the shards whose data bounds intersect q, in shard
 // order — the shards one query visits.
-func (s *Set) Prune(q geom.MBR) []int {
-	var sel []int
-	for i, b := range s.bounds {
-		if b.Intersects(q) {
-			sel = append(sel, i)
-		}
-	}
-	return sel
-}
+func (s *Set) Prune(q geom.MBR) []int { return s.now().prune(q) }
 
 // RangeQuery returns every element intersecting q — bulkloaded and
 // staged — with the query's statistics: the collect sink over
@@ -527,71 +515,54 @@ func (s *Set) CountQuery(ctx context.Context, q geom.MBR) (int, core.QueryStats,
 	return st.Results, st, nil
 }
 
-// The accessors below take pmu's read side: Rebuild swaps shards,
-// bounds, world, count and gens under the write side, and before the
-// rebuild path existed these fields were immutable — callers reasonably
-// treat the accessors as always safe, so they must not race a rebuild.
+// now returns the generation the set serves. Every accessor below reads
+// one through it (one read lock), so each answers from a single
+// generation even across a Rebuild.
+func (s *Set) now() *generation {
+	s.pmu.RLock()
+	defer s.pmu.RUnlock()
+	return s.cur
+}
 
 // NumShards returns K (fixed for the life of the set).
-func (s *Set) NumShards() int { return len(s.shards) }
+func (s *Set) NumShards() int { return len(s.now().shards) }
 
 // Shard returns the i-th per-shard index (for tests and measurements).
-func (s *Set) Shard(i int) *core.Index {
-	s.pmu.RLock()
-	defer s.pmu.RUnlock()
-	return s.shards[i]
-}
+func (s *Set) Shard(i int) *core.Index { return s.now().shards[i] }
 
 // ShardBounds returns the directory entry (data bounds) of shard i.
-func (s *Set) ShardBounds(i int) geom.MBR {
-	s.pmu.RLock()
-	defer s.pmu.RUnlock()
-	return s.bounds[i]
-}
+func (s *Set) ShardBounds(i int) geom.MBR { return s.now().shards[i].Bounds() }
 
 // Generation returns the on-disk generation of shard i: how many times
 // the shard has been rebuilt since the directory was created. Memory-
 // backed sets always report 0.
-func (s *Set) Generation(i int) uint64 {
-	s.pmu.RLock()
-	defer s.pmu.RUnlock()
-	if s.gens == nil {
-		return 0
-	}
-	return s.gens[i]
-}
+func (s *Set) Generation(i int) uint64 { return s.now().m.Entries[i].Generation }
 
 // Len returns the total number of indexed elements across shards.
 func (s *Set) Len() int {
-	s.pmu.RLock()
-	defer s.pmu.RUnlock()
-	return s.count
+	n := 0
+	for _, ix := range s.now().shards {
+		n += ix.Len()
+	}
+	return n
 }
 
 // World returns the space the shard assignment was derived in.
-func (s *Set) World() geom.MBR {
-	s.pmu.RLock()
-	defer s.pmu.RUnlock()
-	return s.world
-}
+func (s *Set) World() geom.MBR { return arrayToMBR(s.now().m.World) }
 
 // Bounds returns the union of the shard bounds.
 func (s *Set) Bounds() geom.MBR {
-	s.pmu.RLock()
-	defer s.pmu.RUnlock()
 	b := geom.EmptyMBR()
-	for _, sb := range s.bounds {
-		b = b.Union(sb)
+	for _, ix := range s.now().shards {
+		b = b.Union(ix.Bounds())
 	}
 	return b
 }
 
 // NumPartitions returns the total partition (object page) count.
 func (s *Set) NumPartitions() int {
-	s.pmu.RLock()
-	defer s.pmu.RUnlock()
 	n := 0
-	for _, ix := range s.shards {
+	for _, ix := range s.now().shards {
 		n += ix.NumPartitions()
 	}
 	return n
@@ -599,10 +570,8 @@ func (s *Set) NumPartitions() int {
 
 // SizeBytes returns the on-disk footprint across all shards.
 func (s *Set) SizeBytes() uint64 {
-	s.pmu.RLock()
-	defer s.pmu.RUnlock()
 	var n uint64
-	for _, ix := range s.shards {
+	for _, ix := range s.now().shards {
 		n += ix.SizeBytes()
 	}
 	return n

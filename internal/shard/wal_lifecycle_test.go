@@ -332,6 +332,7 @@ func TestWALUpgradeOnOpen(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	assertServesManifest(t, set, dir)
 	if err := set.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -346,6 +347,7 @@ func TestWALUpgradeOnOpen(t *testing.T) {
 	if m, err := readManifest(dir); err != nil || m.WAL == "" {
 		t.Fatalf("after upgrade: manifest WAL = %q, err = %v", m.WAL, err)
 	}
+	assertServesManifest(t, up, dir)
 	if err := up.StageInsert(geom.Element{ID: 720001, Box: geom.CubeAt(geom.V(45, 45, 45), 1)}); err != nil {
 		t.Fatal(err)
 	}
@@ -362,6 +364,7 @@ func TestWALUpgradeOnOpen(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer re.Close()
+	assertServesManifest(t, re, crashed)
 	if ins, dels := re.Pending(); ins != 1 || dels != 0 {
 		t.Fatalf("Pending = (%d, %d), want (1, 0)", ins, dels)
 	}

@@ -58,24 +58,6 @@ const (
 	NumCategories
 )
 
-// String returns a short human-readable name for the category.
-func (c Category) String() string {
-	switch c {
-	case CatRTreeInternal:
-		return "rtree-internal"
-	case CatRTreeLeaf:
-		return "rtree-leaf"
-	case CatSeedInternal:
-		return "seed-internal"
-	case CatMetadata:
-		return "metadata"
-	case CatObject:
-		return "object"
-	default:
-		return "unknown"
-	}
-}
-
 // ErrPageOutOfRange is returned when reading or writing a page that was
 // never allocated.
 var ErrPageOutOfRange = errors.New("storage: page id out of range")

@@ -161,19 +161,3 @@ func TestOpenFilePagerBadSize(t *testing.T) {
 		t.Error("OpenFilePager accepted non-page-aligned file")
 	}
 }
-
-func TestCategoryString(t *testing.T) {
-	cases := map[Category]string{
-		CatUnknown:       "unknown",
-		CatRTreeInternal: "rtree-internal",
-		CatRTreeLeaf:     "rtree-leaf",
-		CatSeedInternal:  "seed-internal",
-		CatMetadata:      "metadata",
-		CatObject:        "object",
-	}
-	for c, want := range cases {
-		if c.String() != want {
-			t.Errorf("%d.String() = %q, want %q", c, c.String(), want)
-		}
-	}
-}
