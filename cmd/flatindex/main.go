@@ -65,6 +65,7 @@ import (
 	"flag"
 	"fmt"
 	"io/fs"
+	"math"
 	"os"
 	"strconv"
 	"strings"
@@ -227,9 +228,11 @@ func main() {
 				}
 				doomed[id] = true
 			}
-			// Resolve each id's box by scanning the index: StageDelete
+			// Resolve each id's box by scanning all of space (staged
+			// inserts can lie outside Bounds until a Rebuild): StageDelete
 			// identifies elements by their full (id, box) pair.
-			all, _, err := ix.RangeQuery(ix.Bounds())
+			inf := math.Inf(1)
+			all, _, err := ix.RangeQuery(flat.Box(flat.V(-inf, -inf, -inf), flat.V(inf, inf, inf)))
 			if err != nil {
 				fatalf("scan for -delete: %v", err)
 			}

@@ -36,7 +36,9 @@
 // machinery). StageInsert/StageDelete stage a batch of changes (visible
 // to queries immediately) and Rebuild re-bulkloads only the shards the
 // batch touches — at Shards: 1, the whole index, which is the paper's
-// "rebuild when the data changes".
+// "rebuild when the data changes". The caller decides when to fold
+// (DeltaStats sizes what has accumulated): Rebuild is the only fold, and
+// the index runs no background goroutine.
 //
 // Page reads are the library's cost model, mirroring the paper's
 // evaluation: every query reports how many 4 KiB pages it touched, split
@@ -176,8 +178,8 @@ func ObjectPageCapacity(f PageFormat) int { return storage.ObjectPageCapacity(f)
 
 // Options configures Build and Open. The zero value (or nil) gives a
 // memory-backed one-shard index with full 4 KiB object pages
-// partitioned over the data's bounds. Open consults BufferPages, Mmap,
-// WAL and AutoCompact only: the shard count, geometry and per-shard
+// partitioned over the data's bounds. Open consults BufferPages, Mmap
+// and WAL only: the shard count, geometry and per-shard
 // page formats come from the directory's manifest and shard files.
 type Options struct {
 	// Shards is K, the number of spatial shards the data is split into
@@ -236,10 +238,6 @@ type Options struct {
 	// replayed regardless of this flag; WAL additionally upgrades a
 	// log-less index in place.
 	WAL bool
-	// AutoCompact, when either trigger is set, runs Rebuild automatically
-	// in the background once the staged delta grows past the configured
-	// thresholds. The zero value keeps compaction fully manual.
-	AutoCompact AutoCompact
 }
 
 // Index is a built FLAT index: K >= 1 spatial shards behind a top-level
@@ -254,10 +252,6 @@ type Options struct {
 type Index struct {
 	guard queryGuard
 	set   *shard.Set
-	// compact is the background compactor, nil unless
-	// Options.AutoCompact enabled one. Set once at construction, before
-	// the index is shared.
-	compact *compactor
 }
 
 // Build bulkloads a FLAT index over els (reordering the slice in place:
@@ -282,9 +276,7 @@ func Build(els []Element, opts *Options) (*Index, error) {
 	if err != nil {
 		return nil, err
 	}
-	ix := &Index{set: set}
-	ix.startCompactor(o.AutoCompact)
-	return ix, nil
+	return &Index{set: set}, nil
 }
 
 // Open loads a previously built disk-backed index from its directory
@@ -305,9 +297,7 @@ func Open(dir string, opts *Options) (*Index, error) {
 	if err != nil {
 		return nil, err
 	}
-	ix := &Index{set: set}
-	ix.startCompactor(o.AutoCompact)
-	return ix, nil
+	return &Index{set: set}, nil
 }
 
 // ShardedOptions, BuildSharded and OpenShardedWithOptions are reserved
@@ -450,18 +440,12 @@ func (ix *Index) DropCache() error {
 
 // Close releases every shard's storage, syncing the write-ahead log
 // first, so staged updates survive to the next Open even without a
-// Flush. When queries (or a background Rebuild) are in flight it returns
-// ErrBusy and changes nothing — the index keeps serving, its background
-// compactor included; retry once they drain. After a successful Close
-// every method returns ErrClosed.
+// Flush. When queries are in flight it returns ErrBusy and changes
+// nothing — the index keeps serving; retry once they drain. After a
+// successful Close every method returns ErrClosed.
 func (ix *Index) Close() error {
 	if err := ix.guard.shutdown(); err != nil {
 		return err
-	}
-	if ix.compact != nil {
-		// The guard is down: a Rebuild the compactor still attempts sees
-		// ErrClosed, and its loop exits.
-		ix.compact.shutdown()
 	}
 	return ix.set.Close()
 }

@@ -43,14 +43,14 @@ func testStagedUpdates(t *testing.T, k int) {
 	if err := sx.StageDelete(victim.ID, victim.Box); err != nil {
 		t.Fatal(err)
 	}
-	checkPending := func(sx *Index) (dirty []int) {
+	checkStaged := func(sx *Index) (dirty []int) {
 		t.Helper()
-		ins, dels, err := sx.Pending()
+		st, err := sx.DeltaStats()
 		if err != nil {
 			t.Fatal(err)
 		}
-		if ins != len(fresh) || dels != 1 {
-			t.Fatalf("Pending = (%d, %d), want (%d, 1)", ins, dels, len(fresh))
+		if st.Inserts != len(fresh) || st.Deletes != 1 {
+			t.Fatalf("DeltaStats = %d inserts, %d deletes, want %d and 1", st.Inserts, st.Deletes, len(fresh))
 		}
 		if dirty, err = sx.DirtyShards(); err != nil {
 			t.Fatal(err)
@@ -60,7 +60,7 @@ func testStagedUpdates(t *testing.T, k int) {
 		}
 		return dirty
 	}
-	checkPending(sx)
+	checkStaged(sx)
 
 	// The overlay serves reads before any rebuild.
 	merged := make([]Element, 0, len(orig)+len(fresh))
@@ -105,7 +105,7 @@ func testStagedUpdates(t *testing.T, k int) {
 	if sx, err = Open(dir, nil); err != nil {
 		t.Fatal(err)
 	}
-	dirty := checkPending(sx)
+	dirty := checkStaged(sx)
 	checkQueries(sx, "replayed")
 
 	// Rebuild folds the changes in; the index now reports them in Len.
@@ -126,8 +126,8 @@ func testStagedUpdates(t *testing.T, k int) {
 			t.Errorf("rebuilt shard %d at generation %d, want 1", s, sx.ShardGeneration(s))
 		}
 	}
-	if ins, dels, err := sx.Pending(); err != nil || ins != 0 || dels != 0 {
-		t.Fatalf("Pending after rebuild = (%d, %d, %v), want nothing", ins, dels, err)
+	if st, err := sx.DeltaStats(); err != nil || st.Inserts != 0 || st.Deletes != 0 {
+		t.Fatalf("DeltaStats after rebuild = %+v, %v, want nothing staged", st, err)
 	}
 	if sx.Len() != len(merged) {
 		t.Fatalf("Len after rebuild = %d, want %d", sx.Len(), len(merged))
@@ -143,8 +143,8 @@ func testStagedUpdates(t *testing.T, k int) {
 		t.Fatal(err)
 	}
 	defer re.Close()
-	if ins, dels, err := re.Pending(); err != nil || ins != 0 || dels != 0 {
-		t.Fatalf("Pending after rebuild and reopen = (%d, %d, %v), want nothing", ins, dels, err)
+	if st, err := re.DeltaStats(); err != nil || st.Inserts != 0 || st.Deletes != 0 {
+		t.Fatalf("DeltaStats after rebuild and reopen = %+v, %v, want nothing staged", st, err)
 	}
 	if re.Len() != len(merged) {
 		t.Fatalf("reopened Len = %d, want %d", re.Len(), len(merged))
@@ -229,8 +229,8 @@ func TestRebuildRefusesInFlightQueries(t *testing.T) {
 	if _, err := sx.Rebuild(); err != nil {
 		t.Fatal(err)
 	}
-	if ins, dels, err := sx.Pending(); err != nil || ins != 0 || dels != 0 {
-		t.Fatalf("pending after drain: (%d, %d, %v)", ins, dels, err)
+	if st, err := sx.DeltaStats(); err != nil || st.Inserts != 0 || st.Deletes != 0 {
+		t.Fatalf("DeltaStats after drain = %+v, %v, want nothing staged", st, err)
 	}
 	got, _, err := sx.RangeQuery(CubeAt(V(50, 50, 50), 2))
 	if err != nil {
@@ -255,6 +255,74 @@ func TestRebuildRefusesInFlightQueries(t *testing.T) {
 	}
 	if err := sx.StageDelete(1, CubeAt(V(0, 0, 0), 1)); !errors.Is(err, ErrClosed) {
 		t.Errorf("StageDelete after Close: %v, want ErrClosed", err)
+	}
+}
+
+// TestFlushAndDeltaStats exercises the two staging accessors:
+// DeltaStats must size the delta and the log, Flush must succeed, and
+// a Rebuild must zero the delta and shrink the rotated log.
+func TestFlushAndDeltaStats(t *testing.T) {
+	r := rand.New(rand.NewSource(73))
+	els := randomElements(r, 600)
+	dir := filepath.Join(t.TempDir(), "deltastats")
+	sx, err := Build(els, &Options{
+		Shards: 2, PageCapacity: 16, Dir: dir, WAL: true,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sx.Close()
+
+	fresh := make([]Element, 12)
+	for i := range fresh {
+		fresh[i] = Element{ID: 700000 + uint64(i), Box: CubeAt(V(60, 60, 60), 2)}
+	}
+	if err := sx.StageInsert(fresh...); err != nil {
+		t.Fatal(err)
+	}
+	if err := sx.StageDelete(els[0].ID, els[0].Box); err != nil {
+		t.Fatal(err)
+	}
+	if err := sx.Flush(); err != nil {
+		t.Fatal(err)
+	}
+
+	st, err := sx.DeltaStats()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.Inserts != len(fresh) || st.Deletes != 1 {
+		t.Fatalf("DeltaStats = %+v, want %d inserts / 1 delete", st, len(fresh))
+	}
+	if st.WALBytes == 0 {
+		t.Fatal("DeltaStats.WALBytes = 0, want the staged records on disk")
+	}
+	if len(st.Shards) == 0 {
+		t.Fatal("DeltaStats.Shards empty, want the dirty shard listed")
+	}
+	staged := 0
+	for _, sh := range st.Shards {
+		if sh.Base <= 0 {
+			t.Fatalf("shard %d Base = %d, want > 0", sh.Shard, sh.Base)
+		}
+		staged += sh.Staged
+	}
+	if staged != len(fresh) {
+		t.Fatalf("sum of per-shard Staged = %d, want %d", staged, len(fresh))
+	}
+
+	if _, err := sx.Rebuild(); err != nil {
+		t.Fatal(err)
+	}
+	after, err := sx.DeltaStats()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if after.Inserts != 0 || after.Deletes != 0 || len(after.Shards) != 0 {
+		t.Fatalf("post-Rebuild DeltaStats = %+v, want empty delta", after)
+	}
+	if after.WALBytes >= st.WALBytes {
+		t.Fatalf("post-Rebuild WALBytes = %d, want < %d (log rotated)", after.WALBytes, st.WALBytes)
 	}
 }
 

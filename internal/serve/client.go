@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"io"
 	"iter"
+	"math"
 	"net"
 	"sync"
 	"time"
@@ -222,14 +223,32 @@ func decodeErr(body []byte) error {
 
 // QueryOptions tune one remote query.
 type QueryOptions struct {
-	// Limit stops the query after this many results (0: unlimited); the
-	// server-side crawl aborts early, exactly like flat.WithLimit.
+	// Limit stops the query after this many results (<= 0: unlimited);
+	// the server-side crawl aborts early, exactly like flat.WithLimit.
+	// A limit above math.MaxUint32 does not fit the wire and is refused.
 	Limit int
+}
+
+// wireBound encodes a result bound (a query limit, an NN k) as the
+// wire's uint32: n <= 0 is unlimited, and a bound the field cannot carry
+// is refused instead of wrapped into a smaller one.
+func wireBound(what string, n int) (uint32, error) {
+	if n <= 0 {
+		return 0, nil
+	}
+	if uint64(n) > math.MaxUint32 {
+		return 0, fmt.Errorf("flatserve: %s %d does not fit the protocol's 32-bit field", what, n)
+	}
+	return uint32(n), nil
 }
 
 // sendQuery sends one msgQuery of the given kind and returns the Stream
 // its response frames arrive on.
 func (c *Client) sendQuery(ctx context.Context, kind byte, box flat.MBR, o QueryOptions) (*Stream, error) {
+	limit, err := wireBound("limit", o.Limit)
+	if err != nil {
+		return nil, err
+	}
 	id, ch, err := c.register()
 	if err != nil {
 		return nil, err
@@ -238,7 +257,7 @@ func (c *Client) sendQuery(ctx context.Context, kind byte, box flat.MBR, o Query
 	putU32(body, id)
 	body[4] = kind
 	putBox(body[5:], box)
-	putU32(body[53:], uint32(o.Limit))
+	putU32(body[53:], limit)
 	body[57] = 0 // flags, reserved
 	if err := c.send(msgQuery, body); err != nil {
 		c.unregister(id)
@@ -256,12 +275,16 @@ func (c *Client) Range(ctx context.Context, box flat.MBR, o QueryOptions) (*Stre
 
 // NN starts a streaming k-nearest-neighbor query: the k indexed
 // elements nearest to p arrive through the Stream in nondecreasing
-// distance from p (k <= 0 streams the whole index in distance order).
-// The distance itself does not travel — element boxes carry full
-// precision, so callers recover it exactly with
-// e.Box.DistToPoint(p). Cancel (or a done ctx) aborts the server-side
-// traversal mid-stream.
+// distance from p (k <= 0 streams the whole index in distance order; a
+// k above math.MaxUint32 is refused). The distance itself does not
+// travel — element boxes carry full precision, so callers recover it
+// exactly with e.Box.DistToPoint(p). Cancel (or a done ctx) aborts the
+// server-side traversal mid-stream.
 func (c *Client) NN(ctx context.Context, p flat.Vec3, k int) (*Stream, error) {
+	wk, err := wireBound("k", k)
+	if err != nil {
+		return nil, err
+	}
 	id, ch, err := c.register()
 	if err != nil {
 		return nil, err
@@ -271,10 +294,7 @@ func (c *Client) NN(ctx context.Context, p flat.Vec3, k int) (*Stream, error) {
 	putF64(body[4:], p.X)
 	putF64(body[12:], p.Y)
 	putF64(body[20:], p.Z)
-	if k < 0 {
-		k = 0
-	}
-	putU32(body[28:], uint32(k))
+	putU32(body[28:], wk)
 	body[32] = 0 // flags, reserved
 	if err := c.send(msgNN, body); err != nil {
 		c.unregister(id)

@@ -84,6 +84,12 @@ func TestNNStreamMatchesDirectNN(t *testing.T) {
 		t.Fatalf("stream count %d, want %d", st.Count(), k)
 	}
 
+	// A k the wire's 32-bit field cannot carry is refused before anything
+	// is sent (NNQueries stays 1), never wrapped into a smaller k.
+	if _, err := c.NN(context.Background(), p, 1<<32+3); err == nil {
+		t.Fatal("NN with k = 2^32+3 was sent, want a refusal")
+	}
+
 	stats, err := c.Stats(context.Background())
 	if err != nil {
 		t.Fatal(err)

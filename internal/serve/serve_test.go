@@ -199,6 +199,22 @@ func TestRangeStreamMatchesDirectQuery(t *testing.T) {
 			lim.Stats().TotalReads, wantStats.TotalReads)
 	}
 
+	// A negative limit is unlimited, as in flat.WithLimit. A limit the
+	// wire's 32-bit field cannot carry is refused before anything is
+	// sent (the counters below see no third range or count query), never
+	// wrapped into a smaller one.
+	if n, _, err := c.Count(context.Background(), q, QueryOptions{Limit: -1}); err != nil || n != uint64(len(want)) {
+		t.Fatalf("count with limit -1 = %d, %v; want %d", n, err, len(want))
+	}
+	for _, limit := range []int{1<<32 + 10, 1 << 32} {
+		if n, _, err := c.Count(context.Background(), q, QueryOptions{Limit: limit}); err == nil {
+			t.Fatalf("count with limit %d answered %d, want a refusal", limit, n)
+		}
+		if _, err := c.Range(context.Background(), q, QueryOptions{Limit: limit}); err == nil {
+			t.Fatalf("range with limit %d was sent, want a refusal", limit)
+		}
+	}
+
 	stats, err := c.Stats(context.Background())
 	if err != nil {
 		t.Fatal(err)
@@ -206,7 +222,7 @@ func TestRangeStreamMatchesDirectQuery(t *testing.T) {
 	if stats.Elements != len(els) {
 		t.Fatalf("stats elements %d, want %d", stats.Elements, len(els))
 	}
-	if stats.Counters.RangeQueries != 2 || stats.Counters.CountQueries != 1 {
+	if stats.Counters.RangeQueries != 2 || stats.Counters.CountQueries != 2 {
 		t.Fatalf("per-kind counters: %+v", stats.Counters)
 	}
 	if stats.Counters.PagesRead == 0 {
@@ -668,12 +684,12 @@ func testStagedWritesDurableAcrossReopen(t *testing.T, k int) {
 		t.Fatal(err)
 	}
 	defer re.Close()
-	ins, dels, err := re.Pending()
+	d, err := re.DeltaStats()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ins != 1 || dels != 1 {
-		t.Fatalf("replayed delta: %d inserts, %d deletes; want 1 and 1", ins, dels)
+	if d.Inserts != 1 || d.Deletes != 1 {
+		t.Fatalf("replayed delta: %d inserts, %d deletes; want 1 and 1", d.Inserts, d.Deletes)
 	}
 	got, _, err := re.RangeQuery(extra.Box)
 	if err != nil {
@@ -724,12 +740,12 @@ func TestRebuildOverWire(t *testing.T) {
 	if n == 0 {
 		t.Fatal("rebuild folded no shards despite a staged insert")
 	}
-	ins, dels, err := sx.Pending()
+	d, err := sx.DeltaStats()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ins != 0 || dels != 0 {
-		t.Fatalf("delta after rebuild: %d inserts, %d deletes", ins, dels)
+	if d.Inserts != 0 || d.Deletes != 0 {
+		t.Fatalf("delta after rebuild: %d inserts, %d deletes", d.Inserts, d.Deletes)
 	}
 }
 

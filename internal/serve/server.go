@@ -66,8 +66,8 @@ type Counters struct {
 }
 
 // ServerStats is the admin/stats payload: the index's size, the
-// admission state, per-operation counters, page-cache occupancy, the
-// staged delta and background-compactor activity. It travels as JSON inside msgStatsResp, so fields are
+// admission state, per-operation counters, page-cache occupancy and the
+// staged delta. It travels as JSON inside msgStatsResp, so fields are
 // stable protocol surface.
 type ServerStats struct {
 	Elements    int
@@ -76,10 +76,9 @@ type ServerStats struct {
 	Inflight    int // queries currently holding admission slots
 	MaxInflight int
 	Counters    Counters
-	CachePages  int                  // resident pages in the shared page cache
-	CacheCap    int                  // page-cache capacity (0: unbounded)
-	Delta       *flat.DeltaStats     `json:",omitempty"`
-	Compactor   *flat.CompactorStats `json:",omitempty"` // with AutoCompact only
+	CachePages  int              // resident pages in the shared page cache
+	CacheCap    int              // page-cache capacity (0: unbounded)
+	Delta       *flat.DeltaStats `json:",omitempty"`
 }
 
 // Server serves one opened index over TCP. It does not own the index:
@@ -233,9 +232,6 @@ func (s *Server) Stats() ServerStats {
 	st.CachePages, st.CacheCap = s.ix.CacheStats()
 	if d, err := s.ix.DeltaStats(); err == nil {
 		st.Delta = &d
-	}
-	if cs := s.ix.CompactorStats(); cs.Enabled {
-		st.Compactor = &cs
 	}
 	return st
 }

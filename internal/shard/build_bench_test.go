@@ -96,8 +96,8 @@ func BenchmarkReplayOpen(b *testing.B) {
 			b.Fatal(err)
 		}
 		b.StopTimer()
-		if ins, dels := set.Pending(); ins != 22_500 || dels != 4_500 {
-			b.Fatalf("replayed %d inserts, %d deletes", ins, dels)
+		if d := set.DeltaStats(); d.Inserts != 22_500 || d.Deletes != 4_500 {
+			b.Fatalf("replayed %d inserts, %d deletes", d.Inserts, d.Deletes)
 		}
 		set.Close()
 		b.StartTimer()

@@ -90,7 +90,7 @@ func TestCommitFailure(t *testing.T) {
 			t.Fatal(err)
 		}
 		wantIDs := queryIDs(t, set, spot)
-		wantIns, wantDels := set.Pending()
+		wantDelta := set.DeltaStats()
 		wantFiles := dirFiles(t, dir)
 		wantManifest, err := os.ReadFile(filepath.Join(dir, ManifestName))
 		if err != nil {
@@ -101,8 +101,8 @@ func TestCommitFailure(t *testing.T) {
 		if _, err := set.Rebuild(); err == nil {
 			t.Fatal("rebuild committed through a failing manifest swap")
 		}
-		if ins, dels := set.Pending(); ins != wantIns || dels != wantDels {
-			t.Fatalf("Pending after failed rebuild = (%d, %d), want (%d, %d)", ins, dels, wantIns, wantDels)
+		if d := set.DeltaStats(); !reflect.DeepEqual(d, wantDelta) {
+			t.Fatalf("DeltaStats after failed rebuild = %+v, want %+v", d, wantDelta)
 		}
 		if got := queryIDs(t, set, spot); !equalIDs(got, wantIDs) {
 			t.Fatal("staged elements stopped answering queries after a failed rebuild")
@@ -119,8 +119,8 @@ func TestCommitFailure(t *testing.T) {
 		if err != nil || len(rebuilt) == 0 {
 			t.Fatalf("rebuild without the squatter = %v, %v", rebuilt, err)
 		}
-		if ins, dels := set.Pending(); ins != 0 || dels != 0 {
-			t.Fatalf("Pending after rebuild = (%d, %d)", ins, dels)
+		if d := set.DeltaStats(); d.Inserts != 0 || d.Deletes != 0 {
+			t.Fatalf("DeltaStats after rebuild = %+v, want nothing staged", d)
 		}
 		if got := queryIDs(t, set, spot); !equalIDs(got, wantIDs) {
 			t.Fatal("the same delta did not fold on the retry")
@@ -163,7 +163,7 @@ func TestCommitFailure(t *testing.T) {
 		}
 		all := geom.Box(geom.V(-10, -10, -10), geom.V(110, 110, 110))
 		wantIDs := queryIDs(t, set, all)
-		wantIns, wantDels := set.Pending()
+		wantDelta := set.DeltaStats()
 		wantFiles := dirFiles(t, dir)
 		wantManifest, err := os.ReadFile(filepath.Join(dir, ManifestName))
 		if err != nil {
@@ -173,8 +173,8 @@ func TestCommitFailure(t *testing.T) {
 		if _, err := set.Rebuild(); err == nil || !strings.Contains(err.Error(), "would leave shard 1 empty") {
 			t.Fatalf("rebuild emptying shard 1: err = %v, want the refusal", err)
 		}
-		if ins, dels := set.Pending(); ins != wantIns || dels != wantDels {
-			t.Fatalf("Pending after refused rebuild = (%d, %d), want (%d, %d)", ins, dels, wantIns, wantDels)
+		if d := set.DeltaStats(); !reflect.DeepEqual(d, wantDelta) {
+			t.Fatalf("DeltaStats after refused rebuild = %+v, want %+v", d, wantDelta)
 		}
 		if got := queryIDs(t, set, all); !equalIDs(got, wantIDs) {
 			t.Fatalf("answers after refused rebuild = %v, want %v", got, wantIDs)

@@ -250,7 +250,8 @@ func observe(t *testing.T, set *Set, boxes []geom.MBR, points []geom.Vec3) answe
 		}
 		a.nearest = append(a.nearest, near)
 	}
-	a.inserts, a.deletes = set.Pending()
+	d := set.DeltaStats()
+	a.inserts, a.deletes = d.Inserts, d.Deletes
 	return a
 }
 
@@ -417,8 +418,8 @@ func TestRebuildFailureInLaterShardLeavesNothing(t *testing.T) {
 	if got := queryIDs(t, set, all); !equalIDs(got, before) {
 		t.Error("answers changed after a failed Rebuild")
 	}
-	if ins, _ := set.Pending(); ins != len(batch) {
-		t.Errorf("%d inserts pending after a failed Rebuild, want %d", ins, len(batch))
+	if d := set.DeltaStats(); d.Inserts != len(batch) {
+		t.Errorf("%d inserts pending after a failed Rebuild, want %d", d.Inserts, len(batch))
 	}
 
 	// With the obstacle gone the same delta folds in.

@@ -209,17 +209,6 @@ func (s *Set) StageDelete(id uint64, box geom.MBR) error {
 	return nil
 }
 
-// Pending returns the number of staged inserts and deletes awaiting the
-// next Rebuild.
-func (s *Set) Pending() (inserts, deletes int) {
-	s.pmu.RLock()
-	defer s.pmu.RUnlock()
-	for _, d := range s.staged.deltas {
-		inserts += len(d.slab)
-	}
-	return inserts, len(s.staged.deletes)
-}
-
 // ShardDeltaStats describes one shard's share of the pending delta.
 type ShardDeltaStats struct {
 	Shard  int // shard number
@@ -229,9 +218,8 @@ type ShardDeltaStats struct {
 
 // DeltaStats is a point-in-time snapshot of the staged-update state:
 // how much delta is pending, how it is distributed over the shards,
-// and how large the write-ahead log backing it has grown. The
-// background compactor's triggers read it; so can callers deciding
-// when to Rebuild by hand.
+// and how large the write-ahead log backing it has grown: what a caller
+// reads to decide when to Rebuild.
 type DeltaStats struct {
 	Inserts  int               // staged inserts pending, across all shards
 	Deletes  int               // staged deletes pending

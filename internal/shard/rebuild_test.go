@@ -136,9 +136,8 @@ func TestStagedOverlay(t *testing.T) {
 		t.Fatalf("after deleting the staged insert: count %d, want %d", n, len(orig)-1)
 	}
 
-	insN, delN := set.Pending()
-	if insN != 1 || delN != 2 {
-		t.Fatalf("Pending = %d inserts, %d deletes; want 1, 2", insN, delN)
+	if d := set.DeltaStats(); d.Inserts != 1 || d.Deletes != 2 {
+		t.Fatalf("DeltaStats = %d inserts, %d deletes; want 1, 2", d.Inserts, d.Deletes)
 	}
 }
 
@@ -178,8 +177,8 @@ func TestRebuildOnlyDirtyShards(t *testing.T) {
 	if len(rebuilt) != 1 || rebuilt[0] != target {
 		t.Fatalf("Rebuild() = %v, want [%d]", rebuilt, target)
 	}
-	if ins, dels := set.Pending(); ins != 0 || dels != 0 {
-		t.Fatalf("pending after rebuild: %d inserts, %d deletes", ins, dels)
+	if d := set.DeltaStats(); d.Inserts != 0 || d.Deletes != 0 {
+		t.Fatalf("pending after rebuild: %d inserts, %d deletes", d.Inserts, d.Deletes)
 	}
 	if g := set.Generation(target); g != 1 {
 		t.Fatalf("rebuilt shard generation = %d, want 1", g)
@@ -398,8 +397,8 @@ func TestRebuildDeletes(t *testing.T) {
 	if rebuilt != nil {
 		t.Fatalf("no-op delete rebuilt shards %v", rebuilt)
 	}
-	if _, dels := set.Pending(); dels != 0 {
-		t.Fatalf("no-op delete not consumed: %d pending", dels)
+	if d := set.DeltaStats(); d.Deletes != 0 {
+		t.Fatalf("no-op delete not consumed: %d pending", d.Deletes)
 	}
 	for name, data := range readShardFiles(t, dir) {
 		if string(files[name]) != string(data) {

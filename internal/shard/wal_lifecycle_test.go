@@ -97,7 +97,7 @@ func TestWALKillAndReopen(t *testing.T) {
 	for i, q := range queries {
 		want[i] = queryIDs(t, set, q)
 	}
-	wantIns, wantDels := set.Pending()
+	wantDelta := set.DeltaStats()
 
 	crashed := snapshotDir(t, dir) // kill -9: the live set is never closed
 
@@ -106,9 +106,9 @@ func TestWALKillAndReopen(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer re.Close()
-	gotIns, gotDels := re.Pending()
-	if gotIns != wantIns || gotDels != wantDels {
-		t.Fatalf("replayed Pending = (%d, %d), want (%d, %d)", gotIns, gotDels, wantIns, wantDels)
+	if got := re.DeltaStats(); got.Inserts != wantDelta.Inserts || got.Deletes != wantDelta.Deletes {
+		t.Fatalf("replayed DeltaStats = %d inserts, %d deletes, want %d and %d",
+			got.Inserts, got.Deletes, wantDelta.Inserts, wantDelta.Deletes)
 	}
 	for i, q := range queries {
 		if got := queryIDs(t, re, q); !equalIDs(got, want[i]) {
@@ -146,8 +146,8 @@ func TestWALUnflushedSurvivesCleanClose(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer re.Close()
-	if ins, dels := re.Pending(); ins != 1 || dels != 0 {
-		t.Fatalf("Pending = (%d, %d), want (1, 0)", ins, dels)
+	if d := re.DeltaStats(); d.Inserts != 1 || d.Deletes != 0 {
+		t.Fatalf("DeltaStats = %d inserts, %d deletes, want 1 and 0", d.Inserts, d.Deletes)
 	}
 }
 
@@ -183,8 +183,8 @@ func TestWALTornTailRecovery(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer re.Close()
-	if ins, dels := re.Pending(); ins != 7 || dels != 0 {
-		t.Fatalf("Pending after torn tail = (%d, %d), want (7, 0)", ins, dels)
+	if d := re.DeltaStats(); d.Inserts != 7 || d.Deletes != 0 {
+		t.Fatalf("DeltaStats after torn tail = %d inserts, %d deletes, want 7 and 0", d.Inserts, d.Deletes)
 	}
 }
 
@@ -222,8 +222,8 @@ func TestWALBitFlipRecovery(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer re.Close()
-	if ins, dels := re.Pending(); ins != 4 || dels != 0 {
-		t.Fatalf("Pending after bit flip = (%d, %d), want (4, 0)", ins, dels)
+	if d := re.DeltaStats(); d.Inserts != 4 || d.Deletes != 0 {
+		t.Fatalf("DeltaStats after bit flip = %d inserts, %d deletes, want 4 and 0", d.Inserts, d.Deletes)
 	}
 }
 
@@ -270,8 +270,8 @@ func TestWALRotationOnRebuild(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer re.Close()
-	if ins, dels := re.Pending(); ins != 1 || dels != 0 {
-		t.Fatalf("Pending after rotation crash = (%d, %d), want (1, 0): only the post-fold op", ins, dels)
+	if d := re.DeltaStats(); d.Inserts != 1 || d.Deletes != 0 {
+		t.Fatalf("DeltaStats after rotation crash = %d inserts, %d deletes, want 1 and 0: only the post-fold op", d.Inserts, d.Deletes)
 	}
 	set.Close()
 }
@@ -308,8 +308,8 @@ func TestWALCrashBeforeManifestSwap(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer re.Close()
-	if ins, dels := re.Pending(); ins != 1 || dels != 0 {
-		t.Fatalf("Pending = (%d, %d), want (1, 0)", ins, dels)
+	if d := re.DeltaStats(); d.Inserts != 1 || d.Deletes != 0 {
+		t.Fatalf("DeltaStats = %d inserts, %d deletes, want 1 and 0", d.Inserts, d.Deletes)
 	}
 	if _, err := re.Rebuild(); err != nil {
 		t.Fatal(err)
@@ -365,8 +365,8 @@ func TestWALUpgradeOnOpen(t *testing.T) {
 	}
 	defer re.Close()
 	assertServesManifest(t, re, crashed)
-	if ins, dels := re.Pending(); ins != 1 || dels != 0 {
-		t.Fatalf("Pending = (%d, %d), want (1, 0)", ins, dels)
+	if d := re.DeltaStats(); d.Inserts != 1 || d.Deletes != 0 {
+		t.Fatalf("DeltaStats = %d inserts, %d deletes, want 1 and 0", d.Inserts, d.Deletes)
 	}
 }
 
@@ -400,8 +400,8 @@ func TestWALMmapReplay(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer re.Close()
-	if ins, dels := re.Pending(); ins != 1 || dels != 0 {
-		t.Fatalf("Pending = (%d, %d), want (1, 0)", ins, dels)
+	if d := re.DeltaStats(); d.Inserts != 1 || d.Deletes != 0 {
+		t.Fatalf("DeltaStats = %d inserts, %d deletes, want 1 and 0", d.Inserts, d.Deletes)
 	}
 	if got := queryIDs(t, re, geom.CubeAt(geom.V(65, 65, 65), 1)); len(got) == 0 || got[len(got)-1] != 740001 {
 		t.Fatalf("mmap-replayed insert not served: %v", got)
@@ -442,9 +442,9 @@ func TestWALAcknowledgedPrefixOnly(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer re.Close()
-	ins, dels := re.Pending()
-	if ins < 5 || ins > 9 || dels != 0 {
-		t.Fatalf("Pending = (%d, %d), want 5..9 inserts", ins, dels)
+	d := re.DeltaStats()
+	if d.Inserts < 5 || d.Inserts > 9 || d.Deletes != 0 {
+		t.Fatalf("DeltaStats = %d inserts, %d deletes, want 5..9 inserts", d.Inserts, d.Deletes)
 	}
 	var got []uint64 // the staged IDs only; the query can hit base data too
 	for _, id := range queryIDs(t, re, geom.CubeAt(geom.V(70, 70, 70), 1)) {
@@ -452,8 +452,8 @@ func TestWALAcknowledgedPrefixOnly(t *testing.T) {
 			got = append(got, id)
 		}
 	}
-	if len(got) != ins {
-		t.Fatalf("replayed %d inserts but query sees %d", ins, len(got))
+	if len(got) != d.Inserts {
+		t.Fatalf("replayed %d inserts but query sees %d", d.Inserts, len(got))
 	}
 	for i, id := range got {
 		if id != 750000+uint64(i) {

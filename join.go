@@ -2,6 +2,7 @@ package flat
 
 import (
 	"context"
+	"math"
 
 	"flat/internal/geom"
 )
@@ -97,9 +98,10 @@ func Join(ctx context.Context, outer, inner *Index, maxDist float64, pred func(a
 		return nil
 	}
 
-	// The outer drain box is the data bounds expanded by a hair: stored v2
-	// boxes are conservative roundings that can graze just past them.
-	outerRes := outer.Query(ctx, outer.Bounds().Expand(1))
+	// The outer drain box is all of space: Bounds grows only at Rebuild,
+	// so staged inserts can lie outside it.
+	inf := math.Inf(1)
+	outerRes := outer.Query(ctx, Box(V(-inf, -inf, -inf), V(inf, inf, inf)))
 	for a, err := range outerRes.All() {
 		if err != nil {
 			st.Outer = outerRes.Stats()

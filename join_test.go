@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 )
@@ -82,24 +83,46 @@ func TestJoinMatchesBruteForce(t *testing.T) {
 	}
 	defer inner.Close()
 
-	for _, maxDist := range []float64{0, 1.5, 6} {
-		// Reads tally cache misses; cold-start each run so they count.
-		if err := outer.DropCache(); err != nil {
-			t.Fatal(err)
-		}
-		if err := inner.DropCache(); err != nil {
-			t.Fatal(err)
-		}
-		want := bruteJoin(as, bs, maxDist, nil)
-		got, st := collectJoin(t, outer, inner, maxDist, nil)
-		checkJoinPairs(t, got, want)
-		if st.Pairs != len(want) {
-			t.Errorf("maxDist %g: stats.Pairs = %d, want %d", maxDist, st.Pairs, len(want))
-		}
-		if st.Blocks == 0 || st.Outer.TotalReads == 0 || st.Inner.TotalReads == 0 {
-			t.Errorf("maxDist %g: implausible stats %+v", maxDist, st)
+	check := func(as, bs []Element) {
+		t.Helper()
+		for _, maxDist := range []float64{0, 1.5, 6} {
+			// Reads tally cache misses; cold-start each run so they count.
+			if err := outer.DropCache(); err != nil {
+				t.Fatal(err)
+			}
+			if err := inner.DropCache(); err != nil {
+				t.Fatal(err)
+			}
+			want := bruteJoin(as, bs, maxDist, nil)
+			got, st := collectJoin(t, outer, inner, maxDist, nil)
+			checkJoinPairs(t, got, want)
+			if st.Pairs != len(want) {
+				t.Errorf("maxDist %g: stats.Pairs = %d, want %d", maxDist, st.Pairs, len(want))
+			}
+			if st.Blocks == 0 || st.Outer.TotalReads == 0 || st.Inner.TotalReads == 0 {
+				t.Errorf("maxDist %g: implausible stats %+v", maxDist, st)
+			}
 		}
 	}
+	check(as, bs)
+
+	// Staged inserts join like bulkloaded ones, beyond the bulk bounds
+	// too: Bounds grows only at Rebuild.
+	stagedA := []Element{
+		{ID: 900_000, Box: CubeAt(V(1000, 1000, 1000), 1)},
+		{ID: 900_001, Box: CubeAt(V(-300, 50, 50), 1)},
+	}
+	stagedB := []Element{
+		{ID: 950_000, Box: CubeAt(V(1000.5, 1000, 1000), 1)},
+		{ID: 950_001, Box: CubeAt(V(-300, 50, 52), 1)},
+	}
+	if err := outer.StageInsert(stagedA...); err != nil {
+		t.Fatal(err)
+	}
+	if err := inner.StageInsert(stagedB...); err != nil {
+		t.Fatal(err)
+	}
+	check(slices.Concat(as, stagedA), slices.Concat(bs, stagedB))
 }
 
 func TestJoinPredRefines(t *testing.T) {

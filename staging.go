@@ -9,13 +9,7 @@ import "flat/internal/shard"
 // Safe to call concurrently with queries; like them it returns
 // ErrClosed after Close.
 func (ix *Index) StageInsert(els ...Element) error {
-	return ix.guard.query(func() error {
-		if err := ix.set.StageInsert(els...); err != nil {
-			return err
-		}
-		ix.kickCompactor()
-		return nil
-	})
+	return ix.guard.query(func() error { return ix.set.StageInsert(els...) })
 }
 
 // StageDelete stages the removal of the element with the given id and
@@ -26,13 +20,7 @@ func (ix *Index) StageInsert(els ...Element) error {
 // Deleting a non-existent element is a harmless no-op. Safe to call
 // concurrently with queries.
 func (ix *Index) StageDelete(id uint64, box MBR) error {
-	return ix.guard.query(func() error {
-		if err := ix.set.StageDelete(id, box); err != nil {
-			return err
-		}
-		ix.kickCompactor()
-		return nil
-	})
+	return ix.guard.query(func() error { return ix.set.StageDelete(id, box) })
 }
 
 // Flush fsyncs the write-ahead log, making every staged update issued
@@ -56,26 +44,16 @@ type DeltaStats = shard.DeltaStats
 type ShardDeltaStats = shard.ShardDeltaStats
 
 // DeltaStats reports the size of the staged-update delta awaiting the
-// next Rebuild: totals, the write-ahead log's on-disk footprint (0
-// without one), and a per-shard breakdown of staged inserts against
-// bulkloaded size — the ratio AutoCompact's DirtyRatio trigger watches.
-// Safe to call concurrently with queries and staging.
+// next Rebuild: the staged insert and delete totals, the write-ahead
+// log's on-disk footprint (0 without one), and a per-shard breakdown of
+// staged inserts against bulkloaded size — what a caller reads to decide
+// when to Rebuild. Safe to call concurrently with queries and staging.
 func (ix *Index) DeltaStats() (st DeltaStats, err error) {
 	err = ix.guard.query(func() error {
 		st = ix.set.DeltaStats()
 		return nil
 	})
 	return st, err
-}
-
-// Pending returns the number of staged inserts and deletes awaiting the
-// next Rebuild.
-func (ix *Index) Pending() (inserts, deletes int, err error) {
-	err = ix.guard.query(func() error {
-		inserts, deletes = ix.set.Pending()
-		return nil
-	})
-	return inserts, deletes, err
 }
 
 // DirtyShards returns the shards the staged updates may touch — the
