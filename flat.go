@@ -63,21 +63,21 @@
 //	cost := res.Stats() // page reads of the work actually performed
 //
 // RangeQuery, CountQuery and PointQuery are Query(ctx, q).Collect()
-// spelled for callers that want the whole result at once, and
-// BatchRangeQuery/BatchCountQuery fan a query batch over a worker pool.
-// All of them run over one executor pair: the set's shard-ordered range
-// stream and its distance-ordered NN stream, each on the goroutine that
-// drains the session.
+// spelled for callers that want the whole result at once. All of them
+// run over one executor pair: the set's shard-ordered range stream and
+// its distance-ordered NN stream, each on the goroutine that drains the
+// session.
 //
 // # Concurrency
 //
 // The bulkloaded state of an Index is immutable, and its query paths —
-// sessions, RangeQuery, CountQuery, PointQuery and the Batch variants —
-// are safe to call from any number of goroutines at once, alongside
-// staging. Queries share one lock-striped page cache; each query's
-// QueryStats counts exactly the cache misses that query caused (a page
-// another query just fetched is a free hit, as with a shared OS page
-// cache). DropCache, Rebuild and Close are maintenance operations:
+// sessions, RangeQuery, CountQuery and PointQuery — are safe to call
+// from any number of goroutines at once, alongside staging; concurrent
+// sessions are how queries use several cores. Queries share one
+// lock-striped page cache; each query's QueryStats counts exactly the
+// cache misses that query caused (a page another query just fetched is
+// a free hit, as with a shared OS page cache). DropCache, Rebuild and
+// Close are maintenance operations:
 // calling them while queries are in flight (including sessions
 // currently being drained) returns ErrBusy instead of racing, and every
 // query and maintenance method returns ErrClosed after a successful

@@ -1,10 +1,8 @@
 package flat
 
 import (
-	"context"
 	"math/rand"
 	"path/filepath"
-	"sort"
 	"sync"
 	"testing"
 )
@@ -36,26 +34,25 @@ func checkStats(t *testing.T, st QueryStats, nResults int) {
 }
 
 // runConcurrencyCheck executes the workload on goroutines*rounds
-// concurrent queries against ix (at any shard count) and verifies every
-// result set matches the single-threaded baseline and every QueryStats
-// is self-consistent. Run it under -race to also certify the page cache.
-func runConcurrencyCheck(t *testing.T, ix *Index, queries []MBR) {
+// concurrent queries against ix (at any shard count), built over els,
+// and verifies every result set matches the single-threaded baseline and
+// every QueryStats is self-consistent. Run it under -race to also
+// certify the page cache.
+func runConcurrencyCheck(t *testing.T, ix *Index, els []Element, queries []MBR) {
 	t.Helper()
 
-	// Single-threaded baseline, and a sanity check against brute force
-	// over a fresh scan of the index itself.
+	// Single-threaded baseline, checked against brute force over els.
 	baseline := make([][]uint64, len(queries))
 	for i, q := range queries {
-		els, st, err := ix.RangeQuery(q)
+		res, st, err := ix.RangeQuery(q)
 		if err != nil {
 			t.Fatalf("baseline query %d: %v", i, err)
 		}
-		checkStats(t, st, len(els))
-		ids := make([]uint64, len(els))
-		for j, e := range els {
-			ids[j] = e.ID
+		checkStats(t, st, len(res))
+		ids := idsOf(res)
+		if want := apiBrute(els, q); !sameIDs(ids, want) {
+			t.Fatalf("baseline query %d: %d results, brute force has %d", i, len(ids), len(want))
 		}
-		sort.Slice(ids, func(a, b int) bool { return ids[a] < ids[b] })
 		baseline[i] = ids
 	}
 
@@ -71,26 +68,15 @@ func runConcurrencyCheck(t *testing.T, ix *Index, queries []MBR) {
 					// Alternate between the two query methods so both
 					// concurrent paths are exercised.
 					if (g+round+i)%2 == 0 {
-						els, st, err := ix.RangeQuery(q)
+						res, st, err := ix.RangeQuery(q)
 						if err != nil {
 							errc <- err
 							return
 						}
-						checkStats(t, st, len(els))
-						ids := make([]uint64, len(els))
-						for j, e := range els {
-							ids[j] = e.ID
-						}
-						sort.Slice(ids, func(a, b int) bool { return ids[a] < ids[b] })
-						if len(ids) != len(baseline[i]) {
-							t.Errorf("goroutine %d query %d: %d results, baseline %d", g, i, len(ids), len(baseline[i]))
+						checkStats(t, st, len(res))
+						if ids := idsOf(res); !sameIDs(ids, baseline[i]) {
+							t.Errorf("goroutine %d query %d: %d results differ from the baseline's %d", g, i, len(ids), len(baseline[i]))
 							return
-						}
-						for j := range ids {
-							if ids[j] != baseline[i][j] {
-								t.Errorf("goroutine %d query %d: result %d = id %d, baseline %d", g, i, j, ids[j], baseline[i][j])
-								return
-							}
 						}
 					} else {
 						n, st, err := ix.CountQuery(q)
@@ -123,7 +109,7 @@ func TestConcurrentQueriesMemory(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer ix.Close()
-	runConcurrencyCheck(t, ix, queryWorkload(r, 25))
+	runConcurrencyCheck(t, ix, els, queryWorkload(r, 25))
 }
 
 func TestConcurrentQueriesDisk(t *testing.T) {
@@ -144,86 +130,7 @@ func TestConcurrentQueriesDisk(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer ix.Close()
-	runConcurrencyCheck(t, ix, queryWorkload(r, 25))
-}
-
-func TestBatchRangeQuery(t *testing.T) {
-	r := rand.New(rand.NewSource(80))
-	els := randomElements(r, 5000)
-	ix, err := Build(els, &Options{PageCapacity: 16})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ix.Close()
-	queries := queryWorkload(r, 40)
-
-	for _, workers := range []int{0, 1, 3, 8, 100} {
-		results, err := ix.BatchRangeQuery(context.Background(), queries, workers)
-		if err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
-		}
-		if len(results) != len(queries) {
-			t.Fatalf("workers=%d: %d results, want %d", workers, len(results), len(queries))
-		}
-		for i, q := range queries {
-			want, _, err := ix.RangeQuery(q)
-			if err != nil {
-				t.Fatal(err)
-			}
-			got := results[i]
-			checkStats(t, got.Stats, len(got.Elements))
-			if len(got.Elements) != len(want) {
-				t.Errorf("workers=%d query %d: %d elements, want %d", workers, i, len(got.Elements), len(want))
-				continue
-			}
-			sortByID := func(e []Element) {
-				sort.Slice(e, func(a, b int) bool { return e[a].ID < e[b].ID })
-			}
-			sortByID(got.Elements)
-			sortByID(want)
-			for j := range want {
-				if got.Elements[j].ID != want[j].ID {
-					t.Errorf("workers=%d query %d element %d: id %d, want %d", workers, i, j, got.Elements[j].ID, want[j].ID)
-					break
-				}
-			}
-		}
-	}
-
-	// The count variant must agree with the range variant.
-	counts, stats, err := ix.BatchCountQuery(context.Background(), queries, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(counts) != len(queries) || len(stats) != len(queries) {
-		t.Fatalf("BatchCountQuery returned %d counts, %d stats", len(counts), len(stats))
-	}
-	for i, q := range queries {
-		n, _, err := ix.CountQuery(q)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if counts[i] != n {
-			t.Errorf("query %d: batch count %d, direct count %d", i, counts[i], n)
-		}
-		checkStats(t, stats[i], counts[i])
-	}
-}
-
-func TestBatchRangeQueryEmpty(t *testing.T) {
-	r := rand.New(rand.NewSource(81))
-	ix, err := Build(randomElements(r, 200), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ix.Close()
-	results, err := ix.BatchRangeQuery(context.Background(), nil, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(results) != 0 {
-		t.Fatalf("empty batch returned %d results", len(results))
-	}
+	runConcurrencyCheck(t, ix, els, queryWorkload(r, 25))
 }
 
 // TestRTreeStatsAreThePerCallMisses pins the one-tally invariant on the

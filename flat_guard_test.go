@@ -1,7 +1,6 @@
 package flat
 
 import (
-	"context"
 	"errors"
 	"math/rand"
 	"sync"
@@ -198,9 +197,6 @@ func TestShardedCloseGuard(t *testing.T) {
 	}
 	if _, _, err := sx.RangeQuery(q); !errors.Is(err, ErrClosed) {
 		t.Errorf("query after Close: %v, want ErrClosed", err)
-	}
-	if _, err := sx.BatchRangeQuery(context.Background(), []MBR{q}, 2); !errors.Is(err, ErrClosed) {
-		t.Errorf("batch after Close: %v, want ErrClosed", err)
 	}
 }
 

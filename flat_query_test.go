@@ -202,8 +202,8 @@ func TestQueryCancelMidCrawl(t *testing.T) {
 
 // TestQueryContextAlreadyDone runs every context-taking entry point of
 // both shard counts with a context that is done before the query starts: the
-// session, its Collect/count sinks and the Batch methods must fail with
-// the context's error without delivering anything.
+// session and its Collect/count sinks must fail with the context's error
+// without delivering anything.
 func TestQueryContextAlreadyDone(t *testing.T) {
 	_, targets := queryTargets(t, 1000)
 	q := Box(V(0, 0, 0), V(100, 100, 100))
@@ -224,18 +224,6 @@ func TestQueryContextAlreadyDone(t *testing.T) {
 		}
 		if n, _, err := ix.Query(ctx, q).count(); !errors.Is(err, context.Canceled) || n != 0 {
 			t.Fatalf("%s: count = %d, %v, want 0 and context.Canceled", name, n, err)
-		}
-		results, err := ix.BatchRangeQuery(ctx, []MBR{q, q}, 2)
-		if !errors.Is(err, context.Canceled) {
-			t.Fatalf("%s: BatchRangeQuery = %v, want context.Canceled", name, err)
-		}
-		for i, r := range results {
-			if r.Elements != nil {
-				t.Fatalf("%s: cancelled batch delivered %d elements for query %d", name, len(r.Elements), i)
-			}
-		}
-		if _, _, err := ix.BatchCountQuery(ctx, []MBR{q, q}, 2); !errors.Is(err, context.Canceled) {
-			t.Fatalf("%s: BatchCountQuery = %v, want context.Canceled", name, err)
 		}
 	}
 }

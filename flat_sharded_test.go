@@ -1,7 +1,6 @@
 package flat
 
 import (
-	"context"
 	"math/rand"
 	"path/filepath"
 	"slices"
@@ -222,38 +221,6 @@ func TestShardedDiskBacked(t *testing.T) {
 	}
 }
 
-func TestShardedBatchQueries(t *testing.T) {
-	r := rand.New(rand.NewSource(93))
-	els := randomElements(r, 4000)
-	orig := append([]Element(nil), els...)
-	sx, err := Build(els, &Options{Shards: 4, PageCapacity: 16})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer sx.Close()
-	queries := queryWorkload(r, 30)
-
-	results, err := sx.BatchRangeQuery(context.Background(), queries, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	counts, stats, err := sx.BatchCountQuery(context.Background(), queries, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, q := range queries {
-		want := apiBrute(orig, q)
-		if !sameIDs(idsOf(results[i].Elements), want) {
-			t.Errorf("query %d: batch range mismatch", i)
-		}
-		if counts[i] != len(want) {
-			t.Errorf("query %d: batch count %d, want %d", i, counts[i], len(want))
-		}
-		checkStats(t, results[i].Stats, len(results[i].Elements))
-		checkStats(t, stats[i], counts[i])
-	}
-}
-
 func TestShardedConcurrentQueries(t *testing.T) {
 	r := rand.New(rand.NewSource(94))
 	els := randomElements(r, 5000)
@@ -262,5 +229,5 @@ func TestShardedConcurrentQueries(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer sx.Close()
-	runConcurrencyCheck(t, sx, queryWorkload(r, 20))
+	runConcurrencyCheck(t, sx, els, queryWorkload(r, 20))
 }

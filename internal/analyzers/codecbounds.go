@@ -15,7 +15,7 @@ import (
 // quantized cells, metadata records or the superblock, and only the
 // codec in internal/storage knows which bytes mean what. Every other
 // layer must hand the whole buffer to the codec (NewPageReader,
-// DecodeObjectPage, ObjectPageKind/Format/Count/MBR, core.OpenFrom's
+// DecodeObjectPageInto, ObjectPageKind/Format/Count/MBR, core.OpenFrom's
 // superblock reader) instead of indexing into it.
 var CodecBounds = &analysis.Analyzer{
 	Name: "codecbounds",
@@ -29,7 +29,7 @@ destination of a ReadPage call.
 
 Page layouts (v1 vs v2 object pages, metadata pages, the superblock)
 are storage-layer encoding details; decode through the storage codec
-(PageReader, DecodeObjectPage, the ObjectPage* helpers) so the layout
+(PageReader, DecodeObjectPageInto, the ObjectPage* helpers) so the layout
 can evolve in exactly one place. The check is function-local: a buffer
 laundered through another variable or a field escapes it, so keep page
 buffers in the locals they were read into.
@@ -90,7 +90,7 @@ func runCodecBounds(pass *analysis.Pass) (any, error) {
 			}
 			if !reported[n.Pos()] {
 				reported[n.Pos()] = true
-				pass.Reportf(n.Pos(), "raw page-buffer %s outside internal/storage; decode through the storage codec (PageReader/DecodeObjectPage/ObjectPage* helpers)", what)
+				pass.Reportf(n.Pos(), "raw page-buffer %s outside internal/storage; decode through the storage codec (PageReader/DecodeObjectPageInto/ObjectPage* helpers)", what)
 			}
 			return true
 		})

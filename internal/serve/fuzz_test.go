@@ -87,7 +87,7 @@ func FuzzServerFrames(f *testing.F) {
 		}
 		<-drained
 		s.Shutdown() // waits for the query goroutines the frames started
-		if n := s.Inflight(); n != 0 {
+		if n := s.adm.inflight(); n != 0 {
 			t.Fatalf("%d queries still hold admission slots", n)
 		}
 	})

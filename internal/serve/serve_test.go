@@ -286,7 +286,7 @@ func TestDisconnectCancelsCrawl(t *testing.T) {
 	c2.Close()
 
 	// The crawl must stop and give its admission slot back.
-	waitFor(t, 10*time.Second, func() bool { return s.Inflight() == 0 },
+	waitFor(t, 10*time.Second, func() bool { return s.adm.inflight() == 0 },
 		"crawl still holds its admission slot after client disconnect")
 	if got := s.cancelled.Load(); got != 1 {
 		t.Fatalf("cancelled counter = %d, want 1", got)
@@ -337,7 +337,7 @@ func TestAdmissionRejectsOverBudget(t *testing.T) {
 	if _, ok := st2.Next(); !ok {
 		t.Fatalf("stream 2 produced nothing: %v", st2.Err())
 	}
-	waitFor(t, 5*time.Second, func() bool { return s.Inflight() == 2 },
+	waitFor(t, 5*time.Second, func() bool { return s.adm.inflight() == 2 },
 		"two streams never both held admission slots")
 
 	// The N+1th query must bounce with the in-process sentinel.
@@ -376,7 +376,7 @@ func TestAdmissionRejectsOverBudget(t *testing.T) {
 	// A slot is released after the stream's last frame is written, so the
 	// client can see the end of the stream a moment before the server
 	// lets go.
-	waitFor(t, 5*time.Second, func() bool { return s.Inflight() == 0 },
+	waitFor(t, 5*time.Second, func() bool { return s.adm.inflight() == 0 },
 		"admission slots still held after both streams drained")
 }
 
@@ -411,7 +411,7 @@ func TestCancelFrameStopsStream(t *testing.T) {
 	if !errors.Is(st.Err(), context.Canceled) {
 		t.Fatalf("cancelled stream error = %v, want context.Canceled", st.Err())
 	}
-	waitFor(t, 5*time.Second, func() bool { return s.Inflight() == 0 },
+	waitFor(t, 5*time.Second, func() bool { return s.adm.inflight() == 0 },
 		"cancelled query still holds its admission slot")
 	// The connection survives a cancel: the next query runs normally.
 	cnt, _, err := c.Count(context.Background(), sx.Bounds(), QueryOptions{})
@@ -452,7 +452,7 @@ func TestClientContextCancelAbandonsStream(t *testing.T) {
 	if !errors.Is(st.Err(), context.Canceled) {
 		t.Fatalf("stream error = %v, want context.Canceled", st.Err())
 	}
-	waitFor(t, 5*time.Second, func() bool { return s.Inflight() == 0 },
+	waitFor(t, 5*time.Second, func() bool { return s.adm.inflight() == 0 },
 		"context-cancelled query still holds its admission slot")
 	// The background drainer must have retired the request id and kept
 	// the connection usable.
@@ -573,7 +573,7 @@ func TestDuplicateRequestIDRefused(t *testing.T) {
 		if err != nil {
 			t.Fatalf("after %d refusals and %d elements: %v", refused, elems, err)
 		}
-		if n := s.Inflight(); n > 1 {
+		if n := s.adm.inflight(); n > 1 {
 			t.Fatalf("%d queries in flight under one request id", n)
 		}
 		if getU32(payload) != id {
@@ -612,7 +612,7 @@ func TestDuplicateRequestIDRefused(t *testing.T) {
 	if elems >= len(els) {
 		t.Fatal("cancelled stream drained the full result set")
 	}
-	waitFor(t, 5*time.Second, func() bool { return s.Inflight() == 0 },
+	waitFor(t, 5*time.Second, func() bool { return s.adm.inflight() == 0 },
 		"cancelled query still holds its admission slot")
 }
 
@@ -793,8 +793,8 @@ func TestShutdownDrainsAndRefuses(t *testing.T) {
 	case <-time.After(5 * time.Second):
 		t.Fatal("Shutdown did not return: stalled stream was never cancelled")
 	}
-	if s.Inflight() != 0 {
-		t.Fatalf("in-flight = %d after Shutdown", s.Inflight())
+	if s.adm.inflight() != 0 {
+		t.Fatalf("in-flight = %d after Shutdown", s.adm.inflight())
 	}
 	// The index survives the server: it is the caller's to close.
 	if _, _, err := sx.RangeQuery(flat.CubeAt(flat.V(1, 1, 1), 1)); err != nil {
@@ -963,6 +963,6 @@ func TestConcurrentMixedLoad(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	waitFor(t, 5*time.Second, func() bool { return s.Inflight() == 0 },
+	waitFor(t, 5*time.Second, func() bool { return s.adm.inflight() == 0 },
 		"queries leaked admission slots under mixed load")
 }

@@ -171,10 +171,6 @@ func (s *Server) Serve() error {
 	}
 }
 
-// Inflight reports the number of queries currently holding admission
-// slots (exported for tests and the drain loop).
-func (s *Server) Inflight() int { return s.adm.inflight() }
-
 // Shutdown drains the server: stop accepting, refuse new queries with
 // ErrShuttingDown, give in-flight streams DrainTimeout to finish, then
 // cancel whatever is left, close every connection and wait for every

@@ -131,8 +131,8 @@ func TestCommitFailure(t *testing.T) {
 	})
 
 	// The bulkload step refuses after it wrote a page file: shard 0
-	// bulkloads its staged insert first (RunBatch claims shards in
-	// order), then shard 1's only element, staged for deletion, would
+	// bulkloads its staged insert (every job runs to completion, failing
+	// or not), while shard 1's only element, staged for deletion, would
 	// leave it empty. What shard 0 wrote must go, and nothing else move.
 	t.Run("Rebuild, bulkload refused", func(t *testing.T) {
 		dir := filepath.Join(t.TempDir(), "idx")

@@ -6,7 +6,7 @@
 // whole shards. StreamQuery is the only executor and this is its only
 // shard visit: a shard's crawl calls the consumer's emit directly, with
 // nothing concurrent or buffered in between. Several cores are used
-// across queries (RunBatch), not inside one.
+// across queries (concurrent callers), not inside one.
 
 package shard
 

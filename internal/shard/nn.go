@@ -38,7 +38,6 @@ package shard
 import (
 	"cmp"
 	"context"
-	"math"
 	"slices"
 	"sync"
 
@@ -146,9 +145,14 @@ func (s *Set) NNQuery(ctx context.Context, p geom.Vec3, k int, emit func(geom.El
 	st, err := core.NN(ctx, g.shards, p, func(e geom.Element, distSq float64) bool {
 		return dels.matches(e) || (sendStaged(distSq) && send(e, distSq))
 	})
-	// A bulk stream that ran dry leaves the farther staged inserts.
+	// A bulk stream that ran dry leaves the farther staged inserts: all of
+	// them, those whose squared distance overflowed to +Inf included.
 	if err == nil && !stopped {
-		sendStaged(math.Inf(1))
+		for _, h := range staged {
+			if !send(h.el, h.distSq) {
+				break
+			}
+		}
 	}
 	// Results counts set-level emissions, not what the bulk stream
 	// produced before delete filtering.

@@ -26,7 +26,7 @@
 // generation still opens, after it the new one does.
 //
 // The dirty shards are bulkloaded by the one bulkload step Build uses
-// too (bulkloadShards, concurrently on RunBatch), each filtering its
+// too (bulkloadShards, at most GOMAXPROCS at once), each filtering its
 // elements through the ID-sorted delete runs queries use (deleteView): a
 // rebuild costs about what building those shards costs.
 
@@ -337,9 +337,9 @@ func (s *Set) overlayFor(q geom.MBR) (g *generation, ins []geom.Element, dels de
 // the staged updates stay staged and the set keeps serving the old
 // state.
 //
-// The dirty shards are re-bulkloaded concurrently (RunBatch, GOMAXPROCS
-// workers), so peak memory during a rebuild is min(GOMAXPROCS, dirty
-// shards) shards' merged element slices, not one.
+// The dirty shards are re-bulkloaded concurrently (bulkloadShards, at
+// most GOMAXPROCS at once), so peak memory during a rebuild is
+// min(GOMAXPROCS, dirty shards) shards' merged element slices, not one.
 //
 // Rebuild mutates the set and must not run concurrently with queries or
 // other maintenance; the public flat.Index enforces this with its

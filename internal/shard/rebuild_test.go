@@ -627,25 +627,28 @@ func TestCrashBeforeManifestSwap(t *testing.T) {
 func TestFailedBuildCleansUp(t *testing.T) {
 	// PageCapacity beyond the page's physical capacity fails inside
 	// every shard's core.Build, after the page files were created. With
-	// every shard failing on concurrent workers, the reported shard must
-	// still be the lowest one (RunBatch's deterministic-error contract).
-	for _, k := range []int{2, 3} {
-		r := rand.New(rand.NewSource(45))
-		els := randomElements(r, 200)
-		dir := filepath.Join(t.TempDir(), "idx")
-		_, err := Build(els, Config{Shards: k, PageCapacity: 100000, Dir: dir})
-		if err == nil {
-			t.Fatalf("K=%d: build with absurd page capacity should fail", k)
-		}
-		if !strings.HasPrefix(err.Error(), "shard 0:") {
-			t.Errorf("K=%d: build reported %q, want the lowest failing shard (shard 0)", k, err)
-		}
-		entries, err := os.ReadDir(dir)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, e := range entries {
-			t.Errorf("K=%d: failed build left %s behind", k, e.Name())
+	// every shard failing on concurrent goroutines, the reported shard
+	// must still be the lowest one, whatever the scheduling: each trial
+	// is a fresh race.
+	for _, k := range []int{2, 3, 8} {
+		for trial := 0; trial < 20; trial++ {
+			r := rand.New(rand.NewSource(45))
+			els := randomElements(r, 200)
+			dir := filepath.Join(t.TempDir(), "idx")
+			_, err := Build(els, Config{Shards: k, PageCapacity: 100000, Dir: dir})
+			if err == nil {
+				t.Fatalf("K=%d trial %d: build with absurd page capacity should fail", k, trial)
+			}
+			if !strings.HasPrefix(err.Error(), "shard 0:") {
+				t.Errorf("K=%d trial %d: build reported %q, want the lowest failing shard (shard 0)", k, trial, err)
+			}
+			entries, err := os.ReadDir(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, e := range entries {
+				t.Errorf("K=%d trial %d: failed build left %s behind", k, trial, e.Name())
+			}
 		}
 	}
 }

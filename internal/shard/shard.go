@@ -42,11 +42,13 @@
 package shard
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
 	"sync"
 
 	"flat/internal/core"
@@ -190,8 +192,9 @@ func SplitHilbert(els []geom.Element, k int, world geom.MBR) [][]geom.Element {
 
 // Build bulkloads a sharded FLAT index over els (reordering the slice in
 // place: first along the Hilbert curve into shards, then per shard by
-// the STR pass). Shards are built on a bounded worker pool; see Config
-// for the storage and partitioning knobs.
+// the STR pass). Shards are built concurrently, at most GOMAXPROCS at
+// once (bulkloadShards); see Config for the storage and partitioning
+// knobs.
 func Build(els []geom.Element, cfg Config) (*Set, error) {
 	if len(els) == 0 {
 		return nil, core.ErrEmpty
@@ -285,10 +288,17 @@ type bulkJob func() ([]geom.Element, core.Options, error)
 // and fsynced before this returns, since a shard file must be durable
 // before a manifest is told it exists; a memory pager otherwise —
 // through a private build pool that is discarded (the set serves from
-// its shared pool, so it starts cold). The jobs run on RunBatch. It
-// returns the new indexes and their pagers by shard, nil where no job ran
-// or a job skipped; on any error it discards everything it created
-// (discardShards) and returns the lowest failing shard's error.
+// its shared pool, so it starts cold).
+//
+// The jobs run on min(GOMAXPROCS, len(jobs)) workers, one job per worker
+// at a time: a job's element slice (Rebuild's jobs merge theirs) exists
+// only while a worker runs it, so peak memory is min(GOMAXPROCS, jobs)
+// shards' elements. Every job runs to completion and this returns only
+// once every worker has exited, so no goroutine outlives it. It returns
+// the new indexes and their pagers by shard, nil where no job ran or a
+// job skipped; on any error it discards everything it created
+// (discardShards) and returns the lowest failing shard's error, however
+// the jobs were scheduled.
 func bulkloadShards(dir string, gen uint64, jobs []bulkJob) ([]*core.Index, []storage.Pager, error) {
 	if dir != "" {
 		if err := os.MkdirAll(dir, 0o755); err != nil {
@@ -297,10 +307,8 @@ func bulkloadShards(dir string, gen uint64, jobs []bulkJob) ([]*core.Index, []st
 	}
 	built := make([]*core.Index, len(jobs))
 	pagers := make([]storage.Pager, len(jobs))
-	err := RunBatch(context.Background(), len(jobs), 0, func(s int) error {
-		if jobs[s] == nil {
-			return nil
-		}
+	errs := make([]error, len(jobs))
+	run := func(s int) error {
 		els, opts, err := jobs[s]()
 		if err != nil || len(els) == 0 {
 			return err
@@ -325,8 +333,26 @@ func bulkloadShards(dir string, gen uint64, jobs []bulkJob) ([]*core.Index, []st
 			return fmt.Errorf("shard %d: %w", s, err)
 		}
 		return nil
-	})
-	if err != nil {
+	}
+	next := make(chan int)
+	var wg sync.WaitGroup
+	for range min(runtime.GOMAXPROCS(0), len(jobs)) {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for s := range next {
+				errs[s] = run(s)
+			}
+		}()
+	}
+	for s := range jobs {
+		if jobs[s] != nil {
+			next <- s
+		}
+	}
+	close(next)
+	wg.Wait()
+	if err := cmp.Or(errs...); err != nil {
 		discardShards(dir, gen, pagers)
 		return nil, nil, err
 	}

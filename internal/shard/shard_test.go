@@ -490,3 +490,41 @@ func TestBuildErrors(t *testing.T) {
 		t.Errorf("full query returned %d of 3", len(got))
 	}
 }
+
+// TestRunBatchFirstErrorDeterministic pins the error contract of the
+// bulkload fan-out (bulkloadShards): whichever worker finishes first,
+// every job runs and the error of the lowest-indexed failing shard is
+// the one reported, with nothing built left behind.
+func TestRunBatchFirstErrorDeterministic(t *testing.T) {
+	errAt := map[int]error{
+		3: fmt.Errorf("item 3 failed"),
+		7: fmt.Errorf("item 7 failed"),
+	}
+	r := rand.New(rand.NewSource(47))
+	els := randomElements(r, 20)
+	for trial := 0; trial < 200; trial++ {
+		ran := make([]bool, 16)
+		jobs := make([]bulkJob, len(ran))
+		for s := range jobs {
+			jobs[s] = func() ([]geom.Element, core.Options, error) {
+				ran[s] = true
+				if err := errAt[s]; err != nil {
+					return nil, core.Options{}, err
+				}
+				return append([]geom.Element(nil), els...), core.Options{PageCapacity: 16}, nil
+			}
+		}
+		built, pagers, err := bulkloadShards("", 1, jobs)
+		if err == nil || err.Error() != "item 3 failed" {
+			t.Fatalf("trial %d: bulkloadShards = %v, want deterministic first error of item 3", trial, err)
+		}
+		if built != nil || pagers != nil {
+			t.Fatalf("trial %d: failed bulkload returned indexes or pagers", trial)
+		}
+		for s, ok := range ran {
+			if !ok {
+				t.Fatalf("trial %d: job %d never ran", trial, s)
+			}
+		}
+	}
+}

@@ -304,12 +304,6 @@ func ObjectPageCount(page []byte) (int, error) {
 	return n, nil
 }
 
-// DecodeObjectPage parses an object page of either format into freshly
-// allocated elements.
-func DecodeObjectPage(page []byte) ([]geom.Element, error) {
-	return DecodeObjectPageInto(page, nil)
-}
-
 // DecodeObjectPageInto parses an object page of either format, appending
 // elements to dst to avoid allocation in query loops.
 func DecodeObjectPageInto(page []byte, dst []geom.Element) ([]geom.Element, error) {

@@ -64,7 +64,7 @@ func TestObjectPageV1ByteIdentical(t *testing.T) {
 		t.Fatal("v1 object page differs from rtree leaf encoding")
 	}
 
-	dec, err := storage.DecodeObjectPage(viaStorage[:])
+	dec, err := storage.DecodeObjectPageInto(viaStorage[:], nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,7 +90,7 @@ func checkV2RoundTrip(t *testing.T, els []geom.Element) {
 	if f, err := storage.ObjectPageFormat(page[:]); err != nil || f != storage.PageFormatV2 {
 		t.Fatalf("format sniff: %v %v", f, err)
 	}
-	dec, err := storage.DecodeObjectPage(page[:])
+	dec, err := storage.DecodeObjectPageInto(page[:], nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -128,7 +128,7 @@ func TestObjectPageV2Slack(t *testing.T) {
 	if err := storage.EncodeObjectPage(page[:], storage.PageFormatV2, els); err != nil {
 		t.Fatal(err)
 	}
-	dec, err := storage.DecodeObjectPage(page[:])
+	dec, err := storage.DecodeObjectPageInto(page[:], nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -161,7 +161,7 @@ func TestObjectPageV2DegenerateExact(t *testing.T) {
 		if err := storage.EncodeObjectPage(page[:], storage.PageFormatV2, els); err != nil {
 			t.Fatal(err)
 		}
-		dec, err := storage.DecodeObjectPage(page[:])
+		dec, err := storage.DecodeObjectPageInto(page[:], nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -194,15 +194,15 @@ func TestObjectPageEncodeErrors(t *testing.T) {
 func TestObjectPageDecodeErrors(t *testing.T) {
 	var page [storage.PageSize]byte
 	page[0] = 0 // rtree internal node kind: not an object page
-	if _, err := storage.DecodeObjectPage(page[:]); err == nil {
+	if _, err := storage.DecodeObjectPageInto(page[:], nil); err == nil {
 		t.Fatal("decoded an internal node as object page")
 	}
 	page[0] = 1
 	binary.LittleEndian.PutUint16(page[2:], 60000) // count over capacity
-	if _, err := storage.DecodeObjectPage(page[:]); err == nil {
+	if _, err := storage.DecodeObjectPageInto(page[:], nil); err == nil {
 		t.Fatal("decoded an over-capacity count")
 	}
-	if _, err := storage.DecodeObjectPage(page[:16]); err == nil {
+	if _, err := storage.DecodeObjectPageInto(page[:16], nil); err == nil {
 		t.Fatal("decoded a short buffer")
 	}
 }
@@ -225,7 +225,7 @@ func FuzzPageCodecRoundTrip(f *testing.F) {
 			// whatever the header claims.
 			page := make([]byte, storage.PageSize)
 			copy(page, data)
-			if els, err := storage.DecodeObjectPage(page); err == nil {
+			if els, err := storage.DecodeObjectPageInto(page, nil); err == nil {
 				for _, e := range els {
 					_ = e
 				}
@@ -261,7 +261,7 @@ func FuzzPageCodecRoundTrip(f *testing.F) {
 			if n, err := storage.ObjectPageCount(page); err != nil || n != len(els) {
 				t.Fatalf("count: %d %v, want %d", n, err, len(els))
 			}
-			dec, err := storage.DecodeObjectPage(page)
+			dec, err := storage.DecodeObjectPageInto(page, nil)
 			if err != nil {
 				t.Fatalf("%s decode: %v", format, err)
 			}

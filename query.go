@@ -42,9 +42,10 @@ func WithLimit(k int) QueryOption {
 //
 // The crawl runs on the goroutine that drains the session: the
 // surviving shards are crawled one after another in shard order, which
-// is what lets WithLimit skip trailing shards entirely; to use several cores, run several queries at once
-// (BatchRangeQuery, BatchCountQuery, or concurrent sessions). Safe for
-// concurrent use: any number of sessions may be drained at once.
+// is what lets WithLimit skip trailing shards entirely. To use several
+// cores, drain several sessions at once, one per goroutine: they share
+// the index's page cache, and each session's Stats counts only the page
+// reads it caused. Safe for concurrent use.
 func (ix *Index) Query(ctx context.Context, q MBR, opts ...QueryOption) *Results {
 	return newResults(ctx, ix, q, false, opts)
 }
@@ -109,59 +110,6 @@ func (ix *Index) CountQuery(q MBR) (int, QueryStats, error) {
 // concurrent use.
 func (ix *Index) PointQuery(p Vec3) ([]Element, QueryStats, error) {
 	return ix.RangeQuery(geom.PointBox(p))
-}
-
-// BatchResult is one query's output within a BatchRangeQuery.
-type BatchResult struct {
-	Elements []Element
-	Stats    QueryStats
-}
-
-// BatchRangeQuery executes the queries concurrently on a pool of workers
-// goroutines and returns per-query results in input order. A workers
-// value <= 0 uses GOMAXPROCS. All workers share the index's page cache;
-// each result's Stats counts the cache misses its own query caused, so
-// summing them gives the batch's aggregate page reads. A query error
-// aborts the batch; the error of the lowest-indexed failing query is
-// returned (already-finished results are kept). A done ctx stops
-// workers from starting further queries and aborts the in-flight
-// crawls, and the batch returns ctx.Err(). The batch holds the query
-// guard once for its whole duration.
-func (ix *Index) BatchRangeQuery(ctx context.Context, queries []MBR, workers int) (out []BatchResult, err error) {
-	err = ix.guard.query(func() error {
-		out = make([]BatchResult, len(queries))
-		return shard.RunBatch(ctx, len(queries), workers, func(i int) error {
-			var els []Element
-			st, err := ix.set.StreamQuery(ctx, queries[i], shard.StreamOptions{}, func(e Element) bool {
-				els = append(els, e)
-				return true
-			})
-			if err != nil {
-				els = nil
-			}
-			out[i] = BatchResult{Elements: els, Stats: st}
-			return err
-		})
-	})
-	return out, err
-}
-
-// BatchCountQuery is BatchRangeQuery without materializing result
-// elements: it returns each query's hit count and stats in input order.
-func (ix *Index) BatchCountQuery(ctx context.Context, queries []MBR, workers int) (counts []int, stats []QueryStats, err error) {
-	err = ix.guard.query(func() error {
-		counts = make([]int, len(queries))
-		stats = make([]QueryStats, len(queries))
-		return shard.RunBatch(ctx, len(queries), workers, func(i int) error {
-			st, err := ix.set.StreamQuery(ctx, queries[i], shard.StreamOptions{}, func(Element) bool { return true })
-			if err == nil {
-				counts[i] = st.Results
-			}
-			stats[i] = st
-			return err
-		})
-	})
-	return counts, stats, err
 }
 
 // Results is one streaming query session, created by Query or NN.
