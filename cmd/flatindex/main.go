@@ -50,7 +50,7 @@
 // every reopen with or without the flag.
 //
 // -pageformat v2 builds with the compressed object-page layout
-// (quantized delta-encoded elements, ~1.7x the density of v1); the
+// (quantized delta-encoded elements, 1.7-2x the density of v1); the
 // format is stamped into the index file, so reopening never needs the
 // flag and the on-disk format wins over it. -mmap serves an existing
 // index out of a read-only memory mapping instead of file reads; it
@@ -89,7 +89,7 @@ func main() {
 		insert  = flag.String("insert", "", "element file whose contents are staged for insertion")
 		del     = flag.String("delete", "", "comma-separated element ids staged for deletion")
 		rebuild = flag.Bool("rebuild", false, "fold staged updates in by re-bulkloading only the dirty shards")
-		pf      = flag.String("pageformat", "v1", "object-page layout for a fresh build: v1 (full precision) or v2 (quantized delta-encoded, ~1.7x denser); reopening reads the format from the index itself")
+		pf      = flag.String("pageformat", "v1", "object-page layout for a fresh build: v1 (full precision) or v2 (quantized delta-encoded, 1.7-2x denser); reopening reads the format from the index itself")
 		mmap    = flag.Bool("mmap", false, "serve an existing index through a read-only memory mapping instead of file reads (reopen only)")
 		wal     = flag.Bool("wal", false, "write-ahead-log staged updates so they survive a crash without -rebuild (disk-backed index only)")
 	)
@@ -188,7 +188,7 @@ func main() {
 			fmt.Printf("  page format:   mixed (per shard above)\n")
 			fmt.Printf("  bytes/elem:    %.1f (whole index)\n", float64(ix.SizeBytes())/float64(ix.Len()))
 		} else {
-			printFormatStats(ix.ShardPageFormat(0), ix.SizeBytes(), ix.Len())
+			printFormatStats(ix.ShardPageFormat(0), ix.SizeBytes(), ix.Len(), ix.NumPartitions())
 		}
 		if st, err := ix.DeltaStats(); err == nil {
 			fmt.Printf("  staged delta:  %d inserts, %d deletes", st.Inserts, st.Deletes)
@@ -409,12 +409,13 @@ func flagWasSet(name string) bool {
 
 // printFormatStats reports the codec-dependent stats lines: which
 // layout the object pages use, the realized on-disk density, and how
-// much denser the layout packs elements than the v1 baseline.
-func printFormatStats(f flat.PageFormat, sizeBytes uint64, n int) {
-	fmt.Printf("  page format:   %s (%d elements/object page)\n", f, flat.ObjectPageCapacity(f))
+// much denser the realized pages are than a full v1 page.
+func printFormatStats(f flat.PageFormat, sizeBytes uint64, n, pages int) {
+	perPage := float64(n) / float64(pages)
+	fmt.Printf("  page format:   %s (%.1f elements/object page)\n", f, perPage)
 	fmt.Printf("  bytes/elem:    %.1f (whole index)\n", float64(sizeBytes)/float64(n))
-	fmt.Printf("  compression:   %.2fx elements per object page vs v1\n",
-		float64(flat.ObjectPageCapacity(f))/float64(flat.ObjectPageCapacity(flat.PageFormatV1)))
+	fmt.Printf("  compression:   %.2fx elements per object page vs a full v1 page\n",
+		perPage/float64(flat.ObjectPageCapacity(flat.PageFormatV1)))
 }
 
 func parseFloats(s string, n int) ([]float64, error) {

@@ -162,18 +162,23 @@ const (
 	// are stored bit-exactly.
 	PageFormatV1 = storage.PageFormatV1
 	// PageFormatV2 is the compressed layout: one full-precision
-	// reference MBR per page plus 32-byte elements whose boxes are
-	// quantized 32-bit offsets into it — 126 elements per page (1.7×
-	// v1). Quantization is conservative: a stored box always contains
-	// the inserted one, with at most ~4/2³² of the page extent of slack
-	// per side, so queries never miss an element; extremely tight
-	// queries can return a near-miss whose stored box grazes them.
+	// reference MBR and a base id per page, plus elements whose boxes
+	// are quantized 32-bit offsets into the MBR and whose ids are
+	// offsets from the base, as narrow as the page's id span allows —
+	// 149 elements per page (2.0× v1) when ids span under 2^24, 126
+	// (1.7×) for arbitrary 64-bit ids. Quantization is conservative: a
+	// stored box always contains the inserted one, with at most ~4/2³²
+	// of the page extent of slack per side, so queries never miss an
+	// element; extremely tight queries can return a near-miss whose
+	// stored box grazes them.
 	PageFormatV2 = storage.PageFormatV2
 )
 
 // ObjectPageCapacity reports how many elements one 4 KiB object page
-// holds under the given format: 73 for PageFormatV1, 126 for
-// PageFormatV2.
+// holds under the given format whatever their ids: 73 for PageFormatV1,
+// 126 for PageFormatV2. A v2 build packs more when the ids it indexes
+// lie close together (149 for a span under 2^24), so the realized
+// elements per page can exceed this.
 func ObjectPageCapacity(f PageFormat) int { return storage.ObjectPageCapacity(f) }
 
 // Options configures Build and Open. The zero value (or nil) gives a
@@ -187,7 +192,8 @@ type Options struct {
 	// paper's index. See the README for choosing K.
 	Shards int
 	// PageCapacity caps elements per object page in every shard
-	// (default: a full page, 73 elements).
+	// (default: a full page — 73 elements under PageFormatV1; under
+	// PageFormatV2 up to 149, depending on each shard's id span).
 	PageCapacity int
 	// SeedFanout caps the entries per seed-tree internal node in every
 	// shard (default: a full page). Smaller fanouts deepen the seed
@@ -212,7 +218,7 @@ type Options struct {
 	// DropCache to simulate a cold start.
 	BufferPages int
 	// PageFormat selects every shard's object-page layout (zero:
-	// PageFormatV1). PageFormatV2 packs 1.7× the elements per page —
+	// PageFormatV1). PageFormatV2 packs 1.7–2.0× the elements per page —
 	// proportionally fewer pages read per query — at the cost of
 	// conservatively rounded element boxes; see the PageFormat constants.
 	// The format is recorded per shard (manifest and superblock) and

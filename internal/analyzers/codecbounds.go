@@ -15,7 +15,7 @@ import (
 // quantized cells, metadata records or the superblock, and only the
 // codec in internal/storage knows which bytes mean what. Every other
 // layer must hand the whole buffer to the codec (NewPageReader,
-// DecodeObjectPageInto, ObjectPageKind/Format/Count/MBR, core.OpenFrom's
+// DecodeObjectPageInto, ObjectPageCount, core.OpenFrom's
 // superblock reader) instead of indexing into it.
 var CodecBounds = &analysis.Analyzer{
 	Name: "codecbounds",

@@ -40,11 +40,17 @@ func Build(pool storage.Pool, els []geom.Element, opts Options) (*Index, error) 
 	if !format.Valid() {
 		return nil, fmt.Errorf("core: unknown page format %d", uint8(format))
 	}
-	// The page capacity bound is format-dependent: v2's quantized layout
-	// fits 126 elements per page against v1's 73, and a full page is the
-	// default, so v2 builds produce proportionally fewer (and larger)
-	// partitions.
-	maxCapacity := storage.ObjectPageCapacity(format)
+	// The page capacity bound depends on the format and, for v2, on the
+	// input's id span: v2 stores each id as an offset from its page's
+	// minimum, so ids spanning under 2^24 fit 149 a page and arbitrary
+	// 64-bit ids 126, against v1's 73. No page's span exceeds the
+	// input's, so every page fits. A full page is the default, so v2
+	// builds produce proportionally fewer (and larger) partitions.
+	lo, hi := els[0].ID, els[0].ID
+	for i := range els {
+		lo, hi = min(lo, els[i].ID), max(hi, els[i].ID)
+	}
+	maxCapacity := storage.ObjectPageCapacityForSpan(format, hi-lo)
 	capacity := opts.PageCapacity
 	if capacity == 0 {
 		capacity = maxCapacity

@@ -35,8 +35,10 @@ import (
 // Options configures FLAT index construction.
 type Options struct {
 	// PageCapacity is the maximum number of elements per object page.
-	// Zero means a full 4 KiB page (73 elements). It must not exceed the
-	// page capacity.
+	// Zero means a full 4 KiB page. It must not exceed the page
+	// capacity: 73 for v1, and for v2 storage.ObjectPageCapacityForSpan
+	// of the input's id span (149 for ids spanning under 2^24, 126 for
+	// arbitrary ids).
 	PageCapacity int
 	// World is the space to partition. The partition cells tile this box
 	// exactly, which is what guarantees the "no empty space" property.
@@ -55,10 +57,10 @@ type Options struct {
 	NoMetaTiling bool
 	// PageFormat selects the object-page layout: v1 (full float64 MBRs,
 	// the original layout) or v2 (per-page reference MBR + quantized u32
-	// cells, 126 elements per page instead of 73). Zero means
-	// storage.DefaultPageFormat. The format is recorded in the
-	// superblock; queries decode per page, so it never needs to be
-	// supplied again at open time.
+	// cells + ids as offsets from a per-page base: up to 149 elements per
+	// page instead of 73). Zero means storage.DefaultPageFormat. The
+	// format is recorded in the superblock; queries decode per page, so
+	// it never needs to be supplied again at open time.
 	PageFormat storage.PageFormat
 }
 

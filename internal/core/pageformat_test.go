@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"math/rand"
 	"path/filepath"
 	"strings"
@@ -101,10 +102,32 @@ func TestBuildCapacityValidationPerFormat(t *testing.T) {
 	if ix.PageFormat() != storage.PageFormatV2 {
 		t.Fatal("format lost")
 	}
-	cp = append([]geom.Element(nil), els...)
-	if _, err := Build(storage.NewConcurrentPool(storage.NewMemPager(), 0), cp,
-		Options{World: worldBox(), PageCapacity: storage.ObjectPageCapacityV2 + 1, PageFormat: storage.PageFormatV2}); err == nil {
-		t.Fatal("over-capacity accepted under v2")
+	// v2's bound follows the input's id span: a narrow span takes more
+	// than 126 elements a page, a full-width one exactly 126.
+	lo, hi := els[0].ID, els[0].ID
+	for _, e := range els {
+		lo, hi = min(lo, e.ID), max(hi, e.ID)
+	}
+	narrow := storage.ObjectPageCapacityForSpan(storage.PageFormatV2, hi-lo)
+	if narrow <= storage.ObjectPageCapacityV2 {
+		t.Fatalf("ids %d..%d: v2 capacity %d, want above %d", lo, hi, narrow, storage.ObjectPageCapacityV2)
+	}
+	wide := append([]geom.Element(nil), els...)
+	wide[0].ID = math.MaxUint64
+	for _, c := range []struct {
+		els      []geom.Element
+		capacity int
+	}{{els, narrow}, {wide, storage.ObjectPageCapacityV2}} {
+		cp = append([]geom.Element(nil), c.els...)
+		if _, err := Build(storage.NewConcurrentPool(storage.NewMemPager(), 0), cp,
+			Options{World: worldBox(), PageCapacity: c.capacity, PageFormat: storage.PageFormatV2}); err != nil {
+			t.Fatalf("capacity %d rejected under v2: %v", c.capacity, err)
+		}
+		cp = append([]geom.Element(nil), c.els...)
+		if _, err := Build(storage.NewConcurrentPool(storage.NewMemPager(), 0), cp,
+			Options{World: worldBox(), PageCapacity: c.capacity + 1, PageFormat: storage.PageFormatV2}); err == nil {
+			t.Fatalf("capacity %d accepted under v2", c.capacity+1)
+		}
 	}
 	cp = append([]geom.Element(nil), els...)
 	if _, err := Build(storage.NewConcurrentPool(storage.NewMemPager(), 0), cp,

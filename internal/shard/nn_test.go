@@ -380,3 +380,77 @@ func BenchmarkSetNN(b *testing.B) {
 		set.Close()
 	}
 }
+
+// TestMixedIDWidthsAcrossShards builds a K=4 v2 set whose shards store
+// ids at different widths: a cluster in one corner carries ids spread
+// over all 64 bits, so its shard keeps the full-width (flags 0) page
+// layout and 126 elements a page, while the other shards pack narrow
+// offsets and more elements a page. Range, Count and NN answers must
+// match brute force across the mix.
+func TestMixedIDWidthsAcrossShards(t *testing.T) {
+	// 140 elements a shard: one narrow page, or two full-width ones.
+	r := rand.New(rand.NewSource(61))
+	els := randomElements(r, 560)
+	for i := range els {
+		if c := els[i].Box.Center(); c.X < 20 && c.Y < 20 && c.Z < 20 {
+			els[i].ID |= uint64(i%7+1) << 57
+		}
+	}
+	orig := append([]geom.Element(nil), els...)
+	set, err := Build(els, Config{Shards: 4, PageFormat: storage.PageFormatV2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer set.Close()
+
+	inf := math.Inf(1)
+	everything := geom.Box(geom.V(-inf, -inf, -inf), geom.V(inf, inf, inf))
+	var wide, narrow int
+	for s, ix := range set.now().shards {
+		got, _, err := ix.RangeQuery(everything)
+		if err != nil {
+			t.Fatal(err)
+		}
+		lo, hi := got[0].ID, got[0].ID
+		for _, e := range got {
+			lo, hi = min(lo, e.ID), max(hi, e.ID)
+		}
+		perPage := float64(ix.Len()) / float64(ix.NumPartitions())
+		if hi-lo >= 1<<56 {
+			wide++
+		} else if perPage > storage.ObjectPageCapacityV2 {
+			narrow++
+		}
+		t.Logf("shard %d: ids %#x..%#x, %.1f elements/page", s, lo, hi, perPage)
+	}
+	if wide == 0 || narrow == 0 {
+		t.Fatalf("%d full-width shards and %d packed narrow shards, want at least one of each", wide, narrow)
+	}
+
+	ctx := context.Background()
+	for _, q := range []geom.MBR{
+		everything,
+		geom.CubeAt(geom.V(10, 10, 10), 15), // the full-width corner
+		geom.CubeAt(geom.V(50, 50, 50), 30), // across shards
+		geom.CubeAt(geom.V(80, 20, 70), 10),
+	} {
+		want := brute(orig, q)
+		got, _, err := set.RangeQuery(ctx, q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !equalIDs(sortedIDs(got), want) {
+			t.Fatalf("RangeQuery(%v): %d ids, brute force %d", q, len(got), len(want))
+		}
+		n, _, err := set.CountQuery(ctx, q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n != len(want) {
+			t.Fatalf("CountQuery(%v) = %d, want %d", q, n, len(want))
+		}
+	}
+	for _, p := range []geom.Vec3{geom.V(5, 5, 5), geom.V(50, 50, 50), geom.V(120, -10, 60)} {
+		checkSetNN(t, set, p)
+	}
+}

@@ -82,6 +82,17 @@ func (w *PageWriter) PutU64(v uint64) {
 	w.off += 8
 }
 
+// PutUintN writes the low n (1..8) bytes of v, little-endian.
+func (w *PageWriter) PutUintN(v uint64, n int) {
+	if !w.need(n) {
+		return
+	}
+	for i := 0; i < n; i++ {
+		w.buf[w.off+i] = byte(v >> (8 * i))
+	}
+	w.off += n
+}
+
 // PutF64 writes a little-endian IEEE-754 float64.
 func (w *PageWriter) PutF64(v float64) { w.PutU64(math.Float64bits(v)) }
 
@@ -137,6 +148,14 @@ func (r *PageReader) U32() uint32 {
 func (r *PageReader) U64() uint64 {
 	v := binary.LittleEndian.Uint64(r.buf[r.off:])
 	r.off += 8
+	return v
+}
+
+// UintN reads an n-byte (1..8) little-endian unsigned integer with one
+// 8-byte load masked to n bytes, so 8 bytes must remain on the page.
+func (r *PageReader) UintN(n int) uint64 {
+	v := binary.LittleEndian.Uint64(r.buf[r.off:]) & (^uint64(0) >> (64 - 8*n))
+	r.off += n
 	return v
 }
 

@@ -1,8 +1,10 @@
 package storage
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math"
+	"math/bits"
 
 	"flat/internal/geom"
 )
@@ -21,10 +23,21 @@ import (
 // Format v2 — quantized delta encoding. The page stores one exact
 // float64 reference MBR (the union of its elements) and each element as
 // six uint32 cell coordinates relative to it, in the spirit of
-// internal/hilbert's world-box→cell Quantizer but anchored per page:
+// internal/hilbert's world-box→cell Quantizer but anchored per page.
+// Ids are stored as a frame of reference: the flags byte holds w, the
+// byte width of the page's id span (max − min), and the header carries
+// the page's minimum id as a base that each element's w-byte offset is
+// added to:
 //
-//	[kind=3 u8][flags u8][count u16][reference MBR 6×f64]  (52 bytes)
-//	count × { min cells 3×u32 | max-distance cells 3×u32 | id u64 }  (32 bytes each)
+//	[kind=3 u8][flags=w u8][count u16][reference MBR 6×f64][base id u64]  (60 bytes)
+//	count × { min cells 3×u32 | max-distance cells 3×u32 | id − base, w bytes }  (24+w bytes each)
+//
+// flags 0 is the original layout, still written when the span needs all
+// 8 bytes: no base field and full u64 ids (a 52-byte header and 32-byte
+// elements, base 0). Flags 1..7 give the width; larger values are
+// invalid. A page of width w holds (4096 − 60) / (24 + w) elements —
+// 161 at w = 1, 149 at w = 3, 130 at w = 7 — and a flags-0 page
+// (4096 − 52) / 32 = 126, the capacity for arbitrary ids.
 //
 // Each axis is divided into 2^32 steps of the reference extent. Min
 // coordinates round down (cell c decodes to ref.Min + c·step), max
@@ -85,21 +98,49 @@ const (
 	objectElemV1   = ElementSize
 
 	objectHeaderV2 = 4 + MBRSize // kind, flags, count, reference MBR
-	objectElemV2   = 6*4 + 8     // six u32 cells + u64 id
+	objectCellsV2  = 6 * 4       // six u32 cells, before the id
+	idBaseSize     = 8           // the u64 base id of a flags 1..7 page
 
 	// ObjectPageCapacityV1 is 73 elements per 4 KiB page (matching
-	// rtree.NodeCapacity); ObjectPageCapacityV2 is 126, a 1.72× raise.
+	// rtree.NodeCapacity); ObjectPageCapacityV2 is 126, the capacity of
+	// a v2 page whose ids need all 8 bytes.
 	ObjectPageCapacityV1 = (PageSize - objectHeaderV1) / objectElemV1
-	ObjectPageCapacityV2 = (PageSize - objectHeaderV2) / objectElemV2
+	ObjectPageCapacityV2 = (PageSize - objectHeaderV2) / (objectCellsV2 + 8)
 )
 
-// ObjectPageCapacity returns the maximum number of elements one object
-// page holds under format f.
+// ObjectPageCapacity returns how many elements one object page holds
+// under format f whatever their ids: 73 for v1, 126 for v2. The encoder
+// accepts that many elements with any ids; ObjectPageCapacityForSpan
+// gives the larger v2 capacity of ids that lie close together.
 func ObjectPageCapacity(f PageFormat) int {
 	if f == PageFormatV2 {
 		return ObjectPageCapacityV2
 	}
 	return ObjectPageCapacityV1
+}
+
+// ObjectPageCapacityForSpan returns the most elements one object page
+// of format f holds when its ids differ by at most span (max − min id):
+// 149 for v2 at a span below 2^24, down to 126 when the span needs all
+// 8 bytes. v1 stores full ids and always holds 73.
+func ObjectPageCapacityForSpan(f PageFormat, span uint64) int {
+	if f != PageFormatV2 {
+		return ObjectPageCapacity(f)
+	}
+	return v2Capacity(idWidth(span))
+}
+
+// idWidth returns the bytes a v2 page spends per id when its ids span
+// span: 1 to 8. The flags byte holds the width, with 8 written as 0.
+func idWidth(span uint64) int { return max(1, (bits.Len64(span)+7)/8) }
+
+// v2Capacity returns how many elements a v2 page with w-byte ids holds.
+// Counting the base field at every width is exact: a flags-0 page,
+// which has none, holds 126 either way. Every width leaves at least
+// 8 − w bytes after a full page's last id, so its offset decodes with
+// one 8-byte load (TestObjectPageV2FullPageEveryWidth).
+func v2Capacity(w int) int {
+	return (PageSize - objectHeaderV2 - idBaseSize) / (objectCellsV2 + w)
 }
 
 // quantLevels is the number of quantization steps per axis: u32 cells,
@@ -227,25 +268,34 @@ func encodeObjectPageV1(buf []byte, els []geom.Element) error {
 }
 
 func encodeObjectPageV2(buf []byte, els []geom.Element) error {
-	if len(els) > ObjectPageCapacityV2 {
-		return fmt.Errorf("storage: %d elements exceed v2 page capacity %d", len(els), ObjectPageCapacityV2)
-	}
 	ref := geom.EmptyMBR()
+	lo, hi := uint64(math.MaxUint64), uint64(0)
 	for i := range els {
 		b := els[i].Box
 		if !(b.Min.X <= b.Max.X && b.Min.Y <= b.Max.Y && b.Min.Z <= b.Max.Z) || !finiteMBR(b) {
 			return fmt.Errorf("storage: v2 object page: element %d has inverted or non-finite box", i)
 		}
 		ref = ref.Union(b)
+		lo, hi = min(lo, els[i].ID), max(hi, els[i].ID)
 	}
 	if len(els) == 0 {
-		ref = geom.MBR{}
+		ref, lo = geom.MBR{}, 0
+	}
+	width := idWidth(hi - lo)
+	if n := v2Capacity(width); len(els) > n {
+		return fmt.Errorf("storage: %d elements exceed v2 page capacity %d", len(els), n)
+	}
+	if width == 8 {
+		lo = 0 // flags 0: full ids, no base field
 	}
 	w := NewPageWriter(buf)
 	w.PutU8(objectKindV2)
-	w.PutU8(0)
+	w.PutU8(uint8(width % 8))
 	w.PutU16(uint16(len(els)))
 	w.PutMBR(ref)
+	if width < 8 {
+		w.PutU64(lo)
+	}
 	q := newPageQuantizer(ref)
 	for _, e := range els {
 		w.PutU32(q.cellMin(0, e.Box.Min.X))
@@ -254,7 +304,7 @@ func encodeObjectPageV2(buf []byte, els []geom.Element) error {
 		w.PutU32(q.cellMax(0, e.Box.Max.X))
 		w.PutU32(q.cellMax(1, e.Box.Max.Y))
 		w.PutU32(q.cellMax(2, e.Box.Max.Z))
-		w.PutU64(e.ID)
+		w.PutUintN(e.ID-lo, width)
 	}
 	if w.Overflow() {
 		return fmt.Errorf("storage: v2 object page overflow")
@@ -272,36 +322,44 @@ func finiteMBR(m geom.MBR) bool {
 	return true
 }
 
-// ObjectPageFormat identifies the layout of an encoded object page from
-// its kind byte.
-func ObjectPageFormat(page []byte) (PageFormat, error) {
+// objectPageLayout validates an object page's header and returns its
+// element count and its id width in bytes. It never reads past
+// len(page).
+func objectPageLayout(page []byte) (count, width int, err error) {
 	if len(page) < objectHeaderV1 {
-		return 0, fmt.Errorf("storage: object page shorter than header")
+		return 0, 0, fmt.Errorf("storage: object page shorter than header")
 	}
+	count = int(binary.LittleEndian.Uint16(page[2:]))
 	switch page[0] {
 	case objectKindV1:
-		return PageFormatV1, nil
+		if count > ObjectPageCapacityV1 {
+			return 0, 0, fmt.Errorf("storage: object page count %d exceeds v1 capacity %d", count, ObjectPageCapacityV1)
+		}
+		return count, 8, nil
 	case objectKindV2:
-		return PageFormatV2, nil
+		width = int(page[1])
+		switch {
+		case width == 0:
+			width = 8
+		case width > 7:
+			return 0, 0, fmt.Errorf("storage: v2 object page flags %d above 7", width)
+		case len(page) < objectHeaderV2+idBaseSize:
+			return 0, 0, fmt.Errorf("storage: v2 object page base id runs past the page")
+		}
+		if n := v2Capacity(width); count > n {
+			return 0, 0, fmt.Errorf("storage: object page count %d exceeds v2 capacity %d at %d-byte ids", count, n, width)
+		}
+		return count, width, nil
 	default:
-		return 0, fmt.Errorf("storage: byte 0x%02x is not an object page kind", page[0])
+		return 0, 0, fmt.Errorf("storage: byte 0x%02x is not an object page kind", page[0])
 	}
 }
 
 // ObjectPageCount returns the number of elements stored on an encoded
 // object page.
 func ObjectPageCount(page []byte) (int, error) {
-	f, err := ObjectPageFormat(page)
-	if err != nil {
-		return 0, err
-	}
-	r := NewPageReader(page)
-	r.Seek(2)
-	n := int(r.U16())
-	if n > ObjectPageCapacity(f) {
-		return 0, fmt.Errorf("storage: object page count %d exceeds %s capacity %d", n, f, ObjectPageCapacity(f))
-	}
-	return n, nil
+	count, _, err := objectPageLayout(page)
+	return count, err
 }
 
 // DecodeObjectPageInto parses an object page of either format, appending
@@ -310,7 +368,7 @@ func DecodeObjectPageInto(page []byte, dst []geom.Element) ([]geom.Element, erro
 	if err := checkBuf(page, "decode object page"); err != nil {
 		return dst, err
 	}
-	count, err := ObjectPageCount(page)
+	count, width, err := objectPageLayout(page)
 	if err != nil {
 		return dst, err
 	}
@@ -325,8 +383,11 @@ func DecodeObjectPageInto(page []byte, dst []geom.Element) ([]geom.Element, erro
 		}
 		return dst, nil
 	}
-	ref := r.MBR()
-	q := newPageQuantizer(ref)
+	q := newPageQuantizer(r.MBR())
+	var base uint64 // 0 on a flags-0 page: its ids are stored whole
+	if width < 8 {
+		base = r.U64()
+	}
 	for i := 0; i < count; i++ {
 		var e geom.Element
 		e.Box.Min.X = q.decodeMin(0, r.U32())
@@ -335,7 +396,7 @@ func DecodeObjectPageInto(page []byte, dst []geom.Element) ([]geom.Element, erro
 		e.Box.Max.X = q.decodeMax(0, r.U32())
 		e.Box.Max.Y = q.decodeMax(1, r.U32())
 		e.Box.Max.Z = q.decodeMax(2, r.U32())
-		e.ID = r.U64()
+		e.ID = base + r.UintN(width)
 		dst = append(dst, e)
 	}
 	return dst, nil
