@@ -141,10 +141,7 @@ func (r *Runner) fig21() ([]*Table, error) {
 		})
 		parts := str.PartitionElements(els, r.Cfg.NodeCapacity, world)
 		for _, factor := range []float64{1.0, 1.15, 1.3, 1.45, 1.6} {
-			avgVol, avgNb, err := inflatedNeighborStats(parts, world, factor)
-			if err != nil {
-				return nil, err
-			}
+			avgVol, avgNb := inflatedNeighborStats(parts, factor)
 			t1.AddRow(f2(factor), fi(len(parts)), f1(avgVol), f2(avgNb))
 		}
 	}
@@ -205,7 +202,7 @@ func (r *Runner) fig21() ([]*Table, error) {
 // (core.Neighbors: each inflated MBR queried against the cells). It
 // returns the average inflated partition volume and the average
 // neighbor count.
-func inflatedNeighborStats(parts []str.Partition, world geom.MBR, factor float64) (avgVol, avgNb float64, err error) {
+func inflatedNeighborStats(parts []str.Partition, factor float64) (avgVol, avgNb float64) {
 	cells := make([]geom.MBR, len(parts))
 	inflated := make([]geom.MBR, len(parts))
 	for i, p := range parts {
@@ -215,9 +212,6 @@ func inflatedNeighborStats(parts []str.Partition, world geom.MBR, factor float64
 		avgVol += inflated[i].Volume()
 	}
 	avgVol /= float64(len(parts))
-	_, links, err := core.Neighbors(cells, inflated, world)
-	if err != nil {
-		return 0, 0, err
-	}
-	return avgVol, float64(links) / float64(len(parts)), nil
+	_, links := core.Neighbors(cells, inflated)
+	return avgVol, float64(links) / float64(len(parts))
 }

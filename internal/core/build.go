@@ -3,7 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 	"time"
 
 	"flat/internal/geom"
@@ -20,7 +20,7 @@ var ErrEmpty = errors.New("core: cannot build an empty FLAT index")
 //
 //  1. Partition the elements with an STR pass into page-sized groups and
 //     derive each group's page MBR and (stretched) partition MBR.
-//  2. Insert all partition MBRs into a temporary R-tree and, for every
+//  2. Pack all partition cells into an in-memory STR tree and, for every
 //     partition, retrieve the intersecting partitions — its neighbors.
 //  3. Write the object pages, pack the metadata records into seed-tree
 //     leaf pages, and build the seed tree's internal levels above them.
@@ -80,20 +80,15 @@ func Build(pool storage.Pool, els []geom.Element, opts Options) (*Index, error) 
 	ix.build.PartitionTime = time.Since(t0)
 	ix.build.Partitions = len(parts)
 
-	// Phase 2: neighborhood computation via a temporary R-tree (paper:
-	// "Finding Neighbors" in Figure 10). The temporary tree lives in its
-	// own memory-backed pool so it does not pollute the index's, and is
-	// discarded afterwards.
+	// Phase 2: neighborhood computation (paper: "Finding Neighbors" in
+	// Figure 10) over an in-memory tree, discarded afterwards.
 	t1 := time.Now()
 	cells := make([]geom.MBR, len(parts))
 	boxes := make([]geom.MBR, len(parts))
 	for i, p := range parts {
 		cells[i], boxes[i] = p.Cell, p.PartitionMBR
 	}
-	neighborIdx, links, err := Neighbors(cells, boxes, world)
-	if err != nil {
-		return nil, err
-	}
+	neighborIdx, links := Neighbors(cells, boxes)
 	ix.build.NeighborTime = time.Since(t1)
 	ix.build.NeighborLinks = links
 
@@ -108,59 +103,43 @@ func Build(pool storage.Pool, els []geom.Element, opts Options) (*Index, error) 
 }
 
 // Neighbors is Algorithm 1's neighbor step, the one neighbor relation
-// of the index: a temporary R-tree over the partition cells (in world)
-// and one range query per partition with its box — the (stretched)
-// partition MBR when Build calls it, an inflated one in fig21's
-// partition-volume sweep. Partitions i and k are neighbors when boxes[i]
-// intersects cells[k] or vice versa — the paper's "partition adjacent
-// to or overlapping A" relation. Querying against the unstretched cells
-// (rather than stretched-vs-stretched boxes) keeps neighbor lists tight
-// while preserving the crawl's completeness guarantee: the breadth-first
-// search only ever needs to cross from a partition's MBR into the
-// space-tiling cell that covers the next piece of the query region, and
-// the relation is symmetrized so both crossing directions exist.
+// of the index: an in-memory str.Tree over the partition cells (the
+// tree the staged delta's runs are) and one search per partition with
+// its box — the (stretched) partition MBR when Build calls it, an
+// inflated one in fig21's partition-volume sweep. Partitions i and k are
+// neighbors when boxes[i] intersects cells[k] or vice versa — the paper's
+// "partition adjacent to or overlapping A" relation. Querying against
+// the unstretched cells (rather than stretched-vs-stretched boxes) keeps
+// neighbor lists tight while preserving the crawl's completeness
+// guarantee: the breadth-first search only ever needs to cross from a
+// partition's MBR into the space-tiling cell that covers the next piece
+// of the query region, and the relation is symmetrized so both crossing
+// directions exist.
 //
 // It returns, per partition, the indices of its neighbors (self
 // excluded, ascending) and the total number of directed links.
-func Neighbors(cells, boxes []geom.MBR, world geom.MBR) ([][]int, int, error) {
-	tmpPool := storage.NewConcurrentPool(storage.NewMemPager(), 0)
-	tmpEls := make([]geom.Element, len(cells))
-	for i, c := range cells {
-		tmpEls[i] = geom.Element{ID: uint64(i), Box: c}
+func Neighbors(cells, boxes []geom.MBR) (neighbors [][]int, links int) {
+	pos := make([]int32, len(cells))
+	for i := range pos {
+		pos[i] = int32(i)
 	}
-	tmpTree, err := rtree.Build(tmpPool, tmpEls, rtree.STR, world, rtree.Config{})
-	if err != nil {
-		return nil, 0, fmt.Errorf("core: temporary neighbor tree: %w", err)
-	}
-	sets := make([]map[int]bool, len(cells))
-	for i := range sets {
-		sets[i] = make(map[int]bool)
-	}
+	cell := func(p int32) geom.MBR { return cells[p] }
+	tree := str.Pack(pos, cell)
+	neighbors = make([][]int, len(cells))
 	for i, box := range boxes {
-		res, err := tmpTree.RangeQuery(box)
-		if err != nil {
-			return nil, 0, err
-		}
-		for _, r := range res {
-			k := int(r.ID)
-			if k == i {
-				continue
+		tree.Search(box, cell, func(p int32) {
+			if k := int(p); k != i {
+				neighbors[i] = append(neighbors[i], k)
+				neighbors[k] = append(neighbors[k], i) // symmetrize
 			}
-			sets[i][k] = true
-			sets[k][i] = true // symmetrize
-		}
+		})
 	}
-	neighbors := make([][]int, len(cells))
-	links := 0
-	for i, s := range sets {
-		neighbors[i] = make([]int, 0, len(s))
-		for k := range s {
-			neighbors[i] = append(neighbors[i], k)
-		}
-		sort.Ints(neighbors[i])
+	for i, nb := range neighbors {
+		slices.Sort(nb)
+		neighbors[i] = slices.Compact(nb)
 		links += len(neighbors[i])
 	}
-	return neighbors, links, nil
+	return neighbors, links
 }
 
 // write materializes the three data structures on the buffer pool.

@@ -68,7 +68,7 @@ type Options struct {
 // breakdown of the paper's Figure 10 (Partitioning vs Finding Neighbors).
 type BuildStats struct {
 	PartitionTime time.Duration // STR pass + MBR computation
-	NeighborTime  time.Duration // temporary R-tree + neighbor queries
+	NeighborTime  time.Duration // in-memory tree over the cells + one search per partition
 	WriteTime     time.Duration // serializing object/metadata/seed pages
 	TotalTime     time.Duration
 	Partitions    int // number of partitions = object pages

@@ -24,7 +24,7 @@ func BenchmarkSplitHilbert(b *testing.B) {
 		b.StopTimer()
 		copy(els, src)
 		b.StartTimer()
-		if groups := SplitHilbert(els, 4, world); len(groups) != 4 {
+		if groups := splitHilbert(els, 4, world); len(groups) != 4 {
 			b.Fatalf("%d groups", len(groups))
 		}
 	}

@@ -92,7 +92,7 @@ func TestCommitFailure(t *testing.T) {
 		wantIDs := queryIDs(t, set, spot)
 		wantDelta := set.DeltaStats()
 		wantFiles := dirFiles(t, dir)
-		wantManifest, err := os.ReadFile(filepath.Join(dir, ManifestName))
+		wantManifest, err := os.ReadFile(filepath.Join(dir, manifestName))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -107,7 +107,7 @@ func TestCommitFailure(t *testing.T) {
 		if got := queryIDs(t, set, spot); !equalIDs(got, wantIDs) {
 			t.Fatal("staged elements stopped answering queries after a failed rebuild")
 		}
-		if got, _ := os.ReadFile(filepath.Join(dir, ManifestName)); string(got) != string(wantManifest) {
+		if got, _ := os.ReadFile(filepath.Join(dir, manifestName)); string(got) != string(wantManifest) {
 			t.Fatalf("failed rebuild changed the manifest:\n%s", got)
 		}
 		if got := dirFiles(t, dir); strings.Join(got, " ") != strings.Join(wantFiles, " ") {
@@ -165,7 +165,7 @@ func TestCommitFailure(t *testing.T) {
 		wantIDs := queryIDs(t, set, all)
 		wantDelta := set.DeltaStats()
 		wantFiles := dirFiles(t, dir)
-		wantManifest, err := os.ReadFile(filepath.Join(dir, ManifestName))
+		wantManifest, err := os.ReadFile(filepath.Join(dir, manifestName))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -179,7 +179,7 @@ func TestCommitFailure(t *testing.T) {
 		if got := queryIDs(t, set, all); !equalIDs(got, wantIDs) {
 			t.Fatalf("answers after refused rebuild = %v, want %v", got, wantIDs)
 		}
-		if got, _ := os.ReadFile(filepath.Join(dir, ManifestName)); string(got) != string(wantManifest) {
+		if got, _ := os.ReadFile(filepath.Join(dir, manifestName)); string(got) != string(wantManifest) {
 			t.Fatalf("refused rebuild changed the manifest:\n%s", got)
 		}
 		if got := dirFiles(t, dir); strings.Join(got, " ") != strings.Join(wantFiles, " ") {

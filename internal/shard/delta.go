@@ -4,14 +4,14 @@
 // This is the LSM memtable step of the write path, kept by Bentley and
 // Saxe's logarithmic method. Each shard's staged inserts live in a slab
 // (append-ordered, hence seq-ascending: the source of truth) tiled by a
-// few immutable runs. A run is an STR-packed implicit tree over one
-// contiguous slab range: its slab positions in str.Tile order plus one
-// box per node, level by level, at a fixed fanout. The overlay probe for
-// a query box is a walk that rejects a run on its root box, not a sweep
-// of everything pending, and ends at each staged insert's own box. The
-// staged deletes are tiled the same way by runs of positions into their
-// append-only list, sorted by element ID, so a doom check is one binary
-// search per run.
+// few immutable runs. A run is a str.Tree over one contiguous slab range:
+// its slab positions in str.Tile order plus one box per node, level by
+// level, at a fixed fanout (Build's neighbor join packs the same tree
+// over partition cells). The overlay probe for a query box is a walk
+// that rejects a run on its root box, not a sweep of everything pending,
+// and ends at each staged insert's own box. The staged deletes are tiled
+// the same way by runs of positions into their append-only list, sorted
+// by element ID, so a doom check is one binary search per run.
 //
 // Staging appends to the list and pushes the new entries as one run,
 // which absorbs the newest runs while they are shorter than twice it
@@ -37,9 +37,6 @@ import (
 	"flat/internal/geom"
 	"flat/internal/str"
 )
-
-// runFanout is the node capacity of a run's implicit tree.
-const runFanout = 16
 
 // epoch is the staged state of a Set between two rebuilds. Its fields
 // are guarded by the pmu of the Set that holds it.
@@ -83,89 +80,35 @@ func mergeTail[R any](runs []R, n int, size func(R) int) (keep, tail int) {
 }
 
 // shardDelta holds one shard's staged inserts: the slab and the runs
-// that tile it, oldest first. The zero value is an empty delta.
+// that tile it, oldest first. Each run is a str.Tree over one contiguous
+// slab range, naming its staged inserts by slab position. The zero value
+// is an empty delta.
 type shardDelta struct {
 	slab []stagedInsert
-	runs []run
-}
-
-// run is an STR-packed implicit tree over one contiguous slab range.
-// pos holds the range's slab positions in str.Tile order (level -1);
-// node i of level l bounds nodes [i·runFanout, (i+1)·runFanout) of
-// level l-1, and the last level is the root alone.
-type run struct {
-	pos    []int32
-	levels [][]geom.MBR
+	runs []str.Tree
 }
 
 // add stages a batch of inserts, given in staging order, as one run.
 func (d *shardDelta) add(batch []stagedInsert) {
 	d.slab = append(d.slab, batch...)
-	keep, tail := mergeTail(d.runs, len(batch), func(r run) int { return len(r.pos) })
-	r := run{pos: make([]int32, tail)}
-	for i := range r.pos {
-		r.pos[i] = int32(len(d.slab) - tail + i)
+	keep, tail := mergeTail(d.runs, len(batch), func(r str.Tree) int { return len(r.Pos) })
+	pos := make([]int32, tail)
+	for i := range pos {
+		pos[i] = int32(len(d.slab) - tail + i)
 	}
-	// Tile sorts pos in place, group by group, so pos ends in STR order.
-	str.Tile(r.pos, func(p int32) geom.Vec3 { return d.slab[p].el.Box.Center() }, runFanout)
-	for n := len(r.pos); ; n = len(r.levels[len(r.levels)-1]) {
-		level := make([]geom.MBR, (n+runFanout-1)/runFanout)
-		for i := range n {
-			b := d.box(&r, len(r.levels)-1, i)
-			if i%runFanout > 0 {
-				b = b.Union(level[i/runFanout])
-			}
-			level[i/runFanout] = b
-		}
-		r.levels = append(r.levels, level)
-		if len(level) == 1 {
-			break
-		}
-	}
-	d.runs = append(d.runs[:keep:keep], r)
+	d.runs = append(d.runs[:keep:keep], str.Pack(pos, d.at))
 }
 
-// box returns the box of node i of r's level (-1: the staged insert at
-// r.pos[i]).
-func (d *shardDelta) box(r *run, level, i int) geom.MBR {
-	if level < 0 {
-		return d.slab[r.pos[i]].el.Box
-	}
-	return r.levels[level][i]
-}
-
-// children returns the index range, in the level below, of a node's
-// children.
-func (r *run) children(level, node int) (lo, hi int) {
-	n := len(r.pos)
-	if level > 0 {
-		n = len(r.levels[level-1])
-	}
-	lo = node * runFanout
-	return lo, min(lo+runFanout, n)
-}
+// at returns the box of the staged insert at slab position p: the item
+// boxes of d's runs.
+func (d *shardDelta) at(p int32) geom.MBR { return d.slab[p].el.Box }
 
 // forEachCandidate hands fn every staged insert whose box intersects q.
 // A q that misses every run's root box costs one box test per run and
 // allocates nothing.
 func (d *shardDelta) forEachCandidate(q geom.MBR, fn func(si stagedInsert)) {
 	for i := range d.runs {
-		d.visit(&d.runs[i], q, len(d.runs[i].levels)-1, 0, fn)
-	}
-}
-
-// visit walks the subtree of node of r's level (see forEachCandidate).
-func (d *shardDelta) visit(r *run, q geom.MBR, level, node int, fn func(si stagedInsert)) {
-	if !d.box(r, level, node).Intersects(q) {
-		return
-	}
-	if level < 0 {
-		fn(d.slab[r.pos[node]])
-		return
-	}
-	lo, hi := r.children(level, node)
-	for c := lo; c < hi; c++ {
-		d.visit(r, q, level-1, c, fn)
+		d.runs[i].Search(q, d.at, func(p int32) { fn(d.slab[p]) })
 	}
 }
 

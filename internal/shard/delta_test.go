@@ -24,24 +24,24 @@ func checkRuns(t *testing.T, ep *epoch) {
 	for sh, d := range ep.deltas {
 		covered := 0
 		for i, r := range d.runs {
-			if i > 0 && len(d.runs[i-1].pos) < 2*len(r.pos) {
-				t.Fatalf("shard %d: run %d holds %d entries, run %d only %d", sh, i, len(r.pos), i-1, len(d.runs[i-1].pos))
+			if i > 0 && len(d.runs[i-1].Pos) < 2*len(r.Pos) {
+				t.Fatalf("shard %d: run %d holds %d entries, run %d only %d", sh, i, len(r.Pos), i-1, len(d.runs[i-1].Pos))
 			}
-			for j, p := range slices.Sorted(slices.Values(r.pos)) {
+			for j, p := range slices.Sorted(slices.Values(r.Pos)) {
 				if int(p) != covered+j {
-					t.Fatalf("shard %d: run %d does not cover slab[%d:%d]", sh, i, covered, covered+len(r.pos))
+					t.Fatalf("shard %d: run %d does not cover slab[%d:%d]", sh, i, covered, covered+len(r.Pos))
 				}
 			}
-			covered += len(r.pos)
-			if top := r.levels[len(r.levels)-1]; len(top) != 1 {
+			covered += len(r.Pos)
+			if top := r.Levels[r.Top()]; len(top) != 1 {
 				t.Fatalf("shard %d: run %d has %d root boxes", sh, i, len(top))
 			}
-			for l, boxes := range r.levels {
+			for l, boxes := range r.Levels {
 				for node, b := range boxes {
 					u := geom.EmptyMBR()
-					lo, hi := r.children(l, node)
+					lo, hi := r.Children(l, node)
 					for c := lo; c < hi; c++ {
-						u = u.Union(d.box(&r, l-1, c))
+						u = u.Union(r.Box(l-1, c, d.at))
 					}
 					if u != b {
 						t.Fatalf("shard %d: run %d level %d node %d box %v, children's union %v", sh, i, l, node, b, u)

@@ -43,12 +43,12 @@ import (
 // a crash may strand are removed by the next successful build/rebuild's
 // GC pass and are ignored by Open.
 
-// ManifestName is the manifest file's name within the index directory.
-const ManifestName = "MANIFEST.json"
+// manifestName is the manifest file's name within the index directory.
+const manifestName = "MANIFEST.json"
 
 // manifestTempName is the scratch file the manifest is staged in before
 // the atomic rename; a leftover one (torn write) is ignored and GCed.
-const manifestTempName = ManifestName + ".tmp"
+const manifestTempName = manifestName + ".tmp"
 
 // manifestV2 is the only manifest version read or written.
 const manifestV2 = 2
@@ -215,7 +215,7 @@ func commit(dir string, m manifest) (wal *storage.WAL, gc func(), err error) {
 
 // writeManifest atomically replaces dir's manifest: the JSON is staged
 // in a temp file in the same directory, fsynced, and renamed over
-// ManifestName. The rename is the commit point every build and rebuild
+// manifestName. The rename is the commit point every build and rebuild
 // relies on — a crash mid-write leaves the old manifest untouched.
 func writeManifest(dir string, m manifest) error {
 	m.Version = manifestV2
@@ -244,7 +244,7 @@ func writeManifest(dir string, m manifest) error {
 		os.Remove(tmp)
 		return fmt.Errorf("shard: close manifest: %w", err)
 	}
-	if err := os.Rename(tmp, filepath.Join(dir, ManifestName)); err != nil {
+	if err := os.Rename(tmp, filepath.Join(dir, manifestName)); err != nil {
 		os.Remove(tmp)
 		return fmt.Errorf("shard: commit manifest: %w", err)
 	}
@@ -271,9 +271,9 @@ var errManifestNotDurable = errors.New("shard: manifest swap committed but not d
 
 // readManifest loads and validates dir's manifest.
 func readManifest(dir string) (manifest, error) {
-	data, err := os.ReadFile(filepath.Join(dir, ManifestName))
+	data, err := os.ReadFile(filepath.Join(dir, manifestName))
 	if errors.Is(err, syscall.ENOTDIR) {
-		return manifest{}, fmt.Errorf("shard: %s is not a directory: a disk-backed index is a directory holding %s", dir, ManifestName)
+		return manifest{}, fmt.Errorf("shard: %s is not a directory: a disk-backed index is a directory holding %s", dir, manifestName)
 	}
 	if err != nil {
 		return manifest{}, fmt.Errorf("shard: read manifest: %w", err)

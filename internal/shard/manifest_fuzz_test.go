@@ -40,7 +40,7 @@ func FuzzReadManifest(f *testing.F) {
 				f.Fatal(err)
 			}
 		}
-		data, err := os.ReadFile(filepath.Join(cfg.Dir, ManifestName))
+		data, err := os.ReadFile(filepath.Join(cfg.Dir, manifestName))
 		if err != nil {
 			f.Fatal(err)
 		}
@@ -56,7 +56,7 @@ func FuzzReadManifest(f *testing.F) {
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		dir := t.TempDir()
-		if err := os.WriteFile(filepath.Join(dir, ManifestName), data, 0o644); err != nil {
+		if err := os.WriteFile(filepath.Join(dir, manifestName), data, 0o644); err != nil {
 			t.Fatal(err)
 		}
 		m, err := readManifest(dir)

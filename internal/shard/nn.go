@@ -55,7 +55,7 @@ type stagedNear struct {
 }
 
 // runItem is one pending unit of the staged best-first walk: node of
-// run of deltas[delta] at level (-1: a staged insert; see shardDelta.box).
+// run of deltas[delta] at level (-1: a staged insert; see str.Tree).
 type runItem struct {
 	delta, run, level, node int32
 }
@@ -72,8 +72,7 @@ func stagedNearest(deltas []shardDelta, p geom.Vec3, k int, dels deleteView) []s
 	defer func() { h.Reset(); nearHeaps.Put(h) }()
 	for i := range deltas {
 		for j, r := range deltas[i].runs {
-			top := len(r.levels) - 1
-			h.Push(r.levels[top][0].DistSqToPoint(p), runItem{int32(i), int32(j), int32(top), 0})
+			h.Push(r.Levels[r.Top()][0].DistSqToPoint(p), runItem{int32(i), int32(j), int32(r.Top()), 0})
 		}
 	}
 	var out []stagedNear
@@ -86,14 +85,14 @@ func stagedNearest(deltas []shardDelta, p geom.Vec3, k int, dels deleteView) []s
 		}
 		d, r := &deltas[it.delta], &deltas[it.delta].runs[it.run]
 		if it.level < 0 {
-			if si := d.slab[r.pos[it.node]]; !dels.matchesAfter(si.el, si.seq) {
+			if si := d.slab[r.Pos[it.node]]; !dels.matchesAfter(si.el, si.seq) {
 				out = append(out, stagedNear{el: si.el, distSq: distSq, seq: si.seq})
 			}
 			continue
 		}
-		lo, hi := r.children(int(it.level), int(it.node))
+		lo, hi := r.Children(int(it.level), int(it.node))
 		for c := lo; c < hi; c++ {
-			h.Push(d.box(r, int(it.level)-1, c).DistSqToPoint(p), runItem{it.delta, it.run, it.level - 1, int32(c)})
+			h.Push(r.Box(int(it.level)-1, c, d.at).DistSqToPoint(p), runItem{it.delta, it.run, it.level - 1, int32(c)})
 		}
 	}
 	slices.SortFunc(out, func(a, b stagedNear) int {

@@ -211,7 +211,7 @@ func TestRebuildOnlyDirtyShards(t *testing.T) {
 	}
 
 	// Manifest is v2 with per-shard generations.
-	raw, err := os.ReadFile(filepath.Join(dir, ManifestName))
+	raw, err := os.ReadFile(filepath.Join(dir, manifestName))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -771,7 +771,7 @@ func TestManifestV1Rejected(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := os.WriteFile(filepath.Join(dir, ManifestName), data, 0o644); err != nil {
+	if err := os.WriteFile(filepath.Join(dir, manifestName), data, 0o644); err != nil {
 		t.Fatal(err)
 	}
 
@@ -875,7 +875,7 @@ func TestOpenRejectsElementCountMismatch(t *testing.T) {
 	if err := set.Close(); err != nil {
 		t.Fatal(err)
 	}
-	raw, err := os.ReadFile(filepath.Join(dir, ManifestName))
+	raw, err := os.ReadFile(filepath.Join(dir, manifestName))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -888,7 +888,7 @@ func TestOpenRejectsElementCountMismatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := os.WriteFile(filepath.Join(dir, ManifestName), tampered, 0o644); err != nil {
+	if err := os.WriteFile(filepath.Join(dir, manifestName), tampered, 0o644); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := OpenSet(dir, OpenOptions{}); err == nil || !strings.Contains(err.Error(), "manifest records") {
@@ -897,7 +897,7 @@ func TestOpenRejectsElementCountMismatch(t *testing.T) {
 
 	// Likewise a shard file whose superblock claims page runs the file
 	// does not hold: refused at open, on both pagers, not looped over.
-	if err := os.WriteFile(filepath.Join(dir, ManifestName), raw, 0o644); err != nil {
+	if err := os.WriteFile(filepath.Join(dir, manifestName), raw, 0o644); err != nil {
 		t.Fatal(err)
 	}
 	f, err := os.OpenFile(filepath.Join(dir, m.Entries[1].File), os.O_RDWR, 0)

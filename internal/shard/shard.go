@@ -162,13 +162,13 @@ func (g *generation) prune(q geom.MBR) []int {
 	return sel
 }
 
-// SplitHilbert reorders els in place along the 3D Hilbert curve of their
+// splitHilbert reorders els in place along the 3D Hilbert curve of their
 // MBR centers (quantized over world) and cuts the order into at most k
 // contiguous, near-equal groups — the shard assignment. Fewer than k
 // groups come back when there are fewer than k elements. k <= 1 returns
 // the input as one group, untouched: a single shard must preserve the
 // exact element order a bare core.Build would see.
-func SplitHilbert(els []geom.Element, k int, world geom.MBR) [][]geom.Element {
+func splitHilbert(els []geom.Element, k int, world geom.MBR) [][]geom.Element {
 	if len(els) == 0 {
 		return nil
 	}
@@ -216,7 +216,7 @@ func Build(els []geom.Element, cfg Config) (*Set, error) {
 	} else {
 		world = world.Union(bounds)
 	}
-	groups := SplitHilbert(els, k, world)
+	groups := splitHilbert(els, k, world)
 
 	// Building into a directory that already commits an index writes the
 	// new files under the next generation, so the old index is never

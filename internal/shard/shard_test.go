@@ -80,7 +80,7 @@ func TestSplitHilbert(t *testing.T) {
 
 	for _, k := range []int{1, 2, 3, 8, 1000, 1500} {
 		cp := append([]geom.Element(nil), orig...)
-		groups := SplitHilbert(cp, k, world)
+		groups := splitHilbert(cp, k, world)
 		want := k
 		if want > len(cp) {
 			want = len(cp)
@@ -118,7 +118,7 @@ func TestSplitHilbert(t *testing.T) {
 	// k=1 must not reorder: a single shard has to see exactly the input
 	// order an unsharded build would.
 	cp := append([]geom.Element(nil), orig...)
-	SplitHilbert(cp, 1, world)
+	splitHilbert(cp, 1, world)
 	for i := range cp {
 		if cp[i].ID != orig[i].ID {
 			t.Fatal("k=1 reordered the input")
@@ -344,7 +344,7 @@ func TestShardedDiskRoundTrip(t *testing.T) {
 	}
 
 	// The directory must hold the manifest and one file per shard.
-	if _, err := os.Stat(filepath.Join(dir, ManifestName)); err != nil {
+	if _, err := os.Stat(filepath.Join(dir, manifestName)); err != nil {
 		t.Fatal(err)
 	}
 	for s := 0; s < 4; s++ {

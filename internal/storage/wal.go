@@ -78,11 +78,11 @@ const (
 // nothing can be trusted.
 var ErrWALCorrupt = errors.New("storage: not a WAL file (bad magic)")
 
-// EncodeWALRecord appends r's wire encoding to dst and returns the
+// encodeWALRecord appends r's wire encoding to dst and returns the
 // extended slice. Box coordinates round-trip bit-exactly (they are
 // stored as raw IEEE-754 words), so replay restores the staged box
 // byte for byte.
-func EncodeWALRecord(dst []byte, r WALRecord) []byte {
+func encodeWALRecord(dst []byte, r WALRecord) []byte {
 	var payload [walPayloadSize]byte
 	payload[0] = byte(r.Op)
 	binary.LittleEndian.PutUint64(payload[1:], r.Seq)
@@ -97,12 +97,12 @@ func EncodeWALRecord(dst []byte, r WALRecord) []byte {
 	return append(dst, payload[:]...)
 }
 
-// DecodeWALRecord parses one record from the front of b, returning the
+// decodeWALRecord parses one record from the front of b, returning the
 // record and the number of bytes consumed. Any failure — a truncated
 // frame, a length this version does not produce, a checksum mismatch,
 // an unknown op — returns an error; replay treats every such error as
 // the torn tail of the log.
-func DecodeWALRecord(b []byte) (WALRecord, int, error) {
+func decodeWALRecord(b []byte) (WALRecord, int, error) {
 	if len(b) < walHeaderSize {
 		return WALRecord{}, 0, fmt.Errorf("storage: wal record: truncated header (%d bytes)", len(b))
 	}
@@ -184,7 +184,7 @@ func OpenWAL(path string) (*WAL, []WALRecord, error) {
 	var recs []WALRecord
 	off := len(walMagic)
 	for off < len(data) {
-		r, n, err := DecodeWALRecord(data[off:])
+		r, n, err := decodeWALRecord(data[off:])
 		if err != nil {
 			break // torn tail: keep the valid prefix
 		}
@@ -217,7 +217,7 @@ func (w *WAL) Append(recs ...WALRecord) error {
 	}
 	buf := make([]byte, 0, len(recs)*walRecordSize)
 	for _, r := range recs {
-		buf = EncodeWALRecord(buf, r)
+		buf = encodeWALRecord(buf, r)
 	}
 	if _, err := w.f.WriteAt(buf, w.size); err != nil {
 		w.f.Truncate(w.size) // best effort: drop any partial tail

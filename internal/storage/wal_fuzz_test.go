@@ -25,8 +25,8 @@ func FuzzWALRecordRoundTrip(f *testing.F) {
 			ID:  id,
 			Box: geom.MBR{Min: geom.V(x1, y1, z1), Max: geom.V(x2, y2, z2)},
 		}
-		buf := EncodeWALRecord(nil, rec)
-		got, n, err := DecodeWALRecord(buf)
+		buf := encodeWALRecord(nil, rec)
+		got, n, err := decodeWALRecord(buf)
 		if err != nil {
 			t.Fatalf("decode of a fresh encoding failed: %v", err)
 		}
@@ -50,14 +50,14 @@ func FuzzWALRecordRoundTrip(f *testing.F) {
 			cut = -cut
 		}
 		cut %= len(buf)
-		if _, _, err := DecodeWALRecord(buf[:cut]); err == nil {
+		if _, _, err := decodeWALRecord(buf[:cut]); err == nil {
 			t.Fatalf("decode accepted a %d-byte truncation of a %d-byte record", cut, len(buf))
 		}
 
 		// A flipped payload byte must fail the checksum.
 		mut := append([]byte(nil), buf...)
 		mut[walHeaderSize+int(seq%walPayloadSize)] ^= 1 << (id % 8)
-		if r, _, err := DecodeWALRecord(mut); err == nil {
+		if r, _, err := decodeWALRecord(mut); err == nil {
 			// The only acceptable "success" is the flip landing back on the
 			// same bits (impossible here: XOR with a non-zero mask).
 			t.Fatalf("decode accepted a corrupted record: %+v", r)

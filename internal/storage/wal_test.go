@@ -33,8 +33,8 @@ func testRecords(n int) []WALRecord {
 
 func TestWALRecordRoundTrip(t *testing.T) {
 	for _, r := range testRecords(7) {
-		buf := EncodeWALRecord(nil, r)
-		got, n, err := DecodeWALRecord(buf)
+		buf := encodeWALRecord(nil, r)
+		got, n, err := decodeWALRecord(buf)
 		if err != nil {
 			t.Fatalf("decode: %v", err)
 		}

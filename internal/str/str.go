@@ -11,6 +11,9 @@
 //
 // The generic Tile function serves the first use; PartitionElements
 // serves the second, returning both the element groups and their cells.
+// Pack (tree.go) stacks Tile's groups into an in-memory tree, the one
+// the engine searches wherever a box set is built and probed in memory:
+// the staged delta's runs and Build's neighbor join.
 //
 // Every order either of them — or any other build-time pass: the shard
 // split, the Hilbert and PR-tree packers — imposes goes through one
