@@ -176,6 +176,8 @@ func main() {
 			fatalf("stats: %v", err)
 		}
 		fmt.Printf("  avg neighbors: %.1f\n", avg)
+		_, meta, _ := ix.PageCounts()
+		fmt.Printf("  metadata:      %d pages, %.1f bytes/record\n", meta, float64(meta*flat.PageSize)/float64(ix.NumPartitions()))
 		mixed := false
 		for s := 0; s < ix.NumShards(); s++ {
 			f := ix.ShardPageFormat(s)

@@ -340,12 +340,19 @@ func (ix *Index) CrawlFrom(q MBR, start RecordRef) (els []Element, err error) {
 // Records enumerates every metadata record in the index, shard by shard
 // and within a shard in on-disk order: its ref (a valid CrawlFrom
 // start), the page and partition MBRs, the object page it describes and
-// the full neighbor list (overflow chains already spliced). Enumeration
-// stops at the first error fn returns, which is then returned.
+// the full neighbor list (overflow chains already spliced). The page and
+// partition MBRs come back as the metadata page stores them:
+// conservatively rounded outward to a grid over the shard's world, so
+// each contains the exact box (pages written before that layout store
+// exact boxes). Enumeration stops at the first error fn returns, which
+// is then returned.
 func (ix *Index) Records(fn func(ref RecordRef, pageMBR, partitionMBR MBR, objectPage PageID, neighbors []RecordRef) error) error {
 	return ix.guard.query(func() error {
 		for s := range ix.set.NumShards() {
-			if err := ix.set.Shard(s).Records(fn); err != nil {
+			err := ix.set.Shard(s).Records(func(r core.Record) error {
+				return fn(r.Ref, r.PageMBR, r.PartitionMBR, r.ObjectPage, r.Neighbors)
+			})
+			if err != nil {
 				return err
 			}
 		}
@@ -456,13 +463,20 @@ func (ix *Index) Close() error {
 	return ix.set.Close()
 }
 
-// String summarizes the index.
-func (ix *Index) String() string {
-	var obj, meta, seed int
+// PageCounts returns the number of object, metadata and seed-internal
+// pages over all shards: the bulkloaded index's page runs, without the
+// superblocks.
+func (ix *Index) PageCounts() (object, metadata, seedInternal int) {
 	for s := range ix.set.NumShards() {
 		o, m, sd := ix.set.Shard(s).PageCounts()
-		obj, meta, seed = obj+o, meta+m, seed+sd
+		object, metadata, seedInternal = object+o, metadata+m, seedInternal+sd
 	}
+	return object, metadata, seedInternal
+}
+
+// String summarizes the index.
+func (ix *Index) String() string {
+	obj, meta, seed := ix.PageCounts()
 	shards := ""
 	if k := ix.NumShards(); k > 1 {
 		shards = fmt.Sprintf("shards: %d, ", k)

@@ -5,18 +5,25 @@ import (
 	"strings"
 	"testing"
 
+	"flat/internal/core"
+	"flat/internal/geom"
 	"flat/internal/storage"
 )
 
 // TestRecordsInvariants checks the structural invariants of the public
-// Records enumeration: every record's partition MBR contains its page
-// MBR, every object page is described by exactly one record, and every
-// neighbor ref resolves to an enumerated record (overflow chains are
-// spliced in, so neighbor lists are complete).
+// Records enumeration at K=4: every record's partition MBR contains its
+// page MBR, every object page is described by exactly one record, and
+// every neighbor ref resolves to an enumerated record (overflow chains
+// are spliced in, so neighbor lists are complete). Per shard it checks
+// what the metadata pages' rounding must keep: every neighbor's stored
+// box contains that neighbor's decoded partition MBR, decoded page ⊆
+// decoded partition ⊆ the shard's world, the decoded boxes contain the
+// exact bound of the elements on the object page (the page MBR Build
+// derived), and each seed key contains its records' decoded page MBRs.
 func TestRecordsInvariants(t *testing.T) {
 	r := rand.New(rand.NewSource(97))
 	els := randomElements(r, 3000)
-	ix, err := Build(els, &Options{PageCapacity: 16})
+	ix, err := Build(els, &Options{Shards: 4, PageCapacity: 16})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -63,6 +70,47 @@ func TestRecordsInvariants(t *testing.T) {
 	}
 	if neighborLinks == 0 {
 		t.Fatal("no neighbor links at all — crawl graph would be disconnected")
+	}
+
+	for s := 0; s < ix.NumShards(); s++ {
+		shard := ix.set.Shard(s)
+		partitions := map[RecordRef]MBR{}
+		var records []core.Record
+		err := shard.Records(func(rc core.Record) error {
+			partitions[rc.Ref] = rc.PartitionMBR
+			records = append(records, rc)
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, rc := range records {
+			if !rc.PartitionMBR.Contains(rc.PageMBR) || !shard.World().Contains(rc.PartitionMBR) {
+				t.Fatalf("shard %d record %v: page %v ⊆ partition %v ⊆ world %v does not hold", s, rc.Ref, rc.PageMBR, rc.PartitionMBR, shard.World())
+			}
+			if !rc.SeedKey.Contains(rc.PageMBR) {
+				t.Fatalf("shard %d record %v: seed key %v does not contain page MBR %v", s, rc.Ref, rc.SeedKey, rc.PageMBR)
+			}
+			page, err := shard.Pool().Read(rc.ObjectPage)
+			if err != nil {
+				t.Fatal(err)
+			}
+			onPage, err := storage.DecodeObjectPageInto(page, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if built := geom.ElementsMBR(onPage); !rc.PageMBR.Contains(built) || !rc.PartitionMBR.Contains(built) {
+				t.Fatalf("shard %d record %v: page %v / partition %v do not contain the page's elements %v", s, rc.Ref, rc.PageMBR, rc.PartitionMBR, built)
+			}
+			if len(rc.NeighborBoxes) != len(rc.Neighbors) {
+				t.Fatalf("shard %d record %v: %d boxes for %d neighbors", s, rc.Ref, len(rc.NeighborBoxes), len(rc.Neighbors))
+			}
+			for j, n := range rc.Neighbors {
+				if part, ok := partitions[n]; !ok || !rc.NeighborBoxes[j].Contains(part) {
+					t.Fatalf("shard %d record %v: box %v of neighbor %v does not contain its partition %v", s, rc.Ref, rc.NeighborBoxes[j], n, part)
+				}
+			}
+		}
 	}
 }
 

@@ -18,10 +18,14 @@ import (
 //     "primarily due to better page utilization"; we build a Guttman
 //     quadratic-split tree over the same data and compare build time,
 //     page count and SN-benchmark page reads against the STR tree.
-//   - ablation2: metadata record tiling. The paper stores metadata
+//   - ablation2: metadata record layout. The paper stores metadata
 //     records in seed-tree (R-tree) leaves so that spatially close
 //     records share a page; we compare FLAT with 3D-tiled metadata pages
-//     against linear partition-order packing.
+//     against linear partition-order packing. Its neighbor pointers are
+//     bare (Section V-B.2); ours carry a coarse box of the neighbor's
+//     partition that lets the crawl skip a neighbor missing the query,
+//     so the table also runs the same pages with the crawl ignoring the
+//     boxes: the paper's pointer beside the extension.
 
 func (r *Runner) ablation() ([]*Table, error) {
 	n := r.Cfg.Densities[len(r.Cfg.Densities)-1]
@@ -87,23 +91,27 @@ func (r *Runner) ablation() ([]*Table, error) {
 		return nil, err
 	}
 
-	// --- Ablation 2: metadata tiling on/off. ---
+	// --- Ablation 2: metadata tiling on/off, boxed vs bare pointers. ---
 	t2 := &Table{
 		ID:    "ablation",
-		Title: "Ablation: 3D-tiled metadata pages vs linear packing (FLAT)",
+		Title: "Ablation: FLAT metadata layout (3D-tiled vs linear packing, boxed vs bare neighbor pointers)",
 		Columns: []string{"variant", "metadata pages",
 			"SN metadata reads", "SN total reads"},
-		Note: "tiling reproduces the paper's records-in-R-tree-leaves locality",
+		Note: "tiling reproduces the paper's records-in-R-tree-leaves locality; bare pointers are the paper's (Sec. V-B.2), boxed ones an extension that skips neighbors missing the query",
 	}
 	for _, variant := range []struct {
-		name   string
-		noTile bool
-	}{{"3D-tiled (paper)", false}, {"linear packing", true}} {
+		name         string
+		noTile, bare bool
+	}{
+		{"3D-tiled, boxed pointers", false, false},
+		{"3D-tiled, bare pointers (paper)", false, true},
+		{"linear packing, boxed pointers", true, false},
+	} {
 		cp := make([]geom.Element, len(m.Elements))
 		copy(cp, m.Elements)
 		ix, err := core.Build(storage.NewConcurrentPool(storage.NewMemPager(), 0), cp, core.Options{
 			World: m.Volume, PageCapacity: capacity,
-			SeedFanout: capacity, NoMetaTiling: variant.noTile,
+			SeedFanout: capacity, NoMetaTiling: variant.noTile, BarePointers: variant.bare,
 		})
 		if err != nil {
 			return nil, err

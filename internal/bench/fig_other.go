@@ -156,8 +156,8 @@ func (r *Runner) fig23() ([]*Table, error) {
 			"FLAT reads", "PR reads", "read speedup %"},
 		Timed: []string{"FLAT ms", "PR ms", "time speedup %"},
 		Note: "paper: 21-58% speedup on small queries, 6-44% on large; " +
-			"here: not reproduced — FLAT reads fewer pages than the PR-tree on 4 of the 10 rows " +
-			"(read speedup -29% .. +38%); the time columns are CPU time over in-memory pages, wall-clock and not gated",
+			"here: not reproduced — FLAT reads fewer pages than the PR-tree on 8 of the 10 rows " +
+			"(read speedup -2% .. +42%); the time columns are CPU time over in-memory pages, wall-clock and not gated",
 	}
 	workloads := []struct {
 		name     string

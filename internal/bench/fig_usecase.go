@@ -26,25 +26,26 @@ var sweepFigures = map[string]struct {
 }{
 	"fig12": {workload: "SN", metric: "total page reads", cell: readsCell,
 		note: "paper: FLAT lowest; PR 8x FLAT at the densest point; Hilbert worst; " +
-			"here: FLAT below the PR-tree at every density (1.9x at 450k, not 8x), but STR and Hilbert " +
-			"read fewer pages than FLAT at every density and the PR-tree, not Hilbert, is worst"},
+			"here: FLAT below the PR-tree at every density (3.5x at 450k, not 8x); FLAT lowest of the four only at " +
+			"400k and 450k, with neighbor pointers that carry boxes (an extension; the ablation runs the paper's bare ones) — " +
+			"below that STR or Hilbert read fewer pages; the PR-tree, not Hilbert, is worst"},
 	"fig13": {workload: "SN", metric: "execution time (ms)", cell: timeCell, timed: true,
 		note: "paper: time tracks page reads (I/O bound); FLAT lowest and linear; " +
 			"here: pages live in memory, so this is CPU time — wall-clock, machine-dependent and not gated; read fig12 instead"},
 	"fig15": {workload: "SN", metric: "page reads per result element", cell: perResultCell, results: true,
 		note: "paper: FLAT per-result cost falls with density; R-trees rise; " +
-			"here: FLAT falls (10.8 -> 3.2 over 50k-450k), and so does every R-tree (PR 23.0 -> 6.1) — the rise is not reproduced"},
+			"here: FLAT falls (6.95 -> 1.75 over 50k-450k, with one bump at 300k), and so does every R-tree (PR 23.0 -> 6.1) — the rise is not reproduced"},
 	"fig16": {workload: "LSS", metric: "total page reads", cell: readsCell,
 		note: "paper: FLAT lowest; gap smaller than SN (overlap amortized on big queries); " +
-			"here: FLAT below the PR-tree at every density with a smaller gap than SN (1.2x vs 1.9x at 450k), " +
-			"but STR and Hilbert read fewer pages than FLAT at every density"},
+			"here: FLAT lowest of the four at every density, its gap to the PR-tree smaller than on SN (1.5x vs 3.5x at 450k); " +
+			"its neighbor pointers carry boxes (an extension; the ablation runs the paper's bare ones)"},
 	"fig17": {workload: "LSS", metric: "execution time (ms)", cell: timeCell, timed: true,
 		note: "paper: time tracks page reads; FLAT 2-6x faster than best R-tree; " +
 			"here: not reproduced — pages live in memory, so this is CPU time, wall-clock and not gated, " +
 			"and FLAT is not faster than STR or Hilbert; read fig16 instead"},
 	"fig19": {workload: "LSS", metric: "page reads per result element", cell: perResultCell, results: true,
 		note: "paper: FLAT per-result reads fall with density; PR-Tree's grow; " +
-			"here: FLAT falls (0.265 -> 0.174 over 50k-450k), and so does the PR-tree (0.405 -> 0.207) — the growth is not reproduced"},
+			"here: FLAT falls (0.207 -> 0.138 over 50k-450k), and so does the PR-tree (0.405 -> 0.207) — the growth is not reproduced"},
 }
 
 func readsCell(m measurement) string     { return fu(m.Stats.TotalReads()) }

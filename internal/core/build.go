@@ -71,7 +71,9 @@ func Build(pool storage.Pool, els []geom.Element, opts Options) (*Index, error) 
 	if opts.SeedFanout < 0 || opts.SeedFanout > rtree.NodeCapacity {
 		return nil, fmt.Errorf("core: seed fanout %d out of range [0,%d]", opts.SeedFanout, rtree.NodeCapacity)
 	}
-	ix := &Index{pool: pool, world: world, bounds: bounds, count: len(els), seedFanout: opts.SeedFanout, noMetaTiling: opts.NoMetaTiling, pageFormat: format}
+	ix := &Index{pool: pool, world: world, bounds: bounds, count: len(els), seedFanout: opts.SeedFanout,
+		noMetaTiling: opts.NoMetaTiling, barePointers: opts.BarePointers, pageFormat: format}
+	ix.quant = storage.NewQuantizer(world)
 	totalStart := time.Now()
 
 	// Phase 1: STR partitioning (paper: "Partitioning" in Figure 10).
@@ -81,12 +83,15 @@ func Build(pool storage.Pool, els []geom.Element, opts Options) (*Index, error) 
 	ix.build.Partitions = len(parts)
 
 	// Phase 2: neighborhood computation (paper: "Finding Neighbors" in
-	// Figure 10) over an in-memory tree, discarded afterwards.
+	// Figure 10) over an in-memory tree, discarded afterwards. It runs on
+	// the partition MBRs as the metadata pages will store them, rounded
+	// outward to the world's cells, so the relation the crawl follows is
+	// the one between the boxes it reads.
 	t1 := time.Now()
 	cells := make([]geom.MBR, len(parts))
 	boxes := make([]geom.MBR, len(parts))
 	for i, p := range parts {
-		cells[i], boxes[i] = p.Cell, p.PartitionMBR
+		cells[i], boxes[i] = p.Cell, ix.quant.Box(ix.quant.Cells(p.PartitionMBR))
 	}
 	neighborIdx, links := Neighbors(cells, boxes)
 	ix.build.NeighborTime = time.Since(t1)
@@ -149,11 +154,15 @@ func (ix *Index) write(parts []str.Partition, neighborIdx [][]int) error {
 	// Object pages, in STR order (preserves spatial locality on disk),
 	// encoded under the index's page format (v1 full-precision or v2
 	// quantized — see internal/storage's object-page codec).
-	objIDs := make([]storage.PageID, len(parts))
 	for i, p := range parts {
 		id, err := ix.pool.Alloc(storage.CatObject)
 		if err != nil {
 			return err
+		}
+		if i == 0 {
+			ix.objStart = id
+		} else if id != ix.objStart+storage.PageID(i) {
+			return fmt.Errorf("core: object page %d allocated at %d, not after %d", i, id, ix.objStart)
 		}
 		if err := storage.EncodeObjectPage(buf, ix.pageFormat, p.Elements); err != nil {
 			return err
@@ -161,127 +170,81 @@ func (ix *Index) write(parts []str.Partition, neighborIdx [][]int) error {
 		if err := ix.pool.Write(id, buf); err != nil {
 			return err
 		}
-		objIDs[i] = id
 	}
-	ix.objStart = objIDs[0]
 	ix.objectPages = len(parts)
 
-	// Metadata records, then their page assignment. The paper stores the
-	// records in the leaves of the seed tree (an R-tree over the page
-	// MBRs), so spatially close records share a leaf: we reproduce that
-	// by STR-tiling the records in 3D on their page-MBR centers before
-	// packing, which is what keeps the crawl's record "shell" on few
-	// metadata pages. A neighbor list too long for one record continues
-	// in chained overflow records placed right after their primary.
-	// Neighbor refs are resolved after the page assignment fixes every
-	// record's (page, slot).
-	primaries := make([]*metaRecord, len(parts))
-	for i, p := range parts {
-		m := &metaRecord{
-			PageMBR:      p.PageMBR,
-			PartitionMBR: p.PartitionMBR,
-			ObjectPage:   objIDs[i],
-			Overflow:     noRef,
-			nbIdx:        neighborIdx[i],
-			partIdx:      i,
+	// Metadata records, then their page assignment, at the narrowest ref
+	// width that addresses the pages they fill.
+	var (
+		records   []*pendingRecord
+		primaries []*pendingRecord // by partition index
+		groups    [][2]int
+		w         int
+	)
+	for w = minRefWidth; ; w++ {
+		var err error
+		records, primaries, groups, err = ix.layoutRecords(parts, neighborIdx, w)
+		if err != nil {
+			return err
 		}
-		m.Neighbors = make([]RecordRef, len(m.nbIdx))
-		if len(m.nbIdx) > maxInlineNeighbors {
-			rest := m.nbIdx[maxInlineNeighbors:]
-			m.nbIdx = m.nbIdx[:maxInlineNeighbors]
-			m.Neighbors = m.Neighbors[:maxInlineNeighbors]
-			prev := m
-			for len(rest) > 0 {
-				n := len(rest)
-				if n > maxInlineNeighbors {
-					n = maxInlineNeighbors
-				}
-				ov := &metaRecord{
-					PageMBR:      geom.EmptyMBR(),
-					PartitionMBR: geom.EmptyMBR(),
-					ObjectPage:   storage.InvalidPage,
-					Overflow:     noRef,
-					nbIdx:        rest[:n],
-					Neighbors:    make([]RecordRef, n),
-				}
-				rest = rest[n:]
-				prev.next = ov
-				prev = ov
-				ix.build.OverflowRecords++
-			}
+		if len(groups) <= maxMetaPages(w) {
+			break
 		}
-		primaries[i] = m
-	}
-	if !ix.noMetaTiling {
-		tileMetaRecords(primaries)
-	}
-	// Final on-disk record order: each primary followed by its chain.
-	records := make([]*metaRecord, 0, len(primaries)+ix.build.OverflowRecords)
-	for _, m := range primaries {
-		for r := m; r != nil; r = r.next {
-			records = append(records, r)
+		if w == maxRefWidth {
+			return fmt.Errorf("core: %d metadata pages exceed the %d a %d-byte ref addresses", len(groups), maxMetaPages(w), w)
 		}
 	}
-	groups, err := packMetaPages(records)
-	if err != nil {
-		return err
-	}
-	metaIDs := make([]storage.PageID, len(groups))
-	for g, span := range groups {
+	for g := range groups {
 		id, err := ix.pool.Alloc(storage.CatMetadata)
 		if err != nil {
 			return err
 		}
-		metaIDs[g] = id
-		for i := span[0]; i < span[1]; i++ {
-			records[i].selfRef = makeRef(id, i-span[0])
-		}
-	}
-	// refs maps a partition index to its primary record's location
-	// (tiling permuted the primaries slice, so use the stored index).
-	refs := make([]RecordRef, len(parts))
-	for _, m := range primaries {
-		refs[m.partIdx] = m.selfRef
-	}
-	for _, m := range records {
-		for j, n := range m.nbIdx {
-			m.Neighbors[j] = refs[n]
-		}
-		if m.next != nil {
-			m.Overflow = m.next.selfRef
-		}
-	}
-	for g, span := range groups {
-		encodeMetaPage(buf, records[span[0]:span[1]])
-		if err := ix.pool.Write(metaIDs[g], buf); err != nil {
-			return err
+		if id != ix.metaStart()+storage.PageID(g) {
+			return fmt.Errorf("core: metadata page %d allocated at %d, not after %d", g, id, ix.metaStart())
 		}
 	}
 	ix.metadataPages = len(groups)
+	// Neighbor pointers are resolved now that packing fixed every
+	// record's (page, slot): each carries its neighbor's ref and the box
+	// of its partition cells.
+	for _, m := range records {
+		for j, k := range m.nbIdx {
+			m.neighbors[j] = pendingNeighbor{ref: primaries[k].self, box: neighborBox(primaries[k].partCells)}
+		}
+	}
+	for g, span := range groups {
+		encodeMetaPage(buf, records[span[0]:span[1]], w)
+		if err := ix.pool.Write(ix.metaStart()+storage.PageID(g), buf); err != nil {
+			return err
+		}
+	}
 
 	// Seed tree: internal levels above the metadata pages. Each leaf-
 	// level entry indexes a metadata page by the union of the page MBRs
 	// of the records it holds (the paper indexes "each record R with R's
 	// page MBR as key"; records on the same leaf share one subtree
-	// entry).
+	// entry) — as the page stores them, rounded outward, so the key
+	// bounds every page MBR a query decodes beneath it.
 	seedEntries := make([]rtree.NodeEntry, len(groups))
 	for g, span := range groups {
 		box := geom.EmptyMBR()
 		for i := span[0]; i < span[1]; i++ {
-			box = box.Union(records[i].PageMBR)
+			if records[i].objOrd != noObject {
+				box = box.Union(ix.quant.Box(records[i].pageCells))
+			}
 		}
 		if box.Empty() {
 			// The page holds only overflow records (a very long chain);
 			// key it under its owning primary's box so the seed tree
 			// stays well-formed.
 			for i := span[0] - 1; i >= 0; i-- {
-				if records[i].ObjectPage != storage.InvalidPage {
-					box = records[i].PageMBR
+				if records[i].objOrd != noObject {
+					box = ix.quant.Box(records[i].pageCells)
 					break
 				}
 			}
 		}
-		seedEntries[g] = rtree.NodeEntry{Box: box, Ref: uint64(metaIDs[g])}
+		seedEntries[g] = rtree.NodeEntry{Box: box, Ref: uint64(ix.metaStart() + storage.PageID(g))}
 	}
 	root, height, internalPages, err := rtree.BuildAbove(ix.pool, seedEntries, rtree.Config{
 		InternalCapacity: ix.seedFanout,
@@ -294,4 +257,53 @@ func (ix *Index) write(parts []str.Partition, neighborIdx [][]int) error {
 	ix.seedHeight = height
 	ix.seedInternal = internalPages
 	return nil
+}
+
+// layoutRecords builds the metadata records of parts at ref width w and
+// packs them onto pages. The paper stores the records in the leaves of
+// the seed tree (an R-tree over the page MBRs), so spatially close
+// records share a leaf: we reproduce that by STR-tiling the records in
+// 3D on their page-MBR centers before packing, which is what keeps the
+// crawl's record "shell" on few metadata pages. A neighbor list too long
+// for one record continues in chained overflow records placed right
+// after their primary. It returns the records in on-disk order, the
+// primaries by partition index, and the page groups.
+func (ix *Index) layoutRecords(parts []str.Partition, neighborIdx [][]int, w int) (records, primaries []*pendingRecord, groups [][2]int, err error) {
+	maxInline := maxInlineNeighbors(w)
+	overflows := 0
+	primaries = make([]*pendingRecord, len(parts))
+	for i, p := range parts {
+		m := &pendingRecord{
+			pageCells: ix.quant.Cells(p.PageMBR),
+			partCells: ix.quant.Cells(p.PartitionMBR),
+			objOrd:    uint32(i),
+			center:    p.PageMBR.Center(),
+			nbIdx:     neighborIdx[i],
+		}
+		rest := m.nbIdx[min(len(m.nbIdx), maxInline):]
+		m.nbIdx = m.nbIdx[:len(m.nbIdx)-len(rest)]
+		m.neighbors = make([]pendingNeighbor, len(m.nbIdx))
+		for prev := m; len(rest) > 0; overflows++ {
+			n := min(len(rest), maxInline)
+			ov := &pendingRecord{objOrd: noObject, nbIdx: rest[:n], neighbors: make([]pendingNeighbor, n)}
+			rest = rest[n:]
+			prev.next = ov
+			prev = ov
+		}
+		primaries[i] = m
+	}
+	ordered := append([]*pendingRecord(nil), primaries...)
+	if !ix.noMetaTiling {
+		tileMetaRecords(ordered, w)
+	}
+	// Final on-disk record order: each primary followed by its chain.
+	records = make([]*pendingRecord, 0, len(parts)+overflows)
+	for _, m := range ordered {
+		for r := m; r != nil; r = r.next {
+			records = append(records, r)
+		}
+	}
+	groups, err = packMetaPages(records, w)
+	ix.build.OverflowRecords = overflows
+	return records, primaries, groups, err
 }

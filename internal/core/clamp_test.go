@@ -63,18 +63,21 @@ func TestOverflowChainInvariants(t *testing.T) {
 	ix, _ := buildGiantFixture(t)
 	count := 0
 	sawLong := false
-	err := ix.Records(func(ref RecordRef, pageMBR, partMBR geom.MBR, obj storage.PageID, nb []RecordRef) error {
+	err := ix.Records(func(r Record) error {
 		count++
-		if obj == storage.InvalidPage {
+		if r.ObjectPage == storage.InvalidPage {
 			t.Fatal("Records enumerated an overflow record")
 		}
-		if len(nb) > maxInlineNeighbors {
+		if len(r.Neighbors) > maxInlineNeighbors(minRefWidth) {
 			sawLong = true
 		}
+		if len(r.NeighborBoxes) != len(r.Neighbors) {
+			t.Fatalf("record %v: %d neighbor boxes for %d neighbors", r.Ref, len(r.NeighborBoxes), len(r.Neighbors))
+		}
 		seen := map[RecordRef]bool{}
-		for _, n := range nb {
+		for _, n := range r.Neighbors {
 			if seen[n] {
-				t.Fatalf("record %v lists neighbor %v twice", ref, n)
+				t.Fatalf("record %v lists neighbor %v twice", r.Ref, n)
 			}
 			seen[n] = true
 		}
@@ -102,9 +105,9 @@ func TestSeedStartInvarianceWithOverflow(t *testing.T) {
 		t.Fatal("query must be non-empty")
 	}
 	var starts []RecordRef
-	err := ix.Records(func(ref RecordRef, pageMBR, partMBR geom.MBR, obj storage.PageID, nb []RecordRef) error {
-		if pageMBR.Intersects(q) {
-			starts = append(starts, ref)
+	err := ix.Records(func(r Record) error {
+		if r.PageMBR.Intersects(q) {
+			starts = append(starts, r.Ref)
 		}
 		return nil
 	})

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math/rand"
 	"sort"
 	"sync"
@@ -8,6 +9,7 @@ import (
 
 	"flat/internal/geom"
 	"flat/internal/storage"
+	"flat/internal/str"
 )
 
 func worldBox() geom.MBR { return geom.Box(geom.V(0, 0, 0), geom.V(100, 100, 100)) }
@@ -244,9 +246,9 @@ func TestSeedStartInvariance(t *testing.T) {
 	}
 
 	var starts []RecordRef
-	err := ix.Records(func(ref RecordRef, pageMBR, partMBR geom.MBR, obj storage.PageID, nb []RecordRef) error {
-		if pageMBR.Intersects(q) {
-			starts = append(starts, ref)
+	err := ix.Records(func(r Record) error {
+		if r.PageMBR.Intersects(q) {
+			starts = append(starts, r.Ref)
 		}
 		return nil
 	})
@@ -269,35 +271,57 @@ func TestSeedStartInvariance(t *testing.T) {
 
 // TestIndexInvariants checks the structural properties of Section V on a
 // built index: partition MBR contains page MBR, neighbor links are
-// symmetric, every neighbor ref resolves, and object pages are unique.
+// symmetric, every neighbor ref resolves, and object pages are unique —
+// plus what the kind-3 rounding must keep: every neighbor's stored box
+// contains that neighbor's decoded partition MBR, decoded page ⊆ decoded
+// partition ⊆ world, every decoded box contains the box Build derived
+// (the partitioning is rerun here: object page i holds partition i), and
+// each seed key contains the decoded page MBRs of its records.
 func TestIndexInvariants(t *testing.T) {
 	r := rand.New(rand.NewSource(139))
 	els := randomElements(r, 4000, worldBox())
 	ix, _ := buildIndex(t, els, Options{World: worldBox()})
+	cp := append([]geom.Element(nil), els...)
+	parts := str.PartitionElements(cp, storage.ObjectPageCapacityV1, ix.World())
+	if len(parts) != ix.NumPartitions() {
+		t.Fatalf("rerun partitioning made %d partitions, the index %d", len(parts), ix.NumPartitions())
+	}
 
 	type recInfo struct {
 		partMBR geom.MBR
-		nb      map[RecordRef]bool
+		nb      map[RecordRef]geom.MBR // neighbor -> its stored box
 	}
 	recs := map[RecordRef]*recInfo{}
 	objPages := map[storage.PageID]bool{}
-	err := ix.Records(func(ref RecordRef, pageMBR, partMBR geom.MBR, obj storage.PageID, nb []RecordRef) error {
-		if !partMBR.Contains(pageMBR) {
-			t.Fatalf("record %v: partition MBR does not contain page MBR", ref)
+	err := ix.Records(func(rec Record) error {
+		ref := rec.Ref
+		if !rec.PartitionMBR.Contains(rec.PageMBR) || !ix.World().Contains(rec.PartitionMBR) {
+			t.Fatalf("record %v: page %v ⊆ partition %v ⊆ world %v does not hold", ref, rec.PageMBR, rec.PartitionMBR, ix.World())
 		}
-		if objPages[obj] {
-			t.Fatalf("object page %d referenced twice", obj)
+		if !rec.SeedKey.Contains(rec.PageMBR) {
+			t.Fatalf("record %v: seed key %v does not contain page MBR %v", ref, rec.SeedKey, rec.PageMBR)
 		}
-		objPages[obj] = true
-		info := &recInfo{partMBR: partMBR, nb: map[RecordRef]bool{}}
-		for _, n := range nb {
+		if objPages[rec.ObjectPage] {
+			t.Fatalf("object page %d referenced twice", rec.ObjectPage)
+		}
+		objPages[rec.ObjectPage] = true
+		p := parts[rec.ObjectPage-ix.objStart]
+		if !rec.PageMBR.Contains(p.PageMBR) || !rec.PartitionMBR.Contains(p.PartitionMBR) {
+			t.Fatalf("record %v: decoded page %v / partition %v do not contain the built %v / %v",
+				ref, rec.PageMBR, rec.PartitionMBR, p.PageMBR, p.PartitionMBR)
+		}
+		if len(rec.NeighborBoxes) != len(rec.Neighbors) {
+			t.Fatalf("record %v: %d boxes for %d neighbors", ref, len(rec.NeighborBoxes), len(rec.Neighbors))
+		}
+		info := &recInfo{partMBR: rec.PartitionMBR, nb: map[RecordRef]geom.MBR{}}
+		for j, n := range rec.Neighbors {
 			if n == ref {
 				t.Fatalf("record %v lists itself as neighbor", ref)
 			}
-			if info.nb[n] {
+			if _, dup := info.nb[n]; dup {
 				t.Fatalf("record %v lists neighbor %v twice", ref, n)
 			}
-			info.nb[n] = true
+			info.nb[n] = rec.NeighborBoxes[j]
 		}
 		recs[ref] = info
 		return nil
@@ -308,18 +332,21 @@ func TestIndexInvariants(t *testing.T) {
 	if len(recs) != ix.NumPartitions() {
 		t.Fatalf("enumerated %d records, want %d", len(recs), ix.NumPartitions())
 	}
-	// Symmetry + intersection consistency.
+	// Symmetry + intersection consistency + box containment.
 	for ref, info := range recs {
-		for n := range info.nb {
+		for n, box := range info.nb {
 			other, ok := recs[n]
 			if !ok {
 				t.Fatalf("record %v has dangling neighbor %v", ref, n)
 			}
-			if !other.nb[ref] {
+			if _, back := other.nb[ref]; !back {
 				t.Fatalf("neighbor link %v -> %v not symmetric", ref, n)
 			}
 			if !info.partMBR.Intersects(other.partMBR) {
 				t.Fatalf("neighbors %v and %v do not intersect", ref, n)
+			}
+			if !box.Contains(other.partMBR) {
+				t.Fatalf("record %v: stored box %v of neighbor %v does not contain its partition %v", ref, box, n, other.partMBR)
 			}
 		}
 	}
@@ -540,5 +567,76 @@ func TestColdReadsInvariantAcrossWorkers(t *testing.T) {
 			t.Errorf("%d workers: %d reads, %d results; single-threaded %d, %d",
 				workers, reads, results, wantReads, wantResults)
 		}
+	}
+}
+
+// TestQueryAllocatesNothing pins the allocation count of a warm range
+// query at K=1 with a no-op emit, on an SN-sized box (~15 results) and an
+// LSS-sized box (~2.7k results): every page is cached, the scratch comes
+// from its pool with grown buffers, and records are decoded in place, so
+// the query allocates nothing.
+func TestQueryAllocatesNothing(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector makes sync.Pool drop the query scratch at random")
+	}
+	r := rand.New(rand.NewSource(181))
+	ix, _ := buildIndex(t, randomElements(r, 20000, worldBox()), Options{World: worldBox()})
+	for _, c := range []struct {
+		name string
+		q    geom.MBR
+	}{
+		{"SN", geom.CubeAt(geom.V(40, 55, 35), 8)},
+		{"LSS", geom.CubeAt(geom.V(50, 45, 55), 50)},
+	} {
+		emit := func(geom.Element) bool { return true }
+		st, err := ix.Query(context.Background(), c.q, emit) // warm the pool and the scratch
+		if err != nil || st.Results == 0 {
+			t.Fatalf("%s: %d results, %v", c.name, st.Results, err)
+		}
+		if n := testing.AllocsPerRun(50, func() { ix.Query(context.Background(), c.q, emit) }); n != 0 {
+			t.Errorf("%s query (%d results): %v allocations, want 0", c.name, st.Results, n)
+		}
+	}
+}
+
+// TestBoxedCrawlMatchesBare pins why the crawl may skip a neighbor whose
+// box misses the query: over the same pages, the boxed crawl emits
+// exactly the elements of the bare one (the paper's), in the same order,
+// reading the same object pages, while dequeuing no more records and
+// reading no more metadata pages.
+func TestBoxedCrawlMatchesBare(t *testing.T) {
+	r := rand.New(rand.NewSource(191))
+	els := randomElements(r, 12000, worldBox())
+	boxed, boxedPool := buildIndex(t, els, Options{World: worldBox(), PageCapacity: 16})
+	bare, barePool := buildIndex(t, els, Options{World: worldBox(), PageCapacity: 16, BarePointers: true})
+	skipped := 0
+	for i := 0; i < 60; i++ {
+		q := geom.CubeAt(geom.V(r.Float64()*100, r.Float64()*100, r.Float64()*100), 1+r.Float64()*r.Float64()*60)
+		boxedPool.DropFrames()
+		got, gotSt, err := boxed.RangeQuery(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		barePool.DropFrames()
+		want, wantSt, err := bare.RangeQuery(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(got) != len(want) {
+			t.Fatalf("query %v: boxed crawl emitted %d elements, bare %d", q, len(got), len(want))
+		}
+		for j := range got {
+			if got[j] != want[j] {
+				t.Fatalf("query %v: emission %d is %v boxed, %v bare", q, j, got[j], want[j])
+			}
+		}
+		if gotSt.ObjectReads != wantSt.ObjectReads || gotSt.PagesVisited != wantSt.PagesVisited ||
+			gotSt.RecordsVisited > wantSt.RecordsVisited || gotSt.MetadataReads > wantSt.MetadataReads {
+			t.Fatalf("query %v: boxed %+v, bare %+v", q, gotSt, wantSt)
+		}
+		skipped += wantSt.RecordsVisited - gotSt.RecordsVisited
+	}
+	if skipped == 0 {
+		t.Fatal("the boxes skipped no record on any query")
 	}
 }

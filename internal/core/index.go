@@ -11,7 +11,9 @@
 //     partition MBR, a pointer to the object page, and pointers to the
 //     records of all neighboring partitions. Records are variable-size
 //     and packed into the leaf pages of the seed tree in STR order, which
-//     preserves the spatial locality of neighboring records.
+//     preserves the spatial locality of neighboring records. Each pointer
+//     also carries a coarse box of the neighbor's partition, an extension
+//     of the paper's bare pointer (see metadata.go).
 //   - The seed index is an R-tree built (with BuildAbove) over the
 //     metadata pages; its leaf level *is* the metadata pages.
 //
@@ -22,7 +24,8 @@
 // intersecting the query (seed phase), then breadth-first-searches the
 // neighborhood pointers, reading an object page only when its page MBR
 // intersects the query and expanding neighbors only when the partition
-// MBR does (crawl phase, Algorithm 2).
+// MBR does (crawl phase, Algorithm 2) — and following a neighbor pointer
+// only when its box does.
 package core
 
 import (
@@ -55,6 +58,12 @@ type Options struct {
 	// the locality the paper obtains by storing records in R-tree leaves
 	// (Section V-B.2).
 	NoMetaTiling bool
+	// BarePointers makes the range crawl ignore the boxes neighbor
+	// pointers carry and follow every neighbor of an expanded partition,
+	// as the paper's bare pointers do. The pages are the same. Exists
+	// only for the ablation experiment that prices the boxed pointer; a
+	// reopened index always uses the boxes.
+	BarePointers bool
 	// PageFormat selects the object-page layout: v1 (full float64 MBRs,
 	// the original layout) or v2 (per-page reference MBR + quantized u32
 	// cells + ids as offsets from a per-page base: up to 149 elements per
@@ -99,13 +108,12 @@ type Index struct {
 	bounds geom.MBR
 	count  int
 
-	objectPages   int
-	metadataPages int
-	seedInternal  int
-	seedFanout    int
-	noMetaTiling  bool
-	pageFormat    storage.PageFormat
-	objStart      storage.PageID // first object page (pages are contiguous per kind)
+	metaLayout   // page runs and world quantizer the metadata records use
+	seedInternal int
+	seedFanout   int
+	noMetaTiling bool
+	barePointers bool
+	pageFormat   storage.PageFormat
 
 	build BuildStats
 }
@@ -165,8 +173,8 @@ func (ix *Index) WithPool(pool storage.Pool) *Index {
 // built one did.
 func (ix *Index) NeighborHistogram() (map[int]int, error) {
 	h := make(map[int]int)
-	err := ix.Records(func(_ RecordRef, _, _ geom.MBR, _ storage.PageID, neighbors []RecordRef) error {
-		h[len(neighbors)]++
+	err := ix.Records(func(r Record) error {
+		h[len(r.Neighbors)]++
 		return nil
 	})
 	return h, err

@@ -60,6 +60,12 @@ import (
 // this same condition read off the heap: an element pops exactly when
 // its distance is ≤ every pending lower bound.
 //
+// On kind-3 metadata pages every MBR above is the decoded one, rounded
+// outward: rounding only widens a box, so each key stays a lower bound,
+// and Build keys the seed tree on the decoded page MBRs and derives the
+// neighbor relation from the decoded partition MBRs, so phase 1's
+// minimizer and the chain hold as stated for the boxes the pages store.
+//
 // Several indexes are one more level of the same frontier (Hjaltason &
 // Samet's incremental NN: one queue holds every level of the
 // hierarchy). Each index enters the heap as an item keyed by
@@ -73,16 +79,16 @@ import (
 // consumer takes is never read at all.
 func NN(ctx context.Context, ixs []*Index, p geom.Vec3, emit func(geom.Element, float64) bool) (QueryStats, error) {
 	var st QueryStats
-	// The query's own tally, as in Query.
-	var local storage.Stats
 	sc := getScratch()
 	defer sc.release()
+	// The query's own tally, as in Query.
+	local := &sc.stats
 
 	counted := func(e geom.Element, distSq float64) bool {
 		st.Results++
 		return emit(e, distSq)
 	}
-	err := nnCrawl(ctx, ixs, p, counted, &st, sc, &local)
+	err := nnCrawl(ctx, ixs, p, counted, &st, sc, local)
 	st.SeedReads = local.Reads[storage.CatSeedInternal]
 	st.MetadataReads = local.Reads[storage.CatMetadata]
 	st.ObjectReads = local.Reads[storage.CatObject]
@@ -125,11 +131,11 @@ func (ix *Index) nnSeed(ctx context.Context, p geom.Vec3, sc *crawlScratch, loca
 			return 0, false, err
 		}
 		if it.level > 1 {
-			entries, err := decodeSeedNode(page, it.page)
+			sc.entries, err = decodeSeedNode(page, it.page, sc.entries[:0])
 			if err != nil {
 				return 0, false, err
 			}
-			for _, e := range entries {
+			for _, e := range sc.entries {
 				h.Push(e.Box.DistSqToPoint(p), crawlItem{
 					kind:  itemNode,
 					page:  storage.PageID(e.Ref),
@@ -143,7 +149,7 @@ func (ix *Index) nnSeed(ctx context.Context, p geom.Vec3, sc *crawlScratch, loca
 			return 0, false, err
 		}
 		for slot := 0; slot < count; slot++ {
-			m, err := decodeMetaRecord(page, slot)
+			m, err := decodeMetaRecord(page, slot, &ix.metaLayout)
 			if err != nil {
 				return 0, false, err
 			}
@@ -216,7 +222,7 @@ func (ix *Index) nnEnqueue(p geom.Vec3, src int32, ref RecordRef, h *heapFrontie
 	if err != nil {
 		return err
 	}
-	m, err := decodeMetaRecord(page, ref.Slot())
+	m, err := decodeMetaRecord(page, ref.Slot(), &ix.metaLayout)
 	if err != nil {
 		return err
 	}
@@ -232,7 +238,7 @@ func (ix *Index) nnExpand(ctx context.Context, p geom.Vec3, it crawlItem, h *hea
 	if err != nil {
 		return err
 	}
-	m, err := decodeMetaRecord(page, it.ref.Slot())
+	m, err := decodeMetaRecord(page, it.ref.Slot(), &ix.metaLayout)
 	if err != nil {
 		return err
 	}
@@ -240,7 +246,7 @@ func (ix *Index) nnExpand(ctx context.Context, p geom.Vec3, it crawlItem, h *hea
 		sc.visited[m.ObjectPage] = true
 		h.Push(m.PageMBR.DistSqToPoint(p), crawlItem{kind: itemPage, src: it.src, page: m.ObjectPage})
 	}
-	return ix.eachNeighbor(ctx, m, local, func(n RecordRef) error {
+	return ix.eachNeighbor(ctx, m, local, func(n RecordRef, _ []byte) error {
 		// Each new neighbor costs a metadata page read to resolve;
 		// give cancellation a chance between them.
 		if err := ctxErr(ctx); err != nil {

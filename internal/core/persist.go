@@ -97,6 +97,7 @@ func OpenFrom(pool storage.Pool, super storage.PageID) (*Index, error) {
 	ix.seedHeight = int(r.U32())
 	ix.seedFanout = int(r.U32())
 	ix.world = r.MBR()
+	ix.quant = storage.NewQuantizer(ix.world)
 	ix.bounds = r.MBR()
 	ix.count = int(r.U64())
 	ix.objStart = storage.PageID(r.U64())

@@ -71,10 +71,12 @@ type seedItem struct {
 // queries borrow a scratch from a sync.Pool and return it cleared.
 type crawlScratch struct {
 	stack    []seedItem
-	fifo     fifoFrontier   // range-crawl frontier (BFS order)
-	heap     heapFrontier   // best-first frontier (k-NN)
-	seedHeap heapFrontier   // k-NN seed descent, run while heap is live
-	els      []geom.Element // object-page decode buffer
+	fifo     fifoFrontier      // range-crawl frontier (BFS order)
+	heap     heapFrontier      // best-first frontier (k-NN)
+	seedHeap heapFrontier      // k-NN seed descent, run while heap is live
+	els      []geom.Element    // object-page decode buffer
+	entries  []rtree.NodeEntry // seed-node decode buffer
+	stats    storage.Stats     // the query's own page-read tally
 	enqueued map[RecordRef]bool
 	visited  map[storage.PageID]bool
 }
@@ -98,6 +100,8 @@ func (sc *crawlScratch) release() {
 	sc.heap.Reset()
 	sc.seedHeap.Reset()
 	sc.els = sc.els[:0]
+	sc.entries = sc.entries[:0]
+	sc.stats = storage.Stats{}
 	scratchPool.Put(sc)
 }
 
@@ -111,19 +115,19 @@ func (sc *crawlScratch) release() {
 // query ran to completion, was stopped by emit, or was cancelled.
 func (ix *Index) Query(ctx context.Context, q geom.MBR, emit func(geom.Element) bool) (QueryStats, error) {
 	var st QueryStats
-	// Every page read below goes through ReadInto with this tally, so the
-	// stats are this query's misses however many queries run beside it.
-	var local storage.Stats
 	sc := getScratch()
 	defer sc.release()
+	// Every page read below goes through ReadInto with this tally, so the
+	// stats are this query's misses however many queries run beside it.
+	local := &sc.stats
 
 	counted := func(e geom.Element) bool {
 		st.Results++
 		return emit(e)
 	}
-	seedRef, ok, err := ix.seed(ctx, q, sc, &local)
+	seedRef, ok, err := ix.seed(ctx, q, sc, local)
 	if err == nil && ok {
-		err = ix.crawl(ctx, q, seedRef, counted, &st, sc, &local)
+		err = ix.crawl(ctx, q, seedRef, counted, &st, sc, local)
 	}
 	st.SeedReads = local.Reads[storage.CatSeedInternal]
 	st.MetadataReads = local.Reads[storage.CatMetadata]
@@ -163,11 +167,11 @@ func (ix *Index) seed(ctx context.Context, q geom.MBR, sc *crawlScratch, local *
 			return 0, false, err
 		}
 		if it.level > 1 {
-			entries, err := decodeSeedNode(page, it.page)
+			sc.entries, err = decodeSeedNode(page, it.page, sc.entries[:0])
 			if err != nil {
 				return 0, false, err
 			}
-			for _, e := range entries {
+			for _, e := range sc.entries {
 				if e.Box.Intersects(q) {
 					sc.stack = append(sc.stack, seedItem{storage.PageID(e.Ref), it.level - 1})
 				}
@@ -187,7 +191,7 @@ func (ix *Index) seed(ctx context.Context, q geom.MBR, sc *crawlScratch, local *
 			if err := ctxErr(ctx); err != nil {
 				return 0, false, err
 			}
-			m, err := decodeMetaRecord(page, slot)
+			m, err := decodeMetaRecord(page, slot, &ix.metaLayout)
 			if err != nil {
 				return 0, false, err
 			}
@@ -233,10 +237,12 @@ func (ix *Index) objectPageHasHit(id storage.PageID, q geom.MBR, sc *crawlScratc
 // dictates — FIFO here, which makes it the paper's breadth-first walk.
 // An object page is read only when the record's page MBR intersects the
 // query; a record's neighbors are expanded only when its partition MBR
-// does. Each record and each object page is visited at most once. emit
-// returning false stops the crawl cleanly (no error); a done ctx aborts
-// it with ctx.Err().
+// does, and a neighbor is enqueued only when the box its pointer carries
+// does (kind-3 pages; the paper's pointers are bare). Each record and
+// each object page is visited at most once. emit returning false stops
+// the crawl cleanly (no error); a done ctx aborts it with ctx.Err().
 func (ix *Index) crawl(ctx context.Context, q geom.MBR, start RecordRef, emit func(geom.Element) bool, st *QueryStats, sc *crawlScratch, local *storage.Stats) error {
+	boxes := newBoxFilter(&ix.quant, q)
 	// The FIFO frontier replays pushes in order; range-query results
 	// and page-read sequences are a regression gate on that order.
 	f := &sc.fifo
@@ -257,7 +263,7 @@ func (ix *Index) crawl(ctx context.Context, q geom.MBR, start RecordRef, emit fu
 		if err != nil {
 			return err
 		}
-		m, err := decodeMetaRecord(page, ref.Slot())
+		m, err := decodeMetaRecord(page, ref.Slot(), &ix.metaLayout)
 		if err != nil {
 			return err
 		}
@@ -283,7 +289,14 @@ func (ix *Index) crawl(ctx context.Context, q geom.MBR, start RecordRef, emit fu
 			}
 		}
 		if m.PartitionMBR.Intersects(q) {
-			err := ix.eachNeighbor(ctx, m, local, func(n RecordRef) error {
+			err := ix.eachNeighbor(ctx, m, local, func(n RecordRef, box []byte) error {
+				// A box contains its neighbor's partition MBR, so a box
+				// that misses q names a record that, dequeued, would
+				// emit nothing and push nothing: dropping it changes
+				// neither the result nor its order, only the reads.
+				if box != nil && !ix.barePointers && !boxes.meets(box) {
+					return nil
+				}
 				if !sc.enqueued[n] {
 					sc.enqueued[n] = true
 					f.push(n)
@@ -297,16 +310,22 @@ func (ix *Index) crawl(ctx context.Context, q geom.MBR, start RecordRef, emit fu
 	}
 }
 
-// eachNeighbor hands visit every neighbor of record m: its inline list,
-// then the chained overflow records a giant partition continues its
-// list in — one metadata page read (at most) and one ctx check per hop,
-// so a done ctx can stop mid-chain however long the chain is. It is the
-// one neighbor walk: the range crawl, the k-NN expansion and Records
-// all enumerate neighbors through it. A visit error ends the walk.
-func (ix *Index) eachNeighbor(ctx context.Context, m metaRecord, local *storage.Stats, visit func(RecordRef) error) error {
+// eachNeighbor hands visit every neighbor of record m, read in place on
+// its page: its inline list, then the chained overflow records a giant
+// partition continues its list in — one metadata page read (at most)
+// and one ctx check per hop, so a done ctx can stop mid-chain however
+// long the chain is. It is the one neighbor walk: the range crawl, the
+// k-NN expansion and Records all enumerate neighbors through it. box is
+// the six stored bytes of the neighbor's box on a kind-3 page and nil
+// on a kind-2 page. A visit error ends the walk.
+func (ix *Index) eachNeighbor(ctx context.Context, m metaRecord, local *storage.Stats, visit func(n RecordRef, box []byte) error) error {
 	for {
-		for _, n := range m.Neighbors {
-			if err := visit(n); err != nil {
+		for i := 0; i < m.Neighbors; i++ {
+			n, box, err := m.neighbor(i, &ix.metaLayout)
+			if err != nil {
+				return err
+			}
+			if err := visit(n, box); err != nil {
 				return err
 			}
 		}
@@ -321,7 +340,7 @@ func (ix *Index) eachNeighbor(ctx context.Context, m metaRecord, local *storage.
 		if err != nil {
 			return err
 		}
-		if m, err = decodeMetaRecord(page, next.Slot()); err != nil {
+		if m, err = decodeMetaRecord(page, next.Slot(), &ix.metaLayout); err != nil {
 			return err
 		}
 	}
@@ -343,24 +362,87 @@ func (ix *Index) CrawlFrom(q geom.MBR, start RecordRef) ([]geom.Element, error) 
 	return result, err
 }
 
-// decodeSeedNode decodes the internal seed-tree node read from page id.
-// The bytes come from a shard file, so a node that does not decode fails
-// the query that walked into it, under the page's id.
-func decodeSeedNode(page []byte, id storage.PageID) ([]rtree.NodeEntry, error) {
-	_, entries, err := rtree.DecodeNode(page)
+// decodeSeedNode decodes the internal seed-tree node read from page id,
+// appending its entries to dst. The bytes come from a shard file, so a
+// node that does not decode fails the query that walked into it, under
+// the page's id.
+func decodeSeedNode(page []byte, id storage.PageID, dst []rtree.NodeEntry) ([]rtree.NodeEntry, error) {
+	_, entries, err := rtree.DecodeNodeInto(page, dst)
 	if err != nil {
-		return nil, fmt.Errorf("core: seed page %d: %w", id, err)
+		return dst, fmt.Errorf("core: seed page %d: %w", id, err)
 	}
 	return entries, nil
 }
 
+// boxFilter tests a stored neighbor box against one query with six
+// byte compares instead of a decode: per axis, lo is the largest min
+// byte whose decoded coordinate is ≤ q's max and hi the largest max byte
+// whose decoded coordinate is ≥ q's min (-1 when none is). Decoding is
+// monotone in the byte, so a box meets the filter exactly when its
+// decoded form (decodeBox) Intersects q.
+type boxFilter struct{ lo, hi [3]int }
+
+func newBoxFilter(quant *storage.Quantizer, q geom.MBR) boxFilter {
+	var f boxFilter
+	for a := 0; a < 3; a++ {
+		// Binary searches for the first byte that fails each test.
+		lo, hi := 0, 256
+		for lo < hi {
+			if b := (lo + hi) / 2; quant.DecodeMin(a, uint32(b)<<24) <= q.Max.Axis(a) {
+				lo = b + 1
+			} else {
+				hi = b
+			}
+		}
+		f.lo[a] = lo - 1
+		lo, hi = 0, 256
+		for lo < hi {
+			if b := (lo + hi) / 2; quant.DecodeMax(a, uint32(b)<<24) >= q.Min.Axis(a) {
+				lo = b + 1
+			} else {
+				hi = b
+			}
+		}
+		f.hi[a] = lo - 1
+	}
+	return f
+}
+
+// meets reports whether the box stored in b intersects the query.
+func (f *boxFilter) meets(b []byte) bool {
+	return int(b[0]) <= f.lo[0] && int(b[1]) <= f.lo[1] && int(b[2]) <= f.lo[2] &&
+		int(b[3]) <= f.hi[0] && int(b[4]) <= f.hi[1] && int(b[5]) <= f.hi[2]
+}
+
+// Record is one metadata record as Records enumerates it.
+type Record struct {
+	Ref RecordRef
+	// PageMBR and PartitionMBR are as the page stores them: on a kind-3
+	// page rounded outward to the world's cells, so each contains the
+	// exact box Build derived.
+	PageMBR, PartitionMBR geom.MBR
+	ObjectPage            storage.PageID
+	// Neighbors is the full neighbor list, overflow chain spliced in.
+	Neighbors []RecordRef
+	// NeighborBoxes holds, per neighbor, the decoded box its pointer
+	// carries; nil on a kind-2 page, whose pointers are bare.
+	NeighborBoxes []geom.MBR
+	// SeedKey is the seed-tree key of the record's metadata page: the
+	// entry box its parent node holds, or the index world when the
+	// metadata page is the root.
+	SeedKey geom.MBR
+}
+
 // Records enumerates every metadata record in the index in on-disk
 // order (a walk of the seed tree down to its metadata pages), calling
-// fn with its ref and decoded content. Used by invariant tests, the
-// public Records/AvgNeighbors inspection surface and the neighbor
-// analyses (NeighborHistogram).
-func (ix *Index) Records(fn func(ref RecordRef, pageMBR, partitionMBR geom.MBR, objectPage storage.PageID, neighbors []RecordRef) error) error {
-	stack := []seedItem{{ix.seedRoot, ix.seedHeight}}
+// fn with each. Used by invariant tests, the public Records/AvgNeighbors
+// inspection surface and the neighbor analyses (NeighborHistogram).
+func (ix *Index) Records(fn func(Record) error) error {
+	type keyed struct {
+		seedItem
+		key geom.MBR
+	}
+	stack := []keyed{{seedItem{ix.seedRoot, ix.seedHeight}, ix.world}}
 	//lint:ignore ctxcrawl offline inspect/invariant walk, never on a serving query path
 	for len(stack) > 0 {
 		it := stack[len(stack)-1]
@@ -370,12 +452,12 @@ func (ix *Index) Records(fn func(ref RecordRef, pageMBR, partitionMBR geom.MBR, 
 			return err
 		}
 		if it.level > 1 {
-			entries, err := decodeSeedNode(page, it.page)
+			entries, err := decodeSeedNode(page, it.page, nil)
 			if err != nil {
 				return err
 			}
 			for _, e := range entries {
-				stack = append(stack, seedItem{storage.PageID(e.Ref), it.level - 1})
+				stack = append(stack, keyed{seedItem{storage.PageID(e.Ref), it.level - 1}, e.Box})
 			}
 			continue
 		}
@@ -385,23 +467,26 @@ func (ix *Index) Records(fn func(ref RecordRef, pageMBR, partitionMBR geom.MBR, 
 		}
 		//lint:ignore ctxcrawl offline inspect/invariant walk, never on a serving query path
 		for slot := 0; slot < count; slot++ {
-			m, err := decodeMetaRecord(page, slot)
+			m, err := decodeMetaRecord(page, slot, &ix.metaLayout)
 			if err != nil {
 				return err
 			}
 			if m.ObjectPage == storage.InvalidPage {
 				continue // overflow continuation record
 			}
+			r := Record{Ref: makeRef(it.page, slot), PageMBR: m.PageMBR, PartitionMBR: m.PartitionMBR, ObjectPage: m.ObjectPage, SeedKey: it.key}
 			// Collect the full neighbor list across the overflow chain.
-			var neighbors []RecordRef
-			err = ix.eachNeighbor(context.Background(), m, nil, func(n RecordRef) error {
-				neighbors = append(neighbors, n)
+			err = ix.eachNeighbor(context.Background(), m, nil, func(n RecordRef, box []byte) error {
+				r.Neighbors = append(r.Neighbors, n)
+				if box != nil {
+					r.NeighborBoxes = append(r.NeighborBoxes, decodeBox(&ix.quant, box))
+				}
 				return nil
 			})
 			if err != nil {
 				return err
 			}
-			if err := fn(makeRef(it.page, slot), m.PageMBR, m.PartitionMBR, m.ObjectPage, neighbors); err != nil {
+			if err := fn(r); err != nil {
 				return err
 			}
 		}

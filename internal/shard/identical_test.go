@@ -30,18 +30,19 @@ import (
 // shifted — which also moves every committed BENCH_*.json cell. The v2
 // digests were re-recorded when v2 pages began storing ids as narrow
 // offsets from a per-page base (their bytes and page counts moved; v1's
-// did not).
+// did not), and every digest when metadata pages moved to kind 3
+// (quantized headers, narrow refs and boxed neighbor pointers).
 var stableBuildDigests = map[string]string{
-	"K1-v1/shard-0000.flat": "2830768161430cb223e189b48fcfe17323ad1ac418a06f26e0aa15f5a686fc52",
-	"K1-v2/shard-0000.flat": "a4523631e5b02d2d975930dd4f99479d78a953e61789e41b03289ccf684c711c",
-	"K4-v1/shard-0000.flat": "aa666dd919b52856500dbd27cff521ad8e47af251b8d75ac1c198832814a8280",
-	"K4-v1/shard-0001.flat": "31ce266d12a1701e3a5b554bdc770c788377e7c08f085c58818232da70039348",
-	"K4-v1/shard-0002.flat": "594b33e0588cf8aa85dc6e3ea34a8221cefb5d74aa43e602116ee544c72f4676",
-	"K4-v1/shard-0003.flat": "0513b905ddbb8578c429d6f5d4c3d8ee94286029b40a295d33bdb3c7eddedb64",
-	"K4-v2/shard-0000.flat": "84b89566ef3f84838663313ddee589bfa12c0f6381f57bae7be8be1937c65c38",
-	"K4-v2/shard-0001.flat": "cca258107c1668a9e6cb0752f060d8f4d3fb4e0c7c7a9a0042fe1ff77efc6aaa",
-	"K4-v2/shard-0002.flat": "349106466faefa8e17698c03c51d50065870a6504ebf6a4cd402b2e2a1849903",
-	"K4-v2/shard-0003.flat": "7a1460d4a3f10bd75f9b7b4c1b22ce4c192fd85c20f24565ca1cfaaa2f89eb36",
+	"K1-v1/shard-0000.flat": "446ac50eb43f7fd67bd15915f1b6366150b733aa91d5fd8197c29bf9f020ac04",
+	"K1-v2/shard-0000.flat": "9c1e827a5a75059ea786a683e80019eac682e9d9d7750d163a962d8f2595ec34",
+	"K4-v1/shard-0000.flat": "0157c728cdea0c1117e1aa8ac01fcd353cf61440f67039c792a67b0133099ced",
+	"K4-v1/shard-0001.flat": "2aff2369b568efaa4df33c8d212ec2c6c66473803d4132e8dbfd41525faa63dd",
+	"K4-v1/shard-0002.flat": "4ea6d6923016ffa245208284b9a7db803394a64866725f2ad0fcb825bd5feb95",
+	"K4-v1/shard-0003.flat": "6892152fad4544f5d368429906b74e1e94949b741a9ed8457ad8726ab0a5fc86",
+	"K4-v2/shard-0000.flat": "3802f987862c7db4bc0696ef245c84163b099e7147f655b40c8af286d47ba864",
+	"K4-v2/shard-0001.flat": "4a34629d3a853831eaa26cdef083c812543134e03d8e3d17b908a005b04a5549",
+	"K4-v2/shard-0002.flat": "8833b05da63e34c6e853e9d626aee2a0d7ab1768ca45c39532bbd586518f4312",
+	"K4-v2/shard-0003.flat": "c52cffcd0f8aabe895f92b65673b5d2b8156fda4e317b69aa83a688e48ab99e6",
 }
 
 // stableBuildElements is a deterministic data set with what makes an

@@ -218,9 +218,9 @@ func TestSetNNVisitsNothingBeyondKth(t *testing.T) {
 	defer set.Close()
 	var partitions, pages []geom.MBR
 	for i := 0; i < set.NumShards(); i++ {
-		err := set.Shard(i).Records(func(_ core.RecordRef, pageMBR, partitionMBR geom.MBR, _ storage.PageID, _ []core.RecordRef) error {
-			partitions = append(partitions, partitionMBR)
-			pages = append(pages, pageMBR)
+		err := set.Shard(i).Records(func(r core.Record) error {
+			partitions = append(partitions, r.PartitionMBR)
+			pages = append(pages, r.PageMBR)
 			return nil
 		})
 		if err != nil {

@@ -51,9 +51,11 @@ import (
 // so false positives from the widened boxes are not observed on the
 // benchmark workloads; see the README's on-disk format section.
 //
-// Kind bytes 0 and 1 are the R-tree internal/leaf node kinds and 2 is
-// the FLAT metadata page kind (internal/core), so a page's first byte
-// identifies its role regardless of layer.
+// Kind bytes 0 and 1 are the R-tree internal/leaf node kinds; 2 and 3
+// are FLAT's metadata page kinds (internal/core). A kind byte names a
+// layout within one page role, not the role: a page's role follows from
+// the superblock's page runs, and each decoder is only handed pages of
+// its own role.
 
 // PageFormat selects the on-disk object-page layout of an index.
 type PageFormat uint8
@@ -85,8 +87,8 @@ func (f PageFormat) String() string {
 	}
 }
 
-// On-page kind bytes. 0 (R-tree internal) and 1 (R-tree leaf) are fixed
-// by internal/rtree; 2 is the metadata page kind in internal/core.
+// On-page kind bytes of object pages. 0 (R-tree internal) and 1 (R-tree
+// leaf) are fixed by internal/rtree.
 const (
 	objectKindV1 = 1 // shared with the R-tree leaf layout
 	objectKindV2 = 3
@@ -149,16 +151,21 @@ const quantLevels = float64(1 << 32)
 
 const maxCellF = float64(math.MaxUint32)
 
-// pageQuantizer maps coordinates to conservative u32 cells relative to a
-// page's reference MBR. It is built identically from the stored
-// reference MBR at encode and decode time, so both sides compute the
-// same step in the same float64 operations.
-type pageQuantizer struct {
+// Quantizer maps coordinates to conservative u32 cells against a
+// reference box: the one rounding rule of the repository's quantized
+// layouts. The v2 object-page codec quantizes each element against its
+// page's reference MBR, and FLAT's kind-3 metadata records
+// (internal/core) quantize page and partition MBRs against the index
+// world. A Quantizer is built identically from the stored reference box
+// at encode and decode time, so both sides compute the same step in the
+// same float64 operations.
+type Quantizer struct {
 	min, max, step [3]float64
 }
 
-func newPageQuantizer(ref geom.MBR) pageQuantizer {
-	var q pageQuantizer
+// NewQuantizer returns the quantizer of reference box ref.
+func NewQuantizer(ref geom.MBR) Quantizer {
+	var q Quantizer
 	for a := 0; a < 3; a++ {
 		q.min[a] = ref.Min.Axis(a)
 		q.max[a] = ref.Max.Axis(a)
@@ -176,8 +183,9 @@ func newPageQuantizer(ref geom.MBR) pageQuantizer {
 }
 
 // cellMin returns a cell whose decoded coordinate is ≤ v (conservative
-// rounding toward ref.Min), as large as float arithmetic lets us verify.
-func (q *pageQuantizer) cellMin(axis int, v float64) uint32 {
+// rounding toward the reference min), as large as float arithmetic lets
+// us verify. It is monotone in v.
+func (q *Quantizer) cellMin(axis int, v float64) uint32 {
 	step := q.step[axis]
 	if step <= 0 {
 		return 0
@@ -190,15 +198,15 @@ func (q *pageQuantizer) cellMin(axis int, v float64) uint32 {
 		c = maxCellF
 	}
 	cell := uint32(c)
-	for cell > 0 && q.decodeMin(axis, cell) > v {
+	for cell > 0 && q.DecodeMin(axis, cell) > v {
 		cell--
 	}
 	return cell
 }
 
-// cellMax returns a cell (distance from ref.Max) whose decoded
-// coordinate is ≥ v.
-func (q *pageQuantizer) cellMax(axis int, v float64) uint32 {
+// cellMax returns a cell (distance from the reference max) whose
+// decoded coordinate is ≥ v. It is monotone (nonincreasing) in v.
+func (q *Quantizer) cellMax(axis int, v float64) uint32 {
 	step := q.step[axis]
 	if step <= 0 {
 		return 0
@@ -211,24 +219,46 @@ func (q *pageQuantizer) cellMax(axis int, v float64) uint32 {
 		d = maxCellF
 	}
 	cell := uint32(d)
-	for cell > 0 && q.decodeMax(axis, cell) < v {
+	for cell > 0 && q.DecodeMax(axis, cell) < v {
 		cell--
 	}
 	return cell
 }
 
-func (q *pageQuantizer) decodeMin(axis int, cell uint32) float64 {
+// DecodeMin returns the coordinate min cell cell stands for; it is
+// nondecreasing in cell.
+func (q *Quantizer) DecodeMin(axis int, cell uint32) float64 {
 	if q.step[axis] <= 0 {
 		return q.min[axis]
 	}
 	return q.min[axis] + float64(cell)*q.step[axis]
 }
 
-func (q *pageQuantizer) decodeMax(axis int, cell uint32) float64 {
+// DecodeMax returns the coordinate max-distance cell cell stands for;
+// it is nonincreasing in cell.
+func (q *Quantizer) DecodeMax(axis int, cell uint32) float64 {
 	if q.step[axis] <= 0 {
 		return q.max[axis]
 	}
 	return q.max[axis] - float64(cell)*q.step[axis]
+}
+
+// Cells returns box's six cells: the three min cells, then the three
+// max-distance cells. Box decodes them to a box that contains box
+// whenever box lies inside the reference box.
+func (q *Quantizer) Cells(box geom.MBR) [6]uint32 {
+	return [6]uint32{
+		q.cellMin(0, box.Min.X), q.cellMin(1, box.Min.Y), q.cellMin(2, box.Min.Z),
+		q.cellMax(0, box.Max.X), q.cellMax(1, box.Max.Y), q.cellMax(2, box.Max.Z),
+	}
+}
+
+// Box decodes six cells in Cells' order.
+func (q *Quantizer) Box(c [6]uint32) geom.MBR {
+	return geom.MBR{
+		Min: geom.V(q.DecodeMin(0, c[0]), q.DecodeMin(1, c[1]), q.DecodeMin(2, c[2])),
+		Max: geom.V(q.DecodeMax(0, c[3]), q.DecodeMax(1, c[4]), q.DecodeMax(2, c[5])),
+	}
 }
 
 // EncodeObjectPage serializes els into buf (at least PageSize long)
@@ -296,14 +326,11 @@ func encodeObjectPageV2(buf []byte, els []geom.Element) error {
 	if width < 8 {
 		w.PutU64(lo)
 	}
-	q := newPageQuantizer(ref)
+	q := NewQuantizer(ref)
 	for _, e := range els {
-		w.PutU32(q.cellMin(0, e.Box.Min.X))
-		w.PutU32(q.cellMin(1, e.Box.Min.Y))
-		w.PutU32(q.cellMin(2, e.Box.Min.Z))
-		w.PutU32(q.cellMax(0, e.Box.Max.X))
-		w.PutU32(q.cellMax(1, e.Box.Max.Y))
-		w.PutU32(q.cellMax(2, e.Box.Max.Z))
+		for _, c := range q.Cells(e.Box) {
+			w.PutU32(c)
+		}
 		w.PutUintN(e.ID-lo, width)
 	}
 	if w.Overflow() {
@@ -383,19 +410,19 @@ func DecodeObjectPageInto(page []byte, dst []geom.Element) ([]geom.Element, erro
 		}
 		return dst, nil
 	}
-	q := newPageQuantizer(r.MBR())
+	q := NewQuantizer(r.MBR())
 	var base uint64 // 0 on a flags-0 page: its ids are stored whole
 	if width < 8 {
 		base = r.U64()
 	}
 	for i := 0; i < count; i++ {
 		var e geom.Element
-		e.Box.Min.X = q.decodeMin(0, r.U32())
-		e.Box.Min.Y = q.decodeMin(1, r.U32())
-		e.Box.Min.Z = q.decodeMin(2, r.U32())
-		e.Box.Max.X = q.decodeMax(0, r.U32())
-		e.Box.Max.Y = q.decodeMax(1, r.U32())
-		e.Box.Max.Z = q.decodeMax(2, r.U32())
+		e.Box.Min.X = q.DecodeMin(0, r.U32())
+		e.Box.Min.Y = q.DecodeMin(1, r.U32())
+		e.Box.Min.Z = q.DecodeMin(2, r.U32())
+		e.Box.Max.X = q.DecodeMax(0, r.U32())
+		e.Box.Max.Y = q.DecodeMax(1, r.U32())
+		e.Box.Max.Z = q.DecodeMax(2, r.U32())
 		e.ID = base + r.UintN(width)
 		dst = append(dst, e)
 	}
