@@ -264,6 +264,9 @@ type Index struct {
 // with more than one shard first along the Hilbert curve into shards,
 // then per shard by the STR pass). Shards are built in parallel on a
 // bounded worker pool. See Options for storage and partitioning knobs.
+// An element whose box is inverted or has a NaN or infinite coordinate
+// fails the build, by its ID, before any file is written — the rule
+// StageInsert applies.
 func Build(els []Element, opts *Options) (*Index, error) {
 	var o Options
 	if opts != nil {

@@ -7,6 +7,61 @@ import (
 	"flat/internal/geom"
 )
 
+// encode3Skilling is Encode3 as Skilling wrote it, bit by bit: the
+// transposed index of the coordinates, interleaved. It is the reference
+// the level table is checked against.
+func encode3Skilling(x, y, z uint32) uint64 {
+	X := [3]uint32{x & (maxCoord - 1), y & (maxCoord - 1), z & (maxCoord - 1)}
+	axesToTranspose(&X)
+	return interleave(X)
+}
+
+// axesToTranspose converts spatial coordinates into the "transposed"
+// Hilbert index representation in place (Skilling's AxestoTranspose).
+func axesToTranspose(X *[3]uint32) {
+	const n = 3
+	M := uint32(1) << (Bits - 1)
+	// Inverse undo.
+	for Q := M; Q > 1; Q >>= 1 {
+		P := Q - 1
+		for i := 0; i < n; i++ {
+			if X[i]&Q != 0 {
+				X[0] ^= P // invert
+			} else { // exchange
+				t := (X[0] ^ X[i]) & P
+				X[0] ^= t
+				X[i] ^= t
+			}
+		}
+	}
+	// Gray encode.
+	for i := 1; i < n; i++ {
+		X[i] ^= X[i-1]
+	}
+	t := uint32(0)
+	for Q := M; Q > 1; Q >>= 1 {
+		if X[n-1]&Q != 0 {
+			t ^= Q - 1
+		}
+	}
+	for i := 0; i < n; i++ {
+		X[i] ^= t
+	}
+}
+
+// interleave packs the transposed representation into a single key: the
+// most significant bit of the key is bit Bits-1 of X[0], then bit Bits-1
+// of X[1], and so on.
+func interleave(X [3]uint32) uint64 {
+	var d uint64
+	for b := Bits - 1; b >= 0; b-- {
+		for i := 0; i < 3; i++ {
+			d = d<<1 | uint64((X[i]>>uint(b))&1)
+		}
+	}
+	return d
+}
+
 // decode3 is the inverse of Encode3: it maps a curve position back to
 // quantized coordinates. Nothing outside the tests walks the curve
 // backwards; it is the round-trip reference Encode3 is checked against.
@@ -53,6 +108,38 @@ func deinterleave(d uint64) [3]uint32 {
 		}
 	}
 	return X
+}
+
+// TestEncode3MatchesSkilling checks the level table against the
+// bit-serial transform: on every cell of the 2^7-per-axis grid placed in
+// the top bits (so every state the top seven levels reach meets every
+// octant), on random 21-bit triples, and on every mix of the boundary
+// coordinates 0 and 2^21-1.
+func TestEncode3MatchesSkilling(t *testing.T) {
+	check := func(x, y, z uint32) {
+		if got, want := Encode3(x, y, z), encode3Skilling(x, y, z); got != want {
+			t.Fatalf("Encode3(%d, %d, %d) = %#x, Skilling's transform gives %#x", x, y, z, got, want)
+		}
+	}
+	const shift = Bits - 7
+	for x := uint32(0); x < 1<<7; x++ {
+		for y := uint32(0); y < 1<<7; y++ {
+			for z := uint32(0); z < 1<<7; z++ {
+				check(x<<shift, y<<shift, z<<shift)
+			}
+		}
+	}
+	r := rand.New(rand.NewSource(19))
+	for i := 0; i < 1<<20; i++ {
+		check(r.Uint32()&(maxCoord-1), r.Uint32()&(maxCoord-1), r.Uint32()&(maxCoord-1))
+	}
+	for _, x := range []uint32{0, maxCoord - 1} {
+		for _, y := range []uint32{0, maxCoord - 1} {
+			for _, z := range []uint32{0, maxCoord - 1} {
+				check(x, y, z)
+			}
+		}
+	}
 }
 
 func TestEncodeDecodeRoundTripRandom(t *testing.T) {

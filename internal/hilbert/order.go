@@ -16,8 +16,9 @@ import (
 // The keys are computed once, in contiguous chunks over GOMAXPROCS
 // goroutines: KeyOfMBR is a pure function and each goroutine writes its
 // own indices, so the keys — and with them the order — do not depend on
-// how the input was chunked. The sort itself is str.Sorter, whose result
-// is the permutation sort.SliceStable gives for key order.
+// how the input was chunked. The sort itself is str.Sorter, radix-sorting
+// on the key itself, whose result is the permutation sort.SliceStable
+// gives for key order.
 func SortElements(els []geom.Element, world geom.MBR) {
 	q := NewQuantizer(world)
 	keys := make([]uint64, len(els))
@@ -34,5 +35,5 @@ func SortElements(els []geom.Element, world geom.MBR) {
 		}()
 	}
 	wg.Wait()
-	str.NewSorter[geom.Element](cmp.Compare[uint64]).Sort(els, func(i int) uint64 { return keys[i] })
+	str.NewSorter[geom.Element](cmp.Compare[uint64], str.Uint64Prefix).Sort(els, func(i int) uint64 { return keys[i] })
 }

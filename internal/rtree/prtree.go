@@ -70,9 +70,10 @@ func prGroup[T any](items []T, box func(T) geom.MBR, capacity int) [][]T {
 		out = append(out, g)
 	}
 
-	// One sorter (str.Sorter: the sort.SliceStable permutation) serves
-	// every pass of the recursion.
-	sorter := str.NewSorter[T](cmp.Compare[float64])
+	// One sorter (str.Sorter: the sort.SliceStable permutation, radix on
+	// the float key's order-preserving bits) serves every pass of the
+	// recursion.
+	sorter := str.NewSorter[T](cmp.Compare[float64], str.FloatPrefix)
 	var rec func(rest []T, depth int)
 	rec = func(rest []T, depth int) {
 		if len(rest) == 0 {

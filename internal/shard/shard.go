@@ -209,7 +209,16 @@ func Build(els []geom.Element, cfg Config) (*Set, error) {
 	if cfg.WAL && cfg.Dir == "" {
 		return nil, errors.New("shard: the write-ahead log requires an on-disk index (Config.Dir)")
 	}
-	bounds := geom.ElementsMBR(els)
+	// StageInsert's rule, checked before any file exists: a box that is
+	// inverted or not finite would be partitioned, keyed and encoded as
+	// if it meant something.
+	bounds := geom.EmptyMBR()
+	for _, e := range els {
+		if !e.Box.Valid() {
+			return nil, fmt.Errorf("shard: build element %d: invalid box %v", e.ID, e.Box)
+		}
+		bounds = bounds.Union(e.Box)
+	}
 	world := cfg.World
 	if world.Empty() || world == (geom.MBR{}) {
 		world = bounds

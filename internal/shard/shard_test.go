@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"fmt"
+	"math"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -488,6 +489,38 @@ func TestBuildErrors(t *testing.T) {
 	}
 	if len(got) != 3 {
 		t.Errorf("full query returned %d of 3", len(got))
+	}
+}
+
+// TestBuildRejectsInvalidBoxes pins StageInsert's box rule on Build: one
+// element whose box has a NaN or infinite coordinate, or is inverted,
+// fails the build with an error naming the element's ID, before any file
+// is written — at either page format and shard count.
+func TestBuildRejectsInvalidBoxes(t *testing.T) {
+	nan, inf := math.NaN(), math.Inf(1)
+	bad := map[string]geom.MBR{
+		"NaN min":  {Min: geom.V(1, nan, 1), Max: geom.V(2, 2, 2)},
+		"NaN max":  {Min: geom.V(1, 1, 1), Max: geom.V(2, 2, nan)},
+		"+Inf max": {Min: geom.V(1, 1, 1), Max: geom.V(inf, 2, 2)},
+		"-Inf min": {Min: geom.V(1, -inf, 1), Max: geom.V(2, 2, 2)},
+		"inverted": {Min: geom.V(1, 3, 1), Max: geom.V(2, 2, 2)},
+	}
+	for _, k := range []int{1, 4} {
+		for _, pf := range []storage.PageFormat{storage.PageFormatV1, storage.PageFormatV2} {
+			for name, box := range bad {
+				els := randomElements(rand.New(rand.NewSource(23)), 1000)
+				els[617].Box = box
+				id := els[617].ID
+				dir := t.TempDir()
+				_, err := Build(els, Config{Shards: k, PageFormat: pf, Dir: dir})
+				if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("element %d:", id)) {
+					t.Errorf("K=%d %s, %s: Build error %v, want one naming element %d", k, pf, name, err, id)
+				}
+				if left, err := os.ReadDir(dir); err != nil || len(left) != 0 {
+					t.Errorf("K=%d %s, %s: the failed build left %d entries in Dir (%v)", k, pf, name, len(left), err)
+				}
+			}
+		}
 	}
 }
 

@@ -18,7 +18,13 @@
 // Every order either of them — or any other build-time pass: the shard
 // split, the Hilbert and PR-tree packers — imposes goes through one
 // keyed stable sort kernel, Sorter (sort.go), which returns exactly the
-// permutation sort.SliceStable would.
+// permutation sort.SliceStable would. A Sorter takes, beside the key
+// comparison, a monotone uint64 prefix of the key: keys that compare
+// equal share a prefix, and a smaller prefix means a smaller key. It
+// radix-sorts on the prefix and compares keys only where prefixes tie.
+// The Hilbert order's prefix is its key (Uint64Prefix); the STR passes'
+// is their lead coordinate's and the PR-tree's is its coordinate's
+// order-preserving float bits (FloatPrefix).
 package str
 
 import (
@@ -46,7 +52,7 @@ func Tile[T any](items []T, center func(T) geom.Vec3, capacity int) [][]T {
 	}
 	pn := sliceCount(n, capacity)
 
-	sorter := NewSorter[T](compareAxisKeys)
+	sorter := NewSorter[T](compareAxisKeys, axisKeyPrefix)
 	sortByAxis(sorter, items, center, 0)
 	var groups [][]T
 	for _, xs := range split(items, pn) {
@@ -85,6 +91,16 @@ func compareAxisKeys(a, b axisKey) int {
 		}
 	}
 	return 0
+}
+
+// axisKeyPrefix is compareAxisKeys' monotone prefix: the lead
+// coordinate's. A NaN anywhere in the key leaves it without one, since
+// the comparison then orders nothing consistently.
+func axisKeyPrefix(k axisKey) (uint64, bool) {
+	if k[1] != k[1] || k[2] != k[2] {
+		return 0, false
+	}
+	return FloatPrefix(k[0])
 }
 
 // sortByAxis stably sorts items by the given axis of their center,
@@ -165,7 +181,7 @@ func PartitionElements(els []geom.Element, capacity int, world geom.MBR) []Parti
 	pn := sliceCount(n, capacity)
 
 	var parts []Partition
-	sorter := NewSorter[geom.Element](compareAxisKeys)
+	sorter := NewSorter[geom.Element](compareAxisKeys, axisKeyPrefix)
 	sortByAxis(sorter, els, center, 0)
 	xRuns := split(els, pn)
 	xCuts := runCuts(xRuns, center, 0, world.Min.X, world.Max.X)
