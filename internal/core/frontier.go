@@ -46,18 +46,20 @@ func (f *fifoFrontier) reset() {
 
 // crawlItemKind distinguishes the units of work a best-first traversal
 // keeps in flight. The FIFO crawl only ever handles records; the k-NN
-// crawl mixes the other kinds in one heap so that no page — and no
-// whole index — is read until its distance lower bound actually
-// surfaces (see nn.go for why that ordering is what makes the emission
-// order provably nondecreasing).
+// crawl mixes the other kinds in one heap so that no page — no record,
+// no whole index, no staged run — is read until its distance lower
+// bound actually surfaces (see nn.go for why that ordering is what
+// makes the emission order provably nondecreasing).
 type crawlItemKind uint8
 
 const (
 	itemIndex   crawlItemKind = iota // index not yet seeded, keyed by its bounds
 	itemNode                         // seed-tree node page (NN seed descent only)
-	itemRecord                       // metadata record to expand
+	itemRecord                       // metadata record, read when it pops
 	itemPage                         // object page to read and decode
 	itemElement                      // decoded element ready to emit
+	itemRun                          // node of a staged run, keyed by its box
+	itemStaged                       // staged insert, keyed by its box
 )
 
 // crawlItem is one pending unit of best-first traversal work; the heap
@@ -66,8 +68,9 @@ const (
 // kind.
 type crawlItem struct {
 	kind  crawlItemKind
-	src   int32          // which of the search's indexes the item reads through
-	level int            // itemNode: seed-tree level (1 = metadata)
+	src   int32          // the index the item reads through; itemRun, itemStaged: the staged run
+	level int32          // itemNode: seed-tree level (1 = metadata); itemRun: run level
+	node  int32          // itemRun: node of level; itemStaged: position
 	ref   RecordRef      // itemRecord
 	page  storage.PageID // itemNode, itemPage
 	el    geom.Element   // itemElement

@@ -17,7 +17,7 @@ import (
 // category the way the paper's Figure 14/18 breakdowns are.
 type QueryStats struct {
 	Results        int    // elements in the result set
-	RecordsVisited int    // metadata records dequeued by the BFS
+	RecordsVisited int    // metadata records dequeued by the BFS, or expanded by k-NN
 	PagesVisited   int    // distinct object pages read
 	SeedReads      uint64 // seed-tree internal node page reads
 	MetadataReads  uint64 // metadata (seed leaf) page reads

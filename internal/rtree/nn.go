@@ -6,11 +6,12 @@ import (
 )
 
 // DistHeap is a plain binary min-heap of best-first work items keyed
-// by a squared-distance lower bound, ties broken by insertion order so
-// a traversal is deterministic. It is the one priority queue of the
-// repository: this package's NN walk, core's k-NN frontier and the
-// sharded index's staged-insert walk all drain it. The zero value is an
-// empty heap; Reset keeps the backing slice for the next traversal.
+// by a squared-distance lower bound, ties broken by a rank: the
+// insertion order for Push, so a traversal is deterministic, or the
+// caller's rank for PushRanked. It is the one priority queue of the
+// repository: this package's NN walk and core's k-NN frontier both
+// drain it. The zero value is an empty heap; Reset keeps the backing
+// slice for the next traversal.
 type DistHeap[T any] struct {
 	items []distItem[T]
 	seq   uint64
@@ -18,7 +19,7 @@ type DistHeap[T any] struct {
 
 type distItem[T any] struct {
 	distSq float64
-	seq    uint64
+	rank   uint64
 	v      T
 }
 
@@ -27,13 +28,21 @@ func (h *DistHeap[T]) less(i, j int) bool {
 	if a.distSq != b.distSq {
 		return a.distSq < b.distSq
 	}
-	return a.seq < b.seq
+	return a.rank < b.rank
 }
 
-// Push adds v at priority distSq.
+// Push adds v at priority distSq, ranked by insertion order. The
+// insertion counter stays far below 1<<63, so an item PushRanked at a
+// rank of 1<<63 or more pops after every Push at the same distance.
 func (h *DistHeap[T]) Push(distSq float64, v T) {
-	h.items = append(h.items, distItem[T]{distSq: distSq, seq: h.seq, v: v})
+	h.PushRanked(distSq, h.seq, v)
 	h.seq++
+}
+
+// PushRanked adds v at priority distSq with rank in place of the
+// insertion counter: among equal distances the lower rank pops first.
+func (h *DistHeap[T]) PushRanked(distSq float64, rank uint64, v T) {
+	h.items = append(h.items, distItem[T]{distSq: distSq, rank: rank, v: v})
 	for i := len(h.items) - 1; i > 0; {
 		parent := (i - 1) / 2
 		if !h.less(i, parent) {
@@ -45,7 +54,7 @@ func (h *DistHeap[T]) Push(distSq float64, v T) {
 }
 
 // Pop removes and returns the item with the smallest distSq (the
-// earliest pushed among equals); ok is false on an empty heap.
+// lowest rank among equals); ok is false on an empty heap.
 func (h *DistHeap[T]) Pop() (v T, distSq float64, ok bool) {
 	if len(h.items) == 0 {
 		return v, 0, false

@@ -105,3 +105,25 @@ func TestNNEmptyTree(t *testing.T) {
 		t.Fatalf("empty tree visited %d elements", calls)
 	}
 }
+
+// TestDistHeapRanks: among equal distances Push pops in insertion order
+// and ahead of every PushRanked rank from 1<<63 up, which pop by rank; a
+// smaller distance pops first whatever the ranks.
+func TestDistHeapRanks(t *testing.T) {
+	var h DistHeap[string]
+	h.PushRanked(1, 1<<63|2, "staged 2")
+	h.Push(1, "bulk a")
+	h.PushRanked(1, 1<<63|1, "staged 1")
+	h.PushRanked(1, 1<<63, "run node")
+	h.Push(1, "bulk b")
+	h.PushRanked(0.5, 1<<63|9, "nearer")
+	want := []string{"nearer", "bulk a", "bulk b", "run node", "staged 1", "staged 2"}
+	for i, w := range want {
+		if v, _, ok := h.Pop(); !ok || v != w {
+			t.Fatalf("pop %d: %q (ok %v), want %q", i, v, ok, w)
+		}
+	}
+	if _, _, ok := h.Pop(); ok {
+		t.Fatal("heap not empty after every item popped")
+	}
+}

@@ -266,3 +266,42 @@ func TestNNBadFrameRejected(t *testing.T) {
 		t.Fatalf("post-error NN returned %d elements, want 2", len(got))
 	}
 }
+
+// A query point with a non-finite coordinate travels the wire as sent
+// and is refused by the index: the client gets an error for that query,
+// and the same connection then answers a valid NN.
+func TestNNNonFinitePointRejected(t *testing.T) {
+	sx, err := flat.Build(testElements(500, 11), &flat.Options{Shards: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sx.Close()
+	s := startServer(t, sx, Config{})
+	c := dialServer(t, s)
+
+	for _, x := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		p := flat.V(x, 1, 1)
+		st, err := c.NN(context.Background(), p, 5)
+		if err != nil {
+			t.Fatal(err)
+		}
+		n := 0
+		for _, err = range st.All() {
+			if err != nil {
+				break
+			}
+			n++
+		}
+		if n != 0 || err == nil || !strings.Contains(err.Error(), "not finite") {
+			t.Fatalf("NN at %v: %d elements, error %v; want none and a not-finite error", p, n, err)
+		}
+	}
+	p := flat.V(100, 100, 100)
+	st, err := c.NN(context.Background(), p, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := drainWireNN(t, st, p); len(got) != 5 {
+		t.Fatalf("valid NN after the refusals returned %d elements, want 5", len(got))
+	}
+}

@@ -112,7 +112,8 @@ func metadataCensus(t *testing.T, set *Set) (pointers, partitions int, boxed []b
 }
 
 // checkAgainstBruteForce compares range and count queries by id set and
-// k-NN streams by distance, position for position.
+// k-NN streams, cut at 25 and drained whole, by distance, position for
+// position.
 func checkAgainstBruteForce(t *testing.T, set *Set, els []geom.Element, r *rand.Rand) {
 	t.Helper()
 	ctx := context.Background()
@@ -149,22 +150,29 @@ func checkAgainstBruteForce(t *testing.T, set *Set, els []geom.Element, r *rand.
 			want[j] = e.Box.DistSqToPoint(p)
 		}
 		sort.Float64s(want)
-		var got []float64
-		_, err := set.NNQuery(ctx, p, 25, func(_ geom.Element, d float64) bool {
-			got = append(got, d)
-			return len(got) < 25
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		// v2 object pages widen each box by at most 2^-32 of its page's
-		// extent, so a decoded distance sits a hair below the exact one.
-		if len(got) != 25 {
-			t.Fatalf("k-NN at %v: %d results, want 25", p, len(got))
-		}
-		for j, d := range got {
-			if d > want[j] || d < want[j]-1e-6 {
-				t.Fatalf("k-NN at %v: distance %d is %v, brute force %v", p, j, d, want[j])
+		// At three of the points the stream is drained whole (k=0), so
+		// every record is expanded and every neighbor pointer followed.
+		for _, k := range []int{25, 0} {
+			if k == 0 && i >= 3 {
+				continue
+			}
+			var got []float64
+			_, err := set.NNQuery(ctx, p, k, func(_ geom.Element, d float64) bool {
+				got = append(got, d)
+				return k == 0 || len(got) < k
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			// v2 object pages widen each box by at most 2^-32 of its page's
+			// extent, so a decoded distance sits a hair below the exact one.
+			if n := len(want); k > 0 && len(got) != k || k == 0 && len(got) != n {
+				t.Fatalf("k-NN at %v, k=%d: %d results, brute force %d", p, k, len(got), n)
+			}
+			for j, d := range got {
+				if d > want[j] || d < want[j]-1e-6 {
+					t.Fatalf("k-NN at %v, k=%d: distance %d is %v, brute force %v", p, k, j, d, want[j])
+				}
 			}
 		}
 	}

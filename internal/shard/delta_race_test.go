@@ -2,6 +2,7 @@ package shard
 
 import (
 	"context"
+	"math"
 	"math/rand"
 	"sync"
 	"testing"
@@ -84,7 +85,9 @@ func TestConcurrentQueriesWithStagedDelta(t *testing.T) {
 
 	// Phase 2: staging is documented safe to run concurrently with
 	// queries — grow the delta while readers probe it. Results can only
-	// grow (inserts only), so bound-check rather than match exactly.
+	// grow (inserts only), so bound-check rather than match exactly. k-NN
+	// streams walk the staged runs beside them: each must stay
+	// nondecreasing in distance and repeat no ID.
 	const growth = 200
 	wg.Add(1)
 	go func() {
@@ -110,6 +113,32 @@ func TestConcurrentQueriesWithStagedDelta(t *testing.T) {
 				}
 				if len(res) < want[0] || len(res) > want[0]+growth {
 					t.Errorf("world query during staging: %d results, want %d..%d", len(res), want[0], want[0]+growth)
+					return
+				}
+			}
+		}()
+	}
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 10; i++ {
+				p := geom.V(float64(25*g), float64(10*i), 50)
+				prev, seen := math.Inf(-1), make(map[uint64]bool)
+				_, err := set.NNQuery(context.Background(), p, 0, func(e geom.Element, d float64) bool {
+					if d < prev || seen[e.ID] {
+						t.Errorf("k-NN at %v during staging: element %d at %g after %g, or repeated", p, e.ID, d, prev)
+						return false
+					}
+					prev, seen[e.ID] = d, true
+					return true
+				})
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if len(seen) < want[0] || len(seen) > want[0]+growth {
+					t.Errorf("k-NN at %v during staging: %d elements, want %d..%d", p, len(seen), want[0], want[0]+growth)
 					return
 				}
 			}

@@ -3,6 +3,7 @@ package shard
 import (
 	"cmp"
 	"context"
+	"math"
 	"math/bits"
 	"math/rand"
 	"path/filepath"
@@ -11,6 +12,7 @@ import (
 	"sync"
 	"testing"
 
+	"flat/internal/core"
 	"flat/internal/geom"
 )
 
@@ -249,8 +251,9 @@ func TestDeleteViewAllocatesNothing(t *testing.T) {
 
 // TestDeltaSnapshotStable: a copy of the deltas and a delete view taken
 // under pmu keep answering element for element as when taken — range
-// candidates, nearest staged inserts, delete matches — while 100 more
-// StageInsert and StageDelete calls land concurrently (run under -race).
+// candidates, the nearest staged inserts by core.NN over the copy alone,
+// delete matches — while 100 more StageInsert and StageDelete calls land
+// concurrently (run under -race).
 func TestDeltaSnapshotStable(t *testing.T) {
 	r := rand.New(rand.NewSource(103))
 	base := randomElements(r, 1500)
@@ -284,7 +287,7 @@ func TestDeltaSnapshotStable(t *testing.T) {
 	set.pmu.RUnlock()
 	type answers struct {
 		candidates [][]uint64
-		nearest    [][]stagedNear
+		nearest    [][]nnHit
 		doomed     []bool
 	}
 	observe := func() answers {
@@ -296,8 +299,20 @@ func TestDeltaSnapshotStable(t *testing.T) {
 			}
 			a.candidates = append(a.candidates, seqs)
 		}
+		// The staged-only walk: the snapshot's runs as core.NN's overlay,
+		// with no index beside them.
+		var v nnView
+		v.take(deltas, dels)
 		for _, p := range points {
-			a.nearest = append(a.nearest, stagedNearest(deltas, p, 10, dels))
+			var near []nnHit
+			_, err := core.NN(context.Background(), nil, &v, p, func(e geom.Element, d float64) bool {
+				near = append(near, nnHit{el: e, distSq: d})
+				return len(near) < 10
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			a.nearest = append(a.nearest, near)
 		}
 		for _, e := range append(base[:100:100], staged...) {
 			a.doomed = append(a.doomed, dels.matches(e))
@@ -363,9 +378,9 @@ func fuzzBox(b byte) geom.MBR {
 // bulkloaded, a staged or an absent element, and re-inserts after a
 // delete; staged IDs repeat. After every operation each delta probe
 // equals a linear scan over the staged inserts and deletes: a box's
-// range candidates (each exactly once), the first k staged inserts by
-// (distance, staging order), and matches and matchesAfter; and the runs
-// keep their invariants (checkRuns).
+// range candidates (each exactly once), the k-NN stream (checkNNModel),
+// and matches and matchesAfter; and the runs keep their invariants
+// (checkRuns).
 func FuzzStagedDelta(f *testing.F) {
 	ties := make([]byte, 0, 400)
 	for range 200 {
@@ -375,7 +390,12 @@ func FuzzStagedDelta(f *testing.F) {
 	f.Add([]byte{0, 7, 1, 5, 1, 5, 2, 3, 3, 1, 5, 0, 0, 200, 4, 9, 1, 5, 3, 2, 5, 1})
 	f.Add([]byte{0, 255, 0, 31, 3, 0, 3, 4, 2, 0, 5, 0, 5, 1, 1, 21, 1, 21, 1, 21, 3, 7})
 
+	// Bulkloaded twins of fifteen lattice boxes tie exactly with the
+	// staged inserts on them, at every probe point.
 	base := randomElements(rand.New(rand.NewSource(107)), 200)
+	for b := 1; b < 256; b += 17 {
+		base = append(base, geom.Element{ID: 1<<45 + uint64(b), Box: fuzzBox(byte(b))})
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		set, err := Build(append([]geom.Element(nil), base...), Config{Shards: 2, PageCapacity: 8})
 		if err != nil {
@@ -441,6 +461,41 @@ func FuzzStagedDelta(f *testing.F) {
 // point besides the fixed ones.
 func checkStagedDelta(t *testing.T, set *Set, base []geom.Element, staged []stagedInsert, deletes []pendingDelete, p geom.Vec3) {
 	t.Helper()
+	dels := checkStagedRuns(t, set, staged, deletes)
+
+	// The k-NN model: the bulkloaded elements as stored, minus deletes,
+	// plus the staged inserts no later delete dooms.
+	var live []stagedInsert // seq 0: bulkloaded
+	for _, e := range bulkElements(t, set) {
+		if !matchesDelete(deletes, e) {
+			live = append(live, stagedInsert{el: e})
+		}
+	}
+	for _, si := range staged {
+		if !matchesDeleteAfter(deletes, si.el, si.seq) {
+			live = append(live, si)
+		}
+	}
+	for _, pt := range []geom.Vec3{p, geom.V(500, 500, 500), geom.V(50, 50, 50)} {
+		checkNNModel(t, set, live, pt)
+	}
+
+	for _, e := range base {
+		if dels.matches(e) != matchesDelete(deletes, e) {
+			t.Fatalf("matches(%v) disagrees with the linear scan", e)
+		}
+	}
+	for _, si := range staged {
+		if dels.matches(si.el) != matchesDelete(deletes, si.el) || dels.matchesAfter(si.el, si.seq) != matchesDeleteAfter(deletes, si.el, si.seq) {
+			t.Fatalf("matches or matchesAfter(%v, %d) disagrees with the linear scan", si.el, si.seq)
+		}
+	}
+}
+
+// checkStagedRuns holds set's staged lists and runs to the model under
+// pmu, and returns the delete view it took there.
+func checkStagedRuns(t *testing.T, set *Set, staged []stagedInsert, deletes []pendingDelete) deleteView {
+	t.Helper()
 	set.pmu.RLock()
 	defer set.pmu.RUnlock()
 	ep, dels := set.staged, set.deleteViewLocked()
@@ -468,40 +523,77 @@ func checkStagedDelta(t *testing.T, set *Set, base []geom.Element, staged []stag
 			t.Fatalf("box %v: range candidates %v, linear scan %v", q, got, want)
 		}
 	}
+	return dels
+}
 
-	var live []stagedNear
-	for _, si := range staged {
-		if !matchesDeleteAfter(deletes, si.el, si.seq) {
-			live = append(live, stagedNear{el: si.el, seq: si.seq})
+// bulkElements returns every bulkloaded element of set's shards as
+// stored (v2 pages decode boxes widened), staged updates not applied.
+func bulkElements(t *testing.T, set *Set) []geom.Element {
+	t.Helper()
+	inf := math.Inf(1)
+	var els []geom.Element
+	for _, ix := range set.now().shards {
+		got, _, err := ix.RangeQuery(geom.Box(geom.V(-inf, -inf, -inf), geom.V(inf, inf, inf)))
+		if err != nil {
+			t.Fatal(err)
 		}
+		els = append(els, got...)
 	}
-	for _, pt := range []geom.Vec3{p, geom.V(500, 500, 500), geom.V(50, 50, 50)} {
-		want := slices.Clone(live)
-		for i := range want {
-			want[i].distSq = want[i].el.Box.DistSqToPoint(pt)
-		}
-		slices.SortFunc(want, func(a, b stagedNear) int {
-			return cmp.Or(cmp.Compare(a.distSq, b.distSq), cmp.Compare(a.seq, b.seq))
+	return els
+}
+
+// checkNNModel holds NNQuery's stream at pt, taken whole and cut at k
+// of 1 and 10, to live (seq 0 marks a bulkloaded element) ordered by
+// (distance, bulkloaded before staged, staging order): position for
+// position, except that bulkloaded elements at one distance may come in
+// any order. A cut stream is the whole one's prefix.
+func checkNNModel(t *testing.T, set *Set, live []stagedInsert, pt geom.Vec3) {
+	t.Helper()
+	want := slices.Clone(live)
+	slices.SortStableFunc(want, func(a, b stagedInsert) int {
+		return cmp.Or(cmp.Compare(a.el.Box.DistSqToPoint(pt), b.el.Box.DistSqToPoint(pt)), cmp.Compare(a.seq, b.seq))
+	})
+	var streams [3][]nnHit
+	for i, k := range []int{0, 1, 10} {
+		_, err := set.NNQuery(context.Background(), pt, k, func(e geom.Element, d float64) bool {
+			streams[i] = append(streams[i], nnHit{el: e, distSq: d})
+			return k == 0 || len(streams[i]) < k
 		})
-		for _, k := range []int{1, 10, 0} {
-			w := want
-			if k > 0 && len(w) > k {
-				w = w[:k]
-			}
-			if got := stagedNearest(ep.deltas, pt, k, dels); !slices.Equal(got, w) {
-				t.Fatalf("k=%d at %v: staged nearest %v, linear scan %v", k, pt, got, w)
-			}
+		if err != nil {
+			t.Fatal(err)
 		}
 	}
-
-	for _, e := range base {
-		if dels.matches(e) != matchesDelete(deletes, e) {
-			t.Fatalf("matches(%v) disagrees with the linear scan", e)
+	got := streams[0]
+	for i, k := range []int{1, 10} {
+		if n := min(k, len(got)); !slices.Equal(streams[i+1], got[:n]) {
+			t.Fatalf("k=%d at %v: %v, not the whole stream's first %d", k, pt, streams[i+1], n)
 		}
 	}
-	for _, si := range staged {
-		if dels.matches(si.el) != matchesDelete(deletes, si.el) || dels.matchesAfter(si.el, si.seq) != matchesDeleteAfter(deletes, si.el, si.seq) {
-			t.Fatalf("matches or matchesAfter(%v, %d) disagrees with the linear scan", si.el, si.seq)
+	if len(got) != len(want) {
+		t.Fatalf("at %v: %d elements streamed, the model has %d", pt, len(got), len(want))
+	}
+	for lo := 0; lo < len(want); {
+		d := want[lo].el.Box.DistSqToPoint(pt)
+		hi, bulk := lo, map[geom.Element]int{}
+		for ; hi < len(want) && want[hi].el.Box.DistSqToPoint(pt) == d; hi++ {
+			if want[hi].seq == 0 {
+				bulk[want[hi].el]++
+			}
 		}
+		for i := lo; i < hi; i++ {
+			g, w := got[i], want[i]
+			switch {
+			case g.distSq != d:
+				t.Fatalf("at %v: emission %d at distSq %g, the model's at %g", pt, i, g.distSq, d)
+			case w.seq == 0 && bulk[g.el] == 0:
+				t.Fatalf("at %v: emission %d is %v, not a bulkloaded element at distSq %g", pt, i, g.el, d)
+			case w.seq != 0 && g.el != w.el:
+				t.Fatalf("at %v: emission %d is %v, the model has staged %v (seq %d)", pt, i, g.el, w.el, w.seq)
+			}
+			if w.seq == 0 {
+				bulk[g.el]--
+			}
+		}
+		lo = hi
 	}
 }

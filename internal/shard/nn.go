@@ -1,160 +1,92 @@
 // Best-first k-NN over the sharded set.
 //
-// The range path visits every surviving shard in shard order and
-// concatenates the results. Nearest-neighbor search cannot afford that
-// — the whole point of best-first traversal is to stop after k
-// elements, and a scatter would pay every shard's seed descent up
-// front. Instead the shard directory is the top level of core's one
-// best-first frontier (core.NN): a shard enters the heap as an item
-// keyed by the distance to its bounds MBR, which lower-bounds
-// everything inside it, and is seeded only when that item surfaces.
-// There is no merge here and no per-shard stream — one heap orders the
-// records, pages and elements of every shard, so nothing whose bound
-// exceeds the last element the consumer takes is read, in any shard,
-// and a shard whose bound does is never opened at all: with
-// well-separated shards a k=1 probe touches exactly one.
-//
-// NNQuery is therefore a sink over that stream, overlaying pending
-// writes the way the range path does, with one asymmetry. Staged
-// deletes filter the bulk stream as elements arrive
-// (deleteView.matches, same predicate as the range overlay). Staged
-// inserts, however, are collected *eagerly* under pmu's read side: one
-// best-first walk over every shard's runs (delta.go), on a pooled heap,
-// yields the surviving staged inserts as one list sorted by (distance,
-// staging order) before pmu is released. The list is capped at k when k
-// is positive; the walk takes every survivor tied with the k-th before
-// the sort cuts, so the cut does not depend on how the inserts were
-// batched into runs, and survives a log replay. The sink emits every
-// staged insert strictly nearer than the bulk element in hand first.
-//
-// Emission-order ties are deterministic for a given set: bulk elements
-// at equal distance surface in the frontier's discovery order, and
-// staged inserts rank after every bulk element at their distance
-// (mirroring the range path, where staged inserts stream last), among
-// themselves by staging order.
+// The range path visits the surviving shards in shard order. k-NN cannot
+// afford that: best-first traversal exists to stop after k elements, and
+// a scatter would pay every shard's seed descent up front. Instead the
+// shard directory is the top level of core's one best-first frontier
+// (core.NN): a shard enters the heap keyed by the distance to its bounds
+// and is seeded only when that item surfaces, so a shard whose bound
+// exceeds the last element the consumer takes is never opened. The
+// staged delta joins the same frontier as core.NN's overlay: NNQuery
+// copies every shard's runs and the delete view under pmu into a pooled
+// nnView, releases the lock, and hands the view over. Ties and the delete
+// filter are core.NN's.
 
 package shard
 
 import (
-	"cmp"
 	"context"
-	"slices"
+	"fmt"
 	"sync"
 
 	"flat/internal/core"
 	"flat/internal/geom"
-	"flat/internal/rtree"
+	"flat/internal/str"
 )
 
-// stagedNear is one surviving staged insert with its distance and
-// staging stamp (the tie-break among staged hits).
-type stagedNear struct {
-	el     geom.Element
-	distSq float64
-	seq    uint64
+// nnView is one query's snapshot of the staged delta, handed to core.NN
+// as its overlay: every shard's runs, with the slab each run's positions
+// index, and the staged deletes. Taken under pmu, it stays valid after
+// the lock is released (see delta.go). Views are pooled, so a warm query
+// allocates nothing.
+type nnView struct {
+	runs  []str.Tree
+	slabs [][]stagedInsert // by run
+	dels  deleteView
 }
 
-// runItem is one pending unit of the staged best-first walk: node of
-// run of deltas[delta] at level (-1: a staged insert; see str.Tree).
-type runItem struct {
-	delta, run, level, node int32
-}
+var nnViews = sync.Pool{New: func() any { return new(nnView) }}
 
-// nearHeaps recycles the staged walk's frontier across queries.
-var nearHeaps = sync.Pool{New: func() any { return new(rtree.DistHeap[runItem]) }}
-
-// stagedNearest returns the staged inserts of deltas that survive dels,
-// sorted by (distance, staging order) and cut at k when k > 0 — the list
-// NNQuery merges into the bulk stream. deltas is the live epoch's (under
-// pmu's read side) or a copy of it; the returned slice owns its memory.
-func stagedNearest(deltas []shardDelta, p geom.Vec3, k int, dels deleteView) []stagedNear {
-	h := nearHeaps.Get().(*rtree.DistHeap[runItem])
-	defer func() { h.Reset(); nearHeaps.Put(h) }()
+// take fills v from deltas, the live epoch's (under pmu's read side) or
+// a copy of them, and dels.
+func (v *nnView) take(deltas []shardDelta, dels deleteView) {
 	for i := range deltas {
-		for j, r := range deltas[i].runs {
-			h.Push(r.Levels[r.Top()][0].DistSqToPoint(p), runItem{int32(i), int32(j), int32(r.Top()), 0})
+		for _, r := range deltas[i].runs {
+			v.runs = append(v.runs, r)
+			v.slabs = append(v.slabs, deltas[i].slab)
 		}
 	}
-	var out []stagedNear
-	for {
-		// Items pop in nondecreasing distance: once k survivors are taken,
-		// the first item farther than the last of them ends the walk.
-		it, distSq, ok := h.Pop()
-		if !ok || k > 0 && len(out) >= k && distSq > out[len(out)-1].distSq {
-			break
-		}
-		d, r := &deltas[it.delta], &deltas[it.delta].runs[it.run]
-		if it.level < 0 {
-			if si := d.slab[r.Pos[it.node]]; !dels.matchesAfter(si.el, si.seq) {
-				out = append(out, stagedNear{el: si.el, distSq: distSq, seq: si.seq})
-			}
-			continue
-		}
-		lo, hi := r.Children(int(it.level), int(it.node))
-		for c := lo; c < hi; c++ {
-			h.Push(r.Box(int(it.level)-1, c, d.at).DistSqToPoint(p), runItem{it.delta, it.run, it.level - 1, int32(c)})
-		}
-	}
-	slices.SortFunc(out, func(a, b stagedNear) int {
-		return cmp.Or(cmp.Compare(a.distSq, b.distSq), cmp.Compare(a.seq, b.seq))
-	})
-	if k > 0 && len(out) > k {
-		out = out[:k]
-	}
-	return out
+	v.dels = dels
 }
 
-// NNQuery streams the indexed elements in nondecreasing distance from
-// p, each with its exact squared distance, until emit returns false.
-// k caps how many staged inserts are snapshotted (<= 0: all of them);
-// it is a sizing hint only — the stream itself runs until stopped, so
-// a caller wanting exactly k results stops after the k-th emit.
-// Staged updates are overlaid exactly as in RangeQuery: staged deletes
-// filter the bulk stream, surviving staged inserts merge in by
-// distance (ranking after bulk elements at equal distance). The
-// returned stats cover exactly the work performed and Results counts
-// the elements actually emitted.
-func (s *Set) NNQuery(ctx context.Context, p geom.Vec3, k int, emit func(geom.Element, float64) bool) (core.QueryStats, error) {
+// release drops v's references to the epoch and returns v to the pool.
+func (v *nnView) release() {
+	clear(v.runs)
+	clear(v.slabs)
+	v.runs, v.slabs, v.dels = v.runs[:0], v.slabs[:0], deleteView{}
+	nnViews.Put(v)
+}
+
+func (v *nnView) Runs() []str.Tree { return v.runs }
+
+func (v *nnView) Insert(run int, pos int32) (geom.Element, uint64) {
+	si := v.slabs[run][pos]
+	return si.el, si.seq
+}
+
+func (v *nnView) Deleted(el geom.Element, stamp uint64) bool { return v.dels.matchesAfter(el, stamp) }
+
+// NNQuery streams the live elements in nondecreasing distance from p,
+// each with its exact squared distance, until emit returns false. Live
+// means bulkloaded and not hidden by a staged delete, or staged and not
+// deleted since. A staged insert ranks after every bulkloaded element at
+// its distance, and among staged inserts by staging order. A p with a
+// NaN or infinite coordinate is an error. The returned stats cover
+// exactly the work performed and Results counts the elements emitted.
+//
+// k is reserved: the stream runs until emit stops it, so a caller
+// wanting k results stops after the k-th. It remains only because
+// benchmark/ — frozen between benchmark PRs — passes it; the next
+// benchmark-archetype PR drops the parameter.
+func (s *Set) NNQuery(ctx context.Context, p geom.Vec3, _ int, emit func(geom.Element, float64) bool) (core.QueryStats, error) {
+	if !geom.PointBox(p).Valid() {
+		return core.QueryStats{}, fmt.Errorf("shard: nn query point %v is not finite", p)
+	}
+	v := nnViews.Get().(*nnView)
+	defer v.release()
 	s.pmu.RLock()
 	g := s.cur
-	dels := s.deleteViewLocked()
-	staged := stagedNearest(s.staged.deltas, p, k, dels)
+	v.take(s.staged.deltas, s.deleteViewLocked())
 	s.pmu.RUnlock()
-
-	emitted, stopped := 0, false
-	// send delivers one element of the merged stream and reports
-	// whether the consumer wants more.
-	send := func(e geom.Element, distSq float64) bool {
-		emitted++
-		stopped = !emit(e, distSq)
-		return !stopped
-	}
-	// sendStaged delivers the staged inserts strictly nearer than limit:
-	// a bulk element at the same distance goes first.
-	sendStaged := func(limit float64) bool {
-		for len(staged) > 0 && staged[0].distSq < limit {
-			h := staged[0]
-			staged = staged[1:]
-			if !send(h.el, h.distSq) {
-				return false
-			}
-		}
-		return true
-	}
-	st, err := core.NN(ctx, g.shards, p, func(e geom.Element, distSq float64) bool {
-		return dels.matches(e) || (sendStaged(distSq) && send(e, distSq))
-	})
-	// A bulk stream that ran dry leaves the farther staged inserts: all of
-	// them, those whose squared distance overflowed to +Inf included.
-	if err == nil && !stopped {
-		for _, h := range staged {
-			if !send(h.el, h.distSq) {
-				break
-			}
-		}
-	}
-	// Results counts set-level emissions, not what the bulk stream
-	// produced before delete filtering.
-	st.Results = emitted
-	return st, err
+	return core.NN(ctx, g.shards, v, p, emit)
 }

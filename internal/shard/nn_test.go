@@ -345,6 +345,81 @@ func TestSetNNCancellation(t *testing.T) {
 	checkSetNN(t, set, geom.V(20, 80, 40))
 }
 
+// TestNNQueryAllocations pins the allocation count of a warm K=4 k-NN
+// query stopped at k=10, without and with a staged delta of several runs
+// and deletes: the query scratch and the delta view come from pools with
+// grown buffers, and every page is cached, so the query allocates
+// nothing.
+func TestNNQueryAllocations(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector makes sync.Pool drop the query scratch at random")
+	}
+	r := rand.New(rand.NewSource(23))
+	els := randomElements(r, 20000)
+	set, err := Build(els, Config{Shards: 4, PageFormat: storage.PageFormatV2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer set.Close()
+	c := geom.V(30, 60, 40)
+	points := []geom.Vec3{c, geom.V(80, 20, 70)}
+	measure := func(name string) {
+		for _, p := range points {
+			n := 0
+			emit := func(geom.Element, float64) bool { n++; return n < 10 }
+			query := func() {
+				n = 0
+				if _, err := set.NNQuery(context.Background(), p, 10, emit); err != nil {
+					t.Fatal(err)
+				}
+			}
+			query() // warm the pools and the pages
+			if a := testing.AllocsPerRun(50, query); a != 0 {
+				t.Errorf("%s, k-NN at %v: %v allocations, want 0", name, p, a)
+			}
+		}
+	}
+	measure("no delta")
+
+	// Batches of 8, 4, 2 and 1 at one spot stay separate runs (each is at
+	// least twice the next) of the one shard they route to.
+	id := uint64(1 << 40)
+	for _, size := range []int{8, 4, 2, 1} {
+		batch := make([]geom.Element, size)
+		for i := range batch {
+			batch[i] = geom.Element{ID: id, Box: geom.CubeAt(c.Add(geom.V(r.Float64(), r.Float64(), r.Float64())), 0.2)}
+			id++
+		}
+		if err := set.StageInsert(batch...); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, e := range els[:20] {
+		if err := set.StageDelete(e.ID, e.Box); err != nil {
+			t.Fatal(err)
+		}
+	}
+	set.pmu.RLock()
+	runs := 0
+	for _, d := range set.staged.deltas {
+		runs += len(d.runs)
+	}
+	set.pmu.RUnlock()
+	if runs < 4 {
+		t.Fatalf("the staged delta holds %d runs, want at least 4", runs)
+	}
+	n, staged := 0, 0
+	_, err = set.NNQuery(context.Background(), c, 10, func(e geom.Element, _ float64) bool {
+		n++
+		staged += int(e.ID >> 40)
+		return n < 10
+	})
+	if err != nil || staged == 0 {
+		t.Fatalf("k-NN at the staged spot %v took no staged insert (%v)", c, err)
+	}
+	measure("staged delta")
+}
+
 // BenchmarkSetNN is the shard layer's k-NN microbenchmark: a warm pool,
 // v2 pages, the stream stopped at its k-th element. allocs/op and
 // visits/op (records + object pages popped off the frontier) repeat

@@ -7,6 +7,7 @@ import (
 	"math"
 	"math/rand"
 	"sort"
+	"strings"
 	"testing"
 )
 
@@ -233,6 +234,34 @@ func TestNNCancellation(t *testing.T) {
 		got := drainNN(t, q.NN(context.Background(), p, 5), p)
 		if len(got) != 5 {
 			t.Fatalf("%s: post-cancel NN returned %d results", name, len(got))
+		}
+	}
+}
+
+// TestNNRejectsNonFinitePoint: a query point with a NaN or infinite
+// coordinate has no distance order; the session yields no element and
+// an error naming the point, at every shard count.
+func TestNNRejectsNonFinitePoint(t *testing.T) {
+	_, targets := queryTargets(t, 2000)
+	for _, k := range []int{1, 4} {
+		q := targets[fmt.Sprintf("K=%d", k)]
+		for _, x := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+			p := V(x, 1, 1)
+			res := q.NN(context.Background(), p, 5)
+			n, err := 0, error(nil)
+			for _, e := range res.All() {
+				if e != nil {
+					err = e
+					break
+				}
+				n++
+			}
+			if n != 0 || err == nil || !strings.Contains(err.Error(), p.String()) {
+				t.Errorf("K=%d: NN at %v streamed %d elements and error %v, want none and an error naming the point", k, p, n, err)
+			}
+			if res.Err() == nil {
+				t.Errorf("K=%d: NN at %v: Err() is nil after a failed session", k, p)
+			}
 		}
 	}
 }

@@ -78,7 +78,8 @@ func (ix *Index) Query(ctx context.Context, q MBR, opts ...QueryOption) *Results
 // number. Staged updates are overlaid exactly as in Query: staged
 // deletes filter the stream, staged inserts merge in at their own
 // distances (losing ties to bulkloaded elements, matching the range
-// path's staged-last order). Safe for concurrent use.
+// path's staged-last order). A p with a NaN or infinite coordinate ends
+// the session with an error. Safe for concurrent use.
 func (ix *Index) NN(ctx context.Context, p Vec3, k int, opts ...QueryOption) *Results {
 	r := newResults(ctx, ix, geom.PointBox(p), true, opts)
 	// The effective bound is the smaller of k and WithLimit's positive
@@ -150,8 +151,8 @@ func newResults(ctx context.Context, ix *Index, q MBR, nn bool, opts []QueryOpti
 }
 
 // run executes the session on the set's executor for its kind: the
-// range stream, or the NN stream (which takes the limit as its
-// staged-insert sizing hint).
+// range stream, or the NN stream. Neither executor stops at the limit
+// itself; All does.
 func (r *Results) run(emit func(Element) bool) (QueryStats, error) {
 	if r.nn {
 		return r.ix.set.NNQuery(r.ctx, r.q.Min, r.cfg.limit, func(e Element, _ float64) bool { return emit(e) })
