@@ -55,7 +55,7 @@ func main() {
 		wal      = flag.Bool("wal", true, "write-ahead-log staged updates")
 		inflight = flag.Int("max-inflight", 0, "global concurrent-query budget; the N+1th query is rejected busy (0: default 64)")
 		connq    = flag.Int("conn-queries", 0, "concurrent queries allowed per connection (0: default 16)")
-		batch    = flag.Int("batch", 0, "elements per streamed result frame (0: default 128)")
+		batch    = flag.Int("batch", 0, "elements per streamed result frame (0: default 128; at most 149796, larger values are clamped)")
 		drain    = flag.Duration("drain", 5*time.Second, "graceful-shutdown grace period for in-flight queries")
 
 		query   = flag.String("query", "", "client: range query 'x1,y1,z1,x2,y2,z2'")

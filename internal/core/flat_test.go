@@ -572,29 +572,33 @@ func TestColdReadsInvariantAcrossWorkers(t *testing.T) {
 
 // TestQueryAllocatesNothing pins the allocation count of a warm range
 // query at K=1 with a no-op emit, on an SN-sized box (~15 results) and an
-// LSS-sized box (~2.7k results): every page is cached, the scratch comes
-// from its pool with grown buffers, and records are decoded in place, so
-// the query allocates nothing.
+// LSS-sized box (~2.7k results), over v1 and v2 object pages: every page
+// is cached, the scratch comes from its pool with grown buffers, records
+// are decoded in place and object pages filtered in place, so the query
+// allocates nothing.
 func TestQueryAllocatesNothing(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector makes sync.Pool drop the query scratch at random")
 	}
 	r := rand.New(rand.NewSource(181))
-	ix, _ := buildIndex(t, randomElements(r, 20000, worldBox()), Options{World: worldBox()})
-	for _, c := range []struct {
-		name string
-		q    geom.MBR
-	}{
-		{"SN", geom.CubeAt(geom.V(40, 55, 35), 8)},
-		{"LSS", geom.CubeAt(geom.V(50, 45, 55), 50)},
-	} {
-		emit := func(geom.Element) bool { return true }
-		st, err := ix.Query(context.Background(), c.q, emit) // warm the pool and the scratch
-		if err != nil || st.Results == 0 {
-			t.Fatalf("%s: %d results, %v", c.name, st.Results, err)
-		}
-		if n := testing.AllocsPerRun(50, func() { ix.Query(context.Background(), c.q, emit) }); n != 0 {
-			t.Errorf("%s query (%d results): %v allocations, want 0", c.name, st.Results, n)
+	els := randomElements(r, 20000, worldBox())
+	for _, format := range []storage.PageFormat{storage.PageFormatV1, storage.PageFormatV2} {
+		ix, _ := buildIndex(t, els, Options{World: worldBox(), PageFormat: format})
+		for _, c := range []struct {
+			name string
+			q    geom.MBR
+		}{
+			{"SN", geom.CubeAt(geom.V(40, 55, 35), 8)},
+			{"LSS", geom.CubeAt(geom.V(50, 45, 55), 50)},
+		} {
+			emit := func(geom.Element) bool { return true }
+			st, err := ix.Query(context.Background(), c.q, emit) // warm the pool and the scratch
+			if err != nil || st.Results == 0 {
+				t.Fatalf("%s %s: %d results, %v", format, c.name, st.Results, err)
+			}
+			if n := testing.AllocsPerRun(50, func() { ix.Query(context.Background(), c.q, emit) }); n != 0 {
+				t.Errorf("%s %s query (%d results): %v allocations, want 0", format, c.name, st.Results, n)
+			}
 		}
 	}
 }

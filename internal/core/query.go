@@ -216,20 +216,12 @@ func (ix *Index) objectPageHasHit(id storage.PageID, q geom.MBR, sc *crawlScratc
 	if err != nil {
 		return false, err
 	}
-	// Object pages decode through the format-aware codec (the format tag
+	// Object pages filter through the format-aware codec (the format tag
 	// is on the page itself), not the R-tree node decoder, so v1 and v2
 	// pages — even mixed across shards — read identically here.
-	els, err := storage.DecodeObjectPageInto(page, sc.els[:0])
+	els, err := storage.FilterObjectPageInto(page, q, sc.els[:0])
 	sc.els = els
-	if err != nil {
-		return false, err
-	}
-	for i := range els {
-		if els[i].Box.Intersects(q) {
-			return true, nil
-		}
-	}
-	return false, nil
+	return len(els) > 0, err
 }
 
 // crawl is the paper's Algorithm 2: a search over the neighborhood
@@ -275,16 +267,14 @@ func (ix *Index) crawl(ctx context.Context, q geom.MBR, start RecordRef, emit fu
 			if err != nil {
 				return err
 			}
-			els, err := storage.DecodeObjectPageInto(objPage, sc.els[:0])
+			els, err := storage.FilterObjectPageInto(objPage, q, sc.els[:0])
 			sc.els = els
 			if err != nil {
 				return err
 			}
 			for i := range els {
-				if els[i].Box.Intersects(q) {
-					if !emit(els[i]) {
-						return nil
-					}
+				if !emit(els[i]) {
+					return nil
 				}
 			}
 		}
@@ -375,43 +365,25 @@ func decodeSeedNode(page []byte, id storage.PageID, dst []rtree.NodeEntry) ([]rt
 }
 
 // boxFilter tests a stored neighbor box against one query with six
-// byte compares instead of a decode: per axis, lo is the largest min
-// byte whose decoded coordinate is ≤ q's max and hi the largest max byte
-// whose decoded coordinate is ≥ q's min (-1 when none is). Decoding is
-// monotone in the byte, so a box meets the filter exactly when its
-// decoded form (decodeBox) Intersects q.
-type boxFilter struct{ lo, hi [3]int }
+// byte compares instead of a decode. Byte b stands for cell b<<24, so
+// it meets its test exactly when that cell is below the quantizer's
+// cell limit (storage.Quantizer.CellLimits), that is when b is below
+// the limit rounded up to whole bytes: a box meets the filter exactly
+// when its decoded form (decodeBox) Intersects q.
+type boxFilter struct{ lim [boxSize]int }
 
 func newBoxFilter(quant *storage.Quantizer, q geom.MBR) boxFilter {
 	var f boxFilter
-	for a := 0; a < 3; a++ {
-		// Binary searches for the first byte that fails each test.
-		lo, hi := 0, 256
-		for lo < hi {
-			if b := (lo + hi) / 2; quant.DecodeMin(a, uint32(b)<<24) <= q.Max.Axis(a) {
-				lo = b + 1
-			} else {
-				hi = b
-			}
-		}
-		f.lo[a] = lo - 1
-		lo, hi = 0, 256
-		for lo < hi {
-			if b := (lo + hi) / 2; quant.DecodeMax(a, uint32(b)<<24) >= q.Min.Axis(a) {
-				lo = b + 1
-			} else {
-				hi = b
-			}
-		}
-		f.hi[a] = lo - 1
+	for i, l := range quant.CellLimits(q) {
+		f.lim[i] = int((l + 1<<24 - 1) >> 24)
 	}
 	return f
 }
 
 // meets reports whether the box stored in b intersects the query.
 func (f *boxFilter) meets(b []byte) bool {
-	return int(b[0]) <= f.lo[0] && int(b[1]) <= f.lo[1] && int(b[2]) <= f.lo[2] &&
-		int(b[3]) <= f.hi[0] && int(b[4]) <= f.hi[1] && int(b[5]) <= f.hi[2]
+	return int(b[0]) < f.lim[0] && int(b[1]) < f.lim[1] && int(b[2]) < f.lim[2] &&
+		int(b[3]) < f.lim[3] && int(b[4]) < f.lim[4] && int(b[5]) < f.lim[5]
 }
 
 // Record is one metadata record as Records enumerates it.

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"bufio"
 	"context"
 	"encoding/json"
 	"errors"
@@ -43,7 +44,8 @@ type Client struct {
 
 type respFrame struct {
 	typ  byte
-	body []byte // payload after the request id
+	body []byte  // payload after the request id
+	buf  *[]byte // the pooled buffer body lies in; its consumer returns it
 }
 
 // streamWindow is the per-request channel depth: how many response
@@ -60,6 +62,12 @@ func Dial(addr string) (*Client, error) {
 	if err != nil {
 		return nil, err
 	}
+	return newClient(conn)
+}
+
+// newClient runs the client half of the handshake on conn and starts
+// the connection's reader; it closes conn on failure.
+func newClient(conn net.Conn) (*Client, error) {
 	conn.SetDeadline(time.Now().Add(handshakeTimeout))
 	hello := append(append([]byte{}, magic[:]...), Version)
 	if _, err := conn.Write(hello); err != nil {
@@ -93,12 +101,18 @@ func (c *Client) Close() error {
 	return c.conn.Close()
 }
 
+// readLoop reads every response through one 64 KiB buffered reader
+// into pooled payloads. Each routed frame's buffer passes to its
+// consumer, which returns it once it has decoded past it; frames nobody
+// will consume go straight back to the pool.
 func (c *Client) readLoop() {
+	src := &frameSource{Reader: bufio.NewReaderSize(c.conn, 64<<10)}
 	var err error
 	for {
+		putFrame(src.last) // the previous frame, unless it was routed
 		var typ byte
 		var payload []byte
-		typ, payload, err = readFrame(c.conn)
+		typ, payload, err = readFrame(src)
 		if err != nil {
 			break
 		}
@@ -116,7 +130,8 @@ func (c *Client) readLoop() {
 		// Blocking send: the consumer's unread window is the read
 		// window for the whole connection.
 		select {
-		case ch <- respFrame{typ: typ, body: payload[4:]}:
+		case ch <- respFrame{typ: typ, body: payload[4:], buf: src.last}:
+			src.last = nil // its consumer returns it
 			continue
 		case <-c.closing:
 			// Closed with a stream left unread: nobody will drain ch.
@@ -124,6 +139,7 @@ func (c *Client) readLoop() {
 		}
 		break
 	}
+	putFrame(src.last)
 	c.mu.Lock()
 	c.readErr = err
 	for _, ch := range c.pending {
@@ -202,6 +218,7 @@ func (c *Client) write(ctx context.Context, typ byte, body []byte) (uint64, erro
 	if err != nil {
 		return 0, err
 	}
+	defer putFrame(fr.buf)
 	switch fr.typ {
 	case msgOK:
 		if len(fr.body) < 8 {
@@ -320,8 +337,13 @@ func (c *Client) Count(ctx context.Context, box flat.MBR, o QueryOptions) (uint6
 
 // Insert stages elements into the index's delta and flushes
 // its write-ahead log; when Insert returns nil the write is durable
-// (it survives kill -9 and is replayed on the next open).
+// (it survives kill -9 and is replayed on the next open). One insert
+// travels in one frame, which holds at most 149 796 elements; a larger
+// one is refused before anything is sent.
 func (c *Client) Insert(ctx context.Context, els []flat.Element) error {
+	if len(els) > maxBatch {
+		return fmt.Errorf("flatserve: insert of %d elements exceeds the %d elements one frame carries; split it", len(els), maxBatch)
+	}
 	body := make([]byte, 4+len(els)*elementWire)
 	putU32(body, uint32(len(els)))
 	for i, e := range els {
@@ -360,6 +382,7 @@ func (c *Client) Stats(ctx context.Context) (*ServerStats, error) {
 	if err != nil {
 		return nil, err
 	}
+	defer putFrame(fr.buf)
 	switch fr.typ {
 	case msgStatsResp:
 		st := new(ServerStats)
@@ -388,8 +411,9 @@ type Stream struct {
 	id  uint32
 
 	ch    chan respFrame
-	buf   []byte // undecoded remainder of the current msgElems batch
-	n     int    // elements left in buf
+	frame *[]byte // pooled buffer of the current msgElems batch
+	buf   []byte  // undecoded remainder of that batch
+	n     int     // elements left in buf
 	done  bool
 	count uint64
 	stats flat.QueryStats
@@ -404,7 +428,9 @@ func (s *Stream) Next() (flat.Element, bool) {
 		if s.n > 0 {
 			e := getElement(s.buf)
 			s.buf = s.buf[elementWire:]
-			s.n--
+			if s.n--; s.n == 0 {
+				s.release()
+			}
 			return e, true
 		}
 		if s.done {
@@ -416,34 +442,10 @@ func (s *Stream) Next() (flat.Element, bool) {
 				s.finish(s.c.connErr())
 				return flat.Element{}, false
 			}
-			switch fr.typ {
-			case msgElems:
-				if len(fr.body) < 4 {
-					s.finish(errShortFrame)
-					return flat.Element{}, false
-				}
-				n := int(getU32(fr.body))
-				if len(fr.body) != 4+n*elementWire {
-					s.finish(errShortFrame)
-					return flat.Element{}, false
-				}
-				s.buf, s.n = fr.body[4:], n
-			case msgDone:
-				if len(fr.body) < 8+48 {
-					s.finish(errShortFrame)
-					return flat.Element{}, false
-				}
-				s.count = getU64(fr.body)
-				s.stats = getQueryStats(fr.body[8:])
-				s.stats.Results = int(s.count)
-				s.finish(nil)
-				return flat.Element{}, false
-			case msgErr:
-				s.finish(decodeErr(fr.body))
-				return flat.Element{}, false
-			default:
-				s.finish(fmt.Errorf("flatserve: unexpected frame type 0x%02x", fr.typ))
-				return flat.Element{}, false
+			s.frame = fr.buf
+			s.take(fr)
+			if s.n == 0 {
+				s.release()
 			}
 		case <-s.ctx.Done():
 			s.c.cancel(s.id)
@@ -451,6 +453,44 @@ func (s *Stream) Next() (flat.Element, bool) {
 			return flat.Element{}, false
 		}
 	}
+}
+
+// take applies one response frame: an element batch to decode, or a
+// terminator that finishes the stream.
+func (s *Stream) take(fr respFrame) {
+	switch fr.typ {
+	case msgElems:
+		if len(fr.body) < 4 {
+			s.finish(errShortFrame)
+			return
+		}
+		n := int(getU32(fr.body))
+		if len(fr.body) != 4+n*elementWire {
+			s.finish(errShortFrame)
+			return
+		}
+		s.buf, s.n = fr.body[4:], n
+	case msgDone:
+		if len(fr.body) < 8+48 {
+			s.finish(errShortFrame)
+			return
+		}
+		s.count = getU64(fr.body)
+		s.stats = getQueryStats(fr.body[8:])
+		s.stats.Results = int(s.count)
+		s.finish(nil)
+	case msgErr:
+		s.finish(decodeErr(fr.body))
+	default:
+		s.finish(fmt.Errorf("flatserve: unexpected frame type 0x%02x", fr.typ))
+	}
+}
+
+// release returns the current batch's buffer to the pool; the stream
+// reads nothing of it afterwards.
+func (s *Stream) release() {
+	putFrame(s.frame)
+	s.frame, s.buf = nil, nil
 }
 
 // abandon detaches the consumer from a stream it quit early (context
@@ -464,9 +504,12 @@ func (s *Stream) abandon(err error) {
 	}
 	s.done = true
 	s.err = err
+	s.n = 0
+	s.release()
 	ch, c, id := s.ch, s.c, s.id
 	go func() {
 		for fr := range ch {
+			putFrame(fr.buf)
 			if fr.typ == msgDone || fr.typ == msgErr {
 				break
 			}

@@ -44,6 +44,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"sync"
 	"time"
 
 	"flat"
@@ -114,12 +115,20 @@ var ErrShuttingDown = errors.New("flatserve: server shutting down")
 type badRequest struct{ error }
 
 // maxPayload bounds a frame's payload so a corrupt or hostile length
-// prefix cannot make either side allocate unboundedly. Generous enough
-// for any real batch (an element batch of 128 is ~7 KiB; stats JSON is
-// a few hundred bytes; inserts are capped by the client to fit).
+// prefix cannot make either side allocate unboundedly. An element batch
+// of 128 is ~7 KiB and stats JSON a few hundred bytes; the largest
+// frames are element batches and inserts, which maxBatch bounds.
 const maxPayload = 8 << 20
 
 const elementWire = 8 + 6*8 // id + MBR corners
+
+// maxBatch is the most elements one frame carries: a request id, a
+// count and maxBatch elements fill at most maxPayload bytes. The server
+// clamps Config.StreamBatch to it and Client.Insert refuses more.
+const maxBatch = (maxPayload - 8) / elementWire
+
+// frameHeader is the length prefix and type byte that open every frame.
+const frameHeader = 5
 
 var (
 	errBadMagic   = errors.New("flatserve: bad handshake magic")
@@ -128,33 +137,94 @@ var (
 	errShortFrame = errors.New("flatserve: truncated frame payload")
 )
 
-// writeFrame sends one frame as a single Write so concurrent writers
-// serialized by a mutex never interleave partial frames.
+// writeFrame sends one frame whose payload is copied behind a fresh
+// header; small control frames use it, element batches sendFrame.
 func writeFrame(w io.Writer, typ byte, payload []byte) error {
 	if len(payload) > maxPayload {
 		return errFrameSize
 	}
-	buf := make([]byte, 5+len(payload))
-	binary.BigEndian.PutUint32(buf[:4], uint32(len(payload)))
-	buf[4] = typ
-	copy(buf[5:], payload)
-	_, err := w.Write(buf)
+	buf := make([]byte, frameHeader+len(payload))
+	copy(buf[frameHeader:], payload)
+	return sendFrame(w, typ, buf)
+}
+
+// sendFrame fills in the header of frame — whose first frameHeader
+// bytes are reserved for it and whose rest is the payload — and sends
+// it as a single Write, so concurrent writers serialized by a mutex
+// never interleave partial frames.
+func sendFrame(w io.Writer, typ byte, frame []byte) error {
+	n := len(frame) - frameHeader
+	if n > maxPayload {
+		return errFrameSize
+	}
+	binary.BigEndian.PutUint32(frame, uint32(n))
+	frame[4] = typ
+	_, err := w.Write(frame)
 	return err
 }
 
-// readFrame reads one frame. The payload is freshly allocated per
-// frame: response payloads outlive the read loop (they are routed to
-// per-request consumers), so a shared buffer would be a data race.
+// framePool recycles frame buffers: the server's element batches,
+// encoded in place behind a reserved header, and the payloads the
+// client and the server's request loop read. It holds *[]byte so that
+// Put does not allocate.
+var framePool sync.Pool
+
+// getFrame returns a pooled buffer of length n.
+func getFrame(n int) *[]byte {
+	b, _ := framePool.Get().(*[]byte)
+	if b == nil {
+		b = new([]byte)
+	}
+	if cap(*b) < n {
+		*b = make([]byte, n)
+	}
+	*b = (*b)[:n]
+	return b
+}
+
+// putFrame returns a buffer from getFrame; nothing may read it after.
+func putFrame(b *[]byte) {
+	if b != nil {
+		framePool.Put(b)
+	}
+}
+
+// frameSource is a connection reader that supplies readFrame's
+// buffers, so a frame read through it allocates nothing once framePool
+// is warm: the header lands in hdr and the payload in a pooled buffer,
+// left in last. Each readFrame replaces last, so its owner first hands
+// the previous buffer back with putFrame or passes it on to whatever
+// still reads the payload.
+type frameSource struct {
+	io.Reader
+	hdr  [frameHeader]byte
+	last *[]byte
+}
+
+// readFrame reads one frame. Read through a *frameSource, the payload
+// is a pooled buffer (see frameSource); from any other reader it is
+// freshly allocated, which is what a caller that keeps payloads needs.
 func readFrame(r io.Reader) (typ byte, payload []byte, err error) {
-	var hdr [5]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+	src, _ := r.(*frameSource)
+	var hdr []byte
+	if src != nil {
+		r, hdr, src.last = src.Reader, src.hdr[:], nil
+	} else {
+		hdr = make([]byte, frameHeader)
+	}
+	if _, err := io.ReadFull(r, hdr); err != nil {
 		return 0, nil, err
 	}
 	n := binary.BigEndian.Uint32(hdr[:4])
 	if n > maxPayload {
 		return 0, nil, errFrameSize
 	}
-	payload = make([]byte, n)
+	if src != nil {
+		src.last = getFrame(int(n))
+		payload = *src.last
+	} else {
+		payload = make([]byte, n)
+	}
 	if _, err := io.ReadFull(r, payload); err != nil {
 		// A header without its payload is a torn frame, not a clean EOF.
 		if errors.Is(err, io.EOF) {

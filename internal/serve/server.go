@@ -26,7 +26,8 @@ type Config struct {
 	MaxConnQueries int
 	// StreamBatch is the number of elements per msgElems frame. Larger
 	// batches amortize framing, smaller ones reduce the latency to the
-	// first result. <= 0 means 128.
+	// first result. <= 0 means 128; values above 149 796, the most one
+	// frame carries, are clamped to it.
 	StreamBatch int
 	// DrainTimeout bounds Shutdown's grace period: queries still running
 	// when it expires are cancelled. <= 0 means 5 seconds.
@@ -43,6 +44,7 @@ func (c Config) withDefaults() Config {
 	if c.StreamBatch <= 0 {
 		c.StreamBatch = 128
 	}
+	c.StreamBatch = min(c.StreamBatch, maxBatch)
 	if c.DrainTimeout <= 0 {
 		c.DrainTimeout = 5 * time.Second
 	}
@@ -288,8 +290,14 @@ func (s *Server) handshake(conn net.Conn) error {
 }
 
 func (sc *srvConn) readLoop() {
+	// Requests are decoded before dispatch returns — queries copy their
+	// box, writes their elements — so one pooled payload at a time
+	// serves the whole loop.
+	src := &frameSource{Reader: sc.c}
+	defer func() { putFrame(src.last) }()
 	for {
-		typ, payload, err := readFrame(sc.c)
+		putFrame(src.last) // the previous request is dispatched
+		typ, payload, err := readFrame(src)
 		if err != nil {
 			return
 		}
@@ -333,6 +341,14 @@ func (sc *srvConn) write(typ byte, payload []byte) error {
 	sc.wmu.Lock()
 	defer sc.wmu.Unlock()
 	return writeFrame(sc.c, typ, payload)
+}
+
+// send is write for a frame built in place behind a reserved header
+// (see sendFrame).
+func (sc *srvConn) send(typ byte, frame []byte) error {
+	sc.wmu.Lock()
+	defer sc.wmu.Unlock()
+	return sendFrame(sc.c, typ, frame)
 }
 
 func (sc *srvConn) writeErr(reqID uint32, err error) {
@@ -467,10 +483,21 @@ func (sc *srvConn) runQuery(qctx context.Context, reqID uint32, kind byte, box f
 // Range queries and nearest-neighbor streams share this tail — NN
 // batches simply arrive in nondecreasing distance order because the
 // session produces them that way.
+//
+// Elements are encoded straight into one pooled frame buffer behind its
+// header, request id and count (batchStart bytes), and each batch goes
+// out from there in one Write: nothing is copied or allocated per frame.
 func (sc *srvConn) streamSession(reqID uint32, session *flat.Results, materialize bool) {
-	batch := make([]byte, 8, 8+sc.s.cfg.StreamBatch*elementWire)
-	putU32(batch, reqID)
-	n := 0 // elements in the current batch
+	const batchStart = frameHeader + 4 + 4
+	var fb *[]byte
+	var frame []byte
+	if materialize {
+		fb = getFrame(batchStart + sc.s.cfg.StreamBatch*elementWire)
+		defer putFrame(fb)
+		frame = *fb
+		putU32(frame[frameHeader:], reqID)
+	}
+	off, n := batchStart, 0 // write offset and elements in the current batch
 	var count uint64
 	var iterErr error
 	for e, err := range session.All() {
@@ -482,17 +509,16 @@ func (sc *srvConn) streamSession(reqID uint32, session *flat.Results, materializ
 		if !materialize {
 			continue
 		}
-		var eb [elementWire]byte
-		putElement(eb[:], e)
-		batch = append(batch, eb[:]...)
+		putElement(frame[off:], e)
+		off += elementWire
 		if n++; n == sc.s.cfg.StreamBatch {
-			putU32(batch[4:], uint32(n))
-			if sc.write(msgElems, batch) != nil {
+			putU32(frame[frameHeader+4:], uint32(n))
+			if sc.send(msgElems, frame[:off]) != nil {
 				// Client is gone; stop pulling the crawl.
 				iterErr = context.Canceled
 				break
 			}
-			batch, n = batch[:8], 0
+			off, n = batchStart, 0
 		}
 	}
 	stats := session.Stats()
@@ -505,8 +531,8 @@ func (sc *srvConn) streamSession(reqID uint32, session *flat.Results, materializ
 		return
 	}
 	if n > 0 {
-		putU32(batch[4:], uint32(n))
-		if sc.write(msgElems, batch) != nil {
+		putU32(frame[frameHeader+4:], uint32(n))
+		if sc.send(msgElems, frame[:off]) != nil {
 			sc.s.cancelled.Add(1)
 			return
 		}

@@ -51,6 +51,14 @@ import (
 // so false positives from the widened boxes are not observed on the
 // benchmark workloads; see the README's on-disk format section.
 //
+// Range queries filter a v2 page on its stored cells
+// (FilterObjectPageInto). Per page and axis they compute the largest
+// min cell whose decoded coordinate is ≤ the query's max and the
+// largest max-distance cell whose decoded coordinate is ≥ the query's
+// min. Decoding is monotone in the cell, so comparing an element's six
+// cells with those limits keeps exactly the elements whose decoded
+// boxes intersect the query, and only those are decoded.
+//
 // Kind bytes 0 and 1 are the R-tree internal/leaf node kinds; 2 and 3
 // are FLAT's metadata page kinds (internal/core). A kind byte names a
 // layout within one page role, not the role: a page's role follows from
@@ -392,6 +400,22 @@ func ObjectPageCount(page []byte) (int, error) {
 // DecodeObjectPageInto parses an object page of either format, appending
 // elements to dst to avoid allocation in query loops.
 func DecodeObjectPageInto(page []byte, dst []geom.Element) ([]geom.Element, error) {
+	return decodeObjectPage(page, nil, dst)
+}
+
+// FilterObjectPageInto appends to dst exactly the elements
+// DecodeObjectPageInto would return that intersect q, in page order.
+// On a v2 page it tests the stored cells against per-page cell limits
+// and decodes only the elements that pass; it allocates nothing beyond
+// dst's growth.
+func FilterObjectPageInto(page []byte, q geom.MBR, dst []geom.Element) ([]geom.Element, error) {
+	return decodeObjectPage(page, &q, dst)
+}
+
+// decodeObjectPage is the one object-page decode loop: with q nil it
+// keeps every element, otherwise only those whose decoded box
+// intersects *q.
+func decodeObjectPage(page []byte, q *geom.MBR, dst []geom.Element) ([]geom.Element, error) {
 	if err := checkBuf(page, "decode object page"); err != nil {
 		return dst, err
 	}
@@ -406,25 +430,134 @@ func DecodeObjectPageInto(page []byte, dst []geom.Element) ([]geom.Element, erro
 			var e geom.Element
 			e.Box = r.MBR()
 			e.ID = r.U64()
-			dst = append(dst, e)
+			if q == nil || e.Box.Intersects(*q) {
+				dst = append(dst, e)
+			}
 		}
 		return dst, nil
 	}
-	q := NewQuantizer(r.MBR())
+	quant := NewQuantizer(r.MBR())
 	var base uint64 // 0 on a flags-0 page: its ids are stored whole
 	if width < 8 {
 		base = r.U64()
 	}
-	for i := 0; i < count; i++ {
+	// Test each element's stored cells against the limits with one
+	// branch: c − lim wraps to a set top bit exactly when c < lim, so
+	// the AND of the six differences has it set when all six pass.
+	lim := allCells
+	if q != nil {
+		lim = quant.CellLimits(*q)
+	}
+	idMask := ^uint64(0) >> (64 - 8*width)
+	page = page[:PageSize]
+	for i, off := 0, r.Offset(); i < count; i, off = i+1, off+objectCellsV2+width {
+		c := page[off : off+objectCellsV2+8] // the cells and an 8-byte id load
+		c0, c1, c2 := binary.LittleEndian.Uint32(c[0:]), binary.LittleEndian.Uint32(c[4:]), binary.LittleEndian.Uint32(c[8:])
+		c3, c4, c5 := binary.LittleEndian.Uint32(c[12:]), binary.LittleEndian.Uint32(c[16:]), binary.LittleEndian.Uint32(c[20:])
+		if (uint64(c0)-lim[0])&(uint64(c1)-lim[1])&(uint64(c2)-lim[2])&
+			(uint64(c3)-lim[3])&(uint64(c4)-lim[4])&(uint64(c5)-lim[5])>>63 == 0 {
+			continue
+		}
 		var e geom.Element
-		e.Box.Min.X = q.DecodeMin(0, r.U32())
-		e.Box.Min.Y = q.DecodeMin(1, r.U32())
-		e.Box.Min.Z = q.DecodeMin(2, r.U32())
-		e.Box.Max.X = q.DecodeMax(0, r.U32())
-		e.Box.Max.Y = q.DecodeMax(1, r.U32())
-		e.Box.Max.Z = q.DecodeMax(2, r.U32())
-		e.ID = base + r.UintN(width)
+		e.Box.Min.X = quant.DecodeMin(0, c0)
+		e.Box.Min.Y = quant.DecodeMin(1, c1)
+		e.Box.Min.Z = quant.DecodeMin(2, c2)
+		e.Box.Max.X = quant.DecodeMax(0, c3)
+		e.Box.Max.Y = quant.DecodeMax(1, c4)
+		e.Box.Max.Z = quant.DecodeMax(2, c5)
+		e.ID = base + binary.LittleEndian.Uint64(c[objectCellsV2:])&idMask
 		dst = append(dst, e)
 	}
 	return dst, nil
+}
+
+// allCells are the cell limits that keep every cell.
+var allCells = [6]uint64{1 << 32, 1 << 32, 1 << 32, 1 << 32, 1 << 32, 1 << 32}
+
+// CellLimits returns, in Cells' order, the limits below which a cell
+// can decode to a box meeting query: per axis, the min cells whose
+// DecodeMin is ≤ query's max and the max-distance cells whose DecodeMax
+// is ≥ query's min. Decoding is monotone in the cell, so a cell meets
+// its test exactly when it is below its limit (0: no cell does, 2^32:
+// every cell does), and six cells all below their limits decode to a
+// box that Intersects query.
+func (q *Quantizer) CellLimits(query geom.MBR) [6]uint64 {
+	var lim [6]uint64
+	for a := 0; a < 3; a++ {
+		lim[a] = q.cellLimit(a, false, query.Max.Axis(a))
+		lim[3+a] = q.cellLimit(a, true, query.Min.Axis(a))
+	}
+	return lim
+}
+
+// cellLimit returns the number of cells c of axis that meet v —
+// DecodeMin(axis, c) ≤ v, or DecodeMax(axis, c) ≥ v when isMax is set
+// — which, by monotonicity, are the cells below it. It starts from the
+// closed-form floor of the decode expression solved for c and corrects
+// it by galloping then bisecting on the decode itself, so float
+// rounding in the estimate never decides the answer: a correct
+// estimate costs two decodes, a wrong one O(log error).
+func (q *Quantizer) cellLimit(axis int, isMax bool, v float64) uint64 {
+	const maxCell = int64(math.MaxUint32)
+	meets := func(c int64) bool {
+		if isMax {
+			return q.DecodeMax(axis, uint32(c)) >= v
+		}
+		return q.DecodeMin(axis, uint32(c)) <= v
+	}
+	step := q.step[axis]
+	if step <= 0 {
+		// Every cell decodes to the reference bound itself.
+		if meets(0) {
+			return uint64(maxCell) + 1
+		}
+		return 0
+	}
+	est := (v - q.min[axis]) / step
+	if isMax {
+		est = (q.max[axis] - v) / step
+	}
+	// good is the largest cell known to meet v (-1: none), bad the
+	// smallest known not to (maxCell+1: none).
+	good, bad := int64(-1), maxCell+1
+	switch {
+	case !(est >= 0): // also NaN
+	case est >= maxCellF:
+		good = maxCell
+	default:
+		good = int64(est)
+	}
+	if good >= 0 && !meets(good) {
+		bad = good
+		for s := int64(1); ; s *= 2 {
+			if good = bad - s; good < 0 {
+				good = -1
+				break
+			}
+			if meets(good) {
+				break
+			}
+			bad = good
+		}
+	} else {
+		for s := int64(1); ; s *= 2 {
+			c := good + s
+			if c > maxCell {
+				break
+			}
+			if !meets(c) {
+				bad = c
+				break
+			}
+			good = c
+		}
+	}
+	for bad-good > 1 {
+		if mid := good + (bad-good)/2; meets(mid) {
+			good = mid
+		} else {
+			bad = mid
+		}
+	}
+	return uint64(good + 1)
 }

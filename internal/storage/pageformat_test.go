@@ -399,23 +399,8 @@ func FuzzPageCodecRoundTrip(f *testing.F) {
 			}
 			return
 		}
-		// Treat the input as element material: 7 uint64 words each (6
-		// coordinates + id), boxes normalized via geom.Box.
-		var els []geom.Element
-		for len(data) >= 56 && len(els) < storage.ObjectPageCapacityV2 {
-			var w [7]uint64
-			for i := range w {
-				w[i] = binary.LittleEndian.Uint64(data[i*8:])
-			}
-			data = data[56:]
-			a := geom.Vec3{X: math.Float64frombits(w[0]), Y: math.Float64frombits(w[1]), Z: math.Float64frombits(w[2])}
-			b := geom.Vec3{X: math.Float64frombits(w[3]), Y: math.Float64frombits(w[4]), Z: math.Float64frombits(w[5])}
-			box := geom.Box(a, b)
-			if !box.Valid() {
-				continue // v2 rejects non-finite boxes
-			}
-			els = append(els, geom.Element{ID: w[6], Box: box})
-		}
+		// Treat the input as element material.
+		els := elementsFromBytes(data)
 		for _, format := range []storage.PageFormat{storage.PageFormatV1, storage.PageFormatV2} {
 			fuzzRoundTrip(t, format, els)
 		}
