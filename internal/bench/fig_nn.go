@@ -81,7 +81,8 @@ func (r *Runner) nnExperiment() ([]*Table, error) {
 	}
 	defer set.Close()
 	set.DropCache()
-	_, shardDrainSt, err := set.RangeQuery(context.Background(), set.Bounds().Expand(1))
+	shardDrainSt, err := set.StreamQuery(context.Background(), set.Bounds().Expand(1), shard.StreamOptions{},
+		func(geom.Element) bool { return true })
 	if err != nil {
 		return nil, err
 	}

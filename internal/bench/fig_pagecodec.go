@@ -155,7 +155,7 @@ func (r *Runner) pagecodec() ([]*Table, error) {
 	for qi, q := range queries {
 		var got [][]uint64
 		for _, set := range sets {
-			els, _, err := set.RangeQuery(context.Background(), q)
+			els, err := collectSet(context.Background(), set, q)
 			if err != nil {
 				return nil, err
 			}

@@ -97,7 +97,7 @@ func (r *Runner) shardsExperiment() ([]*Table, error) {
 		parity = "K=1 read counts are asserted identical to unsharded; "
 	}
 	note := fmt.Sprintf("build speedup vs the unsharded bulkload (%v); cold page reads (dropped cache per query); "+
-		"warm queries/sec over the sequential shard-order executor (Set.CountQuery); "+parity+
+		"warm queries/sec over the sequential shard-order executor (a count sink over Set.StreamQuery); "+parity+
 		"the parallel build speedup is bounded by GOMAXPROCS=%d on this machine", refBuild.Round(time.Millisecond), runtime.GOMAXPROCS(0))
 	tables := make([]*Table, len(workloads))
 	for w, wl := range workloads {
@@ -114,6 +114,7 @@ func (r *Runner) shardsExperiment() ([]*Table, error) {
 		}
 	}
 
+	countAll := func(geom.Element) bool { return true }
 	baseQPS := make([]float64, len(workloads))
 	k1Reads := make([]uint64, len(workloads))
 	for _, k := range ks {
@@ -139,10 +140,11 @@ func (r *Runner) shardsExperiment() ([]*Table, error) {
 			scatterWidth := 0
 			for i, q := range wr.queries {
 				set.DropCache()
-				cnt, st, err := set.CountQuery(context.Background(), q)
+				st, err := set.StreamQuery(context.Background(), q, shard.StreamOptions{}, countAll)
 				if err != nil {
 					return nil, err
 				}
+				cnt := st.Results
 				if cnt != wr.counts[i] {
 					return nil, fmt.Errorf("shards=%d query %d: %d results, unsharded %d", k, i, cnt, wr.counts[i])
 				}
@@ -161,14 +163,14 @@ func (r *Runner) shardsExperiment() ([]*Table, error) {
 			// Warm throughput: one warm-up pass, then timed passes.
 			const passes = 3
 			for _, q := range wr.queries {
-				if _, _, err := set.CountQuery(context.Background(), q); err != nil {
+				if _, err := set.StreamQuery(context.Background(), q, shard.StreamOptions{}, countAll); err != nil {
 					return nil, err
 				}
 			}
 			w0 := time.Now()
 			for p := 0; p < passes; p++ {
 				for _, q := range wr.queries {
-					if _, _, err := set.CountQuery(context.Background(), q); err != nil {
+					if _, err := set.StreamQuery(context.Background(), q, shard.StreamOptions{}, countAll); err != nil {
 						return nil, err
 					}
 				}

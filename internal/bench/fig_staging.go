@@ -28,9 +28,9 @@ const stagedIDBase = uint64(1) << 40
 // result is, element for element, the brute-force filter of the staged
 // slice.
 //
-// The "examined" column counts the overlay candidates a query's
-// overlayFor visits: the staged inserts whose boxes intersect the query
-// — the staged runs' exact hit set. It is derived from the
+// The "examined" column counts the overlay candidates a query's staged
+// probe visits: the staged inserts whose boxes intersect the query — the
+// staged runs' exact hit set. It is derived from the
 // staged set and the query boxes, so the column is deterministic across
 // machines; the latency column is wall-clock and machine-dependent.
 func (r *Runner) staging() ([]*Table, error) {
@@ -97,7 +97,7 @@ func (r *Runner) staging() ([]*Table, error) {
 		// Parity and the examined/results columns.
 		var matched, results uint64
 		for _, q := range queries {
-			got, _, err := set.RangeQuery(ctx, q)
+			got, err := collectSet(ctx, set, q)
 			if err != nil {
 				return nil, err
 			}
@@ -127,14 +127,14 @@ func (r *Runner) staging() ([]*Table, error) {
 		// Warm latency.
 		const passes = 3
 		for _, q := range queries { // warm-up
-			if _, _, err := set.RangeQuery(ctx, q); err != nil {
+			if _, err := collectSet(ctx, set, q); err != nil {
 				return nil, err
 			}
 		}
 		t0 := time.Now()
 		for p := 0; p < passes; p++ {
 			for _, q := range queries {
-				if _, _, err := set.RangeQuery(ctx, q); err != nil {
+				if _, err := collectSet(ctx, set, q); err != nil {
 					return nil, err
 				}
 			}
@@ -145,4 +145,14 @@ func (r *Runner) staging() ([]*Table, error) {
 		table.AddRow(fi(len(staged)), fu(matched/nq), f1(us), fu(results/nq))
 	}
 	return []*Table{table}, nil
+}
+
+// collectSet drains a range query on set into a slice.
+func collectSet(ctx context.Context, set *shard.Set, q geom.MBR) ([]geom.Element, error) {
+	var out []geom.Element
+	_, err := set.StreamQuery(ctx, q, shard.StreamOptions{}, func(e geom.Element) bool {
+		out = append(out, e)
+		return true
+	})
+	return out, err
 }

@@ -134,13 +134,13 @@ func (t *DynTree) store(id storage.PageID, isLeaf bool, entries []NodeEntry) (*N
 	}
 	if len(entries) <= capacity {
 		buf := make([]byte, storage.PageSize)
-		EncodeNode(buf, isLeaf, entries)
+		encodeNode(buf, isLeaf, entries)
 		return nil, t.pool.Write(id, buf)
 	}
 
 	left, right := quadraticSplit(entries, capacity)
 	buf := make([]byte, storage.PageSize)
-	EncodeNode(buf, isLeaf, left)
+	encodeNode(buf, isLeaf, left)
 	if err := t.pool.Write(id, buf); err != nil {
 		return nil, err
 	}
@@ -148,7 +148,7 @@ func (t *DynTree) store(id storage.PageID, isLeaf bool, entries []NodeEntry) (*N
 	if err != nil {
 		return nil, err
 	}
-	return &NodeEntry{Box: NodeMBR(right), Ref: uint64(sibID)}, nil
+	return &NodeEntry{Box: nodeMBR(right), Ref: uint64(sibID)}, nil
 }
 
 // writeNode allocates and writes a fresh node.
@@ -165,14 +165,14 @@ func (t *DynTree) writeNode(isLeaf bool, entries []NodeEntry) (storage.PageID, e
 		return storage.InvalidPage, err
 	}
 	buf := make([]byte, storage.PageSize)
-	EncodeNode(buf, isLeaf, entries)
+	encodeNode(buf, isLeaf, entries)
 	return id, t.pool.Write(id, buf)
 }
 
 // nodeBox returns the MBR of a node's entries.
 func (t *DynTree) nodeBox(id storage.PageID) (geom.MBR, error) {
 	_, entries, err := readNode(t.pool, id, nil, nil)
-	return NodeMBR(entries), err
+	return nodeMBR(entries), err
 }
 
 // quadraticSplit distributes entries into two groups using Guttman's

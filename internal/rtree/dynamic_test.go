@@ -64,7 +64,7 @@ func checkStructure(t *testing.T, tree *Tree, n int) {
 		if len(entries) == 0 || len(entries) > NodeCapacity {
 			t.Fatalf("node %d has %d entries", id, len(entries))
 		}
-		boxes[id] = NodeMBR(entries)
+		boxes[id] = nodeMBR(entries)
 		if isLeaf {
 			if leafDepth == -1 {
 				leafDepth = depth

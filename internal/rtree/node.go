@@ -8,9 +8,9 @@
 // leaf pages and how nodes are grouped into parents. Following the
 // paper's setup, nodes are filled to 100% where the strategy permits.
 //
-// The package also exposes the node codec and a BuildAbove helper so that
-// FLAT (internal/core) can reuse the same internal-node machinery for its
-// seed index while packing its own metadata leaf pages.
+// The package also exposes the node decoder and a BuildAbove helper so
+// that FLAT (internal/core) can reuse the same internal-node machinery
+// for its seed index while packing its own metadata leaf pages.
 package rtree
 
 import (
@@ -21,18 +21,18 @@ import (
 	"flat/internal/storage"
 )
 
-// NodeHeaderSize is the per-page header: kind (u8), pad (u8), count (u16).
-const NodeHeaderSize = 4
+// nodeHeaderSize is the per-page header: kind (u8), pad (u8), count (u16).
+const nodeHeaderSize = 4
 
-// EntrySize is the on-page size of a node entry: an MBR plus a 64-bit
+// entrySize is the on-page size of a node entry: an MBR plus a 64-bit
 // reference (child page id for internal nodes, element id for leaves).
-const EntrySize = storage.MBRSize + 8
+const entrySize = storage.MBRSize + 8
 
 // NodeCapacity is the number of entries per 4 KiB node page. With 48-byte
 // MBRs, an 8-byte reference and a 4-byte header this is 73. (The paper
 // packs 85 bare MBRs; the extra 8 bytes per entry are the element id,
 // see storage.ElementSize.)
-const NodeCapacity = (storage.PageSize - NodeHeaderSize) / EntrySize
+const NodeCapacity = (storage.PageSize - nodeHeaderSize) / entrySize
 
 // Node kinds.
 const (
@@ -46,10 +46,10 @@ type NodeEntry struct {
 	Ref uint64 // child page id (internal) or element id (leaf)
 }
 
-// EncodeNode serializes a node into buf (at least storage.PageSize long).
+// encodeNode serializes a node into buf (at least storage.PageSize long).
 // It panics if entries exceed NodeCapacity; bulkloaders never produce
 // oversized nodes.
-func EncodeNode(buf []byte, isLeaf bool, entries []NodeEntry) {
+func encodeNode(buf []byte, isLeaf bool, entries []NodeEntry) {
 	if len(entries) > NodeCapacity {
 		panic(fmt.Sprintf("rtree: node with %d entries exceeds capacity %d", len(entries), NodeCapacity))
 	}
@@ -70,16 +70,11 @@ func EncodeNode(buf []byte, isLeaf bool, entries []NodeEntry) {
 	}
 }
 
-// DecodeNode parses a node page into its kind and entries. The returned
-// slice is freshly allocated; the page buffer may be reused afterwards.
-func DecodeNode(page []byte) (isLeaf bool, entries []NodeEntry, err error) {
-	return DecodeNodeInto(page, nil)
-}
-
-// DecodeNodeInto parses a node page appending entries to dst to avoid
-// allocation in query loops. It returns the node kind and the extended
-// slice. The bytes come from a file: a short page, an unknown kind byte
-// or a count no page can hold is an error, never an out-of-range read.
+// DecodeNodeInto parses a node page appending entries to dst (nil: a
+// fresh slice) to avoid allocation in query loops. It returns the node
+// kind and the extended slice. The bytes come from a file: a short page,
+// an unknown kind byte or a count no page can hold is an error, never an
+// out-of-range read.
 func DecodeNodeInto(page []byte, dst []NodeEntry) (isLeaf bool, entries []NodeEntry, err error) {
 	if len(page) < storage.PageSize {
 		return false, dst, fmt.Errorf("rtree: corrupt node: %d-byte page", len(page))
@@ -115,8 +110,8 @@ func readNode(pool storage.Pool, id storage.PageID, local *storage.Stats, dst []
 	return isLeaf, entries, err
 }
 
-// NodeMBR returns the union of a node's entry boxes.
-func NodeMBR(entries []NodeEntry) geom.MBR {
+// nodeMBR returns the union of a node's entry boxes.
+func nodeMBR(entries []NodeEntry) geom.MBR {
 	m := geom.EmptyMBR()
 	for _, e := range entries {
 		m = m.Union(e.Box)

@@ -3,6 +3,7 @@ package rtree
 import (
 	"bytes"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 
@@ -182,7 +183,7 @@ func TestTreeInvariants(t *testing.T) {
 			if len(entries) > NodeCapacity {
 				t.Fatalf("%v: node %d overfilled: %d", s, id, len(entries))
 			}
-			nodes[id] = nodeInfo{box: NodeMBR(entries), isLeaf: isLeaf, depth: depth}
+			nodes[id] = nodeInfo{box: nodeMBR(entries), isLeaf: isLeaf, depth: depth}
 			if isLeaf {
 				if leafDepth == -1 {
 					leafDepth = depth
@@ -316,7 +317,7 @@ func TestBuildAbove(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		EncodeNode(buf, true, nil)
+		encodeNode(buf, true, nil)
 		if err := pool.Write(id, buf); err != nil {
 			t.Fatal(err)
 		}
@@ -340,7 +341,7 @@ func TestBuildAbove(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	isLeaf, rootEntries, err := DecodeNode(page)
+	isLeaf, rootEntries, err := DecodeNodeInto(page, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -351,7 +352,7 @@ func TestBuildAbove(t *testing.T) {
 	for _, e := range entries {
 		all = all.Union(e.Box)
 	}
-	if !NodeMBR(rootEntries).Contains(all) {
+	if !nodeMBR(rootEntries).Contains(all) {
 		t.Error("root MBR does not cover all leaves")
 	}
 }
@@ -388,8 +389,8 @@ func TestNodeCodecRoundTrip(t *testing.T) {
 		}
 	}
 	buf := make([]byte, storage.PageSize)
-	EncodeNode(buf, true, entries)
-	isLeaf, got, err := DecodeNode(buf)
+	encodeNode(buf, true, entries)
+	isLeaf, got, err := DecodeNodeInto(buf, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -412,7 +413,35 @@ func TestEncodeNodeOverCapacityPanics(t *testing.T) {
 			t.Error("expected panic")
 		}
 	}()
-	EncodeNode(make([]byte, storage.PageSize), false, make([]NodeEntry, NodeCapacity+1))
+	encodeNode(make([]byte, storage.PageSize), false, make([]NodeEntry, NodeCapacity+1))
+}
+
+// TestObjectPageV1ByteIdentical pins the compatibility contract: a v1
+// object page is exactly the leaf node encodeNode writes, so pre-v2
+// index files and new v1 builds are interchangeable.
+func TestObjectPageV1ByteIdentical(t *testing.T) {
+	els := randomElements(rand.New(rand.NewSource(7)), storage.ObjectPageCapacityV1, worldBox())
+
+	var viaStorage, viaRtree [storage.PageSize]byte
+	if err := storage.EncodeObjectPage(viaStorage[:], storage.PageFormatV1, els); err != nil {
+		t.Fatal(err)
+	}
+	entries := make([]NodeEntry, len(els))
+	for i, e := range els {
+		entries[i] = NodeEntry{Box: e.Box, Ref: e.ID}
+	}
+	encodeNode(viaRtree[:], true, entries)
+	if !bytes.Equal(viaStorage[:], viaRtree[:]) {
+		t.Fatal("v1 object page differs from rtree leaf encoding")
+	}
+
+	dec, err := storage.DecodeObjectPageInto(viaStorage[:], nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(dec, els) {
+		t.Fatalf("decoded %d elements, not the %d encoded", len(dec), len(els))
+	}
 }
 
 // FuzzDecodeNode feeds the node decoder arbitrary page bytes — seed-tree
@@ -426,7 +455,7 @@ func FuzzDecodeNode(f *testing.F) {
 			entries[i] = NodeEntry{Box: geom.CubeAt(geom.V(float64(i), 2, 3), 1), Ref: uint64(i) << 33}
 		}
 		buf := make([]byte, storage.PageSize)
-		EncodeNode(buf, isLeaf, entries)
+		encodeNode(buf, isLeaf, entries)
 		return buf
 	}
 	f.Add(node(true, NodeCapacity))
@@ -435,18 +464,18 @@ func FuzzDecodeNode(f *testing.F) {
 	f.Add([]byte{0x7f, 0, 1, 0})
 	f.Add(bytes.Repeat([]byte{0xff}, storage.PageSize))
 	f.Fuzz(func(t *testing.T, data []byte) {
-		if _, _, err := DecodeNode(data[:min(len(data), storage.PageSize-1)]); err == nil {
+		if _, _, err := DecodeNodeInto(data[:min(len(data), storage.PageSize-1)], nil); err == nil {
 			t.Fatal("a short page decoded")
 		}
 		page := make([]byte, storage.PageSize)
 		copy(page, data)
-		isLeaf, entries, err := DecodeNode(page)
+		isLeaf, entries, err := DecodeNodeInto(page, nil)
 		if err != nil {
 			return
 		}
 		again := make([]byte, storage.PageSize)
-		EncodeNode(again, isLeaf, entries)
-		end := NodeHeaderSize + len(entries)*EntrySize
+		encodeNode(again, isLeaf, entries)
+		end := nodeHeaderSize + len(entries)*entrySize
 		if again[0] != page[0] || !bytes.Equal(again[2:end], page[2:end]) {
 			t.Fatalf("%d decoded entries re-encode to other bytes", len(entries))
 		}

@@ -121,11 +121,11 @@ func Build(pool storage.Pool, els []geom.Element, strategy Strategy, world geom.
 		if err != nil {
 			return nil, err
 		}
-		EncodeNode(buf, true, leafEntries)
+		encodeNode(buf, true, leafEntries)
 		if err := pool.Write(id, buf); err != nil {
 			return nil, err
 		}
-		entries = append(entries, NodeEntry{Box: NodeMBR(leafEntries), Ref: uint64(id)})
+		entries = append(entries, NodeEntry{Box: nodeMBR(leafEntries), Ref: uint64(id)})
 		t.count += len(g)
 	}
 	t.leafPages = len(groups)
@@ -190,11 +190,11 @@ func buildAbove(pool storage.Pool, entries []NodeEntry, strategy Strategy, world
 			if err != nil {
 				return storage.InvalidPage, 0, 0, err
 			}
-			EncodeNode(buf, false, g)
+			encodeNode(buf, false, g)
 			if err := pool.Write(id, buf); err != nil {
 				return storage.InvalidPage, 0, 0, err
 			}
-			next = append(next, NodeEntry{Box: NodeMBR(g), Ref: uint64(id)})
+			next = append(next, NodeEntry{Box: nodeMBR(g), Ref: uint64(id)})
 			pages++
 		}
 		entries = next

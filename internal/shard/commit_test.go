@@ -194,8 +194,8 @@ func TestCommitFailure(t *testing.T) {
 			t.Fatalf("retry rebuilt %v, %v; want [0 1]", rebuilt, err)
 		}
 		assertServesManifest(t, set, dir)
-		if n, _, err := set.CountQuery(context.Background(), all); err != nil || n != 3 || set.Len() != 3 {
-			t.Fatalf("after the retry: count %d (%v), Len %d; want 3", n, err, set.Len())
+		if n, _ := countStream(t, set, context.Background(), all); n != 3 || set.Len() != 3 {
+			t.Fatalf("after the retry: count %d, Len %d; want 3", n, set.Len())
 		}
 	})
 

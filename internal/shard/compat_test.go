@@ -127,10 +127,7 @@ func checkAgainstBruteForce(t *testing.T, set *Set, els []geom.Element, r *rand.
 			}
 		}
 		sort.Slice(want, func(a, b int) bool { return want[a] < want[b] })
-		got, _, err := set.RangeQuery(ctx, q)
-		if err != nil {
-			t.Fatal(err)
-		}
+		got, _ := collectStream(t, set, ctx, q)
 		ids := make([]uint64, len(got))
 		for j, e := range got {
 			ids[j] = e.ID
@@ -139,8 +136,8 @@ func checkAgainstBruteForce(t *testing.T, set *Set, els []geom.Element, r *rand.
 		if !equalIDs(ids, want) {
 			t.Fatalf("range %v: %d results, brute force %d", q, len(ids), len(want))
 		}
-		if n, _, err := set.CountQuery(ctx, q); err != nil || n != len(want) {
-			t.Fatalf("count %v = %d, %v; brute force %d", q, n, err, len(want))
+		if n, _ := countStream(t, set, ctx, q); n != len(want) {
+			t.Fatalf("count %v = %d; brute force %d", q, n, len(want))
 		}
 	}
 	for i := 0; i < 10; i++ {

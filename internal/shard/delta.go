@@ -33,6 +33,7 @@ package shard
 import (
 	"cmp"
 	"slices"
+	"sync"
 
 	"flat/internal/geom"
 	"flat/internal/str"
@@ -103,18 +104,13 @@ func (d *shardDelta) add(batch []stagedInsert) {
 // boxes of d's runs.
 func (d *shardDelta) at(p int32) geom.MBR { return d.slab[p].el.Box }
 
-// forEachCandidate hands fn every staged insert whose box intersects q.
-// A q that misses every run's root box costs one box test per run and
-// allocates nothing.
-func (d *shardDelta) forEachCandidate(q geom.MBR, fn func(si stagedInsert)) {
-	for i := range d.runs {
-		d.runs[i].Search(q, d.at, func(p int32) { fn(d.slab[p]) })
-	}
-}
-
 // deleteView is a query's snapshot of the staged deletes: every one
-// pending when it was taken (the overlay contract; see overlayFor) and
-// the ID-sorted runs over them. The zero value holds no deletes.
+// pending when it was taken and the ID-sorted runs over them. It carries
+// every pending delete, not just those meeting the query box: delete
+// matching is by containment in the *stored* box (see deleteMatches),
+// and on a quantized v2 shard the stored box can meet the query while
+// the delete's requested box grazes just outside it. The zero value
+// holds no deletes.
 type deleteView struct {
 	deletes []pendingDelete
 	runs    [][]int32
@@ -145,3 +141,79 @@ func (v deleteView) matchesAfter(e geom.Element, seq uint64) bool {
 func (s *Set) deleteViewLocked() deleteView {
 	return deleteView{deletes: slices.Clip(s.staged.deletes), runs: s.staged.delRuns}
 }
+
+// view is one query's snapshot of the staged delta: every shard's runs,
+// with the slab each run's positions index, and the staged deletes.
+// Taken under pmu, it stays valid after the lock is released (see the
+// file header). A range query probes it (stagedHits); a k-NN query hands
+// it to core.NN as its overlay. Views are pooled with their buffers, so
+// a warm query allocates nothing.
+type view struct {
+	runs  []str.Tree
+	slabs [][]stagedInsert // by run
+	dels  deleteView
+	hits  []stagedInsert // stagedHits' result
+}
+
+var views = sync.Pool{New: func() any { return new(view) }}
+
+// takeView snapshots the generation s serves and its staged delta, in
+// one read lock, into a pooled view the caller releases.
+func (s *Set) takeView() (*generation, *view) {
+	v := views.Get().(*view)
+	s.pmu.RLock()
+	defer s.pmu.RUnlock()
+	v.take(s.staged.deltas, s.deleteViewLocked())
+	return s.cur, v
+}
+
+// take fills v from deltas, the live epoch's (under pmu's read side) or
+// a copy of them, and dels.
+func (v *view) take(deltas []shardDelta, dels deleteView) {
+	for i := range deltas {
+		for _, r := range deltas[i].runs {
+			v.runs = append(v.runs, r)
+			v.slabs = append(v.slabs, deltas[i].slab)
+		}
+	}
+	v.dels = dels
+}
+
+// release drops v's references to the epoch and returns v to the pool.
+func (v *view) release() {
+	clear(v.runs)
+	clear(v.slabs)
+	clear(v.hits)
+	v.runs, v.slabs, v.hits, v.dels = v.runs[:0], v.slabs[:0], v.hits[:0], deleteView{}
+	views.Put(v)
+}
+
+// stagedHits returns, in staging order, the staged inserts whose boxes
+// meet q and that no later delete dooms. It probes every run, not only
+// those of the shards whose bounds meet q: a staged insert can lie
+// outside its shard's bounds. The result is v's buffer, valid until v
+// is released.
+func (v *view) stagedHits(q geom.MBR) []stagedInsert {
+	v.hits = v.hits[:0]
+	for i := range v.runs {
+		slab := v.slabs[i]
+		v.runs[i].Search(q, func(p int32) geom.MBR { return slab[p].el.Box }, func(p int32) {
+			if si := slab[p]; !v.dels.matchesAfter(si.el, si.seq) {
+				v.hits = append(v.hits, si)
+			}
+		})
+	}
+	// A run yields its hits in tile order, and shards interleave in
+	// staging; stamps are unique, so sorting by them restores the order.
+	slices.SortFunc(v.hits, func(a, b stagedInsert) int { return cmp.Compare(a.seq, b.seq) })
+	return v.hits
+}
+
+func (v *view) Runs() []str.Tree { return v.runs }
+
+func (v *view) Insert(run int, pos int32) (geom.Element, uint64) {
+	si := v.slabs[run][pos]
+	return si.el, si.seq
+}
+
+func (v *view) Deleted(el geom.Element, stamp uint64) bool { return v.dels.matchesAfter(el, stamp) }

@@ -50,10 +50,7 @@ func TestConcurrentQueriesWithStagedDelta(t *testing.T) {
 	}
 	want := make([]int, len(queries))
 	for i, q := range queries {
-		res, _, err := set.RangeQuery(context.Background(), q)
-		if err != nil {
-			t.Fatal(err)
-		}
+		res, _ := collectStream(t, set, context.Background(), q)
 		want[i] = len(res)
 	}
 	if want[0] != len(els)+len(extra)-deletes {
@@ -69,13 +66,13 @@ func TestConcurrentQueriesWithStagedDelta(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 25; i++ {
 				q := i % len(queries)
-				res, _, err := set.RangeQuery(context.Background(), queries[q])
+				st, err := set.StreamQuery(context.Background(), queries[q], StreamOptions{}, func(geom.Element) bool { return true })
 				if err != nil {
 					t.Error(err)
 					return
 				}
-				if len(res) != want[q] {
-					t.Errorf("query %d: %d results, want %d", q, len(res), want[q])
+				if st.Results != want[q] {
+					t.Errorf("query %d: %d results, want %d", q, st.Results, want[q])
 					return
 				}
 			}
@@ -106,13 +103,13 @@ func TestConcurrentQueriesWithStagedDelta(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 25; i++ {
-				res, _, err := set.RangeQuery(context.Background(), all)
+				st, err := set.StreamQuery(context.Background(), all, StreamOptions{}, func(geom.Element) bool { return true })
 				if err != nil {
 					t.Error(err)
 					return
 				}
-				if len(res) < want[0] || len(res) > want[0]+growth {
-					t.Errorf("world query during staging: %d results, want %d..%d", len(res), want[0], want[0]+growth)
+				if st.Results < want[0] || st.Results > want[0]+growth {
+					t.Errorf("world query during staging: %d results, want %d..%d", st.Results, want[0], want[0]+growth)
 					return
 				}
 			}

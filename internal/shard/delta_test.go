@@ -193,37 +193,6 @@ func idsOf(els []geom.Element) []uint64 {
 	return ids
 }
 
-// TestOverlayMissAllocatesNothing: the overlay probe of a query box that
-// misses every staged insert — the common case of a small delta — costs
-// no allocation, however many runs and deletes are pending.
-func TestOverlayMissAllocatesNothing(t *testing.T) {
-	r := rand.New(rand.NewSource(97))
-	base := randomElements(r, 2000)
-	set, err := Build(append([]geom.Element(nil), base...), Config{Shards: 4, PageCapacity: 16})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer set.Close()
-	for i, e := range randomElements(r, 300) {
-		e.ID = 1<<40 + uint64(i)
-		if err := set.StageInsert(e); err != nil {
-			t.Fatal(err)
-		}
-		if i%3 == 0 {
-			if err := set.StageDelete(base[i].ID, base[i].Box); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-	if _, ins, _ := set.overlayFor(set.World()); len(ins) != 300 {
-		t.Fatalf("world box overlays %d staged inserts, want 300", len(ins))
-	}
-	miss := geom.CubeAt(geom.V(300, 300, 300), 5)
-	if n := testing.AllocsPerRun(100, func() { set.overlayFor(miss) }); n != 0 {
-		t.Errorf("overlay probe that misses the delta: %v allocations, want 0", n)
-	}
-}
-
 // TestDeleteViewAllocatesNothing: a query's snapshot of 5 000 pending
 // deletes costs no allocation.
 func TestDeleteViewAllocatesNothing(t *testing.T) {
@@ -249,11 +218,11 @@ func TestDeleteViewAllocatesNothing(t *testing.T) {
 	}
 }
 
-// TestDeltaSnapshotStable: a copy of the deltas and a delete view taken
-// under pmu keep answering element for element as when taken — range
-// candidates, the nearest staged inserts by core.NN over the copy alone,
-// delete matches — while 100 more StageInsert and StageDelete calls land
-// concurrently (run under -race).
+// TestDeltaSnapshotStable: a view of a copy of the deltas and a delete
+// view taken under pmu keeps answering element for element as when
+// taken — its range hits, the nearest staged inserts by core.NN over the
+// view alone, delete matches — while 100 more StageInsert and
+// StageDelete calls land concurrently (run under -race).
 func TestDeltaSnapshotStable(t *testing.T) {
 	r := rand.New(rand.NewSource(103))
 	base := randomElements(r, 1500)
@@ -292,17 +261,17 @@ func TestDeltaSnapshotStable(t *testing.T) {
 	}
 	observe := func() answers {
 		var a answers
+		var v view
+		v.take(deltas, dels)
 		for _, q := range queries {
 			var seqs []uint64
-			for i := range deltas {
-				deltas[i].forEachCandidate(q, func(si stagedInsert) { seqs = append(seqs, si.seq) })
+			for _, si := range v.stagedHits(q) {
+				seqs = append(seqs, si.seq)
 			}
 			a.candidates = append(a.candidates, seqs)
 		}
 		// The staged-only walk: the snapshot's runs as core.NN's overlay,
 		// with no index beside them.
-		var v nnView
-		v.take(deltas, dels)
 		for _, p := range points {
 			var near []nnHit
 			_, err := core.NN(context.Background(), nil, &v, p, func(e geom.Element, d float64) bool {
@@ -376,11 +345,11 @@ func fuzzBox(b byte) geom.MBR {
 // FuzzStagedDelta decodes the bytes into staging operations, two bytes
 // each: batch inserts of 1–16 elements, single inserts, deletes of a
 // bulkloaded, a staged or an absent element, and re-inserts after a
-// delete; staged IDs repeat. After every operation each delta probe
-// equals a linear scan over the staged inserts and deletes: a box's
-// range candidates (each exactly once), the k-NN stream (checkNNModel),
-// and matches and matchesAfter; and the runs keep their invariants
-// (checkRuns).
+// delete; staged IDs repeat. After every operation each query equals a
+// linear scan over the staged inserts and deletes: the whole range
+// stream over four boxes (checkRangeModel), the k-NN stream
+// (checkNNModel), and matches and matchesAfter; and the runs keep their
+// invariants (checkRuns).
 func FuzzStagedDelta(f *testing.F) {
 	ties := make([]byte, 0, 400)
 	for range 200 {
@@ -389,6 +358,7 @@ func FuzzStagedDelta(f *testing.F) {
 	f.Add(ties)
 	f.Add([]byte{0, 7, 1, 5, 1, 5, 2, 3, 3, 1, 5, 0, 0, 200, 4, 9, 1, 5, 3, 2, 5, 1})
 	f.Add([]byte{0, 255, 0, 31, 3, 0, 3, 4, 2, 0, 5, 0, 5, 1, 1, 21, 1, 21, 1, 21, 3, 7})
+	f.Add([]byte{1, 21, 1, 22, 3, 0, 0, 21, 3, 1}) // deletes of staged inserts inside a checked box
 
 	// Bulkloaded twins of fifteen lattice boxes tie exactly with the
 	// staged inserts on them, at every probe point.
@@ -462,6 +432,7 @@ func FuzzStagedDelta(f *testing.F) {
 func checkStagedDelta(t *testing.T, set *Set, base []geom.Element, staged []stagedInsert, deletes []pendingDelete, p geom.Vec3) {
 	t.Helper()
 	dels := checkStagedRuns(t, set, staged, deletes)
+	checkRangeModel(t, set, staged, deletes)
 
 	// The k-NN model: the bulkloaded elements as stored, minus deletes,
 	// plus the staged inserts no later delete dooms.
@@ -509,21 +480,46 @@ func checkStagedRuns(t *testing.T, set *Set, staged []stagedInsert, deletes []pe
 		t.Fatalf("the set stages %d inserts, %d deletes; the model %d, %d", len(slabs), len(ep.deletes), len(staged), len(deletes))
 	}
 
+	return dels
+}
+
+// checkRangeModel holds StreamQuery's whole stream over four boxes to
+// the model: first, for each shard whose bounds meet the box, in shard
+// order, its own crawl minus the deletes; then the staged inserts that
+// meet the box and that no later delete dooms, in staging order.
+// fuzzBox(0) lies outside every shard's bounds.
+func checkRangeModel(t *testing.T, set *Set, staged []stagedInsert, deletes []pendingDelete) {
+	t.Helper()
+	ctx := context.Background()
 	for _, q := range []geom.MBR{fuzzBox(0), fuzzBox(1).Expand(20), geom.CubeAt(geom.V(50, 50, 50), 60), geom.CubeAt(geom.V(-50, 0, 0), 1)} {
-		var got, want []uint64
-		for _, d := range ep.deltas {
-			d.forEachCandidate(q, func(si stagedInsert) { got = append(got, si.seq) })
-		}
-		for _, si := range staged {
-			if si.el.Box.Intersects(q) {
-				want = append(want, si.seq)
+		var want []geom.Element
+		for _, ix := range set.now().shards {
+			if !ix.Bounds().Intersects(q) {
+				continue
+			}
+			got, _, err := ix.RangeQuery(q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, e := range got {
+				if !matchesDelete(deletes, e) {
+					want = append(want, e)
+				}
 			}
 		}
-		if slices.Sort(got); !slices.Equal(got, want) {
-			t.Fatalf("box %v: range candidates %v, linear scan %v", q, got, want)
+		for _, si := range staged {
+			if si.el.Box.Intersects(q) && !matchesDeleteAfter(deletes, si.el, si.seq) {
+				want = append(want, si.el)
+			}
+		}
+		got, st := collectStream(t, set, ctx, q)
+		if !slices.Equal(got, want) {
+			t.Fatalf("box %v: streamed %d elements, the model %d, or in another order", q, len(got), len(want))
+		}
+		if st.Results != len(got) {
+			t.Fatalf("box %v: Results %d, %d elements emitted", q, st.Results, len(got))
 		}
 	}
-	return dels
 }
 
 // bulkElements returns every bulkloaded element of set's shards as

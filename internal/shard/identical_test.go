@@ -201,10 +201,7 @@ func TestMergedElementsIndexedMatchesLinear(t *testing.T) {
 		if _, err := set.Rebuild(); err != nil {
 			t.Fatal(err)
 		}
-		got, _, err := set.RangeQuery(context.Background(), geom.Box(geom.V(-10, -10, -10), geom.V(110, 110, 110)))
-		if err != nil {
-			t.Fatal(err)
-		}
+		got, _ := collectStream(t, set, context.Background(), geom.Box(geom.V(-10, -10, -10), geom.V(110, 110, 110)))
 		count := map[uint64]int{}
 		for _, e := range got {
 			count[e.ID]++
@@ -233,14 +230,8 @@ func observe(t *testing.T, set *Set, boxes []geom.MBR, points []geom.Vec3) answe
 	var a answers
 	ctx := context.Background()
 	for _, q := range boxes {
-		els, _, err := set.RangeQuery(ctx, q)
-		if err != nil {
-			t.Fatal(err)
-		}
-		n, _, err := set.CountQuery(ctx, q)
-		if err != nil {
-			t.Fatal(err)
-		}
+		els, _ := collectStream(t, set, ctx, q)
+		n, _ := countStream(t, set, ctx, q)
 		a.ranges, a.counts = append(a.ranges, els), append(a.counts, n)
 	}
 	for _, p := range points {

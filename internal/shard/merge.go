@@ -6,7 +6,9 @@
 // whole shards. StreamQuery is the only executor and this is its only
 // shard visit: a shard's crawl calls the consumer's emit directly, with
 // nothing concurrent or buffered in between. Several cores are used
-// across queries (concurrent callers), not inside one.
+// across queries (concurrent callers), not inside one. The staged delta
+// is read from the pooled view k-NN takes too (delta.go): its deletes
+// filter the crawl, and its matching inserts follow the last shard.
 
 package shard
 
@@ -24,8 +26,7 @@ import (
 type StreamOptions struct{}
 
 // StreamQuery executes q as a cancellable push stream — the one sharded
-// range executor; RangeQuery and CountQuery are collect and count sinks
-// over it. Elements are handed to emit one at a time, and emit
+// range executor. Elements are handed to emit one at a time, and emit
 // returning false stops the query immediately: remaining shards are
 // never visited and the current shard's crawl frontier is abandoned, so
 // an early stop saves the page reads the rest of the query would have
@@ -41,45 +42,35 @@ type StreamOptions struct{}
 // done ctx aborts the crawl with ctx.Err(), but a stream that
 // delivered its last element returns nil.
 func (s *Set) StreamQuery(ctx context.Context, q geom.MBR, _ StreamOptions, emit func(geom.Element) bool) (core.QueryStats, error) {
-	g, ins, dels := s.overlayFor(q)
-	sink := &streamSink{dels: dels, emit: emit}
-	push := sink.push // one bound method value for every shard
+	g, v := s.takeView()
+	defer v.release()
 	var st core.QueryStats
-	for _, sh := range g.prune(q) {
-		sst, err := g.shards[sh].Query(ctx, q, push)
+	emitted, stopped := 0, false
+	push := func(e geom.Element) bool {
+		if v.dels.matches(e) {
+			return true
+		}
+		emitted++
+		stopped = !emit(e)
+		return !stopped
+	}
+	for _, ix := range g.shards {
+		if !ix.Bounds().Intersects(q) {
+			continue
+		}
+		sst, err := ix.Query(ctx, q, push)
 		st.Add(sst)
-		if err != nil || sink.stopped {
-			st.Results = sink.emitted
+		if err != nil || stopped {
+			st.Results = emitted
 			return st, err
 		}
 	}
-	for _, e := range ins {
-		sink.emitted++
-		if !emit(e) {
+	for _, si := range v.stagedHits(q) {
+		emitted++
+		if !emit(si.el) {
 			break
 		}
 	}
-	st.Results = sink.emitted
+	st.Results = emitted
 	return st, nil
-}
-
-// streamSink is the consumer side the shard crawls deliver bulkloaded
-// elements into: the staged-delete filter, the count of elements
-// actually emitted, and the consumer's stop.
-type streamSink struct {
-	dels    deleteView
-	emit    func(geom.Element) bool
-	emitted int
-	stopped bool
-}
-
-// push delivers one bulkloaded element and reports whether the stream
-// continues; it returns false only once the consumer has stopped.
-func (k *streamSink) push(e geom.Element) bool {
-	if k.dels.matches(e) {
-		return true
-	}
-	k.emitted++
-	k.stopped = !k.emit(e)
-	return !k.stopped
 }

@@ -3,6 +3,7 @@ package shard
 import (
 	"context"
 	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 
@@ -25,10 +26,20 @@ func collectStream(t *testing.T, s *Set, ctx context.Context, q geom.MBR) ([]geo
 	return out, st
 }
 
+// countStream drains a StreamQuery through a count sink.
+func countStream(t *testing.T, s *Set, ctx context.Context, q geom.MBR) (int, core.QueryStats) {
+	t.Helper()
+	st, err := s.StreamQuery(ctx, q, StreamOptions{}, func(geom.Element) bool { return true })
+	if err != nil {
+		t.Fatal(err)
+	}
+	return st.Results, st
+}
+
 // TestStreamQueryOrderParity pins the executor invariant: the stream
-// is element-for-element identical to RangeQuery's shard-order
-// concatenation, and on a full drain its page-read statistics are
-// RangeQuery's too.
+// is element-for-element the concatenation, in shard order, of the
+// crawls of the shards Prune names, and on a full drain its statistics
+// are theirs summed.
 func TestStreamQueryOrderParity(t *testing.T) {
 	r := rand.New(rand.NewSource(41))
 	els := randomElements(r, 4000)
@@ -39,23 +50,29 @@ func TestStreamQueryOrderParity(t *testing.T) {
 		}
 		for qi, q := range testQueries(rand.New(rand.NewSource(42)), 8) {
 			set.DropCache()
-			want, wantStats, err := set.RangeQuery(context.Background(), q)
-			if err != nil {
-				t.Fatal(err)
+			var want []geom.Element
+			var wantStats core.QueryStats
+			for _, sh := range set.Prune(q) {
+				part, st, err := set.Shard(sh).RangeQuery(q)
+				if err != nil {
+					t.Fatal(err)
+				}
+				want = append(want, part...)
+				wantStats.Add(st)
 			}
 			set.DropCache()
 			got, st := collectStream(t, set, context.Background(), q)
 			if len(got) != len(want) {
-				t.Fatalf("K=%d query %d: %d elements, RangeQuery %d", k, qi, len(got), len(want))
+				t.Fatalf("K=%d query %d: %d elements, the shard crawls %d", k, qi, len(got), len(want))
 			}
 			for i := range got {
 				if got[i] != want[i] {
-					t.Fatalf("K=%d query %d: element %d = %v, RangeQuery %v — emit order diverged",
+					t.Fatalf("K=%d query %d: element %d = %v, the shard crawls %v — emit order diverged",
 						k, qi, i, got[i], want[i])
 				}
 			}
 			if st != wantStats {
-				t.Fatalf("K=%d query %d: stats %+v, RangeQuery %+v", k, qi, st, wantStats)
+				t.Fatalf("K=%d query %d: stats %+v, the shard crawls %+v", k, qi, st, wantStats)
 			}
 		}
 		set.Close()
@@ -123,10 +140,7 @@ func TestStreamQueryCancelMidMerge(t *testing.T) {
 	}
 	defer set.Close()
 	q := set.Bounds()
-	want, _, err := set.RangeQuery(context.Background(), q)
-	if err != nil {
-		t.Fatal(err)
-	}
+	want, _ := collectStream(t, set, context.Background(), q)
 
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
@@ -149,12 +163,9 @@ func TestStreamQueryCancelMidMerge(t *testing.T) {
 		t.Fatalf("cancelled stream stats %+v after %d emits — partial work not reported", st, n)
 	}
 
-	after, _, err := set.RangeQuery(context.Background(), q)
-	if err != nil {
-		t.Fatal(err)
-	}
+	after, _ := collectStream(t, set, context.Background(), q)
 	if len(after) != len(want) {
-		t.Fatalf("after the cancelled stream RangeQuery returns %d elements, want %d", len(after), len(want))
+		t.Fatalf("after the cancelled stream a drain returns %d elements, want %d", len(after), len(want))
 	}
 	for i := range after {
 		if after[i] != want[i] {
@@ -164,12 +175,9 @@ func TestStreamQueryCancelMidMerge(t *testing.T) {
 }
 
 // TestStreamQueryOverlayParity: with staged inserts and pending deletes
-// in play, RangeQuery is the collected StreamQuery — element for
-// element, in order, deletes filtered inline and
-// staged inserts appended last in staging order — and equals brute
-// force as a set; CountQuery agrees with it on the count and on every
-// statistic, so the count sink reads exactly the pages the collect sink
-// does. K = 1 and K = 4.
+// in play, the collected stream equals brute force as a set, and the
+// count sink agrees with it on the count and on every statistic, so it
+// reads exactly the pages the collect sink does. K = 1 and K = 4.
 func TestStreamQueryOverlayParity(t *testing.T) {
 	r := rand.New(rand.NewSource(45))
 	els := randomElements(r, 3000)
@@ -178,10 +186,7 @@ func TestStreamQueryOverlayParity(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		base, _, err := set.RangeQuery(context.Background(), set.Bounds())
-		if err != nil {
-			t.Fatal(err)
-		}
+		base, _ := collectStream(t, set, context.Background(), set.Bounds())
 		// Delete two bulkloaded elements and stage inserts spread over
 		// the whole space, so with K > 1 they route to several shards.
 		doomed := map[uint64]bool{}
@@ -208,29 +213,14 @@ func TestStreamQueryOverlayParity(t *testing.T) {
 		}
 		for qi, q := range append([]geom.MBR{set.World()}, testQueries(rr, 6)...) {
 			set.DropCache()
-			want, wantStats, err := set.RangeQuery(context.Background(), q)
-			if err != nil {
-				t.Fatal(err)
-			}
+			want, wantStats := collectStream(t, set, context.Background(), q)
 			if !equalIDs(sortedIDs(want), brute(live, q)) {
-				t.Fatalf("K=%d query %d: RangeQuery diverges from brute force over the overlaid set", k, qi)
+				t.Fatalf("K=%d query %d: the stream diverges from brute force over the overlaid set", k, qi)
 			}
 			set.DropCache()
-			n, countStats, err := set.CountQuery(context.Background(), q)
-			if err != nil {
-				t.Fatal(err)
-			}
+			n, countStats := countStream(t, set, context.Background(), q)
 			if n != len(want) || countStats != wantStats {
-				t.Fatalf("K=%d query %d: CountQuery = %d, %+v; RangeQuery = %d, %+v", k, qi, n, countStats, len(want), wantStats)
-			}
-			got, _ := collectStream(t, set, context.Background(), q)
-			if len(got) != len(want) {
-				t.Fatalf("K=%d query %d: %d elements, RangeQuery %d", k, qi, len(got), len(want))
-			}
-			for i := range got {
-				if got[i] != want[i] {
-					t.Fatalf("K=%d query %d: overlaid element %d = %v, RangeQuery %v", k, qi, i, got[i], want[i])
-				}
+				t.Fatalf("K=%d query %d: count sink %d, %+v; collect sink %d, %+v", k, qi, n, countStats, len(want), wantStats)
 			}
 		}
 		set.Close()
@@ -253,10 +243,7 @@ func TestStreamQueryDeliveredTailReturnsNil(t *testing.T) {
 		}
 	}
 	q := set.World()
-	want, _, err := set.RangeQuery(context.Background(), q)
-	if err != nil {
-		t.Fatal(err)
-	}
+	want, _ := collectStream(t, set, context.Background(), q)
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	n := 0
@@ -325,13 +312,7 @@ func TestStagedInsertOrderAcrossShards(t *testing.T) {
 			}
 		}
 	}
-	q := set.World()
-	out, _, err := set.RangeQuery(context.Background(), q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	check("RangeQuery", out)
-	got, _ := collectStream(t, set, context.Background(), q)
+	got, _ := collectStream(t, set, context.Background(), set.World())
 	check("StreamQuery", got)
 }
 
@@ -371,9 +352,9 @@ func (c *pollCtx) Err() error {
 }
 
 // TestQueryErrorKeepsPartialStats is the regression test for the
-// dropped-stats bug: when a shard crawl fails midway, RangeQuery and
-// CountQuery must still report the page reads performed — "stats cover
-// exactly the work performed" — not a zero QueryStats.
+// dropped-stats bug: when a shard crawl fails midway, the collect and
+// the count sink must still report the page reads performed — "stats
+// cover exactly the work performed" — not a zero QueryStats.
 func TestQueryErrorKeepsPartialStats(t *testing.T) {
 	r := rand.New(rand.NewSource(48))
 	els := randomElements(r, 6000)
@@ -384,14 +365,13 @@ func TestQueryErrorKeepsPartialStats(t *testing.T) {
 	defer set.Close()
 	q := set.Bounds()
 
+	var out []geom.Element
 	for name, run := range map[string]func(ctx context.Context) (core.QueryStats, error){
-		"RangeQuery": func(ctx context.Context) (core.QueryStats, error) {
-			_, st, err := set.RangeQuery(ctx, q)
-			return st, err
+		"collect": func(ctx context.Context) (core.QueryStats, error) {
+			return set.StreamQuery(ctx, q, StreamOptions{}, func(e geom.Element) bool { out = append(out, e); return true })
 		},
-		"CountQuery": func(ctx context.Context) (core.QueryStats, error) {
-			_, st, err := set.CountQuery(ctx, q)
-			return st, err
+		"count": func(ctx context.Context) (core.QueryStats, error) {
+			return set.StreamQuery(ctx, q, StreamOptions{}, func(geom.Element) bool { return true })
 		},
 	} {
 		set.DropCache()
@@ -403,4 +383,103 @@ func TestQueryErrorKeepsPartialStats(t *testing.T) {
 			t.Fatalf("%s: error %v came with zero stats — partial work dropped", name, err)
 		}
 	}
+}
+
+// TestStreamQueryAllocations pins the allocation count of a warm K=4
+// range stream on an SN-sized and an LSS-sized box in three states: no
+// staged delta, a delta the boxes miss, and a delta of at least four
+// runs plus deletes that the boxes hit. The query scratch and the delta
+// view come from pools with grown buffers, and every page is cached, so
+// the stream allocates nothing in any state.
+func TestStreamQueryAllocations(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector makes sync.Pool drop the query scratch at random")
+	}
+	r := rand.New(rand.NewSource(23))
+	els := randomElements(r, 20000)
+	set, err := Build(append([]geom.Element(nil), els...), Config{Shards: 4, PageFormat: storage.PageFormatV2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer set.Close()
+	c := geom.V(30, 60, 40)
+	boxes := []geom.MBR{geom.CubeAt(c, 2), geom.CubeAt(c, 12)}
+	var n, staged int
+	emit := func(e geom.Element) bool {
+		n++
+		staged += int(e.ID >> 40)
+		return true
+	}
+	measure := func(state string, wantStaged bool) {
+		for _, q := range boxes {
+			query := func() {
+				n, staged = 0, 0
+				if _, err := set.StreamQuery(context.Background(), q, StreamOptions{}, emit); err != nil {
+					t.Fatal(err)
+				}
+			}
+			query() // warm the pools and the pages
+			if (staged > 0) != wantStaged {
+				t.Fatalf("%s, box %v: %d of %d results staged", state, q, staged, n)
+			}
+			if a := testing.AllocsPerRun(50, query); a != 0 {
+				t.Errorf("%s, box %v: %v allocations, want 0", state, q, a)
+			}
+		}
+	}
+	stage := func(at geom.Vec3, sizes ...int) {
+		for _, size := range sizes {
+			batch := make([]geom.Element, size)
+			for i := range batch {
+				batch[i] = geom.Element{ID: 1<<40 + uint64(r.Int63n(1<<30)), Box: geom.CubeAt(at.Add(geom.V(r.Float64(), r.Float64(), r.Float64())), 0.2)}
+			}
+			if err := set.StageInsert(batch...); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	measure("no delta", false)
+
+	// A delta far from both boxes, with deletes of elements far from them.
+	stage(geom.V(90, 10, 90), 8, 4)
+	for _, e := range els[:10] {
+		if !e.Box.Intersects(boxes[1]) {
+			if err := set.StageDelete(e.ID, e.Box); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	measure("a delta the boxes miss", false)
+
+	// Batches of 8, 4, 2 and 1 at the boxes' centre stay separate runs
+	// (each is at least twice the next), and three bulkloaded elements in
+	// the SN box are deleted.
+	stage(c, 8, 4, 2, 1)
+	var doomed []geom.Element
+	for _, e := range els {
+		if e.Box.Intersects(boxes[0]) && len(doomed) < 3 {
+			doomed = append(doomed, e)
+		}
+	}
+	for _, e := range doomed {
+		if err := set.StageDelete(e.ID, e.Box); err != nil {
+			t.Fatal(err)
+		}
+	}
+	set.pmu.RLock()
+	runs := 0
+	for _, d := range set.staged.deltas {
+		runs += len(d.runs)
+	}
+	set.pmu.RUnlock()
+	if runs < 4 || len(doomed) == 0 {
+		t.Fatalf("the staged delta holds %d runs and %d deletes in the SN box, want at least 4 and 1", runs, len(doomed))
+	}
+	got, _ := collectStream(t, set, context.Background(), boxes[0])
+	for _, e := range got {
+		if slices.Contains(doomed, e) {
+			t.Fatalf("deleted element %v streamed", e)
+		}
+	}
+	measure("a delta the boxes hit", true)
 }

@@ -8,63 +8,18 @@
 // and is seeded only when that item surfaces, so a shard whose bound
 // exceeds the last element the consumer takes is never opened. The
 // staged delta joins the same frontier as core.NN's overlay: NNQuery
-// copies every shard's runs and the delete view under pmu into a pooled
-// nnView, releases the lock, and hands the view over. Ties and the delete
-// filter are core.NN's.
+// takes the pooled view of the delta a range query takes (delta.go) and
+// hands it over. Ties and the delete filter are core.NN's.
 
 package shard
 
 import (
 	"context"
 	"fmt"
-	"sync"
 
 	"flat/internal/core"
 	"flat/internal/geom"
-	"flat/internal/str"
 )
-
-// nnView is one query's snapshot of the staged delta, handed to core.NN
-// as its overlay: every shard's runs, with the slab each run's positions
-// index, and the staged deletes. Taken under pmu, it stays valid after
-// the lock is released (see delta.go). Views are pooled, so a warm query
-// allocates nothing.
-type nnView struct {
-	runs  []str.Tree
-	slabs [][]stagedInsert // by run
-	dels  deleteView
-}
-
-var nnViews = sync.Pool{New: func() any { return new(nnView) }}
-
-// take fills v from deltas, the live epoch's (under pmu's read side) or
-// a copy of them, and dels.
-func (v *nnView) take(deltas []shardDelta, dels deleteView) {
-	for i := range deltas {
-		for _, r := range deltas[i].runs {
-			v.runs = append(v.runs, r)
-			v.slabs = append(v.slabs, deltas[i].slab)
-		}
-	}
-	v.dels = dels
-}
-
-// release drops v's references to the epoch and returns v to the pool.
-func (v *nnView) release() {
-	clear(v.runs)
-	clear(v.slabs)
-	v.runs, v.slabs, v.dels = v.runs[:0], v.slabs[:0], deleteView{}
-	nnViews.Put(v)
-}
-
-func (v *nnView) Runs() []str.Tree { return v.runs }
-
-func (v *nnView) Insert(run int, pos int32) (geom.Element, uint64) {
-	si := v.slabs[run][pos]
-	return si.el, si.seq
-}
-
-func (v *nnView) Deleted(el geom.Element, stamp uint64) bool { return v.dels.matchesAfter(el, stamp) }
 
 // NNQuery streams the live elements in nondecreasing distance from p,
 // each with its exact squared distance, until emit returns false. Live
@@ -82,11 +37,7 @@ func (s *Set) NNQuery(ctx context.Context, p geom.Vec3, _ int, emit func(geom.El
 	if !geom.PointBox(p).Valid() {
 		return core.QueryStats{}, fmt.Errorf("shard: nn query point %v is not finite", p)
 	}
-	v := nnViews.Get().(*nnView)
+	g, v := s.takeView()
 	defer v.release()
-	s.pmu.RLock()
-	g := s.cur
-	v.take(s.staged.deltas, s.deleteViewLocked())
-	s.pmu.RUnlock()
 	return core.NN(ctx, g.shards, v, p, emit)
 }

@@ -46,10 +46,7 @@ func nnBruteSet(els []geom.Element, p geom.Vec3) []nnHit {
 func liveElements(t *testing.T, set *Set) []geom.Element {
 	t.Helper()
 	inf := math.Inf(1)
-	els, _, err := set.RangeQuery(context.Background(), geom.Box(geom.V(-inf, -inf, -inf), geom.V(inf, inf, inf)))
-	if err != nil {
-		t.Fatal(err)
-	}
+	els, _ := collectStream(t, set, context.Background(), geom.Box(geom.V(-inf, -inf, -inf), geom.V(inf, inf, inf)))
 	return els
 }
 
@@ -510,19 +507,13 @@ func TestMixedIDWidthsAcrossShards(t *testing.T) {
 		geom.CubeAt(geom.V(80, 20, 70), 10),
 	} {
 		want := brute(orig, q)
-		got, _, err := set.RangeQuery(ctx, q)
-		if err != nil {
-			t.Fatal(err)
-		}
+		got, _ := collectStream(t, set, ctx, q)
 		if !equalIDs(sortedIDs(got), want) {
-			t.Fatalf("RangeQuery(%v): %d ids, brute force %d", q, len(got), len(want))
+			t.Fatalf("range %v: %d ids, brute force %d", q, len(got), len(want))
 		}
-		n, _, err := set.CountQuery(ctx, q)
-		if err != nil {
-			t.Fatal(err)
-		}
+		n, _ := countStream(t, set, ctx, q)
 		if n != len(want) {
-			t.Fatalf("CountQuery(%v) = %d, want %d", q, n, len(want))
+			t.Fatalf("count %v = %d, want %d", q, n, len(want))
 		}
 	}
 	for _, p := range []geom.Vec3{geom.V(5, 5, 5), geom.V(50, 50, 50), geom.V(120, -10, 60)} {

@@ -42,10 +42,7 @@ func TestShardedV2RoundTrip(t *testing.T) {
 		}
 	}
 	for i, q := range queries {
-		got, _, err := set.RangeQuery(context.Background(), q)
-		if err != nil {
-			t.Fatal(err)
-		}
+		got, _ := collectStream(t, set, context.Background(), q)
 		if !equalIDs(sortedIDs(got), brute(orig, q)) {
 			t.Fatalf("query %d wrong on fresh v2 set", i)
 		}
@@ -99,10 +96,7 @@ func TestShardedV2RoundTrip(t *testing.T) {
 		}
 	}
 	for i, q := range queries {
-		got, _, err := re.RangeQuery(context.Background(), q)
-		if err != nil {
-			t.Fatal(err)
-		}
+		got, _ := collectStream(t, re, context.Background(), q)
 		if !equalIDs(sortedIDs(got), brute(want, q)) {
 			t.Fatalf("query %d wrong after rebuild", i)
 		}
@@ -194,10 +188,7 @@ func TestMixedFormatGenerations(t *testing.T) {
 	check := func(stage string, want []geom.Element) {
 		t.Helper()
 		for i, q := range queries {
-			got, _, err := set.RangeQuery(context.Background(), q)
-			if err != nil {
-				t.Fatal(err)
-			}
+			got, _ := collectStream(t, set, context.Background(), q)
 			if !equalIDs(sortedIDs(got), brute(want, q)) {
 				t.Fatalf("%s: query %d wrong", stage, i)
 			}

@@ -33,7 +33,6 @@
 package shard
 
 import (
-	"cmp"
 	"fmt"
 	"slices"
 
@@ -283,44 +282,6 @@ func (s *Set) routeShard(b geom.MBR) int {
 		}
 	}
 	return best
-}
-
-// overlayFor snapshots the staged updates relevant to query q: the
-// staged inserts intersecting it (already filtered by the deletes
-// staged after them) and a view of the staged deletes that could doom
-// one of its bulkloaded results. The snapshot is taken under pmu so
-// queries never observe a staging call halfway through; the common
-// no-updates case, and a q that misses every staged insert, allocate
-// nothing. Candidate inserts come from each shard's runs (a range walk,
-// not a sweep of everything pending — see delta.go). It also returns the
-// generation the query reads, taken under the same lock.
-func (s *Set) overlayFor(q geom.MBR) (g *generation, ins []geom.Element, dels deleteView) {
-	s.pmu.RLock()
-	defer s.pmu.RUnlock()
-	g = s.cur
-	// The delete view carries every pending delete, not just those
-	// intersecting q: delete matching is by containment in the *stored*
-	// box (see deleteMatches), and on a quantized v2 shard the stored box
-	// can intersect q while the delete's requested box grazes just
-	// outside it.
-	dels = s.deleteViewLocked()
-	var pending []stagedInsert
-	for i := range s.staged.deltas {
-		s.staged.deltas[i].forEachCandidate(q, func(si stagedInsert) {
-			if !dels.matchesAfter(si.el, si.seq) {
-				pending = append(pending, si)
-			}
-		})
-	}
-	// The contract is "staged inserts are appended in staging order" —
-	// not in shard or probe order. Seqs are unique, so sorting the
-	// filtered union by seq restores the global staging interleave for
-	// inserts routed to different shards.
-	slices.SortFunc(pending, func(a, b stagedInsert) int { return cmp.Compare(a.seq, b.seq) })
-	for _, si := range pending {
-		ins = append(ins, si.el)
-	}
-	return g, ins, dels
 }
 
 // Rebuild folds the staged updates into the bulkloaded index by

@@ -71,17 +71,11 @@ func TestStagedOverlay(t *testing.T) {
 	if err := set.StageInsert(ins); err != nil {
 		t.Fatal(err)
 	}
-	got, st, err := set.RangeQuery(context.Background(), all)
-	if err != nil {
-		t.Fatal(err)
-	}
+	got, st := collectStream(t, set, context.Background(), all)
 	if len(got) != len(orig)+1 || st.Results != len(got) {
 		t.Fatalf("after staged insert: %d results (stats %d), want %d", len(got), st.Results, len(orig)+1)
 	}
-	n, cst, err := set.CountQuery(context.Background(), all)
-	if err != nil {
-		t.Fatal(err)
-	}
+	n, cst := countStream(t, set, context.Background(), all)
 	if n != len(orig)+1 || cst.Results != n {
 		t.Fatalf("after staged insert: count %d, want %d", n, len(orig)+1)
 	}
@@ -90,10 +84,7 @@ func TestStagedOverlay(t *testing.T) {
 	far := geom.CubeAt(orig[0].Box.Center(), 3)
 	if !ins.Box.Intersects(far) {
 		base := brute(orig, far)
-		got, _, err := set.RangeQuery(context.Background(), far)
-		if err != nil {
-			t.Fatal(err)
-		}
+		got, _ := collectStream(t, set, context.Background(), far)
 		if !equalIDs(sortedIDs(got), base) {
 			t.Fatal("staged insert leaked into an unrelated query")
 		}
@@ -104,10 +95,7 @@ func TestStagedOverlay(t *testing.T) {
 	if err := set.StageDelete(victim.ID, victim.Box); err != nil {
 		t.Fatal(err)
 	}
-	got, _, err = set.RangeQuery(context.Background(), all)
-	if err != nil {
-		t.Fatal(err)
-	}
+	got, _ = collectStream(t, set, context.Background(), all)
 	if len(got) != len(orig) { // +1 insert, -1 delete
 		t.Fatalf("after staged delete: %d results, want %d", len(got), len(orig))
 	}
@@ -116,10 +104,7 @@ func TestStagedOverlay(t *testing.T) {
 			t.Fatal("staged delete did not hide the element")
 		}
 	}
-	n, _, err = set.CountQuery(context.Background(), all)
-	if err != nil {
-		t.Fatal(err)
-	}
+	n, _ = countStream(t, set, context.Background(), all)
 	if n != len(orig) {
 		t.Fatalf("after staged delete: count %d, want %d", n, len(orig))
 	}
@@ -128,10 +113,7 @@ func TestStagedOverlay(t *testing.T) {
 	if err := set.StageDelete(ins.ID, ins.Box); err != nil {
 		t.Fatal(err)
 	}
-	n, _, err = set.CountQuery(context.Background(), all)
-	if err != nil {
-		t.Fatal(err)
-	}
+	n, _ = countStream(t, set, context.Background(), all)
 	if n != len(orig)-1 {
 		t.Fatalf("after deleting the staged insert: count %d, want %d", n, len(orig)-1)
 	}
@@ -244,20 +226,14 @@ func TestRebuildOnlyDirtyShards(t *testing.T) {
 	}
 	for i, q := range append(testQueries(r, 25), geom.CubeAt(geom.V(42, 42, 42), 4)) {
 		want := brute(merged, q)
-		got, st, err := set.RangeQuery(context.Background(), q)
-		if err != nil {
-			t.Fatal(err)
-		}
+		got, st := collectStream(t, set, context.Background(), q)
 		if !equalIDs(sortedIDs(got), want) {
 			t.Fatalf("query %d: incremental rebuild diverges from brute force", i)
 		}
 		if st.Results != len(got) {
 			t.Errorf("query %d: stats.Results %d != %d results", i, st.Results, len(got))
 		}
-		fgot, _, err := full.RangeQuery(context.Background(), q)
-		if err != nil {
-			t.Fatal(err)
-		}
+		fgot, _ := collectStream(t, full, context.Background(), q)
 		if !equalIDs(sortedIDs(fgot), want) {
 			t.Fatalf("query %d: full rebuild diverges from brute force", i)
 		}
@@ -277,10 +253,7 @@ func TestRebuildOnlyDirtyShards(t *testing.T) {
 		t.Fatalf("reopened: %d elements, generation %d", re.Len(), re.Generation(target))
 	}
 	q := geom.CubeAt(geom.V(42, 42, 42), 4)
-	got, _, err := re.RangeQuery(context.Background(), q)
-	if err != nil {
-		t.Fatal(err)
-	}
+	got, _ := collectStream(t, re, context.Background(), q)
 	if !equalIDs(sortedIDs(got), brute(merged, q)) {
 		t.Fatal("reopened index diverges from brute force")
 	}
@@ -326,10 +299,7 @@ func TestRebuildDeletes(t *testing.T) {
 		}
 	}
 	for i, q := range testQueries(r, 20) {
-		got, _, err := set.RangeQuery(context.Background(), q)
-		if err != nil {
-			t.Fatal(err)
-		}
+		got, _ := collectStream(t, set, context.Background(), q)
 		if !equalIDs(sortedIDs(got), brute(survivors, q)) {
 			t.Fatalf("query %d diverges after delete rebuild", i)
 		}
@@ -354,10 +324,7 @@ func TestRebuildDeletes(t *testing.T) {
 	}
 	for _, when := range []string{"overlaid", "rebuilt"} {
 		for i, q := range queries {
-			got, _, err := set.RangeQuery(context.Background(), q)
-			if err != nil {
-				t.Fatal(err)
-			}
+			got, _ := collectStream(t, set, context.Background(), q)
 			if !equalIDs(sortedIDs(got), brute(survivors, q)) {
 				t.Fatalf("second delete epoch, %s: query %d diverges", when, i)
 			}
@@ -423,10 +390,7 @@ func TestStagingLastOpWins(t *testing.T) {
 	all := geom.Box(geom.V(-1000, -1000, -1000), geom.V(1000, 1000, 1000))
 	count := func() int {
 		t.Helper()
-		n, _, err := set.CountQuery(context.Background(), all)
-		if err != nil {
-			t.Fatal(err)
-		}
+		n, _ := countStream(t, set, context.Background(), all)
 		return n
 	}
 
@@ -465,10 +429,7 @@ func TestStagingLastOpWins(t *testing.T) {
 	if set.Len() != len(orig) || count() != len(orig) {
 		t.Fatalf("after rebuild: Len %d, count %d, want %d", set.Len(), count(), len(orig))
 	}
-	got, _, err := set.RangeQuery(context.Background(), geom.CubeAt(victim.Box.Center(), 0.1))
-	if err != nil {
-		t.Fatal(err)
-	}
+	got, _ := collectStream(t, set, context.Background(), geom.CubeAt(victim.Box.Center(), 0.1))
 	seen := 0
 	for _, e := range got {
 		if e.ID == victim.ID && e.Box == victim.Box {
@@ -506,10 +467,7 @@ func TestRebuildMemoryBacked(t *testing.T) {
 		t.Fatalf("Len = %d, want %d", set.Len(), len(merged))
 	}
 	for i, q := range testQueries(r, 20) {
-		got, _, err := set.RangeQuery(context.Background(), q)
-		if err != nil {
-			t.Fatal(err)
-		}
+		got, _ := collectStream(t, set, context.Background(), q)
 		if !equalIDs(sortedIDs(got), brute(merged, q)) {
 			t.Fatalf("query %d diverges after memory rebuild", i)
 		}
@@ -539,10 +497,7 @@ func TestRebuildRefusesToEmptyShard(t *testing.T) {
 		t.Fatalf("rebuild emptying a shard: err = %v, want refusal", err)
 	}
 	// The overlay still hides the element; the set keeps working.
-	n, _, err := set.CountQuery(context.Background(), geom.Box(geom.V(-10, -10, -10), geom.V(200, 200, 200)))
-	if err != nil {
-		t.Fatal(err)
-	}
+	n, _ := countStream(t, set, context.Background(), geom.Box(geom.V(-10, -10, -10), geom.V(200, 200, 200)))
 	if n != 1 {
 		t.Fatalf("after refused rebuild: count %d, want 1", n)
 	}
@@ -583,10 +538,7 @@ func TestCrashBeforeManifestSwap(t *testing.T) {
 		t.Fatalf("reopened %d elements, want %d", re.Len(), len(orig))
 	}
 	q := testQueries(r, 1)[0]
-	got, _, err := re.RangeQuery(context.Background(), q)
-	if err != nil {
-		t.Fatal(err)
-	}
+	got, _ := collectStream(t, re, context.Background(), q)
 	if !equalIDs(sortedIDs(got), brute(orig, q)) {
 		t.Fatal("old generation does not serve correct results after simulated crash")
 	}
@@ -735,10 +687,7 @@ func TestBuildIntoExistingDir(t *testing.T) {
 		t.Fatalf("replaced index: %d shards, %d elements", re2.NumShards(), re2.Len())
 	}
 	q := testQueries(r, 1)[0]
-	got, _, err := re2.RangeQuery(context.Background(), q)
-	if err != nil {
-		t.Fatal(err)
-	}
+	got, _ := collectStream(t, re2, context.Background(), q)
 	if !equalIDs(sortedIDs(got), brute(orig, q)) {
 		t.Fatal("replaced index diverges from brute force")
 	}

@@ -17,7 +17,9 @@
 // A range query has one executor (StreamQuery, merge.go): the directory
 // prunes shards whose bounds do not intersect the query box, the
 // surviving shards run the ordinary seed+crawl and are delivered in
-// shard order, and the per-shard QueryStats are merged. With K=1 the
+// shard order, and the per-shard QueryStats are merged. A range query
+// and a k-NN query (nn.go) read the staged delta through one pooled
+// snapshot taken in one read lock (view, delta.go). With K=1 the
 // whole apparatus degenerates to exactly the bare core index — same
 // pages, same ids, same read counts — which is the invariant the tests
 // pin down.
@@ -43,7 +45,6 @@ package shard
 
 import (
 	"cmp"
-	"context"
 	"errors"
 	"fmt"
 	"os"
@@ -148,18 +149,6 @@ func (g *generation) shardOptions(pf storage.PageFormat) core.Options {
 		opts.World = arrayToMBR(g.m.World)
 	}
 	return opts
-}
-
-// prune returns the shards whose data bounds intersect q, in shard
-// order — the shards one query visits.
-func (g *generation) prune(q geom.MBR) []int {
-	var sel []int
-	for i, ix := range g.shards {
-		if ix.Bounds().Intersects(q) {
-			sel = append(sel, i)
-		}
-	}
-	return sel
 }
 
 // splitHilbert reorders els in place along the 3D Hilbert curve of their
@@ -518,32 +507,15 @@ func (set *Set) openWAL(enable bool) error {
 }
 
 // Prune returns the shards whose data bounds intersect q, in shard
-// order — the shards one query visits.
-func (s *Set) Prune(q geom.MBR) []int { return s.now().prune(q) }
-
-// RangeQuery returns every element intersecting q — bulkloaded and
-// staged — with the query's statistics: the collect sink over
-// StreamQuery, whose emit order and cancellation rules it inherits.
-func (s *Set) RangeQuery(ctx context.Context, q geom.MBR) ([]geom.Element, core.QueryStats, error) {
-	var out []geom.Element
-	st, err := s.StreamQuery(ctx, q, StreamOptions{}, func(e geom.Element) bool {
-		out = append(out, e)
-		return true
-	})
-	if err != nil {
-		return nil, st, err
+// order — the shards one range query crawls.
+func (s *Set) Prune(q geom.MBR) []int {
+	var sel []int
+	for i, ix := range s.now().shards {
+		if ix.Bounds().Intersects(q) {
+			sel = append(sel, i)
+		}
 	}
-	return out, st, nil
-}
-
-// CountQuery is RangeQuery without materializing elements: the count
-// sink over StreamQuery, with the identical page access pattern.
-func (s *Set) CountQuery(ctx context.Context, q geom.MBR) (int, core.QueryStats, error) {
-	st, err := s.StreamQuery(ctx, q, StreamOptions{}, func(geom.Element) bool { return true })
-	if err != nil {
-		return 0, st, err
-	}
-	return st.Results, st, nil
+	return sel
 }
 
 // now returns the generation the set serves. Every accessor below reads

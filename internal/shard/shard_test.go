@@ -193,10 +193,7 @@ func testSingleShardParity(t *testing.T, fanout int) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, gotStats, err := set.RangeQuery(context.Background(), q)
-			if err != nil {
-				t.Fatal(err)
-			}
+			got, gotStats := collectStream(t, set, context.Background(), q)
 			if len(got) != len(want) {
 				t.Fatalf("%s query %d: %d results, want %d", shape, i, len(got), len(want))
 			}
@@ -290,10 +287,7 @@ func TestShardedCorrectnessAcrossK(t *testing.T) {
 			t.Errorf("k=%d: Len = %d", k, set.Len())
 		}
 		for i, q := range queries {
-			got, st, err := set.RangeQuery(context.Background(), q)
-			if err != nil {
-				t.Fatal(err)
-			}
+			got, st := collectStream(t, set, context.Background(), q)
 			want := brute(orig, q)
 			if !equalIDs(sortedIDs(got), want) {
 				t.Fatalf("k=%d query %d: result mismatch (%d vs %d)", k, i, len(got), len(want))
@@ -304,12 +298,9 @@ func TestShardedCorrectnessAcrossK(t *testing.T) {
 			if sum := st.SeedReads + st.MetadataReads + st.ObjectReads; st.TotalReads != sum {
 				t.Errorf("k=%d query %d: TotalReads %d != category sum %d", k, i, st.TotalReads, sum)
 			}
-			n, cst, err := set.CountQuery(context.Background(), q)
-			if err != nil {
-				t.Fatal(err)
-			}
+			n, cst := countStream(t, set, context.Background(), q)
 			if n != len(want) || cst.Results != n {
-				t.Errorf("k=%d query %d: CountQuery = %d, want %d", k, i, n, len(want))
+				t.Errorf("k=%d query %d: count = %d, want %d", k, i, n, len(want))
 			}
 		}
 		set.Close()
@@ -334,10 +325,7 @@ func TestShardedDiskRoundTrip(t *testing.T) {
 	base := make([]baseline, len(queries))
 	for i, q := range queries {
 		set.DropCache()
-		got, st, err := set.RangeQuery(context.Background(), q)
-		if err != nil {
-			t.Fatal(err)
-		}
+		got, st := collectStream(t, set, context.Background(), q)
 		base[i] = baseline{ids: sortedIDs(got), reads: st.TotalReads}
 	}
 	if err := set.Close(); err != nil {
@@ -364,10 +352,7 @@ func TestShardedDiskRoundTrip(t *testing.T) {
 	}
 	for i, q := range queries {
 		re.DropCache()
-		got, st, err := re.RangeQuery(context.Background(), q)
-		if err != nil {
-			t.Fatal(err)
-		}
+		got, st := collectStream(t, re, context.Background(), q)
 		if !equalIDs(sortedIDs(got), base[i].ids) {
 			t.Fatalf("query %d: reopened results differ", i)
 		}
@@ -413,9 +398,7 @@ func TestSharedCacheBudgetIsGlobal(t *testing.T) {
 	}
 	// Query broadly to touch many pages in every shard.
 	for _, q := range testQueries(r, 40) {
-		if _, _, err := set.CountQuery(context.Background(), q); err != nil {
-			t.Fatal(err)
-		}
+		countStream(t, set, context.Background(), q)
 	}
 	// The lock-striped pool enforces its budget per stripe (min one
 	// frame each), so allow the documented slack above the budget.
@@ -449,20 +432,14 @@ func TestPruneDirectory(t *testing.T) {
 	if len(sel) == 0 || len(sel) == set.NumShards() {
 		t.Fatalf("pruning ineffective: %d of %d shards selected", len(sel), set.NumShards())
 	}
-	got, _, err := set.RangeQuery(context.Background(), q)
-	if err != nil {
-		t.Fatal(err)
-	}
+	got, _ := collectStream(t, set, context.Background(), q)
 	if !equalIDs(sortedIDs(got), brute(orig, q)) {
 		t.Error("pruned query returned wrong results")
 	}
 
 	// A query in empty space touches nothing.
 	far := geom.Box(geom.V(40, 40, 40), geom.V(45, 45, 45))
-	n, st, err := set.CountQuery(context.Background(), far)
-	if err != nil {
-		t.Fatal(err)
-	}
+	n, st := countStream(t, set, context.Background(), far)
 	if len(set.Prune(far)) != 0 || n != 0 || st.TotalReads != 0 {
 		t.Errorf("empty-space query: %d shards, %d results, %d reads", len(set.Prune(far)), n, st.TotalReads)
 	}
@@ -483,10 +460,7 @@ func TestBuildErrors(t *testing.T) {
 	if set.NumShards() != 3 || set.Len() != 3 {
 		t.Errorf("tiny build: %d shards, %d elements", set.NumShards(), set.Len())
 	}
-	got, _, err := set.RangeQuery(context.Background(), geom.Box(geom.V(-1000, -1000, -1000), geom.V(1000, 1000, 1000)))
-	if err != nil {
-		t.Fatal(err)
-	}
+	got, _ := collectStream(t, set, context.Background(), geom.Box(geom.V(-1000, -1000, -1000), geom.V(1000, 1000, 1000)))
 	if len(got) != 3 {
 		t.Errorf("full query returned %d of 3", len(got))
 	}

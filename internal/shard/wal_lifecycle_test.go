@@ -50,10 +50,7 @@ func buildWALSet(t *testing.T, els []geom.Element, dir string) *Set {
 
 func queryIDs(t *testing.T, set *Set, q geom.MBR) []uint64 {
 	t.Helper()
-	els, _, err := set.RangeQuery(context.Background(), q)
-	if err != nil {
-		t.Fatal(err)
-	}
+	els, _ := collectStream(t, set, context.Background(), q)
 	return sortedIDs(els)
 }
 

@@ -1,7 +1,6 @@
 package storage_test
 
 import (
-	"bytes"
 	"encoding/binary"
 	"math"
 	"math/rand"
@@ -147,40 +146,6 @@ func TestDecodeObjectPageAllocatesNothing(t *testing.T) {
 		})
 		if n != 0 {
 			t.Errorf("decode of a flags-%d page: %v allocations, want 0", page[1], n)
-		}
-	}
-}
-
-// TestObjectPageV1ByteIdentical pins the compatibility contract: the v1
-// encoder must produce exactly the bytes rtree.EncodeNode always wrote,
-// so pre-v2 index files and new v1 builds are interchangeable.
-func TestObjectPageV1ByteIdentical(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	els := randomElements(rng, storage.ObjectPageCapacityV1, 100)
-
-	var viaStorage, viaRtree [storage.PageSize]byte
-	if err := storage.EncodeObjectPage(viaStorage[:], storage.PageFormatV1, els); err != nil {
-		t.Fatal(err)
-	}
-	entries := make([]rtree.NodeEntry, len(els))
-	for i, e := range els {
-		entries[i] = rtree.NodeEntry{Box: e.Box, Ref: e.ID}
-	}
-	rtree.EncodeNode(viaRtree[:], true, entries)
-	if !bytes.Equal(viaStorage[:], viaRtree[:]) {
-		t.Fatal("v1 object page differs from rtree leaf encoding")
-	}
-
-	dec, err := storage.DecodeObjectPageInto(viaStorage[:], nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(dec) != len(els) {
-		t.Fatalf("decoded %d elements, want %d", len(dec), len(els))
-	}
-	for i := range dec {
-		if dec[i] != els[i] {
-			t.Fatalf("element %d: got %+v want %+v", i, dec[i], els[i])
 		}
 	}
 }
