@@ -110,7 +110,7 @@ func TestShardedColdReadParityK1(t *testing.T) {
 		fanout, format := tc.fanout, tc.format
 		t.Run(tc.name, func(t *testing.T) {
 			r := rand.New(rand.NewSource(91))
-			els := randomElements(r, 4000)
+			els := randomElements(r, 8000)
 			orig := append([]Element(nil), els...)
 			queries := queryWorkload(r, 25)
 

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"slices"
@@ -84,14 +85,14 @@ func Build(pool storage.Pool, els []geom.Element, opts Options) (*Index, error) 
 
 	// Phase 2: neighborhood computation (paper: "Finding Neighbors" in
 	// Figure 10) over an in-memory tree, discarded afterwards. It runs on
-	// the partition MBRs as the metadata pages will store them, rounded
-	// outward to the world's cells, so the relation the crawl follows is
-	// the one between the boxes it reads.
+	// the partition MBRs in world cells, widened by the largest rounding
+	// a page frame can add (widenCells), so it holds between the boxes
+	// the crawl reads whatever page a record lands on.
 	t1 := time.Now()
 	cells := make([]geom.MBR, len(parts))
 	boxes := make([]geom.MBR, len(parts))
 	for i, p := range parts {
-		cells[i], boxes[i] = p.Cell, ix.quant.Box(ix.quant.Cells(p.PartitionMBR))
+		cells[i], boxes[i] = p.Cell, ix.quant.Box(widenCells(ix.quant.Cells(p.PartitionMBR)))
 	}
 	neighborIdx, links := Neighbors(cells, boxes)
 	ix.build.NeighborTime = time.Since(t1)
@@ -173,27 +174,10 @@ func (ix *Index) write(parts []str.Partition, neighborIdx [][]int) error {
 	}
 	ix.objectPages = len(parts)
 
-	// Metadata records, then their page assignment, at the narrowest ref
-	// width that addresses the pages they fill.
-	var (
-		records   []*pendingRecord
-		primaries []*pendingRecord // by partition index
-		groups    [][2]int
-		w         int
-	)
-	for w = minRefWidth; ; w++ {
-		var err error
-		records, primaries, groups, err = ix.layoutRecords(parts, neighborIdx, w)
-		if err != nil {
-			return err
-		}
-		if len(groups) <= maxMetaPages(w) {
-			break
-		}
-		if w == maxRefWidth {
-			return fmt.Errorf("core: %d metadata pages exceed the %d a %d-byte ref addresses", len(groups), maxMetaPages(w), w)
-		}
-	}
+	// Metadata records and their page assignment, then per page its
+	// frame, and per partition its cells rounded to its own page's
+	// frame: what every pointer to it stores a box around.
+	records, groups := ix.layoutRecords(parts, neighborIdx)
 	for g := range groups {
 		id, err := ix.pool.Alloc(storage.CatMetadata)
 		if err != nil {
@@ -204,16 +188,25 @@ func (ix *Index) write(parts []str.Partition, neighborIdx [][]int) error {
 		}
 	}
 	ix.metadataPages = len(groups)
-	// Neighbor pointers are resolved now that packing fixed every
-	// record's (page, slot): each carries its neighbor's ref and the box
-	// of its partition cells.
-	for _, m := range records {
-		for j, k := range m.nbIdx {
-			m.neighbors[j] = pendingNeighbor{ref: primaries[k].self, box: neighborBox(primaries[k].partCells)}
+	frames := make([][6]uint32, len(groups))
+	pageBoxes := make([]geom.MBR, len(groups)) // decoded page MBRs' union
+	for g, span := range groups {
+		frames[g] = frameBase(records[span[0]:span[1]])
+		rf, err := newRecordFrames(frames[g])
+		if err != nil {
+			return err
+		}
+		pageBoxes[g] = geom.EmptyMBR()
+		for _, m := range records[span[0]:span[1]] {
+			if m.objOrd != noObject {
+				var pageCells [6]uint32
+				pageCells, m.decodedPart = rf.cells(rf.values(m.pageCells, m.partCells))
+				pageBoxes[g] = pageBoxes[g].Union(ix.quant.Box(pageCells))
+			}
 		}
 	}
 	for g, span := range groups {
-		encodeMetaPage(buf, records[span[0]:span[1]], w)
+		encodeMetaPage(buf, records[span[0]:span[1]], frames[g], metaBoxBits)
 		if err := ix.pool.Write(ix.metaStart()+storage.PageID(g), buf); err != nil {
 			return err
 		}
@@ -226,23 +219,13 @@ func (ix *Index) write(parts []str.Partition, neighborIdx [][]int) error {
 	// entry) — as the page stores them, rounded outward, so the key
 	// bounds every page MBR a query decodes beneath it.
 	seedEntries := make([]rtree.NodeEntry, len(groups))
-	for g, span := range groups {
-		box := geom.EmptyMBR()
-		for i := span[0]; i < span[1]; i++ {
-			if records[i].objOrd != noObject {
-				box = box.Union(ix.quant.Box(records[i].pageCells))
-			}
-		}
-		if box.Empty() {
-			// The page holds only overflow records (a very long chain);
-			// key it under its owning primary's box so the seed tree
-			// stays well-formed.
-			for i := span[0] - 1; i >= 0; i-- {
-				if records[i].objOrd != noObject {
-					box = ix.quant.Box(records[i].pageCells)
-					break
-				}
-			}
+	for g := range groups {
+		// A page holding only overflow records (a very long chain) is
+		// keyed under the last page before it with a primary, which
+		// holds the chain's owner, so the seed tree stays well-formed.
+		box := pageBoxes[g]
+		for k := g - 1; box.Empty() && k >= 0; k-- {
+			box = pageBoxes[k]
 		}
 		seedEntries[g] = rtree.NodeEntry{Box: box, Ref: uint64(ix.metaStart() + storage.PageID(g))}
 	}
@@ -259,42 +242,47 @@ func (ix *Index) write(parts []str.Partition, neighborIdx [][]int) error {
 	return nil
 }
 
-// layoutRecords builds the metadata records of parts at ref width w and
-// packs them onto pages. The paper stores the records in the leaves of
-// the seed tree (an R-tree over the page MBRs), so spatially close
-// records share a leaf: we reproduce that by STR-tiling the records in
-// 3D on their page-MBR centers before packing, which is what keeps the
-// crawl's record "shell" on few metadata pages. A neighbor list too long
-// for one record continues in chained overflow records placed right
-// after their primary. It returns the records in on-disk order, the
-// primaries by partition index, and the page groups.
-func (ix *Index) layoutRecords(parts []str.Partition, neighborIdx [][]int, w int) (records, primaries []*pendingRecord, groups [][2]int, err error) {
-	maxInline := maxInlineNeighbors(w)
+// layoutRecords builds the metadata records of parts and packs them
+// onto kind-4 pages. The paper stores the records in the leaves of the
+// seed tree (an R-tree over the page MBRs), so spatially close records
+// share a leaf: we reproduce that by STR-tiling the records in 3D on
+// their page-MBR centers before packing, which is what keeps the crawl's
+// record "shell" on few metadata pages. A neighbor list too long for one
+// record continues in chained overflow records placed right after their
+// primary. It returns the records in on-disk order and the page groups.
+func (ix *Index) layoutRecords(parts []str.Partition, neighborIdx [][]int) (records []*pendingRecord, groups [][2]int) {
+	links := 0
+	for _, nb := range neighborIdx {
+		links += len(nb)
+	}
+	maxInline := maxInlineNeighbors(len(parts), links)
 	overflows := 0
-	primaries = make([]*pendingRecord, len(parts))
+	primaries := make([]*pendingRecord, len(parts))
 	for i, p := range parts {
-		m := &pendingRecord{
+		primaries[i] = &pendingRecord{
 			pageCells: ix.quant.Cells(p.PageMBR),
 			partCells: ix.quant.Cells(p.PartitionMBR),
 			objOrd:    uint32(i),
 			center:    p.PageMBR.Center(),
-			nbIdx:     neighborIdx[i],
 		}
-		rest := m.nbIdx[min(len(m.nbIdx), maxInline):]
-		m.nbIdx = m.nbIdx[:len(m.nbIdx)-len(rest)]
-		m.neighbors = make([]pendingNeighbor, len(m.nbIdx))
-		for prev := m; len(rest) > 0; overflows++ {
-			n := min(len(rest), maxInline)
-			ov := &pendingRecord{objOrd: noObject, nbIdx: rest[:n], neighbors: make([]pendingNeighbor, n)}
-			rest = rest[n:]
+	}
+	for i, m := range primaries {
+		nbs := make([]*pendingRecord, len(neighborIdx[i]))
+		for j, k := range neighborIdx[i] {
+			nbs[j] = primaries[k]
+		}
+		m.nbs, nbs = nbs[:min(len(nbs), maxInline)], nbs[min(len(nbs), maxInline):]
+		for prev := m; len(nbs) > 0; overflows++ {
+			n := min(len(nbs), maxInline)
+			ov := &pendingRecord{objOrd: noObject, nbs: nbs[:n]}
+			nbs = nbs[n:]
 			prev.next = ov
 			prev = ov
 		}
-		primaries[i] = m
 	}
 	ordered := append([]*pendingRecord(nil), primaries...)
 	if !ix.noMetaTiling {
-		tileMetaRecords(ordered, w)
+		tileMetaRecords(ordered, metaBoxBits)
 	}
 	// Final on-disk record order: each primary followed by its chain.
 	records = make([]*pendingRecord, 0, len(parts)+overflows)
@@ -303,7 +291,16 @@ func (ix *Index) layoutRecords(parts []str.Partition, neighborIdx [][]int, w int
 			records = append(records, r)
 		}
 	}
-	groups, err = packMetaPages(records, w)
 	ix.build.OverflowRecords = overflows
-	return records, primaries, groups, err
+	return records, packMetaPages(records, metaBoxBits)
+}
+
+// maxInlineNeighbors is the longest neighbor list one kind-4 record holds
+// in an index of partitions partitions and links neighbor links; longer
+// lists continue in overflow records. It is sized so that a record alone
+// fits a page whatever refs packing gives it: an index has at most one
+// record per partition and link, so no ref gap exceeds that many pages.
+func maxInlineNeighbors(partitions, links int) int {
+	worstGap := uvarintLen(zigzag(int64(partitions+links) << slotBits))
+	return (maxFramedRecord - framedCellsSize - 3*binary.MaxVarintLen64 - 1) * 8 / (8*worstGap + 6*metaBoxBits)
 }

@@ -68,7 +68,7 @@ func TestOverflowChainInvariants(t *testing.T) {
 		if r.ObjectPage == storage.InvalidPage {
 			t.Fatal("Records enumerated an overflow record")
 		}
-		if len(r.Neighbors) > maxInlineNeighbors(minRefWidth) {
+		if len(r.Neighbors) > maxInlineNeighbors(ix.NumPartitions(), ix.BuildStats().NeighborLinks) {
 			sawLong = true
 		}
 		if len(r.NeighborBoxes) != len(r.Neighbors) {

@@ -3,11 +3,13 @@ package core
 import (
 	"context"
 	"math/rand"
+	"slices"
 	"sort"
 	"sync"
 	"testing"
 
 	"flat/internal/geom"
+	"flat/internal/neuro"
 	"flat/internal/storage"
 	"flat/internal/str"
 )
@@ -637,6 +639,74 @@ func TestBoxedCrawlMatchesBare(t *testing.T) {
 		if gotSt.ObjectReads != wantSt.ObjectReads || gotSt.PagesVisited != wantSt.PagesVisited ||
 			gotSt.RecordsVisited > wantSt.RecordsVisited || gotSt.MetadataReads > wantSt.MetadataReads {
 			t.Fatalf("query %v: boxed %+v, bare %+v", q, gotSt, wantSt)
+		}
+		skipped += wantSt.RecordsVisited - gotSt.RecordsVisited
+	}
+	if skipped == 0 {
+		t.Fatal("the boxes skipped no record on any query")
+	}
+}
+
+// TestFramedCrawlMatchesBare is TestBoxedCrawlMatchesBare on the pages
+// the served configuration writes — neuron segments, v2 object pages,
+// full metadata pages, so every page frame spans many partitions and a
+// box has b bits against it: from the same pages, the kind-4 boxes
+// change no emission and no object read, only skip records. Every
+// stored box contains its neighbor's decoded partition MBR, and every
+// decoded page MBR lies inside its partition MBR.
+func TestFramedCrawlMatchesBare(t *testing.T) {
+	world := geom.Box(geom.V(0, 0, 0), geom.V(12, 12, 12))
+	els := neuro.Generate(neuro.Config{Seed: 5, Volume: world, TargetElements: 30000}).Elements
+	opts := Options{World: world, PageFormat: storage.PageFormatV2}
+	framed, framedPool := buildIndex(t, els, opts)
+	opts.BarePointers = true
+	bare, barePool := buildIndex(t, els, opts)
+	if _, meta, _ := framed.PageCounts(); meta < 4 {
+		t.Fatalf("%d metadata pages: too few for frames to differ", meta)
+	}
+	parts := map[RecordRef]geom.MBR{}
+	err := framed.Records(func(r Record) error {
+		parts[r.Ref] = r.PartitionMBR
+		if !r.PartitionMBR.Contains(r.PageMBR) {
+			t.Fatalf("record %v: page MBR %v outside partition %v", r.Ref, r.PageMBR, r.PartitionMBR)
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	err = framed.Records(func(r Record) error {
+		for i, n := range r.Neighbors {
+			if !r.NeighborBoxes[i].Contains(parts[n]) {
+				t.Fatalf("record %v: box %v of neighbor %v misses its partition %v", r.Ref, r.NeighborBoxes[i], n, parts[n])
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := rand.New(rand.NewSource(193))
+	skipped := 0
+	for i := 0; i < 80; i++ {
+		side := 0.2 + r.Float64()*r.Float64()*4
+		q := geom.CubeAt(geom.V(r.Float64()*12, r.Float64()*12, r.Float64()*12), side)
+		framedPool.DropFrames()
+		got, gotSt, err := framed.RangeQuery(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		barePool.DropFrames()
+		want, wantSt, err := bare.RangeQuery(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !slices.Equal(got, want) {
+			t.Fatalf("query %v: framed crawl emitted %d elements, bare %d, or in another order", q, len(got), len(want))
+		}
+		if gotSt.ObjectReads != wantSt.ObjectReads || gotSt.PagesVisited != wantSt.PagesVisited ||
+			gotSt.RecordsVisited > wantSt.RecordsVisited || gotSt.MetadataReads > wantSt.MetadataReads {
+			t.Fatalf("query %v: framed %+v, bare %+v", q, gotSt, wantSt)
 		}
 		skipped += wantSt.RecordsVisited - gotSt.RecordsVisited
 	}

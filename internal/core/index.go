@@ -146,6 +146,20 @@ func (ix *Index) PageCounts() (object, metadata, seedInternal int) {
 	return ix.objectPages, ix.metadataPages, ix.seedInternal
 }
 
+// MetadataKind returns the kind of the index's metadata pages (see
+// metadata.go): one Build writes them all, so the first page's tells.
+func (ix *Index) MetadataKind() (int, error) {
+	var p metaPage
+	page, err := ix.pool.Read(ix.metaStart())
+	if err == nil {
+		err = p.parse(page)
+	}
+	if err != nil {
+		return 0, err
+	}
+	return int(p.kind), nil
+}
+
 // SizeBytes returns the total on-disk footprint of the index.
 func (ix *Index) SizeBytes() uint64 {
 	return uint64(ix.objectPages+ix.metadataPages+ix.seedInternal) * storage.PageSize

@@ -1,9 +1,12 @@
 package core
 
 import (
+	"cmp"
 	"encoding/binary"
 	"fmt"
 	"math"
+	"math/bits"
+	"slices"
 
 	"flat/internal/geom"
 	"flat/internal/storage"
@@ -14,7 +17,8 @@ import (
 // the upper 48 bits and the slot within the page in the lower 16. This is
 // the "pointer to the neighbor's metadata record" of Section V-B.2 —
 // following it costs at most one (possibly buffered) page read. It is the
-// in-memory form; a kind-3 page stores refs narrower (see below).
+// in-memory form; kind-3 and kind-4 pages store refs narrower (see
+// below).
 type RecordRef uint64
 
 // makeRef packs a page id and slot into a RecordRef.
@@ -37,52 +41,78 @@ func (r RecordRef) String() string { return fmt.Sprintf("meta(%d:%d)", r.Page(),
 // noRef marks "no record" (used for the overflow chain terminator).
 const noRef = RecordRef(^uint64(0))
 
-// Metadata pages. Both kinds share a header and a slot directory, which
-// gives O(1) access to a record by slot — the crawl's cost of following
-// a RecordRef:
+// Metadata pages. Every kind starts with a 4-byte header, and a slot
+// directory gives O(1) access to a record by slot — the crawl's cost of
+// following a RecordRef:
 //
 //	[kind u8][w u8][count u16]                4-byte header
 //	[offset u16 x count]                      slot directory
 //	[record x count]                          variable-size records
 //
 // Kind 2 is the paper's layout (Section V-B.2): full float64 MBRs and
-// bare u64 pointers. It is no longer written; pages of indexes built
-// before kind 3 existed decode through the same reader. Its w byte is 0.
+// bare u64 pointers. Its w byte is 0.
 //
 //	PageMBR 6×f64 | PartitionMBR 6×f64 | object page u64 | overflow ref u64
 //	| neighbor count u32 | count × ref u64                   (116 + 8n bytes)
 //
-// Kind 3 is what Build writes. MBRs are six u32 cells each, quantized
-// against the index world by storage.Quantizer (mins round down, maxes
-// store their distance from the world top, rounded down), so a decoded
-// box contains the exact one. Pages and records are addressed by
-// ordinals: the object page counts from objStart (all ones: an overflow
-// continuation, which has none), and a ref is its record's metadata-page
-// ordinal, counted from metaStart = objStart + objectPages, shifted left
-// slotBits and or'd with the slot (all ones: no record). w, the ref
-// width in bytes, is the smallest of 2, 3 and 4 that addresses every
-// metadata page of the index. Each neighbor pointer carries a 6-byte box:
-// per axis the top byte of the neighbor's min cell and of its max cell,
-// which contains the neighbor's decoded PartitionMBR — so a crawl can
-// tell a neighbor's partition misses the query without reading it.
+// Kind 3 quantizes MBRs to six u32 cells each against the index world
+// with storage.Quantizer (mins round down, maxes store their distance
+// from the world top, rounded down), so a decoded box contains the exact
+// one. Pages and records are addressed by ordinals: the object page
+// counts from objStart (all ones: an overflow continuation, which has
+// none), and a ref is its record's metadata-page ordinal, counted from
+// metaStart = objStart + objectPages, shifted left slotBits and or'd
+// with the slot (all ones: no record). w, the ref width in bytes, is the
+// smallest of 2, 3 and 4 that addresses every metadata page of the
+// index. Each neighbor pointer carries a 6-byte box: per face the top
+// byte of the neighbor's cell, which contains the neighbor's decoded
+// PartitionMBR — so a crawl can tell a neighbor's partition misses the
+// query without reading it.
 //
 //	PageMBR 6×u32 | PartitionMBR 6×u32 | object ordinal u32 | overflow ref w
 //	| neighbor count u16 | count × { ref w | box 6×u8 }   (54 + w + (w+6)n bytes)
 //
-// The boxed pointer extends the paper, whose pointers are bare.
+// Kind 4 is what Build writes. Its header's second byte is b, the bits
+// per face of a neighbor box, and a frame follows the header: six world
+// cells (Quantizer.Cells' order) of the union of every widened partition
+// box (widenCells) the page's records and their neighbors name. The
+// directory has one more entry, the end of the last record, so every
+// record's bytes are bounded.
+//
+//	[4][b u8][count u16] | frame 6×u32 | offset u16 × (count+1) | records
+//
+//	PageMBR 6×u24 | PartitionMBR 6×u16 | object uvarint | overflow uvarint
+//	| neighbor count uvarint | boxes ⌈6bn/8⌉ bytes | n × ref gap uvarint
+//
+// The MBRs are values against the frame, pageCellBits and partCellBits
+// per face (boxFrame: value v of face f stands for the frame's cell plus
+// v steps, rounded outward), so each contains the box kind 3 would
+// store. The object field is the ordinal plus one (0: an overflow
+// continuation); the overflow field is the zigzag difference of the
+// continuation's ref and the record's own (0: none). Refs are kind 3's
+// ordinal<<slotBits|slot, sorted: the first stored as a zigzag
+// difference from the record's own ref, each later one as the gap from
+// the one before (the gap coding of WebGraph's adjacency lists, Boldi
+// and Vigna, WWW 2004). Neighbor i's box is 6b bits at bit 6bi of the
+// box run, b bits per face against the frame, and contains the
+// neighbor's decoded PartitionMBR.
+//
+// Boxed pointers extend the paper, whose pointers are bare.
 const (
-	metaKindBare  = 2
-	metaKindBoxed = 3
+	metaKindBare   = 2
+	metaKindBoxed  = 3
+	metaKindFramed = 4
 
 	// metaPageOverhead is the fixed header size; each record additionally
 	// costs 2 bytes of slot directory.
 	metaPageOverhead = 4
-	// maxRecordSize is the largest record that fits an otherwise empty page.
+	// maxRecordSize is the largest kind-2 or kind-3 record that fits an
+	// otherwise empty page.
 	maxRecordSize = storage.PageSize - metaPageOverhead - 2
 
 	bareHeaderSize = 2*storage.MBRSize + 8 + 8 + 4
 	bareRefWidth   = 8 // a kind-2 ref is a whole RecordRef
-	boxSize        = 6 // per axis the min byte, then per axis the max byte
+	boxSize        = 6 // kind 3: per axis the min byte, then per axis the max byte
 
 	slotBits            = 7
 	minRefWidth         = 2
@@ -93,24 +123,37 @@ const (
 	maxBoxedRecords     = (storage.PageSize - metaPageOverhead) / (2 + boxedCellsAndObject + minRefWidth + 2)
 	_                   = uint(1<<slotBits - 1 - maxBoxedRecords) // every slot fits slotBits, and all ones is no slot
 	boxedCellsAndObject = 2*6*4 + 4
+
+	// Kind 4.
+	frameSize = 6 * 4
+	// framedPageOverhead is a kind-4 page's fixed bytes: header, frame
+	// and the directory's end entry.
+	framedPageOverhead = metaPageOverhead + frameSize + 2
+	maxFramedRecords   = 1<<slotBits - 1
+	maxFramedRecord    = storage.PageSize - framedPageOverhead - 2
+	// A record's page MBR is stored at pageCellBits bits per face and
+	// its partition MBR at partCellBits. The page MBR decides which
+	// object pages a query reads, so it keeps the precision at which no
+	// query of the benchmarks reads an object page kind 3 would not; the
+	// partition MBR only decides which records are expanded.
+	pageCellBits    = 24
+	partCellBits    = 16
+	framedCellsSize = 6 * (pageCellBits + partCellBits) / 8
+	_               = uint(pageCellBits-24) + uint(24-pageCellBits) + uint(partCellBits-16) + uint(16-partCellBits) // metaPage.framed's loads
+	// metaBoxBits is the b Build writes: a neighbor's box costs 3.75
+	// bytes, against 6 on kind 3. Of b = 4, 5, 6 and 8 it read the
+	// fewest pages at 1.35M elements (README, metadata pages).
+	metaBoxBits = 5
+	maxBoxBits  = 8
 )
 
 // boxedHeaderSize is the fixed part of a kind-3 record with w-byte refs.
 func boxedHeaderSize(w int) int { return boxedCellsAndObject + w + 2 }
 
-// maxInlineNeighbors is the longest neighbor list one kind-3 record with
-// w-byte refs holds; longer lists continue in overflow records.
-func maxInlineNeighbors(w int) int {
-	return (maxRecordSize - boxedHeaderSize(w)) / (w + boxSize)
-}
-
-// maxMetaPages is how many metadata pages w-byte refs address.
-func maxMetaPages(w int) int { return 1 << (8*w - slotBits) }
-
 // noRefBits is the stored form of noRef at width w: all ones.
 func noRefBits(w int) uint64 { return 1<<(8*w) - 1 }
 
-// metaLayout is what a kind-3 record means beyond its page bytes: the
+// metaLayout is what a metadata record means beyond its page bytes: the
 // world its cells quantize against and the page runs its ordinals count
 // from. Build fixes it before writing a page; OpenFrom restores it from
 // the superblock.
@@ -126,8 +169,9 @@ func (l *metaLayout) metaStart() storage.PageID {
 	return l.objStart + storage.PageID(l.objectPages)
 }
 
-// ref resolves a stored kind-3 ref. A ref outside the index's metadata
-// run is an error, so a corrupt ref cannot name another shard's page.
+// ref resolves a stored kind-3 or kind-4 ref. A ref outside the index's
+// metadata run is an error, so a corrupt ref cannot name another shard's
+// page.
 func (l *metaLayout) ref(v uint64) (RecordRef, error) {
 	ord := v >> slotBits
 	if ord >= uint64(l.metadataPages) {
@@ -136,9 +180,132 @@ func (l *metaLayout) ref(v uint64) (RecordRef, error) {
 	return makeRef(l.metaStart()+storage.PageID(ord), int(v&(1<<slotBits-1))), nil
 }
 
+// stored is r's stored form (kinds 3 and 4); r must lie in the
+// metadata run.
+func (l *metaLayout) stored(r RecordRef) uint64 {
+	ord := uint64(r.Page() - l.metaStart()) // a count of pages, not an id
+	return ord<<slotBits | uint64(r.Slot())
+}
+
+// boxFrame maps stored box values to world cells: value v of face f (in
+// Quantizer.Cells' order: three min cells, then three max distances)
+// stands for cell base[f] + v·step[f%3], capped at the largest cell.
+// Both kinds of face round toward a smaller cell, which is outward, so a
+// box stored at its largest values not above its cells contains them.
+type boxFrame struct {
+	base [6]uint64
+	step [3]uint64
+	bits uint // bits per value
+}
+
+// worldFrame is kind 3's box frame: the top byte of each world cell.
+var worldFrame = boxFrame{step: [3]uint64{1 << 24, 1 << 24, 1 << 24}, bits: 8}
+
+// newFrame returns the frame of bits-bit values over the box whose
+// world cells are base: per axis, steps of the box's extent in cells
+// divided by 2^bits, rounded up so that every cell of the box is at
+// most 2^bits−1 steps from its base. A box whose min cell lies above
+// its max (an inverted frame) is an error.
+func newFrame(base [6]uint32, bits uint) (boxFrame, error) {
+	fr := boxFrame{bits: bits}
+	for a := 0; a < 3; a++ {
+		ext := int64(1)<<32 - int64(base[a]) - int64(base[3+a])
+		if ext < 0 {
+			return fr, fmt.Errorf("core: corrupt metadata page: inverted frame on axis %d", a)
+		}
+		fr.step[a] = uint64(ext)>>bits + 1
+	}
+	for f, c := range base {
+		fr.base[f] = uint64(c)
+	}
+	return fr, nil
+}
+
+// cell returns the world cell value v of face f stands for.
+func (fr *boxFrame) cell(f int, v uint64) uint32 {
+	return uint32(min(fr.base[f]+v*fr.step[f%3], math.MaxUint32))
+}
+
+// value returns the stored form of face f's cell c: the largest value
+// whose cell is not above c. c must not lie below the frame's base.
+func (fr *boxFrame) value(f int, c uint32) uint64 {
+	return min((uint64(c)-fr.base[f])/fr.step[f%3], 1<<fr.bits-1)
+}
+
+// box decodes six stored values.
+func (fr *boxFrame) box(q *storage.Quantizer, v [6]uint8) geom.MBR {
+	var c [6]uint32
+	for f := range c {
+		c[f] = fr.cell(f, uint64(v[f]))
+	}
+	return q.Box(c)
+}
+
+// limits returns, per face, how many stored values of a box frame
+// (bits ≤ 8) decode to a cell below the query's cell limit lim
+// (Quantizer.CellLimits): a box meets the query exactly when each of
+// its values is below its limit.
+func (fr *boxFrame) limits(lim *[6]uint64) [6]uint16 {
+	var out [6]uint16
+	top := uint64(1) << fr.bits
+	for f, l := range lim {
+		switch {
+		case l > math.MaxUint32: // every cell, capped ones included
+			out[f] = uint16(top)
+		case l > fr.base[f]:
+			step := fr.step[f%3]
+			out[f] = uint16(min((l-fr.base[f]+step-1)/step, top))
+		}
+	}
+	return out
+}
+
+// recordFrames are the frames a kind-4 page's record MBRs count from.
+type recordFrames struct{ page, part boxFrame }
+
+func newRecordFrames(base [6]uint32) (recordFrames, error) {
+	page, err := newFrame(base, pageCellBits)
+	part, _ := newFrame(base, partCellBits) // same extents: cannot fail
+	return recordFrames{page, part}, err
+}
+
+// cells decodes a record's stored page and partition values. The page
+// cells are clipped to the partition's, so that the decoded page MBR
+// lies inside the decoded partition MBR as the exact ones do; both still
+// contain the exact page MBR.
+func (rf *recordFrames) cells(pageV, partV [6]uint64) (page, part [6]uint32) {
+	for f := range page {
+		part[f] = rf.part.cell(f, partV[f])
+		page[f] = max(rf.page.cell(f, pageV[f]), part[f])
+	}
+	return page, part
+}
+
+// values returns the stored values of a record's page and partition
+// cells.
+func (rf *recordFrames) values(page, part [6]uint32) (pageV, partV [6]uint64) {
+	for f := range page {
+		pageV[f], partV[f] = rf.page.value(f, page[f]), rf.part.value(f, part[f])
+	}
+	return pageV, partV
+}
+
+// widenCells returns c grown outward by the largest step a record frame
+// can have, so that it contains c rounded to any frame that holds it.
+// Build derives the neighbor relation and the page frames from widened
+// partition cells, neither of which then depends on how records land on
+// pages.
+func widenCells(c [6]uint32) [6]uint32 {
+	const margin = 1 << (32 - min(pageCellBits, partCellBits))
+	for f := range c {
+		c[f] -= min(c[f], margin)
+	}
+	return c
+}
+
 // metaRecord is the decoded form of one metadata record: the per-page
 // summary FLAT stores in the seed tree leaves (Section V-B.2). Its
-// neighbor list stays in place on the page; neighbor reads it.
+// neighbor list stays in place on the page; eachInline reads it.
 //
 // A partition whose neighbor list does not fit one record (possible with
 // extremely elongated elements whose partition MBR spans many cells)
@@ -153,20 +320,117 @@ type metaRecord struct {
 	Overflow     RecordRef // continuation record, noRef if none
 	Neighbors    int       // records of all partitions intersecting PartitionMBR
 
-	list []byte // the neighbor entries, on the page
-	w    int    // ref width: bareRefWidth on a kind-2 page, 2..4 on kind 3
+	kind, w uint8     // w: kind 3's ref width, kind 4's box bits
+	list    []byte    // kinds 2 and 3: the neighbor entries; kind 4: boxes, then ref gaps
+	gaps    int       // kind 4: where the ref gaps start in list
+	self    uint64    // kind 4: the record's own stored ref
+	base    [6]uint32 // kind 4: the page's frame
 }
 
-// neighbor returns neighbor i's ref and, on a kind-3 page, the six bytes
-// of its box (nil on kind 2, whose pointers carry none).
-func (m *metaRecord) neighbor(i int, l *metaLayout) (RecordRef, []byte, error) {
-	if m.w == bareRefWidth {
-		return RecordRef(binary.LittleEndian.Uint64(m.list[bareRefWidth*i:])), nil, nil
+// boxFrame returns the frame m's neighbor boxes count from: kind 3's
+// world frame, or kind 4's page frame at the page's box bits.
+func (m *metaRecord) boxFrame() boxFrame {
+	if m.kind == metaKindBoxed {
+		return worldFrame
 	}
-	e := m.list[i*(m.w+boxSize):]
-	ref, err := l.ref(uintN(e, m.w))
-	return ref, e[m.w : m.w+boxSize], err
+	fr, _ := newFrame(m.base, uint(m.w)) // validated with the page
+	return fr
 }
+
+// nbBox is one neighbor pointer's box as eachNeighbor hands it out: six
+// stored values and the frame they count from; fr is nil on a kind-2
+// page, whose pointers are bare.
+type nbBox struct {
+	v  [6]uint8
+	fr *boxFrame
+}
+
+// eachInline hands visit every neighbor of m's own list in stored
+// order, with the box its pointer carries: values counted from fr (nil
+// on a kind-2 page). With lim set (the box limits of m's page,
+// boxFilter.pageLimits) it skips every neighbor whose box is not within
+// lim.
+func (m *metaRecord) eachInline(l *metaLayout, fr *boxFrame, lim *[6]uint16, visit func(n RecordRef, box nbBox) error) error {
+	box := nbBox{fr: fr}
+	switch m.kind {
+	case metaKindBare:
+		for i := 0; i < m.Neighbors; i++ {
+			if err := visit(RecordRef(binary.LittleEndian.Uint64(m.list[bareRefWidth*i:])), box); err != nil {
+				return err
+			}
+		}
+	case metaKindBoxed:
+		w := int(m.w)
+		for i := 0; i < m.Neighbors; i++ {
+			e := m.list[i*(w+boxSize):]
+			ref, err := l.ref(uintN(e, w))
+			if err != nil {
+				return err
+			}
+			box.v = [6]uint8(e[w : w+boxSize])
+			if lim != nil && !box.within(lim) {
+				continue
+			}
+			if err := visit(ref, box); err != nil {
+				return err
+			}
+		}
+	default:
+		v, gaps := m.self, m.list[m.gaps:]
+		b := uint(m.w)
+		mask := uint64(1)<<b - 1
+		// The five shifts, masked so that the compiler emits no
+		// over-wide check: 5b < 64.
+		s1, s2, s3, s4, s5 := b&63, 2*b&63, 3*b&63, 4*b&63, 5*b&63
+		for i := 0; i < m.Neighbors; i++ {
+			var g uint64
+			if len(gaps) > 0 && gaps[0] < 0x80 { // most gaps take one byte
+				g, gaps = uint64(gaps[0]), gaps[1:]
+			} else {
+				var k int
+				if g, k = binary.Uvarint(gaps); k <= 0 {
+					return fmt.Errorf("core: corrupt metadata page: neighbor %d's ref runs past its record", i)
+				}
+				gaps = gaps[k:]
+			}
+			if i == 0 {
+				g = uint64(unzigzag(g))
+			}
+			v += g
+			ref, err := l.ref(v)
+			if err != nil {
+				return err
+			}
+			// Six b-bit values from bit 6bi: at most 55 bits from the
+			// byte holding the first, read in one load where the page
+			// has eight bytes from there.
+			bit := 6 * b * uint(i)
+			var word uint64
+			if off := int(bit / 8); off+8 <= cap(m.list) {
+				word = binary.LittleEndian.Uint64(m.list[off : off+8])
+			} else {
+				for j := int((bit + 6*b + 7) / 8); j > off; j-- {
+					word = word<<8 | uint64(m.list[j-1])
+				}
+			}
+			word >>= bit & 7
+			box.v = [6]uint8{uint8(word & mask), uint8(word >> s1 & mask), uint8(word >> s2 & mask),
+				uint8(word >> s3 & mask), uint8(word >> s4 & mask), uint8(word >> s5 & mask)}
+			if lim != nil && !box.within(lim) {
+				continue
+			}
+			if err := visit(ref, box); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
+}
+
+// zigzag maps a signed difference to an unsigned varint payload.
+func zigzag(d int64) uint64 { return uint64(d<<1) ^ uint64(d>>63) }
+
+func unzigzag(u uint64) int64 { return int64(u>>1) ^ -int64(u&1) }
 
 // uintN reads a w-byte little-endian unsigned integer from b.
 func uintN(b []byte, w int) uint64 {
@@ -177,63 +441,90 @@ func uintN(b []byte, w int) uint64 {
 	return v
 }
 
-// metaPageRecordCount returns the number of records on a metadata page.
-// Data pages carry no checksum, so every on-page value the decoders
-// below index or allocate by is bounds-checked first: a corrupt page
-// must fail the query, not the process.
-func metaPageRecordCount(page []byte) (int, error) {
-	_, count, err := metaHeader(page)
-	return count, err
+// metaPage is a metadata page whose header is validated: what decoding
+// any of its records needs. Data pages carry no checksum, so every
+// on-page value the decoders below index or allocate by is
+// bounds-checked first: a corrupt page must fail the query, not the
+// process.
+type metaPage struct {
+	bytes []byte
+	kind  uint8
+	w     uint8 // kind 3's ref width, kind 4's box bits
+	count int
+	base  [6]uint32    // kind 4: the frame
+	rf    recordFrames // kind 4
 }
 
-// metaHeader validates a metadata page's header and returns its ref
-// width (bareRefWidth for kind 2) and record count.
-func metaHeader(page []byte) (w, count int, err error) {
+// parse validates page's header.
+func (p *metaPage) parse(page []byte) error {
 	if len(page) < storage.PageSize {
-		return 0, 0, fmt.Errorf("core: metadata page of %d bytes", len(page))
+		return fmt.Errorf("core: metadata page of %d bytes", len(page))
 	}
-	count = int(binary.LittleEndian.Uint16(page[2:]))
+	p.bytes, p.kind, p.w = page, page[0], page[1]
+	p.count = int(binary.LittleEndian.Uint16(page[2:]))
 	limit := maxBoxedRecords
-	switch kind := page[0]; kind {
+	switch p.kind {
 	case metaKindBare:
-		w, limit = bareRefWidth, maxBareRecords
+		limit = maxBareRecords
 	case metaKindBoxed:
-		w = int(page[1])
-		if w < minRefWidth || w > maxRefWidth {
-			return 0, 0, fmt.Errorf("core: corrupt metadata page: ref width %d not in [%d,%d]", w, minRefWidth, maxRefWidth)
+		if p.w < minRefWidth || p.w > maxRefWidth {
+			return fmt.Errorf("core: corrupt metadata page: ref width %d not in [%d,%d]", p.w, minRefWidth, maxRefWidth)
+		}
+	case metaKindFramed:
+		if p.w < 1 || p.w > maxBoxBits {
+			return fmt.Errorf("core: corrupt metadata page: %d-bit boxes not in [1,%d]", p.w, maxBoxBits)
+		}
+		limit = maxFramedRecords
+		for f := range p.base {
+			p.base[f] = binary.LittleEndian.Uint32(page[metaPageOverhead+4*f:])
+		}
+		var err error
+		if p.rf, err = newRecordFrames(p.base); err != nil {
+			return err
 		}
 	default:
-		return 0, 0, fmt.Errorf("core: page is not a metadata page (kind %d)", kind)
+		return fmt.Errorf("core: page is not a metadata page (kind %d)", p.kind)
 	}
-	if count > limit {
-		return 0, 0, fmt.Errorf("core: corrupt metadata page: %d records exceed the %d a page holds", count, limit)
+	if p.count > limit {
+		return fmt.Errorf("core: corrupt metadata page: %d records exceed the %d a page holds", p.count, limit)
 	}
-	return w, count, nil
+	return nil
 }
 
-// decodeMetaRecord reads the record at slot from a metadata page of
-// either kind. It allocates nothing: the neighbor list stays on the page.
-func decodeMetaRecord(page []byte, slot int, l *metaLayout) (metaRecord, error) {
-	w, count, err := metaHeader(page)
-	if err != nil {
-		return metaRecord{}, err
+// decodeMetaRecord reads record ref from its metadata page, of any
+// kind, into m.
+func decodeMetaRecord(page []byte, ref RecordRef, l *metaLayout, m *metaRecord) error {
+	var p metaPage
+	if err := p.parse(page); err != nil {
+		return err
 	}
-	if slot < 0 || slot >= count {
-		return metaRecord{}, fmt.Errorf("core: metadata slot %d out of range (%d records)", slot, count)
+	return p.record(ref, l, m)
+}
+
+// record reads record ref of the page into m. It allocates nothing: the
+// neighbor list stays on the page.
+func (p *metaPage) record(ref RecordRef, l *metaLayout, m *metaRecord) error {
+	slot := ref.Slot()
+	if slot >= p.count {
+		return fmt.Errorf("core: metadata slot %d out of range (%d records)", slot, p.count)
 	}
+	if p.kind == metaKindFramed {
+		return p.framed(ref, l, m)
+	}
+	page, w := p.bytes, int(p.w)
 	header, stride, maxNeighbors := bareHeaderSize, bareRefWidth, maxBareNeighbors
-	if w != bareRefWidth {
-		header, stride, maxNeighbors = boxedHeaderSize(w), w+boxSize, maxInlineNeighbors(w)
+	if p.kind == metaKindBoxed {
+		header, stride, maxNeighbors = boxedHeaderSize(w), w+boxSize, (maxRecordSize-boxedHeaderSize(w))/(w+boxSize)
 	}
 	off := int(binary.LittleEndian.Uint16(page[metaPageOverhead+2*slot:]))
-	if off < metaPageOverhead+2*count || off+header > storage.PageSize {
-		return metaRecord{}, fmt.Errorf("core: corrupt metadata page: slot %d record offset %d out of range", slot, off)
+	if off < metaPageOverhead+2*p.count || off+header > storage.PageSize {
+		return fmt.Errorf("core: corrupt metadata page: slot %d record offset %d out of range", slot, off)
 	}
 	r := storage.NewPageReader(page)
 	r.Seek(off)
-	m := metaRecord{w: w}
+	m.kind, m.w = p.kind, p.w
 	var n int
-	if w == bareRefWidth {
+	if m.kind == metaKindBare {
 		m.PageMBR = r.MBR()
 		m.PartitionMBR = r.MBR()
 		m.ObjectPage = storage.PageID(r.U64())
@@ -249,18 +540,14 @@ func decodeMetaRecord(page []byte, slot int, l *metaLayout) (metaRecord, error) 
 			cells[i] = r.U32()
 		}
 		m.PartitionMBR = l.quant.Box(cells)
-		switch obj := r.U32(); {
-		case obj == noObject:
-			m.ObjectPage = storage.InvalidPage
-		case int64(obj) >= int64(l.objectPages):
-			return metaRecord{}, fmt.Errorf("core: corrupt metadata page: slot %d names object page %d of %d", slot, obj, l.objectPages)
-		default:
-			m.ObjectPage = l.objStart + storage.PageID(obj)
+		var err error
+		if m.ObjectPage, err = l.object(uint64(r.U32()), noObject, 0); err != nil {
+			return err
 		}
 		m.Overflow = noRef
 		if ov := uintN(page[r.Offset():], w); ov != noRefBits(w) {
 			if m.Overflow, err = l.ref(ov); err != nil {
-				return metaRecord{}, err
+				return err
 			}
 		}
 		r.Seek(r.Offset() + w)
@@ -268,98 +555,253 @@ func decodeMetaRecord(page []byte, slot int, l *metaLayout) (metaRecord, error) 
 	}
 	start := r.Offset()
 	if n > maxNeighbors || start+stride*n > storage.PageSize {
-		return metaRecord{}, fmt.Errorf("core: corrupt metadata page: slot %d lists %d neighbors past the page end", slot, n)
+		return fmt.Errorf("core: corrupt metadata page: slot %d lists %d neighbors past the page end", slot, n)
 	}
 	m.Neighbors = n
 	m.list = page[start : start+stride*n]
-	return m, nil
+	return nil
+}
+
+// object resolves a stored object ordinal: v − shift counts from
+// objStart, and v == none marks an overflow continuation.
+func (l *metaLayout) object(v, none, shift uint64) (storage.PageID, error) {
+	switch {
+	case v == none:
+		return storage.InvalidPage, nil
+	case v-shift >= uint64(l.objectPages):
+		return 0, fmt.Errorf("core: corrupt metadata page: record names object page %d of %d", v-shift, l.objectPages)
+	}
+	return l.objStart + storage.PageID(v-shift), nil
+}
+
+// framedValues reads a kind-4 record's stored page and partition values.
+func framedValues(rec []byte) (pageV, partV [6]uint64) {
+	_ = rec[framedCellsSize-1]
+	for f := range pageV {
+		e := rec[3*f:] // 24-bit page values, then 16-bit partition values
+		pageV[f] = uint64(e[0]) | uint64(e[1])<<8 | uint64(e[2])<<16
+		partV[f] = uint64(binary.LittleEndian.Uint16(rec[18+2*f:]))
+	}
+	return pageV, partV
+}
+
+// pageMeets reports whether record slot's page MBR can intersect the
+// query whose world cell limits (Quantizer.CellLimits) are lim. On a
+// kind-4 page it is exactly whether the decoded page MBR does, read off
+// the stored values without decoding them: its cells are below lim. On
+// other kinds, and at a slot whose offset is corrupt, it is true, and
+// decoding the record decides.
+func (p *metaPage) pageMeets(slot int, lim *[6]uint64) bool {
+	if p.kind != metaKindFramed || slot >= p.count {
+		return true
+	}
+	off := int(binary.LittleEndian.Uint16(p.bytes[framedPageOverhead-2+2*slot:]))
+	if off < framedPageOverhead+2*p.count || off+framedCellsSize > storage.PageSize {
+		return true
+	}
+	page, _ := p.rf.cells(framedValues(p.bytes[off:]))
+	return uint64(page[0]) < lim[0] && uint64(page[1]) < lim[1] && uint64(page[2]) < lim[2] &&
+		uint64(page[3]) < lim[3] && uint64(page[4]) < lim[4] && uint64(page[5]) < lim[5]
+}
+
+// framed is record for a kind-4 page.
+func (p *metaPage) framed(ref RecordRef, l *metaLayout, m *metaRecord) error {
+	slot := ref.Slot()
+	dir := framedPageOverhead - 2 + 2*slot
+	off := int(binary.LittleEndian.Uint16(p.bytes[dir:]))
+	end := int(binary.LittleEndian.Uint16(p.bytes[dir+2:]))
+	if off < framedPageOverhead+2*p.count || off+framedCellsSize > end || end > storage.PageSize {
+		return fmt.Errorf("core: corrupt metadata page: slot %d record [%d,%d) out of range", slot, off, end)
+	}
+	rec := p.bytes[off:end]
+	pageCells, partCells := p.rf.cells(framedValues(rec))
+	m.PageMBR, m.PartitionMBR = l.quant.Box(pageCells), l.quant.Box(partCells)
+	m.kind, m.w, m.base, m.self = p.kind, p.w, p.base, l.stored(ref)
+	rest := rec[framedCellsSize:]
+	var fields [3]uint64 // object, overflow, neighbor count
+	for i := range fields {
+		v, k := binary.Uvarint(rest)
+		if k <= 0 {
+			return fmt.Errorf("core: corrupt metadata page: slot %d header runs past its record", slot)
+		}
+		fields[i], rest = v, rest[k:]
+	}
+	var err error
+	if m.ObjectPage, err = l.object(fields[0], 0, 1); err != nil {
+		return err
+	}
+	m.Overflow = noRef
+	if fields[1] != 0 {
+		if m.Overflow, err = l.ref(m.self + uint64(unzigzag(fields[1]))); err != nil {
+			return err
+		}
+	}
+	// Every neighbor costs at least one gap byte beside its box bits.
+	n := fields[2]
+	boxBytes := (6*uint64(p.w)*n + 7) / 8
+	if n > uint64(len(rest)) || boxBytes+n > uint64(len(rest)) {
+		return fmt.Errorf("core: corrupt metadata page: slot %d lists %d neighbors past its record", slot, n)
+	}
+	m.Neighbors, m.list, m.gaps = int(n), rest, int(boxBytes)
+	return nil
 }
 
 // pendingRecord is one metadata record as Build lays it out, before it
 // is encoded: page and partition cells against the world, the object
-// ordinal, and per neighbor its stored ref and box.
+// ordinal, and its neighbors.
 type pendingRecord struct {
-	pageCells, partCells [6]uint32
-	objOrd               uint32 // noObject on an overflow continuation
-	neighbors            []pendingNeighbor
+	pageCells, partCells [6]uint32 // world cells; zero on an overflow continuation
+	objOrd               uint32    // noObject on an overflow continuation
+	nbs                  []*pendingRecord
 
 	// layout bookkeeping
 	center geom.Vec3      // exact page-MBR center, the tiling key
-	nbIdx  []int          // partition indices behind neighbors
 	next   *pendingRecord // overflow chain link
 	self   uint64         // stored ref, assigned by packing
+	size   int            // encoded size at the refs of the last packing
+	// decoded partition cells against its page's frame, which every box
+	// of a pointer to it contains
+	decodedPart [6]uint32
 }
 
-// pendingNeighbor is one stored neighbor pointer.
-type pendingNeighbor struct {
-	ref uint64
-	box [boxSize]uint8
+// sortNeighbors puts m's neighbors in stored-ref order.
+func (m *pendingRecord) sortNeighbors() {
+	slices.SortFunc(m.nbs, func(a, b *pendingRecord) int { return cmp.Compare(a.self, b.self) })
 }
 
-// neighborBox is the stored box of a partition with cells c: the top
-// byte of each cell. A top byte decodes to a coordinate no tighter than
-// the full cell does (Quantizer decodes monotonically), so the box
-// contains the partition's decoded MBR.
-func neighborBox(c [6]uint32) [boxSize]uint8 {
-	var b [boxSize]uint8
-	for i, v := range c {
-		b[i] = uint8(v >> 24)
+// fields returns m's three uvarint header fields: object, overflow and
+// neighbor count.
+func (m *pendingRecord) fields() [3]uint64 {
+	f := [3]uint64{0, 0, uint64(len(m.nbs))}
+	if m.objOrd != noObject {
+		f[0] = uint64(m.objOrd) + 1
 	}
-	return b
-}
-
-// decodeBox returns the box six stored neighbor-box bytes stand for.
-func decodeBox(q *storage.Quantizer, b []byte) geom.MBR {
-	var c [6]uint32
-	for i := range c {
-		c[i] = uint32(b[i]) << 24
+	if m.next != nil {
+		f[1] = zigzag(int64(m.next.self - m.self))
 	}
-	return q.Box(c)
+	return f
 }
 
-// encodedSize returns the record's on-page footprint at ref width w.
-func (m *pendingRecord) encodedSize(w int) int {
-	return boxedHeaderSize(w) + (w+boxSize)*len(m.neighbors)
+// gap returns the stored form of neighbor i's ref, after prev.
+func (m *pendingRecord) gap(i int, prev uint64) uint64 {
+	if i == 0 {
+		return zigzag(int64(m.nbs[0].self - m.self))
+	}
+	return m.nbs[i].self - prev
 }
 
-// encodeMetaPage serializes records into buf as a kind-3 page with
-// w-byte refs. Callers must have sized the group so it fits
-// (packMetaPages guarantees this).
-func encodeMetaPage(buf []byte, records []*pendingRecord, w int) {
-	pw := storage.NewPageWriter(buf)
-	pw.PutU8(metaKindBoxed)
-	pw.PutU8(uint8(w))
-	pw.PutU16(uint16(len(records)))
-	// Slot directory first; record offsets are known incrementally.
-	off := metaPageOverhead + 2*len(records)
+// encodedSize returns m's kind-4 footprint at b-bit boxes and the refs
+// packing last assigned; m's neighbors must be sorted.
+func (m *pendingRecord) encodedSize(b int) int {
+	size := framedCellsSize + (6*b*len(m.nbs)+7)/8
+	for _, v := range m.fields() {
+		size += uvarintLen(v)
+	}
+	prev := m.self
+	for i, nb := range m.nbs {
+		size += uvarintLen(m.gap(i, prev))
+		prev = nb.self
+	}
+	return size
+}
+
+func uvarintLen(v uint64) int { return (bits.Len64(v|1) + 6) / 7 }
+
+// encodeMetaPage serializes records into buf as a kind-4 page with b-bit
+// boxes, against the frame whose world cells are base. Callers must have
+// packed the group so it fits (packMetaPages) and sorted every record's
+// neighbors at their final refs.
+func encodeMetaPage(buf []byte, records []*pendingRecord, base [6]uint32, b int) {
+	rf, err := newRecordFrames(base)
+	if err != nil {
+		panic(err)
+	}
+	bf, _ := newFrame(base, uint(b))
+	out := append(buf[:0], metaKindFramed, uint8(b))
+	out = binary.LittleEndian.AppendUint16(out, uint16(len(records)))
+	for _, c := range base {
+		out = binary.LittleEndian.AppendUint32(out, c)
+	}
+	// Slot directory first, then its end entry; offsets are known from
+	// the sizes packing computed.
+	off := framedPageOverhead + 2*len(records)
 	for _, m := range records {
-		pw.PutU16(uint16(off))
-		off += m.encodedSize(w)
+		out = binary.LittleEndian.AppendUint16(out, uint16(off))
+		off += m.size
 	}
+	out = binary.LittleEndian.AppendUint16(out, uint16(off))
 	for _, m := range records {
-		for _, c := range m.pageCells {
-			pw.PutU32(c)
+		var pageV, partV [6]uint64 // zero on an overflow continuation
+		if m.objOrd != noObject {
+			pageV, partV = rf.values(m.pageCells, m.partCells)
 		}
-		for _, c := range m.partCells {
-			pw.PutU32(c)
+		for _, v := range pageV {
+			out = appendUintN(out, v, pageCellBits/8)
 		}
-		pw.PutU32(m.objOrd)
-		overflow := noRefBits(w)
-		if m.next != nil {
-			overflow = m.next.self
+		for _, v := range partV {
+			out = appendUintN(out, v, partCellBits/8)
 		}
-		pw.PutUintN(overflow, w)
-		pw.PutU16(uint16(len(m.neighbors)))
-		for _, n := range m.neighbors {
-			pw.PutUintN(n.ref, w)
-			for _, b := range n.box {
-				pw.PutU8(b)
+		for _, v := range m.fields() {
+			out = binary.AppendUvarint(out, v)
+		}
+		var word uint64 // pending box bits, low first
+		n := uint(0)
+		for _, nb := range m.nbs {
+			for f, c := range nb.decodedPart {
+				word |= bf.value(f, c) << n
+				n += uint(b)
+			}
+			for ; n >= 8; n -= 8 {
+				out = append(out, byte(word))
+				word >>= 8
 			}
 		}
+		if n > 0 {
+			out = append(out, byte(word))
+		}
+		prev := m.self
+		for i, nb := range m.nbs {
+			out = binary.AppendUvarint(out, m.gap(i, prev))
+			prev = nb.self
+		}
 	}
-	if pw.Overflow() {
-		panic(fmt.Sprintf("core: metadata page overflow with %d records", len(records)))
+	if len(out) != off || off > storage.PageSize {
+		panic(fmt.Sprintf("core: metadata page of %d records encodes to %d bytes, sized %d", len(records), len(out), off))
 	}
+	clear(buf[off:storage.PageSize])
+}
+
+// appendUintN appends v's w low bytes, little-endian.
+func appendUintN(out []byte, v uint64, w int) []byte {
+	for range w {
+		out = append(out, byte(v))
+		v >>= 8
+	}
+	return out
+}
+
+// frameBase returns the world cells of the frame of a page holding
+// records: the union of the widened partition cells of every primary
+// among them and of every neighbor they name.
+func frameBase(records []*pendingRecord) [6]uint32 {
+	var base [6]uint32
+	for f := range base {
+		base[f] = math.MaxUint32
+	}
+	add := func(m *pendingRecord) {
+		for f, c := range widenCells(m.partCells) {
+			base[f] = min(base[f], c)
+		}
+	}
+	for _, m := range records {
+		if m.objOrd != noObject {
+			add(m)
+		}
+		for _, nb := range m.nbs {
+			add(nb)
+		}
+	}
+	return base
 }
 
 // tileMetaRecords reorders records with a 3D STR pass over their page-MBR
@@ -367,44 +809,57 @@ func encodeMetaPage(buf []byte, records []*pendingRecord, w int) {
 // spatial tile — the locality property the paper obtains by storing
 // records in seed-tree (R-tree) leaves. The tile capacity is derived
 // from the average encoded record size.
-func tileMetaRecords(records []*pendingRecord, w int) {
+func tileMetaRecords(records []*pendingRecord, b int) {
 	if len(records) < 2 {
 		return
 	}
 	total := 0
 	for _, m := range records {
-		total += m.encodedSize(w) + 2
+		total += m.encodedSize(b) + 2
 	}
-	capacity := (storage.PageSize - metaPageOverhead) / (total / len(records))
-	if capacity < 1 {
-		capacity = 1
-	}
-	str.Tile(records, func(m *pendingRecord) geom.Vec3 { return m.center }, capacity)
+	capacity := (storage.PageSize - framedPageOverhead) / (total / len(records))
+	str.Tile(records, func(m *pendingRecord) geom.Vec3 { return m.center }, max(capacity, 1))
 }
 
-// packMetaPages assigns records to metadata pages greedily in order,
-// starting a new page whenever the next record (plus its slot entry)
-// would overflow, and gives every record its stored ref. It returns the
-// page groups as index ranges into the record slice. Records never span
-// pages.
-func packMetaPages(records []*pendingRecord, w int) ([][2]int, error) {
-	var groups [][2]int
-	start, used := 0, metaPageOverhead
-	for i, m := range records {
-		sz := m.encodedSize(w) + 2 // +2 for the slot directory entry
-		if m.encodedSize(w) > maxRecordSize {
-			return nil, fmt.Errorf("core: metadata record with %d neighbors (%d bytes) exceeds page size",
-				len(m.neighbors), m.encodedSize(w))
+// packMetaPages assigns records to kind-4 pages with b-bit boxes and
+// gives every record its stored ref. It returns the page groups as index
+// ranges into the record slice; records never span pages.
+//
+// A record's size depends on its neighbors' refs, which depend on the
+// packing, so packing repeats: each pass packs greedily in order at the
+// sizes the previous pass's refs give, starting a new page whenever the
+// next record (plus its slot entry) would pass the page less reserve
+// bytes, then assigns refs. It stops once every page fits at its own
+// refs; each failing pass doubles the reserve. A page of one record
+// always fits (layoutRecords caps every list), so it terminates.
+func packMetaPages(records []*pendingRecord, b int) [][2]int {
+	for reserve := 0; ; reserve = 2*reserve + 16 {
+		for _, m := range records {
+			m.size = m.encodedSize(b)
 		}
-		if used+sz > storage.PageSize {
-			groups = append(groups, [2]int{start, i})
-			start, used = i, metaPageOverhead
+		var groups [][2]int
+		start, used := 0, framedPageOverhead
+		for i, m := range records {
+			if i > start && (used+m.size+2 > storage.PageSize-reserve || i-start == maxFramedRecords) {
+				groups = append(groups, [2]int{start, i})
+				start, used = i, framedPageOverhead
+			}
+			used += m.size + 2
+			m.self = uint64(len(groups))<<slotBits | uint64(i-start)
 		}
-		used += sz
-		m.self = uint64(len(groups))<<slotBits | uint64(i-start)
-	}
-	if start < len(records) {
 		groups = append(groups, [2]int{start, len(records)})
+		fits := true
+		for _, span := range groups {
+			used := framedPageOverhead
+			for _, m := range records[span[0]:span[1]] {
+				m.sortNeighbors()
+				m.size = m.encodedSize(b)
+				used += m.size + 2
+			}
+			fits = fits && used <= storage.PageSize
+		}
+		if fits {
+			return groups
+		}
 	}
-	return groups, nil
 }

@@ -52,8 +52,8 @@ const stagedRank = 1 << 63
 //
 //   - records, read only when they pop. S enters at its index item's
 //     key; a neighbor at the larger of its discoverer's key and the
-//     distance to the box its pointer carries (kind-3 pages), or at its
-//     discoverer's key (kind-2 pages carry no box). A popped record
+//     distance to the box its pointer carries (kinds 3 and 4), or at
+//     its discoverer's key (kind-2 pages carry no box). A popped record
 //     whose partition distance exceeds its key goes back in at that
 //     distance; otherwise it is expanded: its object page and unseen
 //     neighbors are pushed;
@@ -80,13 +80,16 @@ const stagedRank = 1 << 63
 // re-push keeps an unread record, and its page, from being expanded
 // before its own partition's bound surfaces.
 //
-// On kind-3 metadata pages every MBR above is the decoded one, rounded
-// outward, so each key stays a lower bound; Build keys the seed tree on
-// the decoded page MBRs and derives the neighbor relation from the
-// decoded partition MBRs, so phase 1 and the chain hold for the boxes
-// the pages store. A neighbor box keeps the top byte of each partition
-// cell, which decodes no tighter than the cell: it contains the
-// partition.
+// On kind-3 and kind-4 metadata pages every MBR above is the decoded
+// one, rounded outward, so each key stays a lower bound. Build keys the
+// seed tree on the decoded page MBRs, and derives the neighbor relation
+// from partition boxes that contain the decoded partition MBRs (kind 4
+// widens them by the largest rounding a page frame adds), which contain
+// the decoded page MBRs: so S's partition holds the chain's first point,
+// and phase 1 and the chain hold for the boxes the pages store. A
+// neighbor box contains the neighbor's decoded partition MBR: kind 3
+// keeps the top byte of each cell, which decodes no tighter than the
+// cell, and kind 4 rounds the decoded cells outward to its page's frame.
 //
 // Several indexes are one more level of the same frontier (Hjaltason &
 // Samet's incremental NN: one queue holds every level of the
@@ -158,7 +161,7 @@ func (ix *Index) nnSeed(ctx context.Context, p geom.Vec3, src int32, key float64
 			// A record at the top of the heap beats every pending node,
 			// and nodes lower-bound the records beneath them: this is
 			// the global page-MBR-distance minimizer, exactly.
-			ix.nnEnqueue(p, src, it.ref, key, nil, &sc.heap, sc)
+			ix.nnEnqueue(p, src, it.ref, key, nbBox{}, &sc.heap, sc)
 			return nil
 		}
 		page, err := ix.pool.ReadInto(it.page, local)
@@ -175,13 +178,13 @@ func (ix *Index) nnSeed(ctx context.Context, p geom.Vec3, src int32, key float64
 			}
 			continue
 		}
-		count, err := metaPageRecordCount(page)
-		if err != nil {
+		var mp metaPage
+		if err := mp.parse(page); err != nil {
 			return err
 		}
-		for slot := 0; slot < count; slot++ {
-			m, err := decodeMetaRecord(page, slot, &ix.metaLayout)
-			if err != nil {
+		var m metaRecord
+		for slot := 0; slot < mp.count; slot++ {
+			if err := mp.record(makeRef(it.page, slot), &ix.metaLayout, &m); err != nil {
 				return err
 			}
 			// Skip overflow continuation records; they carry no page.
@@ -246,15 +249,15 @@ func nnCrawl(ctx context.Context, ixs []*Index, ov Overlay, p geom.Vec3, emit fu
 }
 
 // nnEnqueue pushes record ref unread at key, raised to the distance of
-// box (a kind-3 neighbor pointer's stored box; nil for none), unless the
-// record is already on or through the frontier.
-func (ix *Index) nnEnqueue(p geom.Vec3, src int32, ref RecordRef, key float64, box []byte, h *heapFrontier, sc *crawlScratch) {
+// box (a neighbor pointer's stored box; none without a frame), unless
+// the record is already on or through the frontier.
+func (ix *Index) nnEnqueue(p geom.Vec3, src int32, ref RecordRef, key float64, box nbBox, h *heapFrontier, sc *crawlScratch) {
 	if sc.enqueued[ref] {
 		return
 	}
 	sc.enqueued[ref] = true
-	if box != nil {
-		key = max(key, decodeBox(&ix.quant, box).DistSqToPoint(p))
+	if box.fr != nil {
+		key = max(key, box.fr.box(&ix.quant, box.v).DistSqToPoint(p))
 	}
 	h.Push(key, crawlItem{kind: itemRecord, src: src, ref: ref})
 }
@@ -268,8 +271,8 @@ func (ix *Index) nnExpand(ctx context.Context, p geom.Vec3, it crawlItem, key fl
 	if err != nil {
 		return err
 	}
-	m, err := decodeMetaRecord(page, it.ref.Slot(), &ix.metaLayout)
-	if err != nil {
+	var m metaRecord
+	if err := decodeMetaRecord(page, it.ref, &ix.metaLayout, &m); err != nil {
 		return err
 	}
 	if d := m.PartitionMBR.DistSqToPoint(p); d > key {
@@ -281,7 +284,7 @@ func (ix *Index) nnExpand(ctx context.Context, p geom.Vec3, it crawlItem, key fl
 		sc.visited[m.ObjectPage] = true
 		h.Push(m.PageMBR.DistSqToPoint(p), crawlItem{kind: itemPage, src: it.src, page: m.ObjectPage})
 	}
-	return ix.eachNeighbor(ctx, m, local, func(n RecordRef, box []byte) error {
+	return ix.eachNeighbor(ctx, it.ref, &m, sc, local, nil, func(n RecordRef, box nbBox) error {
 		ix.nnEnqueue(p, it.src, n, key, box, h, sc)
 		return nil
 	})

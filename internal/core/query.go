@@ -79,6 +79,8 @@ type crawlScratch struct {
 	stats    storage.Stats     // the query's own page-read tally
 	enqueued map[RecordRef]bool
 	visited  map[storage.PageID]bool
+	frame    boxFrame  // the frame of the neighbor list eachNeighbor walks
+	boxes    boxFilter // the range crawl's box test
 }
 
 var scratchPool = sync.Pool{
@@ -125,6 +127,7 @@ func (ix *Index) Query(ctx context.Context, q geom.MBR, emit func(geom.Element) 
 		st.Results++
 		return emit(e)
 	}
+	sc.boxes.reset(&ix.metaLayout, q)
 	seedRef, ok, err := ix.seed(ctx, q, sc, local)
 	if err == nil && ok {
 		err = ix.crawl(ctx, q, seedRef, counted, &st, sc, local)
@@ -181,18 +184,21 @@ func (ix *Index) seed(ctx context.Context, q geom.MBR, sc *crawlScratch, local *
 		// Metadata page: check each record whose page MBR intersects the
 		// query by reading its object page, exactly as the paper's
 		// modified R-tree lookup does.
-		count, err := metaPageRecordCount(page)
-		if err != nil {
+		var mp metaPage
+		if err := mp.parse(page); err != nil {
 			return 0, false, err
 		}
-		for slot := 0; slot < count; slot++ {
+		var m metaRecord
+		for slot := 0; slot < mp.count; slot++ {
 			// Each hit test below costs an object-page read; give
 			// cancellation a chance between them, not just per seed page.
 			if err := ctxErr(ctx); err != nil {
 				return 0, false, err
 			}
-			m, err := decodeMetaRecord(page, slot, &ix.metaLayout)
-			if err != nil {
+			if !mp.pageMeets(slot, &sc.boxes.lim) {
+				continue
+			}
+			if err := mp.record(makeRef(it.page, slot), &ix.metaLayout, &m); err != nil {
 				return 0, false, err
 			}
 			// Skip overflow continuation records; they carry no page.
@@ -230,11 +236,11 @@ func (ix *Index) objectPageHasHit(id storage.PageID, q geom.MBR, sc *crawlScratc
 // An object page is read only when the record's page MBR intersects the
 // query; a record's neighbors are expanded only when its partition MBR
 // does, and a neighbor is enqueued only when the box its pointer carries
-// does (kind-3 pages; the paper's pointers are bare). Each record and
+// does (kinds 3 and 4; the paper's pointers are bare). Each record and
 // each object page is visited at most once. emit returning false stops
 // the crawl cleanly (no error); a done ctx aborts it with ctx.Err().
+// sc.boxes must be reset to q.
 func (ix *Index) crawl(ctx context.Context, q geom.MBR, start RecordRef, emit func(geom.Element) bool, st *QueryStats, sc *crawlScratch, local *storage.Stats) error {
-	boxes := newBoxFilter(&ix.quant, q)
 	// The FIFO frontier replays pushes in order; range-query results
 	// and page-read sequences are a regression gate on that order.
 	f := &sc.fifo
@@ -242,7 +248,11 @@ func (ix *Index) crawl(ctx context.Context, q geom.MBR, start RecordRef, emit fu
 	f.push(start)
 	sc.enqueued[start] = true
 	defer func() { st.PagesVisited = len(sc.visited) }()
-
+	var (
+		m    metaRecord
+		mp   metaPage // the header of the page m is on, parsed once per run of records on it
+		mpAt = storage.InvalidPage
+	)
 	for {
 		ref, ok := f.pop()
 		if !ok {
@@ -255,8 +265,14 @@ func (ix *Index) crawl(ctx context.Context, q geom.MBR, start RecordRef, emit fu
 		if err != nil {
 			return err
 		}
-		m, err := decodeMetaRecord(page, ref.Slot(), &ix.metaLayout)
-		if err != nil {
+		if ref.Page() != mpAt {
+			if err := mp.parse(page); err != nil {
+				return err
+			}
+			mpAt = ref.Page()
+		}
+		mp.bytes = page
+		if err := mp.record(ref, &ix.metaLayout, &m); err != nil {
 			return err
 		}
 		st.RecordsVisited++
@@ -279,14 +295,15 @@ func (ix *Index) crawl(ctx context.Context, q geom.MBR, start RecordRef, emit fu
 			}
 		}
 		if m.PartitionMBR.Intersects(q) {
-			err := ix.eachNeighbor(ctx, m, local, func(n RecordRef, box []byte) error {
-				// A box contains its neighbor's partition MBR, so a box
-				// that misses q names a record that, dequeued, would
-				// emit nothing and push nothing: dropping it changes
-				// neither the result nor its order, only the reads.
-				if box != nil && !ix.barePointers && !boxes.meets(box) {
-					return nil
-				}
+			// A box contains its neighbor's partition MBR, so a box that
+			// misses q names a record that, dequeued, would emit nothing
+			// and push nothing: dropping it changes neither the result
+			// nor its order, only the reads.
+			filter := &sc.boxes
+			if ix.barePointers {
+				filter = nil
+			}
+			err := ix.eachNeighbor(ctx, ref, &m, sc, local, filter, func(n RecordRef, _ nbBox) error {
 				if !sc.enqueued[n] {
 					sc.enqueued[n] = true
 					f.push(n)
@@ -300,39 +317,44 @@ func (ix *Index) crawl(ctx context.Context, q geom.MBR, start RecordRef, emit fu
 	}
 }
 
-// eachNeighbor hands visit every neighbor of record m, read in place on
-// its page: its inline list, then the chained overflow records a giant
-// partition continues its list in — one metadata page read (at most)
-// and one ctx check per hop, so a done ctx can stop mid-chain however
-// long the chain is. It is the one neighbor walk: the range crawl, the
-// k-NN expansion and Records all enumerate neighbors through it. box is
-// the six stored bytes of the neighbor's box on a kind-3 page and nil
-// on a kind-2 page. A visit error ends the walk.
-func (ix *Index) eachNeighbor(ctx context.Context, m metaRecord, local *storage.Stats, visit func(n RecordRef, box []byte) error) error {
+// eachNeighbor hands visit every neighbor of record m, stored at ref,
+// read in place on its page: its inline list, then the chained overflow
+// records a giant partition continues its list in — one metadata page
+// read (at most) and one ctx check per hop, so a done ctx can stop
+// mid-chain however long the chain is. It is the one neighbor walk: the
+// range crawl, the k-NN expansion and Records all enumerate neighbors
+// through it. A box's frame is sc's, valid until visit returns. With
+// filter set, only the neighbors whose boxes meet its query are visited.
+// A visit error ends the walk.
+func (ix *Index) eachNeighbor(ctx context.Context, ref RecordRef, m *metaRecord, sc *crawlScratch, local *storage.Stats, filter *boxFilter, visit func(n RecordRef, box nbBox) error) error {
+	var next metaRecord
 	for {
-		for i := 0; i < m.Neighbors; i++ {
-			n, box, err := m.neighbor(i, &ix.metaLayout)
-			if err != nil {
-				return err
-			}
-			if err := visit(n, box); err != nil {
-				return err
+		var fr *boxFrame
+		var lim *[6]uint16
+		if m.kind != metaKindBare {
+			sc.frame = m.boxFrame()
+			fr = &sc.frame
+			if filter != nil {
+				lim = filter.pageLimits(ref.Page(), fr)
 			}
 		}
-		next := m.Overflow
-		if next == noRef {
+		if err := m.eachInline(&ix.metaLayout, fr, lim, visit); err != nil {
+			return err
+		}
+		if ref = m.Overflow; ref == noRef {
 			return nil
 		}
 		if err := ctxErr(ctx); err != nil {
 			return err
 		}
-		page, err := ix.pool.ReadInto(next.Page(), local)
+		page, err := ix.pool.ReadInto(ref.Page(), local)
 		if err != nil {
 			return err
 		}
-		if m, err = decodeMetaRecord(page, next.Slot(), &ix.metaLayout); err != nil {
+		if err := decodeMetaRecord(page, ref, &ix.metaLayout, &next); err != nil {
 			return err
 		}
+		m = &next
 	}
 }
 
@@ -345,6 +367,7 @@ func (ix *Index) CrawlFrom(q geom.MBR, start RecordRef) ([]geom.Element, error) 
 	var local storage.Stats
 	sc := getScratch()
 	defer sc.release()
+	sc.boxes.reset(&ix.metaLayout, q)
 	err := ix.crawl(context.Background(), q, start, func(e geom.Element) bool {
 		result = append(result, e)
 		return true
@@ -364,33 +387,65 @@ func decodeSeedNode(page []byte, id storage.PageID, dst []rtree.NodeEntry) ([]rt
 	return entries, nil
 }
 
-// boxFilter tests a stored neighbor box against one query with six
-// byte compares instead of a decode. Byte b stands for cell b<<24, so
-// it meets its test exactly when that cell is below the quantizer's
-// cell limit (storage.Quantizer.CellLimits), that is when b is below
-// the limit rounded up to whole bytes: a box meets the filter exactly
-// when its decoded form (decodeBox) Intersects q.
-type boxFilter struct{ lim [boxSize]int }
-
-func newBoxFilter(quant *storage.Quantizer, q geom.MBR) boxFilter {
-	var f boxFilter
-	for i, l := range quant.CellLimits(q) {
-		f.lim[i] = int((l + 1<<24 - 1) >> 24)
-	}
-	return f
+// boxFilter tests stored neighbor boxes against one range query with
+// six small-integer compares instead of a decode. Per metadata page it
+// turns the query's world cell limits (storage.Quantizer.CellLimits)
+// into limits on the values the page stores (boxFrame.limits), once per
+// page a query visits: a box meets the filter exactly when its decoded
+// form (boxFrame.box) Intersects the query.
+type boxFilter struct {
+	lim   [6]uint64 // the query's cell limits
+	epoch uint64    // the query's stamp in pages
+	start storage.PageID
+	pages []pageLimits // by metadata-page ordinal
+	spare [6]uint16
 }
 
-// meets reports whether the box stored in b intersects the query.
-func (f *boxFilter) meets(b []byte) bool {
-	return int(b[0]) < f.lim[0] && int(b[1]) < f.lim[1] && int(b[2]) < f.lim[2] &&
-		int(b[3]) < f.lim[3] && int(b[4]) < f.lim[4] && int(b[5]) < f.lim[5]
+// pageLimits are one metadata page's value limits, valid while epoch is
+// the filter's.
+type pageLimits struct {
+	epoch uint64
+	lim   [6]uint16
+}
+
+// reset points the filter at query q on the index with layout l.
+func (f *boxFilter) reset(l *metaLayout, q geom.MBR) {
+	f.lim = l.quant.CellLimits(q)
+	f.epoch++
+	f.start = l.metaStart()
+	if len(f.pages) < l.metadataPages {
+		f.pages = append(f.pages, make([]pageLimits, l.metadataPages-len(f.pages))...)
+	}
+}
+
+// pageLimits returns the value limits of metadata page at, whose boxes
+// count from fr, valid until the next call.
+func (f *boxFilter) pageLimits(at storage.PageID, fr *boxFrame) *[6]uint16 {
+	i := uint64(at - f.start)
+	if i >= uint64(len(f.pages)) { // not in the run reset named
+		f.spare = fr.limits(&f.lim)
+		return &f.spare
+	}
+	p := &f.pages[i]
+	if p.epoch != f.epoch {
+		p.epoch, p.lim = f.epoch, fr.limits(&f.lim)
+	}
+	return &p.lim
+}
+
+// within reports whether box's values are below lim, the limits of its
+// page: whether the box intersects the query.
+func (box *nbBox) within(lim *[6]uint16) bool {
+	v := &box.v
+	return uint16(v[0]) < lim[0] && uint16(v[1]) < lim[1] && uint16(v[2]) < lim[2] &&
+		uint16(v[3]) < lim[3] && uint16(v[4]) < lim[4] && uint16(v[5]) < lim[5]
 }
 
 // Record is one metadata record as Records enumerates it.
 type Record struct {
 	Ref RecordRef
-	// PageMBR and PartitionMBR are as the page stores them: on a kind-3
-	// page rounded outward to the world's cells, so each contains the
+	// PageMBR and PartitionMBR are as the page stores them: on kind-3
+	// and kind-4 pages rounded outward to cells, so each contains the
 	// exact box Build derived.
 	PageMBR, PartitionMBR geom.MBR
 	ObjectPage            storage.PageID
@@ -415,6 +470,8 @@ func (ix *Index) Records(fn func(Record) error) error {
 		key geom.MBR
 	}
 	stack := []keyed{{seedItem{ix.seedRoot, ix.seedHeight}, ix.world}}
+	sc := getScratch()
+	defer sc.release()
 	//lint:ignore ctxcrawl offline inspect/invariant walk, never on a serving query path
 	for len(stack) > 0 {
 		it := stack[len(stack)-1]
@@ -433,25 +490,26 @@ func (ix *Index) Records(fn func(Record) error) error {
 			}
 			continue
 		}
-		count, err := metaPageRecordCount(page)
-		if err != nil {
+		var mp metaPage
+		if err := mp.parse(page); err != nil {
 			return err
 		}
 		//lint:ignore ctxcrawl offline inspect/invariant walk, never on a serving query path
-		for slot := 0; slot < count; slot++ {
-			m, err := decodeMetaRecord(page, slot, &ix.metaLayout)
-			if err != nil {
+		for slot := 0; slot < mp.count; slot++ {
+			ref := makeRef(it.page, slot)
+			var m metaRecord
+			if err := mp.record(ref, &ix.metaLayout, &m); err != nil {
 				return err
 			}
 			if m.ObjectPage == storage.InvalidPage {
 				continue // overflow continuation record
 			}
-			r := Record{Ref: makeRef(it.page, slot), PageMBR: m.PageMBR, PartitionMBR: m.PartitionMBR, ObjectPage: m.ObjectPage, SeedKey: it.key}
+			r := Record{Ref: ref, PageMBR: m.PageMBR, PartitionMBR: m.PartitionMBR, ObjectPage: m.ObjectPage, SeedKey: it.key}
 			// Collect the full neighbor list across the overflow chain.
-			err = ix.eachNeighbor(context.Background(), m, nil, func(n RecordRef, box []byte) error {
+			err = ix.eachNeighbor(context.Background(), ref, &m, sc, nil, nil, func(n RecordRef, box nbBox) error {
 				r.Neighbors = append(r.Neighbors, n)
-				if box != nil {
-					r.NeighborBoxes = append(r.NeighborBoxes, decodeBox(&ix.quant, box))
+				if box.fr != nil {
+					r.NeighborBoxes = append(r.NeighborBoxes, box.fr.box(&ix.quant, box.v))
 				}
 				return nil
 			})

@@ -95,7 +95,10 @@ type Model struct {
 func Generate(cfg Config) *Model {
 	cfg = cfg.withDefaults()
 	r := rand.New(rand.NewSource(cfg.Seed))
-	m := &Model{Volume: cfg.Volume}
+	// The last neuron overshoots the target by at most one neuron's
+	// budget; presizing for that keeps append from copying the slices.
+	size := cfg.TargetElements + cfg.SegmentsPerNeuron
+	m := &Model{Volume: cfg.Volume, Cylinders: make([]geom.Cylinder, 0, size), NeuronOf: make([]int32, 0, size)}
 	for len(m.Cylinders) < cfg.TargetElements {
 		growNeuron(r, cfg, m)
 		m.Neurons++

@@ -1,6 +1,10 @@
 package neuro
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
+	"math"
 	"testing"
 
 	"flat/internal/geom"
@@ -196,5 +200,36 @@ func TestDefaultConfig(t *testing.T) {
 	}
 	if cfg.TargetElements == 0 || cfg.SegmentsPerNeuron == 0 || cfg.MeanSegmentLength == 0 {
 		t.Error("defaults not applied")
+	}
+}
+
+// TestGenerateStable pins the model Generate builds at a fixed seed and
+// size to a SHA-256 over every element's id and box bits, so a change to
+// how Generate allocates cannot move a single segment.
+func TestGenerateStable(t *testing.T) {
+	m := Generate(Config{Seed: 1, TargetElements: 30000, Volume: geom.Box(geom.V(0, 0, 0), geom.V(8, 8, 8))})
+	h := sha256.New()
+	var buf [8]byte
+	put := func(v uint64) {
+		binary.LittleEndian.PutUint64(buf[:], v)
+		h.Write(buf[:])
+	}
+	for _, e := range m.Elements {
+		put(e.ID)
+		for _, v := range []float64{e.Box.Min.X, e.Box.Min.Y, e.Box.Min.Z, e.Box.Max.X, e.Box.Max.Y, e.Box.Max.Z} {
+			put(math.Float64bits(v))
+		}
+	}
+	const want, goldenNeurons = "54b8a2fd0073c4da1f0dcb0d9eb76593b419ebf46ba02e4487a4bf5601ff2c7c", 20
+	if got := hex.EncodeToString(h.Sum(nil)); got != want || m.Neurons != goldenNeurons {
+		t.Fatalf("Generate(seed 1, 30000) = %s over %d neurons, want %s over %d", got, m.Neurons, want, goldenNeurons)
+	}
+}
+
+// BenchmarkGenerate prices one model at the benchmark's density.
+func BenchmarkGenerate(b *testing.B) {
+	b.ReportAllocs()
+	for range b.N {
+		Generate(Config{Seed: 1, TargetElements: 450000, Volume: geom.Box(geom.V(0, 0, 0), geom.V(28.5, 28.5, 28.5)), SegmentsPerNeuron: 1500})
 	}
 }

@@ -30,19 +30,21 @@ import (
 // shifted — which also moves every committed BENCH_*.json cell. The v2
 // digests were re-recorded when v2 pages began storing ids as narrow
 // offsets from a per-page base (their bytes and page counts moved; v1's
-// did not), and every digest when metadata pages moved to kind 3
-// (quantized headers, narrow refs and boxed neighbor pointers).
+// did not), every digest when metadata pages moved to kind 3
+// (quantized headers, narrow refs and boxed neighbor pointers), and
+// every digest again when they moved to kind 4 (frame-relative MBRs and
+// boxes, gap-coded refs).
 var stableBuildDigests = map[string]string{
-	"K1-v1/shard-0000.flat": "446ac50eb43f7fd67bd15915f1b6366150b733aa91d5fd8197c29bf9f020ac04",
-	"K1-v2/shard-0000.flat": "9c1e827a5a75059ea786a683e80019eac682e9d9d7750d163a962d8f2595ec34",
-	"K4-v1/shard-0000.flat": "0157c728cdea0c1117e1aa8ac01fcd353cf61440f67039c792a67b0133099ced",
-	"K4-v1/shard-0001.flat": "2aff2369b568efaa4df33c8d212ec2c6c66473803d4132e8dbfd41525faa63dd",
-	"K4-v1/shard-0002.flat": "4ea6d6923016ffa245208284b9a7db803394a64866725f2ad0fcb825bd5feb95",
-	"K4-v1/shard-0003.flat": "6892152fad4544f5d368429906b74e1e94949b741a9ed8457ad8726ab0a5fc86",
-	"K4-v2/shard-0000.flat": "3802f987862c7db4bc0696ef245c84163b099e7147f655b40c8af286d47ba864",
-	"K4-v2/shard-0001.flat": "4a34629d3a853831eaa26cdef083c812543134e03d8e3d17b908a005b04a5549",
-	"K4-v2/shard-0002.flat": "8833b05da63e34c6e853e9d626aee2a0d7ab1768ca45c39532bbd586518f4312",
-	"K4-v2/shard-0003.flat": "c52cffcd0f8aabe895f92b65673b5d2b8156fda4e317b69aa83a688e48ab99e6",
+	"K1-v1/shard-0000.flat": "e243bd62f2c66b99afd031d9d064d3cf0e88bc09f3e72739d5c19277359c3559",
+	"K1-v2/shard-0000.flat": "3dbe0b8a3ec93ad31f0c685bc74491134d461640163a3e3693b500374f5c490a",
+	"K4-v1/shard-0000.flat": "2e08f6b1e511b0d0ae5aeefb43e3bb1b94bb40c2bdc28e8209ad98093298fa4d",
+	"K4-v1/shard-0001.flat": "c2c7fea8669b7c439bd9c17902217906666828b29b2ef2d707a267d93bed9c31",
+	"K4-v1/shard-0002.flat": "483bc7eb62a0109af8ca13be0acc4de5709347ee8cba1422ec969dade8abbcb4",
+	"K4-v1/shard-0003.flat": "d807680b5cdd3720e137db71baaf7c03b806cc49d735f9bdb0b600e9d3e47f7c",
+	"K4-v2/shard-0000.flat": "d150e0912f580e9ff2d6aeaa3d97e5f1ddd21d7636dce25840be6bf8a7b1f201",
+	"K4-v2/shard-0001.flat": "148f7ccc4aa95fc606324682a777da36733d0ee464810876e1cb029b84619b2c",
+	"K4-v2/shard-0002.flat": "28afe3335ff3154f7f312feae64d9fc12a519c5b9adc9718dc09e139d8557168",
+	"K4-v2/shard-0003.flat": "f8ae8a3ea266c2cd1de391286d08af00d1a37e35b7657022bc92aad2d4fe1de5",
 }
 
 // stableBuildElements is a deterministic data set with what makes an

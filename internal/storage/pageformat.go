@@ -162,9 +162,8 @@ const maxCellF = float64(math.MaxUint32)
 // Quantizer maps coordinates to conservative u32 cells against a
 // reference box: the one rounding rule of the repository's quantized
 // layouts. The v2 object-page codec quantizes each element against its
-// page's reference MBR, and FLAT's kind-3 metadata records
-// (internal/core) quantize page and partition MBRs against the index
-// world. A Quantizer is built identically from the stored reference box
+// page's reference MBR, and FLAT's metadata records (internal/core)
+// quantize page and partition MBRs against the index world. A Quantizer is built identically from the stored reference box
 // at encode and decode time, so both sides compute the same step in the
 // same float64 operations.
 type Quantizer struct {
