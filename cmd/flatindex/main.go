@@ -68,7 +68,6 @@ import (
 	"io/fs"
 	"math"
 	"os"
-	"slices"
 	"strconv"
 	"strings"
 
@@ -169,12 +168,6 @@ func main() {
 		fmt.Printf("  bounds:        %v\n", ix.Bounds())
 		fmt.Printf("  seed height:   %d\n", ix.SeedHeight())
 		avg, err := ix.AvgNeighbors()
-		kinds := make([]int, ix.NumShards())
-		for s := range kinds {
-			if err == nil {
-				kinds[s], err = ix.ShardMetadataKind(s)
-			}
-		}
 		if err == nil {
 			// The walk read every metadata page; a query below starts as
 			// cold as it does without -stats.
@@ -185,13 +178,7 @@ func main() {
 		}
 		fmt.Printf("  avg neighbors: %.1f\n", avg)
 		_, meta, _ := ix.PageCounts()
-		kind := fmt.Sprintf("kind %d", kinds[0])
-		if slices.ContainsFunc(kinds, func(k int) bool { return k != kinds[0] }) {
-			// A rebuild writes kind 4; shards it has not reached keep
-			// the kind they were written with.
-			kind = fmt.Sprintf("kinds %v by shard", kinds)
-		}
-		fmt.Printf("  metadata:      %d pages, %s, %.1f records/page, %.1f bytes/record\n", meta, kind,
+		fmt.Printf("  metadata:      %d pages, %.1f records/page, %.1f bytes/record\n", meta,
 			float64(ix.NumPartitions())/float64(meta), float64(meta*flat.PageSize)/float64(ix.NumPartitions()))
 		mixed := false
 		for s := 0; s < ix.NumShards(); s++ {

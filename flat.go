@@ -430,11 +430,6 @@ func (ix *Index) ShardGeneration(i int) uint64 { return ix.set.Generation(i) }
 // different configurations may mix — every page decodes by its own tag.
 func (ix *Index) ShardPageFormat(i int) PageFormat { return ix.set.Shard(i).PageFormat() }
 
-// ShardMetadataKind returns the metadata-page kind of shard i: 4 for
-// every shard Build or Rebuild writes, 2 or 3 for a generation written
-// before kind 4 existed, which keeps its kind until its next rebuild.
-func (ix *Index) ShardMetadataKind(i int) (int, error) { return ix.set.Shard(i).MetadataKind() }
-
 // SeedHeight returns the height in levels (metadata level inclusive) of
 // the tallest shard's seed tree; the seed phase of a query reads at most
 // this many internal pages per shard it visits.

@@ -243,7 +243,7 @@ func (ix *Index) write(parts []str.Partition, neighborIdx [][]int) error {
 }
 
 // layoutRecords builds the metadata records of parts and packs them
-// onto kind-4 pages. The paper stores the records in the leaves of the
+// onto metadata pages. The paper stores the records in the leaves of the
 // seed tree (an R-tree over the page MBRs), so spatially close records
 // share a leaf: we reproduce that by STR-tiling the records in 3D on
 // their page-MBR centers before packing, which is what keeps the crawl's
@@ -295,7 +295,7 @@ func (ix *Index) layoutRecords(parts []str.Partition, neighborIdx [][]int) (reco
 	return records, packMetaPages(records, metaBoxBits)
 }
 
-// maxInlineNeighbors is the longest neighbor list one kind-4 record holds
+// maxInlineNeighbors is the longest neighbor list one record holds
 // in an index of partitions partitions and links neighbor links; longer
 // lists continue in overflow records. It is sized so that a record alone
 // fits a page whatever refs packing gives it: an index has at most one

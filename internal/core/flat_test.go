@@ -274,7 +274,7 @@ func TestSeedStartInvariance(t *testing.T) {
 // TestIndexInvariants checks the structural properties of Section V on a
 // built index: partition MBR contains page MBR, neighbor links are
 // symmetric, every neighbor ref resolves, and object pages are unique —
-// plus what the kind-3 rounding must keep: every neighbor's stored box
+// plus what the stored rounding must keep: every neighbor's stored box
 // contains that neighbor's decoded partition MBR, decoded page ⊆ decoded
 // partition ⊆ world, every decoded box contains the box Build derived
 // (the partitioning is rerun here: object page i holds partition i), and
@@ -650,7 +650,7 @@ func TestBoxedCrawlMatchesBare(t *testing.T) {
 // TestFramedCrawlMatchesBare is TestBoxedCrawlMatchesBare on the pages
 // the served configuration writes — neuron segments, v2 object pages,
 // full metadata pages, so every page frame spans many partitions and a
-// box has b bits against it: from the same pages, the kind-4 boxes
+// box has b bits against it: from the same pages, the framed boxes
 // change no emission and no object read, only skip records. Every
 // stored box contains its neighbor's decoded partition MBR, and every
 // decoded page MBR lies inside its partition MBR.

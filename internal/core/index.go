@@ -146,18 +146,36 @@ func (ix *Index) PageCounts() (object, metadata, seedInternal int) {
 	return ix.objectPages, ix.metadataPages, ix.seedInternal
 }
 
-// MetadataKind returns the kind of the index's metadata pages (see
+// MetadataKind returns the kind byte of the index's metadata pages (see
 // metadata.go): one Build writes them all, so the first page's tells.
+// Queries read only kind 4; shard.OpenSet upgrades an index of an older
+// kind by rebuilding it. The page is read from the pager, past the pool,
+// so the index stays as cold as OpenFrom leaves it.
 func (ix *Index) MetadataKind() (int, error) {
-	var p metaPage
-	page, err := ix.pool.Read(ix.metaStart())
-	if err == nil {
-		err = p.parse(page)
-	}
-	if err != nil {
+	page := make([]byte, storage.PageSize)
+	if err := ix.pool.Pager().ReadPage(ix.metaStart(), page); err != nil {
 		return 0, err
 	}
-	return int(p.kind), nil
+	return int(storage.NewPageReader(page).U8()), nil
+}
+
+// Elements returns every element the index holds, in object-page order:
+// one pass over the object-page run. Object pages are the same whatever
+// kind of metadata page the index was written with, so this enumerates
+// an index its queries refuse (see MetadataKind).
+func (ix *Index) Elements() ([]geom.Element, error) {
+	els := make([]geom.Element, 0, ix.count)
+	//lint:ignore ctxcrawl the rebuild's extraction, never on a serving query path
+	for i := range ix.objectPages {
+		page, err := ix.pool.Read(ix.objStart + storage.PageID(i))
+		if err != nil {
+			return nil, err
+		}
+		if els, err = storage.DecodeObjectPageInto(page, els); err != nil {
+			return nil, err
+		}
+	}
+	return els, nil
 }
 
 // SizeBytes returns the total on-disk footprint of the index.

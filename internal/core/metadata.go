@@ -17,8 +17,7 @@ import (
 // the upper 48 bits and the slot within the page in the lower 16. This is
 // the "pointer to the neighbor's metadata record" of Section V-B.2 —
 // following it costs at most one (possibly buffered) page read. It is the
-// in-memory form; kind-3 and kind-4 pages store refs narrower (see
-// below).
+// in-memory form; metadata pages store refs narrower (see below).
 type RecordRef uint64
 
 // makeRef packs a page id and slot into a RecordRef.
@@ -41,43 +40,13 @@ func (r RecordRef) String() string { return fmt.Sprintf("meta(%d:%d)", r.Page(),
 // noRef marks "no record" (used for the overflow chain terminator).
 const noRef = RecordRef(^uint64(0))
 
-// Metadata pages. Every kind starts with a 4-byte header, and a slot
+// Metadata pages. A page starts with a 4-byte header whose second byte is
+// b, the bits per face of a neighbor box, and a frame: six world cells
+// (Quantizer.Cells' order) of the union of every widened partition box
+// (widenCells) the page's records and their neighbors name. A slot
 // directory gives O(1) access to a record by slot — the crawl's cost of
-// following a RecordRef:
-//
-//	[kind u8][w u8][count u16]                4-byte header
-//	[offset u16 x count]                      slot directory
-//	[record x count]                          variable-size records
-//
-// Kind 2 is the paper's layout (Section V-B.2): full float64 MBRs and
-// bare u64 pointers. Its w byte is 0.
-//
-//	PageMBR 6×f64 | PartitionMBR 6×f64 | object page u64 | overflow ref u64
-//	| neighbor count u32 | count × ref u64                   (116 + 8n bytes)
-//
-// Kind 3 quantizes MBRs to six u32 cells each against the index world
-// with storage.Quantizer (mins round down, maxes store their distance
-// from the world top, rounded down), so a decoded box contains the exact
-// one. Pages and records are addressed by ordinals: the object page
-// counts from objStart (all ones: an overflow continuation, which has
-// none), and a ref is its record's metadata-page ordinal, counted from
-// metaStart = objStart + objectPages, shifted left slotBits and or'd
-// with the slot (all ones: no record). w, the ref width in bytes, is the
-// smallest of 2, 3 and 4 that addresses every metadata page of the
-// index. Each neighbor pointer carries a 6-byte box: per face the top
-// byte of the neighbor's cell, which contains the neighbor's decoded
-// PartitionMBR — so a crawl can tell a neighbor's partition misses the
-// query without reading it.
-//
-//	PageMBR 6×u32 | PartitionMBR 6×u32 | object ordinal u32 | overflow ref w
-//	| neighbor count u16 | count × { ref w | box 6×u8 }   (54 + w + (w+6)n bytes)
-//
-// Kind 4 is what Build writes. Its header's second byte is b, the bits
-// per face of a neighbor box, and a frame follows the header: six world
-// cells (Quantizer.Cells' order) of the union of every widened partition
-// box (widenCells) the page's records and their neighbors name. The
-// directory has one more entry, the end of the last record, so every
-// record's bytes are bounded.
+// following a RecordRef — and has one more entry, the end of the last
+// record, so every record's bytes are bounded:
 //
 //	[4][b u8][count u16] | frame 6×u32 | offset u16 × (count+1) | records
 //
@@ -86,72 +55,58 @@ const noRef = RecordRef(^uint64(0))
 //
 // The MBRs are values against the frame, pageCellBits and partCellBits
 // per face (boxFrame: value v of face f stands for the frame's cell plus
-// v steps, rounded outward), so each contains the box kind 3 would
-// store. The object field is the ordinal plus one (0: an overflow
-// continuation); the overflow field is the zigzag difference of the
-// continuation's ref and the record's own (0: none). Refs are kind 3's
-// ordinal<<slotBits|slot, sorted: the first stored as a zigzag
-// difference from the record's own ref, each later one as the gap from
-// the one before (the gap coding of WebGraph's adjacency lists, Boldi
-// and Vigna, WWW 2004). Neighbor i's box is 6b bits at bit 6bi of the
-// box run, b bits per face against the frame, and contains the
-// neighbor's decoded PartitionMBR.
+// v steps, rounded outward), so each contains the exact box quantized to
+// world cells with storage.Quantizer (mins round down, maxes store their
+// distance from the world top, rounded down). Pages and records are
+// addressed by ordinals: the object field is the object page's ordinal
+// from objStart plus one (0: an overflow continuation, which has none),
+// and a ref is its record's metadata-page ordinal, counted from
+// metaStart = objStart + objectPages, shifted left slotBits and or'd
+// with the slot. The overflow field is the zigzag difference of the
+// continuation's ref and the record's own (0: none). Refs are sorted:
+// the first stored as a zigzag difference from the record's own ref,
+// each later one as the gap from the one before (the gap coding of
+// WebGraph's adjacency lists, Boldi and Vigna, WWW 2004). Neighbor i's
+// box is 6b bits at bit 6bi of the box run, b bits per face against the
+// frame, and contains the neighbor's decoded PartitionMBR — so a crawl
+// can tell a neighbor's partition misses the query without reading it.
 //
-// Boxed pointers extend the paper, whose pointers are bare.
+// The kind byte is 4. Kinds 2 (the paper's layout: float64 MBRs and bare
+// u64 pointers) and 3 (world-quantized MBRs and 6-byte boxes) are older
+// layouts: opening a directory rebuilds every shard written with them
+// (shard.OpenSet), and parse refuses them. Boxed pointers extend the
+// paper, whose pointers are bare.
 const (
-	metaKindBare   = 2
-	metaKindBoxed  = 3
 	metaKindFramed = 4
 
-	// metaPageOverhead is the fixed header size; each record additionally
-	// costs 2 bytes of slot directory.
+	// metaPageOverhead is the fixed header size.
 	metaPageOverhead = 4
-	// maxRecordSize is the largest kind-2 or kind-3 record that fits an
-	// otherwise empty page.
-	maxRecordSize = storage.PageSize - metaPageOverhead - 2
 
-	bareHeaderSize = 2*storage.MBRSize + 8 + 8 + 4
-	bareRefWidth   = 8 // a kind-2 ref is a whole RecordRef
-	boxSize        = 6 // kind 3: per axis the min byte, then per axis the max byte
+	slotBits = 7
+	noObject = math.MaxUint32 // object ordinal of an overflow continuation
 
-	slotBits            = 7
-	minRefWidth         = 2
-	maxRefWidth         = 4
-	noObject            = math.MaxUint32 // object ordinal of an overflow continuation
-	maxBareNeighbors    = (maxRecordSize - bareHeaderSize) / bareRefWidth
-	maxBareRecords      = (storage.PageSize - metaPageOverhead) / (2 + bareHeaderSize)
-	maxBoxedRecords     = (storage.PageSize - metaPageOverhead) / (2 + boxedCellsAndObject + minRefWidth + 2)
-	_                   = uint(1<<slotBits - 1 - maxBoxedRecords) // every slot fits slotBits, and all ones is no slot
-	boxedCellsAndObject = 2*6*4 + 4
-
-	// Kind 4.
 	frameSize = 6 * 4
-	// framedPageOverhead is a kind-4 page's fixed bytes: header, frame
-	// and the directory's end entry.
+	// framedPageOverhead is a page's fixed bytes: header, frame and the
+	// directory's end entry.
 	framedPageOverhead = metaPageOverhead + frameSize + 2
-	maxFramedRecords   = 1<<slotBits - 1
+	maxFramedRecords   = 1<<slotBits - 1 // every slot fits slotBits
 	maxFramedRecord    = storage.PageSize - framedPageOverhead - 2
 	// A record's page MBR is stored at pageCellBits bits per face and
 	// its partition MBR at partCellBits. The page MBR decides which
 	// object pages a query reads, so it keeps the precision at which no
-	// query of the benchmarks reads an object page kind 3 would not; the
-	// partition MBR only decides which records are expanded.
+	// query of the benchmarks reads an object page a world-cell MBR
+	// would not; the partition MBR only decides which records are
+	// expanded.
 	pageCellBits    = 24
 	partCellBits    = 16
 	framedCellsSize = 6 * (pageCellBits + partCellBits) / 8
-	_               = uint(pageCellBits-24) + uint(24-pageCellBits) + uint(partCellBits-16) + uint(16-partCellBits) // metaPage.framed's loads
+	_               = uint(pageCellBits-24) + uint(24-pageCellBits) + uint(partCellBits-16) + uint(16-partCellBits) // framedValues' loads
 	// metaBoxBits is the b Build writes: a neighbor's box costs 3.75
-	// bytes, against 6 on kind 3. Of b = 4, 5, 6 and 8 it read the
-	// fewest pages at 1.35M elements (README, metadata pages).
+	// bytes. Of b = 4, 5, 6 and 8 it read the fewest pages at 1.35M
+	// elements (README, metadata pages).
 	metaBoxBits = 5
 	maxBoxBits  = 8
 )
-
-// boxedHeaderSize is the fixed part of a kind-3 record with w-byte refs.
-func boxedHeaderSize(w int) int { return boxedCellsAndObject + w + 2 }
-
-// noRefBits is the stored form of noRef at width w: all ones.
-func noRefBits(w int) uint64 { return 1<<(8*w) - 1 }
 
 // metaLayout is what a metadata record means beyond its page bytes: the
 // world its cells quantize against and the page runs its ordinals count
@@ -169,9 +124,8 @@ func (l *metaLayout) metaStart() storage.PageID {
 	return l.objStart + storage.PageID(l.objectPages)
 }
 
-// ref resolves a stored kind-3 or kind-4 ref. A ref outside the index's
-// metadata run is an error, so a corrupt ref cannot name another shard's
-// page.
+// ref resolves a stored ref. A ref outside the index's metadata run is
+// an error, so a corrupt ref cannot name another shard's page.
 func (l *metaLayout) ref(v uint64) (RecordRef, error) {
 	ord := v >> slotBits
 	if ord >= uint64(l.metadataPages) {
@@ -180,8 +134,7 @@ func (l *metaLayout) ref(v uint64) (RecordRef, error) {
 	return makeRef(l.metaStart()+storage.PageID(ord), int(v&(1<<slotBits-1))), nil
 }
 
-// stored is r's stored form (kinds 3 and 4); r must lie in the
-// metadata run.
+// stored is r's stored form; r must lie in the metadata run.
 func (l *metaLayout) stored(r RecordRef) uint64 {
 	ord := uint64(r.Page() - l.metaStart()) // a count of pages, not an id
 	return ord<<slotBits | uint64(r.Slot())
@@ -197,9 +150,6 @@ type boxFrame struct {
 	step [3]uint64
 	bits uint // bits per value
 }
-
-// worldFrame is kind 3's box frame: the top byte of each world cell.
-var worldFrame = boxFrame{step: [3]uint64{1 << 24, 1 << 24, 1 << 24}, bits: 8}
 
 // newFrame returns the frame of bits-bit values over the box whose
 // world cells are base: per axis, steps of the box's extent in cells
@@ -260,7 +210,7 @@ func (fr *boxFrame) limits(lim *[6]uint64) [6]uint16 {
 	return out
 }
 
-// recordFrames are the frames a kind-4 page's record MBRs count from.
+// recordFrames are the frames a page's record MBRs count from.
 type recordFrames struct{ page, part boxFrame }
 
 func newRecordFrames(base [6]uint32) (recordFrames, error) {
@@ -320,108 +270,79 @@ type metaRecord struct {
 	Overflow     RecordRef // continuation record, noRef if none
 	Neighbors    int       // records of all partitions intersecting PartitionMBR
 
-	kind, w uint8     // w: kind 3's ref width, kind 4's box bits
-	list    []byte    // kinds 2 and 3: the neighbor entries; kind 4: boxes, then ref gaps
-	gaps    int       // kind 4: where the ref gaps start in list
-	self    uint64    // kind 4: the record's own stored ref
-	base    [6]uint32 // kind 4: the page's frame
+	b    uint8     // the page's box bits
+	list []byte    // boxes, then ref gaps
+	gaps int       // where the ref gaps start in list
+	self uint64    // the record's own stored ref
+	base [6]uint32 // the page's frame
 }
 
-// boxFrame returns the frame m's neighbor boxes count from: kind 3's
-// world frame, or kind 4's page frame at the page's box bits.
+// boxFrame returns the frame m's neighbor boxes count from: its page's
+// frame at the page's box bits.
 func (m *metaRecord) boxFrame() boxFrame {
-	if m.kind == metaKindBoxed {
-		return worldFrame
-	}
-	fr, _ := newFrame(m.base, uint(m.w)) // validated with the page
+	fr, _ := newFrame(m.base, uint(m.b)) // validated with the page
 	return fr
 }
 
 // nbBox is one neighbor pointer's box as eachNeighbor hands it out: six
-// stored values and the frame they count from; fr is nil on a kind-2
-// page, whose pointers are bare.
+// stored values and the frame they count from; fr is nil only on the
+// box-less item k-NN seeds its frontier with.
 type nbBox struct {
 	v  [6]uint8
 	fr *boxFrame
 }
 
 // eachInline hands visit every neighbor of m's own list in stored
-// order, with the box its pointer carries: values counted from fr (nil
-// on a kind-2 page). With lim set (the box limits of m's page,
-// boxFilter.pageLimits) it skips every neighbor whose box is not within
-// lim.
+// order, with the box its pointer carries: values counted from fr. With
+// lim set (the box limits of m's page, boxFilter.pageLimits) it skips
+// every neighbor whose box is not within lim.
 func (m *metaRecord) eachInline(l *metaLayout, fr *boxFrame, lim *[6]uint16, visit func(n RecordRef, box nbBox) error) error {
 	box := nbBox{fr: fr}
-	switch m.kind {
-	case metaKindBare:
-		for i := 0; i < m.Neighbors; i++ {
-			if err := visit(RecordRef(binary.LittleEndian.Uint64(m.list[bareRefWidth*i:])), box); err != nil {
-				return err
+	v, gaps := m.self, m.list[m.gaps:]
+	b := uint(m.b)
+	mask := uint64(1)<<b - 1
+	// The five shifts, masked so that the compiler emits no over-wide
+	// check: 5b < 64.
+	s1, s2, s3, s4, s5 := b&63, 2*b&63, 3*b&63, 4*b&63, 5*b&63
+	for i := 0; i < m.Neighbors; i++ {
+		var g uint64
+		if len(gaps) > 0 && gaps[0] < 0x80 { // most gaps take one byte
+			g, gaps = uint64(gaps[0]), gaps[1:]
+		} else {
+			var k int
+			if g, k = binary.Uvarint(gaps); k <= 0 {
+				return fmt.Errorf("core: corrupt metadata page: neighbor %d's ref runs past its record", i)
+			}
+			gaps = gaps[k:]
+		}
+		if i == 0 {
+			g = uint64(unzigzag(g))
+		}
+		v += g
+		ref, err := l.ref(v)
+		if err != nil {
+			return err
+		}
+		// Six b-bit values from bit 6bi: at most 55 bits from the byte
+		// holding the first, read in one load where the page has eight
+		// bytes from there.
+		bit := 6 * b * uint(i)
+		var word uint64
+		if off := int(bit / 8); off+8 <= cap(m.list) {
+			word = binary.LittleEndian.Uint64(m.list[off : off+8])
+		} else {
+			for j := int((bit + 6*b + 7) / 8); j > off; j-- {
+				word = word<<8 | uint64(m.list[j-1])
 			}
 		}
-	case metaKindBoxed:
-		w := int(m.w)
-		for i := 0; i < m.Neighbors; i++ {
-			e := m.list[i*(w+boxSize):]
-			ref, err := l.ref(uintN(e, w))
-			if err != nil {
-				return err
-			}
-			box.v = [6]uint8(e[w : w+boxSize])
-			if lim != nil && !box.within(lim) {
-				continue
-			}
-			if err := visit(ref, box); err != nil {
-				return err
-			}
+		word >>= bit & 7
+		box.v = [6]uint8{uint8(word & mask), uint8(word >> s1 & mask), uint8(word >> s2 & mask),
+			uint8(word >> s3 & mask), uint8(word >> s4 & mask), uint8(word >> s5 & mask)}
+		if lim != nil && !box.within(lim) {
+			continue
 		}
-	default:
-		v, gaps := m.self, m.list[m.gaps:]
-		b := uint(m.w)
-		mask := uint64(1)<<b - 1
-		// The five shifts, masked so that the compiler emits no
-		// over-wide check: 5b < 64.
-		s1, s2, s3, s4, s5 := b&63, 2*b&63, 3*b&63, 4*b&63, 5*b&63
-		for i := 0; i < m.Neighbors; i++ {
-			var g uint64
-			if len(gaps) > 0 && gaps[0] < 0x80 { // most gaps take one byte
-				g, gaps = uint64(gaps[0]), gaps[1:]
-			} else {
-				var k int
-				if g, k = binary.Uvarint(gaps); k <= 0 {
-					return fmt.Errorf("core: corrupt metadata page: neighbor %d's ref runs past its record", i)
-				}
-				gaps = gaps[k:]
-			}
-			if i == 0 {
-				g = uint64(unzigzag(g))
-			}
-			v += g
-			ref, err := l.ref(v)
-			if err != nil {
-				return err
-			}
-			// Six b-bit values from bit 6bi: at most 55 bits from the
-			// byte holding the first, read in one load where the page
-			// has eight bytes from there.
-			bit := 6 * b * uint(i)
-			var word uint64
-			if off := int(bit / 8); off+8 <= cap(m.list) {
-				word = binary.LittleEndian.Uint64(m.list[off : off+8])
-			} else {
-				for j := int((bit + 6*b + 7) / 8); j > off; j-- {
-					word = word<<8 | uint64(m.list[j-1])
-				}
-			}
-			word >>= bit & 7
-			box.v = [6]uint8{uint8(word & mask), uint8(word >> s1 & mask), uint8(word >> s2 & mask),
-				uint8(word >> s3 & mask), uint8(word >> s4 & mask), uint8(word >> s5 & mask)}
-			if lim != nil && !box.within(lim) {
-				continue
-			}
-			if err := visit(ref, box); err != nil {
-				return err
-			}
+		if err := visit(ref, box); err != nil {
+			return err
 		}
 	}
 	return nil
@@ -432,15 +353,6 @@ func zigzag(d int64) uint64 { return uint64(d<<1) ^ uint64(d>>63) }
 
 func unzigzag(u uint64) int64 { return int64(u>>1) ^ -int64(u&1) }
 
-// uintN reads a w-byte little-endian unsigned integer from b.
-func uintN(b []byte, w int) uint64 {
-	var v uint64
-	for i := w - 1; i >= 0; i-- {
-		v = v<<8 | uint64(b[i])
-	}
-	return v
-}
-
 // metaPage is a metadata page whose header is validated: what decoding
 // any of its records needs. Data pages carry no checksum, so every
 // on-page value the decoders below index or allocate by is
@@ -448,51 +360,42 @@ func uintN(b []byte, w int) uint64 {
 // process.
 type metaPage struct {
 	bytes []byte
-	kind  uint8
-	w     uint8 // kind 3's ref width, kind 4's box bits
+	b     uint8 // box bits
 	count int
-	base  [6]uint32    // kind 4: the frame
-	rf    recordFrames // kind 4
+	base  [6]uint32 // the frame
+	rf    recordFrames
 }
 
-// parse validates page's header.
+// errMetaKind is parse's error for a page whose kind byte is not 4.
+var errMetaKind = fmt.Errorf("core: page is not a kind-%d metadata page", metaKindFramed)
+
+// parse validates page's header. A page of any other kind — an older
+// layout a directory open did not upgrade, or not a metadata page at
+// all — is an error, so it fails the query rather than answer it.
 func (p *metaPage) parse(page []byte) error {
 	if len(page) < storage.PageSize {
 		return fmt.Errorf("core: metadata page of %d bytes", len(page))
 	}
-	p.bytes, p.kind, p.w = page, page[0], page[1]
+	if page[0] != metaKindFramed {
+		return fmt.Errorf("%w (kind %d)", errMetaKind, page[0])
+	}
+	p.bytes, p.b = page, page[1]
 	p.count = int(binary.LittleEndian.Uint16(page[2:]))
-	limit := maxBoxedRecords
-	switch p.kind {
-	case metaKindBare:
-		limit = maxBareRecords
-	case metaKindBoxed:
-		if p.w < minRefWidth || p.w > maxRefWidth {
-			return fmt.Errorf("core: corrupt metadata page: ref width %d not in [%d,%d]", p.w, minRefWidth, maxRefWidth)
-		}
-	case metaKindFramed:
-		if p.w < 1 || p.w > maxBoxBits {
-			return fmt.Errorf("core: corrupt metadata page: %d-bit boxes not in [1,%d]", p.w, maxBoxBits)
-		}
-		limit = maxFramedRecords
-		for f := range p.base {
-			p.base[f] = binary.LittleEndian.Uint32(page[metaPageOverhead+4*f:])
-		}
-		var err error
-		if p.rf, err = newRecordFrames(p.base); err != nil {
-			return err
-		}
-	default:
-		return fmt.Errorf("core: page is not a metadata page (kind %d)", p.kind)
+	if p.b < 1 || p.b > maxBoxBits {
+		return fmt.Errorf("core: corrupt metadata page: %d-bit boxes not in [1,%d]", p.b, maxBoxBits)
 	}
-	if p.count > limit {
-		return fmt.Errorf("core: corrupt metadata page: %d records exceed the %d a page holds", p.count, limit)
+	if p.count > maxFramedRecords {
+		return fmt.Errorf("core: corrupt metadata page: %d records exceed the %d a page holds", p.count, maxFramedRecords)
 	}
-	return nil
+	for f := range p.base {
+		p.base[f] = binary.LittleEndian.Uint32(page[metaPageOverhead+4*f:])
+	}
+	var err error
+	p.rf, err = newRecordFrames(p.base)
+	return err
 }
 
-// decodeMetaRecord reads record ref from its metadata page, of any
-// kind, into m.
+// decodeMetaRecord reads record ref from its metadata page into m.
 func decodeMetaRecord(page []byte, ref RecordRef, l *metaLayout, m *metaRecord) error {
 	var p metaPage
 	if err := p.parse(page); err != nil {
@@ -501,80 +404,19 @@ func decodeMetaRecord(page []byte, ref RecordRef, l *metaLayout, m *metaRecord) 
 	return p.record(ref, l, m)
 }
 
-// record reads record ref of the page into m. It allocates nothing: the
-// neighbor list stays on the page.
-func (p *metaPage) record(ref RecordRef, l *metaLayout, m *metaRecord) error {
-	slot := ref.Slot()
-	if slot >= p.count {
-		return fmt.Errorf("core: metadata slot %d out of range (%d records)", slot, p.count)
-	}
-	if p.kind == metaKindFramed {
-		return p.framed(ref, l, m)
-	}
-	page, w := p.bytes, int(p.w)
-	header, stride, maxNeighbors := bareHeaderSize, bareRefWidth, maxBareNeighbors
-	if p.kind == metaKindBoxed {
-		header, stride, maxNeighbors = boxedHeaderSize(w), w+boxSize, (maxRecordSize-boxedHeaderSize(w))/(w+boxSize)
-	}
-	off := int(binary.LittleEndian.Uint16(page[metaPageOverhead+2*slot:]))
-	if off < metaPageOverhead+2*p.count || off+header > storage.PageSize {
-		return fmt.Errorf("core: corrupt metadata page: slot %d record offset %d out of range", slot, off)
-	}
-	r := storage.NewPageReader(page)
-	r.Seek(off)
-	m.kind, m.w = p.kind, p.w
-	var n int
-	if m.kind == metaKindBare {
-		m.PageMBR = r.MBR()
-		m.PartitionMBR = r.MBR()
-		m.ObjectPage = storage.PageID(r.U64())
-		m.Overflow = RecordRef(r.U64())
-		n = int(r.U32())
-	} else {
-		var cells [6]uint32
-		for i := range cells {
-			cells[i] = r.U32()
-		}
-		m.PageMBR = l.quant.Box(cells)
-		for i := range cells {
-			cells[i] = r.U32()
-		}
-		m.PartitionMBR = l.quant.Box(cells)
-		var err error
-		if m.ObjectPage, err = l.object(uint64(r.U32()), noObject, 0); err != nil {
-			return err
-		}
-		m.Overflow = noRef
-		if ov := uintN(page[r.Offset():], w); ov != noRefBits(w) {
-			if m.Overflow, err = l.ref(ov); err != nil {
-				return err
-			}
-		}
-		r.Seek(r.Offset() + w)
-		n = int(r.U16())
-	}
-	start := r.Offset()
-	if n > maxNeighbors || start+stride*n > storage.PageSize {
-		return fmt.Errorf("core: corrupt metadata page: slot %d lists %d neighbors past the page end", slot, n)
-	}
-	m.Neighbors = n
-	m.list = page[start : start+stride*n]
-	return nil
-}
-
-// object resolves a stored object ordinal: v − shift counts from
-// objStart, and v == none marks an overflow continuation.
-func (l *metaLayout) object(v, none, shift uint64) (storage.PageID, error) {
+// object resolves a stored object field: 0 marks an overflow
+// continuation, and v − 1 counts from objStart.
+func (l *metaLayout) object(v uint64) (storage.PageID, error) {
 	switch {
-	case v == none:
+	case v == 0:
 		return storage.InvalidPage, nil
-	case v-shift >= uint64(l.objectPages):
-		return 0, fmt.Errorf("core: corrupt metadata page: record names object page %d of %d", v-shift, l.objectPages)
+	case v-1 >= uint64(l.objectPages):
+		return 0, fmt.Errorf("core: corrupt metadata page: record names object page %d of %d", v-1, l.objectPages)
 	}
-	return l.objStart + storage.PageID(v-shift), nil
+	return l.objStart + storage.PageID(v-1), nil
 }
 
-// framedValues reads a kind-4 record's stored page and partition values.
+// framedValues reads a record's stored page and partition values.
 func framedValues(rec []byte) (pageV, partV [6]uint64) {
 	_ = rec[framedCellsSize-1]
 	for f := range pageV {
@@ -586,13 +428,12 @@ func framedValues(rec []byte) (pageV, partV [6]uint64) {
 }
 
 // pageMeets reports whether record slot's page MBR can intersect the
-// query whose world cell limits (Quantizer.CellLimits) are lim. On a
-// kind-4 page it is exactly whether the decoded page MBR does, read off
-// the stored values without decoding them: its cells are below lim. On
-// other kinds, and at a slot whose offset is corrupt, it is true, and
-// decoding the record decides.
+// query whose world cell limits (Quantizer.CellLimits) are lim: exactly
+// whether the decoded page MBR does, read off the stored values without
+// decoding them — its cells are below lim. At a slot whose offset is
+// corrupt it is true, and decoding the record decides.
 func (p *metaPage) pageMeets(slot int, lim *[6]uint64) bool {
-	if p.kind != metaKindFramed || slot >= p.count {
+	if slot >= p.count {
 		return true
 	}
 	off := int(binary.LittleEndian.Uint16(p.bytes[framedPageOverhead-2+2*slot:]))
@@ -604,9 +445,13 @@ func (p *metaPage) pageMeets(slot int, lim *[6]uint64) bool {
 		uint64(page[3]) < lim[3] && uint64(page[4]) < lim[4] && uint64(page[5]) < lim[5]
 }
 
-// framed is record for a kind-4 page.
-func (p *metaPage) framed(ref RecordRef, l *metaLayout, m *metaRecord) error {
+// record reads record ref of the page into m. It allocates nothing: the
+// neighbor list stays on the page.
+func (p *metaPage) record(ref RecordRef, l *metaLayout, m *metaRecord) error {
 	slot := ref.Slot()
+	if slot >= p.count {
+		return fmt.Errorf("core: metadata slot %d out of range (%d records)", slot, p.count)
+	}
 	dir := framedPageOverhead - 2 + 2*slot
 	off := int(binary.LittleEndian.Uint16(p.bytes[dir:]))
 	end := int(binary.LittleEndian.Uint16(p.bytes[dir+2:]))
@@ -616,7 +461,7 @@ func (p *metaPage) framed(ref RecordRef, l *metaLayout, m *metaRecord) error {
 	rec := p.bytes[off:end]
 	pageCells, partCells := p.rf.cells(framedValues(rec))
 	m.PageMBR, m.PartitionMBR = l.quant.Box(pageCells), l.quant.Box(partCells)
-	m.kind, m.w, m.base, m.self = p.kind, p.w, p.base, l.stored(ref)
+	m.b, m.base, m.self = p.b, p.base, l.stored(ref)
 	rest := rec[framedCellsSize:]
 	var fields [3]uint64 // object, overflow, neighbor count
 	for i := range fields {
@@ -627,7 +472,7 @@ func (p *metaPage) framed(ref RecordRef, l *metaLayout, m *metaRecord) error {
 		fields[i], rest = v, rest[k:]
 	}
 	var err error
-	if m.ObjectPage, err = l.object(fields[0], 0, 1); err != nil {
+	if m.ObjectPage, err = l.object(fields[0]); err != nil {
 		return err
 	}
 	m.Overflow = noRef
@@ -638,7 +483,7 @@ func (p *metaPage) framed(ref RecordRef, l *metaLayout, m *metaRecord) error {
 	}
 	// Every neighbor costs at least one gap byte beside its box bits.
 	n := fields[2]
-	boxBytes := (6*uint64(p.w)*n + 7) / 8
+	boxBytes := (6*uint64(p.b)*n + 7) / 8
 	if n > uint64(len(rest)) || boxBytes+n > uint64(len(rest)) {
 		return fmt.Errorf("core: corrupt metadata page: slot %d lists %d neighbors past its record", slot, n)
 	}
@@ -690,7 +535,7 @@ func (m *pendingRecord) gap(i int, prev uint64) uint64 {
 	return m.nbs[i].self - prev
 }
 
-// encodedSize returns m's kind-4 footprint at b-bit boxes and the refs
+// encodedSize returns m's encoded footprint at b-bit boxes and the refs
 // packing last assigned; m's neighbors must be sorted.
 func (m *pendingRecord) encodedSize(b int) int {
 	size := framedCellsSize + (6*b*len(m.nbs)+7)/8
@@ -707,7 +552,7 @@ func (m *pendingRecord) encodedSize(b int) int {
 
 func uvarintLen(v uint64) int { return (bits.Len64(v|1) + 6) / 7 }
 
-// encodeMetaPage serializes records into buf as a kind-4 page with b-bit
+// encodeMetaPage serializes records into buf as a metadata page with b-bit
 // boxes, against the frame whose world cells are base. Callers must have
 // packed the group so it fits (packMetaPages) and sorted every record's
 // neighbors at their final refs.
@@ -821,7 +666,7 @@ func tileMetaRecords(records []*pendingRecord, b int) {
 	str.Tile(records, func(m *pendingRecord) geom.Vec3 { return m.center }, max(capacity, 1))
 }
 
-// packMetaPages assigns records to kind-4 pages with b-bit boxes and
+// packMetaPages assigns records to metadata pages with b-bit boxes and
 // gives every record its stored ref. It returns the page groups as index
 // ranges into the record slice; records never span pages.
 //

@@ -2,8 +2,10 @@ package core
 
 import (
 	"cmp"
+	"errors"
 	"math"
 	"math/rand"
+	"path/filepath"
 	"slices"
 	"testing"
 
@@ -20,9 +22,6 @@ func decodeRecord(page []byte, ref RecordRef, l *metaLayout) (metaRecord, error)
 
 // frameOf is the frame eachNeighbor hands m's boxes with.
 func frameOf(m *metaRecord) *boxFrame {
-	if m.kind == metaKindBare {
-		return nil
-	}
 	fr := m.boxFrame()
 	return &fr
 }
@@ -49,7 +48,7 @@ func TestRecordRefPacking(t *testing.T) {
 
 // testLayout is the layout the codec tests decode against: a world of
 // worldBox(), 5000 object pages from page 100 and 600 metadata pages
-// after them (w = 3 addresses them all; w = 2 only 512).
+// after them (more than a 2-byte ref addresses).
 func testLayout() *metaLayout {
 	return &metaLayout{quant: storage.NewQuantizer(worldBox()), objStart: 100, objectPages: 5000, metadataPages: 600}
 }
@@ -57,69 +56,6 @@ func testLayout() *metaLayout {
 func randomCells(r *rand.Rand, l *metaLayout) (page, part [6]uint32) {
 	box := geom.CubeAt(geom.V(10+r.Float64()*80, 10+r.Float64()*80, 10+r.Float64()*80), 1+r.Float64())
 	return l.quant.Cells(box), l.quant.Cells(box.Expand(r.Float64()))
-}
-
-// boxedRecord is a kind-3 record: the layout indexes written before
-// kind 4 existed carry, and that Build no longer writes.
-type boxedRecord struct {
-	pageCells, partCells [6]uint32
-	objOrd               uint32 // noObject on an overflow continuation
-	overflow             uint64 // stored ref, noRefBits(w) for none
-	refs                 []uint64
-	boxes                [][boxSize]uint8
-}
-
-// encodeBoxedPage writes records as a kind-3 page with w-byte refs, byte
-// for byte what the encoder wrote before kind 4.
-func encodeBoxedPage(buf []byte, records []boxedRecord, w int) {
-	pw := storage.NewPageWriter(buf)
-	pw.PutU8(metaKindBoxed)
-	pw.PutU8(uint8(w))
-	pw.PutU16(uint16(len(records)))
-	off := metaPageOverhead + 2*len(records)
-	for _, m := range records {
-		pw.PutU16(uint16(off))
-		off += boxedHeaderSize(w) + (w+boxSize)*len(m.refs)
-	}
-	for _, m := range records {
-		for _, c := range m.pageCells {
-			pw.PutU32(c)
-		}
-		for _, c := range m.partCells {
-			pw.PutU32(c)
-		}
-		pw.PutU32(m.objOrd)
-		pw.PutUintN(m.overflow, w)
-		pw.PutU16(uint16(len(m.refs)))
-		for i, ref := range m.refs {
-			pw.PutUintN(ref, w)
-			for _, b := range m.boxes[i] {
-				pw.PutU8(b)
-			}
-		}
-	}
-	if pw.Overflow() {
-		panic("kind-3 test page overflow")
-	}
-}
-
-// randomBoxedRecord returns a kind-3 record valid under testLayout with
-// w-byte refs.
-func randomBoxedRecord(r *rand.Rand, neighbors, w int) boxedRecord {
-	l := testLayout()
-	m := boxedRecord{objOrd: uint32(r.Intn(l.objectPages)), overflow: noRefBits(w)}
-	m.pageCells, m.partCells = randomCells(r, l)
-	pages := min(l.metadataPages, 1<<(8*w-slotBits))
-	for range neighbors {
-		_, cells := randomCells(r, l)
-		var box [boxSize]uint8
-		for f, c := range cells {
-			box[f] = uint8(worldFrame.value(f, c))
-		}
-		m.refs = append(m.refs, uint64(r.Intn(pages))<<slotBits|uint64(r.Intn(maxBoxedRecords)))
-		m.boxes = append(m.boxes, box)
-	}
-	return m
 }
 
 // randomFramedPage returns records for kind-4 page ord under
@@ -215,108 +151,6 @@ func TestMetaPageCodecRoundTrip(t *testing.T) {
 			}
 		}
 	}
-
-	// Kind 3 still decodes, at every ref width.
-	for w := minRefWidth; w <= maxRefWidth; w++ {
-		records := []boxedRecord{randomBoxedRecord(r, 0, w), randomBoxedRecord(r, 5, w), randomBoxedRecord(r, 30, w)}
-		records[1].overflow = 7<<slotBits | 3
-		buf := make([]byte, storage.PageSize)
-		encodeBoxedPage(buf, records, w)
-		for slot, want := range records {
-			ref := makeRef(l.metaStart(), slot)
-			got, err := decodeRecord(buf, ref, l)
-			if err != nil {
-				t.Fatal(err)
-			}
-			wantOverflow := noRef
-			if want.overflow != noRefBits(w) {
-				wantOverflow = makeRef(l.metaStart()+7, 3)
-			}
-			if got.PageMBR != l.quant.Box(want.pageCells) || got.PartitionMBR != l.quant.Box(want.partCells) ||
-				got.ObjectPage != l.objStart+storage.PageID(want.objOrd) || got.Overflow != wantOverflow || got.Neighbors != len(want.refs) {
-				t.Fatalf("w=%d slot %d header mismatch: %+v", w, slot, got)
-			}
-			i := 0
-			err = got.eachInline(l, frameOf(&got), nil, func(n RecordRef, box nbBox) error {
-				wantRef, _ := l.ref(want.refs[i])
-				if n != wantRef || box.v != want.boxes[i] || *box.fr != worldFrame {
-					t.Fatalf("w=%d slot %d neighbor %d = (%v, %v), want (%v, %v)", w, slot, i, n, box.v, wantRef, want.boxes[i])
-				}
-				i++
-				return nil
-			})
-			if err != nil || i != len(want.refs) {
-				t.Fatalf("w=%d slot %d: %d neighbors walked, %v", w, slot, i, err)
-			}
-		}
-	}
-}
-
-// bareRecord is a kind-2 record: the layout indexes written before kind
-// 3 existed carry, and that Build no longer writes.
-type bareRecord struct {
-	pageMBR, partMBR geom.MBR
-	object           storage.PageID
-	overflow         RecordRef
-	neighbors        []RecordRef
-}
-
-// encodeBarePage writes records as a kind-2 page, byte for byte what the
-// encoder wrote before kind 3.
-func encodeBarePage(buf []byte, records []bareRecord) {
-	w := storage.NewPageWriter(buf)
-	w.PutU8(metaKindBare)
-	w.PutU8(0)
-	w.PutU16(uint16(len(records)))
-	off := metaPageOverhead + 2*len(records)
-	for _, m := range records {
-		w.PutU16(uint16(off))
-		off += bareHeaderSize + 8*len(m.neighbors)
-	}
-	for _, m := range records {
-		w.PutMBR(m.pageMBR)
-		w.PutMBR(m.partMBR)
-		w.PutU64(uint64(m.object))
-		w.PutU64(uint64(m.overflow))
-		w.PutU32(uint32(len(m.neighbors)))
-		for _, n := range m.neighbors {
-			w.PutU64(uint64(n))
-		}
-	}
-}
-
-func randomBareRecord(r *rand.Rand, neighbors int) bareRecord {
-	page := geom.CubeAt(geom.V(r.Float64()*100, r.Float64()*100, r.Float64()*100), 1+r.Float64())
-	m := bareRecord{pageMBR: page, partMBR: page.Expand(r.Float64()), object: storage.PageID(r.Uint64() >> 16), overflow: noRef}
-	for range neighbors {
-		m.neighbors = append(m.neighbors, makeRef(storage.PageID(r.Uint32()), r.Intn(100)))
-	}
-	return m
-}
-
-func TestBareMetaPageDecodes(t *testing.T) {
-	r := rand.New(rand.NewSource(103))
-	records := []bareRecord{randomBareRecord(r, 0), randomBareRecord(r, 5), randomBareRecord(r, 30)}
-	buf := make([]byte, storage.PageSize)
-	encodeBarePage(buf, records)
-	for slot, want := range records {
-		got, err := decodeRecord(buf, makeRef(0, slot), testLayout())
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got.PageMBR != want.pageMBR || got.PartitionMBR != want.partMBR || got.ObjectPage != want.object ||
-			got.Overflow != want.overflow || got.Neighbors != len(want.neighbors) {
-			t.Fatalf("slot %d header mismatch: %+v", slot, got)
-		}
-		var refs []RecordRef
-		err = got.eachInline(testLayout(), nil, nil, func(n RecordRef, box nbBox) error {
-			refs = append(refs, n)
-			return nil
-		})
-		if err != nil || !slices.Equal(refs, want.neighbors) {
-			t.Fatalf("slot %d neighbors = %v, %v; want %v", slot, refs, err, want.neighbors)
-		}
-	}
 }
 
 // decodeAll decodes slot of the first metadata page and walks its
@@ -331,81 +165,35 @@ func decodeAll(page []byte, slot int, l *metaLayout) (metaRecord, error) {
 	return m, err
 }
 
+// olderKindPage returns the first metadata page of shard 0 of a
+// committed index directory written before kind 4 (internal/shard's
+// fixtures, named after their metadata kind): real kind-2 or kind-3
+// bytes, which no decoder here reads any more.
+func olderKindPage(tb testing.TB, fixture string) []byte {
+	tb.Helper()
+	pager, err := storage.OpenFilePager(filepath.Join("..", "shard", "testdata", fixture, "shard-0000.flat"))
+	if err != nil {
+		tb.Fatal(err)
+	}
+	defer pager.Close()
+	ix, err := OpenFrom(storage.NewConcurrentPool(pager, 0), storage.PageID(pager.NumPages()-1))
+	if err != nil {
+		tb.Fatal(err)
+	}
+	page := make([]byte, storage.PageSize)
+	if err := pager.ReadPage(ix.metaStart(), page); err != nil {
+		tb.Fatal(err)
+	}
+	return page
+}
+
 func TestDecodeMetaRecordErrors(t *testing.T) {
 	l := testLayout()
-	buf := make([]byte, storage.PageSize)
-	encodeBarePage(buf, []bareRecord{randomBareRecord(rand.New(rand.NewSource(1)), 2)})
-	if _, err := decodeAll(buf, 1, l); err == nil {
-		t.Error("out-of-range slot accepted")
-	}
-	var notMeta [storage.PageSize]byte
-	notMeta[0] = 1 // rtree leaf kind
-	if _, err := decodeAll(notMeta[:], 0, l); err == nil {
-		t.Error("wrong page kind accepted")
-	}
-
-	// Data pages carry no checksum: each on-page value the decoder
-	// indexes or allocates by, corrupted, must be an error — these used
-	// to be a slice-bounds panic, an out-of-memory abort, and a read past
-	// the slot directory.
-	rnd := rand.New(rand.NewSource(2))
-	two := make([]byte, storage.PageSize)
-	encodeBarePage(two, []bareRecord{randomBareRecord(rnd, 2), randomBareRecord(rnd, 2)})
 	corrupt := func(page []byte, off int, b ...byte) []byte {
 		page = append([]byte(nil), page...)
 		copy(page[off:], b)
 		return page
 	}
-	slot1 := metaPageOverhead + 2 // slot 1's directory entry
-	nOff := metaPageOverhead + 2*2 + bareHeaderSize + 8*2 + bareHeaderSize - 4
-	cases := map[string][]byte{
-		"kind 2: record offset past the page":    corrupt(two, slot1, 0xf0, 0xff),
-		"kind 2: record offset inside the slots": corrupt(two, slot1, 2, 0),
-		"kind 2: neighbor count 0x7fffffff":      corrupt(two, nOff, 0xff, 0xff, 0xff, 0x7f),
-		"kind 2: neighbor list past the page":    corrupt(two, nOff, byte(maxBareNeighbors&0xff), byte(maxBareNeighbors>>8), 0, 0),
-		"kind 2: record count past the page":     corrupt(two, 2, 0xff, 0xff),
-	}
-	if m, err := decodeAll(two, 1, l); err != nil || m.Neighbors != 2 {
-		t.Errorf("uncorrupted kind-2 page: %d neighbors, %v", m.Neighbors, err)
-	}
-
-	// Kind 3: the header, the ordinals and the list are bounded by the
-	// page and by the shard's own page runs, so a corrupt ref cannot name
-	// a page outside this shard's metadata run.
-	const w = 3
-	boxed := make([]byte, storage.PageSize)
-	encodeBoxedPage(boxed, []boxedRecord{randomBoxedRecord(rnd, 2, w), randomBoxedRecord(rnd, 2, w)}, w)
-	rec1 := metaPageOverhead + 2*2 + boxedHeaderSize(w) + 2*(w+boxSize) // slot 1's record
-	objOff, ovOff, cntOff := rec1+2*6*4, rec1+2*6*4+4, rec1+2*6*4+4+w
-	nb0 := cntOff + 2
-	past := uint64(l.metadataPages) << slotBits // the first ref past the run
-	objPast := uint32(l.objectPages)
-	for name, page := range map[string][]byte{
-		"kind 3: ref width 0":                 corrupt(boxed, 1, 0),
-		"kind 3: ref width 1":                 corrupt(boxed, 1, 1),
-		"kind 3: ref width 5":                 corrupt(boxed, 1, 5),
-		"kind 3: ref width 255":               corrupt(boxed, 1, 255),
-		"kind 3: record count past the page":  corrupt(boxed, 2, maxBoxedRecords+1, 0),
-		"kind 3: record offset past the page": corrupt(boxed, slot1, 0xf0, 0xff),
-		"kind 3: object ordinal past the run": corrupt(boxed, objOff, byte(objPast), byte(objPast>>8), byte(objPast>>16), byte(objPast>>24)),
-		"kind 3: overflow ref past the run":   corrupt(boxed, ovOff, byte(past), byte(past>>8), byte(past>>16)),
-		"kind 3: neighbor ref past the run":   corrupt(boxed, nb0, byte(past), byte(past>>8), byte(past>>16)),
-		"kind 3: neighbor list past the page": corrupt(boxed, cntOff, 0xff, 0x01),
-	} {
-		cases[name] = page
-	}
-	for name, page := range cases {
-		if _, err := decodeAll(page, 1, l); err == nil {
-			t.Errorf("%s: accepted", name)
-		}
-	}
-	if m, err := decodeAll(boxed, 1, l); err != nil || m.Neighbors != 2 {
-		t.Errorf("uncorrupted kind-3 page: %d neighbors, %v", m.Neighbors, err)
-	}
-
-	// Kind 4: varints, the bit-packed boxes and the frame are bounded by
-	// the record, and every ref by the metadata run. A frame is six
-	// integer cells, so it cannot be NaN; an inverted one is an error.
 	framed := func(edit func([]*pendingRecord)) []byte {
 		records := randomFramedPage(rand.New(rand.NewSource(3)), 0, 2, 2)
 		records[1].objOrd = 1000 // a 2-byte object field
@@ -416,42 +204,74 @@ func TestDecodeMetaRecordErrors(t *testing.T) {
 		return page
 	}
 	good := framed(func([]*pendingRecord) {})
+	if _, err := decodeAll(good, 2, l); err == nil {
+		t.Error("out-of-range slot accepted")
+	}
+	var notMeta [storage.PageSize]byte
+	notMeta[0] = 1 // rtree leaf kind
+	if _, err := decodeAll(notMeta[:], 0, l); err == nil {
+		t.Error("wrong page kind accepted")
+	}
+
+	// A page of an older kind is refused whole, whatever its records
+	// hold: a shard its directory's open did not upgrade fails the
+	// query instead of answering it.
+	for kind, fixture := range map[byte]string{2: "kind2-k2-v2", 3: "kind3-k2-v2"} {
+		page := olderKindPage(t, fixture)
+		if page[0] != kind {
+			t.Fatalf("%s: metadata page of kind %d", fixture, page[0])
+		}
+		for slot := range 2 {
+			if _, err := decodeAll(page, slot, l); !errors.Is(err, errMetaKind) {
+				t.Errorf("kind-%d page, slot %d: %v; want the not-kind-4 error", kind, slot, err)
+			}
+		}
+	}
+
+	// Data pages carry no checksum: each on-page value the decoder
+	// indexes or allocates by, corrupted, must be an error. Varints, the
+	// bit-packed boxes and the frame are bounded by the record, and every
+	// ref by the metadata run, so a corrupt ref cannot name a page
+	// outside this shard's metadata run. A frame is six integer cells, so
+	// it cannot be NaN; an inverted one is an error.
 	dir1 := framedPageOverhead - 2 + 2 // slot 1's directory entry
 	start1 := int(good[dir1]) | int(good[dir1+1])<<8
 	end1 := int(good[dir1+2]) | int(good[dir1+3])<<8
 	objField, countField := start1+framedCellsSize, start1+framedCellsSize+2+1
 	lonely := framed(func(rs []*pendingRecord) { rs[1].nbs = nil }) // slot 1 ends in its count
 	lonelyEnd := int(lonely[dir1+2]) | int(lonely[dir1+3])<<8
-	objPast4 := l.objectPages + 1 // stored ordinal + 1
+	objPast := l.objectPages + 1 // stored ordinal + 1
 	for name, page := range map[string][]byte{
-		"kind 4: 0-bit boxes":                      corrupt(good, 1, 0),
-		"kind 4: 9-bit boxes":                      corrupt(good, 1, 9),
-		"kind 4: record count past the page":       corrupt(good, 2, maxFramedRecords+1, 0),
-		"kind 4: inverted frame":                   corrupt(good, metaPageOverhead, 0xff, 0xff, 0xff, 0xff),
-		"kind 4: record end past the page":         corrupt(good, dir1+2, 0xff, 0xff),
-		"kind 4: record end before its start":      corrupt(good, dir1+2, byte(start1+3), byte((start1+3)>>8)),
-		"kind 4: record offset inside the dir":     corrupt(good, dir1, 4, 0),
-		"kind 4: object ordinal past the run":      corrupt(good, objField, byte(objPast4)|0x80, byte(objPast4>>7)),
-		"kind 4: header varint past the record":    corrupt(lonely, lonelyEnd-1, 0x80),
-		"kind 4: ref varint past the record":       corrupt(good, end1-1, good[end1-1]|0x80),
-		"kind 4: bit-packed boxes past the record": corrupt(good, countField, 0x7f),
-		"kind 4: neighbor ref past the run": framed(func(rs []*pendingRecord) {
+		"0-bit boxes":                      corrupt(good, 1, 0),
+		"9-bit boxes":                      corrupt(good, 1, 9),
+		"record count past the page":       corrupt(good, 2, maxFramedRecords+1, 0),
+		"inverted frame":                   corrupt(good, metaPageOverhead, 0xff, 0xff, 0xff, 0xff),
+		"record end past the page":         corrupt(good, dir1+2, 0xff, 0xff),
+		"record end before its start":      corrupt(good, dir1+2, byte(start1+3), byte((start1+3)>>8)),
+		"record offset inside the dir":     corrupt(good, dir1, 4, 0),
+		"object ordinal past the run":      corrupt(good, objField, byte(objPast)|0x80, byte(objPast>>7)),
+		"header varint past the record":    corrupt(lonely, lonelyEnd-1, 0x80),
+		"ref varint past the record":       corrupt(good, end1-1, good[end1-1]|0x80),
+		"bit-packed boxes past the record": corrupt(good, countField, 0x7f),
+		"neighbor ref past the run": framed(func(rs []*pendingRecord) {
 			rs[1].nbs[1] = &pendingRecord{self: uint64(l.metadataPages) << slotBits}
 		}),
-		"kind 4: overflow ref past the run": framed(func(rs []*pendingRecord) {
+		"overflow ref past the run": framed(func(rs []*pendingRecord) {
 			rs[1].next = &pendingRecord{self: uint64(l.metadataPages) << slotBits}
 		}),
 	} {
-		cases[name] = page
+		if _, err := decodeAll(page, 1, l); err == nil {
+			t.Errorf("%s: accepted", name)
+		}
 	}
 	if m, err := decodeAll(good, 1, l); err != nil || m.Neighbors != 2 || m.ObjectPage != l.objStart+1000 {
-		t.Errorf("uncorrupted kind-4 page: %d neighbors, object %d, %v", m.Neighbors, m.ObjectPage, err)
+		t.Errorf("uncorrupted page: %d neighbors, object %d, %v", m.Neighbors, m.ObjectPage, err)
 	}
-	sentinel := corrupt(boxed, objOff, 0xff, 0xff, 0xff, 0xff)
-	if m, err := decodeAll(sentinel, 1, l); err != nil || m.ObjectPage != storage.InvalidPage {
+	continuation := framed(func(rs []*pendingRecord) { rs[1].objOrd = noObject })
+	if m, err := decodeAll(continuation, 1, l); err != nil || m.ObjectPage != storage.InvalidPage {
 		t.Errorf("overflow continuation: object page %d, %v", m.ObjectPage, err)
 	}
-	if _, err := metaPageRecordCount(corrupt(two, 2, 0xff, 0xff)); err == nil {
+	if _, err := metaPageRecordCount(corrupt(good, 2, 0xff, 0xff)); err == nil {
 		t.Error("metaPageRecordCount accepted a record count past the page")
 	}
 }
@@ -459,18 +279,16 @@ func TestDecodeMetaRecordErrors(t *testing.T) {
 // FuzzDecodeMetaRecord feeds the metadata decoder arbitrary page bytes:
 // whatever a flipped bit or a hostile file puts on the page, every slot
 // decodes to a record or an error, never a panic or a giant allocation,
-// and a decoded kind-3 or kind-4 ref stays inside the layout's metadata
-// run.
+// a decoded ref stays inside the layout's metadata run, and a page whose
+// kind byte is not 4 is an error. Its first seeds are pages of the older
+// kinds 2 and 3, real and edited.
 func FuzzDecodeMetaRecord(f *testing.F) {
 	r := rand.New(rand.NewSource(7))
-	bare := make([]byte, storage.PageSize)
-	encodeBarePage(bare, []bareRecord{randomBareRecord(r, 3), randomBareRecord(r, 40)})
-	f.Add(bare, 1)
-	f.Add([]byte{metaKindBare, 0, 0xff, 0xff, 0xf0, 0xff}, 0)
-	boxed := make([]byte, storage.PageSize)
-	encodeBoxedPage(boxed, []boxedRecord{randomBoxedRecord(r, 3, 2), randomBoxedRecord(r, 40, 2)}, 2)
+	f.Add(olderKindPage(f, "kind2-k2-v2"), 1)
+	f.Add([]byte{2, 0, 0xff, 0xff, 0xf0, 0xff}, 0)
+	boxed := olderKindPage(f, "kind3-k2-v2")
 	f.Add(boxed, 1)
-	for _, w := range []byte{0, 5, 255} {
+	for _, w := range []byte{0, 5, 255} { // kind 3's ref width byte
 		page := append([]byte(nil), boxed...)
 		page[1] = w
 		f.Add(page, 1)
@@ -499,11 +317,11 @@ func FuzzDecodeMetaRecord(f *testing.F) {
 		if err != nil {
 			return
 		}
-		if limit := map[byte]int{metaKindBare: maxBareRecords, metaKindBoxed: maxBoxedRecords, metaKindFramed: maxFramedRecords}[page[0]]; count > limit {
-			t.Fatalf("kind-%d record count %d accepted", page[0], count)
+		if page[0] != metaKindFramed || count > maxFramedRecords {
+			t.Fatalf("kind-%d page of %d records accepted", page[0], count)
 		}
 		m, err := decodeRecord(page, makeRef(l.metaStart(), slot), l)
-		if err == nil && m.Neighbors > maxBareNeighbors {
+		if err == nil && m.Neighbors > maxFramedRecord {
 			t.Fatalf("decoded %d neighbors", m.Neighbors)
 		}
 		for s := 0; s < count; s++ {
@@ -513,12 +331,10 @@ func FuzzDecodeMetaRecord(f *testing.F) {
 				continue
 			}
 			m.eachInline(l, frameOf(&m), nil, func(n RecordRef, box nbBox) error {
-				if page[0] != metaKindBare && (n.Page() < l.metaStart() || n.Page() >= l.metaStart()+storage.PageID(l.metadataPages)) {
-					t.Fatalf("kind-%d ref %v outside the metadata run", page[0], n)
+				if n.Page() < l.metaStart() || n.Page() >= l.metaStart()+storage.PageID(l.metadataPages) {
+					t.Fatalf("ref %v outside the metadata run", n)
 				}
-				if box.fr != nil {
-					box.fr.box(&l.quant, box.v)
-				}
+				box.fr.box(&l.quant, box.v)
 				return nil
 			})
 		}
@@ -618,15 +434,14 @@ func TestEncodedSize(t *testing.T) {
 
 // TestBoxFilterMatchesDecode holds the crawl's box test to its
 // definition: a stored box meets the filter exactly when its decoded
-// form intersects the query — for kind 3's world frame and for kind-4
-// frames at every b, on worlds with a degenerate axis too, and for
-// queries reaching outside the world.
+// form intersects the query — for frames at every b, on worlds with a
+// degenerate axis too, and for queries reaching outside the world.
 func TestBoxFilterMatchesDecode(t *testing.T) {
 	r := rand.New(rand.NewSource(109))
 	for _, world := range []geom.MBR{worldBox(), geom.Box(geom.V(-3, 5, 7), geom.V(1e-3, 5, 1e6))} {
 		q := storage.NewQuantizer(world)
 		l := &metaLayout{quant: q, metadataPages: 1}
-		frames := []boxFrame{worldFrame}
+		var frames []boxFrame
 		for b := uint(1); b <= maxBoxBits; b++ {
 			lo := geom.V(r.Float64()*60, r.Float64()*60, r.Float64()*60)
 			fr, err := newFrame(q.Cells(geom.Box(lo, lo.Add(geom.V(r.Float64()*40, r.Float64()*40, r.Float64()*40)))), b)
@@ -661,7 +476,7 @@ func TestBoxFilterMatchesDecode(t *testing.T) {
 }
 
 // TestPageMeetsMatchesDecode holds the seed's test on stored values to
-// its definition: a kind-4 record's page MBR meets a query exactly when
+// its definition: a record's page MBR meets a query exactly when
 // its decoded page MBR intersects it — the seed skips a record on it,
 // so a false miss would lose a query's only seed.
 func TestPageMeetsMatchesDecode(t *testing.T) {
@@ -708,9 +523,9 @@ func TestPageMeetsMatchesDecode(t *testing.T) {
 	}
 }
 
-// TestWideRefs: an index with more metadata pages than 2-byte refs
-// address (kind 3's narrowest width) stores refs whose first gaps take
-// several varint bytes, and answers like brute force.
+// TestWideRefs: an index with more metadata pages than a 2-byte ref
+// addresses stores refs whose first gaps take several varint bytes, and
+// answers like brute force.
 func TestWideRefs(t *testing.T) {
 	r := rand.New(rand.NewSource(113))
 	els := randomElements(r, 20000, worldBox())

@@ -52,8 +52,7 @@ const stagedRank = 1 << 63
 //
 //   - records, read only when they pop. S enters at its index item's
 //     key; a neighbor at the larger of its discoverer's key and the
-//     distance to the box its pointer carries (kinds 3 and 4), or at
-//     its discoverer's key (kind-2 pages carry no box). A popped record
+//     distance to the box its pointer carries. A popped record
 //     whose partition distance exceeds its key goes back in at that
 //     distance; otherwise it is expanded: its object page and unseen
 //     neighbors are pushed;
@@ -80,16 +79,14 @@ const stagedRank = 1 << 63
 // re-push keeps an unread record, and its page, from being expanded
 // before its own partition's bound surfaces.
 //
-// On kind-3 and kind-4 metadata pages every MBR above is the decoded
-// one, rounded outward, so each key stays a lower bound. Build keys the
-// seed tree on the decoded page MBRs, and derives the neighbor relation
-// from partition boxes that contain the decoded partition MBRs (kind 4
-// widens them by the largest rounding a page frame adds), which contain
-// the decoded page MBRs: so S's partition holds the chain's first point,
-// and phase 1 and the chain hold for the boxes the pages store. A
-// neighbor box contains the neighbor's decoded partition MBR: kind 3
-// keeps the top byte of each cell, which decodes no tighter than the
-// cell, and kind 4 rounds the decoded cells outward to its page's frame.
+// Every MBR above is the decoded one, rounded outward, so each key stays
+// a lower bound. Build keys the seed tree on the decoded page MBRs, and
+// derives the neighbor relation from partition boxes that contain the
+// decoded partition MBRs (widened by the largest rounding a page frame
+// adds), which contain the decoded page MBRs: so S's partition holds the
+// chain's first point, and phase 1 and the chain hold for the boxes the
+// pages store. A neighbor box contains the neighbor's decoded partition
+// MBR: it rounds the decoded cells outward to its page's frame.
 //
 // Several indexes are one more level of the same frontier (Hjaltason &
 // Samet's incremental NN: one queue holds every level of the
@@ -249,8 +246,8 @@ func nnCrawl(ctx context.Context, ixs []*Index, ov Overlay, p geom.Vec3, emit fu
 }
 
 // nnEnqueue pushes record ref unread at key, raised to the distance of
-// box (a neighbor pointer's stored box; none without a frame), unless
-// the record is already on or through the frontier.
+// box (a neighbor pointer's stored box; the seed has none), unless the
+// record is already on or through the frontier.
 func (ix *Index) nnEnqueue(p geom.Vec3, src int32, ref RecordRef, key float64, box nbBox, h *heapFrontier, sc *crawlScratch) {
 	if sc.enqueued[ref] {
 		return

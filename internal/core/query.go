@@ -236,9 +236,9 @@ func (ix *Index) objectPageHasHit(id storage.PageID, q geom.MBR, sc *crawlScratc
 // An object page is read only when the record's page MBR intersects the
 // query; a record's neighbors are expanded only when its partition MBR
 // does, and a neighbor is enqueued only when the box its pointer carries
-// does (kinds 3 and 4; the paper's pointers are bare). Each record and
-// each object page is visited at most once. emit returning false stops
-// the crawl cleanly (no error); a done ctx aborts it with ctx.Err().
+// does (the paper's pointers are bare). Each record and each object
+// page is visited at most once. emit returning false stops the crawl
+// cleanly (no error); a done ctx aborts it with ctx.Err().
 // sc.boxes must be reset to q.
 func (ix *Index) crawl(ctx context.Context, q geom.MBR, start RecordRef, emit func(geom.Element) bool, st *QueryStats, sc *crawlScratch, local *storage.Stats) error {
 	// The FIFO frontier replays pushes in order; range-query results
@@ -329,16 +329,12 @@ func (ix *Index) crawl(ctx context.Context, q geom.MBR, start RecordRef, emit fu
 func (ix *Index) eachNeighbor(ctx context.Context, ref RecordRef, m *metaRecord, sc *crawlScratch, local *storage.Stats, filter *boxFilter, visit func(n RecordRef, box nbBox) error) error {
 	var next metaRecord
 	for {
-		var fr *boxFrame
+		sc.frame = m.boxFrame()
 		var lim *[6]uint16
-		if m.kind != metaKindBare {
-			sc.frame = m.boxFrame()
-			fr = &sc.frame
-			if filter != nil {
-				lim = filter.pageLimits(ref.Page(), fr)
-			}
+		if filter != nil {
+			lim = filter.pageLimits(ref.Page(), &sc.frame)
 		}
-		if err := m.eachInline(&ix.metaLayout, fr, lim, visit); err != nil {
+		if err := m.eachInline(&ix.metaLayout, &sc.frame, lim, visit); err != nil {
 			return err
 		}
 		if ref = m.Overflow; ref == noRef {
@@ -444,15 +440,14 @@ func (box *nbBox) within(lim *[6]uint16) bool {
 // Record is one metadata record as Records enumerates it.
 type Record struct {
 	Ref RecordRef
-	// PageMBR and PartitionMBR are as the page stores them: on kind-3
-	// and kind-4 pages rounded outward to cells, so each contains the
-	// exact box Build derived.
+	// PageMBR and PartitionMBR are as the page stores them: rounded
+	// outward to cells, so each contains the exact box Build derived.
 	PageMBR, PartitionMBR geom.MBR
 	ObjectPage            storage.PageID
 	// Neighbors is the full neighbor list, overflow chain spliced in.
 	Neighbors []RecordRef
 	// NeighborBoxes holds, per neighbor, the decoded box its pointer
-	// carries; nil on a kind-2 page, whose pointers are bare.
+	// carries, which contains the neighbor's PartitionMBR.
 	NeighborBoxes []geom.MBR
 	// SeedKey is the seed-tree key of the record's metadata page: the
 	// entry box its parent node holds, or the index world when the
@@ -508,9 +503,7 @@ func (ix *Index) Records(fn func(Record) error) error {
 			// Collect the full neighbor list across the overflow chain.
 			err = ix.eachNeighbor(context.Background(), ref, &m, sc, nil, nil, func(n RecordRef, box nbBox) error {
 				r.Neighbors = append(r.Neighbors, n)
-				if box.fr != nil {
-					r.NeighborBoxes = append(r.NeighborBoxes, box.fr.box(&ix.quant, box.v))
-				}
+				r.NeighborBoxes = append(r.NeighborBoxes, box.fr.box(&ix.quant, box.v))
 				return nil
 			})
 			if err != nil {

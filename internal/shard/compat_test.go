@@ -1,6 +1,7 @@
 package shard
 
 import (
+	"bytes"
 	"context"
 	"math/rand"
 	"os"
@@ -8,6 +9,7 @@ import (
 	"reflect"
 	"slices"
 	"sort"
+	"strings"
 	"testing"
 
 	"flat/internal/core"
@@ -24,12 +26,14 @@ import (
 //	go run ./cmd/flatgen -kind neuro -n 4000 -seed 31 -out n4000.flte
 //	go run ./cmd/flatindex -data n4000.flte -shards 2 -pageformat v2 -index kind2-k2-v2
 //
-// and kind2FixtureElements regenerates its elements in process.
+// and kind2FixtureElements regenerates its elements in process. No query
+// reads kind-2 pages any more: OpenSet upgrades the directory (upgrade).
 const kind2Fixture = "testdata/kind2-k2-v2"
 
 // kind2Pointers and kind2Partitions are the fixture's neighbor pointer
 // and partition counts as its writer reported them (AvgNeighbors
-// 6.611111111111111).
+// 6.611111111111111). A kind-4 bulkload of the same shards makes the
+// same partitions and the same neighbor relation.
 const kind2Pointers, kind2Partitions = 238, 36
 
 func kind2FixtureElements() []geom.Element {
@@ -40,17 +44,46 @@ func kind2FixtureElements() []geom.Element {
 	}).Elements
 }
 
-// TestKind2FixtureServesAndRebuilds opens a directory of kind-2
-// metadata pages, answers range, count and k-NN queries like brute
-// force, and reads back the neighbor counts its writer recorded; then it
-// stages inserts into one shard and rebuilds it, so the set serves one
-// kind-4 shard beside a kind-2 one, and answers like brute force again.
-func TestKind2FixtureServesAndRebuilds(t *testing.T) {
+// kind3Fixture is kind2Fixture's twin written by the last commit
+// whose Build wrote kind-3 metadata pages (quantized MBRs, w-byte refs,
+// 6-byte neighbor boxes against the world), with the same two commands.
+// Both fixtures split the same elements into the same two shards, so
+// their manifests are identical and their shard files interchangeable.
+const kind3Fixture = "testdata/kind3-k2-v2"
+
+// copyFixture copies fixture into a fresh directory: opening it writes.
+func copyFixture(t *testing.T, fixture string) string {
+	t.Helper()
 	dir := filepath.Join(t.TempDir(), "idx")
-	if err := os.CopyFS(dir, os.DirFS(kind2Fixture)); err != nil {
+	if err := os.CopyFS(dir, os.DirFS(fixture)); err != nil {
 		t.Fatal(err)
 	}
-	set, err := OpenSet(dir, OpenOptions{})
+	return dir
+}
+
+// TestKind2FixtureServesAndRebuilds opens a directory of kind-2
+// metadata pages through the file pager: see checkFixtureUpgrade.
+func TestKind2FixtureServesAndRebuilds(t *testing.T) {
+	checkFixtureUpgrade(t, kind2Fixture, OpenOptions{}, 41)
+}
+
+// TestKind3FixtureServesAndRebuilds is TestKind2FixtureServesAndRebuilds
+// for kind-3 pages, opened memory-mapped: the upgrade swaps the mapped
+// shards out for file-backed ones.
+func TestKind3FixtureServesAndRebuilds(t *testing.T) {
+	checkFixtureUpgrade(t, kind3Fixture, OpenOptions{Mmap: true}, 43)
+}
+
+// checkFixtureUpgrade opens a copy of a fixture of an older metadata
+// kind: the open upgrades both shards to kind 4 as generation 1 and
+// collects the old files, the directory holds the neighbor counts its
+// writer recorded, and the set answers range, count and k-NN queries
+// like brute force. A reopen finds nothing to upgrade. Then it stages
+// inserts into one shard, rebuilds it, and answers like brute force
+// again.
+func checkFixtureUpgrade(t *testing.T, fixture string, opts OpenOptions, seed int64) {
+	dir := copyFixture(t, fixture)
+	set, err := OpenSet(dir, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,67 +92,36 @@ func TestKind2FixtureServesAndRebuilds(t *testing.T) {
 	if set.NumShards() != 2 || set.Len() != len(els) {
 		t.Fatalf("fixture opened as %d shards of %d elements, want 2 of %d", set.NumShards(), set.Len(), len(els))
 	}
-	r := rand.New(rand.NewSource(41))
+	if kinds := metadataKinds(t, set); !reflect.DeepEqual(kinds, []int{4, 4}) {
+		t.Fatalf("metadata kinds %v after the open, want [4 4]", kinds)
+	}
+	if got, want := dirFiles(t, dir), []string{"shard-0000.gen-1.flat", "shard-0001.gen-1.flat"}; !reflect.DeepEqual(got, want) {
+		t.Fatalf("directory holds %v after the upgrade, want %v", got, want)
+	}
+	assertServesManifest(t, set, dir)
+	r := rand.New(rand.NewSource(seed))
 	checkAgainstBruteForce(t, set, els, r)
-	pointers, partitions, boxed := metadataCensus(t, set)
-	if pointers != kind2Pointers || partitions != kind2Partitions {
-		t.Errorf("fixture holds %d pointers over %d partitions, its writer recorded %d over %d",
+	if pointers, partitions := metadataCensus(t, set); pointers != kind2Pointers || partitions != kind2Partitions {
+		t.Errorf("upgraded fixture holds %d pointers over %d partitions, its writer recorded %d over %d",
 			pointers, partitions, kind2Pointers, kind2Partitions)
 	}
-	if want := []bool{false, false}; !reflect.DeepEqual(boxed, want) {
-		t.Fatalf("boxed pointers per shard %v, want %v (kind 2 only)", boxed, want)
+
+	// An upgraded directory opens as any kind-4 one: no rebuild, no write.
+	before := readShardFiles(t, dir)
+	set.Close()
+	if set, err = OpenSet(dir, opts); err != nil {
+		t.Fatal(err)
+	}
+	if g := []uint64{set.Generation(0), set.Generation(1)}; !reflect.DeepEqual(g, []uint64{1, 1}) {
+		t.Fatalf("reopened at generations %v, want [1 1]", g)
+	}
+	if after := readShardFiles(t, dir); !reflect.DeepEqual(after, before) {
+		t.Fatal("reopening the upgraded directory rewrote its shard files")
 	}
 
 	added := stageAtLowX(t, set, r)
 	if rebuilt, err := set.Rebuild(); err != nil || !reflect.DeepEqual(rebuilt, []int{0}) {
 		t.Fatalf("Rebuild = %v, %v; want [0]", rebuilt, err)
-	}
-	if _, _, boxed = metadataCensus(t, set); !reflect.DeepEqual(boxed, []bool{true, false}) {
-		t.Fatalf("boxed pointers per shard %v after rebuilding shard 0, want [true false]", boxed)
-	}
-	if kinds := metadataKinds(t, set); !reflect.DeepEqual(kinds, []int{4, 2}) {
-		t.Fatalf("metadata kinds %v after rebuilding shard 0, want [4 2]", kinds)
-	}
-	checkAgainstBruteForce(t, set, append(els, added...), r)
-}
-
-// kind3Fixture is kind2Fixture's twin written by the last commit
-// whose Build wrote kind-3 metadata pages (quantized MBRs, w-byte refs,
-// 6-byte neighbor boxes against the world), with the same two commands.
-// Both fixtures split the same elements into the same two shards, so
-// their manifests are identical and their shard files interchangeable.
-const kind3Fixture = "testdata/kind3-k2-v2"
-
-// TestKind3FixtureServesAndRebuilds is TestKind2FixtureServesAndRebuilds
-// for kind-3 pages: the fixture answers like brute force and holds the
-// neighbor counts its writer recorded; after staging into shard 0 and
-// rebuilding it, a kind-4 shard serves beside a kind-3 one.
-func TestKind3FixtureServesAndRebuilds(t *testing.T) {
-	dir := filepath.Join(t.TempDir(), "idx")
-	if err := os.CopyFS(dir, os.DirFS(kind3Fixture)); err != nil {
-		t.Fatal(err)
-	}
-	set, err := OpenSet(dir, OpenOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer func() { set.Close() }()
-	els := kind2FixtureElements()
-	r := rand.New(rand.NewSource(43))
-	checkAgainstBruteForce(t, set, els, r)
-	if pointers, partitions, _ := metadataCensus(t, set); pointers != kind2Pointers || partitions != kind2Partitions {
-		t.Errorf("fixture holds %d pointers over %d partitions, its writer recorded %d over %d",
-			pointers, partitions, kind2Pointers, kind2Partitions)
-	}
-	if kinds := metadataKinds(t, set); !reflect.DeepEqual(kinds, []int{3, 3}) {
-		t.Fatalf("metadata kinds %v, want [3 3]", kinds)
-	}
-	added := stageAtLowX(t, set, r)
-	if rebuilt, err := set.Rebuild(); err != nil || !reflect.DeepEqual(rebuilt, []int{0}) {
-		t.Fatalf("Rebuild = %v, %v; want [0]", rebuilt, err)
-	}
-	if kinds := metadataKinds(t, set); !reflect.DeepEqual(kinds, []int{4, 3}) {
-		t.Fatalf("metadata kinds %v after rebuilding shard 0, want [4 3]", kinds)
 	}
 	checkAgainstBruteForce(t, set, append(els, added...), r)
 }
@@ -127,13 +129,11 @@ func TestKind3FixtureServesAndRebuilds(t *testing.T) {
 // TestMixedKindsServeAndRebuild assembles one directory whose three
 // shards hold kind-2, kind-3 and kind-4 metadata pages — shard 0 of the
 // kind-2 fixture, shard 1 of the kind-3 one, and a shard Build writes
-// now over fresh elements — checks it against brute force, then stages
-// a delete into every shard and rebuilds all three to kind 4.
+// now over fresh elements. The open upgrades the first two and keeps the
+// third's file; the set answers like brute force, then stages a delete
+// into every shard and rebuilds all three.
 func TestMixedKindsServeAndRebuild(t *testing.T) {
-	dir := filepath.Join(t.TempDir(), "idx")
-	if err := os.CopyFS(dir, os.DirFS(kind3Fixture)); err != nil {
-		t.Fatal(err)
-	}
+	dir := copyFixture(t, kind3Fixture)
 	copyFile(t, filepath.Join(kind2Fixture, "shard-0000.flat"), filepath.Join(dir, "shard-0000.flat"))
 	// Page ids carry their shard's position, so the third shard comes
 	// from a K=3 build's shard 2, over elements of its own.
@@ -148,7 +148,7 @@ func TestMixedKindsServeAndRebuild(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fresh, _, err = three.Shard(2).RangeQuery(three.ShardBounds(2))
+	fresh, err = three.Shard(2).Elements()
 	three.Close()
 	if err != nil {
 		t.Fatal(err)
@@ -168,14 +168,24 @@ func TestMixedKindsServeAndRebuild(t *testing.T) {
 	if err := writeManifest(dir, m); err != nil {
 		t.Fatal(err)
 	}
+	third, err := os.ReadFile(filepath.Join(dir, e.File))
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	set, err := OpenSet(dir, OpenOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer func() { set.Close() }()
-	if kinds := metadataKinds(t, set); !reflect.DeepEqual(kinds, []int{2, 3, 4}) {
-		t.Fatalf("metadata kinds %v, want [2 3 4]", kinds)
+	if kinds := metadataKinds(t, set); !reflect.DeepEqual(kinds, []int{4, 4, 4}) {
+		t.Fatalf("metadata kinds %v, want [4 4 4]", kinds)
+	}
+	if g := []uint64{set.Generation(0), set.Generation(1), set.Generation(2)}; !reflect.DeepEqual(g, []uint64{1, 1, 0}) {
+		t.Fatalf("generations %v after the upgrade, want [1 1 0]", g)
+	}
+	if kept, err := os.ReadFile(filepath.Join(dir, e.File)); err != nil || !bytes.Equal(kept, third) {
+		t.Fatalf("the kind-4 shard's file changed on open (%v)", err)
 	}
 	els := append(kind2FixtureElements(), fresh...)
 	checkAgainstBruteForce(t, set, els, r)
@@ -184,7 +194,7 @@ func TestMixedKindsServeAndRebuild(t *testing.T) {
 	// decodes: a v2 box, which the delete matches).
 	var gone []geom.Element
 	for s := 0; s < set.NumShards(); s++ {
-		got, _, err := set.Shard(s).RangeQuery(set.ShardBounds(s))
+		got, err := set.Shard(s).Elements()
 		if err != nil || len(got) == 0 {
 			t.Fatalf("shard %d: %d elements, %v", s, len(got), err)
 		}
@@ -198,13 +208,150 @@ func TestMixedKindsServeAndRebuild(t *testing.T) {
 	if rebuilt, err := set.Rebuild(); err != nil || !reflect.DeepEqual(rebuilt, []int{0, 1, 2}) {
 		t.Fatalf("Rebuild = %v, %v; want [0 1 2]", rebuilt, err)
 	}
-	if kinds := metadataKinds(t, set); !reflect.DeepEqual(kinds, []int{4, 4, 4}) {
-		t.Fatalf("metadata kinds %v after the rebuild, want [4 4 4]", kinds)
-	}
 	kept := slices.DeleteFunc(els, func(e geom.Element) bool {
 		return slices.ContainsFunc(gone, func(g geom.Element) bool { return g.ID == e.ID })
 	})
 	checkAgainstBruteForce(t, set, kept, r)
+}
+
+// TestUpgradeFoldsTheLog opens a kind-3 directory whose manifest names a
+// write-ahead log of staged inserts and deletes: the upgrade folds them
+// into the rebuilt shards once — the set answers with them, has nothing
+// staged, holds no id twice — and rotates the log, so a second open
+// replays nothing and answers the same.
+func TestUpgradeFoldsTheLog(t *testing.T) {
+	els := kind2FixtureElements()
+	dir := filepath.Join(t.TempDir(), "idx")
+	set, err := Build(slices.Clone(els), Config{Shards: 2, Dir: dir, PageFormat: storage.PageFormatV2, WAL: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := rand.New(rand.NewSource(53))
+	var added []geom.Element
+	for i := 0; i < 200; i++ {
+		c := geom.V(r.Float64()*28.5, r.Float64()*28.5, r.Float64()*28.5)
+		added = append(added, geom.Element{ID: 800000 + uint64(i), Box: geom.CubeAt(c, 0.1)})
+	}
+	if err := set.StageInsert(added...); err != nil {
+		t.Fatal(err)
+	}
+	gone := map[uint64]bool{}
+	for _, e := range append(els[:60:60], added[:20]...) {
+		if err := set.StageDelete(e.ID, e.Box); err != nil {
+			t.Fatal(err)
+		}
+		gone[e.ID] = true
+	}
+	if err := set.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	set.Close()
+	for _, f := range []string{"shard-0000.flat", "shard-0001.flat"} {
+		copyFile(t, filepath.Join(kind3Fixture, f), filepath.Join(dir, f))
+	}
+
+	set, err = OpenSet(dir, OpenOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if kinds := metadataKinds(t, set); !reflect.DeepEqual(kinds, []int{4, 4}) {
+		t.Fatalf("metadata kinds %v after the open, want [4 4]", kinds)
+	}
+	if ds := set.DeltaStats(); ds.Inserts != 0 || ds.Deletes != 0 || len(ds.Shards) != 0 {
+		t.Fatalf("staged after the upgrade: %+v", ds)
+	}
+	live := slices.DeleteFunc(append(slices.Clone(els), added...), func(e geom.Element) bool { return gone[e.ID] })
+	var stored []uint64
+	for s := 0; s < set.NumShards(); s++ {
+		got, err := set.Shard(s).Elements()
+		if err != nil {
+			t.Fatal(err)
+		}
+		stored = append(stored, idsOf(got)...)
+	}
+	slices.Sort(stored)
+	if want := sortedIDs(live); !slices.Equal(stored, want) {
+		t.Fatalf("upgraded shards hold %d ids, want the %d live ones once each", len(stored), len(want))
+	}
+	checkAgainstBruteForce(t, set, live, rand.New(rand.NewSource(59)))
+	queries := make([]geom.MBR, 30)
+	first := make([][]uint64, len(queries))
+	for i := range queries {
+		queries[i] = geom.CubeAt(geom.V(r.Float64()*28.5, r.Float64()*28.5, r.Float64()*28.5), 1+r.Float64()*6)
+		first[i] = queryIDs(t, set, queries[i])
+	}
+	set.Close()
+
+	if set, err = OpenSet(dir, OpenOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	defer set.Close()
+	if ds := set.DeltaStats(); ds.Inserts != 0 || ds.Deletes != 0 {
+		t.Fatalf("the reopen replayed %+v", ds)
+	}
+	for i, q := range queries {
+		if got := queryIDs(t, set, q); !slices.Equal(got, first[i]) {
+			t.Fatalf("query %v: %d results on reopen, %d on the upgrading open", q, len(got), len(first[i]))
+		}
+	}
+}
+
+// TestFailedUpgradeServesNothing puts a directory where the upgrade's
+// first shard file goes, so its bulkload fails (for root too, unlike a
+// permission bit): OpenSet fails naming the shard and its kind, and
+// leaves the manifest and the directory's files as they were. Once the
+// obstacle is gone the open upgrades.
+func TestFailedUpgradeServesNothing(t *testing.T) {
+	dir := copyFixture(t, kind2Fixture)
+	obstacle := filepath.Join(dir, shardFileName(0, 1))
+	if err := os.Mkdir(obstacle, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	manifestBefore, err := os.ReadFile(filepath.Join(dir, manifestName))
+	if err != nil {
+		t.Fatal(err)
+	}
+	listing := func() []string {
+		entries, err := os.ReadDir(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var names []string
+		for _, e := range entries {
+			names = append(names, e.Name())
+		}
+		return names
+	}
+	namesBefore, filesBefore := listing(), readShardFiles(t, dir)
+
+	set, err := OpenSet(dir, OpenOptions{})
+	if err == nil {
+		set.Close()
+		t.Fatal("OpenSet served a directory it could not upgrade")
+	}
+	if !strings.Contains(err.Error(), "shard 0 (kind 2)") {
+		t.Errorf("error %q does not name the shard and its kind", err)
+	}
+	if m, _ := os.ReadFile(filepath.Join(dir, manifestName)); !bytes.Equal(m, manifestBefore) {
+		t.Error("the failed upgrade changed the manifest")
+	}
+	if names := listing(); !reflect.DeepEqual(names, namesBefore) {
+		t.Errorf("the failed upgrade left %v, want %v", names, namesBefore)
+	}
+	if files := readShardFiles(t, dir); !reflect.DeepEqual(files, filesBefore) {
+		t.Error("the failed upgrade changed a shard file")
+	}
+
+	if err := os.Remove(obstacle); err != nil {
+		t.Fatal(err)
+	}
+	if set, err = OpenSet(dir, OpenOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	defer set.Close()
+	if kinds := metadataKinds(t, set); !reflect.DeepEqual(kinds, []int{4, 4}) {
+		t.Fatalf("metadata kinds %v, want [4 4]", kinds)
+	}
 }
 
 func copyFile(t *testing.T, from, to string) {
@@ -250,24 +397,24 @@ func metadataKinds(t *testing.T, set *Set) []int {
 	return kinds
 }
 
-// metadataCensus counts the set's neighbor pointers and partitions and
-// reports, per shard, whether its pointers carry boxes (kinds 3 and 4).
-func metadataCensus(t *testing.T, set *Set) (pointers, partitions int, boxed []bool) {
+// metadataCensus counts the set's neighbor pointers and partitions, and
+// checks that every pointer carries a box.
+func metadataCensus(t *testing.T, set *Set) (pointers, partitions int) {
 	t.Helper()
 	for i := 0; i < set.NumShards(); i++ {
-		hasBoxes := false
 		err := set.Shard(i).Records(func(r core.Record) error {
+			if len(r.NeighborBoxes) != len(r.Neighbors) {
+				t.Fatalf("shard %d record %v: %d boxes for %d neighbors", i, r.Ref, len(r.NeighborBoxes), len(r.Neighbors))
+			}
 			pointers += len(r.Neighbors)
 			partitions++
-			hasBoxes = hasBoxes || r.NeighborBoxes != nil
 			return nil
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
-		boxed = append(boxed, hasBoxes)
 	}
-	return pointers, partitions, boxed
+	return pointers, partitions
 }
 
 // checkAgainstBruteForce compares range and count queries by id set and

@@ -9,6 +9,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -120,9 +121,59 @@ func matchesDeleteAfter(dels []pendingDelete, e geom.Element, seq uint64) bool {
 	return false
 }
 
+// TestElementsMatchesRangeQuery holds the object-run scan mergedElements
+// extracts a shard with to the crawl it replaced: on every shard, at
+// K = 1 and 4 and in both page formats, Elements and a range query over
+// the shard's bounds return the same elements, as a multiset.
+func TestElementsMatchesRangeQuery(t *testing.T) {
+	els := randomElements(rand.New(rand.NewSource(67)), 3000)
+	// Duplicates: a repeated element and an ID with two boxes.
+	els = append(els, els[7], geom.Element{ID: els[9].ID, Box: geom.CubeAt(geom.V(40, 40, 40), 3)})
+	for _, k := range []int{1, 4} {
+		for _, pf := range []storage.PageFormat{storage.PageFormatV1, storage.PageFormatV2} {
+			set, err := Build(slices.Clone(els), Config{Shards: k, PageCapacity: 16, PageFormat: pf})
+			if err != nil {
+				t.Fatal(err)
+			}
+			total := 0
+			for sh := range k {
+				ix := set.Shard(sh)
+				got, err := ix.Elements()
+				if err != nil {
+					t.Fatal(err)
+				}
+				want, _, err := ix.RangeQuery(ix.Bounds())
+				if err != nil {
+					t.Fatal(err)
+				}
+				count := map[geom.Element]int{}
+				for _, e := range got {
+					count[e]++
+				}
+				for _, e := range want {
+					count[e]--
+				}
+				if len(got) != ix.Len() {
+					t.Errorf("K=%d %v shard %d: Elements gave %d elements, the shard holds %d", k, pf, sh, len(got), ix.Len())
+				}
+				for e, n := range count {
+					if n != 0 {
+						t.Errorf("K=%d %v shard %d: element %v %d more times from Elements than from the crawl", k, pf, sh, e, n)
+					}
+				}
+				total += len(got)
+			}
+			if total != len(els) {
+				t.Errorf("K=%d %v: shards hold %d elements, want %d", k, pf, total, len(els))
+			}
+			set.Close()
+		}
+	}
+}
+
 // TestMergedElementsIndexedMatchesLinear holds the rebuild's delete
 // filter to the linear scan it replaced: per shard, mergedElements
-// equals "bulkloaded elements no delete matches, then staged inserts no
+// equals "the shard's Elements no delete matches, then staged inserts no
 // later delete matches", element for element — with duplicate IDs,
 // nested boxes, and a delete staged before and after a matching insert,
 // under a handful of deletes and under dozens.
@@ -174,7 +225,7 @@ func TestMergedElementsIndexedMatchesLinear(t *testing.T) {
 		set.pmu.Lock()
 		dels := set.deleteViewLocked()
 		for sh, ix := range set.cur.shards {
-			all, _, err := ix.RangeQuery(ix.Bounds())
+			all, err := ix.Elements()
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -308,7 +308,21 @@ func (s *Set) routeShard(b geom.MBR) int {
 func (s *Set) Rebuild() ([]int, error) {
 	s.pmu.Lock()
 	defer s.pmu.Unlock()
+	return s.rebuildLocked(nil)
+}
+
+// rebuildLocked is Rebuild with the shards in force dirty besides the
+// ones the staged updates touch: each is re-bulkloaded even when nothing
+// staged changes it (OpenSet's upgrade of older metadata kinds). Callers
+// hold pmu's write side.
+// flatlint:holds pmu
+func (s *Set) rebuildLocked(force []int) ([]int, error) {
 	dirty := s.dirtyLocked()
+	for _, sh := range force {
+		if !slices.Contains(dirty, sh) {
+			dirty = append(dirty, sh)
+		}
+	}
 	if len(dirty) == 0 {
 		return nil, nil
 	}
@@ -336,8 +350,9 @@ func (s *Set) Rebuild() ([]int, error) {
 			}
 			// A delete-only dirty shard whose deletes matched nothing is
 			// unchanged (deletes only remove, so an unchanged length means an
-			// unchanged set); skip the pointless rewrite and keep its cache.
-			if len(ep.deltas[sh].slab) == 0 && len(els) == cur.shards[sh].Len() {
+			// unchanged set); skip the pointless rewrite and keep its cache,
+			// unless the shard is forced.
+			if len(ep.deltas[sh].slab) == 0 && len(els) == cur.shards[sh].Len() && !slices.Contains(force, sh) {
 				return nil, core.Options{}, nil
 			}
 			if len(els) == 0 {
@@ -445,10 +460,9 @@ func (s *Set) Rebuild() ([]int, error) {
 // view a query filters through). Callers hold pmu.
 // flatlint:holds pmu
 func (s *Set) mergedElements(sh int, dels deleteView) ([]geom.Element, error) {
-	// Every bulkloaded element intersects its shard's bounds, so a range
-	// query over them enumerates the shard.
-	ix := s.cur.shards[sh]
-	all, _, err := ix.RangeQuery(ix.Bounds())
+	// The object pages enumerate the shard, whatever kind its metadata
+	// pages are.
+	all, err := s.cur.shards[sh].Elements()
 	if err != nil {
 		return nil, err
 	}

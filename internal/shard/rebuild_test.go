@@ -39,7 +39,7 @@ func readShardFiles(t *testing.T, dir string) map[string][]byte {
 	}
 	files := make(map[string][]byte)
 	for _, e := range entries {
-		if shardFilePattern.MatchString(e.Name()) {
+		if shardFilePattern.MatchString(e.Name()) && !e.IsDir() {
 			data, err := os.ReadFile(filepath.Join(dir, e.Name()))
 			if err != nil {
 				t.Fatal(err)

@@ -50,6 +50,7 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"strings"
 	"sync"
 
 	"flat/internal/core"
@@ -402,7 +403,9 @@ type OpenOptions struct {
 // shard's tag — and cross-checked against its manifest entry. If the
 // manifest references a write-ahead log, the log is replayed: operations
 // staged before the last crash or close reappear as staged updates,
-// exactly as the original calls left them.
+// exactly as the original calls left them. A shard whose metadata pages
+// are of an older kind than queries read is then upgraded (upgrade)
+// before the set serves anything.
 func OpenSet(dir string, opts OpenOptions) (*Set, error) {
 	m, err := readManifest(dir)
 	if err != nil {
@@ -466,7 +469,47 @@ func OpenSet(dir string, opts OpenOptions) (*Set, error) {
 		multi.Close()
 		return nil, err
 	}
+	if err := set.upgrade(); err != nil {
+		set.Close()
+		return nil, err
+	}
 	return set, nil
+}
+
+// metadataKind is the metadata-page kind core.Build writes, the only one
+// its queries read (core.Index.MetadataKind).
+const metadataKind = 4
+
+// upgrade rebuilds every shard whose metadata pages are of a kind below
+// metadataKind, all in one Rebuild with those shards forced dirty:
+// Rebuild extracts a shard from its object pages, which every kind
+// shares, and publishes the next generation through the same bulkload,
+// commit, log rotation and pager swap, in the same crash-safe order. The
+// staged operations the log replayed are folded in with them, once. A
+// directory already all of metadataKind is left as it is. Runs during
+// open, before the set is shared.
+func (set *Set) upgrade() error {
+	set.pmu.Lock()
+	defer set.pmu.Unlock()
+	var old []int
+	var names []string
+	for sh, ix := range set.cur.shards {
+		kind, err := ix.MetadataKind()
+		if err != nil {
+			return fmt.Errorf("shard %d: %w", sh, err)
+		}
+		if kind < metadataKind {
+			old = append(old, sh)
+			names = append(names, fmt.Sprintf("shard %d (kind %d)", sh, kind))
+		}
+	}
+	if len(old) == 0 {
+		return nil
+	}
+	if _, err := set.rebuildLocked(old); err != nil {
+		return fmt.Errorf("shard: upgrade metadata of %s to kind %d: %w", strings.Join(names, ", "), metadataKind, err)
+	}
+	return nil
 }
 
 // openWAL wires the write-ahead log into a freshly opened set: a log
