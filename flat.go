@@ -127,17 +127,8 @@ type (
 	// Element is one indexed spatial element: an opaque 64-bit key plus
 	// the element's MBR.
 	Element = geom.Element
-	// Cylinder is a neuron-morphology segment (two end points, two radii).
-	Cylinder = geom.Cylinder
-	// Triangle is a surface-mesh triangle.
-	Triangle = geom.Triangle
 	// QueryStats reports the cost of one range query in disk page reads.
 	QueryStats = core.QueryStats
-	// RecordRef addresses one metadata record on disk (page + slot); the
-	// crawl phase follows these between neighboring partitions.
-	RecordRef = core.RecordRef
-	// PageID identifies a 4 KiB page within the index's storage.
-	PageID = storage.PageID
 )
 
 // V constructs a Vec3.
@@ -195,11 +186,6 @@ type Options struct {
 	// (default: a full page — 73 elements under PageFormatV1; under
 	// PageFormatV2 up to 149, depending on each shard's id span).
 	PageCapacity int
-	// SeedFanout caps the entries per seed-tree internal node in every
-	// shard (default: a full page). Smaller fanouts deepen the seed
-	// tree; the paper's scaled-down experiments shrink it together with
-	// PageCapacity.
-	SeedFanout int
 	// World is the space that is partitioned into cells. It must contain
 	// the data; leave zero to use the data's bounding box. Supply the
 	// true model volume when the data does not fill its extremes (e.g. a
@@ -275,7 +261,6 @@ func Build(els []Element, opts *Options) (*Index, error) {
 	set, err := shard.Build(els, shard.Config{
 		Shards:       o.Shards,
 		PageCapacity: o.PageCapacity,
-		SeedFanout:   o.SeedFanout,
 		PageFormat:   o.PageFormat,
 		World:        o.World,
 		Dir:          o.Dir,
@@ -320,58 +305,23 @@ func BuildSharded(els []Element, opts *Options) (*Index, error) { return Build(e
 
 func OpenShardedWithOptions(dir string, opts *Options) (*Index, error) { return Open(dir, opts) }
 
-// CrawlFrom executes only the crawl phase of a range query, starting
-// from an explicit metadata record instead of seeding. The paper claims
-// the choice of start page affects neither accuracy nor efficiency of
-// the search; this entry point exists so that claim stays testable
-// against the public index (see Records for enumerating start refs).
-// The crawl stays inside the shard that owns start — the shard tagged
-// into the ref's page id; a ref naming no shard of this index is an
-// error.
-func (ix *Index) CrawlFrom(q MBR, start RecordRef) (els []Element, err error) {
-	err = ix.guard.query(func() error {
-		s, _ := storage.SplitShardPageID(start.Page())
-		if s >= ix.set.NumShards() {
-			return fmt.Errorf("flat: %v names shard %d of a %d-shard index", start, s, ix.set.NumShards())
-		}
-		els, err = ix.set.Shard(s).CrawlFrom(q, start)
-		return err
-	})
-	return els, err
-}
-
-// Records enumerates every metadata record in the index, shard by shard
-// and within a shard in on-disk order: its ref (a valid CrawlFrom
-// start), the page and partition MBRs, the object page it describes and
-// the full neighbor list (overflow chains already spliced). The page and
-// partition MBRs come back as the metadata page stores them:
-// conservatively rounded outward to a grid over the shard's world, so
-// each contains the exact box (pages written before that layout store
-// exact boxes). Enumeration stops at the first error fn returns, which
-// is then returned.
-func (ix *Index) Records(fn func(ref RecordRef, pageMBR, partitionMBR MBR, objectPage PageID, neighbors []RecordRef) error) error {
-	return ix.guard.query(func() error {
+// AvgNeighbors returns the mean number of neighborhood pointers per
+// partition, over the partitions of all shards. It is read off the
+// metadata pages (each shard's neighbor histogram, through the page
+// cache), so a reopened index reports what the built one did.
+func (ix *Index) AvgNeighbors() (float64, error) {
+	pointers, partitions := 0, 0
+	err := ix.guard.query(func() error {
 		for s := range ix.set.NumShards() {
-			err := ix.set.Shard(s).Records(func(r core.Record) error {
-				return fn(r.Ref, r.PageMBR, r.PartitionMBR, r.ObjectPage, r.Neighbors)
-			})
+			h, err := ix.set.Shard(s).NeighborHistogram()
 			if err != nil {
 				return err
 			}
+			for n, count := range h {
+				pointers += n * count
+				partitions += count
+			}
 		}
-		return nil
-	})
-}
-
-// AvgNeighbors returns the mean number of neighborhood pointers per
-// partition, over the partitions of all shards. It is read off the
-// metadata pages (one Records pass through the page cache), so a
-// reopened index reports what the built one did.
-func (ix *Index) AvgNeighbors() (float64, error) {
-	pointers, partitions := 0, 0
-	err := ix.Records(func(_ RecordRef, _, _ MBR, _ PageID, neighbors []RecordRef) error {
-		pointers += len(neighbors)
-		partitions++
 		return nil
 	})
 	if err != nil || partitions == 0 {

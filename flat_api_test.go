@@ -10,6 +10,8 @@ import (
 	"sort"
 	"strings"
 	"testing"
+
+	"flat/internal/core"
 )
 
 func randomElements(r *rand.Rand, n int) []Element {
@@ -179,7 +181,7 @@ func TestBuildThenOpen(t *testing.T) {
 		avgNeighbors    float64 // read off the pages: a reopened index used to answer 0
 		format          PageFormat
 		world, bounds   MBR
-		refs            []RecordRef
+		refs            []core.RecordRef
 		crawled, got    []Element
 		stats           QueryStats
 	}
@@ -187,18 +189,20 @@ func TestBuildThenOpen(t *testing.T) {
 	inspect := func(ix *Index) inspection {
 		t.Helper()
 		in := inspection{len: ix.Len(), seedHeight: ix.SeedHeight(), format: ix.ShardPageFormat(0), world: ix.World(), bounds: ix.Bounds()}
-		var start RecordRef
-		err := ix.Records(func(ref RecordRef, _, partMBR MBR, _ PageID, _ []RecordRef) error {
-			if len(in.refs) == 0 || partMBR.Intersects(q) {
-				start = ref
+		// One shard: its records are the index's, and any is a crawl start.
+		sh := ix.set.Shard(0)
+		var start core.RecordRef
+		err := sh.Records(func(r core.Record) error {
+			if len(in.refs) == 0 || r.PartitionMBR.Intersects(q) {
+				start = r.Ref
 			}
-			in.refs = append(in.refs, ref)
+			in.refs = append(in.refs, r.Ref)
 			return nil
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if in.crawled, err = ix.CrawlFrom(q, start); err != nil {
+		if in.crawled, err = sh.CrawlFrom(q, start); err != nil {
 			t.Fatal(err)
 		}
 		if in.avgNeighbors, err = ix.AvgNeighbors(); err != nil {
@@ -266,7 +270,7 @@ func TestBuildThenOpen(t *testing.T) {
 func TestCorruptSeedNodeFailsQuery(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "corrupt.flat")
 	path := filepath.Join(dir, "shard-0000.flat")
-	ix, err := Build(randomElements(rand.New(rand.NewSource(6)), 800), &Options{Dir: dir, PageCapacity: 8, SeedFanout: 4})
+	ix, err := Build(randomElements(rand.New(rand.NewSource(6)), 800), &Options{Dir: dir, PageCapacity: 8})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -235,32 +235,37 @@ func TestCountQueryAgrees(t *testing.T) {
 
 // TestSeedStartInvariance verifies the paper's claim that the choice of
 // the start page affects neither accuracy nor efficiency: crawling from
-// every record that has a result element on its page yields the same
-// result set.
+// every record whose page MBR meets the query, and from every record
+// whose partition does, yields the same result set.
 func TestSeedStartInvariance(t *testing.T) {
 	r := rand.New(rand.NewSource(137))
 	els := randomElements(r, 2000, worldBox())
-	ix, _ := buildIndex(t, els, Options{World: worldBox()})
+	ix, _ := buildIndex(t, els, Options{World: worldBox(), PageCapacity: 16})
 	q := geom.CubeAt(geom.V(50, 50, 50), 18)
 	want := bruteForce(els, q)
 	if len(want) == 0 {
 		t.Fatal("test query must be non-empty")
 	}
 
-	var starts []RecordRef
+	// Two inputs: records whose page MBR meets the query (a seed could
+	// return them), and the wider set whose partition MBR does.
+	var pageStarts, partitionStarts []RecordRef
 	err := ix.Records(func(r Record) error {
 		if r.PageMBR.Intersects(q) {
-			starts = append(starts, r.Ref)
+			pageStarts = append(pageStarts, r.Ref)
+		}
+		if r.PartitionMBR.Intersects(q) {
+			partitionStarts = append(partitionStarts, r.Ref)
 		}
 		return nil
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(starts) < 2 {
-		t.Fatalf("want multiple candidate starts, got %d", len(starts))
+	if len(pageStarts) < 2 || len(partitionStarts) <= len(pageStarts) {
+		t.Fatalf("want multiple page-MBR starts and more partition starts, got %d and %d", len(pageStarts), len(partitionStarts))
 	}
-	for _, s := range starts {
+	for _, s := range append(pageStarts, partitionStarts...) {
 		got, err := ix.CrawlFrom(q, s)
 		if err != nil {
 			t.Fatal(err)

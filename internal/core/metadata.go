@@ -31,11 +31,11 @@ func makeRef(page storage.PageID, slot int) RecordRef {
 //lint:ignore pageidpack recovers the whole PageID; the shard tag is opaque here
 func (r RecordRef) Page() storage.PageID { return storage.PageID(uint64(r) >> 16) }
 
-// Slot returns the record's slot within its page.
-func (r RecordRef) Slot() int { return int(uint64(r) & 0xffff) }
+// slot returns the record's slot within its page.
+func (r RecordRef) slot() int { return int(uint64(r) & 0xffff) }
 
 // String implements fmt.Stringer.
-func (r RecordRef) String() string { return fmt.Sprintf("meta(%d:%d)", r.Page(), r.Slot()) }
+func (r RecordRef) String() string { return fmt.Sprintf("meta(%d:%d)", r.Page(), r.slot()) }
 
 // noRef marks "no record" (used for the overflow chain terminator).
 const noRef = RecordRef(^uint64(0))
@@ -137,7 +137,7 @@ func (l *metaLayout) ref(v uint64) (RecordRef, error) {
 // stored is r's stored form; r must lie in the metadata run.
 func (l *metaLayout) stored(r RecordRef) uint64 {
 	ord := uint64(r.Page() - l.metaStart()) // a count of pages, not an id
-	return ord<<slotBits | uint64(r.Slot())
+	return ord<<slotBits | uint64(r.slot())
 }
 
 // boxFrame maps stored box values to world cells: value v of face f (in
@@ -448,7 +448,7 @@ func (p *metaPage) pageMeets(slot int, lim *[6]uint64) bool {
 // record reads record ref of the page into m. It allocates nothing: the
 // neighbor list stays on the page.
 func (p *metaPage) record(ref RecordRef, l *metaLayout, m *metaRecord) error {
-	slot := ref.Slot()
+	slot := ref.slot()
 	if slot >= p.count {
 		return fmt.Errorf("core: metadata slot %d out of range (%d records)", slot, p.count)
 	}

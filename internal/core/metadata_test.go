@@ -38,8 +38,8 @@ func TestRecordRefPacking(t *testing.T) {
 	if ref.Page() != 123456 {
 		t.Errorf("Page = %d", ref.Page())
 	}
-	if ref.Slot() != 42 {
-		t.Errorf("Slot = %d", ref.Slot())
+	if ref.slot() != 42 {
+		t.Errorf("slot = %d", ref.slot())
 	}
 	if ref.String() != "meta(123456:42)" {
 		t.Errorf("String = %q", ref.String())

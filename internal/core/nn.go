@@ -34,8 +34,8 @@ const stagedRank = 1 << 63
 // returned stats cover exactly the work performed.
 //
 // The indexes must share one page-id space (the shards of a Set do:
-// every page id carries its shard's tag), because one pair of dedup
-// maps serves the whole search. Index.NN is the one-index case.
+// every page id carries its shard's tag), because one dedup map of
+// record refs serves the whole search. Index.NN is the one-index case.
 //
 // The traversal is FLAT's seed+crawl with a best-first frontier instead
 // of the range query's FIFO. Take one index first:
@@ -277,10 +277,7 @@ func (ix *Index) nnExpand(ctx context.Context, p geom.Vec3, it crawlItem, key fl
 		return nil
 	}
 	st.RecordsVisited++
-	if !sc.visited[m.ObjectPage] {
-		sc.visited[m.ObjectPage] = true
-		h.Push(m.PageMBR.DistSqToPoint(p), crawlItem{kind: itemPage, src: it.src, page: m.ObjectPage})
-	}
+	h.Push(m.PageMBR.DistSqToPoint(p), crawlItem{kind: itemPage, src: it.src, page: m.ObjectPage})
 	return ix.eachNeighbor(ctx, it.ref, &m, sc, local, nil, func(n RecordRef, box nbBox) error {
 		ix.nnEnqueue(p, it.src, n, key, box, h, sc)
 		return nil

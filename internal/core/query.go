@@ -66,29 +66,25 @@ type seedItem struct {
 }
 
 // crawlScratch holds the reusable per-query state: the seed descent
-// stack plus the crawl's frontier and dedup maps. Allocating these maps
-// fresh on every query is the dominant heap churn on the hot path, so
-// queries borrow a scratch from a sync.Pool and return it cleared.
+// stack plus the crawl's frontier and dedup map. Allocating these fresh
+// on every query is the dominant heap churn on the hot path, so queries
+// borrow a scratch from a sync.Pool and return it cleared.
 type crawlScratch struct {
 	stack    []seedItem
-	fifo     fifoFrontier      // range-crawl frontier (BFS order)
-	heap     heapFrontier      // best-first frontier (k-NN)
-	seedHeap heapFrontier      // k-NN seed descent, run while heap is live
-	els      []geom.Element    // object-page decode buffer
-	entries  []rtree.NodeEntry // seed-node decode buffer
-	stats    storage.Stats     // the query's own page-read tally
-	enqueued map[RecordRef]bool
-	visited  map[storage.PageID]bool
-	frame    boxFrame  // the frame of the neighbor list eachNeighbor walks
-	boxes    boxFilter // the range crawl's box test
+	fifo     fifoFrontier       // range-crawl frontier (BFS order)
+	heap     heapFrontier       // best-first frontier (k-NN)
+	seedHeap heapFrontier       // k-NN seed descent, run while heap is live
+	els      []geom.Element     // object-page decode buffer
+	entries  []rtree.NodeEntry  // seed-node decode buffer
+	stats    storage.Stats      // the query's own page-read tally
+	enqueued map[RecordRef]bool // records on or through the frontier
+	frame    boxFrame           // the frame of the neighbor list eachNeighbor walks
+	boxes    boxFilter          // the range crawl's box test
 }
 
 var scratchPool = sync.Pool{
 	New: func() any {
-		return &crawlScratch{
-			enqueued: make(map[RecordRef]bool),
-			visited:  make(map[storage.PageID]bool),
-		}
+		return &crawlScratch{enqueued: make(map[RecordRef]bool)}
 	},
 }
 
@@ -96,7 +92,6 @@ func getScratch() *crawlScratch { return scratchPool.Get().(*crawlScratch) }
 
 func (sc *crawlScratch) release() {
 	clear(sc.enqueued)
-	clear(sc.visited)
 	sc.stack = sc.stack[:0]
 	sc.fifo.reset()
 	sc.heap.Reset()
@@ -236,8 +231,9 @@ func (ix *Index) objectPageHasHit(id storage.PageID, q geom.MBR, sc *crawlScratc
 // An object page is read only when the record's page MBR intersects the
 // query; a record's neighbors are expanded only when its partition MBR
 // does, and a neighbor is enqueued only when the box its pointer carries
-// does (the paper's pointers are bare). Each record and each object
-// page is visited at most once. emit returning false stops the crawl
+// does (the paper's pointers are bare). Each record is enqueued at most
+// once, and each object page belongs to exactly one record, so each
+// object page is read at most once. emit returning false stops the crawl
 // cleanly (no error); a done ctx aborts it with ctx.Err().
 // sc.boxes must be reset to q.
 func (ix *Index) crawl(ctx context.Context, q geom.MBR, start RecordRef, emit func(geom.Element) bool, st *QueryStats, sc *crawlScratch, local *storage.Stats) error {
@@ -247,7 +243,6 @@ func (ix *Index) crawl(ctx context.Context, q geom.MBR, start RecordRef, emit fu
 	f.reset()
 	f.push(start)
 	sc.enqueued[start] = true
-	defer func() { st.PagesVisited = len(sc.visited) }()
 	var (
 		m    metaRecord
 		mp   metaPage // the header of the page m is on, parsed once per run of records on it
@@ -277,8 +272,8 @@ func (ix *Index) crawl(ctx context.Context, q geom.MBR, start RecordRef, emit fu
 		}
 		st.RecordsVisited++
 
-		if m.PageMBR.Intersects(q) && !sc.visited[m.ObjectPage] {
-			sc.visited[m.ObjectPage] = true
+		if m.PageMBR.Intersects(q) {
+			st.PagesVisited++
 			objPage, err := ix.pool.ReadInto(m.ObjectPage, local)
 			if err != nil {
 				return err
@@ -457,8 +452,8 @@ type Record struct {
 
 // Records enumerates every metadata record in the index in on-disk
 // order (a walk of the seed tree down to its metadata pages), calling
-// fn with each. Used by invariant tests, the public Records/AvgNeighbors
-// inspection surface and the neighbor analyses (NeighborHistogram).
+// fn with each. Used by invariant tests and the neighbor analyses
+// (NeighborHistogram, and through it flat.Index.AvgNeighbors).
 func (ix *Index) Records(fn func(Record) error) error {
 	type keyed struct {
 		seedItem

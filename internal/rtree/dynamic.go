@@ -155,7 +155,7 @@ func (t *DynTree) store(id storage.PageID, isLeaf bool, entries []NodeEntry) (*N
 func (t *DynTree) writeNode(isLeaf bool, entries []NodeEntry) (storage.PageID, error) {
 	cat := t.cfg.InternalCat
 	if isLeaf {
-		cat = t.cfg.LeafCat
+		cat = storage.CatRTreeLeaf
 		t.leafPages++
 	} else {
 		t.internalPages++

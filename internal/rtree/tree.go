@@ -45,10 +45,9 @@ type Config struct {
 	// InternalCapacity is the fanout of internal nodes. Zero means
 	// NodeCapacity.
 	InternalCapacity int
-	// InternalCat and LeafCat tag the allocated pages for read
-	// accounting. Zero values default to CatRTreeInternal/CatRTreeLeaf.
+	// InternalCat tags the allocated internal pages for read accounting
+	// (zero: CatRTreeInternal). Leaf pages are always CatRTreeLeaf.
 	InternalCat storage.Category
-	LeafCat     storage.Category
 }
 
 func (c Config) withDefaults() Config {
@@ -60,9 +59,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.InternalCat == storage.CatUnknown {
 		c.InternalCat = storage.CatRTreeInternal
-	}
-	if c.LeafCat == storage.CatUnknown {
-		c.LeafCat = storage.CatRTreeLeaf
 	}
 	return c
 }
@@ -117,7 +113,7 @@ func Build(pool storage.Pool, els []geom.Element, strategy Strategy, world geom.
 		for _, e := range g {
 			leafEntries = append(leafEntries, NodeEntry{Box: e.Box, Ref: e.ID})
 		}
-		id, err := pool.Alloc(cfg.LeafCat)
+		id, err := pool.Alloc(storage.CatRTreeLeaf)
 		if err != nil {
 			return nil, err
 		}

@@ -181,25 +181,36 @@ func (c *Client) connErr() error {
 	return fmt.Errorf("flatserve: connection error: %w", c.readErr)
 }
 
-func (c *Client) send(typ byte, payload []byte) error {
+// send sends one request frame, built in place behind a reserved
+// header (see sendFrame).
+func (c *Client) send(typ byte, frame []byte) error {
 	c.wmu.Lock()
 	defer c.wmu.Unlock()
-	return writeFrame(c.conn, typ, payload)
+	return sendFrame(c.conn, typ, frame)
 }
 
-// unary sends one request and waits for its single terminator frame.
-func (c *Client) unary(ctx context.Context, typ byte, body []byte) (respFrame, error) {
+// start registers a request id, writes it into frame (from newFrame)
+// and sends it; the id and response channel are the request's.
+func (c *Client) start(typ byte, frame []byte) (uint32, chan respFrame, error) {
 	id, ch, err := c.register()
+	if err != nil {
+		return 0, nil, err
+	}
+	putU32(frame[frameHeader:], id)
+	if err := c.send(typ, frame); err != nil {
+		c.unregister(id)
+		return 0, nil, err
+	}
+	return id, ch, nil
+}
+
+// unary sends one request frame and waits for its single terminator.
+func (c *Client) unary(ctx context.Context, typ byte, frame []byte) (respFrame, error) {
+	id, ch, err := c.start(typ, frame)
 	if err != nil {
 		return respFrame{}, err
 	}
 	defer c.unregister(id)
-	payload := make([]byte, 4+len(body))
-	putU32(payload, id)
-	copy(payload[4:], body)
-	if err := c.send(typ, payload); err != nil {
-		return respFrame{}, err
-	}
 	select {
 	case fr, ok := <-ch:
 		if !ok {
@@ -211,10 +222,10 @@ func (c *Client) unary(ctx context.Context, typ byte, body []byte) (respFrame, e
 	}
 }
 
-// write sends one write request and decodes its msgOK / msgErr
+// write sends one write request frame and decodes its msgOK / msgErr
 // terminator: the count the server acknowledged, or its error.
-func (c *Client) write(ctx context.Context, typ byte, body []byte) (uint64, error) {
-	fr, err := c.unary(ctx, typ, body)
+func (c *Client) write(ctx context.Context, typ byte, frame []byte) (uint64, error) {
+	fr, err := c.unary(ctx, typ, frame)
 	if err != nil {
 		return 0, err
 	}
@@ -266,18 +277,14 @@ func (c *Client) sendQuery(ctx context.Context, kind byte, box flat.MBR, o Query
 	if err != nil {
 		return nil, err
 	}
-	id, ch, err := c.register()
+	frame := newFrame(0, 1+48+4+1)
+	body := frame[bodyStart:]
+	body[0] = kind
+	putBox(body[1:], box)
+	putU32(body[49:], limit)
+	body[53] = 0 // flags, reserved
+	id, ch, err := c.start(msgQuery, frame)
 	if err != nil {
-		return nil, err
-	}
-	body := make([]byte, 4+1+48+4+1)
-	putU32(body, id)
-	body[4] = kind
-	putBox(body[5:], box)
-	putU32(body[53:], limit)
-	body[57] = 0 // flags, reserved
-	if err := c.send(msgQuery, body); err != nil {
-		c.unregister(id)
 		return nil, err
 	}
 	return &Stream{c: c, ctx: ctx, id: id, ch: ch}, nil
@@ -302,19 +309,15 @@ func (c *Client) NN(ctx context.Context, p flat.Vec3, k int) (*Stream, error) {
 	if err != nil {
 		return nil, err
 	}
-	id, ch, err := c.register()
+	frame := newFrame(0, 24+4+1)
+	body := frame[bodyStart:]
+	putF64(body[0:], p.X)
+	putF64(body[8:], p.Y)
+	putF64(body[16:], p.Z)
+	putU32(body[24:], wk)
+	body[28] = 0 // flags, reserved
+	id, ch, err := c.start(msgNN, frame)
 	if err != nil {
-		return nil, err
-	}
-	body := make([]byte, 4+24+4+1)
-	putU32(body, id)
-	putF64(body[4:], p.X)
-	putF64(body[12:], p.Y)
-	putF64(body[20:], p.Z)
-	putU32(body[28:], wk)
-	body[32] = 0 // flags, reserved
-	if err := c.send(msgNN, body); err != nil {
-		c.unregister(id)
 		return nil, err
 	}
 	return &Stream{c: c, ctx: ctx, id: id, ch: ch}, nil
@@ -344,27 +347,28 @@ func (c *Client) Insert(ctx context.Context, els []flat.Element) error {
 	if len(els) > maxBatch {
 		return fmt.Errorf("flatserve: insert of %d elements exceeds the %d elements one frame carries; split it", len(els), maxBatch)
 	}
-	body := make([]byte, 4+len(els)*elementWire)
+	frame := newFrame(0, 4+len(els)*elementWire)
+	body := frame[bodyStart:]
 	putU32(body, uint32(len(els)))
 	for i, e := range els {
 		putElement(body[4+i*elementWire:], e)
 	}
-	_, err := c.write(ctx, msgInsert, body)
+	_, err := c.write(ctx, msgInsert, frame)
 	return err
 }
 
 // Delete stages the removal of one element (identified by its full
 // id+box pair, like flat.StageDelete) and flushes the WAL.
 func (c *Client) Delete(ctx context.Context, id uint64, box flat.MBR) error {
-	body := make([]byte, elementWire)
-	putElement(body, flat.Element{ID: id, Box: box})
-	_, err := c.write(ctx, msgDelete, body)
+	frame := newFrame(0, elementWire)
+	putElement(frame[bodyStart:], flat.Element{ID: id, Box: box})
+	_, err := c.write(ctx, msgDelete, frame)
 	return err
 }
 
 // Flush forces a WAL flush of previously staged updates.
 func (c *Client) Flush(ctx context.Context) error {
-	_, err := c.write(ctx, msgFlush, nil)
+	_, err := c.write(ctx, msgFlush, newFrame(0, 0))
 	return err
 }
 
@@ -372,13 +376,13 @@ func (c *Client) Flush(ctx context.Context) error {
 // the number of shards rebuilt, or flat.ErrBusy under in-flight
 // queries (the caller retries, exactly as in-process).
 func (c *Client) Rebuild(ctx context.Context) (int, error) {
-	n, err := c.write(ctx, msgRebuild, nil)
+	n, err := c.write(ctx, msgRebuild, newFrame(0, 0))
 	return int(n), err
 }
 
 // Stats fetches the server's admin view.
 func (c *Client) Stats(ctx context.Context) (*ServerStats, error) {
-	fr, err := c.unary(ctx, msgStats, nil)
+	fr, err := c.unary(ctx, msgStats, newFrame(0, 0))
 	if err != nil {
 		return nil, err
 	}
@@ -399,9 +403,7 @@ func (c *Client) Stats(ctx context.Context) (*ServerStats, error) {
 // cancel asks the server to stop a request. Best effort: the response
 // race is handled by the stream's terminator handling.
 func (c *Client) cancel(id uint32) {
-	payload := make([]byte, 4)
-	putU32(payload, id)
-	c.send(msgCancel, payload)
+	c.send(msgCancel, newFrame(id, 0))
 }
 
 // Stream is one in-flight range query. Not safe for concurrent use.

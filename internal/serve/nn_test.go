@@ -204,15 +204,11 @@ func TestNNBadFrameRejected(t *testing.T) {
 	c := dialServer(t, s)
 
 	sendRaw := func(typ byte, body []byte) error {
-		id, ch, err := c.register()
+		id, ch, err := c.start(typ, append(make([]byte, frameHeader), body...))
 		if err != nil {
 			t.Fatal(err)
 		}
 		defer c.unregister(id)
-		putU32(body, id)
-		if err := c.send(typ, body); err != nil {
-			t.Fatal(err)
-		}
 		fr, ok := <-ch
 		if !ok {
 			t.Fatal(c.connErr())

@@ -130,6 +130,10 @@ const maxBatch = (maxPayload - 8) / elementWire
 // frameHeader is the length prefix and type byte that open every frame.
 const frameHeader = 5
 
+// bodyStart is where a frame's body begins: behind the header and the
+// request id that every request and response payload opens with.
+const bodyStart = frameHeader + 4
+
 var (
 	errBadMagic   = errors.New("flatserve: bad handshake magic")
 	errBadVersion = errors.New("flatserve: unsupported protocol version")
@@ -137,15 +141,12 @@ var (
 	errShortFrame = errors.New("flatserve: truncated frame payload")
 )
 
-// writeFrame sends one frame whose payload is copied behind a fresh
-// header; small control frames use it, element batches sendFrame.
-func writeFrame(w io.Writer, typ byte, payload []byte) error {
-	if len(payload) > maxPayload {
-		return errFrameSize
-	}
-	buf := make([]byte, frameHeader+len(payload))
-	copy(buf[frameHeader:], payload)
-	return sendFrame(w, typ, buf)
+// newFrame returns a frame with n body bytes at bodyStart, its header
+// reserved for sendFrame and reqID already in place.
+func newFrame(reqID uint32, n int) []byte {
+	frame := make([]byte, bodyStart+n)
+	putU32(frame[frameHeader:], reqID)
+	return frame
 }
 
 // sendFrame fills in the header of frame — whose first frameHeader

@@ -15,10 +15,10 @@ import (
 func TestFrameRoundTrip(t *testing.T) {
 	var buf bytes.Buffer
 	payload := []byte{1, 2, 3, 4, 5}
-	if err := writeFrame(&buf, msgQuery, payload); err != nil {
+	if err := sendFrame(&buf, msgQuery, append(make([]byte, frameHeader), payload...)); err != nil {
 		t.Fatal(err)
 	}
-	if err := writeFrame(&buf, msgDone, nil); err != nil {
+	if err := sendFrame(&buf, msgDone, make([]byte, frameHeader)); err != nil {
 		t.Fatal(err)
 	}
 	typ, got, err := readFrame(&buf)
@@ -42,7 +42,7 @@ func TestFrameRoundTrip(t *testing.T) {
 
 func TestFrameTruncation(t *testing.T) {
 	var buf bytes.Buffer
-	if err := writeFrame(&buf, msgElems, make([]byte, 64)); err != nil {
+	if err := sendFrame(&buf, msgElems, make([]byte, frameHeader+64)); err != nil {
 		t.Fatal(err)
 	}
 	// Chop the payload: a header promising more than arrives must not
@@ -56,7 +56,7 @@ func TestFrameTruncation(t *testing.T) {
 	if _, _, err := readFrame(bytes.NewReader(hostile)); !errors.Is(err, errFrameSize) {
 		t.Fatalf("hostile length: %v, want errFrameSize", err)
 	}
-	if err := writeFrame(io.Discard, msgElems, make([]byte, maxPayload+1)); !errors.Is(err, errFrameSize) {
+	if err := sendFrame(io.Discard, msgElems, make([]byte, frameHeader+maxPayload+1)); !errors.Is(err, errFrameSize) {
 		t.Fatalf("oversized write: %v, want errFrameSize", err)
 	}
 }

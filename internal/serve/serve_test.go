@@ -79,9 +79,7 @@ func unthrottle(t *testing.T, s *Server, c *Client) {
 // frame encodes one wire frame for tests that speak the protocol raw.
 func frame(typ byte, reqID uint32, body []byte) []byte {
 	var buf bytes.Buffer
-	payload := make([]byte, 4, 4+len(body))
-	putU32(payload, reqID)
-	if err := writeFrame(&buf, typ, append(payload, body...)); err != nil {
+	if err := sendFrame(&buf, typ, append(newFrame(reqID, 0), body...)); err != nil {
 		panic(err)
 	}
 	return buf.Bytes()

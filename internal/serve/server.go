@@ -334,17 +334,10 @@ func (sc *srvConn) readLoop() {
 	}
 }
 
-// write sends one response frame; errors are swallowed because the
-// read loop observes the broken connection on its own and tears the
+// send sends one response frame, built in place behind a reserved
+// header (see sendFrame). Callers that only answer may ignore its error:
+// the read loop observes the broken connection on its own and tears the
 // queries down.
-func (sc *srvConn) write(typ byte, payload []byte) error {
-	sc.wmu.Lock()
-	defer sc.wmu.Unlock()
-	return writeFrame(sc.c, typ, payload)
-}
-
-// send is write for a frame built in place behind a reserved header
-// (see sendFrame).
 func (sc *srvConn) send(typ byte, frame []byte) error {
 	sc.wmu.Lock()
 	defer sc.wmu.Unlock()
@@ -353,18 +346,16 @@ func (sc *srvConn) send(typ byte, frame []byte) error {
 
 func (sc *srvConn) writeErr(reqID uint32, err error) {
 	code, msg := codeFor(err)
-	buf := make([]byte, 5+len(msg))
-	putU32(buf, reqID)
-	buf[4] = code
-	copy(buf[5:], msg)
-	sc.write(msgErr, buf)
+	frame := newFrame(reqID, 1+len(msg))
+	frame[bodyStart] = code
+	copy(frame[bodyStart+1:], msg)
+	sc.send(msgErr, frame)
 }
 
 func (sc *srvConn) writeOK(reqID uint32, detail uint64) {
-	buf := make([]byte, 12)
-	putU32(buf, reqID)
-	putU64(buf[4:], detail)
-	sc.write(msgOK, buf)
+	frame := newFrame(reqID, 8)
+	putU64(frame[bodyStart:], detail)
+	sc.send(msgOK, frame)
 }
 
 // startQuery parses a msgQuery and runs it in its own goroutine, so
@@ -488,7 +479,7 @@ func (sc *srvConn) runQuery(qctx context.Context, reqID uint32, kind byte, box f
 // header, request id and count (batchStart bytes), and each batch goes
 // out from there in one Write: nothing is copied or allocated per frame.
 func (sc *srvConn) streamSession(reqID uint32, session *flat.Results, materialize bool) {
-	const batchStart = frameHeader + 4 + 4
+	const batchStart = bodyStart + 4
 	var fb *[]byte
 	var frame []byte
 	if materialize {
@@ -512,7 +503,7 @@ func (sc *srvConn) streamSession(reqID uint32, session *flat.Results, materializ
 		putElement(frame[off:], e)
 		off += elementWire
 		if n++; n == sc.s.cfg.StreamBatch {
-			putU32(frame[frameHeader+4:], uint32(n))
+			putU32(frame[bodyStart:], uint32(n))
 			if sc.send(msgElems, frame[:off]) != nil {
 				// Client is gone; stop pulling the crawl.
 				iterErr = context.Canceled
@@ -531,17 +522,16 @@ func (sc *srvConn) streamSession(reqID uint32, session *flat.Results, materializ
 		return
 	}
 	if n > 0 {
-		putU32(frame[frameHeader+4:], uint32(n))
+		putU32(frame[bodyStart:], uint32(n))
 		if sc.send(msgElems, frame[:off]) != nil {
 			sc.s.cancelled.Add(1)
 			return
 		}
 	}
-	done := make([]byte, 4+8+48)
-	putU32(done, reqID)
-	putU64(done[4:], count)
-	putQueryStats(done[12:], stats)
-	sc.write(msgDone, done)
+	done := newFrame(reqID, 8+48)
+	putU64(done[bodyStart:], count)
+	putQueryStats(done[bodyStart+8:], stats)
+	sc.send(msgDone, done)
 }
 
 // handleWrite is the one shape of a write request: op runs against the
@@ -624,8 +614,7 @@ func (sc *srvConn) handleStats(reqID uint32) {
 		sc.writeErr(reqID, err)
 		return
 	}
-	buf := make([]byte, 4+len(blob))
-	putU32(buf, reqID)
-	copy(buf[4:], blob)
-	sc.write(msgStatsResp, buf)
+	frame := newFrame(reqID, len(blob))
+	copy(frame[bodyStart:], blob)
+	sc.send(msgStatsResp, frame)
 }

@@ -131,32 +131,47 @@ func TestSplitHilbert(t *testing.T) {
 // byte-identical to the unsharded index — same pages, same ids, same
 // results, same per-query read counts.
 func TestSingleShardParity(t *testing.T) {
-	// The non-zero SeedFanout case keeps the knob honest: a dropped
+	// The non-zero SeedFanout cases keep the knob honest: a dropped
 	// fanout would reshape the reference seed tree but not the shard's,
-	// and the byte comparison below would catch it.
-	for _, fanout := range []int{0, 8} {
-		t.Run(fmt.Sprintf("fanout=%d", fanout), func(t *testing.T) {
-			testSingleShardParity(t, fanout)
+	// and the byte comparison below would catch it. The v2 case extends
+	// the identity to the compressed object-page format.
+	cases := []struct {
+		name   string
+		fanout int
+		format storage.PageFormat
+	}{
+		{"fanout=0", 0, 0},
+		{"fanout=8", 8, 0},
+		{"fanout=8/v2", 8, storage.PageFormatV2},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			testSingleShardParity(t, tc.fanout, tc.format)
 		})
 	}
 }
 
-func testSingleShardParity(t *testing.T, fanout int) {
+func testSingleShardParity(t *testing.T, fanout int, format storage.PageFormat) {
 	r := rand.New(rand.NewSource(12))
-	els := randomElements(r, 4000)
+	els := randomElements(r, 8000) // enough metadata pages for fanout 8 to add a seed level
 
 	// Unsharded reference.
 	refEls := append([]geom.Element(nil), els...)
 	refPager := storage.NewMemPager()
 	refPool := storage.NewConcurrentPool(refPager, 0)
-	ref, err := core.Build(refPool, refEls, core.Options{PageCapacity: 16, SeedFanout: fanout})
+	opts := core.Options{PageCapacity: 16, SeedFanout: fanout, PageFormat: format}
+	ref, err := core.Build(refPool, refEls, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
+	if fanout != 0 && ref.SeedHeight() < 3 {
+		t.Fatalf("fanout %d did not deepen the seed tree (height %d)", fanout, ref.SeedHeight())
+	}
 	refPool.DropFrames()
 
+	cfg := Config{Shards: 1, PageCapacity: 16, SeedFanout: fanout, PageFormat: format}
 	shEls := append([]geom.Element(nil), els...)
-	set, err := Build(shEls, Config{Shards: 1, PageCapacity: 16, SeedFanout: fanout})
+	set, err := Build(shEls, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -219,7 +234,7 @@ func testSingleShardParity(t *testing.T, fanout int) {
 		t.Fatal(err)
 	}
 	refEls = append(refEls[:0], els...)
-	refOnDisk, err := core.Build(storage.NewConcurrentPool(refFile, 0), refEls, core.Options{PageCapacity: 16, SeedFanout: fanout})
+	refOnDisk, err := core.Build(storage.NewConcurrentPool(refFile, 0), refEls, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -231,7 +246,8 @@ func testSingleShardParity(t *testing.T, fanout int) {
 	}
 	setDir := filepath.Join(dir, "set")
 	shEls = append(shEls[:0], els...)
-	diskSet, err := Build(shEls, Config{Dir: setDir, PageCapacity: 16, SeedFanout: fanout})
+	cfg.Dir = setDir
+	diskSet, err := Build(shEls, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -304,6 +320,58 @@ func TestShardedCorrectnessAcrossK(t *testing.T) {
 			}
 		}
 		set.Close()
+	}
+}
+
+// TestCrawlFromAcrossShards carries the paper's start-page claim to
+// K=4: every ref a shard's Records yields is a valid CrawlFrom start on
+// that shard, a crawl stays inside its shard, and the union over all
+// starts is the range result.
+func TestCrawlFromAcrossShards(t *testing.T) {
+	r := rand.New(rand.NewSource(99))
+	set, err := Build(randomElements(r, 2500), Config{Shards: 4, PageCapacity: 16})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer set.Close()
+
+	q := geom.CubeAt(geom.V(50, 50, 50), 60)
+	want, _ := collectStream(t, set, context.Background(), q)
+	union := make(map[uint64]bool)
+	records := 0
+	for s := range set.NumShards() {
+		sh := set.Shard(s)
+		err := sh.Records(func(rc core.Record) error {
+			records++
+			if owner, _ := storage.SplitShardPageID(rc.Ref.Page()); owner != s {
+				t.Fatalf("shard %d enumerated %v, tagged with shard %d", s, rc.Ref, owner)
+			}
+			got, err := sh.CrawlFrom(q, rc.Ref)
+			if err != nil {
+				return err
+			}
+			for _, e := range got {
+				if !e.Box.Intersects(q) || !set.ShardBounds(s).Contains(e.Box) {
+					t.Fatalf("crawl from %v (shard %d) returned %v: outside the query or the shard", rc.Ref, s, e)
+				}
+				union[e.ID] = true
+			}
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	if records != set.NumPartitions() {
+		t.Fatalf("enumerated %d records, set has %d partitions", records, set.NumPartitions())
+	}
+	if len(want) == 0 || len(union) != len(want) {
+		t.Fatalf("union over all starts holds %d elements, range query %d", len(union), len(want))
+	}
+	for _, id := range sortedIDs(want) {
+		if !union[id] {
+			t.Fatalf("element %d is in the range result but in no crawl", id)
+		}
 	}
 }
 

@@ -309,7 +309,7 @@ func encodeObjectPageV2(buf []byte, els []geom.Element) error {
 	lo, hi := uint64(math.MaxUint64), uint64(0)
 	for i := range els {
 		b := els[i].Box
-		if !(b.Min.X <= b.Max.X && b.Min.Y <= b.Max.Y && b.Min.Z <= b.Max.Z) || !finiteMBR(b) {
+		if !b.Valid() {
 			return fmt.Errorf("storage: v2 object page: element %d has inverted or non-finite box", i)
 		}
 		ref = ref.Union(b)
@@ -344,16 +344,6 @@ func encodeObjectPageV2(buf []byte, els []geom.Element) error {
 		return fmt.Errorf("storage: v2 object page overflow")
 	}
 	return nil
-}
-
-func finiteMBR(m geom.MBR) bool {
-	for a := 0; a < 3; a++ {
-		if math.IsInf(m.Min.Axis(a), 0) || math.IsInf(m.Max.Axis(a), 0) ||
-			math.IsNaN(m.Min.Axis(a)) || math.IsNaN(m.Max.Axis(a)) {
-			return false
-		}
-	}
-	return true
 }
 
 // objectPageLayout validates an object page's header and returns its
