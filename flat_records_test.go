@@ -96,3 +96,52 @@ func TestRecordsInvariants(t *testing.T) {
 		t.Fatal("no neighbor links at all — crawl graph would be disconnected")
 	}
 }
+
+// TestCrawlFromAnyStart checks the paper's claim that the start page
+// affects neither accuracy nor efficiency, through the index Build
+// returns: every record whose partition meets the query is a valid
+// crawl start, and each crawl returns exactly RangeQuery's result.
+func TestCrawlFromAnyStart(t *testing.T) {
+	r := rand.New(rand.NewSource(98))
+	els := randomElements(r, 2500)
+	ix, err := Build(els, &Options{PageCapacity: 16})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ix.Close()
+	sh := ix.set.Shard(0)
+
+	for qi, q := range queryWorkload(r, 5) {
+		want, _, err := ix.RangeQuery(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(want) == 0 {
+			continue
+		}
+		wantIDs := idsOf(want)
+		// Try every record intersecting the query as a crawl start.
+		starts := 0
+		err = sh.Records(func(rc core.Record) error {
+			if !rc.PartitionMBR.Intersects(q) {
+				return nil
+			}
+			starts++
+			got, err := sh.CrawlFrom(q, rc.Ref)
+			if err != nil {
+				return err
+			}
+			if !sameIDs(idsOf(got), wantIDs) {
+				t.Fatalf("query %d: crawl from %v returned %d results, RangeQuery %d",
+					qi, rc.Ref, len(got), len(want))
+			}
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if starts == 0 {
+			t.Fatalf("query %d: no intersecting start records despite %d results", qi, len(want))
+		}
+	}
+}

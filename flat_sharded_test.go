@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"flat/internal/core"
+	"flat/internal/shard"
 	"flat/internal/storage"
 )
 
@@ -92,61 +93,86 @@ func TestShardedMatchesUnsharded(t *testing.T) {
 // half: the one-shard index — Build's default, and Shards: 1 spelled
 // out — serves every query with exactly the results and page reads of
 // the bare core index, the paper's structure with nothing around it.
-// The seed-fanout and v2 cases of the same parity run one layer down,
-// in internal/shard's TestSingleShardParity.
 func TestShardedColdReadParityK1(t *testing.T) {
-	t.Run("fanout=0", func(t *testing.T) {
-		r := rand.New(rand.NewSource(91))
-		els := randomElements(r, 8000)
-		orig := append([]Element(nil), els...)
-		queries := queryWorkload(r, 25)
+	// The seed fanout is no Options field, so the fanout=8 cases build
+	// the shard set themselves and wrap it the way Build does: a smaller
+	// fanout deepens the seed tree, so a knob dropped between the set
+	// and the Index shows up as a read-count mismatch. The v2 case
+	// extends the invariant to the compressed page format.
+	cases := []struct {
+		name   string
+		fanout int
+		format PageFormat
+	}{
+		{"fanout=0", 0, 0},
+		{"fanout=8", 8, 0},
+		{"fanout=8/v2", 8, PageFormatV2},
+	}
+	for _, tc := range cases {
+		fanout, format := tc.fanout, tc.format
+		t.Run(tc.name, func(t *testing.T) {
+			r := rand.New(rand.NewSource(91))
+			els := randomElements(r, 8000)
+			orig := append([]Element(nil), els...)
+			queries := queryWorkload(r, 25)
 
-		refPool := storage.NewConcurrentPool(storage.NewMemPager(), 0)
-		ref, err := core.Build(refPool, append([]Element(nil), orig...), core.Options{PageCapacity: 16})
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, shards := range []int{0, 1} {
-			ix, err := Build(append([]Element(nil), orig...), &Options{Shards: shards, PageCapacity: 16})
+			refPool := storage.NewConcurrentPool(storage.NewMemPager(), 0)
+			ref, err := core.Build(refPool, append([]Element(nil), orig...), core.Options{PageCapacity: 16, SeedFanout: fanout, PageFormat: format})
 			if err != nil {
 				t.Fatal(err)
 			}
-			defer ix.Close()
-			avg, err := ix.AvgNeighbors()
-			if err != nil {
-				t.Fatal(err)
+			if fanout != 0 && ref.SeedHeight() < 3 {
+				t.Fatalf("fanout %d did not deepen the seed tree (height %d)", fanout, ref.SeedHeight())
 			}
-			refAvg, err := ref.AvgNeighbors()
-			if err != nil {
-				t.Fatal(err)
-			}
-			if ix.NumShards() != 1 || ix.SeedHeight() != ref.SeedHeight() || ix.ShardPageFormat(0) != ref.PageFormat() || avg != refAvg {
-				t.Fatalf("Shards: %d: %d shards, seed height %d, format %v, %g neighbors; core reference %d, %v, %g — knob not plumbed?",
-					shards, ix.NumShards(), ix.SeedHeight(), ix.ShardPageFormat(0), avg,
-					ref.SeedHeight(), ref.PageFormat(), refAvg)
-			}
-			for i, q := range queries {
-				refPool.DropFrames()
-				if err := ix.DropCache(); err != nil {
-					t.Fatal(err)
+			for _, shards := range []int{0, 1} {
+				var ix *Index
+				if fanout == 0 {
+					ix, err = Build(append([]Element(nil), orig...), &Options{Shards: shards, PageCapacity: 16, PageFormat: format})
+				} else {
+					var set *shard.Set
+					set, err = shard.Build(append([]Element(nil), orig...), shard.Config{Shards: shards, PageCapacity: 16, SeedFanout: fanout, PageFormat: format})
+					ix = &Index{set: set}
 				}
-				want, wantStats, err := ref.RangeQuery(q)
 				if err != nil {
 					t.Fatal(err)
 				}
-				got, gotStats, err := ix.RangeQuery(q)
+				defer ix.Close()
+				avg, err := ix.AvgNeighbors()
 				if err != nil {
 					t.Fatal(err)
 				}
-				if !slices.Equal(got, want) {
-					t.Errorf("Shards: %d query %d: results differ from the core index (%d vs %d)", shards, i, len(got), len(want))
+				refAvg, err := ref.AvgNeighbors()
+				if err != nil {
+					t.Fatal(err)
 				}
-				if gotStats != wantStats {
-					t.Errorf("Shards: %d query %d: stats %+v, core index %+v", shards, i, gotStats, wantStats)
+				if ix.NumShards() != 1 || ix.SeedHeight() != ref.SeedHeight() || ix.ShardPageFormat(0) != ref.PageFormat() || avg != refAvg {
+					t.Fatalf("Shards: %d: %d shards, seed height %d, format %v, %g neighbors; core reference %d, %v, %g — knob not plumbed?",
+						shards, ix.NumShards(), ix.SeedHeight(), ix.ShardPageFormat(0), avg,
+						ref.SeedHeight(), ref.PageFormat(), refAvg)
+				}
+				for i, q := range queries {
+					refPool.DropFrames()
+					if err := ix.DropCache(); err != nil {
+						t.Fatal(err)
+					}
+					want, wantStats, err := ref.RangeQuery(q)
+					if err != nil {
+						t.Fatal(err)
+					}
+					got, gotStats, err := ix.RangeQuery(q)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if !slices.Equal(got, want) {
+						t.Errorf("Shards: %d query %d: results differ from the core index (%d vs %d)", shards, i, len(got), len(want))
+					}
+					if gotStats != wantStats {
+						t.Errorf("Shards: %d query %d: stats %+v, core index %+v", shards, i, gotStats, wantStats)
+					}
 				}
 			}
-		}
-	})
+		})
+	}
 }
 
 func TestShardedDiskBacked(t *testing.T) {
