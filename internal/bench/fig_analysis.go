@@ -151,7 +151,7 @@ func (r *Runner) fig21() ([]*Table, error) {
 		ID:      "fig21",
 		Title:   "Element volume vs neighbor pointers (text experiment 1)",
 		Columns: []string{"element volume [µm³]", "avg neighbor pointers", "vs base %"},
-		Note:    "paper: 5x element volume => ~10% more pointers; here: holds (+8.7%)",
+		Note:    "paper: 5x element volume => ~10% more pointers; here: holds (+8.5%)",
 	}
 	base := 0.0
 	for _, vol := range []float64{18, 36, 54, 72, 90} {

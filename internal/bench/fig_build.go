@@ -51,7 +51,7 @@ func (r *Runner) fig11() ([]*Table, error) {
 			"FLAT object", "FLAT seed+meta", "FLAT total",
 			"PR leaf", "PR non-leaf", "PR total"},
 		Note: "paper: FLAT slightly larger than the R-tree (metadata); both linear in density; " +
-			"here: both linear, but FLAT is within 4% of the PR-tree and smaller at 8 of the 9 densities",
+			"here: both linear, but FLAT is 4-12% smaller than the PR-tree at every density",
 	}
 	const mb = float64(1 << 20)
 	pageMB := func(pages int) string {

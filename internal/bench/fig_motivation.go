@@ -76,7 +76,7 @@ func (r *Runner) fig4() ([]*Table, error) {
 		Columns: []string{"density", "result MB",
 			"Hilbert MB", "STR MB", "PR MB", "PR ratio"},
 		Note: "paper: best R-tree retrieves 3-4x the result size, growing with density; " +
-			"here: the overfetch holds and is larger (best R-tree 17x at 50k, 10x at 450k; PR 30x -> 15x), " +
+			"here: the overfetch holds and is larger (best R-tree 16x at 50k, 10x at 450k; PR 30x -> 15x), " +
 			"but the ratio falls with density, it does not grow",
 	}
 	for _, row := range rows {

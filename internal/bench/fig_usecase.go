@@ -36,7 +36,7 @@ var sweepFigures = map[string]struct {
 			"here: pages live in memory, so this is CPU time — wall-clock, machine-dependent and not gated; read fig12 instead"},
 	"fig15": {workload: "SN", metric: "page reads per result element", cell: perResultCell, results: true,
 		note: "paper: FLAT per-result cost falls with density; R-trees rise; " +
-			"here: FLAT falls (6.81 -> 1.69 over 50k-450k), and so does every R-tree (PR 23.0 -> 6.1) — the rise is not reproduced"},
+			"here: FLAT falls (6.86 -> 1.67 over 50k-450k), and so does every R-tree (PR 23.0 -> 6.1) — the rise is not reproduced"},
 	"fig16": {workload: "LSS", metric: "total page reads", cell: readsCell,
 		note: "paper: FLAT lowest; gap smaller than SN (overlap amortized on big queries); here: ", here: readsNote},
 	"fig17": {workload: "LSS", metric: "execution time (ms)", cell: timeCell, timed: true,
@@ -45,7 +45,7 @@ var sweepFigures = map[string]struct {
 			"and FLAT is not faster than STR or Hilbert; read fig16 instead"},
 	"fig19": {workload: "LSS", metric: "page reads per result element", cell: perResultCell, results: true,
 		note: "paper: FLAT per-result reads fall with density; PR-Tree's grow; " +
-			"here: FLAT falls (0.200 -> 0.133 over 50k-450k), and so does the PR-tree (0.405 -> 0.207) — the growth is not reproduced"},
+			"here: FLAT falls (0.201 -> 0.132 over 50k-450k), and so does the PR-tree (0.405 -> 0.207) — the growth is not reproduced"},
 }
 
 // readsNote is the "here:" half of the fig12 and fig16 notes, read off

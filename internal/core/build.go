@@ -46,7 +46,9 @@ func Build(pool storage.Pool, els []geom.Element, opts Options) (*Index, error) 
 	// minimum, so ids spanning under 2^24 fit 149 a page and arbitrary
 	// 64-bit ids 126, against v1's 73. No page's span exceeds the
 	// input's, so every page fits. A full page is the default, so v2
-	// builds produce proportionally fewer (and larger) partitions.
+	// builds produce proportionally fewer (and larger) partitions; STR
+	// cuts its slabs at whole pages (str.PartitionElements), so n
+	// elements make ceil(n/capacity) of them, all full but the last.
 	lo, hi := els[0].ID, els[0].ID
 	for i := range els {
 		lo, hi = min(lo, els[i].ID), max(hi, els[i].ID)

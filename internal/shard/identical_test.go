@@ -34,18 +34,19 @@ import (
 // did not), every digest when metadata pages moved to kind 3
 // (quantized headers, narrow refs and boxed neighbor pointers), and
 // every digest again when they moved to kind 4 (frame-relative MBRs and
-// boxes, gap-coded refs).
+// boxes, gap-coded refs), and every digest when STR began cutting its
+// slabs at whole pages (fuller object pages, fewer partitions).
 var stableBuildDigests = map[string]string{
-	"K1-v1/shard-0000.flat": "e243bd62f2c66b99afd031d9d064d3cf0e88bc09f3e72739d5c19277359c3559",
-	"K1-v2/shard-0000.flat": "3dbe0b8a3ec93ad31f0c685bc74491134d461640163a3e3693b500374f5c490a",
-	"K4-v1/shard-0000.flat": "2e08f6b1e511b0d0ae5aeefb43e3bb1b94bb40c2bdc28e8209ad98093298fa4d",
-	"K4-v1/shard-0001.flat": "c2c7fea8669b7c439bd9c17902217906666828b29b2ef2d707a267d93bed9c31",
-	"K4-v1/shard-0002.flat": "483bc7eb62a0109af8ca13be0acc4de5709347ee8cba1422ec969dade8abbcb4",
-	"K4-v1/shard-0003.flat": "d807680b5cdd3720e137db71baaf7c03b806cc49d735f9bdb0b600e9d3e47f7c",
-	"K4-v2/shard-0000.flat": "d150e0912f580e9ff2d6aeaa3d97e5f1ddd21d7636dce25840be6bf8a7b1f201",
-	"K4-v2/shard-0001.flat": "148f7ccc4aa95fc606324682a777da36733d0ee464810876e1cb029b84619b2c",
-	"K4-v2/shard-0002.flat": "28afe3335ff3154f7f312feae64d9fc12a519c5b9adc9718dc09e139d8557168",
-	"K4-v2/shard-0003.flat": "f8ae8a3ea266c2cd1de391286d08af00d1a37e35b7657022bc92aad2d4fe1de5",
+	"K1-v1/shard-0000.flat": "ea1e6f8b6a15331566b9f7d3aeccb1758f0954d07b2766bebc35ae26092f3fe6",
+	"K1-v2/shard-0000.flat": "5d1ac915de1f0ec96ab1f13ea26f29cd9e54b8a3d5e6fed5a4e5ede23eafec92",
+	"K4-v1/shard-0000.flat": "9be6ef9cc3d058d8be7f1b1a855019d0cee9d3f02875e46f83465b5264944ac8",
+	"K4-v1/shard-0001.flat": "0245344a04577d4cfaa34d04121fa310546a95544c1c5d390889542af4a04d7f",
+	"K4-v1/shard-0002.flat": "94071a5086c5dc39c8140d11aafc975cf95871ae331cf373d7cd0f11656cccfc",
+	"K4-v1/shard-0003.flat": "f9937dedf2cd23be8503d3051e45be9f32fc16eab59611be98b0f8de93fa4bc2",
+	"K4-v2/shard-0000.flat": "0adfea505f014778d42dab282f69ab9e67711f5417ebdd69e33e8c72a4b98729",
+	"K4-v2/shard-0001.flat": "69dde38edb5dc0d38ec404d089f9b61d385066e6076d9bf1b3a496c46a1eb6bb",
+	"K4-v2/shard-0002.flat": "82cb29ecde58ad810e5e2ed75d08b007e031eac7771d3179d67b9f06322c6e33",
+	"K4-v2/shard-0003.flat": "c631f8f913a9e5463bfb9db987772fcaebc4a86b2be76ab1da283d71f481fb30",
 }
 
 // stableBuildElements is a deterministic data set with what makes an
@@ -93,6 +94,32 @@ func TestBuildBytesStable(t *testing.T) {
 		for name := range stableBuildDigests {
 			if _, ok := got[name]; !ok {
 				t.Errorf("%s: page file not written", name)
+			}
+		}
+	}
+}
+
+// TestBuildFillsObjectPages holds each shard of TestBuildBytesStable's
+// builds to the STR whole-page rule: a shard of n elements writes
+// ceil(n/capacity) object pages.
+func TestBuildFillsObjectPages(t *testing.T) {
+	for _, k := range []int{1, 4} {
+		for _, pf := range []storage.PageFormat{storage.PageFormatV1, storage.PageFormatV2} {
+			els := stableBuildElements() // ids 0..len-1
+			capacity := storage.ObjectPageCapacityForSpan(pf, uint64(len(els)-1))
+			set, err := Build(els, Config{Shards: k, PageFormat: pf})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for s := range set.NumShards() {
+				n := set.Shard(s).Len()
+				if obj, _, _ := set.Shard(s).PageCounts(); obj != (n+capacity-1)/capacity {
+					t.Errorf("K%d-v%d shard %d: %d object pages for %d elements, want ceil(%d/%d) = %d",
+						k, pf, s, obj, n, n, capacity, (n+capacity-1)/capacity)
+				}
+			}
+			if err := set.Close(); err != nil {
+				t.Fatal(err)
 			}
 		}
 	}

@@ -11,6 +11,9 @@
 //
 // The generic Tile function serves the first use; PartitionElements
 // serves the second, returning both the element groups and their cells.
+// Both cut every x and y slab at a page boundary (split), so n items
+// make ceil(n/capacity) groups and every group but the last is full, as
+// in the STR paper: FLAT's partitions stay the STR R-tree's leaves.
 // Pack (tree.go) stacks Tile's groups into an in-memory tree, the one
 // the engine searches wherever a box set is built and probed in memory:
 // the staged delta's runs and Build's neighbor join.
@@ -33,10 +36,11 @@ import (
 	"flat/internal/geom"
 )
 
-// Tile partitions items into groups of at most capacity items using one
-// sort-tile-recursive pass over the three dimensions of the items'
-// centers. Groups are returned in STR order (x-major, then y, then z),
-// which places spatially close items in the same or nearby groups.
+// Tile partitions items into ceil(n/capacity) groups of capacity items,
+// the last possibly shorter, using one sort-tile-recursive pass over the
+// three dimensions of the items' centers. Groups are returned in STR
+// order (x-major, then y, then z), which places spatially close items in
+// the same or nearby groups.
 //
 // Tile reorders items in place and returns subslices of it.
 func Tile[T any](items []T, center func(T) geom.Vec3, capacity int) [][]T {
@@ -55,9 +59,9 @@ func Tile[T any](items []T, center func(T) geom.Vec3, capacity int) [][]T {
 	sorter := NewSorter[T](compareAxisKeys, axisKeyPrefix)
 	sortByAxis(sorter, items, center, 0)
 	var groups [][]T
-	for _, xs := range split(items, pn) {
+	for _, xs := range split(items, pn, capacity) {
 		sortByAxis(sorter, xs, center, 1)
-		for _, ys := range split(xs, pn) {
+		for _, ys := range split(xs, pn, capacity) {
 			sortByAxis(sorter, ys, center, 2)
 			groups = append(groups, chunks(ys, capacity)...)
 		}
@@ -112,15 +116,15 @@ func sortByAxis[T any](s *Sorter[T, axisKey], items []T, center func(T) geom.Vec
 	})
 }
 
-// split divides items into exactly parts contiguous, nearly equal runs
-// (the last may be shorter; empty runs are dropped).
-func split[T any](items []T, parts int) [][]T {
-	n := len(items)
-	size := (n + parts - 1) / parts
-	if size < 1 {
-		size = 1
-	}
-	return chunks(items, size)
+// split divides items into at most parts contiguous runs of a whole
+// number of pages each: every run holds ceil(ceil(n/capacity)/parts)
+// pages of capacity items, and only the last may be shorter. Cutting
+// every slab at a page boundary is what makes every group of an STR pass
+// but its last a full page, as in the STR paper; at capacity 1 it is
+// plain ceil(n/parts)-item runs.
+func split[T any](items []T, parts, capacity int) [][]T {
+	pages := (len(items) + capacity - 1) / capacity
+	return chunks(items, (pages+parts-1)/parts*capacity)
 }
 
 // chunks divides items into contiguous runs of at most size items.
@@ -154,10 +158,10 @@ type Partition struct {
 }
 
 // PartitionElements runs the paper's Algorithm 1 partitioning step: an
-// STR pass over els that yields page-sized element groups together with
-// their page MBRs and partition MBRs. world must contain every element
-// center; the returned cells tile world exactly (no empty space), and
-// each PartitionMBR contains its PageMBR.
+// STR pass over els that yields Tile's groups (full pages but the last)
+// together with their page MBRs and partition MBRs. world must contain
+// every element center; the returned cells tile world exactly (no empty
+// space), and each PartitionMBR contains its PageMBR.
 //
 // els is reordered in place; Partition.Elements are subslices of it.
 func PartitionElements(els []geom.Element, capacity int, world geom.MBR) []Partition {
@@ -183,11 +187,11 @@ func PartitionElements(els []geom.Element, capacity int, world geom.MBR) []Parti
 	var parts []Partition
 	sorter := NewSorter[geom.Element](compareAxisKeys, axisKeyPrefix)
 	sortByAxis(sorter, els, center, 0)
-	xRuns := split(els, pn)
+	xRuns := split(els, pn, capacity)
 	xCuts := runCuts(xRuns, center, 0, world.Min.X, world.Max.X)
 	for xi, xs := range xRuns {
 		sortByAxis(sorter, xs, center, 1)
-		yRuns := split(xs, pn)
+		yRuns := split(xs, pn, capacity)
 		yCuts := runCuts(yRuns, center, 1, world.Min.Y, world.Max.Y)
 		for yi, ys := range yRuns {
 			sortByAxis(sorter, ys, center, 2)

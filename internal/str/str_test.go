@@ -1,7 +1,10 @@
 package str
 
 import (
+	"fmt"
+	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"flat/internal/geom"
@@ -115,6 +118,77 @@ func TestSliceCount(t *testing.T) {
 	for _, c := range cases {
 		if got := sliceCount(c.n, c.cap); got != c.want {
 			t.Errorf("sliceCount(%d,%d) = %d, want %d", c.n, c.cap, got, c.want)
+		}
+	}
+}
+
+// latticeElements returns n elements whose centers sit on a 6×6×6
+// lattice inside world, so centers tie on one, two or all three axes.
+func latticeElements(r *rand.Rand, n int, world geom.MBR) []geom.Element {
+	els := make([]geom.Element, n)
+	step := world.Size().Scale(1.0 / 5)
+	for i := range els {
+		c := world.Min.Add(geom.V(float64(r.Intn(6))*step.X, float64(r.Intn(6))*step.Y, float64(r.Intn(6))*step.Z))
+		els[i] = geom.Element{ID: uint64(i), Box: geom.CubeAt(c, 1)}
+	}
+	return els
+}
+
+// TestSTRFillsPages pins the whole-page rule of both STR passes: n items
+// make ceil(n/capacity) groups, and every group but the last holds
+// exactly capacity items. PartitionElements' cells still tile the
+// world: each lies inside it, their volumes sum to its volume, and
+// every probe point lies in one.
+func TestSTRFillsPages(t *testing.T) {
+	r := rand.New(rand.NewSource(53))
+	world := worldBox()
+	center := func(e geom.Element) geom.Vec3 { return e.Box.Center() }
+	checkFill := func(name string, sizes []int, n, capacity int) {
+		t.Helper()
+		if want := (n + capacity - 1) / capacity; len(sizes) != want {
+			t.Fatalf("%s: %d groups, want ceil(%d/%d) = %d", name, len(sizes), n, capacity, want)
+		}
+		for i, size := range sizes[:len(sizes)-1] {
+			if size != capacity {
+				t.Fatalf("%s: group %d of %d holds %d, want %d", name, i, len(sizes), size, capacity)
+			}
+		}
+	}
+	for _, capacity := range []int{16, 73, 85, 149} {
+		for _, n := range []int{1, capacity - 1, capacity, capacity + 1, 8*capacity + 1, 4321, 112_500} {
+			if n < 1 {
+				continue
+			}
+			sets := map[string][]geom.Element{"random": randomElements(r, n, world), "lattice": latticeElements(r, n, world)}
+			for kind, els := range sets {
+				name := fmt.Sprintf("%s cap=%d n=%d", kind, capacity, n)
+
+				var sizes []int
+				for _, g := range Tile(slices.Clone(els), center, capacity) {
+					sizes = append(sizes, len(g))
+				}
+				checkFill("Tile "+name, sizes, n, capacity)
+
+				parts := PartitionElements(els, capacity, world)
+				sizes, volume := sizes[:0], 0.0
+				for _, p := range parts {
+					sizes = append(sizes, len(p.Elements))
+					if !world.Contains(p.Cell) {
+						t.Fatalf("PartitionElements %s: cell %v outside the world", name, p.Cell)
+					}
+					volume += p.Cell.Volume()
+				}
+				checkFill("PartitionElements "+name, sizes, n, capacity)
+				if math.Abs(volume-world.Volume()) > 1e-9*world.Volume() {
+					t.Fatalf("PartitionElements %s: cells sum to volume %g, world %g", name, volume, world.Volume())
+				}
+				for range 64 {
+					pt := geom.PointBox(geom.V(r.Float64()*100, r.Float64()*100, r.Float64()*100))
+					if !slices.ContainsFunc(parts, func(p Partition) bool { return p.Cell.Contains(pt) }) {
+						t.Fatalf("PartitionElements %s: point %v in no cell", name, pt.Min)
+					}
+				}
+			}
 		}
 	}
 }
