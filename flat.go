@@ -180,7 +180,10 @@ func ObjectPageCapacity(f PageFormat) int { return storage.ObjectPageCapacity(f)
 type Options struct {
 	// Shards is K, the number of spatial shards the data is split into
 	// along the Hilbert curve. 0 or 1 builds a single shard — the
-	// paper's index. See the README for choosing K.
+	// paper's index. n elements are cut into runs of ceil(n/K), which
+	// makes ceil(n/ceil(n/K)) shards: K, or fewer when n < K or the runs
+	// use the elements up early (at K = 4, 5, 6 or 9 elements make 3
+	// shards). See the README for choosing K.
 	Shards int
 	// PageCapacity caps elements per object page in every shard
 	// (default: a full page — 73 elements under PageFormatV1; under
@@ -246,9 +249,10 @@ type Index struct {
 	set   *shard.Set
 }
 
-// Build bulkloads a FLAT index over els (reordering the slice in place:
-// with more than one shard first along the Hilbert curve into shards,
-// then per shard by the STR pass). Shards are built in parallel on a
+// Build bulkloads a FLAT index over els, which it may reorder in place
+// (with one shard the STR pass sorts it; with more, each shard's
+// elements are copied out of it along the Hilbert curve and sorted
+// there). Shards are built in parallel on a
 // bounded worker pool. See Options for storage and partitioning knobs.
 // An element whose box is inverted or has a NaN or infinite coordinate
 // fails the build, by its ID, before any file is written — the rule

@@ -167,7 +167,7 @@ func (ix *Index) write(parts []str.Partition, neighborIdx [][]int) error {
 		} else if id != ix.objStart+storage.PageID(i) {
 			return fmt.Errorf("core: object page %d allocated at %d, not after %d", i, id, ix.objStart)
 		}
-		if err := storage.EncodeObjectPage(buf, ix.pageFormat, p.Elements); err != nil {
+		if err := storage.EncodeObjectPageIn(buf, ix.pageFormat, p.Elements, p.PageMBR); err != nil {
 			return err
 		}
 		if err := ix.pool.Write(id, buf); err != nil {

@@ -44,17 +44,14 @@ func (m MBR) Empty() bool {
 // Valid reports whether the MBR is well-formed (Min <= Max on all axes and
 // all coordinates finite).
 func (m MBR) Valid() bool {
-	if m.Empty() {
-		return false
-	}
-	for i := 0; i < 3; i++ {
-		if math.IsNaN(m.Min.Axis(i)) || math.IsNaN(m.Max.Axis(i)) ||
-			math.IsInf(m.Min.Axis(i), 0) || math.IsInf(m.Max.Axis(i), 0) {
-			return false
-		}
-	}
-	return true
+	return m.Min.X <= m.Max.X && m.Min.Y <= m.Max.Y && m.Min.Z <= m.Max.Z &&
+		finite(m.Min.X) && finite(m.Min.Y) && finite(m.Min.Z) &&
+		finite(m.Max.X) && finite(m.Max.Y) && finite(m.Max.Z)
 }
+
+// finite reports whether x is neither infinite nor NaN: x − x is 0
+// exactly then, and NaN otherwise.
+func finite(x float64) bool { return x-x == 0 }
 
 // Center returns the centroid of the box.
 func (m MBR) Center() Vec3 {

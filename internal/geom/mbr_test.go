@@ -1,6 +1,7 @@
 package geom
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -253,6 +254,43 @@ func TestCenterInsideQuick(t *testing.T) {
 		s := b.Size()
 		if !almostEq(b.Volume(), s.X*s.Y*s.Z) {
 			t.Fatal("volume mismatch")
+		}
+	}
+}
+
+// TestElementsMBRIsUnionFold holds ElementsMBR's loop to the fold of
+// Union it replaced, bit for bit: over boxes with both zeros and
+// infinities among their coordinates, inverted boxes anywhere (leading
+// ones included) and slices with no box that is not empty.
+func TestElementsMBRIsUnionFold(t *testing.T) {
+	r := rand.New(rand.NewSource(8))
+	coords := []float64{math.Copysign(0, -1), 0, 1, -1, 3.5, math.Inf(1), math.Inf(-1)}
+	box := func() MBR {
+		var m MBR
+		for a := 0; a < 3; a++ {
+			m.Min = m.Min.SetAxis(a, coords[r.Intn(len(coords))])
+			m.Max = m.Max.SetAxis(a, coords[r.Intn(len(coords))])
+		}
+		return m
+	}
+	bits := func(m MBR) [6]uint64 {
+		var b [6]uint64
+		for a := 0; a < 3; a++ {
+			b[a], b[3+a] = math.Float64bits(m.Min.Axis(a)), math.Float64bits(m.Max.Axis(a))
+		}
+		return b
+	}
+	for trial := 0; trial < 5000; trial++ {
+		els := make([]Element, r.Intn(6))
+		for i := range els {
+			els[i].Box = box()
+		}
+		want := EmptyMBR()
+		for _, e := range els {
+			want = want.Union(e.Box)
+		}
+		if got := ElementsMBR(els); bits(got) != bits(want) {
+			t.Fatalf("ElementsMBR(%v) = %v, the Union fold gives %v", els, got, want)
 		}
 	}
 }

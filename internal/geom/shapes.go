@@ -55,11 +55,20 @@ type Element struct {
 	Box MBR
 }
 
-// ElementsMBR returns the bounding box of a slice of elements.
+// ElementsMBR returns the bounding box of a slice of elements: the
+// Union of their boxes, in order. Once the union holds a box that is not
+// empty it never is again, so from there on each step is Union's
+// min/max, without Union's call and its test of the union.
 func ElementsMBR(els []Element) MBR {
 	m := EmptyMBR()
-	for _, e := range els {
-		m = m.Union(e.Box)
+	i := 0
+	for ; i < len(els) && m.Empty(); i++ {
+		m = els[i].Box // Union with an empty box is the other box
+	}
+	for ; i < len(els); i++ {
+		if b := &els[i].Box; !b.Empty() {
+			m = MBR{Min: m.Min.Min(b.Min), Max: m.Max.Max(b.Max)}
+		}
 	}
 	return m
 }

@@ -51,14 +51,20 @@ func (v Vec3) Normalize() Vec3 {
 // Dist returns the Euclidean distance between v and w.
 func (v Vec3) Dist(w Vec3) float64 { return v.Sub(w).Len() }
 
-// Min returns the component-wise minimum of v and w.
+// Min returns the component-wise minimum of v and w. It uses the
+// built-in min, which the compiler inlines, and agrees with math.Min
+// bit for bit — −0 below +0, ±Inf — except beside a NaN: min(−Inf, NaN)
+// is NaN where math.Min gives −Inf. No build meets that pair, since
+// Build rejects a box with a NaN before it takes a union.
 func (v Vec3) Min(w Vec3) Vec3 {
-	return Vec3{math.Min(v.X, w.X), math.Min(v.Y, w.Y), math.Min(v.Z, w.Z)}
+	return Vec3{min(v.X, w.X), min(v.Y, w.Y), min(v.Z, w.Z)}
 }
 
-// Max returns the component-wise maximum of v and w.
+// Max returns the component-wise maximum of v and w: the built-in max,
+// which agrees with math.Max as Min does with math.Min (max(+Inf, NaN)
+// is NaN where math.Max gives +Inf).
 func (v Vec3) Max(w Vec3) Vec3 {
-	return Vec3{math.Max(v.X, w.X), math.Max(v.Y, w.Y), math.Max(v.Z, w.Z)}
+	return Vec3{max(v.X, w.X), max(v.Y, w.Y), max(v.Z, w.Z)}
 }
 
 // Axis returns the i-th coordinate (0 = X, 1 = Y, 2 = Z).

@@ -79,3 +79,51 @@ func TestVecString(t *testing.T) {
 		t.Errorf("String = %q", s)
 	}
 }
+
+// TestMinMaxMatchMath holds Vec3.Min/Max and MBR.Union, which use the
+// built-in min and max, to math.Min/Max bit for bit on finite values,
+// both zeros and both infinities. The one difference — a NaN beside an
+// infinity of the same sign as the result, where math.Min(−Inf, NaN) is
+// −Inf and the built-in min is NaN — is pinned too; a build rejects such
+// boxes before it takes a union.
+func TestMinMaxMatchMath(t *testing.T) {
+	negZero := math.Copysign(0, -1)
+	vals := []float64{0, negZero, 1, -1, 2.5, -1e300, 1e300, 5e-324, -5e-324,
+		math.MaxFloat64, -math.MaxFloat64, math.Inf(1), math.Inf(-1)}
+	same := func(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
+	for _, a := range vals {
+		for _, b := range vals {
+			v, w := V(a, b, a), V(b, a, a)
+			gotMin, gotMax := v.Min(w), v.Max(w)
+			for i := 0; i < 3; i++ {
+				x, y := v.Axis(i), w.Axis(i)
+				if !same(gotMin.Axis(i), math.Min(x, y)) {
+					t.Errorf("Min(%v, %v) = %v, math.Min gives %v", x, y, gotMin.Axis(i), math.Min(x, y))
+				}
+				if !same(gotMax.Axis(i), math.Max(x, y)) {
+					t.Errorf("Max(%v, %v) = %v, math.Max gives %v", x, y, gotMax.Axis(i), math.Max(x, y))
+				}
+			}
+			// Union of two boxes that are not empty: a point box at each
+			// value pair, so every coordinate meets every other.
+			m, o := PointBox(v), PointBox(w)
+			u := m.Union(o)
+			want := MBR{
+				Min: V(math.Min(a, b), math.Min(b, a), math.Min(a, a)),
+				Max: V(math.Max(a, b), math.Max(b, a), math.Max(a, a)),
+			}
+			for i := 0; i < 3; i++ {
+				if !same(u.Min.Axis(i), want.Min.Axis(i)) || !same(u.Max.Axis(i), want.Max.Axis(i)) {
+					t.Errorf("Union(%v, %v) = %v, math gives %v", m, o, u, want)
+				}
+			}
+		}
+	}
+	nan := math.NaN()
+	if got := V(math.Inf(-1), 0, 0).Min(V(nan, 0, 0)).X; !math.IsNaN(got) || math.Min(math.Inf(-1), nan) != math.Inf(-1) {
+		t.Errorf("Min(−Inf, NaN) = %v, want NaN (math.Min: −Inf)", got)
+	}
+	if got := V(math.Inf(1), 0, 0).Max(V(nan, 0, 0)).X; !math.IsNaN(got) || math.Max(math.Inf(1), nan) != math.Inf(1) {
+		t.Errorf("Max(+Inf, NaN) = %v, want NaN (math.Max: +Inf)", got)
+	}
+}

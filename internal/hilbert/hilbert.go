@@ -31,10 +31,17 @@ const maxCoord = uint32(1) << Bits
 
 // Encode3 maps quantized coordinates (each < 2^Bits; higher bits are
 // ignored) to their position along the 3D Hilbert curve.
-func Encode3(x, y, z uint32) uint64 {
+func Encode3(x, y, z uint32) uint64 { return Prefix3(x, y, z, Bits) }
+
+// Prefix3 returns the top 3·levels bits of Encode3(x, y, z), for levels
+// in [0, Bits]: the position along the curve of the cell, 2^(Bits−levels)
+// coordinates a side, that holds the point. It reads only the top levels
+// bits of each coordinate, one table lookup a level, so it costs
+// levels/Bits of a full key.
+func Prefix3(x, y, z uint32, levels int) uint64 {
 	var d uint64
 	row := uint16(0) // the state's first entry: state << 3
-	for b := Bits - 1; b >= 0; b-- {
+	for b := Bits - 1; b >= Bits-levels; b-- {
 		e := levelTable[row|uint16((x>>b&1)<<2|(y>>b&1)<<1|z>>b&1)]
 		d = d<<3 | uint64(e&7)
 		row = e &^ 7

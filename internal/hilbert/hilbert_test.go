@@ -310,3 +310,19 @@ func BenchmarkEncode3(b *testing.B) {
 	}
 	_ = sink
 }
+
+// TestPrefix3IsKeyPrefix pins what the shard split relies on: the top
+// 3·L bits of a key depend only on each coordinate's top L bits, and
+// Prefix3 computes exactly them.
+func TestPrefix3IsKeyPrefix(t *testing.T) {
+	r := rand.New(rand.NewSource(5))
+	for i := 0; i < 20000; i++ {
+		x, y, z := r.Uint32()&(maxCoord-1), r.Uint32()&(maxCoord-1), r.Uint32()&(maxCoord-1)
+		key := Encode3(x, y, z)
+		levels := i % (Bits + 1)
+		low := uint32(1)<<(Bits-levels) - 1
+		if got, want := Prefix3(x|low, y&^low, z^low, levels), key>>(3*(Bits-levels)); got != want {
+			t.Fatalf("Prefix3(%d, %d, %d, %d) = %#x, want %#x", x, y, z, levels, got, want)
+		}
+	}
+}

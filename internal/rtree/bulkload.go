@@ -22,19 +22,5 @@ func packEntriesSTR(entries []NodeEntry, capacity int) [][]NodeEntry {
 // (Kamel & Faloutsos) and packs consecutive runs of capacity elements.
 func packHilbert(els []geom.Element, world geom.MBR, capacity int) [][]geom.Element {
 	hilbert.SortElements(els, world)
-	return consecutive(els, capacity)
-}
-
-// consecutive splits a slice into runs of at most capacity items,
-// preserving order.
-func consecutive[T any](items []T, capacity int) [][]T {
-	var out [][]T
-	for len(items) > capacity {
-		out = append(out, items[:capacity])
-		items = items[capacity:]
-	}
-	if len(items) > 0 {
-		out = append(out, items)
-	}
-	return out
+	return str.Chunks(els, capacity)
 }

@@ -6,6 +6,7 @@ import (
 
 	"flat/internal/geom"
 	"flat/internal/storage"
+	"flat/internal/str"
 )
 
 // Strategy selects the bulkloading algorithm.
@@ -176,7 +177,7 @@ func buildAbove(pool storage.Pool, entries []NodeEntry, strategy Strategy, world
 			groups = packEntriesSTR(entries, cfg.InternalCapacity)
 		case Hilbert:
 			// Entries are already in Hilbert order: pack consecutively.
-			groups = consecutive(entries, cfg.InternalCapacity)
+			groups = str.Chunks(entries, cfg.InternalCapacity)
 		case PR:
 			groups = packEntriesPR(entries, cfg.InternalCapacity)
 		}

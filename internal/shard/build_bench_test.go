@@ -1,19 +1,56 @@
 package shard
 
 import (
+	"fmt"
 	"math/rand"
 	"path/filepath"
+	"runtime"
 	"testing"
 
 	"flat/internal/geom"
+	"flat/internal/neuro"
 	"flat/internal/storage"
 )
 
-// Microbenchmarks of the three construction paths above core.Build —
-// the shard split, Rebuild and the replaying open — at the shape of the
-// served benchmark (benchmark/): K=4, v2 pages, a delta of 5 % staged
-// inserts and 1 % staged deletes. allocs/op is the number to compare;
-// ns/op is noise-bound on a small box.
+// Microbenchmarks of the construction paths — the whole bulkload, and
+// above core.Build the shard split, Rebuild and the replaying open — at
+// the shape of the served benchmark (benchmark/): K=4, v2 pages, a delta
+// of 5 % staged inserts and 1 % staged deletes. allocs/op is the number
+// to compare; ns/op is noise-bound on a small box.
+
+// BenchmarkBulkload is Build end to end, into a directory, then Close:
+// K=4, v2 pages, over a fixed 112 500-element neuron model (a quarter of
+// the served benchmark's). It reports time and bytes allocated per
+// element.
+func BenchmarkBulkload(b *testing.B) {
+	src := neuro.Generate(neuro.Config{Seed: 1, TargetElements: 112_500, SegmentsPerNeuron: 1500}).Elements[:112_500]
+	els := make([]geom.Element, len(src))
+	root := b.TempDir()
+	var allocated uint64
+	var before, after runtime.MemStats
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		copy(els, src)
+		dir := filepath.Join(root, fmt.Sprint(i))
+		runtime.ReadMemStats(&before)
+		b.StartTimer()
+		set, err := Build(els, Config{Shards: 4, PageFormat: storage.PageFormatV2, Dir: dir})
+		if err != nil {
+			b.Fatal(err)
+		}
+		if err := set.Close(); err != nil {
+			b.Fatal(err)
+		}
+		b.StopTimer()
+		runtime.ReadMemStats(&after)
+		allocated += after.TotalAlloc - before.TotalAlloc
+		b.StartTimer()
+	}
+	per := float64(b.N * len(src))
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/per, "ns/element")
+	b.ReportMetric(float64(allocated)/per, "B/element")
+}
 
 func BenchmarkSplitHilbert(b *testing.B) {
 	src := randomElements(rand.New(rand.NewSource(3)), 450_000)

@@ -8,11 +8,10 @@
 // along the Hilbert curve (the same curve the Hilbert R-tree baseline
 // sorts with), each shard is bulkloaded into its own FLAT index — in
 // parallel, since the builds are independent — and a top-level MBR
-// directory routes queries to the shards they can touch. The split's
-// order is hilbert.SortElements — keys computed once, on every core,
-// then one stable keyed sort (str.Sorter, the sort.SliceStable
-// permutation) — so which element lands in which shard, and in what
-// order its bulkload sees it, is a function of the input alone.
+// directory routes queries to the shards they can touch. The split is
+// by rank in the stable Hilbert order, selected on every core without a
+// sort (splitHilbert), so which element lands in which shard, and in
+// what order its bulkload sees it, is a function of the input alone.
 //
 // A range query has one executor (StreamQuery, merge.go): the directory
 // prunes shards whose bounds do not intersect the query box, the
@@ -50,6 +49,7 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"strings"
 	"sync"
 
@@ -57,12 +57,15 @@ import (
 	"flat/internal/geom"
 	"flat/internal/hilbert"
 	"flat/internal/storage"
+	"flat/internal/str"
 )
 
 // Config configures Build.
 type Config struct {
 	// Shards is K, the number of spatial shards. 0 or 1 builds a single
-	// shard (identical to a bare core index).
+	// shard (identical to a bare core index). Build makes
+	// ceil(n/ceil(n/K)) shards of n elements (splitHilbert): K, or fewer
+	// when n < K or the ceil(n/K)-element runs use the elements up early.
 	Shards int
 	// PageCapacity caps elements per object page (0: a full page); it is
 	// passed through to every shard's core.Build.
@@ -152,39 +155,87 @@ func (g *generation) shardOptions(pf storage.PageFormat) core.Options {
 	return opts
 }
 
-// splitHilbert reorders els in place along the 3D Hilbert curve of their
-// MBR centers (quantized over world) and cuts the order into at most k
-// contiguous, near-equal groups — the shard assignment. Fewer than k
-// groups come back when there are fewer than k elements. k <= 1 returns
-// the input as one group, untouched: a single shard must preserve the
-// exact element order a bare core.Build would see.
+// splitHilbert cuts els into the shard assignment: their stable order
+// along the 3D Hilbert curve of their MBR centers, quantized over world,
+// cut into runs of ceil(n/k) elements. That makes ceil(n/ceil(n/k))
+// groups: k, or fewer when n < k or the runs use the elements up early
+// (at k = 4, n = 5, 6 and 9 make 3). k <= 1 returns the input as one
+// group, untouched: a single shard must preserve the exact element order
+// a bare core.Build would see.
+//
+// It selects the groups by rank (str.SplitRanks) instead of sorting, and
+// copies them into one new slice, each group in input order; els is not
+// modified. The shard files do not move for it: core.Build's STR pass
+// sorts a group by center, and the only elements it leaves in the order
+// it gets them, equal centers, share a key, so the curve's order also
+// holds them in input order. A group no larger than a page, which STR
+// writes as it comes, is sorted along the curve.
 func splitHilbert(els []geom.Element, k int, world geom.MBR) [][]geom.Element {
-	if len(els) == 0 {
+	n := len(els)
+	if n == 0 {
 		return nil
 	}
-	if k <= 1 || len(els) == 1 {
+	if k <= 1 || n == 1 {
 		return [][]geom.Element{els}
 	}
-	hilbert.SortElements(els, world)
+	size := (n + k - 1) / k
 
-	size := (len(els) + k - 1) / k
-	groups := make([][]geom.Element, 0, k)
-	for rest := els; len(rest) > 0; {
-		n := size
-		if n > len(rest) {
-			n = len(rest)
+	// Every element's bucket (its key's top levels), on every core.
+	q := hilbert.NewQuantizer(world)
+	bucket := make([]uint16, n)
+	inChunks(n, func(lo, hi int) {
+		for i := lo; i < hi; i++ {
+			x, y, z := q.Cell(els[i].Box.Center())
+			bucket[i] = uint16(hilbert.Prefix3(x, y, z, splitLevels))
 		}
-		groups = append(groups, rest[:n])
-		rest = rest[n:]
+	})
+	perm, _ := str.SplitRanks(bucket, 1<<(3*splitLevels), size,
+		func(i int) uint64 { return q.KeyOfMBR(els[i].Box) }, cmp.Compare[uint64])
+	out := make([]geom.Element, n)
+	inChunks(n, func(lo, hi int) {
+		for j := lo; j < hi; j++ {
+			out[j] = els[perm[j]]
+		}
+	})
+	groups := str.Chunks(out, size)
+	for _, g := range groups {
+		if len(g) <= maxPageElements {
+			hilbert.SortElements(g, world)
+		}
 	}
 	return groups
 }
 
-// Build bulkloads a sharded FLAT index over els (reordering the slice in
-// place: first along the Hilbert curve into shards, then per shard by
-// the STR pass). Shards are built concurrently, at most GOMAXPROCS at
-// once (bulkloadShards); see Config for the storage and partitioning
-// knobs.
+// splitLevels is how many Hilbert curve levels bucket an element for
+// splitHilbert: its bucket is its cell of the 16×16×16 grid over the
+// world, the top 12 bits of its key.
+const splitLevels = 4
+
+// maxPageElements is the most elements an object page of any format
+// holds: core.Build sorts a group into pages only when it is larger.
+var maxPageElements = storage.ObjectPageCapacityForSpan(storage.PageFormatV2, 0)
+
+// inChunks runs f(lo, hi) on each of GOMAXPROCS contiguous chunks [lo,
+// hi) of [0, n), in chunk order, each in its own goroutine, and returns
+// once all have returned.
+func inChunks(n int, f func(lo, hi int)) {
+	chunks := min(runtime.GOMAXPROCS(0), n)
+	var wg sync.WaitGroup
+	for c := range chunks {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			f(c*n/chunks, (c+1)*n/chunks)
+		}()
+	}
+	wg.Wait()
+}
+
+// Build bulkloads a sharded FLAT index over els, which it may reorder in
+// place: one shard's STR pass sorts els itself; with more, splitHilbert
+// copies each shard's elements out of els, which stays as it was.
+// Shards are built concurrently, at most GOMAXPROCS at once
+// (bulkloadShards); see Config for the storage and partitioning knobs.
 func Build(els []geom.Element, cfg Config) (*Set, error) {
 	if len(els) == 0 {
 		return nil, core.ErrEmpty
@@ -201,13 +252,24 @@ func Build(els []geom.Element, cfg Config) (*Set, error) {
 	}
 	// StageInsert's rule, checked before any file exists: a box that is
 	// inverted or not finite would be partitioned, keyed and encoded as
-	// if it meant something.
-	bounds := geom.EmptyMBR()
-	for _, e := range els {
-		if !e.Box.Valid() {
-			return nil, fmt.Errorf("shard: build element %d: invalid box %v", e.ID, e.Box)
+	// if it meant something. The scan runs in chunks on every core, and
+	// reports the lowest-index invalid box; min and max are exact, so
+	// the chunks' bounds merge to the bounds in any order.
+	var mu sync.Mutex
+	bad, bounds := len(els), geom.EmptyMBR()
+	inChunks(len(els), func(lo, hi int) {
+		i := slices.IndexFunc(els[lo:hi], func(e geom.Element) bool { return !e.Box.Valid() })
+		b := geom.ElementsMBR(els[lo:hi])
+		mu.Lock()
+		defer mu.Unlock()
+		if i >= 0 {
+			bad = min(bad, lo+i)
 		}
-		bounds = bounds.Union(e.Box)
+		bounds = bounds.Union(b)
+	})
+	if bad < len(els) {
+		e := els[bad]
+		return nil, fmt.Errorf("shard: build element %d: invalid box %v", e.ID, e.Box)
 	}
 	world := cfg.World
 	if world.Empty() || world == (geom.MBR{}) {

@@ -8,13 +8,17 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"runtime"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
 
 	"flat/internal/core"
 	"flat/internal/geom"
+	"flat/internal/hilbert"
 	"flat/internal/storage"
+	"flat/internal/str"
 )
 
 func randomElements(r *rand.Rand, n int) []geom.Element {
@@ -124,6 +128,107 @@ func TestSplitHilbert(t *testing.T) {
 		if cp[i].ID != orig[i].ID {
 			t.Fatal("k=1 reordered the input")
 		}
+	}
+}
+
+// hilbertSortSplit is the split splitHilbert replaced: the whole input
+// stably sorted along the curve, then cut into ceil(n/k)-element runs.
+func hilbertSortSplit(els []geom.Element, k int, world geom.MBR) [][]geom.Element {
+	hilbert.SortElements(els, world)
+	return str.Chunks(els, (len(els)+k-1)/k)
+}
+
+// strView is a group as core.Build's STR pass sees it: stably sorted by
+// center. Two groups with the same members and the same relative order
+// among equal centers give the same view.
+func strView(g []geom.Element) []uint64 {
+	g = slices.Clone(g)
+	sort.SliceStable(g, func(i, j int) bool {
+		a, b := g[i].Box.Center(), g[j].Box.Center()
+		if a.X != b.X {
+			return a.X < b.X
+		}
+		if a.Y != b.Y {
+			return a.Y < b.Y
+		}
+		return a.Z < b.Z
+	})
+	ids := make([]uint64, len(g))
+	for i, e := range g {
+		ids[i] = e.ID
+	}
+	return ids
+}
+
+// TestSplitMatchesHilbertSort holds the selecting split to the sorting
+// one it replaced, on the inputs that tell them apart: random boxes,
+// a lattice where every third center repeats (as in
+// stableBuildElements), and a world so large that most elements share a
+// Hilbert key with distinct centers. Ids are shuffled against input
+// positions, so a tie broken by id instead of by position shows. Every
+// group must hold the same members with equal centers in the same
+// relative order — what core.Build's STR pass sees — and a group no
+// larger than a page, which STR writes as it comes, the same order.
+func TestSplitMatchesHilbertSort(t *testing.T) {
+	shapes := map[string]func(r *rand.Rand, i int) geom.Vec3{
+		"random": func(r *rand.Rand, _ int) geom.Vec3 {
+			return geom.V(r.Float64()*100, r.Float64()*100, r.Float64()*100)
+		},
+		"lattice": func(r *rand.Rand, i int) geom.Vec3 {
+			if i%3 == 0 {
+				return geom.V(float64(r.Intn(6))*20, float64(r.Intn(6))*20, float64(r.Intn(6))*20)
+			}
+			return geom.V(r.Float64()*100, r.Float64()*100, r.Float64()*100)
+		},
+		"equal keys": func(r *rand.Rand, _ int) geom.Vec3 {
+			return geom.V(r.Float64(), r.Float64(), r.Float64())
+		},
+	}
+	for name, center := range shapes {
+		for _, k := range []int{2, 3, 4, 7, 16} {
+			for _, n := range []int{k - 1, k, k + 1, 9, 1000, 4321, 12000} {
+				r := rand.New(rand.NewSource(int64(n*31 + k)))
+				els := make([]geom.Element, n)
+				for i, id := range r.Perm(n) {
+					els[i] = geom.Element{ID: uint64(id), Box: geom.CubeAt(center(r, i), 0.5)}
+				}
+				world := geom.ElementsMBR(els)
+				if name == "equal keys" {
+					world = world.Union(geom.PointBox(geom.V(1e6, 1e6, 1e6)))
+				}
+				want := hilbertSortSplit(slices.Clone(els), k, world)
+				got := splitHilbert(slices.Clone(els), k, world)
+				if len(got) != len(want) {
+					t.Fatalf("%s k=%d n=%d: %d groups, want %d", name, k, n, len(got), len(want))
+				}
+				for g := range want {
+					if len(got[g]) <= maxPageElements {
+						if !slices.Equal(got[g], want[g]) {
+							t.Fatalf("%s k=%d n=%d: group %d (%d elements) is not in the curve's order", name, k, n, g, len(got[g]))
+						}
+					}
+					if !slices.Equal(strView(got[g]), strView(want[g])) {
+						t.Fatalf("%s k=%d n=%d: group %d differs from the sorted split's as STR sees it", name, k, n, g)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestShardCountRule pins how many shards a build makes: ceil(n/k)-
+// element runs, so ceil(n/ceil(n/k)) shards — at k = 4, three for 5, 6
+// and 9 elements.
+func TestShardCountRule(t *testing.T) {
+	for n, want := range map[int]int{5: 3, 6: 3, 7: 4, 9: 3, 10: 4} {
+		set, err := Build(randomElements(rand.New(rand.NewSource(int64(n))), n), Config{Shards: 4})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := set.NumShards(); got != want {
+			t.Errorf("n=%d k=4: %d shards, want %d", n, got, want)
+		}
+		set.Close()
 	}
 }
 
@@ -562,6 +667,25 @@ func TestBuildRejectsInvalidBoxes(t *testing.T) {
 					t.Errorf("K=%d %s, %s: the failed build left %d entries in Dir (%v)", k, pf, name, len(left), err)
 				}
 			}
+		}
+	}
+}
+
+// TestBuildReportsLowestInvalidBox pins the chunked validation scan to
+// the sequential one it replaced: with invalid boxes in several chunks,
+// Build names the lowest-index one, whatever GOMAXPROCS splits the scan
+// into.
+func TestBuildReportsLowestInvalidBox(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, procs := range []int{1, 2, 3, 8} {
+		runtime.GOMAXPROCS(procs)
+		els := randomElements(rand.New(rand.NewSource(29)), 1000)
+		for _, i := range []int{901, 333, 334, 650} {
+			els[i].Box.Min.X = math.NaN()
+		}
+		_, err := Build(els, Config{Shards: 4})
+		if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("element %d:", els[333].ID)) {
+			t.Errorf("GOMAXPROCS=%d: Build error %v, want one naming element %d", procs, err, els[333].ID)
 		}
 	}
 }

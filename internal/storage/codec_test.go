@@ -1,6 +1,7 @@
 package storage
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 
@@ -93,6 +94,33 @@ func TestMBRCodecRandom(t *testing.T) {
 		got := NewPageReader(buf).MBR()
 		if got != m {
 			t.Fatalf("roundtrip mismatch: %v != %v", got, m)
+		}
+	}
+}
+
+// TestFloorCellMatchesFloor holds floorCell, which truncates, to the
+// math.Floor rule the quantizer used before it: floor(d), 0 below 1 and
+// for NaN, maxCellF from there up — at the edges of each case and on
+// random quotients over the whole cell range.
+func TestFloorCellMatchesFloor(t *testing.T) {
+	want := func(d float64) uint32 {
+		c := math.Floor(d)
+		if !(c > 0) {
+			return 0
+		}
+		return uint32(min(c, maxCellF))
+	}
+	ds := []float64{math.NaN(), math.Inf(-1), -1, math.Copysign(0, -1), 0, 5e-324, 0.5,
+		math.Nextafter(1, 0), 1, math.Nextafter(1, 2), 2.5, 1 << 31,
+		math.Nextafter(maxCellF, 0), maxCellF, math.Nextafter(maxCellF, math.Inf(1)),
+		maxCellF + 0.5, maxCellF + 1, 1 << 40, math.MaxFloat64, math.Inf(1)}
+	r := rand.New(rand.NewSource(3))
+	for i := 0; i < 100_000; i++ {
+		ds = append(ds, r.Float64()*maxCellF*1.01, float64(r.Uint32())+r.Float64())
+	}
+	for _, d := range ds {
+		if got := floorCell(d); got != want(d) {
+			t.Fatalf("floorCell(%v) = %d, math.Floor gives %d", d, got, want(d))
 		}
 	}
 }

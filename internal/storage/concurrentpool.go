@@ -26,10 +26,13 @@ const poolShards = 64
 //
 //   - Frames are striped over poolShards independently locked shards by
 //     PageID; each shard runs its own small LRU.
-//   - Cached frames are immutable snapshots: Write installs a fresh copy
-//     instead of mutating cached bytes, so a slice returned by Read stays
-//     valid — and race-free — even if the frame is evicted or the page is
-//     rewritten while the caller still decodes it.
+//   - Cached frames are immutable snapshots: Write never mutates cached
+//     bytes — it drops the page's frame, and the next Read fetches the
+//     new content — so a slice returned by Read stays valid, and
+//     race-free, even if the frame is evicted or the page is rewritten
+//     while the caller still decodes it. Write does not prime the cache:
+//     a build writes every page once and reads few of them back, through
+//     a pool that is discarded.
 //   - The pool keeps no counters: a miss is tallied, by the page's
 //     category, into the Stats the caller handed to ReadInto, and
 //     nowhere else.
@@ -165,9 +168,10 @@ func (p *ConcurrentPool) ReadInto(id PageID, local *Stats) ([]byte, error) {
 }
 
 // Write stores src as the new content of page id, write-through to the
-// underlying pager, and caches it. The cached frame is replaced, not
-// overwritten, so slices handed out by earlier Reads remain valid. src
-// must be at least PageSize bytes long; a shorter buffer is an error.
+// underlying pager, and drops any cached frame of the page: the next
+// Read fetches the new content (and counts a miss). A slice handed out
+// by an earlier Read keeps the old bytes. src must be at least PageSize
+// bytes long; a shorter buffer is an error.
 func (p *ConcurrentPool) Write(id PageID, src []byte) error {
 	if err := checkBuf(src, "write"); err != nil {
 		return err
@@ -178,15 +182,11 @@ func (p *ConcurrentPool) Write(id PageID, src []byte) error {
 	if err != nil {
 		return err
 	}
-	data := make([]byte, PageSize)
-	copy(data, src[:PageSize])
 	sh := p.shard(id)
 	sh.mu.Lock()
 	if el, ok := sh.frames[id]; ok {
-		el.Value.(*frame).data = data
-		sh.lru.MoveToFront(el)
-	} else {
-		sh.insert(id, data)
+		sh.lru.Remove(el)
+		delete(sh.frames, id)
 	}
 	sh.mu.Unlock()
 	return nil

@@ -308,23 +308,31 @@ func TestConcurrentPoolWriteThrough(t *testing.T) {
 	if dst[5] != 42 {
 		t.Error("write-through failed")
 	}
-	// The write also primed the cache: reading is not a miss.
+	// The write does not prime the cache: the read returns the written
+	// bytes and counts one miss.
 	var tally Stats
 	got := readInto(t, pool, id, &tally)
 	if got[5] != 42 {
-		t.Error("cached read returned stale data")
+		t.Error("read after write returned stale data")
 	}
-	if tally.TotalReads() != 0 {
-		t.Error("read after write should hit cache")
+	if tally.TotalReads() != 1 {
+		t.Errorf("read after write counted %d misses, want 1", tally.TotalReads())
 	}
-	// Overwriting an already-cached page replaces the frame.
+	// Overwriting a cached page drops its frame: the next read sees the
+	// new bytes, and a slice read before the write keeps the old ones.
 	src[5] = 43
 	if err := pool.Write(id, src); err != nil {
 		t.Fatal(err)
 	}
-	got, _ = pool.Read(id)
-	if got[5] != 43 {
-		t.Error("cached frame not updated by second write")
+	again := readInto(t, pool, id, &tally)
+	if again[5] != 43 {
+		t.Error("read after the second write returned stale data")
+	}
+	if tally.TotalReads() != 2 {
+		t.Errorf("read after the second write: %d misses in all, want 2", tally.TotalReads())
+	}
+	if got[5] != 42 {
+		t.Error("a slice read before the write changed under its reader")
 	}
 }
 

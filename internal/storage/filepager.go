@@ -1,7 +1,9 @@
 package storage
 
 import (
+	"errors"
 	"fmt"
+	"io"
 	"os"
 )
 
@@ -12,11 +14,15 @@ import (
 // Page categories are kept in memory only; they are a measurement aid, not
 // part of the persistent format (one byte per page, rebuilt on open as
 // CatUnknown unless the owning index re-registers them).
+//
+// Alloc writes nothing: a page is written once, by WritePage, and the
+// file may end before the last allocated page until Sync extends it to
+// NumPages pages. A page allocated but never written reads as zeros,
+// before and after that.
 type FilePager struct {
 	f     *os.File
 	n     uint64
 	cats  []Category
-	wbuf  []byte // scratch, avoids per-call allocation for zero fill
 	dirty bool
 }
 
@@ -26,7 +32,7 @@ func CreateFilePager(path string) (*FilePager, error) {
 	if err != nil {
 		return nil, fmt.Errorf("storage: create page file: %w", err)
 	}
-	return &FilePager{f: f, wbuf: make([]byte, PageSize)}, nil
+	return &FilePager{f: f}, nil
 }
 
 // OpenFilePager opens an existing page file at path. The number of pages
@@ -46,18 +52,13 @@ func OpenFilePager(path string) (*FilePager, error) {
 		return nil, fmt.Errorf("storage: page file size %d not a multiple of %d", st.Size(), PageSize)
 	}
 	n := uint64(st.Size() / PageSize)
-	return &FilePager{f: f, n: n, cats: make([]Category, n), wbuf: make([]byte, PageSize)}, nil
+	return &FilePager{f: f, n: n, cats: make([]Category, n)}, nil
 }
 
-// Alloc implements Pager.
+// Alloc implements Pager. It only counts the page: the file grows when
+// the page is written, or at the next Sync.
 func (p *FilePager) Alloc(cat Category) (PageID, error) {
 	id := PageID(p.n)
-	for i := range p.wbuf {
-		p.wbuf[i] = 0
-	}
-	if _, err := p.f.WriteAt(p.wbuf, int64(id)*PageSize); err != nil {
-		return InvalidPage, fmt.Errorf("storage: extend page file: %w", err)
-	}
 	p.n++
 	p.cats = append(p.cats, cat)
 	p.dirty = true
@@ -72,7 +73,13 @@ func (p *FilePager) ReadPage(id PageID, dst []byte) error {
 	if uint64(id) >= p.n {
 		return ErrPageOutOfRange
 	}
-	if _, err := p.f.ReadAt(dst[:PageSize], int64(id)*PageSize); err != nil {
+	n, err := p.f.ReadAt(dst[:PageSize], int64(id)*PageSize)
+	if errors.Is(err, io.EOF) {
+		// Allocated but past the end of the file: never written.
+		clear(dst[n:PageSize])
+		err = nil
+	}
+	if err != nil {
 		return fmt.Errorf("storage: read page %d: %w", id, err)
 	}
 	return nil
@@ -113,10 +120,14 @@ func (p *FilePager) SetCategory(id PageID, cat Category) {
 // NumPages implements Pager.
 func (p *FilePager) NumPages() uint64 { return p.n }
 
-// Sync implements Pager.
+// Sync implements Pager. It first extends the file to NumPages pages,
+// so pages allocated after the last one written are there, as zeros.
 func (p *FilePager) Sync() error {
 	if !p.dirty {
 		return nil
+	}
+	if err := p.f.Truncate(int64(p.n) * PageSize); err != nil {
+		return fmt.Errorf("storage: extend page file: %w", err)
 	}
 	if err := p.f.Sync(); err != nil {
 		return fmt.Errorf("storage: sync page file: %w", err)

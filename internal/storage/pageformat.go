@@ -197,18 +197,23 @@ func (q *Quantizer) cellMin(axis int, v float64) uint32 {
 	if step <= 0 {
 		return 0
 	}
-	c := math.Floor((v - q.min[axis]) / step)
-	if !(c > 0) { // also catches NaN
-		return 0
-	}
-	if c > maxCellF {
-		c = maxCellF
-	}
-	cell := uint32(c)
+	cell := floorCell((v - q.min[axis]) / step)
 	for cell > 0 && q.DecodeMin(axis, cell) > v {
 		cell--
 	}
 	return cell
+}
+
+// floorCell returns floor(d) clamped to [0, maxCellF], and 0 for NaN.
+// For d in [1, maxCellF) the conversion truncates, which is floor there.
+func floorCell(d float64) uint32 {
+	switch {
+	case !(d >= 1): // also catches NaN
+		return 0
+	case d < maxCellF:
+		return uint32(d)
+	}
+	return math.MaxUint32
 }
 
 // cellMax returns a cell (distance from the reference max) whose
@@ -218,14 +223,7 @@ func (q *Quantizer) cellMax(axis int, v float64) uint32 {
 	if step <= 0 {
 		return 0
 	}
-	d := math.Floor((q.max[axis] - v) / step)
-	if !(d > 0) {
-		return 0
-	}
-	if d > maxCellF {
-		d = maxCellF
-	}
-	cell := uint32(d)
+	cell := floorCell((q.max[axis] - v) / step)
 	for cell > 0 && q.DecodeMax(axis, cell) < v {
 		cell--
 	}
@@ -273,6 +271,13 @@ func (q *Quantizer) Box(c [6]uint32) geom.MBR {
 // v2, if an element box is inverted or non-finite (v2 needs a finite
 // reference frame; v1 stores raw floats and accepts anything).
 func EncodeObjectPage(buf []byte, f PageFormat, els []geom.Element) error {
+	return EncodeObjectPageIn(buf, f, els, geom.ElementsMBR(els))
+}
+
+// EncodeObjectPageIn is EncodeObjectPage for a caller that holds page,
+// the union of els' boxes (geom.ElementsMBR), as a build does: v2 takes
+// it as the page's reference MBR instead of computing it again.
+func EncodeObjectPageIn(buf []byte, f PageFormat, els []geom.Element, page geom.MBR) error {
 	if f == 0 {
 		f = DefaultPageFormat
 	}
@@ -280,7 +285,7 @@ func EncodeObjectPage(buf []byte, f PageFormat, els []geom.Element) error {
 	case PageFormatV1:
 		return encodeObjectPageV1(buf, els)
 	case PageFormatV2:
-		return encodeObjectPageV2(buf, els)
+		return encodeObjectPageV2(buf, els, page)
 	default:
 		return fmt.Errorf("storage: unknown object page format %d", uint8(f))
 	}
@@ -304,15 +309,14 @@ func encodeObjectPageV1(buf []byte, els []geom.Element) error {
 	return nil
 }
 
-func encodeObjectPageV2(buf []byte, els []geom.Element) error {
-	ref := geom.EmptyMBR()
+// encodeObjectPageV2 writes els under reference MBR ref, which must be
+// the union of their boxes.
+func encodeObjectPageV2(buf []byte, els []geom.Element, ref geom.MBR) error {
 	lo, hi := uint64(math.MaxUint64), uint64(0)
 	for i := range els {
-		b := els[i].Box
-		if !b.Valid() {
+		if !els[i].Box.Valid() {
 			return fmt.Errorf("storage: v2 object page: element %d has inverted or non-finite box", i)
 		}
-		ref = ref.Union(b)
 		lo, hi = min(lo, els[i].ID), max(hi, els[i].ID)
 	}
 	if len(els) == 0 {

@@ -140,6 +140,57 @@ func TestFilePagerReopen(t *testing.T) {
 	}
 }
 
+// TestFilePagerUnwrittenPages pins Alloc's contract now that it writes
+// nothing: of three pages only the middle one is written, the last is
+// past the end of the file until Sync extends it, and after a reopen the
+// file holds three pages with the first and last all zero.
+func TestFilePagerUnwrittenPages(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "pages.db")
+	p, err := CreateFilePager(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 3; i++ {
+		if _, err := p.Alloc(CatObject); err != nil {
+			t.Fatal(err)
+		}
+	}
+	src := bytes.Repeat([]byte{7}, PageSize)
+	if err := p.WritePage(1, src); err != nil {
+		t.Fatal(err)
+	}
+	dst := bytes.Repeat([]byte{9}, PageSize)
+	if err := p.ReadPage(2, dst); err != nil {
+		t.Fatalf("read of an allocated page past the end of the file: %v", err)
+	}
+	if !bytes.Equal(dst, make([]byte, PageSize)) {
+		t.Error("an allocated page past the end of the file did not read as zeros")
+	}
+	if err := p.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	if err := p.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	q, err := OpenFilePager(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer q.Close()
+	if q.NumPages() != 3 {
+		t.Fatalf("reopened NumPages = %d, want 3", q.NumPages())
+	}
+	for id, want := range [][]byte{make([]byte, PageSize), src, make([]byte, PageSize)} {
+		if err := q.ReadPage(PageID(id), dst); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(dst, want) {
+			t.Errorf("page %d after reopen: first byte %d, want %d", id, dst[0], want[0])
+		}
+	}
+}
+
 func TestOpenFilePagerBadSize(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "bad.db")
 	p, err := CreateFilePager(path)

@@ -8,9 +8,10 @@ import (
 )
 
 // Sorter is the keyed stable sort kernel behind every build-time order
-// of the repository: the STR axis passes of Tile and PartitionElements,
-// the Hilbert order of the shard split and the Hilbert R-tree, and the
-// PR-tree's priority and median passes.
+// of the repository: the STR z pass of Tile and PartitionElements (and
+// every pass when a center is not finite), the Hilbert order of the
+// Hilbert R-tree and of a shard no larger than a page, and the PR-tree's
+// priority and median passes.
 //
 // A Sorter is made from a three-way comparison of keys and a monotone
 // uint64 prefix of a key, which must agree with the comparison:

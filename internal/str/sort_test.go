@@ -107,6 +107,16 @@ func sameTags(a, b []tagged) bool {
 
 func tagCenter(it tagged) geom.Vec3 { return geom.V(it.key[0], it.key[1], it.key[2]) }
 
+// sortTaggedByAxis is one STR axis pass over items: their positions
+// sorted by order.sortByAxis, then applied.
+func sortTaggedByAxis(items []tagged, axis int) []tagged {
+	o := newOrder(len(items), func(i int) geom.Vec3 { return tagCenter(items[i]) })
+	o.sortByAxis(o.perm, axis)
+	got := slices.Clone(items)
+	permute(got, o.perm)
+	return got
+}
+
 // TestSorterMatchesSliceStable pins the kernel's contract: for each of
 // the three key shapes the build paths use, Sort returns the
 // permutation sort.SliceStable returns under the comparator the parent
@@ -141,8 +151,7 @@ func TestSorterMatchesSliceStable(t *testing.T) {
 						return false
 					})
 				}
-				got := slices.Clone(items)
-				sortByAxis(NewSorter[tagged](compareAxisKeys, axisKeyPrefix), got, tagCenter, axis)
+				got := sortTaggedByAxis(items, axis)
 				if !sameTags(got, want) {
 					t.Fatalf("%s axis %d: axis-key order differs from sort.SliceStable", name, axis)
 				}
@@ -217,7 +226,7 @@ func TestSorterAllocatesNothingWhenWarm(t *testing.T) {
 	for i := range keys {
 		keys[i] = r.Uint64()
 	}
-	axis := NewSorter[tagged](compareAxisKeys, axisKeyPrefix)
+	axis := newOrder(len(src), func(i int) geom.Vec3 { return tagCenter(src[i]) })
 	float := NewSorter[tagged](cmp.Compare[float64], FloatPrefix)
 	hilbert := NewSorter[tagged](cmp.Compare[uint64], Uint64Prefix)
 	items := slices.Clone(src)
@@ -225,7 +234,8 @@ func TestSorterAllocatesNothingWhenWarm(t *testing.T) {
 		name string
 		sort func(items []tagged)
 	}{
-		{"axis", func(items []tagged) { sortByAxis(axis, items, tagCenter, 1) }},
+		// The STR pass sorts positions, not items: a prefix of its own.
+		{"axis", func(items []tagged) { axis.sortByAxis(axis.perm[:len(items)], 1) }},
 		{"float", func(items []tagged) { float.Sort(items, func(i int) float64 { return items[i].key[0] }) }},
 		{"uint64", func(items []tagged) { hilbert.Sort(items, func(i int) uint64 { return keys[i] }) }},
 	}

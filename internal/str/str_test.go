@@ -193,6 +193,156 @@ func TestSTRFillsPages(t *testing.T) {
 	}
 }
 
+// sortedPasses is PartitionElements as it ran before its x and y passes
+// selected their slabs: every pass sorts (sortByAxis, which
+// TestSorterMatchesSliceStable holds to sort.SliceStable) and the slabs
+// and their cuts are read off the sorted order. It returns the elements
+// in partition order and the cells.
+func sortedPasses(els []geom.Element, capacity int, world geom.MBR) ([]geom.Element, []geom.MBR) {
+	n := len(els)
+	if n <= capacity {
+		return slices.Clone(els), []geom.MBR{world}
+	}
+	o := newOrder(n, func(i int) geom.Vec3 { return els[i].Box.Center() })
+	// cuts bounds the runs with lo and hi and the coordinate each later
+	// run begins at, raised to the one before it.
+	cuts := func(runs [][]int, axis int, lo, hi float64) []float64 {
+		c := []float64{lo}
+		for _, r := range runs[1:] {
+			c = append(c, o.centers[r[0]].Axis(axis))
+		}
+		c = append(c, hi)
+		for i := 1; i < len(c); i++ {
+			if c[i] < c[i-1] {
+				c[i] = c[i-1]
+			}
+		}
+		return c
+	}
+	pn := sliceCount(n, capacity)
+	var cells []geom.MBR
+	o.sortByAxis(o.perm, 0)
+	xRuns := Chunks(o.perm, slabSize(n, pn, capacity))
+	xCuts := cuts(xRuns, 0, world.Min.X, world.Max.X)
+	for xi, xs := range xRuns {
+		o.sortByAxis(xs, 1)
+		yRuns := Chunks(xs, slabSize(len(xs), pn, capacity))
+		yCuts := cuts(yRuns, 1, world.Min.Y, world.Max.Y)
+		for yi, ys := range yRuns {
+			o.sortByAxis(ys, 2)
+			zRuns := Chunks(ys, capacity)
+			zCuts := cuts(zRuns, 2, world.Min.Z, world.Max.Z)
+			for zi := range zRuns {
+				cells = append(cells, geom.MBR{
+					Min: geom.V(xCuts[xi], yCuts[yi], zCuts[zi]),
+					Max: geom.V(xCuts[xi+1], yCuts[yi+1], zCuts[zi+1]),
+				})
+			}
+		}
+	}
+	out := slices.Clone(els)
+	permute(out, o.perm)
+	return out, cells
+}
+
+// sameBits reports whether two boxes have the same coordinates, bit for
+// bit: a NaN cut matches itself.
+func sameBits(a, b geom.MBR) bool {
+	for i := 0; i < 3; i++ {
+		if math.Float64bits(a.Min.Axis(i)) != math.Float64bits(b.Min.Axis(i)) ||
+			math.Float64bits(a.Max.Axis(i)) != math.Float64bits(b.Max.Axis(i)) {
+			return false
+		}
+	}
+	return true
+}
+
+// TestPartitionMatchesSortedPasses holds PartitionElements and Tile,
+// whose x and y passes select their slabs (SplitRanks), to the passes
+// they replaced, which sorted: the same elements in the same order and
+// the same cells. The inputs are the ones that tell a selection from a
+// sort — centers on a lattice and on a few x values, so slab cuts fall
+// inside runs of tied keys; one center for all (a single bucket); and
+// NaN and infinite centers, which fall back to sorting — with ids shuffled against
+// positions, so a tie broken by anything but position shows.
+func TestPartitionMatchesSortedPasses(t *testing.T) {
+	world := worldBox()
+	shapes := map[string]func(r *rand.Rand, n int) []geom.Element{
+		"random":  func(r *rand.Rand, n int) []geom.Element { return randomElements(r, n, world) },
+		"lattice": func(r *rand.Rand, n int) []geom.Element { return latticeElements(r, n, world) },
+		"few x": func(r *rand.Rand, n int) []geom.Element {
+			els := randomElements(r, n, world)
+			for i := range els {
+				x := float64(r.Intn(3)) * 40
+				els[i].Box.Min.X, els[i].Box.Max.X = x, x+1
+			}
+			return els
+		},
+		"one center": func(r *rand.Rand, n int) []geom.Element {
+			els := make([]geom.Element, n)
+			for i := range els {
+				els[i].Box = geom.CubeAt(geom.V(50, 50, 50), float64(1+r.Intn(3)))
+			}
+			return els
+		},
+		"nan": func(r *rand.Rand, n int) []geom.Element {
+			els := latticeElements(r, n, world)
+			for i := 0; i < n; i += 7 {
+				els[i].Box.Min.Y = math.NaN()
+			}
+			return els
+		},
+		"inf": func(r *rand.Rand, n int) []geom.Element {
+			els := latticeElements(r, n, world)
+			for i := 0; i < n; i += 5 {
+				els[i].Box.Max.X = math.Inf(1)
+			}
+			return els
+		},
+	}
+	center := func(e geom.Element) geom.Vec3 { return e.Box.Center() }
+	ids := func(els []geom.Element) []uint64 {
+		out := make([]uint64, len(els))
+		for i, e := range els {
+			out[i] = e.ID
+		}
+		return out
+	}
+	for name, shape := range shapes {
+		for _, capacity := range []int{1, 3, 16, 85, 149} {
+			for _, n := range []int{1, capacity, capacity + 1, 8*capacity + 1, 1000, 4321, 12_000} {
+				r := rand.New(rand.NewSource(int64(n*7 + capacity)))
+				els := shape(r, n)
+				for i, id := range r.Perm(n) {
+					els[i].ID = uint64(id)
+				}
+				label := fmt.Sprintf("%s cap=%d n=%d", name, capacity, n)
+				want, cells := sortedPasses(els, capacity, world)
+
+				parts := PartitionElements(slices.Clone(els), capacity, world)
+				var got []geom.Element
+				for i, p := range parts {
+					got = append(got, p.Elements...)
+					if i < len(cells) && !sameBits(p.Cell, cells[i]) {
+						t.Fatalf("%s: partition %d cell %v, the sorted passes give %v", label, i, p.Cell, cells[i])
+					}
+				}
+				if len(parts) != len(cells) || !slices.Equal(ids(got), ids(want)) {
+					t.Fatalf("%s: %d partitions; the sorted passes give %d, or another element order", label, len(parts), len(cells))
+				}
+
+				var tiled []geom.Element
+				for _, g := range Tile(slices.Clone(els), center, capacity) {
+					tiled = append(tiled, g...)
+				}
+				if !slices.Equal(ids(tiled), ids(want)) {
+					t.Fatalf("%s: Tile's order differs from the sorted passes'", label)
+				}
+			}
+		}
+	}
+}
+
 func TestPartitionElementsProperties(t *testing.T) {
 	r := rand.New(rand.NewSource(37))
 	world := worldBox()
