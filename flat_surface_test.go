@@ -91,6 +91,7 @@ var publicSurface = []string{
 	"RTreeStrategy.String",
 	"Results",
 	"Results.All",
+	"Results.Batches",
 	"Results.Collect",
 	"Results.Err",
 	"Results.Stats",

@@ -41,11 +41,11 @@ func (s *QueryStats) Add(o QueryStats) {
 // RangeQuery returns all elements whose MBR intersects q, executing the
 // paper's two-phase algorithm: seed then crawl. The result order is the
 // BFS visit order and therefore deterministic for a given index. It is
-// the collect sink over Query, the cancellable executor.
+// the collect sink over QueryRuns, the cancellable executor.
 func (ix *Index) RangeQuery(q geom.MBR) ([]geom.Element, QueryStats, error) {
 	var result []geom.Element
-	stats, err := ix.Query(context.Background(), q, func(e geom.Element) bool {
-		result = append(result, e)
+	stats, err := ix.QueryRuns(context.Background(), q, func(run []geom.Element) bool {
+		result = append(result, run...)
 		return true
 	})
 	return result, stats, err
@@ -54,9 +54,8 @@ func (ix *Index) RangeQuery(q geom.MBR) ([]geom.Element, QueryStats, error) {
 // CountQuery is RangeQuery without materializing the result elements;
 // the page access pattern is identical.
 func (ix *Index) CountQuery(q geom.MBR) (int, QueryStats, error) {
-	n := 0
-	stats, err := ix.Query(context.Background(), q, func(geom.Element) bool { n++; return true })
-	return n, stats, err
+	stats, err := ix.QueryRuns(context.Background(), q, func([]geom.Element) bool { return true })
+	return stats.Results, stats, err
 }
 
 // seedItem is one pending seed-tree node during the seed descent.
@@ -102,15 +101,19 @@ func (sc *crawlScratch) release() {
 	scratchPool.Put(sc)
 }
 
-// Query executes the two-phase query as a push stream: every element
-// intersecting q is handed to emit in BFS order, and emit returning
-// false stops the crawl immediately — the pages the remaining BFS
-// frontier would have read are never touched, which is what makes
-// result limits save I/O rather than just truncate slices. Between page
-// reads the query checks ctx and aborts with ctx.Err() once it is done.
-// The returned stats cover exactly the work performed, whether the
-// query ran to completion, was stopped by emit, or was cancelled.
-func (ix *Index) Query(ctx context.Context, q geom.MBR, emit func(geom.Element) bool) (QueryStats, error) {
+// QueryRuns executes the two-phase query as a push stream of runs:
+// the elements of each object page the crawl reads that intersect q are
+// handed to emit in one call, in BFS order, and emit returning false
+// stops the crawl immediately — the pages the remaining BFS frontier
+// would have read are never touched, which is what makes result limits
+// save I/O rather than just truncate slices. A run is the query's
+// scratch, valid only until emit returns; emit may reorder or compact
+// it in place. Between page reads the query checks ctx and aborts with
+// ctx.Err() once it is done. The returned stats cover exactly the work
+// performed, whether the query ran to completion, was stopped by emit,
+// or was cancelled; Results counts the elements of every run handed to
+// emit.
+func (ix *Index) QueryRuns(ctx context.Context, q geom.MBR, emit func([]geom.Element) bool) (QueryStats, error) {
 	var st QueryStats
 	sc := getScratch()
 	defer sc.release()
@@ -118,19 +121,32 @@ func (ix *Index) Query(ctx context.Context, q geom.MBR, emit func(geom.Element) 
 	// stats are this query's misses however many queries run beside it.
 	local := &sc.stats
 
-	counted := func(e geom.Element) bool {
-		st.Results++
-		return emit(e)
-	}
 	sc.boxes.reset(&ix.metaLayout, q)
 	seedRef, ok, err := ix.seed(ctx, q, sc, local)
 	if err == nil && ok {
-		err = ix.crawl(ctx, q, seedRef, counted, &st, sc, local)
+		err = ix.crawl(ctx, q, seedRef, emit, &st, sc, local)
 	}
 	st.SeedReads = local.Reads[storage.CatSeedInternal]
 	st.MetadataReads = local.Reads[storage.CatMetadata]
 	st.ObjectReads = local.Reads[storage.CatObject]
 	st.TotalReads = local.TotalReads()
+	return st, err
+}
+
+// Query is QueryRuns one element at a time: emit returning false stops
+// the crawl at that element, and Results counts the elements emit saw.
+func (ix *Index) Query(ctx context.Context, q geom.MBR, emit func(geom.Element) bool) (QueryStats, error) {
+	unsent := 0
+	st, err := ix.QueryRuns(ctx, q, func(run []geom.Element) bool {
+		for i := range run {
+			if !emit(run[i]) {
+				unsent = len(run) - i - 1
+				return false
+			}
+		}
+		return true
+	})
+	st.Results -= unsent
 	return st, err
 }
 
@@ -233,10 +249,11 @@ func (ix *Index) objectPageHasHit(id storage.PageID, q geom.MBR, sc *crawlScratc
 // does, and a neighbor is enqueued only when the box its pointer carries
 // does (the paper's pointers are bare). Each record is enqueued at most
 // once, and each object page belongs to exactly one record, so each
-// object page is read at most once. emit returning false stops the crawl
-// cleanly (no error); a done ctx aborts it with ctx.Err().
+// object page is read at most once. Each object page's matches go to
+// emit as one run (none when it has none); emit returning false stops
+// the crawl cleanly (no error); a done ctx aborts it with ctx.Err().
 // sc.boxes must be reset to q.
-func (ix *Index) crawl(ctx context.Context, q geom.MBR, start RecordRef, emit func(geom.Element) bool, st *QueryStats, sc *crawlScratch, local *storage.Stats) error {
+func (ix *Index) crawl(ctx context.Context, q geom.MBR, start RecordRef, emit func([]geom.Element) bool, st *QueryStats, sc *crawlScratch, local *storage.Stats) error {
 	// The FIFO frontier replays pushes in order; range-query results
 	// and page-read sequences are a regression gate on that order.
 	f := &sc.fifo
@@ -283,8 +300,9 @@ func (ix *Index) crawl(ctx context.Context, q geom.MBR, start RecordRef, emit fu
 			if err != nil {
 				return err
 			}
-			for i := range els {
-				if !emit(els[i]) {
+			if len(els) > 0 {
+				st.Results += len(els)
+				if !emit(els) {
 					return nil
 				}
 			}
@@ -359,8 +377,8 @@ func (ix *Index) CrawlFrom(q geom.MBR, start RecordRef) ([]geom.Element, error) 
 	sc := getScratch()
 	defer sc.release()
 	sc.boxes.reset(&ix.metaLayout, q)
-	err := ix.crawl(context.Background(), q, start, func(e geom.Element) bool {
-		result = append(result, e)
+	err := ix.crawl(context.Background(), q, start, func(run []geom.Element) bool {
+		result = append(result, run...)
 		return true
 	}, &st, sc, &local)
 	return result, err

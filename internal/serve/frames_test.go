@@ -3,14 +3,18 @@ package serve
 import (
 	"context"
 	"fmt"
+	"io"
+	"net"
+	"slices"
 	"strings"
 	"testing"
+	"time"
 
 	"flat"
 )
 
 // drainRange streams every result of q and fails the test on error.
-func drainRange(t *testing.T, c *Client, q flat.MBR) int {
+func drainRange(t testing.TB, c *Client, q flat.MBR) int {
 	t.Helper()
 	st, err := c.Range(context.Background(), q, QueryOptions{})
 	if err != nil {
@@ -85,7 +89,7 @@ func TestInsertFrameLimit(t *testing.T) {
 
 // TestStreamAllocationsIndependentOfResults pins the wire path's
 // per-frame allocations at zero: over loopback, a warm drain of an
-// LSS-sized box (tens of frames) allocates no more, server and client
+// LSS-sized box (several frames) allocates no more, server and client
 // together, than a warm drain of an SN-sized box (one frame), because
 // batches are encoded into a pooled frame in place and the client reads
 // them into pooled payloads.
@@ -116,4 +120,83 @@ func TestStreamAllocationsIndependentOfResults(t *testing.T) {
 			lssN, lssAllocs, snN, snAllocs)
 	}
 	t.Logf("allocations per drain: SN %v (%d results), LSS %v (%d results)", snAllocs, snN, lssAllocs, lssN)
+}
+
+// streamFrames runs a range query over a raw connection to s and
+// returns the element count of each msgElems frame, in order, checking
+// that they sum to msgDone's result count.
+func streamFrames(t *testing.T, s *Server, q flat.MBR) []int {
+	t.Helper()
+	conn, err := net.Dial("tcp", s.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	conn.SetDeadline(time.Now().Add(30 * time.Second))
+	var version [1]byte
+	if _, err := conn.Write(append(magic[:], Version)); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := io.ReadFull(conn, version[:]); err != nil || version[0] != Version {
+		t.Fatalf("handshake: version %d, %v", version[0], err)
+	}
+	if _, err := conn.Write(frame(msgQuery, 1, queryBody(kindRange, q, 0, 0))); err != nil {
+		t.Fatal(err)
+	}
+	var counts []int
+	total := 0
+	for {
+		typ, payload, err := readFrame(conn)
+		if err != nil {
+			t.Fatal(err)
+		}
+		switch typ {
+		case msgElems:
+			n := int(getU32(payload[4:]))
+			if len(payload) != 8+n*elementWire {
+				t.Fatalf("frame of %d elements has %d payload bytes", n, len(payload))
+			}
+			counts = append(counts, n)
+			total += n
+		case msgDone:
+			if got := getU64(payload[4:]); got != uint64(total) {
+				t.Fatalf("msgDone counts %d results, the frames carried %d", got, total)
+			}
+			return counts
+		default:
+			t.Fatalf("unexpected frame type 0x%02x", typ)
+		}
+	}
+}
+
+// TestStreamFramesGrow: a stream's first frame carries StreamBatch
+// elements, so the time to the first result does not grow with the
+// result's size, and each later frame twice the last, up to 1 170
+// elements (64 KiB of payload) or StreamBatch, whichever is larger; the
+// last frame carries what is left.
+func TestStreamFramesGrow(t *testing.T) {
+	if frameGrowthCap != 1170 || 8+frameGrowthCap*elementWire > 64<<10 {
+		t.Fatalf("frameGrowthCap = %d, want the 1 170 elements that fit 64 KiB of payload", frameGrowthCap)
+	}
+	els := testElements(20000, 24)
+	sx, err := flat.Build(els, &flat.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sx.Close()
+	for _, c := range []struct{ batch, first, max int }{
+		{16, 16, 1170},
+		{0, 128, 1170}, // the default
+		{maxBatch, maxBatch, maxBatch},
+	} {
+		var want []int
+		for left, n := len(els), c.first; left > 0; n = min(2*n, c.max) {
+			want = append(want, min(n, left))
+			left -= want[len(want)-1]
+		}
+		s := startServer(t, sx, Config{StreamBatch: c.batch})
+		if got := streamFrames(t, s, sx.Bounds()); !slices.Equal(got, want) {
+			t.Errorf("StreamBatch %d: frames of %v elements, want %v", c.batch, got, want)
+		}
+	}
 }

@@ -127,6 +127,11 @@ const elementWire = 8 + 6*8 // id + MBR corners
 // clamps Config.StreamBatch to it and Client.Insert refuses more.
 const maxBatch = (maxPayload - 8) / elementWire
 
+// frameGrowthCap is the most elements a growing stream frame carries
+// when Config.StreamBatch is smaller: 1 170, the elements that fit 64 KiB
+// of payload behind the request id and count.
+const frameGrowthCap = (64<<10 - 8) / elementWire
+
 // frameHeader is the length prefix and type byte that open every frame.
 const frameHeader = 5
 
@@ -176,11 +181,17 @@ func getFrame(n int) *[]byte {
 	if b == nil {
 		b = new([]byte)
 	}
+	resizeFrame(b, n)
+	return b
+}
+
+// resizeFrame sets *b's length to n, reallocating it when its capacity
+// is short; the bytes are not kept.
+func resizeFrame(b *[]byte, n int) {
 	if cap(*b) < n {
 		*b = make([]byte, n)
 	}
 	*b = (*b)[:n]
-	return b
 }
 
 // putFrame returns a buffer from getFrame; nothing may read it after.

@@ -22,7 +22,7 @@ func testElements(n int, seed int64) []flat.Element {
 
 // startServer wraps an index in a listening server and tears both the
 // server (but not the index) down with the test.
-func startServer(t *testing.T, ix *flat.Index, cfg Config) *Server {
+func startServer(t testing.TB, ix *flat.Index, cfg Config) *Server {
 	t.Helper()
 	s := NewServer(ix, cfg)
 	if err := s.Listen("127.0.0.1:0"); err != nil {
@@ -33,7 +33,7 @@ func startServer(t *testing.T, ix *flat.Index, cfg Config) *Server {
 	return s
 }
 
-func dialServer(t *testing.T, s *Server) *Client {
+func dialServer(t testing.TB, s *Server) *Client {
 	t.Helper()
 	c, err := Dial(s.Addr().String())
 	if err != nil {
@@ -68,12 +68,14 @@ func throttle(t *testing.T, s *Server, c *Client) {
 	setSocketBuffers(t, s, c.conn, 8192)
 }
 
-// unthrottle restores large socket buffers after a test is done
-// stalling, so draining the remaining stream is not throttled into
-// delayed-ACK lockstep (a few KiB per 40 ms).
+// unthrottle restores large socket buffers, and the receive window
+// throttle clamped, after a test is done stalling, so draining the
+// remaining stream is not throttled into delayed-ACK lockstep (a few
+// KiB per 40 ms).
 func unthrottle(t *testing.T, s *Server, c *Client) {
 	t.Helper()
 	setSocketBuffers(t, s, c.conn, 1<<20)
+	liftWindowClamp(t, c.conn, 1<<20)
 }
 
 // frame encodes one wire frame for tests that speak the protocol raw.

@@ -24,10 +24,13 @@ type Config struct {
 	// once, so a single client cannot monopolize the global budget.
 	// <= 0 means 16.
 	MaxConnQueries int
-	// StreamBatch is the number of elements per msgElems frame. Larger
-	// batches amortize framing, smaller ones reduce the latency to the
-	// first result. <= 0 means 128; values above 149 796, the most one
-	// frame carries, are clamped to it.
+	// StreamBatch is the number of elements in a stream's first
+	// msgElems frame: smaller values reduce the latency to the first
+	// result. Each later frame carries twice the last, up to 1 170
+	// elements (64 KiB of payload) or StreamBatch, whichever is larger,
+	// so a long stream amortizes framing whatever StreamBatch is.
+	// <= 0 means 128; values above 149 796, the most one frame carries,
+	// are clamped to it.
 	StreamBatch int
 	// DrainTimeout bounds Shutdown's grace period: queries still running
 	// when it expires are cancelled. <= 0 means 5 seconds.
@@ -469,47 +472,70 @@ func (sc *srvConn) runQuery(qctx context.Context, reqID uint32, kind byte, box f
 }
 
 // streamSession drains one Results session to the connection: element
-// batches (when materialize is set; a count query only tallies), then
+// frames (when materialize is set; a count query only tallies), then
 // the msgDone terminator carrying the result count and query stats.
 // Range queries and nearest-neighbor streams share this tail — NN
-// batches simply arrive in nondecreasing distance order because the
+// frames simply arrive in nondecreasing distance order because the
 // session produces them that way.
 //
-// Elements are encoded straight into one pooled frame buffer behind its
-// header, request id and count (batchStart bytes), and each batch goes
-// out from there in one Write: nothing is copied or allocated per frame.
+// The session's runs are encoded straight into one pooled frame buffer
+// behind its header, request id and count (batchStart bytes), and each
+// frame goes out from there in one Write: nothing is copied or
+// allocated per frame. The first frame carries Config.StreamBatch
+// elements, so the time to the first result does not depend on the
+// result's size; each later one twice the last, up to frameGrowthCap
+// or StreamBatch, whichever is larger.
 func (sc *srvConn) streamSession(reqID uint32, session *flat.Results, materialize bool) {
 	const batchStart = bodyStart + 4
+	batch := sc.s.cfg.StreamBatch // elements in the current frame
+	maxFrame := max(batch, frameGrowthCap)
 	var fb *[]byte
 	var frame []byte
 	if materialize {
-		fb = getFrame(batchStart + sc.s.cfg.StreamBatch*elementWire)
+		fb = getFrame(batchStart + batch*elementWire)
 		defer putFrame(fb)
 		frame = *fb
 		putU32(frame[frameHeader:], reqID)
 	}
-	off, n := batchStart, 0 // write offset and elements in the current batch
+	off, n := batchStart, 0 // write offset and elements in the current frame
 	var count uint64
 	var iterErr error
-	for e, err := range session.All() {
+runs:
+	for run, err := range session.Batches() {
 		if err != nil {
 			iterErr = err
 			break
 		}
-		count++
+		count += uint64(len(run))
 		if !materialize {
 			continue
 		}
-		putElement(frame[off:], e)
-		off += elementWire
-		if n++; n == sc.s.cfg.StreamBatch {
+		for len(run) > 0 {
+			k := min(len(run), batch-n)
+			for i := range run[:k] {
+				putElement(frame[off:], run[i])
+				off += elementWire
+			}
+			run, n = run[k:], n+k
+			if n < batch {
+				break
+			}
 			putU32(frame[bodyStart:], uint32(n))
 			if sc.send(msgElems, frame[:off]) != nil {
 				// Client is gone; stop pulling the crawl.
 				iterErr = context.Canceled
-				break
+				break runs
 			}
 			off, n = batchStart, 0
+			batch = min(2*batch, maxFrame)
+			if len(frame) < batchStart+batch*elementWire {
+				// Sized for the largest frame once the stream outgrows its
+				// first: a long stream reallocates at most once, and a
+				// short one never holds more than its first frame needs.
+				resizeFrame(fb, batchStart+maxFrame*elementWire)
+				frame = *fb
+				putU32(frame[frameHeader:], reqID)
+			}
 		}
 	}
 	stats := session.Stats()

@@ -121,6 +121,21 @@ type deleteView struct {
 // 1, so every delete is staged after stamp 0.
 func (v deleteView) matches(e geom.Element) bool { return v.matchesAfter(e, 0) }
 
+// filter compacts the elements any staged delete dooms out of run in
+// place and returns what is left; with no deletes it returns run as is.
+func (v deleteView) filter(run []geom.Element) []geom.Element {
+	if len(v.deletes) == 0 {
+		return run
+	}
+	kept := run[:0]
+	for _, e := range run {
+		if !v.matches(e) {
+			kept = append(kept, e)
+		}
+	}
+	return kept
+}
+
 // matchesAfter reports whether a staged insert stamped seq is doomed by
 // a delete staged later than it.
 func (v deleteView) matchesAfter(e geom.Element, seq uint64) bool {
@@ -152,8 +167,15 @@ type view struct {
 	runs  []str.Tree
 	slabs [][]stagedInsert // by run
 	dels  deleteView
-	hits  []stagedInsert // stagedHits' result
+	found []hitRef       // stagedHits' matches
+	hits  []geom.Element // stagedHits' result
 }
+
+// hitRef is a staged insert a view found: its run and slab position.
+type hitRef struct{ run, pos int32 }
+
+// staged returns the staged insert h refers to.
+func (v *view) staged(h hitRef) stagedInsert { return v.slabs[h.run][h.pos] }
 
 var views = sync.Pool{New: func() any { return new(view) }}
 
@@ -184,28 +206,32 @@ func (v *view) release() {
 	clear(v.runs)
 	clear(v.slabs)
 	clear(v.hits)
-	v.runs, v.slabs, v.hits, v.dels = v.runs[:0], v.slabs[:0], v.hits[:0], deleteView{}
+	v.runs, v.slabs, v.found, v.hits, v.dels = v.runs[:0], v.slabs[:0], v.found[:0], v.hits[:0], deleteView{}
 	views.Put(v)
 }
 
 // stagedHits returns, in staging order, the staged inserts whose boxes
-// meet q and that no later delete dooms. It probes every run, not only
-// those of the shards whose bounds meet q: a staged insert can lie
-// outside its shard's bounds. The result is v's buffer, valid until v
-// is released.
-func (v *view) stagedHits(q geom.MBR) []stagedInsert {
-	v.hits = v.hits[:0]
+// meet q and that no later delete dooms: the run a range query emits
+// after its last shard. It probes every run, not only those of the
+// shards whose bounds meet q: a staged insert can lie outside its
+// shard's bounds. The result is v's buffer, valid until v is released.
+func (v *view) stagedHits(q geom.MBR) []geom.Element {
+	v.found = v.found[:0]
 	for i := range v.runs {
 		slab := v.slabs[i]
 		v.runs[i].Search(q, func(p int32) geom.MBR { return slab[p].el.Box }, func(p int32) {
 			if si := slab[p]; !v.dels.matchesAfter(si.el, si.seq) {
-				v.hits = append(v.hits, si)
+				v.found = append(v.found, hitRef{int32(i), p})
 			}
 		})
 	}
 	// A run yields its hits in tile order, and shards interleave in
 	// staging; stamps are unique, so sorting by them restores the order.
-	slices.SortFunc(v.hits, func(a, b stagedInsert) int { return cmp.Compare(a.seq, b.seq) })
+	slices.SortFunc(v.found, func(a, b hitRef) int { return cmp.Compare(v.staged(a).seq, v.staged(b).seq) })
+	v.hits = v.hits[:0]
+	for _, h := range v.found {
+		v.hits = append(v.hits, v.staged(h).el)
+	}
 	return v.hits
 }
 

@@ -264,8 +264,9 @@ func TestDeltaSnapshotStable(t *testing.T) {
 		v.take(deltas, dels)
 		for _, q := range queries {
 			var seqs []uint64
-			for _, si := range v.stagedHits(q) {
-				seqs = append(seqs, si.seq)
+			v.stagedHits(q)
+			for _, h := range v.found {
+				seqs = append(seqs, v.staged(h).seq)
 			}
 			a.candidates = append(a.candidates, seqs)
 		}

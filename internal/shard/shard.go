@@ -13,7 +13,7 @@
 // sort (splitHilbert), so which element lands in which shard, and in
 // what order its bulkload sees it, is a function of the input alone.
 //
-// A range query has one executor (StreamQuery, merge.go): the directory
+// A range query has one executor (StreamRuns, merge.go): the directory
 // prunes shards whose bounds do not intersect the query box, the
 // surviving shards run the ordinary seed+crawl and are delivered in
 // shard order, and the per-shard QueryStats are merged. A range query

@@ -129,7 +129,7 @@ func (p *ConcurrentPool) ReadInto(id PageID, local *Stats) ([]byte, error) {
 	sh := p.shard(id)
 	sh.mu.Lock()
 	if el, ok := sh.frames[id]; ok {
-		sh.lru.MoveToFront(el)
+		sh.touch(el)
 		data := el.Value.(*frame).data
 		sh.mu.Unlock()
 		return data, nil
@@ -157,7 +157,7 @@ func (p *ConcurrentPool) ReadInto(id PageID, local *Stats) ([]byte, error) {
 	if el, ok := sh.frames[id]; ok {
 		// Another goroutine cached the page while we fetched; keep its
 		// frame (frames are interchangeable immutable snapshots).
-		sh.lru.MoveToFront(el)
+		sh.touch(el)
 		data = el.Value.(*frame).data
 		sh.mu.Unlock()
 		return data, nil
@@ -190,6 +190,15 @@ func (p *ConcurrentPool) Write(id PageID, src []byte) error {
 	}
 	sh.mu.Unlock()
 	return nil
+}
+
+// touch marks el most recently used. An unbounded shard never evicts,
+// so its order is never read and a hit skips the list move. Callers
+// hold sh.mu. flatlint:holds mu
+func (sh *poolShard) touch(el *list.Element) {
+	if sh.cap > 0 {
+		sh.lru.MoveToFront(el)
+	}
 }
 
 // insert adds a frame to the shard, evicting its LRU tail when over

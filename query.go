@@ -6,7 +6,6 @@ import (
 	"iter"
 
 	"flat/internal/geom"
-	"flat/internal/shard"
 )
 
 // ErrConsumed is returned (through the iterator) when a Results session
@@ -118,7 +117,8 @@ func (ix *Index) PointQuery(p Vec3) ([]Element, QueryStats, error) {
 // over All drains the two-phase query incrementally, in the same
 // deterministic order RangeQuery returns, and stops crawling — saving
 // the remaining page reads — as soon as the caller breaks out or the
-// session's limit is reached.
+// session's limit is reached. Batches delivers the same stream a run
+// at a time, for a consumer that handles elements in bulk.
 //
 //	res := ix.Query(ctx, box, flat.WithLimit(100))
 //	for el, err := range res.All() {
@@ -140,6 +140,7 @@ type Results struct {
 	started bool
 	stats   QueryStats
 	err     error
+	one     [1]Element // an NN session's run
 }
 
 func newResults(ctx context.Context, ix *Index, q MBR, nn bool, opts []QueryOption) *Results {
@@ -151,48 +152,84 @@ func newResults(ctx context.Context, ix *Index, q MBR, nn bool, opts []QueryOpti
 }
 
 // run executes the session on the set's executor for its kind: the
-// range stream, or the NN stream. Neither executor stops at the limit
-// itself; All does.
-func (r *Results) run(emit func(Element) bool) (QueryStats, error) {
+// range stream, whose runs are object pages' matches, or the NN stream,
+// whose runs are single elements. Neither executor stops at the limit
+// itself; Batches does.
+func (r *Results) run(emit func([]Element) bool) (QueryStats, error) {
 	if r.nn {
-		return r.ix.set.NNQuery(r.ctx, r.q.Min, r.cfg.limit, func(e Element, _ float64) bool { return emit(e) })
+		return r.ix.set.NNQuery(r.ctx, r.q.Min, r.cfg.limit, func(e Element, _ float64) bool {
+			r.one[0] = e
+			return emit(r.one[:])
+		})
 	}
-	return r.ix.set.StreamQuery(r.ctx, r.q, shard.StreamOptions{}, emit)
+	return r.ix.set.StreamRuns(r.ctx, r.q, emit)
 }
 
-// All returns the session's element stream as a range-able iterator.
-// The yielded error is non-nil only on the terminal pair: a page-read
-// failure, the context's error when the session's context is cancelled
-// mid-crawl, or ErrClosed. The index's query guard is held for exactly
-// the executor's run — every element is yielded from inside it — so
-// Close and DropCache report ErrBusy while a session is being drained,
-// never while one is merely held. The terminal error pair is yielded
-// after the guard is released: a caller may Close from that loop body.
-func (r *Results) All() iter.Seq2[Element, error] {
-	return func(yield func(Element, error) bool) {
+// Batches returns the session's element stream as a range-able
+// iterator of runs, in the order All yields the elements: a range
+// session yields the matches of one object page at a time, an NN
+// session one element at a time. A run is valid only until the next
+// iteration: copy what must outlive it. The session's limit truncates
+// the last run. The yielded error is non-nil only on the terminal pair
+// (with a nil run), exactly as in All, and the query guard is held the
+// same way: every run is yielded from inside the executor's run, the
+// terminal error after the guard is released.
+func (r *Results) Batches() iter.Seq2[[]Element, error] {
+	return func(yield func([]Element, error) bool) {
 		if r.started {
-			yield(Element{}, ErrConsumed)
+			yield(nil, ErrConsumed)
 			return
 		}
 		r.started = true
 		abandoned := false
+		n := 0 // elements yielded
 		r.err = r.ix.guard.query(func() (err error) {
-			// Each element is yielded from inside the executor's emit
-			// callback, on this goroutine.
-			n := 0
-			r.stats, err = r.run(func(e Element) bool {
-				if !yield(e, nil) {
+			r.stats, err = r.run(func(run []Element) bool {
+				if left := r.cfg.limit - n; r.cfg.limit > 0 && len(run) > left {
+					run = run[:left]
+				}
+				n += len(run)
+				if !yield(run, nil) {
 					abandoned = true
 					return false
 				}
-				n++
 				return r.cfg.limit <= 0 || n < r.cfg.limit
 			})
 			return err
 		})
+		r.stats.Results = n
 		if r.err != nil && !abandoned {
-			yield(Element{}, r.err)
+			yield(nil, r.err)
 		}
+	}
+}
+
+// All returns the session's element stream as a range-able iterator
+// over Batches. The yielded error is non-nil only on the terminal pair:
+// a page-read failure, the context's error when the session's context
+// is cancelled mid-crawl, or ErrClosed. The index's query guard is held
+// for exactly the executor's run — every element is yielded from inside
+// it — so Close and DropCache report ErrBusy while a session is being
+// drained, never while one is merely held. The terminal error pair is
+// yielded after the guard is released: a caller may Close from that
+// loop body. Breaking out counts the element broken on as delivered.
+func (r *Results) All() iter.Seq2[Element, error] {
+	return func(yield func(Element, error) bool) {
+		unsent := 0 // elements of the last run the caller broke out before
+	runs:
+		for run, err := range r.Batches() {
+			if err != nil {
+				yield(Element{}, err)
+				return
+			}
+			for i := range run {
+				if !yield(run[i], nil) {
+					unsent = len(run) - i - 1
+					break runs
+				}
+			}
+		}
+		r.stats.Results -= unsent
 	}
 }
 
@@ -200,11 +237,11 @@ func (r *Results) All() iter.Seq2[Element, error] {
 // RangeQuery signature is a wrapper over.
 func (r *Results) Collect() ([]Element, QueryStats, error) {
 	var out []Element
-	for e, err := range r.All() {
+	for run, err := range r.Batches() {
 		if err != nil {
 			return nil, r.stats, err
 		}
-		out = append(out, e)
+		out = append(out, run...)
 	}
 	return out, r.stats, nil
 }
@@ -212,11 +249,11 @@ func (r *Results) Collect() ([]Element, QueryStats, error) {
 // count drains the session without materializing elements.
 func (r *Results) count() (int, QueryStats, error) {
 	n := 0
-	for _, err := range r.All() {
+	for run, err := range r.Batches() {
 		if err != nil {
 			return 0, r.stats, err
 		}
-		n++
+		n += len(run)
 	}
 	return n, r.stats, nil
 }
