@@ -52,12 +52,11 @@
 // -pageformat v2 builds with the compressed object-page layout
 // (quantized delta-encoded elements, 1.7-2x the density of v1); the
 // format is stamped into the index file, so reopening never needs the
-// flag and the on-disk format wins over it. -mmap serves an existing
-// index out of a read-only memory mapping instead of file reads; it
-// applies only when reopening (a fresh build writes through an
-// ordinary file pager). -stats reports the page format along with
-// bytes-per-element and the packing ratio over v1, and the metadata
-// pages' count, kind and records per page.
+// flag and the on-disk format wins over it. An index in a directory is
+// served through each shard file's read-only memory mapping, whether
+// this invocation built it or reopened it. -stats reports the page
+// format along with bytes-per-element and the packing ratio over v1, and
+// the metadata pages' count, kind and records per page.
 package main
 
 import (
@@ -91,7 +90,6 @@ func main() {
 		del     = flag.String("delete", "", "comma-separated element ids staged for deletion")
 		rebuild = flag.Bool("rebuild", false, "fold staged updates in by re-bulkloading only the dirty shards")
 		pf      = flag.String("pageformat", "v1", "object-page layout for a fresh build: v1 (full precision) or v2 (quantized delta-encoded, 1.7-2x denser); reopening reads the format from the index itself")
-		mmap    = flag.Bool("mmap", false, "serve an existing index through a read-only memory mapping instead of file reads (reopen only)")
 		wal     = flag.Bool("wal", false, "write-ahead-log staged updates so they survive a crash without -rebuild (disk-backed index only)")
 	)
 	flag.Parse()
@@ -120,7 +118,7 @@ func main() {
 			fatalf("%v", statErr)
 		}
 		if statErr == nil {
-			if ix, err = flat.Open(*index, &flat.Options{Mmap: *mmap, WAL: *wal}); err != nil {
+			if ix, err = flat.Open(*index, &flat.Options{WAL: *wal}); err != nil {
 				fatalf("open %s: %v (delete it to rebuild)", *index, err)
 			}
 			fmt.Printf("reopened existing index %s\n", *index)
@@ -149,9 +147,6 @@ func main() {
 		}
 	}
 	if ix == nil {
-		if *mmap {
-			fmt.Printf("warning: -mmap ignored (index built this invocation; rerun to reopen it memory-mapped)\n")
-		}
 		if *wal && *index == "" {
 			fatalf("-wal requires a disk-backed index (-index)")
 		}

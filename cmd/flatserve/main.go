@@ -8,9 +8,9 @@
 //
 //	flatserve -index brain.idx -addr :4077
 //
-// The index directory is memory-mapped by default (-mmap=false for file
-// reads) and opened with its write-ahead log so staged writes are
-// durable (-wal=false to opt out). SIGINT/SIGTERM
+// The index directory is served through each shard file's read-only
+// memory mapping and opened with its write-ahead log so staged writes
+// are durable (-wal=false to opt out). SIGINT/SIGTERM
 // trigger a graceful drain: the listener closes, new queries are
 // refused, in-flight streams get -drain to finish before they are
 // cancelled, the WAL is flushed and the index closed.
@@ -51,7 +51,6 @@ func main() {
 		index = flag.String("index", "", "index directory to serve (server mode)")
 		addr  = flag.String("addr", ":4077", "listen address (server mode) or server address (client mode)")
 
-		mmapF    = flag.Bool("mmap", true, "serve the index through a read-only memory mapping")
 		wal      = flag.Bool("wal", true, "write-ahead-log staged updates")
 		inflight = flag.Int("max-inflight", 0, "global concurrent-query budget; the N+1th query is rejected busy (0: default 64)")
 		connq    = flag.Int("conn-queries", 0, "concurrent queries allowed per connection (0: default 16)")
@@ -74,7 +73,7 @@ func main() {
 	flag.Parse()
 
 	if *index != "" {
-		runServer(*index, *addr, *mmapF, *wal, serve.Config{
+		runServer(*index, *addr, *wal, serve.Config{
 			MaxInflight:    *inflight,
 			MaxConnQueries: *connq,
 			StreamBatch:    *batch,
@@ -91,8 +90,8 @@ func main() {
 	})
 }
 
-func runServer(index, addr string, mmap, wal bool, cfg serve.Config) {
-	ix, err := flat.Open(index, &flat.Options{Mmap: mmap, WAL: wal})
+func runServer(index, addr string, wal bool, cfg serve.Config) {
+	ix, err := flat.Open(index, &flat.Options{WAL: wal})
 	if err != nil {
 		fatalf("open %s: %v", index, err)
 	}

@@ -174,9 +174,9 @@ func ObjectPageCapacity(f PageFormat) int { return storage.ObjectPageCapacity(f)
 
 // Options configures Build and Open. The zero value (or nil) gives a
 // memory-backed one-shard index with full 4 KiB object pages
-// partitioned over the data's bounds. Open consults BufferPages, Mmap
-// and WAL only: the shard count, geometry and per-shard
-// page formats come from the directory's manifest and shard files.
+// partitioned over the data's bounds. Open consults BufferPages and WAL
+// only: the shard count, geometry and per-shard page formats come from
+// the directory's manifest and shard files.
 type Options struct {
 	// Shards is K, the number of spatial shards the data is split into
 	// along the Hilbert curve. 0 or 1 builds a single shard — the
@@ -185,10 +185,10 @@ type Options struct {
 	// use the elements up early (at K = 4, 5, 6 or 9 elements make 3
 	// shards). See the README for choosing K.
 	Shards int
-	// PageCapacity caps elements per object page in every shard
-	// (default: a full page — 73 elements under PageFormatV1; under
-	// PageFormatV2 up to 149, depending on each shard's id span).
-	PageCapacity int
+	// pageCapacity caps elements per object page in every shard (0: a
+	// full page). Only this package's tests set it, to reach multi-page
+	// crawls at test scale.
+	pageCapacity int
 	// World is the space that is partitioned into cells. It must contain
 	// the data; leave zero to use the data's bounding box. Supply the
 	// true model volume when the data does not fill its extremes (e.g. a
@@ -214,13 +214,11 @@ type Options struct {
 	// preserved by Rebuild, so it is a build-time knob only: Open never
 	// needs it.
 	PageFormat PageFormat
-	// Mmap, consulted only by Open, memory-maps every shard's page file
-	// read-only instead of reading it through a file descriptor: cache
-	// misses alias pages straight out of the mapping, copying nothing.
-	// Page-read accounting is unchanged (the cost model counts cache
-	// misses, not syscalls). Staging and Rebuild still work: rebuilt
-	// shard generations are written through ordinary file pagers and
-	// swapped in.
+	// Mmap is reserved and has no effect. A disk-backed index is always
+	// served through each shard file's read-only memory mapping, after
+	// Build, Rebuild and Open alike: cache misses alias pages straight
+	// out of the mapping, copying nothing. On platforms without one the
+	// file is read into memory once instead.
 	Mmap bool
 	// WAL records every staged insert and delete in a write-ahead log
 	// under Dir before it touches memory, making the staged delta
@@ -264,7 +262,7 @@ func Build(els []Element, opts *Options) (*Index, error) {
 	}
 	set, err := shard.Build(els, shard.Config{
 		Shards:       o.Shards,
-		PageCapacity: o.PageCapacity,
+		PageCapacity: o.pageCapacity,
 		PageFormat:   o.PageFormat,
 		World:        o.World,
 		Dir:          o.Dir,
@@ -278,7 +276,7 @@ func Build(els []Element, opts *Options) (*Index, error) {
 }
 
 // Open loads a previously built disk-backed index from its directory
-// (nil opts: file reads, an unbounded shared page cache). An index whose
+// (nil opts: an unbounded shared page cache). An index whose
 // manifest references a write-ahead log has the log replayed: every
 // acknowledged staged update is pending again. Queries on the reopened
 // index behave identically to the freshly built one.
@@ -289,7 +287,6 @@ func Open(dir string, opts *Options) (*Index, error) {
 	}
 	set, err := shard.OpenSet(dir, shard.OpenOptions{
 		BufferPages: o.BufferPages,
-		Mmap:        o.Mmap,
 		WAL:         o.WAL,
 	})
 	if err != nil {

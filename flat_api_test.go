@@ -233,7 +233,7 @@ func TestBuildThenOpen(t *testing.T) {
 	}
 
 	// The WAL row goes last: once upgraded, a directory keeps its log.
-	for _, opts := range []*Options{nil, {Mmap: true, BufferPages: 64}, {Mmap: true, WAL: true}} {
+	for _, opts := range []*Options{nil, {BufferPages: 64}, {WAL: true}} {
 		re, err := Open(dir, opts)
 		if err != nil {
 			t.Fatalf("Open(%+v): %v", opts, err)
@@ -270,7 +270,7 @@ func TestBuildThenOpen(t *testing.T) {
 func TestCorruptSeedNodeFailsQuery(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "corrupt.flat")
 	path := filepath.Join(dir, "shard-0000.flat")
-	ix, err := Build(randomElements(rand.New(rand.NewSource(6)), 800), &Options{Dir: dir, PageCapacity: 8})
+	ix, err := Build(randomElements(rand.New(rand.NewSource(6)), 800), &Options{Dir: dir, pageCapacity: 8})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -57,7 +57,7 @@ func TestBatchesMatchAll(t *testing.T) {
 	}
 	for _, k := range []int{1, 4} {
 		for _, format := range []PageFormat{PageFormatV1, PageFormatV2} {
-			ix, err := Build(slices.Clone(base), &Options{Shards: k, PageFormat: format, PageCapacity: 16})
+			ix, err := Build(slices.Clone(base), &Options{Shards: k, PageFormat: format, pageCapacity: 16})
 			if err != nil {
 				t.Fatal(err)
 			}

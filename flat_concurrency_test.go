@@ -104,7 +104,7 @@ func runConcurrencyCheck(t *testing.T, ix *Index, els []Element, queries []MBR) 
 func TestConcurrentQueriesMemory(t *testing.T) {
 	r := rand.New(rand.NewSource(77))
 	els := randomElements(r, 6000)
-	ix, err := Build(els, &Options{PageCapacity: 16})
+	ix, err := Build(els, &Options{pageCapacity: 16})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,7 +116,7 @@ func TestConcurrentQueriesDisk(t *testing.T) {
 	r := rand.New(rand.NewSource(78))
 	els := randomElements(r, 6000)
 	dir := filepath.Join(t.TempDir(), "flat.idx")
-	built, err := Build(els, &Options{PageCapacity: 16, Dir: dir})
+	built, err := Build(els, &Options{pageCapacity: 16, Dir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -142,7 +142,7 @@ func TestConcurrentQueriesDisk(t *testing.T) {
 // call whatever overlapped it.)
 func TestRTreeStatsAreThePerCallMisses(t *testing.T) {
 	r := rand.New(rand.NewSource(29))
-	tr, err := BuildRTree(randomElements(r, 20000), RTreeSTR, &Options{PageCapacity: 16})
+	tr, err := BuildRTree(randomElements(r, 20000), RTreeSTR, &Options{pageCapacity: 16})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -16,7 +16,7 @@ import (
 func TestCloseAndDropCacheRefuseInFlightQueries(t *testing.T) {
 	r := rand.New(rand.NewSource(95))
 	els := randomElements(r, 4000)
-	ix, err := Build(els, &Options{PageCapacity: 16, BufferPages: 64})
+	ix, err := Build(els, &Options{pageCapacity: 16, BufferPages: 64})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,7 +101,7 @@ func TestAccessorsSurviveClose(t *testing.T) {
 	els := randomElements(r, 1000)
 
 	for _, k := range []int{1, 3} {
-		ix, err := Build(append([]Element(nil), els...), &Options{Shards: k, PageCapacity: 16})
+		ix, err := Build(append([]Element(nil), els...), &Options{Shards: k, pageCapacity: 16})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -128,7 +128,7 @@ func TestAccessorsSurviveClose(t *testing.T) {
 func TestAccessorsRaceMaintenance(t *testing.T) {
 	r := rand.New(rand.NewSource(98))
 	els := randomElements(r, 1500)
-	sx, err := Build(append([]Element(nil), els...), &Options{Shards: 2, PageCapacity: 16})
+	sx, err := Build(append([]Element(nil), els...), &Options{Shards: 2, pageCapacity: 16})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -177,7 +177,7 @@ func TestAccessorsRaceMaintenance(t *testing.T) {
 func TestShardedCloseGuard(t *testing.T) {
 	r := rand.New(rand.NewSource(96))
 	els := randomElements(r, 2000)
-	sx, err := Build(els, &Options{Shards: 2, PageCapacity: 16})
+	sx, err := Build(els, &Options{Shards: 2, pageCapacity: 16})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -6,10 +6,9 @@ import (
 	"testing"
 )
 
-// TestPageFormatV2PublicRoundTrip drives page format v2 and the mmap
-// open path through the public API: build to disk under v2, reopen both
-// through file reads and a memory mapping, and require identical
-// results and read counts from both.
+// TestPageFormatV2PublicRoundTrip drives page format v2 through the
+// public API: build to disk under v2, reopen, and require identical
+// results and read counts from the build and the reopen.
 func TestPageFormatV2PublicRoundTrip(t *testing.T) {
 	r := rand.New(rand.NewSource(95))
 	els := randomElements(r, 3000)
@@ -43,49 +42,34 @@ func TestPageFormatV2PublicRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	for _, mmap := range []bool{false, true} {
-		re, err := Open(dir, &Options{Mmap: mmap})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if re.ShardPageFormat(0) != PageFormatV2 {
-			t.Fatalf("mmap=%v: reopened format %v", mmap, re.ShardPageFormat(0))
-		}
-		for i, q := range queries {
-			if err := re.DropCache(); err != nil {
-				t.Fatal(err)
-			}
-			got, st, err := re.RangeQuery(q)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !sameIDs(idsOf(got), want[i].ids) {
-				t.Fatalf("mmap=%v query %d: results differ from build", mmap, i)
-			}
-			if st.TotalReads != want[i].reads {
-				t.Errorf("mmap=%v query %d: cold reads %d, want %d", mmap, i, st.TotalReads, want[i].reads)
-			}
-		}
-		if err := re.Close(); err != nil {
-			t.Fatal(err)
-		}
-	}
-
-	// Brute-force ground truth, independent of any index.
 	re, err := Open(dir, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer re.Close()
+	if re.ShardPageFormat(0) != PageFormatV2 {
+		t.Fatalf("reopened format %v", re.ShardPageFormat(0))
+	}
 	for i, q := range queries {
-		var ids []uint64
-		for _, e := range orig {
-			if e.Box.Intersects(q) {
-				ids = append(ids, e.ID)
-			}
+		if err := re.DropCache(); err != nil {
+			t.Fatal(err)
 		}
-		if !sameIDs(want[i].ids, idsOf(elementsIntersecting(orig, q))) {
-			t.Fatalf("query %d: v2 results diverge from brute force (%d)", i, len(ids))
+		got, st, err := re.RangeQuery(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !sameIDs(idsOf(got), want[i].ids) {
+			t.Fatalf("query %d: results differ from build", i)
+		}
+		if st.TotalReads != want[i].reads {
+			t.Errorf("query %d: cold reads %d, want %d", i, st.TotalReads, want[i].reads)
+		}
+	}
+
+	// Brute-force ground truth, independent of any index.
+	for i, q := range queries {
+		if truth := idsOf(elementsIntersecting(orig, q)); !sameIDs(want[i].ids, truth) {
+			t.Fatalf("query %d: v2 results diverge from brute force (%d)", i, len(truth))
 		}
 	}
 }
@@ -100,10 +84,10 @@ func elementsIntersecting(els []Element, q MBR) []Element {
 	return out
 }
 
-// TestShardedMmapOpen opens a v2 sharded index through the mmap path
-// and exercises the full maintenance cycle on it: query, stage, rebuild
-// (which swaps mmap-backed generations for file-backed ones), query
-// again.
+// TestShardedMmapOpen opens a v2 sharded index, served through its
+// shard files' mappings, and exercises the full maintenance cycle on
+// it: query, stage, rebuild (which swaps the rebuilt shards' mappings
+// for their new files'), query again.
 func TestShardedMmapOpen(t *testing.T) {
 	r := rand.New(rand.NewSource(96))
 	els := randomElements(r, 2500)
@@ -119,7 +103,7 @@ func TestShardedMmapOpen(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	re, err := Open(dir, &Options{Mmap: true})
+	re, err := Open(dir, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

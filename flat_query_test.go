@@ -20,7 +20,7 @@ func queryTargets(t *testing.T, n int) (els []Element, targets map[string]*Index
 
 	targets = make(map[string]*Index)
 	for _, k := range []int{1, 4} {
-		ix, err := Build(append([]Element(nil), orig...), &Options{Shards: k, PageCapacity: 8})
+		ix, err := Build(append([]Element(nil), orig...), &Options{Shards: k, pageCapacity: 8})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -85,7 +85,7 @@ func TestQuerySessionMatchesRangeQuery(t *testing.T) {
 // unbounded query, because the crawl aborts instead of finishing.
 func TestQueryWithLimitReadsFewerPages(t *testing.T) {
 	_, targets := queryTargets(t, 3000)
-	// A box big enough to span many object pages (PageCapacity is 8).
+	// A box big enough to span many object pages (pageCapacity is 8).
 	q := Box(V(10, 10, 10), V(60, 60, 60))
 	for name, ix := range targets {
 		// Cold-for-cold comparison: both runs start with an empty cache,
@@ -234,7 +234,7 @@ func TestQueryContextAlreadyDone(t *testing.T) {
 // this one.
 func TestQuerySessionAbandonReleasesGuard(t *testing.T) {
 	r := rand.New(rand.NewSource(9))
-	ix, err := Build(randomElements(r, 2000), &Options{PageCapacity: 8})
+	ix, err := Build(randomElements(r, 2000), &Options{pageCapacity: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -322,7 +322,7 @@ func TestQuerySessionAfterClose(t *testing.T) {
 func TestQuerySessionOverlay(t *testing.T) {
 	r := rand.New(rand.NewSource(21))
 	els := randomElements(r, 1500)
-	sx, err := Build(append([]Element(nil), els...), &Options{Shards: 3, PageCapacity: 8})
+	sx, err := Build(append([]Element(nil), els...), &Options{Shards: 3, pageCapacity: 8})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -26,7 +26,7 @@ func testStagedUpdates(t *testing.T, k int) {
 	els := randomElements(r, 3000)
 	orig := append([]Element(nil), els...)
 	dir := filepath.Join(t.TempDir(), "staged")
-	sx, err := Build(els, &Options{Shards: k, PageCapacity: 16, Dir: dir, WAL: true})
+	sx, err := Build(els, &Options{Shards: k, pageCapacity: 16, Dir: dir, WAL: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -159,7 +159,7 @@ func testStagedUpdates(t *testing.T, k int) {
 func TestRebuildRefusesInFlightQueries(t *testing.T) {
 	r := rand.New(rand.NewSource(97))
 	els := randomElements(r, 3000)
-	sx, err := Build(els, &Options{Shards: 4, PageCapacity: 16})
+	sx, err := Build(els, &Options{Shards: 4, pageCapacity: 16})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -266,7 +266,7 @@ func TestFlushAndDeltaStats(t *testing.T) {
 	els := randomElements(r, 600)
 	dir := filepath.Join(t.TempDir(), "deltastats")
 	sx, err := Build(els, &Options{
-		Shards: 2, PageCapacity: 16, Dir: dir, WAL: true,
+		Shards: 2, pageCapacity: 16, Dir: dir, WAL: true,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -332,7 +332,7 @@ func TestBuildFailureRemovesPartialFile(t *testing.T) {
 	r := rand.New(rand.NewSource(98))
 	els := randomElements(r, 100)
 	dir := filepath.Join(t.TempDir(), "partial.flat")
-	if _, err := Build(els, &Options{Dir: dir, PageCapacity: 100000}); err == nil {
+	if _, err := Build(els, &Options{Dir: dir, pageCapacity: 100000}); err == nil {
 		t.Fatal("build with absurd page capacity should fail")
 	}
 	if left, err := os.ReadDir(dir); err != nil || len(left) != 0 {

@@ -24,7 +24,7 @@ import (
 func TestRecordsInvariants(t *testing.T) {
 	r := rand.New(rand.NewSource(97))
 	els := randomElements(r, 3000)
-	ix, err := Build(els, &Options{Shards: 4, PageCapacity: 16})
+	ix, err := Build(els, &Options{Shards: 4, pageCapacity: 16})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,7 +104,7 @@ func TestRecordsInvariants(t *testing.T) {
 func TestCrawlFromAnyStart(t *testing.T) {
 	r := rand.New(rand.NewSource(98))
 	els := randomElements(r, 2500)
-	ix, err := Build(els, &Options{PageCapacity: 16})
+	ix, err := Build(els, &Options{pageCapacity: 16})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -41,14 +41,14 @@ func TestShardedMatchesUnsharded(t *testing.T) {
 	orig := append([]Element(nil), els...)
 	queries := queryWorkload(r, 30)
 
-	base, err := Build(append([]Element(nil), orig...), &Options{PageCapacity: 16})
+	base, err := Build(append([]Element(nil), orig...), &Options{pageCapacity: 16})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer base.Close()
 
 	for _, k := range []int{1, 2, 4, 8} {
-		sx, err := Build(append([]Element(nil), orig...), &Options{Shards: k, PageCapacity: 16})
+		sx, err := Build(append([]Element(nil), orig...), &Options{Shards: k, pageCapacity: 16})
 		if err != nil {
 			t.Fatalf("k=%d: %v", k, err)
 		}
@@ -127,7 +127,7 @@ func TestShardedColdReadParityK1(t *testing.T) {
 			for _, shards := range []int{0, 1} {
 				var ix *Index
 				if fanout == 0 {
-					ix, err = Build(append([]Element(nil), orig...), &Options{Shards: shards, PageCapacity: 16, PageFormat: format})
+					ix, err = Build(append([]Element(nil), orig...), &Options{Shards: shards, pageCapacity: 16, PageFormat: format})
 				} else {
 					var set *shard.Set
 					set, err = shard.Build(append([]Element(nil), orig...), shard.Config{Shards: shards, PageCapacity: 16, SeedFanout: fanout, PageFormat: format})
@@ -182,7 +182,7 @@ func TestShardedDiskBacked(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "sharded-index")
 	queries := queryWorkload(r, 15)
 
-	sx, err := Build(els, &Options{Shards: 4, PageCapacity: 16, Dir: dir, BufferPages: 256})
+	sx, err := Build(els, &Options{Shards: 4, pageCapacity: 16, Dir: dir, BufferPages: 256})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -233,7 +233,7 @@ func TestShardedDiskBacked(t *testing.T) {
 func TestShardedConcurrentQueries(t *testing.T) {
 	r := rand.New(rand.NewSource(94))
 	els := randomElements(r, 5000)
-	sx, err := Build(els, &Options{Shards: 4, PageCapacity: 16, BufferPages: 128})
+	sx, err := Build(els, &Options{Shards: 4, pageCapacity: 16, BufferPages: 128})
 	if err != nil {
 		t.Fatal(err)
 	}

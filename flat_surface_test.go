@@ -64,7 +64,6 @@ var publicSurface = []string{
 	"Options.BufferPages",
 	"Options.Dir",
 	"Options.Mmap",
-	"Options.PageCapacity",
 	"Options.PageFormat",
 	"Options.Shards",
 	"Options.WAL",
@@ -165,7 +164,9 @@ func exportedNames(decl ast.Decl) []string {
 				if st, ok := s.Type.(*ast.StructType); ok && s.Name.Name == "Options" {
 					for _, field := range st.Fields.List {
 						for _, n := range field.Names {
-							names = append(names, "Options."+n.Name)
+							if n.IsExported() {
+								names = append(names, "Options."+n.Name)
+							}
 						}
 					}
 				}

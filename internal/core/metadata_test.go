@@ -171,7 +171,7 @@ func decodeAll(page []byte, slot int, l *metaLayout) (metaRecord, error) {
 // bytes, which no decoder here reads any more.
 func olderKindPage(tb testing.TB, fixture string) []byte {
 	tb.Helper()
-	pager, err := storage.OpenFilePager(filepath.Join("..", "shard", "testdata", fixture, "shard-0000.flat"))
+	pager, err := storage.OpenMmapPager(filepath.Join("..", "shard", "testdata", fixture, "shard-0000.flat"))
 	if err != nil {
 		tb.Fatal(err)
 	}

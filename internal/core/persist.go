@@ -13,7 +13,9 @@ import (
 // followed by one superblock page written by WriteSuper. OpenFrom reads
 // the superblock back, refuses one whose runs do not end at its own
 // page, restores the index header and re-tags the page categories so
-// read accounting keeps working after a restart.
+// read accounting keeps working after a restart. A committed file is
+// served through its read-only mapping (storage.MmapPager), which keeps
+// categories in memory only.
 
 // Superblock versions. Version 1 is the original layout and is still
 // written — byte-identically — for every v1-format index, so files
@@ -76,7 +78,7 @@ func (ix *Index) WriteSuper() error {
 // explicit because a shard's superblock is the last page of its own
 // file, not of the storage.MultiPager that splices the shard files into
 // one PageID space. When the pager can re-register page categories
-// (storage.CategorySetter, e.g. *storage.FilePager), OpenFrom restores
+// (storage.CategorySetter, e.g. *storage.MmapPager), OpenFrom restores
 // them (they are measurement metadata, not persisted per page).
 func OpenFrom(pool storage.Pool, super storage.PageID) (*Index, error) {
 	pager := pool.Pager()
@@ -99,7 +101,7 @@ func OpenFrom(pool storage.Pool, super storage.PageID) (*Index, error) {
 	ix.world = r.MBR()
 	ix.quant = storage.NewQuantizer(ix.world)
 	ix.bounds = r.MBR()
-	ix.count = int(r.U64())
+	count := r.U64()
 	ix.objStart = storage.PageID(r.U64())
 	object, metadata, seed := uint64(r.U32()), uint64(r.U32()), uint64(r.U32())
 	// Untrusted counts size the category loop below: the three runs must
@@ -110,7 +112,7 @@ func OpenFrom(pool storage.Pool, super storage.PageID) (*Index, error) {
 			object, metadata, seed, ix.objStart, super, pager.NumPages())
 	}
 	ix.objectPages, ix.metadataPages, ix.seedInternal = int(object), int(metadata), int(seed)
-	ix.build.Partitions = int(r.U32())
+	partitions := uint64(r.U32())
 	ix.pageFormat = storage.PageFormatV1
 	if v >= superVersionV2 {
 		ix.pageFormat = storage.PageFormat(r.U8())
@@ -118,6 +120,14 @@ func OpenFrom(pool storage.Pool, super storage.PageID) (*Index, error) {
 			return nil, fmt.Errorf("core: unknown page format %d in superblock", uint8(ix.pageFormat))
 		}
 	}
+	// The element count sizes Elements' slice: every object page is one
+	// partition and holds at least one element and at most a full page.
+	most := object * uint64(storage.ObjectPageCapacityForSpan(ix.pageFormat, 0))
+	if partitions != object || count < object || count > most {
+		return nil, fmt.Errorf("core: corrupt superblock: %d elements in %d partitions on %d object pages (at most %d)",
+			count, partitions, object, most)
+	}
+	ix.count, ix.build.Partitions = int(count), int(partitions)
 
 	if cs, ok := pager.(storage.CategorySetter); ok {
 		id := ix.objStart

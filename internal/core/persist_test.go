@@ -1,6 +1,7 @@
 package core
 
 import (
+	"encoding/binary"
 	"math/rand"
 	"path/filepath"
 	"strings"
@@ -44,12 +45,12 @@ func TestPersistRoundTrip(t *testing.T) {
 	}
 
 	// Reopen and compare.
-	fp2, err := storage.OpenFilePager(path)
+	mp, err := storage.OpenMmapPager(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer fp2.Close()
-	pool2 := storage.NewConcurrentPool(fp2, 0)
+	defer mp.Close()
+	pool2 := storage.NewConcurrentPool(mp, 0)
 	ix2, err := openLast(pool2)
 	if err != nil {
 		t.Fatal(err)
@@ -101,6 +102,7 @@ func TestOpenErrors(t *testing.T) {
 	// used to open: the counts were never compared with the pager, and
 	// the category loop ran once per claimed page.
 	pool, super, good := superblockFixture(t)
+	fullPage := storage.ObjectPageCapacityForSpan(storage.PageFormatV2, 0)
 	for name, bad := range map[string][]byte{
 		"2e8 object pages":         corruptSuper(good, superObjectPagesOffset, 0x00, 0xc2, 0xeb, 0x0b),
 		"no object pages":          corruptSuper(good, superObjectPagesOffset, 0, 0, 0, 0),
@@ -108,12 +110,28 @@ func TestOpenErrors(t *testing.T) {
 		"2^32-1 seed pages":        corruptSuper(good, superObjectPagesOffset+8, 0xff, 0xff, 0xff, 0xff),
 		"object run starts late":   corruptSuper(good, superObjectPagesOffset-8, 1),
 		"object run past the file": corruptSuper(good, superObjectPagesOffset-8, 0, 0, 0, 0, 1),
+		// The element count sizes Elements' slice: these made Len()
+		// negative or Elements() panic in makeslice.
+		"2^62 elements":                 corruptSuper(good, superCountOffset, le64(1<<62)...),
+		"2^63+5 elements":               corruptSuper(good, superCountOffset, le64(1<<63+5)...),
+		"fewer elements than pages":     corruptSuper(good, superCountOffset, le64(49)...),
+		"more elements than pages hold": corruptSuper(good, superCountOffset, le64(50*uint64(fullPage)+1)...),
+		"partitions differ from pages":  corruptSuper(good, superObjectPagesOffset+12, 51, 0, 0, 0),
 	} {
 		if err := pool.Write(super, bad); err != nil {
 			t.Fatal(err)
 		}
 		if _, err := openLast(pool); err == nil || !strings.Contains(err.Error(), "corrupt superblock") {
 			t.Errorf("%s: Open = %v, want a corrupt-superblock error", name, err)
+		}
+	}
+	// The fixture's 50 pages hold 50 to 50 full pages of elements.
+	for _, n := range []uint64{50, 50 * uint64(fullPage)} {
+		if err := pool.Write(super, corruptSuper(good, superCountOffset, le64(n)...)); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := openLast(pool); err != nil {
+			t.Errorf("%d elements on 50 pages: %v", n, err)
 		}
 	}
 	if err := pool.Write(super, good); err != nil {
@@ -125,20 +143,24 @@ func TestOpenErrors(t *testing.T) {
 }
 
 // superObjectPagesOffset is where the three page counts start in the
-// superblock; objStart is the u64 before them.
-const superObjectPagesOffset = superFormatOffset - 16
+// superblock, followed by the partition count; objStart is the u64
+// before them, and the element count the u64 before that.
+const (
+	superObjectPagesOffset = superFormatOffset - 16
+	superCountOffset       = superObjectPagesOffset - 16
+)
 
-// superblockFixture builds a small index with a superblock on a file
-// pager (a CategorySetter, so Open runs its category loop) and returns
-// its pool, the superblock's page id and its bytes.
+// superblockFixture builds a small index of 400 elements on 50 v2
+// object pages, with a superblock, on a shard view (a CategorySetter,
+// so Open runs its category loop) and returns its pool, the
+// superblock's page id and its bytes.
 func superblockFixture(t testing.TB) (*storage.ConcurrentPool, storage.PageID, []byte) {
 	t.Helper()
-	fp, err := storage.CreateFilePager(filepath.Join(t.TempDir(), "index.flat"))
+	view, err := storage.NewShardView(storage.NewMemPager(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(func() { fp.Close() })
-	pool := storage.NewConcurrentPool(fp, 0)
+	pool := storage.NewConcurrentPool(view, 0)
 	els := randomElements(rand.New(rand.NewSource(271)), 400, worldBox())
 	ix, err := Build(pool, els, Options{World: worldBox(), PageCapacity: 8, PageFormat: storage.PageFormatV2})
 	if err != nil {
@@ -155,6 +177,8 @@ func superblockFixture(t testing.TB) (*storage.ConcurrentPool, storage.PageID, [
 	return pool, super, append([]byte(nil), page...)
 }
 
+func le64(v uint64) []byte { return binary.LittleEndian.AppendUint64(nil, v) }
+
 func corruptSuper(good []byte, off int, b ...byte) []byte {
 	bad := append([]byte(nil), good...)
 	copy(bad[off:], b)
@@ -165,7 +189,8 @@ func corruptSuper(good []byte, off int, b ...byte) []byte {
 // Open returns an index or an error without panicking, and without doing
 // more work than the pager has pages — the fixture has a few dozen, so
 // a superblock that talks Open into a loop over 2^32 claimed pages
-// shows up as a timeout.
+// shows up as a timeout. An index Open accepts also enumerates
+// (Elements, Rebuild's extraction) without panicking.
 func FuzzOpenSuperblock(f *testing.F) {
 	pool, super, good := superblockFixture(f)
 	pages := pool.Pager().NumPages()
@@ -185,6 +210,7 @@ func FuzzOpenSuperblock(f *testing.F) {
 		if object, metadata, seed := ix.PageCounts(); uint64(object+metadata+seed) >= pages {
 			t.Fatalf("accepted %d+%d+%d pages on a %d-page pager", object, metadata, seed, pages)
 		}
+		ix.Elements()
 	})
 }
 

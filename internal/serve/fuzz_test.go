@@ -55,7 +55,7 @@ func FuzzServerFrames(f *testing.F) {
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		// A fresh index per input: insert and rebuild frames mutate it.
-		sx, err := flat.Build(append([]flat.Element(nil), els...), &flat.Options{Shards: 2, PageCapacity: 8})
+		sx, err := flat.Build(append([]flat.Element(nil), els...), &flat.Options{Shards: 2})
 		if err != nil {
 			t.Fatal(err)
 		}

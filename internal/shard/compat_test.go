@@ -63,16 +63,15 @@ func copyFixture(t *testing.T, fixture string) string {
 }
 
 // TestKind2FixtureServesAndRebuilds opens a directory of kind-2
-// metadata pages through the file pager: see checkFixtureUpgrade.
+// metadata pages: see checkFixtureUpgrade.
 func TestKind2FixtureServesAndRebuilds(t *testing.T) {
-	checkFixtureUpgrade(t, kind2Fixture, OpenOptions{}, 41)
+	checkFixtureUpgrade(t, kind2Fixture, 41)
 }
 
 // TestKind3FixtureServesAndRebuilds is TestKind2FixtureServesAndRebuilds
-// for kind-3 pages, opened memory-mapped: the upgrade swaps the mapped
-// shards out for file-backed ones.
+// for kind-3 pages.
 func TestKind3FixtureServesAndRebuilds(t *testing.T) {
-	checkFixtureUpgrade(t, kind3Fixture, OpenOptions{Mmap: true}, 43)
+	checkFixtureUpgrade(t, kind3Fixture, 43)
 }
 
 // checkFixtureUpgrade opens a copy of a fixture of an older metadata
@@ -82,9 +81,9 @@ func TestKind3FixtureServesAndRebuilds(t *testing.T) {
 // k-NN queries like brute force. A reopen finds nothing to upgrade. Then
 // it stages inserts into one shard, rebuilds it, and answers like brute
 // force again.
-func checkFixtureUpgrade(t *testing.T, fixture string, opts OpenOptions, seed int64) {
+func checkFixtureUpgrade(t *testing.T, fixture string, seed int64) {
 	dir := copyFixture(t, fixture)
-	set, err := OpenSet(dir, opts)
+	set, err := OpenSet(dir, OpenOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,7 +109,7 @@ func checkFixtureUpgrade(t *testing.T, fixture string, opts OpenOptions, seed in
 	// An upgraded directory opens as any kind-4 one: no rebuild, no write.
 	before := readShardFiles(t, dir)
 	set.Close()
-	if set, err = OpenSet(dir, opts); err != nil {
+	if set, err = OpenSet(dir, OpenOptions{}); err != nil {
 		t.Fatal(err)
 	}
 	if g := []uint64{set.Generation(0), set.Generation(1)}; !reflect.DeepEqual(g, []uint64{1, 1}) {

@@ -845,7 +845,7 @@ func TestOpenRejectsElementCountMismatch(t *testing.T) {
 	}
 
 	// Likewise a shard file whose superblock claims page runs the file
-	// does not hold: refused at open, on both pagers, not looped over.
+	// does not hold: refused at open, not looped over.
 	if err := os.WriteFile(filepath.Join(dir, manifestName), raw, 0o644); err != nil {
 		t.Fatal(err)
 	}
@@ -862,9 +862,7 @@ func TestOpenRejectsElementCountMismatch(t *testing.T) {
 	if _, err := f.WriteAt([]byte{0x00, 0xc2, 0xeb, 0x0b}, st.Size()-storage.PageSize+objectPagesOffset); err != nil {
 		t.Fatal(err)
 	}
-	for _, mmap := range []bool{false, true} {
-		if _, err := OpenSet(dir, OpenOptions{Mmap: mmap}); err == nil || !strings.Contains(err.Error(), "corrupt superblock") {
-			t.Fatalf("open (mmap=%v) with 2e8 claimed object pages: %v, want a corrupt-superblock error", mmap, err)
-		}
+	if _, err := OpenSet(dir, OpenOptions{}); err == nil || !strings.Contains(err.Error(), "corrupt superblock") {
+		t.Fatalf("open with 2e8 claimed object pages: %v, want a corrupt-superblock error", err)
 	}
 }

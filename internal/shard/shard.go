@@ -35,11 +35,12 @@
 // A set is two values: the generation it serves (the committed manifest
 // and the shards opened from it, replaced whole by Rebuild) and the
 // staging epoch overlaid on it (delta.go). Every shard is written by one
-// bulkload step (bulkloadShards) and restored by one open step
-// (OpenSet), and every generation of a directory is published by one
-// commit step (commit, manifest.go). The public flat.Index is this set
-// at any K >= 1: in memory, or in a directory with a manifest — at K=1
-// too.
+// bulkload step (bulkloadShards) and, in a directory, served through its
+// read-only mapping by one open step (openShard) — after Build, Rebuild
+// and OpenSet alike — and every generation of a directory is published
+// by one commit step (commit, manifest.go). The public flat.Index is
+// this set at any K >= 1: in memory, or in a directory with a manifest —
+// at K=1 too.
 package shard
 
 import (
@@ -349,7 +350,9 @@ type bulkJob func() ([]geom.Element, core.Options, error)
 // and fsynced before this returns, since a shard file must be durable
 // before a manifest is told it exists; a memory pager otherwise —
 // through a private build pool that is discarded (the set serves from
-// its shared pool, so it starts cold).
+// its shared pool, so it starts cold). Under dir the written file is
+// closed and reopened through openShard, the open step's own, so a
+// fresh shard is served exactly as a reopen serves it.
 //
 // The jobs run on min(GOMAXPROCS, len(jobs)) workers, one job per worker
 // at a time: a job's element slice (Rebuild's jobs merge theirs) exists
@@ -375,8 +378,9 @@ func bulkloadShards(dir string, gen uint64, jobs []bulkJob) ([]*core.Index, []st
 			return err
 		}
 		var pager storage.Pager = storage.NewMemPager()
+		path := filepath.Join(dir, shardFileName(s, gen))
 		if dir != "" {
-			if pager, err = storage.CreateFilePager(filepath.Join(dir, shardFileName(s, gen))); err != nil {
+			if pager, err = storage.CreateFilePager(path); err != nil {
 				return fmt.Errorf("shard %d: %w", s, err)
 			}
 		}
@@ -386,8 +390,16 @@ func bulkloadShards(dir string, gen uint64, jobs []bulkJob) ([]*core.Index, []st
 			built[s], err = core.Build(storage.NewConcurrentPool(view, 0), els, opts)
 		}
 		if err == nil && dir != "" {
+			// Serve what a reopen would: the synced file through its
+			// mapping, restored from its superblock.
 			if err = built[s].WriteSuper(); err == nil {
-				err = pager.Sync()
+				err = pager.Close()
+			}
+			if err == nil {
+				var mapped storage.Pager
+				if built[s], mapped, err = openShard(path, s); err == nil {
+					pagers[s] = mapped
+				}
 			}
 		}
 		if err != nil {
@@ -439,13 +451,9 @@ func discardShards(dir string, gen uint64, pagers []storage.Pager) {
 type OpenOptions struct {
 	// BufferPages bounds the shared page cache as in Config.
 	BufferPages int
-	// Mmap memory-maps every shard's page file (storage.OpenMmapPager)
-	// instead of reading through file descriptors: cached frames alias
-	// the mapping, so cache misses copy nothing. The set remains fully
-	// functional — staging and Rebuild write each new shard generation
-	// through an ordinary file pager and swap it in, and the rebuilt
-	// shard's aliased frames are dropped before its old mapping is
-	// unmapped.
+	// Mmap is reserved and has no effect: every committed shard file is
+	// served through its read-only mapping (storage.OpenMmapPager; on
+	// platforms without one, the file read into memory once).
 	Mmap bool
 	// WAL enables the write-ahead log on a directory that does not have
 	// one yet (see Config.WAL): a fresh log is created and the manifest
@@ -455,19 +463,44 @@ type OpenOptions struct {
 	WAL bool
 }
 
+// openShard is the one per-shard open step, shared by OpenSet and
+// bulkloadShards: it maps the page file at path read-only and restores
+// shard s from its superblock, the last page of the file, addressed
+// under the shard's tag through a private pool (the set serves from its
+// shared one, via core.Index.WithPool). It returns the index and the
+// mapped pager, or an error and nothing open.
+func openShard(path string, s int) (*core.Index, storage.Pager, error) {
+	p, err := storage.OpenMmapPager(path)
+	if err != nil {
+		return nil, nil, err
+	}
+	if p.NumPages() == 0 {
+		p.Close()
+		return nil, nil, fmt.Errorf("empty page file %s: %w", filepath.Base(path), core.ErrNoSuper)
+	}
+	view, err := storage.NewShardView(p, s)
+	var ix *core.Index
+	if err == nil {
+		ix, err = core.OpenFrom(storage.NewConcurrentPool(view, 0), storage.ShardPageID(s, storage.PageID(p.NumPages()-1)))
+	}
+	if err != nil {
+		p.Close()
+		return nil, nil, err
+	}
+	return ix, p, nil
+}
+
 // OpenSet loads a sharded index previously built with a Config.Dir from
 // its directory, resolving each shard's page file through the manifest
 // (which names the committed generation; files a crashed rebuild may
-// have stranded are ignored). It is the one open step: every shard file
-// is opened behind one MultiPager and one shared pool (memory-mapped or
-// read through a descriptor, per opts), and each shard is restored from
-// its superblock — the last page of its own file, addressed under the
-// shard's tag — and cross-checked against its manifest entry. If the
-// manifest references a write-ahead log, the log is replayed: operations
-// staged before the last crash or close reappear as staged updates,
-// exactly as the original calls left them. A shard whose metadata pages
-// are of an older kind than queries read is then upgraded (upgrade)
-// before the set serves anything.
+// have stranded are ignored). It is the one open step: each shard file
+// is mapped and its shard restored (openShard) and cross-checked against
+// its manifest entry, and every shard is served behind one MultiPager
+// and one shared pool. If the manifest references a write-ahead log,
+// the log is replayed: operations staged before the last crash or close
+// reappear as staged updates, exactly as the original calls left them.
+// A shard whose metadata pages are of an older kind than queries read
+// is then upgraded (upgrade) before the set serves anything.
 func OpenSet(dir string, opts OpenOptions) (*Set, error) {
 	m, err := readManifest(dir)
 	if err != nil {
@@ -481,37 +514,14 @@ func OpenSet(dir string, opts OpenOptions) (*Set, error) {
 			}
 		}
 	}
-	for s, e := range m.Entries {
-		var p storage.Pager
-		if opts.Mmap {
-			p, err = storage.OpenMmapPager(filepath.Join(dir, e.File))
-		} else {
-			p, err = storage.OpenFilePager(filepath.Join(dir, e.File))
-		}
-		if err != nil {
-			closeAll()
-			return nil, err
-		}
-		pagers[s] = p
-	}
-	multi, err := storage.NewMultiPager(pagers)
-	if err != nil {
-		closeAll()
-		return nil, err
-	}
-	pool := storage.NewConcurrentPool(multi, opts.BufferPages)
 	g := &generation{m: m, shards: make([]*core.Index, len(m.Entries))}
 	for s, e := range m.Entries {
-		if pagers[s].NumPages() == 0 {
-			closeAll()
-			return nil, fmt.Errorf("shard %d: empty page file %s: %w", s, e.File, core.ErrNoSuper)
-		}
-		super := storage.ShardPageID(s, storage.PageID(pagers[s].NumPages()-1))
-		ix, err := core.OpenFrom(pool, super)
+		ix, p, err := openShard(filepath.Join(dir, e.File), s)
 		if err != nil {
 			closeAll()
 			return nil, fmt.Errorf("shard %d: %w", s, err)
 		}
+		pagers[s] = p
 		if ix.Len() != e.Elements {
 			closeAll()
 			return nil, fmt.Errorf("shard %d: manifest records %d elements but %s holds %d (corrupted index directory)",
@@ -525,6 +535,15 @@ func OpenSet(dir string, opts OpenOptions) (*Set, error) {
 				s, e.PageFormat, e.File, ix.PageFormat())
 		}
 		g.shards[s] = ix
+	}
+	multi, err := storage.NewMultiPager(pagers)
+	if err != nil {
+		closeAll()
+		return nil, err
+	}
+	pool := storage.NewConcurrentPool(multi, opts.BufferPages)
+	for s, ix := range g.shards {
+		g.shards[s] = ix.WithPool(pool)
 	}
 	set := &Set{pool: pool, multi: multi, dir: dir, cur: g, staged: newEpoch(len(g.shards))}
 	if err := set.openWAL(opts.WAL); err != nil {

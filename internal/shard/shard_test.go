@@ -372,21 +372,74 @@ func testSingleShardParity(t *testing.T, fanout int, format storage.PageFormat) 
 		t.Fatalf("K=1 directory build's shard file (%d bytes) is not byte-identical to the core reference (%d bytes)", len(got), len(want))
 	}
 
-	// Reopened — through a descriptor and memory-mapped — it answers the
-	// same, cold.
-	for _, mmap := range []bool{false, true} {
-		re, err := OpenSet(setDir, OpenOptions{Mmap: mmap})
-		if err != nil {
-			t.Fatalf("OpenSet(mmap=%v): %v", mmap, err)
-		}
-		if re.NumShards() != 1 || re.Len() != len(els) || re.World() != ref.World() || re.Bounds() != ref.Bounds() {
-			t.Errorf("OpenSet(mmap=%v): %d shards, %d elements, world %v, bounds %v", mmap, re.NumShards(), re.Len(), re.World(), re.Bounds())
-		}
-		sameAnswers(fmt.Sprintf("directory (reopened, mmap=%v)", mmap), re)
-		if err := re.Close(); err != nil {
-			t.Fatal(err)
+	// Reopened, it answers the same, cold.
+	re, err := OpenSet(setDir, OpenOptions{})
+	if err != nil {
+		t.Fatalf("OpenSet: %v", err)
+	}
+	if re.NumShards() != 1 || re.Len() != len(els) || re.World() != ref.World() || re.Bounds() != ref.Bounds() {
+		t.Errorf("OpenSet: %d shards, %d elements, world %v, bounds %v", re.NumShards(), re.Len(), re.World(), re.Bounds())
+	}
+	sameAnswers("directory (reopened)", re)
+	if err := re.Close(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestEveryServedShardIsMapped pins the one read path for committed
+// shard files: after Build into a directory, Rebuild, the open-time
+// upgrade of an older metadata kind, and OpenSet (whatever its reserved
+// Mmap says), every shard is served through its read-only mapping.
+func TestEveryServedShardIsMapped(t *testing.T) {
+	assertMapped := func(step string, set *Set) {
+		t.Helper()
+		for sh := range set.NumShards() {
+			// Swap hands back the serving pager; put it straight back.
+			p, err := set.multi.Swap(sh, storage.NewMemPager())
+			if err == nil {
+				_, err = set.multi.Swap(sh, p)
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, ok := p.(*storage.MmapPager); !ok {
+				t.Errorf("%s: shard %d is served through a %T, want a *storage.MmapPager", step, sh, p)
+			}
 		}
 	}
+
+	dir := filepath.Join(t.TempDir(), "idx")
+	set, err := Build(randomElements(rand.New(rand.NewSource(97)), 1200), Config{Shards: 3, PageCapacity: 16, Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	assertMapped("Build", set)
+	stageCluster(t, set, 1_000_000, 20, geom.CubeAt(geom.V(5, 5, 5), 4))
+	if rebuilt, err := set.Rebuild(); err != nil || len(rebuilt) == 0 {
+		t.Fatalf("Rebuild = %v, %v; want a rebuilt shard", rebuilt, err)
+	}
+	assertMapped("Rebuild", set)
+	if err := set.Close(); err != nil {
+		t.Fatal(err)
+	}
+	for _, mmap := range []bool{false, true} {
+		re, err := OpenSet(dir, OpenOptions{Mmap: mmap})
+		if err != nil {
+			t.Fatal(err)
+		}
+		assertMapped(fmt.Sprintf("OpenSet(Mmap: %v)", mmap), re)
+		re.Close()
+	}
+
+	up, err := OpenSet(copyFixture(t, kind3Fixture), OpenOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer up.Close()
+	if up.Generation(0) != 1 || up.Generation(1) != 1 {
+		t.Fatalf("kind-3 fixture opened at generations %d, %d; want both upgraded to 1", up.Generation(0), up.Generation(1))
+	}
+	assertMapped("the kind-3 upgrade", up)
 }
 
 func TestShardedCorrectnessAcrossK(t *testing.T) {

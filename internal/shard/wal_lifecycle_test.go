@@ -376,8 +376,8 @@ func TestWALRequiresDir(t *testing.T) {
 	}
 }
 
-// TestWALMmapReplay opens the crashed snapshot through the mmap path:
-// replay is pager-independent.
+// TestWALMmapReplay opens the crashed snapshot, served through its
+// shard files' mappings, and serves the insert its log replays.
 func TestWALMmapReplay(t *testing.T) {
 	r := rand.New(rand.NewSource(89))
 	els := randomElements(r, 600)
@@ -392,7 +392,7 @@ func TestWALMmapReplay(t *testing.T) {
 	crashed := snapshotDir(t, dir)
 	set.Close()
 
-	re, err := OpenSet(crashed, OpenOptions{Mmap: true})
+	re, err := OpenSet(crashed, OpenOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -7,13 +7,11 @@ import (
 	"os"
 )
 
-// FilePager is a Pager backed by a real file of 4 KiB pages. It is used by
-// the CLI tools (cmd/flatindex) to persist indexes, and can be swapped
-// into the benchmark harness to run against a physical disk.
-//
-// Page categories are kept in memory only; they are a measurement aid, not
-// part of the persistent format (one byte per page, rebuilt on open as
-// CatUnknown unless the owning index re-registers them).
+// FilePager writes a page file of 4 KiB pages: a shard is bulkloaded
+// through one, which is then synced and closed, and the committed file is
+// served through its read-only mapping (MmapPager). Like MemPager it
+// keeps the category each page was allocated with, in memory only: they
+// are a measurement aid, not part of the persistent format.
 //
 // Alloc writes nothing: a page is written once, by WritePage, and the
 // file may end before the last allocated page until Sync extends it to
@@ -33,26 +31,6 @@ func CreateFilePager(path string) (*FilePager, error) {
 		return nil, fmt.Errorf("storage: create page file: %w", err)
 	}
 	return &FilePager{f: f}, nil
-}
-
-// OpenFilePager opens an existing page file at path. The number of pages
-// is derived from the file size, which must be a multiple of PageSize.
-func OpenFilePager(path string) (*FilePager, error) {
-	f, err := os.OpenFile(path, os.O_RDWR, 0o644)
-	if err != nil {
-		return nil, fmt.Errorf("storage: open page file: %w", err)
-	}
-	st, err := f.Stat()
-	if err != nil {
-		f.Close()
-		return nil, fmt.Errorf("storage: stat page file: %w", err)
-	}
-	if st.Size()%PageSize != 0 {
-		f.Close()
-		return nil, fmt.Errorf("storage: page file size %d not a multiple of %d", st.Size(), PageSize)
-	}
-	n := uint64(st.Size() / PageSize)
-	return &FilePager{f: f, n: n, cats: make([]Category, n)}, nil
 }
 
 // Alloc implements Pager. It only counts the page: the file grows when
@@ -106,15 +84,6 @@ func (p *FilePager) CategoryOf(id PageID) Category {
 		return CatUnknown
 	}
 	return p.cats[id]
-}
-
-// SetCategory re-tags a page after reopening a persisted file; indexes
-// call this from their open path so that measurement categories survive a
-// restart.
-func (p *FilePager) SetCategory(id PageID, cat Category) {
-	if uint64(id) < uint64(len(p.cats)) {
-		p.cats[id] = cat
-	}
 }
 
 // NumPages implements Pager.

@@ -9,13 +9,13 @@ import (
 // ErrReadOnlyPager is returned by mutation methods of read-only pagers.
 var ErrReadOnlyPager = errors.New("storage: pager is read-only")
 
-// MmapPager is a read-only Pager over a memory-mapped index file. It is
-// interchangeable with OpenFilePager for serving: same page addressing,
-// same Category bookkeeping (in memory, restored by the open path via
-// SetCategory), but ReadPage copies out of the mapping instead of
-// issuing a read syscall, and the Frame method lets the buffer pools
-// alias mapped pages with no copy at all. Alloc, WritePage and Sync fail
-// with ErrReadOnlyPager; serving indexes are bulkloaded and immutable.
+// MmapPager is a read-only Pager over a memory-mapped index file, and
+// the one pager a committed shard file is served through. Page
+// categories are kept in memory, restored by the open path via
+// SetCategory. ReadPage copies out of the mapping, and the Frame method
+// lets the buffer pools alias mapped pages with no copy at all. Alloc
+// and WritePage fail with ErrReadOnlyPager; serving indexes are
+// bulkloaded and immutable.
 //
 // On Linux the file is mapped with syscall.Mmap (PROT_READ, MAP_SHARED);
 // elsewhere a portable fallback reads the whole file into memory once,
@@ -30,7 +30,7 @@ type MmapPager struct {
 }
 
 // OpenMmapPager maps the index file at path read-only. The file size
-// must be a multiple of PageSize, like OpenFilePager.
+// must be a multiple of PageSize.
 func OpenMmapPager(path string) (*MmapPager, error) {
 	f, err := os.Open(path)
 	if err != nil {

@@ -6,9 +6,10 @@
 // OS caches cleared before every query. This package reproduces that
 // environment:
 //
-//   - Pager: a flat array of 4 KiB pages, backed by a real file
-//     (FilePager, or read-only MmapPager) or by memory (MemPager, for
-//     tests and benchmarks). MultiPager is the one Pager over other
+//   - Pager: a flat array of 4 KiB pages, backed by a file or by memory
+//     (MemPager, for tests and benchmarks). A committed shard file is
+//     served through its mapping (MmapPager, read-only); FilePager
+//     writes it. MultiPager is the one Pager over other
 //     pagers: it routes the shard-tagged id space of a sharded index.
 //     Two optional capabilities ride on a Pager: CategorySetter and
 //     FramePager.
@@ -87,7 +88,7 @@ type Pager interface {
 
 // CategorySetter is implemented by pagers that can re-tag a page's
 // category after the fact. Index open paths use it to restore the
-// measurement categories of a persisted file (FilePager keeps them in
+// measurement categories of a mapped file (MmapPager keeps them in
 // memory only), and MultiPager forwards it to the routed sub-pager.
 type CategorySetter interface {
 	SetCategory(id PageID, cat Category)

@@ -113,7 +113,7 @@ func TestFilePagerReopen(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	q, err := OpenFilePager(path)
+	q, err := OpenMmapPager(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,10 +133,6 @@ func TestFilePagerReopen(t *testing.T) {
 		if q.CategoryOf(PageID(i)) != CatUnknown {
 			t.Errorf("reopened category should be unknown")
 		}
-	}
-	q.SetCategory(1, CatObject)
-	if q.CategoryOf(1) != CatObject {
-		t.Error("SetCategory did not stick")
 	}
 }
 
@@ -173,7 +169,7 @@ func TestFilePagerUnwrittenPages(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	q, err := OpenFilePager(path)
+	q, err := OpenMmapPager(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -188,27 +184,5 @@ func TestFilePagerUnwrittenPages(t *testing.T) {
 		if !bytes.Equal(dst, want) {
 			t.Errorf("page %d after reopen: first byte %d, want %d", id, dst[0], want[0])
 		}
-	}
-}
-
-func TestOpenFilePagerBadSize(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "bad.db")
-	p, err := CreateFilePager(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := p.Alloc(CatUnknown); err != nil {
-		t.Fatal(err)
-	}
-	p.Close()
-	// Corrupt the size.
-	f, err := openAppend(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	f.Write([]byte{1, 2, 3})
-	f.Close()
-	if _, err := OpenFilePager(path); err == nil {
-		t.Error("OpenFilePager accepted non-page-aligned file")
 	}
 }

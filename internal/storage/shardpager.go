@@ -160,8 +160,8 @@ func (m *MultiPager) SetCategory(id PageID, cat Category) {
 }
 
 // Frame implements FramePager, forwarding to the shard's sub-pager when
-// it supports aliased frames (a mix of mmap and file shards works: the
-// pool falls back to ReadPage per shard).
+// it supports aliased frames (a MemPager shard, or a FilePager one
+// during its build, has none: the pool falls back to ReadPage).
 func (m *MultiPager) Frame(id PageID) ([]byte, error) {
 	sub, local, err := m.route(id)
 	if err != nil {

@@ -72,12 +72,12 @@ func TestJoinMatchesBruteForce(t *testing.T) {
 		bs[i] = Element{ID: uint64(100_000 + i), Box: CubeAt(c, 0.5+r.Float64())}
 	}
 
-	outer, err := Build(append([]Element(nil), as...), &Options{PageCapacity: 8})
+	outer, err := Build(append([]Element(nil), as...), &Options{pageCapacity: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer outer.Close()
-	inner, err := Build(append([]Element(nil), bs...), &Options{Shards: 3, PageCapacity: 8})
+	inner, err := Build(append([]Element(nil), bs...), &Options{Shards: 3, pageCapacity: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -128,7 +128,7 @@ func TestJoinMatchesBruteForce(t *testing.T) {
 func TestJoinPredRefines(t *testing.T) {
 	r := rand.New(rand.NewSource(31))
 	els := randomElements(r, 400)
-	ix, err := Build(append([]Element(nil), els...), &Options{PageCapacity: 8})
+	ix, err := Build(append([]Element(nil), els...), &Options{pageCapacity: 8})
 	if err != nil {
 		t.Fatal(err)
 	}

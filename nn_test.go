@@ -59,7 +59,7 @@ func TestNNMatchesBruteForce(t *testing.T) {
 			t.Run(fmt.Sprintf("v%d-k%d", format, shards), func(t *testing.T) {
 				r := rand.New(rand.NewSource(int64(1000 + shards)))
 				els := randomElements(r, 1200)
-				sx, err := Build(els, &Options{Shards: shards, PageCapacity: 8, PageFormat: format})
+				sx, err := Build(els, &Options{Shards: shards, pageCapacity: 8, PageFormat: format})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -119,7 +119,7 @@ func TestNNUnshardedMatchesSharded(t *testing.T) {
 func TestNNStagedOverlay(t *testing.T) {
 	r := rand.New(rand.NewSource(5150))
 	els := randomElements(r, 800)
-	sx, err := Build(append([]Element(nil), els...), &Options{Shards: 3, PageCapacity: 8})
+	sx, err := Build(append([]Element(nil), els...), &Options{Shards: 3, pageCapacity: 8})
 	if err != nil {
 		t.Fatal(err)
 	}

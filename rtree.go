@@ -39,9 +39,10 @@ type RTreeStats struct {
 }
 
 // BuildRTree bulkloads a baseline R-tree over els (reordered in place)
-// with the given strategy, in memory. Of opts only World and
-// PageCapacity (which caps leaf entries) are consulted, and mean what
-// they do for Build; the page cache is unbounded.
+// with the given strategy, in memory. Of opts only World is consulted,
+// and means what it does for Build (this package's tests also cap leaf
+// entries with the unexported page capacity); the page cache is
+// unbounded.
 func BuildRTree(els []Element, strategy RTreeStrategy, opts *Options) (*RTree, error) {
 	var o Options
 	if opts != nil {
@@ -54,7 +55,7 @@ func BuildRTree(els []Element, strategy RTreeStrategy, opts *Options) (*RTree, e
 		world = geom.ElementsMBR(els)
 	}
 	tree, err := rtree.Build(pool, els, rtree.Strategy(strategy), world, rtree.Config{
-		LeafCapacity: o.PageCapacity,
+		LeafCapacity: o.pageCapacity,
 	})
 	if err != nil {
 		pager.Close()
