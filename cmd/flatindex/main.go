@@ -201,8 +201,7 @@ func main() {
 				}
 			}
 		}
-		cached, capacity := ix.CacheStats()
-		fmt.Printf("  page cache:    %d/%d pages resident\n", cached, capacity)
+		fmt.Printf("  page cache:    %d pages resident\n", ix.CacheStats())
 	}
 
 	// Staged updates + incremental rebuild.

@@ -101,11 +101,10 @@
 // parallel, and serves them behind a top-level MBR directory: queries
 // are pruned against the directory and streamed from the surviving
 // shards in shard order by one executor, with merged QueryStats. All
-// shards share one globally budgeted page cache. One shard (the
-// default) is exactly the paper's index — one bulkload pass, one seed
-// tree, one crawl graph; more shards parallelize the build and shrink
-// the unit Rebuild re-bulkloads. See the README for guidance on
-// choosing K.
+// shards share one page cache. One shard (the default) is exactly the
+// paper's index — one bulkload pass, one seed tree, one crawl graph;
+// more shards parallelize the build and shrink the unit Rebuild
+// re-bulkloads. See the README for guidance on choosing K.
 package flat
 
 import (
@@ -156,27 +155,29 @@ const (
 	// reference MBR and a base id per page, plus elements whose boxes
 	// are quantized 32-bit offsets into the MBR and whose ids are
 	// offsets from the base, as narrow as the page's id span allows —
-	// 149 elements per page (2.0× v1) when ids span under 2^24, 126
-	// (1.7×) for arbitrary 64-bit ids. Quantization is conservative: a
-	// stored box always contains the inserted one, with at most ~4/2³²
-	// of the page extent of slack per side, so queries never miss an
-	// element; extremely tight queries can return a near-miss whose
-	// stored box grazes them.
+	// 161 elements per page (2.2× v1) when ids span under 2^8, 155 under
+	// 2^16, 149 under 2^24, then 144, 139, 134 and 130 per further byte
+	// of span, and 126 (1.7×) for arbitrary 64-bit ids. Quantization is
+	// conservative: a stored box always contains the inserted one, with
+	// at most ~4/2³² of the page extent of slack per side, so queries
+	// never miss an element; extremely tight queries can return a
+	// near-miss whose stored box grazes them.
 	PageFormatV2 = storage.PageFormatV2
 )
 
 // ObjectPageCapacity reports how many elements one 4 KiB object page
 // holds under the given format whatever their ids: 73 for PageFormatV1,
 // 126 for PageFormatV2. A v2 build packs more when the ids it indexes
-// lie close together (149 for a span under 2^24), so the realized
-// elements per page can exceed this.
+// lie close together (161 for a span under 2^8, 155 under 2^16, 149
+// under 2^24, down to 130 under 2^56), so the realized elements per
+// page can exceed this.
 func ObjectPageCapacity(f PageFormat) int { return storage.ObjectPageCapacity(f) }
 
 // Options configures Build and Open. The zero value (or nil) gives a
 // memory-backed one-shard index with full 4 KiB object pages
-// partitioned over the data's bounds. Open consults BufferPages and WAL
-// only: the shard count, geometry and per-shard page formats come from
-// the directory's manifest and shard files.
+// partitioned over the data's bounds. Open consults WAL only: the
+// shard count, geometry and per-shard page formats come from the
+// directory's manifest and shard files.
 type Options struct {
 	// Shards is K, the number of spatial shards the data is split into
 	// along the Hilbert curve. 0 or 1 builds a single shard — the
@@ -200,14 +201,8 @@ type Options struct {
 	// reopenable with Open. Each page file is fsynced before the manifest
 	// commits it, and a failed build removes its partial files.
 	Dir string
-	// BufferPages bounds the page cache shared by all shards
-	// (<= 0: unbounded). The budget is global across shards, so K
-	// shards never hold more cache memory than one would. The cache is
-	// what makes repeated page touches within one query free; call
-	// DropCache to simulate a cold start.
-	BufferPages int
 	// PageFormat selects every shard's object-page layout (zero:
-	// PageFormatV1). PageFormatV2 packs 1.7–2.0× the elements per page —
+	// PageFormatV1). PageFormatV2 packs 1.7–2.2× the elements per page —
 	// proportionally fewer pages read per query — at the cost of
 	// conservatively rounded element boxes; see the PageFormat constants.
 	// The format is recorded per shard (manifest and superblock) and
@@ -266,7 +261,6 @@ func Build(els []Element, opts *Options) (*Index, error) {
 		PageFormat:   o.PageFormat,
 		World:        o.World,
 		Dir:          o.Dir,
-		BufferPages:  o.BufferPages,
 		WAL:          o.WAL,
 	})
 	if err != nil {
@@ -276,19 +270,16 @@ func Build(els []Element, opts *Options) (*Index, error) {
 }
 
 // Open loads a previously built disk-backed index from its directory
-// (nil opts: an unbounded shared page cache). An index whose
-// manifest references a write-ahead log has the log replayed: every
-// acknowledged staged update is pending again. Queries on the reopened
-// index behave identically to the freshly built one.
+// (nil opts: no write-ahead log unless the directory has one). An index
+// whose manifest references a write-ahead log has the log replayed:
+// every acknowledged staged update is pending again. Queries on the
+// reopened index behave identically to the freshly built one.
 func Open(dir string, opts *Options) (*Index, error) {
 	var o Options
 	if opts != nil {
 		o = *opts
 	}
-	set, err := shard.OpenSet(dir, shard.OpenOptions{
-		BufferPages: o.BufferPages,
-		WAL:         o.WAL,
-	})
+	set, err := shard.OpenSet(dir, shard.OpenOptions{WAL: o.WAL})
 	if err != nil {
 		return nil, err
 	}
@@ -355,13 +346,11 @@ func (ix *Index) World() MBR { return ix.set.World() }
 // shards.
 func (ix *Index) SizeBytes() uint64 { return ix.set.SizeBytes() }
 
-// CacheStats reports the page cache's occupancy: how many frames it
-// currently holds and its configured budget (capacity <= 0: unbounded;
-// the budget is global across shards). A serving layer exposes this so
-// operators can see how much of the budget live traffic actually uses.
-func (ix *Index) CacheStats() (cached, capacity int) {
-	pool := ix.set.Pool() // fixed for the set's lifetime, as is its capacity
-	return pool.Len(), pool.Capacity()
+// CacheStats reports how many pages the shared page cache holds. The
+// cache is unbounded: a cached page of a disk-backed index aliases its
+// shard file's mapping and costs no page memory; DropCache empties it.
+func (ix *Index) CacheStats() (cached int) {
+	return ix.set.Pool().Len() // the pool is fixed for the set's lifetime
 }
 
 // NumShards returns K, the number of spatial shards.

@@ -100,7 +100,7 @@ func TestPublicAPIDiskBacked(t *testing.T) {
 	orig := make([]Element, len(els))
 	copy(orig, els)
 	dir := filepath.Join(t.TempDir(), "index.flat")
-	ix, err := Build(els, &Options{Dir: dir, BufferPages: 16})
+	ix, err := Build(els, &Options{Dir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -233,7 +233,7 @@ func TestBuildThenOpen(t *testing.T) {
 	}
 
 	// The WAL row goes last: once upgraded, a directory keeps its log.
-	for _, opts := range []*Options{nil, {BufferPages: 64}, {WAL: true}} {
+	for _, opts := range []*Options{nil, {}, {WAL: true}} {
 		re, err := Open(dir, opts)
 		if err != nil {
 			t.Fatalf("Open(%+v): %v", opts, err)

@@ -123,9 +123,9 @@ func TestConcurrentQueriesDisk(t *testing.T) {
 	if err := built.Close(); err != nil {
 		t.Fatal(err)
 	}
-	// Reopen with a bounded cache: concurrent queries now also contend
-	// on eviction, the harder case for the sharded pool.
-	ix, err := Open(dir, &Options{BufferPages: 128})
+	// Reopen: concurrent queries now share the mapped shard file's
+	// pages through the shared pool.
+	ix, err := Open(dir, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

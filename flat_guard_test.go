@@ -16,7 +16,7 @@ import (
 func TestCloseAndDropCacheRefuseInFlightQueries(t *testing.T) {
 	r := rand.New(rand.NewSource(95))
 	els := randomElements(r, 4000)
-	ix, err := Build(els, &Options{pageCapacity: 16, BufferPages: 64})
+	ix, err := Build(els, &Options{pageCapacity: 16})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -147,7 +147,7 @@ func TestAccessorsRaceMaintenance(t *testing.T) {
 				_ = sx.ShardBounds(0)
 				_ = sx.ShardGeneration(1)
 				_ = sx.SizeBytes()
-				_, _ = sx.CacheStats()
+				_ = sx.CacheStats()
 			}
 		}()
 	}

@@ -63,7 +63,7 @@ func TestRecordsInvariants(t *testing.T) {
 			if !rc.SeedKey.Contains(rc.PageMBR) {
 				t.Fatalf("shard %d record %v: seed key %v does not contain page MBR %v", s, rc.Ref, rc.SeedKey, rc.PageMBR)
 			}
-			page, err := shard.Pool().Read(rc.ObjectPage)
+			page, err := shard.Pool().ReadInto(rc.ObjectPage, nil)
 			if err != nil {
 				t.Fatal(err)
 			}

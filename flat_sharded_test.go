@@ -182,7 +182,7 @@ func TestShardedDiskBacked(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "sharded-index")
 	queries := queryWorkload(r, 15)
 
-	sx, err := Build(els, &Options{Shards: 4, pageCapacity: 16, Dir: dir, BufferPages: 256})
+	sx, err := Build(els, &Options{Shards: 4, pageCapacity: 16, Dir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -198,7 +198,7 @@ func TestShardedDiskBacked(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	re, err := Open(dir, &Options{BufferPages: 256})
+	re, err := Open(dir, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -233,7 +233,7 @@ func TestShardedDiskBacked(t *testing.T) {
 func TestShardedConcurrentQueries(t *testing.T) {
 	r := rand.New(rand.NewSource(94))
 	els := randomElements(r, 5000)
-	sx, err := Build(els, &Options{Shards: 4, pageCapacity: 16, BufferPages: 128})
+	sx, err := Build(els, &Options{Shards: 4, pageCapacity: 16})
 	if err != nil {
 		t.Fatal(err)
 	}

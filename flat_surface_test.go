@@ -61,7 +61,6 @@ var publicSurface = []string{
 	"Open",
 	"OpenShardedWithOptions",
 	"Options",
-	"Options.BufferPages",
 	"Options.Dir",
 	"Options.Mmap",
 	"Options.PageFormat",

@@ -16,7 +16,7 @@
 //
 //	codecbounds 0  page layouts (v1/v2, PR 7) are decoded only in storage; a test sees only the formats it builds
 //	ctxcrawl    5  PR 6: forced ctx checks into core's seed slot loop and overflow-chain walk (2 more in benchmark/)
-//	lockedfield 2  "guarded by mu" holds on every access; -race sees only the interleavings a test runs
+//	lockedfield 0  "guarded by mu" holds on every access; -race sees only the interleavings a test runs
 //	pageidpack  2  PageID shard-tag arithmetic stays in storage; a stray shift is wrong at K > 1 only
 //	reflectsort 0  PR 19: sort.SliceStable was 80 % of build CPU; no timing test can gate that on 2 vCPUs
 //	statsonerr  0  stats cover the work performed on every error return; flagged no real diff yet (ROADMAP 1a extends it)
@@ -109,7 +109,7 @@ func pkgFunc(info *types.Info, call *ast.CallExpr) (pkgPath, name string) {
 }
 
 // isPagerRead reports whether call is a direct page read: a method
-// named Read, ReadInto or ReadPage whose first argument is a PageID.
+// named ReadInto or ReadPage whose first argument is a PageID.
 // Matching the argument type rather than the receiver keeps the check
 // honest across the Pool interface, ConcurrentPool, every Pager
 // implementation, and the testdata fixtures.
@@ -119,7 +119,7 @@ func isPagerRead(info *types.Info, call *ast.CallExpr) bool {
 		return false
 	}
 	switch sel.Sel.Name {
-	case "Read", "ReadInto", "ReadPage":
+	case "ReadInto", "ReadPage":
 	default:
 		return false
 	}

@@ -23,9 +23,8 @@ var CodecBounds = &analysis.Analyzer{
 
 Flags, outside the storage package, an index expression buf[i] or slice
 expression buf[a:b] whose operand is a local variable holding a page
-buffer — one assigned from a pool/pager read (a method named Read,
-ReadInto or Frame whose first argument is a PageID), or passed as the
-destination of a ReadPage call.
+buffer — one assigned from a pool/pager read (a method named ReadInto
+or ReadPage whose first argument is a PageID).
 
 Page layouts (v1 vs v2 object pages, metadata pages, the superblock)
 are storage-layer encoding details; decode through the storage codec
@@ -48,22 +47,13 @@ func runCodecBounds(pass *analysis.Pass) (any, error) {
 		// Pass 1: collect the function's page-buffer variables.
 		buffers := map[types.Object]bool{}
 		walkShallow(body, func(n ast.Node) bool {
-			switch s := n.(type) {
-			case *ast.AssignStmt:
-				// buf, err := pool.Read(id) / pool.ReadInto(id, st) /
-				// pager.Frame(id) — the first LHS is the page buffer.
-				if len(s.Rhs) == 1 && len(s.Lhs) >= 1 {
-					if call, ok := ast.Unparen(s.Rhs[0]).(*ast.CallExpr); ok && isPageBufferSource(pass.TypesInfo, call) {
-						if obj := lhsObject(pass.TypesInfo, s.Lhs[0]); obj != nil {
-							buffers[obj] = true
-						}
+			// buf, err := pool.ReadInto(id, st) / pager.ReadPage(id) —
+			// the first LHS is the page buffer.
+			if s, ok := n.(*ast.AssignStmt); ok && len(s.Rhs) == 1 && len(s.Lhs) >= 1 {
+				if call, ok := ast.Unparen(s.Rhs[0]).(*ast.CallExpr); ok && isPageBufferSource(pass.TypesInfo, call) {
+					if obj := lhsObject(pass.TypesInfo, s.Lhs[0]); obj != nil {
+						buffers[obj] = true
 					}
-				}
-			case *ast.CallExpr:
-				// pager.ReadPage(id, dst) fills dst with page bytes,
-				// however the call's error is consumed.
-				if obj := readPageDest(pass.TypesInfo, s); obj != nil {
-					buffers[obj] = true
 				}
 			}
 			return true
@@ -99,18 +89,17 @@ func runCodecBounds(pass *analysis.Pass) (any, error) {
 }
 
 // isPageBufferSource reports whether call returns raw page bytes: a
-// method named Read, ReadInto or Frame whose first argument is a
-// PageID. Matching the argument type rather than the receiver keeps
-// the check honest across the Pool interface, both pool
-// implementations, every Pager, and the testdata fixtures (the same
-// trick isPagerRead uses).
+// method named ReadInto or ReadPage whose first argument is a PageID.
+// Matching the argument type rather than the receiver keeps the check
+// honest across the Pool interface, ConcurrentPool, every Pager, and
+// the testdata fixtures (the same trick isPagerRead uses).
 func isPageBufferSource(info *types.Info, call *ast.CallExpr) bool {
 	sel, ok := call.Fun.(*ast.SelectorExpr)
 	if !ok || len(call.Args) == 0 {
 		return false
 	}
 	switch sel.Sel.Name {
-	case "Read", "ReadInto", "Frame":
+	case "ReadInto", "ReadPage":
 	default:
 		return false
 	}
@@ -119,24 +108,6 @@ func isPageBufferSource(info *types.Info, call *ast.CallExpr) bool {
 		return false
 	}
 	return namedTypeName(tv.Type) == "PageID"
-}
-
-// readPageDest returns the object of the destination-buffer argument
-// of a ReadPage(id, dst) call, or nil when call is not one.
-func readPageDest(info *types.Info, call *ast.CallExpr) types.Object {
-	sel, ok := call.Fun.(*ast.SelectorExpr)
-	if !ok || sel.Sel.Name != "ReadPage" || len(call.Args) != 2 {
-		return nil
-	}
-	tv, ok := info.Types[call.Args[0]]
-	if !ok || namedTypeName(tv.Type) != "PageID" {
-		return nil
-	}
-	id, ok := ast.Unparen(call.Args[1]).(*ast.Ident)
-	if !ok {
-		return nil
-	}
-	return info.Uses[id]
 }
 
 // lhsObject resolves the object an assignment's left-hand side binds:

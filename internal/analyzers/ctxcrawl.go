@@ -15,7 +15,7 @@ var CtxCrawl = &analysis.Analyzer{
 	Name: "ctxcrawl",
 	Doc: `loops performing pager reads must consult ctx between iterations
 
-A for/range loop whose body performs a page read (Read, ReadInto or
+A for/range loop whose body performs a page read (ReadInto or
 ReadPage taking a PageID) is a crawl: its iteration count is data-
 dependent and each iteration costs a page read, so it must give
 cancellation a chance between reads. The read may be direct, or one

@@ -8,16 +8,14 @@ type PageID uint64
 
 type pool struct{}
 
-func (pool) Read(id PageID) ([]byte, error)              { return nil, nil }
 func (pool) ReadInto(id PageID, st *int) ([]byte, error) { return nil, nil }
-func (pool) Frame(id PageID) ([]byte, error)             { return nil, nil }
-func (pool) ReadPage(id PageID, dst []byte) error        { return nil }
+func (pool) ReadPage(id PageID) ([]byte, error)          { return nil, nil }
 
 func decode(buf []byte) int { return len(buf) }
 
 // kindByte peeks at the layout directly.
 func kindByte(p pool, id PageID) byte {
-	buf, _ := p.Read(id)
+	buf, _ := p.ReadPage(id)
 	return buf[0] // want `raw page-buffer indexing outside internal/storage`
 }
 
@@ -31,20 +29,13 @@ func header(p pool, id PageID) []byte {
 // reassigned catches plain = assignment, not just :=.
 func reassigned(p pool, id PageID) byte {
 	var buf []byte
-	buf, _ = p.Frame(id)
+	buf, _ = p.ReadPage(id)
 	return buf[1] // want `raw page-buffer indexing outside internal/storage`
-}
-
-// dest catches the destination buffer of a ReadPage call.
-func dest(p pool, id PageID) byte {
-	dst := make([]byte, 4096)
-	_ = p.ReadPage(id, dst)
-	return dst[7] // want `raw page-buffer indexing outside internal/storage`
 }
 
 // whole hands the full buffer to a decoder — the sanctioned pattern.
 func whole(p pool, id PageID) int {
-	buf, _ := p.Read(id)
+	buf, _ := p.ReadInto(id, nil)
 	return decode(buf)
 }
 
@@ -67,7 +58,7 @@ func notAPageRead(f file, b []byte) byte {
 
 // suppressed documents a legitimate raw-byte need.
 func suppressed(p pool, id PageID) byte {
-	buf, _ := p.Read(id)
+	buf, _ := p.ReadPage(id)
 	//lint:ignore codecbounds fixture: checksums the raw page bytes
 	return buf[4095]
 }
@@ -76,7 +67,7 @@ func suppressed(p pool, id PageID) byte {
 // like-named variable in another (see whole/unrelated), and a nested
 // literal is its own scope.
 func nested(p pool, id PageID) func() []byte {
-	buf, _ := p.Read(id)
+	buf, _ := p.ReadPage(id)
 	_ = buf
 	return func() []byte {
 		buf := []byte{1, 2, 3}

@@ -8,14 +8,14 @@ type PageID uint64
 
 type pool struct{}
 
-func (pool) Read(id PageID) ([]byte, error) { return nil, nil }
+func (pool) ReadPage(id PageID) ([]byte, error) { return nil, nil }
 
 func (pool) ReadInto(id PageID, stats *int) ([]byte, error) { return nil, nil }
 
 // crawlNoCtx reads pages in a loop without ever consulting a context.
 func crawlNoCtx(p pool, ids []PageID) error {
 	for _, id := range ids { // want `loop performs pager reads but never consults a context`
-		if _, err := p.Read(id); err != nil {
+		if _, err := p.ReadPage(id); err != nil {
 			return err
 		}
 	}
@@ -28,7 +28,7 @@ func crawlErr(ctx context.Context, p pool, ids []PageID) error {
 		if err := ctx.Err(); err != nil {
 			return err
 		}
-		if _, err := p.Read(id); err != nil {
+		if _, err := p.ReadPage(id); err != nil {
 			return err
 		}
 	}
@@ -58,7 +58,7 @@ func crawlDelegates(ctx context.Context, p pool, ids []PageID) error {
 		if err := ctxErr(ctx); err != nil {
 			return err
 		}
-		if _, err := p.Read(id); err != nil {
+		if _, err := p.ReadPage(id); err != nil {
 			return err
 		}
 	}
@@ -73,7 +73,7 @@ func crawlNested(ctx context.Context, p pool, ids []PageID) error {
 			return err
 		}
 		for _, id := range ids { // want `loop performs pager reads but never consults a context`
-			if _, err := p.Read(id); err != nil {
+			if _, err := p.ReadPage(id); err != nil {
 				return err
 			}
 		}
@@ -86,7 +86,7 @@ func crawlNested(ctx context.Context, p pool, ids []PageID) error {
 func crawlSuppressed(p pool, ids []PageID) error {
 	//lint:ignore ctxcrawl fixture: offline walk, never on a serving query path
 	for _, id := range ids {
-		if _, err := p.Read(id); err != nil {
+		if _, err := p.ReadPage(id); err != nil {
 			return err
 		}
 	}
@@ -126,7 +126,7 @@ func (h *frontier) popMin() frontierItem {
 // resolve reads the popped item's page — a direct pager read, making
 // resolve a read helper and its callers' loops crawls.
 func (h *frontier) resolve(it frontierItem) ([]byte, error) {
-	return h.p.Read(it.id)
+	return h.p.ReadPage(it.id)
 }
 
 // popLoopNoCtx is the best-first pop loop without a context: every

@@ -14,7 +14,7 @@ type PageID uint64
 
 type pool struct{}
 
-func (pool) Read(id PageID) ([]byte, error) { return nil, nil }
+func (pool) ReadPage(id PageID) ([]byte, error) { return nil, nil }
 
 func work() (QueryStats, error) { return QueryStats{Reads: 1}, nil }
 
@@ -49,7 +49,7 @@ func merges() (QueryStats, error) {
 // pager reads are stats-producing work too.
 func reads(p pool, id PageID) (QueryStats, error) {
 	var st QueryStats
-	if _, err := p.Read(id); err != nil {
+	if _, err := p.ReadPage(id); err != nil {
 		return QueryStats{}, err // want `returns zero QueryStats alongside a non-nil error`
 	}
 	st.Reads++
@@ -61,7 +61,7 @@ func scatter(p pool, ids []PageID) (QueryStats, error) {
 	var st QueryStats
 	run := func() {
 		for _, id := range ids {
-			p.Read(id)
+			p.ReadPage(id)
 		}
 	}
 	run()

@@ -15,10 +15,10 @@ func pack(shard uint16, local uint32) PageID {
 
 type pool struct{}
 
-func (pool) Read(id PageID) ([]byte, error) { return nil, nil }
+func (pool) ReadPage(id PageID) ([]byte, error) { return nil, nil }
 
 // decodeKind is the codec itself: raw page-buffer access is its job.
 func decodeKind(p pool, id PageID) byte {
-	buf, _ := p.Read(id)
+	buf, _ := p.ReadPage(id)
 	return buf[0]
 }

@@ -43,12 +43,14 @@ func Build(pool storage.Pool, els []geom.Element, opts Options) (*Index, error) 
 	}
 	// The page capacity bound depends on the format and, for v2, on the
 	// input's id span: v2 stores each id as an offset from its page's
-	// minimum, so ids spanning under 2^24 fit 149 a page and arbitrary
-	// 64-bit ids 126, against v1's 73. No page's span exceeds the
-	// input's, so every page fits. A full page is the default, so v2
-	// builds produce proportionally fewer (and larger) partitions; STR
-	// cuts its slabs at whole pages (str.PartitionElements), so n
-	// elements make ceil(n/capacity) of them, all full but the last.
+	// minimum, so ids spanning under 2^8 fit 161 a page, under 2^16 155,
+	// under 2^24 149, and so on by byte width (144, 139, 134, 130) down
+	// to 126 for arbitrary 64-bit ids, against v1's 73. No page's span
+	// exceeds the input's, so every page fits. A full page is the
+	// default, so v2 builds produce proportionally fewer (and larger)
+	// partitions; STR cuts its slabs at whole pages
+	// (str.PartitionElements), so n elements make ceil(n/capacity) of
+	// them, all full but the last.
 	lo, hi := els[0].ID, els[0].ID
 	for i := range els {
 		lo, hi = min(lo, els[i].ID), max(hi, els[i].ID)

@@ -40,8 +40,8 @@ type Options struct {
 	// PageCapacity is the maximum number of elements per object page.
 	// Zero means a full 4 KiB page. It must not exceed the page
 	// capacity: 73 for v1, and for v2 storage.ObjectPageCapacityForSpan
-	// of the input's id span (149 for ids spanning under 2^24, 126 for
-	// arbitrary ids).
+	// of the input's id span (161, 155, 149, 144, 139, 134 or 130 for
+	// ids spanning under 2^8, 2^16, …, 2^56; 126 for arbitrary ids).
 	PageCapacity int
 	// World is the space to partition. The partition cells tile this box
 	// exactly, which is what guarantees the "no empty space" property.
@@ -66,10 +66,12 @@ type Options struct {
 	BarePointers bool
 	// PageFormat selects the object-page layout: v1 (full float64 MBRs,
 	// the original layout) or v2 (per-page reference MBR + quantized u32
-	// cells + ids as offsets from a per-page base: up to 149 elements per
-	// page instead of 73). Zero means storage.DefaultPageFormat. The
-	// format is recorded in the superblock; queries decode per page, so
-	// it never needs to be supplied again at open time.
+	// cells + ids as offsets from a per-page base: 126 to 161 elements
+	// per page by id span instead of 73; see
+	// storage.ObjectPageCapacityForSpan). Zero means
+	// storage.DefaultPageFormat. The format is recorded in the
+	// superblock; queries decode per page, so it never needs to be
+	// supplied again at open time.
 	PageFormat storage.PageFormat
 }
 
@@ -152,8 +154,8 @@ func (ix *Index) PageCounts() (object, metadata, seedInternal int) {
 // kind by rebuilding it. The page is read from the pager, past the pool,
 // so the index stays as cold as OpenFrom leaves it.
 func (ix *Index) MetadataKind() (int, error) {
-	page := make([]byte, storage.PageSize)
-	if err := ix.pool.Pager().ReadPage(ix.metaStart(), page); err != nil {
+	page, err := ix.pool.Pager().ReadPage(ix.metaStart())
+	if err != nil {
 		return 0, err
 	}
 	return int(storage.NewPageReader(page).U8()), nil
@@ -167,7 +169,7 @@ func (ix *Index) Elements() ([]geom.Element, error) {
 	els := make([]geom.Element, 0, ix.count)
 	//lint:ignore ctxcrawl the rebuild's extraction, never on a serving query path
 	for i := range ix.objectPages {
-		page, err := ix.pool.Read(ix.objStart + storage.PageID(i))
+		page, err := ix.pool.ReadInto(ix.objStart+storage.PageID(i), nil)
 		if err != nil {
 			return nil, err
 		}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"cmp"
 	"errors"
 	"math"
@@ -180,11 +181,11 @@ func olderKindPage(tb testing.TB, fixture string) []byte {
 	if err != nil {
 		tb.Fatal(err)
 	}
-	page := make([]byte, storage.PageSize)
-	if err := pager.ReadPage(ix.metaStart(), page); err != nil {
+	page, err := pager.ReadPage(ix.metaStart())
+	if err != nil {
 		tb.Fatal(err)
 	}
-	return page
+	return bytes.Clone(page) // the mapping goes with the pager
 }
 
 func TestDecodeMetaRecordErrors(t *testing.T) {
@@ -534,7 +535,7 @@ func TestWideRefs(t *testing.T) {
 	if meta <= 1<<(16-slotBits) {
 		t.Fatalf("%d metadata pages fit 2-byte refs; grow the fixture", meta)
 	}
-	page, err := pool.Read(ix.metaStart())
+	page, err := pool.ReadInto(ix.metaStart(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}

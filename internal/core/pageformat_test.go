@@ -171,7 +171,7 @@ func TestPersistV2RoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer mp.Close()
-	pool3 := storage.NewConcurrentPool(mp, 64)
+	pool3 := storage.NewConcurrentPool(mp, 0)
 	ix3, err := openLast(pool3)
 	if err != nil {
 		t.Fatal(err)
@@ -217,7 +217,7 @@ func TestSuperblockVersionPerFormat(t *testing.T) {
 			t.Fatal(err)
 		}
 		super := storage.PageID(pool.Pager().NumPages() - 1)
-		page, err := pool.Read(super)
+		page, err := pool.ReadInto(super, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -245,7 +245,7 @@ func TestOpenRejectsUnknownFormats(t *testing.T) {
 		t.Fatal(err)
 	}
 	super := storage.PageID(pool.Pager().NumPages() - 1)
-	page, err := pool.Read(super)
+	page, err := pool.ReadInto(super, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

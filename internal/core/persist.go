@@ -82,7 +82,7 @@ func (ix *Index) WriteSuper() error {
 // them (they are measurement metadata, not persisted per page).
 func OpenFrom(pool storage.Pool, super storage.PageID) (*Index, error) {
 	pager := pool.Pager()
-	page, err := pool.Read(super)
+	page, err := pool.ReadInto(super, nil)
 	if err != nil {
 		return nil, err
 	}

@@ -170,7 +170,7 @@ func superblockFixture(t testing.TB) (*storage.ConcurrentPool, storage.PageID, [
 		t.Fatal(err)
 	}
 	super := storage.PageID(pool.Pager().NumPages() - 1)
-	page, err := pool.Read(super)
+	page, err := pool.ReadInto(super, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

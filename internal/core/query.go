@@ -484,7 +484,7 @@ func (ix *Index) Records(fn func(Record) error) error {
 	for len(stack) > 0 {
 		it := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
-		page, err := ix.pool.Read(it.page)
+		page, err := ix.pool.ReadInto(it.page, nil)
 		if err != nil {
 			return err
 		}

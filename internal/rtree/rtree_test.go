@@ -337,7 +337,7 @@ func TestBuildAbove(t *testing.T) {
 		t.Errorf("internal pages = %d, want >= 4", pages)
 	}
 	// Root must be an internal node covering everything.
-	page, err := pool.Read(root)
+	page, err := pool.ReadInto(root, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

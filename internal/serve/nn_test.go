@@ -149,7 +149,7 @@ func TestNNOverWireReadsFewerPages(t *testing.T) {
 // connection must stay usable for the next request.
 func TestNNCancelMidStream(t *testing.T) {
 	els := testElements(60000, 9)
-	sx, err := flat.Build(els, &flat.Options{Shards: 2, BufferPages: 64})
+	sx, err := flat.Build(els, &flat.Options{Shards: 2})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -239,10 +239,7 @@ func TestRangeStreamMatchesDirectQuery(t *testing.T) {
 // not race the crawl.
 func TestDisconnectCancelsCrawl(t *testing.T) {
 	els := testElements(80000, 2)
-	// A small shared cache keeps every crawl reading real pages (with an
-	// unbounded cache the second crawl would be all hits and report zero
-	// reads, hiding the difference this test measures).
-	sx, err := flat.Build(els, &flat.Options{Shards: 2, BufferPages: 64})
+	sx, err := flat.Build(els, &flat.Options{Shards: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -269,6 +266,13 @@ func TestDisconnectCancelsCrawl(t *testing.T) {
 	fullReads := s.pagesRead.Load()
 	if fullReads == 0 {
 		t.Fatal("baseline query recorded no page reads")
+	}
+	// Both crawls start cold: a warm second crawl would be all hits and
+	// report zero reads, hiding the difference this test measures.
+	waitFor(t, 10*time.Second, func() bool { return s.adm.inflight() == 0 },
+		"baseline query still holds its admission slot")
+	if err := sx.DropCache(); err != nil {
+		t.Fatal(err)
 	}
 
 	// Aborted run: read one element, then drop the connection cold.
@@ -307,10 +311,10 @@ func TestDisconnectCancelsCrawl(t *testing.T) {
 // control: with a budget of N=2, two stalled streams hold the slots, a
 // third query is rejected with a wire-mapped flat.ErrBusy, and the two
 // in-flight streams still drain to completion afterwards on the shared
-// page-cache budget.
+// page cache.
 func TestAdmissionRejectsOverBudget(t *testing.T) {
 	els := testElements(40000, 3)
-	sx, err := flat.Build(els, &flat.Options{Shards: 2, BufferPages: 64})
+	sx, err := flat.Build(els, &flat.Options{Shards: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -382,7 +386,7 @@ func TestAdmissionRejectsOverBudget(t *testing.T) {
 
 func TestCancelFrameStopsStream(t *testing.T) {
 	els := testElements(40000, 4)
-	sx, err := flat.Build(els, &flat.Options{Shards: 2, BufferPages: 64})
+	sx, err := flat.Build(els, &flat.Options{Shards: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -425,7 +429,7 @@ func TestCancelFrameStopsStream(t *testing.T) {
 
 func TestClientContextCancelAbandonsStream(t *testing.T) {
 	els := testElements(40000, 5)
-	sx, err := flat.Build(els, &flat.Options{Shards: 2, BufferPages: 64})
+	sx, err := flat.Build(els, &flat.Options{Shards: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -467,7 +471,7 @@ func TestClientContextCancelAbandonsStream(t *testing.T) {
 
 func TestPerConnectionQueryLimit(t *testing.T) {
 	els := testElements(40000, 6)
-	sx, err := flat.Build(els, &flat.Options{Shards: 2, BufferPages: 64})
+	sx, err := flat.Build(els, &flat.Options{Shards: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -534,7 +538,7 @@ func TestPerConnectionQueryLimit(t *testing.T) {
 // streams on undisturbed and a msgCancel for the id still stops it.
 func TestDuplicateRequestIDRefused(t *testing.T) {
 	els := testElements(40000, 12)
-	sx, err := flat.Build(els, &flat.Options{Shards: 2, BufferPages: 64})
+	sx, err := flat.Build(els, &flat.Options{Shards: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -751,7 +755,7 @@ func TestRebuildOverWire(t *testing.T) {
 
 func TestShutdownDrainsAndRefuses(t *testing.T) {
 	els := testElements(40000, 10)
-	sx, err := flat.Build(els, &flat.Options{Shards: 2, BufferPages: 64})
+	sx, err := flat.Build(els, &flat.Options{Shards: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -902,7 +906,7 @@ func TestDialTimesOutOnSilentPeer(t *testing.T) {
 // streams, counts, cancels, stats — to give the race detector surface.
 func TestConcurrentMixedLoad(t *testing.T) {
 	els := testElements(20000, 12)
-	sx, err := flat.Build(els, &flat.Options{Shards: 4, BufferPages: 128})
+	sx, err := flat.Build(els, &flat.Options{Shards: 4})
 	if err != nil {
 		t.Fatal(err)
 	}

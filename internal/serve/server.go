@@ -82,7 +82,6 @@ type ServerStats struct {
 	MaxInflight int
 	Counters    Counters
 	CachePages  int              // resident pages in the shared page cache
-	CacheCap    int              // page-cache capacity (0: unbounded)
 	Delta       *flat.DeltaStats `json:",omitempty"`
 }
 
@@ -229,8 +228,8 @@ func (s *Server) Stats() ServerStats {
 		Inflight:    s.adm.inflight(),
 		MaxInflight: s.adm.capacity(),
 		Counters:    s.counters(),
+		CachePages:  s.ix.CacheStats(),
 	}
-	st.CachePages, st.CacheCap = s.ix.CacheStats()
 	if d, err := s.ix.DeltaStats(); err == nil {
 		st.Delta = &d
 	}

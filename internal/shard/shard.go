@@ -24,9 +24,8 @@
 // pin down.
 //
 // Storage is shard-aware but the cache is global: every shard's page
-// file hangs behind one storage.MultiPager, and one budgeted
-// storage.ConcurrentPool serves them all, so cache memory is bounded
-// for the whole sharded index rather than per shard.
+// file hangs behind one storage.MultiPager, and one
+// storage.ConcurrentPool serves them all.
 //
 // Sharding also shrinks the rebuild unit: updates are staged on the
 // side and folded in by re-bulkloading only the shards they touch,
@@ -87,10 +86,6 @@ type Config struct {
 	// Dir, when non-empty, stores the index on disk: one page file per
 	// shard plus a manifest, all under this directory.
 	Dir string
-	// BufferPages bounds the page cache shared by every shard
-	// (<= 0: unbounded). The budget is global: K shards together hold at
-	// most this many cached frames.
-	BufferPages int
 	// WAL enables the write-ahead log of the staged-update write path
 	// (requires Dir): every StageInsert/StageDelete is appended to a log
 	// in the index directory before it mutates memory, and reopening the
@@ -328,9 +323,9 @@ func Build(els []geom.Element, cfg Config) (*Set, error) {
 		gc()
 	}
 
-	// Serve every shard from one shared, globally budgeted pool. The
-	// per-shard build pools are discarded, so the set starts cold.
-	pool := storage.NewConcurrentPool(multi, cfg.BufferPages)
+	// Serve every shard from one shared pool. The per-shard build pools
+	// are discarded, so the set starts cold.
+	pool := storage.NewConcurrentPool(multi, 0)
 	for s, ix := range built {
 		built[s] = ix.WithPool(pool)
 	}
@@ -449,8 +444,6 @@ func discardShards(dir string, gen uint64, pagers []storage.Pager) {
 
 // OpenOptions configures OpenSet.
 type OpenOptions struct {
-	// BufferPages bounds the shared page cache as in Config.
-	BufferPages int
 	// Mmap is reserved and has no effect: every committed shard file is
 	// served through its read-only mapping (storage.OpenMmapPager; on
 	// platforms without one, the file read into memory once).
@@ -541,7 +534,7 @@ func OpenSet(dir string, opts OpenOptions) (*Set, error) {
 		closeAll()
 		return nil, err
 	}
-	pool := storage.NewConcurrentPool(multi, opts.BufferPages)
+	pool := storage.NewConcurrentPool(multi, 0)
 	for s, ix := range g.shards {
 		g.shards[s] = ix.WithPool(pool)
 	}
@@ -712,7 +705,11 @@ func (s *Set) DropCache() { s.pool.DropFrames() }
 
 // Close releases every shard's storage. A write-ahead log is synced
 // before it is closed, so a clean close acknowledges everything staged
-// (an unclean one keeps what the last Flush acknowledged).
+// (an unclean one keeps what the last Flush acknowledged). Every cached
+// frame is dropped before the pagers close, as Rebuild does before its
+// swap: a frame of a mapped shard aliases the mapping, so a query after
+// Close misses and gets the closed pager's error instead of touching
+// unmapped memory.
 func (s *Set) Close() error {
 	s.pmu.Lock()
 	var werr error
@@ -724,6 +721,7 @@ func (s *Set) Close() error {
 		s.wal = nil
 	}
 	s.pmu.Unlock()
+	s.pool.DropFrames()
 	if err := s.multi.Close(); err != nil {
 		return err
 	}

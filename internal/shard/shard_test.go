@@ -287,13 +287,13 @@ func testSingleShardParity(t *testing.T, fanout int, format storage.PageFormat) 
 	if sub.NumPages() != refPager.NumPages() {
 		t.Fatalf("page counts differ: sharded %d, reference %d", sub.NumPages(), refPager.NumPages())
 	}
-	a := make([]byte, storage.PageSize)
-	b := make([]byte, storage.PageSize)
 	for id := uint64(0); id < refPager.NumPages(); id++ {
-		if err := refPager.ReadPage(storage.PageID(id), a); err != nil {
+		a, err := refPager.ReadPage(storage.PageID(id))
+		if err != nil {
 			t.Fatal(err)
 		}
-		if err := sub.ReadPage(storage.PageID(id), b); err != nil {
+		b, err := sub.ReadPage(storage.PageID(id))
+		if err != nil {
 			t.Fatal(err)
 		}
 		if !bytes.Equal(a, b) {
@@ -608,31 +608,6 @@ func TestShardedDiskRoundTrip(t *testing.T) {
 	}
 }
 
-// TestSharedCacheBudgetIsGlobal asserts that the BufferPages budget
-// bounds the cache across all shards together, not per shard.
-func TestSharedCacheBudgetIsGlobal(t *testing.T) {
-	r := rand.New(rand.NewSource(15))
-	els := randomElements(r, 4000)
-	const budget = 96
-	set, err := Build(els, Config{Shards: 4, PageCapacity: 16, BufferPages: budget})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer set.Close()
-	if got := set.Pool().Capacity(); got != budget {
-		t.Fatalf("shared pool capacity = %d, want %d", got, budget)
-	}
-	// Query broadly to touch many pages in every shard.
-	for _, q := range testQueries(r, 40) {
-		countStream(t, set, context.Background(), q)
-	}
-	// The lock-striped pool enforces its budget per stripe (min one
-	// frame each), so allow the documented slack above the budget.
-	if n := set.Pool().Len(); n > budget+64 {
-		t.Errorf("shared cache holds %d frames, budget %d (+64 stripe slack)", n, budget)
-	}
-}
-
 func TestPruneDirectory(t *testing.T) {
 	// Two well-separated clusters: queries inside one cluster must prune
 	// the other cluster's shards.
@@ -777,6 +752,39 @@ func TestRunBatchFirstErrorDeterministic(t *testing.T) {
 			if !ok {
 				t.Fatalf("trial %d: job %d never ran", trial, s)
 			}
+		}
+	}
+}
+
+// TestQueryAfterClose pins that Close leaves no cached page behind for
+// a later query to touch: a frame of a mapped shard aliases the file's
+// mapping, which Close unmaps, so a query after Close must miss and get
+// the closed pager's error rather than fault. The memory set answers
+// the same way.
+func TestQueryAfterClose(t *testing.T) {
+	r := rand.New(rand.NewSource(43))
+	els := randomElements(r, 3000)
+	for _, dir := range []string{filepath.Join(t.TempDir(), "idx"), ""} {
+		set, err := Build(append([]geom.Element(nil), els...), Config{Shards: 2, PageCapacity: 16, Dir: dir})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, q := range testQueries(r, 5) {
+			countStream(t, set, context.Background(), q)
+		}
+		countStream(t, set, context.Background(), set.World())
+		if set.Pool().Len() == 0 {
+			t.Fatal("queries cached no page")
+		}
+		if err := set.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if n := set.Pool().Len(); n != 0 {
+			t.Errorf("dir %q: %d frames cached after Close", dir, n)
+		}
+		_, err = set.StreamQuery(context.Background(), set.World(), StreamOptions{}, func(geom.Element) bool { return true })
+		if err == nil {
+			t.Errorf("dir %q: a query after Close succeeded", dir)
 		}
 	}
 }

@@ -3,6 +3,7 @@ package storage
 import (
 	"bytes"
 	"fmt"
+	"path/filepath"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -65,8 +66,8 @@ func TestConcurrentPoolBasics(t *testing.T) {
 	if pool.Len() != 1 {
 		t.Fatalf("Len = %d, want 1", pool.Len())
 	}
-	// Read is ReadInto without a tally.
-	if _, err := pool.Read(4); err != nil {
+	// A nil tally caches the page and counts nothing.
+	if _, err := pool.ReadInto(4, nil); err != nil {
 		t.Fatalf("read: %v", err)
 	}
 	if tally.TotalReads() != 1 || pool.Len() != 2 {
@@ -119,7 +120,7 @@ func TestConcurrentPoolWriteReplacesFrame(t *testing.T) {
 	pager := fillPager(t, 2, CatObject)
 	pool := NewConcurrentPool(pager, 0)
 
-	before, err := pool.Read(0)
+	before, err := pool.ReadInto(0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,7 +135,7 @@ func TestConcurrentPoolWriteReplacesFrame(t *testing.T) {
 	if before[0] != 0 {
 		t.Errorf("old snapshot mutated: %x", before[0])
 	}
-	after, err := pool.Read(0)
+	after, err := pool.ReadInto(0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -150,30 +151,11 @@ func TestConcurrentPoolShortWriteError(t *testing.T) {
 		t.Fatal("short write must return an error, not panic")
 	}
 	// The cached-frame branch must validate too.
-	if _, err := pool.Read(0); err != nil {
+	if _, err := pool.ReadInto(0, nil); err != nil {
 		t.Fatal(err)
 	}
 	if err := pool.Write(0, make([]byte, 7)); err == nil {
 		t.Fatal("short write on cached page must return an error")
-	}
-}
-
-func TestConcurrentPoolBounded(t *testing.T) {
-	const pages = 512
-	pager := fillPager(t, pages, CatObject)
-	pool := NewConcurrentPool(pager, 128)
-	var tally Stats
-	for id := 0; id < pages; id++ {
-		readInto(t, pool, PageID(id), &tally)
-	}
-	// The budget is enforced per shard; the total may run slightly under
-	// the configured capacity for skewed id sets but never over
-	// max(capacity, poolShards).
-	if n := pool.Len(); n > 128 {
-		t.Fatalf("bounded pool holds %d frames, budget 128", n)
-	}
-	if got := tally.Reads[CatObject]; got != pages {
-		t.Fatalf("reads = %d, want %d", got, pages)
 	}
 }
 
@@ -184,19 +166,38 @@ type countingPager struct {
 	fetches atomic.Uint64
 }
 
-func (p *countingPager) ReadPage(id PageID, dst []byte) error {
+func (p *countingPager) ReadPage(id PageID) ([]byte, error) {
 	p.fetches.Add(1)
-	return p.Pager.ReadPage(id, dst)
+	return p.Pager.ReadPage(id)
 }
 
-// TestConcurrentPoolParallel hammers one pool from many goroutines and
-// verifies (under -race) that every read returns the right bytes and
-// that the goroutines' own tallies sum to the misses performed: every
-// pager fetch is charged to exactly one caller.
+// TestConcurrentPoolParallel hammers one pool from many goroutines while
+// another keeps dropping frames, all or by id, and verifies (under
+// -race) that every read returns the right bytes and that the readers'
+// own tallies sum to the misses performed: every pager fetch is charged
+// to exactly one caller.
 func TestConcurrentPoolParallel(t *testing.T) {
 	const pages = 200
 	pager := &countingPager{Pager: fillPager(t, pages, CatObject)}
-	pool := NewConcurrentPool(pager, 64) // bounded: force constant eviction
+	pool := NewConcurrentPool(pager, 0)
+
+	stop := make(chan struct{})
+	dropped := make(chan struct{})
+	go func() {
+		defer close(dropped)
+		for i := 0; ; i++ {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			if i%2 == 0 {
+				pool.DropFrames()
+			} else {
+				pool.DropFramesIf(func(id PageID) bool { return id%3 == PageID(i%3) })
+			}
+		}
+	}()
 
 	var wg sync.WaitGroup
 	const workers = 8
@@ -225,6 +226,8 @@ func TestConcurrentPoolParallel(t *testing.T) {
 		}(w)
 	}
 	wg.Wait()
+	close(stop)
+	<-dropped
 	for _, err := range errs {
 		if err != nil {
 			t.Fatal(err)
@@ -236,35 +239,6 @@ func TestConcurrentPoolParallel(t *testing.T) {
 	}
 	if fetched := pager.fetches.Load(); fetched != localSum || fetched < pages {
 		t.Errorf("pager served %d fetches, the callers' tallies sum to %d", fetched, localSum)
-	}
-}
-
-// TestConcurrentPoolLRUWithinStripe pins the eviction order the pool
-// does promise: least recently used first among the pages of one stripe.
-// Pages 0, 64 and 128 share a stripe, and a budget of 128 gives every
-// stripe two frames.
-func TestConcurrentPoolLRUWithinStripe(t *testing.T) {
-	pager := fillPager(t, 2*poolShards+1, CatObject)
-	pool := NewConcurrentPool(pager, 2*poolShards)
-	a, b, c := PageID(0), PageID(poolShards), PageID(2*poolShards)
-	pool.Read(a)
-	pool.Read(b)
-	pool.Read(a) // a is now MRU
-	pool.Read(c) // evicts b
-	if pool.Len() != 2 {
-		t.Errorf("Len = %d, want 2", pool.Len())
-	}
-	// a and c are still cached — re-reading them is free — and b was
-	// evicted: re-reading it is a miss again.
-	var tally Stats
-	readInto(t, pool, a, &tally)
-	readInto(t, pool, c, &tally)
-	if got := tally.TotalReads(); got != 0 {
-		t.Errorf("pages a and c should still be cached: %d reads", got)
-	}
-	readInto(t, pool, b, &tally)
-	if got := tally.TotalReads(); got != 1 {
-		t.Errorf("evicted page re-read not counted")
 	}
 }
 
@@ -301,8 +275,8 @@ func TestConcurrentPoolWriteThrough(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Underlying pager sees the bytes.
-	dst := make([]byte, PageSize)
-	if err := p.ReadPage(id, dst); err != nil {
+	dst, err := p.ReadPage(id)
+	if err != nil {
 		t.Fatal(err)
 	}
 	if dst[5] != 42 {
@@ -338,7 +312,75 @@ func TestConcurrentPoolWriteThrough(t *testing.T) {
 
 func TestConcurrentPoolReadError(t *testing.T) {
 	pool := NewConcurrentPool(NewMemPager(), 0)
-	if _, err := pool.Read(123); err == nil {
+	if _, err := pool.ReadInto(123, nil); err == nil {
 		t.Error("reading unallocated page should fail")
+	}
+}
+
+// TestConcurrentPoolCopiesNothing pins what a miss costs: after one warm
+// pass over a page set, dropping every frame and re-reading the same
+// pages cold allocates nothing, over a MemPager and over a mapping, and
+// every page the pool returns is the pager's own bytes.
+func TestConcurrentPoolCopiesNothing(t *testing.T) {
+	const pages = 300
+	mem := fillPager(t, pages, CatObject)
+	path := filepath.Join(t.TempDir(), "pages.flat")
+	fp, err := CreateFilePager(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for id := PageID(0); id < pages; id++ {
+		page, err := mem.ReadPage(id)
+		if err == nil {
+			_, err = fp.Alloc(CatObject)
+		}
+		if err == nil {
+			err = fp.WritePage(id, page)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := fp.Close(); err != nil {
+		t.Fatal(err)
+	}
+	mapped, err := OpenMmapPager(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer mapped.Close()
+
+	for _, tc := range []struct {
+		name  string
+		pager Pager
+	}{{"mem", mem}, {"mmap", mapped}} {
+		t.Run(tc.name, func(t *testing.T) {
+			pool := NewConcurrentPool(tc.pager, 0)
+			var tally Stats
+			for id := PageID(0); id < pages; id++ {
+				got := readInto(t, pool, id, &tally)
+				own, err := tc.pager.ReadPage(id)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if &got[0] != &own[0] || len(got) != PageSize || got[0] != byte(id) {
+					t.Fatalf("page %d: the pool returned a copy or the wrong bytes", id)
+				}
+			}
+			cold := func() {
+				pool.DropFrames()
+				for id := PageID(0); id < pages; id++ {
+					if _, err := pool.ReadInto(id, &tally); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+			if allocs := testing.AllocsPerRun(10, cold); allocs != 0 {
+				t.Errorf("a cold re-read of %d pages allocated %.1f times, want 0", pages, allocs)
+			}
+			if want := uint64(pages * 12); tally.TotalReads() != want {
+				t.Errorf("tally = %d misses, want %d (one per page per pass)", tally.TotalReads(), want)
+			}
+		})
 	}
 }

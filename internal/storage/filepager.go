@@ -43,24 +43,22 @@ func (p *FilePager) Alloc(cat Category) (PageID, error) {
 	return id, nil
 }
 
-// ReadPage implements Pager.
-func (p *FilePager) ReadPage(id PageID, dst []byte) error {
-	if err := checkBuf(dst, "read"); err != nil {
-		return err
-	}
+// ReadPage implements Pager: it reads the page into a new buffer.
+func (p *FilePager) ReadPage(id PageID) ([]byte, error) {
 	if uint64(id) >= p.n {
-		return ErrPageOutOfRange
+		return nil, ErrPageOutOfRange
 	}
-	n, err := p.f.ReadAt(dst[:PageSize], int64(id)*PageSize)
+	dst := make([]byte, PageSize)
+	_, err := p.f.ReadAt(dst, int64(id)*PageSize)
 	if errors.Is(err, io.EOF) {
-		// Allocated but past the end of the file: never written.
-		clear(dst[n:PageSize])
+		// Allocated but past the end of the file: never written, so the
+		// rest of dst stays zero.
 		err = nil
 	}
 	if err != nil {
-		return fmt.Errorf("storage: read page %d: %w", id, err)
+		return nil, fmt.Errorf("storage: read page %d: %w", id, err)
 	}
-	return nil
+	return dst, nil
 }
 
 // WritePage implements Pager.

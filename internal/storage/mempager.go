@@ -1,10 +1,16 @@
 package storage
 
+import "bytes"
+
 // MemPager is an in-memory Pager. It is the default substrate for tests
 // and for the benchmark harness: the paper's metric is page reads, which
 // the pool counts identically regardless of whether the bytes come
 // from memory or a file, and an in-memory backing keeps the density sweeps
 // fast and deterministic.
+//
+// Each written page is its own slice, which ReadPage hands out as is:
+// WritePage installs a fresh slice rather than overwriting the stored
+// one, so a page read earlier keeps its bytes.
 type MemPager struct {
 	pages [][]byte
 	cats  []Category
@@ -13,23 +19,24 @@ type MemPager struct {
 // NewMemPager returns an empty in-memory pager.
 func NewMemPager() *MemPager { return &MemPager{} }
 
-// Alloc implements Pager.
+// Alloc implements Pager. The page takes no memory until it is
+// written.
 func (m *MemPager) Alloc(cat Category) (PageID, error) {
-	m.pages = append(m.pages, make([]byte, PageSize))
+	m.pages = append(m.pages, nil)
 	m.cats = append(m.cats, cat)
 	return PageID(len(m.pages) - 1), nil
 }
 
-// ReadPage implements Pager.
-func (m *MemPager) ReadPage(id PageID, dst []byte) error {
-	if err := checkBuf(dst, "read"); err != nil {
-		return err
-	}
+// ReadPage implements Pager: it returns the page's stored slice, or
+// a fresh zeroed page if the page was never written.
+func (m *MemPager) ReadPage(id PageID) ([]byte, error) {
 	if uint64(id) >= uint64(len(m.pages)) {
-		return ErrPageOutOfRange
+		return nil, ErrPageOutOfRange
 	}
-	copy(dst[:PageSize], m.pages[id])
-	return nil
+	if m.pages[id] == nil {
+		return make([]byte, PageSize), nil
+	}
+	return m.pages[id], nil
 }
 
 // WritePage implements Pager.
@@ -40,7 +47,7 @@ func (m *MemPager) WritePage(id PageID, src []byte) error {
 	if uint64(id) >= uint64(len(m.pages)) {
 		return ErrPageOutOfRange
 	}
-	copy(m.pages[id], src[:PageSize])
+	m.pages[id] = bytes.Clone(src[:PageSize])
 	return nil
 }
 

@@ -8,7 +8,7 @@ import (
 )
 
 // mapFile is the portable fallback: read the whole file into memory
-// once. Frame slices alias this buffer, preserving the zero-copy
+// once. ReadPage slices alias this buffer, preserving the zero-copy
 // contract of the Linux mapping at the cost of resident memory.
 func mapFile(f *os.File, size int64) ([]byte, func() error, error) {
 	data := make([]byte, size)

@@ -9,19 +9,19 @@ import (
 // ErrReadOnlyPager is returned by mutation methods of read-only pagers.
 var ErrReadOnlyPager = errors.New("storage: pager is read-only")
 
+// ErrPagerClosed is returned by MmapPager.ReadPage after Close.
+var ErrPagerClosed = errors.New("storage: pager is closed")
+
 // MmapPager is a read-only Pager over a memory-mapped index file, and
 // the one pager a committed shard file is served through. Page
 // categories are kept in memory, restored by the open path via
-// SetCategory. ReadPage copies out of the mapping, and the Frame method
-// lets the buffer pools alias mapped pages with no copy at all. Alloc
-// and WritePage fail with ErrReadOnlyPager; serving indexes are
-// bulkloaded and immutable.
+// SetCategory. ReadPage returns a slice aliasing the mapping, copying
+// nothing; it is valid until Close. Alloc and WritePage fail with
+// ErrReadOnlyPager; serving indexes are bulkloaded and immutable.
 //
 // On Linux the file is mapped with syscall.Mmap (PROT_READ, MAP_SHARED);
 // elsewhere a portable fallback reads the whole file into memory once,
-// preserving the zero-copy Frame contract at the cost of resident
-// memory. Frames returned by Frame must be treated as immutable — they
-// point into the mapping.
+// preserving the zero-copy contract at the cost of resident memory.
 type MmapPager struct {
 	data  []byte
 	pages uint64
@@ -64,22 +64,13 @@ func (p *MmapPager) Alloc(Category) (PageID, error) { return InvalidPage, ErrRea
 // WritePage fails: the pager is read-only.
 func (p *MmapPager) WritePage(PageID, []byte) error { return ErrReadOnlyPager }
 
-// ReadPage copies page id out of the mapping into dst.
-func (p *MmapPager) ReadPage(id PageID, dst []byte) error {
-	if err := checkBuf(dst, "read"); err != nil {
-		return err
+// ReadPage returns the mapped bytes of page id without copying. The
+// slice aliases the mapping: read-only, valid until Close. A closed
+// pager returns ErrPagerClosed.
+func (p *MmapPager) ReadPage(id PageID) ([]byte, error) {
+	if p.unmap == nil {
+		return nil, ErrPagerClosed
 	}
-	b, err := p.Frame(id)
-	if err != nil {
-		return err
-	}
-	copy(dst[:PageSize], b)
-	return nil
-}
-
-// Frame returns the mapped bytes of page id without copying. The slice
-// aliases the mapping: read-only, valid until Close.
-func (p *MmapPager) Frame(id PageID) ([]byte, error) {
 	if uint64(id) >= p.pages {
 		return nil, fmt.Errorf("%w: %d >= %d", ErrPageOutOfRange, id, p.pages)
 	}
@@ -109,7 +100,7 @@ func (p *MmapPager) NumPages() uint64 { return p.pages }
 // Sync is a no-op success: a read-only mapping has nothing to flush.
 func (p *MmapPager) Sync() error { return nil }
 
-// Close unmaps the file. Frames handed out earlier become invalid.
+// Close unmaps the file. Pages handed out earlier become invalid.
 func (p *MmapPager) Close() error {
 	if p.unmap == nil {
 		return nil
@@ -122,5 +113,4 @@ func (p *MmapPager) Close() error {
 var (
 	_ Pager          = (*MmapPager)(nil)
 	_ CategorySetter = (*MmapPager)(nil)
-	_ FramePager     = (*MmapPager)(nil)
 )

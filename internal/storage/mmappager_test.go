@@ -48,37 +48,32 @@ func TestMmapPagerReadsAndFrames(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer mp.Close()
 	if mp.NumPages() != 5 {
 		t.Fatalf("NumPages = %d, want 5", mp.NumPages())
 	}
-	dst := make([]byte, storage.PageSize)
 	for i, want := range contents {
 		id := storage.PageID(i)
-		if err := mp.ReadPage(id, dst); err != nil {
-			t.Fatal(err)
-		}
-		if string(dst) != string(want) {
-			t.Fatalf("page %d content mismatch via ReadPage", i)
-		}
-		fr, err := mp.Frame(id)
+		fr, err := mp.ReadPage(id)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(fr) != storage.PageSize || string(fr) != string(want) {
-			t.Fatalf("page %d content mismatch via Frame", i)
+		if len(fr) != storage.PageSize || cap(fr) != storage.PageSize || string(fr) != string(want) {
+			t.Fatalf("page %d content mismatch", i)
 		}
-		// Frames alias the mapping: two calls return the same memory.
-		fr2, _ := mp.Frame(id)
+		// Pages alias the mapping: two reads return the same memory.
+		fr2, _ := mp.ReadPage(id)
 		if &fr[0] != &fr2[0] {
-			t.Fatal("Frame returned a copy, not an alias")
+			t.Fatal("ReadPage returned a copy, not an alias")
 		}
 	}
-	if _, err := mp.Frame(5); !errors.Is(err, storage.ErrPageOutOfRange) {
-		t.Fatalf("out-of-range Frame: %v", err)
-	}
-	if err := mp.ReadPage(5, dst); !errors.Is(err, storage.ErrPageOutOfRange) {
+	if _, err := mp.ReadPage(5); !errors.Is(err, storage.ErrPageOutOfRange) {
 		t.Fatalf("out-of-range ReadPage: %v", err)
+	}
+	if err := mp.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := mp.ReadPage(0); !errors.Is(err, storage.ErrPagerClosed) {
+		t.Fatalf("ReadPage after Close: %v", err)
 	}
 }
 
@@ -145,9 +140,9 @@ func TestMmapPagerBadSizes(t *testing.T) {
 	}
 }
 
-// TestPoolOverMmap verifies the pool serves mmap-backed pages through
-// the zero-copy frame path with the usual read accounting, and that the
-// cached frame is the mapping itself, not a copy.
+// TestPoolOverMmap verifies the pool serves mmap-backed pages with the
+// usual read accounting, and that the cached frame is the mapping
+// itself, not a copy.
 func TestPoolOverMmap(t *testing.T) {
 	path, contents := writeTestFile(t, 4)
 	mp, err := storage.OpenMmapPager(path)
@@ -157,7 +152,7 @@ func TestPoolOverMmap(t *testing.T) {
 	defer mp.Close()
 	mp.SetCategory(2, storage.CatObject)
 
-	pool := storage.NewConcurrentPool(mp, 2)
+	pool := storage.NewConcurrentPool(mp, 0)
 	var local storage.Stats
 	got, err := pool.ReadInto(2, &local)
 	if err != nil {
@@ -166,9 +161,9 @@ func TestPoolOverMmap(t *testing.T) {
 	if string(got) != string(contents[2]) {
 		t.Fatal("pool read content mismatch")
 	}
-	fr, _ := mp.Frame(2)
+	fr, _ := mp.ReadPage(2)
 	if &got[0] != &fr[0] {
-		t.Fatal("pool copied an mmap frame instead of aliasing it")
+		t.Fatal("pool copied an mmap page instead of aliasing it")
 	}
 	if local.Reads[storage.CatObject] != 1 {
 		t.Fatalf("tally after miss: %+v", local)
@@ -183,15 +178,16 @@ func TestPoolOverMmap(t *testing.T) {
 		t.Fatalf("pool write over mmap: %v", err)
 	}
 	// The failed write must not have clobbered the cached (aliased) frame.
-	again, _ := pool.Read(2)
+	again, _ := pool.ReadInto(2, nil)
 	if string(again) != string(contents[2]) {
 		t.Fatal("failed write corrupted the cached frame")
 	}
 }
 
-// TestShardViewFrameForwarding checks Frame and SetCategory forwarding
-// through the router — as a one-shard view and over several shards,
-// including the mixed case where only some shards are frame-capable.
+// TestShardViewFrameForwarding checks ReadPage and SetCategory
+// forwarding through the router — as a one-shard view and over several
+// shards, one mapped and one in memory — and that the page read through
+// it is the sub-pager's own, not a copy.
 func TestShardViewFrameForwarding(t *testing.T) {
 	path, contents := writeTestFile(t, 2)
 	mp, err := storage.OpenMmapPager(path)
@@ -203,20 +199,36 @@ func TestShardViewFrameForwarding(t *testing.T) {
 	if _, err := mem.Alloc(storage.CatObject); err != nil {
 		t.Fatal(err)
 	}
+	memPage := make([]byte, storage.PageSize)
+	memPage[0] = 'M'
+	if err := mem.WritePage(0, memPage); err != nil {
+		t.Fatal(err)
+	}
+	same := func(via storage.Pager, id storage.PageID, sub storage.Pager, local storage.PageID) []byte {
+		t.Helper()
+		got, err := via.ReadPage(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		own, err := sub.ReadPage(local)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if &got[0] != &own[0] {
+			t.Fatalf("page %x read through the router is a copy", id)
+		}
+		return got
+	}
 
 	view1, err := storage.NewShardView(mp, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	fr, err := view1.Frame(storage.ShardPageID(1, 1))
-	if err != nil {
-		t.Fatal(err)
+	if fr := same(view1, storage.ShardPageID(1, 1), mp, 1); string(fr) != string(contents[1]) {
+		t.Fatal("shard view page content mismatch")
 	}
-	if string(fr) != string(contents[1]) {
-		t.Fatal("shard view frame content mismatch")
-	}
-	if _, err := view1.Frame(storage.ShardPageID(0, 1)); !errors.Is(err, storage.ErrPageOutOfRange) {
-		t.Fatalf("foreign shard frame: %v", err)
+	if _, err := view1.ReadPage(storage.ShardPageID(0, 1)); !errors.Is(err, storage.ErrPageOutOfRange) {
+		t.Fatalf("foreign shard read: %v", err)
 	}
 	view1.SetCategory(storage.ShardPageID(1, 1), storage.CatMetadata)
 	view1.SetCategory(storage.ShardPageID(0, 0), storage.CatObject) // foreign shard: dropped
@@ -228,25 +240,21 @@ func TestShardViewFrameForwarding(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := view0.Frame(storage.ShardPageID(0, 0)); !errors.Is(err, storage.ErrNoFrame) {
-		t.Fatalf("mem-backed view frame: %v", err)
+	if fr := same(view0, storage.ShardPageID(0, 0), mem, 0); fr[0] != 'M' {
+		t.Fatal("mem-backed view page content mismatch")
 	}
 
 	multi, err := storage.NewMultiPager([]storage.Pager{mem, mp})
 	if err != nil {
 		t.Fatal(err)
 	}
-	fr, err = multi.Frame(storage.ShardPageID(1, 0))
-	if err != nil {
-		t.Fatal(err)
+	if fr := same(multi, storage.ShardPageID(1, 0), mp, 0); string(fr) != string(contents[0]) {
+		t.Fatal("multi pager page content mismatch")
 	}
-	if string(fr) != string(contents[0]) {
-		t.Fatal("multi pager frame content mismatch")
+	if fr := same(multi, storage.ShardPageID(0, 0), mem, 0); fr[0] != 'M' {
+		t.Fatal("multi pager mem-backed page content mismatch")
 	}
-	if _, err := multi.Frame(storage.ShardPageID(0, 0)); !errors.Is(err, storage.ErrNoFrame) {
-		t.Fatalf("mem-backed shard frame: %v", err)
-	}
-	if _, err := multi.Frame(storage.ShardPageID(7, 0)); !errors.Is(err, storage.ErrPageOutOfRange) {
-		t.Fatalf("unrouted shard frame: %v", err)
+	if _, err := multi.ReadPage(storage.ShardPageID(7, 0)); !errors.Is(err, storage.ErrPageOutOfRange) {
+		t.Fatalf("unrouted shard read: %v", err)
 	}
 }

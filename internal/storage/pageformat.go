@@ -130,9 +130,11 @@ func ObjectPageCapacity(f PageFormat) int {
 }
 
 // ObjectPageCapacityForSpan returns the most elements one object page
-// of format f holds when its ids differ by at most span (max − min id):
-// 149 for v2 at a span below 2^24, down to 126 when the span needs all
-// 8 bytes. v1 stores full ids and always holds 73.
+// of format f holds when its ids differ by at most span (max − min id).
+// For v2 it goes by the span's width in bytes: 161 below 2^8, 155 below
+// 2^16, 149 below 2^24, then 144, 139, 134 and 130 for each further
+// byte, and 126 when the span needs all 8 bytes. v1 stores full ids
+// and always holds 73.
 func ObjectPageCapacityForSpan(f PageFormat, span uint64) int {
 	if f != PageFormatV2 {
 		return ObjectPageCapacity(f)

@@ -11,9 +11,11 @@
 //     served through its mapping (MmapPager, read-only); FilePager
 //     writes it. MultiPager is the one Pager over other
 //     pagers: it routes the shard-tagged id space of a sharded index.
-//     Two optional capabilities ride on a Pager: CategorySetter and
-//     FramePager.
-//   - ConcurrentPool: the one LRU page cache, layered over a Pager.
+//     ReadPage hands out an immutable page: the mapping's own bytes,
+//     MemPager's stored slice, or a fresh buffer from a file. One
+//     optional capability rides on a Pager: CategorySetter.
+//   - ConcurrentPool: the one page cache, layered over a Pager: an
+//     unbounded, lock-striped table of the slices ReadPage returned.
 //     Reads that miss the pool are counted as disk page reads, classified
 //     by the page's allocation category (R-tree leaf, R-tree internal,
 //     FLAT object page, seed-tree node, metadata...) into the Stats the
@@ -70,9 +72,11 @@ type Pager interface {
 	// Alloc appends a new zeroed page tagged with the given category and
 	// returns its id.
 	Alloc(cat Category) (PageID, error)
-	// ReadPage copies the content of page id into dst, which must be at
-	// least PageSize bytes long.
-	ReadPage(id PageID, dst []byte) error
+	// ReadPage returns the content of page id: PageSize bytes the
+	// caller must treat as immutable, which a later WritePage of the
+	// page leaves as they are. A mapped pager's slice is valid until
+	// Close.
+	ReadPage(id PageID) ([]byte, error)
 	// WritePage overwrites page id with src, which must be at least
 	// PageSize bytes long.
 	WritePage(id PageID, src []byte) error
@@ -92,35 +96,6 @@ type Pager interface {
 // memory only), and MultiPager forwards it to the routed sub-pager.
 type CategorySetter interface {
 	SetCategory(id PageID, cat Category)
-}
-
-// FramePager is implemented by pagers that can expose a page's bytes
-// without copying (MmapPager and the MultiPager routing to it). Frame
-// returns a slice aliasing the pager's storage: callers must treat it
-// as immutable and not retain it past Close. Pagers that cannot alias
-// the requested page return ErrNoFrame and callers fall back to
-// ReadPage.
-type FramePager interface {
-	Frame(id PageID) ([]byte, error)
-}
-
-// ErrNoFrame is returned by FramePager implementations that cannot
-// serve the requested page without a copy.
-var ErrNoFrame = errors.New("storage: page has no addressable frame")
-
-// pageFrame returns an aliased frame for page id when pg supports one.
-// Any error means "use ReadPage instead" — out-of-range ids surface
-// their error through that fallback.
-func pageFrame(pg Pager, id PageID) ([]byte, bool) {
-	fp, ok := pg.(FramePager)
-	if !ok {
-		return nil, false
-	}
-	b, err := fp.Frame(id)
-	if err != nil || len(b) < PageSize {
-		return nil, false
-	}
-	return b[:PageSize:PageSize], true
 }
 
 func checkBuf(buf []byte, op string) error {

@@ -40,34 +40,37 @@ func pagerRoundTrip(t *testing.T, p Pager) {
 	if err := p.WritePage(id1, src); err != nil {
 		t.Fatal(err)
 	}
-	dst := make([]byte, PageSize)
-	if err := p.ReadPage(id1, dst); err != nil {
+	dst, err := p.ReadPage(id1)
+	if err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(src, dst) {
 		t.Error("page roundtrip mismatch")
 	}
-	// Fresh pages read back as zeroes.
-	if err := p.ReadPage(id0, dst); err != nil {
+	// The page handed out is immutable: a rewrite leaves it as it was.
+	if err := p.WritePage(id1, make([]byte, PageSize)); err != nil {
 		t.Fatal(err)
 	}
-	for _, b := range dst {
-		if b != 0 {
-			t.Fatal("fresh page not zeroed")
-		}
+	if !bytes.Equal(src, dst) {
+		t.Error("a rewrite changed a page read before it")
+	}
+	// Fresh pages read back as zeroes.
+	fresh, err := p.ReadPage(id0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(fresh, make([]byte, PageSize)) {
+		t.Fatal("fresh page not zeroed")
 	}
 
 	// Out-of-range access fails.
-	if err := p.ReadPage(99, dst); err == nil {
+	if _, err := p.ReadPage(99); err == nil {
 		t.Error("read out of range succeeded")
 	}
 	if err := p.WritePage(99, src); err == nil {
 		t.Error("write out of range succeeded")
 	}
 	// Short buffers fail.
-	if err := p.ReadPage(id0, make([]byte, 10)); err == nil {
-		t.Error("short read buffer accepted")
-	}
 	if err := p.WritePage(id0, make([]byte, 10)); err == nil {
 		t.Error("short write buffer accepted")
 	}
@@ -121,9 +124,9 @@ func TestFilePagerReopen(t *testing.T) {
 	if q.NumPages() != 3 {
 		t.Fatalf("reopened NumPages = %d, want 3", q.NumPages())
 	}
-	dst := make([]byte, PageSize)
 	for i := 0; i < 3; i++ {
-		if err := q.ReadPage(PageID(i), dst); err != nil {
+		dst, err := q.ReadPage(PageID(i))
+		if err != nil {
 			t.Fatal(err)
 		}
 		if dst[0] != byte(i+1) {
@@ -155,8 +158,8 @@ func TestFilePagerUnwrittenPages(t *testing.T) {
 	if err := p.WritePage(1, src); err != nil {
 		t.Fatal(err)
 	}
-	dst := bytes.Repeat([]byte{9}, PageSize)
-	if err := p.ReadPage(2, dst); err != nil {
+	dst, err := p.ReadPage(2)
+	if err != nil {
 		t.Fatalf("read of an allocated page past the end of the file: %v", err)
 	}
 	if !bytes.Equal(dst, make([]byte, PageSize)) {
@@ -178,7 +181,8 @@ func TestFilePagerUnwrittenPages(t *testing.T) {
 		t.Fatalf("reopened NumPages = %d, want 3", q.NumPages())
 	}
 	for id, want := range [][]byte{make([]byte, PageSize), src, make([]byte, PageSize)} {
-		if err := q.ReadPage(PageID(id), dst); err != nil {
+		dst, err := q.ReadPage(PageID(id))
+		if err != nil {
 			t.Fatal(err)
 		}
 		if !bytes.Equal(dst, want) {

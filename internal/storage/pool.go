@@ -14,12 +14,10 @@ type Pool interface {
 	Pager() Pager
 	// Alloc allocates a new zeroed page tagged with the given category.
 	Alloc(cat Category) (PageID, error)
-	// Read returns the content of page id, fetching it from the
-	// underlying pager on a cache miss. The returned slice must be
-	// treated as read-only.
-	Read(id PageID) ([]byte, error)
-	// ReadInto is Read, but additionally tallies a cache miss into
-	// local, which the caller owns exclusively. local may be nil.
+	// ReadInto returns the content of page id, fetching it from the
+	// underlying pager on a cache miss and tallying that miss into
+	// local, which the caller owns exclusively (local may be nil). The
+	// returned slice must be treated as read-only.
 	ReadInto(id PageID, local *Stats) ([]byte, error)
 	// Write stores src as the new content of page id, write-through to
 	// the underlying pager. src must be at least PageSize bytes long.

@@ -6,7 +6,7 @@ import (
 )
 
 // Sharded page addressing. A sharded FLAT index keeps one page file per
-// spatial shard but serves every shard through one budgeted page cache,
+// spatial shard but serves every shard through one page cache,
 // so all shards must share a single PageID space. The space is split by
 // tagging the shard number into the id:
 //
@@ -45,9 +45,8 @@ var ErrMultiPagerAlloc = errors.New("storage: allocate through a shard's view, n
 
 // MultiPager routes the sharded PageID space over per-shard pagers: id
 // bits 47..32 select the sub-pager, the low 32 bits address the page
-// within it. One ConcurrentPool wrapped around a MultiPager gives every
-// shard of a sharded index a share of a single global cache budget —
-// cache memory is bounded for the whole index, not per shard.
+// within it. One ConcurrentPool wrapped around a MultiPager serves every
+// shard of a sharded index from a single cache.
 //
 // A shard's build-time view (NewShardView) is the same router with one
 // routed shard, which is when Alloc works. It returns tagged ids, so an
@@ -121,12 +120,12 @@ func (m *MultiPager) Alloc(cat Category) (PageID, error) {
 }
 
 // ReadPage implements Pager.
-func (m *MultiPager) ReadPage(id PageID, dst []byte) error {
+func (m *MultiPager) ReadPage(id PageID) ([]byte, error) {
 	sub, local, err := m.route(id)
 	if err != nil {
-		return err
+		return nil, err
 	}
-	return sub.ReadPage(local, dst)
+	return sub.ReadPage(local)
 }
 
 // WritePage implements Pager.
@@ -157,20 +156,6 @@ func (m *MultiPager) SetCategory(id PageID, cat Category) {
 	if cs, ok := sub.(CategorySetter); ok {
 		cs.SetCategory(local, cat)
 	}
-}
-
-// Frame implements FramePager, forwarding to the shard's sub-pager when
-// it supports aliased frames (a MemPager shard, or a FilePager one
-// during its build, has none: the pool falls back to ReadPage).
-func (m *MultiPager) Frame(id PageID) ([]byte, error) {
-	sub, local, err := m.route(id)
-	if err != nil {
-		return nil, err
-	}
-	if fp, ok := sub.(FramePager); ok {
-		return fp.Frame(local)
-	}
-	return nil, ErrNoFrame
 }
 
 // Swap replaces the sub-pager serving shard and returns the previous
@@ -232,5 +217,4 @@ func (m *MultiPager) Close() error {
 var (
 	_ Pager          = (*MultiPager)(nil)
 	_ CategorySetter = (*MultiPager)(nil)
-	_ FramePager     = (*MultiPager)(nil)
 )
