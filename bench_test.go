@@ -99,7 +99,6 @@ func benchRTreeWorkload(b *testing.B, s rtree.Strategy, queries []geom.MBR) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		q := queries[i%len(queries)]
-		tree.Pool().DropFrames()
 		n, err := tree.Tally(&reads).CountQuery(q)
 		if err != nil {
 			b.Fatal(err)
@@ -116,7 +115,6 @@ func benchFLATWorkload(b *testing.B, queries []geom.MBR) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		q := queries[i%len(queries)]
-		f.flat.Pool().DropFrames()
 		n, st, err := f.flat.CountQuery(q)
 		if err != nil {
 			b.Fatal(err)
@@ -138,7 +136,6 @@ func BenchmarkFig02PointQuery(b *testing.B) {
 			var reads storage.Stats
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				tree.Pool().DropFrames()
 				if _, err := tree.Tally(&reads).PointQuery(f.points[i%len(f.points)]); err != nil {
 					b.Fatal(err)
 				}
@@ -235,7 +232,6 @@ func BenchmarkFig14SNBreakdown(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		q := f.sn[i%len(f.sn)]
-		f.flat.Pool().DropFrames()
 		_, st, err := f.flat.CountQuery(q)
 		if err != nil {
 			b.Fatal(err)
@@ -258,7 +254,6 @@ func BenchmarkFig18LSSBreakdown(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		q := f.lss[i%len(f.lss)]
-		tree.Pool().DropFrames()
 		if _, err := tree.Tally(&reads).CountQuery(q); err != nil {
 			b.Fatal(err)
 		}
@@ -360,7 +355,6 @@ func BenchmarkFig23OtherQuery(b *testing.B) {
 		var reads uint64
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			fpool.DropFrames()
 			_, st, err := ix.CountQuery(queries[i%len(queries)])
 			if err != nil {
 				b.Fatal(err)
@@ -373,7 +367,6 @@ func BenchmarkFig23OtherQuery(b *testing.B) {
 		var reads storage.Stats
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			ppool.DropFrames()
 			if _, err := tree.Tally(&reads).CountQuery(queries[i%len(queries)]); err != nil {
 				b.Fatal(err)
 			}
@@ -385,30 +378,22 @@ func BenchmarkFig23OtherQuery(b *testing.B) {
 // BenchmarkThroughputWorkers measures aggregate query throughput at
 // increasing worker counts — the concurrent-serving axis beyond the
 // paper's single-threaded methodology. Each worker replays its share of
-// the LSS workload cold-per-query against a private page cache over the
-// shared pager (core.Index.WithPool), so per-query page reads are
-// identical at every worker count and the speedup comes purely from
-// overlapping independent queries. ops/sec here is queries/sec.
+// the LSS workload on the one index; every query counts its own cold
+// reads, so per-query page reads are identical at every worker count and
+// the speedup comes purely from overlapping independent queries.
+// ops/sec here is queries/sec.
 func BenchmarkThroughputWorkers(b *testing.B) {
 	f := getFixture(b)
-	pager := f.flat.Pool().Pager()
 	for _, workers := range []int{1, 2, 4, 8, 16} {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			views := make([]*core.Index, workers)
-			for w := range views {
-				views[w] = f.flat.WithPool(storage.NewConcurrentPool(pager, 0))
-			}
 			b.ResetTimer()
 			var wg sync.WaitGroup
 			for w := 0; w < workers; w++ {
 				wg.Add(1)
 				go func(w int) {
 					defer wg.Done()
-					view := views[w]
-					pool := view.Pool()
 					for i := w; i < b.N; i += workers {
-						pool.DropFrames()
-						if _, _, err := view.CountQuery(f.lss[i%len(f.lss)]); err != nil {
+						if _, _, err := f.flat.CountQuery(f.lss[i%len(f.lss)]); err != nil {
 							b.Error(err)
 							return
 						}
@@ -420,8 +405,8 @@ func BenchmarkThroughputWorkers(b *testing.B) {
 	}
 }
 
-// BenchmarkRangeQueryAllocs measures per-query heap allocations on a
-// warm cache: the seed/crawl scratch (BFS queue, dedup maps) is recycled
+// BenchmarkRangeQueryAllocs measures per-query heap allocations in the
+// steady state: the seed/crawl scratch (BFS queue, dedup maps) is recycled
 // through a sync.Pool, so steady-state queries should allocate only
 // their result slices.
 func BenchmarkRangeQueryAllocs(b *testing.B) {

@@ -163,11 +163,6 @@ func main() {
 		fmt.Printf("  bounds:        %v\n", ix.Bounds())
 		fmt.Printf("  seed height:   %d\n", ix.SeedHeight())
 		avg, err := ix.AvgNeighbors()
-		if err == nil {
-			// The walk read every metadata page; a query below starts as
-			// cold as it does without -stats.
-			err = ix.DropCache()
-		}
 		if err != nil {
 			fatalf("stats: %v", err)
 		}
@@ -201,7 +196,6 @@ func main() {
 				}
 			}
 		}
-		fmt.Printf("  page cache:    %d pages resident\n", ix.CacheStats())
 	}
 
 	// Staged updates + incremental rebuild.

@@ -49,7 +49,6 @@ func main() {
 		for j := 0; j < grid; j++ {
 			for k := 0; k < grid; k++ {
 				c := flat.V((float64(i)+0.5)*step, (float64(j)+0.5)*step, (float64(k)+0.5)*step)
-				ix.DropCache()
 				n, _, err := ix.CountQuery(flat.CubeAt(c, step))
 				if err != nil {
 					log.Fatal(err)
@@ -66,12 +65,10 @@ func main() {
 	fmt.Println("zooming in (side: particles, FLAT reads vs PR-Tree reads):")
 	for side := step; side >= step/64; side /= 2 {
 		q := flat.CubeAt(bestCenter, side)
-		ix.DropCache()
 		n, fs, err := ix.CountQuery(q)
 		if err != nil {
 			log.Fatal(err)
 		}
-		pr.DropCache()
 		_, ps, err := pr.RangeQuery(q)
 		if err != nil {
 			log.Fatal(err)

@@ -66,12 +66,10 @@ func main() {
 	for i := 0; i < len(path); i += 10 {
 		q := flat.CubeAt(path[i], 2*radius)
 
-		ix.DropCache() // each query starts cold, as in the paper
 		hits, fs, err := ix.RangeQuery(q)
 		if err != nil {
 			log.Fatal(err)
 		}
-		pr.DropCache()
 		_, ps, err := pr.RangeQuery(q)
 		if err != nil {
 			log.Fatal(err)
@@ -113,7 +111,6 @@ func main() {
 		log.Fatal(err)
 	}
 	defer outer.Close()
-	ix.DropCache()
 	pairs := 0
 	jst, err := flat.Join(context.Background(), outer, ix, radius,
 		// The box filter admits same-neuron contacts too; the predicate
@@ -134,7 +131,6 @@ func main() {
 	// the k results need.
 	tip := flat.V(side/2, side/2, side)
 	fmt.Printf("5 segments nearest an electrode tip at %v\n", tip)
-	ix.DropCache()
 	nn := ix.NN(context.Background(), tip, 5)
 	for e, err := range nn.All() {
 		if err != nil {

@@ -49,7 +49,6 @@ func main() {
 		stats.TotalReads, stats.SeedReads, stats.MetadataReads, stats.ObjectReads)
 
 	// CountQuery has the same I/O pattern without materializing results.
-	ix.DropCache() // start cold again, like the paper's methodology
 	n, stats2, err := ix.CountQuery(q)
 	if err != nil {
 		log.Fatal(err)
@@ -68,7 +67,6 @@ func main() {
 	// crawl reads pages only as the loop consumes elements, a context
 	// cancels it mid-flight, and WithLimit stops it early — here the
 	// first 5 elements cost a fraction of the full query's page reads.
-	ix.DropCache()
 	session := ix.Query(context.Background(), q, flat.WithLimit(5))
 	for el, err := range session.All() {
 		if err != nil {

@@ -54,7 +54,6 @@ func main() {
 			for k := 0; k < grid; k++ {
 				lo := model.Volume.Min.Add(flat.V(float64(i)*cell.X, float64(j)*cell.Y, float64(k)*cell.Z))
 				q := flat.Box(lo, lo.Add(cell))
-				ix.DropCache()
 				n, stats, err := ix.CountQuery(q)
 				if err != nil {
 					log.Fatal(err)

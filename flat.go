@@ -73,11 +73,11 @@
 // The bulkloaded state of an Index is immutable, and its query paths —
 // sessions, RangeQuery, CountQuery and PointQuery — are safe to call
 // from any number of goroutines at once, alongside staging; concurrent
-// sessions are how queries use several cores. Queries share one
-// lock-striped page cache; each query's QueryStats counts exactly the
-// cache misses that query caused (a page another query just fetched is
-// a free hit, as with a shared OS page cache). DropCache, Rebuild and
-// Close are maintenance operations:
+// sessions are how queries use several cores. Queries share no page
+// cache: each query's QueryStats counts every distinct page it read
+// once, as if the OS cache were cleared before it (the paper's
+// methodology), so a query reports the same reads whatever ran before
+// it or runs beside it. Rebuild and Close are maintenance operations:
 // calling them while queries are in flight (including sessions
 // currently being drained) returns ErrBusy instead of racing, and every
 // query and maintenance method returns ErrClosed after a successful
@@ -100,8 +100,8 @@
 // Hilbert curve, bulkloads them as independent FLAT indexes in
 // parallel, and serves them behind a top-level MBR directory: queries
 // are pruned against the directory and streamed from the surviving
-// shards in shard order by one executor, with merged QueryStats. All
-// shards share one page cache. One shard (the default) is exactly the
+// shards in shard order by one executor, with merged QueryStats. One
+// shard (the default) is exactly the
 // paper's index — one bulkload pass, one seed tree, one crawl graph;
 // more shards parallelize the build and shrink the unit Rebuild
 // re-bulkloads. See the README for guidance on choosing K.
@@ -211,7 +211,7 @@ type Options struct {
 	PageFormat PageFormat
 	// Mmap is reserved and has no effect. A disk-backed index is always
 	// served through each shard file's read-only memory mapping, after
-	// Build, Rebuild and Open alike: cache misses alias pages straight
+	// Build, Rebuild and Open alike: page reads alias pages straight
 	// out of the mapping, copying nothing. On platforms without one the
 	// file is read into memory once instead.
 	Mmap bool
@@ -299,8 +299,8 @@ func OpenShardedWithOptions(dir string, opts *Options) (*Index, error) { return 
 
 // AvgNeighbors returns the mean number of neighborhood pointers per
 // partition, over the partitions of all shards. It is read off the
-// metadata pages (each shard's neighbor histogram, through the page
-// cache), so a reopened index reports what the built one did.
+// metadata pages (each shard's neighbor histogram), so a reopened index
+// reports what the built one did.
 func (ix *Index) AvgNeighbors() (float64, error) {
 	pointers, partitions := 0, 0
 	err := ix.guard.query(func() error {
@@ -346,13 +346,6 @@ func (ix *Index) World() MBR { return ix.set.World() }
 // shards.
 func (ix *Index) SizeBytes() uint64 { return ix.set.SizeBytes() }
 
-// CacheStats reports how many pages the shared page cache holds. The
-// cache is unbounded: a cached page of a disk-backed index aliases its
-// shard file's mapping and costs no page memory; DropCache empties it.
-func (ix *Index) CacheStats() (cached int) {
-	return ix.set.Pool().Len() // the pool is fixed for the set's lifetime
-}
-
 // NumShards returns K, the number of spatial shards.
 func (ix *Index) NumShards() int { return ix.set.NumShards() }
 
@@ -379,19 +372,6 @@ func (ix *Index) SeedHeight() int {
 		h = max(h, ix.set.Shard(s).SeedHeight())
 	}
 	return h
-}
-
-// DropCache empties the page cache so the next query starts cold — the
-// equivalent of the paper's clearing of OS caches between measurements.
-// It is a maintenance operation: when queries are in flight it returns
-// ErrBusy and leaves the cache untouched (a concurrent query would
-// otherwise see a partially dropped cache and report inflated read
-// counts), and after Close it returns ErrClosed.
-func (ix *Index) DropCache() error {
-	return ix.guard.maintain(func() error {
-		ix.set.DropCache()
-		return nil
-	})
 }
 
 // Close releases every shard's storage, syncing the write-ahead log

@@ -113,7 +113,6 @@ func TestPublicAPIDiskBacked(t *testing.T) {
 	if len(got) != len(apiBrute(orig, q)) {
 		t.Error("disk-backed query mismatch")
 	}
-	ix.DropCache()
 	got2, stats, err := ix.RangeQuery(q)
 	if err != nil {
 		t.Fatal(err)
@@ -152,7 +151,6 @@ func TestPublicRTree(t *testing.T) {
 		if tr.Height() < 2 || tr.Len() != 3000 || tr.SizeBytes() == 0 {
 			t.Errorf("%v: accessors implausible", s)
 		}
-		tr.DropCache()
 		if _, _, err := tr.PointQuery(orig[0].Box.Center()); err != nil {
 			t.Fatal(err)
 		}
@@ -206,9 +204,6 @@ func TestBuildThenOpen(t *testing.T) {
 			t.Fatal(err)
 		}
 		if in.avgNeighbors, err = ix.AvgNeighbors(); err != nil {
-			t.Fatal(err)
-		}
-		if err := ix.DropCache(); err != nil {
 			t.Fatal(err)
 		}
 		if in.got, in.stats, err = ix.RangeQuery(q); err != nil {

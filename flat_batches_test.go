@@ -83,19 +83,10 @@ func TestBatchesMatchAll(t *testing.T) {
 func checkBatches(t *testing.T, name string, ix *Index, q MBR) {
 	t.Helper()
 	ctx := context.Background()
-	// Queries share the page cache, so stats only compare equal when
-	// every drain starts equally cold.
-	cold := func() {
-		if err := ix.DropCache(); err != nil {
-			t.Fatal(err)
-		}
-	}
-	cold()
 	want, wantStats, err := ix.RangeQuery(q)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cold()
 	res := ix.Query(ctx, q)
 	runs := batchRuns(t, res)
 	if got := slices.Concat(runs...); !slices.Equal(got, want) {
@@ -121,10 +112,8 @@ func checkBatches(t *testing.T, name string, ix *Index, q MBR) {
 	}
 
 	for _, limit := range []int{1, mid, len(want) - 1, len(want), len(want) + 7} {
-		cold()
 		res := ix.Query(ctx, q, WithLimit(limit))
 		got := slices.Concat(batchRuns(t, res)...)
-		cold()
 		all := ix.Query(ctx, q, WithLimit(limit))
 		gotAll := allElements(t, all, 0)
 		n := min(limit, len(want))
@@ -136,7 +125,6 @@ func checkBatches(t *testing.T, name string, ix *Index, q MBR) {
 		}
 		// All's consumer breaking after the limit-th element, in the middle
 		// of a run, is the same early stop.
-		cold()
 		broken := ix.Query(ctx, q)
 		if got := allElements(t, broken, n); !slices.Equal(got, want[:n]) {
 			t.Fatalf("%s, break after %d: %d elements", name, n, len(got))

@@ -8,12 +8,12 @@ import (
 	"testing"
 )
 
-// TestCloseAndDropCacheRefuseInFlightQueries is the -race regression
-// test for the Close/DropCache footgun: while queries are running, both
+// TestCloseAndRebuildRefuseInFlightQueries is the -race regression
+// test for the Close/Rebuild footgun: while queries are running, both
 // maintenance operations must refuse with ErrBusy instead of racing the
 // readers, and queries must keep returning consistent results. After
 // the queries drain, Close succeeds and everything reports ErrClosed.
-func TestCloseAndDropCacheRefuseInFlightQueries(t *testing.T) {
+func TestCloseAndRebuildRefuseInFlightQueries(t *testing.T) {
 	r := rand.New(rand.NewSource(95))
 	els := randomElements(r, 4000)
 	ix, err := Build(els, &Options{pageCapacity: 16})
@@ -23,10 +23,10 @@ func TestCloseAndDropCacheRefuseInFlightQueries(t *testing.T) {
 	queries := queryWorkload(r, 10)
 
 	var (
-		wg       sync.WaitGroup
-		stop     atomic.Bool
-		busySeen atomic.Int64
-		dropOK   atomic.Int64
+		wg        sync.WaitGroup
+		stop      atomic.Bool
+		busySeen  atomic.Int64
+		rebuildOK atomic.Int64
 	)
 	for g := 0; g < 4; g++ {
 		wg.Add(1)
@@ -47,24 +47,24 @@ func TestCloseAndDropCacheRefuseInFlightQueries(t *testing.T) {
 			}
 		}()
 	}
-	// Hammer DropCache while the queries run: every call must either
+	// Hammer Rebuild while the queries run: every call must either
 	// succeed atomically (no query held the guard at that instant) or
 	// refuse with ErrBusy — never race the readers. -race certifies the
 	// "never race" half; queries above certify results stay consistent.
 	for i := 0; i < 200; i++ {
-		if err := ix.DropCache(); err != nil {
+		if _, err := ix.Rebuild(); err != nil {
 			if !errors.Is(err, ErrBusy) {
-				t.Fatalf("DropCache: %v", err)
+				t.Fatalf("Rebuild: %v", err)
 			}
 			busySeen.Add(1)
 		} else {
-			dropOK.Add(1)
+			rebuildOK.Add(1)
 		}
 	}
 	stop.Store(true)
 	wg.Wait()
 
-	if busySeen.Load() == 0 && dropOK.Load() == 0 {
+	if busySeen.Load() == 0 && rebuildOK.Load() == 0 {
 		t.Fatal("maintenance loop never executed")
 	}
 
@@ -74,8 +74,8 @@ func TestCloseAndDropCacheRefuseInFlightQueries(t *testing.T) {
 	if err := ix.Close(); !errors.Is(err, ErrBusy) {
 		t.Errorf("Close with query in flight: %v, want ErrBusy", err)
 	}
-	if err := ix.DropCache(); !errors.Is(err, ErrBusy) {
-		t.Errorf("DropCache with query in flight: %v, want ErrBusy", err)
+	if _, err := ix.Rebuild(); !errors.Is(err, ErrBusy) {
+		t.Errorf("Rebuild with query in flight: %v, want ErrBusy", err)
 	}
 	release()
 
@@ -88,8 +88,8 @@ func TestCloseAndDropCacheRefuseInFlightQueries(t *testing.T) {
 	if _, _, err := ix.RangeQuery(queries[0]); !errors.Is(err, ErrClosed) {
 		t.Errorf("query after Close: %v, want ErrClosed", err)
 	}
-	if err := ix.DropCache(); !errors.Is(err, ErrClosed) {
-		t.Errorf("DropCache after Close: %v, want ErrClosed", err)
+	if _, err := ix.Rebuild(); !errors.Is(err, ErrClosed) {
+		t.Errorf("Rebuild after Close: %v, want ErrClosed", err)
 	}
 }
 
@@ -122,7 +122,7 @@ func TestAccessorsSurviveClose(t *testing.T) {
 }
 
 // TestAccessorsRaceMaintenance drives the plain accessors concurrently
-// with Close/DropCache/Rebuild under -race: the set serializes them
+// with Close/Rebuild under -race: the set serializes them
 // against Rebuild's state swaps, and — holding no side of the query
 // guard — they never make a maintenance operation report ErrBusy.
 func TestAccessorsRaceMaintenance(t *testing.T) {
@@ -147,7 +147,6 @@ func TestAccessorsRaceMaintenance(t *testing.T) {
 				_ = sx.ShardBounds(0)
 				_ = sx.ShardGeneration(1)
 				_ = sx.SizeBytes()
-				_ = sx.CacheStats()
 			}
 		}()
 	}
@@ -156,9 +155,6 @@ func TestAccessorsRaceMaintenance(t *testing.T) {
 			t.Fatal(err)
 		}
 		if _, err := sx.Rebuild(); err != nil {
-			t.Fatal(err)
-		}
-		if err := sx.DropCache(); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -188,8 +184,8 @@ func TestShardedCloseGuard(t *testing.T) {
 	if err := sx.Close(); !errors.Is(err, ErrBusy) {
 		t.Errorf("Close with query in flight: %v, want ErrBusy", err)
 	}
-	if err := sx.DropCache(); !errors.Is(err, ErrBusy) {
-		t.Errorf("DropCache with query in flight: %v, want ErrBusy", err)
+	if _, err := sx.Rebuild(); !errors.Is(err, ErrBusy) {
+		t.Errorf("Rebuild with query in flight: %v, want ErrBusy", err)
 	}
 	release()
 	if err := sx.Close(); err != nil {

@@ -29,9 +29,6 @@ func TestPageFormatV2PublicRoundTrip(t *testing.T) {
 	}
 	want := make([]base, len(queries))
 	for i, q := range queries {
-		if err := ix.DropCache(); err != nil {
-			t.Fatal(err)
-		}
 		got, st, err := ix.RangeQuery(q)
 		if err != nil {
 			t.Fatal(err)
@@ -51,9 +48,6 @@ func TestPageFormatV2PublicRoundTrip(t *testing.T) {
 		t.Fatalf("reopened format %v", re.ShardPageFormat(0))
 	}
 	for i, q := range queries {
-		if err := re.DropCache(); err != nil {
-			t.Fatal(err)
-		}
 		got, st, err := re.RangeQuery(q)
 		if err != nil {
 			t.Fatal(err)

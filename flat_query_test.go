@@ -40,16 +40,8 @@ func TestQuerySessionMatchesRangeQuery(t *testing.T) {
 		for i := 0; i < 12; i++ {
 			c := V(r.Float64()*100, r.Float64()*100, r.Float64()*100)
 			q := CubeAt(c, 5+r.Float64()*25)
-			// Queries share the page cache, so stats only compare equal
-			// when every run starts equally cold.
-			if err := ix.DropCache(); err != nil {
-				t.Fatal(err)
-			}
 			want, wantStats, err := ix.RangeQuery(q)
 			if err != nil {
-				t.Fatal(err)
-			}
-			if err := ix.DropCache(); err != nil {
 				t.Fatal(err)
 			}
 			res := ix.Query(context.Background(), q)
@@ -88,20 +80,14 @@ func TestQueryWithLimitReadsFewerPages(t *testing.T) {
 	// A box big enough to span many object pages (pageCapacity is 8).
 	q := Box(V(10, 10, 10), V(60, 60, 60))
 	for name, ix := range targets {
-		// Cold-for-cold comparison: both runs start with an empty cache,
-		// so the page-read counts measure the crawls themselves.
-		if err := ix.DropCache(); err != nil {
-			t.Fatal(err)
-		}
+		// Every query counts its own cold reads, so the page-read counts
+		// measure the crawls themselves.
 		full, fullStats, err := ix.RangeQuery(q)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if len(full) < 20 {
 			t.Fatalf("%s: test box too selective (%d results), cannot demonstrate limit savings", name, len(full))
-		}
-		if err := ix.DropCache(); err != nil {
-			t.Fatal(err)
 		}
 		res := ix.Query(context.Background(), q, WithLimit(3))
 		n := 0
@@ -135,20 +121,13 @@ func TestQueryWithLimitReadsFewerPages(t *testing.T) {
 
 // TestQueryCancelMidCrawl cancels the context after the first element
 // and expects the session to terminate with ctx.Err() promptly — and
-// the index (including its shared page cache) to keep answering
-// correctly afterwards.
+// the index to keep answering correctly afterwards.
 func TestQueryCancelMidCrawl(t *testing.T) {
 	_, targets := queryTargets(t, 3000)
 	q := Box(V(10, 10, 10), V(60, 60, 60))
 	for name, ix := range targets {
-		if err := ix.DropCache(); err != nil {
-			t.Fatal(err)
-		}
 		want, wantStats, err := ix.RangeQuery(q)
 		if err != nil {
-			t.Fatal(err)
-		}
-		if err := ix.DropCache(); err != nil {
 			t.Fatal(err)
 		}
 		ctx, cancel := context.WithCancel(context.Background())
@@ -183,8 +162,8 @@ func TestQueryCancelMidCrawl(t *testing.T) {
 			t.Fatalf("%s: cancelled session read %d pages, full query %d — crawl did not abort early",
 				name, res.Stats().TotalReads, wantStats.TotalReads)
 		}
-		// The abort must leave the shared cache consistent: the same
-		// query answers identically afterwards.
+		// The abort must leave the index consistent: the same query
+		// answers identically afterwards.
 		after, _, err := ix.RangeQuery(q)
 		if err != nil {
 			t.Fatal(err)

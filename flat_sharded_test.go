@@ -151,10 +151,6 @@ func TestShardedColdReadParityK1(t *testing.T) {
 						ref.SeedHeight(), ref.PageFormat(), refAvg)
 				}
 				for i, q := range queries {
-					refPool.DropFrames()
-					if err := ix.DropCache(); err != nil {
-						t.Fatal(err)
-					}
 					want, wantStats, err := ref.RangeQuery(q)
 					if err != nil {
 						t.Fatal(err)

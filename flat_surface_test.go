@@ -29,12 +29,10 @@ var publicSurface = []string{
 	"Index",
 	"Index.AvgNeighbors",
 	"Index.Bounds",
-	"Index.CacheStats",
 	"Index.Close",
 	"Index.CountQuery",
 	"Index.DeltaStats",
 	"Index.DirtyShards",
-	"Index.DropCache",
 	"Index.Flush",
 	"Index.Len",
 	"Index.NN",
@@ -75,7 +73,6 @@ var publicSurface = []string{
 	"QueryStats",
 	"RTree",
 	"RTree.Close",
-	"RTree.DropCache",
 	"RTree.Height",
 	"RTree.Len",
 	"RTree.PointQuery",

@@ -5,7 +5,7 @@ import (
 	"sync"
 )
 
-// ErrBusy is returned by Close, DropCache and Rebuild when queries are in flight.
+// ErrBusy is returned by Close and Rebuild when queries are in flight.
 // Retry once the queries have drained; queries themselves never return it.
 var ErrBusy = errors.New("flat: queries in flight")
 
@@ -13,12 +13,12 @@ var ErrBusy = errors.New("flat: queries in flight")
 // successful Close.
 var ErrClosed = errors.New("flat: index is closed")
 
-// queryGuard serializes maintenance operations (Close, DropCache,
-// Rebuild) against in-flight queries. Queries hold the read side for
+// queryGuard serializes maintenance operations (Close, Rebuild)
+// against in-flight queries. Queries hold the read side for
 // their whole execution; maintenance try-locks the write side and
 // reports ErrBusy instead of blocking — or racing — when queries are
 // running. This is what turns the documented "do not call
-// Close/DropCache concurrently with queries" footgun into a hard error.
+// Close/Rebuild concurrently with queries" footgun into a hard error.
 //
 // Every side is taken by passing a closure: the guard locks, runs fn and
 // unlocks in a defer of the same function, so an acquire without its

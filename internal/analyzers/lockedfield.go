@@ -30,8 +30,8 @@ on the same base expression x (flow-insensitive within the function:
 anywhere in the body counts, Clang -Wthread-safety style), or the
 function is annotated as requiring the lock from its caller:
 
-	// insert adds a frame. flatlint:holds mu
-	func (sh *poolShard) insert(...) { ... }
+	// stageLocked stages ins. flatlint:holds pmu
+	func (s *Set) stageLocked(ins []stagedInsert) { ... }
 
 flatlint:holds <mu> applies to accesses through the method's receiver.
 Constructor code touching a struct that has not escaped yet should

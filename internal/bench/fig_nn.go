@@ -19,7 +19,7 @@ var nnKs = []int{1, 10, 100}
 // strategy the Range surface allowed before it existed: drain the
 // whole index and sort by distance. Pages read per query vs k, on the
 // unsharded FLAT index and the sharded K=4 directory, cold per query
-// (frames dropped) like every other figure.
+// (each query counts each page it reads once) like every other figure.
 //
 // Two claims are enforced, not just reported:
 //
@@ -57,7 +57,6 @@ func (r *Runner) nnExperiment() ([]*Table, error) {
 	// Brute-force reference and drain-and-sort baseline cost, measured
 	// on the unsharded index: one cold full drain per query is what the
 	// baseline would pay regardless of k.
-	s.flat.Pool().DropFrames()
 	all, drainSt, err := s.flat.RangeQuery(s.flat.Bounds().Expand(1))
 	if err != nil {
 		return nil, err
@@ -80,7 +79,6 @@ func (r *Runner) nnExperiment() ([]*Table, error) {
 		return nil, fmt.Errorf("nn sharded build: %w", err)
 	}
 	defer set.Close()
-	set.DropCache()
 	shardDrainSt, err := set.StreamQuery(context.Background(), set.Bounds().Expand(1), shard.StreamOptions{},
 		func(geom.Element) bool { return true })
 	if err != nil {
@@ -93,7 +91,7 @@ func (r *Runner) nnExperiment() ([]*Table, error) {
 		Title: fmt.Sprintf("k-NN best-first traversal vs drain-and-sort (brain model, n=%d, %d query points)",
 			n, len(points)),
 		Columns: []string{"index", "k", "page reads", "reads/query", "baseline reads/query", "saving"},
-		Note: "cold per query (frames dropped); every stream asserted nondecreasing and positionally equal " +
+		Note: "cold per query (each query counts each page it reads once); every stream asserted nondecreasing and positionally equal " +
 			"to the brute-force k nearest by squared distance; baseline = full drain + sort, whose cost is " +
 			"k-independent; saving = baseline/NN page reads",
 	}
@@ -124,7 +122,6 @@ func (r *Runner) nnExperiment() ([]*Table, error) {
 		// Unsharded engine.
 		var reads uint64
 		for pi, p := range points {
-			s.flat.Pool().DropFrames()
 			emit, got, failed := checkStream(pi, k)
 			st, err := s.flat.NN(context.Background(), p, emit)
 			if err != nil {
@@ -149,7 +146,6 @@ func (r *Runner) nnExperiment() ([]*Table, error) {
 		// Sharded K=4 directory: distance-ordered shard visiting.
 		var shardReads uint64
 		for pi, p := range points {
-			set.DropCache()
 			emit, got, failed := checkStream(pi, k)
 			st, err := set.NNQuery(context.Background(), p, k, emit)
 			if err != nil {

@@ -87,7 +87,7 @@ func (r *Runner) pagecodec() ([]*Table, error) {
 			"size MiB", "build ms", "page reads", "reads/query", "object reads", "results",
 		},
 		Timed: []string{"build ms"},
-		Note: fmt.Sprintf("cold per query (frames dropped); results asserted element-for-element identical "+
+		Note: fmt.Sprintf("cold per query (each query counts each page it reads once); results asserted element-for-element identical "+
 			"across formats, unsharded and sharded K=4; LSS page reads asserted strictly lower on v2; "+
 			"object pages asserted full but the last (%s, %s); "+
 			"elements-per-page ratio %.2fx (floor 1.5x); bytes/elem counts the whole index footprint",
@@ -108,7 +108,6 @@ func (r *Runner) pagecodec() ([]*Table, error) {
 		for vi, v := range variants {
 			ids[vi] = make([][]uint64, len(queries))
 			for qi, q := range queries {
-				v.ix.Pool().DropFrames()
 				els, st, err := v.ix.RangeQuery(q)
 				if err != nil {
 					return nil, err

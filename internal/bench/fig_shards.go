@@ -72,7 +72,6 @@ func (r *Runner) shardsExperiment() ([]*Table, error) {
 			counts:  make([]int, len(queries)),
 		}
 		for i, q := range queries {
-			ref.Pool().DropFrames()
 			cnt, st, err := ref.CountQuery(q)
 			if err != nil {
 				return nil, err
@@ -96,7 +95,7 @@ func (r *Runner) shardsExperiment() ([]*Table, error) {
 	if sweepHasK1 {
 		parity = "K=1 read counts are asserted identical to unsharded; "
 	}
-	note := fmt.Sprintf("build speedup vs the unsharded bulkload (%v); cold page reads (dropped cache per query); "+
+	note := fmt.Sprintf("build speedup vs the unsharded bulkload (%v); cold page reads (each query counts each page it reads once); "+
 		"warm queries/sec over the sequential shard-order executor (a count sink over Set.StreamQuery); "+parity+
 		"the parallel build speedup is bounded by GOMAXPROCS=%d on this machine", refBuild.Round(time.Millisecond), runtime.GOMAXPROCS(0))
 	tables := make([]*Table, len(workloads))
@@ -139,7 +138,6 @@ func (r *Runner) shardsExperiment() ([]*Table, error) {
 			var coldReads, results uint64
 			scatterWidth := 0
 			for i, q := range wr.queries {
-				set.DropCache()
 				st, err := set.StreamQuery(context.Background(), q, shard.StreamOptions{}, countAll)
 				if err != nil {
 					return nil, err

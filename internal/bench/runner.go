@@ -216,15 +216,14 @@ func (m measurement) PerResult() float64 {
 	return float64(m.Stats.TotalReads()) / float64(m.Results)
 }
 
-// coldRun replays queries cold per query (every frame of pool dropped
-// first), as the paper's methodology prescribes; count answers one
-// query through pool and returns its result size and the page reads it
-// caused, which the measurement sums.
-func coldRun(pool storage.Pool, queries []geom.MBR, count func(geom.MBR) (int, storage.Stats, error)) (measurement, error) {
+// coldRun replays queries cold per query, as the paper's methodology
+// prescribes: count answers one query and returns its result size and
+// the page reads it made, each page counted once, which the measurement
+// sums.
+func coldRun(queries []geom.MBR, count func(geom.MBR) (int, storage.Stats, error)) (measurement, error) {
 	var m measurement
 	t0 := time.Now()
 	for _, q := range queries {
-		pool.DropFrames()
 		n, reads, err := count(q)
 		if err != nil {
 			return m, err
@@ -239,7 +238,7 @@ func coldRun(pool storage.Pool, queries []geom.MBR, count func(geom.MBR) (int, s
 // coldFLAT is coldRun over a FLAT index: the QueryStats every query
 // returns, restated by page category.
 func coldFLAT(ix *core.Index, queries []geom.MBR) (measurement, error) {
-	return coldRun(ix.Pool(), queries, func(q geom.MBR) (int, storage.Stats, error) {
+	return coldRun(queries, func(q geom.MBR) (int, storage.Stats, error) {
 		n, st, err := ix.CountQuery(q)
 		var reads storage.Stats
 		reads.Reads[storage.CatSeedInternal] = st.SeedReads
@@ -252,7 +251,7 @@ func coldFLAT(ix *core.Index, queries []geom.MBR) (measurement, error) {
 // coldTree is coldRun over a baseline R-tree, each query on its own
 // Tally view.
 func coldTree(tree *rtree.Tree, queries []geom.MBR) (measurement, error) {
-	return coldRun(tree.Pool(), queries, func(q geom.MBR) (int, storage.Stats, error) {
+	return coldRun(queries, func(q geom.MBR) (int, storage.Stats, error) {
 		var reads storage.Stats
 		n, err := tree.Tally(&reads).CountQuery(q)
 		return n, reads, err

@@ -146,7 +146,6 @@ func TestEmptyQueryRegion(t *testing.T) {
 	r := rand.New(rand.NewSource(113))
 	els := randomElements(r, 1000, worldBox())
 	ix, pool := buildIndex(t, els, Options{World: worldBox()})
-	pool.DropFrames()
 	got, st, err := ix.RangeQuery(geom.CubeAt(geom.V(500, 500, 500), 5))
 	if err != nil {
 		t.Fatal(err)
@@ -162,9 +161,8 @@ func TestEmptyQueryRegion(t *testing.T) {
 
 	// An in-world gap between elements: the seed walk probes the object
 	// page of every record whose page MBR covers the gap, finds no hit
-	// and gives up. Pool frames are immutable snapshots, so each
-	// metadata page it pops is read exactly once, however many probes
-	// miss — under a bounded pool a second read could be a second miss.
+	// and gives up. It pops each metadata page once, so it reads each
+	// once, however many probes miss.
 	var q geom.MBR
 	for q = geom.CubeAt(geom.V(50, 50, 50), 1e-6); len(bruteForce(els, q)) != 0; {
 		q = geom.CubeAt(geom.V(r.Float64()*100, r.Float64()*100, r.Float64()*100), 1e-6)
@@ -362,8 +360,7 @@ func TestIndexInvariants(t *testing.T) {
 func TestQueryStatsBreakdownConsistent(t *testing.T) {
 	r := rand.New(rand.NewSource(149))
 	els := randomElements(r, 3000, worldBox())
-	ix, pool := buildIndex(t, els, Options{World: worldBox()})
-	pool.DropFrames()
+	ix, _ := buildIndex(t, els, Options{World: worldBox()})
 	_, st, err := ix.RangeQuery(geom.CubeAt(geom.V(30, 30, 30), 15))
 	if err != nil {
 		t.Fatal(err)
@@ -454,10 +451,9 @@ func TestAnalysisAccessors(t *testing.T) {
 func TestSeedPhaseCheap(t *testing.T) {
 	r := rand.New(rand.NewSource(163))
 	els := randomElements(r, 30000, worldBox())
-	ix, pool := buildIndex(t, els, Options{World: worldBox()})
+	ix, _ := buildIndex(t, els, Options{World: worldBox()})
 
 	q := geom.CubeAt(geom.V(50, 50, 50), 30)
-	pool.DropFrames()
 	_, st, err := ix.RangeQuery(q)
 	if err != nil {
 		t.Fatal(err)
@@ -476,8 +472,7 @@ func TestSeedPhaseCheap(t *testing.T) {
 func TestVisitedOncePerPage(t *testing.T) {
 	r := rand.New(rand.NewSource(167))
 	els := randomElements(r, 8000, worldBox())
-	ix, pool := buildIndex(t, els, Options{World: worldBox()})
-	pool.DropFrames()
+	ix, _ := buildIndex(t, els, Options{World: worldBox()})
 	_, st, err := ix.RangeQuery(geom.CubeAt(geom.V(60, 40, 50), 25))
 	if err != nil {
 		t.Fatal(err)
@@ -510,14 +505,14 @@ func TestDeterministicBuild(t *testing.T) {
 
 // TestColdReadsInvariantAcrossWorkers pins the invariant behind every
 // concurrency measurement (BenchmarkThroughputWorkers, benchmark/): N
-// goroutines, each replaying its stride of a query set cold-per-query
-// through a private pool over the shared pager, read in total exactly
-// the pages, and find exactly the results, of one goroutine replaying
-// the whole set. Parallelism overlaps queries; it never changes one.
+// goroutines, each replaying its stride of a query set on the one
+// index, read in total exactly the pages, and find exactly the results,
+// of one goroutine replaying the whole set. Parallelism overlaps
+// queries; it never changes one.
 func TestColdReadsInvariantAcrossWorkers(t *testing.T) {
 	r := rand.New(rand.NewSource(179))
 	els := randomElements(r, 8000, worldBox())
-	ix, pool := buildIndex(t, els, Options{World: worldBox()})
+	ix, _ := buildIndex(t, els, Options{World: worldBox()})
 	queries := make([]geom.MBR, 48)
 	for i := range queries {
 		queries[i] = geom.CubeAt(geom.V(r.Float64()*100, r.Float64()*100, r.Float64()*100), 4+r.Float64()*12)
@@ -532,21 +527,18 @@ func TestColdReadsInvariantAcrossWorkers(t *testing.T) {
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
-				private := storage.NewConcurrentPool(pool.Pager(), 0)
-				view := ix.WithPool(private)
-				var n, misses uint64
+				var n, read uint64
 				for i := w; i < len(queries); i += workers {
-					private.DropFrames()
-					cnt, st, err := view.CountQuery(queries[i])
+					cnt, st, err := ix.CountQuery(queries[i])
 					if err != nil {
 						t.Error(err)
 						return
 					}
 					n += uint64(cnt)
-					misses += st.TotalReads
+					read += st.TotalReads
 				}
 				mu.Lock()
-				reads += misses
+				reads += read
 				results += n
 				mu.Unlock()
 			}()
@@ -555,10 +547,9 @@ func TestColdReadsInvariantAcrossWorkers(t *testing.T) {
 		return reads, results
 	}
 
-	// The single-threaded reference runs on the index's own pool.
+	// The single-threaded reference.
 	var wantReads, wantResults uint64
 	for _, q := range queries {
-		pool.DropFrames()
 		cnt, st, err := ix.CountQuery(q)
 		if err != nil {
 			t.Fatal(err)
@@ -618,17 +609,15 @@ func TestQueryAllocatesNothing(t *testing.T) {
 func TestBoxedCrawlMatchesBare(t *testing.T) {
 	r := rand.New(rand.NewSource(191))
 	els := randomElements(r, 12000, worldBox())
-	boxed, boxedPool := buildIndex(t, els, Options{World: worldBox(), PageCapacity: 16})
-	bare, barePool := buildIndex(t, els, Options{World: worldBox(), PageCapacity: 16, BarePointers: true})
+	boxed, _ := buildIndex(t, els, Options{World: worldBox(), PageCapacity: 16})
+	bare, _ := buildIndex(t, els, Options{World: worldBox(), PageCapacity: 16, BarePointers: true})
 	skipped := 0
 	for i := 0; i < 60; i++ {
 		q := geom.CubeAt(geom.V(r.Float64()*100, r.Float64()*100, r.Float64()*100), 1+r.Float64()*r.Float64()*60)
-		boxedPool.DropFrames()
 		got, gotSt, err := boxed.RangeQuery(q)
 		if err != nil {
 			t.Fatal(err)
 		}
-		barePool.DropFrames()
 		want, wantSt, err := bare.RangeQuery(q)
 		if err != nil {
 			t.Fatal(err)
@@ -663,9 +652,9 @@ func TestFramedCrawlMatchesBare(t *testing.T) {
 	world := geom.Box(geom.V(0, 0, 0), geom.V(12, 12, 12))
 	els := neuro.Generate(neuro.Config{Seed: 5, Volume: world, TargetElements: 30000}).Elements
 	opts := Options{World: world, PageFormat: storage.PageFormatV2}
-	framed, framedPool := buildIndex(t, els, opts)
+	framed, _ := buildIndex(t, els, opts)
 	opts.BarePointers = true
-	bare, barePool := buildIndex(t, els, opts)
+	bare, _ := buildIndex(t, els, opts)
 	if _, meta, _ := framed.PageCounts(); meta < 4 {
 		t.Fatalf("%d metadata pages: too few for frames to differ", meta)
 	}
@@ -696,12 +685,10 @@ func TestFramedCrawlMatchesBare(t *testing.T) {
 	for i := 0; i < 80; i++ {
 		side := 0.2 + r.Float64()*r.Float64()*4
 		q := geom.CubeAt(geom.V(r.Float64()*12, r.Float64()*12, r.Float64()*12), side)
-		framedPool.DropFrames()
 		got, gotSt, err := framed.RangeQuery(q)
 		if err != nil {
 			t.Fatal(err)
 		}
-		barePool.DropFrames()
 		want, wantSt, err := bare.RangeQuery(q)
 		if err != nil {
 			t.Fatal(err)

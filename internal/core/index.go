@@ -92,9 +92,9 @@ type BuildStats struct {
 
 // Index is a built FLAT index. All page access during queries goes
 // through the storage.Pool supplied at build time, and every query
-// tallies its own cache misses (ReadInto) into the QueryStats it
-// returns: exactly the page reads the paper reports, whatever else
-// runs against the pool at the same time.
+// tallies each distinct page it reads once (ReadInto) into the
+// QueryStats it returns: exactly the cold page reads the paper reports,
+// whatever ran before it or runs against the pool at the same time.
 //
 // The index itself is immutable after Build/Open: every query method is
 // safe for concurrent use when the pool is (storage.ConcurrentPool is);
@@ -151,8 +151,7 @@ func (ix *Index) PageCounts() (object, metadata, seedInternal int) {
 // MetadataKind returns the kind byte of the index's metadata pages (see
 // metadata.go): one Build writes them all, so the first page's tells.
 // Queries read only kind 4; shard.OpenSet upgrades an index of an older
-// kind by rebuilding it. The page is read from the pager, past the pool,
-// so the index stays as cold as OpenFrom leaves it.
+// kind by rebuilding it. The page is read from the pager, untallied.
 func (ix *Index) MetadataKind() (int, error) {
 	page, err := ix.pool.Pager().ReadPage(ix.metaStart())
 	if err != nil {
@@ -191,10 +190,9 @@ func (ix *Index) BuildStats() BuildStats { return ix.build }
 // WithPool returns a shallow view of the index that performs its page
 // reads through pool, which must wrap the same pager (or an identically
 // laid-out one). Views share all immutable index state with the
-// original; they exist so parallel benchmark workers can each run the
-// paper's cold-per-query methodology against a private cache — giving
-// every query the exact single-threaded page-read counts — without any
-// cross-worker synchronization.
+// original; they exist so a sharded set can serve every shard through
+// one pool, and so measurement code can wrap the pool to watch a
+// query's page reads.
 func (ix *Index) WithPool(pool storage.Pool) *Index {
 	cp := *ix
 	cp.pool = pool

@@ -114,18 +114,13 @@ func NN(ctx context.Context, ixs []*Index, ov Overlay, p geom.Vec3, emit func(ge
 	var st QueryStats
 	sc := getScratch()
 	defer sc.release()
-	// The query's own tally, as in Query.
-	local := &sc.stats
 
 	counted := func(e geom.Element, distSq float64) bool {
 		st.Results++
 		return emit(e, distSq)
 	}
-	err := nnCrawl(ctx, ixs, ov, p, counted, &st, sc, local)
-	st.SeedReads = local.Reads[storage.CatSeedInternal]
-	st.MetadataReads = local.Reads[storage.CatMetadata]
-	st.ObjectReads = local.Reads[storage.CatObject]
-	st.TotalReads = local.TotalReads()
+	err := nnCrawl(ctx, ixs, ov, p, counted, &st, sc)
+	sc.report(&st)
 	return st, err
 }
 
@@ -139,7 +134,7 @@ func (ix *Index) NN(ctx context.Context, p geom.Vec3, emit func(geom.Element, fl
 // crawl heap at key, the index item's key; an index without records
 // enqueues nothing. The descent has a heap of its own: the crawl heap is
 // live whenever a second index is seeded.
-func (ix *Index) nnSeed(ctx context.Context, p geom.Vec3, src int32, key float64, sc *crawlScratch, local *storage.Stats) error {
+func (ix *Index) nnSeed(ctx context.Context, p geom.Vec3, src int32, key float64, sc *crawlScratch) error {
 	if ix.seedHeight <= 0 {
 		return nil
 	}
@@ -161,7 +156,7 @@ func (ix *Index) nnSeed(ctx context.Context, p geom.Vec3, src int32, key float64
 			ix.nnEnqueue(p, src, it.ref, key, nbBox{}, &sc.heap, sc)
 			return nil
 		}
-		page, err := ix.pool.ReadInto(it.page, local)
+		page, err := ix.pool.ReadInto(it.page, sc.tally(it.page))
 		if err != nil {
 			return err
 		}
@@ -196,7 +191,7 @@ func (ix *Index) nnSeed(ctx context.Context, p geom.Vec3, src int32, key float64
 // nnCrawl drains the best-first frontier, seeding each index when its
 // item surfaces and emitting elements in nondecreasing distance (see NN
 // for the ordering proof).
-func nnCrawl(ctx context.Context, ixs []*Index, ov Overlay, p geom.Vec3, emit func(geom.Element, float64) bool, st *QueryStats, sc *crawlScratch, local *storage.Stats) error {
+func nnCrawl(ctx context.Context, ixs []*Index, ov Overlay, p geom.Vec3, emit func(geom.Element, float64) bool, st *QueryStats, sc *crawlScratch) error {
 	h := &sc.heap
 	for i, ix := range ixs {
 		h.Push(ix.bounds.DistSqToPoint(p), crawlItem{kind: itemIndex, src: int32(i)})
@@ -233,11 +228,11 @@ func nnCrawl(ctx context.Context, ixs []*Index, ov Overlay, p geom.Vec3, emit fu
 			nnRunNode(ov, &runs[it.src], it, p, h)
 		case itemPage:
 			st.PagesVisited++
-			err = ixs[it.src].nnReadPage(p, it.page, h, sc, local)
+			err = ixs[it.src].nnReadPage(p, it.page, h, sc)
 		case itemRecord:
-			err = ixs[it.src].nnExpand(ctx, p, it, distSq, h, sc, local, st)
+			err = ixs[it.src].nnExpand(ctx, p, it, distSq, h, sc, st)
 		case itemIndex:
-			err = ixs[it.src].nnSeed(ctx, p, it.src, distSq, sc, local)
+			err = ixs[it.src].nnSeed(ctx, p, it.src, distSq, sc)
 		}
 		if err != nil {
 			return err
@@ -263,8 +258,8 @@ func (ix *Index) nnEnqueue(p geom.Vec3, src int32, ref RecordRef, key float64, b
 // when its partition lies farther than key, pushes it back at that
 // distance. Otherwise it queues the record's object page (once) at the
 // page-MBR distance and every neighbor, unread, at key or above.
-func (ix *Index) nnExpand(ctx context.Context, p geom.Vec3, it crawlItem, key float64, h *heapFrontier, sc *crawlScratch, local *storage.Stats, st *QueryStats) error {
-	page, err := ix.pool.ReadInto(it.ref.Page(), local)
+func (ix *Index) nnExpand(ctx context.Context, p geom.Vec3, it crawlItem, key float64, h *heapFrontier, sc *crawlScratch, st *QueryStats) error {
+	page, err := ix.pool.ReadInto(it.ref.Page(), sc.tally(it.ref.Page()))
 	if err != nil {
 		return err
 	}
@@ -278,7 +273,7 @@ func (ix *Index) nnExpand(ctx context.Context, p geom.Vec3, it crawlItem, key fl
 	}
 	st.RecordsVisited++
 	h.Push(m.PageMBR.DistSqToPoint(p), crawlItem{kind: itemPage, src: it.src, page: m.ObjectPage})
-	return ix.eachNeighbor(ctx, it.ref, &m, sc, local, nil, func(n RecordRef, box nbBox) error {
+	return ix.eachNeighbor(ctx, it.ref, &m, sc, nil, func(n RecordRef, box nbBox) error {
 		ix.nnEnqueue(p, it.src, n, key, box, h, sc)
 		return nil
 	})
@@ -301,8 +296,8 @@ func nnRunNode(ov Overlay, t *str.Tree, it crawlItem, p geom.Vec3, h *heapFronti
 
 // nnReadPage reads one object page and queues its elements at their
 // exact distances.
-func (ix *Index) nnReadPage(p geom.Vec3, id storage.PageID, h *heapFrontier, sc *crawlScratch, local *storage.Stats) error {
-	page, err := ix.pool.ReadInto(id, local)
+func (ix *Index) nnReadPage(p geom.Vec3, id storage.PageID, h *heapFrontier, sc *crawlScratch) error {
+	page, err := ix.pool.ReadInto(id, sc.tally(id))
 	if err != nil {
 		return err
 	}

@@ -101,10 +101,9 @@ func TestNNClusteredData(t *testing.T) {
 func TestNNEarlyStopSavesReads(t *testing.T) {
 	r := rand.New(rand.NewSource(313))
 	els := randomElements(r, 8000, worldBox())
-	ix, pool := buildIndex(t, els, Options{World: worldBox()})
+	ix, _ := buildIndex(t, els, Options{World: worldBox()})
 
 	run := func(k int) uint64 {
-		pool.DropFrames()
 		n := 0
 		st, err := ix.NN(context.Background(), geom.V(42, 57, 33), func(geom.Element, float64) bool {
 			n++
@@ -153,8 +152,7 @@ func TestNNCancellation(t *testing.T) {
 func TestNNStats(t *testing.T) {
 	r := rand.New(rand.NewSource(331))
 	els := randomElements(r, 2000, worldBox())
-	ix, pool := buildIndex(t, els, Options{World: worldBox()})
-	pool.DropFrames()
+	ix, _ := buildIndex(t, els, Options{World: worldBox()})
 	n := 0
 	st, err := ix.NN(context.Background(), geom.V(10, 80, 40), func(geom.Element, float64) bool {
 		n++

@@ -140,7 +140,5 @@ func OpenFrom(pool storage.Pool, super storage.PageID) (*Index, error) {
 		tag(metadata, storage.CatMetadata)
 		tag(seed, storage.CatSeedInternal)
 	}
-	// Start cold, like a fresh Build.
-	pool.DropFrames()
 	return ix, nil
 }

@@ -11,10 +11,13 @@ import (
 )
 
 // QueryStats describes one range-query execution. Page-read counts are
-// the cache misses this query itself caused, tallied through
-// storage.Pool.ReadInto into a Stats the query owns (the only page-read
-// accounting there is: the pool keeps no counters), broken down by page
-// category the way the paper's Figure 14/18 breakdowns are.
+// the distinct pages this query read, each counted once, as if the OS
+// cache were cleared before the query (the paper's methodology): they
+// are tallied through storage.Pool.ReadInto into a Stats the query owns
+// (the only page-read accounting there is: the pool keeps no counters),
+// broken down by page category the way the paper's Figure 14/18
+// breakdowns are. They depend only on the index and the query, never on
+// what ran before it or runs beside it.
 type QueryStats struct {
 	Results        int    // elements in the result set
 	RecordsVisited int    // metadata records dequeued by the BFS, or expanded by k-NN
@@ -65,31 +68,34 @@ type seedItem struct {
 }
 
 // crawlScratch holds the reusable per-query state: the seed descent
-// stack plus the crawl's frontier and dedup map. Allocating these fresh
-// on every query is the dominant heap churn on the hot path, so queries
-// borrow a scratch from a sync.Pool and return it cleared.
+// stack, the crawl's frontier and dedup map, and the page table that
+// counts each page once. Allocating these fresh on every query is the
+// dominant heap churn on the hot path, so queries borrow a scratch from
+// a sync.Pool and return it cleared.
 type crawlScratch struct {
 	stack    []seedItem
-	fifo     fifoFrontier       // range-crawl frontier (BFS order)
-	heap     heapFrontier       // best-first frontier (k-NN)
-	seedHeap heapFrontier       // k-NN seed descent, run while heap is live
-	els      []geom.Element     // object-page decode buffer
-	entries  []rtree.NodeEntry  // seed-node decode buffer
-	stats    storage.Stats      // the query's own page-read tally
-	enqueued map[RecordRef]bool // records on or through the frontier
-	frame    boxFrame           // the frame of the neighbor list eachNeighbor walks
-	boxes    boxFilter          // the range crawl's box test
+	fifo     fifoFrontier            // range-crawl frontier (BFS order)
+	heap     heapFrontier            // best-first frontier (k-NN)
+	seedHeap heapFrontier            // k-NN seed descent, run while heap is live
+	els      []geom.Element          // object-page decode buffer
+	entries  []rtree.NodeEntry       // seed-node decode buffer
+	stats    storage.Stats           // the query's own page-read tally
+	read     map[storage.PageID]bool // pages tallied into stats
+	enqueued map[RecordRef]bool      // records on or through the frontier
+	frame    boxFrame                // the frame of the neighbor list eachNeighbor walks
+	boxes    boxFilter               // the range crawl's box test
 }
 
 var scratchPool = sync.Pool{
 	New: func() any {
-		return &crawlScratch{enqueued: make(map[RecordRef]bool)}
+		return &crawlScratch{read: make(map[storage.PageID]bool), enqueued: make(map[RecordRef]bool)}
 	},
 }
 
 func getScratch() *crawlScratch { return scratchPool.Get().(*crawlScratch) }
 
 func (sc *crawlScratch) release() {
+	clear(sc.read)
 	clear(sc.enqueued)
 	sc.stack = sc.stack[:0]
 	sc.fifo.reset()
@@ -99,6 +105,27 @@ func (sc *crawlScratch) release() {
 	sc.entries = sc.entries[:0]
 	sc.stats = storage.Stats{}
 	scratchPool.Put(sc)
+}
+
+// tally is what a query passes to Pool.ReadInto for page id: its own
+// tally the first time it reads the page, nil after. A query thus counts
+// each page it reads once — a cold read, as the paper's methodology
+// makes it — however often it returns to the page (the seed's object
+// page, a metadata page holding several records).
+func (sc *crawlScratch) tally(id storage.PageID) *storage.Stats {
+	if sc.read[id] {
+		return nil
+	}
+	sc.read[id] = true
+	return &sc.stats
+}
+
+// report copies the query's page-read tally into st.
+func (sc *crawlScratch) report(st *QueryStats) {
+	st.SeedReads = sc.stats.Reads[storage.CatSeedInternal]
+	st.MetadataReads = sc.stats.Reads[storage.CatMetadata]
+	st.ObjectReads = sc.stats.Reads[storage.CatObject]
+	st.TotalReads = sc.stats.TotalReads()
 }
 
 // QueryRuns executes the two-phase query as a push stream of runs:
@@ -117,19 +144,13 @@ func (ix *Index) QueryRuns(ctx context.Context, q geom.MBR, emit func([]geom.Ele
 	var st QueryStats
 	sc := getScratch()
 	defer sc.release()
-	// Every page read below goes through ReadInto with this tally, so the
-	// stats are this query's misses however many queries run beside it.
-	local := &sc.stats
 
 	sc.boxes.reset(&ix.metaLayout, q)
-	seedRef, ok, err := ix.seed(ctx, q, sc, local)
+	seedRef, ok, err := ix.seed(ctx, q, sc)
 	if err == nil && ok {
-		err = ix.crawl(ctx, q, seedRef, emit, &st, sc, local)
+		err = ix.crawl(ctx, q, seedRef, emit, &st, sc)
 	}
-	st.SeedReads = local.Reads[storage.CatSeedInternal]
-	st.MetadataReads = local.Reads[storage.CatMetadata]
-	st.ObjectReads = local.Reads[storage.CatObject]
-	st.TotalReads = local.TotalReads()
+	sc.report(&st)
 	return st, err
 }
 
@@ -168,7 +189,7 @@ func ctxErr(ctx context.Context) error {
 // time and stops at the first hit, so its cost is in the order of the
 // seed-tree height; only for nearly-empty queries does it inspect
 // several leaves before concluding the result is empty.
-func (ix *Index) seed(ctx context.Context, q geom.MBR, sc *crawlScratch, local *storage.Stats) (RecordRef, bool, error) {
+func (ix *Index) seed(ctx context.Context, q geom.MBR, sc *crawlScratch) (RecordRef, bool, error) {
 	sc.stack = append(sc.stack[:0], seedItem{ix.seedRoot, ix.seedHeight})
 	for len(sc.stack) > 0 {
 		if err := ctxErr(ctx); err != nil {
@@ -176,7 +197,7 @@ func (ix *Index) seed(ctx context.Context, q geom.MBR, sc *crawlScratch, local *
 		}
 		it := sc.stack[len(sc.stack)-1]
 		sc.stack = sc.stack[:len(sc.stack)-1]
-		page, err := ix.pool.ReadInto(it.page, local)
+		page, err := ix.pool.ReadInto(it.page, sc.tally(it.page))
 		if err != nil {
 			return 0, false, err
 		}
@@ -216,7 +237,7 @@ func (ix *Index) seed(ctx context.Context, q geom.MBR, sc *crawlScratch, local *
 			if m.ObjectPage == storage.InvalidPage || !m.PageMBR.Intersects(q) {
 				continue
 			}
-			hit, err := ix.objectPageHasHit(m.ObjectPage, q, sc, local)
+			hit, err := ix.objectPageHasHit(m.ObjectPage, q, sc)
 			if err != nil {
 				return 0, false, err
 			}
@@ -228,8 +249,8 @@ func (ix *Index) seed(ctx context.Context, q geom.MBR, sc *crawlScratch, local *
 	return 0, false, nil
 }
 
-func (ix *Index) objectPageHasHit(id storage.PageID, q geom.MBR, sc *crawlScratch, local *storage.Stats) (bool, error) {
-	page, err := ix.pool.ReadInto(id, local)
+func (ix *Index) objectPageHasHit(id storage.PageID, q geom.MBR, sc *crawlScratch) (bool, error) {
+	page, err := ix.pool.ReadInto(id, sc.tally(id))
 	if err != nil {
 		return false, err
 	}
@@ -253,7 +274,7 @@ func (ix *Index) objectPageHasHit(id storage.PageID, q geom.MBR, sc *crawlScratc
 // emit as one run (none when it has none); emit returning false stops
 // the crawl cleanly (no error); a done ctx aborts it with ctx.Err().
 // sc.boxes must be reset to q.
-func (ix *Index) crawl(ctx context.Context, q geom.MBR, start RecordRef, emit func([]geom.Element) bool, st *QueryStats, sc *crawlScratch, local *storage.Stats) error {
+func (ix *Index) crawl(ctx context.Context, q geom.MBR, start RecordRef, emit func([]geom.Element) bool, st *QueryStats, sc *crawlScratch) error {
 	// The FIFO frontier replays pushes in order; range-query results
 	// and page-read sequences are a regression gate on that order.
 	f := &sc.fifo
@@ -273,7 +294,7 @@ func (ix *Index) crawl(ctx context.Context, q geom.MBR, start RecordRef, emit fu
 		if err := ctxErr(ctx); err != nil {
 			return err
 		}
-		page, err := ix.pool.ReadInto(ref.Page(), local)
+		page, err := ix.pool.ReadInto(ref.Page(), sc.tally(ref.Page()))
 		if err != nil {
 			return err
 		}
@@ -291,7 +312,7 @@ func (ix *Index) crawl(ctx context.Context, q geom.MBR, start RecordRef, emit fu
 
 		if m.PageMBR.Intersects(q) {
 			st.PagesVisited++
-			objPage, err := ix.pool.ReadInto(m.ObjectPage, local)
+			objPage, err := ix.pool.ReadInto(m.ObjectPage, sc.tally(m.ObjectPage))
 			if err != nil {
 				return err
 			}
@@ -316,7 +337,7 @@ func (ix *Index) crawl(ctx context.Context, q geom.MBR, start RecordRef, emit fu
 			if ix.barePointers {
 				filter = nil
 			}
-			err := ix.eachNeighbor(ctx, ref, &m, sc, local, filter, func(n RecordRef, _ nbBox) error {
+			err := ix.eachNeighbor(ctx, ref, &m, sc, filter, func(n RecordRef, _ nbBox) error {
 				if !sc.enqueued[n] {
 					sc.enqueued[n] = true
 					f.push(n)
@@ -339,7 +360,7 @@ func (ix *Index) crawl(ctx context.Context, q geom.MBR, start RecordRef, emit fu
 // through it. A box's frame is sc's, valid until visit returns. With
 // filter set, only the neighbors whose boxes meet its query are visited.
 // A visit error ends the walk.
-func (ix *Index) eachNeighbor(ctx context.Context, ref RecordRef, m *metaRecord, sc *crawlScratch, local *storage.Stats, filter *boxFilter, visit func(n RecordRef, box nbBox) error) error {
+func (ix *Index) eachNeighbor(ctx context.Context, ref RecordRef, m *metaRecord, sc *crawlScratch, filter *boxFilter, visit func(n RecordRef, box nbBox) error) error {
 	var next metaRecord
 	for {
 		sc.frame = m.boxFrame()
@@ -356,7 +377,7 @@ func (ix *Index) eachNeighbor(ctx context.Context, ref RecordRef, m *metaRecord,
 		if err := ctxErr(ctx); err != nil {
 			return err
 		}
-		page, err := ix.pool.ReadInto(ref.Page(), local)
+		page, err := ix.pool.ReadInto(ref.Page(), sc.tally(ref.Page()))
 		if err != nil {
 			return err
 		}
@@ -373,14 +394,13 @@ func (ix *Index) eachNeighbor(ctx context.Context, ref RecordRef, m *metaRecord,
 func (ix *Index) CrawlFrom(q geom.MBR, start RecordRef) ([]geom.Element, error) {
 	var result []geom.Element
 	var st QueryStats
-	var local storage.Stats
 	sc := getScratch()
 	defer sc.release()
 	sc.boxes.reset(&ix.metaLayout, q)
 	err := ix.crawl(context.Background(), q, start, func(run []geom.Element) bool {
 		result = append(result, run...)
 		return true
-	}, &st, sc, &local)
+	}, &st, sc)
 	return result, err
 }
 
@@ -514,7 +534,7 @@ func (ix *Index) Records(fn func(Record) error) error {
 			}
 			r := Record{Ref: ref, PageMBR: m.PageMBR, PartitionMBR: m.PartitionMBR, ObjectPage: m.ObjectPage, SeedKey: it.key}
 			// Collect the full neighbor list across the overflow chain.
-			err = ix.eachNeighbor(context.Background(), ref, &m, sc, nil, nil, func(n RecordRef, box nbBox) error {
+			err = ix.eachNeighbor(context.Background(), ref, &m, sc, nil, func(n RecordRef, box nbBox) error {
 				r.Neighbors = append(r.Neighbors, n)
 				r.NeighborBoxes = append(r.NeighborBoxes, box.fr.box(&ix.quant, box.v))
 				return nil

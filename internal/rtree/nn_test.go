@@ -76,16 +76,13 @@ func TestNNBestFirstBulkloaded(t *testing.T) {
 func TestNNEarlyStopReadsFewerPages(t *testing.T) {
 	r := rand.New(rand.NewSource(281))
 	els := randomElements(r, 5000, worldBox())
-	tree, pool := buildDynamic(t, els)
+	tree, _ := buildDynamic(t, els)
 
-	// Reads tally cache misses; cold-start each run so they count.
-	pool.DropFrames()
 	var early, full storage.Stats
 	if err := tree.Tally(&early).NN(geom.V(50, 50, 50), func(geom.Element, float64) bool { return false }); err != nil {
 		t.Fatal(err)
 	}
 
-	pool.DropFrames()
 	if err := tree.Tally(&full).NN(geom.V(50, 50, 50), func(geom.Element, float64) bool { return true }); err != nil {
 		t.Fatal(err)
 	}

@@ -96,8 +96,8 @@ func DecodeNodeInto(page []byte, dst []NodeEntry) (isLeaf bool, entries []NodeEn
 	return kind == kindLeaf, dst, nil
 }
 
-// readNode reads node page id from pool, counting a cache miss into
-// local (which may be nil), and decodes it onto dst; a page that does
+// readNode reads node page id from pool, counting the read into local
+// (which may be nil), and decodes it onto dst; a page that does
 // not decode is reported under its id.
 func readNode(pool storage.Pool, id storage.PageID, local *storage.Stats, dst []NodeEntry) (isLeaf bool, entries []NodeEntry, err error) {
 	page, err := pool.ReadInto(id, local)

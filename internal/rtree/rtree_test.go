@@ -264,12 +264,11 @@ func TestPointQueryReadsAtLeastHeight(t *testing.T) {
 	r := rand.New(rand.NewSource(71))
 	els := randomElements(r, 8000, worldBox())
 	for _, s := range allStrategies {
-		tree, pool := buildTree(t, els, s)
+		tree, _ := buildTree(t, els, s)
 		if tree.Height() < 2 {
 			t.Fatalf("%v: want multi-level tree", s)
 		}
 		// Query at the center of a known element: at least one full path.
-		pool.DropFrames()
 		var st storage.Stats
 		res, err := tree.Tally(&st).PointQuery(els[42].Box.Center())
 		if err != nil {
@@ -489,10 +488,9 @@ func TestHilbertOverlapWorseThanSTR(t *testing.T) {
 	r := rand.New(rand.NewSource(97))
 	els := randomElements(r, 20000, worldBox())
 	readsFor := func(s Strategy) uint64 {
-		tree, pool := buildTree(t, els, s)
+		tree, _ := buildTree(t, els, s)
 		var st storage.Stats
 		for i := 0; i < 100; i++ {
-			pool.DropFrames()
 			p := geom.V(r.Float64()*100, r.Float64()*100, r.Float64()*100)
 			if _, err := tree.Tally(&st).PointQuery(p); err != nil {
 				t.Fatal(err)

@@ -66,8 +66,9 @@ func (c Config) withDefaults() Config {
 
 // Tree is a bulkloaded, disk-resident R-tree. All page access goes
 // through the storage.Pool it was built on; a caller that wants a
-// traversal's cost queries a Tally view and receives exactly the cache
-// misses that traversal caused. Every query method is safe for
+// traversal's cost queries a Tally view and receives exactly the page
+// reads that traversal made; a walk reads each node once, so a query is
+// as cold as the paper's. Every query method is safe for
 // concurrent use when the pool is.
 type Tree struct {
 	pool                     storage.Pool
@@ -217,11 +218,8 @@ func (t *Tree) SizeBytes() uint64 {
 	return uint64(t.leafPages+t.internalPages) * storage.PageSize
 }
 
-// Pool returns the buffer pool the tree reads through.
-func (t *Tree) Pool() storage.Pool { return t.pool }
-
 // Tally returns a shallow view of the tree whose traversals count their
-// cache misses into local, which the caller owns exclusively — the way
+// page reads into local, which the caller owns exclusively — the way
 // a FLAT query fills its QueryStats. One view serves one goroutine;
 // concurrent callers each take their own over the shared tree.
 func (t *Tree) Tally(local *storage.Stats) *Tree {

@@ -4,7 +4,7 @@ package serve
 // fixed-size slot pool shared by every connection. A query holds one
 // slot for its whole streaming lifetime (admission to completion,
 // cancellation or disconnect), so the slot count bounds the number of
-// crawls concurrently competing for the index's shared page cache.
+// crawls concurrently competing for the index's pages and the CPU.
 // When no slot is free the query is rejected immediately with
 // flat.ErrBusy rather than queued: under overload the server stays
 // predictable (the client sees busy and can back off or hedge) instead

@@ -48,10 +48,6 @@ func TestNNStreamMatchesDirectNN(t *testing.T) {
 	p := flat.V(400, 250, 600)
 	const k = 25
 
-	// Stats count cache misses; cold-start both measured sessions.
-	if err := sx.DropCache(); err != nil {
-		t.Fatal(err)
-	}
 	direct := sx.NN(context.Background(), p, k)
 	var want []flat.Element
 	for e, err := range direct.All() {
@@ -61,9 +57,6 @@ func TestNNStreamMatchesDirectNN(t *testing.T) {
 		want = append(want, e)
 	}
 
-	if err := sx.DropCache(); err != nil {
-		t.Fatal(err)
-	}
 	st, err := c.NN(context.Background(), p, k)
 	if err != nil {
 		t.Fatal(err)
@@ -112,9 +105,6 @@ func TestNNOverWireReadsFewerPages(t *testing.T) {
 	s := startServer(t, sx, Config{})
 	c := dialServer(t, s)
 
-	if err := sx.DropCache(); err != nil {
-		t.Fatal(err)
-	}
 	nn, err := c.NN(context.Background(), flat.V(500, 500, 500), 4)
 	if err != nil {
 		t.Fatal(err)
@@ -126,9 +116,6 @@ func TestNNOverWireReadsFewerPages(t *testing.T) {
 	}
 	nnReads := nn.Stats().TotalReads
 
-	if err := sx.DropCache(); err != nil {
-		t.Fatal(err)
-	}
 	full, err := c.Range(context.Background(), sx.Bounds(), QueryOptions{})
 	if err != nil {
 		t.Fatal(err)

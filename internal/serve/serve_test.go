@@ -119,21 +119,14 @@ func TestRangeStreamMatchesDirectQuery(t *testing.T) {
 	s := startServer(t, sx, Config{})
 	c := dialServer(t, s)
 
-	// Drop the cache before each measured query: QueryStats counts the
-	// cache misses a query causes, so equal stats need equal (cold,
-	// unbounded-cache) starting states.
+	// Every query counts its own cold reads, so the local and the served
+	// query report equal stats.
 	q := sx.Bounds()
-	if err := sx.DropCache(); err != nil {
-		t.Fatal(err)
-	}
 	want, wantStats, err := sx.RangeQuery(q)
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	if err := sx.DropCache(); err != nil {
-		t.Fatal(err)
-	}
 	st, err := c.Range(context.Background(), q, QueryOptions{})
 	if err != nil {
 		t.Fatal(err)
@@ -162,9 +155,6 @@ func TestRangeStreamMatchesDirectQuery(t *testing.T) {
 	}
 
 	// Count query: same cardinality, no materialization round trip.
-	if err := sx.DropCache(); err != nil {
-		t.Fatal(err)
-	}
 	n, cs, err := c.Count(context.Background(), q, QueryOptions{})
 	if err != nil {
 		t.Fatal(err)
@@ -177,9 +167,6 @@ func TestRangeStreamMatchesDirectQuery(t *testing.T) {
 	}
 
 	// Limited query stops at exactly k results and costs fewer reads.
-	if err := sx.DropCache(); err != nil {
-		t.Fatal(err)
-	}
 	lim, err := c.Range(context.Background(), q, QueryOptions{Limit: 10})
 	if err != nil {
 		t.Fatal(err)
@@ -267,13 +254,10 @@ func TestDisconnectCancelsCrawl(t *testing.T) {
 	if fullReads == 0 {
 		t.Fatal("baseline query recorded no page reads")
 	}
-	// Both crawls start cold: a warm second crawl would be all hits and
-	// report zero reads, hiding the difference this test measures.
+	// Every crawl counts its own cold reads, so the second one's count
+	// is comparable with the first's.
 	waitFor(t, 10*time.Second, func() bool { return s.adm.inflight() == 0 },
 		"baseline query still holds its admission slot")
-	if err := sx.DropCache(); err != nil {
-		t.Fatal(err)
-	}
 
 	// Aborted run: read one element, then drop the connection cold.
 	// Throttled sockets guarantee the crawl stalls on backpressure long
@@ -310,8 +294,7 @@ func TestDisconnectCancelsCrawl(t *testing.T) {
 // TestAdmissionRejectsOverBudget is the acceptance test for admission
 // control: with a budget of N=2, two stalled streams hold the slots, a
 // third query is rejected with a wire-mapped flat.ErrBusy, and the two
-// in-flight streams still drain to completion afterwards on the shared
-// page cache.
+// in-flight streams still drain to completion afterwards.
 func TestAdmissionRejectsOverBudget(t *testing.T) {
 	els := testElements(40000, 3)
 	sx, err := flat.Build(els, &flat.Options{Shards: 2})

@@ -71,8 +71,7 @@ type Counters struct {
 }
 
 // ServerStats is the admin/stats payload: the index's size, the
-// admission state, per-operation counters, page-cache occupancy and the
-// staged delta. It travels as JSON inside msgStatsResp, so fields are
+// admission state, per-operation counters and the staged delta. It travels as JSON inside msgStatsResp, so fields are
 // stable protocol surface.
 type ServerStats struct {
 	Elements    int
@@ -81,7 +80,6 @@ type ServerStats struct {
 	Inflight    int // queries currently holding admission slots
 	MaxInflight int
 	Counters    Counters
-	CachePages  int              // resident pages in the shared page cache
 	Delta       *flat.DeltaStats `json:",omitempty"`
 }
 
@@ -228,7 +226,6 @@ func (s *Server) Stats() ServerStats {
 		Inflight:    s.adm.inflight(),
 		MaxInflight: s.adm.capacity(),
 		Counters:    s.counters(),
-		CachePages:  s.ix.CacheStats(),
 	}
 	if d, err := s.ix.DeltaStats(); err == nil {
 		st.Delta = &d

@@ -49,7 +49,6 @@ func TestStreamQueryOrderParity(t *testing.T) {
 			t.Fatal(err)
 		}
 		for qi, q := range testQueries(rand.New(rand.NewSource(42)), 8) {
-			set.DropCache()
 			var want []geom.Element
 			var wantStats core.QueryStats
 			for _, sh := range set.Prune(q) {
@@ -60,7 +59,6 @@ func TestStreamQueryOrderParity(t *testing.T) {
 				want = append(want, part...)
 				wantStats.Add(st)
 			}
-			set.DropCache()
 			got, st := collectStream(t, set, context.Background(), q)
 			if len(got) != len(want) {
 				t.Fatalf("K=%d query %d: %d elements, the shard crawls %d", k, qi, len(got), len(want))
@@ -81,10 +79,9 @@ func TestStreamQueryOrderParity(t *testing.T) {
 
 // TestStreamQueryEarlyStopSkipsLaterShards is the acceptance criterion
 // for early stops: a stream stopped on its first element must read no
-// pages at all from any shard after the first surviving one. The cache
-// starts cold and is unbounded, so the cached frames after the stream
-// are exactly the pages it read — counted per shard via the page-id
-// shard tag.
+// pages at all from any shard after the first surviving one. A page
+// recorder serves the shards, so the pages the stream read are counted
+// per shard via the page-id shard tag.
 func TestStreamQueryEarlyStopSkipsLaterShards(t *testing.T) {
 	r := rand.New(rand.NewSource(43))
 	els := randomElements(r, 6000)
@@ -99,28 +96,23 @@ func TestStreamQueryEarlyStopSkipsLaterShards(t *testing.T) {
 		t.Fatalf("query box survives on %d shards, want 4", len(sel))
 	}
 
-	set.DropCache()
+	rec := recordPages(set)
 	st, err := set.StreamQuery(context.Background(), q, StreamOptions{},
 		func(geom.Element) bool { return false }) // stop on the first element
 	if err != nil {
 		t.Fatal(err)
 	}
-	seen := make(map[int]int)
-	set.Pool().DropFramesIf(func(id storage.PageID) bool {
-		sh, _ := storage.SplitShardPageID(id)
-		seen[sh]++
-		return false
-	})
-	if seen[sel[0]] == 0 {
+	first := rec.distinct(sel[0])
+	if first == 0 {
 		t.Fatal("the first surviving shard read no pages")
 	}
 	for _, sh := range sel[1:] {
-		if seen[sh] != 0 {
-			t.Fatalf("shard %d has %d cached frames — read after the stream stopped in shard %d", sh, seen[sh], sel[0])
+		if n := rec.distinct(sh); n != 0 {
+			t.Fatalf("shard %d had %d pages read after the stream stopped in shard %d", sh, n, sel[0])
 		}
 	}
-	if st.TotalReads != uint64(seen[sel[0]]) {
-		t.Fatalf("stats report %d reads, cache holds %d frames", st.TotalReads, seen[sel[0]])
+	if st.TotalReads != first {
+		t.Fatalf("stats report %d reads, the stream read %d distinct pages", st.TotalReads, first)
 	}
 	if st.Results != 1 {
 		t.Fatalf("stats.Results = %d, want 1", st.Results)
@@ -129,8 +121,8 @@ func TestStreamQueryEarlyStopSkipsLaterShards(t *testing.T) {
 
 // TestStreamQueryCancelMidMerge cancels the parent context while the
 // stream is mid-flight: the stream must terminate with the context's
-// error, report the partial work in its stats, and leave the shared
-// cache consistent.
+// error, report the partial work in its stats — every distinct page it
+// read, once, as a finished stream does — and leave the set consistent.
 func TestStreamQueryCancelMidMerge(t *testing.T) {
 	r := rand.New(rand.NewSource(44))
 	els := randomElements(r, 6000)
@@ -139,12 +131,16 @@ func TestStreamQueryCancelMidMerge(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer set.Close()
+	rec := recordPages(set)
 	q := set.Bounds()
-	want, _ := collectStream(t, set, context.Background(), q)
+	want, wantSt := collectStream(t, set, context.Background(), q)
+	if read := rec.distinct(-1); wantSt.TotalReads != read {
+		t.Fatalf("finished stream reports %d reads, read %d distinct pages", wantSt.TotalReads, read)
+	}
+	rec.reset()
 
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	set.DropCache()
 	n := 0
 	st, err := set.StreamQuery(ctx, q, StreamOptions{}, func(geom.Element) bool {
 		n++
@@ -161,6 +157,9 @@ func TestStreamQueryCancelMidMerge(t *testing.T) {
 	}
 	if st.TotalReads == 0 || st.Results != n {
 		t.Fatalf("cancelled stream stats %+v after %d emits — partial work not reported", st, n)
+	}
+	if read := rec.distinct(-1); st.TotalReads != read {
+		t.Fatalf("cancelled stream reports %d reads, read %d distinct pages", st.TotalReads, read)
 	}
 
 	after, _ := collectStream(t, set, context.Background(), q)
@@ -212,12 +211,10 @@ func TestStreamQueryOverlayParity(t *testing.T) {
 			live = append(live, e)
 		}
 		for qi, q := range append([]geom.MBR{set.World()}, testQueries(rr, 6)...) {
-			set.DropCache()
 			want, wantStats := collectStream(t, set, context.Background(), q)
 			if !equalIDs(sortedIDs(want), brute(live, q)) {
 				t.Fatalf("K=%d query %d: the stream diverges from brute force over the overlaid set", k, qi)
 			}
-			set.DropCache()
 			n, countStats := countStream(t, set, context.Background(), q)
 			if n != len(want) || countStats != wantStats {
 				t.Fatalf("K=%d query %d: count sink %d, %+v; collect sink %d, %+v", k, qi, n, countStats, len(want), wantStats)
@@ -374,7 +371,6 @@ func TestQueryErrorKeepsPartialStats(t *testing.T) {
 			return set.StreamQuery(ctx, q, StreamOptions{}, func(geom.Element) bool { return true })
 		},
 	} {
-		set.DropCache()
 		st, err := run(newPollCtx(12))
 		if err == nil {
 			t.Fatalf("%s: poll-limited ctx did not fail the query", name)

@@ -136,8 +136,7 @@ func buildShardFile(t *testing.T, dir string, s int, els []geom.Element, format 
 // compatibility claim: a directory whose shards use different page
 // formats opens behind one shared ConcurrentPool, queries correctly
 // (page decode is self-describing), and Rebuild preserves each shard's
-// own format across generations — including the DropFramesIf cache
-// invalidation, which is page-format-agnostic.
+// own format across generations.
 func TestMixedFormatGenerations(t *testing.T) {
 	r := rand.New(rand.NewSource(29))
 	dir := t.TempDir()
@@ -195,19 +194,6 @@ func TestMixedFormatGenerations(t *testing.T) {
 		}
 	}
 	check("mixed open", all)
-
-	// Both formats' pages share the one pool; the cache must hold frames
-	// from both shards after the spanning queries above.
-	if set.Pool().Len() == 0 {
-		t.Fatal("shared pool cached nothing")
-	}
-	// Dropping one shard's frames (what Rebuild does internally) must not
-	// disturb the other format's cached pages.
-	set.Pool().DropFramesIf(func(id storage.PageID) bool {
-		sh, _ := storage.SplitShardPageID(id)
-		return sh == 1
-	})
-	check("after partial drop", all)
 
 	// Stage updates landing in both shards and rebuild: each shard's new
 	// generation must keep its own format.

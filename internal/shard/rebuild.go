@@ -286,7 +286,7 @@ func (s *Set) routeShard(b geom.MBR) int {
 
 // Rebuild folds the staged updates into the bulkloaded index by
 // re-bulkloading only the dirty shards; clean shards keep their page
-// files (byte-identical), their cached frames, and their directory
+// files (byte-identical), their mappings, and their directory
 // entries. It returns the shard numbers actually re-bulkloaded (nil
 // when nothing was staged or no staged change had an effect).
 //
@@ -350,7 +350,7 @@ func (s *Set) rebuildLocked(force []int) ([]int, error) {
 			}
 			// A delete-only dirty shard whose deletes matched nothing is
 			// unchanged (deletes only remove, so an unchanged length means an
-			// unchanged set); skip the pointless rewrite and keep its cache,
+			// unchanged set); skip the pointless rewrite and keep its file,
 			// unless the shard is forced.
 			if len(ep.deltas[sh].slab) == 0 && len(els) == cur.shards[sh].Len() && !slices.Contains(force, sh) {
 				return nil, core.Options{}, nil
@@ -427,16 +427,9 @@ func (s *Set) rebuildLocked(force []int) ([]int, error) {
 		}
 	}
 
-	// Phase 3: publish the next generation; nothing below can fail. Only
-	// the rebuilt shards' cached frames are invalidated — clean shards
-	// keep their warm cache — and before their old pagers are swapped out
-	// and closed: a memory-mapped shard's cached frames alias its mapping,
-	// which Close unmaps.
+	// Phase 3: publish the next generation; nothing below can fail. The
+	// rebuilt shards' old pagers are swapped out and closed.
 	s.cur = next
-	s.pool.DropFramesIf(func(id storage.PageID) bool {
-		sh, _ := storage.SplitShardPageID(id)
-		return fresh[sh] != nil
-	})
 	for _, sh := range rebuilt {
 		old, err := s.multi.Swap(sh, pagers[sh])
 		if err != nil {

@@ -23,8 +23,8 @@
 // pages, same ids, same read counts — which is the invariant the tests
 // pin down.
 //
-// Storage is shard-aware but the cache is global: every shard's page
-// file hangs behind one storage.MultiPager, and one
+// Storage is shard-aware but the page-id space is global: every shard's
+// page file hangs behind one storage.MultiPager, and one
 // storage.ConcurrentPool serves them all.
 //
 // Sharding also shrinks the rebuild unit: updates are staged on the
@@ -96,8 +96,10 @@ type Config struct {
 }
 
 // Set is a built sharded FLAT index: K per-shard core indexes, the MBR
-// directory that routes queries to them, and the shared page pool they
-// are served from. What it serves is one generation value (cur): the
+// directory that routes queries to them, and the one pool over one
+// MultiPager they are served from (the set-wide pool and router stay
+// only because the benchmark module reads through Pool; each shard
+// could read through its own view). What it serves is one generation value (cur): the
 // committed manifest and the shards opened from it, immutable and, like
 // core.Index, safe for concurrent queries. Updates are staged on the
 // side (StageInsert, StageDelete) and folded in by Rebuild, which
@@ -323,8 +325,8 @@ func Build(els []geom.Element, cfg Config) (*Set, error) {
 		gc()
 	}
 
-	// Serve every shard from one shared pool. The per-shard build pools
-	// are discarded, so the set starts cold.
+	// Serve every shard from one pool; the per-shard build pools are
+	// discarded.
 	pool := storage.NewConcurrentPool(multi, 0)
 	for s, ix := range built {
 		built[s] = ix.WithPool(pool)
@@ -345,7 +347,7 @@ type bulkJob func() ([]geom.Element, core.Options, error)
 // and fsynced before this returns, since a shard file must be durable
 // before a manifest is told it exists; a memory pager otherwise —
 // through a private build pool that is discarded (the set serves from
-// its shared pool, so it starts cold). Under dir the written file is
+// its own pool). Under dir the written file is
 // closed and reopened through openShard, the open step's own, so a
 // fresh shard is served exactly as a reopen serves it.
 //
@@ -460,7 +462,7 @@ type OpenOptions struct {
 // bulkloadShards: it maps the page file at path read-only and restores
 // shard s from its superblock, the last page of the file, addressed
 // under the shard's tag through a private pool (the set serves from its
-// shared one, via core.Index.WithPool). It returns the index and the
+// own, via core.Index.WithPool). It returns the index and the
 // mapped pager, or an error and nothing open.
 func openShard(path string, s int) (*core.Index, storage.Pager, error) {
 	p, err := storage.OpenMmapPager(path)
@@ -489,7 +491,7 @@ func openShard(path string, s int) (*core.Index, storage.Pager, error) {
 // have stranded are ignored). It is the one open step: each shard file
 // is mapped and its shard restored (openShard) and cross-checked against
 // its manifest entry, and every shard is served behind one MultiPager
-// and one shared pool. If the manifest references a write-ahead log,
+// and one pool. If the manifest references a write-ahead log,
 // the log is replayed: operations staged before the last crash or close
 // reappear as staged updates, exactly as the original calls left them.
 // A shard whose metadata pages are of an older kind than queries read
@@ -697,19 +699,19 @@ func (s *Set) SizeBytes() uint64 {
 	return n
 }
 
-// Pool returns the shared page pool all shards are served from.
+// Pool returns the pool all shards are served from. It is reserved:
+// the benchmark module reads through it; nothing in this module does.
 func (s *Set) Pool() *storage.ConcurrentPool { return s.pool }
 
-// DropCache empties the shared page cache.
-func (s *Set) DropCache() { s.pool.DropFrames() }
+// DropCache does nothing: no page is cached, every query counts its own
+// cold reads. It is reserved, kept only because the benchmark module
+// calls it.
+func (s *Set) DropCache() {}
 
 // Close releases every shard's storage. A write-ahead log is synced
 // before it is closed, so a clean close acknowledges everything staged
-// (an unclean one keeps what the last Flush acknowledged). Every cached
-// frame is dropped before the pagers close, as Rebuild does before its
-// swap: a frame of a mapped shard aliases the mapping, so a query after
-// Close misses and gets the closed pager's error instead of touching
-// unmapped memory.
+// (an unclean one keeps what the last Flush acknowledged). A query
+// after Close gets the closed pagers' error.
 func (s *Set) Close() error {
 	s.pmu.Lock()
 	var werr error
@@ -721,7 +723,6 @@ func (s *Set) Close() error {
 		s.wal = nil
 	}
 	s.pmu.Unlock()
-	s.pool.DropFrames()
 	if err := s.multi.Close(); err != nil {
 		return err
 	}

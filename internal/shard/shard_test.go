@@ -272,7 +272,6 @@ func testSingleShardParity(t *testing.T, fanout int, format storage.PageFormat) 
 	if fanout != 0 && ref.SeedHeight() < 3 {
 		t.Fatalf("fanout %d did not deepen the seed tree (height %d)", fanout, ref.SeedHeight())
 	}
-	refPool.DropFrames()
 
 	cfg := Config{Shards: 1, PageCapacity: 16, SeedFanout: fanout, PageFormat: format}
 	shEls := append([]geom.Element(nil), els...)
@@ -307,8 +306,6 @@ func testSingleShardParity(t *testing.T, fanout int, format storage.PageFormat) 
 	sameAnswers := func(shape string, set *Set) {
 		t.Helper()
 		for i, q := range queries {
-			set.DropCache()
-			refPool.DropFrames()
 			want, wantStats, err := ref.RangeQuery(q)
 			if err != nil {
 				t.Fatal(err)
@@ -550,7 +547,6 @@ func TestShardedDiskRoundTrip(t *testing.T) {
 	}
 	base := make([]baseline, len(queries))
 	for i, q := range queries {
-		set.DropCache()
 		got, st := collectStream(t, set, context.Background(), q)
 		base[i] = baseline{ids: sortedIDs(got), reads: st.TotalReads}
 	}
@@ -577,7 +573,6 @@ func TestShardedDiskRoundTrip(t *testing.T) {
 		t.Fatalf("reopened: %d shards, %d elements", re.NumShards(), re.Len())
 	}
 	for i, q := range queries {
-		re.DropCache()
 		got, st := collectStream(t, re, context.Background(), q)
 		if !equalIDs(sortedIDs(got), base[i].ids) {
 			t.Fatalf("query %d: reopened results differ", i)
@@ -756,11 +751,10 @@ func TestRunBatchFirstErrorDeterministic(t *testing.T) {
 	}
 }
 
-// TestQueryAfterClose pins that Close leaves no cached page behind for
-// a later query to touch: a frame of a mapped shard aliases the file's
-// mapping, which Close unmaps, so a query after Close must miss and get
-// the closed pager's error rather than fault. The memory set answers
-// the same way.
+// TestQueryAfterClose pins that a query after Close touches no page:
+// a mapped shard's pages alias the file's mapping, which Close unmaps,
+// so the query must get the closed pager's error rather than fault. The
+// memory set answers the same way.
 func TestQueryAfterClose(t *testing.T) {
 	r := rand.New(rand.NewSource(43))
 	els := randomElements(r, 3000)
@@ -773,14 +767,8 @@ func TestQueryAfterClose(t *testing.T) {
 			countStream(t, set, context.Background(), q)
 		}
 		countStream(t, set, context.Background(), set.World())
-		if set.Pool().Len() == 0 {
-			t.Fatal("queries cached no page")
-		}
 		if err := set.Close(); err != nil {
 			t.Fatal(err)
-		}
-		if n := set.Pool().Len(); n != 0 {
-			t.Errorf("dir %q: %d frames cached after Close", dir, n)
 		}
 		_, err = set.StreamQuery(context.Background(), set.World(), StreamOptions{}, func(geom.Element) bool { return true })
 		if err == nil {

@@ -41,8 +41,9 @@ func readInto(t *testing.T, pool *ConcurrentPool, id PageID, tally *Stats) []byt
 	return data
 }
 
-// One miss, then hits: the caller's tally moves on the first read of a
-// page and on no later one.
+// Every tallied read counts, in the caller's tally alone: the pool
+// holds no pages, so what one caller read before is no hit for the next
+// read, its own or another caller's.
 func TestConcurrentPoolBasics(t *testing.T) {
 	pager := fillPager(t, 10, CatObject)
 	pool := NewConcurrentPool(pager, 0)
@@ -55,28 +56,23 @@ func TestConcurrentPoolBasics(t *testing.T) {
 	if got := tally.Reads[CatObject]; got != 1 {
 		t.Fatalf("reads = %d, want 1", got)
 	}
-	// A re-read is a hit: free, like an OS page cache — for this caller
-	// and for any other.
 	var other Stats
 	readInto(t, pool, 3, &tally)
 	readInto(t, pool, 3, &other)
-	if tally.Reads[CatObject] != 1 || other.TotalReads() != 0 {
-		t.Fatalf("reads after hits = %d and %d, want 1 and 0", tally.Reads[CatObject], other.TotalReads())
+	if tally.Reads[CatObject] != 2 || other.TotalReads() != 1 {
+		t.Fatalf("reads after re-reads = %d and %d, want 2 and 1", tally.Reads[CatObject], other.TotalReads())
 	}
-	if pool.Len() != 1 {
-		t.Fatalf("Len = %d, want 1", pool.Len())
-	}
-	// A nil tally caches the page and counts nothing.
+	// A nil tally counts nothing.
 	if _, err := pool.ReadInto(4, nil); err != nil {
 		t.Fatalf("read: %v", err)
 	}
-	if tally.TotalReads() != 1 || pool.Len() != 2 {
-		t.Fatalf("untallied read moved a tally (%d) or cached nothing (Len %d)", tally.TotalReads(), pool.Len())
+	if tally.TotalReads() != 2 || other.TotalReads() != 1 {
+		t.Fatalf("untallied read moved a tally (%d, %d)", tally.TotalReads(), other.TotalReads())
 	}
 }
 
-// Per-category attribution: a miss lands under the page's category in
-// the tally of the caller that caused it, and nowhere else.
+// Per-category attribution: a read lands under the page's category in
+// the tally of the caller that made it, and nowhere else.
 func TestConcurrentPoolReadInto(t *testing.T) {
 	pager := fillPager(t, 8, CatMetadata)
 	object, err := pager.Alloc(CatObject)
@@ -92,7 +88,7 @@ func TestConcurrentPoolReadInto(t *testing.T) {
 	if _, err := pool.ReadInto(2, &q1); err != nil {
 		t.Fatal(err)
 	}
-	// q2 re-touches page 1 (global hit, not counted) and misses page 3.
+	// q2 reads page 1 too: it counts for q2 as well.
 	if _, err := pool.ReadInto(1, &q2); err != nil {
 		t.Fatal(err)
 	}
@@ -102,15 +98,15 @@ func TestConcurrentPoolReadInto(t *testing.T) {
 	if q1.Reads[CatMetadata] != 2 {
 		t.Errorf("q1 local reads = %d, want 2", q1.Reads[CatMetadata])
 	}
-	if q2.Reads[CatMetadata] != 1 {
-		t.Errorf("q2 local reads = %d, want 1 (page 1 was a shared hit)", q2.Reads[CatMetadata])
+	if q2.Reads[CatMetadata] != 2 {
+		t.Errorf("q2 local reads = %d, want 2 (q1's read of page 1 is no hit for q2)", q2.Reads[CatMetadata])
 	}
 	if _, err := pool.ReadInto(object, &q2); err != nil {
 		t.Fatal(err)
 	}
 	var want1, want2 Stats
 	want1.Reads[CatMetadata] = 2
-	want2.Reads[CatMetadata], want2.Reads[CatObject] = 1, 1
+	want2.Reads[CatMetadata], want2.Reads[CatObject] = 2, 1
 	if q1 != want1 || q2 != want2 {
 		t.Errorf("tallies %+v and %+v, want %+v and %+v", q1, q2, want1, want2)
 	}
@@ -150,17 +146,17 @@ func TestConcurrentPoolShortWriteError(t *testing.T) {
 	if err := pool.Write(0, make([]byte, PageSize-1)); err == nil {
 		t.Fatal("short write must return an error, not panic")
 	}
-	// The cached-frame branch must validate too.
+	// A page read before must validate too.
 	if _, err := pool.ReadInto(0, nil); err != nil {
 		t.Fatal(err)
 	}
 	if err := pool.Write(0, make([]byte, 7)); err == nil {
-		t.Fatal("short write on cached page must return an error")
+		t.Fatal("short write on a read page must return an error")
 	}
 }
 
 // countingPager counts the page fetches that reach the pager: the
-// misses a pool over it actually performed.
+// reads a pool over it actually performed.
 type countingPager struct {
 	Pager
 	fetches atomic.Uint64
@@ -171,33 +167,14 @@ func (p *countingPager) ReadPage(id PageID) ([]byte, error) {
 	return p.Pager.ReadPage(id)
 }
 
-// TestConcurrentPoolParallel hammers one pool from many goroutines while
-// another keeps dropping frames, all or by id, and verifies (under
-// -race) that every read returns the right bytes and that the readers'
-// own tallies sum to the misses performed: every pager fetch is charged
-// to exactly one caller.
+// TestConcurrentPoolParallel hammers one pool from many goroutines and
+// verifies (under -race) that every read returns the right bytes and
+// that the readers' own tallies sum to the reads performed: every pager
+// fetch is charged to exactly one caller.
 func TestConcurrentPoolParallel(t *testing.T) {
 	const pages = 200
 	pager := &countingPager{Pager: fillPager(t, pages, CatObject)}
 	pool := NewConcurrentPool(pager, 0)
-
-	stop := make(chan struct{})
-	dropped := make(chan struct{})
-	go func() {
-		defer close(dropped)
-		for i := 0; ; i++ {
-			select {
-			case <-stop:
-				return
-			default:
-			}
-			if i%2 == 0 {
-				pool.DropFrames()
-			} else {
-				pool.DropFramesIf(func(id PageID) bool { return id%3 == PageID(i%3) })
-			}
-		}
-	}()
 
 	var wg sync.WaitGroup
 	const workers = 8
@@ -226,8 +203,6 @@ func TestConcurrentPoolParallel(t *testing.T) {
 		}(w)
 	}
 	wg.Wait()
-	close(stop)
-	<-dropped
 	for _, err := range errs {
 		if err != nil {
 			t.Fatal(err)
@@ -237,31 +212,8 @@ func TestConcurrentPoolParallel(t *testing.T) {
 	for _, l := range locals {
 		localSum += l.TotalReads()
 	}
-	if fetched := pager.fetches.Load(); fetched != localSum || fetched < pages {
+	if fetched := pager.fetches.Load(); fetched != localSum || fetched != workers*500 {
 		t.Errorf("pager served %d fetches, the callers' tallies sum to %d", fetched, localSum)
-	}
-}
-
-// DropFrames is the one cache verb: it empties the cache, so the next
-// read of every page is a miss again, and touches no caller's tally.
-func TestConcurrentPoolDropFramesMakesQueriesCold(t *testing.T) {
-	pool := NewConcurrentPool(fillPager(t, 2, CatObject), 0)
-	var tally Stats
-	readInto(t, pool, 0, &tally)
-	readInto(t, pool, 1, &tally)
-	if tally.TotalReads() != 2 {
-		t.Fatal("setup")
-	}
-	pool.DropFrames()
-	if pool.Len() != 0 {
-		t.Error("DropFrames did not clear frames")
-	}
-	if tally.TotalReads() != 2 {
-		t.Error("DropFrames moved a caller's tally")
-	}
-	readInto(t, pool, 0, &tally)
-	if tally.TotalReads() != 3 {
-		t.Error("read after DropFrames should be a cold miss")
 	}
 }
 
@@ -282,18 +234,17 @@ func TestConcurrentPoolWriteThrough(t *testing.T) {
 	if dst[5] != 42 {
 		t.Error("write-through failed")
 	}
-	// The write does not prime the cache: the read returns the written
-	// bytes and counts one miss.
+	// The read returns the written bytes and counts one read.
 	var tally Stats
 	got := readInto(t, pool, id, &tally)
 	if got[5] != 42 {
 		t.Error("read after write returned stale data")
 	}
 	if tally.TotalReads() != 1 {
-		t.Errorf("read after write counted %d misses, want 1", tally.TotalReads())
+		t.Errorf("read after write counted %d reads, want 1", tally.TotalReads())
 	}
-	// Overwriting a cached page drops its frame: the next read sees the
-	// new bytes, and a slice read before the write keeps the old ones.
+	// Overwriting a read page: the next read sees the new bytes, and a
+	// slice read before the write keeps the old ones.
 	src[5] = 43
 	if err := pool.Write(id, src); err != nil {
 		t.Fatal(err)
@@ -303,7 +254,7 @@ func TestConcurrentPoolWriteThrough(t *testing.T) {
 		t.Error("read after the second write returned stale data")
 	}
 	if tally.TotalReads() != 2 {
-		t.Errorf("read after the second write: %d misses in all, want 2", tally.TotalReads())
+		t.Errorf("read after the second write: %d reads in all, want 2", tally.TotalReads())
 	}
 	if got[5] != 42 {
 		t.Error("a slice read before the write changed under its reader")
@@ -317,10 +268,10 @@ func TestConcurrentPoolReadError(t *testing.T) {
 	}
 }
 
-// TestConcurrentPoolCopiesNothing pins what a miss costs: after one warm
-// pass over a page set, dropping every frame and re-reading the same
-// pages cold allocates nothing, over a MemPager and over a mapping, and
-// every page the pool returns is the pager's own bytes.
+// TestConcurrentPoolCopiesNothing pins what a read costs: after one
+// pass over a page set, re-reading the same pages allocates nothing,
+// over a MemPager and over a mapping, and every page the pool returns
+// is the pager's own bytes.
 func TestConcurrentPoolCopiesNothing(t *testing.T) {
 	const pages = 300
 	mem := fillPager(t, pages, CatObject)
@@ -368,7 +319,6 @@ func TestConcurrentPoolCopiesNothing(t *testing.T) {
 				}
 			}
 			cold := func() {
-				pool.DropFrames()
 				for id := PageID(0); id < pages; id++ {
 					if _, err := pool.ReadInto(id, &tally); err != nil {
 						t.Fatal(err)
@@ -376,10 +326,10 @@ func TestConcurrentPoolCopiesNothing(t *testing.T) {
 				}
 			}
 			if allocs := testing.AllocsPerRun(10, cold); allocs != 0 {
-				t.Errorf("a cold re-read of %d pages allocated %.1f times, want 0", pages, allocs)
+				t.Errorf("a re-read of %d pages allocated %.1f times, want 0", pages, allocs)
 			}
 			if want := uint64(pages * 12); tally.TotalReads() != want {
-				t.Errorf("tally = %d misses, want %d (one per page per pass)", tally.TotalReads(), want)
+				t.Errorf("tally = %d reads, want %d (one per page per pass)", tally.TotalReads(), want)
 			}
 		})
 	}

@@ -141,7 +141,7 @@ func TestMmapPagerBadSizes(t *testing.T) {
 }
 
 // TestPoolOverMmap verifies the pool serves mmap-backed pages with the
-// usual read accounting, and that the cached frame is the mapping
+// usual read accounting, and that the page it returns is the mapping
 // itself, not a copy.
 func TestPoolOverMmap(t *testing.T) {
 	path, contents := writeTestFile(t, 4)
@@ -166,21 +166,21 @@ func TestPoolOverMmap(t *testing.T) {
 		t.Fatal("pool copied an mmap page instead of aliasing it")
 	}
 	if local.Reads[storage.CatObject] != 1 {
-		t.Fatalf("tally after miss: %+v", local)
+		t.Fatalf("tally after one read: %+v", local)
 	}
 	if _, err := pool.ReadInto(2, &local); err != nil {
 		t.Fatal(err)
 	}
-	if local.Reads[storage.CatObject] != 1 {
-		t.Fatal("cache hit was counted as a read")
+	if local.Reads[storage.CatObject] != 2 {
+		t.Fatalf("tally after a re-read: %+v, want 2 object reads", local)
 	}
 	if err := pool.Write(2, make([]byte, storage.PageSize)); !errors.Is(err, storage.ErrReadOnlyPager) {
 		t.Fatalf("pool write over mmap: %v", err)
 	}
-	// The failed write must not have clobbered the cached (aliased) frame.
+	// The failed write must not have clobbered the mapped page.
 	again, _ := pool.ReadInto(2, nil)
 	if string(again) != string(contents[2]) {
-		t.Fatal("failed write corrupted the cached frame")
+		t.Fatal("failed write corrupted the mapped page")
 	}
 }
 

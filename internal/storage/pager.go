@@ -14,14 +14,14 @@
 //     ReadPage hands out an immutable page: the mapping's own bytes,
 //     MemPager's stored slice, or a fresh buffer from a file. One
 //     optional capability rides on a Pager: CategorySetter.
-//   - ConcurrentPool: the one page cache, layered over a Pager: an
-//     unbounded, lock-striped table of the slices ReadPage returned.
-//     Reads that miss the pool are counted as disk page reads, classified
-//     by the page's allocation category (R-tree leaf, R-tree internal,
-//     FLAT object page, seed-tree node, metadata...) into the Stats the
+//   - ConcurrentPool: the one Pool, layered over a Pager. Every read is
+//     one ReadPage, counted as a disk page read and classified by the
+//     page's allocation category (R-tree leaf, R-tree internal, FLAT
+//     object page, seed-tree node, metadata...) into the Stats the
 //     reading query passed to ReadInto — the one tally; the pool keeps
-//     no counters of its own. DropFrames drops all cached frames — the
-//     equivalent of the paper's cache clearing between queries.
+//     no counters and no pages. A query passes its tally once per page
+//     it reads, so every query is as cold as the paper's, whose OS
+//     caches are cleared before each one.
 //
 // All figures in the paper that report "page reads", "data retrieved" or
 // leaf/non-leaf breakdowns are sums of those per-query tallies.

@@ -6,8 +6,8 @@ import (
 )
 
 // Sharded page addressing. A sharded FLAT index keeps one page file per
-// spatial shard but serves every shard through one page cache,
-// so all shards must share a single PageID space. The space is split by
+// spatial shard but serves every shard through one pool, so all shards
+// must share a single PageID space. The space is split by
 // tagging the shard number into the id:
 //
 //	bits 47..32: shard number (up to MaxShards)
@@ -46,7 +46,7 @@ var ErrMultiPagerAlloc = errors.New("storage: allocate through a shard's view, n
 // MultiPager routes the sharded PageID space over per-shard pagers: id
 // bits 47..32 select the sub-pager, the low 32 bits address the page
 // within it. One ConcurrentPool wrapped around a MultiPager serves every
-// shard of a sharded index from a single cache.
+// shard of a sharded index.
 //
 // A shard's build-time view (NewShardView) is the same router with one
 // routed shard, which is when Alloc works. It returns tagged ids, so an
@@ -163,9 +163,8 @@ func (m *MultiPager) SetCategory(id PageID, cat Category) {
 // path: a rebuilt shard's new page file is spliced in without touching
 // the other shards. The caller must guarantee no concurrent access to
 // the MultiPager for the duration of the swap (the sharded index swaps
-// only under its maintenance guard, with no queries in flight) and must
-// invalidate any cache layered above for the swapped shard's ids. A
-// shard view has no such owner and refuses.
+// only under its maintenance guard, with no queries in flight). A shard
+// view has no such owner and refuses.
 func (m *MultiPager) Swap(shard int, sub Pager) (Pager, error) {
 	if m.view {
 		return nil, errors.New("storage: swap on a shard view")

@@ -144,11 +144,11 @@ func TestMultiPagerRouting(t *testing.T) {
 	}
 }
 
-// TestMultiPagerSwapAndShardInvalidation exercises the two storage
-// primitives of the per-shard rebuild path: MultiPager.Swap splices a
-// rebuilt shard's new pager in without touching its siblings, and
-// ConcurrentPool.DropFramesIf invalidates exactly the swapped shard's
-// cached frames, leaving the other shards' cache warm.
+// TestMultiPagerSwapAndShardInvalidation exercises the storage
+// primitive of the per-shard rebuild path: MultiPager.Swap splices a
+// rebuilt shard's new pager in without touching its siblings, so a pool
+// over it reads the swapped shard's new content at once and the other
+// shards' pages as they were.
 func TestMultiPagerSwapAndShardInvalidation(t *testing.T) {
 	subs := []Pager{NewMemPager(), NewMemPager()}
 	ids := make([]PageID, len(subs))
@@ -202,13 +202,7 @@ func TestMultiPagerSwapAndShardInvalidation(t *testing.T) {
 	if old != orig {
 		t.Fatal("Swap returned the wrong previous pager")
 	}
-	pool.DropFramesIf(func(id PageID) bool {
-		shard, _ := SplitShardPageID(id)
-		return shard == 1
-	})
 
-	// Shard 1's frame was dropped and now reads the new pager's content
-	// (one miss); shard 0's frame survived (no miss).
 	var tally Stats
 	page, err := pool.ReadInto(ids[1], &tally)
 	if err != nil {
@@ -218,7 +212,7 @@ func TestMultiPagerSwapAndShardInvalidation(t *testing.T) {
 		t.Errorf("swapped shard serves old content %q", page[0])
 	}
 	if got := tally.TotalReads(); got != 1 {
-		t.Errorf("swapped shard's frame survived invalidation: %d reads", got)
+		t.Errorf("swapped shard's read counted %d reads, want 1", got)
 	}
 	page, err = pool.ReadInto(ids[0], &tally)
 	if err != nil {
@@ -227,8 +221,8 @@ func TestMultiPagerSwapAndShardInvalidation(t *testing.T) {
 	if page[0] != 'A' {
 		t.Errorf("clean shard content disturbed: %q", page[0])
 	}
-	if got := tally.TotalReads(); got != 1 {
-		t.Error("clean shard's frame was dropped")
+	if got := tally.TotalReads(); got != 2 {
+		t.Errorf("clean shard's read: %d reads in all, want 2", got)
 	}
 
 	if _, err := m.Swap(5, repl); err == nil {
@@ -281,8 +275,5 @@ func TestMultiPagerUnderConcurrentPool(t *testing.T) {
 	}
 	if local.Reads[CatObject] != uint64(len(ids)) {
 		t.Errorf("local object reads = %d, want %d", local.Reads[CatObject], len(ids))
-	}
-	if pool.Len() != len(ids) {
-		t.Errorf("pool holds %d frames, want %d", pool.Len(), len(ids))
 	}
 }

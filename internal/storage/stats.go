@@ -2,9 +2,9 @@ package storage
 
 // Stats is a caller-owned tally of page reads per page category: the
 // one page-read accounting in this repository. A query passes its own
-// Stats down to Pool.ReadInto and receives exactly the cache misses it
-// caused, whatever else runs beside it; nothing below keeps a shared
-// total. One page read corresponds to PageSize bytes retrieved from
+// Stats down to Pool.ReadInto the first time it reads each page, so it
+// counts every distinct page it read once, whatever ran before it or
+// runs beside it; nothing below keeps a shared total. One page read corresponds to PageSize bytes retrieved from
 // "disk" — exactly the unit the paper reports in Figures 2, 12, 14–16,
 // 18 and 19.
 type Stats struct {

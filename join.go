@@ -19,7 +19,9 @@ const joinBlockSize = 256
 type JoinStats struct {
 	// Outer is the page-read accounting of streaming the outer index.
 	Outer QueryStats
-	// Inner merges the page reads of every inner probe.
+	// Inner merges the page reads of every inner probe: the sum of each
+	// probe's cold reads, so a page two probes read counts twice, and
+	// the count depends only on the two indexes and the join.
 	Inner QueryStats
 	// Blocks counts the inner probes (⌈outer elements / block⌉, fewer
 	// on an early stop).

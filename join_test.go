@@ -86,13 +86,6 @@ func TestJoinMatchesBruteForce(t *testing.T) {
 	check := func(as, bs []Element) {
 		t.Helper()
 		for _, maxDist := range []float64{0, 1.5, 6} {
-			// Reads tally cache misses; cold-start each run so they count.
-			if err := outer.DropCache(); err != nil {
-				t.Fatal(err)
-			}
-			if err := inner.DropCache(); err != nil {
-				t.Fatal(err)
-			}
 			want := bruteJoin(as, bs, maxDist, nil)
 			got, st := collectJoin(t, outer, inner, maxDist, nil)
 			checkJoinPairs(t, got, want)

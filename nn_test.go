@@ -182,16 +182,10 @@ func TestNNReadsFewerPagesThanDrainAndSort(t *testing.T) {
 	_, targets := queryTargets(t, 3000)
 	p := V(50, 50, 50)
 	for name, q := range targets {
-		if err := q.DropCache(); err != nil {
-			t.Fatal(err)
-		}
 		res := q.NN(context.Background(), p, 4)
 		drainNN(t, res, p)
 		nnReads := res.Stats().TotalReads
 
-		if err := q.DropCache(); err != nil {
-			t.Fatal(err)
-		}
 		full := q.Query(context.Background(), q.Bounds().Expand(1))
 		n := 0
 		for _, err := range full.All() {
@@ -229,7 +223,7 @@ func TestNNCancellation(t *testing.T) {
 		if !errors.Is(sawErr, context.Canceled) {
 			t.Fatalf("%s: cancelled NN terminated with %v, want context.Canceled", name, sawErr)
 		}
-		// The index (and its cache) must stay fully usable.
+		// The index must stay fully usable.
 		p := V(10, 90, 50)
 		got := drainNN(t, q.NN(context.Background(), p, 5), p)
 		if len(got) != 5 {

@@ -42,9 +42,9 @@ func WithLimit(k int) QueryOption {
 // The crawl runs on the goroutine that drains the session: the
 // surviving shards are crawled one after another in shard order, which
 // is what lets WithLimit skip trailing shards entirely. To use several
-// cores, drain several sessions at once, one per goroutine: they share
-// the index's page cache, and each session's Stats counts only the page
-// reads it caused. Safe for concurrent use.
+// cores, drain several sessions at once, one per goroutine: each
+// session's Stats counts the distinct pages it read, whatever runs
+// beside it. Safe for concurrent use.
 func (ix *Index) Query(ctx context.Context, q MBR, opts ...QueryOption) *Results {
 	return newResults(ctx, ix, q, false, opts)
 }
@@ -209,7 +209,7 @@ func (r *Results) Batches() iter.Seq2[[]Element, error] {
 // a page-read failure, the context's error when the session's context
 // is cancelled mid-crawl, or ErrClosed. The index's query guard is held
 // for exactly the executor's run — every element is yielded from inside
-// it — so Close and DropCache report ErrBusy while a session is being
+// it — so Close and Rebuild report ErrBusy while a session is being
 // drained, never while one is merely held. The terminal error pair is
 // yielded after the guard is released: a caller may Close from that
 // loop body. Breaking out counts the element broken on as delivered.

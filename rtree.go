@@ -27,7 +27,6 @@ func (s RTreeStrategy) String() string { return rtree.Strategy(s).String() }
 // dense data FLAT (Index) is the recommended structure.
 type RTree struct {
 	inner *rtree.Tree
-	pool  *storage.ConcurrentPool
 	pager storage.Pager
 }
 
@@ -41,8 +40,7 @@ type RTreeStats struct {
 // BuildRTree bulkloads a baseline R-tree over els (reordered in place)
 // with the given strategy, in memory. Of opts only World is consulted,
 // and means what it does for Build (this package's tests also cap leaf
-// entries with the unexported page capacity); the page cache is
-// unbounded.
+// entries with the unexported page capacity).
 func BuildRTree(els []Element, strategy RTreeStrategy, opts *Options) (*RTree, error) {
 	var o Options
 	if opts != nil {
@@ -61,15 +59,13 @@ func BuildRTree(els []Element, strategy RTreeStrategy, opts *Options) (*RTree, e
 		pager.Close()
 		return nil, err
 	}
-	// Hand back a cold tree; see Build.
-	pool.DropFrames()
-	return &RTree{inner: tree, pool: pool, pager: pager}, nil
+	return &RTree{inner: tree, pager: pager}, nil
 }
 
 // RangeQuery returns all elements intersecting q and the page reads
-// this traversal caused. It is safe for concurrent use: every call
-// tallies its own cache misses, so calls running side by side are never
-// charged each other's.
+// this traversal made, each node once. It is safe for concurrent use:
+// every call tallies its own reads, so calls running side by side are
+// never charged each other's.
 func (t *RTree) RangeQuery(q MBR) ([]Element, RTreeStats, error) {
 	var local storage.Stats
 	res, err := t.inner.Tally(&local).RangeQuery(q)
@@ -92,9 +88,6 @@ func (t *RTree) Height() int { return t.inner.Height() }
 
 // SizeBytes returns the on-disk footprint.
 func (t *RTree) SizeBytes() uint64 { return t.inner.SizeBytes() }
-
-// DropCache empties the page cache so the next query starts cold.
-func (t *RTree) DropCache() { t.pool.DropFrames() }
 
 // Close releases the tree's storage.
 func (t *RTree) Close() error { return t.pager.Close() }

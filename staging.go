@@ -68,14 +68,14 @@ func (ix *Index) DirtyShards() (dirty []int, err error) {
 }
 
 // Rebuild folds the staged updates in by re-bulkloading only the dirty
-// shards; untouched shards keep their page files (byte-identical) and
-// their share of the page cache. On disk each rebuilt shard writes a
+// shards; untouched shards keep their page files (byte-identical). On
+// disk each rebuilt shard writes a
 // new generation of its page file and the manifest is atomically
 // swapped, so a crash at any point leaves a fully openable index. It
 // returns the rebuilt shard numbers (nil when nothing was staged or no
 // staged change had an effect).
 //
-// Rebuild is a maintenance operation like Close and DropCache: while
+// Rebuild is a maintenance operation like Close: while
 // queries are in flight it returns ErrBusy and changes nothing, and
 // after Close it returns ErrClosed. On failure the staged updates stay
 // staged and the index keeps serving its previous state.
