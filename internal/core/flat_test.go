@@ -570,10 +570,10 @@ func TestColdReadsInvariantAcrossWorkers(t *testing.T) {
 
 // TestQueryAllocatesNothing pins the allocation count of a warm range
 // query at K=1 with a no-op emit, on an SN-sized box (~15 results) and an
-// LSS-sized box (~2.7k results), over v1 and v2 object pages: every page
-// is cached, the scratch comes from its pool with grown buffers, records
-// are decoded in place and object pages filtered in place, so the query
-// allocates nothing.
+// LSS-sized box (~2.7k results), over v1 and v2 object pages: a page
+// read hands out the pager's own bytes, the scratch comes from its pool
+// with grown buffers, records are decoded in place and object pages
+// filtered in place, so the query allocates nothing.
 func TestQueryAllocatesNothing(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector makes sync.Pool drop the query scratch at random")

@@ -146,11 +146,8 @@ func TestPersistV2RoundTrip(t *testing.T) {
 	orig := make([]geom.Element, len(els))
 	copy(orig, els)
 
-	fp, err := storage.CreateFilePager(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pool := storage.NewConcurrentPool(fp, 0)
+	mem := storage.NewMemPager()
+	pool := storage.NewConcurrentPool(mem, 0)
 	ix, err := Build(pool, els, Options{World: worldBox(), PageFormat: storage.PageFormatV2})
 	if err != nil {
 		t.Fatal(err)
@@ -158,7 +155,7 @@ func TestPersistV2RoundTrip(t *testing.T) {
 	if err := ix.WriteSuper(); err != nil {
 		t.Fatal(err)
 	}
-	if err := fp.Close(); err != nil {
+	if err := mem.WriteFile(path); err != nil {
 		t.Fatal(err)
 	}
 

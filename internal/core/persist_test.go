@@ -18,12 +18,9 @@ func TestPersistRoundTrip(t *testing.T) {
 	orig := make([]geom.Element, len(els))
 	copy(orig, els)
 
-	// Build on a file pager and write the superblock.
-	fp, err := storage.CreateFilePager(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pool := storage.NewConcurrentPool(fp, 0)
+	// Build in memory, write the superblock, then the page file.
+	mem := storage.NewMemPager()
+	pool := storage.NewConcurrentPool(mem, 0)
 	ix, err := Build(pool, els, Options{World: worldBox()})
 	if err != nil {
 		t.Fatal(err)
@@ -40,7 +37,7 @@ func TestPersistRoundTrip(t *testing.T) {
 	if err := ix.WriteSuper(); err != nil {
 		t.Fatal(err)
 	}
-	if err := fp.Close(); err != nil {
+	if err := mem.WriteFile(path); err != nil {
 		t.Fatal(err)
 	}
 

@@ -21,7 +21,8 @@ import (
 // BenchmarkBulkload is Build end to end, into a directory, then Close:
 // K=4, v2 pages, over a fixed 112 500-element neuron model (a quarter of
 // the served benchmark's). It reports time and bytes allocated per
-// element.
+// element; the bytes include the index's own pages, which each shard is
+// built into in memory before its file is written.
 func BenchmarkBulkload(b *testing.B) {
 	src := neuro.Generate(neuro.Config{Seed: 1, TargetElements: 112_500, SegmentsPerNeuron: 1500}).Elements[:112_500]
 	els := make([]geom.Element, len(src))

@@ -385,8 +385,8 @@ func TestQueryErrorKeepsPartialStats(t *testing.T) {
 // range stream on an SN-sized and an LSS-sized box in three states: no
 // staged delta, a delta the boxes miss, and a delta of at least four
 // runs plus deletes that the boxes hit. The query scratch and the delta
-// view come from pools with grown buffers, and every page is cached, so
-// the stream allocates nothing in any state.
+// view come from pools with grown buffers, and a page read hands out the
+// pager's own bytes, so the stream allocates nothing in any state.
 func TestStreamQueryAllocations(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector makes sync.Pool drop the query scratch at random")

@@ -382,8 +382,8 @@ func TestSetNNCancellation(t *testing.T) {
 // TestNNQueryAllocations pins the allocation count of a warm K=4 k-NN
 // query stopped at k=10, without and with a staged delta of several runs
 // and deletes: the query scratch and the delta view come from pools with
-// grown buffers, and every page is cached, so the query allocates
-// nothing.
+// grown buffers, and a page read hands out the pager's own bytes, so the
+// query allocates nothing.
 func TestNNQueryAllocations(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector makes sync.Pool drop the query scratch at random")

@@ -300,7 +300,8 @@ func (s *Set) routeShard(b geom.MBR) int {
 //
 // The dirty shards are re-bulkloaded concurrently (bulkloadShards, at
 // most GOMAXPROCS at once), so peak memory during a rebuild is
-// min(GOMAXPROCS, dirty shards) shards' merged element slices, not one.
+// min(GOMAXPROCS, dirty shards) shards' merged element slices and
+// in-memory pages, not one.
 //
 // Rebuild mutates the set and must not run concurrently with queries or
 // other maintenance; the public flat.Index enforces this with its

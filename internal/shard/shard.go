@@ -342,20 +342,21 @@ type bulkJob func() ([]geom.Element, core.Options, error)
 
 // bulkloadShards is the one bulkload step, shared by Build and Rebuild:
 // shard s's job (jobs is by shard; nil leaves the shard out) is
-// bulkloaded under the shard's page-id tag into a pager created here —
-// under dir the page file shardFileName(s, gen), its superblock appended
-// and fsynced before this returns, since a shard file must be durable
-// before a manifest is told it exists; a memory pager otherwise —
-// through a private build pool that is discarded (the set serves from
-// its own pool). Under dir the written file is
-// closed and reopened through openShard, the open step's own, so a
-// fresh shard is served exactly as a reopen serves it.
+// bulkloaded under the shard's page-id tag into a MemPager through a
+// private build pool that is discarded (the set serves from its own
+// pool). Under dir its superblock is appended and its pages written
+// whole to the file shardFileName(s, gen) and fsynced before this
+// returns (MemPager.WriteFile), since a shard file must be durable
+// before a manifest is told it exists; the MemPager is dropped and the
+// file served through openShard, the open step's own, so a fresh shard
+// is served exactly as a reopen serves it.
 //
 // The jobs run on min(GOMAXPROCS, len(jobs)) workers, one job per worker
 // at a time: a job's element slice (Rebuild's jobs merge theirs) exists
-// only while a worker runs it, so peak memory is min(GOMAXPROCS, jobs)
-// shards' elements. Every job runs to completion and this returns only
-// once every worker has exited, so no goroutine outlives it. It returns
+// only while a worker runs it, and so do its in-memory pages under dir,
+// so peak memory is min(GOMAXPROCS, jobs) shards' elements and pages.
+// Every job runs to completion and this returns only once every worker
+// has exited, so no goroutine outlives it. It returns
 // the new indexes and their pagers by shard, nil where no job ran or a
 // job skipped; on any error it discards everything it created
 // (discardShards) and returns the lowest failing shard's error, however
@@ -369,40 +370,42 @@ func bulkloadShards(dir string, gen uint64, jobs []bulkJob) ([]*core.Index, []st
 	built := make([]*core.Index, len(jobs))
 	pagers := make([]storage.Pager, len(jobs))
 	errs := make([]error, len(jobs))
-	run := func(s int) error {
+	run := func(s int) (err error) {
 		els, opts, err := jobs[s]()
 		if err != nil || len(els) == 0 {
 			return err
 		}
-		var pager storage.Pager = storage.NewMemPager()
-		path := filepath.Join(dir, shardFileName(s, gen))
-		if dir != "" {
-			if pager, err = storage.CreateFilePager(path); err != nil {
-				return fmt.Errorf("shard %d: %w", s, err)
+		defer func() {
+			if err != nil {
+				err = fmt.Errorf("shard %d: %w", s, err)
 			}
-		}
-		pagers[s] = pager
-		view, err := storage.NewShardView(pager, s)
-		if err == nil {
-			built[s], err = core.Build(storage.NewConcurrentPool(view, 0), els, opts)
-		}
-		if err == nil && dir != "" {
-			// Serve what a reopen would: the synced file through its
-			// mapping, restored from its superblock.
-			if err = built[s].WriteSuper(); err == nil {
-				err = pager.Close()
-			}
-			if err == nil {
-				var mapped storage.Pager
-				if built[s], mapped, err = openShard(path, s); err == nil {
-					pagers[s] = mapped
-				}
-			}
-		}
+		}()
+		mem := storage.NewMemPager()
+		view, err := storage.NewShardView(mem, s)
 		if err != nil {
-			return fmt.Errorf("shard %d: %w", s, err)
+			return err
 		}
-		return nil
+		ix, err := core.Build(storage.NewConcurrentPool(view, 0), els, opts)
+		if err != nil {
+			return err
+		}
+		if dir == "" {
+			built[s], pagers[s] = ix, mem
+			return nil
+		}
+		// Serve what a reopen would: the written file through its
+		// mapping, restored from its superblock.
+		path := filepath.Join(dir, shardFileName(s, gen))
+		if err := ix.WriteSuper(); err != nil {
+			return err
+		}
+		if err := mem.WriteFile(path); err != nil {
+			return err
+		}
+		if built[s], pagers[s], err = openShard(path, s); err != nil {
+			os.Remove(path)
+		}
+		return err
 	}
 	next := make(chan int)
 	var wg sync.WaitGroup
@@ -430,8 +433,10 @@ func bulkloadShards(dir string, gen uint64, jobs []bulkJob) ([]*core.Index, []st
 }
 
 // discardShards undoes a bulkload that will not be committed: every
-// pager it created is closed and, under dir, its page file removed — by
-// its name, which no committed generation's file shares.
+// pager it returned is closed and, under dir, its page file removed — by
+// its name, which no committed generation's file shares. A job returns
+// a pager only for a file it wrote and opened (it removes one that fails
+// to open), so nothing else at that name is ever removed.
 func discardShards(dir string, gen uint64, pagers []storage.Pager) {
 	for s, p := range pagers {
 		if p == nil {

@@ -327,23 +327,20 @@ func testSingleShardParity(t *testing.T, fanout int, format storage.PageFormat) 
 	sameAnswers("memory", set)
 
 	// On disk: the shard-0000.flat a K=1 directory build writes is
-	// byte-for-byte the file a bare core.Build + WriteSuper writes on a
-	// FilePager.
+	// byte-for-byte the file a bare core.Build + WriteSuper writes
+	// from a MemPager.
 	dir := t.TempDir()
 	refPath := filepath.Join(dir, "ref.flat")
-	refFile, err := storage.CreateFilePager(refPath)
-	if err != nil {
-		t.Fatal(err)
-	}
+	refMem := storage.NewMemPager()
 	refEls = append(refEls[:0], els...)
-	refOnDisk, err := core.Build(storage.NewConcurrentPool(refFile, 0), refEls, opts)
+	refOnDisk, err := core.Build(storage.NewConcurrentPool(refMem, 0), refEls, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if err := refOnDisk.WriteSuper(); err != nil {
 		t.Fatal(err)
 	}
-	if err := refFile.Close(); err != nil {
+	if err := refMem.WriteFile(refPath); err != nil {
 		t.Fatal(err)
 	}
 	setDir := filepath.Join(dir, "set")
@@ -587,6 +584,32 @@ func TestShardedDiskRoundTrip(t *testing.T) {
 
 	if _, err := OpenSet(filepath.Join(dir, "missing"), OpenOptions{}); err == nil {
 		t.Error("Open of a missing directory should fail")
+	}
+
+	// A committed shard file cut short fails the open naming the shard,
+	// and nothing is served: short by part of a page, its size is not
+	// whole pages; short by whole pages, its last page is no superblock.
+	whole, err := os.ReadFile(shardFile(dir, 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, short := range []int{storage.PageSize / 2, storage.PageSize, 2 * storage.PageSize} {
+		if err := os.WriteFile(shardFile(dir, 1), whole[:len(whole)-short], 0o644); err != nil {
+			t.Fatal(err)
+		}
+		set, err := OpenSet(dir, OpenOptions{})
+		if err == nil {
+			set.Close()
+			t.Fatalf("Open with shard 1 short by %d bytes served a set", short)
+		}
+		msg := err.Error()
+		named := strings.HasPrefix(msg, "shard 1: ")
+		if !named || (!strings.Contains(msg, "not a multiple of 4096") && !strings.Contains(msg, "does not contain a FLAT superblock")) {
+			t.Errorf("shard 1 short by %d bytes: error not diagnostic: %v", short, err)
+		}
+	}
+	if err := os.WriteFile(shardFile(dir, 1), whole, 0o644); err != nil {
+		t.Fatal(err)
 	}
 
 	// A truncated (empty) shard file must fail with a clear diagnostic,

@@ -276,23 +276,7 @@ func TestConcurrentPoolCopiesNothing(t *testing.T) {
 	const pages = 300
 	mem := fillPager(t, pages, CatObject)
 	path := filepath.Join(t.TempDir(), "pages.flat")
-	fp, err := CreateFilePager(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for id := PageID(0); id < pages; id++ {
-		page, err := mem.ReadPage(id)
-		if err == nil {
-			_, err = fp.Alloc(CatObject)
-		}
-		if err == nil {
-			err = fp.WritePage(id, page)
-		}
-		if err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := fp.Close(); err != nil {
+	if err := mem.WriteFile(path); err != nil {
 		t.Fatal(err)
 	}
 	mapped, err := OpenMmapPager(path)

@@ -1,12 +1,17 @@
 package storage
 
-import "bytes"
+import (
+	"bytes"
+	"errors"
+	"fmt"
+	"os"
+)
 
-// MemPager is an in-memory Pager. It is the default substrate for tests
-// and for the benchmark harness: the paper's metric is page reads, which
-// the pool counts identically regardless of whether the bytes come
-// from memory or a file, and an in-memory backing keeps the density sweeps
-// fast and deterministic.
+// MemPager is an in-memory Pager, the one every index is bulkloaded
+// into; a directory's shard is then written to its file (WriteFile).
+// The paper's metric is page reads, which the pool counts identically
+// whether the bytes come from memory or a mapped file, and an in-memory
+// backing keeps the density sweeps fast and deterministic.
 //
 // Each written page is its own slice, which ReadPage hands out as is:
 // WritePage installs a fresh slice rather than overwriting the stored
@@ -62,8 +67,30 @@ func (m *MemPager) CategoryOf(id PageID) Category {
 // NumPages implements Pager.
 func (m *MemPager) NumPages() uint64 { return uint64(len(m.pages)) }
 
-// Sync implements Pager. It is a no-op for memory.
-func (m *MemPager) Sync() error { return nil }
+// WriteFile writes every page, in page order and a page never written
+// as zeros, to a page file at path, created or truncated, and fsyncs and
+// closes it: the file is durable when this returns. On any later error
+// the file is removed.
+func (m *MemPager) WriteFile(path string) error {
+	f, err := os.OpenFile(path, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
+	if err != nil {
+		return fmt.Errorf("storage: create page file: %w", err)
+	}
+	zero := make([]byte, PageSize)
+	for _, page := range m.pages {
+		if page == nil {
+			page = zero
+		}
+		if _, err = f.Write(page); err != nil {
+			break
+		}
+	}
+	if err = errors.Join(err, f.Sync(), f.Close()); err != nil {
+		os.Remove(path)
+		return fmt.Errorf("storage: write page file: %w", err)
+	}
+	return nil
+}
 
 // Close implements Pager. It releases the page slabs.
 func (m *MemPager) Close() error {

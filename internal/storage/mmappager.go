@@ -97,9 +97,6 @@ func (p *MmapPager) SetCategory(id PageID, cat Category) {
 // NumPages returns the number of mapped pages.
 func (p *MmapPager) NumPages() uint64 { return p.pages }
 
-// Sync is a no-op success: a read-only mapping has nothing to flush.
-func (p *MmapPager) Sync() error { return nil }
-
 // Close unmaps the file. Pages handed out earlier become invalid.
 func (p *MmapPager) Close() error {
 	if p.unmap == nil {

@@ -9,18 +9,15 @@ import (
 	"flat/internal/storage"
 )
 
-// writeTestFile builds a small page file via FilePager and returns its
-// path and the page contents.
+// writeTestFile writes a small page file from a MemPager and returns
+// its path and the page contents.
 func writeTestFile(t *testing.T, pages int) (string, [][]byte) {
 	t.Helper()
 	path := filepath.Join(t.TempDir(), "index.flat")
-	fp, err := storage.CreateFilePager(path)
-	if err != nil {
-		t.Fatal(err)
-	}
+	mem := storage.NewMemPager()
 	var contents [][]byte
 	for i := 0; i < pages; i++ {
-		id, err := fp.Alloc(storage.CatObject)
+		id, err := mem.Alloc(storage.CatObject)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -28,15 +25,12 @@ func writeTestFile(t *testing.T, pages int) (string, [][]byte) {
 		for j := range buf {
 			buf[j] = byte(i + j)
 		}
-		if err := fp.WritePage(id, buf); err != nil {
+		if err := mem.WritePage(id, buf); err != nil {
 			t.Fatal(err)
 		}
 		contents = append(contents, buf)
 	}
-	if err := fp.Sync(); err != nil {
-		t.Fatal(err)
-	}
-	if err := fp.Close(); err != nil {
+	if err := mem.WriteFile(path); err != nil {
 		t.Fatal(err)
 	}
 	return path, contents
@@ -89,9 +83,6 @@ func TestMmapPagerReadOnly(t *testing.T) {
 	}
 	if err := mp.WritePage(0, make([]byte, storage.PageSize)); !errors.Is(err, storage.ErrReadOnlyPager) {
 		t.Fatalf("WritePage: %v", err)
-	}
-	if err := mp.Sync(); err != nil {
-		t.Fatalf("Sync: %v", err)
 	}
 }
 

@@ -6,14 +6,14 @@
 // OS caches cleared before every query. This package reproduces that
 // environment:
 //
-//   - Pager: a flat array of 4 KiB pages, backed by a file or by memory
-//     (MemPager, for tests and benchmarks). A committed shard file is
-//     served through its mapping (MmapPager, read-only); FilePager
-//     writes it. MultiPager is the one Pager over other
-//     pagers: it routes the shard-tagged id space of a sharded index.
-//     ReadPage hands out an immutable page: the mapping's own bytes,
-//     MemPager's stored slice, or a fresh buffer from a file. One
-//     optional capability rides on a Pager: CategorySetter.
+//   - Pager: a flat array of 4 KiB pages. Every index is bulkloaded
+//     into memory (MemPager), which serves it there or writes it whole
+//     to a page file (MemPager.WriteFile); a committed shard file is
+//     served through its mapping (MmapPager, read-only). MultiPager is
+//     the one Pager over other pagers: it routes the shard-tagged id
+//     space of a sharded index. ReadPage hands out an immutable page:
+//     the mapping's own bytes or MemPager's stored slice. One optional
+//     capability rides on a Pager: CategorySetter.
 //   - ConcurrentPool: the one Pool, layered over a Pager. Every read is
 //     one ReadPage, counted as a disk page read and classified by the
 //     page's allocation category (R-tree leaf, R-tree internal, FLAT
@@ -84,8 +84,6 @@ type Pager interface {
 	CategoryOf(id PageID) Category
 	// NumPages returns the number of allocated pages.
 	NumPages() uint64
-	// Sync flushes buffered writes to stable storage.
-	Sync() error
 	// Close releases the pager's resources.
 	Close() error
 }

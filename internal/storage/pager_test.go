@@ -3,6 +3,7 @@ package storage
 import (
 	"bytes"
 	"math/rand"
+	"os"
 	"path/filepath"
 	"testing"
 )
@@ -74,9 +75,6 @@ func pagerRoundTrip(t *testing.T, p Pager) {
 	if err := p.WritePage(id0, make([]byte, 10)); err == nil {
 		t.Error("short write buffer accepted")
 	}
-	if err := p.Sync(); err != nil {
-		t.Fatal(err)
-	}
 }
 
 func TestMemPagerRoundTrip(t *testing.T) {
@@ -85,108 +83,77 @@ func TestMemPagerRoundTrip(t *testing.T) {
 	pagerRoundTrip(t, p)
 }
 
-func TestFilePagerRoundTrip(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "pages.db")
-	p, err := CreateFilePager(path)
-	if err != nil {
+// TestMemPagerWriteFile writes a MemPager whose first and last pages
+// were never written over a longer file at the same path and maps the
+// result back: the file is NumPages whole pages, every written page
+// reads back byte-identical and the unwritten ones as zeros.
+func TestMemPagerWriteFile(t *testing.T) {
+	const pages = 5
+	path := filepath.Join(t.TempDir(), "pages.flat")
+	if err := os.WriteFile(path, bytes.Repeat([]byte{0xff}, 2*pages*PageSize), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	defer p.Close()
-	pagerRoundTrip(t, p)
-}
-
-func TestFilePagerReopen(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "pages.db")
-	p, err := CreateFilePager(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	src := make([]byte, PageSize)
-	for i := 0; i < 3; i++ {
-		id, err := p.Alloc(CatRTreeLeaf)
+	p := NewMemPager()
+	r := rand.New(rand.NewSource(11))
+	want := make([][]byte, pages)
+	for i := range want {
+		id, err := p.Alloc(CatObject)
 		if err != nil {
 			t.Fatal(err)
 		}
-		src[0] = byte(i + 1)
-		if err := p.WritePage(id, src); err != nil {
+		want[i] = make([]byte, PageSize)
+		if i == 0 || i == pages-1 {
+			continue
+		}
+		r.Read(want[i])
+		if err := p.WritePage(id, want[i]); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if err := p.Close(); err != nil {
+	if err := p.WriteFile(path); err != nil {
 		t.Fatal(err)
 	}
-
+	st, err := os.Stat(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.Size() != int64(p.NumPages())*PageSize {
+		t.Fatalf("file is %d bytes, want %d pages of %d", st.Size(), p.NumPages(), PageSize)
+	}
 	q, err := OpenMmapPager(path)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer q.Close()
-	if q.NumPages() != 3 {
-		t.Fatalf("reopened NumPages = %d, want 3", q.NumPages())
+	if q.NumPages() != pages {
+		t.Fatalf("mapped NumPages = %d, want %d", q.NumPages(), pages)
 	}
-	for i := 0; i < 3; i++ {
-		dst, err := q.ReadPage(PageID(i))
+	for id, w := range want {
+		got, err := q.ReadPage(PageID(id))
 		if err != nil {
 			t.Fatal(err)
 		}
-		if dst[0] != byte(i+1) {
-			t.Errorf("page %d content = %d", i, dst[0])
-		}
-		// Categories are not persisted.
-		if q.CategoryOf(PageID(i)) != CatUnknown {
-			t.Errorf("reopened category should be unknown")
+		if !bytes.Equal(got, w) {
+			t.Errorf("page %d: first byte %d, want %d", id, got[0], w[0])
 		}
 	}
 }
 
-// TestFilePagerUnwrittenPages pins Alloc's contract now that it writes
-// nothing: of three pages only the middle one is written, the last is
-// past the end of the file until Sync extends it, and after a reopen the
-// file holds three pages with the first and last all zero.
-func TestFilePagerUnwrittenPages(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "pages.db")
-	p, err := CreateFilePager(path)
-	if err != nil {
+// TestMemPagerWriteFileUncreatable: a directory at the path makes
+// WriteFile fail, and the directory stays where it was.
+func TestMemPagerWriteFileUncreatable(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "pages.flat")
+	if err := os.Mkdir(path, 0o755); err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < 3; i++ {
-		if _, err := p.Alloc(CatObject); err != nil {
-			t.Fatal(err)
-		}
-	}
-	src := bytes.Repeat([]byte{7}, PageSize)
-	if err := p.WritePage(1, src); err != nil {
+	p := NewMemPager()
+	if _, err := p.Alloc(CatObject); err != nil {
 		t.Fatal(err)
 	}
-	dst, err := p.ReadPage(2)
-	if err != nil {
-		t.Fatalf("read of an allocated page past the end of the file: %v", err)
+	if err := p.WriteFile(path); err == nil {
+		t.Fatal("WriteFile over a directory succeeded")
 	}
-	if !bytes.Equal(dst, make([]byte, PageSize)) {
-		t.Error("an allocated page past the end of the file did not read as zeros")
-	}
-	if err := p.Sync(); err != nil {
-		t.Fatal(err)
-	}
-	if err := p.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	q, err := OpenMmapPager(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer q.Close()
-	if q.NumPages() != 3 {
-		t.Fatalf("reopened NumPages = %d, want 3", q.NumPages())
-	}
-	for id, want := range [][]byte{make([]byte, PageSize), src, make([]byte, PageSize)} {
-		dst, err := q.ReadPage(PageID(id))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(dst, want) {
-			t.Errorf("page %d after reopen: first byte %d, want %d", id, dst[0], want[0])
-		}
+	if st, err := os.Stat(path); err != nil || !st.IsDir() {
+		t.Fatalf("the directory at the path is gone: %v", err)
 	}
 }

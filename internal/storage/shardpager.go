@@ -191,16 +191,6 @@ func (m *MultiPager) NumPages() uint64 {
 	return n
 }
 
-// Sync implements Pager, syncing every sub-pager.
-func (m *MultiPager) Sync() error {
-	for i, sub := range m.subs {
-		if err := sub.Sync(); err != nil {
-			return fmt.Errorf("storage: sync shard %d: %w", m.first+i, err)
-		}
-	}
-	return nil
-}
-
 // Close implements Pager. Every sub-pager is closed even if one fails;
 // the first error is returned.
 func (m *MultiPager) Close() error {
