@@ -142,7 +142,8 @@ func (r *Runner) fig22() ([]*Table, error) {
 }
 
 // fig23 reproduces Figure 23: execution time and speedup of small- and
-// large-volume query sets on the other data sets, FLAT vs PR-tree.
+// large-volume query sets on the other data sets, FLAT vs PR-tree. It
+// fails unless the two agree on each query's result count (sameCounts).
 func (r *Runner) fig23() ([]*Table, error) {
 	sets, err := r.otherSets()
 	if err != nil {
@@ -179,6 +180,9 @@ func (r *Runner) fig23() ([]*Table, error) {
 			pm, err := coldTree(s.pr, queries)
 			if err != nil {
 				return nil, err
+			}
+			if err := sameCounts(fm, rtree.PR.String(), pm); err != nil {
+				return nil, fmt.Errorf("%s, %s queries: %w", s.name, wl.name, err)
 			}
 			t.AddRow(s.name, wl.name,
 				ms(fm.Elapsed), ms(pm.Elapsed), f1(speedup(float64(fm.Elapsed), float64(pm.Elapsed))),

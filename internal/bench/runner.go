@@ -206,6 +206,7 @@ type measurement struct {
 	Stats   storage.Stats // cumulative cold page reads
 	Elapsed time.Duration
 	Results uint64
+	counts  []int // each query's result count, in query order
 }
 
 // PerResult returns page reads per result element.
@@ -229,10 +230,25 @@ func coldRun(queries []geom.MBR, count func(geom.MBR) (int, storage.Stats, error
 			return m, err
 		}
 		m.Results += uint64(n)
+		m.counts = append(m.counts, n)
 		m.Stats.Add(reads)
 	}
 	m.Elapsed = time.Since(t0)
 	return m, nil
+}
+
+// sameCounts returns an error naming the first query on which other's
+// result count differs from flat's. A FLAT index and an R-tree built
+// over the same elements must agree on every query (v1 object pages and
+// R-tree leaves store exact boxes), so a differing count is a wrong
+// answer in one of them, whatever the page reads say.
+func sameCounts(flat measurement, name string, other measurement) error {
+	for i, n := range flat.counts {
+		if other.counts[i] != n {
+			return fmt.Errorf("bench: query %d: FLAT returns %d results, %s %d", i, n, name, other.counts[i])
+		}
+	}
+	return nil
 }
 
 // coldFLAT is coldRun over a FLAT index: the QueryStats every query
@@ -266,8 +282,9 @@ type useCaseRow struct {
 }
 
 // useCase replays the SN or LSS micro-benchmark (per fraction) across
-// the density sweep, on all four indexes. Results are cached per
-// fraction so figures 12–19 share one run.
+// the density sweep, on all four indexes, and fails unless every R-tree
+// answers each query with FLAT's result count (sameCounts). Results are
+// cached per fraction so figures 12–19 share one run.
 func (r *Runner) useCase(fraction float64) ([]useCaseRow, error) {
 	key := fmt.Sprintf("%g", fraction)
 	if rows, ok := r.useCx[key]; ok {
@@ -294,6 +311,9 @@ func (r *Runner) useCase(fraction float64) ([]useCaseRow, error) {
 			row.RTrees[strat], err = coldTree(s.trees[strat], queries)
 			if err != nil {
 				return nil, err
+			}
+			if err := sameCounts(row.FLAT, strat.String(), row.RTrees[strat]); err != nil {
+				return nil, fmt.Errorf("density %d, fraction %g: %w", n, fraction, err)
 			}
 		}
 		r.logf("  density %d: fraction %g done (FLAT %d reads, PR %d reads)",

@@ -190,8 +190,7 @@ func (ix *Index) BuildStats() BuildStats { return ix.build }
 // WithPool returns a shallow view of the index that performs its page
 // reads through pool, which must wrap the same pager (or an identically
 // laid-out one). Views share all immutable index state with the
-// original; they exist so a sharded set can serve every shard through
-// one pool, and so measurement code can wrap the pool to watch a
+// original; they exist so measurement code can wrap the pool to watch a
 // query's page reads.
 func (ix *Index) WithPool(pool storage.Pool) *Index {
 	cp := *ix

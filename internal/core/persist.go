@@ -74,12 +74,13 @@ func (ix *Index) WriteSuper() error {
 }
 
 // OpenFrom restores an index from the superblock page WriteSuper wrote
-// at id super; the supplied pool must wrap that pager. The location is
-// explicit because a shard's superblock is the last page of its own
-// file, not of the storage.MultiPager that splices the shard files into
-// one PageID space. When the pager can re-register page categories
-// (storage.CategorySetter, e.g. *storage.MmapPager), OpenFrom restores
-// them (they are measurement metadata, not persisted per page).
+// at id super; the supplied pool must wrap that pager, and the index
+// reads through it. The location is explicit because a shard's file is
+// read through the shard's view (storage.NewShardView), so its
+// superblock, the file's last page, has a shard-tagged id. When the
+// pager can re-register page categories (storage.CategorySetter, e.g.
+// *storage.MmapPager), OpenFrom restores them (they are measurement
+// metadata, not persisted per page).
 func OpenFrom(pool storage.Pool, super storage.PageID) (*Index, error) {
 	pager := pool.Pager()
 	page, err := pool.ReadInto(super, nil)

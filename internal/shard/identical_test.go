@@ -455,7 +455,8 @@ func TestDeltaPackedMatchesInserted(t *testing.T) {
 // dirty shards cannot be written, the first one's new-generation file
 // must not survive, and the set keeps serving the old generation with
 // the delta still staged. (A directory squatting on the second shard's
-// next file name makes its pager creation fail, also as root.)
+// next file name makes MemPager.WriteFile's create of that file fail,
+// also as root.)
 func TestRebuildFailureInLaterShardLeavesNothing(t *testing.T) {
 	r := rand.New(rand.NewSource(91))
 	els := randomElements(r, 2000)

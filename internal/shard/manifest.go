@@ -29,9 +29,9 @@ import (
 // the next generation's files can never land on a committed one's.
 //
 // Each shard file is an ordinary FLAT page file whose stored page ids
-// carry the shard's tag (it is bulkloaded through a one-shard
-// storage.MultiPager), so opening splices the files behind one router
-// over all of them with no translation pass.
+// carry the shard's tag (it is bulkloaded through the shard's view,
+// storage.NewShardView), so opening serves each file through the same
+// view over its mapping with no translation pass.
 //
 // The manifest is the commit point of every build and rebuild: shard
 // files are written and fsynced first under fresh generation-suffixed

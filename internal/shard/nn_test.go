@@ -41,13 +41,13 @@ func (p *pageRecorder) distinct(sh int) uint64 {
 func (p *pageRecorder) reset() { clear(p.pages) }
 
 // recordPages serves every shard of set through one pageRecorder over
-// its pool, each shard's index a core.Index.WithPool view. The set must
-// not be rebuilt while it is recorded.
+// the set's routed Pool, each shard's index a core.Index.WithPool view.
+// The set must not be rebuilt while it is recorded.
 func recordPages(set *Set) *pageRecorder {
 	rec := &pageRecorder{Pool: set.Pool(), pages: make(map[storage.PageID]bool)}
 	set.pmu.Lock()
 	defer set.pmu.Unlock()
-	g := &generation{m: set.cur.m, shards: make([]*core.Index, len(set.cur.shards))}
+	g := &generation{m: set.cur.m, shards: make([]*core.Index, len(set.cur.shards)), pagers: set.cur.pagers}
 	for i, ix := range set.cur.shards {
 		g.shards[i] = ix.WithPool(rec)
 	}

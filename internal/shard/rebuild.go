@@ -401,12 +401,12 @@ func (s *Set) rebuildLocked(force []int) ([]int, error) {
 	// log. The commit is also the log's rotation point: it folds the
 	// staged updates into the shard files, so the log that held them is
 	// spent.
-	next := &generation{m: cur.m, shards: slices.Clone(cur.shards)}
+	next := &generation{m: cur.m, shards: slices.Clone(cur.shards), pagers: slices.Clone(cur.pagers)}
 	next.m.Entries = slices.Clone(cur.m.Entries)
 	world := arrayToMBR(cur.m.World)
 	for _, sh := range rebuilt {
 		next.m.Entries[sh] = entryFor(sh, gen, fresh[sh])
-		next.shards[sh] = fresh[sh].WithPool(s.pool)
+		next.shards[sh], next.pagers[sh] = fresh[sh], pagers[sh]
 		world = world.Union(fresh[sh].Bounds())
 	}
 	next.m.World = mbrToArray(world)
@@ -429,15 +429,10 @@ func (s *Set) rebuildLocked(force []int) ([]int, error) {
 	}
 
 	// Phase 3: publish the next generation; nothing below can fail. The
-	// rebuilt shards' old pagers are swapped out and closed.
+	// rebuilt shards' old pagers are closed; the clean shards keep theirs.
 	s.cur = next
 	for _, sh := range rebuilt {
-		old, err := s.multi.Swap(sh, pagers[sh])
-		if err != nil {
-			// Unreachable: shard numbers come from range over the shards.
-			return nil, err
-		}
-		old.Close()
+		cur.pagers[sh].Close()
 	}
 	// Phase 4 (disk): the old generation's files are garbage now that the
 	// manifest no longer references them.

@@ -3,6 +3,7 @@ package shard
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"math/rand"
 	"os"
@@ -29,6 +30,59 @@ func stageCluster(t *testing.T, set *Set, startID uint64, n int, box geom.MBR) [
 		t.Fatal(err)
 	}
 	return els
+}
+
+// TestRebuildClosesOnlyReplacedMappings: Rebuild closes the mapping of
+// the shard it replaces and no other; the clean shards keep serving the
+// very pagers they had. Close then closes every mapping the set serves.
+func TestRebuildClosesOnlyReplacedMappings(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "idx")
+	set, err := Build(randomElements(rand.New(rand.NewSource(43)), 1500), Config{Shards: 3, PageCapacity: 16, Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer set.Close()
+	before := slices.Clone(set.now().pagers)
+	stageCluster(t, set, 900_000, 5, geom.CubeAt(geom.V(50, 50, 50), 1))
+	dirty := set.DirtyShards()
+	if len(dirty) != 1 {
+		t.Fatalf("staged inserts dirtied shards %v, want one", dirty)
+	}
+	if rebuilt, err := set.Rebuild(); err != nil || !reflect.DeepEqual(rebuilt, dirty) {
+		t.Fatalf("Rebuild = %v, %v; want %v", rebuilt, err, dirty)
+	}
+
+	after := set.now().pagers
+	for sh, old := range before {
+		if _, ok := old.(*storage.MmapPager); !ok {
+			t.Fatalf("shard %d is served through a %T, want a *storage.MmapPager", sh, old)
+		}
+		_, err := old.ReadPage(0)
+		if sh == dirty[0] {
+			if after[sh] == old {
+				t.Errorf("rebuilt shard %d still serves its old pager", sh)
+			}
+			if !errors.Is(err, storage.ErrPagerClosed) {
+				t.Errorf("rebuilt shard %d's old pager reads with err = %v, want ErrPagerClosed", sh, err)
+			}
+			continue
+		}
+		if after[sh] != old {
+			t.Errorf("clean shard %d's pager was replaced", sh)
+		}
+		if err != nil {
+			t.Errorf("clean shard %d's pager no longer reads: %v", sh, err)
+		}
+	}
+
+	if err := set.Close(); err != nil {
+		t.Fatal(err)
+	}
+	for sh, p := range after {
+		if _, err := p.ReadPage(0); !errors.Is(err, storage.ErrPagerClosed) {
+			t.Errorf("after Close, shard %d's pager reads with err = %v, want ErrPagerClosed", sh, err)
+		}
+	}
 }
 
 func readShardFiles(t *testing.T, dir string) map[string][]byte {

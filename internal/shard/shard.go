@@ -23,9 +23,11 @@
 // pages, same ids, same read counts — which is the invariant the tests
 // pin down.
 //
-// Storage is shard-aware but the page-id space is global: every shard's
-// page file hangs behind one storage.MultiPager, and one
-// storage.ConcurrentPool serves them all.
+// Each shard is its own FLAT index over its own pager (a MemPager, or
+// its file's read-only mapping), read through its own pool over a
+// one-shard view (storage.NewShardView) that strips the shard tag every
+// page id the shard stores carries. A generation holds its shards'
+// pagers beside the shards.
 //
 // Sharding also shrinks the rebuild unit: updates are staged on the
 // side and folded in by re-bulkloading only the shards they touch,
@@ -95,20 +97,16 @@ type Config struct {
 	WAL bool
 }
 
-// Set is a built sharded FLAT index: K per-shard core indexes, the MBR
-// directory that routes queries to them, and the one pool over one
-// MultiPager they are served from (the set-wide pool and router stay
-// only because the benchmark module reads through Pool; each shard
-// could read through its own view). What it serves is one generation value (cur): the
-// committed manifest and the shards opened from it, immutable and, like
+// Set is a built sharded FLAT index: K per-shard core indexes, each
+// reading its own pager, and the MBR directory that routes queries to
+// them. What it serves is one generation value (cur): the committed
+// manifest and the shards opened from it, immutable and, like
 // core.Index, safe for concurrent queries. Updates are staged on the
 // side (StageInsert, StageDelete) and folded in by Rebuild, which
 // re-bulkloads only the shards the staged changes touch and publishes
 // the next generation — see rebuild.go for the delta and swap machinery.
 type Set struct {
-	pool  *storage.ConcurrentPool
-	multi *storage.MultiPager
-	dir   string // empty for memory-backed sets
+	dir string // empty for memory-backed sets
 
 	// pmu guards what queries read and staging or Rebuild replaces:
 	// queries snapshot under RLock, staging mutates under Lock, and
@@ -128,13 +126,30 @@ type Set struct {
 
 // generation is what a set serves between two commits: the manifest it
 // committed — for a memory-backed set the one it would commit, every
-// entry at generation 0 — and the shards opened from it, by shard. It is
-// never modified once published; Rebuild derives the next one from it.
-// Per-shard bounds and the element count are read off the shards, the
-// world, build knobs and generation numbers off the manifest.
+// entry at generation 0 — and the shards opened from it with the pagers
+// they read, both by shard. It is never modified once published;
+// Rebuild derives the next one from it. Per-shard bounds and the element
+// count are read off the shards, the world, build knobs and generation
+// numbers off the manifest.
 type generation struct {
 	m      manifest
 	shards []*core.Index
+	pagers []storage.Pager // shards[s] reads pagers[s] through its own view
+}
+
+// close closes every pager of g, skipping nil ones (a partly opened
+// generation), and returns the first error.
+func (g *generation) close() error {
+	var first error
+	for s, p := range g.pagers {
+		if p == nil {
+			continue
+		}
+		if err := p.Close(); err != nil && first == nil {
+			first = fmt.Errorf("shard: close shard %d: %w", s, err)
+		}
+	}
+	return first
 }
 
 // shardOptions is how a shard of g is bulkloaded under page format pf:
@@ -304,11 +319,6 @@ func Build(els []geom.Element, cfg Config) (*Set, error) {
 	if err != nil {
 		return nil, err
 	}
-	multi, err := storage.NewMultiPager(pagers)
-	if err != nil {
-		discardShards(cfg.Dir, gen, pagers)
-		return nil, err
-	}
 	for s, ix := range built {
 		g.m.Entries[s] = entryFor(s, gen, ix)
 	}
@@ -324,15 +334,8 @@ func Build(els []geom.Element, cfg Config) (*Set, error) {
 		}
 		gc()
 	}
-
-	// Serve every shard from one pool; the per-shard build pools are
-	// discarded.
-	pool := storage.NewConcurrentPool(multi, 0)
-	for s, ix := range built {
-		built[s] = ix.WithPool(pool)
-	}
-	g.shards = built
-	return &Set{pool: pool, multi: multi, dir: cfg.Dir, cur: g, staged: newEpoch(len(built)), wal: wal}, nil
+	g.shards, g.pagers = built, pagers
+	return &Set{dir: cfg.Dir, cur: g, staged: newEpoch(len(built)), wal: wal}, nil
 }
 
 // bulkJob supplies one shard's elements and build options to
@@ -342,9 +345,9 @@ type bulkJob func() ([]geom.Element, core.Options, error)
 
 // bulkloadShards is the one bulkload step, shared by Build and Rebuild:
 // shard s's job (jobs is by shard; nil leaves the shard out) is
-// bulkloaded under the shard's page-id tag into a MemPager through a
-// private build pool that is discarded (the set serves from its own
-// pool). Under dir its superblock is appended and its pages written
+// bulkloaded under the shard's page-id tag into a MemPager, through its
+// own pool over the shard's view. In memory the shard is served as
+// built. Under dir its superblock is appended and its pages written
 // whole to the file shardFileName(s, gen) and fsynced before this
 // returns (MemPager.WriteFile), since a shard file must be durable
 // before a manifest is told it exists; the MemPager is dropped and the
@@ -466,8 +469,8 @@ type OpenOptions struct {
 // openShard is the one per-shard open step, shared by OpenSet and
 // bulkloadShards: it maps the page file at path read-only and restores
 // shard s from its superblock, the last page of the file, addressed
-// under the shard's tag through a private pool (the set serves from its
-// own, via core.Index.WithPool). It returns the index and the
+// under the shard's tag through the shard's own pool over its view —
+// the pool the shard is served from. It returns the index and the
 // mapped pager, or an error and nothing open.
 func openShard(path string, s int) (*core.Index, storage.Pager, error) {
 	p, err := storage.OpenMmapPager(path)
@@ -495,8 +498,8 @@ func openShard(path string, s int) (*core.Index, storage.Pager, error) {
 // (which names the committed generation; files a crashed rebuild may
 // have stranded are ignored). It is the one open step: each shard file
 // is mapped and its shard restored (openShard) and cross-checked against
-// its manifest entry, and every shard is served behind one MultiPager
-// and one pool. If the manifest references a write-ahead log,
+// its manifest entry, and every shard is served through its own mapping
+// as openShard returned it. If the manifest references a write-ahead log,
 // the log is replayed: operations staged before the last crash or close
 // reappear as staged updates, exactly as the original calls left them.
 // A shard whose metadata pages are of an older kind than queries read
@@ -506,48 +509,31 @@ func OpenSet(dir string, opts OpenOptions) (*Set, error) {
 	if err != nil {
 		return nil, err
 	}
-	pagers := make([]storage.Pager, len(m.Entries))
-	closeAll := func() {
-		for _, p := range pagers {
-			if p != nil {
-				p.Close()
-			}
-		}
-	}
-	g := &generation{m: m, shards: make([]*core.Index, len(m.Entries))}
+	g := &generation{m: m, shards: make([]*core.Index, len(m.Entries)), pagers: make([]storage.Pager, len(m.Entries))}
 	for s, e := range m.Entries {
 		ix, p, err := openShard(filepath.Join(dir, e.File), s)
 		if err != nil {
-			closeAll()
+			g.close()
 			return nil, fmt.Errorf("shard %d: %w", s, err)
 		}
-		pagers[s] = p
+		g.pagers[s] = p
 		if ix.Len() != e.Elements {
-			closeAll()
+			g.close()
 			return nil, fmt.Errorf("shard %d: manifest records %d elements but %s holds %d (corrupted index directory)",
 				s, e.Elements, e.File, ix.Len())
 		}
 		// The superblock is authoritative for the page format (decoding is
 		// self-describing anyway); a non-zero manifest record must agree.
 		if e.PageFormat != 0 && storage.PageFormat(e.PageFormat) != ix.PageFormat() {
-			closeAll()
+			g.close()
 			return nil, fmt.Errorf("shard %d: manifest records page format %d but %s is %s (corrupted index directory)",
 				s, e.PageFormat, e.File, ix.PageFormat())
 		}
 		g.shards[s] = ix
 	}
-	multi, err := storage.NewMultiPager(pagers)
-	if err != nil {
-		closeAll()
-		return nil, err
-	}
-	pool := storage.NewConcurrentPool(multi, 0)
-	for s, ix := range g.shards {
-		g.shards[s] = ix.WithPool(pool)
-	}
-	set := &Set{pool: pool, multi: multi, dir: dir, cur: g, staged: newEpoch(len(g.shards))}
+	set := &Set{dir: dir, cur: g, staged: newEpoch(len(g.shards))}
 	if err := set.openWAL(opts.WAL); err != nil {
-		multi.Close()
+		g.close()
 		return nil, err
 	}
 	if err := set.upgrade(); err != nil {
@@ -565,10 +551,10 @@ const metadataKind = 4
 // metadataKind, all in one Rebuild with those shards forced dirty:
 // Rebuild extracts a shard from its object pages, which every kind
 // shares, and publishes the next generation through the same bulkload,
-// commit, log rotation and pager swap, in the same crash-safe order. The
-// staged operations the log replayed are folded in with them, once. A
-// directory already all of metadataKind is left as it is. Runs during
-// open, before the set is shared.
+// commit, log rotation and closing of the replaced pagers, in the same
+// crash-safe order. The staged operations the log replayed are folded
+// in with them, once. A directory already all of metadataKind is left
+// as it is. Runs during open, before the set is shared.
 func (set *Set) upgrade() error {
 	set.pmu.Lock()
 	defer set.pmu.Unlock()
@@ -626,7 +612,7 @@ func (set *Set) openWAL(enable bool) error {
 		return err
 	}
 	set.wal = w
-	set.cur = &generation{m: m, shards: set.cur.shards}
+	set.cur = &generation{m: m, shards: set.cur.shards, pagers: set.cur.pagers}
 	return nil
 }
 
@@ -704,21 +690,33 @@ func (s *Set) SizeBytes() uint64 {
 	return n
 }
 
-// Pool returns the pool all shards are served from. It is reserved:
-// the benchmark module reads through it; nothing in this module does.
-func (s *Set) Pool() *storage.ConcurrentPool { return s.pool }
+// Pool returns a pool that reads every shard of the served generation,
+// each page id routed to its shard's pager by its tag
+// (storage.NewMultiPager). It is reserved: the benchmark module reads
+// through it; no query does, and each call builds a new router. The
+// set owns the pagers: close the set, not the pool's pager.
+func (s *Set) Pool() *storage.ConcurrentPool {
+	multi, err := storage.NewMultiPager(s.now().pagers)
+	if err != nil {
+		// Unreachable: a set serves 1..MaxShards shards, each with a pager.
+		panic(err)
+	}
+	return storage.NewConcurrentPool(multi, 0)
+}
 
 // DropCache does nothing: no page is cached, every query counts its own
 // cold reads. It is reserved, kept only because the benchmark module
 // calls it.
 func (s *Set) DropCache() {}
 
-// Close releases every shard's storage. A write-ahead log is synced
-// before it is closed, so a clean close acknowledges everything staged
-// (an unclean one keeps what the last Flush acknowledged). A query
-// after Close gets the closed pagers' error.
+// Close releases every shard's storage: the served generation's
+// pagers. A write-ahead log is synced before it is closed, so a clean
+// close acknowledges everything staged (an unclean one keeps what the
+// last Flush acknowledged). A query after Close gets the closed pagers'
+// error.
 func (s *Set) Close() error {
 	s.pmu.Lock()
+	g := s.cur
 	var werr error
 	if s.wal != nil {
 		werr = s.wal.Sync()
@@ -728,7 +726,7 @@ func (s *Set) Close() error {
 		s.wal = nil
 	}
 	s.pmu.Unlock()
-	if err := s.multi.Close(); err != nil {
+	if err := g.close(); err != nil {
 		return err
 	}
 	return werr

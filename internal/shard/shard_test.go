@@ -282,7 +282,7 @@ func testSingleShardParity(t *testing.T, fanout int, format storage.PageFormat) 
 	defer set.Close()
 
 	// Page-level identity.
-	sub := set.multi
+	sub := set.now().pagers[0]
 	if sub.NumPages() != refPager.NumPages() {
 		t.Fatalf("page counts differ: sharded %d, reference %d", sub.NumPages(), refPager.NumPages())
 	}
@@ -383,21 +383,29 @@ func testSingleShardParity(t *testing.T, fanout int, format storage.PageFormat) 
 // TestEveryServedShardIsMapped pins the one read path for committed
 // shard files: after Build into a directory, Rebuild, the open-time
 // upgrade of an older metadata kind, and OpenSet (whatever its reserved
-// Mmap says), every shard is served through its read-only mapping.
+// Mmap says), every shard's pager is its file's read-only mapping, and
+// the pool the shard's queries read through hands out that mapping's
+// own bytes.
 func TestEveryServedShardIsMapped(t *testing.T) {
 	assertMapped := func(step string, set *Set) {
 		t.Helper()
+		g := set.now()
 		for sh := range set.NumShards() {
-			// Swap hands back the serving pager; put it straight back.
-			p, err := set.multi.Swap(sh, storage.NewMemPager())
-			if err == nil {
-				_, err = set.multi.Swap(sh, p)
+			mp, ok := g.pagers[sh].(*storage.MmapPager)
+			if !ok {
+				t.Errorf("%s: shard %d is served through a %T, want a *storage.MmapPager", step, sh, g.pagers[sh])
+				continue
 			}
+			want, err := mp.ReadPage(0)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if _, ok := p.(*storage.MmapPager); !ok {
-				t.Errorf("%s: shard %d is served through a %T, want a *storage.MmapPager", step, sh, p)
+			got, err := set.Shard(sh).Pool().ReadInto(storage.ShardPageID(sh, 0), nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if &got[0] != &want[0] {
+				t.Errorf("%s: shard %d's queries read its page 0 from outside its mapping", step, sh)
 			}
 		}
 	}

@@ -10,10 +10,11 @@
 //     into memory (MemPager), which serves it there or writes it whole
 //     to a page file (MemPager.WriteFile); a committed shard file is
 //     served through its mapping (MmapPager, read-only). MultiPager is
-//     the one Pager over other pagers: it routes the shard-tagged id
-//     space of a sharded index. ReadPage hands out an immutable page:
-//     the mapping's own bytes or MemPager's stored slice. One optional
-//     capability rides on a Pager: CategorySetter.
+//     the one Pager over other pagers: a shard is built and served
+//     through its one-shard view (NewShardView), which checks and
+//     strips the shard tag of its page ids. ReadPage hands out an
+//     immutable page: the mapping's own bytes or MemPager's stored
+//     slice. One optional capability rides on a Pager: CategorySetter.
 //   - ConcurrentPool: the one Pool, layered over a Pager. Every read is
 //     one ReadPage, counted as a disk page read and classified by the
 //     page's allocation category (R-tree leaf, R-tree internal, FLAT

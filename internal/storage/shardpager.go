@@ -6,9 +6,8 @@ import (
 )
 
 // Sharded page addressing. A sharded FLAT index keeps one page file per
-// spatial shard but serves every shard through one pool, so all shards
-// must share a single PageID space. The space is split by
-// tagging the shard number into the id:
+// spatial shard, and every page id a shard stores carries the shard's
+// number, so the ids of all shards form one PageID space:
 //
 //	bits 47..32: shard number (up to MaxShards)
 //	bits 31..0:  page within the shard's own pager
@@ -45,28 +44,28 @@ var ErrMultiPagerAlloc = errors.New("storage: allocate through a shard's view, n
 
 // MultiPager routes the sharded PageID space over per-shard pagers: id
 // bits 47..32 select the sub-pager, the low 32 bits address the page
-// within it. One ConcurrentPool wrapped around a MultiPager serves every
-// shard of a sharded index.
+// within it.
 //
-// A shard's build-time view (NewShardView) is the same router with one
-// routed shard, which is when Alloc works. It returns tagged ids, so an
-// index built through a view stores them in all of its persistent
-// structures (seed root, object-page pointers, metadata record refs)
-// and the very same page file is later served, with no translation
-// pass, behind the router that splices all shards together.
+// A shard's view (NewShardView) is the router with one routed shard: it
+// checks a tagged id's shard and strips the tag. A shard is bulkloaded
+// and served through its view, and Alloc works only there; it returns
+// tagged ids, so an index built through a view stores them in all of
+// its persistent structures (seed root, object-page pointers, metadata
+// record refs), and the same page file is served through the shard's
+// view again with no translation pass. A router over several shards
+// (NewMultiPager) reads any shard's tagged ids.
 //
-// MultiPager adds no synchronization of its own (the routing table only
-// changes through Swap, which demands external exclusion); concurrent
-// use follows the wrapped pagers' rules, and distinct shards never
-// share mutable state, so per-shard builds may proceed in parallel as
-// long as each shard is touched by one goroutine.
+// MultiPager adds no synchronization of its own and its routing table
+// never changes; concurrent use follows the wrapped pagers' rules, and
+// distinct shards never share mutable state, so per-shard builds may
+// proceed in parallel as long as each shard is touched by one goroutine.
 type MultiPager struct {
 	first int     // shard number subs[0] serves
 	subs  []Pager // subs[i] serves shard first+i
-	view  bool    // a build-time window on one shard: Swap is refused
 }
 
-// NewMultiPager routes over subs; sub i serves shard i.
+// NewMultiPager routes over subs; sub i serves shard i. The router reads
+// subs in place: the caller must not change it.
 func NewMultiPager(subs []Pager) (*MultiPager, error) {
 	if len(subs) == 0 {
 		return nil, errors.New("storage: multi pager needs at least one sub-pager")
@@ -79,18 +78,16 @@ func NewMultiPager(subs []Pager) (*MultiPager, error) {
 			return nil, fmt.Errorf("storage: nil sub-pager for shard %d", i)
 		}
 	}
-	// Copy the routing table: Swap mutates it, and sharing the caller's
-	// slice would alias that mutation back into the caller.
-	return &MultiPager{subs: append([]Pager(nil), subs...)}, nil
+	return &MultiPager{subs: subs}, nil
 }
 
 // NewShardView routes shard number shard alone, over sub: the window of
-// the shared id space one shard is bulkloaded through.
+// the shared id space one shard is bulkloaded and served through.
 func NewShardView(sub Pager, shard int) (*MultiPager, error) {
 	if shard < 0 || shard >= MaxShards {
 		return nil, fmt.Errorf("storage: shard %d out of range [0,%d)", shard, MaxShards)
 	}
-	return &MultiPager{first: shard, subs: []Pager{sub}, view: true}, nil
+	return &MultiPager{first: shard, subs: []Pager{sub}}, nil
 }
 
 // route resolves a tagged id to its sub-pager and local id.
@@ -156,28 +153,6 @@ func (m *MultiPager) SetCategory(id PageID, cat Category) {
 	if cs, ok := sub.(CategorySetter); ok {
 		cs.SetCategory(local, cat)
 	}
-}
-
-// Swap replaces the sub-pager serving shard and returns the previous
-// one for the caller to close. It exists for the per-shard rebuild
-// path: a rebuilt shard's new page file is spliced in without touching
-// the other shards. The caller must guarantee no concurrent access to
-// the MultiPager for the duration of the swap (the sharded index swaps
-// only under its maintenance guard, with no queries in flight). A shard
-// view has no such owner and refuses.
-func (m *MultiPager) Swap(shard int, sub Pager) (Pager, error) {
-	if m.view {
-		return nil, errors.New("storage: swap on a shard view")
-	}
-	if shard < 0 || shard >= len(m.subs) {
-		return nil, fmt.Errorf("storage: swap shard %d out of range [0,%d)", shard, len(m.subs))
-	}
-	if sub == nil {
-		return nil, errors.New("storage: swap with nil sub-pager")
-	}
-	old := m.subs[shard]
-	m.subs[shard] = sub
-	return old, nil
 }
 
 // NumPages implements Pager with the total page count across shards.

@@ -73,14 +73,9 @@ func TestShardViewTranslation(t *testing.T) {
 	if _, err := NewShardView(sub, MaxShards); err == nil {
 		t.Error("shard beyond MaxShards should be rejected")
 	}
-	// A view is a build-time window: it has no cache owner to swap under.
-	if _, err := v.Swap(3, NewMemPager()); err == nil {
-		t.Error("Swap on a shard view should be refused")
-	}
 
 	// The router over one shard is the same mechanism: it allocates
-	// (shard 0's tag is the identity) and, owning the whole id space,
-	// swaps.
+	// (shard 0's tag is the identity).
 	one, err := NewMultiPager([]Pager{sub})
 	if err != nil {
 		t.Fatal(err)
@@ -90,9 +85,6 @@ func TestShardViewTranslation(t *testing.T) {
 	}
 	if _, err := one.ReadPage(ShardPageID(1, 0)); !errors.Is(err, ErrPageOutOfRange) {
 		t.Errorf("one-shard router, foreign shard read: err = %v, want ErrPageOutOfRange", err)
-	}
-	if old, err := one.Swap(0, NewMemPager()); err != nil || old != Pager(sub) {
-		t.Errorf("one-shard router Swap = (%v, %v), want the original sub-pager", old, err)
 	}
 }
 
@@ -144,98 +136,10 @@ func TestMultiPagerRouting(t *testing.T) {
 	}
 }
 
-// TestMultiPagerSwapAndShardInvalidation exercises the storage
-// primitive of the per-shard rebuild path: MultiPager.Swap splices a
-// rebuilt shard's new pager in without touching its siblings, so a pool
-// over it reads the swapped shard's new content at once and the other
-// shards' pages as they were.
-func TestMultiPagerSwapAndShardInvalidation(t *testing.T) {
-	subs := []Pager{NewMemPager(), NewMemPager()}
-	ids := make([]PageID, len(subs))
-	for s, sub := range subs {
-		v, err := NewShardView(sub, s)
-		if err != nil {
-			t.Fatal(err)
-		}
-		id, err := v.Alloc(CatObject)
-		if err != nil {
-			t.Fatal(err)
-		}
-		buf := make([]byte, PageSize)
-		buf[0] = byte('A' + s)
-		if err := v.WritePage(id, buf); err != nil {
-			t.Fatal(err)
-		}
-		ids[s] = id
-	}
-	m, err := NewMultiPager(subs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pool := NewConcurrentPool(m, 0)
-	for _, id := range ids {
-		if _, err := pool.ReadInto(id, nil); err != nil {
-			t.Fatal(err)
-		}
-	}
-
-	// Rebuild shard 1: new pager with new content, swapped in.
-	repl := NewMemPager()
-	rv, err := NewShardView(repl, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rid, err := rv.Alloc(CatObject)
-	if err != nil {
-		t.Fatal(err)
-	}
-	buf := make([]byte, PageSize)
-	buf[0] = 'Z'
-	if err := rv.WritePage(rid, buf); err != nil {
-		t.Fatal(err)
-	}
-	orig := subs[1]
-	old, err := m.Swap(1, repl)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if old != orig {
-		t.Fatal("Swap returned the wrong previous pager")
-	}
-
-	var tally Stats
-	page, err := pool.ReadInto(ids[1], &tally)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if page[0] != 'Z' {
-		t.Errorf("swapped shard serves old content %q", page[0])
-	}
-	if got := tally.TotalReads(); got != 1 {
-		t.Errorf("swapped shard's read counted %d reads, want 1", got)
-	}
-	page, err = pool.ReadInto(ids[0], &tally)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if page[0] != 'A' {
-		t.Errorf("clean shard content disturbed: %q", page[0])
-	}
-	if got := tally.TotalReads(); got != 2 {
-		t.Errorf("clean shard's read: %d reads in all, want 2", got)
-	}
-
-	if _, err := m.Swap(5, repl); err == nil {
-		t.Error("Swap out of range should fail")
-	}
-	if _, err := m.Swap(0, nil); err == nil {
-		t.Error("Swap with nil pager should fail")
-	}
-}
-
-// TestMultiPagerUnderConcurrentPool certifies the serving configuration
-// of a sharded index: one ConcurrentPool over a MultiPager,
-// with per-query local stats attributing reads to the right categories.
+// TestMultiPagerUnderConcurrentPool certifies one ConcurrentPool over a
+// router of several shards (what a sharded set's reserved Pool builds):
+// each shard's pages read back as written, with per-query local stats
+// attributing reads to the right categories.
 func TestMultiPagerUnderConcurrentPool(t *testing.T) {
 	subs := []Pager{NewMemPager(), NewMemPager()}
 	var ids []PageID
