@@ -18,9 +18,11 @@ race:
 lint:
 	sh scripts/lint.sh
 
-# Just the repo-specific analyzers.
+# Just the repo-specific analyzers, over this module and over the
+# benchmark/ module (which ./... never reaches).
 flatlint:
 	$(GO) run ./cmd/flatlint ./...
+	cd benchmark && $(GO) run flat/cmd/flatlint ./...
 
 # Every fuzz target, 30s each by default (FUZZTIME=... to change).
 fuzz:

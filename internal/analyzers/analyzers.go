@@ -10,22 +10,24 @@
 // acquire is released on every return path" holds by construction and
 // has no checker here.
 //
-// The seven that remain — name, justified suppressions in non-test
-// code today, and what earns the pass its place (the diff it flagged,
-// per CHANGES.md, or the invariant no test can hold):
+// The seven that remain: name, justified suppressions in non-test code
+// today, what the pass checks in this module today, and what earns it
+// its place (the diff it flagged, per CHANGES.md, or the invariant no
+// test can hold):
 //
-//	codecbounds 0  page layouts (v1/v2, PR 7) are decoded only in storage; a test sees only the formats it builds
-//	ctxcrawl    5  PR 6: forced ctx checks into core's seed slot loop and overflow-chain walk (2 more in benchmark/)
-//	lockedfield 0  "guarded by mu" holds on every access; -race sees only the interleavings a test runs
-//	pageidpack  2  PageID shard-tag arithmetic stays in storage; a stray shift is wrong at K > 1 only
-//	reflectsort 0  PR 19: sort.SliceStable was 80 % of build CPU; no timing test can gate that on 2 vCPUs
-//	statsonerr  0  stats cover the work performed on every error return; flagged no real diff yet (ROADMAP 1a extends it)
-//	walsync     0  fsync precedes the publishing rename (PR 8, shard.commit); wrong only across a power loss
+//	codecbounds 0  13 page-read call sites (core, rtree)        page layouts (v1/v2, PR 7) are decoded only in storage; a test sees only the formats it builds
+//	ctxcrawl    5  every page-read loop (core, rtree)          PR 6: forced ctx checks into core's seed slot loop and overflow-chain walk (2 more in benchmark/)
+//	lockedfield 0  5 annotated fields (queryGuard, shard.Set)  "guarded by mu" holds on every access; -race sees only the interleavings a test runs
+//	pageidpack  2  RecordRef's whole-PageID packing (core)     PageID shard-tag arithmetic stays in storage; a stray shift is wrong at K > 1 only
+//	reflectsort 0  the 8 engine packages                       PR 19: sort.SliceStable was 80 % of build CPU; no timing test can gate that on 2 vCPUs
+//	statsonerr  0  16 (…QueryStats, error) functions           stats cover the work performed on every error return; flagged no real diff yet (ROADMAP 1a extends it)
+//	walsync     0  the manifest swap (shard.commit)            fsync precedes the publishing rename (PR 8); wrong only across a power loss
 //
-// The passes run on the dependency-free framework in internal/analysis
-// (an offline re-implementation of the go/analysis API subset they
-// need) and are driven by cmd/flatlint, which runs them all over a
-// package pattern like a vet multichecker.
+// All seven stay: each still checks live code. Lint (lint.go) runs
+// them; Load (load.go) type-checks from source only the packages it
+// lints and reads every import from the compiler's export data. The
+// // want harness is a _test.go helper (fixture_test.go), and
+// cmd/flatlint runs every pass over a package pattern.
 //
 // A finding is suppressed, staticcheck-style, with a justified
 // directive on the flagged line or the line above it:
@@ -42,13 +44,11 @@ package analyzers
 import (
 	"go/ast"
 	"go/types"
-
-	"flat/internal/analysis"
 )
 
 // All returns every analyzer in the suite, in stable order.
-func All() []*analysis.Analyzer {
-	return []*analysis.Analyzer{
+func All() []*Analyzer {
+	return []*Analyzer{
 		CodecBounds,
 		CtxCrawl,
 		LockedField,
@@ -133,7 +133,7 @@ func isPagerRead(info *types.Info, call *ast.CallExpr) bool {
 // funcScope walks every function body in the pass — declarations and
 // function literals alike — calling fn once per function with its type
 // and body. Nested literals are visited as their own scopes.
-func funcScope(pass *analysis.Pass, fn func(ftyp *ast.FuncType, recv *ast.FieldList, doc *ast.CommentGroup, body *ast.BlockStmt)) {
+func funcScope(pass *Pass, fn func(ftyp *ast.FuncType, recv *ast.FieldList, doc *ast.CommentGroup, body *ast.BlockStmt)) {
 	for _, f := range pass.Files {
 		ast.Inspect(f, func(n ast.Node) bool {
 			switch d := n.(type) {

@@ -1,51 +1,123 @@
-package analyzers_test
+package analyzers
 
 import (
+	"go/ast"
+	"go/parser"
+	"go/token"
+	"os"
+	"path/filepath"
+	"slices"
+	"strings"
 	"testing"
-
-	"flat/internal/analysis/analysistest"
-	"flat/internal/analyzers"
 )
 
-// TestEveryAnalyzerHasFixture runs each registered analyzer over the
-// testdata/src package of its own name, so an analyzer cannot join
-// All() without a fixture. The named tests below are the same runs
-// plus the extra fixture packages some analyzers have.
+// fixtures names, by analyzer, the testdata/src packages each runs
+// over. Every analyzer has the fixture of its own name; some have more.
+var fixtures = map[string][]string{
+	"codecbounds": {"codecbounds", "storagepkg"},
+	"ctxcrawl":    {"ctxcrawl"},
+	"lockedfield": {"lockedfield"},
+	"pageidpack":  {"pageidpack", "storagepkg"},
+	"reflectsort": {"reflectsort", "reflectsortbench"},
+	"statsonerr":  {"statsonerr"},
+	"walsync":     {"walsync"},
+}
+
+// TestEveryAnalyzerHasFixture runs each registered analyzer over its
+// fixture packages, so an analyzer cannot join All() without a fixture
+// of its own name.
 func TestEveryAnalyzerHasFixture(t *testing.T) {
-	for _, a := range analyzers.All() {
+	if len(fixtures) != len(All()) {
+		t.Errorf("fixtures names %d analyzers, All() has %d", len(fixtures), len(All()))
+	}
+	for _, a := range All() {
 		t.Run(a.Name, func(t *testing.T) {
-			analysistest.Run(t, "testdata", a, a.Name)
+			if !slices.Contains(fixtures[a.Name], a.Name) {
+				t.Fatalf("no fixture package %q in the table", a.Name)
+			}
+			for _, pkg := range fixtures[a.Name] {
+				lintFixture(t, a, pkg)
+			}
 		})
 	}
 }
 
-func TestCtxCrawl(t *testing.T) {
-	analysistest.Run(t, "testdata", analyzers.CtxCrawl, "ctxcrawl")
+// TestRepositoryLintsClean loads the module's own packages the way
+// flatlint does and requires zero findings, so a lint regression fails
+// go test and not only the lint gate. The benchmark/ module is outside
+// the flat/... pattern.
+func TestRepositoryLintsClean(t *testing.T) {
+	pkgs, err := Load(".", "flat/...")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(pkgs) == 0 {
+		t.Fatal("flat/... matched no packages")
+	}
+	for _, f := range Lint(pkgs, All()) {
+		t.Error(f)
+	}
 }
 
-func TestStatsOnErr(t *testing.T) {
-	analysistest.Run(t, "testdata", analyzers.StatsOnErr, "statsonerr")
+// TestUnreadableExportDataFails points every import at a file that is
+// not export data: the load must fail with a type-check error, never
+// lint a package whose imports did not resolve.
+func TestUnreadableExportDataFails(t *testing.T) {
+	roots, exports, err := goList(filepath.Join("testdata", "src", "walsync"), []string{"."})
+	if err != nil {
+		t.Fatal(err)
+	}
+	bogus := filepath.Join(t.TempDir(), "bogus.a")
+	if err := os.WriteFile(bogus, []byte("not export data\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for path := range exports {
+		exports[path] = bogus
+	}
+	_, err = check(roots, exports)
+	if err == nil || !strings.Contains(err.Error(), "type-check") {
+		t.Fatalf("check over unreadable export data: err = %v, want a type-check error", err)
+	}
+	t.Log(err)
 }
 
-func TestLockedField(t *testing.T) {
-	analysistest.Run(t, "testdata", analyzers.LockedField, "lockedfield")
+// TestIgnoreNeedsJustification pins the suppression rule on a
+// directive of each kind: a justified one on the line or the line
+// above suppresses, a bare one does not, and one naming another
+// analyzer does not.
+func TestIgnoreNeedsJustification(t *testing.T) {
+	const src = `package p
+
+func f() {
+	g() //lint:ignore calls justified on the line
+	//lint:ignore calls justified on the line above
+	g()
+	//lint:ignore calls
+	g()
+	//lint:ignore other justified, but for another analyzer
+	g()
 }
 
-func TestPageIDPack(t *testing.T) {
-	analysistest.Run(t, "testdata", analyzers.PageIDPack, "pageidpack")
-	analysistest.Run(t, "testdata", analyzers.PageIDPack, "storagepkg")
-}
-
-func TestCodecBounds(t *testing.T) {
-	analysistest.Run(t, "testdata", analyzers.CodecBounds, "codecbounds")
-	analysistest.Run(t, "testdata", analyzers.CodecBounds, "storagepkg")
-}
-
-func TestWalSync(t *testing.T) {
-	analysistest.Run(t, "testdata", analyzers.WalSync, "walsync")
-}
-
-func TestReflectSort(t *testing.T) {
-	analysistest.Run(t, "testdata", analyzers.ReflectSort, "reflectsort")
-	analysistest.Run(t, "testdata", analyzers.ReflectSort, "reflectsortbench")
+func g() {}
+`
+	fset := token.NewFileSet()
+	f, err := parser.ParseFile(fset, "p.go", src, parser.ParseComments)
+	if err != nil {
+		t.Fatal(err)
+	}
+	calls := &Analyzer{Name: "calls", Run: func(pass *Pass) {
+		ast.Inspect(pass.Files[0], func(n ast.Node) bool {
+			if call, ok := n.(*ast.CallExpr); ok {
+				pass.Reportf(call.Pos(), "call")
+			}
+			return true
+		})
+	}}
+	var lines []int
+	for _, finding := range Lint([]*Package{{Fset: fset, Files: []*ast.File{f}}}, []*Analyzer{calls}) {
+		lines = append(lines, finding.Pos.Line)
+	}
+	if want := []int{8, 10}; !slices.Equal(lines, want) {
+		t.Fatalf("findings on lines %v, want %v", lines, want)
+	}
 }

@@ -5,8 +5,6 @@ import (
 	"go/token"
 	"go/types"
 	"strings"
-
-	"flat/internal/analysis"
 )
 
 // CodecBounds confines raw page-buffer slicing to internal/storage.
@@ -17,31 +15,30 @@ import (
 // layer must hand the whole buffer to the codec (NewPageReader,
 // DecodeObjectPageInto, ObjectPageCount, core.OpenFrom's
 // superblock reader) instead of indexing into it.
-var CodecBounds = &analysis.Analyzer{
+//
+// Flags, outside the storage package, an index expression buf[i] or slice
+// expression buf[a:b] whose operand is a local variable holding a page
+// buffer — one assigned from a pool/pager read (a method named ReadInto
+// or ReadPage whose first argument is a PageID).
+//
+// Page layouts (v1 vs v2 object pages, metadata pages, the superblock)
+// are storage-layer encoding details; decode through the storage codec
+// (PageReader, DecodeObjectPageInto, the ObjectPage* helpers) so the layout
+// can evolve in exactly one place. The check is function-local: a buffer
+// laundered through another variable or a field escapes it, so keep page
+// buffers in the locals they were read into.
+//
+// Code that must touch raw bytes (checksumming, hex dumps, corruption
+// tests in non-test tooling) may be suppressed with
+// //lint:ignore codecbounds <why>.
+var CodecBounds = &Analyzer{
 	Name: "codecbounds",
-	Doc: `no raw indexing or slicing of page buffers outside internal/storage
-
-Flags, outside the storage package, an index expression buf[i] or slice
-expression buf[a:b] whose operand is a local variable holding a page
-buffer — one assigned from a pool/pager read (a method named ReadInto
-or ReadPage whose first argument is a PageID).
-
-Page layouts (v1 vs v2 object pages, metadata pages, the superblock)
-are storage-layer encoding details; decode through the storage codec
-(PageReader, DecodeObjectPageInto, the ObjectPage* helpers) so the layout
-can evolve in exactly one place. The check is function-local: a buffer
-laundered through another variable or a field escapes it, so keep page
-buffers in the locals they were read into.
-
-Code that must touch raw bytes (checksumming, hex dumps, corruption
-tests in non-test tooling) may be suppressed with
-//lint:ignore codecbounds <why>.`,
-	Run: runCodecBounds,
+	Run:  runCodecBounds,
 }
 
-func runCodecBounds(pass *analysis.Pass) (any, error) {
+func runCodecBounds(pass *Pass) {
 	if strings.HasSuffix(pass.Pkg.Path(), "internal/storage") || pass.Pkg.Name() == "storage" {
-		return nil, nil
+		return
 	}
 	funcScope(pass, func(_ *ast.FuncType, _ *ast.FieldList, _ *ast.CommentGroup, body *ast.BlockStmt) {
 		// Pass 1: collect the function's page-buffer variables.
@@ -85,7 +82,6 @@ func runCodecBounds(pass *analysis.Pass) (any, error) {
 			return true
 		})
 	})
-	return nil, nil
 }
 
 // isPageBufferSource reports whether call returns raw page bytes: a

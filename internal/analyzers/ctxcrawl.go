@@ -3,40 +3,37 @@ package analyzers
 import (
 	"go/ast"
 	"go/types"
-
-	"flat/internal/analysis"
 )
 
 // CtxCrawl enforces the Query API v2 cancellation contract: any loop
 // that performs pager reads must consult its context between
 // iterations, so a deadline or client disconnect can stop a crawl
 // between page reads rather than after the whole traversal.
-var CtxCrawl = &analysis.Analyzer{
+//
+// A for/range loop whose body performs a page read (ReadInto or
+// ReadPage taking a PageID) is a crawl: its iteration count is data-
+// dependent and each iteration costs a page read, so it must give
+// cancellation a chance between reads. The read may be direct, or one
+// call deep through a same-package function or method whose own body
+// reads pages — the shape of a best-first traversal, where the frontier
+// pop loop resolves its work items through helpers (readPage, expand,
+// ...) rather than calling the pager itself. The loop body satisfies the
+// check by calling ctx.Err() or receiving from ctx.Done() (directly or
+// in a select), or by passing a context into any call — delegating the
+// check to a callee such as core's ctxErr helper.
+//
+// Nested loops are checked independently: an outer loop consulting ctx
+// does not excuse an inner page-read loop that never does.
+//
+// Fix by threading a context through the function and checking it at the
+// top of the loop; suppress (//lint:ignore ctxcrawl <why>) only for code
+// that is never on a serving query path.
+var CtxCrawl = &Analyzer{
 	Name: "ctxcrawl",
-	Doc: `loops performing pager reads must consult ctx between iterations
-
-A for/range loop whose body performs a page read (ReadInto or
-ReadPage taking a PageID) is a crawl: its iteration count is data-
-dependent and each iteration costs a page read, so it must give
-cancellation a chance between reads. The read may be direct, or one
-call deep through a same-package function or method whose own body
-reads pages — the shape of a best-first traversal, where the frontier
-pop loop resolves its work items through helpers (readPage, expand,
-...) rather than calling the pager itself. The loop body satisfies the
-check by calling ctx.Err() or receiving from ctx.Done() (directly or
-in a select), or by passing a context into any call — delegating the
-check to a callee such as core's ctxErr helper.
-
-Nested loops are checked independently: an outer loop consulting ctx
-does not excuse an inner page-read loop that never does.
-
-Fix by threading a context through the function and checking it at the
-top of the loop; suppress (//lint:ignore ctxcrawl <why>) only for code
-that is never on a serving query path.`,
-	Run: runCtxCrawl,
+	Run:  runCtxCrawl,
 }
 
-func runCtxCrawl(pass *analysis.Pass) (any, error) {
+func runCtxCrawl(pass *Pass) {
 	readers := directReaders(pass)
 	funcScope(pass, func(_ *ast.FuncType, _ *ast.FieldList, _ *ast.CommentGroup, body *ast.BlockStmt) {
 		walkShallow(body, func(n ast.Node) bool {
@@ -53,7 +50,6 @@ func runCtxCrawl(pass *analysis.Pass) (any, error) {
 			return true
 		})
 	})
-	return nil, nil
 }
 
 // directReaders collects every function and method declared in the
@@ -63,7 +59,7 @@ func runCtxCrawl(pass *analysis.Pass) (any, error) {
 // are resolved through read helpers. One level only: a helper that
 // reads through a second helper does not taint its callers (the second
 // helper's own loops are still checked).
-func directReaders(pass *analysis.Pass) map[types.Object]bool {
+func directReaders(pass *Pass) map[types.Object]bool {
 	readers := make(map[types.Object]bool)
 	for _, f := range pass.Files {
 		for _, decl := range f.Decls {
@@ -105,7 +101,7 @@ func callee(info *types.Info, call *ast.CallExpr) types.Object {
 // checkLoop inspects one loop body — excluding nested loops and
 // function literals, which are their own scopes — for pager reads and
 // context consultation.
-func checkLoop(pass *analysis.Pass, loop ast.Node, body *ast.BlockStmt, readers map[types.Object]bool) {
+func checkLoop(pass *Pass, loop ast.Node, body *ast.BlockStmt, readers map[types.Object]bool) {
 	reads := false
 	consults := false
 	ast.Inspect(body, func(n ast.Node) bool {
@@ -134,7 +130,7 @@ func checkLoop(pass *analysis.Pass, loop ast.Node, body *ast.BlockStmt, readers 
 
 // consultsContext reports whether call checks a context: ctx.Err(),
 // ctx.Done(), or any call receiving a context argument (delegation).
-func consultsContext(pass *analysis.Pass, call *ast.CallExpr) bool {
+func consultsContext(pass *Pass, call *ast.CallExpr) bool {
 	if sel, ok := call.Fun.(*ast.SelectorExpr); ok {
 		if sel.Sel.Name == "Err" || sel.Sel.Name == "Done" {
 			if tv, ok := pass.TypesInfo.Types[sel.X]; ok && isContext(tv.Type) {

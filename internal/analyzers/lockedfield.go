@@ -4,39 +4,36 @@ import (
 	"go/ast"
 	"go/types"
 	"regexp"
-
-	"flat/internal/analysis"
 )
 
 // LockedField checks Clang-thread-safety-style field annotations: a
 // struct field whose comment says "guarded by <mu>" may only be
 // accessed in functions that visibly hold that mutex.
-var LockedField = &analysis.Analyzer{
+//
+// Annotate a struct field with a comment containing "guarded by <mu>",
+// where <mu> names a sync.Mutex or sync.RWMutex field of the same
+// struct:
+//
+//	type Set struct {
+//		pmu    sync.RWMutex
+//		staged []delta // guarded by pmu
+//	}
+//
+// Every selector access x.staged is then flagged unless the enclosing
+// function also contains x.pmu.Lock(), RLock(), TryLock() or TryRLock()
+// on the same base expression x (flow-insensitive within the function:
+// anywhere in the body counts, Clang -Wthread-safety style), or the
+// function is annotated as requiring the lock from its caller:
+//
+//	// stageLocked stages ins. flatlint:holds pmu
+//	func (s *Set) stageLocked(ins []stagedInsert) { ... }
+//
+// flatlint:holds <mu> applies to accesses through the method's receiver.
+// Constructor code touching a struct that has not escaped yet should
+// suppress with //lint:ignore lockedfield <why>.
+var LockedField = &Analyzer{
 	Name: "lockedfield",
-	Doc: `fields annotated "guarded by <mu>" must be accessed under that mutex
-
-Annotate a struct field with a comment containing "guarded by <mu>",
-where <mu> names a sync.Mutex or sync.RWMutex field of the same
-struct:
-
-	type Set struct {
-		pmu    sync.RWMutex
-		staged []delta // guarded by pmu
-	}
-
-Every selector access x.staged is then flagged unless the enclosing
-function also contains x.pmu.Lock(), RLock(), TryLock() or TryRLock()
-on the same base expression x (flow-insensitive within the function:
-anywhere in the body counts, Clang -Wthread-safety style), or the
-function is annotated as requiring the lock from its caller:
-
-	// stageLocked stages ins. flatlint:holds pmu
-	func (s *Set) stageLocked(ins []stagedInsert) { ... }
-
-flatlint:holds <mu> applies to accesses through the method's receiver.
-Constructor code touching a struct that has not escaped yet should
-suppress with //lint:ignore lockedfield <why>.`,
-	Run: runLockedField,
+	Run:  runLockedField,
 }
 
 var (
@@ -44,10 +41,10 @@ var (
 	holdsRe     = regexp.MustCompile(`flatlint:holds ([A-Za-z_][A-Za-z0-9_]*)`)
 )
 
-func runLockedField(pass *analysis.Pass) (any, error) {
+func runLockedField(pass *Pass) {
 	guarded := collectGuardedFields(pass)
 	if len(guarded) == 0 {
-		return nil, nil
+		return
 	}
 	for _, f := range pass.Files {
 		ast.Inspect(f, func(n ast.Node) bool {
@@ -59,12 +56,11 @@ func runLockedField(pass *analysis.Pass) (any, error) {
 			return false // nested literals handled inside checkFuncLocks
 		})
 	}
-	return nil, nil
 }
 
 // collectGuardedFields maps each annotated field object to the name of
 // its guarding mutex, validating that the mutex is a sibling field.
-func collectGuardedFields(pass *analysis.Pass) map[*types.Var]string {
+func collectGuardedFields(pass *Pass) map[*types.Var]string {
 	guarded := map[*types.Var]string{}
 	for _, f := range pass.Files {
 		ast.Inspect(f, func(n ast.Node) bool {
@@ -123,7 +119,7 @@ type lockKey struct {
 // checkFuncLocks verifies every guarded-field access in decl (and its
 // nested function literals, each as its own scope with its own held
 // set — a closure may outlive the lock).
-func checkFuncLocks(pass *analysis.Pass, guarded map[*types.Var]string, decl *ast.FuncDecl) {
+func checkFuncLocks(pass *Pass, guarded map[*types.Var]string, decl *ast.FuncDecl) {
 	recvName := ""
 	if decl.Recv != nil && len(decl.Recv.List) == 1 && len(decl.Recv.List[0].Names) == 1 {
 		recvName = decl.Recv.List[0].Names[0].Name
@@ -140,7 +136,7 @@ func checkFuncLocks(pass *analysis.Pass, guarded map[*types.Var]string, decl *as
 // checkScope analyzes one function body: gathers the locks it visibly
 // acquires, then flags guarded accesses outside them. Nested literals
 // recurse with a fresh held set.
-func checkScope(pass *analysis.Pass, guarded map[*types.Var]string, body *ast.BlockStmt, held map[lockKey]bool) {
+func checkScope(pass *Pass, guarded map[*types.Var]string, body *ast.BlockStmt, held map[lockKey]bool) {
 	walkShallow(body, func(n ast.Node) bool {
 		call, ok := n.(*ast.CallExpr)
 		if !ok {

@@ -4,8 +4,6 @@ import (
 	"go/ast"
 	"go/token"
 	"strings"
-
-	"flat/internal/analysis"
 )
 
 // PageIDPack bans raw shift/mask arithmetic on PageID values outside
@@ -13,23 +11,22 @@ import (
 // encoding detail; every other layer must pack and unpack ids through
 // storage.ShardPageID/SplitShardPageID (the MultiPager's helpers), so
 // the layout can evolve in exactly one place.
-var PageIDPack = &analysis.Analyzer{
+//
+// Flags, outside the storage package:
+//
+//   - a shift or mask binary expression (<<, >>, &, |, ^, &^) whose
+//     operand is a PageID or a conversion chain rooted at one, e.g.
+//     uint64(id) >> 32 or id & mask;
+//   - a conversion to PageID whose operand contains shift/mask
+//     arithmetic, e.g. PageID(tag<<32 | local).
+//
+// Construction and deconstruction of sharded page ids must go through
+// storage.ShardPageID and storage.SplitShardPageID. Encodings that pack
+// a whole PageID into some other identifier (not slicing the shard tag)
+// may be suppressed with //lint:ignore pageidpack <why>.
+var PageIDPack = &Analyzer{
 	Name: "pageidpack",
-	Doc: `no raw shift/mask arithmetic on PageID outside internal/storage
-
-Flags, outside the storage package:
-
-  - a shift or mask binary expression (<<, >>, &, |, ^, &^) whose
-    operand is a PageID or a conversion chain rooted at one, e.g.
-    uint64(id) >> 32 or id & mask;
-  - a conversion to PageID whose operand contains shift/mask
-    arithmetic, e.g. PageID(tag<<32 | local).
-
-Construction and deconstruction of sharded page ids must go through
-storage.ShardPageID and storage.SplitShardPageID. Encodings that pack
-a whole PageID into some other identifier (not slicing the shard tag)
-may be suppressed with //lint:ignore pageidpack <why>.`,
-	Run: runPageIDPack,
+	Run:  runPageIDPack,
 }
 
 func isBitOp(op token.Token) bool {
@@ -40,9 +37,9 @@ func isBitOp(op token.Token) bool {
 	return false
 }
 
-func runPageIDPack(pass *analysis.Pass) (any, error) {
+func runPageIDPack(pass *Pass) {
 	if strings.HasSuffix(pass.Pkg.Path(), "internal/storage") || pass.Pkg.Name() == "storage" {
-		return nil, nil
+		return
 	}
 	reported := map[token.Pos]bool{}
 	report := func(pos token.Pos, what string) {
@@ -71,12 +68,11 @@ func runPageIDPack(pass *analysis.Pass) (any, error) {
 			return true
 		})
 	}
-	return nil, nil
 }
 
 // derivesFromPageID reports whether e is a PageID-typed expression or
 // a chain of conversions/parens rooted at one.
-func derivesFromPageID(pass *analysis.Pass, e ast.Expr) bool {
+func derivesFromPageID(pass *Pass, e ast.Expr) bool {
 	e = ast.Unparen(e)
 	if tv, ok := pass.TypesInfo.Types[e]; ok && namedTypeName(tv.Type) == "PageID" {
 		return true

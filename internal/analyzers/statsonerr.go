@@ -4,8 +4,6 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
-
-	"flat/internal/analysis"
 )
 
 // StatsOnErr enforces the "stats cover exactly the work performed"
@@ -13,29 +11,28 @@ import (
 // an error may not throw away partial stats when it fails after doing
 // work. All three of PR 5's scatter/merge fixes were instances of this
 // rule.
-var StatsOnErr = &analysis.Analyzer{
+//
+// In a function whose results include a QueryStats and a trailing error,
+// a return statement of the shape
+//
+//	return ..., QueryStats{}, err
+//
+// (zero-valued stats literal next to a non-nil error expression) is
+// flagged when any stats-producing work — a call returning QueryStats, or
+// a direct pager read — appears earlier in the function. Scatter/merge
+// paths must merge the partial stats they accumulated before failing;
+// early validation returns before any work are fine.
+//
+// The check is lexical (flow-insensitive): "earlier" means textually
+// before the return, which matches how these functions are written. Fix
+// by returning the accumulated/merged stats value; suppress
+// (//lint:ignore statsonerr <why>) if a path provably performed no work.
+var StatsOnErr = &Analyzer{
 	Name: "statsonerr",
-	Doc: `error returns must not discard QueryStats of work already performed
-
-In a function whose results include a QueryStats and a trailing error,
-a return statement of the shape
-
-	return ..., QueryStats{}, err
-
-(zero-valued stats literal next to a non-nil error expression) is
-flagged when any stats-producing work — a call returning QueryStats, or
-a direct pager read — appears earlier in the function. Scatter/merge
-paths must merge the partial stats they accumulated before failing;
-early validation returns before any work are fine.
-
-The check is lexical (flow-insensitive): "earlier" means textually
-before the return, which matches how these functions are written. Fix
-by returning the accumulated/merged stats value; suppress
-(//lint:ignore statsonerr <why>) if a path provably performed no work.`,
-	Run: runStatsOnErr,
+	Run:  runStatsOnErr,
 }
 
-func runStatsOnErr(pass *analysis.Pass) (any, error) {
+func runStatsOnErr(pass *Pass) {
 	funcScope(pass, func(ftyp *ast.FuncType, _ *ast.FieldList, _ *ast.CommentGroup, body *ast.BlockStmt) {
 		statsIdx, errIdx, n := statsErrResults(pass.TypesInfo, ftyp)
 		if statsIdx < 0 {
@@ -60,7 +57,6 @@ func runStatsOnErr(pass *analysis.Pass) (any, error) {
 			return true
 		})
 	})
-	return nil, nil
 }
 
 // statsErrResults locates a QueryStats result and a trailing error
@@ -99,7 +95,7 @@ func statsErrResults(info *types.Info, ftyp *ast.FuncType) (statsIdx, errIdx, n 
 // stats-producing call appears lexically before pos. Function literals
 // are included deliberately: scatter work is performed inside
 // closures handed to worker helpers.
-func collectWorkPositions(pass *analysis.Pass, body *ast.BlockStmt) func(token.Pos) bool {
+func collectWorkPositions(pass *Pass, body *ast.BlockStmt) func(token.Pos) bool {
 	var work []token.Pos
 	ast.Inspect(body, func(n ast.Node) bool {
 		call, ok := n.(*ast.CallExpr)

@@ -4,41 +4,38 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
-
-	"flat/internal/analysis"
 )
 
-// WalSync enforces the durability ordering of the commit paths: a file
-// renamed into place (the manifest swap, the WAL rotation) must have
-// been fsynced first, or the commit can reference data the OS never
-// wrote.
-var WalSync = &analysis.Analyzer{
+// WalSync enforces the durability ordering of the commit path: a file
+// renamed into place (the manifest swap; the WAL rotates by committing
+// a new manifest) must have been fsynced first, or the commit can
+// reference data the OS never wrote.
+//
+// Atomic-rename commits (write scratch file, fsync, rename into place)
+// are only crash-safe with the fsync: without it the rename can become
+// durable before the renamed file's contents, and a crash leaves the
+// manifest or write-ahead log referencing garbage. This check flags any
+//
+//	os.Rename(src, dst)
+//
+// call that is not lexically preceded, in the same function scope, by a
+// call to a Sync method or function (f.Sync(), w.Sync(), syncDir(...)).
+// Closures are separate scopes: a rename inside a function literal needs
+// its sync inside that literal.
+//
+// The check is lexical (flow-insensitive) and deliberately coarse — any
+// earlier Sync call in the scope satisfies it, whether or not it synced
+// the renamed file. It catches the ordering mistake that matters (no
+// sync anywhere before the commit), not aliasing games. Fix by syncing
+// the scratch file before renaming it; suppress
+// (//lint:ignore walsync <why>) for renames that are provably not
+// commit points (temp-file shuffles, test scaffolding).
+var WalSync = &Analyzer{
 	Name: "walsync",
-	Doc: `os.Rename on a commit path must be preceded by a Sync call
-
-Atomic-rename commits (write scratch file, fsync, rename into place)
-are only crash-safe with the fsync: without it the rename can become
-durable before the renamed file's contents, and a crash leaves the
-manifest or write-ahead log referencing garbage. This check flags any
-
-	os.Rename(src, dst)
-
-call that is not lexically preceded, in the same function scope, by a
-call to a Sync method or function (f.Sync(), w.Sync(), syncDir(...)).
-Closures are separate scopes: a rename inside a function literal needs
-its sync inside that literal.
-
-The check is lexical (flow-insensitive) and deliberately coarse — any
-earlier Sync call in the scope satisfies it, whether or not it synced
-the renamed file. It catches the ordering mistake that matters (no
-sync anywhere before the commit), not aliasing games. Fix by syncing
-the scratch file before renaming it; suppress
-(//lint:ignore walsync <why>) for renames that are provably not
-commit points (temp-file shuffles, test scaffolding).`,
-	Run: runWalSync,
+	Run:  runWalSync,
 }
 
-func runWalSync(pass *analysis.Pass) (any, error) {
+func runWalSync(pass *Pass) {
 	funcScope(pass, func(_ *ast.FuncType, _ *ast.FieldList, _ *ast.CommentGroup, body *ast.BlockStmt) {
 		var syncs []token.Pos
 		walkShallow(body, func(node ast.Node) bool {
@@ -62,7 +59,6 @@ func runWalSync(pass *analysis.Pass) (any, error) {
 			return true
 		})
 	})
-	return nil, nil
 }
 
 // isOsRename reports whether call is os.Rename.

@@ -143,7 +143,8 @@ func (r *Runner) fig22() ([]*Table, error) {
 
 // fig23 reproduces Figure 23: execution time and speedup of small- and
 // large-volume query sets on the other data sets, FLAT vs PR-tree. It
-// fails unless the two agree on each query's result count (sameCounts).
+// fails unless the two agree on each query's result count (sameCounts)
+// and ids (sameIDs).
 func (r *Runner) fig23() ([]*Table, error) {
 	sets, err := r.otherSets()
 	if err != nil {
@@ -182,6 +183,13 @@ func (r *Runner) fig23() ([]*Table, error) {
 				return nil, err
 			}
 			if err := sameCounts(fm, rtree.PR.String(), pm); err != nil {
+				return nil, fmt.Errorf("%s, %s queries: %w", s.name, wl.name, err)
+			}
+			ids, err := flatIDs(s.flat, queries)
+			if err != nil {
+				return nil, err
+			}
+			if err := sameIDs(ids, rtree.PR.String(), s.pr, queries); err != nil {
 				return nil, fmt.Errorf("%s, %s queries: %w", s.name, wl.name, err)
 			}
 			t.AddRow(s.name, wl.name,

@@ -251,6 +251,52 @@ func sameCounts(flat measurement, name string, other measurement) error {
 	return nil
 }
 
+// flatIDs is the untimed, untallied second pass behind sameIDs: it
+// answers each query once more on ix, discarding the stats, and returns
+// the digest of each answer's ids.
+func flatIDs(ix *core.Index, queries []geom.MBR) ([]uint64, error) {
+	digests := make([]uint64, len(queries))
+	for i, q := range queries {
+		els, _, err := ix.RangeQuery(q)
+		if err != nil {
+			return nil, err
+		}
+		digests[i] = idDigest(els)
+	}
+	return digests, nil
+}
+
+// sameIDs returns an error naming the first query on which tree answers
+// with other ids than FLAT did (flat holds flatIDs' digests). The count
+// check alone passes a result swapped for another; this one does not.
+// It reads tree through its view with no tally, so no page-read count
+// moves.
+func sameIDs(flat []uint64, name string, tree *rtree.Tree, queries []geom.MBR) error {
+	for i, q := range queries {
+		els, err := tree.RangeQuery(q)
+		if err != nil {
+			return err
+		}
+		if d := idDigest(els); d != flat[i] {
+			return fmt.Errorf("bench: query %d: FLAT and %s return different ids (id digest %#x, %#x)", i, name, flat[i], d)
+		}
+	}
+	return nil
+}
+
+// idDigest is an order-free digest of els' ids: the wrapping sum of
+// splitmix64 over each id.
+func idDigest(els []geom.Element) uint64 {
+	var sum uint64
+	for _, e := range els {
+		z := e.ID + 0x9e3779b97f4a7c15
+		z = (z ^ z>>30) * 0xbf58476d1ce4e5b9
+		z = (z ^ z>>27) * 0x94d049bb133111eb
+		sum += z ^ z>>31
+	}
+	return sum
+}
+
 // coldFLAT is coldRun over a FLAT index: the QueryStats every query
 // returns, restated by page category.
 func coldFLAT(ix *core.Index, queries []geom.MBR) (measurement, error) {
@@ -283,7 +329,8 @@ type useCaseRow struct {
 
 // useCase replays the SN or LSS micro-benchmark (per fraction) across
 // the density sweep, on all four indexes, and fails unless every R-tree
-// answers each query with FLAT's result count (sameCounts). Results are
+// answers each query with FLAT's result count (sameCounts) and ids
+// (sameIDs, after the measured runs). Results are
 // cached per fraction so figures 12–19 share one run.
 func (r *Runner) useCase(fraction float64) ([]useCaseRow, error) {
 	key := fmt.Sprintf("%g", fraction)
@@ -313,6 +360,15 @@ func (r *Runner) useCase(fraction float64) ([]useCaseRow, error) {
 				return nil, err
 			}
 			if err := sameCounts(row.FLAT, strat.String(), row.RTrees[strat]); err != nil {
+				return nil, fmt.Errorf("density %d, fraction %g: %w", n, fraction, err)
+			}
+		}
+		ids, err := flatIDs(s.flat, queries)
+		if err != nil {
+			return nil, err
+		}
+		for _, strat := range strategies {
+			if err := sameIDs(ids, strat.String(), s.trees[strat], queries); err != nil {
 				return nil, fmt.Errorf("density %d, fraction %g: %w", n, fraction, err)
 			}
 		}

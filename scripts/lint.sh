@@ -1,6 +1,7 @@
 #!/bin/sh
 # One-command local gate (`make lint`): gofmt, go vet, staticcheck,
-# flatlint, and the race-enabled test suite.
+# flatlint (this module and benchmark/), and the race-enabled test
+# suite.
 #
 #   LINT_FAST=1            skip the test suite (checks only)
 #   INSTALL_STATICCHECK=1  go install the pinned staticcheck if missing
@@ -37,6 +38,7 @@ fi
 
 echo "== flatlint"
 go run ./cmd/flatlint ./...
+(cd benchmark && go run flat/cmd/flatlint ./...)
 
 if [ "${LINT_FAST:-0}" != 1 ]; then
 	echo "== go test -race"
