@@ -35,12 +35,29 @@ func TestEveryAnalyzerHasFixture(t *testing.T) {
 			if !slices.Contains(fixtures[a.Name], a.Name) {
 				t.Fatalf("no fixture package %q in the table", a.Name)
 			}
-			for _, pkg := range fixtures[a.Name] {
-				lintFixture(t, a, pkg)
-			}
+			lintFixtures(t, a)
 		})
 	}
 }
+
+// lintFixtures runs a over every fixture package the table names for it.
+func lintFixtures(t *testing.T, a *Analyzer) {
+	t.Helper()
+	for _, pkg := range fixtures[a.Name] {
+		lintFixture(t, a, pkg)
+	}
+}
+
+// The named tests run one analyzer's table entry, so a single pass can
+// be run alone with -run.
+
+func TestCtxCrawl(t *testing.T)    { lintFixtures(t, CtxCrawl) }
+func TestStatsOnErr(t *testing.T)  { lintFixtures(t, StatsOnErr) }
+func TestLockedField(t *testing.T) { lintFixtures(t, LockedField) }
+func TestPageIDPack(t *testing.T)  { lintFixtures(t, PageIDPack) }
+func TestCodecBounds(t *testing.T) { lintFixtures(t, CodecBounds) }
+func TestWalSync(t *testing.T)     { lintFixtures(t, WalSync) }
+func TestReflectSort(t *testing.T) { lintFixtures(t, ReflectSort) }
 
 // TestRepositoryLintsClean loads the module's own packages the way
 // flatlint does and requires zero findings, so a lint regression fails
