@@ -54,7 +54,6 @@ func main() {
 		wal      = flag.Bool("wal", true, "write-ahead-log staged updates")
 		inflight = flag.Int("max-inflight", 0, "global concurrent-query budget; the N+1th query is rejected busy (0: default 64)")
 		connq    = flag.Int("conn-queries", 0, "concurrent queries allowed per connection (0: default 16)")
-		batch    = flag.Int("batch", 0, "elements in the first streamed result frame; later frames double, up to 1170 or this (0: default 128; at most 149796, larger values are clamped)")
 		drain    = flag.Duration("drain", 5*time.Second, "graceful-shutdown grace period for in-flight queries")
 
 		query   = flag.String("query", "", "client: range query 'x1,y1,z1,x2,y2,z2'")
@@ -76,7 +75,6 @@ func main() {
 		runServer(*index, *addr, *wal, serve.Config{
 			MaxInflight:    *inflight,
 			MaxConnQueries: *connq,
-			StreamBatch:    *batch,
 			DrainTimeout:   *drain,
 		})
 		return

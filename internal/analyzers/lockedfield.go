@@ -25,8 +25,8 @@ import (
 // anywhere in the body counts, Clang -Wthread-safety style), or the
 // function is annotated as requiring the lock from its caller:
 //
-//	// stageLocked stages ins. flatlint:holds pmu
-//	func (s *Set) stageLocked(ins []stagedInsert) { ... }
+//	// routeLocked routes the staged inserts. flatlint:holds pmu
+//	func (s *Set) routeLocked() [][]int32 { ... }
 //
 // flatlint:holds <mu> applies to accesses through the method's receiver.
 // Constructor code touching a struct that has not escaped yet should

@@ -65,7 +65,7 @@ func (r *Runner) staging() ([]*Table, error) {
 			n, stagingK, len(queries)),
 		Columns: []string{"delta", "examined/query", "us/query", "results/query"},
 		Timed:   []string{"us/query"},
-		Note: "the overlay probes per-shard runs of packed staged inserts. " +
+		Note: "the overlay probes the runs of packed staged inserts over one staging-order list. " +
 			"\"examined\" is the exact overlay candidate count (deterministic); latency is wall-clock. " +
 			"Every query's staged tail is asserted element-for-element against a brute-force filter of the staged inserts at every delta size.",
 	}

@@ -68,7 +68,7 @@ const (
 // kind.
 type crawlItem struct {
 	kind  crawlItemKind
-	src   int32          // the index the item reads through; itemRun, itemStaged: the staged run
+	src   int32          // the index the item reads through; itemRun: the staged run
 	level int32          // itemNode: seed-tree level (1 = metadata); itemRun: run level
 	node  int32          // itemRun: node of level; itemStaged: position
 	ref   RecordRef      // itemRecord

@@ -10,12 +10,12 @@ import (
 
 // Overlay is the staged state a k-NN search draws into its frontier
 // beside the indexes: runs of staged inserts, each a str.Tree over
-// positions Insert resolves, and the staged deletes.
+// positions in one list that Insert resolves, and the staged deletes.
 type Overlay interface {
 	Runs() []str.Tree
-	// Insert returns the staged insert at position pos of run and its
-	// staging stamp (stamps start at 1).
-	Insert(run int, pos int32) (el geom.Element, stamp uint64)
+	// Insert returns the staged insert at position pos and its staging
+	// stamp (stamps start at 1).
+	Insert(pos int32) (el geom.Element, stamp uint64)
 	// Deleted reports whether a delete staged after stamp hides el; a
 	// bulk element asks with stamp 0.
 	Deleted(el geom.Element, stamp uint64) bool
@@ -221,7 +221,7 @@ func nnCrawl(ctx context.Context, ixs []*Index, ov Overlay, p geom.Vec3, emit fu
 				return nil
 			}
 		case itemStaged:
-			if el, stamp := ov.Insert(int(it.src), it.node); !ov.Deleted(el, stamp) && !emit(el, distSq) {
+			if el, stamp := ov.Insert(it.node); !ov.Deleted(el, stamp) && !emit(el, distSq) {
 				return nil
 			}
 		case itemRun:
@@ -289,8 +289,8 @@ func nnRunNode(ov Overlay, t *str.Tree, it crawlItem, p geom.Vec3, h *heapFronti
 			h.PushRanked(t.Levels[it.level-1][c].DistSqToPoint(p), stagedRank, crawlItem{kind: itemRun, src: it.src, level: it.level - 1, node: int32(c)})
 			continue
 		}
-		el, stamp := ov.Insert(int(it.src), t.Pos[c])
-		h.PushRanked(el.Box.DistSqToPoint(p), stagedRank|stamp, crawlItem{kind: itemStaged, src: it.src, node: t.Pos[c]})
+		el, stamp := ov.Insert(t.Pos[c])
+		h.PushRanked(el.Box.DistSqToPoint(p), stagedRank|stamp, crawlItem{kind: itemStaged, node: t.Pos[c]})
 	}
 }
 

@@ -30,30 +30,6 @@ func drainRange(t testing.TB, c *Client, q flat.MBR) int {
 	return n
 }
 
-// TestOversizeStreamBatchClamped: a StreamBatch above what one frame
-// carries is clamped to maxBatch, so a query with more results than
-// that streams them all instead of failing its first frame as a
-// cancellation.
-func TestOversizeStreamBatchClamped(t *testing.T) {
-	if maxBatch != 149796 {
-		t.Fatalf("maxBatch = %d, want 149796", maxBatch)
-	}
-	els := testElements(maxBatch+10000, 21)
-	sx, err := flat.Build(els, &flat.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer sx.Close()
-	s := startServer(t, sx, Config{StreamBatch: maxBatch + 204})
-	c := dialServer(t, s)
-	if n := drainRange(t, c, sx.Bounds()); n != len(els) {
-		t.Fatalf("streamed %d of %d elements", n, len(els))
-	}
-	if got := s.Stats().Counters.Cancelled; got != 0 {
-		t.Fatalf("Cancelled = %d after a complete stream", got)
-	}
-}
-
 // TestInsertFrameLimit: an insert of maxBatch elements fits one frame
 // and is staged; one more is refused by the client with an error that
 // names both counts, before anything is sent, so the connection serves
@@ -169,11 +145,10 @@ func streamFrames(t *testing.T, s *Server, q flat.MBR) []int {
 	}
 }
 
-// TestStreamFramesGrow: a stream's first frame carries StreamBatch
+// TestStreamFramesGrow: a stream's first frame carries streamBatch
 // elements, so the time to the first result does not grow with the
 // result's size, and each later frame twice the last, up to 1 170
-// elements (64 KiB of payload) or StreamBatch, whichever is larger; the
-// last frame carries what is left.
+// elements (64 KiB of payload); the last frame carries what is left.
 func TestStreamFramesGrow(t *testing.T) {
 	if frameGrowthCap != 1170 || 8+frameGrowthCap*elementWire > 64<<10 {
 		t.Fatalf("frameGrowthCap = %d, want the 1 170 elements that fit 64 KiB of payload", frameGrowthCap)
@@ -187,16 +162,15 @@ func TestStreamFramesGrow(t *testing.T) {
 	for _, c := range []struct{ batch, first, max int }{
 		{16, 16, 1170},
 		{0, 128, 1170}, // the default
-		{maxBatch, maxBatch, maxBatch},
 	} {
 		var want []int
 		for left, n := len(els), c.first; left > 0; n = min(2*n, c.max) {
 			want = append(want, min(n, left))
 			left -= want[len(want)-1]
 		}
-		s := startServer(t, sx, Config{StreamBatch: c.batch})
+		s := startServer(t, sx, Config{streamBatch: c.batch})
 		if got := streamFrames(t, s, sx.Bounds()); !slices.Equal(got, want) {
-			t.Errorf("StreamBatch %d: frames of %v elements, want %v", c.batch, got, want)
+			t.Errorf("streamBatch %d: frames of %v elements, want %v", c.batch, got, want)
 		}
 	}
 }

@@ -141,7 +141,7 @@ func TestNNCancelMidStream(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer sx.Close()
-	s := startServer(t, sx, Config{StreamBatch: 16})
+	s := startServer(t, sx, Config{streamBatch: 16})
 	c := dialServer(t, s)
 	throttle(t, s, c)
 

@@ -123,13 +123,13 @@ const maxPayload = 8 << 20
 const elementWire = 8 + 6*8 // id + MBR corners
 
 // maxBatch is the most elements one frame carries: a request id, a
-// count and maxBatch elements fill at most maxPayload bytes. The server
-// clamps Config.StreamBatch to it and Client.Insert refuses more.
+// count and maxBatch elements fill at most maxPayload bytes:
+// Client.Insert refuses more.
 const maxBatch = (maxPayload - 8) / elementWire
 
-// frameGrowthCap is the most elements a growing stream frame carries
-// when Config.StreamBatch is smaller: 1 170, the elements that fit 64 KiB
-// of payload behind the request id and count.
+// frameGrowthCap is the most elements a growing stream frame carries:
+// 1 170, the elements that fit 64 KiB of payload behind the request id
+// and count.
 const frameGrowthCap = (64<<10 - 8) / elementWire
 
 // frameHeader is the length prefix and type byte that open every frame.

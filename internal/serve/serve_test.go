@@ -231,7 +231,7 @@ func TestDisconnectCancelsCrawl(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer sx.Close()
-	s := startServer(t, sx, Config{StreamBatch: 64})
+	s := startServer(t, sx, Config{streamBatch: 64})
 	q := sx.Bounds()
 
 	// Baseline: one fully drained query, and its page-read cost.
@@ -302,7 +302,7 @@ func TestAdmissionRejectsOverBudget(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer sx.Close()
-	s := startServer(t, sx, Config{MaxInflight: 2, StreamBatch: 16})
+	s := startServer(t, sx, Config{MaxInflight: 2, streamBatch: 16})
 	q := sx.Bounds()
 
 	// Two clients, one stream each; not reading past the first element
@@ -374,7 +374,7 @@ func TestCancelFrameStopsStream(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer sx.Close()
-	s := startServer(t, sx, Config{StreamBatch: 16})
+	s := startServer(t, sx, Config{streamBatch: 16})
 	c := dialServer(t, s)
 	throttle(t, s, c)
 
@@ -417,7 +417,7 @@ func TestClientContextCancelAbandonsStream(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer sx.Close()
-	s := startServer(t, sx, Config{StreamBatch: 16})
+	s := startServer(t, sx, Config{streamBatch: 16})
 	c := dialServer(t, s)
 	throttle(t, s, c)
 
@@ -459,7 +459,7 @@ func TestPerConnectionQueryLimit(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer sx.Close()
-	s := startServer(t, sx, Config{MaxConnQueries: 1, StreamBatch: 16})
+	s := startServer(t, sx, Config{MaxConnQueries: 1, streamBatch: 16})
 	c := dialServer(t, s)
 	throttle(t, s, c)
 
@@ -526,7 +526,7 @@ func TestDuplicateRequestIDRefused(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer sx.Close()
-	s := startServer(t, sx, Config{MaxConnQueries: 4, StreamBatch: 16})
+	s := startServer(t, sx, Config{MaxConnQueries: 4, streamBatch: 16})
 
 	conn, err := net.Dial("tcp", s.Addr().String())
 	if err != nil {
@@ -742,7 +742,7 @@ func TestShutdownDrainsAndRefuses(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := NewServer(sx, Config{StreamBatch: 16, DrainTimeout: 300 * time.Millisecond})
+	s := NewServer(sx, Config{streamBatch: 16, DrainTimeout: 300 * time.Millisecond})
 	if err := s.Listen("127.0.0.1:0"); err != nil {
 		t.Fatal(err)
 	}
@@ -894,7 +894,7 @@ func TestConcurrentMixedLoad(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer sx.Close()
-	s := startServer(t, sx, Config{MaxInflight: 8, StreamBatch: 32})
+	s := startServer(t, sx, Config{MaxInflight: 8, streamBatch: 32})
 	q := sx.Bounds()
 
 	errc := make(chan error, 16)

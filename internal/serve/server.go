@@ -24,14 +24,11 @@ type Config struct {
 	// once, so a single client cannot monopolize the global budget.
 	// <= 0 means 16.
 	MaxConnQueries int
-	// StreamBatch is the number of elements in a stream's first
-	// msgElems frame: smaller values reduce the latency to the first
-	// result. Each later frame carries twice the last, up to 1 170
-	// elements (64 KiB of payload) or StreamBatch, whichever is larger,
-	// so a long stream amortizes framing whatever StreamBatch is.
-	// <= 0 means 128; values above 149 796, the most one frame carries,
-	// are clamped to it.
-	StreamBatch int
+	// streamBatch is the number of elements in a stream's first
+	// msgElems frame (0: 128). Each later frame carries twice the last,
+	// up to 1 170 elements (64 KiB of payload). Only this package's
+	// tests set it, to reach several frames at test scale.
+	streamBatch int
 	// DrainTimeout bounds Shutdown's grace period: queries still running
 	// when it expires are cancelled. <= 0 means 5 seconds.
 	DrainTimeout time.Duration
@@ -44,10 +41,9 @@ func (c Config) withDefaults() Config {
 	if c.MaxConnQueries <= 0 {
 		c.MaxConnQueries = 16
 	}
-	if c.StreamBatch <= 0 {
-		c.StreamBatch = 128
+	if c.streamBatch <= 0 {
+		c.streamBatch = 128
 	}
-	c.StreamBatch = min(c.StreamBatch, maxBatch)
 	if c.DrainTimeout <= 0 {
 		c.DrainTimeout = 5 * time.Second
 	}
@@ -477,14 +473,13 @@ func (sc *srvConn) runQuery(qctx context.Context, reqID uint32, kind byte, box f
 // The session's runs are encoded straight into one pooled frame buffer
 // behind its header, request id and count (batchStart bytes), and each
 // frame goes out from there in one Write: nothing is copied or
-// allocated per frame. The first frame carries Config.StreamBatch
-// elements, so the time to the first result does not depend on the
-// result's size; each later one twice the last, up to frameGrowthCap
-// or StreamBatch, whichever is larger.
+// allocated per frame. The first frame carries Config.streamBatch
+// elements (128), so the time to the first result does not depend on
+// the result's size; each later one twice the last, up to
+// frameGrowthCap.
 func (sc *srvConn) streamSession(reqID uint32, session *flat.Results, materialize bool) {
 	const batchStart = bodyStart + 4
-	batch := sc.s.cfg.StreamBatch // elements in the current frame
-	maxFrame := max(batch, frameGrowthCap)
+	batch := sc.s.cfg.streamBatch // elements in the current frame
 	var fb *[]byte
 	var frame []byte
 	if materialize {
@@ -523,12 +518,12 @@ runs:
 				break runs
 			}
 			off, n = batchStart, 0
-			batch = min(2*batch, maxFrame)
+			batch = min(2*batch, frameGrowthCap)
 			if len(frame) < batchStart+batch*elementWire {
 				// Sized for the largest frame once the stream outgrows its
 				// first: a long stream reallocates at most once, and a
 				// short one never holds more than its first frame needs.
-				resizeFrame(fb, batchStart+maxFrame*elementWire)
+				resizeFrame(fb, batchStart+frameGrowthCap*elementWire)
 				frame = *fb
 				putU32(frame[frameHeader:], reqID)
 			}

@@ -2,18 +2,21 @@
 // index over it.
 //
 // This is the LSM memtable step of the write path, kept by Bentley and
-// Saxe's logarithmic method. Each shard's staged inserts live in a slab
-// (append-ordered, hence seq-ascending: the source of truth) tiled by a
-// few immutable runs. A run is a str.Tree over one contiguous slab range:
-// its slab positions in str.Tile order plus one box per node, level by
-// level, at a fixed fanout (Build's neighbor join packs the same tree
-// over partition cells). The overlay probe for a query box is a walk
-// that rejects a run on its root box, not a sweep of everything pending,
-// and ends at each staged insert's own box. The staged deletes are tiled
-// the same way by runs of positions into their append-only list, sorted
-// by element ID, so a doom check is one binary search per run.
+// Saxe's logarithmic method. The staged inserts live in one append-only
+// list in staging order (hence seq-ascending: the source of truth),
+// tiled by a few immutable runs. A run is a str.Tree over one contiguous
+// list range: its list positions in str.Tile order plus one box per
+// node, level by level, at a fixed fanout (Build's neighbor join packs
+// the same tree over partition cells). The overlay probe for a query box
+// is a walk that rejects a run on its root box, not a sweep of
+// everything pending, and ends at each staged insert's own box. The
+// staged deletes are tiled the same way by runs of positions into their
+// append-only list, sorted by element ID, so a doom check is one binary
+// search per run. No query asks which shard a staged insert belongs to;
+// only Rebuild, DirtyShards and DeltaStats do, and they route the list
+// when they are called (routeLocked).
 //
-// Staging appends to the list and pushes the new entries as one run,
+// Staging appends to a list and pushes the new entries as one run,
 // which absorbs the newest runs while they are shorter than twice it
 // (mergeTail) and repacks their contiguous range. Each run is thus at
 // least twice the next: n entries lie in at most ⌊log₂ n⌋ + 1 runs
@@ -23,10 +26,10 @@
 //
 // Nothing a reader can see is modified: the lists only grow past the
 // lengths a reader holds, runs are never rewritten, and a run list is
-// replaced (a three-index append), not extended in place. So a copy of a
-// shardDelta or a deleteView taken under pmu stays valid after the lock
-// is released, whatever is staged later. The Rebuild that consumes an
-// epoch replaces Set.staged whole; the garbage collector recycles.
+// replaced (a three-index append), not extended in place. So a view or
+// a deleteView taken under pmu stays valid after the lock is released,
+// whatever is staged later. The Rebuild that consumes an epoch replaces
+// Set.staged whole; the garbage collector recycles.
 
 package shard
 
@@ -40,16 +43,28 @@ import (
 )
 
 // epoch is the staged state of a Set between two rebuilds. Its fields
-// are guarded by the pmu of the Set that holds it.
+// are guarded by the pmu of the Set that holds it; the zero value is an
+// empty epoch.
 type epoch struct {
-	deltas  []shardDelta    // by shard: staged inserts and their runs
+	inserts []stagedInsert  // in staging order; append-only
+	insRuns []str.Tree      // over positions in inserts; they tile it, oldest first
 	deletes []pendingDelete // in staging order; append-only
 	delRuns [][]int32       // positions in deletes sorted by ID; they tile it, oldest first
 }
 
-func newEpoch(shards int) *epoch {
-	return &epoch{deltas: make([]shardDelta, shards)}
+// addInserts stages ins, given in staging order, as one run.
+func (ep *epoch) addInserts(ins []stagedInsert) {
+	if len(ins) == 0 {
+		return
+	}
+	ep.inserts = append(ep.inserts, ins...)
+	keep, tail := mergeTail(ep.insRuns, len(ins), func(r str.Tree) int { return len(r.Pos) })
+	ep.insRuns = append(ep.insRuns[:keep:keep], str.Pack(tailPositions(len(ep.inserts), tail), ep.at))
 }
+
+// at returns the box of the staged insert at list position p: the item
+// boxes of ep's insert runs.
+func (ep *epoch) at(p int32) geom.MBR { return ep.inserts[p].el.Box }
 
 // addDeletes stages ds, given in staging order, as one run.
 func (ep *epoch) addDeletes(ds ...pendingDelete) {
@@ -58,12 +73,19 @@ func (ep *epoch) addDeletes(ds ...pendingDelete) {
 	}
 	ep.deletes = append(ep.deletes, ds...)
 	keep, tail := mergeTail(ep.delRuns, len(ds), func(r []int32) int { return len(r) })
-	r := make([]int32, tail)
-	for i := range r {
-		r[i] = int32(len(ep.deletes) - tail + i)
-	}
+	r := tailPositions(len(ep.deletes), tail)
 	slices.SortStableFunc(r, func(a, b int32) int { return cmp.Compare(ep.deletes[a].ID, ep.deletes[b].ID) })
 	ep.delRuns = append(ep.delRuns[:keep:keep], r)
+}
+
+// tailPositions returns the positions of the last tail entries of a
+// list n long, in order.
+func tailPositions(n, tail int) []int32 {
+	pos := make([]int32, tail)
+	for i := range pos {
+		pos[i] = int32(n - tail + i)
+	}
+	return pos
 }
 
 // mergeTail is the merge rule for runs tiling a list's tail, oldest
@@ -79,30 +101,6 @@ func mergeTail[R any](runs []R, n int, size func(R) int) (keep, tail int) {
 	}
 	return keep, tail
 }
-
-// shardDelta holds one shard's staged inserts: the slab and the runs
-// that tile it, oldest first. Each run is a str.Tree over one contiguous
-// slab range, naming its staged inserts by slab position. The zero value
-// is an empty delta.
-type shardDelta struct {
-	slab []stagedInsert
-	runs []str.Tree
-}
-
-// add stages a batch of inserts, given in staging order, as one run.
-func (d *shardDelta) add(batch []stagedInsert) {
-	d.slab = append(d.slab, batch...)
-	keep, tail := mergeTail(d.runs, len(batch), func(r str.Tree) int { return len(r.Pos) })
-	pos := make([]int32, tail)
-	for i := range pos {
-		pos[i] = int32(len(d.slab) - tail + i)
-	}
-	d.runs = append(d.runs[:keep:keep], str.Pack(pos, d.at))
-}
-
-// at returns the box of the staged insert at slab position p: the item
-// boxes of d's runs.
-func (d *shardDelta) at(p int32) geom.MBR { return d.slab[p].el.Box }
 
 // deleteView is a query's snapshot of the staged deletes: every one
 // pending when it was taken and the ID-sorted runs over them. It carries
@@ -157,25 +155,19 @@ func (s *Set) deleteViewLocked() deleteView {
 	return deleteView{deletes: slices.Clip(s.staged.deletes), runs: s.staged.delRuns}
 }
 
-// view is one query's snapshot of the staged delta: every shard's runs,
-// with the slab each run's positions index, and the staged deletes.
-// Taken under pmu, it stays valid after the lock is released (see the
-// file header). A range query probes it (stagedHits); a k-NN query hands
-// it to core.NN as its overlay. Views are pooled with their buffers, so
-// a warm query allocates nothing.
+// view is one query's snapshot of the staged delta: the staged inserts
+// with the runs over them, and the staged deletes. Taken under pmu, it
+// stays valid after the lock is released (see the file header). A range
+// query probes it (stagedHits); a k-NN query hands it to core.NN as its
+// overlay. Views are pooled with their buffers, so a warm query
+// allocates nothing.
 type view struct {
-	runs  []str.Tree
-	slabs [][]stagedInsert // by run
-	dels  deleteView
-	found []hitRef       // stagedHits' matches
-	hits  []geom.Element // stagedHits' result
+	inserts []stagedInsert
+	runs    []str.Tree
+	dels    deleteView
+	found   []int32        // stagedHits' matches: positions in inserts
+	hits    []geom.Element // stagedHits' result
 }
-
-// hitRef is a staged insert a view found: its run and slab position.
-type hitRef struct{ run, pos int32 }
-
-// staged returns the staged insert h refers to.
-func (v *view) staged(h hitRef) stagedInsert { return v.slabs[h.run][h.pos] }
 
 var views = sync.Pool{New: func() any { return new(view) }}
 
@@ -185,60 +177,47 @@ func (s *Set) takeView() (*generation, *view) {
 	v := views.Get().(*view)
 	s.pmu.RLock()
 	defer s.pmu.RUnlock()
-	v.take(s.staged.deltas, s.deleteViewLocked())
+	v.inserts, v.runs, v.dels = slices.Clip(s.staged.inserts), s.staged.insRuns, s.deleteViewLocked()
 	return s.cur, v
-}
-
-// take fills v from deltas, the live epoch's (under pmu's read side) or
-// a copy of them, and dels.
-func (v *view) take(deltas []shardDelta, dels deleteView) {
-	for i := range deltas {
-		for _, r := range deltas[i].runs {
-			v.runs = append(v.runs, r)
-			v.slabs = append(v.slabs, deltas[i].slab)
-		}
-	}
-	v.dels = dels
 }
 
 // release drops v's references to the epoch and returns v to the pool.
 func (v *view) release() {
-	clear(v.runs)
-	clear(v.slabs)
 	clear(v.hits)
-	v.runs, v.slabs, v.found, v.hits, v.dels = v.runs[:0], v.slabs[:0], v.found[:0], v.hits[:0], deleteView{}
+	v.inserts, v.runs, v.found, v.hits, v.dels = nil, nil, v.found[:0], v.hits[:0], deleteView{}
 	views.Put(v)
 }
 
 // stagedHits returns, in staging order, the staged inserts whose boxes
 // meet q and that no later delete dooms: the run a range query emits
-// after its last shard. It probes every run, not only those of the
-// shards whose bounds meet q: a staged insert can lie outside its
-// shard's bounds. The result is v's buffer, valid until v is released.
+// after its last shard. The result is v's buffer, valid until v is
+// released.
 func (v *view) stagedHits(q geom.MBR) []geom.Element {
 	v.found = v.found[:0]
 	for i := range v.runs {
-		slab := v.slabs[i]
-		v.runs[i].Search(q, func(p int32) geom.MBR { return slab[p].el.Box }, func(p int32) {
-			if si := slab[p]; !v.dels.matchesAfter(si.el, si.seq) {
-				v.found = append(v.found, hitRef{int32(i), p})
+		v.runs[i].Search(q, v.at, func(p int32) {
+			if si := v.inserts[p]; !v.dels.matchesAfter(si.el, si.seq) {
+				v.found = append(v.found, p)
 			}
 		})
 	}
-	// A run yields its hits in tile order, and shards interleave in
-	// staging; stamps are unique, so sorting by them restores the order.
-	slices.SortFunc(v.found, func(a, b hitRef) int { return cmp.Compare(v.staged(a).seq, v.staged(b).seq) })
+	// A run yields its hits in tile order; the list is in staging order,
+	// so sorting the positions restores it.
+	slices.Sort(v.found)
 	v.hits = v.hits[:0]
-	for _, h := range v.found {
-		v.hits = append(v.hits, v.staged(h).el)
+	for _, p := range v.found {
+		v.hits = append(v.hits, v.inserts[p].el)
 	}
 	return v.hits
 }
 
+// at returns the box of the staged insert at list position p.
+func (v *view) at(p int32) geom.MBR { return v.inserts[p].el.Box }
+
 func (v *view) Runs() []str.Tree { return v.runs }
 
-func (v *view) Insert(run int, pos int32) (geom.Element, uint64) {
-	si := v.slabs[run][pos]
+func (v *view) Insert(pos int32) (geom.Element, uint64) {
+	si := v.inserts[pos]
 	return si.el, si.seq
 }
 

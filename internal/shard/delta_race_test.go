@@ -13,7 +13,7 @@ import (
 // TestConcurrentQueriesWithStagedDelta pins the concurrency contract of
 // the indexed overlay: query methods are documented safe for any number
 // of goroutines, and with a non-empty staged delta every query probes
-// the shards' staged runs and the delete runs under pmu's read side
+// the staged insert runs and the delete runs under pmu's read side
 // only. A probe must therefore never write shared state — run under
 // -race (CI does) this test catches one that does, such as a cache
 // published by whichever reader gets there first.
@@ -26,8 +26,8 @@ func TestConcurrentQueriesWithStagedDelta(t *testing.T) {
 	}
 	defer set.Close()
 
-	// Stage enough inserts that every shard carries staged runs, and
-	// deletes so that queries filter through the delete runs.
+	// Stage inserts that every shard's bounds meet, and deletes so that
+	// queries filter through the delete runs.
 	const deletes = 32
 	extra := randomElements(rand.New(rand.NewSource(42)), 600)
 	for i := range extra {

@@ -15,46 +15,44 @@ import (
 	"flat/internal/geom"
 )
 
-// checkRuns holds an epoch to the run invariants of delta.go: each
-// delta's runs tile its slab in order, each run at least twice the next
-// (so at most bits.Len(n) runs over n entries), every node box the union
-// of its children under one root box; the delete runs tile the delete
-// list the same way, each sorted by ID.
+// checkRuns holds an epoch to the run invariants of delta.go: the
+// insert runs tile the insert list in order, each run at least twice the
+// next (so at most bits.Len(n) runs over n entries), every node box the
+// union of its children under one root box; the delete runs tile the
+// delete list the same way, each sorted by ID.
 func checkRuns(t *testing.T, ep *epoch) {
 	t.Helper()
-	for sh, d := range ep.deltas {
-		covered := 0
-		for i, r := range d.runs {
-			if i > 0 && len(d.runs[i-1].Pos) < 2*len(r.Pos) {
-				t.Fatalf("shard %d: run %d holds %d entries, run %d only %d", sh, i, len(r.Pos), i-1, len(d.runs[i-1].Pos))
-			}
-			for j, p := range slices.Sorted(slices.Values(r.Pos)) {
-				if int(p) != covered+j {
-					t.Fatalf("shard %d: run %d does not cover slab[%d:%d]", sh, i, covered, covered+len(r.Pos))
-				}
-			}
-			covered += len(r.Pos)
-			if top := r.Levels[r.Top()]; len(top) != 1 {
-				t.Fatalf("shard %d: run %d has %d root boxes", sh, i, len(top))
-			}
-			for l, boxes := range r.Levels {
-				for node, b := range boxes {
-					u := geom.EmptyMBR()
-					lo, hi := r.Children(l, node)
-					for c := lo; c < hi; c++ {
-						u = u.Union(r.Box(l-1, c, d.at))
-					}
-					if u != b {
-						t.Fatalf("shard %d: run %d level %d node %d box %v, children's union %v", sh, i, l, node, b, u)
-					}
-				}
+	covered := 0
+	for i, r := range ep.insRuns {
+		if i > 0 && len(ep.insRuns[i-1].Pos) < 2*len(r.Pos) {
+			t.Fatalf("run %d holds %d entries, run %d only %d", i, len(r.Pos), i-1, len(ep.insRuns[i-1].Pos))
+		}
+		for j, p := range slices.Sorted(slices.Values(r.Pos)) {
+			if int(p) != covered+j {
+				t.Fatalf("run %d does not cover inserts[%d:%d]", i, covered, covered+len(r.Pos))
 			}
 		}
-		if covered != len(d.slab) || len(d.runs) > bits.Len(uint(len(d.slab))) {
-			t.Fatalf("shard %d: %d runs cover %d of %d staged inserts", sh, len(d.runs), covered, len(d.slab))
+		covered += len(r.Pos)
+		if top := r.Levels[r.Top()]; len(top) != 1 {
+			t.Fatalf("run %d has %d root boxes", i, len(top))
+		}
+		for l, boxes := range r.Levels {
+			for node, b := range boxes {
+				u := geom.EmptyMBR()
+				lo, hi := r.Children(l, node)
+				for c := lo; c < hi; c++ {
+					u = u.Union(r.Box(l-1, c, ep.at))
+				}
+				if u != b {
+					t.Fatalf("run %d level %d node %d box %v, children's union %v", i, l, node, b, u)
+				}
+			}
 		}
 	}
-	covered := 0
+	if covered != len(ep.inserts) || len(ep.insRuns) > bits.Len(uint(len(ep.inserts))) {
+		t.Fatalf("%d runs cover %d of %d staged inserts", len(ep.insRuns), covered, len(ep.inserts))
+	}
+	covered = 0
 	for i, r := range ep.delRuns {
 		if i > 0 && len(ep.delRuns[i-1]) < 2*len(r) {
 			t.Fatalf("delete run %d holds %d entries, run %d only %d", i, len(r), i-1, len(ep.delRuns[i-1]))
@@ -217,8 +215,8 @@ func TestDeleteViewAllocatesNothing(t *testing.T) {
 	}
 }
 
-// TestDeltaSnapshotStable: a view of a copy of the deltas and a delete
-// view taken under pmu keeps answering element for element as when
+// TestDeltaSnapshotStable: a view of the staged inserts and deletes
+// taken under pmu keeps answering element for element as when
 // taken — its range hits, the nearest staged inserts by core.NN over the
 // view alone, delete matches — while 100 more StageInsert and
 // StageDelete calls land concurrently (run under -race).
@@ -251,8 +249,9 @@ func TestDeltaSnapshotStable(t *testing.T) {
 	}
 
 	set.pmu.RLock()
-	deltas, dels := slices.Clone(set.staged.deltas), set.deleteViewLocked()
+	snap := view{inserts: slices.Clip(set.staged.inserts), runs: set.staged.insRuns, dels: set.deleteViewLocked()}
 	set.pmu.RUnlock()
+	dels := snap.dels
 	type answers struct {
 		candidates [][]uint64
 		nearest    [][]nnHit
@@ -260,13 +259,12 @@ func TestDeltaSnapshotStable(t *testing.T) {
 	}
 	observe := func() answers {
 		var a answers
-		var v view
-		v.take(deltas, dels)
+		v := snap
 		for _, q := range queries {
 			var seqs []uint64
 			v.stagedHits(q)
-			for _, h := range v.found {
-				seqs = append(seqs, v.staged(h).seq)
+			for _, p := range v.found {
+				seqs = append(seqs, v.inserts[p].seq)
 			}
 			a.candidates = append(a.candidates, seqs)
 		}
@@ -471,13 +469,8 @@ func checkStagedRuns(t *testing.T, set *Set, staged []stagedInsert, deletes []pe
 	defer set.pmu.RUnlock()
 	ep, dels := set.staged, set.deleteViewLocked()
 	checkRuns(t, ep)
-	var slabs []stagedInsert
-	for _, d := range ep.deltas {
-		slabs = append(slabs, d.slab...)
-	}
-	slices.SortFunc(slabs, func(a, b stagedInsert) int { return cmp.Compare(a.seq, b.seq) })
-	if !slices.Equal(slabs, staged) || !slices.Equal(ep.deletes, deletes) {
-		t.Fatalf("the set stages %d inserts, %d deletes; the model %d, %d", len(slabs), len(ep.deletes), len(staged), len(deletes))
+	if !slices.Equal(ep.inserts, staged) || !slices.Equal(ep.deletes, deletes) {
+		t.Fatalf("the set stages %d inserts, %d deletes; the model %d, %d", len(ep.inserts), len(ep.deletes), len(staged), len(deletes))
 	}
 
 	return dels

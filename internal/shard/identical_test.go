@@ -250,7 +250,7 @@ func TestMergedElementsIndexedMatchesLinear(t *testing.T) {
 		}
 
 		set.pmu.Lock()
-		dels := set.deleteViewLocked()
+		dels, routed := set.deleteViewLocked(), set.routeLocked()
 		for sh, ix := range set.cur.shards {
 			all, err := ix.Elements()
 			if err != nil {
@@ -262,12 +262,12 @@ func TestMergedElementsIndexedMatchesLinear(t *testing.T) {
 					want = append(want, e)
 				}
 			}
-			for _, si := range set.staged.deltas[sh].slab {
-				if !matchesDeleteAfter(set.staged.deletes, si.el, si.seq) {
+			for _, p := range routed[sh] {
+				if si := set.staged.inserts[p]; !matchesDeleteAfter(set.staged.deletes, si.el, si.seq) {
 					want = append(want, si.el)
 				}
 			}
-			got, err := set.mergedElements(sh, dels)
+			got, err := set.mergedElements(sh, routed[sh], dels)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -331,7 +331,7 @@ func observe(t *testing.T, set *Set, boxes []geom.MBR, points []geom.Vec3) answe
 }
 
 // TestDeltaPackedMatchesInserted: a delta staged as one batch (a
-// replayed log, a bulk StageInsert: one run per shard) answers exactly
+// replayed log, a bulk StageInsert: one run) answers exactly
 // like one grown by single stages (many runs, merged as they grow) — and
 // keeps doing so when more single stages land on the packed run, and in
 // the fresh epoch a Rebuild installs.

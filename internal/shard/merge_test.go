@@ -282,16 +282,9 @@ func TestStagedInsertOrderAcrossShards(t *testing.T) {
 		}
 		wantIDs = append(wantIDs, id)
 	}
-	// Precondition: the interleave really crossed shard groups —
-	// otherwise this test cannot catch the bug.
-	set.pmu.RLock()
-	groups := 0
-	for _, d := range set.staged.deltas {
-		if len(d.slab) > 0 {
-			groups++
-		}
-	}
-	set.pmu.RUnlock()
+	// Precondition: the interleave really crossed shards — otherwise
+	// this test cannot catch the bug.
+	groups := len(set.DeltaStats().Shards)
 	if groups < 2 {
 		t.Fatalf("staged inserts landed in %d shard group(s); need >= 2 to exercise cross-shard ordering", groups)
 	}
@@ -463,10 +456,7 @@ func TestStreamQueryAllocations(t *testing.T) {
 		}
 	}
 	set.pmu.RLock()
-	runs := 0
-	for _, d := range set.staged.deltas {
-		runs += len(d.runs)
-	}
+	runs := len(set.staged.insRuns)
 	set.pmu.RUnlock()
 	if runs < 4 || len(doomed) == 0 {
 		t.Fatalf("the staged delta holds %d runs and %d deletes in the SN box, want at least 4 and 1", runs, len(doomed))

@@ -434,10 +434,7 @@ func TestNNQueryAllocations(t *testing.T) {
 		}
 	}
 	set.pmu.RLock()
-	runs := 0
-	for _, d := range set.staged.deltas {
-		runs += len(d.runs)
-	}
+	runs := len(set.staged.insRuns)
 	set.pmu.RUnlock()
 	if runs < 4 {
 		t.Fatalf("the staged delta holds %d runs, want at least 4", runs)

@@ -5,12 +5,17 @@
 // Sharding shrinks the rebuild unit — when a batch of changes touches a
 // fraction of the space, only the shards it lands in need a new
 // bulkload. This file implements that: updates are staged in memory
-// (StageInsert routes each element to a shard through the MBR
-// directory; StageDelete records the doomed element), overlaid on query
-// results so reads stay correct between rebuilds, and folded in by
-// Rebuild, which re-bulkloads only the dirty shards. What is staged
-// between two rebuilds is one epoch value (delta.go); the Rebuild that
-// consumes it replaces it with an empty one and recycles nothing.
+// (StageInsert and StageDelete append to the epoch's lists), overlaid
+// on query results so reads stay correct between rebuilds, and folded
+// in by Rebuild, which re-bulkloads only the dirty shards. A staged
+// insert belongs to the shard the MBR directory routes it to
+// (routeLocked); that is asked only where a shard is: by Rebuild,
+// DirtyShards and DeltaStats. The directory's bounds change only when a
+// Rebuild publishes a generation, which consumes the epoch, so a staged
+// insert is routed to the same shard whenever it is asked. What is
+// staged between two rebuilds is one epoch value (delta.go); the
+// Rebuild that consumes it replaces it with an empty one and recycles
+// nothing.
 // Staging itself only fails at the write-ahead log append: once logged,
 // an operation lands in memory by an in-memory pack that cannot fail.
 //
@@ -74,15 +79,14 @@ func deleteMatches(d pendingDelete, e geom.Element) bool {
 	return d.ID == e.ID && e.Box.Contains(d.Box)
 }
 
-// StageInsert stages els for insertion. Each element is routed to the
-// shard whose bounds need the least enlargement to cover it (ties to
-// the smaller shard volume) — the directory-driven analogue of the
-// Hilbert assignment the original build used. Staged elements are
-// visible to queries immediately (overlaid on the bulkloaded results)
-// and become part of their shard's bulkloaded state at the next
-// Rebuild. Staging is last-op-wins: inserting an (ID, Box) pair that a
-// pending delete doomed restores the element. Safe to call
-// concurrently with queries.
+// StageInsert stages els for insertion. Staged elements are visible to
+// queries immediately (overlaid on the bulkloaded results) and become
+// part of a shard's bulkloaded state at the next Rebuild: the shard
+// whose bounds need the least enlargement to cover the element (ties to
+// the smaller shard volume; see routeShard), the directory-driven
+// analogue of the Hilbert assignment the original build used. Staging
+// is last-op-wins: inserting an (ID, Box) pair that a pending delete
+// doomed restores the element. Safe to call concurrently with queries.
 func (s *Set) StageInsert(els ...geom.Element) error {
 	for _, e := range els {
 		if !e.Box.Valid() {
@@ -108,37 +112,15 @@ func (s *Set) StageInsert(els ...geom.Element) error {
 		}
 	}
 	s.clock += uint64(len(els))
-	s.stageLocked(ins)
+	s.staged.addInserts(ins)
 	return nil
-}
-
-// stageLocked stages ins, given in staging order: each insert is routed
-// to its shard and every shard's delta takes its share as one run
-// (shardDelta.add). Routing keeps the order within a shard, so each slab
-// stays seq-ascending. Callers hold pmu's write side.
-// flatlint:holds pmu
-func (s *Set) stageLocked(ins []stagedInsert) {
-	byShard := make([][]stagedInsert, len(s.cur.shards))
-	for _, si := range ins {
-		t := s.routeShard(si.el.Box)
-		byShard[t] = append(byShard[t], si)
-	}
-	for t, batch := range byShard {
-		if len(batch) > 0 {
-			s.staged.deltas[t].add(batch)
-		}
-	}
 }
 
 // replayWAL restores a staging epoch from its logged operations: each
 // record re-stages exactly what the original call staged, seq
 // included, so last-op-wins interleaving survives a crash or close.
-// Inserts are routed through the same MBR directory the original
-// staging used; the directory's bounds change only at Rebuild, and
-// Rebuild rotates the log, so every replayed operation postdates the
-// bounds it is routed against. The replayed inserts and deletes each
-// land as one batch, so each delta and the delete list hold one run.
-// Callers hold pmu's write side.
+// The replayed inserts and deletes each land as one batch, so each list
+// holds one run. Callers hold pmu's write side.
 // flatlint:holds pmu
 func (s *Set) replayWAL(recs []storage.WALRecord) {
 	ins := make([]stagedInsert, 0, len(recs))
@@ -155,7 +137,7 @@ func (s *Set) replayWAL(recs []storage.WALRecord) {
 		}
 	}
 	s.staged.addDeletes(dels...)
-	s.stageLocked(ins)
+	s.staged.addInserts(ins)
 }
 
 // Flush makes every staged operation durable: it fsyncs the
@@ -221,38 +203,37 @@ type DeltaStats struct {
 func (s *Set) DeltaStats() DeltaStats {
 	s.pmu.RLock()
 	defer s.pmu.RUnlock()
-	ds := DeltaStats{Deletes: len(s.staged.deletes)}
+	ds := DeltaStats{Inserts: len(s.staged.inserts), Deletes: len(s.staged.deletes)}
 	if s.wal != nil {
 		ds.WALBytes = s.wal.Size()
 	}
-	for i, d := range s.staged.deltas {
-		if len(d.slab) == 0 {
-			continue
+	for i, ps := range s.routeLocked() {
+		if len(ps) > 0 {
+			ds.Shards = append(ds.Shards, ShardDeltaStats{Shard: i, Base: s.cur.shards[i].Len(), Staged: len(ps)})
 		}
-		ds.Inserts += len(d.slab)
-		ds.Shards = append(ds.Shards, ShardDeltaStats{Shard: i, Base: s.cur.shards[i].Len(), Staged: len(d.slab)})
 	}
 	return ds
 }
 
 // DirtyShards returns the shards the staged updates may touch — the
 // candidates the next Rebuild will examine, in shard order. A
-// candidate whose contents turn out unchanged (its only deltas are
-// deletes that match nothing) is skipped by the rebuild.
+// candidate whose contents turn out unchanged (its only staged changes
+// are deletes that match nothing) is skipped by the rebuild.
 func (s *Set) DirtyShards() []int {
 	s.pmu.RLock()
 	defer s.pmu.RUnlock()
-	return s.dirtyLocked()
+	return s.dirtyLocked(s.routeLocked())
 }
 
-// dirtyLocked computes the dirty set; callers hold pmu (either side).
-// A shard is dirty when inserts were routed to it or a staged delete's
-// box intersects its bounds (the delete may name an element there).
+// dirtyLocked computes the dirty set from routed, routeLocked's result;
+// callers hold pmu (either side). A shard is dirty when inserts are
+// routed to it or a staged delete's box intersects its bounds (the
+// delete may name an element there).
 // flatlint:holds pmu
-func (s *Set) dirtyLocked() []int {
+func (s *Set) dirtyLocked(routed [][]int32) []int {
 	var dirty []int
 	for i, ix := range s.cur.shards {
-		if len(s.staged.deltas[i].slab) > 0 {
+		if len(routed[i]) > 0 {
 			dirty = append(dirty, i)
 			continue
 		}
@@ -264,6 +245,19 @@ func (s *Set) dirtyLocked() []int {
 		}
 	}
 	return dirty
+}
+
+// routeLocked routes every staged insert to its shard (routeShard) and
+// returns, by shard, the positions of its staged inserts in the list, in
+// staging order. Callers hold pmu (either side).
+// flatlint:holds pmu
+func (s *Set) routeLocked() [][]int32 {
+	routed := make([][]int32, len(s.cur.shards))
+	for p, si := range s.staged.inserts {
+		sh := s.routeShard(si.el.Box)
+		routed[sh] = append(routed[sh], int32(p))
+	}
+	return routed
 }
 
 // routeShard picks the shard for a staged insert: least bounds
@@ -318,7 +312,8 @@ func (s *Set) Rebuild() ([]int, error) {
 // hold pmu's write side.
 // flatlint:holds pmu
 func (s *Set) rebuildLocked(force []int) ([]int, error) {
-	dirty := s.dirtyLocked()
+	routed := s.routeLocked()
+	dirty := s.dirtyLocked(routed)
 	for _, sh := range force {
 		if !slices.Contains(dirty, sh) {
 			dirty = append(dirty, sh)
@@ -341,11 +336,11 @@ func (s *Set) rebuildLocked(force []int) ([]int, error) {
 	// Phase 1: bulkload every dirty shard into a fresh pager. The old
 	// state is not touched — the jobs only read it, under the write lock
 	// this goroutine holds; any error abandons all the new files.
-	ep, dels := s.staged, s.deleteViewLocked()
+	dels := s.deleteViewLocked()
 	jobs := make([]bulkJob, len(cur.shards))
 	for _, sh := range dirty {
 		jobs[sh] = func() ([]geom.Element, core.Options, error) {
-			els, err := s.mergedElements(sh, dels)
+			els, err := s.mergedElements(sh, routed[sh], dels)
 			if err != nil {
 				return nil, core.Options{}, fmt.Errorf("shard %d: extract: %w", sh, err)
 			}
@@ -353,7 +348,7 @@ func (s *Set) rebuildLocked(force []int) ([]int, error) {
 			// unchanged (deletes only remove, so an unchanged length means an
 			// unchanged set); skip the pointless rewrite and keep its file,
 			// unless the shard is forced.
-			if len(ep.deltas[sh].slab) == 0 && len(els) == cur.shards[sh].Len() && !slices.Contains(force, sh) {
+			if len(routed[sh]) == 0 && len(els) == cur.shards[sh].Len() && !slices.Contains(force, sh) {
 				return nil, core.Options{}, nil
 			}
 			if len(els) == 0 {
@@ -389,7 +384,7 @@ func (s *Set) rebuildLocked(force []int) ([]int, error) {
 				return nil, err
 			}
 		}
-		s.staged = newEpoch(len(cur.shards))
+		s.staged = new(epoch)
 		return nil, nil
 	}
 
@@ -438,17 +433,18 @@ func (s *Set) rebuildLocked(force []int) ([]int, error) {
 	// manifest no longer references them.
 	gc()
 
-	s.staged = newEpoch(len(next.shards))
+	s.staged = new(epoch)
 	return rebuilt, nil
 }
 
 // mergedElements materializes dirty shard sh's post-rebuild element
-// set: its bulkloaded elements and staged inserts, minus the staged
-// deletes (each insert doomed only by deletes staged after it —
-// last-op-wins, matching the query overlay exactly: dels is the same
-// view a query filters through). Callers hold pmu.
+// set: its bulkloaded elements and the staged inserts at positions ins
+// (those routed to it), minus the staged deletes (each insert doomed
+// only by deletes staged after it — last-op-wins, matching the query
+// overlay exactly: dels is the same view a query filters through).
+// Callers hold pmu.
 // flatlint:holds pmu
-func (s *Set) mergedElements(sh int, dels deleteView) ([]geom.Element, error) {
+func (s *Set) mergedElements(sh int, ins []int32, dels deleteView) ([]geom.Element, error) {
 	// The object pages enumerate the shard, whatever kind its metadata
 	// pages are.
 	all, err := s.cur.shards[sh].Elements()
@@ -461,8 +457,12 @@ func (s *Set) mergedElements(sh int, dels deleteView) ([]geom.Element, error) {
 			kept = append(kept, e)
 		}
 	}
-	for _, si := range s.staged.deltas[sh].slab {
-		if !dels.matchesAfter(si.el, si.seq) {
+	if n := len(kept) + len(ins); n > cap(kept) {
+		// One exact reallocation, not append's growth by a quarter.
+		kept = append(make([]geom.Element, 0, n), kept...)
+	}
+	for _, p := range ins {
+		if si := s.staged.inserts[p]; !dels.matchesAfter(si.el, si.seq) {
 			kept = append(kept, si.el)
 		}
 	}

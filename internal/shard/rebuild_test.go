@@ -13,6 +13,7 @@ import (
 	"strings"
 	"testing"
 
+	"flat/internal/core"
 	"flat/internal/geom"
 	"flat/internal/storage"
 )
@@ -919,4 +920,153 @@ func TestOpenRejectsElementCountMismatch(t *testing.T) {
 	if _, err := OpenSet(dir, OpenOptions{}); err == nil || !strings.Contains(err.Error(), "corrupt superblock") {
 		t.Fatalf("open with 2e8 claimed object pages: %v, want a corrupt-superblock error", err)
 	}
+}
+
+// routeModel routes staged by brute force over the bounds set serves:
+// each element goes to the shard whose bounds it enlarges least, ties
+// to the smaller volume, then to the lower shard. It returns the IDs
+// routed to each shard, by shard.
+func routeModel(set *Set, staged []geom.Element) [][]uint64 {
+	by := make([][]uint64, set.NumShards())
+	for _, e := range staged {
+		best := 0
+		for i := 1; i < len(by); i++ {
+			bi, bb := set.ShardBounds(i), set.ShardBounds(best)
+			ei, eb := bi.Union(e.Box).Volume()-bi.Volume(), bb.Union(e.Box).Volume()-bb.Volume()
+			if ei < eb || (ei == eb && bi.Volume() < bb.Volume()) {
+				best = i
+			}
+		}
+		by[best] = append(by[best], e.ID)
+	}
+	return by
+}
+
+// shardIDs returns the sorted IDs of every shard's bulkloaded elements.
+func shardIDs(t *testing.T, set *Set) [][]uint64 {
+	t.Helper()
+	ids := make([][]uint64, set.NumShards())
+	for sh := range ids {
+		els, err := set.Shard(sh).Elements()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, e := range els {
+			ids[sh] = append(ids[sh], e.ID)
+		}
+		slices.Sort(ids[sh])
+	}
+	return ids
+}
+
+// TestStagedInsertsFoldIntoModelShard: staged inserts fold into the
+// shard routeModel picks over the served generation's bounds, whether
+// staged in many small batches, some outside every shard's bounds, or
+// replayed from the log by a reopen. DeltaStats().Shards, DirtyShards()
+// and each rebuilt shard's elements agree with the model, before and
+// after a Rebuild grows the bounds.
+func TestStagedInsertsFoldIntoModelShard(t *testing.T) {
+	r := rand.New(rand.NewSource(131))
+	dir := filepath.Join(t.TempDir(), "idx")
+	set, err := Build(randomElements(r, 2000), Config{Shards: 4, PageCapacity: 16, Dir: dir, WAL: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { set.Close() }()
+	nextID := uint64(1 << 40)
+	stage := func() []geom.Element {
+		var staged []geom.Element
+		for batch := 0; batch < 40; batch++ {
+			els := randomElements(r, 1+r.Intn(8))
+			for i := range els {
+				if r.Intn(4) == 0 { // most of these lie outside every shard
+					c := geom.V(-100+r.Float64()*300, -100+r.Float64()*300, -100+r.Float64()*300)
+					els[i].Box = geom.CubeAt(c, 0.5+r.Float64())
+				}
+				els[i].ID = nextID
+				nextID++
+			}
+			if err := set.StageInsert(els...); err != nil {
+				t.Fatal(err)
+			}
+			staged = append(staged, els...)
+		}
+		return staged
+	}
+	// check holds the staged delta's routing to the model and returns it.
+	check := func(name string, staged []geom.Element) [][]uint64 {
+		t.Helper()
+		model := routeModel(set, staged)
+		var wantStats []ShardDeltaStats
+		var wantDirty []int
+		for sh, ids := range model {
+			if len(ids) > 0 {
+				wantStats = append(wantStats, ShardDeltaStats{Shard: sh, Base: set.Shard(sh).Len(), Staged: len(ids)})
+				wantDirty = append(wantDirty, sh)
+			}
+		}
+		outside := 0
+		for _, e := range staged {
+			if !slices.ContainsFunc(set.now().shards, func(ix *core.Index) bool { return ix.Bounds().Contains(e.Box) }) {
+				outside++
+			}
+		}
+		if len(wantDirty) < 3 || outside == 0 {
+			t.Fatalf("%s: the model routes to shards %v, %d inserts outside every shard; want at least 3 shards and 1", name, wantDirty, outside)
+		}
+		if ds := set.DeltaStats(); ds.Inserts != len(staged) || !reflect.DeepEqual(ds.Shards, wantStats) {
+			t.Fatalf("%s: DeltaStats %d inserts, shards %+v; the model %d, %+v", name, ds.Inserts, ds.Shards, len(staged), wantStats)
+		}
+		if dirty := set.DirtyShards(); !slices.Equal(dirty, wantDirty) {
+			t.Fatalf("%s: DirtyShards %v, the model %v", name, dirty, wantDirty)
+		}
+		return model
+	}
+	// fold rebuilds and holds every shard's elements to the model's.
+	fold := func(name string, model [][]uint64) {
+		t.Helper()
+		want := shardIDs(t, set)
+		var wantRebuilt []int
+		for sh, ids := range model {
+			if len(ids) > 0 {
+				want[sh] = slices.Sorted(slices.Values(append(want[sh], ids...)))
+				wantRebuilt = append(wantRebuilt, sh)
+			}
+		}
+		rebuilt, err := set.Rebuild()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !slices.Equal(rebuilt, wantRebuilt) {
+			t.Fatalf("%s: rebuilt %v, the model %v", name, rebuilt, wantRebuilt)
+		}
+		for sh, ids := range shardIDs(t, set) {
+			if !slices.Equal(ids, want[sh]) {
+				t.Fatalf("%s: shard %d holds %d elements, the model %d", name, sh, len(ids), len(want[sh]))
+			}
+		}
+	}
+
+	model := check("first epoch", stage())
+	bounds := func() (bs []geom.MBR) {
+		for sh := range set.NumShards() {
+			bs = append(bs, set.ShardBounds(sh))
+		}
+		return bs
+	}
+	before := bounds()
+	fold("first epoch", model)
+	if slices.Equal(bounds(), before) {
+		t.Fatal("the rebuild left every shard's bounds as they were")
+	}
+
+	staged := stage()
+	check("second epoch", staged)
+	if err := set.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if set, err = OpenSet(dir, OpenOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	fold("replayed", check("replayed", staged))
 }

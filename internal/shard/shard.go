@@ -335,7 +335,7 @@ func Build(els []geom.Element, cfg Config) (*Set, error) {
 		gc()
 	}
 	g.shards, g.pagers = built, pagers
-	return &Set{dir: cfg.Dir, cur: g, staged: newEpoch(len(built)), wal: wal}, nil
+	return &Set{dir: cfg.Dir, cur: g, staged: new(epoch), wal: wal}, nil
 }
 
 // bulkJob supplies one shard's elements and build options to
@@ -531,7 +531,7 @@ func OpenSet(dir string, opts OpenOptions) (*Set, error) {
 		}
 		g.shards[s] = ix
 	}
-	set := &Set{dir: dir, cur: g, staged: newEpoch(len(g.shards))}
+	set := &Set{dir: dir, cur: g, staged: new(epoch)}
 	if err := set.openWAL(opts.WAL); err != nil {
 		g.close()
 		return nil, err

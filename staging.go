@@ -2,10 +2,10 @@ package flat
 
 import "flat/internal/shard"
 
-// StageInsert stages els for insertion. Each element is routed to a
-// shard through the MBR directory, becomes visible to queries
-// immediately (staged updates are overlaid on the bulkloaded results),
-// and is folded into its shard's bulkloaded state by the next Rebuild.
+// StageInsert stages els for insertion. Each element becomes visible
+// to queries immediately (staged updates are overlaid on the bulkloaded
+// results) and is folded by the next Rebuild into the bulkloaded state
+// of the shard the MBR directory routes it to.
 // Safe to call concurrently with queries; like them it returns
 // ErrClosed after Close.
 func (ix *Index) StageInsert(els ...Element) error {
