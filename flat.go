@@ -89,10 +89,10 @@
 // SeedHeight, NumShards, ShardBounds, ShardGeneration, ...) read
 // in-memory state that outlives the page files: they keep returning
 // correct values after Close, and they serialize internally against
-// Rebuild (which swaps the state they read), so calling them
-// concurrently with anything is safe — and never makes a maintenance
-// operation report ErrBusy. Only methods that touch pages or mutate
-// state report ErrClosed/ErrBusy.
+// Rebuild (which swaps the state they read; each call answers from one
+// generation), so calling them concurrently with anything is safe —
+// and never makes a maintenance operation report ErrBusy. Only methods
+// that touch pages or mutate state report ErrClosed/ErrBusy.
 //
 // # Choosing Shards
 //
@@ -366,13 +366,7 @@ func (ix *Index) ShardPageFormat(i int) PageFormat { return ix.set.Shard(i).Page
 // SeedHeight returns the height in levels (metadata level inclusive) of
 // the tallest shard's seed tree; the seed phase of a query reads at most
 // this many internal pages per shard it visits.
-func (ix *Index) SeedHeight() int {
-	h := 0
-	for s := range ix.set.NumShards() {
-		h = max(h, ix.set.Shard(s).SeedHeight())
-	}
-	return h
-}
+func (ix *Index) SeedHeight() int { return ix.set.Totals().SeedHeight }
 
 // Close releases every shard's storage, syncing the write-ahead log
 // first, so staged updates survive to the next Open even without a
@@ -390,20 +384,17 @@ func (ix *Index) Close() error {
 // pages over all shards: the bulkloaded index's page runs, without the
 // superblocks.
 func (ix *Index) PageCounts() (object, metadata, seedInternal int) {
-	for s := range ix.set.NumShards() {
-		o, m, sd := ix.set.Shard(s).PageCounts()
-		object, metadata, seedInternal = object+o, metadata+m, seedInternal+sd
-	}
-	return object, metadata, seedInternal
+	t := ix.set.Totals()
+	return t.ObjectPages, t.MetadataPages, t.SeedPages
 }
 
-// String summarizes the index.
+// String summarizes the index, every number from one generation.
 func (ix *Index) String() string {
-	obj, meta, seed := ix.PageCounts()
+	t := ix.set.Totals()
 	shards := ""
-	if k := ix.NumShards(); k > 1 {
-		shards = fmt.Sprintf("shards: %d, ", k)
+	if t.Shards > 1 {
+		shards = fmt.Sprintf("shards: %d, ", t.Shards)
 	}
 	return fmt.Sprintf("flat.Index{%selements: %d, partitions: %d, pages: %d object + %d metadata + %d seed, %.1f MiB}",
-		shards, ix.Len(), ix.NumPartitions(), obj, meta, seed, float64(ix.SizeBytes())/(1<<20))
+		shards, t.Elements, t.Partitions, t.ObjectPages, t.MetadataPages, t.SeedPages, float64(t.SizeBytes)/(1<<20))
 }

@@ -169,6 +169,70 @@ func TestAccessorsRaceMaintenance(t *testing.T) {
 	}
 }
 
+// TestAccessorsReadOneGeneration polls the accessors that sum over the
+// shards while Rebuild publishes generation after generation: every
+// PageCounts, SeedHeight and String answer must be one that a published
+// generation gives, never a sum of shards from two generations.
+func TestAccessorsReadOneGeneration(t *testing.T) {
+	r := rand.New(rand.NewSource(99))
+	ix, err := Build(randomElements(r, 4000), &Options{Shards: 4, pageCapacity: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ix.Close()
+	type answer struct {
+		pages  [3]int
+		height int
+		str    string
+	}
+	read := func() answer {
+		o, m, s := ix.PageCounts()
+		return answer{[3]int{o, m, s}, ix.SeedHeight(), ix.String()}
+	}
+	published := []answer{read()}
+	var (
+		polled = map[answer]bool{}
+		stop   atomic.Bool
+		done   = make(chan struct{})
+	)
+	go func() {
+		defer close(done)
+		for !stop.Load() {
+			polled[read()] = true
+		}
+	}()
+	for round := range 30 {
+		ins := randomElements(r, 50)
+		for i := range ins {
+			ins[i].ID = uint64(10000 + 50*round + i)
+		}
+		if err := ix.StageInsert(ins...); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := ix.Rebuild(); err != nil {
+			t.Fatal(err)
+		}
+		published = append(published, read())
+	}
+	stop.Store(true)
+	<-done
+	pages, heights, strs := map[[3]int]bool{}, map[int]bool{}, map[string]bool{}
+	for _, a := range published {
+		pages[a.pages], heights[a.height], strs[a.str] = true, true, true
+	}
+	for a := range polled {
+		if !pages[a.pages] {
+			t.Fatalf("PageCounts %v is no published generation's (published: %v)", a.pages, pages)
+		}
+		if !heights[a.height] {
+			t.Fatalf("SeedHeight %d is no published generation's (published: %v)", a.height, heights)
+		}
+		if !strs[a.str] {
+			t.Fatalf("String %q is no published generation's", a.str)
+		}
+	}
+}
+
 // The guard semantics hold at several shards too.
 func TestShardedCloseGuard(t *testing.T) {
 	r := rand.New(rand.NewSource(96))

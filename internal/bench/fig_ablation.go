@@ -4,7 +4,6 @@ import (
 	"time"
 
 	"flat/internal/core"
-	"flat/internal/datagen"
 	"flat/internal/geom"
 	"flat/internal/rtree"
 	"flat/internal/storage"
@@ -30,12 +29,7 @@ import (
 func (r *Runner) ablation() ([]*Table, error) {
 	n := r.Cfg.Densities[len(r.Cfg.Densities)-1]
 	m := r.model(n)
-	queries := datagen.Queries(datagen.QuerySpec{
-		Count:          r.Cfg.Queries,
-		World:          m.Volume,
-		VolumeFraction: r.Cfg.SNFraction,
-		Seed:           r.Cfg.Seed + 100,
-	})
+	queries := r.queries(m.Volume, r.Cfg.SNFraction)
 	capacity := r.Cfg.NodeCapacity
 
 	// --- Ablation 1: dynamic insertion vs STR bulkload. ---

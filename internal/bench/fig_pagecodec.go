@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"flat/internal/core"
-	"flat/internal/datagen"
 	"flat/internal/geom"
 	"flat/internal/shard"
 	"flat/internal/storage"
@@ -95,12 +94,7 @@ func (r *Runner) pagecodec() ([]*Table, error) {
 	}
 
 	for _, wl := range workloads {
-		queries := datagen.Queries(datagen.QuerySpec{
-			Count:          r.Cfg.Queries,
-			World:          m.Volume,
-			VolumeFraction: wl.fraction,
-			Seed:           r.Cfg.Seed + 100,
-		})
+		queries := r.queries(m.Volume, wl.fraction)
 		ids := make([][][]uint64, len(variants)) // per variant, per query, sorted IDs
 		reads := make([]uint64, len(variants))
 		objReads := make([]uint64, len(variants))
@@ -147,12 +141,7 @@ func (r *Runner) pagecodec() ([]*Table, error) {
 
 	// Sharded parity: the codec must be invisible through the sharded
 	// executor too.
-	queries := datagen.Queries(datagen.QuerySpec{
-		Count:          r.Cfg.Queries,
-		World:          m.Volume,
-		VolumeFraction: r.Cfg.LSSFraction,
-		Seed:           r.Cfg.Seed + 100,
-	})
+	queries := r.queries(m.Volume, r.Cfg.LSSFraction)
 	sets := make([]*shard.Set, len(formats))
 	for i, f := range formats {
 		els := append([]geom.Element(nil), m.Elements...)

@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"flat/internal/core"
-	"flat/internal/datagen"
 	"flat/internal/geom"
 	"flat/internal/shard"
 	"flat/internal/storage"
@@ -60,12 +59,7 @@ func (r *Runner) shardsExperiment() ([]*Table, error) {
 	}
 	refs := make([]workloadRef, len(workloads))
 	for w, wl := range workloads {
-		queries := datagen.Queries(datagen.QuerySpec{
-			Count:          r.Cfg.Queries,
-			World:          m.Volume,
-			VolumeFraction: wl.fraction,
-			Seed:           r.Cfg.Seed + 100,
-		})
+		queries := r.queries(m.Volume, wl.fraction)
 		wr := workloadRef{
 			queries: queries,
 			reads:   make([]uint64, len(queries)),

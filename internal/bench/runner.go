@@ -320,6 +320,19 @@ func coldTree(tree *rtree.Tree, queries []geom.MBR) (measurement, error) {
 	})
 }
 
+// queries returns the micro-benchmark workload over world: Cfg.Queries
+// boxes of the given volume fraction. Every experiment that replays the
+// SN or LSS workload reads this one query set (useCase, the ablation,
+// the shard and page-codec sweeps, and the package's Go benchmarks).
+func (r *Runner) queries(world geom.MBR, fraction float64) []geom.MBR {
+	return datagen.Queries(datagen.QuerySpec{
+		Count:          r.Cfg.Queries,
+		World:          world,
+		VolumeFraction: fraction,
+		Seed:           r.Cfg.Seed + 100,
+	})
+}
+
 // useCaseRow is one density's measurements for one micro-benchmark.
 type useCaseRow struct {
 	Density int
@@ -343,12 +356,7 @@ func (r *Runner) useCase(fraction float64) ([]useCaseRow, error) {
 		if err != nil {
 			return nil, err
 		}
-		queries := datagen.Queries(datagen.QuerySpec{
-			Count:          r.Cfg.Queries,
-			World:          s.world,
-			VolumeFraction: fraction,
-			Seed:           r.Cfg.Seed + 100,
-		})
+		queries := r.queries(s.world, fraction)
 		row := useCaseRow{Density: n, RTrees: make(map[rtree.Strategy]measurement)}
 		row.FLAT, err = coldFLAT(s.flat, queries)
 		if err != nil {

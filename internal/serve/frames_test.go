@@ -122,7 +122,7 @@ func streamFrames(t *testing.T, s *Server, q flat.MBR) []int {
 	var counts []int
 	total := 0
 	for {
-		typ, payload, err := readFrame(conn)
+		typ, payload, err := readFrame(&frameSource{Reader: conn})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -154,7 +154,7 @@ func FuzzClientFrames(f *testing.F) {
 				return
 			}
 			for i := 0; i < 4; i++ {
-				if _, _, err := readFrame(srv); err != nil {
+				if _, _, err := readFrame(&frameSource{Reader: srv}); err != nil {
 					return
 				}
 				requests <- struct{}{}

@@ -213,38 +213,28 @@ type frameSource struct {
 	last *[]byte
 }
 
-// readFrame reads one frame. Read through a *frameSource, the payload
-// is a pooled buffer (see frameSource); from any other reader it is
-// freshly allocated, which is what a caller that keeps payloads needs.
-func readFrame(r io.Reader) (typ byte, payload []byte, err error) {
-	src, _ := r.(*frameSource)
-	var hdr []byte
-	if src != nil {
-		r, hdr, src.last = src.Reader, src.hdr[:], nil
-	} else {
-		hdr = make([]byte, frameHeader)
-	}
-	if _, err := io.ReadFull(r, hdr); err != nil {
+// readFrame reads one frame through src: the header lands in src.hdr
+// and the payload in a pooled buffer, left in src.last (see
+// frameSource).
+func readFrame(src *frameSource) (typ byte, payload []byte, err error) {
+	src.last = nil
+	if _, err := io.ReadFull(src.Reader, src.hdr[:]); err != nil {
 		return 0, nil, err
 	}
-	n := binary.BigEndian.Uint32(hdr[:4])
+	n := binary.BigEndian.Uint32(src.hdr[:4])
 	if n > maxPayload {
 		return 0, nil, errFrameSize
 	}
-	if src != nil {
-		src.last = getFrame(int(n))
-		payload = *src.last
-	} else {
-		payload = make([]byte, n)
-	}
-	if _, err := io.ReadFull(r, payload); err != nil {
+	src.last = getFrame(int(n))
+	payload = *src.last
+	if _, err := io.ReadFull(src.Reader, payload); err != nil {
 		// A header without its payload is a torn frame, not a clean EOF.
 		if errors.Is(err, io.EOF) {
 			err = io.ErrUnexpectedEOF
 		}
 		return 0, nil, err
 	}
-	return hdr[4], payload, nil
+	return src.hdr[4], payload, nil
 }
 
 func putU32(b []byte, v uint32)  { binary.LittleEndian.PutUint32(b, v) }

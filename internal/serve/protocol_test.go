@@ -21,21 +21,22 @@ func TestFrameRoundTrip(t *testing.T) {
 	if err := sendFrame(&buf, msgDone, make([]byte, frameHeader)); err != nil {
 		t.Fatal(err)
 	}
-	typ, got, err := readFrame(&buf)
+	src := &frameSource{Reader: &buf}
+	typ, got, err := readFrame(src)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if typ != msgQuery || !bytes.Equal(got, payload) {
 		t.Fatalf("frame 1: type 0x%02x payload %v", typ, got)
 	}
-	typ, got, err = readFrame(&buf)
+	typ, got, err = readFrame(src)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if typ != msgDone || len(got) != 0 {
 		t.Fatalf("frame 2: type 0x%02x payload %v", typ, got)
 	}
-	if _, _, err := readFrame(&buf); !errors.Is(err, io.EOF) {
+	if _, _, err := readFrame(src); !errors.Is(err, io.EOF) {
 		t.Fatalf("empty reader: %v, want EOF", err)
 	}
 }
@@ -48,12 +49,12 @@ func TestFrameTruncation(t *testing.T) {
 	// Chop the payload: a header promising more than arrives must not
 	// read as a clean EOF.
 	torn := bytes.NewReader(buf.Bytes()[:buf.Len()-10])
-	if _, _, err := readFrame(torn); !errors.Is(err, io.ErrUnexpectedEOF) {
+	if _, _, err := readFrame(&frameSource{Reader: torn}); !errors.Is(err, io.ErrUnexpectedEOF) {
 		t.Fatalf("torn frame: %v, want ErrUnexpectedEOF", err)
 	}
 	// A hostile length prefix is refused before allocation.
 	hostile := []byte{0xff, 0xff, 0xff, 0xff, msgElems}
-	if _, _, err := readFrame(bytes.NewReader(hostile)); !errors.Is(err, errFrameSize) {
+	if _, _, err := readFrame(&frameSource{Reader: bytes.NewReader(hostile)}); !errors.Is(err, errFrameSize) {
 		t.Fatalf("hostile length: %v, want errFrameSize", err)
 	}
 	if err := sendFrame(io.Discard, msgElems, make([]byte, frameHeader+maxPayload+1)); !errors.Is(err, errFrameSize) {

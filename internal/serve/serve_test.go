@@ -556,7 +556,7 @@ func TestDuplicateRequestIDRefused(t *testing.T) {
 	// with an error frame and never holds a slot.
 	refused, elems := 0, 0
 	for refused < dups {
-		typ, payload, err := readFrame(conn)
+		typ, payload, err := readFrame(&frameSource{Reader: conn})
 		if err != nil {
 			t.Fatalf("after %d refusals and %d elements: %v", refused, elems, err)
 		}
@@ -583,7 +583,7 @@ func TestDuplicateRequestIDRefused(t *testing.T) {
 		t.Fatal(err)
 	}
 	for {
-		typ, payload, err := readFrame(conn)
+		typ, payload, err := readFrame(&frameSource{Reader: conn})
 		if err != nil {
 			t.Fatal(err)
 		}

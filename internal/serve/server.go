@@ -233,10 +233,9 @@ func (s *Server) Stats() ServerStats {
 // in-flight queries it can cancel, and the write mutex that keeps
 // concurrent response streams from interleaving frames.
 type srvConn struct {
-	s    *Server
-	c    net.Conn
-	ctx  context.Context // cancelled on disconnect or server stop
-	stop context.CancelFunc
+	s   *Server
+	c   net.Conn
+	ctx context.Context // cancelled on disconnect or server stop
 
 	wmu sync.Mutex // serializes whole frames onto the socket
 
@@ -257,7 +256,7 @@ func (s *Server) handle(conn net.Conn) {
 		return
 	}
 	ctx, cancel := context.WithCancel(s.baseCtx)
-	sc := &srvConn{s: s, c: conn, ctx: ctx, stop: cancel, inflight: make(map[uint32]context.CancelFunc)}
+	sc := &srvConn{s: s, c: conn, ctx: ctx, inflight: make(map[uint32]context.CancelFunc)}
 	// The read loop exiting — disconnect, torn frame, server stop —
 	// cancels every query this connection still has crawling.
 	defer cancel()

@@ -54,6 +54,7 @@ import (
 	"slices"
 	"strings"
 	"sync"
+	"sync/atomic"
 
 	"flat/internal/core"
 	"flat/internal/geom"
@@ -228,20 +229,30 @@ const splitLevels = 4
 // holds: core.Build sorts a group into pages only when it is larger.
 var maxPageElements = storage.ObjectPageCapacityForSpan(storage.PageFormatV2, 0)
 
-// inChunks runs f(lo, hi) on each of GOMAXPROCS contiguous chunks [lo,
-// hi) of [0, n), in chunk order, each in its own goroutine, and returns
-// once all have returned.
-func inChunks(n int, f func(lo, hi int)) {
-	chunks := min(runtime.GOMAXPROCS(0), n)
+// parallel is the package's one fan-out: it runs f(i) for every i in
+// [0, n) on min(GOMAXPROCS, n) workers, each pulling the next unclaimed
+// index once its last call returned, so at most that many calls run at
+// once. It returns once every worker has exited.
+func parallel(n int, f func(i int)) {
+	var next atomic.Int64
 	var wg sync.WaitGroup
-	for c := range chunks {
+	for range min(runtime.GOMAXPROCS(0), n) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			f(c*n/chunks, (c+1)*n/chunks)
+			for i := int(next.Add(1) - 1); i < n; i = int(next.Add(1) - 1) {
+				f(i)
+			}
 		}()
 	}
 	wg.Wait()
+}
+
+// inChunks runs f(lo, hi) on each of GOMAXPROCS contiguous chunks [lo,
+// hi) of [0, n), each on a worker of its own (parallel).
+func inChunks(n int, f func(lo, hi int)) {
+	chunks := min(runtime.GOMAXPROCS(0), n)
+	parallel(chunks, func(c int) { f(c*n/chunks, (c+1)*n/chunks) })
 }
 
 // Build bulkloads a sharded FLAT index over els, which it may reorder in
@@ -354,10 +365,11 @@ type bulkJob func() ([]geom.Element, core.Options, error)
 // file served through openShard, the open step's own, so a fresh shard
 // is served exactly as a reopen serves it.
 //
-// The jobs run on min(GOMAXPROCS, len(jobs)) workers, one job per worker
-// at a time: a job's element slice (Rebuild's jobs merge theirs) exists
-// only while a worker runs it, and so do its in-memory pages under dir,
-// so peak memory is min(GOMAXPROCS, jobs) shards' elements and pages.
+// The jobs run on min(GOMAXPROCS, len(jobs)) workers (parallel), one
+// job per worker at a time: a job's element slice (Rebuild's jobs merge
+// theirs) exists only while a worker runs it, and so do its in-memory
+// pages under dir, so peak memory is min(GOMAXPROCS, jobs) shards'
+// elements and pages.
 // Every job runs to completion and this returns only once every worker
 // has exited, so no goroutine outlives it. It returns
 // the new indexes and their pagers by shard, nil where no job ran or a
@@ -410,24 +422,11 @@ func bulkloadShards(dir string, gen uint64, jobs []bulkJob) ([]*core.Index, []st
 		}
 		return err
 	}
-	next := make(chan int)
-	var wg sync.WaitGroup
-	for range min(runtime.GOMAXPROCS(0), len(jobs)) {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for s := range next {
-				errs[s] = run(s)
-			}
-		}()
-	}
-	for s := range jobs {
+	parallel(len(jobs), func(s int) {
 		if jobs[s] != nil {
-			next <- s
+			errs[s] = run(s)
 		}
-	}
-	close(next)
-	wg.Wait()
+	})
 	if err := cmp.Or(errs...); err != nil {
 		discardShards(dir, gen, pagers)
 		return nil, nil, err
@@ -652,13 +651,7 @@ func (s *Set) ShardBounds(i int) geom.MBR { return s.now().shards[i].Bounds() }
 func (s *Set) Generation(i int) uint64 { return s.now().m.Entries[i].Generation }
 
 // Len returns the total number of indexed elements across shards.
-func (s *Set) Len() int {
-	n := 0
-	for _, ix := range s.now().shards {
-		n += ix.Len()
-	}
-	return n
-}
+func (s *Set) Len() int { return s.Totals().Elements }
 
 // World returns the space the shard assignment was derived in.
 func (s *Set) World() geom.MBR { return arrayToMBR(s.now().m.World) }
@@ -673,21 +666,40 @@ func (s *Set) Bounds() geom.MBR {
 }
 
 // NumPartitions returns the total partition (object page) count.
-func (s *Set) NumPartitions() int {
-	n := 0
-	for _, ix := range s.now().shards {
-		n += ix.NumPartitions()
-	}
-	return n
-}
+func (s *Set) NumPartitions() int { return s.Totals().Partitions }
 
 // SizeBytes returns the on-disk footprint across all shards.
-func (s *Set) SizeBytes() uint64 {
-	var n uint64
-	for _, ix := range s.now().shards {
-		n += ix.SizeBytes()
+func (s *Set) SizeBytes() uint64 { return s.Totals().SizeBytes }
+
+// Totals describes one generation: its shard count and its shards'
+// sums.
+type Totals struct {
+	Shards, Elements, Partitions int
+	// ObjectPages, MetadataPages and SeedPages count the bulkloaded
+	// page runs (seed-internal pages for SeedPages), without the
+	// superblocks.
+	ObjectPages, MetadataPages, SeedPages int
+	SeedHeight                            int // the tallest shard's seed tree, in levels
+	SizeBytes                             uint64
+}
+
+// Totals returns the served generation's Totals. Every number is read
+// from the one generation, so they agree with each other even when a
+// Rebuild publishes the next generation meanwhile.
+func (s *Set) Totals() Totals {
+	g := s.now()
+	t := Totals{Shards: len(g.shards)}
+	for _, ix := range g.shards {
+		obj, meta, seed := ix.PageCounts()
+		t.Elements += ix.Len()
+		t.Partitions += ix.NumPartitions()
+		t.ObjectPages += obj
+		t.MetadataPages += meta
+		t.SeedPages += seed
+		t.SeedHeight = max(t.SeedHeight, ix.SeedHeight())
+		t.SizeBytes += ix.SizeBytes()
 	}
-	return n
+	return t
 }
 
 // Pool returns a pool that reads every shard of the served generation,
