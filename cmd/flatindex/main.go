@@ -38,16 +38,14 @@
 // generation of its page file; the manifest swap is atomic, so a crash
 // mid-rebuild leaves the previous generation openable). Staged changes
 // are visible to the -query/-point of the same invocation even without
-// -rebuild; without -wal they are lost at exit unless -rebuild persists
-// them.
+// -rebuild. An index kept in memory (no -index) loses them at exit.
 //
-// -wal gives a disk-backed index a write-ahead log: staged
-// updates are appended to the log before they take effect and flushed
-// before the invocation exits, so they survive a crash (or kill -9)
-// without any -rebuild — the next invocation replays the log and
-// reports the staged updates as pending again. An existing log-less
-// index is upgraded in place; once the log exists, replay happens on
-// every reopen with or without the flag.
+// An index directory keeps a write-ahead log: staged updates are
+// appended to the log before they take effect and flushed before the
+// invocation exits, so they survive a crash (or kill -9) without any
+// -rebuild — the next invocation replays the log and reports the staged
+// updates as pending again. A directory written without a log is given
+// one when it is reopened.
 //
 // -pageformat v2 builds with the compressed object-page layout
 // (quantized delta-encoded elements, 1.7-2x the density of v1); the
@@ -90,7 +88,6 @@ func main() {
 		del     = flag.String("delete", "", "comma-separated element ids staged for deletion")
 		rebuild = flag.Bool("rebuild", false, "fold staged updates in by re-bulkloading only the dirty shards")
 		pf      = flag.String("pageformat", "v1", "object-page layout for a fresh build: v1 (full precision) or v2 (quantized delta-encoded, 1.7-2x denser); reopening reads the format from the index itself")
-		wal     = flag.Bool("wal", false, "write-ahead-log staged updates so they survive a crash without -rebuild (disk-backed index only)")
 	)
 	flag.Parse()
 	if *data == "" {
@@ -118,12 +115,12 @@ func main() {
 			fatalf("%v", statErr)
 		}
 		if statErr == nil {
-			if ix, err = flat.Open(*index, &flat.Options{WAL: *wal}); err != nil {
+			if ix, err = flat.Open(*index, nil); err != nil {
 				fatalf("open %s: %v (delete it to rebuild)", *index, err)
 			}
 			fmt.Printf("reopened existing index %s\n", *index)
-			// An index with a write-ahead log replays it on open: say what
-			// survived so a kill-and-reopen is visible from the outside.
+			// The write-ahead log is replayed on open: say what survived
+			// so a kill-and-reopen is visible from the outside.
 			if st, err := ix.DeltaStats(); err == nil && (st.Inserts > 0 || st.Deletes > 0) {
 				fmt.Printf("replayed write-ahead log: %d staged inserts, %d staged deletes pending\n",
 					st.Inserts, st.Deletes)
@@ -147,11 +144,8 @@ func main() {
 		}
 	}
 	if ix == nil {
-		if *wal && *index == "" {
-			fatalf("-wal requires a disk-backed index (-index)")
-		}
 		cp := append([]flat.Element(nil), els...)
-		if ix, err = flat.Build(cp, &flat.Options{Shards: *shards, Dir: *index, PageFormat: format, WAL: *wal}); err != nil {
+		if ix, err = flat.Build(cp, &flat.Options{Shards: *shards, Dir: *index, PageFormat: format}); err != nil {
 			fatalf("build: %v", err)
 		}
 	}
@@ -200,12 +194,6 @@ func main() {
 
 	// Staged updates + incremental rebuild.
 	if *insert != "" || *del != "" || *rebuild {
-		// WAL size before this invocation stages anything, so the flush
-		// report below reflects only what this run appended.
-		walBefore := int64(0)
-		if st, err := ix.DeltaStats(); err == nil {
-			walBefore = st.WALBytes
-		}
 		stagedOps := 0
 		// Deletes are resolved first, against the index contents as they
 		// were before this invocation's -insert: staging follows
@@ -251,20 +239,16 @@ func main() {
 			stagedOps += len(add)
 			fmt.Printf("staged %d inserts from %s\n", len(add), *insert)
 		}
-		// Make the staged updates durable before exit: with a write-ahead
-		// log a flush is all it takes (the next invocation replays them);
-		// -rebuild below folds them into the bulkloaded pages for good.
-		// Gate on what this invocation actually staged, not on WAL
-		// presence — the log's size includes its header and previously
-		// flushed records, so it is nonzero even when nothing new was
-		// staged (e.g. -insert named an empty file).
-		if stagedOps > 0 {
-			if st, err := ix.DeltaStats(); err == nil && st.WALBytes > walBefore {
-				if err := ix.Flush(); err != nil {
-					fatalf("flush wal: %v", err)
-				}
-				fmt.Printf("flushed write-ahead log (+%d bytes): staged updates survive until the next rebuild\n", st.WALBytes-walBefore)
+		// Make the staged updates durable before exit: in a directory a
+		// flush of its write-ahead log is all it takes (the next
+		// invocation replays them); -rebuild below folds them into the
+		// bulkloaded pages for good. Gate on what this invocation
+		// actually staged (-insert may name an empty file).
+		if stagedOps > 0 && *index != "" {
+			if err := ix.Flush(); err != nil {
+				fatalf("flush wal: %v", err)
 			}
+			fmt.Println("flushed write-ahead log: staged updates survive until the next rebuild")
 		}
 		if *rebuild {
 			dirty, err := ix.DirtyShards()

@@ -1,6 +1,6 @@
 // Command flatserve serves a built FLAT index over TCP — the network
 // face of the library: streaming range/count queries with limits,
-// staged writes against the index's WAL-backed delta, rebuilds, and an admin/stats endpoint. The protocol is the
+// staged writes against the index's logged delta, rebuilds, and an admin/stats endpoint. The protocol is the
 // length-prefixed binary framing of flat/internal/serve; see the
 // README's "Serving" section for the frame layout.
 //
@@ -9,11 +9,11 @@
 //	flatserve -index brain.idx -addr :4077
 //
 // The index directory is served through each shard file's read-only
-// memory mapping and opened with its write-ahead log so staged writes
-// are durable (-wal=false to opt out). SIGINT/SIGTERM
-// trigger a graceful drain: the listener closes, new queries are
-// refused, in-flight streams get -drain to finish before they are
-// cancelled, the WAL is flushed and the index closed.
+// memory mapping and opened with its write-ahead log, which every
+// directory index keeps, so an acknowledged staged write is durable.
+// SIGINT/SIGTERM trigger a graceful drain: the listener closes, new
+// queries are refused, in-flight streams get -drain to finish before
+// they are cancelled, the WAL is flushed and the index closed.
 //
 // One-shot client mode (no -index): the same binary queries a running
 // server, which keeps the wire protocol exercisable from a shell:
@@ -24,7 +24,6 @@
 //	flatserve -addr :4077 -nn "5,5,5" -k 20
 //	flatserve -addr :4077 -insert delta.flte
 //	flatserve -addr :4077 -delete "17,1,2,3,4,5,6"
-//	flatserve -addr :4077 -flush
 //	flatserve -addr :4077 -rebuild
 //	flatserve -addr :4077 -stats
 package main
@@ -51,7 +50,6 @@ func main() {
 		index = flag.String("index", "", "index directory to serve (server mode)")
 		addr  = flag.String("addr", ":4077", "listen address (server mode) or server address (client mode)")
 
-		wal      = flag.Bool("wal", true, "write-ahead-log staged updates")
 		inflight = flag.Int("max-inflight", 0, "global concurrent-query budget; the N+1th query is rejected busy (0: default 64)")
 		connq    = flag.Int("conn-queries", 0, "concurrent queries allowed per connection (0: default 16)")
 		drain    = flag.Duration("drain", 5*time.Second, "graceful-shutdown grace period for in-flight queries")
@@ -65,14 +63,13 @@ func main() {
 		cancelN = flag.Int("cancel-after", 0, "client: cancel the stream after this many results (exercises the wire cancel)")
 		insert  = flag.String("insert", "", "client: element file whose contents are staged for insertion")
 		del     = flag.String("delete", "", "client: stage one deletion, 'id,x1,y1,z1,x2,y2,z2'")
-		flush   = flag.Bool("flush", false, "client: flush the server's write-ahead log")
 		rebuild = flag.Bool("rebuild", false, "client: fold staged updates into the bulkloaded shards")
 		stats   = flag.Bool("stats", false, "client: print the server's stats as JSON")
 	)
 	flag.Parse()
 
 	if *index != "" {
-		runServer(*index, *addr, *wal, serve.Config{
+		runServer(*index, *addr, serve.Config{
 			MaxInflight:    *inflight,
 			MaxConnQueries: *connq,
 			DrainTimeout:   *drain,
@@ -84,12 +81,12 @@ func main() {
 		nn: *nn, k: *kNN,
 		limit: *limit, cancelAfter: *cancelN,
 		insert: *insert, del: *del,
-		flush: *flush, rebuild: *rebuild, stats: *stats,
+		rebuild: *rebuild, stats: *stats,
 	})
 }
 
-func runServer(index, addr string, wal bool, cfg serve.Config) {
-	ix, err := flat.Open(index, &flat.Options{WAL: wal})
+func runServer(index, addr string, cfg serve.Config) {
+	ix, err := flat.Open(index, nil)
 	if err != nil {
 		fatalf("open %s: %v", index, err)
 	}
@@ -138,15 +135,14 @@ type clientOps struct {
 	limit        int
 	cancelAfter  int
 	insert, del  string
-	flush        bool
 	rebuild      bool
 	stats        bool
 }
 
 func runClient(addr string, ops clientOps) {
 	if ops.query == "" && ops.point == "" && ops.nn == "" && ops.insert == "" && ops.del == "" &&
-		!ops.flush && !ops.rebuild && !ops.stats {
-		fatalf("nothing to do: pass -index to serve, or a client operation (-query, -point, -nn, -insert, -delete, -flush, -rebuild, -stats); see -help")
+		!ops.rebuild && !ops.stats {
+		fatalf("nothing to do: pass -index to serve, or a client operation (-query, -point, -nn, -insert, -delete, -rebuild, -stats); see -help")
 	}
 	c, err := serve.Dial(addr)
 	if err != nil {
@@ -174,12 +170,6 @@ func runClient(addr string, ops clientOps) {
 			fatalf("delete: %v", err)
 		}
 		fmt.Printf("staged delete of element %d (wal flushed)\n", id)
-	}
-	if ops.flush {
-		if err := c.Flush(ctx); err != nil {
-			fatalf("flush: %v", err)
-		}
-		fmt.Println("write-ahead log flushed")
 	}
 	if ops.rebuild {
 		n, err := c.Rebuild(ctx)

@@ -175,7 +175,7 @@ func ObjectPageCapacity(f PageFormat) int { return storage.ObjectPageCapacity(f)
 
 // Options configures Build and Open. The zero value (or nil) gives a
 // memory-backed one-shard index with full 4 KiB object pages
-// partitioned over the data's bounds. Open consults WAL only: the
+// partitioned over the data's bounds. Open consults no field: the
 // shard count, geometry and per-shard page formats come from the
 // directory's manifest and shard files.
 type Options struct {
@@ -197,9 +197,16 @@ type Options struct {
 	// It also anchors the Hilbert grid of the shard assignment.
 	World MBR
 	// Dir, when non-empty, stores the index on disk: one page file per
-	// shard plus a manifest under this directory (at one shard too),
-	// reopenable with Open. Each page file is fsynced before the manifest
-	// commits it, and a failed build removes its partial files.
+	// shard, a manifest and a write-ahead log under this directory (at
+	// one shard too), reopenable with Open. Each page file is fsynced
+	// before the manifest commits it, and a failed build removes its
+	// partial files. The log records every staged insert and delete
+	// before it touches memory, so the staged delta survives a crash:
+	// Open replays the log and the staged updates are pending again,
+	// exactly as acknowledged. Acknowledgement is Flush: staged
+	// operations not yet synced can be lost to a crash, never torn —
+	// replay stops cleanly at the last intact record. A memory-backed
+	// index keeps no log.
 	Dir string
 	// PageFormat selects every shard's object-page layout (zero:
 	// PageFormatV1). PageFormatV2 packs 1.7–2.2× the elements per page —
@@ -215,16 +222,9 @@ type Options struct {
 	// out of the mapping, copying nothing. On platforms without one the
 	// file is read into memory once instead.
 	Mmap bool
-	// WAL records every staged insert and delete in a write-ahead log
-	// under Dir before it touches memory, making the staged delta
-	// survive a crash: Open replays the log and the staged updates are
-	// pending again, exactly as acknowledged. Requires a disk-backed
-	// index (Dir non-empty, or opening one). Acknowledgement is Flush:
-	// staged operations not yet synced can be lost to a crash, never
-	// torn — replay stops cleanly at the last intact record. When Open
-	// finds an index whose manifest already references a log, the log is
-	// replayed regardless of this flag; WAL additionally upgrades a
-	// log-less index in place.
+	// WAL is reserved and has no effect. A disk-backed index always
+	// keeps its write-ahead log (see Dir), and a memory-backed one never
+	// does.
 	WAL bool
 }
 
@@ -261,7 +261,6 @@ func Build(els []Element, opts *Options) (*Index, error) {
 		PageFormat:   o.PageFormat,
 		World:        o.World,
 		Dir:          o.Dir,
-		WAL:          o.WAL,
 	})
 	if err != nil {
 		return nil, err
@@ -269,17 +268,15 @@ func Build(els []Element, opts *Options) (*Index, error) {
 	return &Index{set: set}, nil
 }
 
-// Open loads a previously built disk-backed index from its directory
-// (nil opts: no write-ahead log unless the directory has one). An index
-// whose manifest references a write-ahead log has the log replayed:
-// every acknowledged staged update is pending again. Queries on the
-// reopened index behave identically to the freshly built one.
+// Open loads a previously built disk-backed index from its directory;
+// opts is not consulted and may be nil. The directory's write-ahead log
+// is replayed: every acknowledged staged update is pending again. A
+// directory without a log is given one, so opening it writes a new log
+// and manifest, as opening one with metadata of kind 2 or 3 already
+// writes when it upgrades them. Queries on the reopened index behave
+// identically to the freshly built one.
 func Open(dir string, opts *Options) (*Index, error) {
-	var o Options
-	if opts != nil {
-		o = *opts
-	}
-	set, err := shard.OpenSet(dir, shard.OpenOptions{WAL: o.WAL})
+	set, err := shard.OpenSet(dir, shard.OpenOptions{})
 	if err != nil {
 		return nil, err
 	}
@@ -368,9 +365,9 @@ func (ix *Index) ShardPageFormat(i int) PageFormat { return ix.set.Shard(i).Page
 // this many internal pages per shard it visits.
 func (ix *Index) SeedHeight() int { return ix.set.Totals().SeedHeight }
 
-// Close releases every shard's storage, syncing the write-ahead log
-// first, so staged updates survive to the next Open even without a
-// Flush. When queries are in flight it returns ErrBusy and changes
+// Close releases every shard's storage, syncing a directory's
+// write-ahead log first, so staged updates survive to the next Open
+// even without a Flush. When queries are in flight it returns ErrBusy and changes
 // nothing — the index keeps serving; retry once they drain. After a
 // successful Close every method returns ErrClosed.
 func (ix *Index) Close() error {

@@ -227,7 +227,8 @@ func TestBuildThenOpen(t *testing.T) {
 		t.Errorf("built index implausible: %+v, seed height %d, %d records, %g neighbors", want.stats, want.seedHeight, len(want.refs), want.avgNeighbors)
 	}
 
-	// The WAL row goes last: once upgraded, a directory keeps its log.
+	// Open consults no option (WAL is a reserved no-op): every row opens
+	// the same index, with the log Build wrote.
 	for _, opts := range []*Options{nil, {}, {WAL: true}} {
 		re, err := Open(dir, opts)
 		if err != nil {
@@ -236,10 +237,8 @@ func TestBuildThenOpen(t *testing.T) {
 		if got := inspect(re); !reflect.DeepEqual(got, want) {
 			t.Errorf("Open(%+v): reopened index answers\n%+v\nwant\n%+v", opts, got, want)
 		}
-		// The WAL option reached the set: the directory now has a log.
-		_, statErr := os.Stat(filepath.Join(dir, "wal.log"))
-		if wantWAL := opts != nil && opts.WAL; wantWAL != (statErr == nil) {
-			t.Errorf("Open(%+v): wal.log present = %v, want %v", opts, statErr == nil, wantWAL)
+		if _, err := os.Stat(filepath.Join(dir, "wal.log")); err != nil {
+			t.Errorf("Open(%+v): %v, want the directory's log", opts, err)
 		}
 		if err := re.Close(); err != nil {
 			t.Fatalf("Open(%+v): close: %v", opts, err)

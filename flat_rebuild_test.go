@@ -26,7 +26,7 @@ func testStagedUpdates(t *testing.T, k int) {
 	els := randomElements(r, 3000)
 	orig := append([]Element(nil), els...)
 	dir := filepath.Join(t.TempDir(), "staged")
-	sx, err := Build(els, &Options{Shards: k, pageCapacity: 16, Dir: dir, WAL: true})
+	sx, err := Build(els, &Options{Shards: k, pageCapacity: 16, Dir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -266,7 +266,7 @@ func TestFlushAndDeltaStats(t *testing.T) {
 	els := randomElements(r, 600)
 	dir := filepath.Join(t.TempDir(), "deltastats")
 	sx, err := Build(els, &Options{
-		Shards: 2, pageCapacity: 16, Dir: dir, WAL: true,
+		Shards: 2, pageCapacity: 16, Dir: dir,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -323,6 +323,61 @@ func TestFlushAndDeltaStats(t *testing.T) {
 	}
 	if after.WALBytes >= st.WALBytes {
 		t.Fatalf("post-Rebuild WALBytes = %d, want < %d (log rotated)", after.WALBytes, st.WALBytes)
+	}
+}
+
+// TestDirectoryIndexLogsByDefault builds into a directory with no other
+// option, stages one insert and flushes it, then opens a byte copy of
+// the directory taken as if the process were killed there: the copy
+// replays the insert from the log, and a query returns it.
+func TestDirectoryIndexLogsByDefault(t *testing.T) {
+	r := rand.New(rand.NewSource(74))
+	dir := filepath.Join(t.TempDir(), "idx")
+	ix, err := Build(randomElements(r, 500), &Options{Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ix.Close()
+	extra := Element{ID: 740001, Box: CubeAt(V(50, 50, 50), 1)}
+	if err := ix.StageInsert(extra); err != nil {
+		t.Fatal(err)
+	}
+	if err := ix.Flush(); err != nil {
+		t.Fatal(err)
+	}
+
+	crashed := filepath.Join(t.TempDir(), "crashed")
+	if err := os.Mkdir(crashed, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range entries {
+		data, err := os.ReadFile(filepath.Join(dir, e.Name()))
+		if err == nil {
+			err = os.WriteFile(filepath.Join(crashed, e.Name()), data, 0o644)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	re, err := Open(crashed, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer re.Close()
+	if st, err := re.DeltaStats(); err != nil || st.Inserts != 1 || st.WALBytes == 0 {
+		t.Fatalf("reopened copy: DeltaStats = %+v, %v; want 1 insert replayed from the log", st, err)
+	}
+	got, _, err := re.RangeQuery(extra.Box)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.ContainsFunc(got, func(e Element) bool { return e.ID == extra.ID }) {
+		t.Fatalf("the flushed insert is missing from the reopened copy's %d results", len(got))
 	}
 }
 

@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"sort"
 
+	"flat/internal/core"
 	"flat/internal/geom"
 	"flat/internal/shard"
 )
@@ -118,57 +119,44 @@ func (r *Runner) nnExperiment() ([]*Table, error) {
 		}, &i, &failed
 	}
 
+	// The unsharded engine, then the sharded K=4 directory
+	// (distance-ordered shard visiting), each against its own drain.
+	searchers := []struct {
+		label string // the table's index column
+		drain uint64 // the drain-and-sort baseline's page reads per query
+		nn    func(context.Context, geom.Vec3, int, func(geom.Element, float64) bool) (core.QueryStats, error)
+	}{
+		{"FLAT", drainReads, func(ctx context.Context, p geom.Vec3, _ int, emit func(geom.Element, float64) bool) (core.QueryStats, error) {
+			return s.flat.NN(ctx, p, emit)
+		}},
+		{"FLAT/K=4", shardDrainReads, set.NNQuery},
+	}
 	for _, k := range nnKs {
-		// Unsharded engine.
-		var reads uint64
-		for pi, p := range points {
-			emit, got, failed := checkStream(pi, k)
-			st, err := s.flat.NN(context.Background(), p, emit)
-			if err != nil {
-				return nil, err
+		for _, sr := range searchers {
+			var reads uint64
+			for pi, p := range points {
+				emit, got, failed := checkStream(pi, k)
+				st, err := sr.nn(context.Background(), p, k, emit)
+				if err != nil {
+					return nil, err
+				}
+				reads += st.TotalReads
+				if *failed != nil {
+					return nil, *failed
+				}
+				if *got != k {
+					return nil, fmt.Errorf("nn %s point %d k=%d: stream ended after %d elements", sr.label, pi, k, *got)
+				}
 			}
-			reads += st.TotalReads
-			if *failed != nil {
-				return nil, *failed
+			perQuery := float64(reads) / float64(len(points))
+			if perQuery >= float64(sr.drain) {
+				return nil, fmt.Errorf("nn %s k=%d: %.1f reads/query, drain-and-sort %d — best-first saved nothing",
+					sr.label, k, perQuery, sr.drain)
 			}
-			if *got != k {
-				return nil, fmt.Errorf("nn point %d k=%d: stream ended after %d elements", pi, k, *got)
-			}
+			table.AddRow(sr.label, fi(k), fu(reads), f1(perQuery), fi(int(sr.drain)),
+				f2(float64(sr.drain)/perQuery)+"x")
+			r.logf("  %s k=%d: %.1f reads/query (drain %d)", sr.label, k, perQuery, sr.drain)
 		}
-		perQuery := float64(reads) / float64(len(points))
-		if perQuery >= float64(drainReads) {
-			return nil, fmt.Errorf("nn k=%d: %.1f reads/query, drain-and-sort %d — best-first saved nothing",
-				k, perQuery, drainReads)
-		}
-		table.AddRow("FLAT", fi(k), fu(reads), f1(perQuery), fi(int(drainReads)),
-			f2(float64(drainReads)/perQuery)+"x")
-
-		// Sharded K=4 directory: distance-ordered shard visiting.
-		var shardReads uint64
-		for pi, p := range points {
-			emit, got, failed := checkStream(pi, k)
-			st, err := set.NNQuery(context.Background(), p, k, emit)
-			if err != nil {
-				return nil, err
-			}
-			if *failed != nil {
-				return nil, *failed
-			}
-			if *got != k {
-				return nil, fmt.Errorf("nn sharded point %d k=%d: stream ended after %d elements", pi, k, *got)
-			}
-			shardReads += st.TotalReads
-		}
-		perQuery = float64(shardReads) / float64(len(points))
-		if perQuery >= float64(shardDrainReads) {
-			return nil, fmt.Errorf("nn sharded k=%d: %.1f reads/query, drain-and-sort %d — best-first saved nothing",
-				k, perQuery, shardDrainReads)
-		}
-		table.AddRow("FLAT/K=4", fi(k), fu(shardReads), f1(perQuery), fi(int(shardDrainReads)),
-			f2(float64(shardDrainReads)/perQuery)+"x")
-		r.logf("  k=%d: %.1f reads/query unsharded, %.1f sharded (drain %d / %d)",
-			k, float64(reads)/float64(len(points)), float64(shardReads)/float64(len(points)),
-			drainReads, shardDrainReads)
 	}
 	return []*Table{table}, nil
 }

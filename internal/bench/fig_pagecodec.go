@@ -3,7 +3,6 @@ package bench
 import (
 	"context"
 	"fmt"
-	"sort"
 	"time"
 
 	"flat/internal/core"
@@ -95,27 +94,23 @@ func (r *Runner) pagecodec() ([]*Table, error) {
 
 	for _, wl := range workloads {
 		queries := r.queries(m.Volume, wl.fraction)
-		ids := make([][][]uint64, len(variants)) // per variant, per query, sorted IDs
 		reads := make([]uint64, len(variants))
 		objReads := make([]uint64, len(variants))
 		results := make([]uint64, len(variants))
-		for vi, v := range variants {
-			ids[vi] = make([][]uint64, len(queries))
-			for qi, q := range queries {
+		answers := make([][]geom.Element, len(variants))
+		for qi, q := range queries {
+			for vi, v := range variants {
 				els, st, err := v.ix.RangeQuery(q)
 				if err != nil {
 					return nil, err
 				}
-				ids[vi][qi] = sortedElementIDs(els)
+				answers[vi] = els
 				reads[vi] += st.TotalReads
 				objReads[vi] += st.ObjectReads
 				results[vi] += uint64(len(els))
 			}
-		}
-		for qi := range queries {
-			if !equalIDLists(ids[0][qi], ids[1][qi]) {
-				return nil, fmt.Errorf("pagecodec %s query %d: v1 returned %d elements, v2 %d — formats disagree",
-					wl.name, qi, len(ids[0][qi]), len(ids[1][qi]))
+			if err := sameAnswer(wl.name, qi, answers); err != nil {
+				return nil, err
 			}
 		}
 		if wl.name == "LSS" && reads[1] >= reads[0] {
@@ -156,41 +151,31 @@ func (r *Runner) pagecodec() ([]*Table, error) {
 			s.Close()
 		}
 	}()
+	answers := make([][]geom.Element, len(sets))
 	for qi, q := range queries {
-		var got [][]uint64
-		for _, set := range sets {
+		for i, set := range sets {
 			els, err := collectSet(context.Background(), set, q)
 			if err != nil {
 				return nil, err
 			}
-			got = append(got, sortedElementIDs(els))
+			answers[i] = els
 		}
-		if !equalIDLists(got[0], got[1]) {
-			return nil, fmt.Errorf("pagecodec sharded query %d: v1 returned %d elements, v2 %d — formats disagree",
-				qi, len(got[0]), len(got[1]))
+		if err := sameAnswer("sharded", qi, answers); err != nil {
+			return nil, err
 		}
 	}
 	r.logf("  sharded K=4 parity: %d queries identical across formats", len(queries))
 	return []*Table{table}, nil
 }
 
-func sortedElementIDs(els []geom.Element) []uint64 {
-	ids := make([]uint64, len(els))
-	for i, e := range els {
-		ids[i] = e.ID
+// sameAnswer returns an error naming query qi of workload what unless
+// the v1 and v2 answers (by format) hold as many elements with the same
+// ids, in any order (idDigest).
+func sameAnswer(what string, qi int, answers [][]geom.Element) error {
+	v1, v2 := answers[0], answers[1]
+	if len(v1) != len(v2) || idDigest(v1) != idDigest(v2) {
+		return fmt.Errorf("pagecodec %s query %d: v1 returned %d elements, v2 %d — formats disagree",
+			what, qi, len(v1), len(v2))
 	}
-	sort.Slice(ids, func(a, b int) bool { return ids[a] < ids[b] })
-	return ids
-}
-
-func equalIDLists(a, b []uint64) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
+	return nil
 }

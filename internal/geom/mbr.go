@@ -157,10 +157,6 @@ func (m MBR) DistSq(o MBR) float64 {
 	return d
 }
 
-// Dist returns the Euclidean distance between the nearest pair of
-// points of m and o (0 when the boxes intersect).
-func (m MBR) Dist(o MBR) float64 { return math.Sqrt(m.DistSq(o)) }
-
 // String implements fmt.Stringer.
 func (m MBR) String() string {
 	return fmt.Sprintf("[%v - %v]", m.Min, m.Max)

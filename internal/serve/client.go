@@ -366,12 +366,6 @@ func (c *Client) Delete(ctx context.Context, id uint64, box flat.MBR) error {
 	return err
 }
 
-// Flush forces a WAL flush of previously staged updates.
-func (c *Client) Flush(ctx context.Context) error {
-	_, err := c.write(ctx, msgFlush, newFrame(0, 0))
-	return err
-}
-
 // Rebuild folds the staged delta into the bulkloaded pages; it returns
 // the number of shards rebuilt, or flat.ErrBusy under in-flight
 // queries (the caller retries, exactly as in-process).

@@ -35,7 +35,7 @@ func FuzzServerFrames(f *testing.F) {
 	f.Add(frame(msgCancel, 7, nil))
 	f.Add(frame(msgInsert, 3, ins))
 	f.Add(frame(msgDelete, 4, del))
-	f.Add(frame(msgFlush, 5, nil))
+	f.Add(frame(0x05, 5, nil)) // the retired flush type, now unknown
 	f.Add(frame(msgRebuild, 6, nil))
 	f.Add(frame(msgStats, 8, nil))
 	// An oversized length prefix, a truncated payload, reserved flag

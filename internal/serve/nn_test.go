@@ -232,6 +232,7 @@ func TestNNBadFrameRejected(t *testing.T) {
 		{msgInsert, make([]byte, 2), "bad insert frame"},
 		{msgInsert, []byte{2, 0, 0, 0, 0xff}, "insert frame: 2 elements"},
 		{msgDelete, make([]byte, elementWire-1), "bad delete frame"},
+		{0x05, nil, "unknown frame type"},
 		{0x7e, nil, "unknown frame type"},
 	} {
 		if err := sendRaw(tc.typ, append(make([]byte, 4), tc.body...)); !strings.Contains(err.Error(), tc.want) {

@@ -2,7 +2,7 @@
 // service over an opened flat index. One server serves one *flat.Index
 // and speaks Query API v2 over a length-prefixed binary protocol —
 // streaming range/count queries with limits, staged writes against the
-// index's WAL-backed delta path, rebuilds, and an admin/stats endpoint.
+// index's logged delta path, rebuilds, and an admin/stats endpoint.
 // The package also ships the matching pure-Go Client used by the tests,
 // the bench harness and flatserve's one-shot mode.
 //
@@ -72,7 +72,6 @@ const (
 	msgCancel  = 0x02 // target reqID u32
 	msgInsert  = 0x03 // reqID u32 | count u32 | count × element
 	msgDelete  = 0x04 // reqID u32 | id u64 | box 6×f64
-	msgFlush   = 0x05 // reqID u32
 	msgRebuild = 0x06 // reqID u32
 	msgStats   = 0x07 // reqID u32
 	msgNN      = 0x08 // reqID u32 | point 3×f64 | k u32 | flags u8 (reserved, 0)

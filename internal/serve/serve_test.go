@@ -612,7 +612,7 @@ func TestStagedWritesDurableAcrossReopen(t *testing.T) {
 func testStagedWritesDurableAcrossReopen(t *testing.T, k int) {
 	dir := t.TempDir()
 	els := testElements(2000, 7)
-	sx, err := flat.Build(els, &flat.Options{Shards: k, Dir: dir, WAL: true})
+	sx, err := flat.Build(els, &flat.Options{Shards: k, Dir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -627,9 +627,6 @@ func testStagedWritesDurableAcrossReopen(t *testing.T, k int) {
 		t.Fatal(err)
 	}
 	if err := c.Delete(ctx, els[0].ID, els[0].Box); err != nil {
-		t.Fatal(err)
-	}
-	if err := c.Flush(ctx); err != nil {
 		t.Fatal(err)
 	}
 
@@ -656,7 +653,7 @@ func testStagedWritesDurableAcrossReopen(t *testing.T, k int) {
 	if stats.Delta == nil || stats.Delta.Inserts != 1 || stats.Delta.Deletes != 1 {
 		t.Fatalf("stats delta = %+v, want 1 insert + 1 delete", stats.Delta)
 	}
-	if stats.Counters.Inserts != 1 || stats.Counters.Deletes != 1 || stats.Counters.Flushes != 1 {
+	if stats.Counters.Inserts != 1 || stats.Counters.Deletes != 1 {
 		t.Fatalf("write counters: %+v", stats.Counters)
 	}
 
@@ -666,7 +663,7 @@ func testStagedWritesDurableAcrossReopen(t *testing.T, k int) {
 	if err := sx.Close(); err != nil {
 		t.Fatal(err)
 	}
-	re, err := flat.Open(dir, &flat.Options{WAL: true})
+	re, err := flat.Open(dir, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -707,7 +704,7 @@ func testStagedWritesDurableAcrossReopen(t *testing.T, k int) {
 func TestRebuildOverWire(t *testing.T) {
 	dir := t.TempDir()
 	els := testElements(2000, 8)
-	sx, err := flat.Build(els, &flat.Options{Shards: 2, Dir: dir, WAL: true})
+	sx, err := flat.Build(els, &flat.Options{Shards: 2, Dir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}

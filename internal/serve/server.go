@@ -60,7 +60,6 @@ type Counters struct {
 	Cancelled    int64 // queries stopped by Cancel frames or disconnects
 	Inserts      int64 // elements staged for insertion
 	Deletes      int64 // elements staged for deletion
-	Flushes      int64 // explicit WAL flushes
 	Rebuilds     int64 // rebuild requests that succeeded
 	StatsCalls   int64 // stats endpoint hits
 	PagesRead    int64 // page reads charged to finished queries (complete or cancelled)
@@ -104,7 +103,6 @@ type Server struct {
 	cancelled    atomic.Int64
 	inserts      atomic.Int64
 	deletes      atomic.Int64
-	flushes      atomic.Int64
 	rebuilds     atomic.Int64
 	statsCalls   atomic.Int64
 	pagesRead    atomic.Int64
@@ -205,7 +203,6 @@ func (s *Server) counters() Counters {
 		Cancelled:    s.cancelled.Load(),
 		Inserts:      s.inserts.Load(),
 		Deletes:      s.deletes.Load(),
-		Flushes:      s.flushes.Load(),
 		Rebuilds:     s.rebuilds.Load(),
 		StatsCalls:   s.statsCalls.Load(),
 		PagesRead:    s.pagesRead.Load(),
@@ -316,8 +313,6 @@ func (sc *srvConn) readLoop() {
 			sc.handleWrite(reqID, body, sc.s.insert)
 		case msgDelete:
 			sc.handleWrite(reqID, body, sc.s.delete)
-		case msgFlush:
-			sc.handleWrite(reqID, body, sc.s.flush)
 		case msgRebuild:
 			sc.handleWrite(reqID, body, sc.s.rebuild)
 		case msgStats:
@@ -603,14 +598,6 @@ func (s *Server) delete(body []byte) (uint64, error) {
 	}
 	s.deletes.Add(1)
 	return 1, nil
-}
-
-func (s *Server) flush([]byte) (uint64, error) {
-	if err := s.ix.Flush(); err != nil {
-		return 0, err
-	}
-	s.flushes.Add(1)
-	return 0, nil
 }
 
 func (s *Server) rebuild([]byte) (uint64, error) {

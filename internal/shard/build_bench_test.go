@@ -115,7 +115,7 @@ func BenchmarkRebuild(b *testing.B) {
 func BenchmarkReplayOpen(b *testing.B) {
 	base := randomElements(rand.New(rand.NewSource(3)), 450_000)
 	dir := filepath.Join(b.TempDir(), "idx")
-	set, err := Build(append([]geom.Element(nil), base...), Config{Shards: 4, PageFormat: storage.PageFormatV2, Dir: dir, WAL: true})
+	set, err := Build(append([]geom.Element(nil), base...), Config{Shards: 4, PageFormat: storage.PageFormatV2, Dir: dir})
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -72,7 +72,7 @@ func TestCommitFailure(t *testing.T) {
 	t.Run("Build", func(t *testing.T) {
 		dir := filepath.Join(t.TempDir(), "idx")
 		squatManifestTemp(t, dir)
-		if _, err := Build(copyEls(), Config{Shards: 4, PageCapacity: 16, Dir: dir, WAL: true}); err == nil {
+		if _, err := Build(copyEls(), Config{Shards: 4, PageCapacity: 16, Dir: dir}); err == nil {
 			t.Fatal("build committed through a failing manifest swap")
 		}
 		if left := dirFiles(t, dir); len(left) != 0 {
@@ -140,7 +140,7 @@ func TestCommitFailure(t *testing.T) {
 			{ID: 1, Box: geom.CubeAt(geom.V(0, 0, 0), 1)},
 			{ID: 2, Box: geom.CubeAt(geom.V(100, 100, 100), 1)},
 		}
-		set, err := Build(two, Config{Shards: 2, Dir: dir, WAL: true})
+		set, err := Build(two, Config{Shards: 2, Dir: dir})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -208,21 +208,26 @@ func TestCommitFailure(t *testing.T) {
 		if err := set.Close(); err != nil {
 			t.Fatal(err)
 		}
+		dropLog(t, dir)
 		wantFiles := dirFiles(t, dir)
-		squatManifestTemp(t, dir)
-		if _, err := OpenSet(dir, OpenOptions{WAL: true}); err == nil {
+		unsquat := squatManifestTemp(t, dir)
+		if _, err := OpenSet(dir, OpenOptions{}); err == nil {
 			t.Fatal("WAL upgrade committed through a failing manifest swap")
 		}
 		if got := dirFiles(t, dir); strings.Join(got, " ") != strings.Join(wantFiles, " ") {
 			t.Fatalf("failed upgrade left %v, want %v (no log)", got, wantFiles)
 		}
+		// The next open retries the upgrade, and with the swap clear it
+		// commits.
+		unsquat()
 		re, err := OpenSet(dir, OpenOptions{})
 		if err != nil {
 			t.Fatalf("directory no longer opens after a failed upgrade: %v", err)
 		}
-		if re.Len() != len(els) {
-			t.Fatalf("Len = %d, want %d", re.Len(), len(els))
+		defer re.Close()
+		assertServesManifest(t, re, dir)
+		if re.Len() != len(els) || re.now().m.WAL == "" {
+			t.Fatalf("Len = %d, log %q; want %d and a log", re.Len(), re.now().m.WAL, len(els))
 		}
-		re.Close()
 	})
 }

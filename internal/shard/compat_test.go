@@ -75,8 +75,9 @@ func TestKind3FixtureServesAndRebuilds(t *testing.T) {
 }
 
 // checkFixtureUpgrade opens a copy of a fixture of an older metadata
-// kind: the open upgrades both shards to kind 4 as generation 1 and
-// collects the old files, the directory holds the neighbor counts a
+// kind: the open gives the log-less fixture its log, upgrades both
+// shards to kind 4 as generation 1, rotating the log, and collects the
+// old files, the directory holds the neighbor counts a
 // bulkload of its elements makes, and the set answers range, count and
 // k-NN queries like brute force. A reopen finds nothing to upgrade. Then
 // it stages inserts into one shard, rebuilds it, and answers like brute
@@ -95,7 +96,7 @@ func checkFixtureUpgrade(t *testing.T, fixture string, seed int64) {
 	if kinds := metadataKinds(t, set); !reflect.DeepEqual(kinds, []int{4, 4}) {
 		t.Fatalf("metadata kinds %v after the open, want [4 4]", kinds)
 	}
-	if got, want := dirFiles(t, dir), []string{"shard-0000.gen-1.flat", "shard-0001.gen-1.flat"}; !reflect.DeepEqual(got, want) {
+	if got, want := dirFiles(t, dir), []string{"shard-0000.gen-1.flat", "shard-0001.gen-1.flat", "wal.gen-1.log"}; !reflect.DeepEqual(got, want) {
 		t.Fatalf("directory holds %v after the upgrade, want %v", got, want)
 	}
 	assertServesManifest(t, set, dir)
@@ -222,7 +223,7 @@ func TestMixedKindsServeAndRebuild(t *testing.T) {
 func TestUpgradeFoldsTheLog(t *testing.T) {
 	els := kind2FixtureElements()
 	dir := filepath.Join(t.TempDir(), "idx")
-	set, err := Build(slices.Clone(els), Config{Shards: 2, Dir: dir, PageFormat: storage.PageFormatV2, WAL: true})
+	set, err := Build(slices.Clone(els), Config{Shards: 2, Dir: dir, PageFormat: storage.PageFormatV2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -299,15 +300,16 @@ func TestUpgradeFoldsTheLog(t *testing.T) {
 // TestFailedUpgradeServesNothing puts a directory where the upgrade's
 // first shard file goes, so its bulkload fails (for root too, unlike a
 // permission bit): OpenSet fails naming the shard and its kind, and
-// leaves the manifest and the directory's files as they were. Once the
-// obstacle is gone the open upgrades.
+// leaves the shard files and the manifest's entries as they were; what
+// it committed is the log-less fixture's log alone. Once the obstacle
+// is gone the open upgrades.
 func TestFailedUpgradeServesNothing(t *testing.T) {
 	dir := copyFixture(t, kind2Fixture)
 	obstacle := filepath.Join(dir, shardFileName(0, 1))
 	if err := os.Mkdir(obstacle, 0o755); err != nil {
 		t.Fatal(err)
 	}
-	manifestBefore, err := os.ReadFile(filepath.Join(dir, manifestName))
+	manifestBefore, err := readManifest(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -332,11 +334,13 @@ func TestFailedUpgradeServesNothing(t *testing.T) {
 	if !strings.Contains(err.Error(), "shard 0 (kind 2)") {
 		t.Errorf("error %q does not name the shard and its kind", err)
 	}
-	if m, _ := os.ReadFile(filepath.Join(dir, manifestName)); !bytes.Equal(m, manifestBefore) {
-		t.Error("the failed upgrade changed the manifest")
+	want := manifestBefore
+	want.WAL = walFileName(0)
+	if m, err := readManifest(dir); err != nil || !reflect.DeepEqual(m, want) {
+		t.Errorf("after the failed upgrade the manifest reads %+v (%v), want %+v", m, err, want)
 	}
-	if names := listing(); !reflect.DeepEqual(names, namesBefore) {
-		t.Errorf("the failed upgrade left %v, want %v", names, namesBefore)
+	if names, want := listing(), append(namesBefore, walFileName(0)); !reflect.DeepEqual(names, want) {
+		t.Errorf("the failed upgrade left %v, want %v", names, want)
 	}
 	if files := readShardFiles(t, dir); !reflect.DeepEqual(files, filesBefore) {
 		t.Error("the failed upgrade changed a shard file")

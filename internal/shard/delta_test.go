@@ -131,7 +131,7 @@ func TestStagedNNTiesFollowStagingOrder(t *testing.T) {
 	}
 	build := func(name string) (*Set, string) {
 		dir := filepath.Join(t.TempDir(), name)
-		set, err := Build(append([]geom.Element(nil), base...), Config{Shards: 1, PageCapacity: 16, Dir: dir, WAL: true})
+		set, err := Build(append([]geom.Element(nil), base...), Config{Shards: 1, PageCapacity: 16, Dir: dir})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -86,9 +86,10 @@ type manifest struct {
 	// Entries is the per-shard directory.
 	Entries []shardEntry `json:"entries,omitempty"`
 	// WAL names the write-ahead log file of the staged-update write path
-	// (within the index directory; empty for indexes without one). The
-	// referenced file is created and synced before the manifest commits
-	// it, and rebuilds rotate to a fresh generation-suffixed log at the
+	// (within the index directory). Every commit names one; it is empty
+	// only in a manifest written without a log, which OpenSet gives one
+	// (openWAL). The referenced file is created and synced before the
+	// manifest commits it, and rebuilds rotate to a fresh generation-suffixed log at the
 	// same commit point that folds the staged updates in, so the log an
 	// opened manifest references never holds operations the shard files
 	// already contain.
@@ -162,10 +163,11 @@ var walFilePattern = regexp.MustCompile(`^wal(\.gen-\d+)?\.log$`)
 // publish through it. The shard files m references are already durable
 // (bulkloadShards' job). In order:
 //
-//   - When m names a log, a fresh one is created there and fsynced —
-//     durable, like the shard files, before a manifest names it. Callers
-//     name it after the generation they commit, so a rebuild rotates to
-//     it rather than truncating its old log:
+//   - A fresh log is created and fsynced — durable, like the shard
+//     files, before a manifest names it. commit names it in m after the
+//     generation m commits (walFileName(m.generation())), so a later
+//     rebuild, which commits under m.next(), never collides with it and
+//     rotates to its own log rather than truncating the old one:
 //     a crash between swap and truncate would replay operations the shard
 //     files already contain, so the manifest rename is the truncation.
 //   - The manifest swap is the commit point. A hard failure removes the
@@ -179,35 +181,28 @@ var walFilePattern = regexp.MustCompile(`^wal(\.gen-\d+)?\.log$`)
 //     a crashed build). It is returned, not run, because Rebuild first
 //     swaps its in-memory state and closes the old generation's pagers.
 //
-// commit returns the fresh log (nil when m names none).
-func commit(dir string, m manifest) (wal *storage.WAL, gc func(), err error) {
-	if m.WAL != "" {
-		if wal, err = storage.CreateWAL(filepath.Join(dir, m.WAL)); err != nil {
-			return nil, nil, err
-		}
-		err = wal.Sync()
+// commit returns the fresh log.
+func commit(dir string, m *manifest) (wal *storage.WAL, gc func(), err error) {
+	m.WAL = walFileName(m.generation())
+	if wal, err = storage.CreateWAL(filepath.Join(dir, m.WAL)); err != nil {
+		return nil, nil, err
 	}
-	if err == nil {
-		err = writeManifest(dir, m)
+	if err = wal.Sync(); err == nil {
+		err = writeManifest(dir, *m)
 	}
 	switch {
 	case err == nil:
 	case errors.Is(err, errManifestNotDurable):
 		return wal, func() {}, nil
 	default:
-		if wal != nil {
-			wal.Close()
-			os.Remove(wal.Path())
-		}
+		wal.Close()
+		os.Remove(wal.Path())
 		return nil, nil, err
 	}
 	return wal, func() {
-		keep := make(map[string]bool, len(m.Entries)+1)
+		keep := map[string]bool{m.WAL: true}
 		for _, e := range m.Entries {
 			keep[e.File] = true
-		}
-		if m.WAL != "" {
-			keep[m.WAL] = true
 		}
 		gcStale(dir, keep)
 	}, nil

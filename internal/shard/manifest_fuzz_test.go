@@ -48,8 +48,8 @@ func FuzzReadManifest(f *testing.F) {
 	}
 	k1 := seedDir(Config{Shards: 1, PageFormat: storage.PageFormatV1}, false)
 	f.Add(k1)
-	f.Add(seedDir(Config{Shards: 4, PageFormat: storage.PageFormatV2, WAL: true}, false))
-	f.Add(seedDir(Config{Shards: 4, PageFormat: storage.PageFormatV2, WAL: true}, true))
+	f.Add(seedDir(Config{Shards: 4, PageFormat: storage.PageFormatV2}, false))
+	f.Add(seedDir(Config{Shards: 4, PageFormat: storage.PageFormatV2}, true))
 	f.Add(k1[:len(k1)/2])
 	f.Add([]byte(`{"version":1,"shards":1,"entries":[{"file":"shard-0000.flat"}]}`))
 	f.Add([]byte(`{"version":2,"shards":1,"entries":[{"file":"shard-0000.gen-18446744073709551615.flat","generation":18446744073709551615}]}`))

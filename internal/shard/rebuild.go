@@ -144,8 +144,8 @@ func (s *Set) replayWAL(recs []storage.WALRecord) {
 // write-ahead log, so operations staged before a successful Flush
 // survive any crash. This is the write path's acknowledgement point —
 // between Flush calls, a crash may lose the operations staged since
-// the last one (unless the set syncs per op). Without a WAL there is
-// nothing to make durable and Flush is a no-op.
+// the last one (unless the set syncs per op). A memory-backed set keeps
+// no log: there is nothing to make durable and Flush is a no-op.
 func (s *Set) Flush() error {
 	s.pmu.Lock()
 	defer s.pmu.Unlock()
@@ -194,7 +194,7 @@ type ShardDeltaStats struct {
 type DeltaStats struct {
 	Inserts  int               // staged inserts pending, across all shards
 	Deletes  int               // staged deletes pending
-	WALBytes int64             // current write-ahead log size (0 without a WAL)
+	WALBytes int64             // current write-ahead log size (0 for a memory-backed index)
 	Shards   []ShardDeltaStats // per-shard breakdown; only shards with staged inserts
 }
 
@@ -407,20 +407,15 @@ func (s *Set) rebuildLocked(force []int) ([]int, error) {
 	next.m.World = mbrToArray(world)
 	gc := func() {}
 	if s.dir != "" {
-		if next.m.WAL != "" {
-			next.m.WAL = walFileName(gen)
-		}
 		var newWAL *storage.WAL
-		if newWAL, gc, err = commit(s.dir, next.m); err != nil {
+		if newWAL, gc, err = commit(s.dir, &next.m); err != nil {
 			discardShards(s.dir, gen, pagers)
 			return nil, err
 		}
-		if newWAL != nil {
-			// The manifest now references the new log; the old one is
-			// garbage for gc below.
-			s.wal.Close()
-			s.wal = newWAL
-		}
+		// The manifest now references the new log; the old one is
+		// garbage for gc below.
+		s.wal.Close()
+		s.wal = newWAL
 	}
 
 	// Phase 3: publish the next generation; nothing below can fail. The

@@ -809,7 +809,7 @@ func TestManifestFileNameFollowsGeneration(t *testing.T) {
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
 			dir := filepath.Join(t.TempDir(), "idx")
-			set, err := Build(append([]geom.Element(nil), els...), Config{Shards: 2, PageCapacity: 16, Dir: dir, WAL: true})
+			set, err := Build(append([]geom.Element(nil), els...), Config{Shards: 2, PageCapacity: 16, Dir: dir})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -968,7 +968,7 @@ func shardIDs(t *testing.T, set *Set) [][]uint64 {
 func TestStagedInsertsFoldIntoModelShard(t *testing.T) {
 	r := rand.New(rand.NewSource(131))
 	dir := filepath.Join(t.TempDir(), "idx")
-	set, err := Build(randomElements(r, 2000), Config{Shards: 4, PageCapacity: 16, Dir: dir, WAL: true})
+	set, err := Build(randomElements(r, 2000), Config{Shards: 4, PageCapacity: 16, Dir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}

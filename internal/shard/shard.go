@@ -46,7 +46,6 @@ package shard
 
 import (
 	"cmp"
-	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -87,15 +86,13 @@ type Config struct {
 	// shards.
 	World geom.MBR
 	// Dir, when non-empty, stores the index on disk: one page file per
-	// shard plus a manifest, all under this directory.
+	// shard, a manifest and the write-ahead log of the staged-update
+	// write path, all under this directory. Every StageInsert and
+	// StageDelete is appended to the log before it mutates memory, and
+	// reopening the directory replays it, so staged operations survive
+	// a crash. Durability is acknowledged by Flush; Rebuild rotates the
+	// log at its manifest commit point. A memory-backed set keeps no log.
 	Dir string
-	// WAL enables the write-ahead log of the staged-update write path
-	// (requires Dir): every StageInsert/StageDelete is appended to a log
-	// in the index directory before it mutates memory, and reopening the
-	// directory replays the log, so staged operations survive a crash.
-	// Durability is acknowledged by Flush; Rebuild rotates the log at its
-	// manifest commit point.
-	WAL bool
 }
 
 // Set is a built sharded FLAT index: K per-shard core indexes, each
@@ -119,9 +116,9 @@ type Set struct {
 	staged *epoch      // the live staging epoch (delta.go); Rebuild replaces it whole; guarded by pmu
 	clock  uint64      // staging-order stamp for last-op-wins semantics; guarded by pmu
 
-	// wal is the write-ahead log behind the staged updates (nil when
-	// disabled). Staging appends to it before mutating the epoch, Rebuild
-	// rotates it at the manifest swap, Flush syncs it.
+	// wal is the write-ahead log behind the staged updates (nil for a
+	// memory-backed set). Staging appends to it before mutating the
+	// epoch, Rebuild rotates it at the manifest swap, Flush syncs it.
 	wal *storage.WAL // guarded by pmu
 }
 
@@ -271,9 +268,6 @@ func Build(els []geom.Element, cfg Config) (*Set, error) {
 	if k > storage.MaxShards {
 		return nil, fmt.Errorf("shard: %d shards exceed the %d-shard id space", k, storage.MaxShards)
 	}
-	if cfg.WAL && cfg.Dir == "" {
-		return nil, errors.New("shard: the write-ahead log requires an on-disk index (Config.Dir)")
-	}
 	// StageInsert's rule, checked before any file exists: a box that is
 	// inverted or not finite would be partitioned, keyed and encoded as
 	// if it meant something. The scan runs in chunks on every core, and
@@ -335,11 +329,8 @@ func Build(els []geom.Element, cfg Config) (*Set, error) {
 	}
 	var wal *storage.WAL
 	if cfg.Dir != "" {
-		if cfg.WAL {
-			g.m.WAL = walFileName(gen)
-		}
 		var gc func()
-		if wal, gc, err = commit(cfg.Dir, g.m); err != nil {
+		if wal, gc, err = commit(cfg.Dir, &g.m); err != nil {
 			discardShards(cfg.Dir, gen, pagers)
 			return nil, err
 		}
@@ -457,11 +448,9 @@ type OpenOptions struct {
 	// served through its read-only mapping (storage.OpenMmapPager; on
 	// platforms without one, the file read into memory once).
 	Mmap bool
-	// WAL enables the write-ahead log on a directory that does not have
-	// one yet (see Config.WAL): a fresh log is created and the manifest
-	// rewritten to reference it. A directory whose manifest already
-	// references a log always opens and replays it, with or without this
-	// knob — durability, once enabled, is never silently dropped.
+	// WAL is reserved and has no effect: every directory keeps a
+	// write-ahead log. A log the manifest names is replayed; a directory
+	// without one gets a fresh log at open (see openWAL).
 	WAL bool
 }
 
@@ -498,9 +487,11 @@ func openShard(path string, s int) (*core.Index, storage.Pager, error) {
 // have stranded are ignored). It is the one open step: each shard file
 // is mapped and its shard restored (openShard) and cross-checked against
 // its manifest entry, and every shard is served through its own mapping
-// as openShard returned it. If the manifest references a write-ahead log,
-// the log is replayed: operations staged before the last crash or close
-// reappear as staged updates, exactly as the original calls left them.
+// as openShard returned it. The write-ahead log the manifest references
+// is replayed: operations staged before the last crash or close reappear
+// as staged updates, exactly as the original calls left them. A
+// directory whose manifest names no log is given one, so opening it
+// writes a manifest.
 // A shard whose metadata pages are of an older kind than queries read
 // is then upgraded (upgrade) before the set serves anything.
 func OpenSet(dir string, opts OpenOptions) (*Set, error) {
@@ -531,7 +522,7 @@ func OpenSet(dir string, opts OpenOptions) (*Set, error) {
 		g.shards[s] = ix
 	}
 	set := &Set{dir: dir, cur: g, staged: new(epoch)}
-	if err := set.openWAL(opts.WAL); err != nil {
+	if err := set.openWAL(); err != nil {
 		g.close()
 		return nil, err
 	}
@@ -580,11 +571,11 @@ func (set *Set) upgrade() error {
 
 // openWAL wires the write-ahead log into a freshly opened set: a log
 // the manifest references is opened and its valid prefix replayed into
-// the staged state; otherwise, when enable is set, a fresh log is
-// created and published in the manifest, upgrading the directory in
-// place. Runs during open, before the set is shared; pmu is taken all
-// the same, so the guarded fields have no unlocked writer.
-func (set *Set) openWAL(enable bool) error {
+// the staged state; otherwise a fresh log is created and published in
+// the manifest, upgrading the directory in place. Runs during open,
+// before the set is shared; pmu is taken all the same, so the guarded
+// fields have no unlocked writer.
+func (set *Set) openWAL() error {
 	set.pmu.Lock()
 	defer set.pmu.Unlock()
 	m := set.cur.m
@@ -597,16 +588,10 @@ func (set *Set) openWAL(enable bool) error {
 		set.replayWAL(recs)
 		return nil
 	}
-	if !enable {
-		return nil
-	}
-	// Name the new log after the directory's current generation so a
-	// later rebuild's rotation (under m.next()) can never collide with
-	// it. commit's GC step is dropped: opening never collects garbage
-	// (files a crashed build stranded are ignored here and removed by the
-	// next build or rebuild).
-	m.WAL = walFileName(m.generation())
-	w, _, err := commit(set.dir, m)
+	// commit's GC step is dropped: opening never collects garbage (files
+	// a crashed build stranded are ignored here and removed by the next
+	// build or rebuild).
+	w, _, err := commit(set.dir, &m)
 	if err != nil {
 		return err
 	}

@@ -41,7 +41,7 @@ func snapshotDir(t *testing.T, src string) string {
 
 func buildWALSet(t *testing.T, els []geom.Element, dir string) *Set {
 	t.Helper()
-	set, err := Build(els, Config{Shards: 4, PageCapacity: 16, Dir: dir, WAL: true})
+	set, err := Build(els, Config{Shards: 4, PageCapacity: 16, Dir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -318,9 +318,30 @@ func TestWALCrashBeforeManifestSwap(t *testing.T) {
 	}
 }
 
-// TestWALUpgradeOnOpen opens a log-less index with OpenOptions.WAL:
-// the index gains a manifest-referenced log in place, and staged
-// updates become crash-durable from then on.
+// dropLog turns the index directory dir into one without a write-ahead
+// log, as a manifest written without one names none: the log is removed
+// and the manifest rewritten to name no log.
+func dropLog(t *testing.T, dir string) {
+	t.Helper()
+	m, err := readManifest(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m.WAL == "" {
+		t.Fatalf("%s already has no log", dir)
+	}
+	if err := os.Remove(filepath.Join(dir, m.WAL)); err != nil {
+		t.Fatal(err)
+	}
+	m.WAL = ""
+	if err := writeManifest(dir, m); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestWALUpgradeOnOpen opens an index directory without a log: the
+// index gains a manifest-referenced log in place, and staged updates
+// become crash-durable from then on.
 func TestWALUpgradeOnOpen(t *testing.T) {
 	r := rand.New(rand.NewSource(86))
 	els := randomElements(r, 600)
@@ -333,11 +354,9 @@ func TestWALUpgradeOnOpen(t *testing.T) {
 	if err := set.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if m, err := readManifest(dir); err != nil || m.WAL != "" {
-		t.Fatalf("fresh log-less index: manifest WAL = %q, err = %v", m.WAL, err)
-	}
+	dropLog(t, dir)
 
-	up, err := OpenSet(dir, OpenOptions{WAL: true})
+	up, err := OpenSet(dir, OpenOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -354,8 +373,6 @@ func TestWALUpgradeOnOpen(t *testing.T) {
 	crashed := snapshotDir(t, dir)
 	up.Close()
 
-	// The manifest references the log now, so replay happens regardless
-	// of the opener's WAL flag.
 	re, err := OpenSet(crashed, OpenOptions{})
 	if err != nil {
 		t.Fatal(err)
@@ -367,12 +384,39 @@ func TestWALUpgradeOnOpen(t *testing.T) {
 	}
 }
 
-// TestWALRequiresDir pins the configuration contract: a memory-backed
-// build cannot ask for a write-ahead log.
+// TestWALRequiresDir pins where the log lives: a directory build
+// names one in its manifest, and a memory-backed build keeps none —
+// staging logs nothing and Flush has nothing to sync.
 func TestWALRequiresDir(t *testing.T) {
 	r := rand.New(rand.NewSource(88))
-	if _, err := Build(randomElements(r, 50), Config{Shards: 2, WAL: true}); err == nil {
-		t.Fatal("Build(WAL, no Dir) succeeded, want error")
+	els := randomElements(r, 50)
+	dir := filepath.Join(t.TempDir(), "idx")
+	disk, err := Build(els, Config{Shards: 2, Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer disk.Close()
+	if m, err := readManifest(dir); err != nil || m.WAL != walFileName(0) {
+		t.Fatalf("directory build: manifest WAL = %q, err = %v; want %q", m.WAL, err, walFileName(0))
+	}
+	mem, err := Build(els, Config{Shards: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer mem.Close()
+	for _, set := range []*Set{disk, mem} {
+		if err := set.StageInsert(geom.Element{ID: 880001, Box: geom.CubeAt(geom.V(5, 5, 5), 1)}); err != nil {
+			t.Fatal(err)
+		}
+		if err := set.Flush(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if d := disk.DeltaStats(); d.Inserts != 1 || d.WALBytes == 0 {
+		t.Fatalf("directory set: DeltaStats = %+v, want 1 insert in a non-empty log", d)
+	}
+	if d := mem.DeltaStats(); d.Inserts != 1 || d.WALBytes != 0 || mem.wal != nil {
+		t.Fatalf("memory set: DeltaStats = %+v, log %v; want 1 insert and no log", d, mem.wal)
 	}
 }
 

@@ -151,14 +151,6 @@ func (r *PageReader) U64() uint64 {
 	return v
 }
 
-// UintN reads an n-byte (1..8) little-endian unsigned integer with one
-// 8-byte load masked to n bytes, so 8 bytes must remain on the page.
-func (r *PageReader) UintN(n int) uint64 {
-	v := binary.LittleEndian.Uint64(r.buf[r.off:]) & (^uint64(0) >> (64 - 8*n))
-	r.off += n
-	return v
-}
-
 // F64 reads a little-endian IEEE-754 float64.
 func (r *PageReader) F64() float64 { return math.Float64frombits(r.U64()) }
 

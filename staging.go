@@ -26,8 +26,8 @@ func (ix *Index) StageDelete(id uint64, box MBR) error {
 // Flush fsyncs the write-ahead log, making every staged update issued
 // so far durable: after Flush returns, a crash (or kill -9) at any
 // point loses none of them — reopening the index replays the log and
-// they are pending again. A no-op without a write-ahead log. Safe to
-// call concurrently with queries and staging; returns ErrClosed after
+// they are pending again. A no-op on a memory-backed index, which keeps
+// no log. Safe to call concurrently with queries and staging; returns ErrClosed after
 // Close.
 func (ix *Index) Flush() error {
 	return ix.guard.query(ix.set.Flush)
@@ -45,9 +45,9 @@ type ShardDeltaStats = shard.ShardDeltaStats
 
 // DeltaStats reports the size of the staged-update delta awaiting the
 // next Rebuild: the staged insert and delete totals, the write-ahead
-// log's on-disk footprint (0 without one), and a per-shard breakdown of
-// staged inserts against bulkloaded size — what a caller reads to decide
-// when to Rebuild. Safe to call concurrently with queries and staging.
+// log's on-disk footprint (0 for a memory-backed index), and a
+// per-shard breakdown of staged inserts against bulkloaded size — what
+// a caller reads to decide when to Rebuild. Safe to call concurrently with queries and staging.
 func (ix *Index) DeltaStats() (st DeltaStats, err error) {
 	err = ix.guard.query(func() error {
 		st = ix.set.DeltaStats()
