@@ -292,8 +292,7 @@ func main() {
 		}
 		qs := session.Stats()
 		fmt.Printf("nn %v: %d nearest (k=%d)\n", p, count, *k)
-		fmt.Printf("  page reads: %d total (%d seed + %d metadata + %d object)\n",
-			qs.TotalReads, qs.SeedReads, qs.MetadataReads, qs.ObjectReads)
+		fmt.Printf("  page reads: %d total (%v)\n", qs.TotalReads, qs.Reads)
 	}
 
 	var q flat.MBR
@@ -342,8 +341,7 @@ func main() {
 	} else {
 		fmt.Printf("query %v: %d results\n", q, count)
 	}
-	fmt.Printf("  page reads: %d total (%d seed + %d metadata + %d object)\n",
-		qs.TotalReads, qs.SeedReads, qs.MetadataReads, qs.ObjectReads)
+	fmt.Printf("  page reads: %d total (%v)\n", qs.TotalReads, qs.Reads)
 	fmt.Printf("  crawl: %d records visited, %d object pages\n", qs.RecordsVisited, qs.PagesVisited)
 
 	if *compare {
@@ -360,8 +358,7 @@ func main() {
 			if err != nil {
 				fatalf("query %v: %v", s, err)
 			}
-			fmt.Printf("%-14s: %d results, %d page reads (%d internal + %d leaf)\n",
-				s, len(rres), rs.InternalReads+rs.LeafReads, rs.InternalReads, rs.LeafReads)
+			fmt.Printf("%-14s: %d results, %d page reads (%v)\n", s, len(rres), rs.TotalReads, rs.Reads)
 			tr.Close()
 		}
 	}

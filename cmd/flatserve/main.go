@@ -283,8 +283,7 @@ func printStream(kind string, arg any, stream *serve.Stream, cancelAfter int, li
 }
 
 func printQueryStats(st flat.QueryStats) {
-	fmt.Printf("  page reads: %d total (%d seed + %d metadata + %d object)\n",
-		st.TotalReads, st.SeedReads, st.MetadataReads, st.ObjectReads)
+	fmt.Printf("  page reads: %d total (%v)\n", st.TotalReads, st.Reads)
 }
 
 // parseDelete parses -delete's 'id,x1,y1,z1,x2,y2,z2'. The id is an

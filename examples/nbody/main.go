@@ -73,8 +73,7 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		prReads := ps.InternalReads + ps.LeafReads
 		fmt.Printf("  side %7.2f: %6d particles, %4d vs %4d reads\n",
-			side, n, fs.TotalReads, prReads)
+			side, n, fs.TotalReads, ps.TotalReads)
 	}
 }

@@ -83,7 +83,7 @@ func main() {
 			}
 		}
 		flatReads += fs.TotalReads
-		prReads += ps.InternalReads + ps.LeafReads
+		prReads += ps.TotalReads
 		queries++
 	}
 

@@ -45,8 +45,7 @@ func main() {
 		log.Fatal(err)
 	}
 	fmt.Printf("range query %v:\n  %d elements\n", q, len(hits))
-	fmt.Printf("  %d page reads: %d seed + %d metadata + %d object\n",
-		stats.TotalReads, stats.SeedReads, stats.MetadataReads, stats.ObjectReads)
+	fmt.Printf("  %d page reads: %v\n", stats.TotalReads, stats.Reads)
 
 	// CountQuery has the same I/O pattern without materializing results.
 	n, stats2, err := ix.CountQuery(q)

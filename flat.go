@@ -41,8 +41,8 @@
 // the index runs no background goroutine.
 //
 // Page reads are the library's cost model, mirroring the paper's
-// evaluation: every query reports how many 4 KiB pages it touched, split
-// into seed-tree, metadata and object pages (QueryStats).
+// evaluation: every query, R-tree baselines included, reports how many
+// 4 KiB pages it touched, split by page kind (QueryStats.Reads).
 //
 // # Query sessions
 //
@@ -126,7 +126,8 @@ type (
 	// Element is one indexed spatial element: an opaque 64-bit key plus
 	// the element's MBR.
 	Element = geom.Element
-	// QueryStats reports the cost of one range query in disk page reads.
+	// QueryStats reports the cost of one query (range, k-NN or baseline
+	// R-tree) in disk page reads.
 	QueryStats = core.QueryStats
 )
 

@@ -12,6 +12,7 @@ import (
 	"testing"
 
 	"flat/internal/core"
+	"flat/internal/storage"
 )
 
 func randomElements(r *rand.Rand, n int) []Element {
@@ -145,7 +146,7 @@ func TestPublicRTree(t *testing.T) {
 		if len(got) != len(apiBrute(orig, q)) {
 			t.Errorf("%v: result mismatch", s)
 		}
-		if stats.LeafReads == 0 || stats.InternalReads == 0 {
+		if stats.Reads.Reads[storage.CatRTreeLeaf] == 0 || stats.Reads.Reads[storage.CatRTreeInternal] == 0 {
 			t.Errorf("%v: stats implausible %+v", s, stats)
 		}
 		if tr.Height() < 2 || tr.Len() != 3000 || tr.SizeBytes() == 0 {
@@ -223,7 +224,7 @@ func TestBuildThenOpen(t *testing.T) {
 	if want.len != len(orig) || len(want.got) != len(apiBrute(orig, q)) || !sameIDs(idsOf(want.crawled), idsOf(want.got)) {
 		t.Fatalf("built index: Len %d, %d results, %d crawled", want.len, len(want.got), len(want.crawled))
 	}
-	if want.stats.TotalReads == 0 || want.stats.ObjectReads == 0 || want.seedHeight < 1 || len(want.refs) == 0 || want.avgNeighbors <= 0 {
+	if want.stats.TotalReads == 0 || want.stats.Reads.Reads[storage.CatObject] == 0 || want.seedHeight < 1 || len(want.refs) == 0 || want.avgNeighbors <= 0 {
 		t.Errorf("built index implausible: %+v, seed height %d, %d records, %g neighbors", want.stats, want.seedHeight, len(want.refs), want.avgNeighbors)
 	}
 

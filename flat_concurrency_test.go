@@ -5,6 +5,8 @@ import (
 	"path/filepath"
 	"sync"
 	"testing"
+
+	"flat/internal/storage"
 )
 
 // queryWorkload returns a mix of selective and broad boxes over the
@@ -20,16 +22,19 @@ func queryWorkload(r *rand.Rand, n int) []MBR {
 }
 
 // checkStats asserts the self-consistency every QueryStats must keep
-// even when other queries run concurrently: the total is the sum of the
-// per-category reads this query itself caused, and the result count
-// matches the materialized elements.
+// even when other queries run concurrently: the total is the tally of
+// the reads this query itself caused, and the result count matches the
+// materialized elements.
 func checkStats(t *testing.T, st QueryStats, nResults int) {
 	t.Helper()
 	if st.Results != nResults {
 		t.Errorf("stats.Results = %d, want %d", st.Results, nResults)
 	}
-	if sum := st.SeedReads + st.MetadataReads + st.ObjectReads; st.TotalReads != sum {
-		t.Errorf("stats.TotalReads = %d, want seed+meta+object = %d", st.TotalReads, sum)
+	if sum := st.Reads.TotalReads(); st.TotalReads != sum {
+		t.Errorf("stats.TotalReads = %d, want the tally's %d", st.TotalReads, sum)
+	}
+	if n := st.Reads.Reads[storage.CatUnknown]; n != 0 {
+		t.Errorf("stats read %d pages of no category", n)
 	}
 }
 
@@ -133,13 +138,13 @@ func TestConcurrentQueriesDisk(t *testing.T) {
 	runConcurrencyCheck(t, ix, els, queryWorkload(r, 25))
 }
 
-// TestRTreeStatsAreThePerCallMisses pins the one-tally invariant on the
+// TestRTreeQueryStatsAreThePerCallMisses pins the one-tally invariant on the
 // public baseline tree: a RangeQuery reports the page reads that call
 // made, never a neighbour's. Each box has a cold sequential cost, and on
 // every interleaving of concurrent calls its count is exactly that cost.
 // (Diffing a pool-wide counter around the traversal charged each call
 // whatever overlapped it.)
-func TestRTreeStatsAreThePerCallMisses(t *testing.T) {
+func TestRTreeQueryStatsAreThePerCallMisses(t *testing.T) {
 	r := rand.New(rand.NewSource(29))
 	tr, err := BuildRTree(randomElements(r, 20000), RTreeSTR, &Options{pageCapacity: 16})
 	if err != nil {
@@ -153,7 +158,7 @@ func TestRTreeStatsAreThePerCallMisses(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if cold[i] = st.InternalReads + st.LeafReads; cold[i] == 0 {
+		if cold[i] = st.TotalReads; cold[i] == 0 {
 			t.Fatalf("box %d reads nothing cold", i)
 		}
 	}
@@ -170,7 +175,7 @@ func TestRTreeStatsAreThePerCallMisses(t *testing.T) {
 						t.Error(err)
 						return
 					}
-					if got := st.InternalReads + st.LeafReads; got != cold[i] {
+					if got := st.TotalReads; got != cold[i] {
 						t.Errorf("round %d: box %d charged %d page reads, its cold cost is %d", round, i, got, cold[i])
 					}
 				}

@@ -7,6 +7,8 @@ import (
 	"math/rand"
 	"runtime"
 	"testing"
+
+	"flat/internal/storage"
 )
 
 // queryTargets builds the index at K=1 and K=4 over the same elements,
@@ -108,9 +110,9 @@ func TestQueryWithLimitReadsFewerPages(t *testing.T) {
 		if st.Results != 3 {
 			t.Fatalf("%s: limited stats.Results = %d, want 3", name, st.Results)
 		}
-		if st.ObjectReads >= fullStats.ObjectReads {
+		if st.Reads.Reads[storage.CatObject] >= fullStats.Reads.Reads[storage.CatObject] {
 			t.Fatalf("%s: limited query read %d object pages, unbounded %d — limit saved nothing",
-				name, st.ObjectReads, fullStats.ObjectReads)
+				name, st.Reads.Reads[storage.CatObject], fullStats.Reads.Reads[storage.CatObject])
 		}
 		if st.TotalReads >= fullStats.TotalReads {
 			t.Fatalf("%s: limited query read %d pages, unbounded %d — limit saved nothing",

@@ -81,7 +81,6 @@ var publicSurface = []string{
 	"RTreeHilbert",
 	"RTreePR",
 	"RTreeSTR",
-	"RTreeStats",
 	"RTreeStrategy",
 	"RTreeStrategy.String",
 	"Results",

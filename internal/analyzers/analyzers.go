@@ -20,7 +20,7 @@
 //	lockedfield 0  5 annotated fields (queryGuard, shard.Set)  "guarded by mu" holds on every access; -race sees only the interleavings a test runs
 //	pageidpack  2  RecordRef's whole-PageID packing (core)     PageID shard-tag arithmetic stays in storage; a stray shift is wrong at K > 1 only
 //	reflectsort 0  the 8 engine packages                       PR 19: sort.SliceStable was 80 % of build CPU; no timing test can gate that on 2 vCPUs
-//	statsonerr  0  16 (…QueryStats, error) functions           stats cover the work performed on every error return; flagged no real diff yet (ROADMAP 1a extends it)
+//	statsonerr  0  18 (…QueryStats, error) functions           stats cover the work performed on every error return; flagged no real diff yet (ROADMAP 1a extends it)
 //	walsync     0  the manifest swap (shard.commit)            fsync precedes the publishing rename (PR 8); wrong only across a power loss
 //
 // All seven stay: each still checks live code. Lint (lint.go) runs

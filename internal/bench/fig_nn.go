@@ -62,7 +62,6 @@ func (r *Runner) nnExperiment() ([]*Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	drainReads := drainSt.TotalReads
 	brute := make([][]float64, len(points))
 	for pi, p := range points {
 		d := make([]float64, len(all))
@@ -72,7 +71,7 @@ func (r *Runner) nnExperiment() ([]*Table, error) {
 		sort.Float64s(d)
 		brute[pi] = d
 	}
-	r.logf("  baseline drain-and-sort: %d elements, %d page reads per query", len(all), drainReads)
+	r.logf("  baseline drain-and-sort: %d elements, %d page reads per query", len(all), drainSt.TotalReads)
 
 	set, err := shard.Build(append([]geom.Element(nil), m.Elements...),
 		shard.Config{Shards: 4, World: m.Volume, PageCapacity: r.Cfg.NodeCapacity, SeedFanout: r.Cfg.NodeCapacity})
@@ -85,7 +84,6 @@ func (r *Runner) nnExperiment() ([]*Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	shardDrainReads := shardDrainSt.TotalReads
 
 	table := &Table{
 		ID: "nn",
@@ -126,10 +124,10 @@ func (r *Runner) nnExperiment() ([]*Table, error) {
 		drain uint64 // the drain-and-sort baseline's page reads per query
 		nn    func(context.Context, geom.Vec3, int, func(geom.Element, float64) bool) (core.QueryStats, error)
 	}{
-		{"FLAT", drainReads, func(ctx context.Context, p geom.Vec3, _ int, emit func(geom.Element, float64) bool) (core.QueryStats, error) {
+		{"FLAT", drainSt.TotalReads, func(ctx context.Context, p geom.Vec3, _ int, emit func(geom.Element, float64) bool) (core.QueryStats, error) {
 			return s.flat.NN(ctx, p, emit)
 		}},
-		{"FLAT/K=4", shardDrainReads, set.NNQuery},
+		{"FLAT/K=4", shardDrainSt.TotalReads, set.NNQuery},
 	}
 	for _, k := range nnKs {
 		for _, sr := range searchers {

@@ -94,9 +94,7 @@ func (r *Runner) pagecodec() ([]*Table, error) {
 
 	for _, wl := range workloads {
 		queries := r.queries(m.Volume, wl.fraction)
-		reads := make([]uint64, len(variants))
-		objReads := make([]uint64, len(variants))
-		results := make([]uint64, len(variants))
+		sums := make([]core.QueryStats, len(variants))
 		answers := make([][]geom.Element, len(variants))
 		for qi, q := range queries {
 			for vi, v := range variants {
@@ -105,17 +103,15 @@ func (r *Runner) pagecodec() ([]*Table, error) {
 					return nil, err
 				}
 				answers[vi] = els
-				reads[vi] += st.TotalReads
-				objReads[vi] += st.ObjectReads
-				results[vi] += uint64(len(els))
+				sums[vi].Add(st)
 			}
 			if err := sameAnswer(wl.name, qi, answers); err != nil {
 				return nil, err
 			}
 		}
-		if wl.name == "LSS" && reads[1] >= reads[0] {
+		if wl.name == "LSS" && sums[1].TotalReads >= sums[0].TotalReads {
 			return nil, fmt.Errorf("pagecodec LSS: v2 read %d pages, v1 %d — compression saved nothing",
-				reads[1], reads[0])
+				sums[1].TotalReads, sums[0].TotalReads)
 		}
 		for vi, v := range variants {
 			obj, meta, seed := v.ix.PageCounts()
@@ -126,12 +122,12 @@ func (r *Runner) pagecodec() ([]*Table, error) {
 				f1(float64(totalPages)*storage.PageSize/float64(v.ix.Len())),
 				f2(float64(v.ix.SizeBytes())/(1<<20)),
 				f1(float64(v.build.Microseconds())/1000),
-				fu(reads[vi]), f2(float64(reads[vi])/float64(len(queries))),
-				fu(objReads[vi]), fu(results[vi]),
+				fu(sums[vi].TotalReads), f2(float64(sums[vi].TotalReads)/float64(len(queries))),
+				fu(sums[vi].Reads.Reads[storage.CatObject]), fi(sums[vi].Results),
 			)
 		}
 		r.logf("  %s: v1 %d reads, v2 %d reads (%.2fx fewer)", wl.name,
-			reads[0], reads[1], float64(reads[0])/float64(reads[1]))
+			sums[0].TotalReads, sums[1].TotalReads, float64(sums[0].TotalReads)/float64(sums[1].TotalReads))
 	}
 
 	// Sharded parity: the codec must be invisible through the sharded

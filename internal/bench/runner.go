@@ -297,16 +297,11 @@ func idDigest(els []geom.Element) uint64 {
 	return sum
 }
 
-// coldFLAT is coldRun over a FLAT index: the QueryStats every query
-// returns, restated by page category.
+// coldFLAT is coldRun over a FLAT index, reading each query's tally.
 func coldFLAT(ix *core.Index, queries []geom.MBR) (measurement, error) {
 	return coldRun(queries, func(q geom.MBR) (int, storage.Stats, error) {
 		n, st, err := ix.CountQuery(q)
-		var reads storage.Stats
-		reads.Reads[storage.CatSeedInternal] = st.SeedReads
-		reads.Reads[storage.CatMetadata] = st.MetadataReads
-		reads.Reads[storage.CatObject] = st.ObjectReads
-		return n, reads, err
+		return n, st.Reads, err
 	})
 }
 

@@ -155,8 +155,8 @@ func TestEmptyQueryRegion(t *testing.T) {
 	}
 	// An out-of-world query should not read object pages at all: the seed
 	// descent prunes at the root.
-	if st.ObjectReads != 0 {
-		t.Errorf("empty query read %d object pages", st.ObjectReads)
+	if st.Reads.Reads[storage.CatObject] != 0 {
+		t.Errorf("empty query read %d object pages", st.Reads.Reads[storage.CatObject])
 	}
 
 	// An in-world gap between elements: the seed walk probes the object
@@ -365,10 +365,10 @@ func TestQueryStatsBreakdownConsistent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.TotalReads != st.SeedReads+st.MetadataReads+st.ObjectReads {
+	if st.TotalReads != st.Reads.TotalReads() || st.Reads.Reads[storage.CatUnknown] != 0 {
 		t.Errorf("reads breakdown inconsistent: %+v", st)
 	}
-	if st.ObjectReads == 0 || st.MetadataReads == 0 {
+	if st.Reads.Reads[storage.CatObject] == 0 || st.Reads.Reads[storage.CatMetadata] == 0 {
 		t.Errorf("expected object and metadata reads, got %+v", st)
 	}
 	if st.PagesVisited <= 0 || st.RecordsVisited < st.PagesVisited {
@@ -458,17 +458,17 @@ func TestSeedPhaseCheap(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.SeedReads > uint64(ix.SeedHeight()) {
-		t.Errorf("seed phase read %d internal pages, height is %d", st.SeedReads, ix.SeedHeight())
+	if seed := st.Reads.Reads[storage.CatSeedInternal]; seed > uint64(ix.SeedHeight()) {
+		t.Errorf("seed phase read %d internal pages, height is %d", seed, ix.SeedHeight())
 	}
-	if st.ObjectReads < 20 {
-		t.Errorf("expected a substantial crawl, got %d object reads", st.ObjectReads)
+	if obj := st.Reads.Reads[storage.CatObject]; obj < 20 {
+		t.Errorf("expected a substantial crawl, got %d object reads", obj)
 	}
 }
 
 // TestVisitedOncePerPage: Algorithm 2 keeps a visited set, so no object
 // page is read twice within one query even though many records point at
-// each other. With an unbounded pool, ObjectReads == PagesVisited.
+// each other. With an unbounded pool, object reads == PagesVisited.
 func TestVisitedOncePerPage(t *testing.T) {
 	r := rand.New(rand.NewSource(167))
 	els := randomElements(r, 8000, worldBox())
@@ -477,8 +477,8 @@ func TestVisitedOncePerPage(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.ObjectReads != uint64(st.PagesVisited) {
-		t.Errorf("object reads %d != pages visited %d", st.ObjectReads, st.PagesVisited)
+	if obj := st.Reads.Reads[storage.CatObject]; obj != uint64(st.PagesVisited) {
+		t.Errorf("object reads %d != pages visited %d", obj, st.PagesVisited)
 	}
 }
 
@@ -630,8 +630,8 @@ func TestBoxedCrawlMatchesBare(t *testing.T) {
 				t.Fatalf("query %v: emission %d is %v boxed, %v bare", q, j, got[j], want[j])
 			}
 		}
-		if gotSt.ObjectReads != wantSt.ObjectReads || gotSt.PagesVisited != wantSt.PagesVisited ||
-			gotSt.RecordsVisited > wantSt.RecordsVisited || gotSt.MetadataReads > wantSt.MetadataReads {
+		if gotSt.Reads.Reads[storage.CatObject] != wantSt.Reads.Reads[storage.CatObject] || gotSt.PagesVisited != wantSt.PagesVisited ||
+			gotSt.RecordsVisited > wantSt.RecordsVisited || gotSt.Reads.Reads[storage.CatMetadata] > wantSt.Reads.Reads[storage.CatMetadata] {
 			t.Fatalf("query %v: boxed %+v, bare %+v", q, gotSt, wantSt)
 		}
 		skipped += wantSt.RecordsVisited - gotSt.RecordsVisited
@@ -696,8 +696,8 @@ func TestFramedCrawlMatchesBare(t *testing.T) {
 		if !slices.Equal(got, want) {
 			t.Fatalf("query %v: framed crawl emitted %d elements, bare %d, or in another order", q, len(got), len(want))
 		}
-		if gotSt.ObjectReads != wantSt.ObjectReads || gotSt.PagesVisited != wantSt.PagesVisited ||
-			gotSt.RecordsVisited > wantSt.RecordsVisited || gotSt.MetadataReads > wantSt.MetadataReads {
+		if gotSt.Reads.Reads[storage.CatObject] != wantSt.Reads.Reads[storage.CatObject] || gotSt.PagesVisited != wantSt.PagesVisited ||
+			gotSt.RecordsVisited > wantSt.RecordsVisited || gotSt.Reads.Reads[storage.CatMetadata] > wantSt.Reads.Reads[storage.CatMetadata] {
 			t.Fatalf("query %v: framed %+v, bare %+v", q, gotSt, wantSt)
 		}
 		skipped += wantSt.RecordsVisited - gotSt.RecordsVisited

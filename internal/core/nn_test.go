@@ -164,7 +164,7 @@ func TestNNStats(t *testing.T) {
 	if st.Results != 25 || n != 25 {
 		t.Fatalf("Results = %d, emitted %d, want 25", st.Results, n)
 	}
-	if st.TotalReads != st.SeedReads+st.MetadataReads+st.ObjectReads {
+	if st.TotalReads != st.Reads.TotalReads() || st.Reads.Reads[storage.CatUnknown] != 0 {
 		t.Fatalf("reads don't add up: %+v", st)
 	}
 	if st.PagesVisited == 0 || st.RecordsVisited == 0 {

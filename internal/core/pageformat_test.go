@@ -186,7 +186,7 @@ func TestPersistV2RoundTrip(t *testing.T) {
 	if stats3.TotalReads == 0 {
 		t.Error("mmap reads were not counted")
 	}
-	if stats3.ObjectReads == 0 || stats3.MetadataReads == 0 {
+	if stats3.Reads.Reads[storage.CatObject] == 0 || stats3.Reads.Reads[storage.CatMetadata] == 0 {
 		t.Errorf("reopened stats lack categories: %+v", stats3)
 	}
 }

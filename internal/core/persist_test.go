@@ -64,7 +64,7 @@ func TestPersistRoundTrip(t *testing.T) {
 		t.Fatalf("reopened query: got %d, want %d", len(got), len(wantIDs))
 	}
 	// Categories were re-registered: the breakdown must be populated.
-	if stats.ObjectReads == 0 || stats.MetadataReads == 0 {
+	if stats.Reads.Reads[storage.CatObject] == 0 || stats.Reads.Reads[storage.CatMetadata] == 0 {
 		t.Errorf("reopened stats lack categories: %+v", stats)
 	}
 	// A second query region for good measure.

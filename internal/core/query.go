@@ -10,22 +10,19 @@ import (
 	"flat/internal/storage"
 )
 
-// QueryStats describes one range-query execution. Page-read counts are
-// the distinct pages this query read, each counted once, as if the OS
-// cache were cleared before the query (the paper's methodology): they
-// are tallied through storage.Pool.ReadInto into a Stats the query owns
-// (the only page-read accounting there is: the pool keeps no counters),
-// broken down by page category the way the paper's Figure 14/18
-// breakdowns are. They depend only on the index and the query, never on
-// what ran before it or runs beside it.
+// QueryStats describes one query execution. Reads is the query's
+// page-read tally, the one storage.Pool.ReadInto fills: the
+// distinct pages this query read, each counted once, as if the OS cache
+// were cleared before the query (the paper's methodology), by page
+// category the way the paper's Figure 14/18 breakdowns are
+// (Reads.String names them). The counts depend only on the index and
+// the query, never on what ran before it or runs beside it.
 type QueryStats struct {
-	Results        int    // elements in the result set
-	RecordsVisited int    // metadata records dequeued by the BFS, or expanded by k-NN
-	PagesVisited   int    // distinct object pages read
-	SeedReads      uint64 // seed-tree internal node page reads
-	MetadataReads  uint64 // metadata (seed leaf) page reads
-	ObjectReads    uint64 // object page reads
-	TotalReads     uint64
+	Results        int           // elements in the result set
+	RecordsVisited int           // metadata records dequeued by the BFS, or expanded by k-NN
+	PagesVisited   int           // distinct object pages read
+	Reads          storage.Stats // page reads by category
+	TotalReads     uint64        // Reads.TotalReads(), a field only for benchmark/ until ROADMAP item 7
 }
 
 // Add accumulates o into s. The sharded index uses it to merge the
@@ -35,9 +32,7 @@ func (s *QueryStats) Add(o QueryStats) {
 	s.Results += o.Results
 	s.RecordsVisited += o.RecordsVisited
 	s.PagesVisited += o.PagesVisited
-	s.SeedReads += o.SeedReads
-	s.MetadataReads += o.MetadataReads
-	s.ObjectReads += o.ObjectReads
+	s.Reads.Add(o.Reads)
 	s.TotalReads += o.TotalReads
 }
 
@@ -120,12 +115,9 @@ func (sc *crawlScratch) tally(id storage.PageID) *storage.Stats {
 	return &sc.stats
 }
 
-// report copies the query's page-read tally into st.
+// report hands the query's page-read tally to st.
 func (sc *crawlScratch) report(st *QueryStats) {
-	st.SeedReads = sc.stats.Reads[storage.CatSeedInternal]
-	st.MetadataReads = sc.stats.Reads[storage.CatMetadata]
-	st.ObjectReads = sc.stats.Reads[storage.CatObject]
-	st.TotalReads = sc.stats.TotalReads()
+	st.Reads, st.TotalReads = sc.stats, sc.stats.TotalReads()
 }
 
 // QueryRuns executes the two-phase query as a push stream of runs:

@@ -68,8 +68,12 @@ func TestInsertFrameLimit(t *testing.T) {
 // LSS-sized box (several frames) allocates no more, server and client
 // together, than a warm drain of an SN-sized box (one frame), because
 // batches are encoded into a pooled frame in place and the client reads
-// them into pooled payloads.
+// them into pooled payloads. It also caps the SN drain itself at
+// maxSNDrainAllocs, the per-query cost of a served small answer, server
+// and client together, so a new allocation on that path (the msgDone
+// stats among it) fails here rather than going unseen.
 func TestStreamAllocationsIndependentOfResults(t *testing.T) {
+	const maxSNDrainAllocs = 11
 	if raceEnabled {
 		t.Skip("the race detector makes sync.Pool drop frame buffers at random")
 	}
@@ -94,6 +98,9 @@ func TestStreamAllocationsIndependentOfResults(t *testing.T) {
 	if lssAllocs > snAllocs {
 		t.Errorf("LSS drain (%d results) allocates %v, SN drain (%d results) %v: the stream allocates per frame",
 			lssN, lssAllocs, snN, snAllocs)
+	}
+	if snAllocs > maxSNDrainAllocs {
+		t.Errorf("SN drain (%d results) allocates %v, want ≤ %d", snN, snAllocs, maxSNDrainAllocs)
 	}
 	t.Logf("allocations per drain: SN %v (%d results), LSS %v (%d results)", snAllocs, snN, lssAllocs, lssN)
 }

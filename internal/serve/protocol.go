@@ -48,6 +48,7 @@ import (
 	"time"
 
 	"flat"
+	"flat/internal/storage"
 )
 
 // Version is the protocol version this package speaks. The handshake
@@ -307,14 +308,14 @@ func errFor(code byte, msg string) error {
 	return fmt.Errorf("flatserve: server error: %s", msg)
 }
 
-// statsWire packs a flat.QueryStats into the six u64 slots of a
+// putQueryStats packs a flat.QueryStats into the six u64 slots of a
 // msgDone frame (Results travels separately as the result count).
 func putQueryStats(b []byte, st flat.QueryStats) {
 	putU64(b[0:], uint64(st.RecordsVisited))
 	putU64(b[8:], uint64(st.PagesVisited))
-	putU64(b[16:], st.SeedReads)
-	putU64(b[24:], st.MetadataReads)
-	putU64(b[32:], st.ObjectReads)
+	putU64(b[16:], st.Reads.Reads[storage.CatSeedInternal])
+	putU64(b[24:], st.Reads.Reads[storage.CatMetadata])
+	putU64(b[32:], st.Reads.Reads[storage.CatObject])
 	putU64(b[40:], st.TotalReads)
 }
 
@@ -322,9 +323,11 @@ func getQueryStats(b []byte) flat.QueryStats {
 	return flat.QueryStats{
 		RecordsVisited: int(getU64(b[0:])),
 		PagesVisited:   int(getU64(b[8:])),
-		SeedReads:      getU64(b[16:]),
-		MetadataReads:  getU64(b[24:]),
-		ObjectReads:    getU64(b[32:]),
-		TotalReads:     getU64(b[40:]),
+		Reads: storage.Stats{Reads: [storage.NumCategories]uint64{
+			storage.CatSeedInternal: getU64(b[16:]),
+			storage.CatMetadata:     getU64(b[24:]),
+			storage.CatObject:       getU64(b[32:]),
+		}},
+		TotalReads: getU64(b[40:]),
 	}
 }

@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"flat"
+	"flat/internal/storage"
 )
 
 func TestFrameRoundTrip(t *testing.T) {
@@ -73,13 +74,29 @@ func TestElementWireRoundTrip(t *testing.T) {
 
 func TestQueryStatsWireRoundTrip(t *testing.T) {
 	st := flat.QueryStats{
-		RecordsVisited: 7, PagesVisited: 5,
-		SeedReads: 2, MetadataReads: 3, ObjectReads: 11, TotalReads: 16,
+		RecordsVisited: 7, PagesVisited: 5, TotalReads: 16,
+		Reads: storage.Stats{Reads: [storage.NumCategories]uint64{
+			storage.CatSeedInternal: 2, storage.CatMetadata: 3, storage.CatObject: 11,
+		}},
 	}
 	var b [48]byte
 	putQueryStats(b[:], st)
 	if got := getQueryStats(b[:]); got != st {
 		t.Fatalf("round trip: %+v != %+v", got, st)
+	}
+	// msgDone's six stats slots, little-endian u64 each: records
+	// visited, pages visited, then seed, metadata, object and total
+	// reads. A round trip alone passes when two slots swap.
+	want := []byte{
+		7, 0, 0, 0, 0, 0, 0, 0,
+		5, 0, 0, 0, 0, 0, 0, 0,
+		2, 0, 0, 0, 0, 0, 0, 0,
+		3, 0, 0, 0, 0, 0, 0, 0,
+		11, 0, 0, 0, 0, 0, 0, 0,
+		16, 0, 0, 0, 0, 0, 0, 0,
+	}
+	if !bytes.Equal(b[:], want) {
+		t.Fatalf("msgDone stats bytes:\n got %v\nwant %v", b[:], want)
 	}
 }
 

@@ -372,7 +372,7 @@ func TestSetNNCancellation(t *testing.T) {
 		t.Errorf("cancelled NNQuery stats %+v: want 25 results and the visits behind them", st)
 	}
 	if read := rec.distinct(-1); st.TotalReads == 0 || st.TotalReads != read ||
-		st.TotalReads != st.SeedReads+st.MetadataReads+st.ObjectReads {
+		st.TotalReads != st.Reads.TotalReads() || st.Reads.Reads[storage.CatUnknown] != 0 {
 		t.Errorf("cancelled NNQuery stats %+v: the query read %d distinct pages", st, read)
 	}
 	// The set must stay fully usable afterwards.

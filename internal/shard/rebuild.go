@@ -189,12 +189,12 @@ type ShardDeltaStats struct {
 
 // DeltaStats is a point-in-time snapshot of the staged-update state:
 // how much delta is pending, how it is distributed over the shards,
-// and how large the write-ahead log backing it has grown: what a caller
-// reads to decide when to Rebuild.
+// and how many bytes of records the write-ahead log backing it holds:
+// what a caller reads to decide when to Rebuild.
 type DeltaStats struct {
 	Inserts  int               // staged inserts pending, across all shards
 	Deletes  int               // staged deletes pending
-	WALBytes int64             // current write-ahead log size (0 for a memory-backed index)
+	WALBytes int64             // bytes of staged records in the write-ahead log, its header not counted (0 for a memory-backed index)
 	Shards   []ShardDeltaStats // per-shard breakdown; only shards with staged inserts
 }
 
@@ -205,7 +205,7 @@ func (s *Set) DeltaStats() DeltaStats {
 	defer s.pmu.RUnlock()
 	ds := DeltaStats{Inserts: len(s.staged.inserts), Deletes: len(s.staged.deletes)}
 	if s.wal != nil {
-		ds.WALBytes = s.wal.Size()
+		ds.WALBytes = s.wal.Size() - storage.WALMagicSize
 	}
 	for i, ps := range s.routeLocked() {
 		if len(ps) > 0 {

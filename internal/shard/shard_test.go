@@ -471,8 +471,8 @@ func TestShardedCorrectnessAcrossK(t *testing.T) {
 			if st.Results != len(got) {
 				t.Errorf("k=%d query %d: stats.Results = %d, want %d", k, i, st.Results, len(got))
 			}
-			if sum := st.SeedReads + st.MetadataReads + st.ObjectReads; st.TotalReads != sum {
-				t.Errorf("k=%d query %d: TotalReads %d != category sum %d", k, i, st.TotalReads, sum)
+			if sum := st.Reads.TotalReads(); st.TotalReads != sum || st.Reads.Reads[storage.CatUnknown] != 0 {
+				t.Errorf("k=%d query %d: TotalReads %d, tally %v (%d total)", k, i, st.TotalReads, st.Reads.Reads, sum)
 			}
 			n, cst := countStream(t, set, context.Background(), q)
 			if n != len(want) || cst.Results != n {

@@ -404,6 +404,9 @@ func TestWALRequiresDir(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer mem.Close()
+	if d := disk.DeltaStats(); d.WALBytes != 0 {
+		t.Fatalf("fresh directory set: WALBytes = %d, want 0 (the log's header is not a record)", d.WALBytes)
+	}
 	for _, set := range []*Set{disk, mem} {
 		if err := set.StageInsert(geom.Element{ID: 880001, Box: geom.CubeAt(geom.V(5, 5, 5), 1)}); err != nil {
 			t.Fatal(err)
@@ -412,11 +415,19 @@ func TestWALRequiresDir(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if d := disk.DeltaStats(); d.Inserts != 1 || d.WALBytes == 0 {
-		t.Fatalf("directory set: DeltaStats = %+v, want 1 insert in a non-empty log", d)
+	// One insert is one 73-byte record: an 8-byte frame and a 65-byte
+	// payload (op, seq, id, box).
+	if d := disk.DeltaStats(); d.Inserts != 1 || d.WALBytes != 73 {
+		t.Fatalf("directory set: DeltaStats = %+v, want 1 insert in one 73-byte record", d)
 	}
 	if d := mem.DeltaStats(); d.Inserts != 1 || d.WALBytes != 0 || mem.wal != nil {
 		t.Fatalf("memory set: DeltaStats = %+v, log %v; want 1 insert and no log", d, mem.wal)
+	}
+	if _, err := disk.Rebuild(); err != nil {
+		t.Fatal(err)
+	}
+	if d := disk.DeltaStats(); d.Inserts != 0 || d.WALBytes != 0 {
+		t.Fatalf("rebuilt directory set: DeltaStats = %+v, want nothing staged in an empty log", d)
 	}
 }
 

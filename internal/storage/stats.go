@@ -1,12 +1,14 @@
 package storage
 
+import "fmt"
+
 // Stats is a caller-owned tally of page reads per page category: the
 // one page-read accounting in this repository. A query passes its own
 // Stats down to Pool.ReadInto the first time it reads each page, so it
 // counts every distinct page it read once, whatever ran before it or
-// runs beside it; nothing below keeps a shared total. One page read corresponds to PageSize bytes retrieved from
-// "disk" — exactly the unit the paper reports in Figures 2, 12, 14–16,
-// 18 and 19.
+// runs beside it; nothing below keeps a shared total. One page read
+// corresponds to PageSize bytes retrieved from "disk" — exactly the
+// unit the paper reports in Figures 2, 12, 14–16, 18 and 19.
 type Stats struct {
 	Reads [NumCategories]uint64
 }
@@ -31,4 +33,26 @@ func (s *Stats) Add(o Stats) {
 	for i := range s.Reads {
 		s.Reads[i] += o.Reads[i]
 	}
+}
+
+// categoryNames are the words String prints for each category.
+var categoryNames = [NumCategories]string{"unknown", "internal", "leaf", "seed", "metadata", "object"}
+
+// String names the tally's reads by category: "1 seed + 2 metadata +
+// 33 object" for a FLAT tally, zeros included, "2 internal + 5 leaf"
+// for an R-tree's, and all five for a tally holding both.
+func (s Stats) String() string {
+	first, last := CatSeedInternal, CatObject
+	if s.Reads[CatRTreeInternal]+s.Reads[CatRTreeLeaf] > 0 {
+		first = CatRTreeInternal
+		if s.Reads[CatSeedInternal]+s.Reads[CatMetadata]+s.Reads[CatObject] == 0 {
+			last = CatRTreeLeaf
+		}
+	}
+	sep, out := "", ""
+	for c := first; c <= last; c++ {
+		out += fmt.Sprintf("%s%d %s", sep, s.Reads[c], categoryNames[c])
+		sep = " + "
+	}
+	return out
 }

@@ -61,7 +61,10 @@ type WALRecord struct {
 
 // walMagic opens every WAL file; the trailing byte is the format
 // version.
-var walMagic = [8]byte{'F', 'L', 'A', 'T', 'W', 'A', 'L', 1}
+var walMagic = [WALMagicSize]byte{'F', 'L', 'A', 'T', 'W', 'A', 'L', 1}
+
+// WALMagicSize is the length of the header every log opens with.
+const WALMagicSize = 8
 
 const (
 	// walHeaderSize is the fixed per-record frame: length + CRC32.

@@ -131,16 +131,16 @@ func (ix *Index) PointQuery(p Vec3) ([]Element, QueryStats, error) {
 // are valid once the iteration has finished (drained, limited, broken
 // out of, cancelled or failed).
 type Results struct {
-	ctx context.Context
-	ix  *Index
-	q   MBR  // an NN session's query point travels as the degenerate box geom.PointBox(p)
-	nn  bool // distance-ordered NN session; otherwise a shard-ordered range stream
-	cfg queryConfig
+	ctx     context.Context
+	ix      *Index
+	q       MBR  // an NN session's query point travels as the degenerate box geom.PointBox(p)
+	nn      bool // distance-ordered NN session; otherwise a shard-ordered range stream
+	started bool // packed beside nn, which keeps Results in the 240-byte size class
+	cfg     queryConfig
 
-	started bool
-	stats   QueryStats
-	err     error
-	one     [1]Element // an NN session's run
+	stats QueryStats
+	err   error
+	one   [1]Element // an NN session's run
 }
 
 func newResults(ctx context.Context, ix *Index, q MBR, nn bool, opts []QueryOption) *Results {

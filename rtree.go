@@ -30,13 +30,6 @@ type RTree struct {
 	pager storage.Pager
 }
 
-// RTreeStats reports the page reads of R-tree queries, split by
-// node kind — the paper's leaf vs non-leaf overhead analysis.
-type RTreeStats struct {
-	InternalReads uint64
-	LeafReads     uint64
-}
-
 // BuildRTree bulkloads a baseline R-tree over els (reordered in place)
 // with the given strategy, in memory. Of opts only World is consulted,
 // and means what it does for Build (this package's tests also cap leaf
@@ -63,20 +56,19 @@ func BuildRTree(els []Element, strategy RTreeStrategy, opts *Options) (*RTree, e
 }
 
 // RangeQuery returns all elements intersecting q and the page reads
-// this traversal made, each node once. It is safe for concurrent use:
-// every call tallies its own reads, so calls running side by side are
-// never charged each other's.
-func (t *RTree) RangeQuery(q MBR) ([]Element, RTreeStats, error) {
-	var local storage.Stats
-	res, err := t.inner.Tally(&local).RangeQuery(q)
-	return res, RTreeStats{
-		InternalReads: local.Reads[storage.CatRTreeInternal],
-		LeafReads:     local.Reads[storage.CatRTreeLeaf],
-	}, err
+// this traversal made, each node once, by internal and leaf node. It is
+// safe for concurrent use: every call tallies its own reads, so calls
+// running side by side are never charged each other's.
+func (t *RTree) RangeQuery(q MBR) ([]Element, QueryStats, error) {
+	var st QueryStats
+	res, err := t.inner.Tally(&st.Reads).RangeQuery(q)
+	st.Results = len(res)
+	st.TotalReads = st.Reads.TotalReads()
+	return res, st, err
 }
 
 // PointQuery returns all elements whose MBR contains p.
-func (t *RTree) PointQuery(p Vec3) ([]Element, RTreeStats, error) {
+func (t *RTree) PointQuery(p Vec3) ([]Element, QueryStats, error) {
 	return t.RangeQuery(geom.PointBox(p))
 }
 
