@@ -184,11 +184,6 @@ func main() {
 				fmt.Printf(", %d WAL bytes", st.WALBytes)
 			}
 			fmt.Println()
-			for _, sh := range st.Shards {
-				if sh.Staged > 0 {
-					fmt.Printf("    shard %d:     %d staged over %d base\n", sh.Shard, sh.Staged, sh.Base)
-				}
-			}
 		}
 	}
 

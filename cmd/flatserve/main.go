@@ -12,8 +12,10 @@
 // memory mapping and opened with its write-ahead log, which every
 // directory index keeps, so an acknowledged staged write is durable.
 // SIGINT/SIGTERM trigger a graceful drain: the listener closes, new
-// queries are refused, in-flight streams get -drain to finish before
-// they are cancelled, the WAL is flushed and the index closed.
+// queries are refused, in-flight streams get a fixed 5 s grace
+// (serve.DrainGrace) to finish before they are cancelled, the WAL is
+// flushed and the index closed. The admission budgets are fixed too: 64
+// queries at once, 16 per connection.
 //
 // One-shot client mode (no -index): the same binary queries a running
 // server, which keeps the wire protocol exercisable from a shell:
@@ -38,7 +40,6 @@ import (
 	"strconv"
 	"strings"
 	"syscall"
-	"time"
 
 	"flat"
 	"flat/internal/datagen"
@@ -49,10 +50,6 @@ func main() {
 	var (
 		index = flag.String("index", "", "index directory to serve (server mode)")
 		addr  = flag.String("addr", ":4077", "listen address (server mode) or server address (client mode)")
-
-		inflight = flag.Int("max-inflight", 0, "global concurrent-query budget; the N+1th query is rejected busy (0: default 64)")
-		connq    = flag.Int("conn-queries", 0, "concurrent queries allowed per connection (0: default 16)")
-		drain    = flag.Duration("drain", 5*time.Second, "graceful-shutdown grace period for in-flight queries")
 
 		query   = flag.String("query", "", "client: range query 'x1,y1,z1,x2,y2,z2'")
 		point   = flag.String("point", "", "client: point query 'x,y,z'")
@@ -69,11 +66,7 @@ func main() {
 	flag.Parse()
 
 	if *index != "" {
-		runServer(*index, *addr, serve.Config{
-			MaxInflight:    *inflight,
-			MaxConnQueries: *connq,
-			DrainTimeout:   *drain,
-		})
+		runServer(*index, *addr)
 		return
 	}
 	runClient(*addr, clientOps{
@@ -85,7 +78,7 @@ func main() {
 	})
 }
 
-func runServer(index, addr string, cfg serve.Config) {
+func runServer(index, addr string) {
 	ix, err := flat.Open(index, nil)
 	if err != nil {
 		fatalf("open %s: %v", index, err)
@@ -95,7 +88,7 @@ func runServer(index, addr string, cfg serve.Config) {
 			st.Inserts, st.Deletes)
 	}
 
-	s := serve.NewServer(ix, cfg)
+	s := serve.NewServer(ix, serve.Config{})
 	if err := s.Listen(addr); err != nil {
 		fatalf("listen %s: %v", addr, err)
 	}
@@ -108,7 +101,7 @@ func runServer(index, addr string, cfg serve.Config) {
 
 	select {
 	case sig := <-sigc:
-		fmt.Printf("flatserve: %v: draining (grace %v)\n", sig, cfg.DrainTimeout)
+		fmt.Printf("flatserve: %v: draining (grace %v)\n", sig, serve.DrainGrace)
 	case err := <-serveErr:
 		if err != nil {
 			fatalf("serve: %v", err)

@@ -258,9 +258,10 @@ func TestRebuildRefusesInFlightQueries(t *testing.T) {
 	}
 }
 
-// TestFlushAndDeltaStats exercises the two staging accessors:
-// DeltaStats must size the delta and the log, Flush must succeed, and
-// a Rebuild must zero the delta and shrink the rotated log.
+// TestFlushAndDeltaStats exercises the staging accessors: DeltaStats
+// must size the delta and the log, DirtyShards must name a shard, Flush
+// must succeed, and a Rebuild must zero the delta, leave no shard dirty
+// and shrink the rotated log.
 func TestFlushAndDeltaStats(t *testing.T) {
 	r := rand.New(rand.NewSource(73))
 	els := randomElements(r, 600)
@@ -297,18 +298,8 @@ func TestFlushAndDeltaStats(t *testing.T) {
 	if st.WALBytes == 0 {
 		t.Fatal("DeltaStats.WALBytes = 0, want the staged records on disk")
 	}
-	if len(st.Shards) == 0 {
-		t.Fatal("DeltaStats.Shards empty, want the dirty shard listed")
-	}
-	staged := 0
-	for _, sh := range st.Shards {
-		if sh.Base <= 0 {
-			t.Fatalf("shard %d Base = %d, want > 0", sh.Shard, sh.Base)
-		}
-		staged += sh.Staged
-	}
-	if staged != len(fresh) {
-		t.Fatalf("sum of per-shard Staged = %d, want %d", staged, len(fresh))
+	if dirty, err := sx.DirtyShards(); err != nil || len(dirty) == 0 {
+		t.Fatalf("DirtyShards = %v, %v, want the shard the inserts route to", dirty, err)
 	}
 
 	if _, err := sx.Rebuild(); err != nil {
@@ -318,8 +309,11 @@ func TestFlushAndDeltaStats(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if after.Inserts != 0 || after.Deletes != 0 || len(after.Shards) != 0 {
+	if after.Inserts != 0 || after.Deletes != 0 {
 		t.Fatalf("post-Rebuild DeltaStats = %+v, want empty delta", after)
+	}
+	if dirty, err := sx.DirtyShards(); err != nil || len(dirty) != 0 {
+		t.Fatalf("post-Rebuild DirtyShards = %v, %v, want none", dirty, err)
 	}
 	if after.WALBytes >= st.WALBytes {
 		t.Fatalf("post-Rebuild WALBytes = %d, want < %d (log rotated)", after.WALBytes, st.WALBytes)

@@ -89,7 +89,6 @@ var publicSurface = []string{
 	"Results.Collect",
 	"Results.Err",
 	"Results.Stats",
-	"ShardDeltaStats",
 	"ShardedOptions",
 	"V",
 	"Vec3",

@@ -335,7 +335,7 @@ func (c *Client) Count(ctx context.Context, box flat.MBR, o QueryOptions) (uint6
 		s.Cancel()
 		s.abandon(fmt.Errorf("flatserve: unexpected frame type 0x%02x", msgElems))
 	}
-	return s.count, s.stats, s.err
+	return s.Count(), s.stats, s.err
 }
 
 // Insert stages elements into the index's delta and flushes
@@ -402,16 +402,15 @@ func (c *Client) cancel(id uint32) {
 
 // Stream is one in-flight range query. Not safe for concurrent use.
 type Stream struct {
-	c   *Client
-	ctx context.Context
-	id  uint32
+	c    *Client
+	ctx  context.Context
+	id   uint32
+	done bool
 
 	ch    chan respFrame
 	frame *[]byte // pooled buffer of the current msgElems batch
 	buf   []byte  // undecoded remainder of that batch
 	n     int     // elements left in buf
-	done  bool
-	count uint64
 	stats flat.QueryStats
 	err   error
 }
@@ -471,9 +470,8 @@ func (s *Stream) take(fr respFrame) {
 			s.finish(errShortFrame)
 			return
 		}
-		s.count = getU64(fr.body)
 		s.stats = getQueryStats(fr.body[8:])
-		s.stats.Results = int(s.count)
+		s.stats.Results = int(getU64(fr.body))
 		s.finish(nil)
 	case msgErr:
 		s.finish(decodeErr(fr.body))
@@ -567,7 +565,7 @@ func (s *Stream) Err() error { return s.err }
 
 // Count returns the server-reported result count (valid after the
 // stream ends cleanly).
-func (s *Stream) Count() uint64 { return s.count }
+func (s *Stream) Count() uint64 { return uint64(s.stats.Results) }
 
 // Stats returns the query's page-read statistics (valid after the
 // stream ends cleanly).

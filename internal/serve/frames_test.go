@@ -9,6 +9,7 @@ import (
 	"strings"
 	"testing"
 	"time"
+	"unsafe"
 
 	"flat"
 )
@@ -103,6 +104,18 @@ func TestStreamAllocationsIndependentOfResults(t *testing.T) {
 		t.Errorf("SN drain (%d results) allocates %v, want ≤ %d", snN, snAllocs, maxSNDrainAllocs)
 	}
 	t.Logf("allocations per drain: SN %v (%d results), LSS %v (%d results)", snAllocs, snN, lssAllocs, lssN)
+}
+
+// TestStreamSize pins a Stream, which every served query allocates, at
+// 176 bytes on 64-bit platforms: a size class of the allocator, which a
+// new field would push to the next one (192).
+func TestStreamSize(t *testing.T) {
+	if unsafe.Sizeof(uintptr(0)) != 8 {
+		t.Skip("the size is pinned for 64-bit platforms")
+	}
+	if got := unsafe.Sizeof(Stream{}); got != 176 {
+		t.Fatalf("unsafe.Sizeof(Stream{}) = %d, want 176", got)
+	}
 }
 
 // streamFrames runs a range query over a raw connection to s and

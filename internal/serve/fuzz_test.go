@@ -60,7 +60,7 @@ func FuzzServerFrames(f *testing.F) {
 			t.Fatal(err)
 		}
 		defer sx.Close()
-		s := NewServer(sx, Config{MaxConnQueries: 4})
+		s := NewServer(sx, Config{maxConnQueries: 4})
 		cli, srv := net.Pipe()
 		handled := make(chan struct{})
 		s.wg.Add(1) // handle's Done, as Serve does before starting it

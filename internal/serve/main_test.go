@@ -36,6 +36,14 @@ func TestMain(m *testing.M) {
 // caller's that has a frame of this package or of a flat.Results
 // session.
 func leakedGoroutines() []string {
+	return otherStacks(func(g string) bool {
+		return strings.Contains(g, "flat/internal/serve.") || strings.Contains(g, "flat.(*Results)")
+	})
+}
+
+// otherStacks returns the stack of every goroutine other than the
+// caller's for which keep is true.
+func otherStacks(keep func(stack string) bool) []string {
 	buf := make([]byte, 1<<20)
 	for {
 		n := runtime.Stack(buf, true)
@@ -45,12 +53,12 @@ func leakedGoroutines() []string {
 		}
 		buf = make([]byte, 2*len(buf))
 	}
-	var leaked []string
-	// The first stack is the calling goroutine's: TestMain itself.
+	var kept []string
+	// The first stack is the calling goroutine's.
 	for _, g := range strings.Split(string(buf), "\n\n")[1:] {
-		if strings.Contains(g, "flat/internal/serve.") || strings.Contains(g, "flat.(*Results)") {
-			leaked = append(leaked, g)
+		if keep(g) {
+			kept = append(kept, g)
 		}
 	}
-	return leaked
+	return kept
 }

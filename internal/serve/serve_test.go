@@ -8,6 +8,7 @@ import (
 	"io"
 	"net"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -302,7 +303,7 @@ func TestAdmissionRejectsOverBudget(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer sx.Close()
-	s := startServer(t, sx, Config{MaxInflight: 2, streamBatch: 16})
+	s := startServer(t, sx, Config{maxInflight: 2, streamBatch: 16})
 	q := sx.Bounds()
 
 	// Two clients, one stream each; not reading past the first element
@@ -459,7 +460,7 @@ func TestPerConnectionQueryLimit(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer sx.Close()
-	s := startServer(t, sx, Config{MaxConnQueries: 1, streamBatch: 16})
+	s := startServer(t, sx, Config{maxConnQueries: 1, streamBatch: 16})
 	c := dialServer(t, s)
 	throttle(t, s, c)
 
@@ -517,7 +518,7 @@ func TestPerConnectionQueryLimit(t *testing.T) {
 
 // TestDuplicateRequestIDRefused: a request id that is still in flight
 // on the connection is refused — it takes no slot, so it cannot slip
-// past MaxConnQueries, and the first query keeps its cancel entry: it
+// past maxConnQueries, and the first query keeps its cancel entry: it
 // streams on undisturbed and a msgCancel for the id still stops it.
 func TestDuplicateRequestIDRefused(t *testing.T) {
 	els := testElements(40000, 12)
@@ -526,7 +527,7 @@ func TestDuplicateRequestIDRefused(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer sx.Close()
-	s := startServer(t, sx, Config{MaxConnQueries: 4, streamBatch: 16})
+	s := startServer(t, sx, Config{maxConnQueries: 4, streamBatch: 16})
 
 	conn, err := net.Dial("tcp", s.Addr().String())
 	if err != nil {
@@ -739,7 +740,7 @@ func TestShutdownDrainsAndRefuses(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := NewServer(sx, Config{streamBatch: 16, DrainTimeout: 300 * time.Millisecond})
+	s := NewServer(sx, Config{streamBatch: 16, drainTimeout: 300 * time.Millisecond})
 	if err := s.Listen("127.0.0.1:0"); err != nil {
 		t.Fatal(err)
 	}
@@ -788,6 +789,60 @@ func TestShutdownDrainsAndRefuses(t *testing.T) {
 	// for the query goroutines, so none still holds the query guard.
 	if err := sx.Close(); err != nil {
 		t.Fatalf("Close right after Shutdown: %v", err)
+	}
+}
+
+// TestNoHandlerAfterShutdown dials from several goroutines while
+// Shutdown runs, over rounds that start Shutdown at growing delays after
+// the first dials. Serve counts a connection's handler before it
+// releases the registry Shutdown closes connections under, so once
+// Shutdown returns no handler may be running or about to start.
+func TestNoHandlerAfterShutdown(t *testing.T) {
+	sx, err := flat.Build(testElements(2000, 31), &flat.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sx.Close()
+	for round := range 50 {
+		s := NewServer(sx, Config{})
+		if err := s.Listen("127.0.0.1:0"); err != nil {
+			t.Fatal(err)
+		}
+		served := make(chan error, 1)
+		go func() { served <- s.Serve() }()
+		var (
+			dialers sync.WaitGroup
+			mu      sync.Mutex
+			conns   []net.Conn
+		)
+		for range 4 {
+			dialers.Add(1)
+			go func() {
+				defer dialers.Done()
+				for {
+					c, err := net.Dial("tcp", s.Addr().String())
+					if err != nil { // the listener is closed
+						return
+					}
+					mu.Lock()
+					conns = append(conns, c)
+					mu.Unlock()
+				}
+			}()
+		}
+		time.Sleep(time.Duration(round) * 10 * time.Microsecond)
+		s.Shutdown()
+		held := otherStacks(func(g string) bool { return strings.Contains(g, "(*Server).handle") })
+		dialers.Wait()
+		for _, c := range conns {
+			c.Close()
+		}
+		if err := <-served; err != nil {
+			t.Fatalf("round %d: Serve = %v after Shutdown", round, err)
+		}
+		if len(held) > 0 {
+			t.Fatalf("round %d: %d connection handler(s) alive after Shutdown returned:\n\n%s", round, len(held), strings.Join(held, "\n\n"))
+		}
 	}
 }
 
@@ -891,7 +946,7 @@ func TestConcurrentMixedLoad(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer sx.Close()
-	s := startServer(t, sx, Config{MaxInflight: 8, streamBatch: 32})
+	s := startServer(t, sx, Config{maxInflight: 8, streamBatch: 32})
 	q := sx.Bounds()
 
 	errc := make(chan error, 16)

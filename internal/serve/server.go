@@ -14,38 +14,44 @@ import (
 	"flat"
 )
 
-// Config tunes a Server. The zero value serves with sensible defaults.
+// DrainGrace is Shutdown's grace period: queries still running when it
+// expires are cancelled.
+const DrainGrace = 5 * time.Second
+
+// Config tunes a Server. Its budgets are fixed: a server admits 64
+// queries at once, 16 of them from one connection, and gives in-flight
+// queries DrainGrace to finish on Shutdown. Only this package's tests
+// set the fields, to reach the limits at test scale; the zero value is
+// what every server runs with.
 type Config struct {
-	// MaxInflight is the global admission budget: the number of queries
+	// maxInflight is the global admission budget: the number of queries
 	// allowed to crawl concurrently across all connections. The N+1th
-	// query is rejected with flat.ErrBusy. <= 0 means 64.
-	MaxInflight int
-	// MaxConnQueries bounds the queries one connection may multiplex at
-	// once, so a single client cannot monopolize the global budget.
-	// <= 0 means 16.
-	MaxConnQueries int
+	// query is rejected with flat.ErrBusy (0: 64).
+	maxInflight int
+	// maxConnQueries bounds the queries one connection may multiplex at
+	// once, so a single client cannot monopolize the global budget
+	// (0: 16).
+	maxConnQueries int
 	// streamBatch is the number of elements in a stream's first
 	// msgElems frame (0: 128). Each later frame carries twice the last,
-	// up to 1 170 elements (64 KiB of payload). Only this package's
-	// tests set it, to reach several frames at test scale.
+	// up to 1 170 elements (64 KiB of payload).
 	streamBatch int
-	// DrainTimeout bounds Shutdown's grace period: queries still running
-	// when it expires are cancelled. <= 0 means 5 seconds.
-	DrainTimeout time.Duration
+	// drainTimeout bounds Shutdown's grace period (0: DrainGrace).
+	drainTimeout time.Duration
 }
 
 func (c Config) withDefaults() Config {
-	if c.MaxInflight <= 0 {
-		c.MaxInflight = 64
+	if c.maxInflight <= 0 {
+		c.maxInflight = 64
 	}
-	if c.MaxConnQueries <= 0 {
-		c.MaxConnQueries = 16
+	if c.maxConnQueries <= 0 {
+		c.maxConnQueries = 16
 	}
 	if c.streamBatch <= 0 {
 		c.streamBatch = 128
 	}
-	if c.DrainTimeout <= 0 {
-		c.DrainTimeout = 5 * time.Second
+	if c.drainTimeout <= 0 {
+		c.drainTimeout = DrainGrace
 	}
 	return c
 }
@@ -115,7 +121,7 @@ func NewServer(ix *flat.Index, cfg Config) *Server {
 	return &Server{
 		ix:      ix,
 		cfg:     cfg,
-		adm:     newAdmission(cfg.MaxInflight),
+		adm:     newAdmission(cfg.maxInflight),
 		baseCtx: ctx,
 		stopAll: cancel,
 		conns:   make(map[net.Conn]struct{}),
@@ -160,15 +166,17 @@ func (s *Server) Serve() error {
 			conn.Close()
 			continue
 		}
+		// Counted before the unlock: once Shutdown has closed the
+		// registered connections, its wg.Wait covers every handler.
 		s.conns[conn] = struct{}{}
-		s.mu.Unlock()
 		s.wg.Add(1)
+		s.mu.Unlock()
 		go s.handle(conn)
 	}
 }
 
 // Shutdown drains the server: stop accepting, refuse new queries with
-// ErrShuttingDown, give in-flight streams DrainTimeout to finish, then
+// ErrShuttingDown, give in-flight streams DrainGrace to finish, then
 // cancel whatever is left, close every connection and wait for every
 // handler and query goroutine to exit. Safe to call once; the index
 // itself is left open for the caller, with no query of this server's
@@ -180,7 +188,7 @@ func (s *Server) Shutdown() {
 	}
 	// Grace period: poll the admission pool until the in-flight queries
 	// drain or the deadline passes.
-	deadline := time.Now().Add(s.cfg.DrainTimeout)
+	deadline := time.Now().Add(s.cfg.drainTimeout)
 	for s.adm.inflight() > 0 && time.Now().Before(deadline) {
 		time.Sleep(5 * time.Millisecond)
 	}
@@ -412,8 +420,8 @@ func (sc *srvConn) admit(reqID uint32, run func(qctx context.Context)) {
 		// Overwriting the entry would orphan the first query's cancel
 		// func and keep len(inflight) — the cap — from ever growing.
 		refusal = badRequest{fmt.Errorf("request id %d is already in flight on this connection", reqID)}
-	} else if len(sc.inflight) >= sc.s.cfg.MaxConnQueries {
-		refusal = fmt.Errorf("connection query limit (%d) reached: %w", sc.s.cfg.MaxConnQueries, flat.ErrBusy)
+	} else if len(sc.inflight) >= sc.s.cfg.maxConnQueries {
+		refusal = fmt.Errorf("connection query limit (%d) reached: %w", sc.s.cfg.maxConnQueries, flat.ErrBusy)
 	} else {
 		sc.inflight[reqID] = qcancel
 	}

@@ -258,8 +258,8 @@ func TestUpgradeFoldsTheLog(t *testing.T) {
 	if kinds := metadataKinds(t, set); !reflect.DeepEqual(kinds, []int{4, 4}) {
 		t.Fatalf("metadata kinds %v after the open, want [4 4]", kinds)
 	}
-	if ds := set.DeltaStats(); ds.Inserts != 0 || ds.Deletes != 0 || len(ds.Shards) != 0 {
-		t.Fatalf("staged after the upgrade: %+v", ds)
+	if ds, dirty := set.DeltaStats(), set.DirtyShards(); ds.Inserts != 0 || ds.Deletes != 0 || len(dirty) != 0 {
+		t.Fatalf("staged after the upgrade: %+v, dirty shards %v", ds, dirty)
 	}
 	live := slices.DeleteFunc(append(slices.Clone(els), added...), func(e geom.Element) bool { return gone[e.ID] })
 	var stored []uint64

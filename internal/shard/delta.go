@@ -13,8 +13,8 @@
 // staged deletes are tiled the same way by runs of positions into their
 // append-only list, sorted by element ID, so a doom check is one binary
 // search per run. No query asks which shard a staged insert belongs to;
-// only Rebuild, DirtyShards and DeltaStats do, and they route the list
-// when they are called (routeLocked).
+// only Rebuild and DirtyShards do, and they route the list when they
+// are called (routeLocked).
 //
 // Staging appends to a list and pushes the new entries as one run,
 // which absorbs the newest runs while they are shorter than twice it

@@ -284,7 +284,7 @@ func TestStagedInsertOrderAcrossShards(t *testing.T) {
 	}
 	// Precondition: the interleave really crossed shards — otherwise
 	// this test cannot catch the bug.
-	groups := len(set.DeltaStats().Shards)
+	groups := len(set.DirtyShards())
 	if groups < 2 {
 		t.Fatalf("staged inserts landed in %d shard group(s); need >= 2 to exercise cross-shard ordering", groups)
 	}

@@ -9,8 +9,8 @@
 // on query results so reads stay correct between rebuilds, and folded
 // in by Rebuild, which re-bulkloads only the dirty shards. A staged
 // insert belongs to the shard the MBR directory routes it to
-// (routeLocked); that is asked only where a shard is: by Rebuild,
-// DirtyShards and DeltaStats. The directory's bounds change only when a
+// (routeLocked); that is asked only where a shard is: by Rebuild and
+// DirtyShards. The directory's bounds change only when a
 // Rebuild publishes a generation, which consumes the epoch, so a staged
 // insert is routed to the same shard whenever it is asked. What is
 // staged between two rebuilds is one epoch value (delta.go); the
@@ -180,37 +180,24 @@ func (s *Set) StageDelete(id uint64, box geom.MBR) error {
 	return nil
 }
 
-// ShardDeltaStats describes one shard's share of the pending delta.
-type ShardDeltaStats struct {
-	Shard  int // shard number
-	Base   int // bulkloaded elements currently in the shard
-	Staged int // staged inserts routed to it
-}
-
-// DeltaStats is a point-in-time snapshot of the staged-update state:
-// how much delta is pending, how it is distributed over the shards,
-// and how many bytes of records the write-ahead log backing it holds:
-// what a caller reads to decide when to Rebuild.
+// DeltaStats sizes the staged-update state: how many inserts and
+// deletes are pending and how many bytes of records the write-ahead log
+// backing them holds, what a caller reads to decide when to Rebuild.
+// Which shards the next Rebuild examines is DirtyShards' answer.
 type DeltaStats struct {
-	Inserts  int               // staged inserts pending, across all shards
-	Deletes  int               // staged deletes pending
-	WALBytes int64             // bytes of staged records in the write-ahead log, its header not counted (0 for a memory-backed index)
-	Shards   []ShardDeltaStats // per-shard breakdown; only shards with staged inserts
+	Inserts  int   // staged inserts pending
+	Deletes  int   // staged deletes pending
+	WALBytes int64 // bytes of staged records in the write-ahead log, its header not counted (0 for a memory-backed index)
 }
 
-// DeltaStats snapshots the pending delta. Safe to call concurrently
-// with queries and staging.
+// DeltaStats snapshots the size of the pending delta in O(1). Safe to
+// call concurrently with queries and staging.
 func (s *Set) DeltaStats() DeltaStats {
 	s.pmu.RLock()
 	defer s.pmu.RUnlock()
 	ds := DeltaStats{Inserts: len(s.staged.inserts), Deletes: len(s.staged.deletes)}
 	if s.wal != nil {
 		ds.WALBytes = s.wal.Size() - storage.WALMagicSize
-	}
-	for i, ps := range s.routeLocked() {
-		if len(ps) > 0 {
-			ds.Shards = append(ds.Shards, ShardDeltaStats{Shard: i, Base: s.cur.shards[i].Len(), Staged: len(ps)})
-		}
 	}
 	return ds
 }
@@ -312,15 +299,17 @@ func (s *Set) Rebuild() ([]int, error) {
 // hold pmu's write side.
 // flatlint:holds pmu
 func (s *Set) rebuildLocked(force []int) ([]int, error) {
+	// Only a Rebuild with nothing to fold leaves the epoch and the log
+	// as they are; any other that changes no shard consumes them below.
+	if len(s.staged.inserts) == 0 && len(s.staged.deletes) == 0 && len(force) == 0 {
+		return nil, nil
+	}
 	routed := s.routeLocked()
 	dirty := s.dirtyLocked(routed)
 	for _, sh := range force {
 		if !slices.Contains(dirty, sh) {
 			dirty = append(dirty, sh)
 		}
-	}
-	if len(dirty) == 0 {
-		return nil, nil
 	}
 	// One generation number per rebuild, past every one the directory
 	// records; a memory-backed set stays at generation 0.
@@ -372,9 +361,11 @@ func (s *Set) rebuildLocked(force []int) ([]int, error) {
 		}
 	}
 
-	// All dirty shards may have been no-op deletes; the staged epoch is
-	// consumed either way. This path never touches the manifest, so the
-	// WAL is emptied in place rather than rotated: the truncation is
+	// No shard changed: every staged change was a delete that matched
+	// nothing, in a dirty shard or in none (a box that meets no shard
+	// leaves the dirty set empty). The staged epoch is consumed either
+	// way. This path never touches the manifest, so the WAL is emptied
+	// in place rather than rotated: the truncation is
 	// crash-safe here precisely because every logged operation is a
 	// provable no-op — replaying them (truncate lost) or not (truncate
 	// won) yields the same index.

@@ -33,21 +33,16 @@ func (ix *Index) Flush() error {
 	return ix.guard.query(ix.set.Flush)
 }
 
-// DeltaStats sizes the staged-update delta of an Index: the totals
-// across shards, the write-ahead log's on-disk footprint, and a
-// per-shard staged-vs-base breakdown (only shards with staged inserts
-// are listed).
+// DeltaStats sizes the staged-update delta of an Index: the staged
+// insert and delete totals and the write-ahead log's record bytes.
 type DeltaStats = shard.DeltaStats
 
-// ShardDeltaStats is one shard's entry in DeltaStats.Shards: its
-// bulkloaded element count (Base) and its staged-insert count (Staged).
-type ShardDeltaStats = shard.ShardDeltaStats
-
 // DeltaStats reports the size of the staged-update delta awaiting the
-// next Rebuild: the staged insert and delete totals, the write-ahead
-// log's on-disk footprint (0 for a memory-backed index), and a
-// per-shard breakdown of staged inserts against bulkloaded size — what
-// a caller reads to decide when to Rebuild. Safe to call concurrently with queries and staging.
+// next Rebuild: the staged insert and delete totals and the bytes of
+// records in the write-ahead log (0 for a memory-backed index) — what a
+// caller reads to decide when to Rebuild; DirtyShards names the shards
+// that Rebuild would examine. Safe to call concurrently with queries
+// and staging.
 func (ix *Index) DeltaStats() (st DeltaStats, err error) {
 	err = ix.guard.query(func() error {
 		st = ix.set.DeltaStats()
