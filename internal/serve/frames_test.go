@@ -2,6 +2,7 @@ package serve
 
 import (
 	"context"
+	"encoding/binary"
 	"fmt"
 	"io"
 	"net"
@@ -71,10 +72,12 @@ func TestInsertFrameLimit(t *testing.T) {
 // batches are encoded into a pooled frame in place and the client reads
 // them into pooled payloads. It also caps the SN drain itself at
 // maxSNDrainAllocs, the per-query cost of a served small answer, server
-// and client together, so a new allocation on that path (the msgDone
-// stats among it) fails here rather than going unseen.
+// and client together (the server's share is 0, see
+// TestServedQueryAllocatesNothing; the Client's Stream, its channel and
+// its request frame make the rest), so a new allocation on that path
+// fails here rather than going unseen.
 func TestStreamAllocationsIndependentOfResults(t *testing.T) {
-	const maxSNDrainAllocs = 11
+	const maxSNDrainAllocs = 4
 	if raceEnabled {
 		t.Skip("the race detector makes sync.Pool drop frame buffers at random")
 	}
@@ -104,6 +107,130 @@ func TestStreamAllocationsIndependentOfResults(t *testing.T) {
 		t.Errorf("SN drain (%d results) allocates %v, want ≤ %d", snN, snAllocs, maxSNDrainAllocs)
 	}
 	t.Logf("allocations per drain: SN %v (%d results), LSS %v (%d results)", snAllocs, snN, lssAllocs, lssN)
+}
+
+// rawClient speaks the protocol over one connection without allocating:
+// a request is encoded once, and every response frame lands in one
+// fixed buffer.
+type rawClient struct {
+	conn net.Conn
+	buf  []byte
+	id   uint32 // the last request id sent
+}
+
+func dialRaw(t testing.TB, s *Server) *rawClient {
+	t.Helper()
+	conn, err := net.Dial("tcp", s.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { conn.Close() })
+	conn.SetDeadline(time.Now().Add(time.Minute))
+	var version [1]byte
+	if _, err := conn.Write(append(magic[:], Version)); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := io.ReadFull(conn, version[:]); err != nil || version[0] != Version {
+		t.Fatalf("handshake: version %d, %v", version[0], err)
+	}
+	return &rawClient{conn: conn, buf: make([]byte, bodyStart+4+frameGrowthCap*elementWire)}
+}
+
+// send sends req, an encoded request frame, under a fresh request id,
+// so that the id of the answer before, which the server may not have
+// retired yet, is never reused.
+func (rc *rawClient) send(req []byte) error {
+	rc.id++
+	putU32(req[frameHeader:], rc.id)
+	_, err := rc.conn.Write(req)
+	return err
+}
+
+// next reads one response frame into the fixed buffer: its type and
+// its payload behind the request id, which must be the last request's.
+func (rc *rawClient) next() (typ byte, body []byte, err error) {
+	if _, err := io.ReadFull(rc.conn, rc.buf[:frameHeader]); err != nil {
+		return 0, nil, err
+	}
+	n := int(binary.BigEndian.Uint32(rc.buf))
+	if n < 4 || frameHeader+n > len(rc.buf) {
+		return 0, nil, errFrameSize
+	}
+	payload := rc.buf[frameHeader : frameHeader+n]
+	if _, err := io.ReadFull(rc.conn, payload); err != nil {
+		return 0, nil, err
+	}
+	if getU32(payload) != rc.id {
+		return 0, nil, errShortFrame
+	}
+	return rc.buf[4], payload[4:], nil
+}
+
+// answer reads the last request's response up to its terminator: the
+// elements its msgElems frames carry, and the terminator's type and
+// payload behind the request id.
+func (rc *rawClient) answer() (elems int, typ byte, body []byte, err error) {
+	for {
+		if typ, body, err = rc.next(); err != nil || typ != msgElems {
+			return elems, typ, body, err
+		}
+		elems += int(getU32(body))
+	}
+}
+
+// do sends req and reads its answer: the elements streamed, the
+// terminator's type and, for msgDone, the result count.
+func (rc *rawClient) do(req []byte) (elems int, typ byte, count uint64, err error) {
+	if err := rc.send(req); err != nil {
+		return 0, 0, 0, err
+	}
+	elems, typ, body, err := rc.answer()
+	if err == nil && typ == msgDone {
+		count = getU64(body)
+	}
+	return elems, typ, count, err
+}
+
+// TestServedQueryAllocatesNothing: a warm server answers an SN range
+// query, a count query and a 10-NN query without a single allocation.
+// The client allocates nothing itself (rawClient), so AllocsPerRun,
+// which counts the whole process, counts the server alone.
+func TestServedQueryAllocatesNothing(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector makes sync.Pool drop frame buffers at random")
+	}
+	sx, err := flat.Build(testElements(20000, 23), &flat.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sx.Close()
+	rc := dialRaw(t, startServer(t, sx, Config{}))
+	sn := flat.CubeAt(flat.V(500, 500, 500), 100)
+	nn := make([]byte, 24+4+1)
+	putF64(nn[0:], 500)
+	putF64(nn[8:], 500)
+	putF64(nn[16:], 500)
+	putU32(nn[24:], 10)
+	for _, c := range []struct {
+		name  string
+		req   []byte
+		elems func(count uint64) int // the elements the answer streams
+	}{
+		{"range", frame(msgQuery, 0, queryBody(kindRange, sn, 0, 0)), func(count uint64) int { return int(count) }},
+		{"count", frame(msgQuery, 0, queryBody(kindCount, sn, 0, 0)), func(uint64) int { return 0 }},
+		{"nn", frame(msgNN, 0, nn), func(uint64) int { return 10 }},
+	} {
+		answer := func() {
+			elems, typ, count, err := rc.do(c.req)
+			if err != nil || typ != msgDone || count == 0 || elems != c.elems(count) {
+				t.Fatalf("%s: %d elements, %d results, terminator 0x%02x, %v", c.name, elems, count, typ, err)
+			}
+		}
+		answer() // warm the caches, the pools and the connection's workers
+		if allocs := testing.AllocsPerRun(100, answer); allocs != 0 {
+			t.Errorf("a served %s query allocates %v times, want 0", c.name, allocs)
+		}
+	}
 }
 
 // TestStreamSize pins a Stream, which every served query allocates, at

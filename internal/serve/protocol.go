@@ -35,6 +35,9 @@
 // server writes result batches as the crawl produces them and blocks
 // when the client stops reading, which stalls the crawl between page
 // reads — a slow consumer costs buffer space, not index throughput.
+// An answer that fits its first element frame (the paper's small
+// structural-neighborhood queries) leaves in one write, the terminator
+// behind the elements.
 package serve
 
 import (
@@ -84,10 +87,12 @@ const (
 	msgStatsResp = 0x85 // reqID u32 | JSON
 )
 
-// Query kinds carried by msgQuery.
+// Query kinds carried by msgQuery, and the kind the server gives a
+// msgNN request, which no msgQuery may carry.
 const (
 	kindRange = 0 // stream every intersecting element
 	kindCount = 1 // count them without materializing
+	kindNN    = 2 // stream the k nearest elements
 )
 
 // Wire error codes carried by msgErr. The mapping is part of the
@@ -139,6 +144,10 @@ const frameHeader = 5
 // request id that every request and response payload opens with.
 const bodyStart = frameHeader + 4
 
+// doneFrame is the length of a whole msgDone frame: header, request id,
+// result count and the six stats words.
+const doneFrame = bodyStart + 8 + 48
+
 var (
 	errBadMagic   = errors.New("flatserve: bad handshake magic")
 	errBadVersion = errors.New("flatserve: unsupported protocol version")
@@ -154,19 +163,23 @@ func newFrame(reqID uint32, n int) []byte {
 	return frame
 }
 
-// sendFrame fills in the header of frame — whose first frameHeader
-// bytes are reserved for it and whose rest is the payload — and sends
-// it as a single Write, so concurrent writers serialized by a mutex
-// never interleave partial frames.
+// sendFrame fills in the header of frame (see putHeader) and sends it
+// as a single Write, so concurrent writers serialized by a mutex never
+// interleave partial frames.
 func sendFrame(w io.Writer, typ byte, frame []byte) error {
-	n := len(frame) - frameHeader
-	if n > maxPayload {
+	if len(frame)-frameHeader > maxPayload {
 		return errFrameSize
 	}
-	binary.BigEndian.PutUint32(frame, uint32(n))
-	frame[4] = typ
+	putHeader(frame, typ)
 	_, err := w.Write(frame)
 	return err
+}
+
+// putHeader fills in the header of frame, whose first frameHeader bytes
+// are reserved for it and whose rest is the payload.
+func putHeader(frame []byte, typ byte) {
+	binary.BigEndian.PutUint32(frame, uint32(len(frame)-frameHeader))
+	frame[4] = typ
 }
 
 // framePool recycles frame buffers: the server's element batches,

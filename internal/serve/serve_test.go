@@ -846,6 +846,125 @@ func TestNoHandlerAfterShutdown(t *testing.T) {
 	}
 }
 
+// TestQueryRecordReuse: a connection reuses an answered query's record
+// for its next query, and a reused record is fresh. A Cancel naming a
+// query that was already answered leaves the query that took over its
+// record running, and a record whose query was cancelled mid-stream
+// serves the next query to the end under a done channel of its own.
+// One query at a time is in flight, so the connection keeps one record
+// once the first is answered.
+func TestQueryRecordReuse(t *testing.T) {
+	els := testElements(40000, 13)
+	sx, err := flat.Build(els, &flat.Options{Shards: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sx.Close()
+	s := startServer(t, sx, Config{streamBatch: 16})
+	rc := dialRaw(t, s)
+	setSocketBuffers(t, s, rc.conn, 8192) // a range stream stalls until read
+	count := frame(msgQuery, 0, queryBody(kindCount, sx.Bounds(), 0, 0))
+	stream := frame(msgQuery, 0, queryBody(kindRange, sx.Bounds(), 0, 0))
+	counts := func(what string) {
+		t.Helper()
+		if _, typ, body, err := rc.answer(); err != nil || typ != msgDone || getU64(body) != uint64(len(els)) {
+			t.Fatalf("%s: terminator 0x%02x, %v", what, typ, err)
+		}
+	}
+	for round := range 4 {
+		// A is answered; B takes A's record, and a Cancel naming A
+		// arrives while B crawls.
+		if err := rc.send(count); err != nil {
+			t.Fatal(err)
+		}
+		counts(fmt.Sprintf("round %d: query A", round))
+		a := rc.id
+		if err := rc.send(count); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := rc.conn.Write(frame(msgCancel, a, nil)); err != nil {
+			t.Fatal(err)
+		}
+		counts(fmt.Sprintf("round %d: query B after a late Cancel of A", round))
+
+		// C is cancelled mid-stream; D takes C's record.
+		if err := rc.send(stream); err != nil {
+			t.Fatal(err)
+		}
+		if typ, _, err := rc.next(); err != nil || typ != msgElems {
+			t.Fatalf("round %d: stream C opened with frame 0x%02x, %v", round, typ, err)
+		}
+		if _, err := rc.conn.Write(frame(msgCancel, rc.id, nil)); err != nil {
+			t.Fatal(err)
+		}
+		if _, typ, body, err := rc.answer(); err != nil || typ != msgErr || body[0] != codeCancelled {
+			t.Fatalf("round %d: cancelled stream C closed by frame 0x%02x, %v", round, typ, err)
+		}
+		if err := rc.send(count); err != nil {
+			t.Fatal(err)
+		}
+		counts(fmt.Sprintf("round %d: query D after C was cancelled", round))
+	}
+}
+
+// TestShutdownStopsWorkers: with a connection's 16 streams stalled and
+// half of them cancelled, Shutdown returns only once every worker of the
+// connection has exited. A worker Shutdown did not wait for is gone a
+// moment later, so the check is repeated over many rounds.
+func TestShutdownStopsWorkers(t *testing.T) {
+	sx, err := flat.Build(testElements(40000, 14), &flat.Options{Shards: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sx.Close()
+	for round := range 50 {
+		s := NewServer(sx, Config{streamBatch: 16, drainTimeout: 10 * time.Millisecond})
+		if err := s.Listen("127.0.0.1:0"); err != nil {
+			t.Fatal(err)
+		}
+		go s.Serve()
+		c, err := Dial(s.Addr().String())
+		if err != nil {
+			t.Fatal(err)
+		}
+		throttle(t, s, c)
+		var streams []*Stream
+		for range 16 {
+			st, err := c.Range(context.Background(), sx.Bounds(), QueryOptions{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			streams = append(streams, st)
+		}
+		waitFor(t, 10*time.Second, func() bool { return s.adm.inflight() == 16 }, "16 streams in flight on one connection")
+		for _, st := range streams[:8] {
+			st.Cancel()
+		}
+		s.Shutdown()
+		held := otherStacks(func(g string) bool { return strings.Contains(g, "(*srvConn).worker") && !exiting(g) })
+		c.Close()
+		if len(held) > 0 {
+			t.Fatalf("round %d: %d query worker(s) alive after Shutdown returned:\n\n%s", round, len(held), strings.Join(held, "\n\n"))
+		}
+	}
+}
+
+// exiting reports whether the worker stack g is past its last query:
+// inside its deferred wg.Done, or just back from it. Shutdown's Wait
+// may return before such a goroutine is gone, as it may before any
+// goroutine that signals a WaitGroup on its way out.
+func exiting(g string) bool {
+	for _, l := range strings.Split(g, "\n")[1:] { // behind "goroutine N [state]:"
+		switch {
+		case strings.HasPrefix(l, "\t"): // a frame's file and line
+		case strings.HasPrefix(l, "sync."), strings.HasPrefix(l, "sync/atomic."), strings.HasPrefix(l, "internal/race."):
+		default:
+			return strings.HasPrefix(l, "flat/internal/serve.(*srvConn).worker(")
+		}
+	}
+	return false
+}
+
 func TestHandshakeRejectsStrangers(t *testing.T) {
 	els := testElements(100, 11)
 	ix, err := flat.Build(els, nil)

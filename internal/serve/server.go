@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"bufio"
 	"context"
 	"encoding/json"
 	"errors"
@@ -19,8 +20,9 @@ import (
 const DrainGrace = 5 * time.Second
 
 // Config tunes a Server. Its budgets are fixed: a server admits 64
-// queries at once, 16 of them from one connection, and gives in-flight
-// queries DrainGrace to finish on Shutdown. Only this package's tests
+// queries at once, 16 of them from one connection (which therefore
+// keeps at most 16 query workers), and gives in-flight queries
+// DrainGrace to finish on Shutdown. Only this package's tests
 // set the fields, to reach the limits at test scale; the zero value is
 // what every server runs with.
 type Config struct {
@@ -88,16 +90,22 @@ type ServerStats struct {
 // the caller opens it, passes it in, and closes it after Shutdown
 // returns (flatserve's main does exactly that, flushing the WAL in
 // between).
+//
+// Each connection reads its requests on one goroutine and runs its
+// queries on workers it keeps for its lifetime: an admitted query goes
+// to an idle worker, and a new worker starts only when none is idle.
+// A query's record is its own context and is reused by the
+// connection's next query, its answer's frames are encoded into pooled
+// buffers, and a small answer leaves in one write, so a warm server
+// allocates nothing per range, count or nearest-neighbor query.
 type Server struct {
 	ix  *flat.Index
 	cfg Config
 	adm *admission
 
 	ln       net.Listener
-	baseCtx  context.Context // parent of every connection context
-	stopAll  context.CancelFunc
 	draining atomic.Bool
-	wg       sync.WaitGroup // one per live connection handler and per query goroutine
+	wg       sync.WaitGroup // one per live connection handler and per query worker
 
 	mu    sync.Mutex
 	conns map[net.Conn]struct{}
@@ -117,14 +125,11 @@ type Server struct {
 // NewServer wraps an opened index in a server. Call Serve to accept.
 func NewServer(ix *flat.Index, cfg Config) *Server {
 	cfg = cfg.withDefaults()
-	ctx, cancel := context.WithCancel(context.Background())
 	return &Server{
-		ix:      ix,
-		cfg:     cfg,
-		adm:     newAdmission(cfg.maxInflight),
-		baseCtx: ctx,
-		stopAll: cancel,
-		conns:   make(map[net.Conn]struct{}),
+		ix:    ix,
+		cfg:   cfg,
+		adm:   newAdmission(cfg.maxInflight),
+		conns: make(map[net.Conn]struct{}),
 	}
 }
 
@@ -177,8 +182,8 @@ func (s *Server) Serve() error {
 
 // Shutdown drains the server: stop accepting, refuse new queries with
 // ErrShuttingDown, give in-flight streams DrainGrace to finish, then
-// cancel whatever is left, close every connection and wait for every
-// handler and query goroutine to exit. Safe to call once; the index
+// close every connection, which cancels whatever is left, and wait for
+// every handler and query worker to exit. Safe to call once; the index
 // itself is left open for the caller, with no query of this server's
 // still in flight on it.
 func (s *Server) Shutdown() {
@@ -192,8 +197,8 @@ func (s *Server) Shutdown() {
 	for s.adm.inflight() > 0 && time.Now().Before(deadline) {
 		time.Sleep(5 * time.Millisecond)
 	}
-	// Cancel stragglers and drop the connections; handlers notice both.
-	s.stopAll()
+	// Drop the connections: each read loop exits and cancels the
+	// stragglers of its connection.
 	s.mu.Lock()
 	for c := range s.conns {
 		c.Close()
@@ -234,18 +239,61 @@ func (s *Server) Stats() ServerStats {
 	return st
 }
 
-// conn is the per-connection state: the read loop plus the registry of
-// in-flight queries it can cancel, and the write mutex that keeps
-// concurrent response streams from interleaving frames.
+// srvConn is the per-connection state: the read loop, the registry of
+// in-flight queries it can cancel, the workers that run them, and the
+// write mutex that keeps concurrent response streams from interleaving
+// frames.
 type srvConn struct {
-	s   *Server
-	c   net.Conn
-	ctx context.Context // cancelled on disconnect or server stop
+	s *Server
+	c net.Conn
 
 	wmu sync.Mutex // serializes whole frames onto the socket
 
+	// work hands an admitted query to an idle worker. Only the read loop
+	// sends on it, starts workers (and counts them in workers) and
+	// closes it.
+	work    chan *query
+	workers int
+
 	mu       sync.Mutex
-	inflight map[uint32]context.CancelFunc // reqID -> query cancel
+	inflight map[uint32]*query // reqID -> running query
+	free     []*query          // finished queries' records, reused by the next ones
+}
+
+// query is one admitted range, count or nearest-neighbor request, and
+// the context its crawl runs under: Done is closed when a Cancel frame
+// names the request or the connection's read loop exits. A connection
+// reuses its records, so a query costs no allocation: a record's done
+// channel is remade only after it was closed. Nothing derives a context
+// from a query (the crawl only polls Done), so the record needs no
+// registry of children.
+type query struct {
+	id    uint32
+	kind  byte     // kindRange, kindCount or kindNN
+	box   flat.MBR // a nearest-neighbor query's point is box.Min
+	limit int      // a nearest-neighbor query's k
+	done  chan struct{}
+}
+
+func (q *query) Deadline() (time.Time, bool) { return time.Time{}, false }
+func (q *query) Done() <-chan struct{}       { return q.done }
+func (q *query) Value(any) any               { return nil }
+
+func (q *query) Err() error {
+	select {
+	case <-q.done:
+		return context.Canceled
+	default:
+		return nil
+	}
+}
+
+// cancel closes q's done channel unless it is closed already; the
+// caller holds the connection's mu.
+func (q *query) cancel() {
+	if q.Err() == nil {
+		close(q.done)
+	}
 }
 
 func (s *Server) handle(conn net.Conn) {
@@ -260,12 +308,17 @@ func (s *Server) handle(conn net.Conn) {
 	if err := s.handshake(conn); err != nil {
 		return
 	}
-	ctx, cancel := context.WithCancel(s.baseCtx)
-	sc := &srvConn{s: s, c: conn, ctx: ctx, inflight: make(map[uint32]context.CancelFunc)}
-	// The read loop exiting — disconnect, torn frame, server stop —
-	// cancels every query this connection still has crawling.
-	defer cancel()
+	sc := &srvConn{s: s, c: conn, work: make(chan *query), inflight: make(map[uint32]*query)}
 	sc.readLoop()
+	// The read loop exiting — disconnect, torn frame, server stop —
+	// cancels every query this connection still has crawling, and
+	// closing work lets each worker exit once its query is answered.
+	sc.mu.Lock()
+	for _, q := range sc.inflight {
+		q.cancel()
+	}
+	sc.mu.Unlock()
+	close(sc.work)
 }
 
 // handshake validates the client hello and answers with the negotiated
@@ -291,8 +344,9 @@ func (s *Server) handshake(conn net.Conn) error {
 func (sc *srvConn) readLoop() {
 	// Requests are decoded before dispatch returns — queries copy their
 	// box, writes their elements — so one pooled payload at a time
-	// serves the whole loop.
-	src := &frameSource{Reader: sc.c}
+	// serves the whole loop. The buffered reader takes a small request's
+	// header and payload in one read.
+	src := &frameSource{Reader: bufio.NewReaderSize(sc.c, 4<<10)}
 	defer func() { putFrame(src.last) }()
 	for {
 		putFrame(src.last) // the previous request is dispatched
@@ -313,8 +367,8 @@ func (sc *srvConn) readLoop() {
 		case msgCancel:
 			// payload is the *target* request id.
 			sc.mu.Lock()
-			if cancel, ok := sc.inflight[reqID]; ok {
-				cancel()
+			if q, ok := sc.inflight[reqID]; ok {
+				q.cancel()
 			}
 			sc.mu.Unlock()
 		case msgInsert:
@@ -341,6 +395,14 @@ func (sc *srvConn) send(typ byte, frame []byte) error {
 	return sendFrame(sc.c, typ, frame)
 }
 
+// write sends whole frames, their headers filled in, in one Write.
+func (sc *srvConn) write(frames []byte) error {
+	sc.wmu.Lock()
+	defer sc.wmu.Unlock()
+	_, err := sc.c.Write(frames)
+	return err
+}
+
 func (sc *srvConn) writeErr(reqID uint32, err error) {
 	code, msg := codeFor(err)
 	frame := newFrame(reqID, 1+len(msg))
@@ -355,19 +417,13 @@ func (sc *srvConn) writeOK(reqID uint32, detail uint64) {
 	sc.send(msgOK, frame)
 }
 
-// startQuery parses a msgQuery and runs it in its own goroutine, so
-// the read loop stays responsive to Cancel frames while the crawl
-// streams. Admission (the global slot) and registration (the
-// per-connection cancel entry) both happen inside the goroutine, in
-// one lexical scope with their releases.
+// startQuery parses a msgQuery and admits it.
 func (sc *srvConn) startQuery(reqID uint32, body []byte) {
 	if len(body) != 1+48+4+1 {
 		sc.writeErr(reqID, badRequest{fmt.Errorf("bad query frame length %d", len(body))})
 		return
 	}
 	kind := body[0]
-	box := getBox(body[1:])
-	limit := int(getU32(body[49:]))
 	if kind != kindRange && kind != kindCount {
 		sc.writeErr(reqID, badRequest{fmt.Errorf("unknown query kind %d", kind)})
 		return
@@ -376,93 +432,116 @@ func (sc *srvConn) startQuery(reqID uint32, body []byte) {
 		sc.writeErr(reqID, badRequest{fmt.Errorf("unknown query flags 0x%02x", body[53])})
 		return
 	}
-	sc.admit(reqID, func(qctx context.Context) {
-		sc.runQuery(qctx, reqID, kind, box, limit)
-	})
+	sc.admit(reqID, kind, getBox(body[1:]), int(getU32(body[49:])))
 }
 
-// startNN parses a msgNN and runs the nearest-neighbor stream through
-// the same admission pipeline as startQuery.
+// startNN parses a msgNN and admits it through the same pipeline as
+// startQuery.
 func (sc *srvConn) startNN(reqID uint32, body []byte) {
 	if len(body) != 24+4+1 {
 		sc.writeErr(reqID, badRequest{fmt.Errorf("bad nn frame length %d", len(body))})
 		return
 	}
-	p := flat.V(getF64(body[0:]), getF64(body[8:]), getF64(body[16:]))
-	k := int(getU32(body[24:]))
 	if body[28] != 0 {
 		sc.writeErr(reqID, badRequest{fmt.Errorf("unknown nn flags 0x%02x", body[28])})
 		return
 	}
-	sc.admit(reqID, func(qctx context.Context) {
-		sc.s.nnQueries.Add(1)
-		sc.streamSession(reqID, sc.s.ix.NN(qctx, p, k), true)
-	})
+	p := flat.V(getF64(body[0:]), getF64(body[8:]), getF64(body[16:]))
+	sc.admit(reqID, kindNN, flat.MBR{Min: p, Max: p}, int(getU32(body[24:])))
 }
 
-// admit runs one streaming request through the shared admission
-// pipeline — drain check, request id not already in flight,
-// per-connection multiplex cap, cancellable registration, then the
-// global slot — and executes run on its own
-// goroutine, so the read loop stays responsive to Cancel frames while
-// the traversal streams. The registration is undone in a defer of that
-// goroutine; the slot is held by adm.run for exactly run's duration.
-func (sc *srvConn) admit(reqID uint32, run func(qctx context.Context)) {
+// admit runs one query request through the shared admission pipeline —
+// drain check, request id not already in flight, per-connection
+// multiplex cap, cancellable registration — and hands it to an idle
+// worker of the connection, starting one when none is idle, so the
+// read loop stays responsive to Cancel frames while the traversal
+// streams. The worker takes the global slot for the query's run and
+// undoes the registration after it.
+func (sc *srvConn) admit(reqID uint32, kind byte, box flat.MBR, limit int) {
 	if sc.s.draining.Load() {
 		sc.writeErr(reqID, ErrShuttingDown)
 		return
 	}
-	// Per-connection multiplexing cap, separate from the global budget.
-	qctx, qcancel := context.WithCancel(sc.ctx)
 	sc.mu.Lock()
+	var q *query
 	var refusal error
 	if _, dup := sc.inflight[reqID]; dup {
-		// Overwriting the entry would orphan the first query's cancel
-		// func and keep len(inflight) — the cap — from ever growing.
+		// Overwriting the entry would orphan the first query's record
+		// and keep len(inflight) — the cap — from ever growing.
 		refusal = badRequest{fmt.Errorf("request id %d is already in flight on this connection", reqID)}
 	} else if len(sc.inflight) >= sc.s.cfg.maxConnQueries {
 		refusal = fmt.Errorf("connection query limit (%d) reached: %w", sc.s.cfg.maxConnQueries, flat.ErrBusy)
 	} else {
-		sc.inflight[reqID] = qcancel
+		if n := len(sc.free); n > 0 {
+			q, sc.free = sc.free[n-1], sc.free[:n-1]
+		} else {
+			q = &query{done: make(chan struct{})}
+		}
+		if q.Err() != nil {
+			q.done = make(chan struct{})
+		}
+		q.id, q.kind, q.box, q.limit = reqID, kind, box, limit
+		sc.inflight[reqID] = q
 	}
 	sc.mu.Unlock()
 	if refusal != nil {
-		qcancel()
 		sc.writeErr(reqID, refusal)
 		return
 	}
 
-	// Shutdown waits for the query goroutines too: once it returns, none
-	// still holds an admission slot or the index's query guard, so the
-	// caller may Close the index. This Add cannot race Shutdown's Wait —
-	// it runs on the handler goroutine, which holds a count of its own.
+	select {
+	case sc.work <- q:
+		return
+	default:
+	}
+	if sc.workers == sc.s.cfg.maxConnQueries {
+		// No worker is idle and none may start, yet q fits under the
+		// cap: a worker has answered its query and is on its way back
+		// to work, and takes q at once.
+		sc.work <- q
+		return
+	}
+	// Shutdown waits for the workers too: once it returns, none still
+	// holds an admission slot or the index's query guard, so the caller
+	// may Close the index. This Add cannot race Shutdown's Wait — it runs
+	// on the handler goroutine, which holds a count of its own.
+	sc.workers++
 	sc.s.wg.Add(1)
-	go func() {
-		defer sc.s.wg.Done()
-		defer func() {
-			sc.mu.Lock()
-			delete(sc.inflight, reqID)
-			sc.mu.Unlock()
-			qcancel()
-		}()
-		if !sc.s.adm.run(func() { run(qctx) }) {
-			sc.s.rejected.Add(1)
-			sc.writeErr(reqID, fmt.Errorf("server at max in-flight queries (%d): %w", sc.s.adm.capacity(), flat.ErrBusy))
-		}
-	}()
+	go sc.worker(q)
 }
 
-// runQuery executes one admitted query and streams its results. The
-// crawl stops between page reads when qctx is cancelled (Cancel frame,
+// worker runs q, then each query the read loop hands it, until the read
+// loop closes work. A query holds a slot of the global budget for
+// exactly its run (adm.run), and its registration until it is answered.
+func (sc *srvConn) worker(q *query) {
+	defer sc.s.wg.Done()
+	for ok := true; ok; q, ok = <-sc.work {
+		if !sc.s.adm.run(func() { sc.run(q) }) {
+			sc.s.rejected.Add(1)
+			sc.writeErr(q.id, fmt.Errorf("server at max in-flight queries (%d): %w", sc.s.adm.capacity(), flat.ErrBusy))
+		}
+		sc.mu.Lock()
+		delete(sc.inflight, q.id)
+		sc.free = append(sc.free, q)
+		sc.mu.Unlock()
+	}
+}
+
+// run executes one admitted query and streams its results. The crawl
+// stops between page reads when q is cancelled (Cancel frame,
 // disconnect, server drain) and when a write into a dead socket fails.
-func (sc *srvConn) runQuery(qctx context.Context, reqID uint32, kind byte, box flat.MBR, limit int) {
-	switch kind {
+func (sc *srvConn) run(q *query) {
+	switch q.kind {
 	case kindRange:
 		sc.s.rangeQueries.Add(1)
+		sc.streamSession(q.id, sc.s.ix.Query(q, q.box, flat.WithLimit(q.limit)), true)
 	case kindCount:
 		sc.s.countQueries.Add(1)
+		sc.streamSession(q.id, sc.s.ix.Query(q, q.box, flat.WithLimit(q.limit)), false)
+	case kindNN:
+		sc.s.nnQueries.Add(1)
+		sc.streamSession(q.id, sc.s.ix.NN(q, q.box.Min, q.limit), true)
 	}
-	sc.streamSession(reqID, sc.s.ix.Query(qctx, box, flat.WithLimit(limit)), kind == kindRange)
 }
 
 // streamSession drains one Results session to the connection: element
@@ -475,21 +554,20 @@ func (sc *srvConn) runQuery(qctx context.Context, reqID uint32, kind byte, box f
 // The session's runs are encoded straight into one pooled frame buffer
 // behind its header, request id and count (batchStart bytes), and each
 // frame goes out from there in one Write: nothing is copied or
-// allocated per frame. The first frame carries Config.streamBatch
-// elements (128), so the time to the first result does not depend on
-// the result's size; each later one twice the last, up to
-// frameGrowthCap.
+// allocated per frame. The buffer keeps doneFrame bytes spare behind
+// the largest batch it holds, so the terminator is encoded behind the
+// last batch and both leave in one Write; a count query's terminator
+// goes out from the same pooled buffer. The first frame carries
+// Config.streamBatch elements (128), so the time to the first result
+// does not depend on the result's size; each later one twice the last,
+// up to frameGrowthCap.
 func (sc *srvConn) streamSession(reqID uint32, session *flat.Results, materialize bool) {
 	const batchStart = bodyStart + 4
 	batch := sc.s.cfg.streamBatch // elements in the current frame
-	var fb *[]byte
-	var frame []byte
-	if materialize {
-		fb = getFrame(batchStart + batch*elementWire)
-		defer putFrame(fb)
-		frame = *fb
-		putU32(frame[frameHeader:], reqID)
-	}
+	fb := getFrame(batchStart + batch*elementWire + doneFrame)
+	defer putFrame(fb)
+	frame := *fb
+	putU32(frame[frameHeader:], reqID)
 	off, n := batchStart, 0 // write offset and elements in the current frame
 	var count uint64
 	var iterErr error
@@ -521,11 +599,11 @@ runs:
 			}
 			off, n = batchStart, 0
 			batch = min(2*batch, frameGrowthCap)
-			if len(frame) < batchStart+batch*elementWire {
+			if len(frame) < batchStart+batch*elementWire+doneFrame {
 				// Sized for the largest frame once the stream outgrows its
 				// first: a long stream reallocates at most once, and a
 				// short one never holds more than its first frame needs.
-				resizeFrame(fb, batchStart+frameGrowthCap*elementWire)
+				resizeFrame(fb, batchStart+frameGrowthCap*elementWire+doneFrame)
 				frame = *fb
 				putU32(frame[frameHeader:], reqID)
 			}
@@ -540,17 +618,22 @@ runs:
 		sc.writeErr(reqID, iterErr)
 		return
 	}
+	start := off // the terminator alone, unless a batch is left to send
 	if n > 0 {
 		putU32(frame[bodyStart:], uint32(n))
-		if sc.send(msgElems, frame[:off]) != nil {
-			sc.s.cancelled.Add(1)
-			return
-		}
+		putHeader(frame[:off], msgElems)
+		start = 0
 	}
-	done := newFrame(reqID, 8+48)
+	done := frame[off : off+doneFrame]
+	putU32(done[frameHeader:], reqID)
 	putU64(done[bodyStart:], count)
 	putQueryStats(done[bodyStart+8:], stats)
-	sc.send(msgDone, done)
+	putHeader(done, msgDone)
+	if sc.write(frame[start:off+doneFrame]) != nil && n > 0 {
+		// The last batch never reached the client: the stream was cut,
+		// as when a full batch fails mid-crawl.
+		sc.s.cancelled.Add(1)
+	}
 }
 
 // handleWrite is the one shape of a write request: op runs against the

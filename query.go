@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"iter"
+	"sync"
 
 	"flat/internal/geom"
 )
@@ -13,13 +14,13 @@ import (
 // reusable container.
 var ErrConsumed = errors.New("flat: query session already consumed")
 
-// queryConfig is the resolved option set of one query session.
-type queryConfig struct {
-	limit int // > 0: stop the crawl after this many results
+// QueryOption configures a Query or NN session; WithLimit makes one.
+// It is a plain value, not a function, so that applying it leaves the
+// session where its caller put it: a session drained on the goroutine
+// that started it stays on that goroutine's stack.
+type QueryOption struct {
+	limit int
 }
-
-// QueryOption configures a Query session.
-type QueryOption func(*queryConfig)
 
 // WithLimit stops the query after k results have been emitted. The stop
 // is a property of the crawl, not of the caller: the BFS abandons its
@@ -28,7 +29,7 @@ type QueryOption func(*queryConfig)
 // stream never reaches are not queried at all.
 // k <= 0 means unlimited.
 func WithLimit(k int) QueryOption {
-	return func(c *queryConfig) { c.limit = k }
+	return QueryOption{limit: k}
 }
 
 // Query starts a streaming query session over q: a cancellable
@@ -83,8 +84,8 @@ func (ix *Index) NN(ctx context.Context, p Vec3, k int, opts ...QueryOption) *Re
 	r := newResults(ctx, ix, geom.PointBox(p), true, opts)
 	// The effective bound is the smaller of k and WithLimit's positive
 	// values (either alone when the other is unlimited).
-	if k > 0 && (r.cfg.limit <= 0 || k < r.cfg.limit) {
-		r.cfg.limit = k
+	if k > 0 && (r.limit <= 0 || k < r.limit) {
+		r.limit = k
 	}
 	return r
 }
@@ -135,21 +136,25 @@ type Results struct {
 	ix      *Index
 	q       MBR  // an NN session's query point travels as the degenerate box geom.PointBox(p)
 	nn      bool // distance-ordered NN session; otherwise a shard-ordered range stream
-	started bool // packed beside nn, which keeps Results in the 240-byte size class
-	cfg     queryConfig
+	started bool
+	limit   int // > 0: stop the crawl after this many results
 
 	stats QueryStats
 	err   error
-	one   [1]Element // an NN session's run
 }
 
 func newResults(ctx context.Context, ix *Index, q MBR, nn bool, opts []QueryOption) *Results {
 	r := &Results{ctx: ctx, ix: ix, q: q, nn: nn}
 	for _, opt := range opts {
-		opt(&r.cfg)
+		r.limit = opt.limit
 	}
 	return r
 }
+
+// nnRuns holds the one-element runs NN sessions deliver. A run inside
+// the session would hand emit a pointer into the Results and move every
+// session to the heap.
+var nnRuns = sync.Pool{New: func() any { return new([1]Element) }}
 
 // run executes the session on the set's executor for its kind: the
 // range stream, whose runs are object pages' matches, or the NN stream,
@@ -157,9 +162,11 @@ func newResults(ctx context.Context, ix *Index, q MBR, nn bool, opts []QueryOpti
 // itself; Batches does.
 func (r *Results) run(emit func([]Element) bool) (QueryStats, error) {
 	if r.nn {
-		return r.ix.set.NNQuery(r.ctx, r.q.Min, r.cfg.limit, func(e Element, _ float64) bool {
-			r.one[0] = e
-			return emit(r.one[:])
+		one := nnRuns.Get().(*[1]Element)
+		defer nnRuns.Put(one)
+		return r.ix.set.NNQuery(r.ctx, r.q.Min, r.limit, func(e Element, _ float64) bool {
+			one[0] = e
+			return emit(one[:])
 		})
 	}
 	return r.ix.set.StreamRuns(r.ctx, r.q, emit)
@@ -185,7 +192,7 @@ func (r *Results) Batches() iter.Seq2[[]Element, error] {
 		n := 0 // elements yielded
 		r.err = r.ix.guard.query(func() (err error) {
 			r.stats, err = r.run(func(run []Element) bool {
-				if left := r.cfg.limit - n; r.cfg.limit > 0 && len(run) > left {
+				if left := r.limit - n; r.limit > 0 && len(run) > left {
 					run = run[:left]
 				}
 				n += len(run)
@@ -193,7 +200,7 @@ func (r *Results) Batches() iter.Seq2[[]Element, error] {
 					abandoned = true
 					return false
 				}
-				return r.cfg.limit <= 0 || n < r.cfg.limit
+				return r.limit <= 0 || n < r.limit
 			})
 			return err
 		})
