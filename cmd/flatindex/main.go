@@ -121,7 +121,7 @@ func main() {
 			fmt.Printf("reopened existing index %s\n", *index)
 			// The write-ahead log is replayed on open: say what survived
 			// so a kill-and-reopen is visible from the outside.
-			if st, err := ix.DeltaStats(); err == nil && (st.Inserts > 0 || st.Deletes > 0) {
+			if st := ix.DeltaStats(); st.Inserts > 0 || st.Deletes > 0 {
 				fmt.Printf("replayed write-ahead log: %d staged inserts, %d staged deletes pending\n",
 					st.Inserts, st.Deletes)
 			}
@@ -178,13 +178,12 @@ func main() {
 		} else {
 			printFormatStats(ix.ShardPageFormat(0), ix.SizeBytes(), ix.Len(), ix.NumPartitions())
 		}
-		if st, err := ix.DeltaStats(); err == nil {
-			fmt.Printf("  staged delta:  %d inserts, %d deletes", st.Inserts, st.Deletes)
-			if st.WALBytes > 0 {
-				fmt.Printf(", %d WAL bytes", st.WALBytes)
-			}
-			fmt.Println()
+		st := ix.DeltaStats()
+		fmt.Printf("  staged delta:  %d inserts, %d deletes", st.Inserts, st.Deletes)
+		if st.WALBytes > 0 {
+			fmt.Printf(", %d WAL bytes", st.WALBytes)
 		}
+		fmt.Println()
 	}
 
 	// Staged updates + incremental rebuild.
@@ -246,10 +245,7 @@ func main() {
 			fmt.Println("flushed write-ahead log: staged updates survive until the next rebuild")
 		}
 		if *rebuild {
-			dirty, err := ix.DirtyShards()
-			if err != nil {
-				fatalf("dirty shards: %v", err)
-			}
+			dirty := ix.DirtyShards()
 			rebuilt, err := ix.Rebuild()
 			if err != nil {
 				fatalf("rebuild: %v", err)
@@ -267,7 +263,7 @@ func main() {
 	// nondecreasing distance, and the page reads reflect the best-first
 	// traversal's pruning — not a full drain's cost.
 	if *nn != "" {
-		c, err := parseFloats(*nn, 3)
+		c, err := datagen.ParseFloats(*nn, 3)
 		if err != nil {
 			fatalf("bad -nn: %v", err)
 		}
@@ -294,14 +290,14 @@ func main() {
 	haveQuery := false
 	switch {
 	case *query != "":
-		c, err := parseFloats(*query, 6)
+		c, err := datagen.ParseFloats(*query, 6)
 		if err != nil {
 			fatalf("bad -query: %v", err)
 		}
 		q = flat.Box(flat.V(c[0], c[1], c[2]), flat.V(c[3], c[4], c[5]))
 		haveQuery = true
 	case *point != "":
-		c, err := parseFloats(*point, 3)
+		c, err := datagen.ParseFloats(*point, 3)
 		if err != nil {
 			fatalf("bad -point: %v", err)
 		}
@@ -384,22 +380,6 @@ func printFormatStats(f flat.PageFormat, sizeBytes uint64, n, pages int) {
 	fmt.Printf("  bytes/elem:    %.1f (whole index)\n", float64(sizeBytes)/float64(n))
 	fmt.Printf("  compression:   %.2fx elements per object page vs a full v1 page\n",
 		perPage/float64(flat.ObjectPageCapacity(flat.PageFormatV1)))
-}
-
-func parseFloats(s string, n int) ([]float64, error) {
-	parts := strings.Split(s, ",")
-	if len(parts) != n {
-		return nil, fmt.Errorf("want %d comma-separated numbers, got %d", n, len(parts))
-	}
-	out := make([]float64, n)
-	for i, p := range parts {
-		f, err := strconv.ParseFloat(strings.TrimSpace(p), 64)
-		if err != nil {
-			return nil, err
-		}
-		out[i] = f
-	}
-	return out, nil
 }
 
 func fatalf(format string, args ...any) {

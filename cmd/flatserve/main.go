@@ -83,7 +83,7 @@ func runServer(index, addr string) {
 	if err != nil {
 		fatalf("open %s: %v", index, err)
 	}
-	if st, err := ix.DeltaStats(); err == nil && (st.Inserts > 0 || st.Deletes > 0) {
+	if st := ix.DeltaStats(); st.Inserts > 0 || st.Deletes > 0 {
 		fmt.Printf("flatserve: replayed write-ahead log: %d staged inserts, %d staged deletes pending\n",
 			st.Inserts, st.Deletes)
 	}
@@ -176,14 +176,14 @@ func runClient(addr string, ops clientOps) {
 	haveQuery := false
 	switch {
 	case ops.query != "":
-		co, err := parseFloats(ops.query, 6)
+		co, err := datagen.ParseFloats(ops.query, 6)
 		if err != nil {
 			fatalf("bad -query: %v", err)
 		}
 		q = flat.Box(flat.V(co[0], co[1], co[2]), flat.V(co[3], co[4], co[5]))
 		haveQuery = true
 	case ops.point != "":
-		co, err := parseFloats(ops.point, 3)
+		co, err := datagen.ParseFloats(ops.point, 3)
 		if err != nil {
 			fatalf("bad -point: %v", err)
 		}
@@ -217,7 +217,7 @@ func runClient(addr string, ops clientOps) {
 	}
 
 	if ops.nn != "" {
-		co, err := parseFloats(ops.nn, 3)
+		co, err := datagen.ParseFloats(ops.nn, 3)
 		if err != nil {
 			fatalf("bad -nn: %v", err)
 		}
@@ -288,27 +288,11 @@ func parseDelete(s string) (uint64, flat.MBR, error) {
 	if err != nil {
 		return 0, flat.MBR{}, fmt.Errorf("element id: %w", err)
 	}
-	co, err := parseFloats(coords, 6)
+	co, err := datagen.ParseFloats(coords, 6)
 	if err != nil {
 		return 0, flat.MBR{}, err
 	}
 	return id, flat.Box(flat.V(co[0], co[1], co[2]), flat.V(co[3], co[4], co[5])), nil
-}
-
-func parseFloats(s string, n int) ([]float64, error) {
-	parts := strings.Split(s, ",")
-	if len(parts) != n {
-		return nil, fmt.Errorf("want %d comma-separated numbers, got %d", n, len(parts))
-	}
-	out := make([]float64, n)
-	for i, p := range parts {
-		f, err := strconv.ParseFloat(strings.TrimSpace(p), 64)
-		if err != nil {
-			return nil, err
-		}
-		out[i] = f
-	}
-	return out, nil
 }
 
 func fatalf(format string, args ...any) {

@@ -78,21 +78,22 @@
 // once, as if the OS cache were cleared before it (the paper's
 // methodology), so a query reports the same reads whatever ran before
 // it or runs beside it. Rebuild and Close are maintenance operations:
-// calling them while queries are in flight (including sessions
-// currently being drained) returns ErrBusy instead of racing, and every
-// query and maintenance method returns ErrClosed after a successful
-// Close.
+// calling them while a session is being drained returns ErrBusy
+// instead of racing, and nothing else makes them report it — staging,
+// Flush and the accessors only delay them. Every query, staging and
+// maintenance method returns ErrClosed after a successful Close.
 //
 // # Lifecycle of plain accessors
 //
-// The no-error accessors (Len, Bounds, World, NumPartitions, SizeBytes,
-// SeedHeight, NumShards, ShardBounds, ShardGeneration, ...) read
-// in-memory state that outlives the page files: they keep returning
-// correct values after Close, and they serialize internally against
-// Rebuild (which swaps the state they read; each call answers from one
-// generation), so calling them concurrently with anything is safe —
-// and never makes a maintenance operation report ErrBusy. Only methods
-// that touch pages or mutate state report ErrClosed/ErrBusy.
+// The no-error accessors (Len, Bounds, NumPartitions, SizeBytes,
+// SeedHeight, NumShards, ShardBounds, ShardGeneration, DeltaStats,
+// DirtyShards, ...) read in-memory state that outlives the page files:
+// they keep returning correct values after Close, and they serialize
+// internally against Rebuild (which swaps the state they read; each
+// call answers from one generation), so calling them concurrently with
+// anything is safe — and never makes a maintenance operation report
+// ErrBusy. Only methods that touch pages or mutate state report
+// ErrClosed, and only Close and Rebuild report ErrBusy.
 //
 // # Choosing Shards
 //
@@ -238,10 +239,16 @@ type Options struct {
 // re-bulkloading only the shards they touch (see the README's "Staged
 // updates" section). See the package documentation for its concurrency
 // guarantees.
-type Index struct {
-	guard queryGuard
-	set   *shard.Set
-}
+type Index struct{ set *shard.Set }
+
+// ErrBusy is returned by Close and Rebuild while a query session is
+// being drained. Retry once it has drained; queries, staging and Flush
+// never return it.
+var ErrBusy = shard.ErrBusy
+
+// ErrClosed is returned by every query, staging call, Flush, Rebuild
+// and Close after a successful Close.
+var ErrClosed = shard.ErrClosed
 
 // Build bulkloads a FLAT index over els, which it may reorder in place
 // (with one shard the STR pass sorts it; with more, each shard's
@@ -299,26 +306,7 @@ func OpenShardedWithOptions(dir string, opts *Options) (*Index, error) { return 
 // partition, over the partitions of all shards. It is read off the
 // metadata pages (each shard's neighbor histogram), so a reopened index
 // reports what the built one did.
-func (ix *Index) AvgNeighbors() (float64, error) {
-	pointers, partitions := 0, 0
-	err := ix.guard.query(func() error {
-		for s := range ix.set.NumShards() {
-			h, err := ix.set.Shard(s).NeighborHistogram()
-			if err != nil {
-				return err
-			}
-			for n, count := range h {
-				pointers += n * count
-				partitions += count
-			}
-		}
-		return nil
-	})
-	if err != nil || partitions == 0 {
-		return 0, err
-	}
-	return float64(pointers) / float64(partitions), nil
-}
+func (ix *Index) AvgNeighbors() (float64, error) { return ix.set.AvgNeighbors() }
 
 // The plain accessors below stay valid after Close (they read in-memory
 // state the Close does not tear down) and serialize against Rebuild,
@@ -335,10 +323,6 @@ func (ix *Index) NumPartitions() int { return ix.set.NumPartitions() }
 
 // Bounds returns the bounding box of the indexed data.
 func (ix *Index) Bounds() MBR { return ix.set.Bounds() }
-
-// World returns the partitioned space — the space the shard assignment
-// was derived in.
-func (ix *Index) World() MBR { return ix.set.World() }
 
 // SizeBytes returns the on-disk footprint of the index, across all
 // shards.
@@ -368,15 +352,11 @@ func (ix *Index) SeedHeight() int { return ix.set.Totals().SeedHeight }
 
 // Close releases every shard's storage, syncing a directory's
 // write-ahead log first, so staged updates survive to the next Open
-// even without a Flush. When queries are in flight it returns ErrBusy and changes
-// nothing — the index keeps serving; retry once they drain. After a
-// successful Close every method returns ErrClosed.
-func (ix *Index) Close() error {
-	if err := ix.guard.shutdown(); err != nil {
-		return err
-	}
-	return ix.set.Close()
-}
+// even without a Flush. While a query session is being drained it
+// returns ErrBusy and changes nothing — the index keeps serving; retry
+// once it drains. After a successful Close every query and maintenance
+// method returns ErrClosed.
+func (ix *Index) Close() error { return ix.set.Close() }
 
 // PageCounts returns the number of object, metadata and seed-internal
 // pages over all shards: the bulkloaded index's page runs, without the

@@ -90,7 +90,7 @@ func TestPublicAPIRoundTrip(t *testing.T) {
 	if avg, err := ix.AvgNeighbors(); err != nil || avg <= 0 {
 		t.Errorf("AvgNeighbors = %v, %v", avg, err)
 	}
-	if !ix.World().Contains(ix.Bounds()) {
+	if !ix.set.World().Contains(ix.Bounds()) {
 		t.Error("world/bounds")
 	}
 }
@@ -187,7 +187,7 @@ func TestBuildThenOpen(t *testing.T) {
 	q := CubeAt(V(45, 55, 50), 28)
 	inspect := func(ix *Index) inspection {
 		t.Helper()
-		in := inspection{len: ix.Len(), seedHeight: ix.SeedHeight(), format: ix.ShardPageFormat(0), world: ix.World(), bounds: ix.Bounds()}
+		in := inspection{len: ix.Len(), seedHeight: ix.SeedHeight(), format: ix.ShardPageFormat(0), world: ix.set.World(), bounds: ix.Bounds()}
 		// One shard: its records are the index's, and any is a crawl start.
 		sh := ix.set.Shard(0)
 		var start core.RecordRef

@@ -1,11 +1,15 @@
 package flat
 
 import (
+	"context"
 	"errors"
 	"math/rand"
+	"path/filepath"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 )
 
 // TestCloseAndRebuildRefuseInFlightQueries is the -race regression
@@ -70,7 +74,7 @@ func TestCloseAndRebuildRefuseInFlightQueries(t *testing.T) {
 
 	// Deterministic refusal: with a query provably in flight, both
 	// maintenance operations return ErrBusy.
-	release := parkQuery(t, &ix.guard)
+	release := parkQuery(t, ix)
 	if err := ix.Close(); !errors.Is(err, ErrBusy) {
 		t.Errorf("Close with query in flight: %v, want ErrBusy", err)
 	}
@@ -95,29 +99,45 @@ func TestCloseAndRebuildRefuseInFlightQueries(t *testing.T) {
 
 // TestAccessorsSurviveClose pins the documented lifecycle of the plain
 // accessors: they keep returning correct values after Close instead of
-// panicking or going stale, at one shard and at several.
+// panicking or going stale, at one shard and at several, in memory and
+// in a directory with a staged delta in its log.
 func TestAccessorsSurviveClose(t *testing.T) {
 	r := rand.New(rand.NewSource(97))
 	els := randomElements(r, 1000)
 
 	for _, k := range []int{1, 3} {
-		ix, err := Build(append([]Element(nil), els...), &Options{Shards: k, pageCapacity: 16})
-		if err != nil {
-			t.Fatal(err)
+		for _, dir := range []string{"", filepath.Join(t.TempDir(), "idx")} {
+			ix, err := Build(append([]Element(nil), els...), &Options{Shards: k, pageCapacity: 16, Dir: dir})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := ix.StageInsert(Element{ID: 5000, Box: CubeAt(V(50, 50, 50), 1)}); err != nil {
+				t.Fatal(err)
+			}
+			if err := ix.StageDelete(els[0].ID, els[0].Box); err != nil {
+				t.Fatal(err)
+			}
+			last := k - 1
+			wantLen, wantShards, wantParts, wantBounds := ix.Len(), ix.NumShards(), ix.NumPartitions(), ix.Bounds()
+			wantHeight, wantSize := ix.SeedHeight(), ix.SizeBytes()
+			wantShardBounds, wantGen := ix.ShardBounds(last), ix.ShardGeneration(last)
+			wantDelta, wantDirty := ix.DeltaStats(), ix.DirtyShards()
+			if wantDelta.Inserts != 1 || wantDelta.Deletes != 1 || (dir != "") != (wantDelta.WALBytes > 0) || len(wantDirty) == 0 {
+				t.Fatalf("K=%d dir %q: before Close DeltaStats = %+v, DirtyShards = %v", k, dir, wantDelta, wantDirty)
+			}
+			if err := ix.Close(); err != nil {
+				t.Fatal(err)
+			}
+			if ix.Len() != wantLen || ix.NumShards() != wantShards || ix.NumPartitions() != wantParts || ix.Bounds() != wantBounds ||
+				ix.SeedHeight() != wantHeight || ix.SizeBytes() != wantSize || ix.set.World() == (MBR{}) ||
+				ix.ShardBounds(last) != wantShardBounds || ix.ShardGeneration(last) != wantGen {
+				t.Fatalf("K=%d dir %q: accessors changed across Close", k, dir)
+			}
+			if d, dirty := ix.DeltaStats(), ix.DirtyShards(); d != wantDelta || !slices.Equal(dirty, wantDirty) {
+				t.Fatalf("K=%d dir %q: DeltaStats %+v, DirtyShards %v after Close; before it %+v, %v", k, dir, d, dirty, wantDelta, wantDirty)
+			}
+			_ = ix.String() // must not panic either
 		}
-		last := k - 1
-		wantLen, wantShards, wantParts, wantBounds := ix.Len(), ix.NumShards(), ix.NumPartitions(), ix.Bounds()
-		wantHeight, wantSize := ix.SeedHeight(), ix.SizeBytes()
-		wantShardBounds, wantGen := ix.ShardBounds(last), ix.ShardGeneration(last)
-		if err := ix.Close(); err != nil {
-			t.Fatal(err)
-		}
-		if ix.Len() != wantLen || ix.NumShards() != wantShards || ix.NumPartitions() != wantParts || ix.Bounds() != wantBounds ||
-			ix.SeedHeight() != wantHeight || ix.SizeBytes() != wantSize || ix.World() == (MBR{}) ||
-			ix.ShardBounds(last) != wantShardBounds || ix.ShardGeneration(last) != wantGen {
-			t.Fatalf("K=%d: accessors changed across Close", k)
-		}
-		_ = ix.String() // must not panic either
 	}
 }
 
@@ -244,7 +264,7 @@ func TestShardedCloseGuard(t *testing.T) {
 	q := queryWorkload(r, 1)[0]
 
 	// Hold a query open across the maintenance attempts below.
-	release := parkQuery(t, &sx.guard)
+	release := parkQuery(t, sx)
 	if err := sx.Close(); !errors.Is(err, ErrBusy) {
 		t.Errorf("Close with query in flight: %v, want ErrBusy", err)
 	}
@@ -260,18 +280,23 @@ func TestShardedCloseGuard(t *testing.T) {
 	}
 }
 
-// parkQuery holds g's query side from another goroutine, as an
-// in-flight query would, until the returned func is called; that func
-// returns once the guard is free again.
-func parkQuery(t *testing.T, g *queryGuard) (release func()) {
+// parkQuery drains a real Query session over ix from another
+// goroutine and parks it inside its first run — in flight, as a served
+// query being streamed is — until the returned func is called; that
+// func returns once the session has finished.
+func parkQuery(t *testing.T, ix *Index) (release func()) {
 	t.Helper()
 	parked, unpark, done := make(chan struct{}), make(chan struct{}), make(chan error, 1)
 	go func() {
-		done <- g.query(func() error {
-			close(parked)
-			<-unpark
-			return nil
-		})
+		res := ix.Query(context.Background(), ix.Bounds())
+		for _, err := range res.Batches() {
+			if err == nil {
+				close(parked)
+				<-unpark
+			}
+			break
+		}
+		done <- res.Err()
 	}()
 	select {
 	case <-parked:
@@ -297,62 +322,172 @@ func mustPanic(t *testing.T, what string, fn func()) {
 	fn()
 }
 
-// TestGuardReleasesByConstruction pins the contract the closure API gives
-// for free: every side is released when fn returns — or panics — and a
-// refused acquire never runs fn.
+// TestGuardReleasesByConstruction pins what the set's one query helper
+// gives for free, on a real index: a session leaves the in-flight count
+// when it returns or panics, a parked session holds back Close and
+// Rebuild and nothing else, and a closed index runs nothing.
 func TestGuardReleasesByConstruction(t *testing.T) {
-	ran := func(ok *bool) func() error { return func() error { *ok = true; return nil } }
-
-	t.Run("panic leaves the guard free", func(t *testing.T) {
-		var g queryGuard
-		mustPanic(t, "query", func() { _ = g.query(func() error { panic("boom") }) })
-		// Had it leaked its read side, this TryLock would lose.
-		var ok bool
-		if err := g.maintain(ran(&ok)); err != nil || !ok {
-			t.Fatalf("maintain after panicking query: err %v, ran %v", err, ok)
-		}
-		mustPanic(t, "maintain", func() { _ = g.maintain(func() error { panic("boom") }) })
-		// Had maintain leaked the write side, this RLock would block and
-		// a second maintain would report ErrBusy.
-		ok = false
-		if err := g.query(ran(&ok)); err != nil || !ok {
-			t.Fatalf("query after panicking maintain: err %v, ran %v", err, ok)
-		}
-		if err := g.maintain(ran(&ok)); err != nil {
-			t.Fatalf("maintain after panicking maintain: %v", err)
-		}
-	})
-
-	t.Run("closed guard runs nothing", func(t *testing.T) {
-		var g queryGuard
-		if err := g.shutdown(); err != nil {
+	r := rand.New(rand.NewSource(94))
+	els := randomElements(r, 1000)
+	build := func(t *testing.T) *Index {
+		ix, err := Build(append([]Element(nil), els...), &Options{Shards: 2, pageCapacity: 16})
+		if err != nil {
 			t.Fatal(err)
 		}
-		var ok bool
-		if err := g.query(ran(&ok)); !errors.Is(err, ErrClosed) || ok {
-			t.Errorf("query on closed guard: err %v, ran %v", err, ok)
+		return ix
+	}
+	extra := Element{ID: 5000, Box: CubeAt(V(50, 50, 50), 1)}
+	ctx := context.Background()
+
+	t.Run("panic leaves the guard free", func(t *testing.T) {
+		ix := build(t)
+		defer ix.Close()
+		mustPanic(t, "range session", func() {
+			for range ix.Query(ctx, ix.Bounds()).All() {
+				panic("boom")
+			}
+		})
+		mustPanic(t, "NN session", func() {
+			for range ix.NN(ctx, V(50, 50, 50), 5).All() {
+				panic("boom")
+			}
+		})
+		// Had either session stayed in flight, Rebuild would report ErrBusy.
+		if err := ix.StageInsert(extra); err != nil {
+			t.Fatal(err)
 		}
-		if err := g.maintain(ran(&ok)); !errors.Is(err, ErrClosed) || ok {
-			t.Errorf("maintain on closed guard: err %v, ran %v", err, ok)
+		if rebuilt, err := ix.Rebuild(); err != nil || len(rebuilt) == 0 {
+			t.Fatalf("Rebuild after panicking consumers: %v, %v", rebuilt, err)
 		}
 	})
 
 	t.Run("maintain is busy while a query is parked", func(t *testing.T) {
-		var g queryGuard
-		release := parkQuery(t, &g)
-		var ok bool
-		if err := g.maintain(ran(&ok)); !errors.Is(err, ErrBusy) || ok {
-			t.Errorf("maintain beside a parked query: err %v, ran %v", err, ok)
+		ix := build(t)
+		defer ix.Close()
+		release := parkQuery(t, ix)
+		if n, _, err := ix.CountQuery(ix.Bounds()); err != nil || n != len(els) {
+			t.Errorf("second query beside a parked one: %d, %v; want %d", n, err, len(els))
 		}
-		if err := g.shutdown(); !errors.Is(err, ErrBusy) {
-			t.Errorf("shutdown beside a parked query: %v, want ErrBusy", err)
+		if err := ix.StageInsert(extra); err != nil {
+			t.Errorf("StageInsert beside a parked query: %v", err)
 		}
-		if err := g.query(ran(&ok)); err != nil || !ok {
-			t.Errorf("second query beside a parked one: err %v, ran %v", err, ok)
+		if err := ix.Flush(); err != nil {
+			t.Errorf("Flush beside a parked query: %v", err)
+		}
+		if _, err := ix.Rebuild(); !errors.Is(err, ErrBusy) {
+			t.Errorf("Rebuild beside a parked query: %v, want ErrBusy", err)
 		}
 		release()
-		if err := g.maintain(ran(&ok)); err != nil {
-			t.Errorf("maintain after the query drained: %v", err)
+		if _, err := ix.Rebuild(); err != nil {
+			t.Errorf("Rebuild after the query drained: %v", err)
 		}
 	})
+
+	t.Run("closed guard runs nothing", func(t *testing.T) {
+		ix := build(t)
+		if err := ix.Close(); err != nil {
+			t.Fatal(err)
+		}
+		ran := false
+		for _, err := range ix.Query(ctx, ix.Bounds()).All() {
+			if !errors.Is(err, ErrClosed) {
+				ran = true
+			}
+		}
+		if ran {
+			t.Error("a range session on a closed index yielded an element")
+		}
+		if _, _, err := ix.RangeQuery(ix.Bounds()); !errors.Is(err, ErrClosed) {
+			t.Errorf("RangeQuery after Close: %v, want ErrClosed", err)
+		}
+		if _, _, err := ix.NN(ctx, V(50, 50, 50), 5).Collect(); !errors.Is(err, ErrClosed) {
+			t.Errorf("NN after Close: %v, want ErrClosed", err)
+		}
+		if _, err := ix.AvgNeighbors(); !errors.Is(err, ErrClosed) {
+			t.Errorf("AvgNeighbors after Close: %v, want ErrClosed", err)
+		}
+		if err := ix.StageInsert(extra); !errors.Is(err, ErrClosed) {
+			t.Errorf("StageInsert after Close: %v, want ErrClosed", err)
+		}
+		if err := ix.StageDelete(extra.ID, extra.Box); !errors.Is(err, ErrClosed) {
+			t.Errorf("StageDelete after Close: %v, want ErrClosed", err)
+		}
+		if err := ix.Flush(); !errors.Is(err, ErrClosed) {
+			t.Errorf("Flush after Close: %v, want ErrClosed", err)
+		}
+		if _, err := ix.Rebuild(); !errors.Is(err, ErrClosed) {
+			t.Errorf("Rebuild after Close: %v, want ErrClosed", err)
+		}
+		if err := ix.Close(); !errors.Is(err, ErrClosed) {
+			t.Errorf("second Close: %v, want ErrClosed", err)
+		}
+	})
+}
+
+// TestStagingNeverMakesMaintenanceBusy pins what ErrBusy means: a query
+// session being drained, and nothing else. With no query running, a
+// stager and a poller of DeltaStats, DirtyShards and Flush keep the
+// index busy for half a second while a loop calls Rebuild, and then
+// Close; neither may report ErrBusy — they wait for the staging calls
+// instead, as the staging calls wait for them.
+func TestStagingNeverMakesMaintenanceBusy(t *testing.T) {
+	r := rand.New(rand.NewSource(93))
+	ix, err := Build(randomElements(r, 4000), &Options{Shards: 2, Dir: filepath.Join(t.TempDir(), "idx")})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Each writer stops at ErrClosed, which Close makes every later
+	// staging call and Flush return; any other error fails the test.
+	var wg sync.WaitGroup
+	stopped := func(what string, err error) bool {
+		if err != nil && !errors.Is(err, ErrClosed) {
+			t.Errorf("%s: %v", what, err)
+		}
+		return err != nil
+	}
+	wg.Add(2)
+	go func() {
+		defer wg.Done()
+		for i := uint64(0); ; i++ {
+			c := V(float64(i%100), float64(i*7%100), float64(i*13%100))
+			if stopped("StageInsert", ix.StageInsert(Element{ID: 100000 + i, Box: CubeAt(c, 1)})) {
+				return
+			}
+		}
+	}()
+	go func() {
+		defer wg.Done()
+		for {
+			_ = ix.DeltaStats()
+			_ = ix.DirtyShards()
+			if stopped("Flush", ix.Flush()) {
+				return
+			}
+		}
+	}()
+	busy, calls, folds := 0, 0, 0
+	for start := time.Now(); time.Since(start) < 500*time.Millisecond; calls++ {
+		rebuilt, err := ix.Rebuild()
+		switch {
+		case errors.Is(err, ErrBusy):
+			busy++
+		case err != nil:
+			t.Errorf("Rebuild: %v", err)
+		case len(rebuilt) > 0:
+			folds++
+		}
+	}
+	if err := ix.Close(); errors.Is(err, ErrBusy) {
+		busy++
+	} else if err != nil {
+		t.Errorf("Close: %v", err)
+	}
+	wg.Wait()
+	if busy > 0 {
+		t.Fatalf("Rebuild and Close reported ErrBusy %d times in %d calls with no query in flight", busy, calls+1)
+	}
+	if folds == 0 {
+		t.Fatal("no Rebuild folded a staged insert")
+	}
+	t.Logf("%d Rebuild calls beside the writers, %d of them folds; %d elements at Close", calls, folds, ix.Len())
 }

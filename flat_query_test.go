@@ -210,7 +210,7 @@ func TestQueryContextAlreadyDone(t *testing.T) {
 }
 
 // TestQuerySessionAbandonReleasesGuard breaks out of a session
-// mid-stream and verifies the query guard is released (Close succeeds
+// mid-stream and verifies the session left the in-flight count (Close succeeds
 // immediately) and the session started no goroutine: the crawl ran on
 // this one.
 func TestQuerySessionAbandonReleasesGuard(t *testing.T) {

@@ -45,17 +45,11 @@ func testStagedUpdates(t *testing.T, k int) {
 	}
 	checkStaged := func(sx *Index) (dirty []int) {
 		t.Helper()
-		st, err := sx.DeltaStats()
-		if err != nil {
-			t.Fatal(err)
-		}
+		st := sx.DeltaStats()
 		if st.Inserts != len(fresh) || st.Deletes != 1 {
 			t.Fatalf("DeltaStats = %d inserts, %d deletes, want %d and 1", st.Inserts, st.Deletes, len(fresh))
 		}
-		if dirty, err = sx.DirtyShards(); err != nil {
-			t.Fatal(err)
-		}
-		if len(dirty) == 0 || len(dirty) > sx.NumShards() {
+		if dirty = sx.DirtyShards(); len(dirty) == 0 || len(dirty) > sx.NumShards() {
 			t.Fatalf("DirtyShards = %v", dirty)
 		}
 		return dirty
@@ -126,8 +120,8 @@ func testStagedUpdates(t *testing.T, k int) {
 			t.Errorf("rebuilt shard %d at generation %d, want 1", s, sx.ShardGeneration(s))
 		}
 	}
-	if st, err := sx.DeltaStats(); err != nil || st.Inserts != 0 || st.Deletes != 0 {
-		t.Fatalf("DeltaStats after rebuild = %+v, %v, want nothing staged", st, err)
+	if st := sx.DeltaStats(); st.Inserts != 0 || st.Deletes != 0 {
+		t.Fatalf("DeltaStats after rebuild = %+v, want nothing staged", st)
 	}
 	if sx.Len() != len(merged) {
 		t.Fatalf("Len after rebuild = %d, want %d", sx.Len(), len(merged))
@@ -143,8 +137,8 @@ func testStagedUpdates(t *testing.T, k int) {
 		t.Fatal(err)
 	}
 	defer re.Close()
-	if st, err := re.DeltaStats(); err != nil || st.Inserts != 0 || st.Deletes != 0 {
-		t.Fatalf("DeltaStats after rebuild and reopen = %+v, %v, want nothing staged", st, err)
+	if st := re.DeltaStats(); st.Inserts != 0 || st.Deletes != 0 {
+		t.Fatalf("DeltaStats after rebuild and reopen = %+v, want nothing staged", st)
 	}
 	if re.Len() != len(merged) {
 		t.Fatalf("reopened Len = %d, want %d", re.Len(), len(merged))
@@ -229,8 +223,8 @@ func TestRebuildRefusesInFlightQueries(t *testing.T) {
 	if _, err := sx.Rebuild(); err != nil {
 		t.Fatal(err)
 	}
-	if st, err := sx.DeltaStats(); err != nil || st.Inserts != 0 || st.Deletes != 0 {
-		t.Fatalf("DeltaStats after drain = %+v, %v, want nothing staged", st, err)
+	if st := sx.DeltaStats(); st.Inserts != 0 || st.Deletes != 0 {
+		t.Fatalf("DeltaStats after drain = %+v, want nothing staged", st)
 	}
 	got, _, err := sx.RangeQuery(CubeAt(V(50, 50, 50), 2))
 	if err != nil {
@@ -288,32 +282,26 @@ func TestFlushAndDeltaStats(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	st, err := sx.DeltaStats()
-	if err != nil {
-		t.Fatal(err)
-	}
+	st := sx.DeltaStats()
 	if st.Inserts != len(fresh) || st.Deletes != 1 {
 		t.Fatalf("DeltaStats = %+v, want %d inserts / 1 delete", st, len(fresh))
 	}
 	if st.WALBytes == 0 {
 		t.Fatal("DeltaStats.WALBytes = 0, want the staged records on disk")
 	}
-	if dirty, err := sx.DirtyShards(); err != nil || len(dirty) == 0 {
-		t.Fatalf("DirtyShards = %v, %v, want the shard the inserts route to", dirty, err)
+	if dirty := sx.DirtyShards(); len(dirty) == 0 {
+		t.Fatalf("DirtyShards = %v, want the shard the inserts route to", dirty)
 	}
 
 	if _, err := sx.Rebuild(); err != nil {
 		t.Fatal(err)
 	}
-	after, err := sx.DeltaStats()
-	if err != nil {
-		t.Fatal(err)
-	}
+	after := sx.DeltaStats()
 	if after.Inserts != 0 || after.Deletes != 0 {
 		t.Fatalf("post-Rebuild DeltaStats = %+v, want empty delta", after)
 	}
-	if dirty, err := sx.DirtyShards(); err != nil || len(dirty) != 0 {
-		t.Fatalf("post-Rebuild DirtyShards = %v, %v, want none", dirty, err)
+	if dirty := sx.DirtyShards(); len(dirty) != 0 {
+		t.Fatalf("post-Rebuild DirtyShards = %v, want none", dirty)
 	}
 	if after.WALBytes >= st.WALBytes {
 		t.Fatalf("post-Rebuild WALBytes = %d, want < %d (log rotated)", after.WALBytes, st.WALBytes)
@@ -363,8 +351,8 @@ func TestDirectoryIndexLogsByDefault(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer re.Close()
-	if st, err := re.DeltaStats(); err != nil || st.Inserts != 1 || st.WALBytes == 0 {
-		t.Fatalf("reopened copy: DeltaStats = %+v, %v; want 1 insert replayed from the log", st, err)
+	if st := re.DeltaStats(); st.Inserts != 1 || st.WALBytes == 0 {
+		t.Fatalf("reopened copy: DeltaStats = %+v; want 1 insert replayed from the log", st)
 	}
 	got, _, err := re.RangeQuery(extra.Box)
 	if err != nil {

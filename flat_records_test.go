@@ -46,7 +46,7 @@ func TestRecordsInvariants(t *testing.T) {
 				t.Fatalf("object page %d described by two records", rc.ObjectPage)
 			}
 			objects[rc.ObjectPage] = true
-			if !ix.World().Contains(rc.PageMBR) {
+			if !ix.set.World().Contains(rc.PageMBR) {
 				t.Fatalf("record %v: page MBR escapes the world", rc.Ref)
 			}
 			partitions[rc.Ref] = rc.PartitionMBR

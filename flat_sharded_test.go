@@ -141,7 +141,7 @@ func TestShardedColdReadParityK1(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				refAvg, err := ref.AvgNeighbors()
+				refAvg, err := core.AvgNeighbors(ref)
 				if err != nil {
 					t.Fatal(err)
 				}

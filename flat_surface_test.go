@@ -51,7 +51,6 @@ var publicSurface = []string{
 	"Index.StageDelete",
 	"Index.StageInsert",
 	"Index.String",
-	"Index.World",
 	"Join",
 	"JoinStats",
 	"MBR",

@@ -4,11 +4,12 @@
 // a violation of a rule that existed only in prose; these analyzers
 // turn those rules into CI failures.
 //
-// A rule the code can make inexpressible needs no pass: the query
-// guard and the admission budget take a closure and release in a defer
-// of the same function (guard.go, serve/admission.go), so "every
-// acquire is released on every return path" holds by construction and
-// has no checker here.
+// A rule the code can make inexpressible needs no pass: shard.Set's
+// query helper (Set.query, which counts a query in flight) and the
+// admission budget take a closure and release in a defer of the same
+// function (shard/delta.go, serve/admission.go), so "every acquire is
+// released on every return path" holds by construction and has no
+// checker here.
 //
 // The seven that remain: name, justified suppressions in non-test code
 // today, what the pass checks in this module today, and what earns it
@@ -17,7 +18,7 @@
 //
 //	codecbounds 0  13 page-read call sites (core, rtree)        page layouts (v1/v2, PR 7) are decoded only in storage; a test sees only the formats it builds
 //	ctxcrawl    5  every page-read loop (core, rtree)          PR 6: forced ctx checks into core's seed slot loop and overflow-chain walk (2 more in benchmark/)
-//	lockedfield 0  5 annotated fields (queryGuard, shard.Set)  "guarded by mu" holds on every access; -race sees only the interleavings a test runs
+//	lockedfield 0  5 annotated fields (shard.Set)              "guarded by mu" holds on every access; -race sees only the interleavings a test runs
 //	pageidpack  2  RecordRef's whole-PageID packing (core)     PageID shard-tag arithmetic stays in storage; a stray shift is wrong at K > 1 only
 //	reflectsort 0  the 8 engine packages                       PR 19: sort.SliceStable was 80 % of build CPU; no timing test can gate that on 2 vCPUs
 //	statsonerr  0  18 (…QueryStats, error) functions           stats cover the work performed on every error return; flagged no real diff yet (ROADMAP 1a extends it)

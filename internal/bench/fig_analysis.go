@@ -162,7 +162,7 @@ func (r *Runner) fig21() ([]*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		avg, err := ix.AvgNeighbors()
+		avg, err := core.AvgNeighbors(ix)
 		if err != nil {
 			return nil, err
 		}
@@ -188,7 +188,7 @@ func (r *Runner) fig21() ([]*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		avg, err := ix.AvgNeighbors()
+		avg, err := core.AvgNeighbors(ix)
 		if err != nil {
 			return nil, err
 		}

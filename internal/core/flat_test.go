@@ -430,7 +430,7 @@ func TestAnalysisAccessors(t *testing.T) {
 		t.Errorf("histogram covers %d partitions, want %d", total, ix.NumPartitions())
 	}
 	bs := ix.BuildStats()
-	if avg, err := ix.AvgNeighbors(); err != nil || avg != float64(bs.NeighborLinks)/float64(bs.Partitions) {
+	if avg, err := AvgNeighbors(ix); err != nil || avg != float64(bs.NeighborLinks)/float64(bs.Partitions) {
 		t.Errorf("AvgNeighbors = %v, %v; the build stored %d links over %d partitions", avg, err, bs.NeighborLinks, bs.Partitions)
 	}
 	if bs.Partitions != ix.NumPartitions() || bs.NeighborLinks <= 0 || bs.TotalTime <= 0 {

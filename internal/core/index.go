@@ -212,16 +212,22 @@ func (ix *Index) NeighborHistogram() (map[int]int, error) {
 }
 
 // AvgNeighbors returns the mean number of neighbor pointers per
-// partition (Figure 21's y-axis).
-func (ix *Index) AvgNeighbors() (float64, error) {
-	h, err := ix.NeighborHistogram()
-	if err != nil || len(h) == 0 {
-		return 0, err
-	}
+// partition over the partitions of every index in ixs (Figure 21's
+// y-axis), read off their neighbor histograms; 0 when they have none.
+func AvgNeighbors(ixs ...*Index) (float64, error) {
 	pointers, partitions := 0, 0
-	for n, count := range h {
-		pointers += n * count
-		partitions += count
+	for _, ix := range ixs {
+		h, err := ix.NeighborHistogram()
+		if err != nil {
+			return 0, err
+		}
+		for n, count := range h {
+			pointers += n * count
+			partitions += count
+		}
+	}
+	if partitions == 0 {
+		return 0, nil
 	}
 	return float64(pointers) / float64(partitions), nil
 }

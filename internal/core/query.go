@@ -483,7 +483,7 @@ type Record struct {
 // Records enumerates every metadata record in the index in on-disk
 // order (a walk of the seed tree down to its metadata pages), calling
 // fn with each. Used by invariant tests and the neighbor analyses
-// (NeighborHistogram, and through it flat.Index.AvgNeighbors).
+// (NeighborHistogram, and through it AvgNeighbors).
 func (ix *Index) Records(fn func(Record) error) error {
 	type keyed struct {
 		seedItem

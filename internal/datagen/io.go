@@ -7,6 +7,8 @@ import (
 	"io"
 	"math"
 	"os"
+	"strconv"
+	"strings"
 
 	"flat/internal/geom"
 )
@@ -123,4 +125,22 @@ func LoadElements(path string) ([]geom.Element, error) {
 	}
 	defer f.Close()
 	return ReadElements(f)
+}
+
+// ParseFloats parses s as exactly n comma-separated numbers, the form
+// the CLIs take a query box ("x,y,z,X,Y,Z") or point ("x,y,z") in.
+func ParseFloats(s string, n int) ([]float64, error) {
+	parts := strings.Split(s, ",")
+	if len(parts) != n {
+		return nil, fmt.Errorf("want %d comma-separated numbers, got %d", n, len(parts))
+	}
+	out := make([]float64, n)
+	for i, p := range parts {
+		f, err := strconv.ParseFloat(strings.TrimSpace(p), 64)
+		if err != nil {
+			return nil, err
+		}
+		out[i] = f
+	}
+	return out, nil
 }

@@ -651,7 +651,7 @@ func testStagedWritesDurableAcrossReopen(t *testing.T, k int) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if stats.Delta == nil || stats.Delta.Inserts != 1 || stats.Delta.Deletes != 1 {
+	if stats.Delta.Inserts != 1 || stats.Delta.Deletes != 1 {
 		t.Fatalf("stats delta = %+v, want 1 insert + 1 delete", stats.Delta)
 	}
 	if stats.Counters.Inserts != 1 || stats.Counters.Deletes != 1 {
@@ -669,11 +669,7 @@ func testStagedWritesDurableAcrossReopen(t *testing.T, k int) {
 		t.Fatal(err)
 	}
 	defer re.Close()
-	d, err := re.DeltaStats()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d.Inserts != 1 || d.Deletes != 1 {
+	if d := re.DeltaStats(); d.Inserts != 1 || d.Deletes != 1 {
 		t.Fatalf("replayed delta: %d inserts, %d deletes; want 1 and 1", d.Inserts, d.Deletes)
 	}
 	got, _, err := re.RangeQuery(extra.Box)
@@ -725,11 +721,7 @@ func TestRebuildOverWire(t *testing.T) {
 	if n == 0 {
 		t.Fatal("rebuild folded no shards despite a staged insert")
 	}
-	d, err := sx.DeltaStats()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d.Inserts != 0 || d.Deletes != 0 {
+	if d := sx.DeltaStats(); d.Inserts != 0 || d.Deletes != 0 {
 		t.Fatalf("delta after rebuild: %d inserts, %d deletes", d.Inserts, d.Deletes)
 	}
 }
@@ -786,7 +778,7 @@ func TestShutdownDrainsAndRefuses(t *testing.T) {
 		t.Fatalf("index unusable after Shutdown: %v", err)
 	}
 	// ... and closable at once, as cmd/flatserve does: Shutdown waited
-	// for the query goroutines, so none still holds the query guard.
+	// for the query goroutines, so no query is still in flight.
 	if err := sx.Close(); err != nil {
 		t.Fatalf("Close right after Shutdown: %v", err)
 	}
@@ -796,7 +788,8 @@ func TestShutdownDrainsAndRefuses(t *testing.T) {
 // Shutdown runs, over rounds that start Shutdown at growing delays after
 // the first dials. Serve counts a connection's handler before it
 // releases the registry Shutdown closes connections under, so once
-// Shutdown returns no handler may be running or about to start.
+// Shutdown returns no handler may be running or about to start; one
+// already inside its deferred wg.Done is finished (exiting).
 func TestNoHandlerAfterShutdown(t *testing.T) {
 	sx, err := flat.Build(testElements(2000, 31), &flat.Options{})
 	if err != nil {
@@ -832,7 +825,7 @@ func TestNoHandlerAfterShutdown(t *testing.T) {
 		}
 		time.Sleep(time.Duration(round) * 10 * time.Microsecond)
 		s.Shutdown()
-		held := otherStacks(func(g string) bool { return strings.Contains(g, "(*Server).handle") })
+		held := otherStacks(func(g string) bool { return strings.Contains(g, "(*Server).handle") && !exiting(g) })
 		dialers.Wait()
 		for _, c := range conns {
 			c.Close()
@@ -949,17 +942,17 @@ func TestShutdownStopsWorkers(t *testing.T) {
 	}
 }
 
-// exiting reports whether the worker stack g is past its last query:
-// inside its deferred wg.Done, or just back from it. Shutdown's Wait
-// may return before such a goroutine is gone, as it may before any
-// goroutine that signals a WaitGroup on its way out.
+// exiting reports whether the worker or connection-handler stack g is
+// past its work: inside its deferred wg.Done, or just back from it.
+// Shutdown's Wait may return before such a goroutine is gone, as it may
+// before any goroutine that signals a WaitGroup on its way out.
 func exiting(g string) bool {
 	for _, l := range strings.Split(g, "\n")[1:] { // behind "goroutine N [state]:"
 		switch {
 		case strings.HasPrefix(l, "\t"): // a frame's file and line
 		case strings.HasPrefix(l, "sync."), strings.HasPrefix(l, "sync/atomic."), strings.HasPrefix(l, "internal/race."):
 		default:
-			return strings.HasPrefix(l, "flat/internal/serve.(*srvConn).worker(")
+			return strings.HasPrefix(l, "flat/internal/serve.(*srvConn).worker(") || strings.HasPrefix(l, "flat/internal/serve.(*Server).handle(")
 		}
 	}
 	return false

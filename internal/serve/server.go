@@ -83,7 +83,7 @@ type ServerStats struct {
 	Inflight    int // queries currently holding admission slots
 	MaxInflight int
 	Counters    Counters
-	Delta       *flat.DeltaStats `json:",omitempty"`
+	Delta       flat.DeltaStats
 }
 
 // Server serves one opened index over TCP. It does not own the index:
@@ -225,18 +225,15 @@ func (s *Server) counters() Counters {
 // Stats snapshots the admin view (also reachable over the wire via
 // Client.Stats).
 func (s *Server) Stats() ServerStats {
-	st := ServerStats{
+	return ServerStats{
 		Elements:    s.ix.Len(),
 		Partitions:  s.ix.NumPartitions(),
 		SizeBytes:   s.ix.SizeBytes(),
 		Inflight:    s.adm.inflight(),
 		MaxInflight: s.adm.capacity(),
 		Counters:    s.counters(),
+		Delta:       s.ix.DeltaStats(),
 	}
-	if d, err := s.ix.DeltaStats(); err == nil {
-		st.Delta = &d
-	}
-	return st
 }
 
 // srvConn is the per-connection state: the read loop, the registry of
@@ -502,7 +499,7 @@ func (sc *srvConn) admit(reqID uint32, kind byte, box flat.MBR, limit int) {
 		return
 	}
 	// Shutdown waits for the workers too: once it returns, none still
-	// holds an admission slot or the index's query guard, so the caller
+	// holds an admission slot or runs a query on the index, so the caller
 	// may Close the index. This Add cannot race Shutdown's Wait — it runs
 	// on the handler goroutine, which holds a count of its own.
 	sc.workers++

@@ -160,7 +160,7 @@ func (s *Set) deleteViewLocked() deleteView {
 // stays valid after the lock is released (see the file header). A range
 // query probes it (stagedHits); a k-NN query hands it to core.NN as its
 // overlay. Views are pooled with their buffers, so a warm query
-// allocates nothing.
+// allocates nothing; query takes and returns them.
 type view struct {
 	inserts []stagedInsert
 	runs    []str.Tree
@@ -171,27 +171,49 @@ type view struct {
 
 var views = sync.Pool{New: func() any { return new(view) }}
 
-// takeView snapshots the generation s serves and its staged delta, in
-// one read lock, into a pooled view the caller releases.
-func (s *Set) takeView() (*generation, *view) {
-	v := views.Get().(*view)
+// query runs fn as one in-flight query: over the generation s serves
+// and a pooled view of its staged delta, both taken in one read lock.
+// The in-flight count is raised under that lock and lowered in a defer
+// here, so fn returning, failing or panicking always releases it, and
+// Rebuild and Close report ErrBusy exactly while some fn runs. After
+// Close fn does not run and query returns ErrClosed.
+func (s *Set) query(fn func(*generation, *view) error) error {
+	g, v := s.enter()
+	if v == nil {
+		return ErrClosed
+	}
+	defer s.leave(v)
+	return fn(g, v)
+}
+
+// enter is query's read-locked step: it raises the in-flight count and
+// snapshots the generation and the staged delta, or returns a nil view
+// after Close.
+func (s *Set) enter() (*generation, *view) {
 	s.pmu.RLock()
 	defer s.pmu.RUnlock()
+	if s.closed {
+		return nil, nil
+	}
+	s.inflight.Add(1)
+	v := views.Get().(*view)
 	v.inserts, v.runs, v.dels = slices.Clip(s.staged.inserts), s.staged.insRuns, s.deleteViewLocked()
 	return s.cur, v
 }
 
-// release drops v's references to the epoch and returns v to the pool.
-func (v *view) release() {
+// leave ends query's fn: it drops v's references to the epoch, returns
+// v to the pool and lowers the in-flight count.
+func (s *Set) leave(v *view) {
 	clear(v.hits)
 	v.inserts, v.runs, v.found, v.hits, v.dels = nil, nil, v.found[:0], v.hits[:0], deleteView{}
 	views.Put(v)
+	s.inflight.Add(-1)
 }
 
 // stagedHits returns, in staging order, the staged inserts whose boxes
 // meet q and that no later delete dooms: the run a range query emits
-// after its last shard. The result is v's buffer, valid until v is
-// released.
+// after its last shard. The result is v's buffer, valid until query's
+// fn returns.
 func (v *view) stagedHits(q geom.MBR) []geom.Element {
 	v.found = v.found[:0]
 	for i := range v.runs {

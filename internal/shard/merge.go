@@ -43,37 +43,39 @@ type StreamOptions struct{}
 // The returned stats cover exactly the work performed, on error and
 // cancellation too; Results counts the elements of the runs emitted. A
 // done ctx aborts the crawl with ctx.Err(), but a stream that
-// delivered its last run returns nil.
-func (s *Set) StreamRuns(ctx context.Context, q geom.MBR, emit func([]geom.Element) bool) (core.QueryStats, error) {
-	g, v := s.takeView()
-	defer v.release()
-	var st core.QueryStats
-	emitted, stopped := 0, false
-	push := func(run []geom.Element) bool {
-		if run = v.dels.filter(run); len(run) == 0 {
-			return true
+// delivered its last run returns nil. The stream is one query (see
+// Set.query): Rebuild and Close report ErrBusy while it runs, and after
+// Close it returns ErrClosed without reading a page.
+func (s *Set) StreamRuns(ctx context.Context, q geom.MBR, emit func([]geom.Element) bool) (st core.QueryStats, err error) {
+	err = s.query(func(g *generation, v *view) error {
+		emitted, stopped := 0, false
+		push := func(run []geom.Element) bool {
+			if run = v.dels.filter(run); len(run) == 0 {
+				return true
+			}
+			emitted += len(run)
+			stopped = !emit(run)
+			return !stopped
 		}
-		emitted += len(run)
-		stopped = !emit(run)
-		return !stopped
-	}
-	for _, ix := range g.shards {
-		if !ix.Bounds().Intersects(q) {
-			continue
+		for _, ix := range g.shards {
+			if !ix.Bounds().Intersects(q) {
+				continue
+			}
+			sst, err := ix.QueryRuns(ctx, q, push)
+			st.Add(sst)
+			if err != nil || stopped {
+				st.Results = emitted
+				return err
+			}
 		}
-		sst, err := ix.QueryRuns(ctx, q, push)
-		st.Add(sst)
-		if err != nil || stopped {
-			st.Results = emitted
-			return st, err
+		if run := v.stagedHits(q); len(run) > 0 {
+			emitted += len(run)
+			emit(run)
 		}
-	}
-	if run := v.stagedHits(q); len(run) > 0 {
-		emitted += len(run)
-		emit(run)
-	}
-	st.Results = emitted
-	return st, nil
+		st.Results = emitted
+		return nil
+	})
+	return st, err
 }
 
 // StreamQuery is StreamRuns one element at a time: emit returning false

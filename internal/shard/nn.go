@@ -28,6 +28,7 @@ import (
 // its distance, and among staged inserts by staging order. A p with a
 // NaN or infinite coordinate is an error. The returned stats cover
 // exactly the work performed and Results counts the elements emitted.
+// Like StreamRuns the stream is one query: ErrClosed after Close.
 //
 // k is reserved: the stream runs until emit stops it, so a caller
 // wanting k results stops after the k-th. It remains only because
@@ -37,7 +38,10 @@ func (s *Set) NNQuery(ctx context.Context, p geom.Vec3, _ int, emit func(geom.El
 	if !geom.PointBox(p).Valid() {
 		return core.QueryStats{}, fmt.Errorf("shard: nn query point %v is not finite", p)
 	}
-	g, v := s.takeView()
-	defer v.release()
-	return core.NN(ctx, g.shards, v, p, emit)
+	var st core.QueryStats
+	err := s.query(func(g *generation, v *view) (err error) {
+		st, err = core.NN(ctx, g.shards, v, p, emit)
+		return err
+	})
+	return st, err
 }

@@ -86,7 +86,8 @@ func deleteMatches(d pendingDelete, e geom.Element) bool {
 // the smaller shard volume; see routeShard), the directory-driven
 // analogue of the Hilbert assignment the original build used. Staging
 // is last-op-wins: inserting an (ID, Box) pair that a pending delete
-// doomed restores the element. Safe to call concurrently with queries.
+// doomed restores the element. Safe to call concurrently with queries;
+// returns ErrClosed after Close.
 func (s *Set) StageInsert(els ...geom.Element) error {
 	for _, e := range els {
 		if !e.Box.Valid() {
@@ -95,6 +96,9 @@ func (s *Set) StageInsert(els ...geom.Element) error {
 	}
 	s.pmu.Lock()
 	defer s.pmu.Unlock()
+	if s.closed {
+		return ErrClosed
+	}
 	// WAL first: the operations are logged (with the seqs they are about
 	// to be staged under) before any of them mutates memory, so a crash
 	// can never leave memory ahead of the log. The append is the only step
@@ -145,10 +149,14 @@ func (s *Set) replayWAL(recs []storage.WALRecord) {
 // survive any crash. This is the write path's acknowledgement point —
 // between Flush calls, a crash may lose the operations staged since
 // the last one (unless the set syncs per op). A memory-backed set keeps
-// no log: there is nothing to make durable and Flush is a no-op.
+// no log: there is nothing to make durable and Flush is a no-op. Returns
+// ErrClosed after Close.
 func (s *Set) Flush() error {
 	s.pmu.Lock()
 	defer s.pmu.Unlock()
+	if s.closed {
+		return ErrClosed
+	}
 	if s.wal == nil {
 		return nil
 	}
@@ -165,10 +173,14 @@ func (s *Set) Flush() error {
 // is dropped for good at the next Rebuild; a matching insert staged
 // *after* the delete restores it (last-op-wins). Deleting an element
 // that does not exist is a no-op that costs one pending entry until
-// the next Rebuild. Safe to call concurrently with queries.
+// the next Rebuild. Safe to call concurrently with queries; returns
+// ErrClosed after Close.
 func (s *Set) StageDelete(id uint64, box geom.MBR) error {
 	s.pmu.Lock()
 	defer s.pmu.Unlock()
+	if s.closed {
+		return ErrClosed
+	}
 	if s.wal != nil {
 		rec := storage.WALRecord{Op: storage.WALDelete, Seq: s.clock + 1, ID: id, Box: box}
 		if err := s.wal.Append(rec); err != nil {
@@ -191,7 +203,8 @@ type DeltaStats struct {
 }
 
 // DeltaStats snapshots the size of the pending delta in O(1). Safe to
-// call concurrently with queries and staging.
+// call concurrently with anything; after Close it reports what it did
+// before.
 func (s *Set) DeltaStats() DeltaStats {
 	s.pmu.RLock()
 	defer s.pmu.RUnlock()
@@ -205,7 +218,8 @@ func (s *Set) DeltaStats() DeltaStats {
 // DirtyShards returns the shards the staged updates may touch — the
 // candidates the next Rebuild will examine, in shard order. A
 // candidate whose contents turn out unchanged (its only staged changes
-// are deletes that match nothing) is skipped by the rebuild.
+// are deletes that match nothing) is skipped by the rebuild. Like
+// DeltaStats it reads only in-memory state and answers after Close.
 func (s *Set) DirtyShards() []int {
 	s.pmu.RLock()
 	defer s.pmu.RUnlock()
@@ -284,12 +298,17 @@ func (s *Set) routeShard(b geom.MBR) int {
 // min(GOMAXPROCS, dirty shards) shards' merged element slices and
 // in-memory pages, not one.
 //
-// Rebuild mutates the set and must not run concurrently with queries or
-// other maintenance; the public flat.Index enforces this with its
-// ErrBusy guard.
+// Rebuild replaces the generation queries read, so it runs only while
+// no query is in flight: it holds pmu's write side — waiting out
+// staging, Flush and the accessors as they wait out it — and returns
+// ErrBusy, changing nothing, while a query is in flight, and ErrClosed
+// after Close.
 func (s *Set) Rebuild() ([]int, error) {
 	s.pmu.Lock()
 	defer s.pmu.Unlock()
+	if err := s.idleLocked(); err != nil {
+		return nil, err
+	}
 	return s.rebuildLocked(nil)
 }
 

@@ -46,6 +46,7 @@ package shard
 
 import (
 	"cmp"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -95,6 +96,15 @@ type Config struct {
 	Dir string
 }
 
+// ErrBusy is returned by Close and Rebuild while a query is in flight
+// (a session is being drained). Retry once it has drained; queries and
+// staging never return it.
+var ErrBusy = errors.New("flat: queries in flight")
+
+// ErrClosed is returned by every query, staging call, Flush, Rebuild
+// and Close after a successful Close.
+var ErrClosed = errors.New("flat: index is closed")
+
 // Set is a built sharded FLAT index: K per-shard core indexes, each
 // reading its own pager, and the MBR directory that routes queries to
 // them. What it serves is one generation value (cur): the committed
@@ -103,18 +113,30 @@ type Config struct {
 // side (StageInsert, StageDelete) and folded in by Rebuild, which
 // re-bulkloads only the shards the staged changes touch and publishes
 // the next generation — see rebuild.go for the delta and swap machinery.
+//
+// The set owns its lifecycle: queries, staging and Flush run beside each
+// other; Rebuild and Close, which replace or tear down the generation
+// queries read, run only while no query is in flight and report ErrBusy
+// otherwise; after Close everything but the plain accessors reports
+// ErrClosed.
 type Set struct {
 	dir string // empty for memory-backed sets
 
 	// pmu guards what queries read and staging or Rebuild replaces:
-	// queries snapshot under RLock, staging mutates under Lock, and
-	// Rebuild (which additionally replaces the generation) must not run
-	// concurrently with queries at all — the public layer enforces that
-	// with its ErrBusy query guard.
+	// queries snapshot under its read side (query), staging mutates
+	// under its write side, and Rebuild and Close hold the write side
+	// and refuse while inflight is above zero.
 	pmu    sync.RWMutex
 	cur    *generation // the served generation; Rebuild replaces it whole; guarded by pmu
 	staged *epoch      // the live staging epoch (delta.go); Rebuild replaces it whole; guarded by pmu
 	clock  uint64      // staging-order stamp for last-op-wins semantics; guarded by pmu
+	closed bool        // set by Close; guarded by pmu
+
+	// inflight counts the queries running over a generation (query). It
+	// rises only under pmu's read side, so a holder of the write side
+	// that reads zero keeps reading zero until it unlocks: no query is
+	// running and none can start.
+	inflight atomic.Int64
 
 	// wal is the write-ahead log behind the staged updates (nil for a
 	// memory-backed set). Staging appends to it before mutating the
@@ -687,6 +709,17 @@ func (s *Set) Totals() Totals {
 	return t
 }
 
+// AvgNeighbors returns the mean number of neighborhood pointers per
+// partition over every shard's partitions, read off the metadata pages
+// (core.AvgNeighbors) as one query: after Close it returns ErrClosed.
+func (s *Set) AvgNeighbors() (avg float64, err error) {
+	err = s.query(func(g *generation, _ *view) (err error) {
+		avg, err = core.AvgNeighbors(g.shards...)
+		return err
+	})
+	return avg, err
+}
+
 // Pool returns a pool that reads every shard of the served generation,
 // each page id routed to its shard's pager by its tag
 // (storage.NewMultiPager). It is reserved: the benchmark module reads
@@ -709,22 +742,41 @@ func (s *Set) DropCache() {}
 // Close releases every shard's storage: the served generation's
 // pagers. A write-ahead log is synced before it is closed, so a clean
 // close acknowledges everything staged (an unclean one keeps what the
-// last Flush acknowledged). A query after Close gets the closed pagers'
-// error.
+// last Flush acknowledged). While a query is in flight it returns
+// ErrBusy and changes nothing; a second Close returns ErrClosed. The
+// log handle is kept, closed, so DeltaStats reports after Close what it
+// did before.
 func (s *Set) Close() error {
 	s.pmu.Lock()
-	g := s.cur
+	defer s.pmu.Unlock()
+	if err := s.idleLocked(); err != nil {
+		return err
+	}
+	s.closed = true
 	var werr error
 	if s.wal != nil {
 		werr = s.wal.Sync()
 		if cerr := s.wal.Close(); werr == nil {
 			werr = cerr
 		}
-		s.wal = nil
 	}
-	s.pmu.Unlock()
-	if err := g.close(); err != nil {
+	if err := s.cur.close(); err != nil {
 		return err
 	}
 	return werr
+}
+
+// idleLocked reports why the generation may not be replaced or torn
+// down now: ErrClosed after Close, ErrBusy while a query is in flight.
+// Callers hold pmu's write side, which keeps the answer true until they
+// unlock (see inflight).
+// flatlint:holds pmu
+func (s *Set) idleLocked() error {
+	if s.closed {
+		return ErrClosed
+	}
+	if s.inflight.Load() > 0 {
+		return ErrBusy
+	}
+	return nil
 }

@@ -3,6 +3,7 @@ package shard
 import (
 	"bytes"
 	"context"
+	"errors"
 	"fmt"
 	"math"
 	"math/rand"
@@ -784,8 +785,8 @@ func TestRunBatchFirstErrorDeterministic(t *testing.T) {
 
 // TestQueryAfterClose pins that a query after Close touches no page:
 // a mapped shard's pages alias the file's mapping, which Close unmaps,
-// so the query must get the closed pager's error rather than fault. The
-// memory set answers the same way.
+// so the set refuses the query with ErrClosed before it reads anything,
+// rather than let it fault. The memory set answers the same way.
 func TestQueryAfterClose(t *testing.T) {
 	r := rand.New(rand.NewSource(43))
 	els := randomElements(r, 3000)
@@ -802,8 +803,8 @@ func TestQueryAfterClose(t *testing.T) {
 			t.Fatal(err)
 		}
 		_, err = set.StreamQuery(context.Background(), set.World(), StreamOptions{}, func(geom.Element) bool { return true })
-		if err == nil {
-			t.Errorf("dir %q: a query after Close succeeded", dir)
+		if !errors.Is(err, ErrClosed) {
+			t.Errorf("dir %q: a query after Close returned %v, want ErrClosed", dir, err)
 		}
 	}
 }

@@ -178,9 +178,9 @@ func (r *Results) run(emit func([]Element) bool) (QueryStats, error) {
 // session one element at a time. A run is valid only until the next
 // iteration: copy what must outlive it. The session's limit truncates
 // the last run. The yielded error is non-nil only on the terminal pair
-// (with a nil run), exactly as in All, and the query guard is held the
+// (with a nil run), exactly as in All, and the session is in flight the
 // same way: every run is yielded from inside the executor's run, the
-// terminal error after the guard is released.
+// terminal error after the executor has returned.
 func (r *Results) Batches() iter.Seq2[[]Element, error] {
 	return func(yield func([]Element, error) bool) {
 		if r.started {
@@ -190,19 +190,16 @@ func (r *Results) Batches() iter.Seq2[[]Element, error] {
 		r.started = true
 		abandoned := false
 		n := 0 // elements yielded
-		r.err = r.ix.guard.query(func() (err error) {
-			r.stats, err = r.run(func(run []Element) bool {
-				if left := r.limit - n; r.limit > 0 && len(run) > left {
-					run = run[:left]
-				}
-				n += len(run)
-				if !yield(run, nil) {
-					abandoned = true
-					return false
-				}
-				return r.limit <= 0 || n < r.limit
-			})
-			return err
+		r.stats, r.err = r.run(func(run []Element) bool {
+			if left := r.limit - n; r.limit > 0 && len(run) > left {
+				run = run[:left]
+			}
+			n += len(run)
+			if !yield(run, nil) {
+				abandoned = true
+				return false
+			}
+			return r.limit <= 0 || n < r.limit
 		})
 		r.stats.Results = n
 		if r.err != nil && !abandoned {
@@ -214,11 +211,11 @@ func (r *Results) Batches() iter.Seq2[[]Element, error] {
 // All returns the session's element stream as a range-able iterator
 // over Batches. The yielded error is non-nil only on the terminal pair:
 // a page-read failure, the context's error when the session's context
-// is cancelled mid-crawl, or ErrClosed. The index's query guard is held
-// for exactly the executor's run — every element is yielded from inside
-// it — so Close and Rebuild report ErrBusy while a session is being
+// is cancelled mid-crawl, or ErrClosed. The session is in flight for
+// exactly the executor's run — every element is yielded from inside it
+// — so Close and Rebuild report ErrBusy while a session is being
 // drained, never while one is merely held. The terminal error pair is
-// yielded after the guard is released: a caller may Close from that
+// yielded after the executor has returned: a caller may Close from that
 // loop body. Breaking out counts the element broken on as delivered.
 func (r *Results) All() iter.Seq2[Element, error] {
 	return func(yield func(Element, error) bool) {

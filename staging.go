@@ -8,9 +8,7 @@ import "flat/internal/shard"
 // of the shard the MBR directory routes it to.
 // Safe to call concurrently with queries; like them it returns
 // ErrClosed after Close.
-func (ix *Index) StageInsert(els ...Element) error {
-	return ix.guard.query(func() error { return ix.set.StageInsert(els...) })
-}
+func (ix *Index) StageInsert(els ...Element) error { return ix.set.StageInsert(els...) }
 
 // StageDelete stages the removal of the element with the given id and
 // box (both must match — ids are opaque caller keys, not assumed
@@ -18,20 +16,16 @@ func (ix *Index) StageInsert(els ...Element) error {
 // is dropped for good at the next Rebuild. Staging is last-op-wins: a
 // matching StageInsert issued after the delete restores the element.
 // Deleting a non-existent element is a harmless no-op. Safe to call
-// concurrently with queries.
-func (ix *Index) StageDelete(id uint64, box MBR) error {
-	return ix.guard.query(func() error { return ix.set.StageDelete(id, box) })
-}
+// concurrently with queries; returns ErrClosed after Close.
+func (ix *Index) StageDelete(id uint64, box MBR) error { return ix.set.StageDelete(id, box) }
 
 // Flush fsyncs the write-ahead log, making every staged update issued
 // so far durable: after Flush returns, a crash (or kill -9) at any
 // point loses none of them — reopening the index replays the log and
 // they are pending again. A no-op on a memory-backed index, which keeps
-// no log. Safe to call concurrently with queries and staging; returns ErrClosed after
-// Close.
-func (ix *Index) Flush() error {
-	return ix.guard.query(ix.set.Flush)
-}
+// no log. Safe to call concurrently with queries and staging; returns
+// ErrClosed after Close.
+func (ix *Index) Flush() error { return ix.set.Flush() }
 
 // DeltaStats sizes the staged-update delta of an Index: the staged
 // insert and delete totals and the write-ahead log's record bytes.
@@ -41,26 +35,15 @@ type DeltaStats = shard.DeltaStats
 // next Rebuild: the staged insert and delete totals and the bytes of
 // records in the write-ahead log (0 for a memory-backed index) — what a
 // caller reads to decide when to Rebuild; DirtyShards names the shards
-// that Rebuild would examine. Safe to call concurrently with queries
-// and staging.
-func (ix *Index) DeltaStats() (st DeltaStats, err error) {
-	err = ix.guard.query(func() error {
-		st = ix.set.DeltaStats()
-		return nil
-	})
-	return st, err
-}
+// that Rebuild would examine. Safe to call concurrently with anything;
+// after Close it reports what it did before.
+func (ix *Index) DeltaStats() DeltaStats { return ix.set.DeltaStats() }
 
 // DirtyShards returns the shards the staged updates may touch — the
 // candidates the next Rebuild will examine, in shard order; candidates
-// whose contents turn out unchanged are skipped by the rebuild.
-func (ix *Index) DirtyShards() (dirty []int, err error) {
-	err = ix.guard.query(func() error {
-		dirty = ix.set.DirtyShards()
-		return nil
-	})
-	return dirty, err
-}
+// whose contents turn out unchanged are skipped by the rebuild. Like
+// DeltaStats it reads in-memory state and answers after Close.
+func (ix *Index) DirtyShards() []int { return ix.set.DirtyShards() }
 
 // Rebuild folds the staged updates in by re-bulkloading only the dirty
 // shards; untouched shards keep their page files (byte-identical). On
@@ -70,14 +53,10 @@ func (ix *Index) DirtyShards() (dirty []int, err error) {
 // returns the rebuilt shard numbers (nil when nothing was staged or no
 // staged change had an effect).
 //
-// Rebuild is a maintenance operation like Close: while
-// queries are in flight it returns ErrBusy and changes nothing, and
-// after Close it returns ErrClosed. On failure the staged updates stay
-// staged and the index keeps serving its previous state.
-func (ix *Index) Rebuild() (rebuilt []int, err error) {
-	err = ix.guard.maintain(func() error {
-		rebuilt, err = ix.set.Rebuild()
-		return err
-	})
-	return rebuilt, err
-}
+// Rebuild is a maintenance operation like Close: while a query session
+// is being drained it returns ErrBusy and changes nothing, and after
+// Close it returns ErrClosed. Staging and Flush never make it report
+// ErrBusy: it waits for them, as they wait for it. On failure the
+// staged updates stay staged and the index keeps serving its previous
+// state.
+func (ix *Index) Rebuild() ([]int, error) { return ix.set.Rebuild() }
