@@ -77,11 +77,13 @@
 // cache: each query's QueryStats counts every distinct page it read
 // once, as if the OS cache were cleared before it (the paper's
 // methodology), so a query reports the same reads whatever ran before
-// it or runs beside it. Rebuild and Close are maintenance operations:
-// calling them while a session is being drained returns ErrBusy
-// instead of racing, and nothing else makes them report it — staging,
-// Flush and the accessors only delay them. Every query, staging and
-// maintenance method returns ErrClosed after a successful Close.
+// it or runs beside it. Rebuild and Close run beside sessions too: a
+// session being drained reads the generation it started on to the end,
+// and the page files Rebuild replaced or Close released are unmapped
+// when the last session reading them finishes. Rebuild and Close wait
+// for staging, Flush and the accessors, as those wait for them. Every
+// query, staging and maintenance method returns ErrClosed after a
+// successful Close.
 //
 // # Lifecycle of plain accessors
 //
@@ -91,9 +93,8 @@
 // they keep returning correct values after Close, and they serialize
 // internally against Rebuild (which swaps the state they read; each
 // call answers from one generation), so calling them concurrently with
-// anything is safe — and never makes a maintenance operation report
-// ErrBusy. Only methods that touch pages or mutate state report
-// ErrClosed, and only Close and Rebuild report ErrBusy.
+// anything is safe. Only methods that touch pages or mutate state
+// report ErrClosed.
 //
 // # Choosing Shards
 //
@@ -109,6 +110,7 @@
 package flat
 
 import (
+	"errors"
 	"fmt"
 
 	"flat/internal/core"
@@ -241,10 +243,10 @@ type Options struct {
 // guarantees.
 type Index struct{ set *shard.Set }
 
-// ErrBusy is returned by Close and Rebuild while a query session is
-// being drained. Retry once it has drained; queries, staging and Flush
-// never return it.
-var ErrBusy = shard.ErrBusy
+// ErrBusy is returned, over the wire, for a query a flatserve server
+// refuses at admission: its in-flight budget or the connection's query
+// limit is full. Retry later; nothing in-process returns it.
+var ErrBusy = errors.New("flat: queries in flight")
 
 // ErrClosed is returned by every query, staging call, Flush, Rebuild
 // and Close after a successful Close.
@@ -352,10 +354,10 @@ func (ix *Index) SeedHeight() int { return ix.set.Totals().SeedHeight }
 
 // Close releases every shard's storage, syncing a directory's
 // write-ahead log first, so staged updates survive to the next Open
-// even without a Flush. While a query session is being drained it
-// returns ErrBusy and changes nothing — the index keeps serving; retry
-// once it drains. After a successful Close every query and maintenance
-// method returns ErrClosed.
+// even without a Flush. A session being drained finishes over the
+// generation it started on, whose page files stay mapped until it does.
+// After a successful Close every query and maintenance method returns
+// ErrClosed.
 func (ix *Index) Close() error { return ix.set.Close() }
 
 // PageCounts returns the number of object, metadata and seed-internal

@@ -9,83 +9,141 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
-	"time"
 )
 
-// TestCloseAndRebuildRefuseInFlightQueries is the -race regression
-// test for the Close/Rebuild footgun: while queries are running, both
-// maintenance operations must refuse with ErrBusy instead of racing the
-// readers, and queries must keep returning consistent results. After
-// the queries drain, Close succeeds and everything reports ErrClosed.
-func TestCloseAndRebuildRefuseInFlightQueries(t *testing.T) {
+// TestRebuildSwapsGenerationsUnderReaders swaps generation after
+// generation under live readers: each round stages one insert and calls
+// Rebuild, which must succeed and fold it, while readers count a fixed
+// workload, a stager stages inserts and a poller reads DeltaStats and
+// DirtyShards and calls Flush. Only inserts are staged, so no reader's
+// count for a query may ever fall. Close then runs beside all of them
+// and must succeed; the readers and writers stop at the ErrClosed it
+// makes every later call return. A directory must reopen with every
+// element that was staged, folded or not. -race certifies that no swap
+// or teardown races a reader.
+func TestRebuildSwapsGenerationsUnderReaders(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		shards int
+		disk   bool
+	}{{"K=1 memory", 1, false}, {"K=4 directory", 4, true}} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := ""
+			if tc.disk {
+				dir = filepath.Join(t.TempDir(), "idx")
+			}
+			testRebuildSwapsGenerations(t, tc.shards, dir)
+		})
+	}
+}
+
+func testRebuildSwapsGenerations(t *testing.T, k int, dir string) {
 	r := rand.New(rand.NewSource(95))
-	els := randomElements(r, 4000)
-	ix, err := Build(els, &Options{pageCapacity: 16})
+	const n0, rounds = 2000, 20
+	ix, err := Build(randomElements(r, n0), &Options{Shards: k, pageCapacity: 16, Dir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}
 	queries := queryWorkload(r, 10)
+	base := make([]int, len(queries))
+	for i, q := range queries {
+		if base[i], _, err = ix.CountQuery(q); err != nil {
+			t.Fatal(err)
+		}
+	}
 
+	// Every goroutine stops at ErrClosed, which Close makes every later
+	// query, staging call and Flush return; any other error fails.
 	var (
-		wg        sync.WaitGroup
-		stop      atomic.Bool
-		busySeen  atomic.Int64
-		rebuildOK atomic.Int64
+		wg     sync.WaitGroup
+		staged atomic.Int64
 	)
-	for g := 0; g < 4; g++ {
+	stopped := func(what string, err error) bool {
+		if err != nil && !errors.Is(err, ErrClosed) {
+			t.Errorf("%s: %v", what, err)
+		}
+		return err != nil
+	}
+	for range 4 {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for !stop.Load() {
-				for _, q := range queries {
+			last := slices.Clone(base)
+			for {
+				for i, q := range queries {
 					n, st, err := ix.CountQuery(q)
-					if err != nil {
-						t.Errorf("query failed during maintenance pressure: %v", err)
+					if stopped("CountQuery", err) {
 						return
 					}
 					if st.Results != n {
-						t.Errorf("inconsistent stats under maintenance pressure")
+						t.Errorf("CountQuery = %d, but its stats count %d", n, st.Results)
 						return
 					}
+					if n < last[i] {
+						t.Errorf("query %d counted %d after counting %d; only inserts are staged", i, n, last[i])
+						return
+					}
+					last[i] = n
 				}
+				// The accessors read the generation Rebuild swaps.
+				_, _, _, _ = ix.Len(), ix.Bounds(), ix.ShardGeneration(0), ix.SizeBytes()
 			}
 		}()
 	}
-	// Hammer Rebuild while the queries run: every call must either
-	// succeed atomically (no query held the guard at that instant) or
-	// refuse with ErrBusy — never race the readers. -race certifies the
-	// "never race" half; queries above certify results stay consistent.
-	for i := 0; i < 200; i++ {
-		if _, err := ix.Rebuild(); err != nil {
-			if !errors.Is(err, ErrBusy) {
-				t.Fatalf("Rebuild: %v", err)
+	wg.Add(2)
+	go func() {
+		defer wg.Done()
+		for i := uint64(0); ; i++ {
+			c := V(float64(i%100), float64(i*7%100), float64(i*13%100))
+			if stopped("StageInsert", ix.StageInsert(Element{ID: 100000 + i, Box: CubeAt(c, 1)})) {
+				return
 			}
-			busySeen.Add(1)
-		} else {
-			rebuildOK.Add(1)
+			staged.Add(1)
+		}
+	}()
+	go func() {
+		defer wg.Done()
+		for {
+			_ = ix.DeltaStats()
+			_ = ix.DirtyShards()
+			if stopped("Flush", ix.Flush()) {
+				return
+			}
+		}
+	}()
+
+	mine := make([]Element, rounds)
+	for i := range mine {
+		mine[i] = Element{ID: 900000 + uint64(i), Box: CubeAt(V(50, 50, 50), 1)}
+		if err := ix.StageInsert(mine[i]); err != nil {
+			t.Errorf("StageInsert: %v", err)
+			break
+		}
+		if rebuilt, err := ix.Rebuild(); err != nil || len(rebuilt) == 0 {
+			t.Errorf("Rebuild %d under live readers = %v, %v; want a fold", i, rebuilt, err)
+			break
 		}
 	}
-	stop.Store(true)
-	wg.Wait()
-
-	if busySeen.Load() == 0 && rebuildOK.Load() == 0 {
-		t.Fatal("maintenance loop never executed")
+	// Everything this loop staged was folded and serves.
+	got, _, err := ix.RangeQuery(CubeAt(V(50, 50, 50), 2))
+	if err != nil {
+		t.Error(err)
 	}
-
-	// Deterministic refusal: with a query provably in flight, both
-	// maintenance operations return ErrBusy.
-	release := parkQuery(t, ix)
-	if err := ix.Close(); !errors.Is(err, ErrBusy) {
-		t.Errorf("Close with query in flight: %v, want ErrBusy", err)
+	for _, e := range mine {
+		if !slices.ContainsFunc(got, func(g Element) bool { return g.ID == e.ID }) {
+			t.Errorf("folded insert %d is not queryable", e.ID)
+			break
+		}
 	}
-	if _, err := ix.Rebuild(); !errors.Is(err, ErrBusy) {
-		t.Errorf("Rebuild with query in flight: %v, want ErrBusy", err)
-	}
-	release()
-
 	if err := ix.Close(); err != nil {
-		t.Fatalf("Close after drain: %v", err)
+		t.Errorf("Close beside readers and writers: %v", err)
 	}
+	wg.Wait()
+	if t.Failed() {
+		return
+	}
+
+	want := n0 + rounds + int(staged.Load())
 	if err := ix.Close(); !errors.Is(err, ErrClosed) {
 		t.Errorf("second Close: %v, want ErrClosed", err)
 	}
@@ -94,6 +152,24 @@ func TestCloseAndRebuildRefuseInFlightQueries(t *testing.T) {
 	}
 	if _, err := ix.Rebuild(); !errors.Is(err, ErrClosed) {
 		t.Errorf("Rebuild after Close: %v, want ErrClosed", err)
+	}
+	if err := ix.StageDelete(1, CubeAt(V(0, 0, 0), 1)); !errors.Is(err, ErrClosed) {
+		t.Errorf("StageDelete after Close: %v, want ErrClosed", err)
+	}
+	if d := ix.DeltaStats(); ix.Len()+d.Inserts != want {
+		t.Errorf("after Close: %d folded + %d staged elements, want %d", ix.Len(), d.Inserts, want)
+	}
+	t.Logf("%d folds under readers, %d inserts staged beside them", rounds, staged.Load())
+	if dir == "" {
+		return
+	}
+	re, err := Open(dir, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer re.Close()
+	if n, _, err := re.CountQuery(re.Bounds().Union(CubeAt(V(50, 50, 50), 100))); err != nil || n != want {
+		t.Errorf("reopened index counts %d, %v; want %d", n, err, want)
 	}
 }
 
@@ -143,8 +219,7 @@ func TestAccessorsSurviveClose(t *testing.T) {
 
 // TestAccessorsRaceMaintenance drives the plain accessors concurrently
 // with Close/Rebuild under -race: the set serializes them
-// against Rebuild's state swaps, and — holding no side of the query
-// guard — they never make a maintenance operation report ErrBusy.
+// against Rebuild's state swaps.
 func TestAccessorsRaceMaintenance(t *testing.T) {
 	r := rand.New(rand.NewSource(98))
 	els := randomElements(r, 1500)
@@ -253,61 +328,133 @@ func TestAccessorsReadOneGeneration(t *testing.T) {
 	}
 }
 
-// The guard semantics hold at several shards too.
+// TestShardedCloseGuard closes a two-shard index in memory beside a
+// parked session: Close succeeds at once, the session then finishes
+// with every element of the generation it started on, and the next
+// query reports ErrClosed.
 func TestShardedCloseGuard(t *testing.T) {
 	r := rand.New(rand.NewSource(96))
-	els := randomElements(r, 2000)
-	sx, err := Build(els, &Options{Shards: 2, pageCapacity: 16})
+	sx, err := Build(randomElements(r, 2000), &Options{Shards: 2, pageCapacity: 16})
 	if err != nil {
 		t.Fatal(err)
 	}
-	q := queryWorkload(r, 1)[0]
-
-	// Hold a query open across the maintenance attempts below.
-	release := parkQuery(t, sx)
-	if err := sx.Close(); !errors.Is(err, ErrBusy) {
-		t.Errorf("Close with query in flight: %v, want ErrBusy", err)
-	}
-	if _, err := sx.Rebuild(); !errors.Is(err, ErrBusy) {
-		t.Errorf("Rebuild with query in flight: %v, want ErrBusy", err)
-	}
-	release()
-	if err := sx.Close(); err != nil {
+	want, _, err := sx.RangeQuery(sx.Bounds())
+	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := sx.RangeQuery(q); !errors.Is(err, ErrClosed) {
+	release := parkQuery(t, sx)
+	if err := sx.Close(); err != nil {
+		t.Errorf("Close beside a parked query: %v", err)
+	}
+	if got := release(); !slices.Equal(got, want) {
+		t.Errorf("parked query delivered %d elements after Close, want the %d it started on", len(got), len(want))
+	}
+	if _, _, err := sx.RangeQuery(sx.Bounds()); !errors.Is(err, ErrClosed) {
 		t.Errorf("query after Close: %v, want ErrClosed", err)
 	}
 }
 
-// parkQuery drains a real Query session over ix from another
+// TestParkedReaderOutlivesRebuildAndClose parks a session over a
+// two-shard directory inside its first run, then stages inserts, rebuilds
+// and closes the index under it: the session must finish with exactly
+// what the index served before the Rebuild. With both shards rebuilt it
+// reads pagers only its own generation holds; with one, it also reads
+// the clean shard's pager, which the next generation shares and Close
+// released.
+func TestParkedReaderOutlivesRebuildAndClose(t *testing.T) {
+	r := rand.New(rand.NewSource(92))
+	els := randomElements(r, 4000)
+	for _, tc := range []struct {
+		name  string
+		dirty []int
+	}{{"both shards rebuilt", []int{0, 1}}, {"one shard rebuilt", []int{0}}} {
+		t.Run(tc.name, func(t *testing.T) {
+			ix, err := Build(slices.Clone(els), &Options{Shards: 2, pageCapacity: 16, Dir: filepath.Join(t.TempDir(), "idx")})
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, _, err := ix.RangeQuery(ix.Bounds())
+			if err != nil {
+				t.Fatal(err)
+			}
+			release := parkQuery(t, ix)
+			for _, sh := range tc.dirty {
+				if err := ix.StageInsert(insertRoutedTo(t, ix, sh)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if rebuilt, err := ix.Rebuild(); err != nil || !slices.Equal(rebuilt, tc.dirty) {
+				t.Errorf("Rebuild beside a parked query = %v, %v; want %v", rebuilt, err, tc.dirty)
+			}
+			if err := ix.Close(); err != nil {
+				t.Errorf("Close beside a parked query: %v", err)
+			}
+			if got := release(); !slices.Equal(got, want) {
+				t.Errorf("parked query delivered %d elements, want the %d the index served before the Rebuild", len(got), len(want))
+			}
+		})
+	}
+}
+
+// insertRoutedTo returns a new element that StageInsert routes to shard
+// sh of a two-shard index: a copy, under a fresh ID, of one of sh's
+// elements that the other shard's bounds do not contain, so only sh
+// covers it without growing.
+func insertRoutedTo(t *testing.T, ix *Index, sh int) Element {
+	t.Helper()
+	els, err := ix.set.Shard(sh).Elements()
+	if err != nil {
+		t.Fatal(err)
+	}
+	other := ix.ShardBounds(1 - sh)
+	for _, e := range els {
+		if !other.Contains(e.Box) {
+			return Element{ID: 1<<40 + e.ID, Box: e.Box}
+		}
+	}
+	t.Fatalf("every element of shard %d lies inside shard %d's bounds", sh, 1-sh)
+	return Element{}
+}
+
+// parkQuery drains a real Query session over ix's bounds from another
 // goroutine and parks it inside its first run — in flight, as a served
 // query being streamed is — until the returned func is called; that
-// func returns once the session has finished.
-func parkQuery(t *testing.T, ix *Index) (release func()) {
+// func lets the session finish and returns every element it delivered.
+func parkQuery(t *testing.T, ix *Index) (release func() []Element) {
 	t.Helper()
-	parked, unpark, done := make(chan struct{}), make(chan struct{}), make(chan error, 1)
+	parked, unpark := make(chan struct{}), make(chan struct{})
+	type result struct {
+		els []Element
+		err error
+	}
+	done := make(chan result, 1)
 	go func() {
+		var got []Element
 		res := ix.Query(context.Background(), ix.Bounds())
-		for _, err := range res.Batches() {
-			if err == nil {
+		for run, err := range res.Batches() {
+			if err != nil {
+				break
+			}
+			if got == nil {
 				close(parked)
 				<-unpark
 			}
-			break
+			got = append(got, run...)
 		}
-		done <- res.Err()
+		done <- result{got, res.Err()}
 	}()
 	select {
 	case <-parked:
-	case err := <-done:
-		t.Fatalf("query did not park: %v", err)
+	case r := <-done:
+		t.Fatalf("query did not park: %v", r.err)
 	}
-	return func() {
+	return func() []Element {
 		close(unpark)
-		if err := <-done; err != nil {
-			t.Errorf("parked query: %v", err)
+		r := <-done
+		if r.err != nil {
+			t.Errorf("parked query: %v", r.err)
 		}
+		return r.els
 	}
 }
 
@@ -323,9 +470,9 @@ func mustPanic(t *testing.T, what string, fn func()) {
 }
 
 // TestGuardReleasesByConstruction pins what the set's one query helper
-// gives for free, on a real index: a session leaves the in-flight count
-// when it returns or panics, a parked session holds back Close and
-// Rebuild and nothing else, and a closed index runs nothing.
+// gives for free, on a real index: a session releases its hold on the
+// generation when it returns or panics, maintenance runs beside a parked
+// session, and a closed index runs nothing.
 func TestGuardReleasesByConstruction(t *testing.T) {
 	r := rand.New(rand.NewSource(94))
 	els := randomElements(r, 1000)
@@ -352,16 +499,25 @@ func TestGuardReleasesByConstruction(t *testing.T) {
 				panic("boom")
 			}
 		})
-		// Had either session stayed in flight, Rebuild would report ErrBusy.
 		if err := ix.StageInsert(extra); err != nil {
 			t.Fatal(err)
 		}
 		if rebuilt, err := ix.Rebuild(); err != nil || len(rebuilt) == 0 {
 			t.Fatalf("Rebuild after panicking consumers: %v, %v", rebuilt, err)
 		}
+		// Had either session kept its hold, Close would leave the pagers
+		// open and a shard would still answer.
+		if err := ix.Close(); err != nil {
+			t.Fatal(err)
+		}
+		for sh := range ix.NumShards() {
+			if _, err := ix.set.Shard(sh).QueryRuns(ctx, ix.Bounds(), func([]Element) bool { return true }); err == nil {
+				t.Errorf("shard %d still reads after Close", sh)
+			}
+		}
 	})
 
-	t.Run("maintain is busy while a query is parked", func(t *testing.T) {
+	t.Run("maintenance runs beside a parked query", func(t *testing.T) {
 		ix := build(t)
 		defer ix.Close()
 		release := parkQuery(t, ix)
@@ -374,12 +530,11 @@ func TestGuardReleasesByConstruction(t *testing.T) {
 		if err := ix.Flush(); err != nil {
 			t.Errorf("Flush beside a parked query: %v", err)
 		}
-		if _, err := ix.Rebuild(); !errors.Is(err, ErrBusy) {
-			t.Errorf("Rebuild beside a parked query: %v, want ErrBusy", err)
+		if rebuilt, err := ix.Rebuild(); err != nil || len(rebuilt) == 0 {
+			t.Errorf("Rebuild beside a parked query = %v, %v; want a fold", rebuilt, err)
 		}
-		release()
-		if _, err := ix.Rebuild(); err != nil {
-			t.Errorf("Rebuild after the query drained: %v", err)
+		if got := release(); len(got) != len(els) {
+			t.Errorf("parked query delivered %d elements, want the %d it started on", len(got), len(els))
 		}
 	})
 
@@ -422,72 +577,4 @@ func TestGuardReleasesByConstruction(t *testing.T) {
 			t.Errorf("second Close: %v, want ErrClosed", err)
 		}
 	})
-}
-
-// TestStagingNeverMakesMaintenanceBusy pins what ErrBusy means: a query
-// session being drained, and nothing else. With no query running, a
-// stager and a poller of DeltaStats, DirtyShards and Flush keep the
-// index busy for half a second while a loop calls Rebuild, and then
-// Close; neither may report ErrBusy — they wait for the staging calls
-// instead, as the staging calls wait for them.
-func TestStagingNeverMakesMaintenanceBusy(t *testing.T) {
-	r := rand.New(rand.NewSource(93))
-	ix, err := Build(randomElements(r, 4000), &Options{Shards: 2, Dir: filepath.Join(t.TempDir(), "idx")})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Each writer stops at ErrClosed, which Close makes every later
-	// staging call and Flush return; any other error fails the test.
-	var wg sync.WaitGroup
-	stopped := func(what string, err error) bool {
-		if err != nil && !errors.Is(err, ErrClosed) {
-			t.Errorf("%s: %v", what, err)
-		}
-		return err != nil
-	}
-	wg.Add(2)
-	go func() {
-		defer wg.Done()
-		for i := uint64(0); ; i++ {
-			c := V(float64(i%100), float64(i*7%100), float64(i*13%100))
-			if stopped("StageInsert", ix.StageInsert(Element{ID: 100000 + i, Box: CubeAt(c, 1)})) {
-				return
-			}
-		}
-	}()
-	go func() {
-		defer wg.Done()
-		for {
-			_ = ix.DeltaStats()
-			_ = ix.DirtyShards()
-			if stopped("Flush", ix.Flush()) {
-				return
-			}
-		}
-	}()
-	busy, calls, folds := 0, 0, 0
-	for start := time.Now(); time.Since(start) < 500*time.Millisecond; calls++ {
-		rebuilt, err := ix.Rebuild()
-		switch {
-		case errors.Is(err, ErrBusy):
-			busy++
-		case err != nil:
-			t.Errorf("Rebuild: %v", err)
-		case len(rebuilt) > 0:
-			folds++
-		}
-	}
-	if err := ix.Close(); errors.Is(err, ErrBusy) {
-		busy++
-	} else if err != nil {
-		t.Errorf("Close: %v", err)
-	}
-	wg.Wait()
-	if busy > 0 {
-		t.Fatalf("Rebuild and Close reported ErrBusy %d times in %d calls with no query in flight", busy, calls+1)
-	}
-	if folds == 0 {
-		t.Fatal("no Rebuild folded a staged insert")
-	}
-	t.Logf("%d Rebuild calls beside the writers, %d of them folds; %d elements at Close", calls, folds, ix.Len())
 }

@@ -5,10 +5,10 @@
 // turn those rules into CI failures.
 //
 // A rule the code can make inexpressible needs no pass: shard.Set's
-// query helper (Set.query, which counts a query in flight) and the
-// admission budget take a closure and release in a defer of the same
-// function (shard/delta.go, serve/admission.go), so "every acquire is
-// released on every return path" holds by construction and has no
+// query helper (Set.query, which holds the generation a query reads)
+// and the admission budget take a closure and release in a defer of the
+// same function (shard/delta.go, serve/admission.go), so "every acquire
+// is released on every return path" holds by construction and has no
 // checker here.
 //
 // The seven that remain: name, justified suppressions in non-test code

@@ -366,9 +366,9 @@ func (c *Client) Delete(ctx context.Context, id uint64, box flat.MBR) error {
 	return err
 }
 
-// Rebuild folds the staged delta into the bulkloaded pages; it returns
-// the number of shards rebuilt, or flat.ErrBusy under in-flight
-// queries (the caller retries, exactly as in-process).
+// Rebuild folds the staged delta into the bulkloaded pages and returns
+// the number of shards rebuilt. Queries in flight on the server do not
+// hold it back: each finishes over the generation it started on.
 func (c *Client) Rebuild(ctx context.Context) (int, error) {
 	n, err := c.write(ctx, msgRebuild, newFrame(0, 0))
 	return int(n), err

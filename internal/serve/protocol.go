@@ -101,7 +101,7 @@ const (
 // works across the network exactly as it does in-process. Code 4 is
 // reserved: never sent, never reused.
 const (
-	codeBusy       = 1   // flat.ErrBusy: admission or maintenance contention
+	codeBusy       = 1   // flat.ErrBusy: refused at admission
 	codeClosed     = 2   // flat.ErrClosed: the index is gone
 	codeCancelled  = 3   // context.Canceled: explicit Cancel or disconnect
 	codeBadRequest = 5   // malformed frame or unknown kind

@@ -726,6 +726,58 @@ func TestRebuildOverWire(t *testing.T) {
 	}
 }
 
+// TestRebuildBesideParkedSession folds a delta staged over the wire
+// while an in-process session on the server's index is parked inside
+// its first run: Rebuild returns the rebuilt shard count instead of
+// refusing, and the parked session then finishes over the generation it
+// started on.
+func TestRebuildBesideParkedSession(t *testing.T) {
+	els := testElements(2000, 9)
+	sx, err := flat.Build(els, &flat.Options{Shards: 2, Dir: t.TempDir()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sx.Close()
+	s := startServer(t, sx, Config{})
+	c := dialServer(t, s)
+	ctx := context.Background()
+
+	parked, unpark, done := make(chan struct{}), make(chan struct{}), make(chan int, 1)
+	go func() {
+		n := 0
+		res := sx.Query(ctx, sx.Bounds())
+		for run, err := range res.Batches() {
+			if err != nil {
+				t.Errorf("parked session: %v", err)
+				break
+			}
+			if n == 0 {
+				close(parked)
+				<-unpark
+			}
+			n += len(run)
+		}
+		done <- n
+	}()
+	<-parked
+
+	extra := flat.Element{ID: 1 << 42, Box: flat.CubeAt(flat.V(100, 100, 100), 2)}
+	if err := c.Insert(ctx, []flat.Element{extra}); err != nil {
+		t.Error(err)
+	}
+	if n, err := c.Rebuild(ctx); err != nil || n != 1 {
+		t.Errorf("Rebuild beside a parked session = %d, %v; want 1 shard rebuilt", n, err)
+	}
+	close(unpark)
+	if got := <-done; got != len(els) {
+		t.Fatalf("parked session delivered %d elements, want the %d of the generation it started on", got, len(els))
+	}
+	cnt, _, err := c.Count(ctx, sx.Bounds().Union(extra.Box), QueryOptions{})
+	if err != nil || cnt != uint64(len(els)+1) {
+		t.Fatalf("count after the fold = %d, %v; want %d", cnt, err, len(els)+1)
+	}
+}
+
 func TestShutdownDrainsAndRefuses(t *testing.T) {
 	els := testElements(40000, 10)
 	sx, err := flat.Build(els, &flat.Options{Shards: 2})

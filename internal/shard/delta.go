@@ -171,43 +171,44 @@ type view struct {
 
 var views = sync.Pool{New: func() any { return new(view) }}
 
-// query runs fn as one in-flight query: over the generation s serves
-// and a pooled view of its staged delta, both taken in one read lock.
-// The in-flight count is raised under that lock and lowered in a defer
-// here, so fn returning, failing or panicking always releases it, and
-// Rebuild and Close report ErrBusy exactly while some fn runs. After
-// Close fn does not run and query returns ErrClosed.
+// query runs fn as one query: over the generation s serves and a pooled
+// view of its staged delta, both taken in one read lock. The query holds
+// the generation from that lock until fn returns, fails or panics (the
+// hold is dropped in a defer here), so a Rebuild or Close meanwhile
+// never closes a pager fn reads. After Close fn does not run and query
+// returns ErrClosed.
 func (s *Set) query(fn func(*generation, *view) error) error {
 	g, v := s.enter()
 	if v == nil {
 		return ErrClosed
 	}
-	defer s.leave(v)
+	defer s.leave(g, v)
 	return fn(g, v)
 }
 
-// enter is query's read-locked step: it raises the in-flight count and
-// snapshots the generation and the staged delta, or returns a nil view
-// after Close.
+// enter is query's read-locked step: it adds a hold on the served
+// generation and snapshots it and the staged delta, or returns a nil
+// view after Close.
 func (s *Set) enter() (*generation, *view) {
 	s.pmu.RLock()
 	defer s.pmu.RUnlock()
 	if s.closed {
 		return nil, nil
 	}
-	s.inflight.Add(1)
+	s.cur.holds.Add(1)
 	v := views.Get().(*view)
 	v.inserts, v.runs, v.dels = slices.Clip(s.staged.inserts), s.staged.insRuns, s.deleteViewLocked()
 	return s.cur, v
 }
 
 // leave ends query's fn: it drops v's references to the epoch, returns
-// v to the pool and lowers the in-flight count.
-func (s *Set) leave(v *view) {
+// v to the pool and releases the hold on g (discarding a pager-close
+// error; see Close).
+func (s *Set) leave(g *generation, v *view) {
 	clear(v.hits)
 	v.inserts, v.runs, v.found, v.hits, v.dels = nil, nil, v.found[:0], v.hits[:0], deleteView{}
 	views.Put(v)
-	s.inflight.Add(-1)
+	g.release()
 }
 
 // stagedHits returns, in staging order, the staged inserts whose boxes

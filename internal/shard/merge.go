@@ -44,8 +44,9 @@ type StreamOptions struct{}
 // cancellation too; Results counts the elements of the runs emitted. A
 // done ctx aborts the crawl with ctx.Err(), but a stream that
 // delivered its last run returns nil. The stream is one query (see
-// Set.query): Rebuild and Close report ErrBusy while it runs, and after
-// Close it returns ErrClosed without reading a page.
+// Set.query): it reads one generation to the end, whatever Rebuild or
+// Close does meanwhile, and after Close it returns ErrClosed without
+// reading a page.
 func (s *Set) StreamRuns(ctx context.Context, q geom.MBR, emit func([]geom.Element) bool) (st core.QueryStats, err error) {
 	err = s.query(func(g *generation, v *view) error {
 		emitted, stopped := 0, false

@@ -298,16 +298,17 @@ func (s *Set) routeShard(b geom.MBR) int {
 // min(GOMAXPROCS, dirty shards) shards' merged element slices and
 // in-memory pages, not one.
 //
-// Rebuild replaces the generation queries read, so it runs only while
-// no query is in flight: it holds pmu's write side — waiting out
-// staging, Flush and the accessors as they wait out it — and returns
-// ErrBusy, changing nothing, while a query is in flight, and ErrClosed
-// after Close.
+// Rebuild holds pmu's write side, waiting out staging, Flush and the
+// accessors as they wait out it, and queries starting meanwhile wait
+// for it. It does not wait for the queries already running: each reads
+// the generation it started on to the end, and the replaced shards'
+// pagers close when the last of them leaves (generation.release). After
+// Close it returns ErrClosed.
 func (s *Set) Rebuild() ([]int, error) {
 	s.pmu.Lock()
 	defer s.pmu.Unlock()
-	if err := s.idleLocked(); err != nil {
-		return nil, err
+	if s.closed {
+		return nil, ErrClosed
 	}
 	return s.rebuildLocked(nil)
 }
@@ -428,12 +429,14 @@ func (s *Set) rebuildLocked(force []int) ([]int, error) {
 		s.wal = newWAL
 	}
 
-	// Phase 3: publish the next generation; nothing below can fail. The
-	// rebuilt shards' old pagers are closed; the clean shards keep theirs.
+	// Phase 3: publish the next generation; nothing below can fail. cur
+	// holds next, whose clean shards' pagers its readers share, and the
+	// set's hold on cur is released: the rebuilt shards' old pagers close
+	// now, or when cur's last reader leaves.
+	next.holds.Add(1)
+	cur.next = next
 	s.cur = next
-	for _, sh := range rebuilt {
-		cur.pagers[sh].Close()
-	}
+	cur.release()
 	// Phase 4 (disk): the old generation's files are garbage now that the
 	// manifest no longer references them.
 	gc()

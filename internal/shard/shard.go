@@ -96,11 +96,6 @@ type Config struct {
 	Dir string
 }
 
-// ErrBusy is returned by Close and Rebuild while a query is in flight
-// (a session is being drained). Retry once it has drained; queries and
-// staging never return it.
-var ErrBusy = errors.New("flat: queries in flight")
-
 // ErrClosed is returned by every query, staging call, Flush, Rebuild
 // and Close after a successful Close.
 var ErrClosed = errors.New("flat: index is closed")
@@ -114,29 +109,23 @@ var ErrClosed = errors.New("flat: index is closed")
 // re-bulkloads only the shards the staged changes touch and publishes
 // the next generation — see rebuild.go for the delta and swap machinery.
 //
-// The set owns its lifecycle: queries, staging and Flush run beside each
-// other; Rebuild and Close, which replace or tear down the generation
-// queries read, run only while no query is in flight and report ErrBusy
-// otherwise; after Close everything but the plain accessors reports
+// The set owns its lifecycle: queries, staging, Flush, Rebuild and Close
+// run beside each other, and none refuses another. A query holds the
+// generation it reads, whose pagers close when its last hold goes
+// (release). After Close everything but the plain accessors reports
 // ErrClosed.
 type Set struct {
 	dir string // empty for memory-backed sets
 
 	// pmu guards what queries read and staging or Rebuild replaces:
-	// queries snapshot under its read side (query), staging mutates
-	// under its write side, and Rebuild and Close hold the write side
-	// and refuse while inflight is above zero.
+	// queries snapshot and hold the served generation under its read
+	// side (enter); staging, Rebuild and Close mutate under its write
+	// side.
 	pmu    sync.RWMutex
 	cur    *generation // the served generation; Rebuild replaces it whole; guarded by pmu
 	staged *epoch      // the live staging epoch (delta.go); Rebuild replaces it whole; guarded by pmu
 	clock  uint64      // staging-order stamp for last-op-wins semantics; guarded by pmu
 	closed bool        // set by Close; guarded by pmu
-
-	// inflight counts the queries running over a generation (query). It
-	// rises only under pmu's read side, so a holder of the write side
-	// that reads zero keeps reading zero until it unlocks: no query is
-	// running and none can start.
-	inflight atomic.Int64
 
 	// wal is the write-ahead log behind the staged updates (nil for a
 	// memory-backed set). Staging appends to it before mutating the
@@ -147,26 +136,47 @@ type Set struct {
 // generation is what a set serves between two commits: the manifest it
 // committed — for a memory-backed set the one it would commit, every
 // entry at generation 0 — and the shards opened from it with the pagers
-// they read, both by shard. It is never modified once published;
-// Rebuild derives the next one from it. Per-shard bounds and the element
+// they read, both by shard. Those are never modified once published;
+// Rebuild derives the next generation from them. Per-shard bounds and the element
 // count are read off the shards, the world, build knobs and generation
 // numbers off the manifest.
 type generation struct {
 	m      manifest
 	shards []*core.Index
 	pagers []storage.Pager // shards[s] reads pagers[s] through its own view
+
+	// holds counts g's holds minus one: the zero value is the set's own
+	// hold while it serves g. Each query reading g (enter) adds one, and
+	// so does g's predecessor, whose readers share the clean shards'
+	// pagers.
+	holds atomic.Int64
+	// next is g's successor, which g holds. It is written under pmu's
+	// write side before the set's hold on g is released, so the release
+	// that drops g's last hold, ordered after it by holds, reads it
+	// without pmu.
+	next *generation
 }
 
-// close closes every pager of g, skipping nil ones (a partly opened
-// generation), and returns the first error.
-func (g *generation) close() error {
+// release drops one hold on g. The release that drops the last closes
+// every pager of g that g.next does not also serve, skipping nil ones (a
+// partly opened generation), then releases g.next; it returns the first
+// error. Any other release returns nil.
+func (g *generation) release() error {
+	if g.holds.Add(-1) >= 0 {
+		return nil
+	}
 	var first error
 	for s, p := range g.pagers {
-		if p == nil {
+		if p == nil || g.next != nil && g.next.pagers[s] == p {
 			continue
 		}
 		if err := p.Close(); err != nil && first == nil {
 			first = fmt.Errorf("shard: close shard %d: %w", s, err)
+		}
+	}
+	if g.next != nil {
+		if err := g.next.release(); first == nil {
+			first = err
 		}
 	}
 	return first
@@ -525,19 +535,19 @@ func OpenSet(dir string, opts OpenOptions) (*Set, error) {
 	for s, e := range m.Entries {
 		ix, p, err := openShard(filepath.Join(dir, e.File), s)
 		if err != nil {
-			g.close()
+			g.release()
 			return nil, fmt.Errorf("shard %d: %w", s, err)
 		}
 		g.pagers[s] = p
 		if ix.Len() != e.Elements {
-			g.close()
+			g.release()
 			return nil, fmt.Errorf("shard %d: manifest records %d elements but %s holds %d (corrupted index directory)",
 				s, e.Elements, e.File, ix.Len())
 		}
 		// The superblock is authoritative for the page format (decoding is
 		// self-describing anyway); a non-zero manifest record must agree.
 		if e.PageFormat != 0 && storage.PageFormat(e.PageFormat) != ix.PageFormat() {
-			g.close()
+			g.release()
 			return nil, fmt.Errorf("shard %d: manifest records page format %d but %s is %s (corrupted index directory)",
 				s, e.PageFormat, e.File, ix.PageFormat())
 		}
@@ -545,7 +555,7 @@ func OpenSet(dir string, opts OpenOptions) (*Set, error) {
 	}
 	set := &Set{dir: dir, cur: g, staged: new(epoch)}
 	if err := set.openWAL(); err != nil {
-		g.close()
+		g.release()
 		return nil, err
 	}
 	if err := set.upgrade(); err != nil {
@@ -739,18 +749,20 @@ func (s *Set) Pool() *storage.ConcurrentPool {
 // calls it.
 func (s *Set) DropCache() {}
 
-// Close releases every shard's storage: the served generation's
-// pagers. A write-ahead log is synced before it is closed, so a clean
+// Close releases the set's hold on the served generation and marks the
+// set closed. A write-ahead log is synced before it is closed, so a clean
 // close acknowledges everything staged (an unclean one keeps what the
-// last Flush acknowledged). While a query is in flight it returns
-// ErrBusy and changes nothing; a second Close returns ErrClosed. The
-// log handle is kept, closed, so DeltaStats reports after Close what it
-// did before.
+// last Flush acknowledged); a second Close returns ErrClosed. Queries
+// already running finish over the generation they read: its pagers close
+// when the last of them leaves, and Close returns the first pager-close
+// error only when it drops the last hold itself — a query that drops it
+// has nowhere to report one, and it is discarded. The log handle is
+// kept, closed, so DeltaStats reports after Close what it did before.
 func (s *Set) Close() error {
 	s.pmu.Lock()
 	defer s.pmu.Unlock()
-	if err := s.idleLocked(); err != nil {
-		return err
+	if s.closed {
+		return ErrClosed
 	}
 	s.closed = true
 	var werr error
@@ -760,23 +772,8 @@ func (s *Set) Close() error {
 			werr = cerr
 		}
 	}
-	if err := s.cur.close(); err != nil {
+	if err := s.cur.release(); err != nil {
 		return err
 	}
 	return werr
-}
-
-// idleLocked reports why the generation may not be replaced or torn
-// down now: ErrClosed after Close, ErrBusy while a query is in flight.
-// Callers hold pmu's write side, which keeps the answer true until they
-// unlock (see inflight).
-// flatlint:holds pmu
-func (s *Set) idleLocked() error {
-	if s.closed {
-		return ErrClosed
-	}
-	if s.inflight.Load() > 0 {
-		return ErrBusy
-	}
-	return nil
 }

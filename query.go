@@ -211,12 +211,11 @@ func (r *Results) Batches() iter.Seq2[[]Element, error] {
 // All returns the session's element stream as a range-able iterator
 // over Batches. The yielded error is non-nil only on the terminal pair:
 // a page-read failure, the context's error when the session's context
-// is cancelled mid-crawl, or ErrClosed. The session is in flight for
-// exactly the executor's run — every element is yielded from inside it
-// — so Close and Rebuild report ErrBusy while a session is being
-// drained, never while one is merely held. The terminal error pair is
-// yielded after the executor has returned: a caller may Close from that
-// loop body. Breaking out counts the element broken on as delivered.
+// is cancelled mid-crawl, or ErrClosed. The session reads one
+// generation for exactly the executor's run — every element is yielded
+// from inside it — so a Close or Rebuild from the loop body, or from
+// another goroutine, leaves the elements still to come as they were.
+// Breaking out counts the element broken on as delivered.
 func (r *Results) All() iter.Seq2[Element, error] {
 	return func(yield func(Element, error) bool) {
 		unsent := 0 // elements of the last run the caller broke out before

@@ -53,10 +53,10 @@ func (ix *Index) DirtyShards() []int { return ix.set.DirtyShards() }
 // returns the rebuilt shard numbers (nil when nothing was staged or no
 // staged change had an effect).
 //
-// Rebuild is a maintenance operation like Close: while a query session
-// is being drained it returns ErrBusy and changes nothing, and after
-// Close it returns ErrClosed. Staging and Flush never make it report
-// ErrBusy: it waits for them, as they wait for it. On failure the
-// staged updates stay staged and the index keeps serving its previous
-// state.
+// Rebuild runs beside query sessions: one being drained reads the
+// generation it started on to the end, and sessions started after
+// Rebuild returns read the new one. It waits for staging and Flush, as
+// they wait for it, and after Close it returns ErrClosed. On failure
+// the staged updates stay staged and the index keeps serving its
+// previous state.
 func (ix *Index) Rebuild() ([]int, error) { return ix.set.Rebuild() }
