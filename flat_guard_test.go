@@ -11,32 +11,44 @@ import (
 	"testing"
 )
 
-// TestRebuildSwapsGenerationsUnderReaders swaps generation after
-// generation under live readers: each round stages one insert and calls
-// Rebuild, which must succeed and fold it, while readers count a fixed
-// workload, a stager stages inserts and a poller reads DeltaStats and
-// DirtyShards and calls Flush. Only inserts are staged, so no reader's
-// count for a query may ever fall. Close then runs beside all of them
-// and must succeed; the readers and writers stop at the ErrClosed it
-// makes every later call return. A directory must reopen with every
-// element that was staged, folded or not. -race certifies that no swap
-// or teardown races a reader.
-func TestRebuildSwapsGenerationsUnderReaders(t *testing.T) {
-	for _, tc := range []struct {
-		name   string
-		shards int
-		disk   bool
-	}{{"K=1 memory", 1, false}, {"K=4 directory", 4, true}} {
-		t.Run(tc.name, func(t *testing.T) {
-			dir := ""
-			if tc.disk {
-				dir = filepath.Join(t.TempDir(), "idx")
-			}
-			testRebuildSwapsGenerations(t, tc.shards, dir)
-		})
-	}
+// TestCloseAndRebuildRefuseInFlightQueries runs the generation-swap
+// hammer (testRebuildSwapsGenerations) on one shard in memory: Close and
+// Rebuild beside in-flight queries refuse nothing — every Rebuild must
+// fold and Close must succeed — and the readers' results stay
+// consistent. The name is that of the contract it replaced, under which
+// both returned ErrBusy while a query was in flight.
+func TestCloseAndRebuildRefuseInFlightQueries(t *testing.T) {
+	testRebuildSwapsGenerations(t, 1, "")
 }
 
+// TestRebuildRefusesInFlightQueries runs the hammer on four shards in
+// memory, where one Rebuild may replace some shards and keep others, and
+// requires every Rebuild beside the readers, the stager and the
+// accessors to succeed. The name is that of the contract it replaced,
+// under which Rebuild returned ErrBusy beside a live query.
+func TestRebuildRefusesInFlightQueries(t *testing.T) {
+	testRebuildSwapsGenerations(t, 4, "")
+}
+
+// TestStagingNeverMakesMaintenanceBusy runs the hammer on four shards in
+// a directory: the stager and the DeltaStats/DirtyShards/Flush poller
+// never make Rebuild or Close fail, a replaced generation's pagers are
+// closed only once its last reader is done, and the directory reopens
+// with every element that was staged, folded or not.
+func TestStagingNeverMakesMaintenanceBusy(t *testing.T) {
+	testRebuildSwapsGenerations(t, 4, filepath.Join(t.TempDir(), "idx"))
+}
+
+// testRebuildSwapsGenerations swaps generation after generation of a
+// k-shard index (in dir, or in memory if dir is "") under live readers:
+// each round stages one insert and calls Rebuild, which must succeed and
+// fold it, while readers count a fixed workload, a stager stages inserts
+// and a poller reads DeltaStats and DirtyShards and calls Flush. Only
+// inserts are staged, so no reader's count for a query may ever fall.
+// Close then runs beside all of them and must succeed; the readers and
+// writers stop at the ErrClosed it makes every later call return. A
+// directory must reopen with every element that was staged, folded or
+// not. -race certifies that no swap or teardown races a reader.
 func testRebuildSwapsGenerations(t *testing.T, k int, dir string) {
 	r := rand.New(rand.NewSource(95))
 	const n0, rounds = 2000, 20
